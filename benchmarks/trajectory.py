@@ -442,7 +442,7 @@ def measure_planner(scale: float) -> dict:
     """Cost-based planner health: overhead, estimate accuracy, regret.
 
     Three pinned workloads — Table I uniform, the Fig. 11 clustered
-    pair, and a past-the-ratio-gate contrast pair — are planned with
+    pair, and a 100x cardinality-contrast pair — are planned with
     ``explain=True`` and then *every* costed candidate is executed, so
     the recorded regret (executed cost of auto's choice over the best
     candidate's) is a measured number, not a prediction.  Sketch-build
@@ -450,17 +450,7 @@ def measure_planner(scale: float) -> dict:
     workload; the deterministic fields (chosen algorithm, estimates,
     executed candidate costs) are exact functions of the pinned seeds
     and are diffed against the baseline like experiment counters.
-
-    The section measures the statistics planner itself, so
-    ``REPRO_PLANNER_STATS`` is forced on for its duration (like the
-    worker pin at module import): an ambient ``=0`` must not silently
-    skip the gate or crash the run.
     """
-    with env_override("REPRO_PLANNER_STATS", "1"):
-        return _measure_planner_inner(scale)
-
-
-def _measure_planner_inner(scale: float) -> dict:
     from repro.datagen import dense_cluster, uniform_cluster
     from repro.engine import SpatialWorkspace, plan_join
     from repro.stats import build_sketch, within_error_band

@@ -15,17 +15,15 @@ import sys
 
 from repro import SpatialWorkspace, plan_join
 from repro.datagen import dense_cluster, scaled_space, uniform_cluster
-from repro.engine.planner import GIPSY_RATIO_THRESHOLD
 
 
 def main() -> int:
     total = int(sys.argv[1]) if len(sys.argv) > 1 else 8_000
-    # A Fig. 11-style pair (DenseCluster vs UniformCluster) with a
-    # cardinality contrast past the legacy ratio rule's GIPSY gate:
-    # exactly the workload where two scalars misplan.
+    # A Fig. 11-style pair (DenseCluster vs UniformCluster) at a ~130x
+    # cardinality contrast: exactly the workload where a hand-set
+    # "extreme contrast -> crawl from the sparse side" rule misplans.
     n_small = max(20, total // 130)
     n_big = total - n_small
-    assert n_big / n_small >= GIPSY_RATIO_THRESHOLD
     space = scaled_space(total)
     sparse = dense_cluster(n_small, seed=21, name="sparse", space=space)
     dense = uniform_cluster(
@@ -48,25 +46,21 @@ def main() -> int:
             f"{candidate.join_io:.1f} + CPU {candidate.join_cpu:.1f})"
         )
 
-    # The legacy two-scalar rule would have routed this contrast to
-    # GIPSY; execute both choices and let the measurement speak.
-    ratio_rule_choice = "gipsy"
+    # A contrast rule would have routed this pair to GIPSY; execute
+    # both choices and let the measurement speak.
+    contrast_rule_choice = "gipsy"
     chosen = SpatialWorkspace().join(
         sparse, dense, algorithm=report.algorithm
     )
-    legacy = SpatialWorkspace().join(
-        sparse, dense, algorithm=ratio_rule_choice
+    ruled = SpatialWorkspace().join(
+        sparse, dense, algorithm=contrast_rule_choice
     )
     print(
         f"\nexecuted  : {report.algorithm} cost "
-        f"{chosen.total_cost():.0f} vs {ratio_rule_choice} cost "
-        f"{legacy.total_cost():.0f} "
-        f"({legacy.total_cost() / chosen.total_cost():.1f}x more for the "
-        "ratio rule's pick)"
-    )
-    print(
-        "escape hatch: REPRO_PLANNER_STATS=0 restores the legacy "
-        "ratio-threshold planner"
+        f"{chosen.total_cost():.0f} vs {contrast_rule_choice} cost "
+        f"{ruled.total_cost():.0f} "
+        f"({ruled.total_cost() / chosen.total_cost():.1f}x more for the "
+        "contrast rule's pick)"
     )
     # Auto joins carry the same report on the run itself.
     run = SpatialWorkspace().join(sparse, dense)

@@ -53,11 +53,6 @@ Quickstart::
     print(report.pairs_found, "intersecting pairs",
           f"(ran {report.algorithm}, cost {report.total_cost():.0f})")
     hits = ws.range_query(a, space) # reuses a's index, zero rebuilds
-
-The legacy path — wiring a :class:`~repro.storage.SimulatedDisk` by
-hand and unpacking ``TransformersJoin().run(disk, a, b)`` into a
-``(result, build_a, build_b)`` tuple — still works, but new code
-should go through the workspace.
 """
 
 from repro.core import (

@@ -2,8 +2,7 @@
 
 PR 6's rules see one :class:`~repro.analysis.context.ModuleContext` at
 a time, which is exactly why the bugs PR 7 fixed slipped through: a
-deprecated call reached through a helper in another module, a request
-field that skipped the cache key two modules away, shared-memory
+request field that skipped the cache key two modules away, shared-memory
 release obligations split between publisher and worker.  This module
 builds the structures those *interprocedural* rules need, once per
 analysis run:

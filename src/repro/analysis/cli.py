@@ -44,8 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "RPL005 REPRO_* env registry, RPL006 export hygiene, "
             "RPL008 resource lifecycle) plus whole-program rules over "
             "the project call graph (RPL007 lock ordering, RPL009 "
-            "cache-key completeness, RPL010 transitive deprecated "
-            "calls)."
+            "cache-key completeness)."
         ),
     )
     parser.add_argument(

@@ -1,7 +1,6 @@
 """Rule implementations; importing this package registers them all."""
 
 from repro.analysis.rules.cache_key import CacheKeyCompletenessRule
-from repro.analysis.rules.deprecated_calls import DeprecatedCallRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.env_registry import EnvRegistryRule
 from repro.analysis.rules.exports import ExportHygieneRule
@@ -21,5 +20,4 @@ __all__ = [
     "LockOrderRule",
     "ResourceLifecycleRule",
     "CacheKeyCompletenessRule",
-    "DeprecatedCallRule",
 ]

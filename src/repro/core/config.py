@@ -80,16 +80,6 @@ ENV_REGISTRY: tuple[EnvVar, ...] = (
         ),
     ),
     EnvVar(
-        name="REPRO_PLANNER_STATS",
-        kind="bool",
-        default=True,
-        description=(
-            "Cost-based planning for algorithm=\"auto\". Set to 0 to "
-            "fall back to the legacy cardinality-ratio rule (no "
-            "sketches are built at all)."
-        ),
-    ),
-    EnvVar(
         name="REPRO_BENCH_WORKERS",
         kind="int",
         default=1,
@@ -288,11 +278,6 @@ def experiment_workers() -> int:
 def experiment_service_enabled() -> bool:
     """``REPRO_EXPERIMENT_SERVICE``: route the harness via a service."""
     return env_bool("REPRO_EXPERIMENT_SERVICE")
-
-
-def planner_stats_enabled() -> bool:
-    """``REPRO_PLANNER_STATS``: cost-based ``"auto"`` planning on?"""
-    return env_bool("REPRO_PLANNER_STATS")
 
 
 def bench_workers() -> int:

@@ -91,9 +91,10 @@ class TransformersJoin(SpatialJoinAlgorithm):
     >>> space = scaled_space(600)
     >>> a = uniform_dataset(300, seed=1, name="A", space=space)
     >>> b = uniform_dataset(300, seed=2, name="B", id_offset=10**9, space=space)
-    >>> disk = SimulatedDisk()
-    >>> result, _, _ = TransformersJoin().run(disk, a, b)
-    >>> result.stats.pairs_found >= 0
+    >>> disk, algo = SimulatedDisk(), TransformersJoin()
+    >>> index_a, _ = algo.build_index(disk, a)
+    >>> index_b, _ = algo.build_index(disk, b)
+    >>> algo.join(index_a, index_b).stats.pairs_found >= 0
     True
     """
 

@@ -48,7 +48,6 @@ from repro.engine.planner import (
     pbsm_resolution,
     plan_join,
     plan_join_sketched,
-    planner_stats_enabled,
 )
 from repro.engine.registry import (
     AlgorithmSpec,
@@ -75,7 +74,6 @@ __all__ = [
     "PlanReport",
     "plan_join",
     "plan_join_sketched",
-    "planner_stats_enabled",
     "AlgorithmSpec",
     "algorithm_spec",
     "available_algorithms",

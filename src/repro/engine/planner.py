@@ -15,11 +15,9 @@ hand-tuned parameter.  Version 2 makes ``"auto"`` **cost-based**:
   the whole ranked candidate list, the selectivity estimate and its
   documented error band, so a plan is *explainable*, not an oracle.
 
-Two datasets with equal cardinalities but different clustering can now
-plan differently — the skew-blindness of the old two-scalar rule is a
-pinned regression test.  The ratio rule
-(:data:`GIPSY_RATIO_THRESHOLD`) is kept as the fallback when
-statistics are disabled (``REPRO_PLANNER_STATS=0``) or unavailable.
+Two datasets with equal cardinalities but different clustering can
+plan differently.  When no candidate can be costed the plan is
+TRANSFORMERS, the paper's robust default.
 
 The planner also computes the parameters each baseline would otherwise
 need hand-wired — PBSM's grid resolution sweep stand-in, SSSJ's shared
@@ -36,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.config import planner_stats_enabled as _planner_stats_enabled
 from repro.engine.registry import (
     algorithm_spec,
     available_algorithms,
@@ -55,27 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ~10⁴) and the page (to 1 KB ≈ 18 elements) keeps the page count and
 #: hierarchy depth in a realistic regime.  See DESIGN.md §2.
 EXPERIMENT_PAGE_SIZE = 1024
-
-#: Cardinality contrast at or beyond which the *fallback* ratio rule
-#: prefers GIPSY.  Fig. 10: GIPSY overtakes TRANSFORMERS only at the
-#: outermost rungs of the density ladder (three decades of contrast);
-#: 64× is comfortably inside that regime and far outside every balanced
-#: workload.  The cost-based default supersedes this rule — at the
-#: reproduction's scales the measured totals keep TRANSFORMERS ahead
-#: even at the ladder edges — but the threshold remains the behaviour
-#: under ``REPRO_PLANNER_STATS=0``.
-GIPSY_RATIO_THRESHOLD = 64.0
-
-
-def planner_stats_enabled() -> bool:
-    """Whether cost-based planning is on (default; escape hatch below).
-
-    ``REPRO_PLANNER_STATS=0`` disables the statistics layer entirely:
-    no sketches are built and ``"auto"`` falls back to the legacy
-    cardinality-ratio rule.  Useful for bisecting planner behaviour
-    and for callers that want the historical resolution.
-    """
-    return _planner_stats_enabled()
 
 
 def experiment_disk_model(page_size: int = EXPERIMENT_PAGE_SIZE) -> DiskModel:
@@ -120,12 +96,6 @@ class PlanHints:
     def n_total(self) -> int:
         """Combined cardinality of the pair."""
         return self.n_a + self.n_b
-
-    @property
-    def cardinality_ratio(self) -> float:
-        """Contrast between the two inputs (always >= 1)."""
-        lo, hi = sorted((max(self.n_a, 1), max(self.n_b, 1)))
-        return hi / lo
 
     def param(self, key: str, default: object = None) -> object:
         """One resolved parameter, with a factory-side default."""
@@ -186,7 +156,7 @@ class PlanReport:
     est_tests: float | None = None
     error_band: float | None = None
     #: True when the decision came from sketch-based cost estimates
-    #: (False: explicit request, empty input, or stats disabled).
+    #: (False: explicit request without ``explain``, or empty input).
     stats_used: bool = False
 
     # Proxies so a PlanReport quacks like the JoinPlan it wraps.
@@ -292,22 +262,6 @@ def _rank_candidates(
     return tuple(ranked), profile.est_pairs
 
 
-def _ratio_rule(hints: PlanHints) -> tuple[str, str]:
-    """The legacy two-scalar fallback: (resolved name, reason)."""
-    ratio = hints.cardinality_ratio
-    if ratio >= GIPSY_RATIO_THRESHOLD and algorithm_spec("gipsy").plannable:
-        return "gipsy", (
-            f"extreme cardinality contrast ({ratio:.0f}x >= "
-            f"{GIPSY_RATIO_THRESHOLD:.0f}x): crawl from the sparse "
-            "side (paper Fig. 10, ladder edges; ratio fallback — "
-            "statistics disabled or unavailable)"
-        )
-    return "transformers", (
-        f"robust default at {ratio:.1f}x contrast; adapts roles "
-        "and layout at run time (paper Table I, Figs. 10-12)"
-    )
-
-
 def _plan(
     hints: PlanHints,
     algorithm: str,
@@ -322,27 +276,20 @@ def _plan(
     requested = algorithm.strip().lower()
     candidates: tuple = ()
     pair_estimate: float | None = None
-    stats_used = False
-    use_stats = planner_stats_enabled() and sketches is not None
 
     if requested == "auto":
         if hints.n_a == 0 or hints.n_b == 0:
-            # An empty side makes the result trivially empty; without
-            # this short-circuit the ratio clamp (empty side counted as
-            # 1) would read e.g. 300 vs 0 as a 300x contrast and pick
-            # GIPSY for a join that never runs.
             resolved = "transformers"
             reason = (
                 "one or both inputs are empty: the join is trivially "
-                "empty, so the robust default is kept and no contrast "
-                "heuristic applies"
+                "empty, so the robust default is kept"
             )
-        elif use_stats:
-            candidates, pair_estimate = _rank_candidates(
-                hints, sketches, estimator, disk_model, cost_model
-            )
+        else:
+            if sketches is not None:
+                candidates, pair_estimate = _rank_candidates(
+                    hints, sketches, estimator, disk_model, cost_model
+                )
             if candidates:
-                stats_used = True
                 best = candidates[0]
                 resolved = best.algorithm
                 runner_up = (
@@ -357,19 +304,22 @@ def _plan(
                     f"{runner_up}"
                 )
             else:
-                resolved, reason = _ratio_rule(hints)
-        else:
-            resolved, reason = _ratio_rule(hints)
+                resolved = "transformers"
+                reason = (
+                    "robust default: no candidate could be costed; "
+                    "TRANSFORMERS adapts roles and layout at run time "
+                    "(paper Table I, Figs. 10-12)"
+                )
     else:
         resolved = algorithm_spec(requested).name
         reason = "requested explicitly"
-        if explain and use_stats and hints.n_a and hints.n_b:
+        if explain and sketches is not None and hints.n_a and hints.n_b:
             # Cost the field anyway so an explicit request can be
             # compared against what "auto" would have picked.
             candidates, pair_estimate = _rank_candidates(
                 hints, sketches, estimator, disk_model, cost_model
             )
-            stats_used = bool(candidates)
+    stats_used = bool(candidates)
     # Validate eagerly so a typo fails at plan time, not join time.
     algorithm_spec(resolved)
     plan = JoinPlan(
@@ -432,8 +382,7 @@ def plan_join(
     ``"auto"`` is resolved **cost-based** by default: both datasets are
     sketched (pass ``sketches`` to reuse cached ones), every plannable
     algorithm's cost hook predicts its cost for the pair, and the
-    cheapest prediction wins.  ``REPRO_PLANNER_STATS=0`` falls back to
-    the legacy cardinality-ratio rule.
+    cheapest prediction wins.
 
     ``explain=True`` returns a :class:`PlanReport` carrying the ranked
     candidate costs, the selectivity estimate and its documented error
@@ -455,7 +404,6 @@ def plan_join(
     )
     needs_sketches = (
         sketches is None
-        and planner_stats_enabled()
         and len(a) > 0
         and len(b) > 0
         and (algorithm.strip().lower() == "auto" or explain)

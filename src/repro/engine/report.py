@@ -1,9 +1,8 @@
 """Structured result of one workspace join.
 
-:class:`RunReport` replaces the bare ``(result, build_a, build_b)``
-tuple the legacy :meth:`SpatialJoinAlgorithm.run` returns: it carries
-the join result, both per-phase build statistics, the resolved
-:class:`~repro.engine.planner.JoinPlan`, index-cache provenance
+:class:`RunReport` carries the join result, both per-phase build
+statistics, the resolved :class:`~repro.engine.planner.JoinPlan`,
+index-cache provenance
 (which sides were reused, how many pages each build step actually
 wrote *in this run*), and a :meth:`total_cost` combining everything
 under a cost model.
@@ -39,8 +38,8 @@ class RunReport:
     cost_model: CostModel = field(default_factory=CostModel)
     #: The explainable planning decision (candidate costs, selectivity
     #: estimate, error band).  Populated whenever the statistics layer
-    #: planned this join — ``algorithm="auto"`` with stats enabled, or
-    #: any registry name under ``join(..., explain=True)``.
+    #: planned this join — ``algorithm="auto"``, or any registry name
+    #: under ``join(..., explain=True)``.
     plan_report: PlanReport | None = None
     #: Provenance: this report's pair set was produced by patching a
     #: cached result through ``delta_join`` (streaming tier) rather

@@ -40,7 +40,6 @@ from repro.engine.planner import (
     PlanReport,
     experiment_disk_model,
     plan_join,
-    planner_stats_enabled,
 )
 from repro.engine.registry import algorithm_spec, spec_for_instance
 from repro.engine.report import RunReport
@@ -384,12 +383,9 @@ class SpatialWorkspace:
         plan: JoinPlan | None = None
         plan_report: PlanReport | None = None
         if isinstance(algorithm, str):
-            use_stats = planner_stats_enabled()
-            want_report = explain or (
-                algorithm.strip().lower() == "auto" and use_stats
-            )
+            want_report = explain or algorithm.strip().lower() == "auto"
             sketches = None
-            if want_report and use_stats and len(a) > 0 and len(b) > 0:
+            if want_report and len(a) > 0 and len(b) > 0:
                 sketches = (self.sketch_for(a), self.sketch_for(b))
             planned = plan_join(
                 a, b, algorithm, space=space,

@@ -17,7 +17,7 @@ Command line::
     python -m repro.harness.experiments fig10 --scale 2.0
 """
 
-from repro.harness.runner import RunRecord, pbsm_resolution, run_pair
+from repro.harness.runner import pbsm_resolution, run_pair
 from repro.harness.report import format_table
 
-__all__ = ["RunRecord", "run_pair", "pbsm_resolution", "format_table"]
+__all__ = ["run_pair", "pbsm_resolution", "format_table"]

@@ -9,7 +9,6 @@ clear OS caches and disk buffers before each experiment").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 # Storage defaults and the PBSM heuristic moved to the engine's planner
 # (PR 1); re-exported here because benchmarks and downstream code import
@@ -19,89 +18,10 @@ from repro.engine.planner import (  # noqa: F401  (re-exports)
     experiment_disk_model,
     pbsm_resolution,
 )
+from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
-from repro.joins.base import (
-    CostModel,
-    Dataset,
-    JoinStats,
-    SpatialJoinAlgorithm,
-)
+from repro.joins.base import CostModel, Dataset, SpatialJoinAlgorithm
 from repro.storage.disk import DiskModel
-
-
-@dataclass
-class RunRecord:
-    """Everything measured for one (algorithm, dataset-pair) run.
-
-    Legacy harness type kept for downstream callers;
-    :class:`~repro.engine.report.RunReport` is the canonical result
-    shape (same ``row()`` schema plus plan and reuse provenance), and
-    the two must stay key-compatible.
-    """
-
-    algorithm: str
-    dataset_a: str
-    dataset_b: str
-    n_a: int
-    n_b: int
-    build_stats_a: JoinStats
-    build_stats_b: JoinStats
-    join_stats: JoinStats
-    cost_model: CostModel = field(default_factory=CostModel)
-
-    @property
-    def pairs_found(self) -> int:
-        """Result pairs reported by the join."""
-        return self.join_stats.pairs_found
-
-    @property
-    def index_cost(self) -> float:
-        """Simulated indexing time (both datasets)."""
-        return self.build_stats_a.total_cost(self.cost_model) + (
-            self.build_stats_b.total_cost(self.cost_model)
-        )
-
-    @property
-    def join_cost(self) -> float:
-        """Simulated join time (the paper's headline metric)."""
-        return self.join_stats.total_cost(self.cost_model)
-
-    @property
-    def join_io_cost(self) -> float:
-        """Simulated join-phase I/O time (Fig. 11/12 "I/O" bars)."""
-        return self.join_stats.io_cost
-
-    @property
-    def join_cpu_cost(self) -> float:
-        """Simulated join-phase CPU time (Fig. 11/12 "Join" bars)."""
-        return self.join_stats.cpu_cost(self.cost_model)
-
-    @property
-    def intersection_tests(self) -> int:
-        """Element comparisons, incl. metadata for TRANSFORMERS.
-
-        The paper's Figure 11 note: "For TRANSFORMERS this ... also
-        includes metadata comparisons."
-        """
-        return (
-            self.join_stats.intersection_tests
-            + self.join_stats.metadata_comparisons
-        )
-
-    def row(self) -> dict[str, float]:
-        """Flat reporting row."""
-        return {
-            "algorithm": self.algorithm,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "pairs": self.pairs_found,
-            "index_cost": round(self.index_cost, 1),
-            "join_cost": round(self.join_cost, 1),
-            "join_io": round(self.join_io_cost, 1),
-            "join_cpu": round(self.join_cpu_cost, 1),
-            "tests": self.intersection_tests,
-            "join_wall_s": round(self.join_stats.wall_seconds, 3),
-        }
 
 
 def run_pair(
@@ -110,7 +30,7 @@ def run_pair(
     b: Dataset,
     disk_model: DiskModel | None = None,
     cost_model: CostModel | None = None,
-) -> RunRecord:
+) -> RunReport:
     """Index both datasets and join them on a fresh workspace.
 
     One :class:`~repro.engine.workspace.SpatialWorkspace` per run keeps
@@ -122,18 +42,7 @@ def run_pair(
     workspace = SpatialWorkspace(
         disk_model=disk_model, cost_model=cost_model
     )
-    report = workspace.join(a, b, algorithm=algorithm)
-    return RunRecord(
-        algorithm=report.algorithm,
-        dataset_a=a.name,
-        dataset_b=b.name,
-        n_a=len(a),
-        n_b=len(b),
-        build_stats_a=report.build_a,
-        build_stats_b=report.build_b,
-        join_stats=report.join_stats,
-        cost_model=cost_model or CostModel(),
-    )
+    return workspace.join(a, b, algorithm=algorithm)
 
 
 def geometric_sizes(start: int, stop: int, steps: int) -> list[int]:

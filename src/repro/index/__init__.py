@@ -12,14 +12,12 @@
 
 from repro.index.bplustree import BPlusTree
 from repro.index.grid import UniformGrid
-from repro.index.incremental import IncrementalGridIndex
 from repro.index.rtree import RTree
 from repro.index.str_pack import str_partition
 
 __all__ = [
     "BPlusTree",
     "UniformGrid",
-    "IncrementalGridIndex",
     "RTree",
     "str_partition",
 ]

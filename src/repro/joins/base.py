@@ -17,7 +17,6 @@ paper's figures break down:
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -261,11 +260,6 @@ class CostBreakdown:
         return self.index_io + self.join_io + self.join_cpu
 
 
-#: Process-wide flag so the :meth:`SpatialJoinAlgorithm.run` deprecation
-#: warning fires exactly once, however many call sites still use the shim.
-_RUN_DEPRECATION_EMITTED = False
-
-
 class SpatialJoinAlgorithm(ABC):
     """Base class for disk-based spatial join algorithms.
 
@@ -381,32 +375,3 @@ class SpatialJoinAlgorithm(ABC):
         stats.pairs_found = len(pairs)
         stats.wall_seconds = wall
         return JoinResult(pairs=pairs, stats=stats)
-
-    # Back-compat convenience; new code should prefer the workspace.
-    def run(
-        self, disk: SimulatedDisk, a: Dataset, b: Dataset
-    ) -> tuple[JoinResult, JoinStats, JoinStats]:
-        """Index both datasets and join them (legacy shim).
-
-        Returns ``(join_result, build_stats_a, build_stats_b)``.
-
-        .. deprecated:: 1.1
-            Kept as a thin back-compat shim.  Prefer
-            ``repro.SpatialWorkspace().join(a, b, algorithm=...)``,
-            which returns a structured
-            :class:`~repro.engine.report.RunReport`, validates id
-            disjointness, and reuses cached indexes across joins.
-        """
-        global _RUN_DEPRECATION_EMITTED
-        if not _RUN_DEPRECATION_EMITTED:
-            _RUN_DEPRECATION_EMITTED = True
-            warnings.warn(
-                "SpatialJoinAlgorithm.run() is deprecated since 1.1; "
-                "use repro.SpatialWorkspace().join(a, b, algorithm=...) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        index_a, build_a = self.build_index(disk, a)
-        index_b, build_b = self.build_index(disk, b)
-        return self.join(index_a, index_b), build_a, build_b

@@ -22,6 +22,7 @@ fingerprint (:func:`~repro.service.fingerprint.dataset_fingerprint`):
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.joins.base import Dataset
@@ -39,6 +40,28 @@ class CatalogEntry:
     #: Starts at 1; bumped every time the name is re-bound to content
     #: with a different fingerprint.
     version: int
+
+
+def check_binding(name: object, dataset: object) -> None:
+    """Raise unless ``name`` / ``dataset`` can form a catalog binding.
+
+    The one definition of what every tier accepts at registration.
+    """
+    if not isinstance(name, str) or not name.strip():
+        raise ValueError("dataset name must be a non-empty string")
+    if not isinstance(dataset, Dataset):
+        raise TypeError(
+            f"can only register Dataset objects, got "
+            f"{type(dataset).__name__}"
+        )
+
+
+def unknown_name(name: str, known: Iterable[str]) -> KeyError:
+    """The ``KeyError`` every tier raises for an unregistered name."""
+    listing = ", ".join(sorted(known)) or "<catalog is empty>"
+    return KeyError(
+        f"no dataset registered under {name!r}; registered: {listing}"
+    )
 
 
 class DatasetCatalog:
@@ -86,13 +109,7 @@ class DatasetCatalog:
         (rebuild-identical by the ``apply_delta`` contract); sketches
         of content no longer served by any name are dropped.
         """
-        if not isinstance(name, str) or not name.strip():
-            raise ValueError("dataset name must be a non-empty string")
-        if not isinstance(dataset, Dataset):
-            raise TypeError(
-                f"can only register Dataset objects, got "
-                f"{type(dataset).__name__}"
-            )
+        check_binding(name, dataset)
         fingerprint = dataset_fingerprint(dataset)
         old = self._entries.get(name)
         if old is not None and old.fingerprint == fingerprint:
@@ -135,10 +152,7 @@ class DatasetCatalog:
         try:
             return self._entries[name]
         except KeyError:
-            known = ", ".join(sorted(self._entries)) or "<catalog is empty>"
-            raise KeyError(
-                f"no dataset registered under {name!r}; registered: {known}"
-            ) from None
+            raise unknown_name(name, self._entries) from None
 
     def get(self, name: str) -> CatalogEntry | None:
         """The entry bound to ``name``, or ``None``."""

@@ -3,38 +3,98 @@
 When a registered dataset takes a :class:`~repro.streaming.DatasetDelta`,
 every cached :class:`~repro.engine.report.RunReport` whose key
 references the old content is *almost* right: the pair set differs only
-around the delta.  :func:`patch_cached_entry` rewrites one such entry
-to the post-delta truth through :func:`~repro.joins.delta_join` —
-producing the key the recomputed join would be cached under and a
-report whose pair set is byte-identical to that recompute — without
-running the join's algorithm at all.
+around the delta.  :func:`advance_delta` is the one definition of what
+a delta does to served content — shared by the single-process service
+and the sharded router: it materialises the post-delta dataset, decides
+whether patching is worthwhile (the ``REPRO_STREAM_PATCH*`` policy is
+read here and nowhere else in the service layer) and rewrites each
+affected entry through :func:`patch_cached_entry`, which produces the
+key the recomputed join would be cached under and a report whose pair
+set is byte-identical to that recompute — without running the join's
+algorithm at all.
 
-A ``None`` return means "this entry cannot be patched, invalidate it":
+An entry falls back to invalidation when
 
-* the key carries a ``within=d`` predicate — those results live on
+* patching is disabled (``REPRO_STREAM_PATCH=0``) or the delta fraction
+  exceeds ``REPRO_STREAM_PATCH_MAX_FRACTION``;
+* its key carries a ``within=d`` predicate — those results live on
   *enlarged* derived datasets whose deltas are not the caller's delta;
 * the partner side's fingerprint cannot be resolved to a live dataset
   (nothing to join insertions against).
-
-The caller decides the third fallback (delta too large to be worth
-patching) before ever calling in.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
+from repro.core.config import (
+    stream_patch_enabled,
+    stream_patch_max_fraction,
+)
 from repro.engine.report import RunReport
 from repro.joins.base import Dataset, JoinResult, JoinStats
 from repro.joins.delta import delta_join
-from repro.service.fingerprint import CacheKey
+from repro.service.fingerprint import CacheKey, dataset_fingerprint
 from repro.streaming.delta import DatasetDelta
 
 #: Phase label of patched reports' join stats (shows up in reporting
 #: rows and latency summaries, distinguishing patches from real runs).
 DELTA_PATCH_PHASE = "delta_patch"
+
+
+def advance_delta(
+    delta: DatasetDelta,
+    old_dataset: Dataset,
+    old_fingerprint: str,
+    *,
+    affected: Callable[[], Iterable[tuple[CacheKey, RunReport]]],
+    resolve: Callable[[str], Dataset | None],
+) -> tuple[Dataset, str, float, bool, list[tuple[CacheKey, RunReport]], int]:
+    """Advance content along ``delta`` and patch the entries it touches.
+
+    ``affected`` yields every cached ``(key, report)`` referencing
+    ``old_fingerprint``; it is only called when the delta changes the
+    content.  ``resolve`` maps a content fingerprint to the dataset
+    currently served under it (``None`` when no name serves it).
+
+    Returns ``(new_dataset, new_fingerprint, fraction, noop, rewritten,
+    fallbacks)``: the post-delta content (bit-identical to building it
+    from scratch, so the fingerprint equals a cold registration's), the
+    delta size relative to the pre-delta cardinality, whether the
+    content is unchanged, the post-delta ``(key, report)`` of every
+    patched entry, and how many entries must be invalidated instead.
+    Propagates :meth:`DatasetDelta.apply`'s validation errors.
+    """
+    new_dataset = delta.apply(old_dataset)
+    new_fingerprint = dataset_fingerprint(new_dataset)
+    fraction = delta.fraction(len(old_dataset))
+    if new_fingerprint == old_fingerprint:
+        return new_dataset, new_fingerprint, fraction, True, [], 0
+    patchable = (
+        stream_patch_enabled() and fraction <= stream_patch_max_fraction()
+    )
+    rewritten: list[tuple[CacheKey, RunReport]] = []
+    fallbacks = 0
+    for key, report in affected():
+        patched = None
+        if patchable:
+            patched = patch_cached_entry(
+                key,
+                report,
+                old_fingerprint=old_fingerprint,
+                new_fingerprint=new_fingerprint,
+                delta=delta,
+                old_dataset=old_dataset,
+                new_dataset=new_dataset,
+                resolve=resolve,
+            )
+        if patched is None:
+            fallbacks += 1
+        else:
+            rewritten.append(patched)
+    return new_dataset, new_fingerprint, fraction, False, rewritten, fallbacks
 
 
 def patch_cached_entry(

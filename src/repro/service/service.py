@@ -60,10 +60,6 @@ import numpy as np
 
 from repro._types import IntArray
 
-from repro.core.config import (
-    stream_patch_enabled,
-    stream_patch_max_fraction,
-)
 from repro.engine.executor import BatchExecutor, JoinRequest
 from repro.engine.planner import PlanReport, plan_join_sketched
 from repro.engine.report import RunReport
@@ -78,7 +74,7 @@ from repro.service.fingerprint import (
     dataset_fingerprint,
     request_cache_key,
 )
-from repro.service.patch import patch_cached_entry
+from repro.service.patch import advance_delta
 from repro.service.stats import ServiceStats
 from repro.storage.disk import DiskModel
 from repro.streaming.delta import DatasetDelta
@@ -275,22 +271,15 @@ class SpatialQueryService:
         The streaming tier's registration path: instead of re-binding
         the name to freshly built content (full fingerprint, full
         sketch, full cache invalidation), the catalog fingerprint
-        advances along the delta lineage —
-
-        * the post-delta dataset is materialised by
-          :meth:`DatasetDelta.apply` (bit-identical to building it from
-          scratch, so its fingerprint equals a cold registration's);
-        * the stored sketch is maintained incrementally
-          (:meth:`DatasetSketch.apply_delta`, rebuild-identical);
-        * every cached result whose key references the old content is
-          **patched** through :func:`~repro.joins.delta_join` and
-          re-filed under the post-delta key, byte-identical to a full
-          recompute — unless patching is disabled
-          (``REPRO_STREAM_PATCH=0``), the delta fraction exceeds
-          ``REPRO_STREAM_PATCH_MAX_FRACTION``, the entry's predicate
-          is not plain intersection, or its partner content is not
-          resolvable; those entries fall back to plain invalidation
-          (counted in ``delta_patch_fallbacks``).
+        advances along the delta lineage
+        (:func:`~repro.service.patch.advance_delta`): every cached
+        result whose key references the old content is **patched**
+        through :func:`~repro.joins.delta_join` and re-filed under the
+        post-delta key, byte-identical to a full recompute; entries
+        that cannot be patched fall back to plain invalidation
+        (counted in ``delta_patch_fallbacks``).  The stored sketch is
+        maintained incrementally (:meth:`DatasetSketch.apply_delta`,
+        rebuild-identical).
 
         Raises ``KeyError`` for unknown names and propagates
         :meth:`DatasetDelta.apply`'s validation errors (unknown delete
@@ -302,12 +291,24 @@ class SpatialQueryService:
                 old_sketch = self._catalog.sketch_by_fingerprint(
                     old.fingerprint
                 )
-            # The expensive work — materialising the post-delta arrays,
-            # SHA-256 over their bytes, sketch maintenance — runs
+            # The expensive work — materialising and hashing the
+            # post-delta arrays, patching, sketch maintenance — runs
             # outside the lock; the re-check below restarts if a
             # concurrent rebind moved the name meanwhile.
-            new_dataset = delta.apply(old.dataset)
-            new_fingerprint = dataset_fingerprint(new_dataset)
+            (
+                new_dataset,
+                _,
+                fraction,
+                noop,
+                rewritten,
+                fallbacks,
+            ) = advance_delta(
+                delta,
+                old.dataset,
+                old.fingerprint,
+                affected=lambda: self.cached_entries(old.fingerprint),
+                resolve=self._dataset_by_fingerprint,
+            )
             new_sketch = (
                 old_sketch.apply_delta(delta, old.dataset, new_dataset)
                 if old_sketch is not None
@@ -318,8 +319,7 @@ class SpatialQueryService:
                 if current.fingerprint != old.fingerprint:
                     continue
                 self._delta_applies += 1
-                fraction = delta.fraction(len(old.dataset))
-                if new_fingerprint == old.fingerprint:
+                if noop:
                     return DeltaOutcome(
                         entry=current,
                         fraction=fraction,
@@ -327,33 +327,6 @@ class SpatialQueryService:
                         fallbacks=0,
                         noop=True,
                     )
-                patchable = (
-                    stream_patch_enabled()
-                    and fraction <= stream_patch_max_fraction()
-                )
-                affected = self._results.entries_for_fingerprint(
-                    old.fingerprint
-                )
-                rewritten: list[tuple[CacheKey, RunReport]] = []
-                fallbacks = 0
-                if patchable:
-                    for key, report in affected:
-                        patched = patch_cached_entry(
-                            key,
-                            report,
-                            old_fingerprint=old.fingerprint,
-                            new_fingerprint=new_fingerprint,
-                            delta=delta,
-                            old_dataset=old.dataset,
-                            new_dataset=new_dataset,
-                            resolve=self._dataset_by_fingerprint,
-                        )
-                        if patched is None:
-                            fallbacks += 1
-                        else:
-                            rewritten.append(patched)
-                else:
-                    fallbacks = len(affected)
                 entry = self._catalog.register(
                     name, new_dataset, sketch=new_sketch
                 )
@@ -366,7 +339,16 @@ class SpatialQueryService:
                     with self._query_lock:
                         self._queries.forget(old.dataset)
                 for new_key, new_report in rewritten:
-                    self._results.put(new_key, new_report)
+                    # Patched outside the lock: a partner side unbound
+                    # meanwhile must not be resurrected by this fill.
+                    if all(
+                        isinstance(fp, str)
+                        and self._catalog.names_bound_to(fp)
+                        for fp in new_key[:2]
+                    ):
+                        self._results.put(new_key, new_report)
+                    else:
+                        self._stale_fill_skips += 1
                 self._delta_patches += len(rewritten)
                 self._delta_patch_fallbacks += fallbacks
                 return DeltaOutcome(
@@ -379,15 +361,16 @@ class SpatialQueryService:
     def _dataset_by_fingerprint(self, fingerprint: object) -> Dataset | None:
         """The dataset served under a content fingerprint, if any.
 
-        Caller holds ``self._lock`` (re-entrant).  Any name bound to
-        the fingerprint works — equal fingerprints mean equal content.
+        Any name bound to the fingerprint works — equal fingerprints
+        mean equal content.
         """
         if not isinstance(fingerprint, str):
             return None
-        names = self._catalog.names_bound_to(fingerprint)
-        if not names:
-            return None
-        return self._catalog.resolve(names[0]).dataset
+        with self._lock:
+            names = self._catalog.names_bound_to(fingerprint)
+            if not names:
+                return None
+            return self._catalog.resolve(names[0]).dataset
 
     def cached_entries(
         self, fingerprint: str

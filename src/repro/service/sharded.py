@@ -58,28 +58,26 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import Future
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
+from typing import Any
 
 import numpy as np
 
 from repro._types import IntArray
-from repro.core.config import (
-    default_shards,
-    stream_patch_enabled,
-    stream_patch_max_fraction,
-)
+from repro.core.config import default_shards
 from repro.engine.executor import JoinRequest
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
 from repro.geometry.box import Box
 from repro.joins.base import CostModel, Dataset
 from repro.metrics import LatencyRecord
-from repro.service.catalog import CatalogEntry
+from repro.service.cache import ResultCache
+from repro.service.catalog import CatalogEntry, check_binding, unknown_name
 from repro.service.fingerprint import (
     CacheKey,
     dataset_fingerprint,
     request_cache_key,
 )
-from repro.service.patch import patch_cached_entry
+from repro.service.patch import advance_delta
 from repro.service.service import (
     DeltaOutcome,
     ServiceResponse,
@@ -177,8 +175,9 @@ def handle_command(
     This is the *entire* shard-side vocabulary: everything a worker
     process does funnels through here, which is what makes the shard
     protocol unit-testable in-process (the inline shards call it
-    directly).  Returns the reply payload; exceptions propagate to the
-    caller, which captures them into an ``ok=False`` reply.
+    directly).  Returns the reply payload; exceptions propagate to
+    :func:`execute_command`, which captures them into an ``ok=False``
+    reply.
     """
     if isinstance(command, RegisterCommand):
         entry = service.register(
@@ -212,29 +211,43 @@ def handle_command(
     )
 
 
-def _shard_worker(
-    conn: Connection,
-    index: int,
-    disk_model: DiskModel | None,
-    cost_model: CostModel | None,
-    max_cached_results: int | None,
-    max_cached_indexes: int | None,
-) -> None:
-    """Entry point of one shard process: a serial command loop.
+def execute_command(
+    service: SpatialQueryService,
+    realised: OrderedDict[str, Dataset],
+    command: ShardCommand,
+) -> ShardReply:
+    """Run one command and capture its outcome as the wire reply.
 
-    The shard's service runs misses inline (``max_workers=1``) — the
-    tier's parallelism is *across* shards, and shard processes are
-    daemonic, which forbids grandchildren pools anyway.  Failures are
-    isolated per command, mirroring the batch executor: an exception
-    becomes an ``ok=False`` reply, never a dead worker.
+    Failures are isolated per command, mirroring the batch executor:
+    an exception becomes an ``ok=False`` reply, never a dead shard.
     """
-    service = SpatialQueryService(
-        disk_model=disk_model,
-        cost_model=cost_model,
-        max_cached_results=max_cached_results,
-        max_cached_indexes=max_cached_indexes,
-        max_workers=1,
-    )
+    try:
+        payload = handle_command(service, realised, command)
+    except Exception as exc:
+        return ShardReply(
+            seq=command.seq,
+            ok=False,
+            error=str(exc),
+            error_type=type(exc).__name__,
+        )
+    return ShardReply(seq=command.seq, ok=True, payload=payload)
+
+
+def _shard_service(options: dict[str, Any]) -> SpatialQueryService:
+    """A shard's private service.
+
+    Misses run inline (``max_workers=1``) — the tier's parallelism is
+    *across* shards, and shard processes are daemonic, which forbids
+    grandchildren pools anyway.
+    """
+    return SpatialQueryService(max_workers=1, **options)
+
+
+def _shard_worker(
+    conn: Connection, index: int, service_options: dict[str, Any]
+) -> None:
+    """Entry point of one shard process: a serial command loop."""
+    service = _shard_service(service_options)
     realised: OrderedDict[str, Dataset] = OrderedDict()
     while True:
         try:
@@ -252,17 +265,7 @@ def _shard_worker(
             # a segfault mid-command would.
             os._exit(_CRASH_EXIT_CODE)
         try:
-            payload = handle_command(service, realised, command)
-            reply = ShardReply(seq=command.seq, ok=True, payload=payload)
-        except Exception as exc:
-            reply = ShardReply(
-                seq=command.seq,
-                ok=False,
-                error=str(exc),
-                error_type=type(exc).__name__,
-            )
-        try:
-            conn.send(reply)
+            conn.send(execute_command(service, realised, command))
         except (BrokenPipeError, OSError):  # pragma: no cover
             break
     conn.close()
@@ -276,8 +279,7 @@ class _AdmissionGate:
 
     A plain semaphore cannot express "check now, then maybe wait with
     a deadline" without double-counting; a condition over an integer
-    can, and also exposes the current occupancy for saturation checks
-    and stats.
+    can.
     """
 
     def __init__(self, limit: int) -> None:
@@ -304,11 +306,6 @@ class _AdmissionGate:
             self._occupied = max(0, self._occupied - 1)
             self._cond.notify()
 
-    @property
-    def occupied(self) -> int:
-        with self._cond:
-            return self._occupied
-
 
 # ----------------------------------------------------------------------
 # Shard handles (router side)
@@ -333,22 +330,22 @@ class _ProcessShard:
     close, the receiver thread itself runs the respawn: fresh process,
     registration replay (fetched from the router via ``on_respawn``),
     then a single resend of everything still pending.  Lock order:
-    ``_io`` may be taken while nothing else is held and may call out
-    to the router's lock (via ``on_respawn``); ``_state`` guards only
-    the pending map and never calls out.
+    ``_io`` may be taken while nothing else is held, may call out to
+    the router's lock (via ``on_respawn``) and may take ``_state``;
+    ``_state`` guards only the pending map and never calls out.
     """
 
     def __init__(
         self,
         index: int,
         *,
-        worker_args: tuple[object, ...],
+        service_options: dict[str, Any],
         gate: _AdmissionGate,
         on_respawn: Callable[[int], list[ShardCommand]],
     ) -> None:
         self.index = index
         self.gate = gate
-        self._worker_args = worker_args
+        self._service_options = service_options
         self._on_respawn = on_respawn
         self._io = threading.Lock()
         self._state = threading.Lock()
@@ -365,7 +362,7 @@ class _ProcessShard:
         parent, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_shard_worker,
-            args=(child, self.index, *self._worker_args),
+            args=(child, self.index, self._service_options),
             daemon=True,
             name=f"repro-shard-{self.index}",
         )
@@ -386,10 +383,6 @@ class _ProcessShard:
         return thread
 
     @property
-    def alive(self) -> bool:
-        return self._process.is_alive()
-
-    @property
     def respawns(self) -> int:
         with self._state:
             return self._respawns
@@ -397,31 +390,34 @@ class _ProcessShard:
     # -- requests ------------------------------------------------------
     def request_async(self, command: ShardCommand) -> "Future[ShardReply]":
         """Send a command; the future resolves when its reply arrives."""
-        future: Future[ShardReply] = Future()
+        entry = _Pending(Future(), command)
         with self._state:
             if self._closing:
                 raise RuntimeError(
                     f"shard {self.index} is closed"
                 )
-            self._pending[command.seq] = _Pending(future, command)
-        self._send(command)
-        return future
+            self._pending[command.seq] = entry
+        self._send(entry)
+        return entry.future
 
     def request(self, command: ShardCommand) -> ShardReply:
         return self.request_async(command).result()
 
-    def _send(self, command: ShardCommand) -> None:
+    def _send(self, entry: _Pending) -> None:
         """Best-effort send; a broken pipe is *not* an error here.
 
         If the worker died, the write side breaks together with the
         read side, so the receiver thread is guaranteed to observe EOF
-        and run the respawn — which resends everything still pending,
-        this command included.  Swallowing the send error (instead of
-        retrying here) keeps exactly one resend path.
+        and run the respawn — which resends everything pending when it
+        takes ``_io``, this command included (it was registered before
+        this call).  Swallowing the send error (instead of retrying
+        here) keeps exactly one resend path; a send that waited out a
+        respawn finds its entry already resent and does nothing.
         """
         try:
             with self._io:
-                self._conn.send(command)
+                if not entry.retried:
+                    self._conn.send(entry.command)
         except (BrokenPipeError, OSError, ValueError):
             pass
 
@@ -464,33 +460,23 @@ class _ProcessShard:
         self, dead_conn: Connection
     ) -> None:
         """Crash path: new process, replay registrations, resend once."""
-        with self._state:
-            self._respawns += 1
-            survivors: list[_Pending] = []
-            casualties: list[_Pending] = []
-            for seq in list(self._pending):
-                entry = self._pending[seq]
-                if entry.retried:
-                    casualties.append(self._pending.pop(seq))
-                else:
-                    entry.retried = True
-                    survivors.append(entry)
-        for entry in casualties:
-            # Two worker deaths with this command in flight: it is the
-            # poison (or at least unlucky twice) — fail it alone.
-            entry.future.set_result(
-                ShardReply(
-                    seq=entry.command.seq,
-                    ok=False,
-                    error=(
-                        "shard worker died twice with this command "
-                        "in flight"
-                    ),
-                    error_type="ShardCrashed",
-                )
-            )
         self._process.join(timeout=5.0)
+        survivors: list[_Pending] = []
+        casualties: list[_Pending] = []
         with self._io:
+            # The resend set is fixed while holding ``_io``: a send
+            # that ran before this point went to the dead pipe and its
+            # entry is pending, so it is resent below; one that runs
+            # after goes to the fresh pipe.  Nothing falls in between.
+            with self._state:
+                self._respawns += 1
+                for seq in list(self._pending):
+                    entry = self._pending[seq]
+                    if entry.retried:
+                        casualties.append(self._pending.pop(seq))
+                    else:
+                        entry.retried = True
+                        survivors.append(entry)
             try:
                 dead_conn.close()
             except OSError:  # pragma: no cover
@@ -505,6 +491,21 @@ class _ProcessShard:
                     self._conn.send(entry.command)
             except (BrokenPipeError, OSError):  # pragma: no cover
                 pass  # double crash: the next recv loop handles it
+        for entry in casualties:
+            # Two worker deaths with this command in flight: it is the
+            # poison (or at least unlucky twice) — fail it alone.
+            # Resolved with no locks held, like every other future.
+            entry.future.set_result(
+                ShardReply(
+                    seq=entry.command.seq,
+                    ok=False,
+                    error=(
+                        "shard worker died twice with this command "
+                        "in flight"
+                    ),
+                    error_type="ShardCrashed",
+                )
+            )
         self._receiver = self._start_receiver(self._conn)
 
     def _fail_pending(self, reason: str) -> None:
@@ -555,8 +556,8 @@ class _InlineShard:
 
     Commands execute synchronously in the calling thread against a
     private ``SpatialQueryService`` — through the very same
-    :func:`handle_command` dispatch the worker loop uses, so tests (and
-    the coverage gate) exercise the real shard-side code without child
+    :func:`execute_command` the worker loop uses, so tests (and the
+    coverage gate) exercise the real shard-side code without child
     processes.  Admission still applies: concurrent callers saturate
     an inline shard exactly like a process shard.
     """
@@ -565,25 +566,14 @@ class _InlineShard:
         self,
         index: int,
         *,
-        worker_args: tuple[object, ...],
+        service_options: dict[str, Any],
         gate: _AdmissionGate,
     ) -> None:
         self.index = index
         self.gate = gate
-        disk_model, cost_model, max_results, max_indexes = worker_args
-        self.service = SpatialQueryService(
-            disk_model=disk_model,  # type: ignore[arg-type]
-            cost_model=cost_model,  # type: ignore[arg-type]
-            max_cached_results=max_results,  # type: ignore[arg-type]
-            max_cached_indexes=max_indexes,  # type: ignore[arg-type]
-            max_workers=1,
-        )
+        self.service = _shard_service(service_options)
         self._realised: OrderedDict[str, Dataset] = OrderedDict()
         self._closing = False
-
-    @property
-    def alive(self) -> bool:
-        return not self._closing
 
     @property
     def respawns(self) -> int:
@@ -593,22 +583,9 @@ class _InlineShard:
         if self._closing:
             raise RuntimeError(f"shard {self.index} is closed")
         future: Future[ShardReply] = Future()
-        try:
-            payload = handle_command(
-                self.service, self._realised, command
-            )
-            future.set_result(
-                ShardReply(seq=command.seq, ok=True, payload=payload)
-            )
-        except Exception as exc:
-            future.set_result(
-                ShardReply(
-                    seq=command.seq,
-                    ok=False,
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                )
-            )
+        future.set_result(
+            execute_command(self.service, self._realised, command)
+        )
         return future
 
     def request(self, command: ShardCommand) -> ShardReply:
@@ -693,7 +670,6 @@ class ShardedQueryService:
         self._ring = HashRing(count, replicas=replicas)
         self.queue_timeout_s = queue_timeout_s
         self._client_quota = max_inflight_per_client
-        self._stale_bound = stale_cache_entries
         #: Guards names, stale snapshot, client counts and counters;
         #: held briefly, never across a shard round-trip.
         self._lock = threading.Lock()
@@ -705,9 +681,9 @@ class ShardedQueryService:
         self._mutate = threading.Lock()
         self._pages = SharedDatasetPool()
         self._names: dict[str, _Binding] = {}
-        self._stale: OrderedDict[CacheKey, tuple[RunReport, str]] = (
-            OrderedDict()
-        )
+        #: The stale snapshot: the last report the tier handed out per
+        #: key, purged on invalidation.  Guarded by ``_lock``.
+        self._stale = ResultCache(max_entries=stale_cache_entries)
         self._clients: dict[str, int] = {}
         self._retired: list[SharedDatasetRef] = []
         self._degraded = 0
@@ -720,26 +696,26 @@ class ShardedQueryService:
         self._seq = itertools.count(1)
         self._started = time.perf_counter()
         self._closed = False
-        worker_args = (
-            disk_model,
-            cost_model,
-            max_cached_results,
-            max_cached_indexes,
-        )
+        service_options: dict[str, Any] = {
+            "disk_model": disk_model,
+            "cost_model": cost_model,
+            "max_cached_results": max_cached_results,
+            "max_cached_indexes": max_cached_indexes,
+        }
         self._shards: list[_ProcessShard | _InlineShard] = []
         for index in range(count):
             gate = _AdmissionGate(max_inflight_per_shard)
             if inline:
                 self._shards.append(
                     _InlineShard(
-                        index, worker_args=worker_args, gate=gate
+                        index, service_options=service_options, gate=gate
                     )
                 )
             else:
                 self._shards.append(
                     _ProcessShard(
                         index,
-                        worker_args=worker_args,
+                        service_options=service_options,
                         gate=gate,
                         on_respawn=self._replay_commands,
                     )
@@ -786,13 +762,7 @@ class ShardedQueryService:
         a join submitted after ``register`` returns is guaranteed to
         see the new content.
         """
-        if not isinstance(name, str) or not name.strip():
-            raise ValueError("dataset name must be a non-empty string")
-        if not isinstance(dataset, Dataset):
-            raise TypeError(
-                f"can only register Dataset objects, got "
-                f"{type(dataset).__name__}"
-            )
+        check_binding(name, dataset)
         fingerprint = dataset_fingerprint(dataset)
         with self._mutate:
             self._ensure_open()
@@ -800,50 +770,72 @@ class ShardedQueryService:
                 old = self._names.get(name)
             if old is not None and old.fingerprint == fingerprint:
                 return old.entry()
-            payload = self._publish(dataset, fingerprint)
-            binding = _Binding(
-                name=name,
-                dataset=dataset,
-                fingerprint=fingerprint,
-                version=1 if old is None else old.version + 1,
-                payload=payload,
-                shard=self._ring.owner(fingerprint),
-            )
+            return self._bind(name, dataset, fingerprint, old).entry()
+
+    def _bind(
+        self,
+        name: str,
+        dataset: Dataset,
+        fingerprint: str,
+        old: _Binding | None,
+    ) -> _Binding:
+        """Publish content, bind it on its owner shard, retire ``old``.
+
+        Caller holds ``_mutate``.  Content ships as a shared-memory
+        payload when possible, pickled otherwise.  The name moves only
+        once the owner shard acknowledged; if it refuses, the segment
+        reference just published is dropped again — nothing else will
+        ever retire it.
+        """
+        ref = self._pages.publish(dataset)
+        payload = (
+            DatasetPayload(fingerprint=fingerprint, ref=ref)
+            if ref is not None
+            else DatasetPayload(fingerprint=fingerprint, dataset=dataset)
+        )
+        binding = _Binding(
+            name=name,
+            dataset=dataset,
+            fingerprint=fingerprint,
+            version=1 if old is None else old.version + 1,
+            payload=payload,
+            shard=self._ring.owner(fingerprint),
+        )
+        try:
             reply = self._shards[binding.shard].request(
                 RegisterCommand(
                     seq=next(self._seq), name=name, payload=payload
                 )
             )
             self._raise_reply(reply, f"register {name!r}")
-            with self._lock:
-                self._names[name] = binding
-            if old is not None:
-                self._retire(old, replaced_on=binding.shard)
-            return binding.entry()
+        except BaseException:
+            if ref is not None:
+                self._pages.release(ref)
+            raise
+        with self._lock:
+            self._names[name] = binding
+        if old is not None:
+            self._retire(old, replaced_on=binding.shard)
+        return binding
 
     def unregister(self, name: str) -> CatalogEntry:
         """Drop ``name`` everywhere; returns the retired entry."""
         with self._mutate:
             self._ensure_open()
             with self._lock:
-                binding = self._names.pop(name, None)
-            if binding is None:
-                known = ", ".join(self.names()) or "<catalog is empty>"
-                raise KeyError(
-                    f"no dataset registered under {name!r}; "
-                    f"registered: {known}"
-                )
+                binding = self._lookup(name)
+                del self._names[name]
             self._retire(binding, replaced_on=None)
             return binding.entry()
 
     def apply_delta(self, name: str, delta: DatasetDelta) -> DeltaOutcome:
         """Advance ``name`` along ``delta`` across the whole tier.
 
-        The sharded mirror of
-        :meth:`SpatialQueryService.apply_delta`: cached results
-        touching the old content are *extracted* from every shard
-        (joins are pair-routed, so they can live anywhere), patched
-        router-side through :func:`~repro.joins.delta_join`, and the
+        The same flow as :meth:`SpatialQueryService.apply_delta`
+        (:func:`~repro.service.patch.advance_delta`), with the cache
+        spread over shards: cached results touching the old content
+        are *extracted* from every shard (joins are pair-routed, so
+        they can live anywhere) and patched router-side, and the
         post-delta name is re-bound exactly like :meth:`register` —
         shared-memory publication, owner-shard registration, retire of
         the old binding (which broadcasts the invalidation sweep).
@@ -861,12 +853,23 @@ class ShardedQueryService:
             self._ensure_open()
             with self._lock:
                 old = self._lookup(name)
-            new_dataset = delta.apply(old.dataset)
-            new_fingerprint = dataset_fingerprint(new_dataset)
-            fraction = delta.fraction(len(old.dataset))
+            (
+                new_dataset,
+                new_fingerprint,
+                fraction,
+                noop,
+                rewritten,
+                fallbacks,
+            ) = advance_delta(
+                delta,
+                old.dataset,
+                old.fingerprint,
+                affected=lambda: self._extract(old.fingerprint),
+                resolve=self._dataset_by_fingerprint,
+            )
             with self._lock:
                 self._delta_applies += 1
-            if new_fingerprint == old.fingerprint:
+            if noop:
                 return DeltaOutcome(
                     entry=old.entry(),
                     fraction=fraction,
@@ -874,96 +877,25 @@ class ShardedQueryService:
                     fallbacks=0,
                     noop=True,
                 )
-            patchable = (
-                stream_patch_enabled()
-                and fraction <= stream_patch_max_fraction()
-            )
-            extracts = [
-                handle.request_async(
-                    ExtractCommand(
-                        seq=next(self._seq),
-                        fingerprint=old.fingerprint,
-                    )
-                )
-                for handle in self._shards
-            ]
-            affected: dict[CacheKey, RunReport] = {}
-            for future in extracts:
-                reply = future.result()
-                self._raise_reply(reply, f"extract for delta on {name!r}")
-                payload = reply.payload
-                assert isinstance(payload, list)
-                for key, report in payload:
-                    affected.setdefault(key, report)
-            rewritten: list[tuple[CacheKey, RunReport]] = []
-            fallbacks = 0
-            if patchable:
-                for key, report in affected.items():
-                    patched = patch_cached_entry(
-                        key,
-                        report,
-                        old_fingerprint=old.fingerprint,
-                        new_fingerprint=new_fingerprint,
-                        delta=delta,
-                        old_dataset=old.dataset,
-                        new_dataset=new_dataset,
-                        resolve=self._dataset_by_fingerprint,
-                    )
-                    if patched is None:
-                        fallbacks += 1
-                    else:
-                        rewritten.append(patched)
-            else:
-                fallbacks = len(affected)
-            payload_new = self._publish(new_dataset, new_fingerprint)
-            binding = _Binding(
-                name=name,
-                dataset=new_dataset,
-                fingerprint=new_fingerprint,
-                version=old.version + 1,
-                payload=payload_new,
-                shard=self._ring.owner(new_fingerprint),
-            )
-            reply = self._shards[binding.shard].request(
-                RegisterCommand(
-                    seq=next(self._seq), name=name, payload=payload_new
-                )
-            )
-            self._raise_reply(reply, f"register {name!r}")
-            with self._lock:
-                self._names[name] = binding
-            # Old-content teardown (owner-shard unbind already happened
-            # as part of the register when shards coincide; the
-            # invalidation broadcast sweeps the extracted originals).
-            self._retire(old, replaced_on=binding.shard)
+            # The retire inside sweeps the extracted originals.
+            binding = self._bind(name, new_dataset, new_fingerprint, old)
             fills = []
             for key, report in rewritten:
                 fp_a, fp_b = key[0], key[1]
                 assert isinstance(fp_a, str) and isinstance(fp_b, str)
                 owner = self._ring.owner_of_pair(fp_a, fp_b)
                 fills.append(
-                    (
-                        key,
-                        report,
-                        self._shards[owner].request_async(
-                            FillCommand(
-                                seq=next(self._seq),
-                                key=key,
-                                report=report,
-                            )
-                        ),
+                    self._shards[owner].request_async(
+                        FillCommand(
+                            seq=next(self._seq), key=key, report=report
+                        )
                     )
                 )
-            for key, report, future in fills:
+            for (key, report), future in zip(rewritten, fills):
                 self._raise_reply(
                     future.result(), "cache fill after delta"
                 )
-                self._remember(
-                    key,
-                    report,
-                    f"{report.dataset_a} x {report.dataset_b} "
-                    f"[delta-patched]",
-                )
+                self._remember(key, report)
             with self._lock:
                 self._delta_patches += len(rewritten)
                 self._delta_patch_fallbacks += fallbacks
@@ -973,6 +905,31 @@ class ShardedQueryService:
                 patched=len(rewritten),
                 fallbacks=fallbacks,
             )
+
+    def _extract(
+        self, fingerprint: str
+    ) -> list[tuple[CacheKey, RunReport]]:
+        """Every shard's cached entries touching ``fingerprint``."""
+        affected: dict[CacheKey, RunReport] = {}
+        for reply in self._broadcast(
+            lambda seq: ExtractCommand(seq=seq, fingerprint=fingerprint)
+        ):
+            self._raise_reply(reply, "extract for delta")
+            payload = reply.payload
+            assert isinstance(payload, list)
+            for key, report in payload:
+                affected.setdefault(key, report)
+        return list(affected.items())
+
+    def _broadcast(
+        self, make: Callable[[int], ShardCommand]
+    ) -> list[ShardReply]:
+        """One command per shard, sent concurrently; replies in order."""
+        futures = [
+            handle.request_async(make(next(self._seq)))
+            for handle in self._shards
+        ]
+        return [future.result() for future in futures]
 
     def _dataset_by_fingerprint(self, fingerprint: object) -> Dataset | None:
         """The dataset some live binding serves under ``fingerprint``."""
@@ -1009,36 +966,15 @@ class ShardedQueryService:
                 for binding in self._names.values()
             )
         if not survived:
-            futures = [
-                handle.request_async(
-                    InvalidateCommand(
-                        seq=next(self._seq),
-                        fingerprint=old.fingerprint,
-                    )
+            self._broadcast(
+                lambda seq: InvalidateCommand(
+                    seq=seq, fingerprint=old.fingerprint
                 )
-                for handle in self._shards
-            ]
-            for future in futures:
-                future.result()
+            )
             with self._lock:
-                doomed = [
-                    key
-                    for key in self._stale
-                    if old.fingerprint in key[:2]
-                ]
-                for key in doomed:
-                    del self._stale[key]
+                self._stale.invalidate_fingerprint(old.fingerprint)
         if old.payload.ref is not None:
             self._retire_ref(old.payload.ref)
-
-    def _publish(
-        self, dataset: Dataset, fingerprint: str
-    ) -> DatasetPayload:
-        """Shared-memory payload when possible, pickled fallback else."""
-        ref = self._pages.publish(dataset)
-        if ref is not None:
-            return DatasetPayload(fingerprint=fingerprint, ref=ref)
-        return DatasetPayload(fingerprint=fingerprint, dataset=dataset)
 
     def _retire_ref(self, ref: SharedDatasetRef) -> None:
         """Queue an old segment ref for deferred release.
@@ -1133,18 +1069,18 @@ class ShardedQueryService:
             )
             return done
         if not handle.gate.try_acquire(0.0):
-            stale = self._stale_answer(key)
-            if stale is not None:
-                report, stale_label = stale
-                with self._lock:
+            with self._lock:
+                report = self._stale.get(key)
+                if report is not None:
                     self._degraded += 1
+            if report is not None:
                 self._release_client(client)
                 done.set_result(
                     ServiceResponse(
                         report=report,
                         cached=True,
                         key=key,
-                        label=stale_label or label,
+                        label=label,
                         wall_seconds=time.perf_counter() - start,
                         degraded=True,
                         shard=shard,
@@ -1233,7 +1169,7 @@ class ShardedQueryService:
         shard_response = reply.payload
         assert isinstance(shard_response, ServiceResponse)
         if shard_response.report is not None:
-            self._remember(key, shard_response.report, label)
+            self._remember(key, shard_response.report)
         # End-to-end wall (queueing and wire included) replaces the
         # shard-side wall: it is what the submitting client observed.
         return dataclasses.replace(
@@ -1284,6 +1220,8 @@ class ShardedQueryService:
         shard = self._ring.owner(fingerprint)
         handle = self._shards[shard]
         if not self._acquire_client(client):
+            with self._lock:
+                self._rejected += 1
             raise RuntimeError(
                 f"client {client!r} is at its in-flight quota "
                 f"({self._client_quota})"
@@ -1342,11 +1280,7 @@ class ShardedQueryService:
         """Caller holds ``_lock``."""
         binding = self._names.get(name)
         if binding is None:
-            known = ", ".join(sorted(self._names)) or "<catalog is empty>"
-            raise KeyError(
-                f"no dataset registered under {name!r}; "
-                f"registered: {known}"
-            )
+            raise unknown_name(name, self._names)
         return binding
 
     def _acquire_client(self, client: str | None) -> bool:
@@ -1369,23 +1303,9 @@ class ShardedQueryService:
             else:
                 self._clients[client] = occupied
 
-    def _remember(
-        self, key: CacheKey, report: RunReport, label: str
-    ) -> None:
+    def _remember(self, key: CacheKey, report: RunReport) -> None:
         with self._lock:
-            self._stale[key] = (report, label)
-            self._stale.move_to_end(key)
-            while len(self._stale) > self._stale_bound:
-                self._stale.popitem(last=False)
-
-    def _stale_answer(
-        self, key: CacheKey
-    ) -> tuple[RunReport, str] | None:
-        with self._lock:
-            entry = self._stale.get(key)
-            if entry is not None:
-                self._stale.move_to_end(key)
-            return entry
+            self._stale.put(key, report)
 
     @staticmethod
     def _raise_reply(reply: ShardReply, context: str) -> None:
@@ -1417,14 +1337,9 @@ class ShardedQueryService:
         ``degraded_responses`` / ``rejected_requests`` survive).
         """
         self._ensure_open()
-        futures = [
-            handle.request_async(StatsCommand(seq=next(self._seq)))
-            for handle in self._shards
-        ]
         parts: list[ServiceStats] = []
         merged: dict[str, LatencyRecord] = {}
-        for future in futures:
-            reply = future.result()
+        for reply in self._broadcast(lambda seq: StatsCommand(seq=seq)):
             self._raise_reply(reply, "stats")
             payload = reply.payload
             assert isinstance(payload, tuple)

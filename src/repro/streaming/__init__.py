@@ -7,8 +7,6 @@ deltas live beside the structures they maintain:
 
 * ``repro.stats.sketch.DatasetSketch.apply_delta`` — incremental
   sketch maintenance (rebuild == incremental);
-* ``repro.index.IncrementalGridIndex`` — grid assignment that survives
-  small deltas instead of rebuilding;
 * ``repro.joins.delta_join`` — patches a cached pair set to the
   post-delta truth, exactly equal to a full recompute;
 * ``SpatialQueryService.apply_delta`` / sharded routing — advances

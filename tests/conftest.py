@@ -24,6 +24,16 @@ def make_disk() -> SimulatedDisk:
     return SimulatedDisk(DiskModel(page_size=TEST_PAGE_SIZE))
 
 
+def run_join(algorithm, disk, a, b):
+    """Index both datasets on ``disk`` and join them, workspace-free.
+
+    Returns ``(join_result, build_stats_a, build_stats_b)``.
+    """
+    index_a, build_a = algorithm.build_index(disk, a)
+    index_b, build_b = algorithm.build_index(disk, b)
+    return algorithm.join(index_a, index_b), build_a, build_b
+
+
 def dataset_pair(
     kind: str, na: int, nb: int, seed: int = 0
 ) -> tuple[Dataset, Dataset]:

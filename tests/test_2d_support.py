@@ -22,7 +22,7 @@ from repro.joins import (
 from repro.joins.base import Dataset
 from repro.storage.buffer import BufferPool
 
-from tests.conftest import make_disk
+from tests.conftest import make_disk, run_join
 
 
 def dataset_2d(n, seed, name, id_offset=0, side=40.0):
@@ -46,35 +46,35 @@ def pair_2d():
 class TestJoins2D:
     def test_transformers(self, pair_2d):
         a, b, oracle = pair_2d
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle
 
     def test_pbsm(self, pair_2d):
         a, b, oracle = pair_2d
         space = a.boxes.mbb().union(b.boxes.mbb())
-        result, _, _ = PBSMJoin(space=space, resolution=6).run(make_disk(), a, b)
+        result, _, _ = run_join(PBSMJoin(space=space, resolution=6), make_disk(), a, b)
         assert result.pair_set() == oracle
 
     def test_sync_rtree(self, pair_2d):
         a, b, oracle = pair_2d
-        result, _, _ = SynchronizedRTreeJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(SynchronizedRTreeJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle
 
     def test_gipsy(self, pair_2d):
         a, b, oracle = pair_2d
-        result, _, _ = GipsyJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(GipsyJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle
 
     def test_sssj(self, pair_2d):
         a, b, oracle = pair_2d
         mbb = a.boxes.mbb().union(b.boxes.mbb())
         algo = SSSJJoin(strips=8, x_range=(mbb.lo[0], mbb.hi[0]))
-        result, _, _ = algo.run(make_disk(), a, b)
+        result, _, _ = run_join(algo, make_disk(), a, b)
         assert result.pair_set() == oracle
 
     def test_nested_loop(self, pair_2d):
         a, b, oracle = pair_2d
-        result, _, _ = IndexedNestedLoopJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(IndexedNestedLoopJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle
 
 

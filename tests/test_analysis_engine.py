@@ -46,7 +46,6 @@ ALL_RULE_IDS = (
     "RPL007",
     "RPL008",
     "RPL009",
-    "RPL010",
 )
 
 

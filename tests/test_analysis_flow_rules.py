@@ -1,4 +1,4 @@
-"""Fixture tests for the whole-program flow rules (RPL007–RPL010).
+"""Fixture tests for the whole-program flow rules (RPL007–RPL009).
 
 Each rule gets a known-bad / known-good pair under
 ``tests/analysis_fixtures/``; the bad fixtures pin the real defect
@@ -157,37 +157,6 @@ def test_rpl009_post_fix_shape_is_clean() -> None:
 
 
 # ----------------------------------------------------------------------
-# RPL010 — interprocedural deprecated calls
-# ----------------------------------------------------------------------
-def test_rpl010_flags_direct_and_transitive_callers() -> None:
-    result = run_fixture("rpl010_deprecated", select=("RPL010",))
-    by_symbol = {f.symbol: f for f in result.findings}
-    assert set(by_symbol) == {
-        "direct_caller",
-        "_forwarding_helper",
-        "public_entry",
-    }
-    assert "calls deprecated old_join" in by_symbol["direct_caller"].message
-    assert (
-        "transitively invokes deprecated old_join through "
-        "_forwarding_helper"
-    ) in by_symbol["public_entry"].message
-    assert paths_of(result) == {
-        "tests/analysis_fixtures/rpl010_deprecated/bad_calls.py"
-    }
-
-
-def test_rpl010_replacement_api_and_shim_internals_are_clean() -> None:
-    result = run_fixture("rpl010_deprecated", select=("RPL010",))
-    # good_calls.py uses new_join throughout, and old_join's own call
-    # to new_join (inside the shim) is exempt.
-    assert not any(
-        f.path.endswith(("good_calls.py", "legacy.py"))
-        for f in result.findings
-    )
-
-
-# ----------------------------------------------------------------------
 # Cross-cutting: the full rule set isolates per fixture
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
@@ -196,7 +165,6 @@ def test_rpl010_replacement_api_and_shim_internals_are_clean() -> None:
         ("rpl007_locks", "RPL007", LOCK_CONFIG),
         ("rpl008_lifecycle", "RPL008", None),
         ("rpl009_cachekey/bad", "RPL009", None),
-        ("rpl010_deprecated", "RPL010", None),
     ],
 )
 def test_full_rule_set_only_fires_the_expected_rule(

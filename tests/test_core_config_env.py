@@ -20,7 +20,7 @@ from repro.core.config import (
     env_var,
     experiment_service_enabled,
     experiment_workers,
-    planner_stats_enabled,
+    shm_transport_enabled,
     soak_requests,
 )
 
@@ -63,7 +63,7 @@ def test_undeclared_names_fail_loudly() -> None:
 def test_defaults_without_environment() -> None:
     assert experiment_workers() == 1
     assert experiment_service_enabled() is False
-    assert planner_stats_enabled() is True
+    assert shm_transport_enabled() is True
     assert bench_workers() == 1
     assert bench_scale() == pytest.approx(0.25)
     assert soak_requests() == 600
@@ -101,8 +101,8 @@ def test_bool_true_words(
 def test_bool_false_words(
     monkeypatch: pytest.MonkeyPatch, word: str
 ) -> None:
-    monkeypatch.setenv("REPRO_PLANNER_STATS", word)
-    assert planner_stats_enabled() is False
+    monkeypatch.setenv("REPRO_SHM", word)
+    assert shm_transport_enabled() is False
 
 
 def test_garbage_values_raise(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -112,9 +112,9 @@ def test_garbage_values_raise(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setenv("REPRO_BENCH_SCALE", "big")
     with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):
         bench_scale()
-    monkeypatch.setenv("REPRO_PLANNER_STATS", "maybe")
-    with pytest.raises(ValueError, match="REPRO_PLANNER_STATS"):
-        planner_stats_enabled()
+    monkeypatch.setenv("REPRO_SHM", "maybe")
+    with pytest.raises(ValueError, match="REPRO_SHM"):
+        shm_transport_enabled()
 
 
 def test_env_bool_and_friends_accept_any_registered_name() -> None:
@@ -127,11 +127,11 @@ def test_env_bool_and_friends_accept_any_registered_name() -> None:
 # env_override
 # ----------------------------------------------------------------------
 def test_env_override_sets_and_restores_absent_variable() -> None:
-    assert "REPRO_PLANNER_STATS" not in os.environ
-    with env_override("REPRO_PLANNER_STATS", "0"):
-        assert os.environ["REPRO_PLANNER_STATS"] == "0"
-        assert planner_stats_enabled() is False
-    assert "REPRO_PLANNER_STATS" not in os.environ
+    assert "REPRO_SHM" not in os.environ
+    with env_override("REPRO_SHM", "0"):
+        assert os.environ["REPRO_SHM"] == "0"
+        assert shm_transport_enabled() is False
+    assert "REPRO_SHM" not in os.environ
 
 
 def test_env_override_restores_previous_value(

@@ -9,14 +9,14 @@ from repro.datagen import scaled_space, uniform_dataset
 from repro.joins.base import Dataset
 from repro.geometry.boxes import BoxArray
 
-from tests.conftest import dataset_pair, make_disk, oracle_pairs
+from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
 
 class TestCorrectness:
     @pytest.mark.parametrize("kind", ["uniform", "contrast", "clustered", "massive"])
     def test_matches_oracle(self, kind):
         a, b = dataset_pair(kind, 1000, 1400, seed=71)
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     @pytest.mark.parametrize(
@@ -32,20 +32,20 @@ class TestCorrectness:
         """Transformations are a performance feature; every configuration
         must return the exact same (correct) result set."""
         a, b = dataset_pair("massive", 900, 1300, seed=72)
-        result, _, _ = TransformersJoin(config).run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(config), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     def test_extreme_density_ratios(self):
         for na, nb in [(40, 4000), (4000, 40)]:
             a, b = dataset_pair("uniform", na, nb, seed=73)
-            result, _, _ = TransformersJoin().run(make_disk(), a, b)
+            result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
             assert result.pair_set() == oracle_pairs(a, b)
 
     def test_pair_orientation_is_a_then_b(self):
         """Result pairs must be (id from A, id from B) regardless of any
         role switches during the join."""
         a, b = dataset_pair("contrast", 300, 2400, seed=74)
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         if len(result.pairs) == 0:
             pytest.skip("no pairs for this seed")
         a_ids = set(a.ids.tolist())
@@ -55,7 +55,7 @@ class TestCorrectness:
 
     def test_no_duplicate_pairs(self):
         a, b = dataset_pair("clustered", 1500, 1500, seed=75)
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         pairs = [tuple(p) for p in result.pairs]
         assert len(pairs) == len(set(pairs))
 
@@ -68,14 +68,14 @@ class TestCorrectness:
             np.arange(10**9, 10**9 + 300),
             BoxArray(a.boxes.lo + shift, a.boxes.hi + shift),
         )
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.stats.pairs_found == 0
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000))
     def test_property_random_seeds(self, seed):
         a, b = dataset_pair("uniform", 600, 900, seed=seed)
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
 
@@ -119,7 +119,7 @@ class TestIndexReuse:
 class TestAdaptiveBehaviour:
     def test_transformations_fire_on_skew(self):
         a, b = dataset_pair("contrast", 300, 3000, seed=78)
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         extras = result.stats.extras
         total = (
             extras["role_switches"]
@@ -131,7 +131,7 @@ class TestAdaptiveBehaviour:
     def test_no_tr_config_never_transforms(self):
         a, b = dataset_pair("contrast", 300, 3000, seed=78)
         cfg = TransformersConfig.no_transformations()
-        result, _, _ = TransformersJoin(cfg).run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(cfg), make_disk(), a, b)
         extras = result.stats.extras
         assert extras["role_switches"] == 0
         assert extras["splits_to_unit"] == 0
@@ -140,15 +140,15 @@ class TestAdaptiveBehaviour:
     def test_underfit_never_splits(self):
         a, b = dataset_pair("massive", 1000, 1000, seed=79)
         cfg = TransformersConfig.underfit()
-        result, _, _ = TransformersJoin(cfg).run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(cfg), make_disk(), a, b)
         assert result.stats.extras["splits_to_unit"] == 0
 
     def test_overfit_transforms_more_than_cost_model(self):
         a, b = dataset_pair("massive", 2000, 2000, seed=80)
-        r_over, _, _ = TransformersJoin(TransformersConfig.overfit()).run(
-            make_disk(), a, b
+        r_over, _, _ = run_join(
+            TransformersJoin(TransformersConfig.overfit()), make_disk(), a, b
         )
-        r_model, _, _ = TransformersJoin().run(make_disk(), a, b)
+        r_model, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         over = r_over.stats.extras
         model = r_model.stats.extras
         assert (
@@ -158,7 +158,7 @@ class TestAdaptiveBehaviour:
 
     def test_exploration_overhead_reported(self):
         a, b = dataset_pair("massive", 1500, 1500, seed=81)
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         extras = result.stats.extras
         assert extras["exploration_cost"] > 0
         assert extras["join_cost"] > 0
@@ -170,7 +170,7 @@ class TestAdaptiveBehaviour:
 
     def test_thresholds_reported(self):
         a, b = dataset_pair("uniform", 600, 600, seed=82)
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.stats.extras["t_su_final"] > 0
         assert result.stats.extras["t_so_final"] > 0
 

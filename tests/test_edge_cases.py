@@ -20,7 +20,7 @@ from repro.joins import (
 )
 from repro.joins.base import Dataset
 
-from tests.conftest import make_disk
+from tests.conftest import make_disk, run_join
 
 
 def oracle(a, b):
@@ -54,7 +54,7 @@ class TestCoincidentGeometry:
         assert len(expected) == n * n
         space = a.boxes.mbb().union(b.boxes.mbb())
         for algo in algorithms(space):
-            result, _, _ = algo.run(make_disk(), a, b)
+            result, _, _ = run_join(algo, make_disk(), a, b)
             assert result.pair_set() == expected, algo.name
 
     def test_duplicate_boxes_with_distinct_ids(self):
@@ -66,7 +66,7 @@ class TestCoincidentGeometry:
         expected = oracle(a, b)
         space = a.boxes.mbb().union(b.boxes.mbb())
         for algo in algorithms(space):
-            result, _, _ = algo.run(make_disk(), a, b)
+            result, _, _ = run_join(algo, make_disk(), a, b)
             assert result.pair_set() == expected, algo.name
 
     def test_snapped_grid_coordinates(self):
@@ -79,7 +79,7 @@ class TestCoincidentGeometry:
         expected = oracle(a, b)
         space = a.boxes.mbb().union(b.boxes.mbb())
         for algo in algorithms(space):
-            result, _, _ = algo.run(make_disk(), a, b)
+            result, _, _ = run_join(algo, make_disk(), a, b)
             assert result.pair_set() == expected, algo.name
 
 
@@ -93,7 +93,7 @@ class TestZeroVolumeElements:
         assert len(expected) >= 40  # at least the exact matches
         space = a.boxes.mbb().union(b.boxes.mbb())
         for algo in algorithms(space):
-            result, _, _ = algo.run(make_disk(), a, b)
+            result, _, _ = run_join(algo, make_disk(), a, b)
             assert result.pair_set() == expected, algo.name
 
     def test_flat_plate_elements(self):
@@ -109,7 +109,7 @@ class TestZeroVolumeElements:
         hi_b[:, 2] = lo_b[:, 2]
         b = Dataset("B", np.arange(10**9, 10**9 + 300), BoxArray(lo_b, hi_b))
         expected = oracle(a, b)
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.pair_set() == expected
 
 
@@ -119,7 +119,7 @@ class TestTinyDatasets:
         b = make("B", [[0.5, 0.5, 0.5]], [[2.0, 2, 2]], id_offset=10)
         space = a.boxes.mbb().union(b.boxes.mbb())
         for algo in algorithms(space):
-            result, _, _ = algo.run(make_disk(), a, b)
+            result, _, _ = run_join(algo, make_disk(), a, b)
             assert result.pair_set() == {(0, 10)}, algo.name
 
     def test_single_vs_many(self):
@@ -130,7 +130,7 @@ class TestTinyDatasets:
         expected = oracle(a, b)
         space = a.boxes.mbb().union(b.boxes.mbb())
         for algo in algorithms(space):
-            result, _, _ = algo.run(make_disk(), a, b)
+            result, _, _ = run_join(algo, make_disk(), a, b)
             assert result.pair_set() == expected, algo.name
 
     def test_sub_page_datasets(self):
@@ -144,7 +144,7 @@ class TestTinyDatasets:
         disk = make_disk()
         index, _ = build_transformers_index(disk, a)
         assert index.num_nodes == 1
-        result, _, _ = TransformersJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.pair_set() == expected
 
 
@@ -163,7 +163,7 @@ class TestExtremeAspectRatios:
         expected = oracle(a, b)
         space = a.boxes.mbb().union(b.boxes.mbb())
         for algo in algorithms(space):
-            result, _, _ = algo.run(make_disk(), a, b)
+            result, _, _ = run_join(algo, make_disk(), a, b)
             assert result.pair_set() == expected, algo.name
 
     def test_one_giant_element_covering_everything(self):
@@ -175,5 +175,5 @@ class TestExtremeAspectRatios:
         assert len(expected) == 300
         space = a.boxes.mbb().union(b.boxes.mbb())
         for algo in algorithms(space):
-            result, _, _ = algo.run(make_disk(), a, b)
+            result, _, _ = run_join(algo, make_disk(), a, b)
             assert result.pair_set() == expected, algo.name

@@ -5,7 +5,6 @@ import pytest
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine.planner import (
     EXPERIMENT_PAGE_SIZE,
-    GIPSY_RATIO_THRESHOLD,
     JoinPlan,
     pbsm_resolution,
     plan_join,
@@ -46,43 +45,28 @@ class TestAutoSelection:
         )
 
 
-class TestRatioFallback:
-    """``REPRO_PLANNER_STATS=0``: the legacy two-scalar rule."""
-
-    def test_extreme_ratio_picks_gipsy(self, monkeypatch):
-        """Fig. 10's ladder edges: the fallback routes extreme density
-        contrast to the directed crawl from the sparse side."""
-        monkeypatch.setenv("REPRO_PLANNER_STATS", "0")
-        n = 30
-        a, b = _ratio_pair(n, int(n * GIPSY_RATIO_THRESHOLD))
-        plan = plan_join(a, b, "auto")
-        assert plan.algorithm == "gipsy"
-        assert "contrast" in plan.reason
-
-    def test_fallback_respects_plannable_flag(self, monkeypatch):
-        """De-listing GIPSY from planning makes auto fall back to the
-        robust default even at extreme contrast."""
+class TestRobustDefault:
+    def test_no_costable_candidate_plans_transformers(self):
+        """With nothing to cost, auto keeps the paper's robust default
+        even at a 100x cardinality contrast."""
         import dataclasses
 
         from repro.engine import registry
 
-        monkeypatch.setenv("REPRO_PLANNER_STATS", "0")
         a, b = _ratio_pair(30, 30 * 100)
-        original = registry._REGISTRY["gipsy"]
-        registry._REGISTRY["gipsy"] = dataclasses.replace(
-            original, plannable=False
-        )
+        original = dict(registry._REGISTRY)
+        for name, spec in original.items():
+            registry._REGISTRY[name] = dataclasses.replace(
+                spec, plannable=False
+            )
         try:
-            assert plan_join(a, b, "auto").algorithm == "transformers"
+            report = plan_join(a, b, "auto", explain=True)
         finally:
-            registry._REGISTRY["gipsy"] = original
-        assert plan_join(a, b, "auto").algorithm == "gipsy"
-
-    def test_ratio_is_symmetric(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER_STATS", "0")
-        a, b = _ratio_pair(30, 30 * 100)
-        assert plan_join(a, b, "auto").algorithm == "gipsy"
-        assert plan_join(b, a, "auto").algorithm == "gipsy"
+            registry._REGISTRY.update(original)
+        assert report.algorithm == "transformers"
+        assert report.reason.startswith("robust default")
+        assert not report.stats_used
+        assert report.candidates == ()
 
 
 class TestExplicitSelection:
@@ -134,7 +118,6 @@ class TestParameterResolution:
         a, b = _ratio_pair(100, 300)
         hints = plan_join(a, b, "auto").hints
         assert (hints.n_a, hints.n_b, hints.n_total) == (100, 300, 400)
-        assert hints.cardinality_ratio == pytest.approx(3.0)
         assert hints.page_size == EXPERIMENT_PAGE_SIZE
 
     def test_plan_is_frozen(self):

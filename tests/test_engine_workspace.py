@@ -14,7 +14,7 @@ from repro.engine.workspace import _algorithm_signature
 from repro.joins import PBSMJoin
 from repro.storage.disk import SimulatedDisk
 
-from tests.conftest import dataset_pair, make_disk, oracle_pairs
+from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
 
 def _triple(n=300, seed=31):
@@ -59,10 +59,11 @@ class TestJoinEquivalence:
                 parameters={"resolution": 4},
             )
 
-    def test_legacy_run_shim_still_works(self):
-        """`Algorithm().run(disk, a, b)` keeps its tuple contract."""
+    def test_algorithm_protocol_works_without_a_workspace(self):
+        """``build_index`` x2 + ``join`` on a bare disk is the whole
+        algorithm protocol the workspace drives."""
         a, b = dataset_pair("uniform", 250, 250, seed=34)
-        result, build_a, build_b = TransformersJoin().run(make_disk(), a, b)
+        result, build_a, build_b = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
         assert build_a.pages_written > 0 and build_b.pages_written > 0
 

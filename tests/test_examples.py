@@ -98,7 +98,7 @@ def test_cost_based_planning():
     assert "chosen    : transformers" in out
     assert "candidates" in out
     assert "error band" in out
-    assert "escape hatch" in out
+    assert "more for the contrast rule's pick" in out
     assert "✓" in out
 
 

@@ -26,6 +26,7 @@ from repro.joins import (
     SynchronizedRTreeJoin,
 )
 from repro.service import ShardedQueryService, SpatialQueryService
+from repro.streaming import DatasetDelta
 
 from tests.conftest import dataset_pair, make_disk
 
@@ -196,6 +197,36 @@ class TestShardWorkerCrash:
             )
 
 
+    def test_command_sent_while_the_shard_is_between_workers_is_not_lost(
+        self, shard_corpus
+    ):
+        """A submission landing after the worker died but before its
+        replacement is up used to vanish: sent to the dead pipe, yet
+        missing from the respawn's resend set.  Interpose on the exact
+        window (the respawn's wait for the dead process)."""
+        _, corpus = shard_corpus
+        request = JoinRequest("a", "b", "pbsm")
+        with ShardedQueryService(2) as service:
+            for name, dataset in corpus.items():
+                service.register(name, dataset)
+            victim = service.submit(request).shard
+            handle = service._shards[victim]
+            late = []
+            reap = handle._process.join
+
+            def reap_then_submit(timeout=None):
+                reap(timeout)
+                late.append(service.submit_async(request))
+
+            handle._process.join = reap_then_submit
+            service.inject_crash(victim)
+            deadline = time.monotonic() + 10.0
+            while not late and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert late, "the respawn never ran"
+            assert late[0].result(timeout=10.0).ok
+
+
 class TestShardSaturation:
     def test_saturated_shard_degrades_then_recovers(self, shard_corpus):
         """Admission full: serve the stale snapshot, never hang.
@@ -237,3 +268,32 @@ class TestShardSaturation:
             stats = service.stats()
             assert stats.degraded_responses == 1
             assert stats.rejected_requests == 1
+
+
+class TestShardRefusesRegistration:
+    def test_failed_register_releases_its_published_segment(
+        self, shard_corpus, monkeypatch
+    ):
+        """The router publishes to shared memory *before* the owner
+        shard acknowledges; a refused registration must give that
+        segment reference back, or every failure leaks one."""
+        _, corpus = shard_corpus
+        with ShardedQueryService(2, inline=True) as service:
+            service.register("a", corpus["a"])
+            if not service._pages.enabled:
+                pytest.skip("shared memory unavailable: nothing to leak")
+            assert service._pages.active_segments == 1
+
+            def refuse(name, dataset):
+                raise RuntimeError("shard refuses registrations")
+
+            for handle in service._shards:
+                monkeypatch.setattr(handle.service, "register", refuse)
+            for name in ("b", "c"):
+                with pytest.raises(RuntimeError, match="refuses"):
+                    service.register(name, corpus[name])
+            shrink = DatasetDelta.deleting(corpus["a"].ids[:3], ndim=3)
+            with pytest.raises(RuntimeError, match="refuses"):
+                service.apply_delta("a", shrink)
+            assert service.names() == ("a",)
+            assert service._pages.active_segments == 1

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import TransformersJoin
+from repro.engine.report import RunReport
 from repro.harness.experiments import EXPERIMENTS, main
 from repro.harness.report import format_series, format_table, speedup
 from repro.harness.runner import (
-    RunRecord,
     geometric_sizes,
     pbsm_resolution,
     run_pair,
@@ -20,7 +20,7 @@ class TestRunner:
     def test_run_pair_produces_complete_record(self):
         a, b = dataset_pair("uniform", 500, 500, seed=101)
         rec = run_pair(TransformersJoin(), a, b)
-        assert isinstance(rec, RunRecord)
+        assert isinstance(rec, RunReport)
         assert rec.n_a == 500 and rec.n_b == 500
         assert rec.index_cost > 0
         assert rec.join_cost > 0

@@ -20,7 +20,7 @@ from repro.joins import (
     SynchronizedRTreeJoin,
 )
 
-from tests.conftest import dataset_pair, make_disk, oracle_pairs
+from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
 
 def all_algorithms(space, n_total):
@@ -41,7 +41,7 @@ def test_all_algorithms_agree(kind):
     expected = oracle_pairs(a, b)
     space = a.boxes.mbb().union(b.boxes.mbb())
     for algo in all_algorithms(space, len(a) + len(b)):
-        result, _, _ = algo.run(make_disk(), a, b)
+        result, _, _ = run_join(algo, make_disk(), a, b)
         assert result.pair_set() == expected, algo.name
 
 
@@ -50,7 +50,7 @@ def test_all_algorithms_agree_on_skewed_ratio():
     expected = oracle_pairs(a, b)
     space = a.boxes.mbb().union(b.boxes.mbb())
     for algo in all_algorithms(space, len(a) + len(b)):
-        result, _, _ = algo.run(make_disk(), a, b)
+        result, _, _ = run_join(algo, make_disk(), a, b)
         assert result.pair_set() == expected, algo.name
 
 
@@ -73,7 +73,7 @@ def test_join_counters_are_self_consistent():
     a, b = dataset_pair("clustered", 1500, 1500, seed=94)
     space = a.boxes.mbb().union(b.boxes.mbb())
     for algo in all_algorithms(space, len(a) + len(b)):
-        result, _, _ = algo.run(make_disk(), a, b)
+        result, _, _ = run_join(algo, make_disk(), a, b)
         js = result.stats
         assert js.pages_read == js.seq_reads + js.random_reads, algo.name
         assert js.pairs_found == len(result.pairs), algo.name

@@ -97,8 +97,8 @@ class TestDistanceJoin:
         assert result.pair_set() == brute_distance_pairs(a, b, distance)
 
     def test_emits_no_deprecation_warning(self):
-        """Regression: the shim used to call the deprecated
-        SpatialJoinAlgorithm.run() and trip our own warning."""
+        """Regression: the shim once tripped a DeprecationWarning of
+        the library's own."""
         import warnings
 
         a, b = dataset_pair("uniform", 200, 300, seed=23)

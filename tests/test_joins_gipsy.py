@@ -5,14 +5,14 @@ import pytest
 
 from repro.joins.gipsy import GipsyJoin, build_partitioned_index
 
-from tests.conftest import dataset_pair, make_disk, oracle_pairs
+from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
 
 class TestCorrectness:
     @pytest.mark.parametrize("kind", ["uniform", "contrast", "clustered", "massive"])
     def test_matches_oracle(self, kind):
         a, b = dataset_pair(kind, 700, 1400, seed=21)
-        result, _, _ = GipsyJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(GipsyJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     @pytest.mark.parametrize("outer", ["a", "b"])
@@ -20,19 +20,19 @@ class TestCorrectness:
         """GIPSY's result must not depend on which side is the outer —
         only its cost does (the paper's predetermination weakness)."""
         a, b = dataset_pair("contrast", 400, 1600, seed=22)
-        result, _, _ = GipsyJoin(outer=outer).run(make_disk(), a, b)
+        result, _, _ = run_join(GipsyJoin(outer=outer), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     def test_extreme_density_ratio(self):
         a, b = dataset_pair("uniform", 30, 3000, seed=23)
-        result, _, _ = GipsyJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(GipsyJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     def test_auto_picks_smaller_as_outer(self):
         a, b = dataset_pair("uniform", 100, 1500, seed=24)
-        result, _, _ = GipsyJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(GipsyJoin(), make_disk(), a, b)
         assert result.stats.extras["outer_dataset_is_a"] == 1.0
-        result2, _, _ = GipsyJoin().run(make_disk(), b, a)
+        result2, _, _ = run_join(GipsyJoin(), make_disk(), b, a)
         assert result2.stats.extras["outer_dataset_is_a"] == 0.0
 
 
@@ -79,8 +79,8 @@ class TestCostShape:
         weakness TRANSFORMERS removes."""
         small_outer, inner = dataset_pair("uniform", 100, 2000, seed=27)
         big_outer, inner2 = dataset_pair("uniform", 1000, 2000, seed=27)
-        r_small, _, _ = GipsyJoin(outer="a").run(make_disk(), small_outer, inner)
-        r_big, _, _ = GipsyJoin(outer="a").run(make_disk(), big_outer, inner2)
+        r_small, _, _ = run_join(GipsyJoin(outer="a"), make_disk(), small_outer, inner)
+        r_big, _, _ = run_join(GipsyJoin(outer="a"), make_disk(), big_outer, inner2)
         assert (
             r_big.stats.metadata_comparisons
             > 3 * r_small.stats.metadata_comparisons

@@ -4,20 +4,20 @@ import pytest
 
 from repro.joins.nested_loop import IndexedNestedLoopJoin
 
-from tests.conftest import dataset_pair, make_disk, oracle_pairs
+from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
 
 class TestCorrectness:
     @pytest.mark.parametrize("kind", ["uniform", "contrast", "massive"])
     def test_matches_oracle(self, kind):
         a, b = dataset_pair(kind, 600, 1200, seed=31)
-        result, _, _ = IndexedNestedLoopJoin().run(make_disk(), a, b)
+        result, _, _ = run_join(IndexedNestedLoopJoin(), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     @pytest.mark.parametrize("outer", ["a", "b"])
     def test_forced_outer(self, outer):
         a, b = dataset_pair("uniform", 300, 900, seed=32)
-        result, _, _ = IndexedNestedLoopJoin(outer=outer).run(make_disk(), a, b)
+        result, _, _ = run_join(IndexedNestedLoopJoin(outer=outer), make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
 
@@ -43,8 +43,8 @@ class TestBehaviour:
         tiny — per-probe tests dominate as the outer grows."""
         a_small, b = dataset_pair("uniform", 50, 2000, seed=33)
         a_big, b2 = dataset_pair("uniform", 1500, 2000, seed=33)
-        r_small, _, _ = IndexedNestedLoopJoin(outer="a").run(make_disk(), a_small, b)
-        r_big, _, _ = IndexedNestedLoopJoin(outer="a").run(make_disk(), a_big, b2)
+        r_small, _, _ = run_join(IndexedNestedLoopJoin(outer="a"), make_disk(), a_small, b)
+        r_big, _, _ = run_join(IndexedNestedLoopJoin(outer="a"), make_disk(), a_big, b2)
         assert (
             r_big.stats.intersection_tests
             > 5 * r_small.stats.intersection_tests

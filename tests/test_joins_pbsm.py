@@ -6,7 +6,13 @@ import pytest
 from repro.joins.pbsm import PBSMJoin
 from repro.storage.page import element_page_capacity
 
-from tests.conftest import TEST_PAGE_SIZE, dataset_pair, make_disk, oracle_pairs
+from tests.conftest import (
+    TEST_PAGE_SIZE,
+    dataset_pair,
+    make_disk,
+    oracle_pairs,
+    run_join,
+)
 
 
 class TestCorrectness:
@@ -17,14 +23,14 @@ class TestCorrectness:
         space = a.boxes.mbb().union(b.boxes.mbb())
         algo = PBSMJoin(space=space, resolution=resolution)
         disk = make_disk()
-        result, _, _ = algo.run(disk, a, b)
+        result, _, _ = run_join(algo, disk, a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     def test_duplicates_are_dropped_not_reported(self):
         a, b = dataset_pair("uniform", 800, 800, seed=9)
         space = a.boxes.mbb().union(b.boxes.mbb())
         algo = PBSMJoin(space=space, resolution=6)
-        result, _, _ = algo.run(make_disk(), a, b)
+        result, _, _ = run_join(algo, make_disk(), a, b)
         pairs = [tuple(p) for p in result.pairs]
         assert len(pairs) == len(set(pairs))
         # With a fine grid some replication must actually have happened.
@@ -61,7 +67,7 @@ class TestIOBehaviour:
         a, b = dataset_pair("uniform", 2500, 2500, seed=3)
         space = a.boxes.mbb().union(b.boxes.mbb())
         algo = PBSMJoin(space=space, resolution=5)
-        result, _, _ = algo.run(make_disk(), a, b)
+        result, _, _ = run_join(algo, make_disk(), a, b)
         js = result.stats
         assert js.random_reads > 0.9 * js.pages_read
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.joins.s3 import S3Join
 
-from tests.conftest import dataset_pair, make_disk, oracle_pairs
+from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
 
 def shared_space(a, b):
@@ -18,7 +18,7 @@ class TestCorrectness:
     def test_matches_oracle(self, kind, levels):
         a, b = dataset_pair(kind, 700, 1000, seed=levels)
         algo = S3Join(levels=levels, space=shared_space(a, b))
-        result, _, _ = algo.run(make_disk(), a, b)
+        result, _, _ = run_join(algo, make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     def test_large_elements_forced_to_top_levels(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.joins.sssj import SSSJJoin
 
-from tests.conftest import dataset_pair, make_disk, oracle_pairs
+from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
 
 def x_range(a, b):
@@ -19,7 +19,7 @@ class TestCorrectness:
     def test_matches_oracle(self, kind, strips):
         a, b = dataset_pair(kind, 700, 1000, seed=strips)
         algo = SSSJJoin(strips=strips, x_range=x_range(a, b))
-        result, _, _ = algo.run(make_disk(), a, b)
+        result, _, _ = run_join(algo, make_disk(), a, b)
         assert result.pair_set() == oracle_pairs(a, b)
 
     def test_boundary_straddling_elements(self):

@@ -162,31 +162,6 @@ class TestCanonicalPairs:
             canonical_pairs(np.zeros((3, 3)))
 
 
-class TestRunDeprecationShim:
-    def _pair(self):
-        lo = np.zeros((2, 3))
-        a = Dataset("a", np.array([0, 1]), BoxArray(lo, lo + 1.0))
-        b = Dataset("b", np.array([10, 11]), BoxArray(lo + 0.5, lo + 1.5))
-        return a, b
-
-    def test_warns_exactly_once_per_process(self, monkeypatch):
-        import warnings
-
-        import repro.joins.base as base
-        from repro.engine.registry import OracleJoin
-
-        monkeypatch.setattr(base, "_RUN_DEPRECATION_EMITTED", False)
-        a, b = self._pair()
-        algo = OracleJoin()
-        with pytest.warns(DeprecationWarning, match="SpatialWorkspace"):
-            algo.run(None, a, b)
-        # Second (and any further) call in the same process stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result, _, _ = algo.run(None, a, b)
-        assert result.stats.pairs_found == 4
-
-
 class TestPercentiles:
     """Latency-percentile math: exact on samples, harmless on none."""
 

@@ -2,13 +2,13 @@
 
 Two pinned behaviours motivated the statistics layer:
 
-* **Skew awareness** — the old two-scalar ratio rule planned a
+* **Skew awareness** — a two-scalar cardinality-ratio rule plans a
   clustered pair and a uniform pair identically; at high cardinality
-  contrast it routed *both* to GIPSY even where the measured totals
-  favour TRANSFORMERS by ~3x.  The cost-based planner must pick a
-  different, cheaper-by-report plan than the ratio rule on a
-  Fig. 11-style clustered workload (and the report's ranking must
-  agree with the measured outcome).
+  contrast it routes *both* to GIPSY even where the measured totals
+  favour TRANSFORMERS by ~3x.  On a Fig. 11-style clustered workload
+  the cost-based planner must pick the cheaper-by-report plan, not
+  GIPSY (and the report's ranking must agree with the measured
+  outcome).
 * **Bounded regret** — across the oracle corpus generators, the plan
   ``"auto"`` picks must never cost more than 1.5x the best costed
   candidate when actually executed.
@@ -20,7 +20,6 @@ import pytest
 
 from repro.datagen import dense_cluster, scaled_space, uniform_cluster
 from repro.engine import PlanReport, SpatialWorkspace, plan_join
-from repro.engine.planner import GIPSY_RATIO_THRESHOLD, planner_stats_enabled
 from tests.test_oracle_random import CASES
 
 #: Maximum tolerated ratio between the executed cost of auto's choice
@@ -29,9 +28,9 @@ MAX_REGRET = 1.5
 
 
 def _fig11_style_contrast_pair():
-    """DenseCluster vs UniformCluster (Fig. 11 families) at a contrast
-    past the ratio rule's GIPSY gate — clustered *and* skewed."""
-    n_small, n_big = 60, 60 * int(GIPSY_RATIO_THRESHOLD * 1.5)
+    """DenseCluster vs UniformCluster (Fig. 11 families) at a 96x
+    cardinality contrast — clustered *and* skewed."""
+    n_small, n_big = 60, 60 * 96
     space = scaled_space(n_small + n_big)
     a = dense_cluster(n_small, seed=21, name="dense", space=space)
     b = uniform_cluster(
@@ -43,26 +42,21 @@ def _fig11_style_contrast_pair():
 class TestSkewRegression:
     """The bug the subsystem fixes: planning blind to clustering."""
 
-    def test_cost_planner_overrules_ratio_rule_on_clustered_contrast(
-        self, monkeypatch
+    def test_clustered_contrast_plans_to_the_cheaper_by_report_algorithm(
+        self,
     ):
         a, b = _fig11_style_contrast_pair()
-
-        monkeypatch.setenv("REPRO_PLANNER_STATS", "0")
-        ratio_choice = plan_join(a, b, "auto").algorithm
-        assert ratio_choice == "gipsy"  # the old rule's verdict
-
-        monkeypatch.delenv("REPRO_PLANNER_STATS")
         report = plan_join(a, b, "auto", explain=True)
         assert isinstance(report, PlanReport)
         assert report.stats_used
-        # A different plan than the ratio rule...
-        assert report.algorithm != ratio_choice
-        # ...that the report itself prices as cheaper.
+        # Not the directed crawl a contrast rule would pick...
+        assert report.algorithm != "gipsy"
+        # ...because the report itself prices the choice as cheaper.
         chosen = report.candidate(report.algorithm)
-        overruled = report.candidate(ratio_choice)
-        assert chosen is not None and overruled is not None
-        assert chosen.total < overruled.total
+        gipsy = report.candidate("gipsy")
+        assert chosen is not None and gipsy is not None
+        assert chosen is report.candidates[0]
+        assert chosen.total < gipsy.total
 
     def test_report_ranking_matches_measured_outcome(self):
         """The cheaper-by-report plan really is cheaper when executed."""
@@ -161,16 +155,6 @@ class TestPlanReport:
         assert report.reason == "requested explicitly"
         assert len(report.candidates) >= 4
         assert report.candidate("rtree") is not None
-
-    def test_stats_disabled_reports_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER_STATS", "0")
-        assert not planner_stats_enabled()
-        a, b = _fig11_style_contrast_pair()
-        report = plan_join(a, b, "auto", explain=True)
-        assert not report.stats_used
-        assert report.candidates == ()
-        assert report.est_pairs is None
-        assert report.error_band is None
 
 
 class TestWorkspaceIntegration:

@@ -1,8 +1,9 @@
 """Rebind-race pins: the cache fills and index builds that in-flight
 invalidation must suppress.
 
-Two shipped races, both of the shape *resolve under the lock, compute
-outside it, publish under the lock again*:
+Races of the shape *resolve under the lock, compute outside it,
+publish under the lock again* — two shipped ones, and the delta path
+that shares their shape:
 
 1. **Join fill after rebind** — ``submit_many`` resolved a name to a
    fingerprint, released the lock to run the miss, and a ``register``
@@ -20,6 +21,13 @@ outside it, publish under the lock again*:
    pinned until LRU pressure.  The fix drops it post-hoc, counted in
    ``stale_index_drops``.
 
+3. **Patched fill after partner rebind** — ``apply_delta`` patches
+   cached entries outside the lock against the partner content bound
+   *at that moment*; a rebind of the partner before the fill would
+   file the patched report under a fingerprint no name serves.  The
+   fill re-validates both fingerprints and is skipped, counted in
+   ``cache_stale_fill_skips``.
+
 The deterministic tests below interpose on the exact window (executor
 call / query-lock acquisition) to force the interleaving every run; the
 threaded stress test closes with the global invariant both fixes
@@ -34,6 +42,7 @@ import pytest
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import JoinRequest
 from repro.service import SpatialQueryService
+from repro.streaming import DatasetDelta
 
 
 @pytest.fixture
@@ -196,6 +205,34 @@ class TestRangeIndexRace:
             key[0] == id(concrete) for key in service.query_workspace._cache
         )
         assert service.stats().stale_index_drops == 0
+
+
+class TestDeltaFillRace:
+    def test_patched_fill_after_partner_rebind_is_skipped(
+        self, service, space
+    ):
+        service.submit(JoinRequest("a", "b", "pbsm"))
+        old_b = service.catalog.resolve("b").fingerprint
+        resolve = service._dataset_by_fingerprint
+
+        def resolve_then_rebind(fingerprint):
+            partner = resolve(fingerprint)
+            service.register("b", _variant(78, space, offset=10**9))
+            return partner
+
+        service._dataset_by_fingerprint = resolve_then_rebind
+        victim = service.catalog.resolve("a").dataset
+        outcome = service.apply_delta(
+            "a", DatasetDelta.deleting(victim.ids[:5], ndim=3)
+        )
+        # The entry was patched against the partner bound at the time...
+        assert outcome.patched == 1
+        # ...but that partner is gone, so nothing may be filed under it.
+        assert all(
+            old_b not in key[:2] for key in service._results._entries
+        )
+        assert service.stats().cache_stale_fill_skips == 1
+        assert not service.submit(JoinRequest("a", "b", "pbsm")).cached
 
 
 class TestRebindUnderLoadStress:

@@ -285,6 +285,8 @@ class TestAdmissionControl:
             tight.range_query("a", space, client="c2")
         with tight._lock:
             del tight._clients["c2"]
+        # Both quota rejections count, the range query's included.
+        assert tight.stats().rejected_requests == 2
 
     def test_untagged_submissions_bypass_quota(self, tight):
         with tight._lock:

@@ -10,8 +10,6 @@ randomly shaped datasets and deltas:
   the deltas eagerly;
 * :meth:`DatasetSketch.apply_delta` equals ``DatasetSketch.build`` on
   the post-delta dataset (``==`` and digest);
-* :meth:`IncrementalGridIndex.apply_delta` equals a from-scratch
-  :meth:`IncrementalGridIndex.from_dataset` rebuild;
 * :func:`repro.joins.delta_join` patches a cached pair set into
   exactly the brute-force recompute of the post-delta join.
 
@@ -22,9 +20,7 @@ Integer-valued coordinates keep every arithmetic comparison exact, so
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
-from repro.index import IncrementalGridIndex, UniformGrid
 from repro.joins import delta_join
 from repro.joins.base import Dataset
 from repro.joins.brute import brute_force_pairs
@@ -122,22 +118,6 @@ class TestSketchMaintenance:
             delta, base, after
         )
         rebuilt = DatasetSketch.build(after)
-        assert incremental == rebuilt
-        assert incremental.digest() == rebuilt.digest()
-
-
-class TestIncrementalGridIndex:
-    @settings(max_examples=60, deadline=None)
-    @given(dataset_and_delta())
-    def test_apply_delta_equals_rebuild(self, case):
-        base, delta = case
-        space = Box((-250.0,) * base.boxes.ndim, (250.0,) * base.boxes.ndim)
-        grid = UniformGrid(space, resolution=4)
-        after = delta.apply(base)
-        incremental = IncrementalGridIndex.from_dataset(
-            grid, base
-        ).apply_delta(delta)
-        rebuilt = IncrementalGridIndex.from_dataset(grid, after)
         assert incremental == rebuilt
         assert incremental.digest() == rebuilt.digest()
 

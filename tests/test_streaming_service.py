@@ -1,5 +1,9 @@
 """Service-tier streaming: ``apply_delta`` on both front-ends.
 
+Both tiers run one flow (:func:`repro.service.patch.advance_delta`),
+so one suite runs against both: every case is parametrised over
+``SpatialQueryService`` and ``ShardedQueryService(2, inline=True)``.
+
 The contract under test: after a delta, every join answer the service
 hands out — patched cache hit, fresh miss, degraded snapshot — is the
 answer a *cold* service registered directly with the post-delta
@@ -39,21 +43,50 @@ def _cold_pairs(a, b, algorithm):
     return response.report.result.pairs
 
 
-class TestSingleProcessApplyDelta:
-    def test_patches_cached_results_byte_identically(self):
+TIERS = {
+    "single": SpatialQueryService,
+    "sharded": lambda: ShardedQueryService(2, inline=True),
+}
+
+
+def _close(service):
+    if isinstance(service, ShardedQueryService):
+        service.close()
+
+
+@pytest.fixture(params=sorted(TIERS))
+def service(request):
+    tier = TIERS[request.param]()
+    yield tier
+    _close(tier)
+
+
+def _halving_delta(dataset):
+    """Delete the upper half of ``dataset`` — far over the threshold."""
+    survivors = np.sort(dataset.ids)[: len(dataset.ids) // 2]
+    return DatasetDelta(
+        delete_ids=np.setdiff1d(dataset.ids, survivors),
+        insert_ids=np.asarray([], dtype=np.int64),
+        insert_boxes=type(dataset.boxes).empty(dataset.boxes.ndim),
+    )
+
+
+class TestApplyDelta:
+    def test_patches_cached_results_byte_identically(self, service):
         sa, sb = _streams()
-        service = SpatialQueryService()
         service.register("sa", sa.base())
         service.register("sb", sb.base())
         for algorithm in ("pbsm", "rtree"):
             service.submit(
                 JoinRequest(a="sa", b="sb", algorithm=algorithm)
             )
-        delta = sa.tick()
-        outcome = service.apply_delta("sa", delta)
+        outcome = service.apply_delta("sa", sa.tick())
         assert not outcome.noop
         assert outcome.patched == 2
         assert outcome.fallbacks == 0
+        # A delta on the other side patches the already-patched entries.
+        outcome_b = service.apply_delta("sb", sb.tick())
+        assert outcome_b.patched == 2
         for algorithm in ("pbsm", "rtree"):
             hot = service.submit(
                 JoinRequest(a="sa", b="sb", algorithm=algorithm)
@@ -63,24 +96,22 @@ class TestSingleProcessApplyDelta:
             cold = _cold_pairs(sa.current, sb.current, algorithm)
             assert hot.report.result.pairs.tobytes() == cold.tobytes()
         stats = service.stats()
-        assert stats.delta_applies == 1
-        assert stats.delta_patches == 2
+        assert stats.delta_applies == 2
+        assert stats.delta_patches == 4
         assert stats.delta_patch_fallbacks == 0
 
-    def test_catalog_advances_to_cold_fingerprint(self):
-        sa, sb = _streams()
-        service = SpatialQueryService()
-        service.register("sa", sa.base())
-        delta = sa.tick()
-        outcome = service.apply_delta("sa", delta)
-        cold = SpatialQueryService()
-        entry = cold.register("sa", sa.current)
-        assert outcome.entry.fingerprint == entry.fingerprint
+    def test_catalog_advances_to_cold_fingerprint(self, service):
+        sa, _ = _streams()
+        base = service.register("sa", sa.base())
+        assert base.version == 1
+        outcome = service.apply_delta("sa", sa.tick())
+        cold = SpatialQueryService().register("sa", sa.current)
+        assert outcome.entry.fingerprint == cold.fingerprint
+        assert outcome.entry.fingerprint != base.fingerprint
         assert outcome.entry.version == 2
 
-    def test_noop_delta_leaves_cache_alone(self):
+    def test_noop_delta_leaves_cache_alone(self, service):
         sa, _ = _streams()
-        service = SpatialQueryService()
         service.register("sa", sa.base())
         outcome = service.apply_delta(
             "sa", DatasetDelta.empty(ndim=sa.base().boxes.ndim)
@@ -88,55 +119,40 @@ class TestSingleProcessApplyDelta:
         assert outcome.noop
         assert outcome.patched == 0
 
-    def test_within_predicate_falls_back_to_invalidation(self):
+    def test_within_predicate_falls_back_to_invalidation(self, service):
         sa, sb = _streams(n=400)
-        service = SpatialQueryService()
         service.register("sa", sa.base())
         service.register("sb", sb.base())
-        service.submit(
-            JoinRequest(a="sa", b="sb", algorithm="pbsm", within=2.0)
-        )
-        delta = sa.tick()
-        outcome = service.apply_delta("sa", delta)
+        request = JoinRequest(a="sa", b="sb", algorithm="pbsm", within=2.0)
+        service.submit(request)
+        outcome = service.apply_delta("sa", sa.tick())
         assert outcome.patched == 0
         assert outcome.fallbacks == 1
         # The recomputed answer still matches a cold service's.
-        hot = service.submit(
-            JoinRequest(a="sa", b="sb", algorithm="pbsm", within=2.0)
-        )
+        hot = service.submit(request)
         assert not hot.cached
         cold = SpatialQueryService()
         cold.register("sa", sa.current)
         cold.register("sb", sb.current)
-        ref = cold.submit(
-            JoinRequest(a="sa", b="sb", algorithm="pbsm", within=2.0)
-        )
+        ref = cold.submit(request)
         assert (
             hot.report.result.pairs.tobytes()
             == ref.report.result.pairs.tobytes()
         )
 
-    def test_large_delta_falls_back(self):
+    def test_large_delta_falls_back(self, service):
         sa, sb = _streams(n=300)
-        service = SpatialQueryService()
         service.register("sa", sa.base())
         service.register("sb", sb.base())
         service.submit(JoinRequest(a="sa", b="sb", algorithm="pbsm"))
-        base = sa.current
-        survivors = np.sort(base.ids)[: len(base.ids) // 2]
-        huge = DatasetDelta(
-            delete_ids=np.setdiff1d(base.ids, survivors),
-            insert_ids=np.asarray([], dtype=np.int64),
-            insert_boxes=type(base.boxes).empty(base.boxes.ndim),
-        )
-        assert huge.fraction(len(base)) > 0.25
+        huge = _halving_delta(sa.current)
+        assert huge.fraction(len(sa.current)) > 0.25
         outcome = service.apply_delta("sa", huge)
         assert outcome.patched == 0
         assert outcome.fallbacks == 1
 
-    def test_patching_disabled_by_env(self):
+    def test_patching_disabled_by_env(self, service):
         sa, sb = _streams(n=400)
-        service = SpatialQueryService()
         service.register("sa", sa.base())
         service.register("sb", sb.base())
         service.submit(JoinRequest(a="sa", b="sb", algorithm="pbsm"))
@@ -150,9 +166,46 @@ class TestSingleProcessApplyDelta:
         cold = _cold_pairs(sa.current, sb.current, "pbsm")
         assert hot.report.result.pairs.tobytes() == cold.tobytes()
 
-    def test_invalid_delta_leaves_state_untouched(self):
+    def test_ad_hoc_partner_falls_back(self, service):
+        # The cached entry's partner side is an unregistered ad-hoc
+        # dataset: after the delta its fingerprint resolves to nothing,
+        # so the entry cannot be patched.
+        sa, _ = _streams(n=300)
+        partner = uniform_dataset(
+            300, seed=77, name="adhoc", id_offset=7 * 10**8
+        )
+        service.register("sa", sa.base())
+        service.submit(JoinRequest(a="sa", b=partner, algorithm="pbsm"))
+        outcome = service.apply_delta("sa", sa.tick())
+        assert outcome.patched == 0
+        assert outcome.fallbacks == 1
+
+    def test_alias_keeps_serving_the_old_content(self, service):
+        sa, sb = _streams(n=400)
+        service.register("sa", sa.base())
+        service.register("frozen", sa.base())
+        service.register("sb", sb.base())
+        moving = JoinRequest(a="sa", b="sb", algorithm="pbsm")
+        frozen = JoinRequest(a="frozen", b="sb", algorithm="pbsm")
+        before = service.submit(moving)
+        outcome = service.apply_delta("sa", sa.tick())
+        assert outcome.patched == 1
+        # The alias still resolves to the pre-delta content, and its
+        # cached answer survived the delta untouched...
+        still = service.submit(frozen)
+        assert still.cached and not still.report.delta_patched
+        assert (
+            still.report.result.pairs.tobytes()
+            == before.report.result.pairs.tobytes()
+        )
+        # ...while the advanced name serves the patched answer.
+        hot = service.submit(moving)
+        assert hot.cached and hot.report.delta_patched
+        cold = _cold_pairs(sa.current, sb.current, "pbsm")
+        assert hot.report.result.pairs.tobytes() == cold.tobytes()
+
+    def test_invalid_delta_leaves_state_untouched(self, service):
         sa, _ = _streams(n=200)
-        service = SpatialQueryService()
         entry = service.register("sa", sa.base())
         bogus = DatasetDelta.deleting(
             np.asarray([10**15], dtype=np.int64),
@@ -161,79 +214,51 @@ class TestSingleProcessApplyDelta:
         with pytest.raises(KeyError):
             service.apply_delta("sa", bogus)
         assert service.stats().delta_applies == 0
-        assert (
-            service.catalog.resolve("sa").fingerprint == entry.fingerprint
-        )
+        # Still bound to the very same content: re-registering it is
+        # the equal-content no-op.
+        assert service.register("sa", sa.base()) == entry
 
-    def test_unknown_name_raises(self):
-        service = SpatialQueryService()
+    def test_unknown_name_raises(self, service):
         with pytest.raises(KeyError):
             service.apply_delta("nope", DatasetDelta.empty())
 
 
-class TestShardedApplyDelta:
-    def test_parity_with_cold_recompute_across_shards(self):
-        sa, sb = _streams()
-        with ShardedQueryService(shards=3, inline=True) as tier:
-            tier.register("sa", sa.base())
-            tier.register("sb", sb.base())
-            for algorithm in ("pbsm", "rtree"):
-                tier.submit(
-                    JoinRequest(a="sa", b="sb", algorithm=algorithm)
-                )
-            outcome = tier.apply_delta("sa", sa.tick())
-            assert outcome.patched == 2
-            assert outcome.fallbacks == 0
-            outcome_b = tier.apply_delta("sb", sb.tick())
-            assert outcome_b.patched == 2
-            for algorithm in ("pbsm", "rtree"):
-                hot = tier.submit(
-                    JoinRequest(a="sa", b="sb", algorithm=algorithm)
-                )
-                assert hot.cached
-                assert hot.report.delta_patched
-                cold = _cold_pairs(sa.current, sb.current, algorithm)
-                assert (
-                    hot.report.result.pairs.tobytes() == cold.tobytes()
-                )
-            stats = tier.stats()
-            assert stats.delta_applies == 2
-            assert stats.delta_patches == 4
-            assert stats.delta_patch_fallbacks == 0
+def test_outcomes_are_equal_across_tiers():
+    """One flow, one answer: every ``DeltaOutcome`` field matches."""
 
-    def test_noop_and_unknown_name(self):
-        sa, _ = _streams(n=200)
-        with ShardedQueryService(shards=2, inline=True) as tier:
-            tier.register("sa", sa.base())
-            outcome = tier.apply_delta(
-                "sa", DatasetDelta.empty(ndim=sa.base().boxes.ndim)
-            )
-            assert outcome.noop
-            with pytest.raises(KeyError):
-                tier.apply_delta("nope", DatasetDelta.empty())
-
-    def test_version_advances_like_register(self):
-        sa, _ = _streams(n=200)
-        with ShardedQueryService(shards=2, inline=True) as tier:
-            entry = tier.register("sa", sa.base())
-            assert entry.version == 1
-            outcome = tier.apply_delta("sa", sa.tick())
-            assert outcome.entry.version == 2
-            assert outcome.entry.fingerprint != entry.fingerprint
-
-    def test_ad_hoc_partner_falls_back(self):
-        # The cached entry's partner side is an unregistered ad-hoc
-        # dataset: after the delta its fingerprint resolves to nothing,
-        # so the entry cannot be patched.
-        sa, _ = _streams(n=300)
-        partner = uniform_dataset(
-            300, seed=77, name="adhoc", id_offset=7 * 10**8
+    def script(service):
+        sa, sb = _streams(n=400)
+        service.register("sa", sa.base())
+        service.register("sb", sb.base())
+        service.submit(JoinRequest(a="sa", b="sb", algorithm="pbsm"))
+        service.submit(
+            JoinRequest(a="sa", b="sb", algorithm="pbsm", within=2.0)
         )
-        with ShardedQueryService(shards=2, inline=True) as tier:
-            tier.register("sa", sa.base())
-            tier.submit(
-                JoinRequest(a="sa", b=partner, algorithm="pbsm")
+        outcomes = [
+            service.apply_delta("sa", sa.tick()),
+            service.apply_delta(
+                "sa", DatasetDelta.empty(ndim=sa.base().boxes.ndim)
+            ),
+            service.apply_delta("sb", _halving_delta(sb.current)),
+        ]
+        _close(service)
+        return [
+            (
+                o.entry.name,
+                o.entry.fingerprint,
+                o.entry.version,
+                o.fraction,
+                o.patched,
+                o.fallbacks,
+                o.noop,
             )
-            outcome = tier.apply_delta("sa", sa.tick())
-            assert outcome.patched == 0
-            assert outcome.fallbacks == 1
+            for o in outcomes
+        ]
+
+    single, sharded = (script(TIERS[tier]()) for tier in ("single", "sharded"))
+    assert single == sharded
+    assert [row[4:] for row in single] == [
+        (1, 1, False),
+        (0, 0, True),
+        (0, 1, False),
+    ]
