@@ -19,6 +19,20 @@ distinction:
 * **inclusion** in the candidate set requires the node's tight *node
   MBB* (the union of its units' page MBBs) to intersect the pivot box
   itself, keeping the candidate set small.
+
+Both tests depend only on the node and the pivot, not on the path taken
+to the node, so the crawl is *mask, then traverse*: two reductions over
+the whole node table answer "include?" and "expand?" for every node of
+the follower at once, and the stack traversal that follows only looks
+booleans up.  The traversal itself is the element-at-a-time one — same
+stack discipline, one logical metadata comparison per visited node and
+per tested neighbour, one descriptor read per visit — so candidates
+come back in the same visit order, and the comparison counter and the
+buffer pool see exactly what a per-candidate implementation would show
+them (``tests/test_core_walk_crawl.py`` keeps that implementation as
+the reference).  :func:`candidate_units` is batched the same way: the
+descriptor pages are read node by node, the page-MBB filter runs once
+over all their units.
 """
 
 from __future__ import annotations
@@ -63,6 +77,13 @@ def adaptive_crawl(
 
     Returns candidate node indices in visit order.
     """
+    nodes = index.nodes
+    include = np.all(
+        (nodes.mbb_lo <= e_hi) & (nodes.mbb_hi >= e_lo), axis=1
+    ).tolist()
+    expand = np.all(
+        (nodes.part_lo <= g_hi) & (nodes.part_hi >= g_lo), axis=1
+    ).tolist()
     candidates: list[int] = []
     seen = {int(start)}
     queue = [int(start)]
@@ -70,18 +91,13 @@ def adaptive_crawl(
         node = queue.pop()
         touch_node_meta(index, node, pool)
         stats.metadata_comparisons += 1
-        if node not in skip and np.all(
-            index.nodes.mbb_lo[node] <= e_hi
-        ) and np.all(index.nodes.mbb_hi[node] >= e_lo):
+        if node not in skip and include[node]:
             candidates.append(node)
-        for nb in index.nodes.neighbors[node]:
-            nb = int(nb)
+        for nb in nodes.neighbors[node].tolist():
             if nb in seen:
                 continue
             stats.metadata_comparisons += 1
-            if np.all(index.nodes.part_lo[nb] <= g_hi) and np.all(
-                index.nodes.part_hi[nb] >= g_lo
-            ):
+            if expand[nb]:
                 seen.add(nb)
                 queue.append(nb)
     return candidates
@@ -101,18 +117,15 @@ def candidate_units(
     and filters its units' page MBBs — the "filters elements before the
     in-memory join" step of Section V.
     """
-    out: list[IntArray] = []
+    if not nodes:
+        return np.empty(0, dtype=np.intp)
     for node in nodes:
         pool.read(int(index.nodes.desc_page_ids[node]))
-        members = index.nodes.units[node]
-        stats.metadata_comparisons += len(members)
-        hit = np.all(
-            (index.units.page_lo[members] <= q_hi)
-            & (index.units.page_hi[members] >= q_lo),
-            axis=1,
-        )
-        if hit.any():
-            out.append(members[hit])
-    if not out:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(out)
+    members = np.concatenate([index.nodes.units[node] for node in nodes])
+    stats.metadata_comparisons += len(members)
+    hit = np.all(
+        (index.units.page_lo[members] <= q_hi)
+        & (index.units.page_hi[members] >= q_lo),
+        axis=1,
+    )
+    return members[hit]

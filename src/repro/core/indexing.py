@@ -23,6 +23,18 @@ pivot (Section V, "Adaptive Walk").
 Index build cost is charged to the simulated disk like every other
 algorithm: element pages, descriptor pages and B+-tree pages are all
 allocated through it.
+
+The build is struct-of-arrays and *permutes once*: STR hands back one
+permutation of the elements (tiles are consecutive runs of it) and the
+partition bounds as arrays; ids and boxes are gathered into that order
+a single time, every unit's page MBB comes from one
+``minimum/maximum.reduceat`` over the runs, and each element page is a
+slice view of the permuted arrays (still validated as a page).  The
+node level repeats the pattern over the unit table.  Pages are
+allocated in tile order and members/neighbours are listed ascending, so
+page ids, descriptors and the connectivity graph are what a
+tile-at-a-time build produces — which is what keeps every page-read and
+comparison counter of the join unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
 from repro.geometry.hilbert import hilbert_index_batch
 from repro.index.bplustree import BPlusTree
-from repro.index.str_pack import str_partition_with_bounds
+from repro.index.str_pack import str_tiling
 from repro.joins.base import Dataset, JoinStats
 from repro.joins.grid_hash import grid_hash_join
 from repro.core.descriptors import (
@@ -121,66 +133,62 @@ def build_transformers_index(
     units_per_node = max(2, disk.model.page_size // DESCRIPTOR_SIZE)
 
     # ------------------------------------------------------------------
-    # Level 1: space units (element pages + descriptors).
+    # Level 1: space units (element pages + descriptors).  The dataset
+    # is permuted into STR tile order once; every page is a slice of it.
     # ------------------------------------------------------------------
-    unit_tiles, unit_bounds = str_partition_with_bounds(
+    order, offsets, u_part_lo, u_part_hi = str_tiling(
         dataset.boxes.centers(), elements_per_unit, space
     )
-    n_units = len(unit_tiles)
-    u_page_lo = np.empty((n_units, ndim))
-    u_page_hi = np.empty((n_units, ndim))
-    u_part_lo = np.empty((n_units, ndim))
-    u_part_hi = np.empty((n_units, ndim))
+    n_units = len(offsets) - 1
+    ids = dataset.ids[order]
+    lo = dataset.boxes.lo[order]
+    hi = dataset.boxes.hi[order]
+    u_page_lo = np.minimum.reduceat(lo, offsets[:-1], axis=0)
+    u_page_hi = np.maximum.reduceat(hi, offsets[:-1], axis=0)
+    u_counts = np.diff(offsets).astype(np.int64)
     u_element_pages = np.empty(n_units, dtype=np.int64)
-    u_counts = np.empty(n_units, dtype=np.int64)
-    for t, tile in enumerate(unit_tiles):
-        page = ElementPage(dataset.ids[tile], dataset.boxes.take(tile))
+    cuts = offsets.tolist()
+    for t, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        page = ElementPage(ids[a:b], BoxArray(lo[a:b], hi[a:b]))
         u_element_pages[t] = disk.allocate(page)
-        mbb = page.boxes.mbb()
-        u_page_lo[t], u_page_hi[t] = mbb.lo, mbb.hi
-        u_part_lo[t], u_part_hi[t] = unit_bounds[t].lo, unit_bounds[t].hi
-        u_counts[t] = len(tile)
 
     # ------------------------------------------------------------------
     # Level 0: space nodes (groups of units, gap-free node bounds).
+    # Sorting the units by (node, unit id) lines every node's members
+    # up as one ascending run.
     # ------------------------------------------------------------------
     unit_centers = (u_part_lo + u_part_hi) / 2.0
-    node_tiles, node_bounds = str_partition_with_bounds(
+    n_order, n_offsets, n_part_lo, n_part_hi = str_tiling(
         unit_centers, units_per_node, space
     )
-    n_nodes = len(node_tiles)
-    n_mbb_lo = np.empty((n_nodes, ndim))
-    n_mbb_hi = np.empty((n_nodes, ndim))
-    n_part_lo = np.empty((n_nodes, ndim))
-    n_part_hi = np.empty((n_nodes, ndim))
-    node_units: list[IntArray] = []
+    n_nodes = len(n_offsets) - 1
     u_parent = np.empty(n_units, dtype=np.intp)
-    desc_page_ids = np.empty(n_nodes, dtype=np.int64)
-    element_counts = np.empty(n_nodes, dtype=np.int64)
-    for k, tile in enumerate(node_tiles):
-        members = np.asarray(sorted(int(i) for i in tile), dtype=np.intp)
-        node_units.append(members)
-        u_parent[members] = k
-        n_mbb_lo[k] = u_page_lo[members].min(axis=0)
-        n_mbb_hi[k] = u_page_hi[members].max(axis=0)
-        n_part_lo[k], n_part_hi[k] = node_bounds[k].lo, node_bounds[k].hi
-        element_counts[k] = int(u_counts[members].sum())
-        # One descriptor page per node, holding its unit descriptors.
-        desc_page_ids[k] = disk.allocate(("unit-descriptors", k))
+    u_parent[n_order] = np.repeat(
+        np.arange(n_nodes, dtype=np.intp), np.diff(n_offsets)
+    )
+    members = np.argsort(u_parent, kind="stable")
+    node_units: list[IntArray] = np.split(members, n_offsets[1:-1])
+    n_mbb_lo = np.minimum.reduceat(u_page_lo[members], n_offsets[:-1], axis=0)
+    n_mbb_hi = np.maximum.reduceat(u_page_hi[members], n_offsets[:-1], axis=0)
+    element_counts = np.add.reduceat(u_counts[members], n_offsets[:-1])
+    # One descriptor page per node, holding its unit descriptors.
+    desc_page_ids = np.array(
+        [disk.allocate(("unit-descriptors", k)) for k in range(n_nodes)],
+        dtype=np.int64,
+    )
 
     # ------------------------------------------------------------------
     # Connectivity: self-join on the node partition bounds (gap-free),
-    # giving each node the list of its adjacent/overlapping nodes.
+    # giving each node the ascending list of its adjacent/overlapping
+    # nodes.
     # ------------------------------------------------------------------
     part_boxes = BoxArray(n_part_lo, n_part_hi)
     pair_idx, _ = grid_hash_join(part_boxes, part_boxes)
-    neighbor_lists: list[list[int]] = [[] for _ in range(n_nodes)]
-    for i, j in pair_idx:
-        if i != j:
-            neighbor_lists[int(i)].append(int(j))
-    neighbors = [
-        np.asarray(sorted(ns), dtype=np.intp) for ns in neighbor_lists
-    ]
+    links = pair_idx[pair_idx[:, 0] != pair_idx[:, 1]].astype(np.intp)
+    links = links[np.lexsort((links[:, 1], links[:, 0]))]
+    neighbors: list[IntArray] = np.split(
+        links[:, 1], np.searchsorted(links[:, 0], np.arange(1, n_nodes))
+    )
 
     # Node descriptors themselves live on a run of metadata pages.
     per_meta_page = max(1, disk.model.page_size // DESCRIPTOR_SIZE)

@@ -67,6 +67,24 @@ _T = TypeVar("_T")
 _EPS_VOLUME = 1e-9
 
 
+def _cross_hits(
+    a_lo: FloatArray, a_hi: FloatArray, b_lo: FloatArray, b_hi: FloatArray
+) -> BoolArray:
+    """``(len(a), len(b))`` matrix: does box ``a[i]`` intersect ``b[j]``?
+
+    One broadcast reduction for what is logically ``len(a) * len(b)``
+    metadata comparisons; callers walk the rows in order afterwards, so
+    page reads and threshold decisions happen in the order a row-by-row
+    filter would make them.
+    """
+    hits: BoolArray = np.all(
+        (b_lo[None, :, :] <= a_hi[:, None, :])
+        & (b_hi[None, :, :] >= a_lo[:, None, :]),
+        axis=2,
+    )
+    return hits
+
+
 class _CheckedView(SlotPickleMixin):
     """Container view answering "is this node already checked?".
 
@@ -261,7 +279,7 @@ class _Driver:
         pos = self.scan_pos[side]
         while pos not in unchecked:
             pos += 1
-            if pos > limit:
+            if pos >= limit:
                 raise RuntimeError(
                     "adaptive exploration lost track of its to-do list"
                 )
@@ -428,20 +446,15 @@ class _Driver:
 
         # Page-MBB cross filter between the two unit sets (Section V:
         # "additionally filters elements before the in-memory join").
-        g_keep = np.zeros(len(g_units), dtype=bool)
-        f_keep = np.zeros(len(f_units), dtype=bool)
         self.stats.metadata_comparisons += len(g_units) * len(f_units)
-        f_lo = follower_idx.units.page_lo[f_units]
-        f_hi = follower_idx.units.page_hi[f_units]
-        for gi, gu in enumerate(g_units):
-            hit = np.all(
-                (f_lo <= guide_idx.units.page_hi[gu])
-                & (f_hi >= guide_idx.units.page_lo[gu]),
-                axis=1,
-            )
-            if hit.any():
-                g_keep[gi] = True
-                f_keep |= hit
+        hits = _cross_hits(
+            guide_idx.units.page_lo[g_units],
+            guide_idx.units.page_hi[g_units],
+            follower_idx.units.page_lo[f_units],
+            follower_idx.units.page_hi[f_units],
+        )
+        g_keep = hits.any(axis=1)
+        f_keep = hits.any(axis=0)
         self.thresholds.record_filter_fraction(
             1.0 - float(f_keep.sum()) / float(len(f_units))
         )
@@ -453,15 +466,15 @@ class _Driver:
         # pages, so sorted access turns most of these reads sequential.
         g_pages = [
             self._read_element_page(pid)
-            for pid in sorted(
-                guide_idx.units.element_page_ids[u] for u in g_units[g_keep]
-            )
+            for pid in np.sort(
+                guide_idx.units.element_page_ids[g_units[g_keep]]
+            ).tolist()
         ]
         f_pages = [
             self._read_element_page(pid)
-            for pid in sorted(
-                follower_idx.units.element_page_ids[u] for u in f_units[f_keep]
-            )
+            for pid in np.sort(
+                follower_idx.units.element_page_ids[f_units[f_keep]]
+            ).tolist()
         ]
         self._join_pages(g_pages, f_pages)
 
@@ -514,19 +527,20 @@ class _Driver:
         # Phase 1 — plan: filter each guide unit's candidates and pick
         # its granularity (unit batch vs single elements), metadata only.
         plan: list[tuple[int, IntArray, bool]] = []
-        used_units = 0
-        for gu in g_units:
-            u_lo = guide_idx.units.page_lo[gu]
-            u_hi = guide_idx.units.page_hi[gu]
-            self.stats.metadata_comparisons += len(f_units)
-            hit = np.all((f_lo <= u_hi) & (f_hi >= u_lo), axis=1)
-            if not hit.any():
-                continue
+        u_lo = guide_idx.units.page_lo[g_units]
+        u_hi = guide_idx.units.page_hi[g_units]
+        self.stats.metadata_comparisons += len(g_units) * len(f_units)
+        hits = _cross_hits(u_lo, u_hi, f_lo, f_hi)
+        used_units = int(hits.sum())
+        u_volumes = np.maximum(np.prod(u_hi - u_lo, axis=1), _EPS_VOLUME)
+        for gi in np.flatnonzero(hits.any(axis=1)).tolist():
+            gu = g_units[gi]
+            hit = hits[gi]
             cand = f_units[hit]
-            used_units += int(hit.sum())
-            v_unit = max(float(np.prod(u_hi - u_lo)), _EPS_VOLUME)
             v_f_unit = float(f_volumes[hit].mean())
-            decision = self.thresholds.decide_unit(v_unit / v_f_unit)
+            decision = self.thresholds.decide_unit(
+                float(u_volumes[gi]) / v_f_unit
+            )
             split = decision.action == "split"
             if split:
                 self.splits_to_element += 1
@@ -556,26 +570,22 @@ class _Driver:
         for gu, cand, split in plan:
             if not split:
                 needed_f.update(
-                    int(follower_idx.units.element_page_ids[u]) for u in cand
+                    follower_idx.units.element_page_ids[cand].tolist()
                 )
                 continue
             g_page = self._read_element_page(
                 guide_idx.units.element_page_ids[gu]
             )
-            c_lo = follower_idx.units.page_lo[cand]
-            c_hi = follower_idx.units.page_hi[cand]
             self.stats.metadata_comparisons += len(g_page) * len(cand)
-            touched = np.zeros(len(cand), dtype=bool)
-            for e in range(len(g_page)):
-                touched |= np.all(
-                    (c_lo <= g_page.boxes.hi[e])
-                    & (c_hi >= g_page.boxes.lo[e]),
-                    axis=1,
-                )
+            touched = _cross_hits(
+                g_page.boxes.lo,
+                g_page.boxes.hi,
+                follower_idx.units.page_lo[cand],
+                follower_idx.units.page_hi[cand],
+            ).any(axis=0)
             element_masks[int(gu)] = touched
             needed_f.update(
-                int(follower_idx.units.element_page_ids[u])
-                for u in cand[touched]
+                follower_idx.units.element_page_ids[cand[touched]].tolist()
             )
 
         # Phase 4 — prefetch the follower pages in one sorted run.
@@ -594,9 +604,9 @@ class _Driver:
             else:
                 f_pages = [
                     self._read_element_page(pid)
-                    for pid in sorted(
-                        follower_idx.units.element_page_ids[u] for u in cand
-                    )
+                    for pid in np.sort(
+                        follower_idx.units.element_page_ids[cand]
+                    ).tolist()
                 ]
                 self._join_pages([g_page], f_pages)
 
@@ -615,16 +625,17 @@ class _Driver:
         spatial element as pivot (level 2) while using the space unit
         as a level of granularity for the follower (level 1)."
         """
-        f_lo = follower_idx.units.page_lo[cand_units]
-        f_hi = follower_idx.units.page_hi[cand_units]
-        for e in range(len(g_page)):
+        self.stats.metadata_comparisons += len(g_page) * len(cand_units)
+        hits = _cross_hits(
+            g_page.boxes.lo,
+            g_page.boxes.hi,
+            follower_idx.units.page_lo[cand_units],
+            follower_idx.units.page_hi[cand_units],
+        )
+        for e in np.flatnonzero(hits.any(axis=1)).tolist():
             e_lo = g_page.boxes.lo[e]
             e_hi = g_page.boxes.hi[e]
-            self.stats.metadata_comparisons += len(cand_units)
-            hit = np.all((f_lo <= e_hi) & (f_hi >= e_lo), axis=1)
-            if not hit.any():
-                continue
-            for u in cand_units[hit]:
+            for u in cand_units[hits[e]]:
                 page = self._read_element_page(
                     follower_idx.units.element_page_ids[u]
                 )

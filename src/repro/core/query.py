@@ -88,7 +88,7 @@ def range_query(
     )
     units = candidate_units(index, nodes, e_lo, e_hi, stats, pool)
     out: list[IntArray] = []
-    for page_id in sorted(int(index.units.element_page_ids[u]) for u in units):
+    for page_id in np.sort(index.units.element_page_ids[units]).tolist():
         page = pool.read(page_id)
         if not isinstance(page, ElementPage):
             raise TypeError(f"page {page_id} is not an element page")

@@ -12,6 +12,20 @@ sorted on the y-dimension and partitioned again" (Section IV).
 TRANSFORMERS uses this both to form space units from elements and to
 group space units into space nodes; the R-tree bulk-loader uses it at
 every level.
+
+There is one implementation, :func:`str_tiling`, and it works a whole
+recursion *level* at a time: all slabs of one axis are sorted together
+(stably by coordinate, then stably by slab — the order
+``lexsort((coordinate, slab))`` gives) and cut with array arithmetic,
+so the cost is a few NumPy calls per axis, not per slab.
+A slab's points stay one contiguous run of the permutation and slabs
+keep their left-to-right positions, so the tiles — read off the final
+permutation front to back — come out in the same depth-first order,
+with the same members in the same order (ties broken by the previous
+axis' order, as a stable per-slab sort would), as the textbook
+recursion; ``tests/test_index_str.py`` keeps that recursion as the
+reference.  :func:`str_partition` and :func:`str_partition_with_bounds`
+are thin list-returning wrappers.
 """
 
 from __future__ import annotations
@@ -19,6 +33,106 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro._types import FloatArray, IntArray
+from repro.geometry.box import Box
+
+
+def _stable_argsort(key: FloatArray) -> IntArray:
+    """``np.argsort(key, kind="stable")`` for keys that rarely tie.
+
+    NumPy's default float sort is ~5x faster than its stable one, and
+    where all keys differ the two agree.  So sort unstably, then put
+    only the runs of equal (or NaN) keys into the stable order, which
+    among equals is ascending position.
+    """
+    perm = np.argsort(key)
+    ordered = key[perm]
+    # rising[i]: slot i holds a strictly larger key than slot i - 1.
+    rising = np.ones(len(key) + 1, dtype=bool)
+    rising[1:-1] = ordered[1:] > ordered[:-1]
+    tied = np.flatnonzero(~(rising[:-1] & rising[1:]))
+    positions = perm[tied]
+    perm[tied] = positions[np.lexsort((positions, ordered[tied]))]
+    return perm
+
+
+def str_tiling(
+    centers: np.ndarray, capacity: int, space: Box | None = None
+) -> tuple[IntArray, IntArray, FloatArray, FloatArray]:
+    """STR-partition points; everything comes back as arrays.
+
+    Returns ``(order, offsets, part_lo, part_hi)``: tile ``t`` holds the
+    point indices ``order[offsets[t]:offsets[t + 1]]`` and owns the
+    gap-free partition bounds ``[part_lo[t], part_hi[t]]`` (see
+    :func:`str_partition_with_bounds`).  The bounds tile ``space``, or
+    all of R^d when no space is given.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2:
+        raise ValueError("centers must be a 2-D array of shape (n, d)")
+    if capacity < 1:
+        raise ValueError("capacity must be >= 1")
+    n, ndim = centers.shape
+    if space is None:
+        lo = np.full((1, ndim), -np.inf)
+        hi = np.full((1, ndim), np.inf)
+    elif space.ndim != ndim:
+        raise ValueError("space dimensionality must match centers")
+    else:
+        lo = np.array([space.lo], dtype=np.float64)
+        hi = np.array([space.hi], dtype=np.float64)
+    order = np.arange(n, dtype=np.intp)
+    if n == 0:
+        return order, np.zeros(1, dtype=np.intp), lo[:0], hi[:0]
+    # A *group* is one slab of the previous axis: the run
+    # order[edges[g]:edges[g + 1]] inside the region [lo[g], hi[g]].
+    edges = np.array([0, n], dtype=np.intp)
+    for axis in range(ndim):
+        sizes = np.diff(edges)
+        split = sizes > capacity
+        if not split.any():
+            break
+        # The narrowest dtype that holds the slab ids: NumPy's stable
+        # sort is a radix sort for <= 16-bit integers.
+        ids = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes)))
+        group = np.repeat(ids, sizes)
+        # Runs that already fit are finished tiles and keep their order:
+        # their key is their position.
+        key = np.where(split[group], centers[order, axis], np.arange(n))
+        perm = _stable_argsort(key)
+        perm = perm[np.argsort(group[perm], kind="stable")]
+        order = order[perm]
+        coord = key[perm]
+        if axis == ndim - 1:
+            # Final axis: cut the sorted run directly into full tiles.
+            step = np.where(split, capacity, sizes)
+        else:
+            # How many tiles will this subtree produce, and how many
+            # slabs along this axis let the remaining axes finish the
+            # job?  Classic STR: slabs = ceil(P ** (1 / remaining_axes)).
+            root = 1.0 / (ndim - axis)
+            slabs = [
+                max(1, math.ceil(tiles**root))
+                for tiles in (-(-sizes // capacity)).tolist()
+            ]
+            step = np.where(split, -(-sizes // slabs), sizes)
+        counts = -(-sizes // step)
+        parent = np.repeat(np.arange(len(sizes)), counts)
+        nth = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        starts = edges[parent] + nth * step[parent]
+        lo = lo[parent]
+        hi = hi[parent]
+        # Every split plane lies halfway between the last centre of one
+        # slab and the first centre of the next.
+        later = np.flatnonzero(nth)
+        cut = starts[later]
+        lo[later, axis] = (coord[cut - 1] + coord[cut]) / 2.0
+        hi[later - 1, axis] = lo[later, axis]
+        edges = np.append(starts, n)
+    if np.any(lo > hi):
+        raise ValueError("space does not contain every centre")
+    return order, edges, lo, hi
 
 
 def str_partition(
@@ -46,55 +160,13 @@ def str_partition(
     >>> sorted(len(t) for t in tiles)
     [2, 2]
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2:
-        raise ValueError("centers must be a 2-D array of shape (n, d)")
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    n = centers.shape[0]
-    if n == 0:
-        return []
-    indices = np.arange(n, dtype=np.intp)
-    tiles: list[np.ndarray] = []
-    _str_recurse(indices, centers, capacity, axis=0, out=tiles)
-    return tiles
-
-
-def _str_recurse(
-    indices: np.ndarray,
-    centers: np.ndarray,
-    capacity: int,
-    axis: int,
-    out: list[np.ndarray],
-) -> None:
-    """Recursive slab splitting along ``axis``."""
-    n = len(indices)
-    if n <= capacity:
-        out.append(indices)
-        return
-    ndim = centers.shape[1]
-    order = indices[np.argsort(centers[indices, axis], kind="stable")]
-    if axis == ndim - 1:
-        # Final axis: cut the sorted run directly into full tiles.
-        for start in range(0, n, capacity):
-            out.append(order[start : start + capacity])
-        return
-    # How many tiles will this subtree produce, and how many slabs do we
-    # need along the current axis so that the remaining axes can finish
-    # the job?  Classic STR: slabs = ceil(P ** (1 / remaining_axes)).
-    num_tiles = math.ceil(n / capacity)
-    remaining_axes = ndim - axis
-    slabs = max(1, math.ceil(num_tiles ** (1.0 / remaining_axes)))
-    slab_size = math.ceil(n / slabs)
-    for start in range(0, n, slab_size):
-        _str_recurse(
-            order[start : start + slab_size], centers, capacity, axis + 1, out
-        )
+    order, offsets, _, _ = str_tiling(centers, capacity)
+    return [order[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def str_partition_with_bounds(
-    centers: np.ndarray, capacity: int, space: "Box"
-) -> tuple[list[np.ndarray], list["Box"]]:
+    centers: np.ndarray, capacity: int, space: Box
+) -> tuple[list[np.ndarray], list[Box]]:
     """STR partitioning that also returns gap-free *partition bounds*.
 
     The paper's space descriptors store two boxes per partition: the
@@ -109,74 +181,9 @@ def str_partition_with_bounds(
     Returns ``(tiles, partition_boxes)`` with ``partition_boxes[i]``
     covering ``tiles[i]``'s centres.
     """
-    from repro.geometry.box import Box as _Box  # local import, avoids cycle
-
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2:
-        raise ValueError("centers must be a 2-D array of shape (n, d)")
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    if space.ndim != centers.shape[1]:
-        raise ValueError("space dimensionality must match centers")
-    n = centers.shape[0]
-    if n == 0:
-        return [], []
-    indices = np.arange(n, dtype=np.intp)
-    tiles: list[np.ndarray] = []
-    bounds: list[_Box] = []
-    _str_recurse_bounds(
-        indices, centers, capacity, 0,
-        list(space.lo), list(space.hi), tiles, bounds,
-    )
-    return tiles, bounds
-
-
-def _str_recurse_bounds(
-    indices: np.ndarray,
-    centers: np.ndarray,
-    capacity: int,
-    axis: int,
-    region_lo: list[float],
-    region_hi: list[float],
-    out_tiles: list[np.ndarray],
-    out_bounds: list["Box"],
-) -> None:
-    """Slab splitting along ``axis`` that threads the region through."""
-    from repro.geometry.box import Box as _Box
-
-    n = len(indices)
-    ndim = centers.shape[1]
-    if n <= capacity:
-        out_tiles.append(indices)
-        out_bounds.append(_Box(tuple(region_lo), tuple(region_hi)))
-        return
-    order = indices[np.argsort(centers[indices, axis], kind="stable")]
-    num_tiles = math.ceil(n / capacity)
-    if axis == ndim - 1:
-        slab_size = capacity
-    else:
-        remaining_axes = ndim - axis
-        slabs = max(1, math.ceil(num_tiles ** (1.0 / remaining_axes)))
-        slab_size = math.ceil(n / slabs)
-    starts = list(range(0, n, slab_size))
-    sorted_coords = centers[order, axis]
-    for s, start in enumerate(starts):
-        chunk = order[start : start + slab_size]
-        lo = list(region_lo)
-        hi = list(region_hi)
-        if s > 0:
-            lo[axis] = (sorted_coords[start - 1] + sorted_coords[start]) / 2.0
-        if s + 1 < len(starts):
-            nxt = starts[s + 1]
-            hi[axis] = (sorted_coords[nxt - 1] + sorted_coords[nxt]) / 2.0
-        if axis == ndim - 1:
-            out_tiles.append(chunk)
-            out_bounds.append(_Box(tuple(lo), tuple(hi)))
-        else:
-            _str_recurse_bounds(
-                chunk, centers, capacity, axis + 1, lo, hi,
-                out_tiles, out_bounds,
-            )
+    order, offsets, lo, hi = str_tiling(centers, capacity, space)
+    tiles = [order[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    return tiles, [Box(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def str_tile_count(n: int, capacity: int) -> int:

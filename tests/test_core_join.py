@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import TransformersConfig, TransformersJoin
+from repro.core.join import _Driver
 from repro.datagen import scaled_space, uniform_dataset
 from repro.joins.base import Dataset
 from repro.geometry.boxes import BoxArray
@@ -201,3 +202,62 @@ class TestStatsAccounting:
         js = result.stats
         attributed = js.extras["exploration_io_cost"] + js.extras["data_io_cost"]
         assert attributed == pytest.approx(js.io_cost, rel=1e-9)
+
+
+class TestDriverInternals:
+    @staticmethod
+    def driver(a, b):
+        algo, disk = TransformersJoin(), make_disk()
+        index_a, _ = algo.build_index(disk, a)
+        index_b, _ = algo.build_index(disk, b)
+        return _Driver(algo.config, index_a, index_b, algo.name)
+
+    def test_lost_todo_list_fails_without_probing_past_the_last_node(self):
+        """Empty the to-do list behind the driver's back: the scan must
+        stop at the last node, not one slot beyond it."""
+
+        class ProbedSet(set):
+            probes: list[int] = []
+
+            def __contains__(self, node):
+                self.probes.append(node)
+                return super().__contains__(node)
+
+        driver = self.driver(*dataset_pair("uniform", 600, 600, seed=75))
+        num_nodes = driver.indexes[0].num_nodes
+        assert num_nodes > 1
+        driver.unchecked[0] = ProbedSet()
+        with pytest.raises(RuntimeError, match="to-do list"):
+            driver._next_pivot(0)
+        assert ProbedSet.probes == list(range(num_nodes))
+        assert driver.scan_pos[0] <= num_nodes
+
+    def test_node_batch_filter_cost_does_not_grow_with_the_guide_units(
+        self, monkeypatch
+    ):
+        """The g-unit x f-unit cross filter is one reduction however
+        many units the pivot node has.  Counted, not timed; the
+        in-memory join kernel is stubbed out (it is not the filter)."""
+        space = scaled_space(2_000)
+        b = uniform_dataset(1_500, seed=2, name="B", id_offset=10**9, space=space)
+        counts = {}
+        for n in (30, 200):
+            a = uniform_dataset(n, seed=1, name="A", space=space)
+            driver = self.driver(a, b)
+            assert driver.indexes[0].num_nodes == 1
+            g_units = len(driver.indexes[0].nodes.units[0])
+            driver._join_pages = lambda g_pages, f_pages: None
+            calls = []
+            with monkeypatch.context() as patch:
+                real = np.all
+                patch.setattr(
+                    np, "all", lambda *a, **k: calls.append(1) or real(*a, **k)
+                )
+                driver._process_node_batch(
+                    0, list(range(driver.indexes[1].num_nodes))
+                )
+            assert driver.data_pages > 0  # the filter let pages through
+            counts[g_units] = len(calls)
+        few, many = sorted(counts)
+        assert many >= 4 * few
+        assert counts[many] == counts[few] <= 3

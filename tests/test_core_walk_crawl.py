@@ -1,12 +1,16 @@
 """Tests for the Adaptive Walk (Algorithm 1) and Adaptive Crawling."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.crawl import adaptive_crawl, candidate_units
 from repro.core.indexing import build_transformers_index
-from repro.core.walk import adaptive_walk, node_distance
-from repro.joins.base import JoinStats
+from repro.core.walk import adaptive_walk, node_distance, touch_node_meta
+from repro.geometry.boxes import BoxArray
+from repro.joins.base import Dataset, JoinStats
 from repro.storage.buffer import BufferPool
 
 from tests.conftest import dataset_pair, make_disk
@@ -149,3 +153,141 @@ class TestCandidateUnits:
         )
         assert got == expected
         assert stats.metadata_comparisons >= index.num_units
+
+
+# ----------------------------------------------------------------------
+# The per-candidate loops the batched crawl replaced, kept here as the
+# reference: one ``np.all`` per visited node and per tested neighbour,
+# one filter per candidate node.  The production code must return the
+# same lists in the same order, count the same metadata comparisons and
+# read the same pages in the same sequence.
+# ----------------------------------------------------------------------
+def crawl_per_candidate(
+    index, start, e_lo, e_hi, g_lo, g_hi, stats, pool, skip=frozenset()
+):
+    candidates = []
+    seen = {int(start)}
+    queue = [int(start)]
+    while queue:
+        node = queue.pop()
+        touch_node_meta(index, node, pool)
+        stats.metadata_comparisons += 1
+        if node not in skip and np.all(
+            index.nodes.mbb_lo[node] <= e_hi
+        ) and np.all(index.nodes.mbb_hi[node] >= e_lo):
+            candidates.append(node)
+        for nb in index.nodes.neighbors[node]:
+            nb = int(nb)
+            if nb in seen:
+                continue
+            stats.metadata_comparisons += 1
+            if np.all(index.nodes.part_lo[nb] <= g_hi) and np.all(
+                index.nodes.part_hi[nb] >= g_lo
+            ):
+                seen.add(nb)
+                queue.append(nb)
+    return candidates
+
+
+def candidate_units_per_node(index, nodes, q_lo, q_hi, stats, pool):
+    out = []
+    for node in nodes:
+        pool.read(int(index.nodes.desc_page_ids[node]))
+        members = index.nodes.units[node]
+        stats.metadata_comparisons += len(members)
+        hit = np.all(
+            (index.units.page_lo[members] <= q_hi)
+            & (index.units.page_hi[members] >= q_lo),
+            axis=1,
+        )
+        if hit.any():
+            out.append(members[hit])
+    if not out:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate(out)
+
+
+class RecordingPool(BufferPool):
+    """A buffer pool that remembers the page ids it was asked for."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self, disk, capacity):
+        super().__init__(disk, capacity)
+        self.asked = []
+
+    def read(self, page_id):
+        self.asked.append(page_id)
+        return super().read(page_id)
+
+
+@functools.lru_cache(maxsize=None)
+def random_index(kind, n, ndim, seed):
+    a, _ = dataset_pair(kind, n, 10, seed=seed)
+    if ndim == 2:
+        boxes = BoxArray(a.boxes.lo[:, :2], a.boxes.hi[:, :2])
+        a = Dataset(a.name, a.ids, boxes)
+    disk = make_disk()
+    index, _ = build_transformers_index(disk, a)
+    return disk, index
+
+
+indexes = st.builds(
+    random_index,
+    st.sampled_from(["uniform", "clustered", "massive"]),
+    st.sampled_from([40, 700, 2500]),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2),
+)
+
+
+def pivot(index, data):
+    """A random box somewhere in (or just outside) the indexed space."""
+    ndim = index.units.page_lo.shape[1]
+    unit = st.floats(-0.1, 1.1, allow_nan=False)
+    lo = np.asarray(index.space.lo)
+    side = np.asarray(index.space.hi) - lo
+    center = lo + side * np.array([data.draw(unit) for _ in range(ndim)])
+    half = side * data.draw(st.floats(0.0, 0.4, allow_nan=False))
+    return center - half, center + half
+
+
+def observed(fn, disk, *args):
+    stats = JoinStats()
+    pool = RecordingPool(disk, 4)
+    result = fn(*args, stats, pool)
+    return list(result), stats.metadata_comparisons, pool.asked
+
+
+class TestBatchedEqualsPerCandidate:
+    @settings(max_examples=150, deadline=None)
+    @given(indexes, st.data())
+    def test_adaptive_crawl(self, built, data):
+        disk, index = built
+        e_lo, e_hi = pivot(index, data)
+        g_lo, g_hi = e_lo - index.node_slack, e_hi + index.node_slack
+        start = data.draw(st.integers(0, index.num_nodes - 1))
+        skip = data.draw(st.sets(st.integers(0, index.num_nodes - 1)))
+        args = (index, start, e_lo, e_hi, g_lo, g_hi)
+
+        def with_skip(fn):
+            return lambda *a: fn(*a, skip)
+
+        assert observed(with_skip(adaptive_crawl), disk, *args) == observed(
+            with_skip(crawl_per_candidate), disk, *args
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(indexes, st.data())
+    def test_candidate_units(self, built, data):
+        disk, index = built
+        q_lo, q_hi = pivot(index, data)
+        nodes = data.draw(
+            st.lists(st.integers(0, index.num_nodes - 1), unique=True)
+        )
+        args = (index, nodes, q_lo, q_hi)
+        got = candidate_units(*args, JoinStats(), BufferPool(disk, 4))
+        assert got.dtype == np.intp
+        assert observed(candidate_units, disk, *args) == observed(
+            candidate_units_per_node, disk, *args
+        )

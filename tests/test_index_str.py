@@ -1,5 +1,7 @@
 """Tests for Sort-Tile-Recursive packing (plain and with bounds)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from repro.index.str_pack import (
     str_partition,
     str_partition_with_bounds,
     str_tile_count,
+    str_tiling,
 )
 
 
@@ -126,3 +129,106 @@ class TestStrPartitionWithBounds:
         seen = np.concatenate(tiles)
         assert len(np.unique(seen)) == 300
         assert all(len(t) <= 16 for t in tiles)
+
+
+# ----------------------------------------------------------------------
+# The textbook recursion the level-at-a-time ``str_tiling`` replaced:
+# one stable argsort per slab, one Box per tile.  Kept as the reference
+# the production tiles and bounds are compared against, bit for bit.
+# ----------------------------------------------------------------------
+def str_recursive(centers, capacity, space):
+    tiles, bounds = [], []
+    if len(centers):
+        _recurse(
+            np.arange(len(centers), dtype=np.intp), centers, capacity, 0,
+            list(space.lo), list(space.hi), tiles, bounds,
+        )
+    return tiles, bounds
+
+
+def _recurse(indices, centers, capacity, axis, region_lo, region_hi,
+             out_tiles, out_bounds):
+    n = len(indices)
+    ndim = centers.shape[1]
+    if n <= capacity:
+        out_tiles.append(indices)
+        out_bounds.append(Box(tuple(region_lo), tuple(region_hi)))
+        return
+    order = indices[np.argsort(centers[indices, axis], kind="stable")]
+    num_tiles = math.ceil(n / capacity)
+    if axis == ndim - 1:
+        slab_size = capacity
+    else:
+        slabs = max(1, math.ceil(num_tiles ** (1.0 / (ndim - axis))))
+        slab_size = math.ceil(n / slabs)
+    starts = list(range(0, n, slab_size))
+    sorted_coords = centers[order, axis]
+    for s, start in enumerate(starts):
+        chunk = order[start : start + slab_size]
+        lo = list(region_lo)
+        hi = list(region_hi)
+        if s > 0:
+            lo[axis] = (sorted_coords[start - 1] + sorted_coords[start]) / 2.0
+        if s + 1 < len(starts):
+            nxt = starts[s + 1]
+            hi[axis] = (sorted_coords[nxt - 1] + sorted_coords[nxt]) / 2.0
+        if axis == ndim - 1:
+            out_tiles.append(chunk)
+            out_bounds.append(Box(tuple(lo), tuple(hi)))
+        else:
+            _recurse(chunk, centers, capacity, axis + 1, lo, hi,
+                     out_tiles, out_bounds)
+
+
+def assert_same_tiling(pts, capacity):
+    space = Box((0.0,) * pts.shape[1], (100.0,) * pts.shape[1])
+    want_tiles, want_bounds = str_recursive(pts, capacity, space)
+    tiles, bounds = str_partition_with_bounds(pts, capacity, space)
+    assert len(tiles) == len(want_tiles)
+    for tile, want in zip(tiles, want_tiles):
+        assert tile.dtype == want.dtype
+        assert tile.tolist() == want.tolist()
+    assert bounds == want_bounds
+    plain = str_partition(pts, capacity)
+    assert [t.tolist() for t in plain] == [t.tolist() for t in want_tiles]
+
+
+class TestLevelwiseEqualsRecursive:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 400),
+        st.integers(1, 40),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 9999),
+    )
+    def test_tiles_and_bounds(self, n, capacity, ndim, lattice, seed):
+        """Any size (n = 0 and n <= capacity included), 1-D to 4-D, and
+        — on the lattice — heavily duplicated coordinates, where only a
+        stable sort reproduces the recursion's tie order."""
+        pts = points(n, ndim=ndim, seed=seed)
+        if lattice:
+            pts = np.floor(pts / 25.0) * 25.0
+        assert_same_tiling(pts, capacity)
+
+    def test_more_slabs_than_a_byte_counts(self):
+        """Slab ids are sorted in the narrowest integer type that holds
+        them; > 255 slabs on one level takes the 16-bit one."""
+        pts = points(30_000, ndim=3, seed=8)
+        assert len(str_tiling(pts, 2)[1]) - 1 > 255**1.5
+        assert_same_tiling(pts, 2)
+
+    def test_array_form_agrees_with_the_list_form(self):
+        pts = points(500, ndim=2, seed=4)
+        space = Box((0.0, 0.0), (100.0, 100.0))
+        order, offsets, lo, hi = str_tiling(pts, 7, space)
+        tiles, bounds = str_partition_with_bounds(pts, 7, space)
+        assert [order[a:b].tolist() for a, b in zip(offsets, offsets[1:])] == [
+            t.tolist() for t in tiles
+        ]
+        assert [Box(a, b) for a, b in zip(lo, hi)] == bounds
+
+    def test_space_not_containing_the_centres_is_rejected(self):
+        pts = points(50, seed=2) + 500.0
+        with pytest.raises(ValueError):
+            str_tiling(pts, 4, SPACE)
