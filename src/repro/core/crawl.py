@@ -47,6 +47,7 @@ from repro.core.indexing import TransformersIndex
 from repro.core.walk import touch_node_meta
 from repro.joins.base import JoinStats
 from repro.storage.buffer import BufferPool
+from repro.vectorize import boxes_overlap
 
 
 def adaptive_crawl(
@@ -78,12 +79,8 @@ def adaptive_crawl(
     Returns candidate node indices in visit order.
     """
     nodes = index.nodes
-    include = np.all(
-        (nodes.mbb_lo <= e_hi) & (nodes.mbb_hi >= e_lo), axis=1
-    ).tolist()
-    expand = np.all(
-        (nodes.part_lo <= g_hi) & (nodes.part_hi >= g_lo), axis=1
-    ).tolist()
+    include = boxes_overlap(nodes.mbb_lo, nodes.mbb_hi, e_lo, e_hi).tolist()
+    expand = boxes_overlap(nodes.part_lo, nodes.part_hi, g_lo, g_hi).tolist()
     candidates: list[int] = []
     seen = {int(start)}
     queue = [int(start)]
@@ -123,9 +120,10 @@ def candidate_units(
         pool.read(int(index.nodes.desc_page_ids[node]))
     members = np.concatenate([index.nodes.units[node] for node in nodes])
     stats.metadata_comparisons += len(members)
-    hit = np.all(
-        (index.units.page_lo[members] <= q_hi)
-        & (index.units.page_hi[members] >= q_lo),
-        axis=1,
+    hit = boxes_overlap(
+        np.take(index.units.page_lo, members, axis=0),
+        np.take(index.units.page_hi, members, axis=0),
+        q_lo,
+        q_hi,
     )
     return members[hit]

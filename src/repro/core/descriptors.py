@@ -26,6 +26,7 @@ import numpy as np
 from repro._types import FloatArray, IntArray
 
 from repro.geometry.slots import SlotPickleMixin
+from repro.vectorize import column_product
 
 #: Approximate serialized size of one descriptor: two MBBs (page and
 #: partition) stored as float32 corners (2·2·3·4 = 48 bytes), an
@@ -87,7 +88,7 @@ class UnitDescriptorBlock(SlotPickleMixin):
 
     def volumes(self) -> FloatArray:
         """Page-MBB volumes — the V terms of the transformation ratios."""
-        return np.prod(self.page_hi - self.page_lo, axis=1)
+        return column_product(self.page_hi - self.page_lo)
 
 
 class NodeDescriptorBlock(SlotPickleMixin):
@@ -146,4 +147,4 @@ class NodeDescriptorBlock(SlotPickleMixin):
 
     def volumes(self) -> FloatArray:
         """Node-MBB volumes — the V terms at node granularity."""
-        return np.prod(self.mbb_hi - self.mbb_lo, axis=1)
+        return column_product(self.mbb_hi - self.mbb_lo)

@@ -28,8 +28,8 @@ The build is struct-of-arrays and *permutes once*: STR hands back one
 permutation of the elements (tiles are consecutive runs of it) and the
 partition bounds as arrays; ids and boxes are gathered into that order
 a single time, every unit's page MBB comes from one
-``minimum/maximum.reduceat`` over the runs, and each element page is a
-slice view of the permuted arrays (still validated as a page).  The
+``minimum/maximum.reduceat`` over the runs, and the permuted run is
+validated once and split into element pages that are views of it.  The
 node level repeats the pattern over the unit table.  Pages are
 allocated in tile order and members/neighbours are listed ascending, so
 page ids, descriptors and the connectivity graph are what a
@@ -146,11 +146,13 @@ def build_transformers_index(
     u_page_lo = np.minimum.reduceat(lo, offsets[:-1], axis=0)
     u_page_hi = np.maximum.reduceat(hi, offsets[:-1], axis=0)
     u_counts = np.diff(offsets).astype(np.int64)
-    u_element_pages = np.empty(n_units, dtype=np.int64)
-    cuts = offsets.tolist()
-    for t, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        page = ElementPage(ids[a:b], BoxArray(lo[a:b], hi[a:b]))
-        u_element_pages[t] = disk.allocate(page)
+    u_element_pages = np.array(
+        [
+            disk.allocate(page)
+            for page in ElementPage.split(ids, BoxArray(lo, hi), offsets)
+        ],
+        dtype=np.int64,
+    )
 
     # ------------------------------------------------------------------
     # Level 0: space nodes (groups of units, gap-free node bounds).

@@ -60,6 +60,7 @@ from repro.joins.grid_hash import grid_hash_join
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage
+from repro.vectorize import boxes_overlap, column_product
 
 _T = TypeVar("_T")
 
@@ -72,15 +73,13 @@ def _cross_hits(
 ) -> BoolArray:
     """``(len(a), len(b))`` matrix: does box ``a[i]`` intersect ``b[j]``?
 
-    One broadcast reduction for what is logically ``len(a) * len(b)``
+    One broadcast test for what is logically ``len(a) * len(b)``
     metadata comparisons; callers walk the rows in order afterwards, so
     page reads and threshold decisions happen in the order a row-by-row
     filter would make them.
     """
-    hits: BoolArray = np.all(
-        (b_lo[None, :, :] <= a_hi[:, None, :])
-        & (b_hi[None, :, :] >= a_lo[:, None, :]),
-        axis=2,
+    hits: BoolArray = boxes_overlap(
+        a_lo[:, None, :], a_hi[:, None, :], b_lo[None, :, :], b_hi[None, :, :]
     )
     return hits
 
@@ -520,9 +519,7 @@ class _Driver:
             return
         f_lo = follower_idx.units.page_lo[f_units]
         f_hi = follower_idx.units.page_hi[f_units]
-        f_volumes = np.maximum(
-            np.prod(f_hi - f_lo, axis=1), _EPS_VOLUME
-        )
+        f_volumes = np.maximum(column_product(f_hi - f_lo), _EPS_VOLUME)
 
         # Phase 1 — plan: filter each guide unit's candidates and pick
         # its granularity (unit batch vs single elements), metadata only.
@@ -532,7 +529,7 @@ class _Driver:
         self.stats.metadata_comparisons += len(g_units) * len(f_units)
         hits = _cross_hits(u_lo, u_hi, f_lo, f_hi)
         used_units = int(hits.sum())
-        u_volumes = np.maximum(np.prod(u_hi - u_lo, axis=1), _EPS_VOLUME)
+        u_volumes = np.maximum(column_product(u_hi - u_lo), _EPS_VOLUME)
         for gi in np.flatnonzero(hits.any(axis=1)).tolist():
             gu = g_units[gi]
             hit = hits[gi]
@@ -640,9 +637,8 @@ class _Driver:
                     follower_idx.units.element_page_ids[u]
                 )
                 self.stats.intersection_tests += len(page)
-                mask = np.all(
-                    (page.boxes.lo <= e_hi) & (page.boxes.hi >= e_lo),
-                    axis=1,
+                mask = boxes_overlap(
+                    page.boxes.lo, page.boxes.hi, e_lo, e_hi
                 )
                 if mask.any():
                     matched = page.ids[mask]

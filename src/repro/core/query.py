@@ -26,6 +26,7 @@ from repro.geometry.hilbert import hilbert_index_batch
 from repro.joins.base import JoinStats
 from repro.storage.buffer import BufferPool
 from repro.storage.page import ElementPage
+from repro.vectorize import boxes_overlap
 
 
 def range_query(
@@ -93,9 +94,7 @@ def range_query(
         if not isinstance(page, ElementPage):
             raise TypeError(f"page {page_id} is not an element page")
         stats.intersection_tests += len(page)
-        hit = np.all(
-            (page.boxes.lo <= e_hi) & (page.boxes.hi >= e_lo), axis=1
-        )
+        hit = boxes_overlap(page.boxes.lo, page.boxes.hi, e_lo, e_hi)
         if hit.any():
             out.append(page.ids[hit])
     if not out:

@@ -81,7 +81,7 @@ class EmptyIndex(SlotPickleMixin):
 class _CachedIndex(SlotPickleMixin):
     """One cached per-dataset index and its build provenance."""
 
-    __slots__ = ("dataset", "handle", "build_stats", "pages_written")
+    __slots__ = ("dataset", "handle", "build_stats", "pages_written", "pages")
 
     def __init__(
         self,
@@ -89,11 +89,14 @@ class _CachedIndex(SlotPickleMixin):
         handle: object,
         build_stats: JoinStats,
         pages_written: int,
+        pages: range = range(0),
     ) -> None:
         self.dataset = dataset
         self.handle = handle
         self.build_stats = build_stats
         self.pages_written = pages_written
+        #: The page-id run the build allocated; released with the entry.
+        self.pages = pages
 
 
 def algorithm_signature(algo: SpatialJoinAlgorithm) -> str:
@@ -130,8 +133,8 @@ class SpatialWorkspace:
     max_cached_indexes:
         Upper bound on cached index handles.  The cache is LRU: when a
         new index would exceed the bound, the least recently used entry
-        is evicted (its pages stay allocated on the simulated disk, as
-        they would on a real one).  ``None`` disables the bound.
+        is evicted and its pages are released (a handle the caller
+        still holds is dead).  ``None`` disables the bound.
         Without it, every joined dataset's index — and through the
         cached :class:`_CachedIndex` the dataset itself — stays pinned
         in memory for the workspace's lifetime.
@@ -203,15 +206,14 @@ class SpatialWorkspace:
         if index.disk is not self.disk:
             raise ValueError("index must live on this workspace's disk")
         key = (name, algorithm_signature(TransformersJoin()))
-        self._cache_store(
-            key,
-            _CachedIndex(
-                dataset=None,
-                handle=index,
-                build_stats=JoinStats(algorithm="TRANSFORMERS", phase="index"),
-                pages_written=0,
-            ),
+        self._cache[key] = _CachedIndex(
+            dataset=None,
+            handle=index,
+            build_stats=JoinStats(algorithm="TRANSFORMERS", phase="index"),
+            pages_written=0,
         )
+        self._cache.move_to_end(key)
+        self._cache_trim()
 
     @property
     def page_size(self) -> int:
@@ -281,10 +283,12 @@ class SpatialWorkspace:
         return grown
 
     def drop_indexes(self) -> None:
-        """Forget every cached index (pages stay allocated on disk).
+        """Forget every cached index and release its pages.
 
         Explicit drops are not counted as evictions.
         """
+        for entry in self._cache.values():
+            self.disk.release(entry.pages)
         self._cache.clear()
         self._sketches.clear()
         self._enlarged.clear()
@@ -306,7 +310,7 @@ class SpatialWorkspace:
         )
         doomed = [key for key in self._cache if key[0] == dataset_key]
         for key in doomed:
-            del self._cache[key]
+            self.disk.release(self._cache.pop(key).pages)
         if not isinstance(dataset, str):
             self._sketches.pop(id(dataset), None)
             for key in [
@@ -319,17 +323,15 @@ class SpatialWorkspace:
                     k for k in self._cache if k[0] == id(grown)
                 ]
                 for k in doomed_grown:
-                    del self._cache[k]
+                    self.disk.release(self._cache.pop(k).pages)
                 doomed.extend(doomed_grown)
         return len(doomed)
 
-    def _cache_store(self, key: tuple[object, str], entry: _CachedIndex) -> None:
-        """Insert a cache entry, evicting least-recently-used overflow."""
-        self._cache[key] = entry
-        self._cache.move_to_end(key)
+    def _cache_trim(self) -> None:
+        """Evict least-recently-used overflow, releasing its pages."""
         if self.max_cached_indexes is not None:
             while len(self._cache) > self.max_cached_indexes:
-                self._cache.popitem(last=False)
+                self.disk.release(self._cache.popitem(last=False)[1].pages)
                 self._evictions += 1
 
     # ------------------------------------------------------------------
@@ -426,7 +428,10 @@ class SpatialWorkspace:
         )
         # Cold caches for the join phase, as in the paper's protocol.
         self.disk.reset_stats()
-        result = algo.join(handle_a, handle_b)
+        try:
+            result = algo.join(handle_a, handle_b)
+        finally:
+            self._cache_trim()
         return RunReport(
             algorithm=algo.name,
             dataset_a=a.name,
@@ -541,7 +546,11 @@ class SpatialWorkspace:
         index is per-dataset the handle is cached for subsequent
         :meth:`join` / :meth:`range_query` calls.  Pair-level indexes
         (PBSM's shared grid) are never cached here: they only make
-        sense relative to a specific join partner.
+        sense relative to a specific join partner.  A cached handle
+        lives as long as its cache entry: LRU eviction
+        (``max_cached_indexes``), :meth:`forget` and
+        :meth:`drop_indexes` release its pages, after which reading
+        through the handle raises ``KeyError``.
 
         An empty dataset has no MBB and nothing to index: the result is
         a no-op :class:`EmptyIndex` with zero-work build stats,
@@ -555,6 +564,7 @@ class SpatialWorkspace:
                 JoinStats(algorithm=algo.name, phase="index"),
             )
         handle, stats, _, _ = self._index(algo, dataset, reuse=reusable)
+        self._cache_trim()
         return handle, stats
 
     def index_for(
@@ -565,6 +575,7 @@ class SpatialWorkspace:
         """The (cached or freshly built) index handle for a dataset.
 
         Pass a dataset *name* to fetch an adopted/persisted index.
+        Handle lifetime is :meth:`build_index`'s.
         """
         if isinstance(dataset, str):
             return self._transformers_index(dataset)
@@ -598,10 +609,16 @@ class SpatialWorkspace:
                 self._cache.move_to_end(key)  # refresh LRU recency
                 return entry.handle, entry.build_stats, True, 0
         before = self.disk.stats.pages_written
+        first_page = self.disk.num_pages
         handle, stats = algo.build_index(self.disk, dataset)
         written = self.disk.stats.pages_written - before
         if reuse:
-            self._cache_store(key, _CachedIndex(dataset, handle, stats, written))
+            # Untrimmed: the caller trims when done with the handles
+            # (a bound of 1 must not release a join's first side).
+            self._cache[key] = _CachedIndex(
+                dataset, handle, stats, written,
+                range(first_page, self.disk.num_pages),
+            )
         return handle, stats, False, written
 
     # ------------------------------------------------------------------
@@ -680,6 +697,10 @@ class SpatialWorkspace:
     @staticmethod
     def _validate_disjoint_ids(a: Dataset, b: Dataset) -> None:
         """Reject joins whose inputs share element ids."""
+        if not len(a) or not len(b):
+            return
+        if a.ids.max() < b.ids.min() or b.ids.max() < a.ids.min():
+            return  # disjoint id ranges: the common id_offset layout
         overlap = np.intersect1d(a.ids, b.ids)
         if overlap.size:
             sample = ", ".join(str(int(v)) for v in overlap[:5])

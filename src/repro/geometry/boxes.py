@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.geometry.box import Box
 from repro.geometry.slots import SlotPickleMixin
+from repro.vectorize import all_columns, boxes_overlap, column_product
 
 
 class BoxArray(SlotPickleMixin):
@@ -127,6 +128,24 @@ class BoxArray(SlotPickleMixin):
         idx = np.asarray(indices, dtype=np.intp)
         return BoxArray(self.lo[idx], self.hi[idx])
 
+    def split(self, offsets: np.ndarray | Sequence[int]) -> list["BoxArray"]:
+        """The runs ``[offsets[k], offsets[k + 1])`` as read-only views.
+
+        The rows were validated when this array was built; only the
+        offsets are checked, once for all parts.
+        """
+        cuts = np.asarray(offsets, dtype=np.intp)
+        if cuts.ndim != 1 or cuts.size == 0:
+            raise ValueError("offsets must be a non-empty 1-D sequence")
+        if cuts[0] < 0 or cuts[-1] > len(self) or np.any(np.diff(cuts) < 0):
+            raise ValueError(f"offsets must ascend within [0, {len(self)}]")
+        parts = []
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            part = object.__new__(BoxArray)
+            part.__setstate__({"lo": self.lo[a:b], "hi": self.hi[a:b]})
+            parts.append(part)
+        return parts
+
     # ------------------------------------------------------------------
     # Bulk geometry
     # ------------------------------------------------------------------
@@ -136,7 +155,7 @@ class BoxArray(SlotPickleMixin):
 
     def volumes(self) -> np.ndarray:
         """``(n,)`` array of box volumes."""
-        return np.prod(self.hi - self.lo, axis=1)
+        return column_product(self.hi - self.lo)
 
     def extents(self) -> np.ndarray:
         """``(n, d)`` array of per-axis side lengths."""
@@ -154,7 +173,7 @@ class BoxArray(SlotPickleMixin):
             raise ValueError("dimensionality mismatch")
         q_lo = np.asarray(box.lo)
         q_hi = np.asarray(box.hi)
-        return np.all((self.lo <= q_hi) & (self.hi >= q_lo), axis=1)
+        return boxes_overlap(self.lo, self.hi, q_lo, q_hi)
 
     def contained_in_box(self, box: Box) -> np.ndarray:
         """Boolean mask: which boxes lie entirely inside ``box``."""
@@ -162,7 +181,7 @@ class BoxArray(SlotPickleMixin):
             raise ValueError("dimensionality mismatch")
         q_lo = np.asarray(box.lo)
         q_hi = np.asarray(box.hi)
-        return np.all((self.lo >= q_lo) & (self.hi <= q_hi), axis=1)
+        return all_columns((self.lo >= q_lo) & (self.hi <= q_hi))
 
     def min_distance_to_box(self, box: Box) -> np.ndarray:
         """``(n,)`` Euclidean distances from each box to the query box."""
@@ -195,11 +214,11 @@ class BoxArray(SlotPickleMixin):
         pairs: list[np.ndarray] = []
         for start in range(0, len(self), chunk):
             stop = min(start + chunk, len(self))
-            a_lo = self.lo[start:stop, None, :]
-            a_hi = self.hi[start:stop, None, :]
-            hit = np.all(
-                (a_lo <= other.hi[None, :, :]) & (a_hi >= other.lo[None, :, :]),
-                axis=2,
+            hit = boxes_overlap(
+                self.lo[start:stop, None, :],
+                self.hi[start:stop, None, :],
+                other.lo[None, :, :],
+                other.hi[None, :, :],
             )
             ii, jj = np.nonzero(hit)
             if ii.size:

@@ -20,7 +20,7 @@ import numpy as np
 from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
 from repro.geometry.slots import SlotPickleMixin
-from repro.vectorize import expand_counts
+from repro.vectorize import column_product, expand_counts
 
 
 class UniformGrid(SlotPickleMixin):
@@ -150,19 +150,22 @@ class UniformGrid(SlotPickleMixin):
         res = self.resolution
         lo_idx = np.floor((boxes.lo - self._lo) / self._cell_size).astype(np.int64)
         hi_idx = np.floor((boxes.hi - self._lo) / self._cell_size).astype(np.int64)
-        np.clip(lo_idx, 0, res - 1, out=lo_idx)
-        np.clip(hi_idx, 0, res - 1, out=hi_idx)
+        for idx in (lo_idx, hi_idx):
+            np.maximum(idx, 0, out=idx)
+            np.minimum(idx, res - 1, out=idx)
         spans = hi_idx - lo_idx + 1
-        counts = np.prod(spans, axis=1)
-        members, rem = expand_counts(counts, dtype=np.int64)
+        members, rem = expand_counts(column_product(spans), dtype=np.int64)
         members = members.astype(np.intp, copy=False)
+        # One row gather per side; the axis loop then slices columns.
+        lo_idx = np.take(lo_idx, members, axis=0)
+        spans = np.take(spans, members, axis=0)
         # Decode the within-box counter last-axis-fastest (row-major),
         # folding each axis's coordinate straight into the flat id.
         cells = np.zeros(len(members), dtype=np.int64)
         weight = 1
         for axis in range(self.ndim - 1, -1, -1):
-            radix = spans[members, axis]
-            coord = lo_idx[members, axis] + rem % radix
+            radix = spans[:, axis]
+            coord = lo_idx[:, axis] + rem % radix
             rem //= radix
             cells += coord * weight
             weight *= res

@@ -84,12 +84,10 @@ def delta_join(
     parts: list[IntArray] = [pairs[keep]]
     tests = 0
 
-    a_after = delta_a.apply(a_before) if delta_a is not None else a_before
-    b_after = delta_b.apply(b_before) if delta_b is not None else b_before
-
     # Insertions on A join the *entire* post-delta B: that covers both
     # insA × B-survivors and insA × insB in one kernel call.
     if delta_a is not None and len(delta_a.insert_ids):
+        b_after = delta_b.apply(b_before) if delta_b is not None else b_before
         hit, probe_tests = grid_hash_join(
             delta_a.insert_boxes, b_after.boxes
         )

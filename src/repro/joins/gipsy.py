@@ -53,6 +53,7 @@ from repro.joins.grid_hash import grid_hash_join
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage, element_page_capacity
+from repro.vectorize import boxes_overlap
 
 #: Approximate bytes of one space descriptor on a metadata page: two
 #: MBBs (page + partition, float32 corners), a page pointer and a
@@ -294,9 +295,8 @@ class GipsyJoin(SpatialJoinAlgorithm):
                     if not isinstance(data, ElementPage):
                         raise TypeError("corrupt inner element page")
                     stats.intersection_tests += len(data)
-                    hit = np.all(
-                        (data.boxes.lo <= e_hi) & (data.boxes.hi >= e_lo),
-                        axis=1,
+                    hit = boxes_overlap(
+                        data.boxes.lo, data.boxes.hi, e_lo, e_hi
                     )
                     if hit.any():
                         matched = data.ids[hit]
@@ -410,8 +410,8 @@ def _crawl(
         desc = queue.pop()
         _touch_meta(index, desc, pool)
         stats.metadata_comparisons += 1
-        if np.all(index.page_lo[desc] <= e_hi) and np.all(
-            index.page_hi[desc] >= e_lo
+        if boxes_overlap(
+            index.page_lo[desc], index.page_hi[desc], e_lo, e_hi
         ):
             candidates.append(desc)
         # Vectorised frontier expansion: the unseen neighbours are
@@ -421,10 +421,11 @@ def _crawl(
         unseen = nbs[~seen[nbs]]
         stats.metadata_comparisons += len(unseen)
         if len(unseen):
-            ok = np.all(
-                (index.part_lo[unseen] <= g_hi)
-                & (index.part_hi[unseen] >= g_lo),
-                axis=1,
+            ok = boxes_overlap(
+                np.take(index.part_lo, unseen, axis=0),
+                np.take(index.part_hi, unseen, axis=0),
+                g_lo,
+                g_hi,
             )
             grow_to = unseen[ok]
             seen[grow_to] = True

@@ -14,11 +14,12 @@ intersection, so no result set materialisation is needed.
 
 The filter phase is fully vectorised: both sides are expanded into
 (cell, box) assignment arrays (:meth:`UniformGrid.assign_entries`), the
-build side is sorted by cell, and each probe assignment locates its
-candidate strip with ``np.searchsorted``; overlap and reference-point
-tests then run over the expanded candidate blocks.  The ``tests``
-counter is identical to the element-at-a-time formulation kept in
-:func:`grid_hash_join_reference` (the equivalence/benchmark baseline):
+build side is sorted by cell, and each probe assignment finds its
+bucket in a directory addressed by cell id — the hash table; overlap
+and reference-point tests then run over the expanded candidate blocks.
+The ``tests`` counter is identical to the element-at-a-time
+formulation kept in :func:`grid_hash_join_reference` (the
+equivalence/benchmark baseline):
 every probe-cell visit charges the full bucket population, including
 the duplicated tests multiple assignment causes, because that is the
 work a real implementation does.
@@ -30,9 +31,23 @@ import math
 
 import numpy as np
 
+from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
 from repro.index.grid import UniformGrid
-from repro.vectorize import chunked_blocks, expand_counts, vectorized_kernel
+from repro.vectorize import (
+    boxes_overlap,
+    chunked_blocks,
+    expand_counts,
+    vectorized_kernel,
+)
+
+#: Memory-safety bound, not a performance selection: the bucket
+#: directory (one entry per grid cell) is built while the grid has at
+#: most this many cells per assignment row.  Only an explicit
+#: ``resolution`` gets past it (the default makes ``res**d`` about
+#: ``len(build)``); buckets are then binary-searched, which needs no
+#: memory for empty cells.
+_DIRECTORY_CELLS_PER_ROW = 8
 
 
 def default_resolution(n: int, ndim: int) -> int:
@@ -76,20 +91,30 @@ def grid_hash_join(
         return np.empty((0, 2), dtype=np.intp), 0
     if build.ndim != probe.ndim:
         raise ValueError("dimensionality mismatch")
-    space = build.mbb().union(probe.mbb())
     if resolution is None:
         resolution = default_resolution(len(build), build.ndim)
+    space = Box(
+        np.minimum(build.lo.min(axis=0), probe.lo.min(axis=0)),
+        np.maximum(build.hi.max(axis=0), probe.hi.max(axis=0)),
+    )
     grid = UniformGrid(space, resolution)
 
     b_cells, b_members = grid.assign_entries(build)
+    # Stable, so every bucket lists its members in ascending order.
     order = np.argsort(b_cells, kind="stable")
-    b_cells = b_cells[order]
-    b_members = b_members[order]
+    b_members = np.take(b_members, order)
 
     p_cells, p_members = grid.assign_entries(probe)
-    start = np.searchsorted(b_cells, p_cells, side="left")
-    stop = np.searchsorted(b_cells, p_cells, side="right")
-    counts = stop - start
+    rows = len(b_cells) + len(p_cells)
+    if grid.num_cells <= _DIRECTORY_CELLS_PER_ROW * rows:
+        # O(len(build)) entries at the default resolution.
+        population = np.bincount(b_cells, minlength=grid.num_cells)
+        counts = np.take(population, p_cells)
+        start = np.take(np.cumsum(population), p_cells) - counts
+    else:
+        b_cells = np.take(b_cells, order)
+        start = np.searchsorted(b_cells, p_cells, side="left")
+        counts = np.searchsorted(b_cells, p_cells, side="right") - start
     tests = int(counts.sum())
 
     out: list[np.ndarray] = []
@@ -97,13 +122,13 @@ def grid_hash_join(
         entry, within = expand_counts(counts[block_lo:block_hi])
         entry += block_lo
         if entry.size:
-            slot = start[entry] + within
-            cand = b_members[slot]
-            pj = p_members[entry]
-            hit = np.all(
-                (build.lo[cand] <= probe.hi[pj])
-                & (build.hi[cand] >= probe.lo[pj]),
-                axis=1,
+            cand = np.take(b_members, np.take(start, entry) + within)
+            pj = np.take(p_members, entry)
+            hit = boxes_overlap(
+                np.take(build.lo, cand, axis=0),
+                np.take(build.hi, cand, axis=0),
+                np.take(probe.lo, pj, axis=0),
+                np.take(probe.hi, pj, axis=0),
             )
             if hit.any():
                 cand = cand[hit]
@@ -111,7 +136,10 @@ def grid_hash_join(
                 # Reference-point deduplication: report only from the
                 # cell holding the low corner of the pairwise
                 # intersection.
-                ref = np.maximum(build.lo[cand], probe.lo[pj])
+                ref = np.maximum(
+                    np.take(build.lo, cand, axis=0),
+                    np.take(probe.lo, pj, axis=0),
+                )
                 keep = grid.flat_ids(grid.cells_of_points(ref)) == (
                     p_cells[entry[hit]]
                 )

@@ -144,8 +144,16 @@ class PBSMJoin(SpatialJoinAlgorithm):
                     key = (1, first_touch)  # end-of-stream leftovers
                 flushes.append((key, cell, sorted_members[cs:ce]))
         flushes.sort(key=lambda f: f[0])
-        for _, cell, chunk in flushes:
-            self._flush(disk, dataset, cell, chunk, cell_pages)
+        # Permute the replicated rows into flush order once; the run is
+        # validated once and split into pages.
+        rows = np.concatenate([chunk for _, _, chunk in flushes])
+        pages = ElementPage.split(
+            dataset.ids[rows],
+            dataset.boxes.take(rows),
+            np.cumsum([0] + [len(chunk) for _, _, chunk in flushes]),
+        )
+        for (_, cell, _), page in zip(flushes, pages):
+            cell_pages.setdefault(cell, []).append(disk.allocate(page))
 
         index = PBSMIndex(
             disk=disk,
@@ -160,18 +168,6 @@ class PBSMJoin(SpatialJoinAlgorithm):
         stats.wall_seconds = time.perf_counter() - start
         stats.extras["replication_factor"] = index.replication_factor
         return index, stats
-
-    @staticmethod
-    def _flush(
-        disk: SimulatedDisk,
-        dataset: Dataset,
-        cell: int,
-        members: np.ndarray | list[int],
-        cell_pages: dict[int, list[int]],
-    ) -> None:
-        idx = np.asarray(members, dtype=np.intp)
-        page = ElementPage(dataset.ids[idx], dataset.boxes.take(idx))
-        cell_pages.setdefault(cell, []).append(disk.allocate(page))
 
     # ------------------------------------------------------------------
     # Join phase

@@ -22,7 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.boxes import BoxArray
-from repro.vectorize import chunked_blocks, expand_counts, vectorized_kernel
+from repro.vectorize import (
+    boxes_overlap,
+    chunked_blocks,
+    expand_counts,
+    vectorized_kernel,
+)
 
 
 def _candidate_hits(
@@ -49,10 +54,11 @@ def _candidate_hits(
         d += block_lo
         if d.size:
             o = start[d] + within
-            ok = np.all(
-                (drv_lo[d, 1:] <= oth_hi[o, 1:])
-                & (drv_hi[d, 1:] >= oth_lo[o, 1:]),
-                axis=1,
+            ok = boxes_overlap(
+                np.take(drv_lo, d, axis=0)[:, 1:],
+                np.take(drv_hi, d, axis=0)[:, 1:],
+                np.take(oth_lo, o, axis=0)[:, 1:],
+                np.take(oth_hi, o, axis=0)[:, 1:],
             )
             if ok.any():
                 hits_d.append(d[ok])
@@ -79,8 +85,8 @@ def plane_sweep_join(a: BoxArray, b: BoxArray) -> tuple[np.ndarray, int]:
 
     a_order = np.argsort(a.lo[:, 0], kind="stable")
     b_order = np.argsort(b.lo[:, 0], kind="stable")
-    a_lo, a_hi = a.lo[a_order], a.hi[a_order]
-    b_lo, b_hi = b.lo[b_order], b.hi[b_order]
+    a_lo, a_hi = np.take(a.lo, a_order, axis=0), np.take(a.hi, a_order, axis=0)
+    b_lo, b_hi = np.take(b.lo, b_order, axis=0), np.take(b.hi, b_order, axis=0)
     ax, bx = a_lo[:, 0], b_lo[:, 0]
 
     # a-driven scans: a[i] opens first (ties included) and scans every

@@ -34,6 +34,7 @@ from repro.joins.plane_sweep import plane_sweep_join
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage, element_page_capacity
+from repro.vectorize import all_columns
 
 
 class S3Index:
@@ -122,7 +123,7 @@ class S3Join(SpatialJoinAlgorithm):
                 np.floor((dataset.boxes.hi - lo) / extent * res).astype(np.int64),
                 0, res - 1,
             )
-            fits = np.all(lo_cells == hi_cells, axis=1)
+            fits = all_columns(lo_cells == hi_cells)
             assigned_level[fits] = level
             assigned_cell.append(lo_cells)
 
@@ -141,7 +142,7 @@ class S3Join(SpatialJoinAlgorithm):
             members = members[order]
             cells = cells[order]
             boundaries = (
-                np.nonzero(np.any(np.diff(cells, axis=0) != 0, axis=1))[0] + 1
+                np.nonzero(~all_columns(np.diff(cells, axis=0) == 0))[0] + 1
             )
             for group, cell in zip(
                 np.split(members, boundaries), cells[np.concatenate(([0], boundaries))]

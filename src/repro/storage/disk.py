@@ -25,9 +25,14 @@ comparable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.geometry.slots import SlotPickleMixin
+
+
+class _Released:
+    """Payload of a released page (the class itself: pickles by name)."""
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,21 @@ class SimulatedDisk(SlotPickleMixin):
         self.stats.pages_written += 1
         self.stats.write_cost += self.model.write_cost
 
+    def release(self, page_ids: Iterable[int]) -> None:
+        """Drop the payloads of pages whose structure is gone.
+
+        The ids stay allocated, so adjacency and every cost are
+        unchanged; reading or peeking a released page raises
+        ``KeyError``.  Releasing a released page is a no-op; an id that
+        was never allocated raises before anything is dropped.
+        """
+        ids = list(page_ids)
+        for page_id in ids:
+            if not 0 <= page_id < len(self._pages):
+                raise KeyError(f"page {page_id} not allocated")
+        for page_id in ids:
+            self._pages[page_id] = _Released
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -195,6 +215,8 @@ class SimulatedDisk(SlotPickleMixin):
     def _check_page_id(self, page_id: int) -> None:
         if not 0 <= page_id < len(self._pages):
             raise KeyError(f"page {page_id} not allocated (have {len(self._pages)})")
+        if self._pages[page_id] is _Released:
+            raise KeyError(f"page {page_id} was released")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulatedDisk(pages={len(self._pages)}, stats={self.stats})"

@@ -56,6 +56,23 @@ class ElementPage(SlotPickleMixin):
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ElementPage instances are immutable")
 
+    @staticmethod
+    def split(
+        ids: AnyArray, boxes: BoxArray, offsets: AnyArray
+    ) -> list["ElementPage"]:
+        """One page per run ``[offsets[k], offsets[k + 1])`` of the rows.
+
+        The run is validated once, as one page; the pages are read-only
+        views of it.
+        """
+        run = ElementPage(ids, boxes)
+        pages = []
+        for a, part in zip(np.asarray(offsets).tolist(), boxes.split(offsets)):
+            page = object.__new__(ElementPage)
+            page.__setstate__({"ids": run.ids[a : a + len(part)], "boxes": part})
+            pages.append(page)
+        return pages
+
     def __len__(self) -> int:
         return len(self.ids)
 

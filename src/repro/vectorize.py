@@ -1,16 +1,28 @@
 """Shared NumPy helpers for the vectorized hot paths.
 
-The filter-phase kernels (plane sweep, grid hash) and the grid's
-multiple-assignment expansion all rely on the same two idioms:
+The filter-phase kernels (plane sweep, grid hash), the grid's
+multiple-assignment expansion and the TRANSFORMERS exploration all rely
+on the same four idioms:
 
 * **ragged expansion** — turning a per-group candidate count into flat
   ``(group, within)`` index rows without a Python loop;
 * **chunked blocks** — walking groups in slabs whose total expansion
   stays near a bound, so broadcast intermediates remain cache- and
-  memory-friendly however skewed the counts are.
+  memory-friendly however skewed the counts are;
+* **short-axis reduction → column ops** — a box has d = 2–4
+  coordinates, and a NumPy reduction over so short an axis costs far
+  more than its arithmetic: for one pivot's 2 200 candidate rows, d = 3,
+  ``np.all(mask, axis=1)`` takes ~50 µs against 5–17 µs for ANDing the
+  columns, ``np.prod(spans, axis=1)`` 15 µs against 2 µs for multiplying
+  them (same order, so bit-identical).  :func:`boxes_overlap`,
+  :func:`all_columns` and :func:`column_product` are the column forms;
+* **row gather → ``np.take``** — ``arr[idx]`` takes the general
+  fancy-indexing path (27 µs for 2 200 rows of 3),
+  ``np.take(arr, idx, axis=0)`` copies rows directly (9 µs).
 
 Keeping them here (rather than one private copy per kernel) means a
-fix to the expansion or chunking behaviour lands everywhere at once.
+fix to the expansion, chunking or overlap behaviour lands everywhere at
+once.
 """
 
 from __future__ import annotations
@@ -40,6 +52,42 @@ def vectorized_kernel(fn: _F) -> _F:
     """
     VECTORIZED_KERNELS[f"{fn.__module__}.{fn.__qualname__}"] = fn.__module__
     return fn
+
+
+def all_columns(mask: np.ndarray) -> np.ndarray:
+    """``np.all(mask, axis=-1)``, ANDed one column at a time."""
+    out: np.ndarray = np.ones(mask.shape[:-1], dtype=bool)
+    for k in range(mask.shape[-1]):
+        out &= mask[..., k]
+    return out
+
+
+def column_product(values: np.ndarray) -> np.ndarray:
+    """``np.prod(values, axis=-1)``, multiplied one column at a time."""
+    out: np.ndarray = values[..., 0].copy()
+    for k in range(1, values.shape[-1]):
+        out *= values[..., k]
+    return out
+
+
+def boxes_overlap(
+    a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
+) -> np.ndarray:
+    """Do the closed boxes ``[a_lo, a_hi]`` and ``[b_lo, b_hi]`` meet?
+
+    Coordinates on the last axis, leading axes broadcast: ``(n, d)``
+    against ``(d,)`` tests n boxes against one query, ``(G, 1, d)``
+    against ``(1, F, d)`` gives the cross matrix.  Touching faces meet,
+    a NaN bound meets nothing.  The one overlap predicate outside the
+    ``*_reference`` twins.
+    """
+    hit: np.ndarray = np.ones(
+        np.broadcast_shapes(a_lo.shape[:-1], b_lo.shape[:-1]), dtype=bool
+    )
+    for k in range(a_lo.shape[-1]):
+        hit &= a_lo[..., k] <= b_hi[..., k]
+        hit &= a_hi[..., k] >= b_lo[..., k]
+    return hit
 
 
 def expand_counts(

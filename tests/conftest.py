@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,33 @@ def run_join(algorithm, disk, a, b):
     index_a, build_a = algorithm.build_index(disk, a)
     index_b, build_b = algorithm.build_index(disk, b)
     return algorithm.join(index_a, index_b), build_a, build_b
+
+
+def live_pages(disk: SimulatedDisk) -> int:
+    """Pages of ``disk`` whose payload has not been released."""
+    live = 0
+    for page_id in range(disk.num_pages):
+        try:
+            disk.peek(page_id)
+        except KeyError:
+            continue
+        live += 1
+    return live
+
+
+@contextmanager
+def counted_constructions(monkeypatch, *classes):
+    """Count ``__init__`` calls per class for the length of the block
+    (interpreter-work guards: counted, not timed)."""
+    calls = dict.fromkeys(classes, 0)
+    with monkeypatch.context() as patch:
+        for cls in classes:
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                calls[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            patch.setattr(cls, "__init__", counting)
+        yield calls
 
 
 def dataset_pair(

@@ -8,7 +8,7 @@ from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
 from repro.storage.buffer import BufferPool
 
-from tests.conftest import dataset_pair, make_disk
+from tests.conftest import counted_constructions, dataset_pair, make_disk
 
 
 def build(kind="clustered", n=1500, seed=41):
@@ -135,32 +135,21 @@ class TestBTree:
 
 
 class TestInterpreterWork:
-    """The build is struct-of-arrays: its Python-level work per space
-    unit is one page (an ``ElementPage`` over one ``BoxArray`` view) and
-    nothing else.  Counted, not timed."""
+    """The build is struct-of-arrays: the permuted run is validated
+    once and split into pages that are views of it, so no constructor
+    runs per space unit.  Counted, not timed."""
 
     @staticmethod
     def constructions(monkeypatch, n):
         a, _ = dataset_pair("uniform", n, 10, seed=44)
         disk = make_disk()
-        calls = {Box: 0, BoxArray: 0}
-        with monkeypatch.context() as patch:
-            for cls in calls:
-                def counting(self, *args, _cls=cls, _init=cls.__init__):
-                    calls[_cls] += 1
-                    _init(self, *args)
-
-                patch.setattr(cls, "__init__", counting)
+        with counted_constructions(monkeypatch, Box, BoxArray) as calls:
             index, _ = build_transformers_index(disk, a)
-        return calls[Box], calls[BoxArray] - index.num_units, index.num_units
+        return calls[Box], calls[BoxArray], index.num_units
 
-    def test_box_constructions_do_not_grow_with_the_unit_count(
-        self, monkeypatch
-    ):
+    def test_constructions_do_not_grow_with_the_unit_count(self, monkeypatch):
         small = self.constructions(monkeypatch, 2_000)
         large = self.constructions(monkeypatch, 8_000)
         assert large[2] >= 3 * small[2]  # the sizes do differ
-        # Same number of Box objects, and the same handful of BoxArrays
-        # beyond the one each unit's page owns.
         assert large[:2] == small[:2]
-        assert small[0] <= 4 and small[1] <= 4
+        assert small[0] <= 4 and small[1] <= 6

@@ -14,7 +14,13 @@ from repro.engine.workspace import _algorithm_signature
 from repro.joins import PBSMJoin
 from repro.storage.disk import SimulatedDisk
 
-from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
+from tests.conftest import (
+    dataset_pair,
+    live_pages,
+    make_disk,
+    oracle_pairs,
+    run_join,
+)
 
 
 def _triple(n=300, seed=31):
@@ -174,6 +180,74 @@ class TestIndexCache:
         sig = _algorithm_signature(TransformersJoin())
         assert sig == _algorithm_signature(TransformersJoin())
         assert "0x" not in sig
+
+
+class TestPageRelease:
+    """A dropped index gives its pages back: a long-lived workspace
+    holds the payloads of its cached indexes and nothing else."""
+
+    def test_forget_releases_and_the_next_use_rebuilds(self):
+        ws = SpatialWorkspace()
+        a, b, _ = _triple()
+        ws.build_index(a)
+        pages_a = ws.disk.num_pages
+        first = ws.join(a, b, algorithm="transformers")
+        query = a.boxes.mbb()
+        hits = ws.range_query(a, query)
+        assert live_pages(ws.disk) == ws.disk.num_pages
+        assert ws.forget(a) == 1
+        assert live_pages(ws.disk) == ws.disk.num_pages - pages_a
+        again = ws.join(a, b, algorithm="transformers")
+        assert not again.reused_a and again.reused_b
+        assert again.result.pairs.tobytes() == first.result.pairs.tobytes()
+        assert again.join_stats.pages_read == first.join_stats.pages_read
+        np.testing.assert_array_equal(ws.range_query(a, query), hits)
+
+    def test_eviction_and_drop_release(self):
+        ws = SpatialWorkspace(max_cached_indexes=1)
+        a, b, _ = _triple()
+        # With room for one index the join still sees both sides: the
+        # cache is trimmed when the join is done with the handles.
+        report = ws.join(a, b, algorithm="transformers")
+        assert report.pair_set() == oracle_pairs(a, b)
+        assert ws.cached_index_count == 1 and ws.index_evictions == 1
+        assert 0 < live_pages(ws.disk) <= ws.disk.num_pages // 2 + 1
+        ws.drop_indexes()
+        assert live_pages(ws.disk) == 0
+        assert ws.join(a, b, algorithm="transformers").pair_set() == (
+            report.pair_set()
+        )
+
+    def test_a_failing_join_still_trims_the_cache(self, monkeypatch):
+        ws = SpatialWorkspace(max_cached_indexes=1)
+        a, b, _ = _triple()
+
+        def boom(self, index_a, index_b):
+            raise RuntimeError("join failed")
+
+        monkeypatch.setattr(TransformersJoin, "join", boom)
+        with pytest.raises(RuntimeError, match="join failed"):
+            ws.join(a, b, algorithm="transformers")
+        assert ws.cached_index_count == 1 and ws.index_evictions == 1
+
+    def test_an_evicted_handle_is_dead(self):
+        """Documented lifetime: a raw handle lives as long as its cache
+        entry, so its pages go when the entry is evicted."""
+        ws = SpatialWorkspace(max_cached_indexes=1)
+        a, b, _ = _triple()
+        index_a = ws.index_for(a)
+        ws.index_for(b)
+        with pytest.raises(KeyError, match="released"):
+            ws.disk.peek(int(index_a.units.element_page_ids[0]))
+
+    def test_adopted_index_pages_are_never_released(self, tmp_path):
+        a, _, _ = _triple()
+        disk = make_disk()
+        index, _ = TransformersJoin().build_index(disk, a)
+        ws = SpatialWorkspace(disk=disk)
+        ws.adopt_index("A", index)
+        assert ws.forget("A") == 1
+        assert live_pages(disk) == disk.num_pages
 
 
 class TestRangeQuery:

@@ -119,6 +119,45 @@ class TestSequenceBehaviour:
         assert sub.box(1) == ba.box(1)
 
 
+class TestSplit:
+    def test_parts_are_read_only_views_of_the_source(self):
+        ba = _sample(7)
+        parts = ba.split([0, 3, 3, 7])
+        assert [len(p) for p in parts] == [3, 0, 4]
+        for part, start in zip(parts, (0, 3, 3)):
+            assert isinstance(part, BoxArray)
+            assert not part.lo.flags.writeable
+            assert not part.hi.flags.writeable
+            if len(part):  # an empty slice has no bytes to share
+                assert np.shares_memory(part.lo, ba.lo)
+                assert np.shares_memory(part.hi, ba.hi)
+                assert part.box(0) == ba.box(start)
+        with pytest.raises(ValueError):
+            parts[0].lo[0, 0] = 99.0
+        with pytest.raises(AttributeError):
+            parts[0].lo = ba.lo
+
+    def test_offsets_need_not_cover_the_array(self):
+        ba = _sample(6)
+        (middle,) = ba.split([2, 5])
+        assert np.array_equal(middle.lo, ba.lo[2:5])
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        part = _sample(6).split([1, 4])[0]
+        back = pickle.loads(pickle.dumps(part))
+        assert np.array_equal(back.lo, part.lo)
+        assert np.array_equal(back.hi, part.hi)
+
+    @pytest.mark.parametrize(
+        "offsets", [[0, 4, 2], [-1, 3], [0, 8], [], [[0, 2]]]
+    )
+    def test_bad_offsets_raise(self, offsets):
+        with pytest.raises(ValueError):
+            _sample(7).split(offsets)
+
+
 class TestBulkGeometry:
     def test_centers_match_scalar(self):
         ba = _sample(5)

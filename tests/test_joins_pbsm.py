@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.geometry.boxes import BoxArray
 from repro.joins.pbsm import PBSMJoin
-from repro.storage.page import element_page_capacity
+from repro.storage.page import ElementPage, element_page_capacity
 
 from tests.conftest import (
     TEST_PAGE_SIZE,
+    counted_constructions,
     dataset_pair,
     make_disk,
     oracle_pairs,
@@ -88,3 +90,25 @@ class TestIOBehaviour:
         index, build = algo.build_index(disk, a)
         assert build.extras["replication_factor"] == index.replication_factor
         assert index.replication_factor >= 1.0
+
+
+class TestInterpreterWork:
+    """The build permutes the replicated rows into flush order once and
+    splits the run into pages: no constructor runs per spilled page.
+    Counted, not timed."""
+
+    @staticmethod
+    def constructions(monkeypatch, n):
+        a, b = dataset_pair("uniform", n, n, seed=6)
+        algo = PBSMJoin(space=a.boxes.mbb().union(b.boxes.mbb()), resolution=4)
+        disk = make_disk()
+        with counted_constructions(monkeypatch, BoxArray, ElementPage) as calls:
+            _, build = algo.build_index(disk, a)
+        return calls[BoxArray], calls[ElementPage], build.pages_written
+
+    def test_constructions_do_not_grow_with_the_page_count(self, monkeypatch):
+        small = self.constructions(monkeypatch, 1_000)
+        large = self.constructions(monkeypatch, 4_000)
+        assert large[2] >= 2 * small[2]  # the sizes do differ
+        assert large[:2] == small[:2]
+        assert small[0] <= 6 and small[1] <= 2

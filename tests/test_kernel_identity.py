@@ -1,0 +1,367 @@
+"""Byte-identity of the in-memory kernel and its building blocks.
+
+``grid_hash_join`` feeds every TRANSFORMERS and PBSM result, and pair
+*order* leaks into ``np.unique``-free consumers, so a rewrite of the
+kernel must reproduce the pair array byte for byte — order and dtype
+included — plus the ``tests`` counter.  ``GOLDEN`` was recorded at
+commit cb6828b (stable sort + two binary searches per probe row,
+``np.all(..., axis=1)`` overlap tests).  To re-record after an
+*intended* change, run ``PYTHONPATH=src:. python
+tests/test_kernel_identity.py`` and paste the output over ``GOLDEN``.
+
+The second half pins the one overlap primitive against the reduction it
+replaced, and keeps the slow idioms from coming back.
+"""
+
+import ast
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.datagen import (
+    dense_cluster,
+    massive_cluster,
+    scaled_space,
+    uniform_dataset,
+)
+from repro.geometry.boxes import BoxArray
+from repro.index.grid import UniformGrid
+from repro.joins import grid_hash
+from repro.joins.grid_hash import grid_hash_join, grid_hash_join_reference
+from repro.vectorize import all_columns, boxes_overlap, column_product
+
+
+def _flat(boxes: BoxArray, axes: slice) -> BoxArray:
+    return BoxArray(boxes.lo[:, axes], boxes.hi[:, axes])
+
+
+def _plate(boxes: BoxArray) -> BoxArray:
+    """The boxes squashed onto the plane z = 5 (a zero-extent axis)."""
+    lo, hi = boxes.lo.copy(), boxes.hi.copy()
+    lo[:, 2] = hi[:, 2] = 5.0
+    return BoxArray(lo, hi)
+
+
+def _kernel_cases() -> dict[str, tuple[BoxArray, BoxArray]]:
+    space = scaled_space(1_000)
+    uni_a = uniform_dataset(400, seed=3, space=space).boxes
+    uni_b = uniform_dataset(600, seed=4, space=space).boxes
+    massive = massive_cluster(500, seed=5, space=space).boxes
+    dense = dense_cluster(300, seed=6, space=space).boxes
+    return {
+        "uniform_3d": (uni_a, uni_b),
+        "massive_3d": (massive, uni_b),
+        "uniform_2d": (_flat(uni_a, slice(0, 2)), _flat(uni_b, slice(0, 2))),
+        "dense_2d": (_flat(dense, slice(1, 3)), _flat(uni_a, slice(1, 3))),
+        "flat_axis": (_plate(uni_a), _plate(uni_b)),
+        "single_build": (
+            BoxArray.from_boxes([uni_a.take(range(20)).mbb()]), uni_b
+        ),
+    }
+
+
+def _sha(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def observe_kernel(case: str) -> dict[str, object]:
+    pairs, tests = grid_hash_join(*_kernel_cases()[case])
+    return {
+        "pairs_sha256": _sha(pairs),
+        "dtype": str(pairs.dtype),
+        "shape": list(pairs.shape),
+        "tests": tests,
+    }
+
+
+def observe_assignment(case: str) -> dict[str, object]:
+    build, probe = _kernel_cases()[case]
+    grid = UniformGrid(build.mbb().union(probe.mbb()), 7)
+    cells, members = grid.assign_entries(probe)
+    return {
+        "cells_sha256": _sha(cells),
+        "members_sha256": _sha(members),
+        "dtypes": [str(cells.dtype), str(members.dtype)],
+        "rows": len(cells),
+    }
+
+
+ASSIGNMENT_CASES = ("uniform_3d", "dense_2d", "flat_axis")
+
+GOLDEN = json.loads(
+    """
+{
+ "assignment": {
+  "dense_2d": {
+   "cells_sha256": "e05a52c9ae8a6d3fbb5d5a578d86fa42a5b3f4c8c45cc41dd8fb7ee1bd34e38a",
+   "dtypes": [
+    "int64",
+    "int64"
+   ],
+   "members_sha256": "a27dbec07c713fb18f23e2757e7582891c9e965c1be61ef6e58d2d267bcda50a",
+   "rows": 518
+  },
+  "flat_axis": {
+   "cells_sha256": "a252e0ad10fa0882aa61d9391b5af747d2327817b02483649992787bd56f30b9",
+   "dtypes": [
+    "int64",
+    "int64"
+   ],
+   "members_sha256": "822cbb419fbf6b91514eaa79196ed82ec0cb7cd4a3a7affbf81219a6ee7eb778",
+   "rows": 801
+  },
+  "uniform_3d": {
+   "cells_sha256": "c138cbd59c96748291855746ebdfe5e655c29e545dbaefc67023642f9f52f801",
+   "dtypes": [
+    "int64",
+    "int64"
+   ],
+   "members_sha256": "5393ee1ba02f07410db955cef0c98d78a0350007f07229b0b45dcf3672a729cd",
+   "rows": 949
+  }
+ },
+ "kernel": {
+  "dense_2d": {
+   "dtype": "int64",
+   "pairs_sha256": "fe289f5cf38eebe0d38f6e621f8e3e750e83a90e7604610b77237a242797786b",
+   "shape": [
+    377,
+    2
+   ],
+   "tests": 1741
+  },
+  "flat_axis": {
+   "dtype": "int64",
+   "pairs_sha256": "85c6bdd6614be4fce6161b009857009fafe934224cd9c98455bb9d53f9c9169e",
+   "shape": [
+    840,
+    2
+   ],
+   "tests": 8267
+  },
+  "massive_3d": {
+   "dtype": "int64",
+   "pairs_sha256": "bd10657fe521cc039df98bdb8f785933094d4f6e2bfc17fbdbc67f832aeee0b0",
+   "shape": [
+    64,
+    2
+   ],
+   "tests": 1940
+  },
+  "single_build": {
+   "dtype": "int64",
+   "pairs_sha256": "de3713b893d63e6235d0ac350906603846d5cc335e70e993615417847f3a5a27",
+   "shape": [
+    412,
+    2
+   ],
+   "tests": 600
+  },
+  "uniform_2d": {
+   "dtype": "int64",
+   "pairs_sha256": "918d117531a8d2dcd48d9598b6afa56d891ceb7fa6588617472f05fa7326389e",
+   "shape": [
+    840,
+    2
+   ],
+   "tests": 3675
+  },
+  "uniform_3d": {
+   "dtype": "int64",
+   "pairs_sha256": "bfcaac92bccf9f615862b1380c33070e9145a84d6fc2e3272200a445889351a1",
+   "shape": [
+    45,
+    2
+   ],
+   "tests": 1501
+  }
+ }
+}
+"""
+)
+
+
+@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+def test_kernel_output_is_byte_identical_to_the_recorded_one(case):
+    assert observe_kernel(case) == GOLDEN["kernel"][case]
+
+
+@pytest.mark.parametrize("case", ASSIGNMENT_CASES)
+def test_assignment_rows_are_byte_identical_to_the_recorded_ones(case):
+    assert observe_assignment(case) == GOLDEN["assignment"][case]
+
+
+class TestBucketLookUp:
+    """Directory and binary-search buckets are one kernel."""
+
+    @staticmethod
+    def run(monkeypatch, build, probe, resolution):
+        directories = []
+        bincount = np.bincount
+
+        def spy(*args, **kwargs):
+            directories.append(kwargs["minlength"])
+            return bincount(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grid_hash.np, "bincount", spy)
+            pairs, tests = grid_hash_join(build, probe, resolution)
+        ref_pairs, ref_tests = grid_hash_join_reference(
+            build, probe, resolution
+        )
+        assert tests == ref_tests
+        assert sorted(map(tuple, pairs)) == sorted(map(tuple, ref_pairs))
+        return directories
+
+    def test_default_resolution_addresses_a_directory(self, monkeypatch):
+        build, probe = _kernel_cases()["uniform_3d"]
+        directories = self.run(monkeypatch, build, probe, None)
+        # One entry per cell, and O(len(build)) of them.
+        assert len(directories) == 1
+        assert directories[0] <= 8 * len(build)
+
+    def test_a_grid_far_finer_than_the_input_is_searched(self, monkeypatch):
+        build, probe = _kernel_cases()["uniform_3d"]
+        build, probe = build.take(range(30)), probe.take(range(30))
+        # 64**3 cells for 60 boxes: no directory is allocated.
+        assert self.run(monkeypatch, build, probe, 64) == []
+
+
+# ----------------------------------------------------------------------
+# The overlap primitive
+# ----------------------------------------------------------------------
+def _reduction(a_lo, a_hi, b_lo, b_hi):
+    return np.all((a_lo <= b_hi) & (a_hi >= b_lo), axis=-1)
+
+
+#: A small lattice, so touching faces and equal bounds are common.
+_coordinate = st.one_of(
+    st.integers(-3, 3).map(float), st.just(float("nan"))
+)
+
+
+@st.composite
+def _broadcast_operands(draw):
+    ndim = draw(st.integers(1, 4))
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    shapes = draw(
+        st.sampled_from(
+            [
+                ((n, ndim), (ndim,)),
+                ((ndim,), (m, ndim)),
+                ((n, ndim), (n, ndim)),
+                ((n, 1, ndim), (1, m, ndim)),
+            ]
+        )
+    )
+
+    def operand(shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(_coordinate, min_size=size, max_size=size))
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    return tuple(operand(shapes[k // 2]) for k in range(4))
+
+
+class TestBoxesOverlap:
+    @settings(max_examples=300, deadline=None)
+    @given(_broadcast_operands())
+    def test_equals_the_short_axis_reduction(self, operands):
+        a_lo, a_hi, b_lo, b_hi = operands
+        expected = _reduction(a_lo, a_hi, b_lo, b_hi)
+        got = boxes_overlap(a_lo, a_hi, b_lo, b_hi)
+        assert got.dtype == np.bool_
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_touching_faces_intersect_and_nan_never_does(self):
+        lo = np.array([[0.0, 0.0], [2.0, 0.0], [np.nan, 0.0]])
+        hi = np.array([[1.0, 1.0], [3.0, 1.0], [1.0, 1.0]])
+        hit = boxes_overlap(lo, hi, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+        assert hit.tolist() == [True, True, False]
+
+    def test_an_empty_coordinate_axis_intersects(self):
+        # What the plane sweep hands over for 1-D boxes (axes 1..).
+        empty = np.empty((4, 0))
+        assert boxes_overlap(empty, empty, empty, empty).tolist() == [True] * 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_column_helpers_equal_the_reductions(self, n, ndim, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, ndim)) * 10.0
+        assert (
+            column_product(values).tobytes()
+            == np.prod(values, axis=1).tobytes()
+        )
+        mask = values > 0.0
+        assert np.array_equal(all_columns(mask), np.all(mask, axis=1))
+
+
+# ----------------------------------------------------------------------
+# The slow idioms stay out
+# ----------------------------------------------------------------------
+def _short_axis_reductions(path: Path) -> list[str]:
+    """``np.all/any/prod(..., axis=k)`` with k != 0, outside references."""
+    found = []
+    tree = ast.parse(path.read_text())
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if func.name.endswith("_reference"):
+            continue
+        for node in ast.walk(func):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("all", "any", "prod")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"
+            ):
+                continue
+            for keyword in node.keywords:
+                if keyword.arg == "axis" and not (
+                    isinstance(keyword.value, ast.Constant)
+                    and keyword.value.value == 0
+                ):
+                    found.append(f"{path.name}:{node.lineno} in {func.name}")
+    return found
+
+
+def test_no_short_axis_reduction_outside_reference_functions():
+    root = Path(repro.__file__).parent
+    offenders = [
+        hit
+        for package in ("core", "joins", "index", "geometry")
+        for path in sorted((root / package).glob("*.py"))
+        for hit in _short_axis_reductions(path)
+    ]
+    assert offenders == []
+
+
+if __name__ == "__main__":
+    print(
+        json.dumps(
+            {
+                "kernel": {
+                    case: observe_kernel(case) for case in _kernel_cases()
+                },
+                "assignment": {
+                    case: observe_assignment(case)
+                    for case in ASSIGNMENT_CASES
+                },
+            },
+            indent=1,
+            sort_keys=True,
+        )
+    )

@@ -20,6 +20,8 @@ from repro.service import (
     dataset_fingerprint,
 )
 
+from tests.conftest import live_pages
+
 
 @pytest.fixture
 def trio():
@@ -221,6 +223,24 @@ class TestInvalidation:
         changed = uniform_dataset(200, seed=79, name="A", space=space)
         service.register("a", changed)
         assert service.query_workspace.cached_index_count == 0
+
+
+class TestRangeQueryWorkspaceDoesNotLeak:
+    def test_superseded_indexes_give_their_pages_back(self, trio):
+        service, _, _, _, space = trio
+        disk = service.query_workspace.disk
+        per_index = []
+        for step in range(40):
+            content = uniform_dataset(
+                200, seed=500 + step, name="A", space=space
+            )
+            service.register("a", content)
+            before = disk.num_pages
+            hits = service.range_query("a", space)
+            assert len(hits) == len(content)
+            per_index.append(disk.num_pages - before)
+            assert live_pages(disk) <= 2 * max(per_index)
+        assert disk.num_pages == sum(per_index)  # ids are never reused
 
 
 class TestRangeQuery:

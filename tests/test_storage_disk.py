@@ -107,6 +107,51 @@ class TestReadClassification:
             disk.read(0)
 
 
+class TestRelease:
+    def test_released_payload_is_gone_and_its_id_stays_allocated(self):
+        disk = SimulatedDisk()
+        pids = [disk.allocate(f"p{i}") for i in range(4)]
+        writes = disk.stats.snapshot()
+        disk.release(pids[1:3])
+        assert disk.num_pages == 4
+        assert disk.stats == writes  # releasing is not I/O
+        for pid in pids[1:3]:
+            with pytest.raises(KeyError, match="released"):
+                disk.read(pid)
+            with pytest.raises(KeyError, match="released"):
+                disk.peek(pid)
+        assert disk.stats.pages_read == 0  # a refused read charges nothing
+        assert disk.allocate("next") == 4  # ids are never handed out twice
+
+    def test_adjacency_of_the_surviving_pages_is_unchanged(self):
+        disk = SimulatedDisk()
+        pids = [disk.allocate(i) for i in range(3)]
+        disk.release([pids[1]])
+        disk.read(pids[0])
+        assert disk.read(pids[2]) == 2  # a skip inside the read-ahead window
+        assert disk.stats.seq_reads == 1
+
+    def test_unallocated_id_raises_and_release_survives_pickling(self):
+        import pickle
+
+        disk = SimulatedDisk()
+        pid = disk.allocate("x")
+        with pytest.raises(KeyError):
+            disk.release([pid + 1])
+        disk.release([pid])
+        with pytest.raises(KeyError, match="released"):
+            pickle.loads(pickle.dumps(disk)).peek(pid)
+
+    def test_release_is_idempotent_and_all_or_nothing(self):
+        disk = SimulatedDisk()
+        pids = [disk.allocate(i) for i in range(3)]
+        disk.release(pids[:2])
+        disk.release(pids[:2])  # overlapping runs release once
+        with pytest.raises(KeyError, match="not allocated"):
+            disk.release([pids[2], 99])
+        assert disk.peek(pids[2]) == 2  # nothing dropped by the bad run
+
+
 class TestStatsManagement:
     def test_peek_is_free(self):
         disk = SimulatedDisk()

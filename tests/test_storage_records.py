@@ -101,6 +101,50 @@ class TestElementPage:
         assert np.array_equal(back.ids, page.ids)
         assert np.array_equal(back.boxes.lo, page.boxes.lo)
 
+    def test_split_hands_out_views_of_one_validated_run(self):
+        run = self._page(9, seed=4)
+        pages = ElementPage.split(run.ids, run.boxes, [0, 4, 9])
+        assert [len(p) for p in pages] == [4, 5]
+        for page, start in zip(pages, (0, 4)):
+            assert isinstance(page, ElementPage)
+            assert np.shares_memory(page.ids, run.ids)
+            assert np.shares_memory(page.boxes.lo, run.boxes.lo)
+            assert not page.ids.flags.writeable
+            assert not page.boxes.hi.flags.writeable
+            assert page.ids[0] == run.ids[start]
+            assert page.boxes.box(0) == run.boxes.box(start)
+            assert page.to_bytes() == ElementPage(
+                run.ids[start : start + len(page)],
+                run.boxes.take(range(start, start + len(page))),
+            ).to_bytes()
+        with pytest.raises(AttributeError):
+            pages[0].ids = run.ids
+
+    def test_split_page_pickles(self):
+        import pickle
+
+        run = self._page(6, seed=5)
+        page = ElementPage.split(run.ids, run.boxes, [2, 5])[0]
+        back = pickle.loads(pickle.dumps(page))
+        assert np.array_equal(back.ids, run.ids[2:5])
+        assert np.array_equal(back.boxes.lo, run.boxes.lo[2:5])
+
+    def test_split_validates_the_whole_run(self):
+        run = self._page(6, seed=6)
+        with pytest.raises(ValueError, match="6 ids but 5 boxes"):
+            ElementPage.split(run.ids, run.boxes.take(range(5)), [0, 5])
+        with pytest.raises(ValueError):
+            ElementPage.split(run.ids.reshape(2, 3), run.boxes, [0, 6])
+        for offsets in ([0, 4, 2], [0, 7], [-2, 6]):
+            with pytest.raises(ValueError):
+                ElementPage.split(run.ids, run.boxes, offsets)
+        # A box with lo > hi anywhere in the run never becomes a page:
+        # the run itself cannot be built.
+        lo, hi = run.boxes.lo.copy(), run.boxes.hi.copy()
+        lo[5, 1] = hi[5, 1] + 1.0
+        with pytest.raises(ValueError, match="lo must not exceed hi"):
+            ElementPage.split(run.ids, BoxArray(lo, hi), [0, 3, 6])
+
     def test_capacity_consistent_with_codec(self):
         # The page capacity used by all partitioners must equal what the
         # byte-level record layout permits.

@@ -100,6 +100,36 @@ class TestApplyDelta:
         assert stats.delta_patches == 4
         assert stats.delta_patch_fallbacks == 0
 
+    def test_the_delta_is_applied_once_however_many_entries_it_patches(
+        self, service, monkeypatch
+    ):
+        sa, sb = _streams(n=300)
+        service.register("sa", sa.base())
+        service.register("sb", sb.base())
+        for algorithm in ("pbsm", "rtree", "transformers", "sssj"):
+            service.submit(JoinRequest(a="sa", b="sb", algorithm=algorithm))
+        delta = sa.tick()  # the stream applies it to its own window
+        applies = []
+        apply = DatasetDelta.apply
+
+        def counting(self, dataset):
+            applies.append(dataset.name)
+            return apply(self, dataset)
+
+        monkeypatch.setattr(DatasetDelta, "apply", counting)
+        outcome = service.apply_delta("sa", delta)
+        assert outcome.patched == 4
+        # advance_delta materialises the new content; the four patches
+        # are handed it instead of re-deriving it.
+        assert applies == ["sa"]
+        for algorithm in ("pbsm", "sssj"):
+            hot = service.submit(
+                JoinRequest(a="sa", b="sb", algorithm=algorithm)
+            )
+            assert hot.cached and hot.report.delta_patched
+            cold = _cold_pairs(sa.current, sb.base(), algorithm)
+            assert hot.report.result.pairs.tobytes() == cold.tobytes()
+
     def test_catalog_advances_to_cold_fingerprint(self, service):
         sa, _ = _streams()
         base = service.register("sa", sa.base())
