@@ -15,14 +15,24 @@ other.  For each pivot node it
    already fully processed as pivots themselves (the to-do-list rule:
    their result pairs are already reported);
 4. filters space units by page-MBB intersection, reads exactly the
-   surviving pages, and runs the in-memory **grid hash join** on the
-   element sets;
+   surviving pages, and queues the in-memory **grid hash join** of the
+   two element sets;
 5. marks the pivot node as checked and re-estimates the cost-model
    thresholds from the measured exploration/IO/filtering rates.
 
 The join finishes when one dataset has no unchecked nodes left — every
 result pair (x, y) was reported while processing whichever of x's or
 y's node was checked first, so completeness follows by induction.
+
+The queue of step 4 runs as one segmented kernel launch
+(:func:`~repro.joins.grid_hash.grid_hash_join_segments`) whenever it
+holds ``_QUEUE_ROW_BUDGET`` element rows and when the exploration ends.
+No decision waits for a comparison: the thresholds are fed exploration
+cost, page reads and filter fractions, never intersection tests or
+pairs; every page is still read where it was; and every pair is still
+reported, only later (the result is sorted at the end).  The queue is
+working memory of the in-memory join, like the kernel's own arrays, and
+charges no simulated I/O.
 
 Cost attribution (Figure 14): all descriptor/metadata page I/O and
 metadata comparisons are *adaptive exploration overhead*; element-page
@@ -56,7 +66,7 @@ from repro.joins.base import (
     JoinStats,
     SpatialJoinAlgorithm,
 )
-from repro.joins.grid_hash import grid_hash_join
+from repro.joins.grid_hash import grid_hash_join_segments
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage
@@ -66,6 +76,9 @@ _T = TypeVar("_T")
 
 #: Volume floor so degenerate (flat) MBBs cannot produce infinite ratios.
 _EPS_VOLUME = 1e-9
+
+#: Queued element rows (both sides) at which the queue is launched.
+_QUEUE_ROW_BUDGET = 16_384
 
 
 def _cross_hits(
@@ -82,6 +95,19 @@ def _cross_hits(
         a_lo[:, None, :], a_hi[:, None, :], b_lo[None, :, :], b_hi[None, :, :]
     )
     return hits
+
+
+def _one_run(
+    groups: list[list[ElementPage]],
+) -> tuple[IntArray, BoxArray, IntArray]:
+    """Page groups as one run: its ids, its boxes, the groups' offsets."""
+    pages = [page for group in groups for page in group]
+    rows = [sum(map(len, group)) for group in groups]
+    return (
+        np.concatenate([page.ids for page in pages]),
+        BoxArray.concatenate([page.boxes for page in pages]),
+        np.cumsum([0] + rows),
+    )
 
 
 class _CheckedView(SlotPickleMixin):
@@ -195,6 +221,9 @@ class _Driver:
         #: Last walk position per dataset (when it acted as follower).
         self.walk_pos: list[int | None] = [None, None]
         self.guide = 0
+        #: Comparisons not yet run: (guide pages, follower pages, guide).
+        self.queue: list[tuple[list[ElementPage], list[ElementPage], int]] = []
+        self.queued_rows = 0
         self.out: list[IntArray] = []
         # Figure-14 attribution (simulated cost units).
         self.exploration_io = 0.0
@@ -220,6 +249,7 @@ class _Driver:
             pivot = self._next_pivot(self.guide)
             self._process_node(pivot, allow_role=True)
             self.thresholds.update_thresholds()
+        self._flush_queue()
 
         pairs = (
             np.unique(np.concatenate(self.out), axis=0)
@@ -480,24 +510,37 @@ class _Driver:
     def _join_pages(
         self, g_pages: list[ElementPage], f_pages: list[ElementPage]
     ) -> None:
-        """Grid hash join between two page groups; emit oriented pairs."""
-        if not g_pages or not f_pages:
+        """Queue the grid hash join between two page groups."""
+        rows = sum(map(len, g_pages)), sum(map(len, f_pages))
+        if not all(rows):
             return
-        g_ids = np.concatenate([p.ids for p in g_pages])
-        g_boxes = BoxArray.concatenate([p.boxes for p in g_pages])
-        f_ids = np.concatenate([p.ids for p in f_pages])
-        f_boxes = BoxArray.concatenate([p.boxes for p in f_pages])
-        idx, tests = grid_hash_join(g_boxes, f_boxes)
-        self.stats.intersection_tests += tests
-        if idx.size:
-            self._emit(g_ids[idx[:, 0]], f_ids[idx[:, 1]])
+        self.queue.append((g_pages, f_pages, self.guide))
+        self.queued_rows += sum(rows)
+        if self.queued_rows >= _QUEUE_ROW_BUDGET:
+            self._flush_queue()
 
-    def _emit(self, guide_ids: IntArray, follower_ids: IntArray) -> None:
-        """Record result pairs oriented as (id from A, id from B)."""
-        if self.guide == 0:
-            self.out.append(np.column_stack((guide_ids, follower_ids)))
-        else:
-            self.out.append(np.column_stack((follower_ids, guide_ids)))
+    def _flush_queue(self) -> None:
+        """Run the queued joins as one segmented launch; emit the pairs
+        oriented as (id from A, id from B)."""
+        if not self.queue:
+            return
+        g_ids, g_boxes, g_cuts = _one_run([g for g, _, _ in self.queue])
+        f_ids, f_boxes, f_cuts = _one_run([f for _, f, _ in self.queue])
+        idx, groups, tests = grid_hash_join_segments(
+            g_boxes, f_boxes, g_cuts, f_cuts
+        )
+        guided_by_b = np.array([guide == 1 for _, _, guide in self.queue])
+        self.queue.clear()
+        self.queued_rows = 0
+        # ``int``: the stats are dumped as JSON and pickled between tiers.
+        self.stats.intersection_tests += int(tests.sum())
+        if idx.size:
+            from_guide = np.take(g_ids, idx[:, 0])
+            from_follower = np.take(f_ids, idx[:, 1])
+            swap = np.take(guided_by_b, groups)
+            a_ids = np.where(swap, from_follower, from_guide)
+            b_ids = np.where(swap, from_guide, from_follower)
+            self.out.append(np.column_stack((a_ids, b_ids)))
 
     # ------------------------------------------------------------------
     # Unit-granularity processing — Transform "split"
@@ -629,20 +672,14 @@ class _Driver:
             follower_idx.units.page_lo[cand_units],
             follower_idx.units.page_hi[cand_units],
         )
+        # One-box groups: their grid has one cell, so the kernel tests
+        # the element against the whole page.
+        elements = ElementPage.split(
+            g_page.ids, g_page.boxes, range(len(g_page) + 1)
+        )
         for e in np.flatnonzero(hits.any(axis=1)).tolist():
-            e_lo = g_page.boxes.lo[e]
-            e_hi = g_page.boxes.hi[e]
             for u in cand_units[hits[e]]:
                 page = self._read_element_page(
                     follower_idx.units.element_page_ids[u]
                 )
-                self.stats.intersection_tests += len(page)
-                mask = boxes_overlap(
-                    page.boxes.lo, page.boxes.hi, e_lo, e_hi
-                )
-                if mask.any():
-                    matched = page.ids[mask]
-                    self._emit(
-                        np.full(matched.size, g_page.ids[e], dtype=np.int64),
-                        matched,
-                    )
+                self._join_pages([elements[e]], [page])

@@ -23,6 +23,36 @@ from repro.geometry.slots import SlotPickleMixin
 from repro.vectorize import column_product, expand_counts
 
 
+def expand_cell_blocks(
+    lo_idx: np.ndarray, hi_idx: np.ndarray, resolution: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cells, members)`` rows for boxes covering the inclusive cell
+    blocks ``lo_idx[k] .. hi_idx[k]``, box-major and row-major inside a
+    block: a mixed-radix counter over the per-axis spans, decoded.
+    ``resolution`` is one int, or an array with each box's own (the
+    segmented grid hash join lays every segment on its own grid).
+    """
+    spans = hi_idx - lo_idx + 1
+    members, rem = expand_counts(column_product(spans), dtype=np.int64)
+    members = members.astype(np.intp, copy=False)
+    # One row gather per side; the axis loop then slices columns.
+    lo_idx = np.take(lo_idx, members, axis=0)
+    spans = np.take(spans, members, axis=0)
+    if isinstance(resolution, np.ndarray):
+        resolution = np.take(resolution, members)
+    # Decode the within-box counter last-axis-fastest (row-major),
+    # folding each axis's coordinate straight into the flat id.
+    cells = np.zeros(len(members), dtype=np.int64)
+    weight: int | np.ndarray = 1
+    for axis in range(lo_idx.shape[1] - 1, -1, -1):
+        radix = spans[:, axis]
+        coord = lo_idx[:, axis] + rem % radix
+        rem //= radix
+        cells += coord * weight
+        weight = weight * resolution
+    return cells, members
+
+
 class UniformGrid(SlotPickleMixin):
     """A regular grid of ``resolution**d`` cells over ``space``.
 
@@ -67,11 +97,16 @@ class UniformGrid(SlotPickleMixin):
     # ------------------------------------------------------------------
     # Coordinate mapping
     # ------------------------------------------------------------------
+    def _cells(self, points: np.ndarray) -> np.ndarray:
+        """Per-axis cell indices of ``points``, clamped to the grid."""
+        idx = np.floor((points - self._lo) / self._cell_size).astype(np.int64)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, self.resolution - 1, out=idx)
+        return idx
+
     def cell_of_point(self, point: np.ndarray | tuple[float, ...]) -> tuple[int, ...]:
         """The cell containing ``point`` (clamped to the grid)."""
-        p = np.asarray(point, dtype=np.float64)
-        idx = np.floor((p - self._lo) / self._cell_size).astype(np.int64)
-        idx = np.clip(idx, 0, self.resolution - 1)
+        idx = self._cells(np.asarray(point, dtype=np.float64))
         return tuple(int(v) for v in idx)
 
     def cells_of_points(self, points: np.ndarray) -> np.ndarray:
@@ -79,8 +114,7 @@ class UniformGrid(SlotPickleMixin):
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.ndim:
             raise ValueError("points must have shape (n, ndim)")
-        idx = np.floor((points - self._lo) / self._cell_size).astype(np.int64)
-        return np.clip(idx, 0, self.resolution - 1)
+        return self._cells(points)
 
     def flat_ids(self, cells: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`flat_id`: row-major ids for ``(n, d)`` cells."""
@@ -94,14 +128,8 @@ class UniformGrid(SlotPickleMixin):
 
     def cell_range_of_box(self, box: Box) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Inclusive per-axis cell index range overlapped by ``box``."""
-        lo_idx = np.floor(
-            (np.asarray(box.lo) - self._lo) / self._cell_size
-        ).astype(np.int64)
-        hi_idx = np.floor(
-            (np.asarray(box.hi) - self._lo) / self._cell_size
-        ).astype(np.int64)
-        lo_idx = np.clip(lo_idx, 0, self.resolution - 1)
-        hi_idx = np.clip(hi_idx, 0, self.resolution - 1)
+        lo_idx = self._cells(np.asarray(box.lo))
+        hi_idx = self._cells(np.asarray(box.hi))
         return tuple(int(v) for v in lo_idx), tuple(int(v) for v in hi_idx)
 
     def cells_of_box(self, box: Box) -> Iterator[tuple[int, ...]]:
@@ -136,40 +164,13 @@ class UniformGrid(SlotPickleMixin):
         index.  Rows are box-major — all of box 0's cells (row-major
         over the overlapped cell block), then box 1's, matching a
         streaming implementation's visit order.  The expansion is pure
-        NumPy: the per-box cell blocks are enumerated by decoding a
-        mixed-radix counter over the per-axis spans.
+        NumPy (:func:`expand_cell_blocks`).
         """
         if boxes.ndim != self.ndim:
             raise ValueError("dimensionality mismatch")
-        n = len(boxes)
-        if n == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.intp),
-            )
-        res = self.resolution
-        lo_idx = np.floor((boxes.lo - self._lo) / self._cell_size).astype(np.int64)
-        hi_idx = np.floor((boxes.hi - self._lo) / self._cell_size).astype(np.int64)
-        for idx in (lo_idx, hi_idx):
-            np.maximum(idx, 0, out=idx)
-            np.minimum(idx, res - 1, out=idx)
-        spans = hi_idx - lo_idx + 1
-        members, rem = expand_counts(column_product(spans), dtype=np.int64)
-        members = members.astype(np.intp, copy=False)
-        # One row gather per side; the axis loop then slices columns.
-        lo_idx = np.take(lo_idx, members, axis=0)
-        spans = np.take(spans, members, axis=0)
-        # Decode the within-box counter last-axis-fastest (row-major),
-        # folding each axis's coordinate straight into the flat id.
-        cells = np.zeros(len(members), dtype=np.int64)
-        weight = 1
-        for axis in range(self.ndim - 1, -1, -1):
-            radix = spans[:, axis]
-            coord = lo_idx[:, axis] + rem % radix
-            rem //= radix
-            cells += coord * weight
-            weight *= res
-        return cells, members
+        return expand_cell_blocks(
+            self._cells(boxes.lo), self._cells(boxes.hi), self.resolution
+        )
 
     def assign(self, boxes: BoxArray) -> dict[int, list[int]]:
         """Multiple-assignment of boxes to cells.

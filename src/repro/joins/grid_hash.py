@@ -28,12 +28,13 @@ work a real implementation does.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
-from repro.index.grid import UniformGrid
+from repro.index.grid import UniformGrid, expand_cell_blocks
 from repro.vectorize import (
     boxes_overlap,
     chunked_blocks,
@@ -48,6 +49,10 @@ from repro.vectorize import (
 #: ``len(build)``); buckets are then binary-searched, which needs no
 #: memory for empty cells.
 _DIRECTORY_CELLS_PER_ROW = 8
+
+#: Candidate tests expanded at once: a segmented launch then holds no
+#: larger intermediates than one large page group did on its own.
+_CANDIDATE_BLOCK = 1 << 14
 
 
 def default_resolution(n: int, ndim: int) -> int:
@@ -115,10 +120,29 @@ def grid_hash_join(
         b_cells = np.take(b_cells, order)
         start = np.searchsorted(b_cells, p_cells, side="left")
         counts = np.searchsorted(b_cells, p_cells, side="right") - start
-    tests = int(counts.sum())
+    pairs = _report_candidates(
+        build, probe, b_members, start, counts, p_cells, p_members,
+        lambda ref, _: grid.flat_ids(grid.cells_of_points(ref)),
+    )
+    return pairs, int(counts.sum())
 
+
+def _report_candidates(
+    build: BoxArray,
+    probe: BoxArray,
+    b_members: np.ndarray,
+    start: np.ndarray,
+    counts: np.ndarray,
+    p_cells: np.ndarray,
+    p_members: np.ndarray,
+    cell_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The candidate block loop of both kernels: probe assignment row
+    ``k`` meets ``b_members[start[k]:start[k] + counts[k]]``, and
+    ``cell_of(points, probe_boxes)`` is each point's flat cell id on the
+    grid of the probe box it belongs to."""
     out: list[np.ndarray] = []
-    for block_lo, block_hi in chunked_blocks(counts):
+    for block_lo, block_hi in chunked_blocks(counts, _CANDIDATE_BLOCK):
         entry, within = expand_counts(counts[block_lo:block_hi])
         entry += block_lo
         if entry.size:
@@ -140,16 +164,117 @@ def grid_hash_join(
                     np.take(build.lo, cand, axis=0),
                     np.take(probe.lo, pj, axis=0),
                 )
-                keep = grid.flat_ids(grid.cells_of_points(ref)) == (
-                    p_cells[entry[hit]]
-                )
+                keep = cell_of(ref, pj) == p_cells[entry[hit]]
                 if keep.any():
                     out.append(
                         np.column_stack((cand[keep], pj[keep]))
                     )
     if not out:
-        return np.empty((0, 2), dtype=np.intp), tests
-    return np.concatenate(out), tests
+        return np.empty((0, 2), dtype=np.intp)
+    return np.concatenate(out)
+
+
+def _segment_offsets(offsets: np.ndarray, rows: int) -> np.ndarray:
+    cuts = np.asarray(offsets, dtype=np.intp)
+    if cuts.ndim != 1 or cuts.size < 2 or cuts[0] != 0 or cuts[-1] != rows:
+        raise ValueError(f"segment offsets must run from 0 to {rows}")
+    if np.any(np.diff(cuts) <= 0):
+        raise ValueError("segment offsets must ascend: no empty segment")
+    return cuts
+
+
+@vectorized_kernel
+def grid_hash_join_segments(
+    build: BoxArray,
+    probe: BoxArray,
+    build_offsets: np.ndarray,
+    probe_offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Many independent grid hash joins as one launch.
+
+    Segment ``s`` joins ``build[bo[s]:bo[s + 1]]`` with
+    ``probe[po[s]:po[s + 1]]`` on a grid of its own, as
+    :func:`grid_hash_join` would; cell ids are offset by the cells of
+    the segments before, so one sort and one directory serve them all.
+    Returns global ``(build_row, probe_row)`` pairs in the order the
+    per-segment calls would emit them, each pair's segment and every
+    segment's test count — the same float operations per row, so equal
+    to :func:`grid_hash_join_segments_reference` byte for byte.
+    """
+    if build.ndim != probe.ndim:
+        raise ValueError("dimensionality mismatch")
+    bo = _segment_offsets(build_offsets, len(build))
+    po = _segment_offsets(probe_offsets, len(probe))
+    if len(bo) != len(po):
+        raise ValueError("build and probe offsets name different segments")
+    ndim = build.ndim
+    res = np.array([default_resolution(n, ndim) for n in np.diff(bo).tolist()])
+    first_cell = np.cumsum(res**ndim) - res**ndim
+    num_cells = int(first_cell[-1] + res[-1] ** ndim)
+    # Every segment's grid, laid out as ``UniformGrid`` does.
+    sides = (build, bo), (probe, po)
+    lo = np.minimum(*(np.minimum.reduceat(x.lo, c[:-1]) for x, c in sides))
+    hi = np.maximum(*(np.maximum.reduceat(x.hi, c[:-1]) for x, c in sides))
+    size = np.where(hi - lo <= 0.0, 1.0, hi - lo) / res[:, None]
+
+    def cells_of(points: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        scaled = points - np.take(lo, seg, axis=0)
+        scaled /= np.take(size, seg, axis=0)
+        idx = np.floor(scaled).astype(np.int64)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, np.take(res, seg)[:, None] - 1, out=idx)
+        return idx
+
+    def assign(boxes: BoxArray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
+        seg = np.repeat(np.arange(len(res)), np.diff(cuts))
+        cells, members = expand_cell_blocks(
+            cells_of(boxes.lo, seg), cells_of(boxes.hi, seg), np.take(res, seg)
+        )
+        cells += np.take(first_cell, np.take(seg, members))
+        return cells, members, seg
+
+    b_cells, b_members, b_seg = assign(build, bo)
+    p_cells, p_members, p_seg = assign(probe, po)
+
+    def cell_of(points: np.ndarray, probe_boxes: np.ndarray) -> np.ndarray:
+        seg = np.take(p_seg, probe_boxes)
+        idx = cells_of(points, seg)
+        row_res = np.take(res, seg)
+        flat = idx[:, 0]
+        for axis in range(1, ndim):
+            flat = flat * row_res + idx[:, axis]
+        return flat + np.take(first_cell, seg)
+
+    if num_cells > _DIRECTORY_CELLS_PER_ROW * (len(b_cells) + len(p_cells)):
+        # Too fine for a directory; only ``grid_hash_join`` can search.
+        return grid_hash_join_segments_reference(build, probe, bo, po)
+    # Stable, so every bucket lists its members in ascending order.
+    b_members = np.take(b_members, np.argsort(b_cells, kind="stable"))
+    population = np.bincount(b_cells, minlength=num_cells)
+    counts = np.take(population, p_cells)
+    start = np.take(np.cumsum(population), p_cells) - counts
+    pairs = _report_candidates(
+        build, probe, b_members, start, counts, p_cells, p_members, cell_of
+    )
+    # Every probe box has an assignment row, so no segment's run is empty.
+    tests = np.add.reduceat(counts, np.searchsorted(p_members, po[:-1]))
+    return pairs, np.take(b_seg, pairs[:, 0]), tests
+
+
+def grid_hash_join_segments_reference(
+    build: BoxArray,
+    probe: BoxArray,
+    build_offsets: np.ndarray,
+    probe_offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One :func:`grid_hash_join` call per segment: what the segmented
+    kernel must equal, and its fallback where it builds no directory."""
+    slices = zip(build.split(build_offsets), probe.split(probe_offsets))
+    hits, tests = zip(*(grid_hash_join(b, p) for b, p in slices))
+    firsts = zip(build_offsets, probe_offsets)
+    pairs = np.concatenate([hit + first for hit, first in zip(hits, firsts)])
+    segments = np.repeat(np.arange(len(hits)), [len(hit) for hit in hits])
+    return pairs, segments, np.array(tests)
 
 
 def grid_hash_join_reference(

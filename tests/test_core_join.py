@@ -1,15 +1,22 @@
 """End-to-end tests for the TRANSFORMERS adaptive join."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import TransformersConfig, TransformersJoin
+from repro.core import join as core_join
 from repro.core.join import _Driver
 from repro.datagen import scaled_space, uniform_dataset
+from repro.joins import grid_hash
 from repro.joins.base import Dataset
 from repro.geometry.boxes import BoxArray
+from repro.storage.buffer import BufferPool
 
+from tests import test_core_counters_golden as golden
 from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
 
@@ -261,3 +268,113 @@ class TestDriverInternals:
         few, many = sorted(counts)
         assert many >= 4 * few
         assert counts[many] == counts[few] <= 3
+
+
+class TestComparisonQueue:
+    """The in-memory comparisons are queued and launched in bounded
+    batches; nothing the simulated counters see may notice."""
+
+    @staticmethod
+    def indexes(case):
+        algo, disk = TransformersJoin(), make_disk()
+        a, b = golden._pair(case)
+        index_a, _ = algo.build_index(disk, a)
+        index_b, _ = algo.build_index(disk, b)
+        return algo, index_a, index_b
+
+    @pytest.mark.parametrize("case", ["uniform_3d", "massive_3d"])
+    @pytest.mark.parametrize("budget", [None, 2_000])
+    def test_launches_are_bounded_by_the_row_budget(
+        self, monkeypatch, case, budget
+    ):
+        """Counted, not timed: one launch per pivot was 48 / 30+ here."""
+        if budget is None:
+            budget = core_join._QUEUE_ROW_BUDGET
+        monkeypatch.setattr(core_join, "_QUEUE_ROW_BUDGET", budget)
+        launches, single = [], []
+        segmented, one = core_join.grid_hash_join_segments, grid_hash.grid_hash_join
+
+        def spy_segments(build, probe, build_offsets, probe_offsets):
+            last_group = int(build_offsets[-1] - build_offsets[-2]) + int(
+                probe_offsets[-1] - probe_offsets[-2]
+            )
+            launches.append((len(build) + len(probe), last_group))
+            return segmented(build, probe, build_offsets, probe_offsets)
+
+        monkeypatch.setattr(core_join, "grid_hash_join_segments", spy_segments)
+        monkeypatch.setattr(
+            grid_hash,
+            "grid_hash_join",
+            lambda *args: single.append(1) or one(*args),
+        )
+        algo, index_a, index_b = self.indexes(case)
+        result = algo.join(index_a, index_b)
+        assert result.stats.intersection_tests == (
+            golden.GOLDEN[case]["intersection_tests"]
+        )
+        queued = sum(rows for rows, _ in launches)
+        assert queued > 0 and not single
+        assert len(launches) <= -(-queued // budget) + 1
+        # Never more than the budget plus the group that passed it.
+        assert all(rows - last < budget for rows, last in launches)
+
+    @pytest.mark.parametrize("case", golden.CASES)
+    def test_counters_are_python_ints_after_several_flushes(
+        self, monkeypatch, case
+    ):
+        monkeypatch.setattr(core_join, "_QUEUE_ROW_BUDGET", 1_500)
+        flushes = []
+        flush = _Driver._flush_queue
+        monkeypatch.setattr(
+            _Driver,
+            "_flush_queue",
+            lambda self: flushes.append(len(self.queue)) or flush(self),
+        )
+        algo, index_a, index_b = self.indexes(case)
+        result = algo.join(index_a, index_b)
+        assert sum(1 for groups in flushes if groups) > 1
+        stats = result.stats
+        assert type(stats.intersection_tests) is int
+        assert type(stats.pairs_found) is int
+        json.dumps(stats.as_dict())
+        # Where the queue is cut changes nothing that is reported.
+        expected = golden.GOLDEN[case]
+        assert stats.intersection_tests == expected["intersection_tests"]
+        assert (
+            hashlib.sha256(result.pairs.tobytes()).hexdigest()
+            == expected["pairs_sha256"]
+        )
+
+    #: SHA-256 of the ``(pool, page id)`` sequence of every
+    #: ``BufferPool.read`` of one join — pool 0 the metadata pool, pool 1
+    #: the data pool — recorded at commit b431049, where each page group
+    #: was joined as soon as it was read.
+    READ_SEQUENCES = {
+        "uniform_3d": (
+            870,
+            "704b2f9c10fff95731377d4815e2962358b6418ce5f5f9a464fedc48feccbc9e",
+        ),
+        "massive_3d": (
+            762,
+            "11b7bced787e8afb729e87e11351033c39be5633eac1ff8427d6e17287a1e55d",
+        ),
+        "massive_2d": (
+            402,
+            "59ff88dc6b87dab67929dad40d9f96b49060dac113c7bab5f7ca7fb935077f83",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", golden.CASES)
+    def test_page_read_sequence_is_the_recorded_one(self, monkeypatch, case):
+        algo, index_a, index_b = self.indexes(case)
+        reads, pools = [], {}
+        read = BufferPool.read
+
+        def spy(pool, page_id):
+            reads.append((pools.setdefault(id(pool), len(pools)), int(page_id)))
+            return read(pool, page_id)
+
+        monkeypatch.setattr(BufferPool, "read", spy)
+        algo.join(index_a, index_b)
+        digest = hashlib.sha256(json.dumps(reads).encode()).hexdigest()
+        assert (len(reads), digest) == self.READ_SEQUENCES[case]

@@ -33,7 +33,12 @@ from repro.datagen import (
 from repro.geometry.boxes import BoxArray
 from repro.index.grid import UniformGrid
 from repro.joins import grid_hash
-from repro.joins.grid_hash import grid_hash_join, grid_hash_join_reference
+from repro.joins.grid_hash import (
+    grid_hash_join,
+    grid_hash_join_reference,
+    grid_hash_join_segments,
+    grid_hash_join_segments_reference,
+)
 from repro.vectorize import all_columns, boxes_overlap, column_product
 
 
@@ -231,6 +236,146 @@ class TestBucketLookUp:
         build, probe = build.take(range(30)), probe.take(range(30))
         # 64**3 cells for 60 boxes: no directory is allocated.
         assert self.run(monkeypatch, build, probe, 64) == []
+
+
+# ----------------------------------------------------------------------
+# The segmented kernel
+# ----------------------------------------------------------------------
+@st.composite
+def _segment_sets(draw):
+    """Segments on a lattice (touching faces are common), each at its
+    own place and scale, optionally one box wide or flat on an axis."""
+    ndim = draw(st.integers(1, 4))
+    flat_axis = draw(st.one_of(st.none(), st.integers(0, ndim - 1)))
+    sides = ([], []), ([], [])
+    sizes = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.sampled_from([0.125, 1.0, 3.0, 4096.0]))
+        origin = rng.integers(-4, 5, size=ndim) * scale
+        one_box = draw(st.booleans())
+        for side, (los, his) in enumerate(sides):
+            n = 1 if one_box and side == 0 else draw(st.integers(1, 24))
+            lo = origin + rng.integers(0, 9, size=(n, ndim)) * scale
+            hi = lo + rng.integers(0, 4, size=(n, ndim)) * scale
+            if flat_axis is not None:
+                lo[:, flat_axis] = hi[:, flat_axis] = 2.0
+            los.append(lo)
+            his.append(hi)
+            sizes[side].append(n)
+    (b_lo, b_hi), (p_lo, p_hi) = sides
+    return (
+        BoxArray(np.concatenate(b_lo), np.concatenate(b_hi)),
+        BoxArray(np.concatenate(p_lo), np.concatenate(p_hi)),
+        np.cumsum([0] + sizes[0]),
+        np.cumsum([0] + sizes[1]),
+    )
+
+
+def _assert_same_arrays(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert g.dtype == e.dtype
+        assert g.shape == e.shape
+        assert g.tobytes() == e.tobytes()
+
+
+class TestSegmentedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_segment_sets())
+    def test_equals_one_grid_hash_join_per_segment_byte_for_byte(
+        self, segment_set
+    ):
+        """Pair bytes, dtype, order, segments and per-segment tests."""
+        _assert_same_arrays(
+            grid_hash_join_segments(*segment_set),
+            grid_hash_join_segments_reference(*segment_set),
+        )
+
+    @pytest.mark.parametrize(
+        "launch", [grid_hash_join_segments, grid_hash_join_segments_reference]
+    )
+    def test_the_recorded_cases_as_segments_of_one_launch(self, launch):
+        """Segments of very different size and extent: each one's rows
+        are the bytes recorded for ``grid_hash_join`` on it alone."""
+        names = ("uniform_3d", "massive_3d", "single_build", "uniform_3d")
+        cases = [_kernel_cases()[name] for name in names]
+        build_offsets = np.cumsum([0] + [len(b) for b, _ in cases])
+        probe_offsets = np.cumsum([0] + [len(p) for _, p in cases])
+        pairs, segments, tests = launch(
+            BoxArray.concatenate([b for b, _ in cases]),
+            BoxArray.concatenate([p for _, p in cases]),
+            build_offsets,
+            probe_offsets,
+        )
+        assert np.all(np.diff(segments) >= 0)
+        for s, name in enumerate(names):
+            local = pairs[segments == s] - (build_offsets[s], probe_offsets[s])
+            assert {
+                "pairs_sha256": _sha(local),
+                "dtype": str(local.dtype),
+                "shape": list(local.shape),
+                "tests": int(tests[s]),
+            } == GOLDEN["kernel"][name]
+
+    def test_grids_too_fine_for_a_directory_go_segment_by_segment(
+        self, monkeypatch
+    ):
+        """Five dimensions, two points against one per segment: 32 cells
+        each for three assignment rows.  The per-segment loop owns the
+        one guard."""
+        points = np.random.default_rng(7).integers(0, 6, size=(12, 5))
+        build = BoxArray(points, points)
+        probe = build.take(range(0, 12, 2))
+        offsets = np.arange(0, 13, 2), np.arange(7)
+        calls = []
+        fallback = grid_hash.grid_hash_join_segments_reference
+        monkeypatch.setattr(
+            grid_hash,
+            "grid_hash_join_segments_reference",
+            lambda *args: calls.append(1) or fallback(*args),
+        )
+        monkeypatch.setattr(
+            grid_hash.np,
+            "bincount",
+            lambda *args, **kwargs: pytest.fail("a directory was built"),
+        )
+        pairs, segments, tests = grid_hash_join_segments(build, probe, *offsets)
+        assert calls == [1]
+        # Every probe point is its segment's first build point.
+        own = np.column_stack((np.arange(0, 12, 2), np.arange(6)))
+        assert set(map(tuple, own)) <= set(map(tuple, pairs))
+        assert (pairs[:, 0] // 2 == segments).all()
+        assert (pairs[:, 1] == segments).all()
+        assert len(tests) == 6 and set(tests.tolist()) <= {1, 2}
+
+    @pytest.mark.parametrize(
+        "build_offsets, probe_offsets",
+        [
+            ([1, 4, 8], [0, 3, 6]),  # does not start at 0
+            ([0, 4, 7], [0, 3, 6]),  # does not cover the input
+            ([0, 4, 8], [0, 3, 9]),  # runs past the input
+            ([0, 5, 4, 8], [0, 2, 3, 6]),  # descends
+            ([0, 4, 4, 8], [0, 2, 3, 6]),  # an empty build segment
+            ([0, 4, 6, 8], [0, 3, 3, 6]),  # an empty probe segment
+            ([0, 4, 8], [0, 6]),  # different segment counts
+            ([0], [0]),  # no segment
+            ([[0, 8]], [[0, 6]]),  # not one-dimensional
+        ],
+    )
+    def test_offsets_that_do_not_partition_the_inputs_raise(
+        self, build_offsets, probe_offsets
+    ):
+        build, probe = _kernel_cases()["uniform_3d"]
+        build, probe = build.take(range(8)), probe.take(range(6))
+        with pytest.raises(ValueError, match="offsets"):
+            grid_hash_join_segments(build, probe, build_offsets, probe_offsets)
+
+    def test_dimensionality_mismatch_raises(self):
+        build, probe = _kernel_cases()["uniform_3d"]
+        with pytest.raises(ValueError, match="dimensionality"):
+            grid_hash_join_segments(
+                build, _flat(probe, slice(0, 2)), [0, len(build)], [0, len(probe)]
+            )
 
 
 # ----------------------------------------------------------------------
