@@ -59,6 +59,7 @@ from repro.core.descriptors import (
 )
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage, element_page_capacity
+from repro.vectorize import column_max, columns
 
 
 class TransformersIndex:
@@ -143,8 +144,8 @@ def build_transformers_index(
     ids = dataset.ids[order]
     lo = dataset.boxes.lo[order]
     hi = dataset.boxes.hi[order]
-    u_page_lo = np.minimum.reduceat(lo, offsets[:-1], axis=0)
-    u_page_hi = np.maximum.reduceat(hi, offsets[:-1], axis=0)
+    u_page_lo = columns(np.minimum.reduceat(columns(lo), offsets[:-1], axis=1))
+    u_page_hi = columns(np.maximum.reduceat(columns(hi), offsets[:-1], axis=1))
     u_counts = np.diff(offsets).astype(np.int64)
     u_element_pages = np.array(
         [
@@ -232,7 +233,7 @@ def build_transformers_index(
         element_counts=element_counts,
     )
     max_extent = (
-        dataset.boxes.extents().max(axis=0)
+        column_max(dataset.boxes.extents())
         if len(dataset) > 0
         else np.zeros(ndim)
     )

@@ -43,7 +43,7 @@ in the result's ``extras``.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import TypeVar
 
 import numpy as np
@@ -98,15 +98,15 @@ def _cross_hits(
 
 
 def _one_run(
-    groups: list[list[ElementPage]],
+    groups: Sequence[list[ElementPage]], rows: Sequence[int]
 ) -> tuple[IntArray, BoxArray, IntArray]:
-    """Page groups as one run: its ids, its boxes, the groups' offsets."""
+    """Page groups of ``rows[k]`` rows each as one run: its ids, its
+    boxes, the groups' offsets."""
     pages = [page for group in groups for page in group]
-    rows = [sum(map(len, group)) for group in groups]
     return (
         np.concatenate([page.ids for page in pages]),
         BoxArray.concatenate([page.boxes for page in pages]),
-        np.cumsum([0] + rows),
+        np.cumsum([0, *rows]),
     )
 
 
@@ -221,8 +221,11 @@ class _Driver:
         #: Last walk position per dataset (when it acted as follower).
         self.walk_pos: list[int | None] = [None, None]
         self.guide = 0
-        #: Comparisons not yet run: (guide pages, follower pages, guide).
-        self.queue: list[tuple[list[ElementPage], list[ElementPage], int]] = []
+        #: Comparisons not yet run: (guide pages, follower pages, guide
+        #: rows, follower rows, guide).
+        self.queue: list[
+            tuple[list[ElementPage], list[ElementPage], int, int, int]
+        ] = []
         self.queued_rows = 0
         self.out: list[IntArray] = []
         # Figure-14 attribution (simulated cost units).
@@ -514,7 +517,7 @@ class _Driver:
         rows = sum(map(len, g_pages)), sum(map(len, f_pages))
         if not all(rows):
             return
-        self.queue.append((g_pages, f_pages, self.guide))
+        self.queue.append((g_pages, f_pages, *rows, self.guide))
         self.queued_rows += sum(rows)
         if self.queued_rows >= _QUEUE_ROW_BUDGET:
             self._flush_queue()
@@ -524,12 +527,13 @@ class _Driver:
         oriented as (id from A, id from B)."""
         if not self.queue:
             return
-        g_ids, g_boxes, g_cuts = _one_run([g for g, _, _ in self.queue])
-        f_ids, f_boxes, f_cuts = _one_run([f for _, f, _ in self.queue])
+        g_pages, f_pages, g_rows, f_rows, guides = zip(*self.queue)
+        g_ids, g_boxes, g_cuts = _one_run(g_pages, g_rows)
+        f_ids, f_boxes, f_cuts = _one_run(f_pages, f_rows)
         idx, groups, tests = grid_hash_join_segments(
             g_boxes, f_boxes, g_cuts, f_cuts
         )
-        guided_by_b = np.array([guide == 1 for _, _, guide in self.queue])
+        guided_by_b = np.array(guides) == 1
         self.queue.clear()
         self.queued_rows = 0
         # ``int``: the stats are dumped as JSON and pickled between tiers.

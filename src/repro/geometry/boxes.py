@@ -22,7 +22,13 @@ import numpy as np
 
 from repro.geometry.box import Box
 from repro.geometry.slots import SlotPickleMixin
-from repro.vectorize import all_columns, boxes_overlap, column_product
+from repro.vectorize import (
+    all_columns,
+    boxes_overlap,
+    column_max,
+    column_min,
+    column_product,
+)
 
 
 class BoxArray(SlotPickleMixin):
@@ -92,17 +98,17 @@ class BoxArray(SlotPickleMixin):
     @staticmethod
     def concatenate(arrays: Sequence["BoxArray"]) -> "BoxArray":
         """Stack several arrays (of equal dimensionality) into one."""
-        arrays = [a for a in arrays if len(a) > 0]
-        if not arrays:
-            raise ValueError("concatenate needs at least one non-empty array")
-        ndim = arrays[0].ndim
+        los, his = [], []
         for a in arrays:
-            if a.ndim != ndim:
-                raise ValueError("mixed dimensionalities in concatenate")
-        return BoxArray(
-            np.concatenate([a.lo for a in arrays]),
-            np.concatenate([a.hi for a in arrays]),
-        )
+            lo = a.lo
+            if lo.shape[0]:
+                los.append(lo)
+                his.append(a.hi)
+        if not los:
+            raise ValueError("concatenate needs at least one non-empty array")
+        if len({lo.shape[1] for lo in los}) != 1:
+            raise ValueError("mixed dimensionalities in concatenate")
+        return BoxArray(np.concatenate(los), np.concatenate(his))
 
     # ------------------------------------------------------------------
     # Sequence behaviour
@@ -139,10 +145,14 @@ class BoxArray(SlotPickleMixin):
             raise ValueError("offsets must be a non-empty 1-D sequence")
         if cuts[0] < 0 or cuts[-1] > len(self) or np.any(np.diff(cuts) < 0):
             raise ValueError(f"offsets must ascend within [0, {len(self)}]")
+        new, put = object.__new__, object.__setattr__
+        lo, hi = self.lo, self.hi
+        bounds = cuts.tolist()
         parts = []
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            part = object.__new__(BoxArray)
-            part.__setstate__({"lo": self.lo[a:b], "hi": self.hi[a:b]})
+        for a, b in zip(bounds, bounds[1:]):
+            part = new(BoxArray)
+            put(part, "lo", lo[a:b])
+            put(part, "hi", hi[a:b])
             parts.append(part)
         return parts
 
@@ -165,7 +175,7 @@ class BoxArray(SlotPickleMixin):
         """Minimum bounding box of the whole collection."""
         if len(self) == 0:
             raise ValueError("empty BoxArray has no MBB")
-        return Box(tuple(self.lo.min(axis=0)), tuple(self.hi.max(axis=0)))
+        return Box(tuple(column_min(self.lo)), tuple(column_max(self.hi)))
 
     def intersects_box(self, box: Box) -> np.ndarray:
         """Boolean mask: which boxes intersect the query ``box``."""

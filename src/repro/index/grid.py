@@ -24,13 +24,11 @@ from repro.vectorize import column_product, expand_counts
 
 
 def expand_cell_blocks(
-    lo_idx: np.ndarray, hi_idx: np.ndarray, resolution: int | np.ndarray
+    lo_idx: np.ndarray, hi_idx: np.ndarray, resolution: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(cells, members)`` rows for boxes covering the inclusive cell
     blocks ``lo_idx[k] .. hi_idx[k]``, box-major and row-major inside a
     block: a mixed-radix counter over the per-axis spans, decoded.
-    ``resolution`` is one int, or an array with each box's own (the
-    segmented grid hash join lays every segment on its own grid).
     """
     spans = hi_idx - lo_idx + 1
     members, rem = expand_counts(column_product(spans), dtype=np.int64)
@@ -38,12 +36,10 @@ def expand_cell_blocks(
     # One row gather per side; the axis loop then slices columns.
     lo_idx = np.take(lo_idx, members, axis=0)
     spans = np.take(spans, members, axis=0)
-    if isinstance(resolution, np.ndarray):
-        resolution = np.take(resolution, members)
     # Decode the within-box counter last-axis-fastest (row-major),
     # folding each axis's coordinate straight into the flat id.
     cells = np.zeros(len(members), dtype=np.int64)
-    weight: int | np.ndarray = 1
+    weight = 1
     for axis in range(lo_idx.shape[1] - 1, -1, -1):
         radix = spans[:, axis]
         coord = lo_idx[:, axis] + rem % radix

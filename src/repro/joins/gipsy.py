@@ -53,7 +53,7 @@ from repro.joins.grid_hash import grid_hash_join
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage, element_page_capacity
-from repro.vectorize import boxes_overlap
+from repro.vectorize import boxes_overlap, column_max
 
 #: Approximate bytes of one space descriptor on a metadata page: two
 #: MBBs (page + partition, float32 corners), a page pointer and a
@@ -162,7 +162,7 @@ def build_partitioned_index(
         meta_page_ids[m] = disk.allocate(("descriptors", tuple(members)))
 
     max_extent = (
-        dataset.boxes.extents().max(axis=0)
+        column_max(dataset.boxes.extents())
         if len(dataset) > 0
         else np.zeros(ndim)
     )

@@ -23,21 +23,45 @@ equivalence/benchmark baseline):
 every probe-cell visit charges the full bucket population, including
 the duplicated tests multiple assignment causes, because that is the
 work a real implementation does.
+
+Two entry points, two bodies, on measurement.  A launch of
+:func:`grid_hash_join_segments` is array-sized (TRANSFORMERS queues
+≈ 16 k element rows, ≈ 36 k candidate tests) and so bandwidth-bound:
+its body is *axis-major* — inputs transposed once
+(:func:`repro.vectorize.columns`), per-axis cell indices, the
+mixed-radix counter decoded only where it is not 0 (65 % of the boxes
+lie in one cell), candidates tested an axis at a time with the
+survivors compacted in between (27 % / 7 % / 1.4 % of a join's 106 k
+are left after axis 0 / 1 / 2) — and replaying a cold n = 12 000 join's
+launches takes 11.8 ms against the row-major body's 19.9.
+:func:`grid_hash_join` is what PBSM calls per cell pair, 64 times per
+n = 3 000 join on ≈ 53 × 54 boxes, and those calls are bound by the
+*number* of NumPy calls, not by bytes: the same cells cost 300 µs each
+through the row-major body below and 408 µs as one-segment axis-major
+launches, and a dedicated axis-major single-pair twin (byte-identical,
+−45 % on an n = 3 500 pair, +7 % on the cells) cost ``serve_single``,
+where two clients share one interpreter, +5.7 % ``miss_p50_ms``,
++16.6 % ``miss_p90_ms`` and −9.9 % ``ops_per_s``.  So the single-pair
+kernel keeps its row-major body and both keep their bytes.  They
+re-unify when PBSM hands its cell pairs to the segmented kernel as one
+launch (ROADMAP B.2): no call-bound caller is left then, and
+:func:`grid_hash_join` becomes the one-segment case.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 import numpy as np
 
 from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
-from repro.index.grid import UniformGrid, expand_cell_blocks
+from repro.index.grid import UniformGrid
 from repro.vectorize import (
     boxes_overlap,
     chunked_blocks,
+    column_product,
+    columns,
     expand_counts,
     vectorized_kernel,
 )
@@ -121,8 +145,7 @@ def grid_hash_join(
         start = np.searchsorted(b_cells, p_cells, side="left")
         counts = np.searchsorted(b_cells, p_cells, side="right") - start
     pairs = _report_candidates(
-        build, probe, b_members, start, counts, p_cells, p_members,
-        lambda ref, _: grid.flat_ids(grid.cells_of_points(ref)),
+        build, probe, b_members, start, counts, p_cells, p_members, grid
     )
     return pairs, int(counts.sum())
 
@@ -135,12 +158,11 @@ def _report_candidates(
     counts: np.ndarray,
     p_cells: np.ndarray,
     p_members: np.ndarray,
-    cell_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    grid: UniformGrid,
 ) -> np.ndarray:
-    """The candidate block loop of both kernels: probe assignment row
-    ``k`` meets ``b_members[start[k]:start[k] + counts[k]]``, and
-    ``cell_of(points, probe_boxes)`` is each point's flat cell id on the
-    grid of the probe box it belongs to."""
+    """The candidate block loop of :func:`grid_hash_join`: probe
+    assignment row ``k`` (cell ``p_cells[k]`` of ``grid``) meets
+    ``b_members[start[k]:start[k] + counts[k]]``."""
     out: list[np.ndarray] = []
     for block_lo, block_hi in chunked_blocks(counts, _CANDIDATE_BLOCK):
         entry, within = expand_counts(counts[block_lo:block_hi])
@@ -164,7 +186,8 @@ def _report_candidates(
                     np.take(build.lo, cand, axis=0),
                     np.take(probe.lo, pj, axis=0),
                 )
-                keep = cell_of(ref, pj) == p_cells[entry[hit]]
+                cells = grid.flat_ids(grid.cells_of_points(ref))
+                keep = cells == p_cells[entry[hit]]
                 if keep.any():
                     out.append(
                         np.column_stack((cand[keep], pj[keep]))
@@ -198,8 +221,14 @@ def grid_hash_join_segments(
     the segments before, so one sort and one directory serve them all.
     Returns global ``(build_row, probe_row)`` pairs in the order the
     per-segment calls would emit them, each pair's segment and every
-    segment's test count — the same float operations per row, so equal
-    to :func:`grid_hash_join_segments_reference` byte for byte.
+    segment's test count — the same float operations per coordinate
+    (``x - lo``, ``/ size``, ``floor``, clamp), so equal to
+    :func:`grid_hash_join_segments_reference` byte for byte.
+
+    The body is axis-major (see the module docstring): inputs are
+    transposed once, each box's cell block comes from per-axis index
+    rows, and a candidate is tested one axis at a time, only the
+    survivors of an axis reaching the next.
     """
     if build.ndim != probe.ndim:
         raise ValueError("dimensionality mismatch")
@@ -211,40 +240,72 @@ def grid_hash_join_segments(
     res = np.array([default_resolution(n, ndim) for n in np.diff(bo).tolist()])
     first_cell = np.cumsum(res**ndim) - res**ndim
     num_cells = int(first_cell[-1] + res[-1] ** ndim)
-    # Every segment's grid, laid out as ``UniformGrid`` does.
-    sides = (build, bo), (probe, po)
-    lo = np.minimum(*(np.minimum.reduceat(x.lo, c[:-1]) for x, c in sides))
-    hi = np.maximum(*(np.maximum.reduceat(x.hi, c[:-1]) for x, c in sides))
-    size = np.where(hi - lo <= 0.0, 1.0, hi - lo) / res[:, None]
+    # Row ``k`` of every ``(d, n)`` array below is axis ``k``, contiguous.
+    # ``lo``/``size``: every segment's grid, laid out as ``UniformGrid``
+    # does.
+    b_lo, b_hi = columns(build.lo), columns(build.hi)
+    p_lo, p_hi = columns(probe.lo), columns(probe.hi)
+    lo = np.minimum(
+        np.minimum.reduceat(b_lo, bo[:-1], axis=1),
+        np.minimum.reduceat(p_lo, po[:-1], axis=1),
+    )
+    hi = np.maximum(
+        np.maximum.reduceat(b_hi, bo[:-1], axis=1),
+        np.maximum.reduceat(p_hi, po[:-1], axis=1),
+    )
+    size = np.where(hi - lo <= 0.0, 1.0, hi - lo) / res
 
     def cells_of(points: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        scaled = points - np.take(lo, seg, axis=0)
-        scaled /= np.take(size, seg, axis=0)
+        """``(d, n)`` cell indices of ``(d, n)`` points, column ``j`` on
+        the grid of segment ``seg[j]``."""
+        scaled = points - np.take(lo, seg, axis=1)
+        scaled /= np.take(size, seg, axis=1)
         idx = np.floor(scaled).astype(np.int64)
         np.maximum(idx, 0, out=idx)
-        np.minimum(idx, np.take(res, seg)[:, None] - 1, out=idx)
+        np.minimum(idx, np.take(res, seg) - 1, out=idx)
         return idx
 
-    def assign(boxes: BoxArray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
-        seg = np.repeat(np.arange(len(res)), np.diff(cuts))
-        cells, members = expand_cell_blocks(
-            cells_of(boxes.lo, seg), cells_of(boxes.hi, seg), np.take(res, seg)
-        )
-        cells += np.take(first_cell, np.take(seg, members))
-        return cells, members, seg
-
-    b_cells, b_members, b_seg = assign(build, bo)
-    p_cells, p_members, p_seg = assign(probe, po)
-
-    def cell_of(points: np.ndarray, probe_boxes: np.ndarray) -> np.ndarray:
-        seg = np.take(p_seg, probe_boxes)
-        idx = cells_of(points, seg)
+    def flat_ids(idx: np.ndarray, seg: np.ndarray) -> np.ndarray:
         row_res = np.take(res, seg)
-        flat = idx[:, 0]
+        flat = idx[0]
         for axis in range(1, ndim):
-            flat = flat * row_res + idx[:, axis]
+            flat = flat * row_res + idx[axis]
         return flat + np.take(first_cell, seg)
 
+    def assign(
+        lo_points: np.ndarray, hi_points: np.ndarray, cuts: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        seg = np.repeat(np.arange(len(res)), np.diff(cuts))
+        lo_idx = cells_of(lo_points, seg)
+        spans = cells_of(hi_points, seg)
+        spans -= lo_idx
+        spans += 1
+        count = column_product(spans.T)
+        members = np.repeat(np.arange(len(seg), dtype=np.intp), count)
+        # Every row starts at its box's low cell; the mixed-radix counter
+        # over the box's own spans is decoded, last axis fastest, only
+        # where it is not 0 (never inside a single-cell box).
+        cells = np.take(flat_ids(lo_idx, seg), members)
+        counter = np.arange(len(members)) - np.take(
+            np.cumsum(count) - count, members
+        )
+        rows = np.flatnonzero(counter)
+        rem = np.take(counter, rows)
+        box = np.take(members, rows)
+        row_res = np.take(res, np.take(seg, box))
+        step = np.zeros(len(rows), dtype=np.int64)
+        weight: int | np.ndarray = 1
+        for axis in range(ndim - 1, 0, -1):
+            radix = np.take(spans[axis], box)
+            step += (rem % radix) * weight
+            rem //= radix
+            weight = weight * row_res
+        step += rem * weight
+        cells[rows] += step
+        return cells, members, seg
+
+    b_cells, b_members, b_seg = assign(b_lo, b_hi, bo)
+    p_cells, p_members, p_seg = assign(p_lo, p_hi, po)
     if num_cells > _DIRECTORY_CELLS_PER_ROW * (len(b_cells) + len(p_cells)):
         # Too fine for a directory; only ``grid_hash_join`` can search.
         return grid_hash_join_segments_reference(build, probe, bo, po)
@@ -253,9 +314,30 @@ def grid_hash_join_segments(
     population = np.bincount(b_cells, minlength=num_cells)
     counts = np.take(population, p_cells)
     start = np.take(np.cumsum(population), p_cells) - counts
-    pairs = _report_candidates(
-        build, probe, b_members, start, counts, p_cells, p_members, cell_of
-    )
+
+    out: list[np.ndarray] = []
+    for block_lo, block_hi in chunked_blocks(counts, _CANDIDATE_BLOCK):
+        entry, within = expand_counts(counts[block_lo:block_hi])
+        entry += block_lo
+        cand = np.take(b_members, np.take(start, entry) + within)
+        pj = np.take(p_members, entry)
+        # One axis at a time over the survivors of the axes before.
+        for axis in range(ndim):
+            hit = np.take(b_lo[axis], cand) <= np.take(p_hi[axis], pj)
+            hit &= np.take(b_hi[axis], cand) >= np.take(p_lo[axis], pj)
+            live = np.flatnonzero(hit)
+            cand, pj, entry = (np.take(x, live) for x in (cand, pj, entry))
+        if cand.size:
+            # Reference-point deduplication: report only from the cell
+            # holding the low corner of the pairwise intersection.
+            ref = np.maximum(
+                np.take(b_lo, cand, axis=1), np.take(p_lo, pj, axis=1)
+            )
+            seg = np.take(p_seg, pj)
+            keep = flat_ids(cells_of(ref, seg), seg) == np.take(p_cells, entry)
+            if keep.any():
+                out.append(np.column_stack((cand[keep], pj[keep])))
+    pairs = np.concatenate(out) if out else np.empty((0, 2), dtype=np.intp)
     # Every probe box has an assignment row, so no segment's run is empty.
     tests = np.add.reduceat(counts, np.searchsorted(p_members, po[:-1]))
     return pairs, np.take(b_seg, pairs[:, 0]), tests

@@ -35,6 +35,7 @@ import numpy as np
 from repro._types import AnyArray, FloatArray, IntArray
 
 from repro.joins.base import Dataset
+from repro.vectorize import column_max, column_min
 
 if TYPE_CHECKING:
     # Runtime import would be cyclic: repro.streaming.delta imports
@@ -118,8 +119,8 @@ class DatasetSketch:
                 counts=_frozen(np.zeros(1, dtype=np.int64)),
             )
         boxes = dataset.boxes
-        lo = boxes.lo.min(axis=0)
-        hi = boxes.hi.max(axis=0)
+        lo = column_min(boxes.lo)
+        hi = column_max(boxes.hi)
         avg_extent = (boxes.hi - boxes.lo).mean(axis=0)
         res = resolution if resolution is not None else _grid_resolution(n, ndim)
         res = max(1, int(res))
@@ -215,8 +216,8 @@ class DatasetSketch:
         ):
             return DatasetSketch.build(after, heavy_factor=heavy_factor)
         boxes = after.boxes
-        lo = boxes.lo.min(axis=0)
-        hi = boxes.hi.max(axis=0)
+        lo = column_min(boxes.lo)
+        hi = column_max(boxes.hi)
         if not (
             np.array_equal(lo, self.lo) and np.array_equal(hi, self.hi)
         ):

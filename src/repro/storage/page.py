@@ -65,11 +65,14 @@ class ElementPage(SlotPickleMixin):
         The run is validated once, as one page; the pages are read-only
         views of it.
         """
-        run = ElementPage(ids, boxes)
+        run_ids = ElementPage(ids, boxes).ids
+        new, put = object.__new__, object.__setattr__
+        bounds = np.asarray(offsets).tolist()
         pages = []
-        for a, part in zip(np.asarray(offsets).tolist(), boxes.split(offsets)):
-            page = object.__new__(ElementPage)
-            page.__setstate__({"ids": run.ids[a : a + len(part)], "boxes": part})
+        for a, b, part in zip(bounds, bounds[1:], boxes.split(offsets)):
+            page = new(ElementPage)
+            put(page, "ids", run_ids[a:b])
+            put(page, "boxes", part)
             pages.append(page)
         return pages
 

@@ -39,7 +39,14 @@ from repro.joins.grid_hash import (
     grid_hash_join_segments,
     grid_hash_join_segments_reference,
 )
-from repro.vectorize import all_columns, boxes_overlap, column_product
+from repro.vectorize import (
+    all_columns,
+    boxes_overlap,
+    column_max,
+    column_min,
+    column_product,
+    columns,
+)
 
 
 def _flat(boxes: BoxArray, axes: slice) -> BoxArray:
@@ -279,6 +286,105 @@ def _assert_same_arrays(got, expected):
         assert g.tobytes() == e.tobytes()
 
 
+def _cells_per_box(boxes, other, build_rows):
+    """Cells each box is assigned to on the grid its segment gets."""
+    grid = UniformGrid(
+        boxes.mbb().union(other.mbb()),
+        grid_hash.default_resolution(build_rows, boxes.ndim),
+    )
+    return np.bincount(grid.assign_entries(boxes)[1])
+
+
+def _lattice_segments(ndim, build_sizes, probe_sizes, extent):
+    """Segments of boxes ``extent(rng, n)`` wide with lattice corners."""
+    rng = np.random.default_rng(ndim)
+    sides = []
+    for sizes in (build_sizes, probe_sizes):
+        n = sum(sizes)
+        lo = rng.integers(0, 12, size=(n, ndim)).astype(np.float64)
+        sides.append(BoxArray(lo, lo + extent(rng, (n, ndim))))
+    return (
+        *sides,
+        np.cumsum([0, *build_sizes]),
+        np.cumsum([0, *probe_sizes]),
+    )
+
+
+def _each_segment(segment_set):
+    build, probe, bo, po = segment_set
+    return zip(build.split(bo), probe.split(po))
+
+
+def _cell_count_extreme(extent, holds):
+    """Boxes ``extent`` wide whose cells-per-box counts all ``holds``."""
+
+    def case(ndim):
+        segment_set = _lattice_segments(
+            ndim, [27, 64, 8], [40, 9, 30], lambda rng, shape: extent
+        )
+
+        def check(segment_set, pairs, segments, tests):
+            for build, probe in _each_segment(segment_set):
+                assert holds(_cells_per_box(build, probe, len(build)))
+                assert holds(_cells_per_box(probe, build, len(build)))
+            assert len(pairs)
+
+        return segment_set, check
+
+    return case
+
+
+def _nothing_survives_axis_0(ndim):
+    """Build and probe boxes share cells and are disjoint on axis 0 (a
+    far probe box stretches each grid, so axis 0 has one crowded cell)."""
+    build, probe, bo, po = _lattice_segments(
+        ndim, [16, 9, 30], [20, 12, 7], lambda rng, shape: rng.random(shape)
+    )
+    b_lo, b_hi = build.lo.copy(), build.hi.copy()
+    p_lo, p_hi = probe.lo.copy(), probe.hi.copy()
+    b_lo[:, 0], b_hi[:, 0] = 0.0, 1.0
+    p_lo[:, 0], p_hi[:, 0] = 2.0, 3.0
+    p_lo[po[:-1], 0], p_hi[po[:-1], 0] = 900.0, 901.0
+    segment_set = BoxArray(b_lo, b_hi), BoxArray(p_lo, p_hi), bo, po
+
+    def check(segment_set, pairs, segments, tests):
+        assert tests.min() > 0 and pairs.shape == (0, 2)
+
+    return segment_set, check
+
+
+def _everything_survives_every_axis(ndim):
+    """Every box is its segment's whole extent: each candidate passes
+    each axis and only the reference point thins the duplicates."""
+    build, probe, bo, po = _lattice_segments(
+        ndim, [8, 27, 3], [5, 4, 9], lambda rng, shape: 0.0
+    )
+    one = np.ones_like
+    segment_set = (
+        BoxArray(0.0 * build.lo, 6.0 * one(build.hi)),
+        BoxArray(0.0 * probe.lo, 6.0 * one(probe.hi)),
+        bo,
+        po,
+    )
+
+    def check(segment_set, pairs, segments, tests):
+        sizes = np.diff(bo) * np.diff(po)
+        assert np.array_equal(np.bincount(segments), sizes)
+        assert (tests > sizes)[np.diff(bo) > 3].all()
+
+    return segment_set, check
+
+
+_EXTREMES = {
+    # Points: the mixed-radix counter is 0 on every assignment row.
+    "all_single_cell": _cell_count_extreme(0.0, lambda n: n.max() == 1),
+    # Every box is wider than a cell of its grid: no row is skipped.
+    "all_multi_cell": _cell_count_extreme(12.0, lambda n: n.min() > 1),
+    "nothing_survives_axis_0": _nothing_survives_axis_0,
+    "everything_survives_every_axis": _everything_survives_every_axis,
+}
+
+
 class TestSegmentedKernel:
     @settings(max_examples=300, deadline=None)
     @given(_segment_sets())
@@ -347,6 +453,47 @@ class TestSegmentedKernel:
         assert (pairs[:, 0] // 2 == segments).all()
         assert (pairs[:, 1] == segments).all()
         assert len(tests) == 6 and set(tests.tolist()) <= {1, 2}
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(_EXTREMES))
+    def test_the_extremes_of_decode_and_compaction_equal_the_twin(
+        self, name, ndim
+    ):
+        segment_set, check = _EXTREMES[name](ndim)
+        got = grid_hash_join_segments(*segment_set)
+        _assert_same_arrays(
+            got, grid_hash_join_segments_reference(*segment_set)
+        )
+        check(segment_set, *got)
+
+    def test_one_dimension(self):
+        rng = np.random.default_rng(11)
+        lo = rng.integers(0, 40, size=(90, 1)).astype(np.float64)
+        build = BoxArray(lo, lo + rng.integers(0, 6, size=(90, 1)))
+        probe = build.take(rng.permutation(90)[:70])
+        segment_set = build, probe, [0, 1, 30, 90], [0, 25, 26, 70]
+        pairs, segments, tests = grid_hash_join_segments(*segment_set)
+        _assert_same_arrays(
+            (pairs, segments, tests),
+            grid_hash_join_segments_reference(*segment_set),
+        )
+        assert len(pairs) and tests.min() > 0
+
+    def test_block_edges_never_reorder_pairs(self, monkeypatch):
+        """Seven candidate tests per block instead of 16 384: the same
+        bytes as one block, and as the recorded digests."""
+        rng = np.random.default_rng(5)
+        lo = rng.integers(0, 12, size=(120, 3)).astype(np.float64)
+        build = BoxArray(lo, lo + rng.integers(0, 5, size=(120, 3)))
+        probe = build.take(rng.permutation(120)[:100])
+        segment_set = build, probe, [0, 40, 41, 120], [0, 30, 70, 100]
+        expected = grid_hash_join_segments_reference(*segment_set)
+        assert len(expected[0]) > 7
+        monkeypatch.setattr(grid_hash, "_CANDIDATE_BLOCK", 7)
+        _assert_same_arrays(grid_hash_join_segments(*segment_set), expected)
+        self.test_the_recorded_cases_as_segments_of_one_launch(
+            grid_hash_join_segments
+        )
 
     @pytest.mark.parametrize(
         "build_offsets, probe_offsets",
@@ -451,6 +598,75 @@ class TestBoxesOverlap:
         )
         mask = values > 0.0
         assert np.array_equal(all_columns(mask), np.all(mask, axis=1))
+
+
+# ----------------------------------------------------------------------
+# Bounds over contiguous columns
+# ----------------------------------------------------------------------
+@st.composite
+def _bound_inputs(draw):
+    """Lattice values (ties are common) with one special value strewn
+    in — NaN by whole rows — in one of four memory layouts."""
+    n, ndim = draw(st.integers(1, 300)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(-3, 4, size=(n, ndim)).astype(np.float64)
+    special = draw(
+        st.sampled_from([None, np.inf, -np.inf, np.nan, -0.0, "0"])
+    )
+    if special == "0":  # zeros of both signs in one column
+        values[rng.random((n, ndim)) < 0.5] = 0.0
+        values[rng.random((n, ndim)) < 0.3] = -0.0
+    elif special is not None and np.isnan(special):
+        values[rng.random(n) < 0.2] = np.nan
+    elif special is not None:
+        values[rng.random((n, ndim)) < 0.2] = special
+    layout = draw(st.sampled_from(["C", "F", "strided", "read-only"]))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":
+        wide = np.full((2 * n, 2 * ndim), 99.0)
+        wide[::2, ::2] = values
+        values = wide[::2, ::2]
+        assert not values.flags.c_contiguous or values.size == 1
+    elif layout == "read-only":
+        values.setflags(write=False)
+    return values
+
+
+class TestColumnBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(_bound_inputs())
+    def test_equal_the_axis_0_reductions_bit_for_bit(self, values):
+        zero = values == 0.0
+        both_zeros = (zero & np.signbit(values)).any(axis=0) & (
+            zero & ~np.signbit(values)
+        ).any(axis=0)
+        for helper, reduction in ((column_min, np.min), (column_max, np.max)):
+            got, expected = helper(values), reduction(values, axis=0)
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            # The one exception: where 0.0 and -0.0 tie for the extremum
+            # NumPy leaves the sign to its SIMD path, on either form
+            # (datagen never emits -0.0), so those compare with ==.
+            tied = both_zeros & (expected == 0.0)
+            assert np.array_equal(got[tied], expected[tied])
+            assert got[~tied].tobytes() == expected[~tied].tobytes()
+        assert columns(values).flags.c_contiguous
+        assert np.array_equal(columns(values), values.T, equal_nan=True)
+
+    def test_nan_propagates_as_in_the_reduction(self):
+        values = np.array([[1.0, np.nan], [np.nan, np.nan], [3.0, np.nan]])
+        for helper in (column_min, column_max):
+            assert np.isnan(helper(values)).tolist() == [True, True]
+            assert np.isnan(helper(values[::2])).tolist() == [False, True]
+
+    @pytest.mark.parametrize("helper", [column_min, column_max])
+    def test_no_rows_raise_as_the_reduction_does(self, helper):
+        empty = np.empty((0, 3))
+        with pytest.raises(ValueError, match="zero-size"):
+            empty.min(axis=0)
+        with pytest.raises(ValueError, match="zero-size"):
+            helper(empty)
 
 
 # ----------------------------------------------------------------------
