@@ -1,10 +1,11 @@
 """Paired parent-vs-change runs of the benchmark (choosing-metrics §8).
 
-    python benchmarks/paired.py PARENT_TREE CHANGE_TREE --workload W --seed S --pairs N
+    python benchmarks/paired.py PARENT_TREE CHANGE_TREE --workload W[,W2,...] --seed S --pairs N
 
 runs ``python3 -m bench --workload W --seed S --seconds 20 --trace 0`` in
-each tree, alternating which side goes first, and prints per end-to-end
-metric of ``BENCHMARK.json``: both medians with quartiles, the pairs the
+each tree, alternating which side goes first, and prints — one table per
+workload of the comma-separated list, each after its own pairs — per
+end-to-end metric of ``BENCHMARK.json``: both medians with quartiles, the pairs the
 change won (ties count for neither side) and whether the medians differ
 by more than the parent's own spread (the distance between its
 quartiles).  A gain is claimable where the change wins at least nine
@@ -65,23 +66,35 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main() -> None:
+def workload_list(text: str) -> list[str]:
+    """``"cold_skewed,cold_uniform"`` as its names, in order."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct comma-separated workload names, got {text!r}"
+        )
+    return names
+
+
+def main(argv: list[str] | None = None, run=run_once) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", type=Path, nargs=2, metavar="TREE",
                         help="the parent's checkout, then the change's")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, type=workload_list,
+                        help="one name, or several separated by commas")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     spec = json.loads((args.trees[1] / "BENCHMARK.json").read_text())
-    runs: tuple[list[dict], list[dict]] = [], []
-    for k in range(args.pairs):
-        for side in (0, 1)[:: 1 if k % 2 == 0 else -1]:
-            runs[side].append(run_once(args.trees[side], args.workload, args.seed))
-            values = {m: v["value"] for m, v in runs[side][-1]["metrics"].items()}
-            print(f"pair {k + 1} {args.trees[side]}: {values}", flush=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs")
-    print("\n".join(summarise(spec["end_to_end"], *runs)))
+    for workload in args.workload:
+        runs: tuple[list[dict], list[dict]] = [], []
+        for k in range(args.pairs):
+            for side in (0, 1)[:: 1 if k % 2 == 0 else -1]:
+                runs[side].append(run(args.trees[side], workload, args.seed))
+                values = {m: v["value"] for m, v in runs[side][-1]["metrics"].items()}
+                print(f"{workload} pair {k + 1} {args.trees[side]}: {values}", flush=True)
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs")
+        print("\n".join(summarise(spec["end_to_end"], *runs)), flush=True)
 
 
 if __name__ == "__main__":

@@ -148,10 +148,7 @@ def build_transformers_index(
     u_page_hi = columns(np.maximum.reduceat(columns(hi), offsets[:-1], axis=1))
     u_counts = np.diff(offsets).astype(np.int64)
     u_element_pages = np.array(
-        [
-            disk.allocate(page)
-            for page in ElementPage.split(ids, BoxArray(lo, hi), offsets)
-        ],
+        disk.allocate_many(ElementPage.split(ids, BoxArray(lo, hi), offsets)),
         dtype=np.int64,
     )
 

@@ -43,7 +43,8 @@ in the result's ``extras``.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
+from itertools import chain
 from typing import TypeVar
 
 import numpy as np
@@ -55,7 +56,6 @@ from repro.core.crawl import adaptive_crawl, candidate_units
 from repro.core.indexing import TransformersIndex, build_transformers_index
 from repro.core.transformations import ThresholdController
 from repro.core.walk import adaptive_walk
-from repro.geometry.boxes import BoxArray
 from repro.geometry.slots import SlotPickleMixin
 from repro.geometry.hilbert import hilbert_index_batch
 from repro.joins.base import (
@@ -95,19 +95,6 @@ def _cross_hits(
         a_lo[:, None, :], a_hi[:, None, :], b_lo[None, :, :], b_hi[None, :, :]
     )
     return hits
-
-
-def _one_run(
-    groups: Sequence[list[ElementPage]], rows: Sequence[int]
-) -> tuple[IntArray, BoxArray, IntArray]:
-    """Page groups of ``rows[k]`` rows each as one run: its ids, its
-    boxes, the groups' offsets."""
-    pages = [page for group in groups for page in group]
-    return (
-        np.concatenate([page.ids for page in pages]),
-        BoxArray.concatenate([page.boxes for page in pages]),
-        np.cumsum([0, *rows]),
-    )
 
 
 class _CheckedView(SlotPickleMixin):
@@ -339,19 +326,26 @@ class _Driver:
         )
         return result
 
-    def _read_element_page(self, page_id: int) -> ElementPage:
-        """Read a data page, attributing the cost to the join side."""
-        io_before = self.disk.stats.read_cost
-        pages_before = self.disk.stats.pages_read
-        page = self.pool.read(int(page_id))
-        delta = self.disk.stats.read_cost - io_before
-        self.data_io += delta
-        pages = self.disk.stats.pages_read - pages_before
-        self.data_pages += pages
-        self.thresholds.record_data_read(delta, pages)
-        if not isinstance(page, ElementPage):
-            raise TypeError(f"page {page_id} is not an element page")
-        return page
+    def _read_element_pages(self, page_ids: list[int]) -> list[ElementPage]:
+        """Read data pages in order, attributing each page's cost to the
+        join side as it is read: the deltas are added page by page, so
+        the float sums are the per-page ones under any disk model."""
+        stats, read = self.disk.stats, self.pool.read
+        record = self.thresholds.record_data_read
+        pages = []
+        for page_id in page_ids:
+            io_before, pages_before = stats.read_cost, stats.pages_read
+            page = read(page_id)
+            read_pages = stats.pages_read - pages_before
+            if read_pages:  # a pool hit adds 0.0 and 0: nothing to record
+                delta = stats.read_cost - io_before
+                self.data_io += delta
+                self.data_pages += read_pages
+                record(delta, read_pages)
+            if not isinstance(page, ElementPage):
+                raise TypeError(f"page {page_id} is not an element page")
+            pages.append(page)
+        return pages
 
     def _read_descriptor_page(self, page_id: int) -> None:
         """Read a metadata page (unit descriptors), cost to exploration."""
@@ -496,18 +490,12 @@ class _Driver:
         # Read surviving pages in ascending page-id order: the batch
         # join is order-independent, and STR neighbours sit on adjacent
         # pages, so sorted access turns most of these reads sequential.
-        g_pages = [
-            self._read_element_page(pid)
-            for pid in np.sort(
-                guide_idx.units.element_page_ids[g_units[g_keep]]
-            ).tolist()
-        ]
-        f_pages = [
-            self._read_element_page(pid)
-            for pid in np.sort(
-                follower_idx.units.element_page_ids[f_units[f_keep]]
-            ).tolist()
-        ]
+        g_pages = self._read_element_pages(
+            np.sort(guide_idx.units.element_page_ids[g_units[g_keep]]).tolist()
+        )
+        f_pages = self._read_element_pages(
+            np.sort(follower_idx.units.element_page_ids[f_units[f_keep]]).tolist()
+        )
         self._join_pages(g_pages, f_pages)
 
     def _join_pages(
@@ -528,10 +516,10 @@ class _Driver:
         if not self.queue:
             return
         g_pages, f_pages, g_rows, f_rows, guides = zip(*self.queue)
-        g_ids, g_boxes, g_cuts = _one_run(g_pages, g_rows)
-        f_ids, f_boxes, f_cuts = _one_run(f_pages, f_rows)
+        g_ids, g_boxes = ElementPage.gather(list(chain.from_iterable(g_pages)))
+        f_ids, f_boxes = ElementPage.gather(list(chain.from_iterable(f_pages)))
         idx, groups, tests = grid_hash_join_segments(
-            g_boxes, f_boxes, g_cuts, f_cuts
+            g_boxes, f_boxes, np.cumsum([0, *g_rows]), np.cumsum([0, *f_rows])
         )
         guided_by_b = np.array(guides) == 1
         self.queue.clear()
@@ -598,11 +586,10 @@ class _Driver:
 
         # Phase 2 — prefetch the guide pages in one sorted (sequential)
         # run; the per-unit joins below then hit the buffer pool.
-        g_page_ids = sorted(
-            guide_idx.units.element_page_ids[gu] for gu, _, _ in plan
-        )
-        for pid in g_page_ids:
-            self._read_element_page(pid)
+        g_page_ids = guide_idx.units.element_page_ids[
+            [gu for gu, _, _ in plan]
+        ].tolist()
+        self._read_element_pages(sorted(g_page_ids))
 
         # Phase 3 — determine exactly which follower pages are needed.
         # Unit-batch joins need every candidate page; element-level
@@ -611,15 +598,15 @@ class _Driver:
         # needed", Section III).
         needed_f: set[int] = set()
         element_masks: dict[int, BoolArray] = {}
+        splits = [k for k, (_, _, split) in enumerate(plan) if split]
+        split_pages = self._read_element_pages([g_page_ids[k] for k in splits])
         for gu, cand, split in plan:
             if not split:
                 needed_f.update(
                     follower_idx.units.element_page_ids[cand].tolist()
                 )
-                continue
-            g_page = self._read_element_page(
-                guide_idx.units.element_page_ids[gu]
-            )
+        for k, g_page in zip(splits, split_pages):
+            gu, cand, _ = plan[k]
             self.stats.metadata_comparisons += len(g_page) * len(cand)
             touched = _cross_hits(
                 g_page.boxes.lo,
@@ -627,31 +614,26 @@ class _Driver:
                 follower_idx.units.page_lo[cand],
                 follower_idx.units.page_hi[cand],
             ).any(axis=0)
-            element_masks[int(gu)] = touched
+            element_masks[gu] = touched
             needed_f.update(
                 follower_idx.units.element_page_ids[cand[touched]].tolist()
             )
 
         # Phase 4 — prefetch the follower pages in one sorted run.
-        for pid in sorted(needed_f):
-            self._read_element_page(pid)
+        self._read_element_pages(sorted(needed_f))
 
         # Phase 5 — join each planned unit from the warm pool.
-        for gu, cand, split in plan:
-            g_page = self._read_element_page(
-                guide_idx.units.element_page_ids[gu]
-            )
+        for (gu, cand, split), g_page_id in zip(plan, g_page_ids):
             if split:
+                (g_page,) = self._read_element_pages([g_page_id])
                 self._process_elements(
-                    g_page, follower_idx, cand[element_masks[int(gu)]]
+                    g_page, follower_idx, cand[element_masks[gu]]
                 )
             else:
-                f_pages = [
-                    self._read_element_page(pid)
-                    for pid in np.sort(
-                        follower_idx.units.element_page_ids[cand]
-                    ).tolist()
-                ]
+                f_page_ids = np.sort(follower_idx.units.element_page_ids[cand])
+                g_page, *f_pages = self._read_element_pages(
+                    [g_page_id, *f_page_ids.tolist()]
+                )
                 self._join_pages([g_page], f_pages)
 
     # ------------------------------------------------------------------
@@ -677,13 +659,12 @@ class _Driver:
             follower_idx.units.page_hi[cand_units],
         )
         # One-box groups: their grid has one cell, so the kernel tests
-        # the element against the whole page.
-        elements = ElementPage.split(
-            g_page.ids, g_page.boxes, range(len(g_page) + 1)
+        # the element against the whole page.  ``nonzero`` walks the
+        # (element, unit) hits element by element, units ascending.
+        elements = g_page.elements()
+        e_hit, u_hit = np.nonzero(hits)
+        pages = self._read_element_pages(
+            follower_idx.units.element_page_ids[cand_units[u_hit]].tolist()
         )
-        for e in np.flatnonzero(hits.any(axis=1)).tolist():
-            for u in cand_units[hits[e]]:
-                page = self._read_element_page(
-                    follower_idx.units.element_page_ids[u]
-                )
-                self._join_pages([elements[e]], [page])
+        for e, page in zip(e_hit.tolist(), pages):
+            self._join_pages([elements[e]], [page])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._types import FloatArray, IntArray
+from repro._types import IntArray
 
 from repro.core.descriptors import NodeDescriptorBlock, UnitDescriptorBlock
 from repro.core.indexing import TransformersIndex
@@ -64,19 +64,12 @@ def save_index(index: TransformersIndex, path: str) -> None:
     units = index.units
     nodes = index.nodes
 
-    # Element pages, concatenated in unit order.
-    ids_parts: list[IntArray] = []
-    lo_parts: list[FloatArray] = []
-    hi_parts: list[FloatArray] = []
-    element_offsets = np.zeros(index.num_units + 1, dtype=np.int64)
-    for t in range(index.num_units):
-        page = index.disk.peek(int(units.element_page_ids[t]))
+    # Element pages, gathered in unit order.
+    pages = [index.disk.peek(pid) for pid in units.element_page_ids.tolist()]
+    for t, page in enumerate(pages):
         if not isinstance(page, ElementPage):
             raise TypeError(f"unit {t} does not point at an element page")
-        ids_parts.append(page.ids)
-        lo_parts.append(page.boxes.lo)
-        hi_parts.append(page.boxes.hi)
-        element_offsets[t + 1] = element_offsets[t] + len(page)
+    element_ids, element_boxes = ElementPage.gather(pages)
 
     node_units_values, node_units_offsets = _ragged_to_arrays(
         [np.asarray(u, dtype=np.int64) for u in nodes.units]
@@ -98,10 +91,10 @@ def save_index(index: TransformersIndex, path: str) -> None:
         space_hi=np.asarray(index.space.hi),
         node_slack=index.node_slack,
         max_extent=index.max_extent,
-        element_ids=np.concatenate(ids_parts),
-        element_lo=np.concatenate(lo_parts),
-        element_hi=np.concatenate(hi_parts),
-        element_offsets=element_offsets,
+        element_ids=element_ids,
+        element_lo=element_boxes.lo,
+        element_hi=element_boxes.hi,
+        element_offsets=np.cumsum([0, *map(len, pages)]),
         unit_page_lo=units.page_lo,
         unit_page_hi=units.page_hi,
         unit_part_lo=units.part_lo,
@@ -151,19 +144,13 @@ def load_index(
                 "supplied disk's page size differs from the saved index's"
             )
 
-        element_offsets = data["element_offsets"]
-        element_ids = data["element_ids"]
-        element_lo = data["element_lo"]
-        element_hi = data["element_hi"]
-        n_units = len(element_offsets) - 1
-
-        element_page_ids = np.empty(n_units, dtype=np.int64)
-        for t in range(n_units):
-            s, e = element_offsets[t], element_offsets[t + 1]
-            page = ElementPage(
-                element_ids[s:e], BoxArray(element_lo[s:e], element_hi[s:e])
-            )
-            element_page_ids[t] = disk.allocate(page)
+        # One validated run; the pages are windows onto it, as built.
+        pages = ElementPage.split(
+            data["element_ids"],
+            BoxArray(data["element_lo"], data["element_hi"]),
+            data["element_offsets"],
+        )
+        element_page_ids = np.array(disk.allocate_many(pages), dtype=np.int64)
 
         units = UnitDescriptorBlock(
             page_lo=data["unit_page_lo"],

@@ -88,15 +88,13 @@ def range_query(
         index, found, e_lo, e_hi, g_lo, g_hi, stats, pool
     )
     units = candidate_units(index, nodes, e_lo, e_hi, stats, pool)
-    out: list[IntArray] = []
-    for page_id in np.sort(index.units.element_page_ids[units]).tolist():
-        page = pool.read(page_id)
+    page_ids = np.sort(index.units.element_page_ids[units]).tolist()
+    pages = pool.read_many(page_ids)
+    for page_id, page in zip(page_ids, pages):
         if not isinstance(page, ElementPage):
             raise TypeError(f"page {page_id} is not an element page")
-        stats.intersection_tests += len(page)
-        hit = boxes_overlap(page.boxes.lo, page.boxes.hi, e_lo, e_hi)
-        if hit.any():
-            out.append(page.ids[hit])
-    if not out:
+    if not pages:
         return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(out))
+    ids, boxes = ElementPage.gather(pages)  # type: ignore[arg-type]
+    stats.intersection_tests += len(ids)
+    return np.sort(ids[boxes_overlap(boxes.lo, boxes.hi, e_lo, e_hi)])

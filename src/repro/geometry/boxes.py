@@ -31,6 +31,16 @@ from repro.vectorize import (
 )
 
 
+def checked_offsets(offsets: np.ndarray | Sequence[int], n: int) -> np.ndarray:
+    """``offsets`` as an index array, ascending within ``[0, n]``."""
+    cuts = np.asarray(offsets, dtype=np.intp)
+    if cuts.ndim != 1 or cuts.size == 0:
+        raise ValueError("offsets must be a non-empty 1-D sequence")
+    if cuts[0] < 0 or cuts[-1] > n or np.any(np.diff(cuts) < 0):
+        raise ValueError(f"offsets must ascend within [0, {n}]")
+    return cuts
+
+
 class BoxArray(SlotPickleMixin):
     """An immutable array of ``n`` axis-aligned boxes in ``d`` dimensions.
 
@@ -134,27 +144,25 @@ class BoxArray(SlotPickleMixin):
         idx = np.asarray(indices, dtype=np.intp)
         return BoxArray(self.lo[idx], self.hi[idx])
 
+    @staticmethod
+    def trusted(lo: np.ndarray, hi: np.ndarray) -> "BoxArray":
+        """Wrap read-only bounds whose rows another array validated."""
+        part = object.__new__(BoxArray)
+        object.__setattr__(part, "lo", lo)
+        object.__setattr__(part, "hi", hi)
+        return part
+
     def split(self, offsets: np.ndarray | Sequence[int]) -> list["BoxArray"]:
         """The runs ``[offsets[k], offsets[k + 1])`` as read-only views.
 
         The rows were validated when this array was built; only the
         offsets are checked, once for all parts.
         """
-        cuts = np.asarray(offsets, dtype=np.intp)
-        if cuts.ndim != 1 or cuts.size == 0:
-            raise ValueError("offsets must be a non-empty 1-D sequence")
-        if cuts[0] < 0 or cuts[-1] > len(self) or np.any(np.diff(cuts) < 0):
-            raise ValueError(f"offsets must ascend within [0, {len(self)}]")
-        new, put = object.__new__, object.__setattr__
+        bounds = checked_offsets(offsets, len(self)).tolist()
         lo, hi = self.lo, self.hi
-        bounds = cuts.tolist()
-        parts = []
-        for a, b in zip(bounds, bounds[1:]):
-            part = new(BoxArray)
-            put(part, "lo", lo[a:b])
-            put(part, "hi", hi[a:b])
-            parts.append(part)
-        return parts
+        return [
+            BoxArray.trusted(lo[a:b], hi[a:b]) for a, b in zip(bounds, bounds[1:])
+        ]
 
     # ------------------------------------------------------------------
     # Bulk geometry

@@ -15,7 +15,7 @@ stand-in for that hardware:
 * :mod:`~repro.storage.records` defines the fixed-size on-page record
   layout that determines how many spatial elements fit on a page;
 * :class:`~repro.storage.page.ElementPage` is the payload every join
-  algorithm stores per data page;
+  algorithm stores per data page: a window onto its run's arrays;
 * :mod:`~repro.storage.shm` publishes dataset pages into
   ``multiprocessing.shared_memory`` so batch-executor workers attach
   to the arrays instead of unpickling a private copy each.

@@ -10,6 +10,7 @@ with a *cold* pool, matching the paper's cleared-cache protocol.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterable
 
 from repro.geometry.slots import SlotPickleMixin
 from repro.storage.disk import SimulatedDisk
@@ -52,6 +53,11 @@ class BufferPool(SlotPickleMixin):
         if len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
         return payload
+
+    def read_many(self, page_ids: Iterable[int]) -> list[object]:
+        """The payloads of ``page_ids``: the loop of :meth:`read` calls."""
+        read = self.read
+        return [read(page_id) for page_id in page_ids]
 
     def clear(self) -> None:
         """Drop every cached page (cold restart)."""

@@ -148,6 +148,13 @@ class SimulatedDisk(SlotPickleMixin):
         self.stats.write_cost += self.model.write_cost
         return page_id
 
+    def allocate_many(self, payloads: Iterable[object]) -> range:
+        """The loop of :meth:`allocate` calls: the new pages' dense ids."""
+        first = len(self._pages)
+        for payload in payloads:
+            self.allocate(payload)
+        return range(first, len(self._pages))
+
     def write(self, page_id: int, payload: object) -> None:
         """Overwrite an existing page; charge one write."""
         self._check_page_id(page_id)

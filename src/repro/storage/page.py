@@ -2,19 +2,23 @@
 
 A *data page* in this reproduction holds the spatial elements of one
 partition (a PBSM cell fragment, an R-tree leaf, or a TRANSFORMERS
-space unit).  The payload keeps element ids and MBBs in numpy form for
-fast in-memory joins, while :func:`element_page_capacity` enforces the
-same packing limit a byte-level layout would
+space unit).  A structure's pages are *windows* onto the one validated
+id / MBB run it was written from, so reading a group of them is a
+charge plus one gather (:meth:`ElementPage.gather`), never a
+re-assembly, while :func:`element_page_capacity` enforces the same
+packing limit a byte-level layout would
 (:mod:`repro.storage.records` defines that layout and the tests verify
 the two agree).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro._types import AnyArray, IntArray
-from repro.geometry.boxes import BoxArray
+from repro.geometry.boxes import BoxArray, checked_offsets
 from repro.geometry.slots import SlotPickleMixin
 from repro.storage.records import RecordCodec
 
@@ -29,16 +33,17 @@ def element_page_capacity(page_size: int, ndim: int) -> int:
 
 
 class ElementPage(SlotPickleMixin):
-    """The payload of one data page: ids plus their MBBs.
+    """The payload of one data page: a window onto a run of ids + MBBs.
 
-    Instances are immutable; building one validates the id/box length
-    match so a corrupted page cannot propagate silently.
+    ``ElementPage(ids, boxes)`` validates the id/box length match (so a
+    corrupted page cannot propagate silently) and is the window over the
+    whole run; :meth:`split` and :meth:`elements` hand out narrower
+    windows onto the same arrays.  ``ids`` / ``boxes`` are read-only
+    views computed on access.  Instances are immutable, and a page
+    pickled on its own carries its own rows only.
     """
 
-    __slots__ = ("ids", "boxes")
-
-    ids: IntArray
-    boxes: BoxArray
+    __slots__ = ("_ids", "_boxes", "_start", "_stop")
 
     def __init__(self, ids: AnyArray, boxes: BoxArray) -> None:
         ids = np.asarray(ids, dtype=np.int64)
@@ -50,11 +55,26 @@ class ElementPage(SlotPickleMixin):
             )
         ids = np.ascontiguousarray(ids)
         ids.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "boxes", boxes)
+        self.__setstate__(dict(_ids=ids, _boxes=boxes, _start=0, _stop=len(ids)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ElementPage instances are immutable")
+
+    def __getstate__(self) -> dict[str, object]:
+        return dict(_ids=self.ids, _boxes=self.boxes, _start=0, _stop=len(self))
+
+    @property
+    def ids(self) -> IntArray:
+        """The window's element ids: a read-only view of the run's."""
+        return self._ids[self._start : self._stop]
+
+    @property
+    def boxes(self) -> BoxArray:
+        """The window's MBBs: read-only views of the run's bounds."""
+        run, a, b = self._boxes, self._start, self._stop
+        if b - a == len(self._ids):
+            return run
+        return BoxArray.trusted(run.lo[a:b], run.hi[a:b])
 
     @staticmethod
     def split(
@@ -62,22 +82,67 @@ class ElementPage(SlotPickleMixin):
     ) -> list["ElementPage"]:
         """One page per run ``[offsets[k], offsets[k + 1])`` of the rows.
 
-        The run is validated once, as one page; the pages are read-only
-        views of it.
+        The run and the offsets are validated once; the pages are
+        windows onto the run.
         """
-        run_ids = ElementPage(ids, boxes).ids
-        new, put = object.__new__, object.__setattr__
-        bounds = np.asarray(offsets).tolist()
-        pages = []
-        for a, b, part in zip(bounds, bounds[1:], boxes.split(offsets)):
+        run = ElementPage(ids, boxes)
+        bounds = checked_offsets(offsets, len(run)).tolist()
+        return run._windows(bounds[:-1], bounds[1:])
+
+    def elements(self) -> list["ElementPage"]:
+        """One single-row page per element, windows onto the same run."""
+        rows = range(self._start, self._stop + 1)
+        return self._windows(rows[:-1], rows[1:])
+
+    def _windows(
+        self, starts: Sequence[int], stops: Sequence[int]
+    ) -> list["ElementPage"]:
+        ids, boxes = self._ids, self._boxes
+        new, put, pages = object.__new__, object.__setattr__, []
+        for start, stop in zip(starts, stops):
             page = new(ElementPage)
-            put(page, "ids", run_ids[a:b])
-            put(page, "boxes", part)
+            put(page, "_ids", ids)
+            put(page, "_boxes", boxes)
+            put(page, "_start", start)
+            put(page, "_stop", stop)
             pages.append(page)
         return pages
 
+    @staticmethod
+    def gather(pages: Sequence["ElementPage"]) -> tuple[IntArray, BoxArray]:
+        """The rows of ``pages``, in order, as one read-only run: one
+        ``take`` over the expanded row ranges per stretch of pages that
+        are windows onto the same run; nothing is validated twice."""
+        if not pages:
+            raise ValueError("gather needs at least one page")
+        starts = np.array([page._start for page in pages], dtype=np.intp)
+        counts = np.array([page._stop for page in pages], dtype=np.intp) - starts
+        ends = np.cumsum(counts)
+        rows = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+        shape = len(rows), pages[0]._boxes.ndim
+        ids, lo, hi = np.empty(len(rows), np.int64), np.empty(shape), np.empty(shape)
+        first, n = 0, len(pages)
+        while first < n:
+            run_ids, run = pages[first]._ids, pages[first]._boxes
+            last = first + 1
+            while last < n:
+                page = pages[last]
+                if page._ids is not run_ids or page._boxes is not run:
+                    break
+                last += 1
+            a, b = ends[first] - counts[first], ends[last - 1]
+            # Windows lie inside their run, so nothing is ever clipped;
+            # the mode only lets ``take`` write into ``out`` unbuffered.
+            np.take(run_ids, rows[a:b], out=ids[a:b], mode="clip")
+            np.take(run.lo, rows[a:b], axis=0, out=lo[a:b], mode="clip")
+            np.take(run.hi, rows[a:b], axis=0, out=hi[a:b], mode="clip")
+            first = last
+        for taken in (ids, lo, hi):
+            taken.setflags(write=False)
+        return ids, BoxArray.trusted(lo, hi)
+
     def __len__(self) -> int:
-        return len(self.ids)
+        return self._stop - self._start
 
     def to_bytes(self) -> bytes:
         """Serialise with the canonical record codec (used in tests)."""

@@ -2,7 +2,7 @@
 
 The filter-phase kernels (plane sweep, grid hash), the grid's
 multiple-assignment expansion and the TRANSFORMERS exploration all rely
-on the same six idioms:
+on the same seven idioms:
 
 * **ragged expansion** — turning a per-group candidate count into flat
   ``(group, within)`` index rows without a Python loop;
@@ -42,7 +42,18 @@ on the same six idioms:
   reduction (1.7 against 1.2–3.4 µs), a 2 × 83-row node-level
   ``reduceat`` is 1.2 µs on rows and 2.1 µs on columns, and PBSM's
   ≈ 53 × 54-box cell joins run 300 µs each row-major, 408 µs axis-major
-  (see :mod:`repro.joins.grid_hash`).
+  (see :mod:`repro.joins.grid_hash`);
+* **rows of a run → one ``take`` over expanded ranges, not a
+  ``concatenate`` of views** — pages are windows ``[start, stop)`` onto
+  the array they were split from, so the rows of a page group are
+  ``np.take(run, arange(total) + repeat(start - offset, count))``:
+  2 640 17-row pages take 1.60 ms as a ``concatenate`` of their views
+  (and a second ``lo <= hi`` pass) and 0.69 ms as one gather, 48 pages
+  38 against 27 µs (:meth:`~repro.storage.page.ElementPage.gather`).
+  **Not** for a few large parts: the index arrays are fixed cost, level
+  at a dozen parts (16 against 18 µs) and behind below — 4 parts of 53
+  rows 11 µs concatenated, 17 µs gathered — which is why PBSM's
+  1–4-page cells keep their ``concatenate``.
 
 Keeping them here (rather than one private copy per kernel) means a
 fix to the expansion, chunking or overlap behaviour lands everywhere at

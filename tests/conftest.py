@@ -14,11 +14,19 @@ from repro.datagen import (
 )
 from repro.joins.base import Dataset
 from repro.joins.brute import brute_force_pairs
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, SimulatedDisk
 
 #: Page size used across the algorithm tests: small enough that even a
 #: few-thousand-element dataset exercises multi-page, multi-node paths.
 TEST_PAGE_SIZE = 1024
+
+
+#: A cost model whose sums are not exact (0.1 + 0.7 + 0.1 != 0.1 + 0.1 +
+#: 0.7), so "the same float additions in the same order" is observable.
+NON_DYADIC = DiskModel(
+    page_size=TEST_PAGE_SIZE, seq_read_cost=0.1, random_read_cost=0.7, write_cost=0.3
+)
 
 
 def make_disk() -> SimulatedDisk:
@@ -95,3 +103,20 @@ def oracle_pairs(a: Dataset, b: Dataset) -> set[tuple[int, int]]:
 @pytest.fixture
 def disk() -> SimulatedDisk:
     return make_disk()
+
+
+@pytest.fixture
+def page_reads(monkeypatch) -> list[tuple[int, int]]:
+    """Every buffer-pool read the test makes, in order, as ``(pool, page
+    id)`` — pools numbered by first read.  ``BufferPool.read_many`` is
+    the loop of ``read`` calls, so its reads are seen id by id too."""
+    reads: list[tuple[int, int]] = []
+    pools: dict[int, int] = {}
+    read = BufferPool.read
+
+    def spy(pool, page_id):
+        reads.append((pools.setdefault(id(pool), len(pools)), int(page_id)))
+        return read(pool, page_id)
+
+    monkeypatch.setattr(BufferPool, "read", spy)
+    return reads

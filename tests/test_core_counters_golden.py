@@ -20,9 +20,10 @@ import pytest
 from repro.core import TransformersJoin
 from repro.datagen import massive_cluster, scaled_space, uniform_dataset
 from repro.geometry.boxes import BoxArray
-from repro.joins.base import Dataset
+from repro.joins.base import CostModel, Dataset
+from repro.storage.disk import SimulatedDisk
 
-from tests.conftest import make_disk, run_join
+from tests.conftest import NON_DYADIC, make_disk, run_join
 
 N = 3_000
 CASES = ("uniform_3d", "massive_3d", "massive_2d")
@@ -196,6 +197,49 @@ def test_the_skewed_case_exercises_every_transformation():
     assert extras["role_switches"] > 0
     assert extras["splits_to_unit"] > 0
     assert extras["splits_to_element"] > 0
+
+
+#: ``massive_3d`` again on a disk whose costs are not dyadic fractions,
+#: so no cost sum is exact and every float below depends on the order
+#: of its additions: the join driver attributes a run of page reads
+#: page by page.  Recorded at commit b38cd33 (one attribution per
+#: ``BufferPool.read``).
+NON_DYADIC_GOLDEN = {
+    "pairs_sha256": "dd686a88f90ca95a1bc34450876f27f54e90167b72d1c11bdbab0dd98b2161c8",
+    "io_cost": 38.10000000000017,
+    "extras": {
+        "role_switches": 1.0,
+        "splits_to_unit": 6.0,
+        "splits_to_element": 6.0,
+        "exploration_io_cost": 3.9000000000000017,
+        "data_io_cost": 34.200000000000166,
+        "exploration_cost": 18.828000000000003,
+        "join_cost": 84.64800000000017,
+        "t_su_final": 8.0,
+        "t_so_final": 8.0
+    },
+    "build_io_costs": [
+        58.4999999999998,
+        58.499999999999446
+    ],
+    "total_cost": 220.47599999999943
+}
+
+
+def test_float_sums_equal_the_recorded_ones_under_a_non_dyadic_model():
+    result, build_a, build_b = run_join(
+        TransformersJoin(), SimulatedDisk(NON_DYADIC), *_pair("massive_3d")
+    )
+    stats, model = result.stats, CostModel()
+    assert {
+        "pairs_sha256": hashlib.sha256(result.pairs.tobytes()).hexdigest(),
+        "io_cost": stats.io_cost,
+        "extras": dict(stats.extras),
+        "build_io_costs": [build_a.io_cost, build_b.io_cost],
+        "total_cost": stats.total_cost(model)
+        + build_a.total_cost(model)
+        + build_b.total_cost(model),
+    } == NON_DYADIC_GOLDEN
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core import TransformersConfig, TransformersJoin
 from repro.core import join as core_join
 from repro.core.join import _Driver
+from repro.core.query import range_query
 from repro.datagen import scaled_space, uniform_dataset
 from repro.joins import grid_hash
-from repro.joins.base import Dataset
+from repro.joins.base import Dataset, JoinStats
+from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
 from repro.storage.buffer import BufferPool
 
@@ -365,16 +367,58 @@ class TestComparisonQueue:
     }
 
     @pytest.mark.parametrize("case", golden.CASES)
-    def test_page_read_sequence_is_the_recorded_one(self, monkeypatch, case):
+    def test_page_read_sequence_is_the_recorded_one(self, page_reads, case):
         algo, index_a, index_b = self.indexes(case)
-        reads, pools = [], {}
-        read = BufferPool.read
-
-        def spy(pool, page_id):
-            reads.append((pools.setdefault(id(pool), len(pools)), int(page_id)))
-            return read(pool, page_id)
-
-        monkeypatch.setattr(BufferPool, "read", spy)
         algo.join(index_a, index_b)
-        digest = hashlib.sha256(json.dumps(reads).encode()).hexdigest()
-        assert (len(reads), digest) == self.READ_SEQUENCES[case]
+        digest = hashlib.sha256(json.dumps(page_reads).encode()).hexdigest()
+        assert (len(page_reads), digest) == self.READ_SEQUENCES[case]
+
+    #: The same for twelve seeded range queries over the case's left
+    #: index through one 32-page pool, with the SHA-256 of the returned
+    #: ids, ``intersection_tests`` and the pool's ``(hits, misses)`` —
+    #: recorded at commit b38cd33, one ``BufferPool.read`` per page.
+    RANGE_READ_SEQUENCES = {
+        "uniform_3d": (
+            191,
+            "5802021d6b8078224698642fb8bc4da68a40f7076159428b4bba3fa8821e8e86",
+            "7d955b26bce3e21dda02c1c91b1c27a7ccbbbb83c8bac6715ed6455ade0d6ae9",
+            1836,
+            (66, 125),
+        ),
+        "massive_3d": (
+            166,
+            "938945f77b8682c77df2765478f4767bee87dfd149d41aa2f62d32ae2a1e66e1",
+            "c9ec3bfc7be661491fe0aae089f30e5a6ef7c78249905d19acd9d6555effeaf1",
+            1264,
+            (78, 88),
+        ),
+        "massive_2d": (
+            139,
+            "1525fcebb4879bb5d06f7227b669ac3fe4895eab270777aab4c110f5355bd12e",
+            "1d8d7146c26ab44e828764a0a593d70982c8b39943038141d71e12b5b59e2675",
+            1634,
+            (65, 74),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", golden.CASES)
+    def test_range_query_read_sequence_is_the_recorded_one(self, page_reads, case):
+        _, index, _ = self.indexes(case)
+        lo, hi = np.asarray(index.space.lo), np.asarray(index.space.hi)
+        rng = np.random.default_rng(5)
+        pool = BufferPool(index.disk, 32)
+        stats = JoinStats(algorithm="RANGE-QUERY")
+        hits = []
+        for _ in range(12):
+            centre = rng.uniform(lo, hi)
+            half = rng.uniform(0.02, 0.25) * (hi - lo)
+            query = Box(tuple(centre - half), tuple(centre + half))
+            hits.append(range_query(index, query, pool, stats).tolist())
+        assert index.disk.stats.pages_read == pool.misses
+        assert (
+            len(page_reads),
+            hashlib.sha256(json.dumps(page_reads).encode()).hexdigest(),
+            hashlib.sha256(json.dumps(hits).encode()).hexdigest(),
+            stats.intersection_tests,
+            (pool.hits, pool.misses),
+        ) == self.RANGE_READ_SEQUENCES[case]

@@ -85,3 +85,41 @@ def test_a_regression_is_counted_as_losses_and_never_claimable():
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         paired.summarise(METRICS, [_line(50.0, 17.0)] * 2, [_line(50.0, 17.0)])
+
+
+def test_workload_lists_are_split_in_order_and_blanks_or_repeats_refused():
+    import argparse
+
+    assert paired.workload_list("cold_skewed") == ["cold_skewed"]
+    assert paired.workload_list("cold_skewed, serve_single,cold_uniform") == [
+        "cold_skewed", "serve_single", "cold_uniform",
+    ]
+    for text in ("", "cold_skewed,", ",cold_uniform", "a,,b", "a,b,a"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            paired.workload_list(text)
+
+
+def test_one_table_per_workload_each_after_its_own_alternating_pairs(tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    parent, change = tmp_path / "parent", tmp_path
+    calls = []
+
+    def canned(tree, workload, seed):
+        calls.append((tree.name, workload, seed))
+        faster = tree == change
+        return _line(40.0 if faster else 50.0, 20.0 if faster else 17.0)
+
+    paired.main(
+        [str(parent), str(change), "--workload", "cold_skewed,cold_uniform",
+         "--seed", "101", "--pairs", "2"],
+        run=canned,
+    )
+    sides = [parent.name, change.name, change.name, parent.name]
+    assert calls == [(s, w, 101) for w in ("cold_skewed", "cold_uniform") for s in sides]
+    out = capsys.readouterr().out
+    tables = out.split("metric ")[1:]
+    assert len(tables) == 2
+    assert out.index("cold_skewed, seed 101, 2 pairs") < out.index("cold_uniform pair 1")
+    for table in tables:
+        assert "2/2 (lost 0)  yes  <- claimable" in table
+        assert "change: failed 0 of 600 ops" in table

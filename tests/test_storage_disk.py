@@ -1,8 +1,13 @@
 """Tests for the simulated disk: allocation, read classification, costs."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage.disk import DiskModel, DiskStats, SimulatedDisk
+
+from tests.conftest import NON_DYADIC
 
 
 class TestDiskModel:
@@ -190,3 +195,50 @@ class TestStatsManagement:
     def test_total_cost(self):
         stats = DiskStats(read_cost=3.0, write_cost=2.0)
         assert stats.total_cost == 5.0
+
+
+class TestAllocateMany:
+    """``allocate_many`` is *defined* as the loop of ``allocate`` calls."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        before=st.integers(0, 5),
+        payloads=st.lists(st.integers(), max_size=40),
+        fail_at=st.none() | st.integers(0, 39),
+    )
+    def test_equals_the_loop_of_single_allocations(self, before, payloads, fail_at):
+        def source():
+            for k, payload in enumerate(payloads):
+                if k == fail_at:
+                    raise RuntimeError(f"payload {k} failed")
+                yield payload
+
+        outcomes = []
+        for many in (False, True):
+            disk = SimulatedDisk(NON_DYADIC)
+            for k in range(before):
+                disk.allocate(("before", k))
+            try:
+                if many:
+                    ids = list(disk.allocate_many(source()))
+                else:
+                    ids = [disk.allocate(payload) for payload in source()]
+                error = None
+            except RuntimeError as exc:
+                ids, error = None, str(exc)
+            outcomes.append(
+                (
+                    ids,
+                    error,
+                    dataclasses.astuple(disk.stats),
+                    [disk.peek(k) for k in range(disk.num_pages)],
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_ids_are_the_dense_run_after_the_pages_already_there(self):
+        disk = SimulatedDisk()
+        disk.allocate("a")
+        assert disk.allocate_many(["b", "c", "d"]) == range(1, 4)
+        assert disk.allocate_many([]) == range(4, 4)
+        assert [disk.peek(k) for k in range(4)] == ["a", "b", "c", "d"]

@@ -164,3 +164,96 @@ class TestElementPage:
             np.arange(capacity), BoxArray(lo, lo + 1.0)
         )
         assert len(page.to_bytes()) <= page_size
+
+
+def _run(n, seed, ndim=3, first_id=0):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0, 10, size=(n, ndim))
+    return ElementPage(
+        np.arange(first_id, first_id + n),
+        BoxArray(lo, lo + rng.uniform(0, 1, size=(n, ndim))),
+    )
+
+
+def _pages(run, per):
+    return ElementPage.split(
+        run.ids, run.boxes, [*range(0, len(run), per), len(run)]
+    )
+
+
+def _concatenated(pages):
+    """What ``gather`` replaces: the rows re-assembled from the views."""
+    return (
+        np.concatenate([page.ids for page in pages]),
+        np.concatenate([page.boxes.lo for page in pages]),
+        np.concatenate([page.boxes.hi for page in pages]),
+    )
+
+
+class TestWindows:
+    """A page is a window ``(run ids, run boxes, start, stop)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 12)), min_size=1, max_size=30),
+        per=st.integers(1, 7),
+    )
+    def test_gather_equals_the_concatenate_of_the_views(self, picks, per):
+        """Shuffled, repeated and mixed-run page lists (a role switch
+        changes the run mid-queue), empty windows included."""
+        runs = [_pages(_run(40, 1), per), _pages(_run(33, 2, first_id=100), per)]
+        for pages in runs:
+            pages.append(ElementPage.split(pages[0].ids, pages[0].boxes, [1, 1])[0])
+        pages = [runs[r][k % len(runs[r])] for r, k in picks]
+        ids, boxes = ElementPage.gather(pages)
+        want_ids, want_lo, want_hi = _concatenated(pages)
+        assert ids.dtype == np.int64 and ids.tobytes() == want_ids.tobytes()
+        assert boxes.lo.tobytes() == want_lo.tobytes()
+        assert boxes.hi.tobytes() == want_hi.tobytes()
+        assert boxes.lo.shape == want_lo.shape and isinstance(boxes, BoxArray)
+        for taken in (ids, boxes.lo, boxes.hi):
+            assert not taken.flags.writeable and taken.flags.c_contiguous
+
+    def test_gather_of_nothing_is_refused_and_of_empty_windows_is_empty(self):
+        with pytest.raises(ValueError, match="at least one page"):
+            ElementPage.gather([])
+        run = _run(6, 3)
+        ids, boxes = ElementPage.gather(ElementPage.split(run.ids, run.boxes, [2, 2, 2]))
+        assert len(ids) == 0 and boxes.lo.shape == (0, 3)
+
+    def test_gather_refuses_mixed_dimensionalities(self):
+        with pytest.raises(ValueError):
+            ElementPage.gather([_run(4, 1), _run(4, 2, ndim=2)])
+
+    def test_elements_are_the_one_row_split(self):
+        run = _run(23, 7)
+        for page in [run, *_pages(run, 5)]:
+            want = ElementPage.split(page.ids, page.boxes, range(len(page) + 1))
+            got = page.elements()
+            assert [e.to_bytes() for e in got] == [e.to_bytes() for e in want]
+            assert all(len(e) == 1 for e in got)
+            # Windows onto the page's own run: one take gathers them.
+            assert all(np.shares_memory(e.ids, run.ids) for e in got)
+
+    def test_a_window_pickles_its_own_rows_only(self):
+        import pickle
+
+        run = _run(12_000, 11)
+        page = _pages(run, 17)[300]
+        data = pickle.dumps(page)
+        assert len(data) < 2_000 < len(pickle.dumps(run))
+        back = pickle.loads(data)
+        assert len(back) == 17 and back.to_bytes() == page.to_bytes()
+        assert np.array_equal(back.boxes.hi, run.boxes.hi[300 * 17 : 301 * 17])
+        ids, boxes = ElementPage.gather([back, page])
+        assert np.array_equal(ids, np.tile(page.ids, 2))
+        assert np.array_equal(boxes.lo, np.tile(page.boxes.lo, (2, 1)))
+
+    def test_whole_run_window_hands_back_its_arrays(self):
+        run = _run(9, 13)
+        assert run.boxes is run.boxes and len(run.ids) == 9
+        page = _pages(run, 4)[1]
+        assert np.shares_memory(page.boxes.lo, run.boxes.lo)
+        assert page.boxes.lo.tolist() == run.boxes.lo[4:8].tolist()
+        with pytest.raises(AttributeError):
+            page._start = 0
