@@ -8,26 +8,15 @@ phases, nothing shared between runs) — and then asserts the *shape*
 the paper reports (who wins, roughly by how much).  Absolute numbers
 are simulated-cost units, not hours — see DESIGN.md §2.
 
-Scale can be raised for closer-to-paper runs, and the per-experiment
-runs can be fanned across a process pool (each still cold on its own
-workspace, so the measured numbers are identical)::
-
-    REPRO_BENCH_SCALE=1.0 REPRO_BENCH_WORKERS=4 pytest benchmarks/ \
-        --benchmark-only
+For closer-to-paper sizes run the harness itself with ``--scale 1.0``.
 """
 
 import os
 
 import pytest
 
-from repro.core.config import bench_scale, bench_workers
-
-#: Default scale keeps the full benchmark suite in the minutes range.
-BENCH_SCALE = bench_scale()
-
-#: Worker processes for the experiments' batched runs (default serial).
-BENCH_WORKERS = bench_workers()
-os.environ.setdefault("REPRO_EXPERIMENT_WORKERS", str(BENCH_WORKERS))  # repro: ignore[RPL005]
+#: Multiplies the harness's default sizes; keeps the suite in tier-1.
+BENCH_SCALE = 0.25
 
 
 def run_once(benchmark, fn, *args):

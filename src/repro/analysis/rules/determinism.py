@@ -68,8 +68,8 @@ class DeterminismRule(Rule):
         "the counted path."
     )
     rationale = (
-        "The benchmark trajectory gates on deterministic operation "
-        "counters; hidden entropy or wall-clock dependence makes "
+        "The counter goldens pin deterministic operation counters "
+        "with ==; hidden entropy or wall-clock dependence makes "
         "counter regressions irreproducible and breaks the oracle "
         "corpus's exact-equality checks."
     )

@@ -59,48 +59,6 @@ class EnvVar:
 #: of the tree, so this table is complete by construction.
 ENV_REGISTRY: tuple[EnvVar, ...] = (
     EnvVar(
-        name="REPRO_EXPERIMENT_WORKERS",
-        kind="int",
-        default=1,
-        minimum=1,
-        description=(
-            "Process-pool width for the experiment harness; 1 (the "
-            "default) runs every experiment inline and keeps "
-            "timing-sensitive output fields deterministic too."
-        ),
-    ),
-    EnvVar(
-        name="REPRO_EXPERIMENT_SERVICE",
-        kind="bool",
-        default=False,
-        description=(
-            "Route the experiment harness through one shared "
-            "SpatialQueryService so repeated (pair, algorithm) "
-            "combinations are served from the result cache."
-        ),
-    ),
-    EnvVar(
-        name="REPRO_BENCH_WORKERS",
-        kind="int",
-        default=1,
-        minimum=1,
-        description=(
-            "Process-pool width for the benchmark suite's batch "
-            "executor runs."
-        ),
-    ),
-    EnvVar(
-        name="REPRO_BENCH_SCALE",
-        kind="float",
-        default=0.25,
-        minimum=0.0,
-        description=(
-            "Scale factor on benchmark dataset sizes; 1.0 is the "
-            "paper-sized suite, the 0.25 default keeps local runs "
-            "fast."
-        ),
-    ),
-    EnvVar(
         name="REPRO_SHM",
         kind="bool",
         default=True,
@@ -248,9 +206,9 @@ def env_bool(name: str) -> bool:
 def env_override(name: str, value: object | None) -> Iterator[None]:
     """Temporarily pin a registered variable (``None`` unsets it).
 
-    The benchmark trajectory uses this to force planner statistics on
-    for its planner section regardless of the ambient environment,
-    restoring the previous state on exit.
+    The previous state is restored on exit, error or not — e.g. to run
+    one batch with ``REPRO_SHM`` off regardless of the ambient
+    environment.
     """
     env_var(name)
     previous = os.environ.get(name)
@@ -270,26 +228,6 @@ def env_override(name: str, value: object | None) -> Iterator[None]:
 # ----------------------------------------------------------------------
 # Named accessors (one per knob, typed end to end)
 # ----------------------------------------------------------------------
-def experiment_workers() -> int:
-    """``REPRO_EXPERIMENT_WORKERS``: harness process-pool width."""
-    return env_int("REPRO_EXPERIMENT_WORKERS")
-
-
-def experiment_service_enabled() -> bool:
-    """``REPRO_EXPERIMENT_SERVICE``: route the harness via a service."""
-    return env_bool("REPRO_EXPERIMENT_SERVICE")
-
-
-def bench_workers() -> int:
-    """``REPRO_BENCH_WORKERS``: benchmark executor pool width."""
-    return env_int("REPRO_BENCH_WORKERS")
-
-
-def bench_scale() -> float:
-    """``REPRO_BENCH_SCALE``: benchmark dataset scale factor."""
-    return env_float("REPRO_BENCH_SCALE")
-
-
 def shm_transport_enabled() -> bool:
     """``REPRO_SHM``: ship batch datasets via shared memory?"""
     return env_bool("REPRO_SHM")

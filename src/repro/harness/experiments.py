@@ -18,7 +18,6 @@ import sys
 from collections.abc import Callable, Sequence
 
 from repro.core import TransformersConfig, TransformersJoin
-from repro.core.config import experiment_service_enabled, experiment_workers
 from repro.datagen import (
     dense_cluster,
     density_ladder,
@@ -28,54 +27,11 @@ from repro.datagen import (
     uniform_cluster,
     uniform_dataset,
 )
-from repro.engine import BatchExecutor, JoinRequest, RunReport, SpatialWorkspace
+from repro.engine import RunReport, SpatialWorkspace
 from repro.geometry.box import Box
 from repro.harness.report import format_table
 from repro.harness.runner import scale_counts
 from repro.joins.base import Dataset, SpatialJoinAlgorithm
-
-
-def _experiment_workers() -> int:
-    """Worker count for batched experiment execution.
-
-    ``REPRO_EXPERIMENT_WORKERS=4`` fans each experiment's runs across a
-    process pool; the default of 1 runs them inline, which keeps the
-    default harness output strictly deterministic in timing-sensitive
-    fields too.  Every run gets a fresh workspace either way, so the
-    measured numbers are identical across worker counts.
-    """
-    return experiment_workers()
-
-
-#: Process-wide service for REPRO_EXPERIMENT_SERVICE=1 runs (created
-#: lazily so the default harness path never pays for it).
-_SERVICE = None
-
-
-def _experiment_service():
-    """The shared :class:`~repro.service.SpatialQueryService`, if opted in.
-
-    ``REPRO_EXPERIMENT_SERVICE=1`` routes every experiment join through
-    one long-lived service: repeated (dataset pair, algorithm)
-    combinations across figures are answered from the result cache
-    instead of being re-executed.  The cached report *is* the first
-    run's report — deterministic counters are unchanged; only
-    wall-clock fields reflect the original run rather than a re-run,
-    which is why this path is opt-in rather than the default
-    measurement protocol.
-    """
-    global _SERVICE
-    if _SERVICE is None:
-        from repro.service import SpatialQueryService
-
-        _SERVICE = SpatialQueryService(
-            max_workers=_experiment_workers(), max_cached_results=1024
-        )
-    return _SERVICE
-
-
-def _service_enabled() -> bool:
-    return experiment_service_enabled()
 
 
 def _standard_algorithms(
@@ -106,43 +62,10 @@ def _run_one(
     ``space`` is a planner input, so it only applies to registry
     names; pre-configured instances already carry their parameters.
     """
-    if _service_enabled():
-        request = JoinRequest(
-            a, b, algorithm=algorithm,
-            space=space if isinstance(algorithm, str) else None,
-        )
-        return _experiment_service().submit(request).raise_for_failure().report
     workspace = SpatialWorkspace()
     if isinstance(algorithm, str):
         return workspace.join(a, b, algorithm=algorithm, space=space)
     return workspace.join(a, b, algorithm=algorithm)
-
-
-def _run_all(
-    algorithms: Sequence[str | SpatialJoinAlgorithm],
-    a: Dataset,
-    b: Dataset,
-    space: Box | None = None,
-) -> list[RunReport]:
-    """All algorithms over one pair, as a batch (one workspace per run).
-
-    The batch executor preserves the measurement protocol exactly —
-    every request runs cold on its own workspace — while letting
-    ``REPRO_EXPERIMENT_WORKERS`` fan the runs across processes.
-    """
-    requests = [
-        JoinRequest(
-            a, b, algorithm=algo,
-            space=space if isinstance(algo, str) else None,
-        )
-        for algo in algorithms
-    ]
-    if _service_enabled():
-        responses = _experiment_service().submit_many(requests)
-        return [r.raise_for_failure().report for r in responses]
-    batch = BatchExecutor(max_workers=_experiment_workers()).run(requests)
-    batch.raise_failures()
-    return batch.reports
 
 
 # ----------------------------------------------------------------------
@@ -160,10 +83,8 @@ def fig10(scale: float = 1.0) -> list[dict]:
     rows: list[dict] = []
     for a, b, ratio in density_ladder(smallest, largest, steps=9):
         space = a.boxes.mbb().union(b.boxes.mbb())
-        for rec in _run_all(
-            _standard_algorithms(with_gipsy=True), a, b, space
-        ):
-            row = rec.row()
+        for algorithm in _standard_algorithms(with_gipsy=True):
+            row = _run_one(algorithm, a, b, space).row()
             row["density_ratio"] = round(ratio, 4)
             rows.append(row)
     return rows
@@ -190,8 +111,8 @@ def fig11(scale: float = 1.0) -> list[dict]:
             total - half, seed=22, name="unifclust",
             id_offset=10**9, space=space,
         )
-        for rec in _run_all(_standard_algorithms(), a, b, space):
-            rows.append(rec.row())
+        for algorithm in _standard_algorithms():
+            rows.append(_run_one(algorithm, a, b, space).row())
     return rows
 
 
@@ -213,8 +134,8 @@ def table1(scale: float = 1.0) -> list[dict]:
         b = uniform_dataset(
             n, seed=32, name="uniformB", id_offset=10**9, space=space
         )
-        for rec in _run_all(_standard_algorithms(), a, b, space):
-            rows.append(rec.row())
+        for algorithm in _standard_algorithms():
+            rows.append(_run_one(algorithm, a, b, space).row())
     return rows
 
 
@@ -232,8 +153,8 @@ def fig12(scale: float = 1.0) -> list[dict]:
     for total in totals:
         space = scaled_space(total)
         axons, dendrites = neuro_datasets(total, seed=41, space=space)
-        for rec in _run_all(_standard_algorithms(), axons, dendrites, space):
-            rows.append(rec.row())
+        for algorithm in _standard_algorithms():
+            rows.append(_run_one(algorithm, axons, dendrites, space).row())
     return rows
 
 
@@ -262,10 +183,8 @@ def fig13_impact(scale: float = 1.0) -> list[dict]:
             (TransformersJoin(), "TRANSFORMERS"),
             (TransformersJoin(TransformersConfig.no_transformations()), "No TR"),
         )
-        for rec, (_, label) in zip(
-            _run_all([algo for algo, _ in variants], a, b, space), variants
-        ):
-            row = rec.row()
+        for algorithm, label in variants:
+            row = _run_one(algorithm, a, b, space).row()
             row["algorithm"] = label
             rows.append(row)
     return rows

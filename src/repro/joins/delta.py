@@ -14,7 +14,8 @@ re-add the fresh ones.  The two insertion joins run through the
 vectorized in-memory grid-hash kernel, so the patch costs
 O(|old| + |delta| · density) instead of O(|A| · |B| · density): at small
 delta fractions this is the difference between a live service tick and
-a full cold re-join (the trajectory benchmark gates the ratio).
+a full cold re-join (``python3 -m bench`` reports the patch as
+``joins.delta_join_ms`` on its ``serve_*`` workloads).
 
 The result is **exactly** the full recompute, by construction: every
 surviving×surviving pair is in ``old`` and untouched, every pair lost

@@ -368,8 +368,8 @@ def grid_hash_join_reference(
 
     Kept as the correctness/counting baseline: the vectorized kernel
     must report the same pair set and the exact same ``tests`` count
-    (see ``tests/test_vectorization_equivalence.py`` and the benchmark
-    trajectory's filter-phase measurement).
+    (see ``tests/test_vectorization_equivalence.py`` and
+    ``tests/test_kernel_identity.py``).
     """
     if len(build) == 0 or len(probe) == 0:
         return np.empty((0, 2), dtype=np.intp), 0

@@ -5,8 +5,8 @@ outside: how much traffic it absorbed, how much of it the result cache
 deflected, and what latency the cache misses actually cost, per
 algorithm.  :meth:`SpatialQueryService.stats()
 <repro.service.service.SpatialQueryService.stats>` assembles one
-immutable snapshot of all of that; the throughput benchmark and the
-benchmark-trajectory gate consume it directly.
+immutable snapshot of all of that; the throughput benchmark and
+``python3 -m bench`` consume it directly.
 
 Percentile math lives in :func:`repro.metrics.latency_summary` and is
 safe on empty samples — a freshly started service reports zeros, not

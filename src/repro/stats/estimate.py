@@ -18,11 +18,11 @@ anything:
 Estimation is approximate by design; the documented accuracy contract
 is :data:`ESTIMATE_ERROR_BAND` (the pair estimate stays within that
 multiplicative band of the true count on the repository's oracle
-corpus — enforced by ``tests/test_stats_estimate.py`` and the
-trajectory gate).  Estimators are pluggable through the
-:class:`Estimator` protocol: the planner accepts any object with the
-same ``analyze`` surface, mirroring the exploration-strategy protocol
-idiom (SNIPPETS.md, venomqa).
+corpus — enforced by ``tests/test_stats_estimate.py`` and the planner
+rows of ``tests/test_paper_figures_golden.py``).  Estimators are
+pluggable through the :class:`Estimator` protocol: the planner accepts
+any object with the same ``analyze`` surface, mirroring the
+exploration-strategy protocol idiom (SNIPPETS.md, venomqa).
 """
 
 from __future__ import annotations

@@ -10,18 +10,17 @@ import pytest
 from repro.core.config import (
     ENV_REGISTRY,
     EnvVar,
-    bench_scale,
-    bench_workers,
+    default_shards,
     env_bool,
     env_float,
     env_int,
     env_override,
     env_table_markdown,
     env_var,
-    experiment_service_enabled,
-    experiment_workers,
     shm_transport_enabled,
     soak_requests,
+    stream_default_churn,
+    stream_patch_enabled,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -61,40 +60,39 @@ def test_undeclared_names_fail_loudly() -> None:
 # Parsing, defaults and clamping
 # ----------------------------------------------------------------------
 def test_defaults_without_environment() -> None:
-    assert experiment_workers() == 1
-    assert experiment_service_enabled() is False
+    assert default_shards() == 4
+    assert stream_patch_enabled() is True
     assert shm_transport_enabled() is True
-    assert bench_workers() == 1
-    assert bench_scale() == pytest.approx(0.25)
+    assert stream_default_churn() == pytest.approx(0.05)
     assert soak_requests() == 600
 
 
 def test_int_parsing_and_minimum_clamp(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    monkeypatch.setenv("REPRO_EXPERIMENT_WORKERS", "6")
-    assert experiment_workers() == 6
-    monkeypatch.setenv("REPRO_EXPERIMENT_WORKERS", "0")
-    assert experiment_workers() == 1  # clamped to minimum
-    monkeypatch.setenv("REPRO_EXPERIMENT_WORKERS", "-3")
-    assert experiment_workers() == 1
+    monkeypatch.setenv("REPRO_SHARDS", "6")
+    assert default_shards() == 6
+    monkeypatch.setenv("REPRO_SHARDS", "0")
+    assert default_shards() == 1  # clamped to minimum
+    monkeypatch.setenv("REPRO_SHARDS", "-3")
+    assert default_shards() == 1
 
 
 def test_float_parsing_and_minimum_clamp(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "1.5")
-    assert bench_scale() == pytest.approx(1.5)
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "-0.5")
-    assert bench_scale() == 0.0
+    monkeypatch.setenv("REPRO_STREAM_CHURN", "1.5")
+    assert stream_default_churn() == pytest.approx(1.5)
+    monkeypatch.setenv("REPRO_STREAM_CHURN", "-0.5")
+    assert stream_default_churn() == 0.0
 
 
 @pytest.mark.parametrize("word", ["1", "true", "YES", " on "])
 def test_bool_true_words(
     monkeypatch: pytest.MonkeyPatch, word: str
 ) -> None:
-    monkeypatch.setenv("REPRO_EXPERIMENT_SERVICE", word)
-    assert experiment_service_enabled() is True
+    monkeypatch.setenv("REPRO_STREAM_PATCH", word)
+    assert stream_patch_enabled() is True
 
 
 @pytest.mark.parametrize("word", ["0", "false", "No", "off", ""])
@@ -109,18 +107,18 @@ def test_garbage_values_raise(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setenv("REPRO_SOAK_REQUESTS", "many")
     with pytest.raises(ValueError, match="REPRO_SOAK_REQUESTS"):
         soak_requests()
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "big")
-    with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):
-        bench_scale()
+    monkeypatch.setenv("REPRO_STREAM_CHURN", "big")
+    with pytest.raises(ValueError, match="REPRO_STREAM_CHURN"):
+        stream_default_churn()
     monkeypatch.setenv("REPRO_SHM", "maybe")
     with pytest.raises(ValueError, match="REPRO_SHM"):
         shm_transport_enabled()
 
 
 def test_env_bool_and_friends_accept_any_registered_name() -> None:
-    assert env_bool("REPRO_EXPERIMENT_SERVICE") is False
-    assert env_int("REPRO_BENCH_WORKERS") == 1
-    assert env_float("REPRO_BENCH_SCALE") == pytest.approx(0.25)
+    assert env_bool("REPRO_STREAM_PATCH") is True
+    assert env_int("REPRO_SHARDS") == 4
+    assert env_float("REPRO_STREAM_CHURN") == pytest.approx(0.05)
 
 
 # ----------------------------------------------------------------------
@@ -137,10 +135,10 @@ def test_env_override_sets_and_restores_absent_variable() -> None:
 def test_env_override_restores_previous_value(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "4")
-    with env_override("REPRO_BENCH_WORKERS", 8):
-        assert bench_workers() == 8
-    assert bench_workers() == 4
+    monkeypatch.setenv("REPRO_SHARDS", "4")
+    with env_override("REPRO_SHARDS", 8):
+        assert default_shards() == 8
+    assert default_shards() == 4
 
 
 def test_env_override_none_unsets(
@@ -155,11 +153,11 @@ def test_env_override_none_unsets(
 def test_env_override_restores_on_error(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "2.0")
+    monkeypatch.setenv("REPRO_STREAM_CHURN", "2.0")
     with pytest.raises(RuntimeError):
-        with env_override("REPRO_BENCH_SCALE", "0.5"):
+        with env_override("REPRO_STREAM_CHURN", "0.5"):
             raise RuntimeError("boom")
-    assert os.environ["REPRO_BENCH_SCALE"] == "2.0"
+    assert os.environ["REPRO_STREAM_CHURN"] == "2.0"
 
 
 def test_env_override_rejects_undeclared_names() -> None:

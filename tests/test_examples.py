@@ -35,7 +35,6 @@ def test_examples_directory_complete():
         "spatial_queries.py",
         "service_quickstart.py",
         "cost_based_planning.py",
-        "load_harness_quickstart.py",
         "streaming_quickstart.py",
     } <= present
 
@@ -74,14 +73,6 @@ def test_service_quickstart():
     assert "cached=True" in out
     assert "hit rate 50%" in out
     assert "served from cache ✓" in out
-
-
-def test_load_harness_quickstart():
-    out = run_example("load_harness_quickstart.py", "150")
-    assert "across 2 process shards" in out
-    assert "0 failures" in out
-    assert "degraded=True" in out
-    assert "survived sustained load ✓" in out
 
 
 def test_streaming_quickstart():

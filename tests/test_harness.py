@@ -128,44 +128,3 @@ class TestExperiments:
         assert "table1" in out
         assert "TRANSFORMERS" in out
 
-
-class TestServiceBackedExperiments:
-    """REPRO_EXPERIMENT_SERVICE=1 must be a pure routing change."""
-
-    def test_rows_match_default_path_and_repeats_hit_cache(self, monkeypatch):
-        from repro.harness import experiments
-
-        def strip_wall(rows):
-            return [
-                {k: v for k, v in row.items() if k != "join_wall_s"}
-                for row in rows
-            ]
-
-        default_rows = experiments.table1(0.01)
-
-        monkeypatch.setenv("REPRO_EXPERIMENT_SERVICE", "1")
-        monkeypatch.setattr(experiments, "_SERVICE", None)
-        service_rows = experiments.table1(0.01)
-        assert strip_wall(service_rows) == strip_wall(default_rows)
-
-        # A second identical sweep is served from the result cache —
-        # deterministic fields unchanged, every join deflected.
-        before = experiments._experiment_service().stats()
-        repeat_rows = experiments.table1(0.01)
-        assert strip_wall(repeat_rows) == strip_wall(default_rows)
-        after = experiments._experiment_service().stats()
-        assert after.cache_hits - before.cache_hits == len(default_rows)
-        assert after.cache_misses == before.cache_misses
-
-    def test_instance_algorithm_path(self, monkeypatch):
-        """_run_one with pre-configured instances routes through the
-        service too (fig14's TransformersJoin() runs)."""
-        from repro.harness import experiments
-
-        monkeypatch.setenv("REPRO_EXPERIMENT_SERVICE", "1")
-        monkeypatch.setattr(experiments, "_SERVICE", None)
-        rows = experiments.fig14(0.005)
-        assert rows and all("overhead_share" in row for row in rows)
-        stats = experiments._experiment_service().stats()
-        assert stats.requests == len(rows)
-        assert stats.failures == 0

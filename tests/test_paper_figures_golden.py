@@ -1,0 +1,426 @@
+"""Golden counters of the paper's figures: Table I, Fig. 10, Fig. 11.
+
+Every row of ``python -m repro.harness.experiments table1 / fig10 /
+fig11`` is a deterministic function of the generators' seeds except its
+wall-clock column: pairs, comparison tests and the simulated I/O and
+CPU costs *are* the paper's evidence, so no rewrite may move one of
+them.  The same holds for the cost-based planner on three pinned pairs
+(Table I uniform, the Fig. 11 clustered pair, a 100x cardinality
+contrast): the algorithm ``"auto"`` chooses, its pair estimate, every
+candidate's predicted cost and — each candidate executed cold — the
+executed cost, the best candidate and the regret of the choice.
+
+The values below were recorded at commit 6b43568 in the ``smoke``
+(scale 0.05) and ``pinned`` (scale 0.25) profiles of that commit's
+benchmark baseline and every later implementation reproduces them
+exactly, floats compared with ``==``.
+
+To re-record after an *intended* change of the algorithm, run
+``PYTHONPATH=src python tests/test_paper_figures_golden.py`` and paste
+the printed literal over ``GOLDEN``.
+"""
+
+import json
+
+import pytest
+
+from repro.datagen import (
+    dense_cluster,
+    scaled_space,
+    uniform_cluster,
+    uniform_dataset,
+)
+from repro.engine import SpatialWorkspace, plan_join
+from repro.harness.experiments import EXPERIMENTS
+from repro.harness.runner import scale_counts
+from repro.stats import within_error_band
+
+SCALES = (0.05, 0.25)
+FIGURES = ("table1", "fig10", "fig11")
+
+#: The deterministic columns of a figure row, in the order a golden row
+#: lists them; ``density_ratio`` is Fig. 10's alone.
+ROW_FIELDS = (
+    "algorithm", "n_a", "n_b", "pairs", "tests", "index_cost",
+    "join_cost", "join_io", "join_cpu", "density_ratio",
+)
+
+
+def figure_rows(figure: str, scale: float) -> list[tuple]:
+    """The deterministic columns of every row of one figure."""
+    return [
+        tuple(row[k] for k in ROW_FIELDS if k in row)
+        for row in EXPERIMENTS[figure](scale)
+    ]
+
+
+def _planner_pairs(scale: float) -> list[tuple]:
+    n_uniform = scale_counts([14_000], scale)[0]
+    space_u = scaled_space(2 * n_uniform)
+    total_c = scale_counts([20_000], scale)[0]
+    space_c = scaled_space(total_c)
+    n_small, n_big = scale_counts([200, 20_000], scale)
+    space_k = scaled_space(n_small + n_big)
+    return [
+        (
+            "table1-uniform",
+            uniform_dataset(n_uniform, seed=31, name="uniformA", space=space_u),
+            uniform_dataset(
+                n_uniform, seed=32, name="uniformB", id_offset=10**9,
+                space=space_u,
+            ),
+        ),
+        (
+            "fig11-clustered",
+            dense_cluster(total_c // 2, seed=21, name="dense", space=space_c),
+            uniform_cluster(
+                total_c - total_c // 2, seed=22, name="unifclust",
+                id_offset=10**9, space=space_c,
+            ),
+        ),
+        (
+            "contrast-100x",
+            uniform_dataset(n_small, seed=41, name="sparse", space=space_k),
+            uniform_dataset(
+                n_big, seed=42, name="dense", id_offset=10**9, space=space_k
+            ),
+        ),
+    ]
+
+
+def planner_rows(scale: float) -> list[dict]:
+    """``"auto"``'s plan for each pinned pair, every candidate executed."""
+    rows = []
+    for workload, a, b in _planner_pairs(scale):
+        report = plan_join(a, b, "auto", explain=True)
+        executed = {
+            c.algorithm: SpatialWorkspace().join(a, b, algorithm=c.algorithm)
+            for c in report.candidates
+        }
+        costs = {alg: run.total_cost() for alg, run in executed.items()}
+        best = min(costs, key=costs.__getitem__)
+        actual_pairs = executed[report.algorithm].pairs_found
+        rows.append({
+            "workload": workload,
+            "n_a": len(a),
+            "n_b": len(b),
+            "chosen": report.algorithm,
+            "best": best,
+            "regret": round(costs[report.algorithm] / costs[best], 3),
+            "est_pairs": round(report.est_pairs, 1),
+            "actual_pairs": actual_pairs,
+            "within_band": within_error_band(
+                report.est_pairs, actual_pairs, report.error_band
+            ),
+            "error_band": report.error_band,
+            "candidate_costs": {
+                c.algorithm: {
+                    "predicted": c.total,
+                    "executed": round(costs[c.algorithm], 1),
+                }
+                for c in report.candidates
+            },
+        })
+    return rows
+
+
+def observe(scale: float) -> dict[str, list]:
+    out: dict[str, list] = {f: figure_rows(f, scale) for f in FIGURES}
+    out["planner"] = planner_rows(scale)
+    return out
+
+
+def literal(value: object, indent: int = 0, room: float = 79) -> str:
+    """``value`` as Python source, inline where it fits in ``room``
+    columns; a dict or list that does not puts one item per line."""
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, tuple):
+        return "(" + ", ".join(literal(v) for v in value) + ")"
+    if not isinstance(value, (dict, list)):
+        return repr(value)
+    if isinstance(value, dict):
+        heads = [literal(k) + ": " for k in value]
+        items, (left, right) = list(value.values()), "{}"
+    else:
+        heads, items, (left, right) = [""] * len(value), value, "[]"
+    flat = ", ".join(
+        h + literal(v, room=float("inf")) for h, v in zip(heads, items)
+    )
+    if len(flat) + 2 <= room:
+        return left + flat + right
+    pad = indent + 4
+    lines = [
+        " " * pad + h + literal(v, pad, 79 - pad - len(h) - 1) + ",\n"
+        for h, v in zip(heads, items)
+    ]
+    return left + "\n" + "".join(lines) + " " * indent + right
+
+
+GOLDEN: dict[float, dict[str, list]] = {
+    0.05: {
+        "table1": [
+            ("TRANSFORMERS", 300, 300, 31, 1320, 46.0, 159.6, 157.0, 2.6),
+            ("PBSM", 300, 300, 31, 717, 42.0, 404.4, 403.0, 1.4),
+            ("R-TREE", 300, 300, 31, 2900, 42.0, 693.8, 688.0, 5.8),
+            ("TRANSFORMERS", 500, 500, 56, 3621, 86.0, 299.2, 292.0, 7.2),
+            ("PBSM", 500, 500, 56, 1201, 67.0, 620.4, 618.0, 2.4),
+            ("R-TREE", 500, 500, 56, 6811, 82.0, 1463.6, 1450.0, 13.6),
+            ("TRANSFORMERS", 700, 700, 74, 4550, 110.0, 363.1, 354.0, 9.1),
+            ("PBSM", 700, 700, 74, 1490, 115.0, 2246.0, 2243.0, 3.0),
+            ("R-TREE", 700, 700, 74, 9343, 114.0, 2127.7, 2109.0, 18.7),
+        ],
+        "fig10": [
+            ("TRANSFORMERS", 10, 1000, 3, 511, 76.0, 120.0, 119.0, 1.0, 0.01),
+            ("PBSM", 10, 1000, 3, 402, 70.0, 511.8, 511.0, 0.8, 0.01),
+            ("R-TREE", 10, 1000, 3, 496, 74.0, 1109.0, 1108.0, 1.0, 0.01),
+            ("GIPSY", 10, 1000, 3, 714, 70.0, 186.4, 185.0, 1.4, 0.01),
+            ("TRANSFORMERS", 18, 562, 8, 544, 48.0, 103.1, 102.0, 1.1, 0.032),
+            ("PBSM", 18, 562, 8, 384, 47.0, 522.8, 522.0, 0.8, 0.032),
+            ("R-TREE", 18, 562, 8, 642, 42.0, 594.3, 593.0, 1.3, 0.032),
+            ("GIPSY", 18, 562, 8, 1136, 41.0, 426.3, 424.0, 2.3, 0.032),
+            ("TRANSFORMERS", 32, 316, 3, 359, 29.0, 83.7, 83.0, 0.7, 0.1013),
+            ("PBSM", 32, 316, 3, 272, 31.0, 373.5, 373.0, 0.5, 0.1013),
+            ("R-TREE", 32, 316, 3, 654, 24.0, 348.3, 347.0, 1.3, 0.1013),
+            ("GIPSY", 32, 316, 3, 1321, 23.0, 210.6, 208.0, 2.6, 0.1013),
+            ("TRANSFORMERS", 56, 178, 4, 367, 24.0, 78.7, 78.0, 0.7, 0.3146),
+            ("PBSM", 56, 178, 4, 193, 24.0, 328.4, 328.0, 0.4, 0.3146),
+            ("R-TREE", 56, 178, 4, 506, 20.0, 249.0, 248.0, 1.0, 0.3146),
+            ("GIPSY", 56, 178, 4, 1696, 18.0, 229.4, 226.0, 3.4, 0.3146),
+            ("TRANSFORMERS", 100, 100, 4, 220, 24.0, 78.4, 78.0, 0.4, 1.0),
+            ("PBSM", 100, 100, 4, 128, 17.0, 226.3, 226.0, 0.3, 1.0),
+            ("R-TREE", 100, 100, 4, 328, 18.0, 360.7, 360.0, 0.7, 1.0),
+            ("GIPSY", 100, 100, 4, 2409, 18.0, 211.8, 207.0, 4.8, 1.0),
+            ("TRANSFORMERS", 178, 56, 0, 143, 24.0, 59.3, 59.0, 0.3, 3.1786),
+            ("PBSM", 178, 56, 0, 64, 23.0, 232.1, 232.0, 0.1, 3.1786),
+            ("R-TREE", 178, 56, 0, 453, 20.0, 267.9, 267.0, 0.9, 3.1786),
+            ("GIPSY", 178, 56, 0, 1783, 18.0, 210.6, 207.0, 3.6, 3.1786),
+            ("TRANSFORMERS", 316, 32, 3, 120, 29.0, 102.2, 102.0, 0.2, 9.875),
+            ("PBSM", 316, 32, 3, 55, 31.0, 411.1, 411.0, 0.1, 9.875),
+            ("R-TREE", 316, 32, 3, 640, 24.0, 329.3, 328.0, 1.3, 9.875),
+            ("GIPSY", 316, 32, 3, 1389, 23.0, 266.8, 264.0, 2.8, 9.875),
+            ("TRANSFORMERS", 562, 18, 1, 153, 48.0, 140.3, 140.0, 0.3, 31.2222),
+            ("PBSM", 562, 18, 1, 40, 45.0, 444.1, 444.0, 0.1, 31.2222),
+            ("R-TREE", 562, 18, 1, 704, 42.0, 461.4, 460.0, 1.4, 31.2222),
+            ("GIPSY", 562, 18, 1, 1058, 41.0, 343.1, 341.0, 2.1, 31.2222),
+            ("TRANSFORMERS", 1000, 10, 0, 143, 76.0, 220.3, 220.0, 0.3, 100.0),
+            ("PBSM", 1000, 10, 0, 34, 72.0, 642.1, 642.0, 0.1, 100.0),
+            ("R-TREE", 1000, 10, 0, 450, 74.0, 791.9, 791.0, 0.9, 100.0),
+            ("GIPSY", 1000, 10, 0, 693, 70.0, 284.4, 283.0, 1.4, 100.0),
+        ],
+        "fig11": [
+            ("TRANSFORMERS", 250, 250, 40, 1570, 46.0, 160.1, 157.0, 3.1),
+            ("PBSM", 250, 250, 40, 678, 40.0, 440.4, 439.0, 1.4),
+            ("R-TREE", 250, 250, 40, 2659, 42.0, 636.3, 631.0, 5.3),
+            ("TRANSFORMERS", 500, 500, 83, 4477, 86.0, 282.0, 273.0, 9.0),
+            ("PBSM", 500, 500, 83, 1740, 72.0, 683.5, 680.0, 3.5),
+            ("R-TREE", 500, 500, 83, 7837, 82.0, 1199.7, 1184.0, 15.7),
+            ("TRANSFORMERS", 750, 750, 127, 5585, 110.0, 346.2, 335.0, 11.2),
+            ("PBSM", 750, 750, 127, 2028, 129.0, 2356.1, 2352.0, 4.1),
+            ("R-TREE", 750, 750, 127, 11116, 114.0, 2036.2, 2014.0, 22.2),
+            ("TRANSFORMERS", 1000, 1000, 149, 7099, 142.0, 457.2, 443.0, 14.2),
+            ("PBSM", 1000, 1000, 149, 3026, 156.0, 2879.1, 2873.0, 6.1),
+            ("R-TREE", 1000, 1000, 149, 14682, 146.0, 2702.4, 2673.0, 29.4),
+        ],
+        "planner": [
+            {
+                "workload": "table1-uniform",
+                "n_a": 700,
+                "n_b": 700,
+                "chosen": "transformers",
+                "best": "transformers",
+                "regret": 1.0,
+                "est_pairs": 67.6,
+                "actual_pairs": 74,
+                "within_band": True,
+                "error_band": 4.0,
+                "candidate_costs": {
+                    "transformers": {"predicted": 210.4, "executed": 473.1},
+                    "rtree": {"predicted": 1113.3, "executed": 2241.7},
+                    "pbsm": {"predicted": 1249.8, "executed": 2361.0},
+                    "nested-loop": {"predicted": 1811.5, "executed": 1909.2},
+                    "gipsy": {"predicted": 2158.9, "executed": 1743.5},
+                },
+            },
+            {
+                "workload": "fig11-clustered",
+                "n_a": 500,
+                "n_b": 500,
+                "chosen": "transformers",
+                "best": "transformers",
+                "regret": 1.0,
+                "est_pairs": 69.3,
+                "actual_pairs": 83,
+                "within_band": True,
+                "error_band": 4.0,
+                "candidate_costs": {
+                    "transformers": {"predicted": 186.2, "executed": 368.0},
+                    "pbsm": {"predicted": 675.4, "executed": 774.5},
+                    "rtree": {"predicted": 876.4, "executed": 1281.7},
+                    "nested-loop": {"predicted": 1322.0, "executed": 1354.7},
+                    "gipsy": {"predicted": 1574.7, "executed": 1211.3},
+                },
+            },
+            {
+                "workload": "contrast-100x",
+                "n_a": 10,
+                "n_b": 1000,
+                "chosen": "transformers",
+                "best": "transformers",
+                "regret": 1.0,
+                "est_pairs": 2.1,
+                "actual_pairs": 5,
+                "within_band": True,
+                "error_band": 4.0,
+                "candidate_costs": {
+                    "transformers": {"predicted": 91.7, "executed": 206.0},
+                    "pbsm": {"predicted": 316.3, "executed": 494.1},
+                    "nested-loop": {"predicted": 586.6, "executed": 503.9},
+                    "rtree": {"predicted": 624.3, "executed": 1079.4},
+                    "gipsy": {"predicted": 672.5, "executed": 317.4},
+                },
+            },
+        ],
+    },
+    0.25: {
+        "table1": [
+            ("TRANSFORMERS", 1500, 1500, 145, 13331, 222.0, 1138.7, 1112.0, 26.7),
+            ("PBSM", 1500, 1500, 145, 3789, 212.0, 4171.6, 4164.0, 7.6),
+            ("R-TREE", 1500, 1500, 145, 24536, 230.0, 4231.1, 4182.0, 49.1),
+            ("TRANSFORMERS", 2500, 2500, 268, 23209, 330.0, 1399.4, 1353.0, 46.4),
+            ("PBSM", 2500, 2500, 268, 6283, 384.0, 7654.6, 7642.0, 12.6),
+            ("R-TREE", 2500, 2500, 268, 42864, 342.0, 6241.7, 6156.0, 85.7),
+            ("TRANSFORMERS", 3500, 3500, 362, 35177, 476.0, 2139.4, 2069.0, 70.4),
+            ("PBSM", 3500, 3500, 362, 8146, 572.0, 11437.3, 11421.0, 16.3),
+            ("R-TREE", 3500, 3500, 362, 60160, 496.0, 9185.3, 9065.0, 120.3),
+        ],
+        "fig10": [
+            ("TRANSFORMERS", 15, 5000, 0, 5554, 327.0, 272.1, 261.0, 11.1, 0.003),
+            ("PBSM", 15, 5000, 0, 1295, 371.0, 2223.6, 2221.0, 2.6, 0.003),
+            ("R-TREE", 15, 5000, 0, 2962, 336.0, 5591.9, 5586.0, 5.9, 0.003),
+            ("GIPSY", 15, 5000, 0, 1689, 315.0, 555.4, 552.0, 3.4, 0.003),
+            ("TRANSFORMERS", 31, 2419, 3, 1945, 171.0, 228.9, 225.0, 3.9, 0.0128),
+            ("PBSM", 31, 2419, 3, 1155, 180.0, 2443.3, 2441.0, 2.3, 0.0128),
+            ("R-TREE", 31, 2419, 3, 2630, 174.0, 3086.3, 3081.0, 5.3, 0.0128),
+            ("GIPSY", 31, 2419, 3, 2343, 163.0, 790.7, 786.0, 4.7, 0.0128),
+            ("TRANSFORMERS", 64, 1170, 3, 1651, 99.0, 156.3, 153.0, 3.3, 0.0547),
+            ("PBSM", 64, 1170, 3, 740, 112.0, 2241.5, 2240.0, 1.5, 0.0547),
+            ("R-TREE", 64, 1170, 3, 1668, 100.0, 1851.3, 1848.0, 3.3, 0.0547),
+            ("GIPSY", 64, 1170, 3, 3460, 90.0, 991.9, 985.0, 6.9, 0.0547),
+            ("TRANSFORMERS", 132, 566, 4, 883, 55.0, 110.8, 109.0, 1.8, 0.2332),
+            ("PBSM", 132, 566, 4, 532, 47.0, 485.1, 484.0, 1.1, 0.2332),
+            ("R-TREE", 132, 566, 4, 1388, 50.0, 831.8, 829.0, 2.8, 0.2332),
+            ("GIPSY", 132, 566, 4, 5132, 48.0, 719.3, 709.0, 10.3, 0.2332),
+            ("TRANSFORMERS", 274, 274, 3, 759, 46.0, 158.5, 157.0, 1.5, 1.0),
+            ("PBSM", 274, 274, 3, 290, 39.0, 457.6, 457.0, 0.6, 1.0),
+            ("R-TREE", 274, 274, 3, 1236, 42.0, 747.5, 745.0, 2.5, 1.0),
+            ("GIPSY", 274, 274, 3, 7719, 40.0, 623.4, 608.0, 15.4, 1.0),
+            ("TRANSFORMERS", 566, 132, 3, 748, 55.0, 186.5, 185.0, 1.5, 4.2879),
+            ("PBSM", 566, 132, 3, 195, 49.0, 486.4, 486.0, 0.4, 4.2879),
+            ("R-TREE", 566, 132, 3, 1189, 50.0, 755.4, 753.0, 2.4, 4.2879),
+            ("GIPSY", 566, 132, 3, 5367, 48.0, 854.7, 844.0, 10.7, 4.2879),
+            ("TRANSFORMERS", 1170, 64, 2, 1644, 99.0, 221.3, 218.0, 3.3, 18.2812),
+            ("PBSM", 1170, 64, 2, 127, 107.0, 1921.3, 1921.0, 0.3, 18.2812),
+            ("R-TREE", 1170, 64, 2, 1607, 100.0, 1482.2, 1479.0, 3.2, 18.2812),
+            ("GIPSY", 1170, 64, 2, 3428, 90.0, 836.9, 830.0, 6.9, 18.2812),
+            ("TRANSFORMERS", 2419, 31, 3, 3987, 171.0, 261.0, 253.0, 8.0, 78.0323),
+            ("PBSM", 2419, 31, 3, 92, 183.0, 2922.2, 2922.0, 0.2, 78.0323),
+            ("R-TREE", 2419, 31, 3, 2872, 174.0, 2972.7, 2967.0, 5.7, 78.0323),
+            ("GIPSY", 2419, 31, 3, 2356, 163.0, 770.7, 766.0, 4.7, 78.0323),
+            ("TRANSFORMERS", 5000, 15, 9, 3229, 327.0, 571.5, 565.0, 6.5, 333.3333),
+            ("PBSM", 5000, 15, 9, 64, 369.0, 2060.1, 2060.0, 0.1, 333.3333),
+            ("R-TREE", 5000, 15, 9, 2383, 336.0, 4663.8, 4659.0, 4.8, 333.3333),
+            ("GIPSY", 5000, 15, 9, 1605, 315.0, 553.2, 550.0, 3.2, 333.3333),
+        ],
+        "fig11": [
+            ("TRANSFORMERS", 1250, 1250, 166, 11408, 182.0, 771.8, 749.0, 22.8),
+            ("PBSM", 1250, 1250, 166, 3741, 184.0, 3421.5, 3414.0, 7.5),
+            ("R-TREE", 1250, 1250, 166, 20927, 190.0, 3480.9, 3439.0, 41.9),
+            ("TRANSFORMERS", 2500, 2500, 385, 26176, 330.0, 1307.4, 1255.0, 52.4),
+            ("PBSM", 2500, 2500, 385, 7201, 389.0, 7718.4, 7704.0, 14.4),
+            ("R-TREE", 2500, 2500, 385, 44871, 342.0, 6166.7, 6077.0, 89.7),
+            ("TRANSFORMERS", 3750, 3750, 491, 39686, 476.0, 2030.4, 1951.0, 79.4),
+            ("PBSM", 3750, 3750, 491, 10682, 622.0, 12143.4, 12122.0, 21.4),
+            ("R-TREE", 3750, 3750, 491, 61464, 496.0, 9164.9, 9042.0, 122.9),
+            ("TRANSFORMERS", 5000, 5000, 718, 57285, 644.0, 2909.6, 2795.0, 114.6),
+            ("PBSM", 5000, 5000, 718, 14816, 782.0, 15289.6, 15260.0, 29.6),
+            ("R-TREE", 5000, 5000, 718, 95184, 670.0, 12132.4, 11942.0, 190.4),
+        ],
+        "planner": [
+            {
+                "workload": "table1-uniform",
+                "n_a": 3500,
+                "n_b": 3500,
+                "chosen": "transformers",
+                "best": "transformers",
+                "regret": 1.0,
+                "est_pairs": 353.5,
+                "actual_pairs": 362,
+                "within_band": True,
+                "error_band": 4.0,
+                "candidate_costs": {
+                    "transformers": {"predicted": 962.9, "executed": 2615.4},
+                    "rtree": {"predicted": 5596.1, "executed": 9681.3},
+                    "pbsm": {"predicted": 5870.1, "executed": 12030.3},
+                    "nested-loop": {"predicted": 9069.6, "executed": 8598.5},
+                    "gipsy": {"predicted": 10704.5, "executed": 7842.7},
+                },
+            },
+            {
+                "workload": "fig11-clustered",
+                "n_a": 2500,
+                "n_b": 2500,
+                "chosen": "transformers",
+                "best": "transformers",
+                "regret": 1.0,
+                "est_pairs": 355.9,
+                "actual_pairs": 385,
+                "within_band": True,
+                "error_band": 4.0,
+                "candidate_costs": {
+                    "transformers": {"predicted": 741.1, "executed": 1637.4},
+                    "pbsm": {"predicted": 3362.6, "executed": 8105.3},
+                    "rtree": {"predicted": 4116.7, "executed": 6508.7},
+                    "nested-loop": {"predicted": 6559.5, "executed": 5575.5},
+                    "gipsy": {"predicted": 7716.5, "executed": 5001.5},
+                },
+            },
+            {
+                "workload": "contrast-100x",
+                "n_a": 50,
+                "n_b": 5000,
+                "chosen": "transformers",
+                "best": "transformers",
+                "regret": 1.0,
+                "est_pairs": 9.9,
+                "actual_pairs": 14,
+                "within_band": True,
+                "error_band": 4.0,
+                "candidate_costs": {
+                    "transformers": {"predicted": 354.0, "executed": 718.1},
+                    "pbsm": {"predicted": 1808.9, "executed": 5031.5},
+                    "rtree": {"predicted": 3078.5, "executed": 6420.5},
+                    "nested-loop": {"predicted": 4544.9, "executed": 2635.9},
+                    "gipsy": {"predicted": 4608.6, "executed": 1844.0},
+                },
+            },
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+@pytest.mark.parametrize("scale", SCALES)
+def test_figure_rows_equal_the_recorded_ones(scale, figure):
+    assert figure_rows(figure, scale) == GOLDEN[scale][figure]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_planner_fields_equal_the_recorded_ones(scale):
+    assert planner_rows(scale) == GOLDEN[scale]["planner"]
+
+
+if __name__ == "__main__":
+    print("GOLDEN: dict[float, dict[str, list]] = " + literal(
+        {scale: observe(scale) for scale in SCALES}
+    ))
