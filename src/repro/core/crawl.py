@@ -21,27 +21,30 @@ distinction:
   itself, keeping the candidate set small.
 
 Both tests depend only on the node and the pivot, not on the path taken
-to the node, so the crawl is *mask, then traverse*: two reductions over
-the whole node table answer "include?" and "expand?" for every node of
-the follower at once, and the stack traversal that follows only looks
-booleans up.  The traversal itself is the element-at-a-time one — same
-stack discipline, one logical metadata comparison per visited node and
-per tested neighbour, one descriptor read per visit — so candidates
-come back in the same visit order, and the comparison counter and the
-buffer pool see exactly what a per-candidate implementation would show
-them (``tests/test_core_walk_crawl.py`` keeps that implementation as
-the reference).  :func:`candidate_units` is batched the same way: the
+to the node, so the crawl is *tables, then traverse*:
+:func:`crawl_masks` answers "include?" and "expand?" for every (pivot,
+node) pair of a stack of pivots in two reductions — the join stacks
+every guide node of one direction and computes its tables once, a range
+query stacks its one box — and :func:`adaptive_crawl` takes one pivot's
+rows and only looks booleans up.  The traversal itself is the
+element-at-a-time one — same stack discipline, one logical metadata
+comparison per visited node and per tested neighbour, one descriptor
+read per visit — so candidates come back in the same visit order, and
+the comparison counter and the buffer pool see exactly what a
+per-candidate implementation would show them
+(``tests/test_core_walk_crawl.py`` keeps that implementation as the
+reference).  :func:`candidate_units` is batched the same way: the
 descriptor pages are read node by node, the page-MBB filter runs once
 over all their units.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Container, Sequence
 
 import numpy as np
 
-from repro._types import FloatArray, IntArray
+from repro._types import BoolArray, FloatArray, IntArray
 
 from repro.core.indexing import TransformersIndex
 from repro.core.walk import touch_node_meta
@@ -50,13 +53,35 @@ from repro.storage.buffer import BufferPool
 from repro.vectorize import boxes_overlap
 
 
-def adaptive_crawl(
+def crawl_masks(
     index: TransformersIndex,
-    start: int,
     e_lo: FloatArray,
     e_hi: FloatArray,
     g_lo: FloatArray,
     g_hi: FloatArray,
+) -> tuple[BoolArray, BoolArray]:
+    """``(include, expand)``: does each node's tight MBB meet the pivot
+    box ``e``, does its partition MBB meet the enlarged box ``g``?
+
+    One ``(d,)`` pivot gives two ``(num_nodes,)`` rows; a ``(k, d)``
+    stack of pivots (rows of the four bound arrays) gives two
+    ``(k, num_nodes)`` tables, row ``k`` for pivot ``k``.
+    """
+    nodes = index.nodes
+    include = boxes_overlap(
+        nodes.mbb_lo, nodes.mbb_hi, e_lo[..., None, :], e_hi[..., None, :]
+    )
+    expand = boxes_overlap(
+        nodes.part_lo, nodes.part_hi, g_lo[..., None, :], g_hi[..., None, :]
+    )
+    return include, expand
+
+
+def adaptive_crawl(
+    index: TransformersIndex,
+    start: int,
+    include: Sequence[bool],
+    expand: Sequence[bool],
     stats: JoinStats,
     pool: BufferPool,
     skip: Container[int] = frozenset(),
@@ -65,10 +90,10 @@ def adaptive_crawl(
 
     Parameters
     ----------
-    e_lo, e_hi:
-        The pivot box (tight).
-    g_lo, g_hi:
-        The pivot box enlarged by the follower's max element extent.
+    include, expand:
+        One pivot's rows of :func:`crawl_masks`: does each node's MBB
+        meet the pivot box, does its partition meet the pivot box
+        enlarged by the follower's max element extent?
     skip:
         Nodes to leave out of the candidate set (already-checked nodes
         whose result pairs were reported when *they* were pivots —
@@ -78,9 +103,7 @@ def adaptive_crawl(
 
     Returns candidate node indices in visit order.
     """
-    nodes = index.nodes
-    include = boxes_overlap(nodes.mbb_lo, nodes.mbb_hi, e_lo, e_hi).tolist()
-    expand = boxes_overlap(nodes.part_lo, nodes.part_hi, g_lo, g_hi).tolist()
+    neighbors = index.nodes.neighbors
     candidates: list[int] = []
     seen = {int(start)}
     queue = [int(start)]
@@ -90,7 +113,7 @@ def adaptive_crawl(
         stats.metadata_comparisons += 1
         if node not in skip and include[node]:
             candidates.append(node)
-        for nb in nodes.neighbors[node].tolist():
+        for nb in neighbors[node].tolist():
             if nb in seen:
                 continue
             stats.metadata_comparisons += 1

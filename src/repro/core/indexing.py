@@ -173,7 +173,7 @@ def build_transformers_index(
     element_counts = np.add.reduceat(u_counts[members], n_offsets[:-1])
     # One descriptor page per node, holding its unit descriptors.
     desc_page_ids = np.array(
-        [disk.allocate(("unit-descriptors", k)) for k in range(n_nodes)],
+        disk.allocate_many(("unit-descriptors", k) for k in range(n_nodes)),
         dtype=np.int64,
     )
 
@@ -194,9 +194,10 @@ def build_transformers_index(
     per_meta_page = max(1, disk.model.page_size // DESCRIPTOR_SIZE)
     meta_page_of = np.arange(n_nodes, dtype=np.intp) // per_meta_page
     n_meta = int(meta_page_of.max()) + 1 if n_nodes else 0
-    meta_page_ids = np.empty(n_meta, dtype=np.int64)
-    for m in range(n_meta):
-        meta_page_ids[m] = disk.allocate(("node-descriptors", m))
+    meta_page_ids = np.array(
+        disk.allocate_many(("node-descriptors", m) for m in range(n_meta)),
+        dtype=np.int64,
+    )
 
     # ------------------------------------------------------------------
     # B+-tree over Hilbert values of node centres (walk start lookup).

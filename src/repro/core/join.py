@@ -24,6 +24,17 @@ The join finishes when one dataset has no unchecked nodes left — every
 result pair (x, y) was reported while processing whichever of x's or
 y's node was checked first, so completeness follows by induction.
 
+What steps 1 and 3 compare depends only on the pivot node and the
+follower's nodes, never on the order of exploration, so the driver
+computes it per *direction* (which dataset guides): one (guide nodes x
+follower nodes) table of partition distances for the walk and two of
+``include`` / ``expand`` booleans for the crawl, when the direction's
+first pivot needs them.  Each walk and crawl then takes its pivot's
+rows and only looks values up; the visits, the metadata comparisons
+and the descriptor reads are those of a per-pivot computation.  Tables
+beyond ``_TABLE_CELLS`` cells are computed in aligned blocks of pivot
+rows.
+
 The queue of step 4 runs as one segmented kernel launch
 (:func:`~repro.joins.grid_hash.grid_hash_join_segments`) whenever it
 holds ``_QUEUE_ROW_BUDGET`` element rows and when the exploration ends.
@@ -32,7 +43,10 @@ cost, page reads and filter fractions, never intersection tests or
 pairs; every page is still read where it was; and every pair is still
 reported, only later (the result is sorted at the end).  The queue is
 working memory of the in-memory join, like the kernel's own arrays, and
-charges no simulated I/O.
+charges no simulated I/O.  It holds row ranges of the pages' runs, not
+pages: an element-level split queues all of a unit's (element, page)
+hits as one batch of one-box segments, cut where one segment at a time
+would have launched the queue.
 
 Cost attribution (Figure 14): all descriptor/metadata page I/O and
 metadata comparisons are *adaptive exploration overhead*; element-page
@@ -52,10 +66,10 @@ import numpy as np
 from repro._types import BoolArray, FloatArray, IntArray
 
 from repro.core.config import TransformersConfig
-from repro.core.crawl import adaptive_crawl, candidate_units
+from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
 from repro.core.indexing import TransformersIndex, build_transformers_index
 from repro.core.transformations import ThresholdController
-from repro.core.walk import adaptive_walk
+from repro.core.walk import adaptive_walk, partition_distances
 from repro.geometry.slots import SlotPickleMixin
 from repro.geometry.hilbert import hilbert_index_batch
 from repro.joins.base import (
@@ -69,7 +83,7 @@ from repro.joins.base import (
 from repro.joins.grid_hash import grid_hash_join_segments
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.page import ElementPage
+from repro.storage.page import ElementPage, RowRanges
 from repro.vectorize import boxes_overlap, column_product
 
 _T = TypeVar("_T")
@@ -79,6 +93,15 @@ _EPS_VOLUME = 1e-9
 
 #: Queued element rows (both sides) at which the queue is launched.
 _QUEUE_ROW_BUDGET = 16_384
+
+#: Cells of one direction's exploration tables computed at a time: all
+#: of them while (guide nodes x follower nodes) stays below it, else
+#: aligned blocks of pivot rows.
+_TABLE_CELLS = 1 << 16
+
+#: One direction's tables for the guide nodes ``first, first + 1, ...``:
+#: ``(first, distance rows, include rows, expand rows)``.
+_Tables = tuple[int, list[list[float]], list[list[bool]], list[list[bool]]]
 
 
 def _cross_hits(
@@ -208,10 +231,18 @@ class _Driver:
         #: Last walk position per dataset (when it acted as follower).
         self.walk_pos: list[int | None] = [None, None]
         self.guide = 0
-        #: Comparisons not yet run: (guide pages, follower pages, guide
-        #: rows, follower rows, guide).
+        #: Walk and crawl tables per direction, keyed by the guide side.
+        self.tables: list[_Tables | None] = [None, None]
+        #: Node MBB volumes per side (floored), for the role decision.
+        self.volumes: list[list[float]] = [
+            np.maximum(index.nodes.volumes(), _EPS_VOLUME).tolist()
+            for index in self.indexes
+        ]
+        #: Comparisons not yet run, a batch of segments per entry: (guide
+        #: rows, follower rows, guide rows per segment, follower rows per
+        #: segment, guide).
         self.queue: list[
-            tuple[list[ElementPage], list[ElementPage], int, int, int]
+            tuple[list[RowRanges], list[RowRanges], IntArray, IntArray, int]
         ] = []
         self.queued_rows = 0
         self.out: list[IntArray] = []
@@ -329,19 +360,20 @@ class _Driver:
     def _read_element_pages(self, page_ids: list[int]) -> list[ElementPage]:
         """Read data pages in order, attributing each page's cost to the
         join side as it is read: the deltas are added page by page, so
-        the float sums are the per-page ones under any disk model."""
-        stats, read = self.disk.stats, self.pool.read
-        record = self.thresholds.record_data_read
+        the float sums are the per-page ones under any disk model.  A
+        pool hit charges nothing, so only a miss moves the disk's cost."""
+        stats, pool = self.disk.stats, self.pool
+        read, record = pool.read, self.thresholds.record_data_read
+        misses, cost = pool.misses, stats.read_cost
         pages = []
         for page_id in page_ids:
-            io_before, pages_before = stats.read_cost, stats.pages_read
             page = read(page_id)
-            read_pages = stats.pages_read - pages_before
-            if read_pages:  # a pool hit adds 0.0 and 0: nothing to record
-                delta = stats.read_cost - io_before
+            if pool.misses != misses:
+                misses, before, cost = pool.misses, cost, stats.read_cost
+                delta = cost - before
                 self.data_io += delta
-                self.data_pages += read_pages
-                record(delta, read_pages)
+                self.data_pages += 1
+                record(delta, 1)
             if not isinstance(page, ElementPage):
                 raise TypeError(f"page {page_id} is not an element page")
             pages.append(page)
@@ -357,39 +389,23 @@ class _Driver:
     # Node-level pivot processing
     # ------------------------------------------------------------------
     def _process_node(self, g_node: int, allow_role: bool) -> None:
-        guide_idx = self.indexes[self.guide]
         follower = 1 - self.guide
         follower_idx = self.indexes[follower]
+        distance, include, expand = self._exploration_rows(g_node)
 
-        e_lo = guide_idx.nodes.mbb_lo[g_node]
-        e_hi = guide_idx.nodes.mbb_hi[g_node]
-        g_lo = e_lo - follower_idx.node_slack
-        g_hi = e_hi + follower_idx.node_slack
-
-        start = self._walk_start(follower_idx, follower, (e_lo + e_hi) / 2.0)
+        start = self._walk_start(g_node)
         found = self._explore(
             adaptive_walk,
-            follower_idx, start, g_lo, g_hi, self.stats, self.meta_pool,
+            follower_idx, start, distance, self.stats, self.meta_pool,
         )
         if found is None:
             self._mark_checked(self.guide, g_node)
             return
         self.walk_pos[follower] = found
 
-        v_guide = max(
-            float(np.prod(e_hi - e_lo)), _EPS_VOLUME
-        )
-        v_follower = max(
-            float(
-                np.prod(
-                    follower_idx.nodes.mbb_hi[found]
-                    - follower_idx.nodes.mbb_lo[found]
-                )
-            ),
-            _EPS_VOLUME,
-        )
         decision = self.thresholds.decide_node(
-            v_guide / v_follower, allow_role=allow_role
+            self.volumes[self.guide][g_node] / self.volumes[follower][found],
+            allow_role=allow_role,
         )
 
         if decision.action == "role" and found in self.unchecked[follower]:
@@ -410,7 +426,7 @@ class _Driver:
         checked_view = _CheckedView(self.unchecked[follower])
         cand_nodes = self._explore(
             adaptive_crawl,
-            follower_idx, found, e_lo, e_hi, g_lo, g_hi,
+            follower_idx, found, include, expand,
             self.stats, self.meta_pool, checked_view,
         )
         if not cand_nodes:
@@ -425,19 +441,52 @@ class _Driver:
             self._process_node_batch(g_node, cand_nodes)
         self._mark_checked(self.guide, g_node)
 
-    def _walk_start(
-        self,
-        follower_idx: TransformersIndex,
-        follower: int,
-        pivot_center: FloatArray,
-    ) -> int:
-        """Previous walk position, or a B+-tree Hilbert lookup."""
-        pos = self.walk_pos[follower]
+    def _exploration_rows(
+        self, g_node: int
+    ) -> tuple[list[float], list[bool], list[bool]]:
+        """The pivot's rows of the current direction's tables: follower
+        node distances for the walk, ``include`` / ``expand`` for the
+        crawl.  A direction's tables are computed when its first pivot
+        needs them (a direction the join never takes costs nothing)."""
+        tables = self.tables[self.guide]
+        if tables is None or not 0 <= g_node - tables[0] < len(tables[1]):
+            tables = self.tables[self.guide] = self._compute_tables(g_node)
+        first, distance, include, expand = tables
+        k = g_node - first
+        return distance[k], include[k], expand[k]
+
+    def _compute_tables(self, g_node: int) -> _Tables:
+        """The block of the current direction's tables holding ``g_node``:
+        pivot boxes are the guide nodes' MBBs, enlarged by the follower's
+        node slack for the walk and the crawl's expansion."""
+        guide_nodes = self.indexes[self.guide].nodes
+        follower_idx = self.indexes[1 - self.guide]
+        rows = max(1, _TABLE_CELLS // max(follower_idx.num_nodes, 1))
+        first = g_node - g_node % rows
+        e_lo = guide_nodes.mbb_lo[first : first + rows]
+        e_hi = guide_nodes.mbb_hi[first : first + rows]
+        g_lo = e_lo - follower_idx.node_slack
+        g_hi = e_hi + follower_idx.node_slack
+        include, expand = crawl_masks(follower_idx, e_lo, e_hi, g_lo, g_hi)
+        return (
+            first,
+            partition_distances(follower_idx, g_lo, g_hi).tolist(),
+            include.tolist(),
+            expand.tolist(),
+        )
+
+    def _walk_start(self, g_node: int) -> int:
+        """Previous walk position, or a B+-tree lookup of the Hilbert key
+        of the pivot's centre."""
+        follower_idx = self.indexes[1 - self.guide]
+        pos = self.walk_pos[1 - self.guide]
         if pos is not None:
             return pos
+        nodes = self.indexes[self.guide].nodes
+        center = (nodes.mbb_lo[g_node] + nodes.mbb_hi[g_node]) / 2.0
         key = int(
             hilbert_index_batch(
-                pivot_center.reshape(1, -1),
+                center.reshape(1, -1),
                 follower_idx.space,
                 bits=follower_idx.btree_bits,
             )[0]
@@ -503,10 +552,28 @@ class _Driver:
     ) -> None:
         """Queue the grid hash join between two page groups."""
         rows = sum(map(len, g_pages)), sum(map(len, f_pages))
-        if not all(rows):
-            return
-        self.queue.append((g_pages, f_pages, *rows, self.guide))
-        self.queued_rows += sum(rows)
+        if all(rows):
+            self._enqueue(
+                ElementPage.row_ranges(g_pages),
+                ElementPage.row_ranges(f_pages),
+                np.array(rows[:1]),
+                np.array(rows[1:]),
+                sum(rows),
+            )
+
+    def _enqueue(
+        self,
+        g_ranges: list[RowRanges],
+        f_ranges: list[RowRanges],
+        g_rows: IntArray,
+        f_rows: IntArray,
+        rows: int,
+    ) -> None:
+        """Queue a batch of segments (``g_rows[k]`` guide rows against
+        ``f_rows[k]`` follower rows, in the ranges' order; ``rows`` in
+        all); launch the queue once it holds the row budget."""
+        self.queue.append((g_ranges, f_ranges, g_rows, f_rows, self.guide))
+        self.queued_rows += rows
         if self.queued_rows >= _QUEUE_ROW_BUDGET:
             self._flush_queue()
 
@@ -515,13 +582,21 @@ class _Driver:
         oriented as (id from A, id from B)."""
         if not self.queue:
             return
-        g_pages, f_pages, g_rows, f_rows, guides = zip(*self.queue)
-        g_ids, g_boxes = ElementPage.gather(list(chain.from_iterable(g_pages)))
-        f_ids, f_boxes = ElementPage.gather(list(chain.from_iterable(f_pages)))
-        idx, groups, tests = grid_hash_join_segments(
-            g_boxes, f_boxes, np.cumsum([0, *g_rows]), np.cumsum([0, *f_rows])
+        g_ranges, f_ranges, g_rows, f_rows, guides = zip(*self.queue)
+        g_ids, g_boxes = ElementPage.gather_ranges(
+            list(chain.from_iterable(g_ranges))
         )
-        guided_by_b = np.array(guides) == 1
+        f_ids, f_boxes = ElementPage.gather_ranges(
+            list(chain.from_iterable(f_ranges))
+        )
+        g_counts, f_counts = np.concatenate(g_rows), np.concatenate(f_rows)
+        idx, groups, tests = grid_hash_join_segments(
+            g_boxes,
+            f_boxes,
+            np.concatenate(([0], np.cumsum(g_counts))),
+            np.concatenate(([0], np.cumsum(f_counts))),
+        )
+        guided_by_b = np.repeat(np.array(guides) == 1, list(map(len, g_rows)))
         self.queue.clear()
         self.queued_rows = 0
         # ``int``: the stats are dumped as JSON and pickled between tiers.
@@ -658,13 +733,30 @@ class _Driver:
             follower_idx.units.page_lo[cand_units],
             follower_idx.units.page_hi[cand_units],
         )
-        # One-box groups: their grid has one cell, so the kernel tests
+        # One-box segments: their grid has one cell, so the kernel tests
         # the element against the whole page.  ``nonzero`` walks the
         # (element, unit) hits element by element, units ascending.
-        elements = g_page.elements()
         e_hit, u_hit = np.nonzero(hits)
         pages = self._read_element_pages(
             follower_idx.units.element_page_ids[cand_units[u_hit]].tolist()
         )
-        for e, page in zip(e_hit.tolist(), pages):
-            self._join_pages([elements[e]], [page])
+        f_rows = np.array(list(map(len, pages)), dtype=np.intp)
+        if not f_rows.all():
+            keep = np.flatnonzero(f_rows)
+            e_hit, f_rows = e_hit[keep], f_rows[keep]
+            pages = [pages[k] for k in keep.tolist()]
+        # Queued as batches cut where one segment at a time would have
+        # launched the queue: after the segment that reaches the budget.
+        start, n = 0, len(pages)
+        while start < n:
+            queued = np.cumsum(1 + f_rows[start:])
+            cut = int(np.searchsorted(queued, _QUEUE_ROW_BUDGET - self.queued_rows))
+            stop = start + min(cut + 1, n - start)
+            self._enqueue(
+                [g_page.element_ranges(e_hit[start:stop])],
+                ElementPage.row_ranges(pages[start:stop]),
+                np.ones(stop - start, dtype=np.intp),
+                f_rows[start:stop],
+                int(queued[stop - start - 1]),
+            )
+            start = stop

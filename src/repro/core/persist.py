@@ -170,14 +170,14 @@ def load_index(
         )
         n_nodes = len(node_units)
         desc_page_ids = np.array(
-            [disk.allocate(("unit-descriptors", k)) for k in range(n_nodes)],
+            disk.allocate_many(("unit-descriptors", k) for k in range(n_nodes)),
             dtype=np.int64,
         )
         per_meta_page = max(1, disk.model.page_size // DESCRIPTOR_SIZE)
         meta_page_of = np.arange(n_nodes, dtype=np.intp) // per_meta_page
         n_meta = int(meta_page_of.max()) + 1 if n_nodes else 0
         meta_page_ids = np.array(
-            [disk.allocate(("node-descriptors", m)) for m in range(n_meta)],
+            disk.allocate_many(("node-descriptors", m) for m in range(n_meta)),
             dtype=np.int64,
         )
 

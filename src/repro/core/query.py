@@ -9,7 +9,8 @@ Section VII-C1 beyond joins.
 
 The query walks to the region, crawls the candidate nodes, filters
 space units by page MBB, reads only the surviving pages and tests the
-elements — the same selective-retrieval path the join uses.
+elements — the same selective-retrieval path the join uses, with the
+walk's and the crawl's tables built for the one query box.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 
 from repro._types import IntArray
 
-from repro.core.crawl import adaptive_crawl, candidate_units
+from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
 from repro.core.indexing import TransformersIndex
-from repro.core.walk import adaptive_walk
+from repro.core.walk import adaptive_walk, partition_distances
 from repro.geometry.box import Box
 from repro.geometry.hilbert import hilbert_index_batch
 from repro.joins.base import JoinStats
@@ -80,12 +81,14 @@ def range_query(
         )[0]
     )
     _, start = index.btree.nearest(key, pool)
-    found = adaptive_walk(index, int(start), g_lo, g_hi, stats, pool)
+    distance = partition_distances(index, g_lo, g_hi).tolist()
+    found = adaptive_walk(index, int(start), distance, stats, pool)
     if found is None:
         return np.empty(0, dtype=np.int64)
 
+    include, expand = crawl_masks(index, e_lo, e_hi, g_lo, g_hi)
     nodes = adaptive_crawl(
-        index, found, e_lo, e_hi, g_lo, g_hi, stats, pool
+        index, found, include.tolist(), expand.tolist(), stats, pool
     )
     units = candidate_units(index, nodes, e_lo, e_hi, stats, pool)
     page_ids = np.sort(index.units.element_page_ids[units]).tolist()

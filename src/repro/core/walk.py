@@ -15,9 +15,20 @@ leaves that partition into an adjacent one containing strictly closer
 points; adjacency is inclusive (touching counts), so that partition is
 in the neighbour list.  Hence greedy descent either reaches distance
 zero or the pivot intersects nothing.
+
+A node's distance to the pivot depends on the two boxes alone, not on
+the path that reached the node, so it is computed ahead of the walk:
+:func:`partition_distances` fills one row per pivot — the join fills a
+(guide nodes x follower nodes) table once per direction, a range query
+its one row — and :func:`adaptive_walk` only looks its row up.  The
+walk's visits, metadata comparisons and descriptor reads are those of
+a walk that measures every neighbour as it meets it
+(``tests/test_core_walk_crawl.py`` keeps that form as the reference).
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -28,14 +39,18 @@ from repro.joins.base import JoinStats
 from repro.storage.buffer import BufferPool
 
 
-def node_distance(
-    index: TransformersIndex, node: int, q_lo: FloatArray, q_hi: FloatArray
-) -> float:
-    """Euclidean gap between a node's partition MBB and a query box."""
-    below = np.maximum(q_lo - index.nodes.part_hi[node], 0.0)
-    above = np.maximum(index.nodes.part_lo[node] - q_hi, 0.0)
+def partition_distances(
+    index: TransformersIndex, q_lo: FloatArray, q_hi: FloatArray
+) -> FloatArray:
+    """The Euclidean gap between a query box and each node's partition
+    MBB: a ``(num_nodes,)`` row for one ``(d,)`` box, a ``(len(q_lo),
+    num_nodes)`` table for a ``(k, d)`` stack of boxes.
+    """
+    below = np.maximum(q_lo[..., None, :] - index.nodes.part_hi, 0.0)
+    above = np.maximum(index.nodes.part_lo - q_hi[..., None, :], 0.0)
     gap = np.maximum(below, above)
-    return float(np.sqrt(np.sum(gap * gap)))
+    table: FloatArray = np.sqrt(np.sum(gap * gap, axis=-1))
+    return table
 
 
 def touch_node_meta(
@@ -48,8 +63,7 @@ def touch_node_meta(
 def adaptive_walk(
     index: TransformersIndex,
     start: int,
-    q_lo: FloatArray,
-    q_hi: FloatArray,
+    distance: Sequence[float],
     stats: JoinStats,
     pool: BufferPool,
 ) -> int | None:
@@ -61,9 +75,11 @@ def adaptive_walk(
         The follower dataset's index.
     start:
         Node to start from (previous walk position, or a B+-tree hit).
-    q_lo, q_hi:
-        The pivot box, already enlarged by the follower's maximum
-        element extent (see :mod:`repro.core.crawl` for why).
+    distance:
+        Each node's distance to the query box: a row of
+        :func:`partition_distances` for the pivot box enlarged by the
+        follower's maximum element extent (see :mod:`repro.core.crawl`
+        for why).
     stats:
         Metadata comparisons are counted here.
     pool:
@@ -76,18 +92,20 @@ def adaptive_walk(
     """
     if index.num_nodes == 0:
         return None
+    neighbors = index.nodes.neighbors
     current = int(start)
     touch_node_meta(index, current, pool)
     stats.metadata_comparisons += 1
-    current_dist = node_distance(index, current, q_lo, q_hi)
+    current_dist = distance[current]
     while current_dist > 0.0:
         best = -1
         best_dist = current_dist
-        for nb in index.nodes.neighbors[current]:
-            stats.metadata_comparisons += 1
-            d = node_distance(index, int(nb), q_lo, q_hi)
+        around = neighbors[current].tolist()
+        stats.metadata_comparisons += len(around)
+        for nb in around:
+            d = distance[nb]
             if d < best_dist:
-                best = int(nb)
+                best = nb
                 best_dist = d
         if best < 0:
             # Moving away from the pivot: Algorithm 1's termination —

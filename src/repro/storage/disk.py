@@ -149,10 +149,24 @@ class SimulatedDisk(SlotPickleMixin):
         return page_id
 
     def allocate_many(self, payloads: Iterable[object]) -> range:
-        """The loop of :meth:`allocate` calls: the new pages' dense ids."""
+        """The loop of :meth:`allocate` calls: the new pages' dense ids.
+
+        The pages are appended in one ``extend``; the write cost is
+        still added page by page, so its float sum is the loop's under
+        any disk model — also for the pages appended before an
+        exception from ``payloads``.
+        """
         first = len(self._pages)
-        for payload in payloads:
-            self.allocate(payload)
+        try:
+            self._pages.extend(payloads)
+        finally:
+            added = len(self._pages) - first
+            stats, cost = self.stats, self.model.write_cost
+            total = stats.write_cost
+            for _ in range(added):
+                total += cost
+            stats.write_cost = total
+            stats.pages_written += added
         return range(first, len(self._pages))
 
     def write(self, page_id: int, payload: object) -> None:

@@ -13,7 +13,8 @@ the two agree).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,8 +38,9 @@ class ElementPage(SlotPickleMixin):
 
     ``ElementPage(ids, boxes)`` validates the id/box length match (so a
     corrupted page cannot propagate silently) and is the window over the
-    whole run; :meth:`split` and :meth:`elements` hand out narrower
-    windows onto the same arrays.  ``ids`` / ``boxes`` are read-only
+    whole run; :meth:`split` hands out narrower windows onto the same
+    arrays, :meth:`row_ranges` / :meth:`element_ranges` name rows of
+    the run without a window each.  ``ids`` / ``boxes`` are read-only
     views computed on access.  Instances are immutable, and a page
     pickled on its own carries its own rows only.
     """
@@ -89,10 +91,11 @@ class ElementPage(SlotPickleMixin):
         bounds = checked_offsets(offsets, len(run)).tolist()
         return run._windows(bounds[:-1], bounds[1:])
 
-    def elements(self) -> list["ElementPage"]:
-        """One single-row page per element, windows onto the same run."""
-        rows = range(self._start, self._stop + 1)
-        return self._windows(rows[:-1], rows[1:])
+    def element_ranges(self, rows: IntArray) -> "RowRanges":
+        """The window's elements ``rows`` (positions in the window) as
+        one-row ranges of its run, without a window object per element."""
+        starts = np.asarray(rows, dtype=np.intp) + self._start
+        return self, starts, starts + 1
 
     def _windows(
         self, starts: Sequence[int], stops: Sequence[int]
@@ -109,34 +112,69 @@ class ElementPage(SlotPickleMixin):
         return pages
 
     @staticmethod
-    def gather(pages: Sequence["ElementPage"]) -> tuple[IntArray, BoxArray]:
-        """The rows of ``pages``, in order, as one read-only run: one
-        ``take`` over the expanded row ranges per stretch of pages that
-        are windows onto the same run; nothing is validated twice."""
-        if not pages:
-            raise ValueError("gather needs at least one page")
-        starts = np.array([page._start for page in pages], dtype=np.intp)
-        counts = np.array([page._stop for page in pages], dtype=np.intp) - starts
-        ends = np.cumsum(counts)
-        rows = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
-        shape = len(rows), pages[0]._boxes.ndim
-        ids, lo, hi = np.empty(len(rows), np.int64), np.empty(shape), np.empty(shape)
+    def _stretches(pages: Sequence["ElementPage"]) -> Iterator[tuple[int, int]]:
+        """``[first, last)`` of each stretch of consecutive pages that are
+        windows onto the same run."""
         first, n = 0, len(pages)
         while first < n:
-            run_ids, run = pages[first]._ids, pages[first]._boxes
+            run = pages[first]
             last = first + 1
             while last < n:
                 page = pages[last]
-                if page._ids is not run_ids or page._boxes is not run:
+                if page._ids is not run._ids or page._boxes is not run._boxes:
                     break
                 last += 1
-            a, b = ends[first] - counts[first], ends[last - 1]
+            yield first, last
+            first = last
+
+    @staticmethod
+    def row_ranges(pages: Sequence["ElementPage"]) -> list["RowRanges"]:
+        """The rows of ``pages``, in order, as one entry per stretch of
+        pages that are windows onto the same run."""
+        return [
+            (
+                pages[first],
+                np.array([p._start for p in pages[first:last]], dtype=np.intp),
+                np.array([p._stop for p in pages[first:last]], dtype=np.intp),
+            )
+            for first, last in ElementPage._stretches(pages)
+        ]
+
+    @staticmethod
+    def gather(pages: Sequence["ElementPage"]) -> tuple[IntArray, BoxArray]:
+        """The rows of ``pages``, in order, as one read-only run."""
+        return ElementPage.gather_ranges(ElementPage.row_ranges(pages))
+
+    @staticmethod
+    def gather_ranges(
+        ranges: Sequence["RowRanges"],
+    ) -> tuple[IntArray, BoxArray]:
+        """The rows of ``ranges``, in order, as one read-only run: one
+        ``take`` over the expanded row ranges per stretch of entries that
+        share a run; nothing is validated twice."""
+        if not ranges:
+            raise ValueError("gather needs at least one page")
+        if len(ranges) == 1:
+            starts, stops = ranges[0][1], ranges[0][2]
+        else:
+            starts = np.concatenate([entry[1] for entry in ranges])
+            stops = np.concatenate([entry[2] for entry in ranges])
+        counts = stops - starts
+        ends = np.cumsum(counts)
+        rows = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+        # Ranges through entry k, to find each stretch's last row.
+        edges = list(accumulate(len(entry[1]) for entry in ranges))
+        shape = len(rows), ranges[0][0]._boxes.ndim
+        ids, lo, hi = np.empty(len(rows), np.int64), np.empty(shape), np.empty(shape)
+        b = 0
+        for first, last in ElementPage._stretches([entry[0] for entry in ranges]):
+            through = edges[last - 1]
+            run, a, b = ranges[first][0], b, int(ends[through - 1]) if through else 0
             # Windows lie inside their run, so nothing is ever clipped;
             # the mode only lets ``take`` write into ``out`` unbuffered.
-            np.take(run_ids, rows[a:b], out=ids[a:b], mode="clip")
-            np.take(run.lo, rows[a:b], axis=0, out=lo[a:b], mode="clip")
-            np.take(run.hi, rows[a:b], axis=0, out=hi[a:b], mode="clip")
-            first = last
+            np.take(run._ids, rows[a:b], out=ids[a:b], mode="clip")
+            np.take(run._boxes.lo, rows[a:b], axis=0, out=lo[a:b], mode="clip")
+            np.take(run._boxes.hi, rows[a:b], axis=0, out=hi[a:b], mode="clip")
         for taken in (ids, lo, hi):
             taken.setflags(write=False)
         return ids, BoxArray.trusted(lo, hi)
@@ -156,3 +194,8 @@ class ElementPage(SlotPickleMixin):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ElementPage(n={len(self)}, ndim={self.boxes.ndim})"
+
+
+#: ``(page, starts, stops)``: rows ``[starts[k], stops[k])`` of the run
+#: ``page`` is a window onto, in order.
+RowRanges = tuple[ElementPage, IntArray, IntArray]

@@ -7,6 +7,7 @@ from repro.core.indexing import build_transformers_index
 from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
 from repro.storage.buffer import BufferPool
+from repro.storage.disk import SimulatedDisk
 
 from tests.conftest import counted_constructions, dataset_pair, make_disk
 
@@ -132,6 +133,27 @@ class TestBTree:
         assert stats.extras["space_nodes"] == index.num_nodes
         assert stats.pages_written > 0
         assert stats.phase == "index"
+
+
+class TestBulkAllocation:
+    def test_pages_equal_those_of_the_allocate_loop(self, monkeypatch):
+        """The descriptor and meta-page runs are allocated in bulk: page
+        ids, payloads and disk stats equal one ``allocate`` per page."""
+        a, disk, index, _ = build()
+
+        def loop(self, payloads):
+            return [self.allocate(payload) for payload in payloads]
+
+        monkeypatch.setattr(SimulatedDisk, "allocate_many", loop)
+        ref_disk = make_disk()
+        ref, _ = build_transformers_index(ref_disk, a)
+        for name in ("desc_page_ids", "meta_page_ids"):
+            got, want = getattr(index.nodes, name), getattr(ref.nodes, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert disk.stats == ref_disk.stats
+        assert [disk.peek(k) for k in index.nodes.meta_page_ids] == [
+            ref_disk.peek(k) for k in ref.nodes.meta_page_ids
+        ]
 
 
 class TestInterpreterWork:

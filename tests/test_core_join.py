@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import TransformersConfig, TransformersJoin
 from repro.core import join as core_join
 from repro.core.join import _Driver
+from repro.core import walk as core_walk
 from repro.core.query import range_query
 from repro.datagen import scaled_space, uniform_dataset
 from repro.joins import grid_hash
@@ -270,6 +271,59 @@ class TestDriverInternals:
         few, many = sorted(counts)
         assert many >= 4 * few
         assert counts[many] == counts[few] <= 3
+
+    def test_exploration_tables_are_computed_once_per_direction(
+        self, monkeypatch
+    ):
+        """Counted, not timed: the crawl's masks and the walk's distances
+        are computed at most once per direction of an n = 1 500 join
+        (with a role switch, so both directions run), and the walk looks
+        its row up with no NumPy call per tested neighbour."""
+        driver = self.driver(*dataset_pair("massive", 1500, 1500, seed=81))
+        masks, distances, in_walk = [], [], []
+        real_masks = core_join.crawl_masks
+        real_distances = core_join.partition_distances
+        real_walk = core_join.adaptive_walk
+
+        class CountingNumpy:
+            """``np`` as the walk module sees it, counting lookups."""
+
+            lookups = 0
+
+            def __getattr__(self, name):
+                CountingNumpy.lookups += 1
+                return getattr(np, name)
+
+        def spy_walk(index, start, distance, stats, pool):
+            assert type(distance) is list
+            before = CountingNumpy.lookups, stats.metadata_comparisons
+            found = real_walk(index, start, distance, stats, pool)
+            in_walk.append(
+                (
+                    CountingNumpy.lookups - before[0],
+                    stats.metadata_comparisons - before[1],
+                )
+            )
+            return found
+
+        monkeypatch.setattr(core_walk, "np", CountingNumpy())
+        monkeypatch.setattr(
+            core_join,
+            "crawl_masks",
+            lambda *args: masks.append(driver.guide) or real_masks(*args),
+        )
+        monkeypatch.setattr(
+            core_join,
+            "partition_distances",
+            lambda *args: distances.append(driver.guide) or real_distances(*args),
+        )
+        monkeypatch.setattr(core_join, "adaptive_walk", spy_walk)
+        result = driver.run()
+        assert result.stats.extras["role_switches"] > 0
+        assert sorted(masks) == sorted(distances) == [0, 1]
+        # Some walks leave their start, so neighbours were tested.
+        assert sum(tested for _, tested in in_walk) > len(in_walk)
+        assert all(lookups == 0 for lookups, _ in in_walk)
 
 
 class TestComparisonQueue:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry.box import Box
 from repro.geometry.hilbert import (
+    _ARRAY_MIN_POINTS,
+    _lattice_to_index,
     hilbert_index,
     hilbert_index_batch,
     hilbert_point,
@@ -108,6 +110,36 @@ class TestBatch:
             assert keys[i] == hilbert_index(
                 [int(v) for v in lattice[i]], bits=4
             )
+
+    @pytest.mark.parametrize("n", [2, 48, 10_000])
+    @pytest.mark.parametrize(
+        "ndim, bits", [(d, b) for d in (2, 3) for b in range(1, 63 // d + 1)]
+    )
+    def test_array_transform_equals_the_scalar_one(self, ndim, bits, n):
+        """Every key of the array form equals the scalar transform's, up
+        to the widest ``bits`` that fits, whichever form the batch takes."""
+        rng = np.random.default_rng(bits * 10 + ndim)
+        lattice = rng.integers(0, 1 << bits, size=(n, ndim))
+        # The lattice's corners, where every bit of a word is set or clear.
+        lattice[:2] = [[0] * ndim, [(1 << bits) - 1] * ndim]
+        space = Box((0.0,) * ndim, (float(1 << bits),) * ndim)
+        keys = hilbert_index_batch(lattice + 0.5, space, bits=bits)
+        assert keys.dtype == np.int64 and keys.shape == (n,)
+        assert keys.tolist() == _lattice_to_index(lattice, bits).tolist()
+        sample = range(n) if n <= 48 else rng.integers(0, n, 500).tolist()
+        for i in sample:
+            assert int(keys[i]) == hilbert_index(lattice[i].tolist(), bits)
+
+    @pytest.mark.parametrize(
+        "k", [1, 2, _ARRAY_MIN_POINTS - 1, _ARRAY_MIN_POINTS, 40]
+    )
+    def test_small_batches_equal_rows_of_a_large_one(self, k):
+        """Both sides of the scalar / array cut give the same keys."""
+        space = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        pts = np.random.default_rng(9).uniform(0, 1, size=(60, 3))
+        many = hilbert_index_batch(pts, space, bits=12)
+        few = hilbert_index_batch(pts[5 : 5 + k], space, bits=12)
+        assert few.dtype == np.int64 and few.tolist() == many[5 : 5 + k].tolist()
 
     def test_rejects_overflowing_bits(self):
         space = Box((0,) * 3, (1,) * 3)

@@ -1,8 +1,9 @@
-"""Golden counters of the paper's figures: Table I, Fig. 10, Fig. 11.
+"""Golden counters of the paper's figures: Table I and Figs. 10–14.
 
 Every row of ``python -m repro.harness.experiments table1 / fig10 /
-fig11`` is a deterministic function of the generators' seeds except its
-wall-clock column: pairs, comparison tests and the simulated I/O and
+fig11 / fig12 / fig13_impact / fig13_threshold / fig14`` is a
+deterministic function of the generators' seeds except its wall-clock
+column: pairs, comparison tests and the simulated I/O and
 CPU costs *are* the paper's evidence, so no rewrite may move one of
 them.  The same holds for the cost-based planner on three pinned pairs
 (Table I uniform, the Fig. 11 clustered pair, a 100x cardinality
@@ -13,11 +14,16 @@ executed cost, the best candidate and the regret of the choice.
 The values below were recorded at commit 6b43568 in the ``smoke``
 (scale 0.05) and ``pinned`` (scale 0.25) profiles of that commit's
 benchmark baseline and every later implementation reproduces them
-exactly, floats compared with ``==``.
+exactly, floats compared with ``==``.  Figs. 12–14 were added later,
+recorded on the tree before the exploration layer's per-direction
+tables, at scale 0.2: the smallest at which a changed ``buffer_pages``
+(256 -> 128) and a changed ``t_su_init`` (8 -> 4) each move some of
+their rows (0.16–0.18 leave the ``buffer_pages`` change invisible).
 
 To re-record after an *intended* change of the algorithm, run
 ``PYTHONPATH=src python tests/test_paper_figures_golden.py`` and paste
-the printed literal over ``GOLDEN``.
+the printed literal over ``GOLDEN``; the comment lines it prints first
+set the reproduced ratios beside the paper's claims (not asserted).
 """
 
 import json
@@ -37,12 +43,18 @@ from repro.stats import within_error_band
 
 SCALES = (0.05, 0.25)
 FIGURES = ("table1", "fig10", "fig11")
+#: Figs. 12–14 are pinned at one scale of their own (module docstring).
+LATE_SCALE = 0.2
+LATE_FIGURES = ("fig12", "fig13_impact", "fig13_threshold", "fig14")
 
 #: The deterministic columns of a figure row, in the order a golden row
-#: lists them; ``density_ratio`` is Fig. 10's alone.
+#: lists them; ``density_ratio`` is Fig. 10's alone, ``workload`` /
+#: ``config`` Fig. 13 (right)'s and ``n_total`` / ``overhead`` /
+#: ``overhead_share`` Fig. 14's.
 ROW_FIELDS = (
     "algorithm", "n_a", "n_b", "pairs", "tests", "index_cost",
-    "join_cost", "join_io", "join_cpu", "density_ratio",
+    "join_cost", "join_io", "join_cpu", "density_ratio", "workload",
+    "config", "n_total", "overhead", "overhead_share",
 )
 
 
@@ -125,9 +137,41 @@ def planner_rows(scale: float) -> list[dict]:
 
 
 def observe(scale: float) -> dict[str, list]:
+    if scale == LATE_SCALE:
+        return {f: figure_rows(f, scale) for f in LATE_FIGURES}
     out: dict[str, list] = {f: figure_rows(f, scale) for f in FIGURES}
     out["planner"] = planner_rows(scale)
     return out
+
+
+def cost_ratios(rows: list[tuple], slow: str, fast: str) -> str:
+    """``slow``'s join cost over ``fast``'s, per ``(n_a, n_b)`` of a
+    figure's golden rows."""
+    cost = {row[:3]: row[6] for row in rows}
+    return ", ".join(
+        f"{cost[(slow, *key[1:])] / cost[key]:.2f}x"
+        for key in cost if key[0] == fast
+    )
+
+
+def paper_comparison(late: dict[str, list]) -> list[str]:
+    """The reproduced Fig. 12–14 ratios beside the paper's claims, as
+    comment lines; join cost is the simulated I/O + CPU of the join."""
+    shares = [row[-1] for row in late["fig14"]]
+    return [
+        "# fig12 PBSM / TRANSFORMERS join cost: "
+        + cost_ratios(late["fig12"], "PBSM", "TRANSFORMERS")
+        + " (paper 2.3-3.3x)",
+        "# fig12 R-TREE / TRANSFORMERS join cost: "
+        + cost_ratios(late["fig12"], "R-TREE", "TRANSFORMERS")
+        + " (paper 4.1-6.5x)",
+        "# fig13 No TR / TRANSFORMERS join cost: "
+        + cost_ratios(late["fig13_impact"], "No TR", "TRANSFORMERS")
+        + " (paper 1.2-1.6x)",
+        "# fig14 overhead share: "
+        + ", ".join(f"{share:.1%}" for share in shares)
+        + f", mean {sum(shares) / len(shares):.1%} (paper about 17 %)",
+    ]
 
 
 def literal(value: object, indent: int = 0, room: float = 79) -> str:
@@ -406,11 +450,54 @@ GOLDEN: dict[float, dict[str, list]] = {
             },
         ],
     },
+    0.2: {
+        "fig12": [
+            ("TRANSFORMERS", 960, 640, 138, 1851, 114.0, 284.7, 281.0, 3.7),
+            ("PBSM", 960, 640, 138, 1208, 150.0, 738.4, 736.0, 2.4),
+            ("R-TREE", 960, 640, 138, 8204, 114.0, 1402.4, 1386.0, 16.4),
+            ("TRANSFORMERS", 1920, 1280, 553, 7700, 227.0, 489.4, 474.0, 15.4),
+            ("PBSM", 1920, 1280, 553, 5687, 354.0, 2393.4, 2382.0, 11.4),
+            ("R-TREE", 1920, 1280, 553, 15440, 241.0, 1861.9, 1831.0, 30.9),
+            ("TRANSFORMERS", 2880, 1920, 3044, 33518, 331.0, 1145.0, 1078.0, 67.0),
+            ("PBSM", 2880, 1920, 3044, 26462, 494.0, 5222.9, 5170.0, 52.9),
+            ("R-TREE", 2880, 1920, 3044, 53508, 358.0, 5452.0, 5345.0, 107.0),
+        ],
+        "fig13_impact": [
+            ("TRANSFORMERS", 400, 400, 50, 1936, 64.0, 160.9, 157.0, 3.9),
+            ("No TR", 400, 400, 50, 1936, 64.0, 160.9, 157.0, 3.9),
+            ("TRANSFORMERS", 800, 800, 107, 4928, 110.0, 256.9, 247.0, 9.9),
+            ("No TR", 800, 800, 107, 3902, 110.0, 373.8, 366.0, 7.8),
+            ("TRANSFORMERS", 1600, 1600, 161, 10031, 222.0, 380.1, 360.0, 20.1),
+            ("No TR", 1600, 1600, 161, 6986, 222.0, 683.0, 669.0, 14.0),
+            ("TRANSFORMERS", 2400, 2400, 266, 14981, 330.0, 650.0, 620.0, 30.0),
+            ("No TR", 2400, 2400, 266, 11184, 330.0, 1049.4, 1027.0, 22.4),
+        ],
+        "fig13_threshold": [
+            ("TRANSFORMERS", 1600, 1600, 177, 13604, 222.0, 600.2, 573.0, 27.2, "MassiveCluster", "OverFit"),
+            ("TRANSFORMERS", 1600, 1600, 177, 11067, 222.0, 618.1, 596.0, 22.1, "MassiveCluster", "CostModelFit"),
+            ("TRANSFORMERS", 1600, 1600, 177, 10329, 222.0, 676.7, 656.0, 20.7, "MassiveCluster", "UnderFit"),
+            ("TRANSFORMERS", 1600, 1600, 235, 21276, 222.0, 1115.6, 1073.0, 42.6, "UniformVsDenseCluster", "OverFit"),
+            ("TRANSFORMERS", 1600, 1600, 235, 17234, 222.0, 1050.5, 1016.0, 34.5, "UniformVsDenseCluster", "CostModelFit"),
+            ("TRANSFORMERS", 1600, 1600, 235, 17234, 222.0, 1050.5, 1016.0, 34.5, "UniformVsDenseCluster", "UnderFit"),
+            ("TRANSFORMERS", 1600, 1600, 170, 21859, 222.0, 1098.7, 1055.0, 43.7, "Uniform", "OverFit"),
+            ("TRANSFORMERS", 1600, 1600, 170, 14386, 222.0, 1121.8, 1093.0, 28.8, "Uniform", "CostModelFit"),
+            ("TRANSFORMERS", 1600, 1600, 170, 14386, 222.0, 1121.8, 1093.0, 28.8, "Uniform", "UnderFit"),
+        ],
+        "fig14": [
+            (26, 142.8, 800, 46.2, 0.245),
+            (68, 278.1, 1600, 51.5, 0.156),
+            (211, 448.4, 3200, 73.1, 0.14),
+            (198, 741.8, 4800, 82.5, 0.1),
+        ],
+    },
 }
 
 
-@pytest.mark.parametrize("figure", FIGURES)
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize(
+    "scale, figure",
+    [(s, f) for s in SCALES for f in FIGURES]
+    + [(LATE_SCALE, f) for f in LATE_FIGURES],
+)
 def test_figure_rows_equal_the_recorded_ones(scale, figure):
     assert figure_rows(figure, scale) == GOLDEN[scale][figure]
 
@@ -421,6 +508,6 @@ def test_planner_fields_equal_the_recorded_ones(scale):
 
 
 if __name__ == "__main__":
-    print("GOLDEN: dict[float, dict[str, list]] = " + literal(
-        {scale: observe(scale) for scale in SCALES}
-    ))
+    observed = {scale: observe(scale) for scale in (*SCALES, LATE_SCALE)}
+    print("\n".join(paper_comparison(observed[LATE_SCALE])))
+    print("GOLDEN: dict[float, dict[str, list]] = " + literal(observed))

@@ -242,3 +242,14 @@ class TestAllocateMany:
         assert disk.allocate_many(["b", "c", "d"]) == range(1, 4)
         assert disk.allocate_many([]) == range(4, 4)
         assert [disk.peek(k) for k in range(4)] == ["a", "b", "c", "d"]
+
+    def test_bulk_write_cost_is_the_loop_sum(self):
+        """``write_cost = 0.1``: adding it n times is not ``0.1 * n``, so
+        only page-by-page additions in the loop's order give its sum."""
+        model = DiskModel(write_cost=0.1)
+        loop, bulk = SimulatedDisk(model), SimulatedDisk(model)
+        for n in (1, 7, 1000):
+            ids = [loop.allocate(("p", n, k)) for k in range(n)]
+            assert list(bulk.allocate_many(("p", n, k) for k in range(n))) == ids
+            assert dataclasses.astuple(bulk.stats) == dataclasses.astuple(loop.stats)
+        assert loop.stats.write_cost != 0.1 * loop.stats.pages_written

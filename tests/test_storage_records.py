@@ -225,15 +225,35 @@ class TestWindows:
         with pytest.raises(ValueError):
             ElementPage.gather([_run(4, 1), _run(4, 2, ndim=2)])
 
-    def test_elements_are_the_one_row_split(self):
+    def test_element_ranges_are_the_one_row_split(self):
+        """Any selection of a window's elements, repeats and reordering
+        included, gathers to the rows of the one-row split's pages."""
         run = _run(23, 7)
         for page in [run, *_pages(run, 5)]:
-            want = ElementPage.split(page.ids, page.boxes, range(len(page) + 1))
-            got = page.elements()
-            assert [e.to_bytes() for e in got] == [e.to_bytes() for e in want]
-            assert all(len(e) == 1 for e in got)
-            # Windows onto the page's own run: one take gathers them.
-            assert all(np.shares_memory(e.ids, run.ids) for e in got)
+            one_row = ElementPage.split(page.ids, page.boxes, range(len(page) + 1))
+            for rows in (np.arange(len(page)), np.array([len(page) - 1, 0, 0, 2])):
+                got = ElementPage.gather_ranges([page.element_ranges(rows)])
+                want = ElementPage.gather([one_row[r] for r in rows.tolist()])
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].lo.tobytes() == want[1].lo.tobytes()
+                assert got[1].hi.tobytes() == want[1].hi.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 12)), min_size=1, max_size=30),
+        per=st.integers(1, 7),
+    )
+    def test_gather_ranges_of_row_ranges_is_gather(self, picks, per):
+        """A queue of row-range batches (mixed runs, split at arbitrary
+        points) gathers to the pages' rows in order."""
+        runs = [_pages(_run(40, 1), per), _pages(_run(33, 2, first_id=100), per)]
+        pages = [runs[r][k % len(runs[r])] for r, k in picks]
+        cut = len(pages) // 2
+        ranges = ElementPage.row_ranges(pages[:cut]) + ElementPage.row_ranges(pages[cut:])
+        got, want = ElementPage.gather_ranges(ranges), ElementPage.gather(pages)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].lo.tobytes() == want[1].lo.tobytes()
+        assert got[1].hi.tobytes() == want[1].hi.tobytes()
 
     def test_a_window_pickles_its_own_rows_only(self):
         import pickle
