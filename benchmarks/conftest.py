@@ -11,8 +11,6 @@ are simulated-cost units, not hours — see DESIGN.md §2.
 For closer-to-paper sizes run the harness itself with ``--scale 1.0``.
 """
 
-import os
-
 import pytest
 
 #: Multiplies the harness's default sizes; keeps the suite in tier-1.
@@ -40,9 +38,3 @@ def by_algorithm(rows):
 @pytest.fixture
 def scale():
     return BENCH_SCALE
-
-
-@pytest.fixture
-def batch_workers():
-    """Pool size for batch-executor benchmarks (>= 2 to exercise it)."""
-    return max(2, min(4, os.cpu_count() or 1))

@@ -1,4 +1,4 @@
-"""Beyond joins: persistent indexes and spatial range queries.
+"""Beyond joins: saved indexes and spatial range queries.
 
 A TRANSFORMERS index is a per-dataset artefact (Section VII-C1): build
 it once, save it, and serve spatial workloads from it later — joins

@@ -64,7 +64,6 @@ from repro.core import (
 from repro.engine import (
     BatchExecutor,
     BatchReport,
-    DatasetSpec,
     JoinRequest,
     PlanReport,
     RunReport,
@@ -126,7 +125,6 @@ __all__ = [
     "BatchExecutor",
     "BatchReport",
     "JoinRequest",
-    "DatasetSpec",
     "available_algorithms",
     "plan_join",
     "plan_join_sketched",

@@ -50,11 +50,7 @@ class RuleConfig:
     #: Module-name segments in lock-order (RPL007) scope.
     lock_order_segments: tuple[str, ...] = ("service", "storage")
     #: Callee suffixes a thread must never invoke while holding a lock.
-    lock_blocking_targets: tuple[str, ...] = (
-        "BatchExecutor.run",
-        "BatchExecutor.run_partitioned",
-        "ProcessPoolExecutor",
-    )
+    lock_blocking_targets: tuple[str, ...] = ("BatchExecutor.run",)
     #: Resource-factory callees (last dotted segment) mapped to the
     #: method names that settle the obligation (RPL008).
     resource_factories: dict[str, tuple[str, ...]] = field(

@@ -13,10 +13,9 @@ flagged:
   held (the classic AB/BA deadlock), or a non-reentrant lock
   re-acquired under itself through any call path;
 * **blocking call under a lock** — a call that suffix-matches
-  ``lock_blocking_targets`` (the batch executor, a process pool)
-  made while any lock is held: the executor fans out to worker
-  processes and can run for seconds, so holding a service lock across
-  it serializes every other client.
+  ``lock_blocking_targets`` (the batch executor) made while any lock
+  is held: the executor runs whole cold joins and can take seconds, so
+  holding a service lock across it serializes every other client.
 
 Call chains resolve through the project call graph, so the edge
 ``_lock -> _query_lock`` is found even when the inner acquisition
@@ -78,15 +77,14 @@ class LockOrderRule(ProjectRule):
     invariant = (
         "Across the service and storage layers, the lock-acquisition "
         "graph is acyclic (including through call chains), and no "
-        "thread calls into the batch executor or a process pool while "
-        "holding a lock."
+        "thread calls into the batch executor while holding a lock."
     )
     rationale = (
         "The service tier holds `_lock` around catalog/cache state and "
         "`_query_lock` around index builds; an AB/BA ordering between "
         "them deadlocks under concurrent clients, and executor calls "
-        "under a lock serialize every other request behind a "
-        "multi-second process-pool fan-out."
+        "under a lock serialize every other request behind "
+        "multi-second cold joins."
     )
     example = (
         "def submit(self):\n"
@@ -410,8 +408,7 @@ class LockOrderRule(ProjectRule):
                 message=(
                     f"{edge.symbol} calls blocking target "
                     f"{edge.via} while holding lock {held_name}; "
-                    "release the lock before fanning out to the "
-                    "executor"
+                    "release the lock before calling the executor"
                 ),
             )
 

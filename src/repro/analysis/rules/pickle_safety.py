@@ -3,8 +3,8 @@
 The PR 2 bug class: frozen ``__slots__`` value types (``Box``,
 ``BoxArray``, pages, grids) override ``__setattr__`` to raise, which
 breaks Python's default slot-pickling protocol the moment an instance
-crosses a process boundary inside a ``JoinRequest``/``BatchReport`` or
-a shipped index slice.  Even for non-frozen slot classes, explicit
+crosses a process boundary inside a sharded-tier command or reply.
+Even for non-frozen slot classes, explicit
 state methods keep the wire format deliberate instead of accidental.
 
 A class with a non-empty ``__slots__`` passes when it

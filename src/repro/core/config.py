@@ -63,11 +63,11 @@ ENV_REGISTRY: tuple[EnvVar, ...] = (
         kind="bool",
         default=True,
         description=(
-            "Ship concrete datasets to batch-executor workers through "
-            "multiprocessing shared memory (workers attach to one "
-            "published copy). Set to 0 to force the per-worker "
-            "pickling fallback; results are byte-identical either "
-            "way."
+            "Publish datasets registered with the sharded service "
+            "tier to its shard processes through multiprocessing "
+            "shared memory (shards attach to one published copy). Set "
+            "to 0 to force the pickling fallback; results are "
+            "byte-identical either way."
         ),
     ),
     EnvVar(
@@ -207,7 +207,7 @@ def env_override(name: str, value: object | None) -> Iterator[None]:
     """Temporarily pin a registered variable (``None`` unsets it).
 
     The previous state is restored on exit, error or not — e.g. to run
-    one batch with ``REPRO_SHM`` off regardless of the ambient
+    one sharded service with ``REPRO_SHM`` off regardless of the ambient
     environment.
     """
     env_var(name)
@@ -229,7 +229,7 @@ def env_override(name: str, value: object | None) -> Iterator[None]:
 # Named accessors (one per knob, typed end to end)
 # ----------------------------------------------------------------------
 def shm_transport_enabled() -> bool:
-    """``REPRO_SHM``: ship batch datasets via shared memory?"""
+    """``REPRO_SHM``: publish sharded-tier datasets via shared memory?"""
     return env_bool("REPRO_SHM")
 
 

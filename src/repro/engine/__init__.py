@@ -10,17 +10,17 @@ queries::
     report = ws.join(a, c, algorithm="pbsm")   # explicit, no wiring
     hits = ws.range_query(a, box)              # reuses a's index
 
-Batches of joins run concurrently through the executor::
+Batches of joins run through the executor, each request cold on its
+own workspace, failures captured per request::
 
     from repro.engine import BatchExecutor, JoinRequest
 
-    batch = ws.join_many([JoinRequest(a, b, "pbsm"),
-                          JoinRequest(a, c, "auto")], max_workers=4)
-    print(batch.summary()["speedup"])
+    batch = BatchExecutor().run([JoinRequest(a, b, "pbsm"),
+                                 JoinRequest(a, c, "auto")])
+    print(batch.summary()["total_cost"])
 
 * :mod:`~repro.engine.executor` — :class:`BatchExecutor`,
-  :class:`JoinRequest`/:class:`DatasetSpec`, :class:`BatchReport`, and
-  the partition-parallel cell-sweep mode;
+  :class:`JoinRequest`, :class:`RequestOutcome` and :class:`BatchReport`;
 * :mod:`~repro.engine.registry` — string-named algorithm factories
   (:func:`available_algorithms`, :func:`register_algorithm`);
 * :mod:`~repro.engine.planner` — ``"auto"`` resolution and parameter
@@ -34,10 +34,8 @@ Batches of joins run concurrently through the executor::
 from repro.engine.executor import (
     BatchExecutor,
     BatchReport,
-    DatasetSpec,
     JoinRequest,
     RequestOutcome,
-    derive_seed,
 )
 from repro.engine.planner import (
     EXPERIMENT_PAGE_SIZE,
@@ -66,9 +64,7 @@ __all__ = [
     "BatchExecutor",
     "BatchReport",
     "JoinRequest",
-    "DatasetSpec",
     "RequestOutcome",
-    "derive_seed",
     "JoinPlan",
     "PlanHints",
     "PlanReport",

@@ -1,152 +1,57 @@
-"""Parallel batch execution: many joins, a process pool, one report.
+"""Batch execution: many joins, one cold workspace each, one report.
 
 The paper's robustness claim is an aggregate statement — TRANSFORMERS
 stays fast across *many* workloads while fixed strategies degrade on
-some of them — so the repro needs to drive many joins over many data
-distributions quickly.  :class:`BatchExecutor` does that: it accepts a
-list of :class:`JoinRequest` objects (dataset pair, algorithm name or
-``"auto"``, parameters) and runs them concurrently on a process pool,
-one fresh :class:`~repro.engine.workspace.SpatialWorkspace` per request
-(the paper's nothing-shared, cold-cache protocol), merging the per-run
+some of them — so the repro needs to drive many joins and account them
+together.  :class:`BatchExecutor` does that: it accepts a list of
+:class:`JoinRequest` objects (dataset pair, algorithm name or
+``"auto"``, parameters) and runs them in order, inline, each on a fresh
+:class:`~repro.engine.workspace.SpatialWorkspace` (the paper's
+nothing-shared, cold-cache protocol), merging the per-run
 :class:`~repro.engine.report.RunReport` objects into a
-:class:`BatchReport` with aggregate I/O/CPU cost, a per-algorithm
-breakdown, and the wall-clock speedup over serial execution.
+:class:`BatchReport` with aggregate I/O/CPU cost and a per-algorithm
+breakdown.
 
-Requests may carry concrete :class:`~repro.joins.base.Dataset` objects
-or lightweight :class:`DatasetSpec` descriptions that workers realise
-locally; specs without an explicit seed get a deterministic per-request
-seed derived from the batch seed, so a batch is reproducible end to end
-without shipping arrays between processes.
-
-A failure inside one request (bad parameters, an algorithm raising,
-a worker dying) is captured in that request's :class:`RequestOutcome`;
-the rest of the batch completes normally.
-
-The executor also exposes the *partition-parallel* mode
-(:meth:`BatchExecutor.run_partitioned`): for algorithms whose join
-phase is a bag of independent slices (PBSM's cell-pair sweep over the
-shared grid, executed with the in-memory grid hash join), it builds the
-indexes once and fans the slices across workers.
+A failure inside one request (bad parameters, an algorithm raising) is
+captured in that request's :class:`RequestOutcome`; the rest of the
+batch completes normally.  Both service tiers run their cache misses
+through this executor; parallelism lives one level up, in the sharded
+tier (:mod:`repro.service.sharded`), whose shard processes each run
+their own service.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import time
 import traceback
-from collections.abc import Callable, Iterable
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro._types import AnyArray
-from repro.engine.planner import PlanReport, plan_join
 from repro.engine.report import RunReport
-from repro.joins.base import (
-    CostModel,
-    Dataset,
-    JoinResult,
-    SpatialJoinAlgorithm,
-)
+from repro.joins.base import CostModel, Dataset, SpatialJoinAlgorithm
 from repro.storage.disk import DiskModel
-from repro.storage.shm import (
-    SharedDatasetPool,
-    SharedDatasetRef,
-    attach_dataset,
-)
 
 if TYPE_CHECKING:
     from repro.geometry.box import Box
 
 
 # ----------------------------------------------------------------------
-# Request descriptions
+# Requests
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DatasetSpec:
-    """A dataset by generator recipe instead of by materialised arrays.
-
-    ``kind`` names one of the paper's distribution families (see
-    :data:`GENERATOR_KINDS`).  When ``seed`` is ``None`` the executor
-    substitutes a deterministic per-request seed, which is what makes a
-    whole batch reproducible from a single batch seed.  When ``space``
-    is ``None`` the request derives one shared extent for both sides
-    from the combined cardinality (mirroring the experiments'
-    ``scaled_space``).
-    """
-
-    kind: str
-    n: int
-    seed: int | None = None
-    name: str = ""
-    id_offset: int = 0
-    space: Box | None = None
-
-    def realize(self, fallback_seed: int, space: Box | None) -> Dataset:
-        """Materialise the dataset (worker-side)."""
-        try:
-            generator = _generators()[self.kind]
-        except KeyError:
-            raise ValueError(
-                f"unknown dataset kind {self.kind!r}; available: "
-                f"{', '.join(GENERATOR_KINDS)}"
-            ) from None
-        seed = self.seed if self.seed is not None else fallback_seed
-        return generator(
-            self.n,
-            seed=seed,
-            name=self.name or f"{self.kind}[{self.n}]",
-            id_offset=self.id_offset,
-            space=self.space if self.space is not None else space,
-        )
-
-
-#: Distribution families a :class:`DatasetSpec` can name; the matching
-#: generator functions are bound positionally in :func:`_generators`.
-GENERATOR_KINDS = (
-    "uniform", "dense_cluster", "uniform_cluster", "massive_cluster",
-)
-
-
-def _generators() -> dict[str, Callable[..., Dataset]]:
-    """The kind -> generator mapping (imported lazily: worker-side)."""
-    from repro.datagen import (
-        dense_cluster,
-        massive_cluster,
-        uniform_cluster,
-        uniform_dataset,
-    )
-
-    generators: tuple[Callable[..., Dataset], ...] = (
-        uniform_dataset, dense_cluster, uniform_cluster, massive_cluster,
-    )
-    return dict(zip(GENERATOR_KINDS, generators))
-
-
-def _side_name(side: Dataset | DatasetSpec | SharedDatasetRef) -> str:
-    """Display name of a request side (dataset, spec, name, or shm ref)."""
-    if isinstance(side, DatasetSpec):
-        return side.name or side.kind
-    if isinstance(side, str):
-        # A service-layer catalog name: it *is* the display name.
-        return side
-    return str(side.name)
+def _side_name(side: Dataset | str) -> str:
+    """Display name of a request side (a dataset, or a catalog name)."""
+    return side if isinstance(side, str) else str(side.name)
 
 
 @dataclass(frozen=True)
 class JoinRequest:
     """One join to run: inputs, algorithm, planner parameters.
 
-    ``algorithm`` is a registry name, ``"auto"``, or a pre-configured
+    ``a`` / ``b`` are concrete :class:`~repro.joins.base.Dataset`
+    objects, or catalog names (``str``) that a service tier resolves to
+    datasets before execution.  ``algorithm`` is a registry name,
+    ``"auto"``, or a pre-configured
     :class:`~repro.joins.base.SpatialJoinAlgorithm` instance.  ``space``
     and ``parameters`` are planner inputs and therefore only apply to
     registry names (matching ``SpatialWorkspace.join``).
@@ -154,15 +59,10 @@ class JoinRequest:
     ``within=d`` requests a Chebyshev distance join (see
     ``SpatialWorkspace.join``); ``None`` is the plain intersection
     join.
-
-    A side may also be a :class:`~repro.storage.shm.SharedDatasetRef`:
-    the executor substitutes refs for concrete datasets before
-    submitting to the pool so workers attach to one published
-    shared-memory copy instead of each unpickling their own.
     """
 
-    a: Dataset | DatasetSpec | SharedDatasetRef
-    b: Dataset | DatasetSpec | SharedDatasetRef
+    a: Dataset | str
+    b: Dataset | str
     algorithm: str | SpatialJoinAlgorithm = "auto"
     space: Box | None = None
     parameters: dict[str, object] | None = None
@@ -184,17 +84,6 @@ class JoinRequest:
         return base
 
 
-def derive_seed(batch_seed: int, index: int, side: int = 0) -> int:
-    """Deterministic per-request (and per-side) seed.
-
-    Uses :class:`numpy.random.SeedSequence` so the derivation is stable
-    across processes and platforms and nearby inputs yield uncorrelated
-    streams.
-    """
-    seq = np.random.SeedSequence(entropy=(batch_seed, index, side))
-    return int(seq.generate_state(1)[0])
-
-
 # ----------------------------------------------------------------------
 # Outcomes
 # ----------------------------------------------------------------------
@@ -207,15 +96,9 @@ class RequestOutcome:
     report: RunReport | None = None
     error: str | None = None
     error_type: str | None = None
-    #: End-to-end wall time of this request (realise + index + join),
-    #: measured inside the worker; the batch speedup compares the sum
-    #: of these against the batch wall clock.
+    #: End-to-end wall time of this request (index builds + join); the
+    #: service tiers record it as the miss latency.
     wall_seconds: float = 0.0
-    #: The derived seeds handed to seedless dataset specs, one per side:
-    #: rebuilding the inputs as ``DatasetSpec(..., seed=seed_a)`` /
-    #: ``(..., seed=seed_b)`` reproduces this request exactly.
-    seed_a: int | None = None
-    seed_b: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -228,8 +111,6 @@ class BatchReport:
     """Merged result of one batch: outcomes plus aggregate accounting."""
 
     outcomes: list[RequestOutcome]
-    wall_seconds: float
-    max_workers: int
     cost_model: CostModel = field(default_factory=CostModel)
 
     # ------------------------------------------------------------------
@@ -266,24 +147,6 @@ class BatchReport:
     # Aggregates
     # ------------------------------------------------------------------
     @property
-    def serial_wall_seconds(self) -> float:
-        """Wall time a one-request-at-a-time execution would need."""
-        return sum(o.wall_seconds for o in self.outcomes)
-
-    @property
-    def speedup(self) -> float:
-        """Wall-clock speedup over serial execution of the same batch.
-
-        Degenerate batches — no outcomes, or wall clocks too fast for
-        the timer to resolve — report a neutral 1.0 instead of dividing
-        by zero (an empty batch is exactly as fast as running it
-        serially: instant).
-        """
-        if self.wall_seconds <= 0.0 or self.serial_wall_seconds <= 0.0:
-            return 1.0
-        return self.serial_wall_seconds / self.wall_seconds
-
-    @property
     def total_io_cost(self) -> float:
         """Summed simulated join-phase I/O time across requests."""
         return sum(r.join_io_cost for r in self.reports)
@@ -306,9 +169,9 @@ class BatchReport:
     def latency_percentiles(self) -> dict[str, dict[str, float]]:
         """Per-algorithm request-latency summary (count/mean/p50/p90/p99).
 
-        Latencies are the per-request end-to-end walls measured inside
-        the workers; failed requests (no report, hence no algorithm)
-        are excluded.  Empty batches return an empty mapping.
+        Latencies are the per-request end-to-end walls; failed requests
+        (no report, hence no algorithm) are excluded.  Empty batches
+        return an empty mapping.
         """
         from repro.metrics import latency_summary
 
@@ -353,102 +216,38 @@ class BatchReport:
         return {
             "requests": len(self.outcomes),
             "failed": len(self.failures),
-            "workers": self.max_workers,
             "pairs": self.total_pairs,
             "io_cost": round(self.total_io_cost, 1),
             "cpu_cost": round(self.total_cpu_cost, 1),
             "total_cost": round(self.total_cost, 1),
-            "wall_s": round(self.wall_seconds, 3),
-            "serial_wall_s": round(self.serial_wall_seconds, 3),
-            "speedup": round(self.speedup, 2),
         }
 
 
 # ----------------------------------------------------------------------
-# Worker-side execution (module level: must pickle into the pool)
+# The executor
 # ----------------------------------------------------------------------
-def _spec_collides(spec: DatasetSpec, other_ids: AnyArray) -> bool:
-    """Would the spec's (contiguous) id range hit any of ``other_ids``?"""
-    return bool(
-        np.any(
-            (other_ids >= spec.id_offset)
-            & (other_ids < spec.id_offset + spec.n)
+def _concrete(side: Dataset | str) -> Dataset:
+    """The dataset of a request side; names must be resolved upstream."""
+    if isinstance(side, str):
+        raise TypeError(
+            f"catalog name {side!r} reached the executor unresolved; "
+            "submit the request through a service, or pass the Dataset"
         )
-    )
-
-
-def _realize_pair(
-    request: JoinRequest, seed_a: int, seed_b: int
-) -> tuple[Dataset, Dataset]:
-    """Materialise both sides, sharing a space and disjoint id ranges.
-
-    A spec left at the default ``id_offset`` whose id range would
-    collide with the other side is shifted by 10**9 (the experiments'
-    convention), so ``JoinRequest(DatasetSpec(...), DatasetSpec(...))``
-    and mixed ``Dataset``/spec pairs work out of the box.  Explicitly
-    chosen distinct offsets that still collide are left alone — the
-    workspace's disjoint-id validation reports those.
-    """
-    from repro.datagen import scaled_space
-
-    a, b = request.a, request.b
-    # Shared-memory refs resolve first (cheap: segments attach once per
-    # worker and the arrays are zero-copy views), so the spec logic
-    # below sees ordinary concrete datasets.
-    if isinstance(a, SharedDatasetRef):
-        a = attach_dataset(a)
-    if isinstance(b, SharedDatasetRef):
-        b = attach_dataset(b)
-    shared = None
-    if isinstance(a, DatasetSpec) or isinstance(b, DatasetSpec):
-        n_a = a.n if isinstance(a, DatasetSpec) else len(a)
-        n_b = b.n if isinstance(b, DatasetSpec) else len(b)
-        shared = scaled_space(max(1, n_a + n_b))
-    if isinstance(a, DatasetSpec):
-        spec_a = a
-        if (
-            isinstance(b, Dataset)
-            and spec_a.id_offset == 0
-            and _spec_collides(spec_a, b.ids)
-        ):
-            spec_a = dataclasses.replace(spec_a, id_offset=10**9)
-        a = spec_a.realize(seed_a, shared)
-    if isinstance(b, DatasetSpec):
-        spec_b = b
-        default_offset = (
-            request.a.id_offset if isinstance(request.a, DatasetSpec) else 0
-        )
-        if spec_b.id_offset == default_offset and _spec_collides(
-            spec_b, a.ids
-        ):
-            spec_b = dataclasses.replace(
-                spec_b, id_offset=spec_b.id_offset + 10**9
-            )
-        b = spec_b.realize(seed_b, shared)
-    return a, b
+    return side
 
 
 def _execute_request(
     index: int,
     request: JoinRequest,
-    batch_seed: int,
     disk_model: DiskModel | None,
     cost_model: CostModel | None,
 ) -> RequestOutcome:
     """Run one request on a fresh workspace, capturing any failure."""
     from repro.engine.workspace import SpatialWorkspace
 
-    seed_a = derive_seed(batch_seed, index, side=0)
-    seed_b = derive_seed(batch_seed, index, side=1)
-    outcome = RequestOutcome(
-        index=index,
-        label=request.describe(),
-        seed_a=seed_a,
-        seed_b=seed_b,
-    )
+    outcome = RequestOutcome(index=index, label=request.describe())
     start = time.perf_counter()
     try:
-        a, b = _realize_pair(request, seed_a, seed_b)
         workspace = SpatialWorkspace(
             disk_model=disk_model, cost_model=cost_model
         )
@@ -457,8 +256,8 @@ def _execute_request(
         # ValueError must surface as this request's failure rather
         # than being silently dropped here.
         outcome.report = workspace.join(
-            a,
-            b,
+            _concrete(request.a),
+            _concrete(request.b),
             algorithm=request.algorithm,
             space=request.space,
             parameters=request.parameters,
@@ -471,369 +270,26 @@ def _execute_request(
     return outcome
 
 
-# Partition-parallel worker state, installed once per worker process by
-# the pool initializer so per-task payloads stay tiny (a cell list, not
-# a copy of the indexes).
-_PARTITION_STATE: tuple[SpatialJoinAlgorithm, object, object] | None = None
-
-
-def _init_partition_worker(
-    algorithm: SpatialJoinAlgorithm, index_a: object, index_b: object
-) -> None:
-    global _PARTITION_STATE
-    _PARTITION_STATE = (algorithm, index_a, index_b)
-
-
-def _join_partition_task(task: object) -> JoinResult:
-    assert _PARTITION_STATE is not None, "partition worker not initialised"
-    algorithm, index_a, index_b = _PARTITION_STATE
-    return algorithm.join_partition(index_a, index_b, task)
-
-
-# ----------------------------------------------------------------------
-# The executor
-# ----------------------------------------------------------------------
 class BatchExecutor:
-    """Runs batches of join requests on a process pool.
+    """Runs batches of join requests inline, one cold workspace each.
 
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to the machine's CPU count.  ``1`` —
-        explicit or defaulted on a single-core machine — runs requests
-        inline: no pool, no pickling, and consequently no isolation
-        against a request that kills its process outright (exceptions
-        are still captured per request).
-    disk_model / cost_model:
-        Forwarded to every per-request workspace.
-    seed:
-        Batch seed (non-negative) from which per-request seeds are
-        derived (see :func:`derive_seed`).
-    persistent:
-        When True the executor keeps one long-lived process pool and
-        one shared-memory publication pool across ``run()`` calls
-        instead of building both per batch: workers stay warm (no
-        fork/import cost per batch) and datasets published once stay
-        attached — the long-lived-shard-worker regime of the service
-        tier.  The owner must call :meth:`close` (or use the executor
-        as a context manager); published segments live until then,
-        bounded by the number of distinct datasets seen.  A batch that
-        hard-crashes a worker still poisons the current pool — the
-        casualties are retried in isolation exactly as in per-batch
-        mode, and the next ``run()`` starts a fresh pool.
+    ``disk_model`` / ``cost_model`` are forwarded to every per-request
+    workspace.
     """
 
     def __init__(
         self,
-        max_workers: int | None = None,
         *,
         disk_model: DiskModel | None = None,
         cost_model: CostModel | None = None,
-        seed: int = 0,
-        persistent: bool = False,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if seed < 0:
-            # SeedSequence rejects negative entropy; failing here keeps
-            # inline and pooled modes consistent (and batch-construction
-            # errors out of the per-request failure accounting).
-            raise ValueError("seed must be non-negative")
-        self.max_workers = max_workers or os.cpu_count() or 1
         self.disk_model = disk_model
         self.cost_model = cost_model or CostModel()
-        self.seed = seed
-        self.persistent = persistent
-        self._pool: ProcessPoolExecutor | None = None
-        self._pages: SharedDatasetPool | None = None
 
-    # ------------------------------------------------------------------
-    # Batch mode
-    # ------------------------------------------------------------------
     def run(self, requests: Iterable[JoinRequest]) -> BatchReport:
-        """Execute every request; failures are per-request, never batch-wide."""
-        requests = list(requests)
-        start = time.perf_counter()
-        # With more than one worker even a single request goes through
-        # the pool, so a hard crash is isolated instead of taking down
-        # the caller; max_workers=1 trades that isolation for zero
-        # pool/pickling overhead.
-        if self.max_workers == 1:
-            outcomes = [
-                _execute_request(
-                    i, req, self.seed, self.disk_model, self.cost_model
-                )
-                for i, req in enumerate(requests)
-            ]
-        else:
-            outcomes = self._run_pooled(requests)
-        outcomes.sort(key=lambda o: o.index)
-        return BatchReport(
-            outcomes=outcomes,
-            wall_seconds=time.perf_counter() - start,
-            max_workers=self.max_workers,
-            cost_model=self.cost_model,
-        )
-
-    @staticmethod
-    def _with_shared_pages(
-        request: JoinRequest, pages: SharedDatasetPool
-    ) -> JoinRequest:
-        """The request with concrete datasets swapped for shm refs.
-
-        Returns the request unchanged when nothing was published
-        (pool disabled, empty sides, specs) — the pickling fallback.
-        """
-        a: object = request.a
-        b: object = request.b
-        if isinstance(a, Dataset):
-            a = pages.publish(a) or a
-        if isinstance(b, Dataset):
-            b = pages.publish(b) or b
-        if a is request.a and b is request.b:
-            return request
-        return dataclasses.replace(request, a=a, b=b)
-
-    def _run_pooled(self, requests: list[JoinRequest]) -> list[RequestOutcome]:
-        """Fan requests across a process pool, isolating failures.
-
-        Concrete datasets are published to shared memory once per
-        distinct content (see :mod:`repro.storage.shm`) and shipped as
-        tiny refs; the segments are released only after every worker
-        has finished, so attaches can never race the unlink.  In
-        persistent mode both the pool and the publication pages
-        outlive the batch (see the class docstring).
-        """
-        if self.persistent:
-            if self._pages is None:
-                self._pages = SharedDatasetPool()
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers
-                )
-            outcomes, broken = self._dispatch(
-                requests, self._pages, self._pool
-            )
-            if broken:
-                # A hard crash poisoned the long-lived pool: tear it
-                # down now and let the next run() start fresh.  The
-                # publication pages are unaffected (segments belong to
-                # this process, not the dead workers).
-                pool, self._pool = self._pool, None
-                pool.shutdown(wait=True)
-            outcomes.extend(self._solo_retries(broken))
-            return outcomes
-        with SharedDatasetPool() as pages:
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                outcomes, broken = self._dispatch(requests, pages, pool)
-            outcomes.extend(self._solo_retries(broken))
-            return outcomes
-
-    def _dispatch(
-        self,
-        requests: list[JoinRequest],
-        pages: SharedDatasetPool,
-        pool: ProcessPoolExecutor,
-    ) -> tuple[list[RequestOutcome], list[tuple[int, JoinRequest]]]:
-        """Submit a batch to ``pool``; returns (outcomes, casualties).
-
-        Casualties are requests whose future reported
-        ``BrokenProcessPool`` — either the crash itself or collateral
-        damage of a pool-mate's hard death; the caller retries them in
-        isolation via :meth:`_solo_retries`.
-        """
-        outcomes: list[RequestOutcome] = []
-        broken: list[tuple[int, JoinRequest]] = []
-        futures: dict[
-            Future[RequestOutcome], tuple[int, JoinRequest]
-        ] = {}
-        for i, req in enumerate(requests):
-            try:
-                future = pool.submit(
-                    _execute_request,
-                    i,
-                    self._with_shared_pages(req, pages),
-                    self.seed,
-                    self.disk_model,
-                    self.cost_model,
-                )
-            except BrokenProcessPool:
-                # An earlier request already killed its worker and
-                # poisoned the pool before this one got submitted;
-                # queue it for the isolated retry below.
-                broken.append((i, req))
-            else:
-                futures[future] = (i, req)
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                i, req = futures[future]
-                try:
-                    outcomes.append(future.result())
-                except BrokenProcessPool:
-                    # A hard worker death (segfault, OOM kill)
-                    # poisons the whole pool: every unfinished
-                    # future reports BrokenProcessPool, healthy
-                    # requests included.  Collect them for an
-                    # isolated retry below.
-                    broken.append((i, req))
-                except Exception as exc:
-                    outcomes.append(
-                        RequestOutcome(
-                            index=i,
-                            label=req.describe(),
-                            error=str(exc),
-                            error_type=type(exc).__name__,
-                        )
-                    )
-        return outcomes, broken
-
-    def _solo_retries(
-        self, broken: list[tuple[int, JoinRequest]]
-    ) -> list[RequestOutcome]:
-        """Retry each pool-breakage casualty in its own single-worker
-        pool: requests that were merely collateral damage succeed,
-        while the genuinely crashing request breaks only its private
-        pool and fails alone — per-request isolation holds even for
-        crashes no worker-side try/except can catch.
-        """
-        outcomes: list[RequestOutcome] = []
-        for i, req in broken:
-            try:
-                with ProcessPoolExecutor(max_workers=1) as solo:
-                    outcomes.append(
-                        solo.submit(
-                            _execute_request,
-                            i,
-                            req,
-                            self.seed,
-                            self.disk_model,
-                            self.cost_model,
-                        ).result()
-                    )
-            except Exception as exc:
-                outcomes.append(
-                    RequestOutcome(
-                        index=i,
-                        label=req.describe(),
-                        error=str(exc) or "worker process died",
-                        error_type=type(exc).__name__,
-                    )
-                )
-        return outcomes
-
-    # ------------------------------------------------------------------
-    # Persistent-mode lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the persistent pool and published segments (idempotent).
-
-        A no-op for per-batch executors, which own nothing between
-        ``run()`` calls.
-        """
-        pool, self._pool = self._pool, None
-        pages, self._pages = self._pages, None
-        try:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        finally:
-            if pages is not None:
-                pages.close()
-
-    def __enter__(self) -> "BatchExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Partition-parallel mode
-    # ------------------------------------------------------------------
-    def run_partitioned(
-        self,
-        a: Dataset,
-        b: Dataset,
-        algorithm: str | SpatialJoinAlgorithm = "pbsm",
-        *,
-        space: Box | None = None,
-        parameters: dict[str, object] | None = None,
-        tasks_per_worker: int = 2,
-    ) -> RunReport:
-        """One join, its cell sweep fanned across the worker pool.
-
-        Requires an algorithm with ``supports_partitioned_join`` (PBSM:
-        the per-cell grid-hash joins over the shared grid are mutually
-        independent).  The indexes are built once in this process; the
-        slices run in workers; partial results merge into one canonical
-        :class:`RunReport` with summed work counters.  Falls back to
-        the ordinary serial join when the pool would not help (one
-        worker, one slice, or an unsupported algorithm).
-        """
-        from repro.engine.workspace import SpatialWorkspace
-
-        workspace = SpatialWorkspace(
-            disk_model=self.disk_model, cost_model=self.cost_model
-        )
-        plan = None
-        if isinstance(algorithm, str):
-            planned = plan_join(
-                a, b, algorithm, space=space,
-                page_size=workspace.page_size, parameters=parameters,
-            )
-            plan = (
-                planned.plan if isinstance(planned, PlanReport) else planned
-            )
-            algo = plan.create()
-        else:
-            if space is not None or parameters:
-                raise ValueError(
-                    "space/parameters are planner inputs and have no "
-                    "effect on a pre-configured instance"
-                )
-            algo = algorithm
-        if not algo.supports_partitioned_join or len(a) == 0 or len(b) == 0:
-            # Fall back through the same interface the caller used so a
-            # registry-name request keeps its resolved plan on the
-            # report (the instance path sets plan=None by design).
-            if isinstance(algorithm, str):
-                return workspace.join(
-                    a, b, algorithm=algorithm,
-                    space=space, parameters=parameters,
-                )
-            return workspace.join(a, b, algorithm=algo)
-
-        workspace._validate_disjoint_ids(a, b)
-        index_a, build_a = algo.build_index(workspace.disk, a)
-        index_b, build_b = algo.build_index(workspace.disk, b)
-        workspace.disk.reset_stats()
-        tasks = algo.partition_tasks(
-            index_a, index_b, self.max_workers * tasks_per_worker
-        )
-        if self.max_workers == 1 or len(tasks) <= 1:
-            result = algo.join(index_a, index_b)
-        else:
-            sweep_start = time.perf_counter()
-            with ProcessPoolExecutor(
-                max_workers=min(self.max_workers, len(tasks)),
-                initializer=_init_partition_worker,
-                initargs=(algo, index_a, index_b),
-            ) as pool:
-                partials = list(pool.map(_join_partition_task, tasks))
-            result = algo.merge_partition_results(partials)
-            # The merge's max-of-slices wall only models a fully
-            # concurrent schedule; with more slices than workers some
-            # run back-to-back, so report the fan-out's measured wall.
-            result.stats.wall_seconds = time.perf_counter() - sweep_start
-        return RunReport(
-            algorithm=algo.name,
-            dataset_a=a.name,
-            dataset_b=b.name,
-            n_a=len(a),
-            n_b=len(b),
-            result=result,
-            build_a=build_a,
-            build_b=build_b,
-            plan=plan,
-            cost_model=self.cost_model,
-        )
+        """Execute every request in order; failures stay per-request."""
+        outcomes = [
+            _execute_request(i, req, self.disk_model, self.cost_model)
+            for i, req in enumerate(requests)
+        ]
+        return BatchReport(outcomes=outcomes, cost_model=self.cost_model)

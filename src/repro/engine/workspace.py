@@ -26,7 +26,6 @@ join phase starts with cold caches.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,7 +49,6 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, SimulatedDisk
 
 if TYPE_CHECKING:
-    from repro.engine.executor import BatchReport, JoinRequest
     from repro.stats.sketch import DatasetSketch
 
 
@@ -476,60 +474,6 @@ class SpatialWorkspace:
             plan=plan,
             cost_model=self.cost_model,
             plan_report=plan_report,
-        )
-
-    # ------------------------------------------------------------------
-    # Batch execution
-    # ------------------------------------------------------------------
-    def join_many(
-        self,
-        requests: "Iterable[JoinRequest]",
-        *,
-        max_workers: int | None = None,
-        seed: int = 0,
-    ) -> "BatchReport":
-        """Run many :class:`~repro.engine.executor.JoinRequest` objects.
-
-        Delegates to a :class:`~repro.engine.executor.BatchExecutor`
-        configured with this workspace's disk and cost models.  Each
-        request runs on its own fresh worker workspace (the paper's
-        nothing-shared protocol); this workspace's disk and index cache
-        are not touched.  Returns a
-        :class:`~repro.engine.executor.BatchReport`.
-        """
-        from repro.engine.executor import BatchExecutor
-
-        executor = BatchExecutor(
-            max_workers,
-            disk_model=self.disk.model,
-            cost_model=self.cost_model,
-            seed=seed,
-        )
-        return executor.run(requests)
-
-    def join_partitioned(
-        self,
-        a: Dataset,
-        b: Dataset,
-        algorithm: str | SpatialJoinAlgorithm = "pbsm",
-        *,
-        space: Box | None = None,
-        parameters: dict[str, object] | None = None,
-        max_workers: int | None = None,
-    ) -> RunReport:
-        """One join with its cell sweep fanned across worker processes.
-
-        See :meth:`~repro.engine.executor.BatchExecutor.run_partitioned`.
-        """
-        from repro.engine.executor import BatchExecutor
-
-        executor = BatchExecutor(
-            max_workers,
-            disk_model=self.disk.model,
-            cost_model=self.cost_model,
-        )
-        return executor.run_partitioned(
-            a, b, algorithm, space=space, parameters=parameters
         )
 
     # ------------------------------------------------------------------

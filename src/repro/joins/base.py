@@ -18,7 +18,7 @@ paper's figures break down:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,11 +272,6 @@ class SpatialJoinAlgorithm(ABC):
     #: Short name used in reports ("PBSM", "R-TREE", ...).
     name: str = "abstract"
 
-    #: Whether :meth:`partition_tasks` / :meth:`join_partition` are
-    #: implemented, i.e. the join phase can be split into independent
-    #: slices and fanned across worker processes.
-    supports_partitioned_join: bool = False
-
     @abstractmethod
     def build_index(self, disk: SimulatedDisk, dataset: Dataset) -> tuple[object, JoinStats]:
         """Index one dataset; return ``(index_handle, build_stats)``.
@@ -309,69 +304,3 @@ class SpatialJoinAlgorithm(ABC):
         benchmark suite.
         """
         return None
-
-    # ------------------------------------------------------------------
-    # Partition-parallel protocol (optional)
-    # ------------------------------------------------------------------
-    def partition_tasks(
-        self, index_a: object, index_b: object, num_tasks: int
-    ) -> list[object]:
-        """Split the join into up to ``num_tasks`` independent slices.
-
-        Each returned task is an opaque payload accepted by
-        :meth:`join_partition`; running every task (in any order, in any
-        process) and merging the partial results with
-        :meth:`merge_partition_results` must reproduce :meth:`join`'s
-        answer exactly.  Only meaningful when
-        :attr:`supports_partitioned_join` is true.
-        """
-        raise NotImplementedError(
-            f"{self.name} does not support partitioned joins"
-        )
-
-    def join_partition(
-        self, index_a: object, index_b: object, task: object
-    ) -> JoinResult:
-        """Join one slice produced by :meth:`partition_tasks`."""
-        raise NotImplementedError(
-            f"{self.name} does not support partitioned joins"
-        )
-
-    def merge_partition_results(
-        self, results: Sequence[JoinResult]
-    ) -> JoinResult:
-        """Combine partial results into one canonical :class:`JoinResult`.
-
-        Work counters are summed (the total work really performed);
-        ``wall_seconds`` takes the slowest slice, because slices run
-        concurrently.  Extras are summed except replication factors,
-        which are per-index properties identical across slices.
-        """
-        stats = JoinStats(algorithm=self.name, phase="join")
-        parts: list[np.ndarray] = []
-        wall = 0.0
-        for result in results:
-            s = result.stats
-            stats.intersection_tests += s.intersection_tests
-            stats.metadata_comparisons += s.metadata_comparisons
-            stats.pages_read += s.pages_read
-            stats.seq_reads += s.seq_reads
-            stats.random_reads += s.random_reads
-            stats.pages_written += s.pages_written
-            stats.io_cost += s.io_cost
-            wall = max(wall, s.wall_seconds)
-            for key, value in s.extras.items():
-                if key.startswith("replication_factor"):
-                    stats.extras[key] = value
-                else:
-                    stats.extras[key] = stats.extras.get(key, 0.0) + value
-            if result.pairs.size:
-                parts.append(result.pairs)
-        pairs = (
-            canonical_pairs(np.concatenate(parts))
-            if parts
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        stats.pairs_found = len(pairs)
-        stats.wall_seconds = wall
-        return JoinResult(pairs=pairs, stats=stats)

@@ -172,11 +172,6 @@ class PBSMJoin(SpatialJoinAlgorithm):
     # ------------------------------------------------------------------
     # Join phase
     # ------------------------------------------------------------------
-    #: The cell sweep is a bag of independent per-cell joins, so it can
-    #: be split across worker processes (see
-    #: :meth:`~repro.joins.base.SpatialJoinAlgorithm.partition_tasks`).
-    supports_partitioned_join = True
-
     def join(self, index_a: PBSMIndex, index_b: PBSMIndex) -> JoinResult:
         """Visit each grid cell and join its two element sets in memory."""
         self._validate_pair(index_a, index_b)
@@ -224,48 +219,6 @@ class PBSMJoin(SpatialJoinAlgorithm):
             est_tests=est_tests,
         )
 
-    def partition_tasks(
-        self, index_a: PBSMIndex, index_b: PBSMIndex, num_tasks: int
-    ) -> list[object]:
-        """Split the common cells into balanced slices.
-
-        Cells are weighted by the page-count product of their two sides
-        (the in-memory join is roughly quadratic in cell population)
-        and distributed greedily, largest first, so slices even out
-        under skew — the exact situation (clustered data) where a naive
-        round-robin split would leave one worker with all the work.
-        """
-        if num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
-        self._validate_pair(index_a, index_b)
-        common = set(index_a.cell_pages) & set(index_b.cell_pages)
-        weighted = sorted(
-            (
-                (
-                    len(index_a.cell_pages[c]) * len(index_b.cell_pages[c])
-                    + len(index_a.cell_pages[c])
-                    + len(index_b.cell_pages[c]),
-                    c,
-                )
-                for c in common
-            ),
-            reverse=True,
-        )
-        buckets: list[list[int]] = [[] for _ in range(num_tasks)]
-        loads = [0] * num_tasks
-        for weight, cell in weighted:
-            slot = loads.index(min(loads))
-            buckets[slot].append(cell)
-            loads[slot] += weight
-        return [sorted(bucket) for bucket in buckets if bucket]
-
-    def join_partition(
-        self, index_a: PBSMIndex, index_b: PBSMIndex, task: object
-    ) -> JoinResult:
-        """Join one slice of cells produced by :meth:`partition_tasks`."""
-        self._validate_pair(index_a, index_b)
-        return self._join_cells(index_a, index_b, list(task))
-
     @staticmethod
     def _validate_pair(a: PBSMIndex, b: PBSMIndex) -> None:
         if a.grid.resolution != b.grid.resolution or a.grid.space != b.grid.space:
@@ -279,7 +232,7 @@ class PBSMJoin(SpatialJoinAlgorithm):
     def _join_cells(
         self, a: PBSMIndex, b: PBSMIndex, cells: list[int]
     ) -> JoinResult:
-        """The cell sweep over an explicit cell list (whole join or slice)."""
+        """The cell sweep over ``cells``, in the given order."""
         disk = a.disk
         start = time.perf_counter()
         io_before = disk.stats.snapshot()

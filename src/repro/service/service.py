@@ -151,11 +151,10 @@ class SpatialQueryService:
         Bound of the result cache (LRU; ``None`` disables the bound).
     max_cached_indexes:
         Bound of the query workspace's per-dataset index cache.
-    max_workers:
-        Pool size for executing cache misses.  The default of 1 runs
-        misses inline in the calling thread — the right choice for a
-        service embedded in a threaded front-end; raise it to fan
-        ``submit_many`` batches across processes.
+
+    Cache misses run inline in the calling thread; to serve across
+    processes, put the service behind
+    :class:`~repro.service.sharded.ShardedQueryService`.
     """
 
     def __init__(
@@ -167,12 +166,11 @@ class SpatialQueryService:
         max_cached_indexes: int | None = (
             SpatialWorkspace.DEFAULT_MAX_CACHED_INDEXES
         ),
-        max_workers: int = 1,
     ) -> None:
         self._catalog = DatasetCatalog()
         self._results = ResultCache(max_cached_results)
         self._executor = BatchExecutor(
-            max_workers, disk_model=disk_model, cost_model=cost_model
+            disk_model=disk_model, cost_model=cost_model
         )
         self._queries = SpatialWorkspace(
             disk_model=disk_model,
@@ -647,9 +645,7 @@ class SpatialQueryService:
             return side, fingerprint or dataset_fingerprint(side)
         raise TypeError(
             "service requests take catalog names (str) or concrete "
-            f"Datasets, got {type(side).__name__}; DatasetSpec recipes "
-            "realise differently per request — materialise the dataset "
-            "and register it instead"
+            f"Datasets, got {type(side).__name__}"
         )
 
     # ------------------------------------------------------------------

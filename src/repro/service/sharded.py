@@ -1,9 +1,8 @@
 """The sharded service tier: N shard processes behind one async router.
 
 One :class:`~repro.service.service.SpatialQueryService` saturates at
-the throughput of a single process: every cache miss executes inline
-(or behind one process pool), and every request serialises on one
-catalog/cache lock.  :class:`ShardedQueryService` scales that out by
+the throughput of a single process: every cache miss executes inline,
+and every request serialises on one catalog/cache lock.  :class:`ShardedQueryService` scales that out by
 *partitioning the service state by content fingerprint*:
 
 * each of N **shard processes** runs a complete, unmodified
@@ -15,10 +14,11 @@ catalog/cache lock.  :class:`ShardedQueryService` scales that out by
   their ordered pair digest — so aliasing and rebind invalidation
   run against exactly one shard's catalog slice, and the whole
   result-cache neighbourhood of a pair is invalidatable on one shard;
-* datasets ship as shared-memory references
-  (:class:`~repro.storage.shm.SharedDatasetRef`, PR 7's publication
-  machinery) when possible, so shard workers attach zero-copy instead
-  of unpickling content per command.
+* registered datasets ship as shared-memory references
+  (:class:`~repro.storage.shm.SharedDatasetRef`, published once per
+  content by the router's :class:`~repro.storage.shm.SharedDatasetPool`)
+  when possible, so shard workers attach zero-copy instead of
+  unpickling content per command.
 
 The submission layer is asynchronous with explicit admission control:
 
@@ -234,13 +234,9 @@ def execute_command(
 
 
 def _shard_service(options: dict[str, Any]) -> SpatialQueryService:
-    """A shard's private service.
-
-    Misses run inline (``max_workers=1``) — the tier's parallelism is
-    *across* shards, and shard processes are daemonic, which forbids
-    grandchildren pools anyway.
-    """
-    return SpatialQueryService(max_workers=1, **options)
+    """A shard's private service; the tier's parallelism is *across*
+    shards, each of which runs its misses inline."""
+    return SpatialQueryService(**options)
 
 
 def _shard_worker(

@@ -1,20 +1,18 @@
-"""Shared-memory dataset pages for the batch executor's cold path.
+"""Shared-memory dataset pages for the sharded service tier.
 
-The paper's batch protocol is nothing-shared: every request runs on a
-fresh workspace in a fresh worker.  The one thing that protocol does
-*not* require is re-shipping the input arrays — a
-:class:`~repro.joins.base.Dataset` is three immutable numpy arrays
-(ids, box lows, box highs), and pickling them into every worker scales
-the submission cost with ``datasets × workers``.  This module publishes
-those pages once into POSIX shared memory so workers *attach* instead
-of deserialising:
+A :class:`~repro.joins.base.Dataset` is three immutable numpy arrays
+(ids, box lows, box highs).  Pickling them into a shard process on
+every registration — and again on every crash-recovery replay —
+scales the delivery cost with the dataset size.  This module lets the
+sharded tier's router publish those pages once into POSIX shared
+memory so shard workers *attach* instead of deserialising:
 
 * :func:`content_fingerprint` — the canonical content digest (single
   definition of the byte layout; the service layer's
   :func:`~repro.service.fingerprint.dataset_fingerprint` delegates
   here), which keys the segments;
 * :class:`SharedDatasetRef` — the tiny picklable handle a
-  :class:`~repro.engine.executor.JoinRequest` ships in place of the
+  :class:`~repro.service.wire.DatasetPayload` ships in place of the
   arrays (fingerprint + segment name + shape);
 * :class:`SharedDatasetPool` — the publishing side: refcounted
   segments keyed by content fingerprint, explicit
@@ -106,8 +104,8 @@ def shm_available() -> bool:
 def shm_enabled() -> bool:
     """True when publishing is both possible and not disabled by env.
 
-    ``REPRO_SHM=0`` forces the pickling fallback — the switch the
-    benchmark's cold-batch section flips to measure delivery cost.
+    ``REPRO_SHM=0`` forces the pickling fallback; the sharded tier's
+    answers are byte-identical either way.
     """
     from repro.core.config import env_bool
 
@@ -164,12 +162,13 @@ class SharedDatasetPool:
     content twice (even via distinct ``Dataset`` objects) shares one
     segment and bumps its refcount; :meth:`release` decrements and
     unlinks at zero.  :meth:`close` force-releases everything — the
-    pool owner (the batch executor) calls it once the batch is done,
-    after which no new attach succeeds but already-attached workers
-    keep their mappings.
+    pool owner (the sharded tier's router) calls it on shutdown, after
+    which no new attach succeeds but already-attached workers keep
+    their mappings.
 
-    Not thread-safe by design: each ``BatchExecutor.run`` call creates
-    a private pool, so concurrent batches never share one instance.
+    Not thread-safe by design: the router touches its pool only under
+    its catalog-mutation lock, so concurrent callers never share one
+    instance unguarded.
     """
 
     def __init__(self, enabled: bool | None = None) -> None:
@@ -313,7 +312,7 @@ def _attach_untracked(segment: str) -> SharedMemory:
     bookkeeping) or, in a worker that forked before the tracker
     started, spawns a private tracker that warns about "leaked"
     segments on exit.  Suppress the registration for the duration of
-    the attach; nothing else registers concurrently in a pool worker.
+    the attach; nothing else registers concurrently in a shard worker.
     """
     try:  # pragma: no cover - tracker layout is an implementation detail
         from multiprocessing import resource_tracker

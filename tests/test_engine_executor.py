@@ -1,34 +1,37 @@
-"""Tests for the parallel batch executor.
+"""Tests for the batch executor.
 
-Covers the executor's contract: a pooled batch returns exactly the
-serial answers request-for-request, per-request seed derivation makes
-batches reproducible, one request's failure never takes down the batch,
-and the partition-parallel PBSM mode reproduces the serial cell sweep.
+Covers the executor's contract: every request runs cold on its own
+fresh workspace and answers exactly what a direct workspace join
+answers, one request's failure never takes down the batch, and the
+batch report's aggregates hold on empty and failing batches too.
 """
 
-import os
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.datagen import dense_cluster, scaled_space, uniform_dataset
 from repro.engine import (
     BatchExecutor,
     BatchReport,
-    DatasetSpec,
     JoinRequest,
     SpatialWorkspace,
-    derive_seed,
+    available_algorithms,
 )
-from repro.joins.base import Dataset, JoinStats, SpatialJoinAlgorithm
+from repro.joins.base import (
+    CostModel,
+    Dataset,
+    JoinStats,
+    SpatialJoinAlgorithm,
+)
 from repro.joins.pbsm import PBSMJoin
+from repro.storage.disk import DiskModel
 
 from tests.conftest import dataset_pair, oracle_pairs
 
 
 class ExplodingJoin(SpatialJoinAlgorithm):
-    """An algorithm whose join phase always dies (module level: must
-    pickle into worker processes)."""
+    """An algorithm whose join phase always raises."""
 
     name = "EXPLODE"
 
@@ -36,80 +39,40 @@ class ExplodingJoin(SpatialJoinAlgorithm):
         return dataset, JoinStats(algorithm=self.name, phase="index")
 
     def join(self, index_a, index_b):
-        raise RuntimeError("synthetic worker crash")
+        raise RuntimeError("synthetic join failure")
 
 
-class HardCrashJoin(SpatialJoinAlgorithm):
-    """An algorithm that kills its worker process outright — the crash
-    no worker-side try/except can catch."""
-
-    name = "HARD-CRASH"
-
-    def build_index(self, disk, dataset):
-        return dataset, JoinStats(algorithm=self.name, phase="index")
-
-    def join(self, index_a, index_b):
-        os._exit(17)
-
-
-def _mixed_requests(n_requests: int = 8) -> list[JoinRequest]:
+def _mixed_requests(n_requests: int = 6) -> list[JoinRequest]:
     a, b = dataset_pair("clustered", 220, 220, seed=3)
     algorithms = ["transformers", "pbsm", "rtree", "auto"]
-    requests = [
+    return [
         JoinRequest(a, b, algorithm=algorithms[i % len(algorithms)],
                     label=f"req{i}")
-        for i in range(n_requests - 2)
+        for i in range(n_requests)
     ]
-    requests.append(
-        JoinRequest(DatasetSpec("uniform", 150),
-                    DatasetSpec("dense_cluster", 150), "auto",
-                    label="spec-pair")
-    )
-    requests.append(
-        JoinRequest(DatasetSpec("uniform", 100, seed=9),
-                    DatasetSpec("uniform", 100, seed=10, id_offset=10**9),
-                    "pbsm", label="seeded-specs")
-    )
-    return requests
 
 
-class TestBatchVsSerial:
-    def test_pooled_batch_equals_serial_request_for_request(self):
+class TestBatch:
+    def test_batch_equals_fresh_workspace_request_for_request(self):
         requests = _mixed_requests()
-        serial = BatchExecutor(max_workers=1, seed=5).run(requests)
-        pooled = BatchExecutor(max_workers=2, seed=5).run(requests)
-        serial.raise_failures()
-        pooled.raise_failures()
-        assert [o.index for o in pooled.outcomes] == list(range(len(requests)))
-        for s, p in zip(serial.reports, pooled.reports):
-            assert s.algorithm == p.algorithm
-            assert s.pair_set() == p.pair_set()
-        assert any(r.pairs_found > 0 for r in serial.reports)
-
-    def test_acceptance_batch_16_requests_4_workers(self):
-        """16 mixed requests, 4 workers: identical to serial; speedup on
-        machines that actually have the cores."""
-        # Larger per-request work than the other tests so compute
-        # dominates pool fork/pickle overhead in the speedup figure.
-        a, b = dataset_pair("clustered", 500, 500, seed=11)
-        algorithms = ["transformers", "pbsm", "rtree", "auto"]
-        requests = [
-            JoinRequest(a, b, algorithm=algorithms[i % 4], label=f"acc{i}")
-            for i in range(16)
-        ]
-        serial = BatchExecutor(max_workers=1).run(requests)
-        batch = BatchExecutor(max_workers=4).run(requests)
-        serial.raise_failures()
+        batch = BatchExecutor().run(requests)
         batch.raise_failures()
-        for s, p in zip(serial.reports, batch.reports):
-            assert s.pair_set() == p.pair_set()
-        assert batch.summary()["requests"] == 16
-        if (os.cpu_count() or 1) >= 4:
-            assert batch.speedup > 1.5
+        assert [o.index for o in batch.outcomes] == list(range(len(requests)))
+        for request, report in zip(requests, batch.reports):
+            direct = SpatialWorkspace().join(
+                request.a, request.b, algorithm=request.algorithm
+            )
+            assert report.algorithm == direct.algorithm
+            assert (
+                report.result.pairs.tobytes()
+                == direct.result.pairs.tobytes()
+            )
+            assert report.intersection_tests == direct.intersection_tests
+        assert any(r.pairs_found > 0 for r in batch.reports)
 
     def test_batch_report_aggregates(self):
         requests = _mixed_requests(6)
-        batch = BatchExecutor(max_workers=1).run(requests)
+        batch = BatchExecutor().run(requests)
         batch.raise_failures()
         assert batch.total_pairs == sum(r.pairs_found for r in batch.reports)
         assert batch.total_io_cost >= 0.0
@@ -118,91 +81,163 @@ class TestBatchVsSerial:
         assert sum(int(v["runs"]) for v in per_algo.values()) == 6
         assert set(per_algo) >= {"TRANSFORMERS", "PBSM"}
         summary = batch.summary()
+        assert summary["requests"] == 6
         assert summary["failed"] == 0
-        assert summary["speedup"] > 0
+        assert summary["pairs"] == batch.total_pairs
 
-
-class TestSeeds:
-    def test_same_batch_seed_reproduces_results(self):
-        requests = [
-            JoinRequest(DatasetSpec("uniform", 180),
-                        DatasetSpec("dense_cluster", 180), "transformers")
-            for _ in range(3)
-        ]
-        first = BatchExecutor(max_workers=1, seed=42).run(requests)
-        second = BatchExecutor(max_workers=1, seed=42).run(requests)
-        first.raise_failures()
-        second.raise_failures()
-        for x, y in zip(first.reports, second.reports):
-            assert x.pair_set() == y.pair_set()
-
-    def test_different_batch_seed_changes_results(self):
-        requests = [
-            JoinRequest(DatasetSpec("uniform", 180),
-                        DatasetSpec("uniform", 180), "transformers")
-        ]
-        one = BatchExecutor(max_workers=1, seed=1).run(requests)
-        two = BatchExecutor(max_workers=1, seed=2).run(requests)
-        assert one.reports[0].pair_set() != two.reports[0].pair_set()
-
-    def test_requests_in_one_batch_get_distinct_seeds(self):
-        requests = [
-            JoinRequest(DatasetSpec("uniform", 150),
-                        DatasetSpec("uniform", 150), "brute")
-            for _ in range(3)
-        ]
-        batch = BatchExecutor(max_workers=1, seed=0).run(requests)
+    @pytest.mark.parametrize("algorithm", available_algorithms() + ("auto",))
+    def test_every_algorithm_matches_a_direct_join(self, algorithm):
+        a, b = dataset_pair("contrast", 150, 150, seed=5)
+        batch = BatchExecutor().run([JoinRequest(a, b, algorithm)])
         batch.raise_failures()
-        seeds = [o.seed_a for o in batch.outcomes] + [
-            o.seed_b for o in batch.outcomes
-        ]
-        assert len(set(seeds)) == len(seeds)
-        # Identical specs, distinct derived seeds => distinct datasets.
-        assert (
-            batch.reports[0].pair_set() != batch.reports[1].pair_set()
-            or batch.reports[1].pair_set() != batch.reports[2].pair_set()
+        (report,) = batch.reports
+        direct = SpatialWorkspace().join(a, b, algorithm=algorithm)
+        assert report.algorithm == direct.algorithm
+        assert report.result.pairs.tobytes() == direct.result.pairs.tobytes()
+        assert report.intersection_tests == direct.intersection_tests
+        assert report.join_io_cost == direct.join_io_cost
+        assert report.pair_set() == oracle_pairs(a, b)
+
+    @pytest.mark.parametrize("within", [0.25, 1.0])
+    @pytest.mark.parametrize("algorithm", ["transformers", "pbsm"])
+    def test_distance_join_matches_a_direct_join(self, algorithm, within):
+        a, b = dataset_pair("clustered", 150, 150, seed=6)
+        batch = BatchExecutor().run(
+            [JoinRequest(a, b, algorithm, within=within)]
         )
-
-    def test_mixed_dataset_and_spec_get_disjoint_ids(self):
-        """A concrete Dataset (ids from 0) paired with a default spec
-        (also ids from 0) must not trip the disjoint-id validation."""
-        space = scaled_space(300)
-        concrete = uniform_dataset(150, seed=13, name="A", space=space)
-        for pair in (
-            (concrete, DatasetSpec("uniform", 150)),
-            (DatasetSpec("uniform", 150), concrete),
-        ):
-            batch = BatchExecutor(max_workers=1).run(
-                [JoinRequest(pair[0], pair[1], "brute")]
-            )
-            batch.raise_failures()
-            assert batch.reports[0].pairs_found >= 0
-
-    def test_explicit_spec_seed_wins_over_derived(self):
-        spec = DatasetSpec("uniform", 120, seed=77)
-        partner = DatasetSpec("uniform", 120, seed=78, id_offset=10**9)
-        batches = [
-            BatchExecutor(max_workers=1, seed=s).run(
-                [JoinRequest(spec, partner, "brute")]
-            )
-            for s in (0, 999)
-        ]
-        assert (
-            batches[0].reports[0].pair_set()
-            == batches[1].reports[0].pair_set()
+        batch.raise_failures()
+        (report,) = batch.reports
+        direct = SpatialWorkspace().join(
+            a, b, algorithm=algorithm, within=within
         )
+        brute = SpatialWorkspace().join(a, b, algorithm="brute", within=within)
+        assert report.result.pairs.tobytes() == direct.result.pairs.tobytes()
+        assert report.pair_set() == brute.pair_set()
+        assert oracle_pairs(a, b) <= report.pair_set()
 
-    def test_negative_batch_seed_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            BatchExecutor(max_workers=1, seed=-1)
+    def test_repeated_requests_each_run_cold(self):
+        """No index or page survives from one request to the next."""
+        a, b = dataset_pair("uniform", 150, 150, seed=7)
+        batch = BatchExecutor().run(
+            [JoinRequest(a, b, "transformers") for _ in range(3)]
+        )
+        batch.raise_failures()
+        first = batch.reports[0]
+        for report in batch.reports:
+            assert not report.reused_a and not report.reused_b
+            assert report.index_pages_written_a == first.index_pages_written_a
+            assert report.index_pages_written_b == first.index_pages_written_b
+            assert report.join_io_cost == first.join_io_cost
+            assert report.index_cost == first.index_cost
 
-    def test_derive_seed_is_stable_and_spread(self):
-        assert derive_seed(1, 2) == derive_seed(1, 2)
-        seeds = {derive_seed(0, i, side) for i in range(50) for side in (0, 1)}
-        assert len(seeds) == 100
+    def test_run_accepts_any_iterable(self):
+        a, b = dataset_pair("uniform", 80, 80, seed=8)
+        batch = BatchExecutor().run(
+            JoinRequest(a, b, algo) for algo in ("brute", "pbsm")
+        )
+        assert [o.index for o in batch.outcomes] == [0, 1]
+        assert [r.algorithm for r in batch.reports] == ["BRUTE", "PBSM"]
+
+
+class TestModels:
+    """``disk_model`` / ``cost_model`` reach every per-request workspace."""
+
+    def test_disk_model_is_forwarded(self):
+        a, b = dataset_pair("contrast", 150, 150, seed=5)
+        model = DiskModel()
+        slow = dataclasses.replace(
+            model,
+            seq_read_cost=model.seq_read_cost * 3,
+            random_read_cost=model.random_read_cost * 3,
+        )
+        request = JoinRequest(a, b, "pbsm")
+        base = BatchExecutor(disk_model=model).run([request]).reports[0]
+        tripled = BatchExecutor(disk_model=slow).run([request]).reports[0]
+        direct = SpatialWorkspace(disk_model=model).join(
+            a, b, algorithm="pbsm"
+        )
+        assert base.join_io_cost == direct.join_io_cost
+        assert base.join_io_cost > 0.0
+        assert tripled.join_io_cost == pytest.approx(3 * base.join_io_cost)
+        assert tripled.pair_set() == base.pair_set()
+
+    def test_cost_model_is_forwarded_and_reported(self):
+        a, b = dataset_pair("contrast", 150, 150, seed=5)
+        model = CostModel()
+        dear = dataclasses.replace(
+            model, intersection_test_cost=model.intersection_test_cost * 4
+        )
+        request = JoinRequest(a, b, "pbsm")
+        base = BatchExecutor(cost_model=model).run([request])
+        costly = BatchExecutor(cost_model=dear).run([request])
+        assert costly.cost_model is dear
+        assert costly.total_cpu_cost > base.total_cpu_cost
+        assert costly.total_io_cost == base.total_io_cost
+        assert costly.total_cost == pytest.approx(
+            costly.reports[0].total_cost(dear)
+        )
+        assert costly.total_pairs == base.total_pairs
+
+
+class TestDescribe:
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            ({"label": "mine"}, "mine"),
+            ({}, "pbsm(A, B)"),
+            ({"algorithm": PBSMJoin(resolution=4)}, "PBSM(A, B)"),
+            ({"within": 0.5}, "pbsm(A, B) within=0.5"),
+            ({"a": "left", "b": "right"}, "pbsm(left, right)"),
+        ],
+        ids=["label", "registry-name", "instance", "within", "catalog-names"],
+    )
+    def test_describe(self, kwargs, expected):
+        a, b = dataset_pair("uniform", 20, 20, seed=1)
+        fields = {"a": a, "b": b, "algorithm": "pbsm", **kwargs}
+        request = JoinRequest(**fields)
+        assert request.describe() == expected
+        if "a" not in kwargs:
+            outcome = BatchExecutor().run([request]).outcomes[0]
+            assert outcome.label == expected
 
 
 class TestFailureIsolation:
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_failure_position_does_not_matter(self, position):
+        a, b = dataset_pair("uniform", 100, 100, seed=3)
+        requests = [
+            JoinRequest(a, b, "transformers", label=f"ok-{i}")
+            for i in range(3)
+        ]
+        requests[position] = JoinRequest(a, b, ExplodingJoin(), label="boom")
+        batch = BatchExecutor().run(requests)
+        assert [o.index for o in batch.outcomes] == [0, 1, 2]
+        assert [o.ok for o in batch.outcomes] == [
+            i != position for i in range(3)
+        ]
+        assert [o.label for o in batch.failures] == ["boom"]
+        oracle = oracle_pairs(a, b)
+        assert all(r.pair_set() == oracle for r in batch.reports)
+
+    def test_failed_outcome_is_timed_and_counted(self):
+        a, b = dataset_pair("uniform", 80, 80, seed=5)
+        batch = BatchExecutor().run(
+            [
+                JoinRequest(a, b, ExplodingJoin(), label="boom"),
+                JoinRequest(a, b, "no-such-join", label="typo"),
+                JoinRequest(a, b, "brute", label="fine"),
+            ]
+        )
+        assert all(o.wall_seconds > 0.0 for o in batch.outcomes)
+        assert batch.summary()["failed"] == 2
+        with pytest.raises(RuntimeError) as info:
+            batch.raise_failures()
+        message = str(info.value)
+        assert message.startswith("2 of 3 batch requests failed")
+        assert "request 0 (boom): RuntimeError" in message
+        assert "request 1 (typo): ValueError" in message
+        assert "fine" not in message
+
     def test_crash_fails_only_that_request(self):
         a, b = dataset_pair("uniform", 150, 150, seed=1)
         requests = [
@@ -210,49 +245,21 @@ class TestFailureIsolation:
             JoinRequest(a, b, ExplodingJoin(), label="boom"),
             JoinRequest(a, b, "pbsm", label="ok-2"),
         ]
-        batch = BatchExecutor(max_workers=2).run(requests)
+        batch = BatchExecutor().run(requests)
         assert not batch.ok
         assert [o.ok for o in batch.outcomes] == [True, False, True]
         failed = batch.outcomes[1]
         assert failed.error_type == "RuntimeError"
-        assert "synthetic worker crash" in failed.error
+        assert "synthetic join failure" in failed.error
         assert batch.outcomes[0].report.pair_set() == oracle_pairs(a, b)
         with pytest.raises(RuntimeError, match="boom"):
             batch.raise_failures()
-
-    def test_hard_worker_death_fails_only_that_request(self):
-        """A crash that kills the worker process (not an exception)
-        breaks the shared pool; healthy requests must still complete."""
-        a, b = dataset_pair("uniform", 120, 120, seed=9)
-        requests = [
-            JoinRequest(a, b, "transformers", label="ok-0"),
-            JoinRequest(a, b, HardCrashJoin(), label="hard-crash"),
-            JoinRequest(a, b, "pbsm", label="ok-2"),
-            JoinRequest(a, b, "brute", label="ok-3"),
-        ]
-        batch = BatchExecutor(max_workers=2).run(requests)
-        assert [o.ok for o in batch.outcomes] == [True, False, True, True]
-        assert batch.outcomes[1].error_type == "BrokenProcessPool"
-        oracle = oracle_pairs(a, b)
-        for outcome in batch.outcomes:
-            if outcome.ok:
-                assert outcome.report.pair_set() == oracle
-
-    def test_single_request_hard_crash_is_isolated(self):
-        """With max_workers > 1 even a lone request runs in a worker,
-        so a hard crash cannot take down the calling process."""
-        a, b = dataset_pair("uniform", 60, 60, seed=12)
-        batch = BatchExecutor(max_workers=2).run(
-            [JoinRequest(a, b, HardCrashJoin(), label="lone-crash")]
-        )
-        assert not batch.ok
-        assert batch.outcomes[0].error_type == "BrokenProcessPool"
 
     def test_instance_algorithm_with_space_fails_loudly(self):
         """space/parameters are planner inputs; combining them with a
         pre-configured instance is an error, not a silent no-op."""
         a, b = dataset_pair("uniform", 80, 80, seed=10)
-        batch = BatchExecutor(max_workers=1).run(
+        batch = BatchExecutor().run(
             [JoinRequest(a, b, PBSMJoin(resolution=4),
                          space=a.boxes.mbb())]
         )
@@ -262,71 +269,25 @@ class TestFailureIsolation:
 
     def test_invalid_algorithm_name_is_isolated_too(self):
         a, b = dataset_pair("uniform", 80, 80, seed=2)
-        batch = BatchExecutor(max_workers=1).run(
+        batch = BatchExecutor().run(
             [JoinRequest(a, b, "no-such-join"), JoinRequest(a, b, "brute")]
         )
         assert [o.ok for o in batch.outcomes] == [False, True]
         assert batch.outcomes[0].error_type == "ValueError"
 
-    def test_unknown_dataset_kind_raises_value_error(self):
-        with pytest.raises(ValueError, match="unknown dataset kind"):
-            DatasetSpec("no-such-kind", 10).realize(0, None)
-
-
-class TestPartitionedJoin:
-    def test_partitioned_pbsm_matches_serial(self):
-        a, b = dataset_pair("clustered", 400, 400, seed=4)
-        serial = SpatialWorkspace().join(a, b, algorithm="pbsm")
-        partitioned = SpatialWorkspace().join_partitioned(
-            a, b, "pbsm", max_workers=2
+    def test_unresolved_catalog_name_fails_that_request(self):
+        """Names are a service-tier input; reaching the executor
+        unresolved is this request's TypeError, not a batch abort."""
+        a, b = dataset_pair("uniform", 80, 80, seed=4)
+        batch = BatchExecutor().run(
+            [JoinRequest("a", b, "brute"), JoinRequest(a, b, "brute")]
         )
-        assert partitioned.pair_set() == serial.pair_set()
-        assert partitioned.pair_set() == oracle_pairs(a, b)
-        # Same logical work: the sweep is split, not re-done.
-        assert (
-            partitioned.join_stats.intersection_tests
-            == serial.join_stats.intersection_tests
-        )
-
-    def test_partition_tasks_cover_cells_disjointly(self):
-        a, b = dataset_pair("clustered", 300, 300, seed=5)
-        ws = SpatialWorkspace()
-        algo = PBSMJoin(space=a.boxes.mbb().union(b.boxes.mbb()),
-                        resolution=5)
-        ia, _ = algo.build_index(ws.disk, a)
-        ib, _ = algo.build_index(ws.disk, b)
-        common = set(ia.cell_pages) & set(ib.cell_pages)
-        tasks = algo.partition_tasks(ia, ib, 4)
-        assert 1 <= len(tasks) <= 4
-        seen: list[int] = []
-        for task in tasks:
-            seen.extend(task)
-        assert sorted(seen) == sorted(common)
-
-    def test_unsupported_algorithm_falls_back_to_serial_join(self):
-        a, b = dataset_pair("uniform", 120, 120, seed=6)
-        report = SpatialWorkspace().join_partitioned(
-            a, b, "rtree", max_workers=2
-        )
-        assert report.pair_set() == oracle_pairs(a, b)
-        # The fallback keeps the resolved plan for registry names.
-        assert report.plan is not None
-        assert report.plan.algorithm == "rtree"
+        assert [o.ok for o in batch.outcomes] == [False, True]
+        assert batch.outcomes[0].error_type == "TypeError"
+        assert "unresolved" in batch.outcomes[0].error
 
 
 class TestWorkspaceIntegration:
-    def test_join_many_leaves_parent_workspace_untouched(self):
-        a, b = dataset_pair("uniform", 100, 100, seed=7)
-        ws = SpatialWorkspace()
-        batch = ws.join_many(
-            [JoinRequest(a, b, "transformers"), JoinRequest(a, b, "pbsm")],
-            max_workers=1,
-        )
-        batch.raise_failures()
-        assert len(batch.reports) == 2
-        assert ws.cached_index_count == 0
-        assert ws.disk.num_pages == 0
-
     def test_empty_side_short_circuits(self):
         from repro.geometry.boxes import BoxArray
 
@@ -338,42 +299,26 @@ class TestWorkspaceIntegration:
 
 
 class TestDegenerateBatchReports:
-    """Edge-case math: empty and instant batches must never divide by zero."""
+    """Edge cases: empty and failing batches aggregate without error."""
 
     def test_empty_batch_report(self):
-        report = BatchReport(outcomes=[], wall_seconds=0.0, max_workers=1)
+        report = BatchReport(outcomes=[])
         assert report.ok
-        assert report.speedup == 1.0
-        assert report.serial_wall_seconds == 0.0
         assert report.total_pairs == 0
         assert report.by_algorithm() == {}
         assert report.latency_percentiles() == {}
         summary = report.summary()
         assert summary["requests"] == 0
-        assert summary["speedup"] == 1.0
+        assert summary["failed"] == 0
 
     def test_empty_batch_through_executor(self):
-        report = BatchExecutor(max_workers=1).run([])
+        report = BatchExecutor().run([])
         assert report.ok
-        assert report.speedup == 1.0
         assert report.summary()["requests"] == 0
-
-    def test_instant_batch_speedup_is_neutral(self):
-        # Outcomes whose walls round to zero (a timer too coarse to
-        # resolve them) must not report a 0x "slowdown".
-        from repro.engine.executor import RequestOutcome
-
-        outcomes = [
-            RequestOutcome(index=0, label="instant", wall_seconds=0.0)
-        ]
-        report = BatchReport(
-            outcomes=outcomes, wall_seconds=0.5, max_workers=2
-        )
-        assert report.speedup == 1.0
 
     def test_latency_percentiles_exclude_failures(self):
         a, b = dataset_pair("uniform", 60, 60, seed=11)
-        batch = BatchExecutor(max_workers=1).run(
+        batch = BatchExecutor().run(
             [
                 JoinRequest(a, b, "transformers"),
                 JoinRequest(a, b, "no-such-algorithm"),
@@ -385,64 +330,3 @@ class TestDegenerateBatchReports:
         row = percentiles["TRANSFORMERS"]
         assert row["count"] == 1
         assert 0.0 < row["p50_s"] <= row["p99_s"]
-
-
-class TestPersistentMode:
-    """The long-lived-shard-worker regime: one pool, one publication
-    pool, reused across run() calls until close()."""
-
-    def test_pool_and_pages_survive_across_batches(self):
-        requests = _mixed_requests(4)
-        with BatchExecutor(max_workers=2, seed=5, persistent=True) as ex:
-            first = ex.run(requests)
-            pool, pages = ex._pool, ex._pages
-            assert pool is not None and pages is not None
-            second = ex.run(requests)
-            # Same pool object, same publication pool: nothing was
-            # rebuilt between batches.
-            assert ex._pool is pool and ex._pages is pages
-            first.raise_failures()
-            second.raise_failures()
-            for s, p in zip(first.reports, second.reports):
-                assert s.pair_set() == p.pair_set()
-        # Context exit closed both.
-        assert ex._pool is None and ex._pages is None
-
-    def test_matches_per_batch_mode(self):
-        requests = _mixed_requests(6)
-        baseline = BatchExecutor(max_workers=2, seed=7).run(requests)
-        with BatchExecutor(max_workers=2, seed=7, persistent=True) as ex:
-            persistent = ex.run(requests)
-        baseline.raise_failures()
-        persistent.raise_failures()
-        for s, p in zip(baseline.reports, persistent.reports):
-            assert s.algorithm == p.algorithm
-            assert s.pair_set() == p.pair_set()
-
-    def test_hard_crash_poisons_pool_but_not_the_executor(self):
-        a, b = dataset_pair("uniform", 80, 80, seed=21)
-        with BatchExecutor(max_workers=2, persistent=True) as ex:
-            batch = ex.run(
-                [
-                    JoinRequest(a, b, HardCrashJoin(), label="boom"),
-                    JoinRequest(a, b, "transformers", label="fine"),
-                ]
-            )
-            # The crash fails alone; the healthy request survives via
-            # the isolated retry.
-            by_label = {o.label: o for o in batch.outcomes}
-            assert by_label["boom"].error_type
-            assert by_label["fine"].report is not None
-            # The poisoned pool was torn down; the next batch builds a
-            # fresh one and works.
-            assert ex._pool is None
-            again = ex.run([JoinRequest(a, b, "transformers")])
-            again.raise_failures()
-            assert ex._pool is not None
-
-    def test_close_is_idempotent_and_noop_per_batch(self):
-        ex = BatchExecutor(max_workers=2, persistent=True)
-        ex.close()
-        ex.close()
-        per_batch = BatchExecutor(max_workers=2)
-        per_batch.close()  # owns nothing between batches: no-op

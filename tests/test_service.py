@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.datagen import scaled_space, uniform_dataset
-from repro.engine import DatasetSpec, JoinRequest
+from repro.engine import JoinRequest
 from repro.service import (
     ResultCache,
     ServiceStats,
@@ -104,12 +104,12 @@ class TestSubmit:
         assert stats.cache_hits + stats.cache_misses == stats.requests
         assert stats.cache_size == 0
 
-    def test_dataset_spec_is_rejected(self, trio):
+    def test_unsupported_side_type_is_rejected(self, trio):
         service, *_ = trio
-        with pytest.raises(TypeError, match="DatasetSpec"):
-            service.submit(
-                JoinRequest(DatasetSpec("uniform", 100), "b", "transformers")
-            )
+        with pytest.raises(TypeError, match="got int"):
+            service.submit(JoinRequest(42, "b", "transformers"))
+        stats = service.stats()
+        assert stats.requests == 0
 
     def test_results_match_fresh_workspace(self, trio):
         """Service-served results equal the engine's direct answer."""

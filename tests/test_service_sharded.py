@@ -4,8 +4,9 @@ Covers the routing substrate (consistent-hash ring, wire payloads),
 the router's catalog/cache semantics in deterministic inline mode
 (rebind invalidation across shards, alias survival, admission control,
 degradation, quotas, stats merging), and the process-backed deployment
-shape: byte-identity against the single-process oracle and shard-crash
-isolation with mid-stream recovery.
+shape: byte-identity against the single-process oracle with the
+shared-memory transport on and off, no segment left after ``close()``,
+and shard-crash isolation with mid-stream recovery.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.config import env_override
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import JoinRequest
 from repro.service import (
@@ -26,6 +28,7 @@ from repro.service import (
 )
 from repro.service.sharding import pair_routing_key
 from repro.service.wire import DatasetPayload
+from repro.storage.shm import shm_available
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +53,17 @@ def corpus(space):
 def _payload_bytes(response):
     response.raise_for_failure()
     return response.report.result.pairs.tobytes()
+
+
+def _listed_segments() -> list[str]:
+    """Names under /dev/shm (POSIX); empty elsewhere — the leak test
+    then degrades to a no-op rather than a false failure."""
+    import os
+
+    try:
+        return [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
+    except OSError:  # pragma: no cover - non-POSIX
+        return []
 
 
 # ----------------------------------------------------------------------
@@ -328,16 +342,26 @@ class TestStatsMerging:
 # Process mode: the deployment shape
 # ----------------------------------------------------------------------
 class TestProcessShards:
+    @pytest.mark.parametrize("shm", ["1", "0"])
     def test_byte_identity_against_single_process_oracle(
-        self, corpus, space
+        self, corpus, space, shm
     ):
+        """Answers are byte-identical whether registered datasets reach
+        the shards through shared memory or pickled (``REPRO_SHM``)."""
         oracle = SpatialQueryService()
         for name, dataset in corpus.items():
             oracle.register(name, dataset)
         pairs = [("a", "b"), ("a", "c"), ("b", "c")]
-        with ShardedQueryService(2) as sharded:
+        with env_override("REPRO_SHM", shm), ShardedQueryService(2) as sharded:
             for name, dataset in corpus.items():
                 sharded.register(name, dataset)
+            transports = {
+                name: sharded._names[name].payload.ref is not None
+                for name in corpus
+            }
+            assert set(transports.values()) == {
+                shm == "1" and shm_available()
+            }
             for algorithm in ("pbsm", "transformers"):
                 for pair in pairs:
                     request = JoinRequest(*pair, algorithm)
@@ -354,6 +378,21 @@ class TestProcessShards:
             assert np.array_equal(
                 np.sort(hits), np.sort(oracle.range_query("a", space))
             )
+
+    @pytest.mark.skipif(
+        not shm_available(), reason="platform has no shared memory"
+    )
+    def test_no_segment_left_after_close(self, corpus):
+        before = set(_listed_segments())
+        with env_override("REPRO_SHM", "1"):
+            with ShardedQueryService(2) as service:
+                for name, dataset in corpus.items():
+                    service.register(name, dataset)
+                service.register("a", corpus["c"])  # rebind retires a ref
+                _payload_bytes(service.submit(JoinRequest("a", "b", "pbsm")))
+                published = set(_listed_segments()) - before
+                assert published  # the shm path really ran
+        assert not set(_listed_segments()) & published
 
     def test_crash_recovery_is_shard_local(self, corpus):
         with ShardedQueryService(2, max_inflight_per_shard=16) as service:

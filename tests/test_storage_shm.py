@@ -5,9 +5,10 @@ worker that attaches a published segment must see byte-for-byte the
 dataset it would have received by pickling, and the publisher must not
 leak segments — every publish is balanced by a release/close and the
 segment is gone afterwards.  These tests pin both halves plus the
-fallback paths (``REPRO_SHM=0``, empty datasets) and the end-to-end
-guarantee that a pooled batch produces identical pairs with the
-transport on or off.
+fallback paths (``REPRO_SHM=0``, empty datasets); the end-to-end
+guarantee (identical answers with the transport on or off, no segment
+left after ``close()``) is pinned through the sharded tier in
+``tests/test_service_sharded.py``.
 """
 
 import pickle
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import env_override
-from repro.engine import BatchExecutor, JoinRequest
 from repro.storage.shm import (
     SharedDatasetPool,
     SharedDatasetRef,
@@ -158,45 +158,3 @@ class TestFallback:
         with SharedDatasetPool() as pool:
             assert pool.publish(empty) is None
             assert pool.active_segments == 0
-
-
-class TestExecutorTransport:
-    """End to end: the transport changes delivery, never answers."""
-
-    def _requests(self):
-        a, b = dataset_pair("clustered", 250, 250, seed=17)
-        return [
-            JoinRequest(a, b, algorithm=algo, label=f"shm-{algo}")
-            for algo in ("transformers", "pbsm", "rtree")
-        ]
-
-    def test_pooled_results_identical_with_and_without_shm(self):
-        with env_override("REPRO_SHM", "1"):
-            on = BatchExecutor(max_workers=2, seed=3).run(self._requests())
-        with env_override("REPRO_SHM", "0"):
-            off = BatchExecutor(max_workers=2, seed=3).run(self._requests())
-        on.raise_failures()
-        off.raise_failures()
-        for x, y in zip(on.reports, off.reports):
-            assert x.result.pairs.tobytes() == y.result.pairs.tobytes()
-            assert x.intersection_tests == y.intersection_tests
-
-    def test_no_segment_leak_after_batch(self):
-        before = set(_listed_segments())
-        with env_override("REPRO_SHM", "1"):
-            BatchExecutor(max_workers=2, seed=4).run(
-                self._requests()
-            ).raise_failures()
-        leaked = set(_listed_segments()) - before
-        assert not leaked
-
-
-def _listed_segments() -> list[str]:
-    """Names under /dev/shm (POSIX); empty elsewhere — the leak test
-    then degrades to a no-op rather than a false failure."""
-    import os
-
-    try:
-        return [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
-    except OSError:  # pragma: no cover - non-POSIX
-        return []
