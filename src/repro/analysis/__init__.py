@@ -2,7 +2,7 @@
 
 The dynamic suites (oracle corpus, metamorphic tests, soak runs)
 verify behaviour; this package verifies the *invariant shapes* those
-suites rely on, at commit time and in milliseconds:
+suites rely on, at commit time and in about two seconds:
 
 ========  ==========================================================
 RPL001    ``__slots__`` classes define explicit pickle support
@@ -11,21 +11,22 @@ RPL003    no unseeded randomness; no wall clock in counted paths
 RPL004    vectorized kernels keep ``*_reference`` twins + tests
 RPL005    ``REPRO_*`` env vars route through ``repro.core.config``
 RPL006    ``__all__`` entries and cross-module re-exports resolve
+RPL007    lock order is acyclic; no executor call under a lock
+RPL008    shared-memory resources are released on every CFG path
+RPL009    executed request fields reach every cache-key site
 ========  ==========================================================
 
-Run ``python -m repro.analysis src/`` (see ``--help`` for baselines,
-rule selection and the generated env-var table).  Suppress a single
-line with ``# repro: ignore[RPL001]``; gate CI on *new* findings by
-committing a JSON baseline and passing ``--baseline``.
+Run ``python -m repro.analysis src``: it scans the whole tree and
+exits 0 when clean, 1 on any finding, 2 on a usage or internal error.
+Suppress a single line with ``# repro: ignore[RPL001]``.
 """
 
-from repro.analysis.baseline import load_baseline, partition, save_baseline
 from repro.analysis.engine import (
     AnalysisRequest,
     AnalysisResult,
     analyze_paths,
 )
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.registry import (
     Rule,
     RuleConfig,
@@ -39,13 +40,9 @@ __all__ = [
     "AnalysisResult",
     "analyze_paths",
     "Finding",
-    "Severity",
     "Rule",
     "RuleConfig",
     "build_rules",
     "register_rule",
     "registered_rules",
-    "load_baseline",
-    "save_baseline",
-    "partition",
 ]

@@ -1,11 +1,10 @@
-"""Whole-program symbol table, call graph, and module import graph.
+"""Whole-program symbol table and call graph.
 
-PR 6's rules see one :class:`~repro.analysis.context.ModuleContext` at
-a time, which is exactly why the bugs PR 7 fixed slipped through: a
-request field that skipped the cache key two modules away, shared-memory
-release obligations split between publisher and worker.  This module
-builds the structures those *interprocedural* rules need, once per
-analysis run:
+A per-module rule sees one :class:`~repro.analysis.context.ModuleContext`
+at a time, so it cannot see a request field that skips the cache key
+two modules away, or a lock order that only cycles through a call
+chain.  This module builds the structures those *interprocedural*
+rules need, once per analysis run:
 
 * a **symbol table** — every top-level function, class and method in
   the scanned tree, addressed by dotted qualname
@@ -16,9 +15,8 @@ analysis run:
   parameters and ``self.attr`` constructor assignments.  Unresolvable
   calls are kept with their best-effort dotted name so rules can still
   match external targets (``shared_memory.SharedMemory``);
-* a **module import graph** with strongly-connected components — the
-  basis of the CLI's ``--changed-only`` mode, which re-analyzes only a
-  changed file's strongly-connected dependents.
+* :func:`strongly_connected_components` over any adjacency map, which
+  the lock-order rule runs on its lock-acquisition graph.
 
 Resolution is deliberately conservative: a call that cannot be pinned
 to one project symbol stays unresolved rather than guessed, so rules
@@ -37,8 +35,6 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
-    "dependent_scope",
-    "module_import_graph",
     "strongly_connected_components",
 ]
 
@@ -580,61 +576,6 @@ class CallGraph:
         )
 
 
-# ----------------------------------------------------------------------
-# Module import graph (the --changed-only scope)
-# ----------------------------------------------------------------------
-def module_import_graph(
-    modules: dict[str, ModuleContext],
-) -> dict[str, set[str]]:
-    """Module name -> project modules it imports (directly)."""
-    graph: dict[str, set[str]] = {name: set() for name in modules}
-    for name, module in modules.items():
-        package = _module_package(module)
-        deps = graph[name]
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    _add_module_dep(deps, modules, alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    parts = package.split(".") if package else []
-                    climb = node.level - 1
-                    if climb:
-                        parts = (
-                            parts[: len(parts) - climb]
-                            if climb <= len(parts)
-                            else []
-                        )
-                    prefix = ".".join(parts)
-                    base = (
-                        f"{prefix}.{base}"
-                        if base and prefix
-                        else (base or prefix)
-                    )
-                if base:
-                    _add_module_dep(deps, modules, base)
-                for alias in node.names:
-                    if alias.name != "*" and base:
-                        _add_module_dep(
-                            deps, modules, f"{base}.{alias.name}"
-                        )
-        deps.discard(name)
-    return graph
-
-
-def _add_module_dep(
-    deps: set[str], modules: dict[str, ModuleContext], target: str
-) -> None:
-    """Add ``target`` (or its longest module prefix) when in-project."""
-    parts = target.split(".")
-    for end in range(len(parts), 0, -1):
-        candidate = ".".join(parts[:end])
-        if candidate in modules:
-            deps.add(candidate)
-            return
-
-
 def strongly_connected_components(
     graph: dict[str, set[str]],
 ) -> list[set[str]]:
@@ -686,28 +627,3 @@ def strongly_connected_components(
                         break
                 components.append(component)
     return components
-
-
-def dependent_scope(
-    graph: dict[str, set[str]], changed: set[str]
-) -> set[str]:
-    """Modules ``--changed-only`` must re-analyze for ``changed``.
-
-    The changed modules, everything sharing an import cycle (strongly
-    connected component) with one, plus the direct importers of any of
-    those — the modules whose own invariants the change can break
-    without touching their text.
-    """
-    present = {name for name in changed if name in graph}
-    if not present:
-        return set()
-    scope: set[str] = set()
-    for component in strongly_connected_components(graph):
-        if component & present:
-            scope |= component
-    importers = {
-        module
-        for module, deps in graph.items()
-        if deps & scope and module not in scope
-    }
-    return scope | importers

@@ -72,7 +72,7 @@ class ModuleContext:
 
     path: Path
     #: ``path`` relative to the invocation directory, posix-style —
-    #: the form findings and baselines use.
+    #: the form findings use.
     display_path: str
     name: str
     source: str

@@ -13,7 +13,6 @@ Regenerate with::
 
 from __future__ import annotations
 
-from repro.analysis.findings import Severity
 from repro.analysis.registry import ProjectRule, registered_rules
 
 _HEADER = """\
@@ -23,10 +22,10 @@ _HEADER = """\
      by hand — `tests/test_analysis_docs.py` gates the sync. -->
 
 `python -m repro.analysis [paths...]` runs every rule below over the
-given trees (default `src`).  Findings are gated against the committed
-`analysis-baseline.json` (kept empty: fix, don't tolerate).  Suppress
-a single line with `# repro: ignore[RPL00N]`, or every rule on that
-line with a bare `# repro: ignore`.
+given trees (default `src`) and exits `0` when clean, `1` on any
+finding and `2` on a usage or internal error.  Every finding fails the
+run; suppress a single line with `# repro: ignore[RPL00N]`, or every
+rule on that line with a bare `# repro: ignore`.
 
 Project-scope rules (marked *whole-program*) resolve calls through the
 project call graph and control-flow graphs built once per run; the
@@ -43,15 +42,10 @@ def rules_reference_markdown() -> str:
             if issubclass(cls, ProjectRule)
             else "per-module"
         )
-        severity = (
-            "error"
-            if cls.default_severity is Severity.ERROR
-            else "warning"
-        )
         lines = [
             f"## {rule_id} — {cls.title}",
             "",
-            f"*Scope: {scope} · default severity: {severity} · "
+            f"*Scope: {scope} · "
             f"suppression: `# repro: ignore[{rule_id}]`*",
         ]
         if cls.invariant:

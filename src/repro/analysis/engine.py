@@ -1,9 +1,12 @@
 """The analysis driver: collect files, parse, run rules, filter.
 
 :func:`analyze_paths` is the programmatic entry point the CLI, the
-test suite and CI all share.  It is deterministic: files are walked in
-sorted order and findings come back sorted by location, so two runs
-over the same tree produce byte-identical reports.
+test suite and CI all share.  It has one way of running: every file
+under the given paths is parsed serially, every selected rule runs
+over the whole project, and line suppressions drop what they name.
+It is deterministic: files are walked in sorted order and findings
+come back sorted by location, so two runs over the same tree produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -12,15 +15,14 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.callgraph import dependent_scope, module_import_graph
 from repro.analysis.context import (
     ModuleContext,
     ProjectContext,
     module_name_for,
     parse_suppressions,
 )
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import Rule, RuleConfig, build_rules
+from repro.analysis.findings import Finding
+from repro.analysis.registry import RuleConfig, build_rules
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
@@ -36,19 +38,6 @@ class AnalysisResult:
     findings: list[Finding]
     files_scanned: int
     suppressed: int
-    project: ProjectContext
-
-    @property
-    def errors(self) -> list[Finding]:
-        return [
-            f for f in self.findings if f.severity is Severity.ERROR
-        ]
-
-    def by_rule(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 def collect_files(paths: list[Path]) -> list[Path]:
@@ -111,73 +100,12 @@ class AnalysisRequest:
 
     paths: list[Path]
     config: RuleConfig = field(default_factory=RuleConfig)
+    #: Rule ids to run; ``None`` runs every registered rule.
     select: tuple[str, ...] | None = None
-    disable: tuple[str, ...] = ()
+    #: Directories searched for equivalence tests (RPL004).
     tests_roots: tuple[Path, ...] = (Path("tests"),)
     #: Paths in findings are made relative to this directory.
     root: Path = field(default_factory=Path.cwd)
-    #: Parse workers; ``None`` lets the pool pick, ``1`` forces serial.
-    jobs: int | None = None
-    #: Display paths of changed files; when set, findings are restricted
-    #: to those files' strongly-connected import dependents (the whole
-    #: tree is still parsed, so cross-module resolution stays whole).
-    changed: tuple[str, ...] | None = None
-
-
-#: Below this many files a process pool costs more than it saves.
-_PARALLEL_MIN_FILES = 24
-
-
-def _parse_all(
-    files: list[Path], root: Path, jobs: int | None
-) -> list[ModuleContext | Finding]:
-    """Parse every file, with a process pool on big trees.
-
-    Parsing is pure (path in, AST out), so files fan out across
-    workers and come back in input order.  Any pool-level failure —
-    no ``fork`` support, pickling trouble — falls back to the serial
-    path rather than surfacing an internal error.
-    """
-    if jobs == 1 or len(files) < _PARALLEL_MIN_FILES:
-        return [load_module(path, root) for path in files]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(
-                pool.map(
-                    _load_for_pool,
-                    ((path, root) for path in files),
-                    chunksize=8,
-                )
-            )
-    except Exception:
-        return [load_module(path, root) for path in files]
-
-
-def _load_for_pool(
-    item: tuple[Path, Path]
-) -> ModuleContext | Finding:
-    return load_module(item[0], item[1])
-
-
-def _changed_scope(
-    modules: dict[str, ModuleContext], changed: tuple[str, ...]
-) -> set[str]:
-    """Module names whose findings survive a ``changed``-scoped run.
-
-    The scope is each changed module's strongly-connected import
-    component plus direct importers — the set whose analysis results
-    can differ when only those files changed.
-    """
-    changed_set = set(changed)
-    changed_names = {
-        name
-        for name, module in modules.items()
-        if module.display_path in changed_set
-    }
-    graph = module_import_graph(modules)
-    return dependent_scope(graph, changed_names)
 
 
 def analyze_paths(request: AnalysisRequest) -> AnalysisResult:
@@ -185,34 +113,21 @@ def analyze_paths(request: AnalysisRequest) -> AnalysisResult:
     modules: dict[str, ModuleContext] = {}
     findings: list[Finding] = []
     files = collect_files(request.paths)
-    for loaded in _parse_all(files, request.root, request.jobs):
+    for path in files:
+        loaded = load_module(path, request.root)
         if isinstance(loaded, Finding):
             findings.append(loaded)
             continue
         # Two files mapping to one dotted name (e.g. scanning two
         # sibling trees) keep the first; rules see a consistent world.
         modules.setdefault(loaded.name, loaded)
-    files_scanned = len(files)
-    if request.changed is not None:
-        scope = _changed_scope(modules, request.changed)
-        modules = {
-            name: module
-            for name, module in modules.items()
-            if name in scope
-        }
-        changed_set = set(request.changed)
-        findings = [f for f in findings if f.path in changed_set]
-        files_scanned = len(modules)
     project = ProjectContext(
         modules=modules,
         tests_roots=tuple(
             root for root in request.tests_roots if root.is_dir()
         ),
     )
-    rules: list[Rule] = build_rules(
-        request.config, select=request.select, disable=request.disable
-    )
-    for rule in rules:
+    for rule in build_rules(request.config, select=request.select):
         findings.extend(rule.check(project))
     kept: list[Finding] = []
     suppressed = 0
@@ -228,7 +143,6 @@ def analyze_paths(request: AnalysisRequest) -> AnalysisResult:
     kept.sort()
     return AnalysisResult(
         findings=kept,
-        files_scanned=files_scanned,
+        files_scanned=len(files),
         suppressed=suppressed,
-        project=project,
     )

@@ -1,28 +1,14 @@
-"""Finding and severity types shared by the whole lint engine.
+"""The finding type shared by the whole lint engine.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.key` deliberately excludes the line number: baselines
-must survive unrelated edits that shift code up or down, so a finding
-is identified by *what* is wrong (rule, file, symbol) rather than by
-where it currently sits.
+A :class:`Finding` is one rule violation at one source location.
+Every finding fails the run; the one escape hatch is a per-line
+``# repro: ignore[RPL00N]`` comment, applied by the engine before a
+finding is reported.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-
-
-class Severity(enum.Enum):
-    """How seriously a finding gates the build."""
-
-    #: Fails the run (exit code 1) unless baselined or suppressed.
-    ERROR = "error"
-    #: Reported but never affects the exit code.
-    WARNING = "warning"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -30,7 +16,7 @@ class Finding:
     """One rule violation at one source location."""
 
     #: Posix path of the offending file (relative to the invocation
-    #: directory when possible, so baselines are machine-independent).
+    #: directory when possible, so reports are machine-independent).
     path: str
     #: 1-based source line of the violation.
     line: int
@@ -39,31 +25,14 @@ class Finding:
     #: Rule identifier, e.g. ``"RPL001"``.
     rule: str
     #: Stable name of the offending construct (class, function, or
-    #: variable) — the baseline identity together with rule and path.
+    #: variable).
     symbol: str
-    #: Human-readable explanation, not part of the baseline identity.
+    #: Human-readable explanation; not part of the sort order.
     message: str = field(compare=False)
-    severity: Severity = field(default=Severity.ERROR, compare=False)
-
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity: ``(rule, path, symbol)``."""
-        return (self.rule, self.path, self.symbol)
 
     def render(self) -> str:
         """One-line human-readable form."""
         return (
             f"{self.path}:{self.line}:{self.column}: "
-            f"{self.severity} {self.rule} [{self.symbol}] {self.message}"
+            f"error {self.rule} [{self.symbol}] {self.message}"
         )
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-friendly form (``--format json`` and baselines)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "rule": self.rule,
-            "symbol": self.symbol,
-            "message": self.message,
-            "severity": self.severity.value,
-        }

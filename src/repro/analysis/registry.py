@@ -3,18 +3,18 @@
 Rules register themselves at import time via :func:`register_rule`;
 the engine instantiates every registered rule with the run's
 :class:`RuleConfig` and concatenates their findings.  Keeping the
-registry declarative means ``--list-rules``, ``--select`` and
-``--disable`` need no hand-maintained tables.
+registry declarative means ``--list-rules``, ``--select`` and the
+generated rule reference need no hand-maintained tables.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ClassVar, TypeVar
+from typing import TYPE_CHECKING, ClassVar, TypeVar
 
 from repro.analysis.context import ProjectContext
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 
 if TYPE_CHECKING:
     from repro.analysis.callgraph import CallGraph
@@ -73,8 +73,6 @@ class RuleConfig:
         "SpatialWorkspace.join",
         "BatchExecutor.run",
     )
-    #: Per-rule severity overrides, e.g. ``{"RPL003": Severity.WARNING}``.
-    severity_overrides: dict[str, Severity] = field(default_factory=dict)
 
 
 class Rule:
@@ -82,7 +80,6 @@ class Rule:
 
     id: ClassVar[str] = ""
     title: ClassVar[str] = ""
-    default_severity: ClassVar[Severity] = Severity.ERROR
     #: One-sentence statement of the invariant the rule enforces;
     #: rendered into ``docs/analysis-rules.md``.
     invariant: ClassVar[str] = ""
@@ -94,12 +91,6 @@ class Rule:
     def __init__(self, config: RuleConfig) -> None:
         self.config = config
 
-    @property
-    def severity(self) -> Severity:
-        return self.config.severity_overrides.get(
-            self.id, self.default_severity
-        )
-
     def finding(
         self,
         *,
@@ -109,7 +100,7 @@ class Rule:
         symbol: str,
         message: str,
     ) -> Finding:
-        """A :class:`Finding` stamped with this rule's id and severity."""
+        """A :class:`Finding` stamped with this rule's id."""
         return Finding(
             path=path,
             line=line,
@@ -117,7 +108,6 @@ class Rule:
             rule=self.id,
             symbol=symbol,
             message=message,
-            severity=self.severity,
         )
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:
@@ -142,7 +132,7 @@ class ProjectRule(Rule):
 
 
 class UnknownRuleError(ValueError):
-    """A ``--select``/``--disable`` named a rule id that doesn't exist."""
+    """A ``--select`` named a rule id that doesn't exist."""
 
 
 _REGISTRY: dict[str, type[Rule]] = {}
@@ -171,28 +161,18 @@ def build_rules(
     config: RuleConfig,
     *,
     select: Iterable[str] | None = None,
-    disable: Iterable[str] = (),
 ) -> list[Rule]:
     """Instantiate the active rule set for one run."""
     selected = (
         {name.upper() for name in select} if select is not None else None
     )
-    disabled = {name.upper() for name in disable}
-    known = set(registered_rules())
-    unknown = ((selected or set()) | disabled) - known
+    unknown = (selected or set()) - set(registered_rules())
     if unknown:
         raise UnknownRuleError(
             "unknown rule id(s): " + ", ".join(sorted(unknown))
         )
-    rules: list[Rule] = []
-    for rule_id, cls in registered_rules().items():
-        if selected is not None and rule_id not in selected:
-            continue
-        if rule_id in disabled:
-            continue
-        rules.append(cls(config))
-    return rules
-
-
-#: Signature rules implement; exposed for documentation tooling.
-RuleFactory = Callable[[RuleConfig], Rule]
+    return [
+        cls(config)
+        for rule_id, cls in registered_rules().items()
+        if selected is None or rule_id in selected
+    ]

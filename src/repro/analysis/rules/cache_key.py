@@ -12,16 +12,19 @@ The rule works interprocedurally over the call graph:
 * **fields** — annotated fields of each configured request dataclass
   (``JoinRequest``), minus configured exemptions (``label`` only names
   the report row);
-* **key side** — request-field reads inside the configured key
-  functions and their direct callers (the function that assembles the
-  key's arguments);
+* **key side** — the configured key functions and their direct
+  callers (each caller is one key site: the function that assembles
+  the key's arguments).  A field counts as keyed when a key function
+  reads it itself, or when *every* one of its key sites reads it — one
+  site that drops the field is enough for two requests to share an
+  entry in that site's cache;
 * **execution side** — request-field reads inside any function that
   calls an execution sink (``SpatialWorkspace.join``,
   ``BatchExecutor.run``) or is transitively called by one that does,
   excluding the request class's own methods and the key side.
 
-A field read on the execution side with no read on the key side is a
-cache-correctness hole and is flagged at the field's declaration.
+A field read on the execution side but not keyed is a cache-correctness
+hole and is flagged at the field's declaration.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ class CacheKeyCompletenessRule(ProjectRule):
     title = "request fields that reach execution must reach the cache key"
     invariant = (
         "Every non-exempt field of a request dataclass that is read "
-        "on the execution side of the call graph is also read where "
-        "the result-cache key is derived."
+        "on the execution side of the call graph is also read at "
+        "every site where the result-cache key is derived."
     )
     rationale = (
         "A field that changes the join result but not the cache key "
@@ -101,10 +104,21 @@ class CacheKeyCompletenessRule(ProjectRule):
             if fn.name in self.config.cache_key_functions
         }
         key_side = set(key_functions)
+        covered: set[str] = set()
         for key_fn in key_functions:
-            key_side.update(
-                site.caller for site in graph.callers.get(key_fn, ())
+            callers = {site.caller for site in graph.callers.get(key_fn, ())}
+            key_side |= callers
+            covered |= self._function_reads(
+                graph, graph.functions[key_fn], cls_qual, fields
             )
+            site_reads = [
+                self._function_reads(
+                    graph, graph.functions[caller], cls_qual, fields
+                )
+                for caller in callers
+            ]
+            if site_reads:
+                covered |= site_reads[0].intersection(*site_reads[1:])
 
         execution_entries = {
             qual
@@ -125,7 +139,6 @@ class CacheKeyCompletenessRule(ProjectRule):
             if not qual.startswith(f"{cls_qual}.")
         }
 
-        covered = self._fields_read(graph, key_side, cls_qual, fields)
         executed = self._reads_with_sites(
             graph, execution_side, cls_qual, fields
         )
@@ -157,21 +170,6 @@ class CacheKeyCompletenessRule(ProjectRule):
         )
 
     # ------------------------------------------------------------------
-    def _fields_read(
-        self,
-        graph: CallGraph,
-        functions: set[str],
-        cls_qual: str,
-        fields: dict[str, int],
-    ) -> set[str]:
-        read: set[str] = set()
-        for qualname in functions:
-            fn = graph.functions.get(qualname)
-            if fn is None:
-                continue
-            read |= self._function_reads(graph, fn, cls_qual, fields)
-        return read
-
     def _reads_with_sites(
         self,
         graph: CallGraph,

@@ -1,4 +1,4 @@
-"""Unit tests for the whole-program call graph and import graph."""
+"""Unit tests for the whole-program call graph and its SCC helper."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from pathlib import Path
 
 from repro.analysis.callgraph import (
     CallGraph,
-    dependent_scope,
-    module_import_graph,
     strongly_connected_components,
 )
 from repro.analysis.context import ModuleContext, ProjectContext
@@ -303,23 +301,8 @@ def test_closure_is_transitive_and_cycle_safe() -> None:
 
 
 # ----------------------------------------------------------------------
-# Module import graph / SCC / changed scope
+# Strongly-connected components (RPL007's cycle finder)
 # ----------------------------------------------------------------------
-def test_module_import_graph_tracks_project_deps_only() -> None:
-    project = make_project(
-        {
-            "pkg.__init__": "",
-            "pkg.a": "import os\nfrom pkg import b\n",
-            "pkg.b": "from pkg.c import thing\n",
-            "pkg.c": "thing = 1\n",
-        }
-    )
-    graph = module_import_graph(project.modules)
-    assert graph["pkg.a"] == {"pkg", "pkg.b"}
-    assert graph["pkg.b"] == {"pkg.c"}
-    assert graph["pkg.c"] == set()
-
-
 def test_sccs_group_import_cycles() -> None:
     graph = {
         "a": {"b"},
@@ -331,20 +314,3 @@ def test_sccs_group_import_cycles() -> None:
         frozenset({"a", "b"}),
         frozenset({"c"}),
     }
-
-
-def test_dependent_scope_is_scc_plus_direct_importers() -> None:
-    graph = {
-        "core": set(),
-        "mid": {"core"},
-        "top": {"mid"},
-        "cyc1": {"cyc2"},
-        "cyc2": {"cyc1"},
-        "user": {"cyc1"},
-    }
-    # A leaf change pulls in its direct importer, not the whole chain.
-    assert dependent_scope(graph, {"core"}) == {"core", "mid"}
-    # A change inside a cycle pulls the whole component + importers.
-    assert dependent_scope(graph, {"cyc2"}) == {"cyc1", "cyc2", "user"}
-    # Unknown modules scope to nothing.
-    assert dependent_scope(graph, {"ghost"}) == set()

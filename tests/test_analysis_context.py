@@ -1,24 +1,15 @@
-"""Coverage for the module/project context and baseline round-trips."""
+"""Coverage for the module/project context and suppression parsing."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.baseline import (
-    BaselineError,
-    load_baseline,
-    partition,
-    save_baseline,
-)
 from repro.analysis.context import (
     ModuleContext,
     module_name_for,
     parse_suppressions,
 )
-from repro.analysis.findings import Finding
 
 
 def make_module(source: str, name: str = "m") -> ModuleContext:
@@ -145,100 +136,3 @@ def test_dunder_all_collects_literal_extensions_only() -> None:
 def test_name_segments_split_the_dotted_name() -> None:
     module = make_module("x = 1\n", name="repro.storage.shm")
     assert module.name_segments == ("repro", "storage", "shm")
-
-
-# ----------------------------------------------------------------------
-# Baseline round-trips
-# ----------------------------------------------------------------------
-def finding(rule: str, path: str, symbol: str) -> Finding:
-    return Finding(
-        path=path,
-        line=1,
-        column=0,
-        rule=rule,
-        symbol=symbol,
-        message="msg",
-    )
-
-
-def test_baseline_round_trip_preserves_counts(tmp_path: Path) -> None:
-    target = tmp_path / "baseline.json"
-    findings = [
-        finding("RPL001", "a.py", "f"),
-        finding("RPL001", "a.py", "f"),  # same key twice: count 2
-        finding("RPL002", "b.py", "g"),
-    ]
-    save_baseline(target, findings)
-    loaded = load_baseline(target)
-    assert loaded[("RPL001", "a.py", "f")] == 2
-    assert loaded[("RPL002", "b.py", "g")] == 1
-
-
-def test_rewriting_a_shrunk_run_shrinks_the_baseline(
-    tmp_path: Path,
-) -> None:
-    target = tmp_path / "baseline.json"
-    save_baseline(
-        target,
-        [
-            finding("RPL001", "a.py", "f"),
-            finding("RPL001", "a.py", "f"),
-        ],
-    )
-    # One violation fixed; --write-baseline snapshots the current run,
-    # so the stale second entry must not survive the rewrite.
-    save_baseline(target, [finding("RPL001", "a.py", "f")])
-    assert load_baseline(target)[("RPL001", "a.py", "f")] == 1
-
-
-def test_partition_is_count_aware() -> None:
-    from collections import Counter
-
-    baseline: Counter[tuple[str, str, str]] = Counter(
-        {("RPL001", "a.py", "f"): 1}
-    )
-    new, known = partition(
-        [
-            finding("RPL001", "a.py", "f"),
-            finding("RPL001", "a.py", "f"),
-        ],
-        baseline,
-    )
-    assert len(known) == 1
-    assert len(new) == 1
-
-
-def test_baseline_handles_unicode_paths(tmp_path: Path) -> None:
-    target = tmp_path / "baseline.json"
-    path = "src/répro/façade_ユニット.py"
-    save_baseline(target, [finding("RPL001", path, "naïve_fn")])
-    loaded = load_baseline(target)
-    assert loaded[("RPL001", path, "naïve_fn")] == 1
-    new, known = partition(
-        [finding("RPL001", path, "naïve_fn")], loaded
-    )
-    assert new == [] and len(known) == 1
-
-
-def test_baseline_rejects_malformed_files(tmp_path: Path) -> None:
-    target = tmp_path / "baseline.json"
-
-    target.write_text("{not json")
-    with pytest.raises(BaselineError, match="not valid JSON"):
-        load_baseline(target)
-
-    target.write_text("[]")
-    with pytest.raises(BaselineError, match="top level"):
-        load_baseline(target)
-
-    target.write_text('{"version": 99, "findings": []}')
-    with pytest.raises(BaselineError, match="unsupported version"):
-        load_baseline(target)
-
-    target.write_text('{"version": 1, "findings": {}}')
-    with pytest.raises(BaselineError, match="must be a list"):
-        load_baseline(target)
-
-    target.write_text('{"version": 1, "findings": [{"rule": "R"}]}')
-    with pytest.raises(BaselineError, match="missing field"):
-        load_baseline(target)

@@ -49,7 +49,7 @@ def test_readme_links_the_rule_reference() -> None:
     assert "docs/analysis-rules.md" in readme, (
         "README must link the generated rule reference"
     )
-    for flag in ("--format sarif", "--changed-only", "--jobs"):
+    for flag in ("--select", "--list-rules", "--env-table", "--rules-doc"):
         assert flag in readme, (
             f"README static-analysis section must document {flag}"
         )

@@ -156,6 +156,111 @@ def test_rpl009_post_fix_shape_is_clean() -> None:
     assert result.findings == []
 
 
+def test_rpl009_flags_a_field_one_key_site_drops() -> None:
+    # service.py keys `within`, sharded.py does not: the field is keyed
+    # only when every site reads it, so one dropping site is a hole.
+    result = run_fixture("rpl009_cachekey/bad_two_sites")
+    assert [(f.rule, f.symbol, f.path) for f in result.findings] == [
+        (
+            "RPL009",
+            "JoinRequest.within",
+            "tests/analysis_fixtures/rpl009_cachekey/bad_two_sites/"
+            "requests.py",
+        )
+    ]
+
+
+_SITE_TREE = {
+    "pkg/__init__.py": "",
+    "pkg/requests.py": (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class JoinRequest:\n"
+        "    a: str\n"
+        "    within: float = 0.0\n"
+    ),
+    "pkg/workspace.py": (
+        "class SpatialWorkspace:\n"
+        "    def join(self, a, within):\n"
+        "        return [(a, within)]\n"
+    ),
+    "pkg/executor.py": (
+        "from pkg.requests import JoinRequest\n"
+        "from pkg.workspace import SpatialWorkspace\n"
+        "def execute(request: JoinRequest, workspace: SpatialWorkspace):\n"
+        "    return workspace.join(request.a, within=request.within)\n"
+    ),
+}
+
+
+def run_key_sites(
+    tmp_path: Path, key_function: str, site_arguments: tuple[str, ...]
+) -> AnalysisResult:
+    """RPL009 over a tree with one key function and one site per argument."""
+    files = dict(_SITE_TREE)
+    files["pkg/keys.py"] = key_function
+    for number, arguments in enumerate(site_arguments):
+        files[f"pkg/site{number}.py"] = (
+            "from pkg.executor import execute\n"
+            "from pkg.keys import request_cache_key\n"
+            "def submit(request, workspace):\n"
+            f"    key = request_cache_key({arguments})\n"
+            "    return key, execute(request, workspace)\n"
+        )
+    for name, source in files.items():
+        target = tmp_path / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+    return analyze_paths(
+        AnalysisRequest(
+            paths=[tmp_path / "pkg"],
+            select=("RPL009",),
+            tests_roots=(),
+            root=tmp_path,
+        )
+    )
+
+
+_KEYED = "request.a, request.within"
+_DROPPED = "request.a"
+
+
+@pytest.mark.parametrize(
+    "site_arguments, flagged",
+    [
+        ((_KEYED,), False),
+        ((_DROPPED,), True),
+        ((_KEYED, _KEYED), False),
+        ((_KEYED, _DROPPED), True),
+        ((_KEYED, _KEYED, _DROPPED), True),
+    ],
+    ids=["one-keeps", "one-drops", "two-keep", "one-of-two-drops",
+         "one-of-three-drops"],
+)
+def test_rpl009_field_is_keyed_only_when_every_site_keys_it(
+    tmp_path: Path, site_arguments: tuple[str, ...], flagged: bool
+) -> None:
+    result = run_key_sites(
+        tmp_path,
+        "def request_cache_key(a, within=None):\n    return (a, within)\n",
+        site_arguments,
+    )
+    expected = ["JoinRequest.within"] if flagged else []
+    assert [f.symbol for f in result.findings] == expected
+
+
+def test_rpl009_key_function_reading_the_request_keys_every_site(
+    tmp_path: Path,
+) -> None:
+    result = run_key_sites(
+        tmp_path,
+        "def request_cache_key(request):\n"
+        "    return (request.a, request.within)\n",
+        ("request", "request"),
+    )
+    assert result.findings == []
+
+
 # ----------------------------------------------------------------------
 # Cross-cutting: the full rule set isolates per fixture
 # ----------------------------------------------------------------------
