@@ -31,7 +31,7 @@ Public API tour:
 * **streaming** — :mod:`repro.streaming`:
   :class:`~repro.streaming.DatasetDelta` /
   :class:`~repro.streaming.MutableDataset` mutation records,
-  :func:`~repro.joins.delta_join` result patching, incremental
+  :func:`~repro.joins.delta_join` result patching,
   :meth:`~repro.stats.DatasetSketch.apply_delta` sketch maintenance,
   and ``apply_delta`` on both service tiers — cached join results are
   patched to the post-delta truth instead of recomputed;

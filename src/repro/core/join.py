@@ -79,6 +79,7 @@ from repro.joins.base import (
     JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
+    canonical_pairs,
 )
 from repro.joins.grid_hash import grid_hash_join_segments
 from repro.storage.buffer import BufferPool
@@ -273,7 +274,7 @@ class _Driver:
         self._flush_queue()
 
         pairs = (
-            np.unique(np.concatenate(self.out), axis=0)
+            canonical_pairs(np.concatenate(self.out))
             if self.out
             else np.empty((0, 2), dtype=np.int64)
         )

@@ -158,17 +158,36 @@ class JoinResult:
 
 
 def canonical_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Sort and deduplicate an ``(m, 2)`` id-pair array.
+    """Sort and deduplicate an ``(m, 2)`` id-pair array: the final step
+    of every join and delta patch (PBSM's multiple assignment, and any
+    algorithm whose visits overlap, can report a pair several times).
 
-    Algorithms that replicate elements (PBSM's multiple assignment) can
-    report a pair several times; this is the final deduplication step.
+    The result is ``np.unique(pairs, axis=0)`` byte for byte — int64,
+    C order, rows ascending by ``(a, b)`` — without its structured-row
+    sort: each row becomes the one integer key ``(a - a_min) * span_b +
+    (b - b_min)``, which orders like the row, so a plain 1-D sort and a
+    compare of neighbours do the work (543 → 34 µs for 1 320 rows,
+    1 684 → 72 µs for 3 630; see :mod:`repro.vectorize`).  Only when
+    the two id ranges multiply to 2**62 or more, where the key could
+    overflow, are the rows ordered by ``lexsort`` instead.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (m, 2)")
-    return np.unique(pairs, axis=0)
+    a, b = pairs[:, 0], pairs[:, 1]
+    a_min, b_min = int(a.min()), int(b.min())
+    span_b = int(b.max()) - b_min + 1
+    if (int(a.max()) - a_min + 1) * span_b < 1 << 62:
+        key = np.sort((a - a_min) * span_b + (b - b_min))
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        a, b = np.divmod(key, span_b)
+        return np.column_stack((a + a_min, b + b_min))
+    rows = pairs[np.lexsort((b, a))]
+    a, b = rows[:, 0], rows[:, 1]
+    first = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return rows[np.concatenate(([True], first))]
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from repro.joins.base import (
     JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
+    canonical_pairs,
 )
 from repro.joins.grid_hash import grid_hash_join
 from repro.storage.buffer import BufferPool
@@ -307,7 +308,7 @@ class GipsyJoin(SpatialJoinAlgorithm):
                             out.append(np.column_stack((mine, matched)))
 
         pairs = (
-            np.unique(np.concatenate(out), axis=0)
+            canonical_pairs(np.concatenate(out))
             if out
             else np.empty((0, 2), dtype=np.int64)
         )

@@ -22,6 +22,7 @@ from repro.joins.base import (
     JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
+    canonical_pairs,
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -162,7 +163,7 @@ class IndexedNestedLoopJoin(SpatialJoinAlgorithm):
                         out.append(np.column_stack((mine, ids)))
 
         pairs = (
-            np.unique(np.concatenate(out), axis=0)
+            canonical_pairs(np.concatenate(out))
             if out
             else np.empty((0, 2), dtype=np.int64)
         )

@@ -29,6 +29,7 @@ from repro.joins.base import (
     JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
+    canonical_pairs,
 )
 from repro.joins.plane_sweep import plane_sweep_join
 from repro.storage.buffer import BufferPool
@@ -237,7 +238,7 @@ class S3Join(SpatialJoinAlgorithm):
                 sweep(read_cell(a, anc), group_b)
 
         pairs = (
-            np.unique(np.concatenate(out), axis=0)
+            canonical_pairs(np.concatenate(out))
             if out
             else np.empty((0, 2), dtype=np.int64)
         )

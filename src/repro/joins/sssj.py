@@ -30,6 +30,7 @@ from repro.joins.base import (
     JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
+    canonical_pairs,
 )
 from repro.joins.plane_sweep import plane_sweep_join
 from repro.storage.disk import SimulatedDisk
@@ -217,7 +218,7 @@ class SSSJJoin(SpatialJoinAlgorithm):
         sweep(wide_a, wide_b)         # wide_A x wide_B
 
         pairs = (
-            np.unique(np.concatenate(out), axis=0)
+            canonical_pairs(np.concatenate(out))
             if out
             else np.empty((0, 2), dtype=np.int64)
         )

@@ -28,6 +28,7 @@ from repro.joins.base import (
     JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
+    canonical_pairs,
 )
 from repro.joins.plane_sweep import plane_sweep_join
 from repro.storage.buffer import BufferPool
@@ -159,7 +160,7 @@ class SynchronizedRTreeJoin(SpatialJoinAlgorithm):
                     )
 
         pairs = (
-            np.unique(np.concatenate(out), axis=0)
+            canonical_pairs(np.concatenate(out))
             if out
             else np.empty((0, 2), dtype=np.int64)
         )

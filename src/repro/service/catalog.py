@@ -105,8 +105,8 @@ class DatasetCatalog:
         index caches remain valid.  Changed content replaces the entry
         with a bumped version.  New content gets its statistics sketch
         built here, once — unless the caller supplies ``sketch``, the
-        delta-maintenance path's incrementally patched statistics
-        (rebuild-identical by the ``apply_delta`` contract); sketches
+        delta-maintenance path's statistics
+        (:meth:`DatasetSketch.apply_delta`, a rebuild); sketches
         of content no longer served by any name are dropped.
         """
         check_binding(name, dataset)

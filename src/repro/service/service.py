@@ -276,8 +276,8 @@ class SpatialQueryService:
         post-delta key, byte-identical to a full recompute; entries
         that cannot be patched fall back to plain invalidation
         (counted in ``delta_patch_fallbacks``).  The stored sketch is
-        maintained incrementally (:meth:`DatasetSketch.apply_delta`,
-        rebuild-identical).
+        advanced by :meth:`DatasetSketch.apply_delta` (a rebuild of the
+        post-delta content).
 
         Raises ``KeyError`` for unknown names and propagates
         :meth:`DatasetDelta.apply`'s validation errors (unknown delete

@@ -144,8 +144,10 @@ class GridEstimator:
     grid), so the overlap volume between any two cells factorizes into
     per-axis interval overlaps.  The density-product integral then
     reduces to ``ndim`` small tensor contractions — linear in the cell
-    count instead of quadratic — which keeps planning overhead a
-    fraction of a percent of even the cheapest join.
+    count instead of quadratic.  Planning is still not free: a traced
+    ``cold_skewed`` bench run (seed 777) reads ``engine.plan_ms``
+    2.17 ms of a 29–31 ms op (about 7 %), plus ``stats.sketch_ms``
+    1.25 ms for each side's sketch.
     """
 
     name = "grid"

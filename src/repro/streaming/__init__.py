@@ -5,8 +5,8 @@ canonical insert/delete batch) and ``MutableDataset`` (base snapshot +
 delta log with bit-identical replay).  The structures that *consume*
 deltas live beside the structures they maintain:
 
-* ``repro.stats.sketch.DatasetSketch.apply_delta`` — incremental
-  sketch maintenance (rebuild == incremental);
+* ``repro.stats.sketch.DatasetSketch.apply_delta`` — the post-delta
+  sketch (a rebuild: it measured faster than patching the counts);
 * ``repro.joins.delta_join`` — patches a cached pair set to the
   post-delta truth, exactly equal to a full recompute;
 * ``SpatialQueryService.apply_delta`` / sharded routing — advances

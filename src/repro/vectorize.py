@@ -2,7 +2,7 @@
 
 The filter-phase kernels (plane sweep, grid hash), the grid's
 multiple-assignment expansion and the TRANSFORMERS exploration all rely
-on the same seven idioms:
+on the same eight idioms:
 
 * **ragged expansion** — turning a per-group candidate count into flat
   ``(group, within)`` index rows without a Python loop;
@@ -53,7 +53,16 @@ on the same seven idioms:
   **Not** for a few large parts: the index arrays are fixed cost, level
   at a dozen parts (16 against 18 µs) and behind below — 4 parts of 53
   rows 11 µs concatenated, 17 µs gathered — which is why PBSM's
-  1–4-page cells keep their ``concatenate``.
+  1–4-page cells keep their ``concatenate``;
+* **structured-row unique → one integer key** — ``np.unique(pairs,
+  axis=0)`` sorts the rows as a structured dtype, field by field
+  through a generic compare: 543 µs for 1 320 id pairs, 1 684 µs for
+  3 630 (min of 300, Xeon, NumPy 2.4).  Mapped to the key ``(a -
+  a_min) * span_b + (b - b_min)``, which orders like the row, they are
+  a plain 1-D sort and a compare of neighbours, 34 and 72 µs for the
+  same bytes
+  (:func:`~repro.joins.base.canonical_pairs`, which falls back to
+  ``lexsort`` when the key could overflow).
 
 Keeping them here (rather than one private copy per kernel) means a
 fix to the expansion, chunking or overlap behaviour lands everywhere at

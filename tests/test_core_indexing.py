@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core import indexing
 from repro.core.indexing import build_transformers_index
+from repro.datagen import (
+    dense_cluster,
+    massive_cluster,
+    scaled_space,
+    uniform_cluster,
+    uniform_dataset,
+)
 from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
+from repro.joins.grid_hash import grid_hash_join
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import SimulatedDisk
+from repro.storage.disk import DiskModel, SimulatedDisk
 
 from tests.conftest import counted_constructions, dataset_pair, make_disk
 
@@ -118,6 +127,57 @@ class TestConnectivity:
                 )
                 if touches:
                     assert j in set(index.nodes.neighbors[i].tolist())
+
+
+def grid_hash_neighbors(part_lo, part_hi):
+    """The connectivity graph as a grid-hash self-join of the node
+    partition boxes, off-diagonal pairs sorted by (node, neighbour):
+    the reference for the build's cross test."""
+    boxes = BoxArray(part_lo, part_hi)
+    pair_idx, _ = grid_hash_join(boxes, boxes)
+    links = pair_idx[pair_idx[:, 0] != pair_idx[:, 1]].astype(np.intp)
+    links = links[np.lexsort((links[:, 1], links[:, 0]))]
+    return np.split(
+        links[:, 1],
+        np.searchsorted(links[:, 0], np.arange(1, len(part_lo))),
+    )
+
+
+def assert_neighbors_match_reference(index):
+    want = grid_hash_neighbors(index.nodes.part_lo, index.nodes.part_hi)
+    got = index.nodes.neighbors
+    assert len(got) == len(want) == index.num_nodes
+    for node, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), node
+
+
+GENERATORS = [uniform_dataset, dense_cluster, uniform_cluster, massive_cluster]
+
+
+class TestConnectivityEqualsGridHashSelfJoin:
+    """The neighbour lists come from one cross test of the node boxes;
+    they equal the grid-hash self-join formulation byte for byte."""
+
+    @pytest.mark.parametrize("page_size", [512, 1024, 4096])
+    @pytest.mark.parametrize("n", [5, 3_000, 12_000, 40_000])
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.__name__)
+    def test_every_generator_size_and_page_size(self, gen, n, page_size):
+        data = gen(n, seed=n + page_size, name="A", space=scaled_space(2 * n))
+        disk = SimulatedDisk(DiskModel(page_size=page_size))
+        index, _ = build_transformers_index(disk, data)
+        if n == 5:
+            assert index.num_nodes == 1
+        if (n, page_size) == (40_000, 512):
+            # Large enough that the cross test runs in row blocks.
+            assert index.num_nodes**2 > indexing._CROSS_CELLS
+        assert_neighbors_match_reference(index)
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 30])
+    def test_row_blocks_do_not_change_the_lists(self, monkeypatch, cells):
+        monkeypatch.setattr(indexing, "_CROSS_CELLS", cells)
+        _, _, index, _ = build(kind="massive", n=6_000, seed=52)
+        assert index.num_nodes > 8
+        assert_neighbors_match_reference(index)
 
 
 class TestBTree:

@@ -1,8 +1,13 @@
 """Tests for metrics primitives and the shared join interfaces."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro
 from repro.joins.base import (
     CostModel,
     Dataset,
@@ -148,6 +153,27 @@ class TestDataset:
             Dataset("d", np.zeros((2, 2), dtype=np.int64), self._boxes(2))
 
 
+@st.composite
+def pair_arrays(draw):
+    """``(m, 2)`` id pairs drawn from a few values per column (so rows
+    repeat), at one of several id scales, as int64 or int32, contiguous
+    or not."""
+    scale = draw(st.sampled_from([4, 10**9, 2**61, 2**62, 2**63 - 1]))
+    column = st.lists(st.integers(-scale, scale), min_size=1, max_size=5)
+    a_values, b_values = draw(column), draw(column)
+    m = draw(st.integers(0, 40))
+    rows = [
+        [draw(st.sampled_from(a_values)), draw(st.sampled_from(b_values))]
+        for _ in range(m)
+    ]
+    pairs = np.array(rows, dtype=np.int64).reshape(m, 2)
+    if scale < 2**31 and draw(st.booleans()):
+        pairs = pairs.astype(np.int32)
+    if draw(st.booleans()):
+        pairs = np.repeat(pairs, 2, axis=1)[:, ::2]  # a strided view
+    return pairs
+
+
 class TestCanonicalPairs:
     def test_dedup_and_sort(self):
         raw = np.array([[3, 1], [1, 2], [3, 1], [1, 2]])
@@ -160,6 +186,83 @@ class TestCanonicalPairs:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             canonical_pairs(np.zeros((3, 3)))
+
+    @staticmethod
+    def assert_is_unique_rows(pairs):
+        got = canonical_pairs(pairs)
+        want = np.unique(np.asarray(pairs, np.int64), axis=0)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_arrays())
+    @example(np.empty((0, 2), dtype=np.int64))
+    @example(np.array([[7, -3]]))
+    @example(np.array([[5, 9]] * 6))
+    @example(np.array([[-4, -1], [-4, -2], [-5, 0], [-4, -1]]))
+    @example(np.array([[-(2**62), 2**62], [2**62, -(2**62)], [0, 0]] * 2))
+    @example(np.array([[2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1]] * 2))
+    @example(np.arange(24, dtype=np.int32).reshape(4, 6)[:, ::3])
+    def test_equals_np_unique_rows(self, pairs):
+        self.assert_is_unique_rows(pairs)
+
+    @pytest.mark.parametrize(
+        "pairs, sorts_rows",
+        [
+            (np.array([[2**31, 3], [0, 2**30], [2**31, 3]]), False),
+            (np.array([[-(2**62), 1], [2**62, 0], [2**62, 0]]), True),
+            (np.array([[0, 2**61], [1, -(2**61)], [1, -(2**61)]]), True),
+        ],
+    )
+    def test_lexsort_only_when_the_key_could_overflow(
+        self, monkeypatch, pairs, sorts_rows
+    ):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(
+            np, "lexsort", lambda keys: calls.append(1) or lexsort(keys)
+        )
+        self.assert_is_unique_rows(pairs)
+        assert bool(calls) == sorts_rows
+
+
+def _dedupes_outside_canonical_pairs(path, root):
+    """``np.unique(..., axis=...)`` calls in ``path`` outside
+    ``joins/base.py``'s ``canonical_pairs`` and the brute-force oracle."""
+    relative = path.relative_to(root).as_posix()
+    if relative == "joins/brute.py":
+        return []
+    found = []
+    tree = ast.parse(path.read_text())
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if relative == "joins/base.py" and func.name == "canonical_pairs":
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"
+                and any(k.arg == "axis" for k in node.keywords)
+            ):
+                found.append(f"{relative}:{node.lineno} in {func.name}")
+    return found
+
+
+def test_no_row_unique_outside_canonical_pairs():
+    """Every join and patch dedupes through ``canonical_pairs``."""
+    root = Path(repro.__file__).parent
+    offenders = [
+        hit
+        for path in sorted(root.rglob("*.py"))
+        for hit in _dedupes_outside_canonical_pairs(path, root)
+    ]
+    assert offenders == []
 
 
 class TestPercentiles:
