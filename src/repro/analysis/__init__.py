@@ -9,7 +9,7 @@ RPL001    ``__slots__`` classes define explicit pickle support
 RPL002    guarded service state is touched with the service lock held
 RPL003    no unseeded randomness; no wall clock in counted paths
 RPL004    vectorized kernels keep ``*_reference`` twins + tests
-RPL005    ``REPRO_*`` env vars route through ``repro.core.config``
+RPL005    no module reads or writes a ``REPRO_*`` env variable
 RPL006    ``__all__`` entries and cross-module re-exports resolve
 RPL007    lock order is acyclic; no executor call under a lock
 RPL008    shared-memory resources are released on every CFG path

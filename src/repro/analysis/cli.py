@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Repository-specific invariant lint: per-module rules "
             "(RPL001 pickle safety, RPL002 service-lock discipline, "
             "RPL003 determinism, RPL004 vectorized-kernel pairing, "
-            "RPL005 REPRO_* env registry, RPL006 export hygiene, "
+            "RPL005 no REPRO_* env knobs, RPL006 export hygiene, "
             "RPL008 resource lifecycle) plus whole-program rules over "
             "the project call graph (RPL007 lock ordering, RPL009 "
             "cache-key completeness)."
@@ -54,11 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the rule table and exit",
     )
     parser.add_argument(
-        "--env-table",
-        action="store_true",
-        help="print the REPRO_* env-var table (markdown) and exit",
-    )
-    parser.add_argument(
         "--rules-doc",
         action="store_true",
         help="print the generated rule reference (markdown) and exit",
@@ -73,12 +68,6 @@ def _usage_error(message: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if args.env_table:
-        from repro.core.config import env_table_markdown
-
-        print(env_table_markdown())
-        return 0
 
     if args.rules_doc:
         from repro.analysis.docs import rules_reference_markdown

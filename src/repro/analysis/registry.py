@@ -43,9 +43,7 @@ class RuleConfig:
     clock_banned_segments: tuple[str, ...] = ("joins", "core", "stats")
     #: Decorator names that tag a function as a vectorized kernel.
     vectorized_decorators: tuple[str, ...] = ("vectorized_kernel",)
-    #: Modules allowed to touch ``REPRO_*`` environment variables.
-    env_allowed_modules: tuple[str, ...] = ("repro.core.config",)
-    #: Environment-variable prefix the registry owns.
+    #: Environment-variable prefix no module may read or write (RPL005).
     env_prefix: str = "REPRO_"
     #: Module-name segments in lock-order (RPL007) scope.
     lock_order_segments: tuple[str, ...] = ("service", "storage")

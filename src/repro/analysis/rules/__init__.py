@@ -2,7 +2,7 @@
 
 from repro.analysis.rules.cache_key import CacheKeyCompletenessRule
 from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.env_registry import EnvRegistryRule
+from repro.analysis.rules.env_knobs import EnvKnobRule
 from repro.analysis.rules.exports import ExportHygieneRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.lock_order import LockOrderRule
@@ -15,7 +15,7 @@ __all__ = [
     "LockDisciplineRule",
     "DeterminismRule",
     "VectorPairingRule",
-    "EnvRegistryRule",
+    "EnvKnobRule",
     "ExportHygieneRule",
     "LockOrderRule",
     "ResourceLifecycleRule",

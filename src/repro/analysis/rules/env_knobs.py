@@ -1,14 +1,13 @@
-"""RPL005 — ``REPRO_*`` environment variables go through the registry.
+"""RPL005 — no module reads or writes a ``REPRO_*`` environment variable.
 
-Ad-hoc ``os.environ[...]`` reads scatter the configuration surface:
-defaults drift between call sites, parsing differs, and nothing
-documents the full set of knobs.  Every ``REPRO_*`` access must route
-through the typed accessor table in :mod:`repro.core.config`, which
-parses, validates, defaults and documents each variable exactly once
-(and generates the README table).
+The library is configured through constructor arguments and module
+constants only: a hidden environment knob changes answers or timings
+without showing up at any call site, and a test that flips one tests a
+configuration no caller uses.  Every ``REPRO_*`` access is a finding,
+whatever the module.
 
 Flagged shapes, whenever the name argument/key is a string literal
-with the configured prefix and the module is not the registry itself:
+with the configured prefix:
 
 * ``os.environ["REPRO_X"]`` (read or write) and slice variants;
 * ``os.environ.get/setdefault/pop("REPRO_X", ...)``;
@@ -34,30 +33,27 @@ _ENVIRON_METHODS = {"get", "setdefault", "pop"}
 
 
 @register_rule
-class EnvRegistryRule(Rule):
+class EnvKnobRule(Rule):
     id = "RPL005"
-    title = "REPRO_* environment access must use repro.core.config"
+    title = "no REPRO_* environment variables"
     invariant = (
-        "Only repro.core.config touches REPRO_*-prefixed environment "
-        "variables; every other module goes through the registry's "
-        "typed accessors."
+        "No module reads or writes a REPRO_*-prefixed environment "
+        "variable; configuration is constructor arguments and module "
+        "constants."
     )
     rationale = (
-        "The env registry documents, types and defaults every knob "
-        "(and renders the README table); an ad-hoc os.environ read "
-        "creates an undocumented flag with its own parsing bugs."
+        "An environment knob changes answers or timings without "
+        "appearing at any call site, so a run can no longer be "
+        "reproduced from its code and arguments alone."
     )
     example = (
         "import os\n"
-        "limit = os.environ.get(\"REPRO_CACHE_MB\")  # RPL005: bypasses\n"
-        "# the repro.core.config registry\n"
+        "limit = os.environ.get(\"REPRO_CACHE_MB\")  # RPL005: make it\n"
+        "# a constructor argument or a module constant\n"
     )
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:
-        allowed = set(self.config.env_allowed_modules)
         for module in project.sorted_modules():
-            if module.name in allowed:
-                continue
             aliases = import_aliases(module.tree)
             for node in ast.walk(module.tree):
                 name = self._env_access(node, aliases)
@@ -69,10 +65,8 @@ class EnvRegistryRule(Rule):
                     column=node.col_offset,
                     symbol=self._symbol(module, node),
                     message=(
-                        f"direct environment access of {name!r}; route "
-                        "it through the typed registry in "
-                        "repro.core.config (env_int/env_float/env_bool "
-                        "or a named accessor)"
+                        f"environment access of {name!r}; make it a "
+                        "constructor argument or a module constant"
                     ),
                 )
 

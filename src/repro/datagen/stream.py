@@ -24,7 +24,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro._types import FloatArray
-from repro.core.config import stream_default_churn
 from repro.datagen.synthetic import (
     CLUSTER_MU,
     CLUSTER_SIGMA,
@@ -52,7 +51,7 @@ class DriftingClusterStream:
         Number of drifting cluster centres.
     churn:
         Fraction of the window replaced per tick (at least one
-        element).  Defaults to the ``REPRO_STREAM_CHURN`` knob.
+        element).
     drift:
         Per-tick cluster-centre step, as a fraction of the space side
         (a Gaussian step with this standard deviation).
@@ -72,7 +71,7 @@ class DriftingClusterStream:
         *,
         seed: int,
         clusters: int = 8,
-        churn: float | None = None,
+        churn: float = 0.05,
         drift: float = 0.01,
         space: Box | None = None,
         name: str = "stream",
@@ -83,7 +82,7 @@ class DriftingClusterStream:
         if clusters < 1:
             raise ValueError("clusters must be >= 1")
         self.space = space if space is not None else scaled_space(n)
-        self.churn = stream_default_churn() if churn is None else float(churn)
+        self.churn = float(churn)
         if not 0.0 <= self.churn <= 1.0:
             raise ValueError("churn must be within [0, 1]")
         self.drift = float(drift)

@@ -112,10 +112,6 @@ def algorithm_signature(algo: SpatialJoinAlgorithm) -> str:
     return f"{algo.name}({inner})"
 
 
-# Backwards-compatible alias (pre-service-layer internal name).
-_algorithm_signature = algorithm_signature
-
-
 class SpatialWorkspace:
     """Spatial-join engine: one disk, one index cache, one planner.
 

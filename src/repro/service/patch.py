@@ -6,8 +6,8 @@ references the old content is *almost* right: the pair set differs only
 around the delta.  :func:`advance_delta` is the one definition of what
 a delta does to served content — shared by the single-process service
 and the sharded router: it materialises the post-delta dataset, decides
-whether patching is worthwhile (the ``REPRO_STREAM_PATCH*`` policy is
-read here and nowhere else in the service layer) and rewrites each
+whether patching is worthwhile (:data:`PATCH_MAX_FRACTION` is read here
+and nowhere else in the service layer) and rewrites each
 affected entry through :func:`patch_cached_entry`, which produces the
 key the recomputed join would be cached under and a report whose pair
 set is byte-identical to that recompute — without running the join's
@@ -15,8 +15,7 @@ algorithm at all.
 
 An entry falls back to invalidation when
 
-* patching is disabled (``REPRO_STREAM_PATCH=0``) or the delta fraction
-  exceeds ``REPRO_STREAM_PATCH_MAX_FRACTION``;
+* the delta fraction exceeds :data:`PATCH_MAX_FRACTION`;
 * its key carries a ``within=d`` predicate — those results live on
   *enlarged* derived datasets whose deltas are not the caller's delta;
 * the partner side's fingerprint cannot be resolved to a live dataset
@@ -29,10 +28,6 @@ import dataclasses
 import time
 from collections.abc import Callable, Iterable
 
-from repro.core.config import (
-    stream_patch_enabled,
-    stream_patch_max_fraction,
-)
 from repro.engine.report import RunReport
 from repro.joins.base import Dataset, JoinResult, JoinStats
 from repro.joins.delta import delta_join
@@ -42,6 +37,11 @@ from repro.streaming.delta import DatasetDelta
 #: Phase label of patched reports' join stats (shows up in reporting
 #: rows and latency summaries, distinguishing patches from real runs).
 DELTA_PATCH_PHASE = "delta_patch"
+
+#: Largest delta fraction (delta size / pre-delta cardinality) for which
+#: cached results are still patched; larger deltas fall back to
+#: invalidation, because re-joining approaches the patch cost.
+PATCH_MAX_FRACTION = 0.25
 
 
 def advance_delta(
@@ -72,9 +72,7 @@ def advance_delta(
     fraction = delta.fraction(len(old_dataset))
     if new_fingerprint == old_fingerprint:
         return new_dataset, new_fingerprint, fraction, True, [], 0
-    patchable = (
-        stream_patch_enabled() and fraction <= stream_patch_max_fraction()
-    )
+    patchable = fraction <= PATCH_MAX_FRACTION
     rewritten: list[tuple[CacheKey, RunReport]] = []
     fallbacks = 0
     for key, report in affected():

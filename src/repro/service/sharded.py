@@ -63,7 +63,6 @@ from typing import Any
 import numpy as np
 
 from repro._types import IntArray
-from repro.core.config import default_shards
 from repro.engine.executor import JoinRequest
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
@@ -128,6 +127,8 @@ _REALISED_BOUND = 512
 #: so commands already in flight when a rebind landed can still
 #: attach; see ``ShardedQueryService._retire_ref``.
 _RETIRE_WINDOW = 4
+#: Bound of the router's stale snapshot serving degraded answers.
+_STALE_ENTRIES = 512
 
 
 class ShardSaturated(RuntimeError):
@@ -233,17 +234,13 @@ def execute_command(
     return ShardReply(seq=command.seq, ok=True, payload=payload)
 
 
-def _shard_service(options: dict[str, Any]) -> SpatialQueryService:
-    """A shard's private service; the tier's parallelism is *across*
-    shards, each of which runs its misses inline."""
-    return SpatialQueryService(**options)
-
-
 def _shard_worker(
-    conn: Connection, index: int, service_options: dict[str, Any]
+    conn: Connection, service_options: dict[str, Any]
 ) -> None:
-    """Entry point of one shard process: a serial command loop."""
-    service = _shard_service(service_options)
+    """Entry point of one shard process: a serial command loop over a
+    private service (the tier's parallelism is *across* shards, each of
+    which runs its misses inline)."""
+    service = SpatialQueryService(**service_options)
     realised: OrderedDict[str, Dataset] = OrderedDict()
     while True:
         try:
@@ -358,7 +355,7 @@ class _ProcessShard:
         parent, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_shard_worker,
-            args=(child, self.index, self._service_options),
+            args=(child, self._service_options),
             daemon=True,
             name=f"repro-shard-{self.index}",
         )
@@ -567,7 +564,7 @@ class _InlineShard:
     ) -> None:
         self.index = index
         self.gate = gate
-        self.service = _shard_service(service_options)
+        self.service = SpatialQueryService(**service_options)
         self._realised: OrderedDict[str, Dataset] = OrderedDict()
         self._closing = False
 
@@ -625,7 +622,7 @@ class ShardedQueryService:
     Parameters
     ----------
     shards:
-        Shard count; ``None`` reads ``REPRO_SHARDS`` (default 4).
+        Shard count.
     disk_model / cost_model / max_cached_results / max_cached_indexes:
         Forwarded to every shard's private ``SpatialQueryService``
         (the cache bounds are therefore *per shard*).
@@ -638,8 +635,6 @@ class ShardedQueryService:
     max_inflight_per_client:
         Optional per-client in-flight quota (``client=`` tags on
         submissions); ``None`` disables quotas.
-    stale_cache_entries:
-        Bound of the router's stale snapshot serving degraded answers.
     inline:
         Run shards in-process (deterministic tests, coverage) instead
         of as worker processes.
@@ -647,7 +642,7 @@ class ShardedQueryService:
 
     def __init__(
         self,
-        shards: int | None = None,
+        shards: int = 4,
         *,
         disk_model: DiskModel | None = None,
         cost_model: CostModel | None = None,
@@ -658,12 +653,9 @@ class ShardedQueryService:
         max_inflight_per_shard: int = 8,
         queue_timeout_s: float = 2.0,
         max_inflight_per_client: int | None = None,
-        stale_cache_entries: int = 512,
-        replicas: int = 64,
         inline: bool = False,
     ) -> None:
-        count = default_shards() if shards is None else shards
-        self._ring = HashRing(count, replicas=replicas)
+        self._ring = HashRing(shards)
         self.queue_timeout_s = queue_timeout_s
         self._client_quota = max_inflight_per_client
         #: Guards names, stale snapshot, client counts and counters;
@@ -679,7 +671,7 @@ class ShardedQueryService:
         self._names: dict[str, _Binding] = {}
         #: The stale snapshot: the last report the tier handed out per
         #: key, purged on invalidation.  Guarded by ``_lock``.
-        self._stale = ResultCache(max_entries=stale_cache_entries)
+        self._stale = ResultCache(max_entries=_STALE_ENTRIES)
         self._clients: dict[str, int] = {}
         self._retired: list[SharedDatasetRef] = []
         self._degraded = 0
@@ -699,23 +691,29 @@ class ShardedQueryService:
             "max_cached_indexes": max_cached_indexes,
         }
         self._shards: list[_ProcessShard | _InlineShard] = []
-        for index in range(count):
-            gate = _AdmissionGate(max_inflight_per_shard)
-            if inline:
-                self._shards.append(
-                    _InlineShard(
-                        index, service_options=service_options, gate=gate
+        try:
+            for index in range(shards):
+                gate = _AdmissionGate(max_inflight_per_shard)
+                if inline:
+                    self._shards.append(
+                        _InlineShard(
+                            index, service_options=service_options, gate=gate
+                        )
                     )
-                )
-            else:
-                self._shards.append(
-                    _ProcessShard(
-                        index,
-                        service_options=service_options,
-                        gate=gate,
-                        on_respawn=self._replay_commands,
+                else:
+                    self._shards.append(
+                        _ProcessShard(
+                            index,
+                            service_options=service_options,
+                            gate=gate,
+                            on_respawn=self._replay_commands,
+                        )
                     )
-                )
+        except BaseException:
+            # A shard that fails to start (EAGAIN, fd limit) must not
+            # leave the ones already started running until exit.
+            self.close()
+            raise
 
     # -- introspection -------------------------------------------------
     @property

@@ -25,7 +25,7 @@ pairs involving the old content, which is why the router broadcasts
 coordinating cross-shard state.
 
 The ring itself is the textbook construction: each shard contributes
-``replicas`` virtual points on a 64-bit circle (SHA-256 of
+:data:`REPLICAS` virtual points on a 64-bit circle (SHA-256 of
 ``shard:replica``), and a fingerprint is owned by the first point at
 or after its own position.  Virtual points keep the ownership split
 close to uniform (the fingerprints are themselves SHA-256 digests, so
@@ -39,6 +39,12 @@ import bisect
 import hashlib
 
 __all__ = ["HashRing", "pair_routing_key"]
+
+#: Virtual points per shard.  More points flatten the ownership
+#: distribution at the cost of a larger (static) ring; 64 keeps the
+#: per-shard share within a few percent of uniform for any realistic
+#: shard count.
+REPLICAS = 64
 
 
 def _position(hex_digest: str) -> int:
@@ -73,23 +79,15 @@ class HashRing:
     ----------
     shards:
         Number of shards (``>= 1``).
-    replicas:
-        Virtual points per shard.  More points flatten the ownership
-        distribution at the cost of a larger (static) ring; 64 keeps
-        the per-shard share within a few percent of uniform for any
-        realistic shard count.
     """
 
-    def __init__(self, shards: int, *, replicas: int = 64) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.shards = shards
-        self.replicas = replicas
         points: list[tuple[int, int]] = []
         for shard in range(shards):
-            for replica in range(replicas):
+            for replica in range(REPLICAS):
                 digest = hashlib.sha256(
                     f"repro.shard:{shard}:{replica}".encode("ascii")
                 ).hexdigest()
@@ -119,7 +117,4 @@ class HashRing:
         return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HashRing(shards={self.shards}, "
-            f"replicas={self.replicas})"
-        )
+        return f"HashRing(shards={self.shards})"

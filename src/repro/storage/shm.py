@@ -28,12 +28,12 @@ exit, but no *new* attach can succeed after the unlink.  Attached
 segments are cached per worker process for its lifetime — the views
 handed out alias the mapping, so it must never be closed under them.
 
-Fallback: publishing is disabled by ``REPRO_SHM=0`` (see
-``repro.core.config.ENV_REGISTRY``), on platforms without
-``multiprocessing.shared_memory``, and whenever segment creation fails
-(e.g. a full ``/dev/shm``).  :meth:`SharedDatasetPool.publish` then
-returns ``None`` and callers fall back to pickling the dataset —
-byte-identical results, just slower delivery.
+Fallback: publishing is skipped on platforms without
+``multiprocessing.shared_memory``, for empty datasets, and whenever
+segment creation fails (e.g. a full ``/dev/shm``).
+:meth:`SharedDatasetPool.publish` then returns ``None`` and callers
+fall back to pickling the dataset — byte-identical results, just
+slower delivery.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "attached_segment_count",
     "content_fingerprint",
     "shm_available",
-    "shm_enabled",
 ]
 
 #: Domain separator, versioned: bump when the canonical byte layout
@@ -99,17 +98,6 @@ def content_fingerprint(
 def shm_available() -> bool:
     """True when this platform can create shared-memory segments."""
     return _HAVE_SHM
-
-
-def shm_enabled() -> bool:
-    """True when publishing is both possible and not disabled by env.
-
-    ``REPRO_SHM=0`` forces the pickling fallback; the sharded tier's
-    answers are byte-identical either way.
-    """
-    from repro.core.config import env_bool
-
-    return shm_available() and env_bool("REPRO_SHM")
 
 
 @dataclass(frozen=True)
@@ -171,10 +159,8 @@ class SharedDatasetPool:
     instance unguarded.
     """
 
-    def __init__(self, enabled: bool | None = None) -> None:
-        self._enabled = shm_enabled() if enabled is None else (
-            bool(enabled) and shm_available()
-        )
+    def __init__(self) -> None:
+        self._enabled = shm_available()
         #: fingerprint -> (segment, ref, refcount)
         self._segments: dict[
             str, tuple[SharedMemory, SharedDatasetRef, int]
@@ -197,8 +183,8 @@ class SharedDatasetPool:
         (``lo``/``hi`` float64 ``(n, d)``) — i.e. a
         :class:`~repro.joins.base.Dataset` — without importing the
         joins layer from storage.  Returns ``None`` (caller pickles)
-        when the pool is disabled, the dataset is empty (a zero-byte
-        segment cannot exist), or segment creation fails.
+        when the platform has no shared memory, the dataset is empty
+        (a zero-byte segment cannot exist), or segment creation fails.
         """
         if not self._enabled:
             return None

@@ -1,20 +1,10 @@
-"""Known-good RPL005 fixture: registry accessors and non-REPRO names."""
+"""Known-good RPL005 fixture: a non-REPRO environment read."""
 
 from __future__ import annotations
 
 import os
 
-from repro.core.config import env_int, soak_requests
-
-
-def through_named_accessor() -> int:
-    return soak_requests()
-
-
-def through_typed_accessor() -> int:
-    return env_int("REPRO_SOAK_REQUESTS")
-
 
 def unrelated_variable() -> str:
-    # Not a REPRO_* name: outside the registry's jurisdiction.
+    # Not a REPRO_* name: outside the rule's jurisdiction.
     return os.environ.get("HOME", "/")

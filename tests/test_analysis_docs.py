@@ -1,9 +1,9 @@
 """The generated rule reference must stay in sync with the rules.
 
-Mirrors the README env-table sync test: ``docs/analysis-rules.md`` is
-a committed artifact of ``python -m repro.analysis --rules-doc``, and
-this test fails the build the moment a rule's id, title, invariant,
-rationale or example drifts from the committed document.
+``docs/analysis-rules.md`` is a committed artifact of ``python -m
+repro.analysis --rules-doc``, and this test fails the build the moment
+a rule's id, title, invariant, rationale or example drifts from the
+committed document.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def test_readme_links_the_rule_reference() -> None:
     assert "docs/analysis-rules.md" in readme, (
         "README must link the generated rule reference"
     )
-    for flag in ("--select", "--list-rules", "--env-table", "--rules-doc"):
+    for flag in ("--select", "--list-rules", "--rules-doc"):
         assert flag in readme, (
             f"README static-analysis section must document {flag}"
         )

@@ -203,14 +203,14 @@ def test_cli_reports_the_fixture_tree(
     }
 
 
-def test_cli_help_lists_exactly_four_options(
+def test_cli_help_lists_exactly_three_options(
     capsys: pytest.CaptureFixture[str],
 ) -> None:
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
     assert exit_info.value.code == 0
     options = re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.M)
-    assert options == ["--select", "--list-rules", "--env-table", "--rules-doc"]
+    assert options == ["--select", "--list-rules", "--rules-doc"]
 
 
 def test_cli_rules_doc_prints_the_generated_reference(
@@ -225,15 +225,6 @@ def test_cli_list_rules(capsys: pytest.CaptureFixture[str]) -> None:
     out = capsys.readouterr().out
     for rule_id in ALL_RULE_IDS:
         assert rule_id in out
-
-
-def test_cli_env_table_matches_registry(
-    capsys: pytest.CaptureFixture[str],
-) -> None:
-    from repro.core.config import env_table_markdown
-
-    assert main(["--env-table"]) == 0
-    assert capsys.readouterr().out.strip() == env_table_markdown()
 
 
 # ----------------------------------------------------------------------

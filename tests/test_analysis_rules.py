@@ -137,7 +137,7 @@ def test_rpl004_good_kernel_is_clean() -> None:
 
 
 # ----------------------------------------------------------------------
-# RPL005 — REPRO_* env access must go through repro.core.config
+# RPL005 — no module reads or writes a REPRO_* env variable
 # ----------------------------------------------------------------------
 def test_rpl005_flags_every_adhoc_access_shape() -> None:
     result = run_fixture("rpl005_env", select=("RPL005",))
@@ -155,21 +155,120 @@ def test_rpl005_flags_every_adhoc_access_shape() -> None:
     }
 
 
-def test_rpl005_registry_accessors_are_clean() -> None:
+def test_rpl005_non_repro_variable_is_clean() -> None:
     result = run_fixture("rpl005_env/good_env.py", select=("RPL005",))
     assert result.findings == []
 
 
-def test_rpl005_allows_the_registry_module_itself() -> None:
+def test_rpl005_exempts_no_module(tmp_path: Path) -> None:
+    """Not even ``repro.core.config``, the former registry, may read one."""
+    package = tmp_path / "repro" / "core"
+    package.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (package / "__init__.py").write_text("")
+    (package / "config.py").write_text(
+        'import os\nKNOB = os.environ.get("REPRO_KNOB")\n'
+    )
     result = analyze_paths(
         AnalysisRequest(
-            paths=[REPO_ROOT / "src" / "repro" / "core" / "config.py"],
+            paths=[tmp_path / "repro"],
             select=("RPL005",),
             tests_roots=(),
-            root=REPO_ROOT,
+            root=tmp_path,
         )
     )
-    assert result.findings == []
+    assert [(f.path, f.line) for f in result.findings] == [
+        ("repro/core/config.py", 2)
+    ]
+
+
+def rpl005_findings(tmp_path: Path, source: str) -> AnalysisResult:
+    module = tmp_path / "knobs.py"
+    module.write_text(source)
+    return analyze_paths(
+        AnalysisRequest(
+            paths=[module],
+            select=("RPL005",),
+            tests_roots=(),
+            root=tmp_path,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'import os\ndel os.environ["REPRO_X"]\n',
+        'import os\nos.environ.pop("REPRO_X", None)\n',
+        'import os\nos.environ.setdefault("REPRO_X", "1")\n',
+        'import os as o\nvalue = o.environ["REPRO_X"]\n',
+        'import os as o\nvalue = o.getenv("REPRO_X")\n',
+        'from os import environ as env\nvalue = env.get("REPRO_X")\n',
+        'from os import environ as env\nenv["REPRO_X"] = "1"\n',
+        'from os import getenv as ge\nvalue = ge("REPRO_X", "0")\n',
+    ],
+    ids=[
+        "del_item",
+        "pop",
+        "setdefault",
+        "aliased_module_subscript",
+        "aliased_module_getenv",
+        "aliased_environ_get",
+        "aliased_environ_write",
+        "aliased_getenv",
+    ],
+)
+def test_rpl005_flags_access_shape(tmp_path: Path, source: str) -> None:
+    result = rpl005_findings(tmp_path, source)
+    assert [(f.rule, f.line) for f in result.findings] == [("RPL005", 2)]
+    assert "'REPRO_X'" in result.findings[0].message
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'import os\nvalue = os.environ.get("PATH")\n',
+        'import os\nvalue = os.getenv("repro_x")\n',
+        'import os\nNAME = "REPRO_X"\nvalue = os.environ.get(NAME)\n',
+        'import os\nvalue = os.environ.get(f"REPRO_{1}")\n',
+        'import os\nvalue = os.environ.copy()\n',
+        'environ = {}\nvalue = environ["REPRO_X"]\n',
+        'settings = {}\nvalue = settings.get("REPRO_X")\n',
+        'MESSAGE = "set REPRO_X to tune it"\n',
+    ],
+    ids=[
+        "other_prefix",
+        "lowercase_prefix",
+        "non_literal_name",
+        "formatted_name",
+        "environ_method_without_name",
+        "local_environ_dict",
+        "plain_dict_get",
+        "string_mention",
+    ],
+)
+def test_rpl005_ignores_non_access(tmp_path: Path, source: str) -> None:
+    assert rpl005_findings(tmp_path, source).findings == []
+
+
+def test_rpl005_finding_names_the_enclosing_function(tmp_path: Path) -> None:
+    result = rpl005_findings(
+        tmp_path,
+        "import os\n"
+        'TOP = os.getenv("REPRO_TOP")\n'
+        "def knob():\n"
+        '    return os.environ["REPRO_INNER"]\n',
+    )
+    assert [(f.symbol, f.line) for f in result.findings] == [
+        ("<module>", 2),
+        ("knob", 4),
+    ]
+    assert [f.message for f in result.findings] == [
+        "environment access of 'REPRO_TOP'; make it a constructor "
+        "argument or a module constant",
+        "environment access of 'REPRO_INNER'; make it a constructor "
+        "argument or a module constant",
+    ]
 
 
 # ----------------------------------------------------------------------

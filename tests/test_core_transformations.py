@@ -1,5 +1,7 @@
 """Tests for the transformation cost model and threshold controller."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import TransformersConfig
@@ -35,6 +37,67 @@ class TestConfig:
         assert over.t_su_init == 1.5 and not over.adaptive_thresholds
         under = TransformersConfig.underfit()
         assert under.t_su_init == 1.0e6
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_su_init", -1.0),
+            ("t_so_init", 0.0),
+            ("t_so_init", -27.0),
+            ("threshold_floor", -8.0),
+            ("buffer_pages", -1),
+            ("metadata_buffer_pages", -512),
+        ],
+    )
+    def test_rejects_invalid_field(self, field, value):
+        with pytest.raises(ValueError):
+            TransformersConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"threshold_floor": 5.0, "threshold_ceiling": 5.0},
+            {"buffer_pages": 1},
+            {"metadata_buffer_pages": 1},
+        ],
+        ids=["ceiling_equals_floor", "one_buffer_page", "one_metadata_page"],
+    )
+    def test_accepts_boundary_values(self, overrides):
+        config = TransformersConfig(**overrides)
+        for field, value in overrides.items():
+            assert getattr(config, field) == value
+
+    def test_is_frozen(self):
+        config = TransformersConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.buffer_pages = 1  # type: ignore[misc]
+
+    @pytest.mark.parametrize(
+        "preset, changed",
+        [
+            ("no_transformations", {"enable_transformations": False}),
+            (
+                "overfit",
+                {
+                    "t_su_init": 1.5,
+                    "t_so_init": 1.5,
+                    "adaptive_thresholds": False,
+                    "threshold_floor": 1.0,
+                },
+            ),
+            (
+                "underfit",
+                {
+                    "t_su_init": 1.0e6,
+                    "t_so_init": 1.0e6,
+                    "adaptive_thresholds": False,
+                },
+            ),
+        ],
+    )
+    def test_named_configuration_changes_only_its_fields(self, preset, changed):
+        config = getattr(TransformersConfig, preset)()
+        assert config == dataclasses.replace(TransformersConfig(), **changed)
 
 
 class TestDecisions:

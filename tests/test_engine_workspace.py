@@ -10,7 +10,7 @@ from repro import (
 )
 from repro.core import TransformersJoin, save_index
 from repro.datagen import scaled_space, uniform_dataset
-from repro.engine.workspace import _algorithm_signature
+from repro.engine.workspace import algorithm_signature
 from repro.joins import PBSMJoin
 from repro.storage.disk import SimulatedDisk
 
@@ -177,8 +177,8 @@ class TestIndexCache:
         assert ws.cached_index_count == 1
 
     def test_signature_ignores_private_attrs(self):
-        sig = _algorithm_signature(TransformersJoin())
-        assert sig == _algorithm_signature(TransformersJoin())
+        sig = algorithm_signature(TransformersJoin())
+        assert sig == algorithm_signature(TransformersJoin())
         assert "0x" not in sig
 
 

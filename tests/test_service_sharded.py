@@ -9,6 +9,7 @@ shared-memory transport on and off, no segment left after ``close()``,
 and shard-crash isolation with mid-stream recovery.
 """
 
+import errno
 import hashlib
 import pickle
 import time
@@ -16,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.config import env_override
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import JoinRequest
 from repro.service import (
@@ -26,9 +26,10 @@ from repro.service import (
     SpatialQueryService,
     dataset_fingerprint,
 )
+from repro.service.sharded import _ProcessShard
 from repro.service.sharding import pair_routing_key
 from repro.service.wire import DatasetPayload
-from repro.storage.shm import shm_available
+from repro.storage.shm import SharedDatasetPool, shm_available
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,11 @@ class TestHashRing:
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
             HashRing(0)
+
+
+def test_default_shard_count_is_four():
+    with ShardedQueryService(inline=True) as service:
+        assert service.shards == 4
 
 
 class TestWirePayload:
@@ -342,26 +348,30 @@ class TestStatsMerging:
 # Process mode: the deployment shape
 # ----------------------------------------------------------------------
 class TestProcessShards:
-    @pytest.mark.parametrize("shm", ["1", "0"])
+    @pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
     def test_byte_identity_against_single_process_oracle(
-        self, corpus, space, shm
+        self, corpus, space, shm, monkeypatch
     ):
         """Answers are byte-identical whether registered datasets reach
-        the shards through shared memory or pickled (``REPRO_SHM``)."""
+        the shards through shared memory or pickled (a platform without
+        shared memory, faked by patching ``shm_available``)."""
+        expect_shm = shm and shm_available()
+        if not shm:
+            monkeypatch.setattr(
+                "repro.storage.shm.shm_available", lambda: False
+            )
         oracle = SpatialQueryService()
         for name, dataset in corpus.items():
             oracle.register(name, dataset)
         pairs = [("a", "b"), ("a", "c"), ("b", "c")]
-        with env_override("REPRO_SHM", shm), ShardedQueryService(2) as sharded:
+        with ShardedQueryService(2) as sharded:
             for name, dataset in corpus.items():
                 sharded.register(name, dataset)
             transports = {
                 name: sharded._names[name].payload.ref is not None
                 for name in corpus
             }
-            assert set(transports.values()) == {
-                shm == "1" and shm_available()
-            }
+            assert set(transports.values()) == {expect_shm}
             for algorithm in ("pbsm", "transformers"):
                 for pair in pairs:
                     request = JoinRequest(*pair, algorithm)
@@ -384,15 +394,47 @@ class TestProcessShards:
     )
     def test_no_segment_left_after_close(self, corpus):
         before = set(_listed_segments())
-        with env_override("REPRO_SHM", "1"):
-            with ShardedQueryService(2) as service:
-                for name, dataset in corpus.items():
-                    service.register(name, dataset)
-                service.register("a", corpus["c"])  # rebind retires a ref
-                _payload_bytes(service.submit(JoinRequest("a", "b", "pbsm")))
-                published = set(_listed_segments()) - before
-                assert published  # the shm path really ran
+        with ShardedQueryService(2) as service:
+            for name, dataset in corpus.items():
+                service.register(name, dataset)
+            service.register("a", corpus["c"])  # rebind retires a ref
+            _payload_bytes(service.submit(JoinRequest("a", "b", "pbsm")))
+            # The shm path really ran.
+            assert all(
+                binding.payload.ref is not None
+                for binding in service._names.values()
+            )
+            published = set(_listed_segments()) - before
+            assert published
         assert not set(_listed_segments()) & published
+
+    def test_failed_spawn_stops_the_started_shards(self, monkeypatch):
+        """A shard that cannot start (fork hit EAGAIN) must not leave the
+        shards started before it running: the constructor closes them and
+        the publication pool, then re-raises."""
+        started = []
+        pools_closed = []
+        real_spawn = _ProcessShard._spawn
+        real_close = SharedDatasetPool.close
+
+        def spawn_once(shard):
+            if started:
+                raise OSError(errno.EAGAIN, "fork refused")
+            started.append(shard)
+            return real_spawn(shard)
+
+        def recording_close(pool):
+            pools_closed.append(pool)
+            real_close(pool)
+
+        monkeypatch.setattr(_ProcessShard, "_spawn", spawn_once)
+        monkeypatch.setattr(SharedDatasetPool, "close", recording_close)
+        with pytest.raises(OSError, match="fork refused"):
+            ShardedQueryService(2)
+        (first,) = started
+        assert first._process.exitcode is not None  # joined
+        assert not first._receiver.is_alive()
+        assert len(pools_closed) == 1
 
     def test_crash_recovery_is_shard_local(self, corpus):
         with ShardedQueryService(2, max_inflight_per_shard=16) as service:

@@ -1,10 +1,9 @@
 """Soak test: sustained traffic against one service under tight bounds.
 
-Drives thousands of mixed requests (default ``REPRO_SOAK_REQUESTS``,
-smoke-sized so tier-1 stays fast; CI's soak step raises it) through a
-single service whose result cache is deliberately smaller than the hot
-key set, and asserts the properties that make a long-lived process
-safe to run indefinitely:
+Drives thousands of mixed requests through a single service whose
+result cache is deliberately smaller than the hot key set, and asserts
+the properties that make a long-lived process safe to run
+indefinitely:
 
 * bounded memory — the result cache never exceeds its bound, the
   eviction counter advances, and the catalog/index caches stay flat;
@@ -24,12 +23,11 @@ import pytest
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import JoinRequest
 from repro.geometry.box import Box
-from repro.core.config import soak_requests
 from repro.service import SpatialQueryService
 
-#: Total join submissions; the CI soak step raises this into the
-#: thousands, the default keeps tier-1 in the seconds range.
-SOAK_REQUESTS = soak_requests()
+#: Total join submissions of the single-service soak; the sharded soak
+#: runs a quarter of them.
+SOAK_REQUESTS = 3_000
 
 #: Result-cache bound, deliberately far below the distinct key count.
 CACHE_BOUND = 6
@@ -145,7 +143,7 @@ def test_soak_sharded_tier_stays_coherent_under_rebind_traffic():
     from repro.service import ShardedQueryService
 
     space = scaled_space(240)
-    requests_total = max(60, soak_requests() // 4)
+    requests_total = SOAK_REQUESTS // 4
     variants = {
         name: [
             uniform_dataset(

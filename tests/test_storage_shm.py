@@ -5,10 +5,10 @@ worker that attaches a published segment must see byte-for-byte the
 dataset it would have received by pickling, and the publisher must not
 leak segments — every publish is balanced by a release/close and the
 segment is gone afterwards.  These tests pin both halves plus the
-fallback paths (``REPRO_SHM=0``, empty datasets); the end-to-end
-guarantee (identical answers with the transport on or off, no segment
-left after ``close()``) is pinned through the sharded tier in
-``tests/test_service_sharded.py``.
+fallback paths (no shared memory on the platform, empty datasets); the
+end-to-end guarantee (identical answers with the transport on or off,
+no segment left after ``close()``) is pinned through the sharded tier
+in ``tests/test_service_sharded.py``.
 """
 
 import pickle
@@ -16,14 +16,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.config import env_override
 from repro.storage.shm import (
     SharedDatasetPool,
     SharedDatasetRef,
     attach_dataset,
     content_fingerprint,
     shm_available,
-    shm_enabled,
 )
 
 from tests.conftest import dataset_pair
@@ -131,18 +129,13 @@ class TestRefcounting:
 
 
 class TestFallback:
-    def test_env_switch_forces_pickling(self):
+    def test_no_shared_memory_forces_pickling(self, monkeypatch):
         a, _ = dataset_pair("uniform", 100, 10, seed=14)
-        with env_override("REPRO_SHM", "0"):
-            assert not shm_enabled()
-            pool = SharedDatasetPool()
-            assert not pool.enabled
-            assert pool.publish(a) is None
-            pool.close()
-
-    def test_explicit_disable_wins_over_env(self):
-        a, _ = dataset_pair("uniform", 100, 10, seed=15)
-        pool = SharedDatasetPool(enabled=False)
+        monkeypatch.setattr(
+            "repro.storage.shm.shm_available", lambda: False
+        )
+        pool = SharedDatasetPool()
+        assert not pool.enabled
         assert pool.publish(a) is None
         pool.close()
 

@@ -9,17 +9,17 @@ hands out — patched cache hit, fresh miss, degraded snapshot — is the
 answer a *cold* service registered directly with the post-delta
 datasets would compute, byte for byte.  Patching is an optimisation,
 never a semantic: the fallback paths (predicate not plain
-intersection, fraction over threshold, patching disabled, unknown
-partner) must converge to the same truth through invalidation.
+intersection, fraction over :data:`PATCH_MAX_FRACTION`, unknown partner)
+must converge to the same truth through invalidation.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.config import env_override
 from repro.datagen import DriftingClusterStream, uniform_dataset
 from repro.engine.executor import JoinRequest
 from repro.service import SpatialQueryService
+from repro.service.patch import PATCH_MAX_FRACTION
 from repro.service.sharded import ShardedQueryService
 from repro.streaming import DatasetDelta
 
@@ -74,6 +74,8 @@ def _halving_delta(dataset):
 class TestApplyDelta:
     def test_patches_cached_results_byte_identically(self, service):
         sa, sb = _streams()
+        # The default churn keeps one tick far under the patch cap.
+        assert sa.churn == 0.05
         service.register("sa", sa.base())
         service.register("sb", sb.base())
         for algorithm in ("pbsm", "rtree"):
@@ -176,24 +178,41 @@ class TestApplyDelta:
         service.register("sb", sb.base())
         service.submit(JoinRequest(a="sa", b="sb", algorithm="pbsm"))
         huge = _halving_delta(sa.current)
-        assert huge.fraction(len(sa.current)) > 0.25
+        assert huge.fraction(len(sa.current)) > PATCH_MAX_FRACTION
         outcome = service.apply_delta("sa", huge)
         assert outcome.patched == 0
         assert outcome.fallbacks == 1
-
-    def test_patching_disabled_by_env(self, service):
-        sa, sb = _streams(n=400)
-        service.register("sa", sa.base())
-        service.register("sb", sb.base())
-        service.submit(JoinRequest(a="sa", b="sb", algorithm="pbsm"))
-        delta = sa.tick()
-        with env_override("REPRO_STREAM_PATCH", "0"):
-            outcome = service.apply_delta("sa", delta)
-        assert outcome.patched == 0
-        assert outcome.fallbacks == 1
+        # The next submit misses and recomputes the cold answer.
         hot = service.submit(JoinRequest(a="sa", b="sb", algorithm="pbsm"))
         assert not hot.cached
-        cold = _cold_pairs(sa.current, sb.current, "pbsm")
+        cold = _cold_pairs(huge.apply(sa.current), sb.current, "pbsm")
+        assert hot.report.result.pairs.tobytes() == cold.tobytes()
+
+    @pytest.mark.parametrize(
+        "extra, patched", [(0, 1), (1, 0)], ids=["at_cap", "above_cap"]
+    )
+    def test_patch_cap_is_inclusive(self, service, extra, patched):
+        """A delta of exactly ``PATCH_MAX_FRACTION`` still patches; one
+        element more falls back to invalidation."""
+        sa, sb = _streams(n=400)
+        base = sa.base()
+        service.register("sa", base)
+        service.register("sb", sb.base())
+        request = JoinRequest(a="sa", b="sb", algorithm="pbsm")
+        service.submit(request)
+        k = int(PATCH_MAX_FRACTION * len(base)) + extra
+        delta = DatasetDelta.deleting(
+            np.sort(base.ids)[:k], ndim=base.boxes.ndim
+        )
+        assert (delta.fraction(len(base)) == PATCH_MAX_FRACTION) == (
+            extra == 0
+        )
+        outcome = service.apply_delta("sa", delta)
+        assert (outcome.patched, outcome.fallbacks) == (patched, 1 - patched)
+        hot = service.submit(request)
+        assert hot.cached == bool(patched)
+        assert hot.report.delta_patched == bool(patched)
+        cold = _cold_pairs(delta.apply(base), sb.base(), "pbsm")
         assert hot.report.result.pairs.tobytes() == cold.tobytes()
 
     def test_ad_hoc_partner_falls_back(self, service):
