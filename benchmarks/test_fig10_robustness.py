@@ -8,14 +8,13 @@ numbers: TR ≈5× faster than GIPSY at 1000×, ≈6.7× faster than PBSM at
 1×.
 """
 
-from repro.harness.experiments import fig10
 from repro.harness.report import format_table
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import golden_rows
 
 
-def test_fig10_density_ratio_ladder(benchmark, scale):
-    rows = run_once(benchmark, fig10, scale)
+def test_fig10_density_ratio_ladder():
+    rows = golden_rows("fig10")
     print()
     print(format_table(rows, title="Figure 10 — join cost vs density ratio"))
 

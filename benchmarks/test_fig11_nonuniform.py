@@ -9,14 +9,13 @@ Paper shape, joining DenseCluster with UniformCluster at growing sizes:
   TRANSFORMERS (whose count includes metadata comparisons).
 """
 
-from repro.harness.experiments import fig11
 from repro.harness.report import format_table
 
-from benchmarks.conftest import by_algorithm, run_once
+from benchmarks.conftest import by_algorithm, golden_rows
 
 
-def test_fig11_clustered_distributions(benchmark, scale):
-    rows = run_once(benchmark, fig11, scale)
+def test_fig11_clustered_distributions():
+    rows = golden_rows("fig11")
     print()
     print(format_table(rows, title="Figure 11 — DenseCluster x UniformCluster"))
 

@@ -42,7 +42,7 @@ def service():
     return svc
 
 
-def test_cached_join_is_byte_identical_and_20x_faster(service, benchmark):
+def test_cached_join_is_byte_identical_and_20x_faster(service):
     request = JoinRequest("uniform", "partner", algorithm="transformers")
 
     start = time.perf_counter()
@@ -50,15 +50,17 @@ def test_cached_join_is_byte_identical_and_20x_faster(service, benchmark):
     cold_seconds = time.perf_counter() - start
     assert not cold.cached
 
-    def warm_submit():
-        return service.submit(request)
+    # Best of five warm submits, timed here rather than through
+    # pytest-benchmark, whose stats are absent under --benchmark-disable.
+    warm_seconds = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        warm = service.submit(request)
+        warm_seconds = min(warm_seconds, time.perf_counter() - start)
+        assert warm.cached
+        # Byte-identical: the cached response *is* the cold run's report.
+        assert pickle.dumps(warm.report) == pickle.dumps(cold.report)
 
-    warm = benchmark.pedantic(warm_submit, rounds=5, iterations=1)
-    assert warm.cached
-    # Byte-identical: the cached response *is* the cold run's report.
-    assert pickle.dumps(warm.report) == pickle.dumps(cold.report)
-
-    warm_seconds = min(benchmark.stats.stats.data)
     speedup = cold_seconds / warm_seconds
     assert speedup >= MIN_CACHE_SPEEDUP, (
         f"cache hit only {speedup:.1f}x faster than cold run "

@@ -15,14 +15,13 @@ R-TREE slowest; costs grow roughly linearly for TR and super-linearly
 for the baselines.
 """
 
-from repro.harness.experiments import table1
 from repro.harness.report import format_table
 
-from benchmarks.conftest import by_algorithm, run_once
+from benchmarks.conftest import by_algorithm, golden_rows
 
 
-def test_table1_uniform_distributions(benchmark, scale):
-    rows = run_once(benchmark, table1, scale)
+def test_table1_uniform_distributions():
+    rows = golden_rows("table1")
     print()
     print(format_table(rows, title="Table I — uniform distributions"))
 

@@ -94,8 +94,6 @@ from repro.joins import (
     JoinResult,
     JoinStats,
     PBSMJoin,
-    S3Join,
-    SSSJJoin,
     SynchronizedRTreeJoin,
     delta_join,
     distance_join,
@@ -150,8 +148,6 @@ __all__ = [
     "SynchronizedRTreeJoin",
     "GipsyJoin",
     "IndexedNestedLoopJoin",
-    "SSSJJoin",
-    "S3Join",
     "BruteForceJoin",
     "distance_join",
     # streaming (mutable datasets + delta joins)

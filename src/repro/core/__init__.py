@@ -19,7 +19,6 @@ density contrasts between the joined datasets:
 from repro.core.config import TransformersConfig
 from repro.core.indexing import TransformersIndex, build_transformers_index
 from repro.core.join import TransformersJoin
-from repro.core.persist import load_index, save_index
 from repro.core.query import range_query
 
 __all__ = [
@@ -28,6 +27,4 @@ __all__ = [
     "build_transformers_index",
     "TransformersJoin",
     "range_query",
-    "save_index",
-    "load_index",
 ]

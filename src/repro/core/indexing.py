@@ -67,7 +67,7 @@ from repro.core.descriptors import (
 )
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage, element_page_capacity
-from repro.vectorize import boxes_overlap, column_max, columns
+from repro.vectorize import boxes_overlap, columns
 
 #: Cells of the node cross test computed at a time: all of them while
 #: (nodes x nodes) stays below it, else blocks of rows.
@@ -91,7 +91,6 @@ class TransformersIndex:
         units: UnitDescriptorBlock,
         nodes: NodeDescriptorBlock,
         btree: BPlusTree,
-        max_extent: FloatArray,
         elements_per_unit: int,
         units_per_node: int,
         space: "Box",
@@ -104,7 +103,6 @@ class TransformersIndex:
         self.units = units
         self.nodes = nodes
         self.btree = btree
-        self.max_extent = max_extent
         #: Spatial extent the Hilbert keys were quantised over.
         self.space = space
         #: Hilbert lattice resolution used for the B+-tree keys.
@@ -239,11 +237,6 @@ def build_transformers_index(
         meta_page_ids=meta_page_ids,
         element_counts=element_counts,
     )
-    max_extent = (
-        column_max(dataset.boxes.extents())
-        if len(dataset) > 0
-        else np.zeros(ndim)
-    )
     # How far node MBBs overhang their partition bounds (see the
     # TransformersIndex.node_slack docstring).
     if n_nodes:
@@ -259,7 +252,6 @@ def build_transformers_index(
         units=units,
         nodes=nodes,
         btree=btree,
-        max_extent=max_extent,
         elements_per_unit=elements_per_unit,
         units_per_node=units_per_node,
         space=space,

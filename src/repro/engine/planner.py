@@ -20,8 +20,8 @@ plan differently.  When no candidate can be costed the plan is
 TRANSFORMERS, the paper's robust default.
 
 The planner also computes the parameters each baseline would otherwise
-need hand-wired — PBSM's grid resolution sweep stand-in, SSSJ's shared
-strip extent, S3's shared space — and packages them as
+need hand-wired — PBSM's shared space and its grid resolution sweep
+stand-in — and packages them as
 :class:`PlanHints` for the registry factories.  This module owns the
 experiment-wide storage defaults (:data:`EXPERIMENT_PAGE_SIZE`,
 :func:`experiment_disk_model`, :func:`pbsm_resolution`) that
@@ -80,8 +80,8 @@ def pbsm_resolution(n_total: int, page_size: int = EXPERIMENT_PAGE_SIZE) -> int:
 class PlanHints:
     """Planner-resolved inputs handed to registry factories.
 
-    ``space`` is the extent shared by both join inputs (PBSM/S3/SSSJ
-    partition it identically for A and B); ``parameters`` carries the
+    ``space`` is the extent shared by both join inputs (PBSM partitions
+    it identically for A and B); ``parameters`` carries the
     per-algorithm knobs the planner resolved, read back through
     :meth:`param`.
     """

@@ -2,10 +2,10 @@
 
 Every join algorithm in the repository self-registers here under a
 stable lower-case name (``"transformers"``, ``"pbsm"``, ``"rtree"``,
-``"gipsy"``, ``"nested-loop"``, ``"s3"``, ``"sssj"``, ``"brute"``) with
-a factory that accepts :class:`~repro.engine.planner.PlanHints` — the
-planner-resolved parameters (shared space, PBSM grid resolution, strip
-counts) a caller would otherwise have to hand-wire.  The
+``"gipsy"``, ``"nested-loop"``, ``"brute"``) with a factory that
+accepts :class:`~repro.engine.planner.PlanHints` — the
+planner-resolved parameters (shared space, PBSM grid resolution) a
+caller would otherwise have to hand-wire.  The
 :class:`~repro.engine.workspace.SpatialWorkspace` resolves
 ``algorithm="pbsm"`` through this table, so no user code needs to know
 which class implements which name or which constructor arguments it
@@ -13,7 +13,7 @@ takes.
 
 The registry also records whether an algorithm's per-dataset index can
 be *reused* across joins (Section VII-C1): TRANSFORMERS, the R-tree
-family, GIPSY, S3 and SSSJ index each dataset independently, while
+family and GIPSY index each dataset independently, while
 PBSM partitions the *pair* (its resolution depends on the combined
 cardinality), so its partitions are rebuilt for every pairing.
 """
@@ -29,8 +29,6 @@ from repro.joins import (
     GipsyJoin,
     IndexedNestedLoopJoin,
     PBSMJoin,
-    S3Join,
-    SSSJJoin,
     SynchronizedRTreeJoin,
 )
 from repro.joins.base import Dataset, JoinResult, JoinStats, SpatialJoinAlgorithm
@@ -210,32 +208,6 @@ def _make_nested_loop(hints: "PlanHints") -> SpatialJoinAlgorithm:
     return IndexedNestedLoopJoin(
         outer=str(hints.param("outer", "auto")),
         buffer_pages=int(hints.param("buffer_pages", 256)),
-    )
-
-
-@register_algorithm(
-    "s3",
-    description="Size Separation Spatial Join (Koudas & Sevcik '97)",
-)
-def _make_s3(hints: "PlanHints") -> SpatialJoinAlgorithm:
-    return S3Join(
-        levels=int(hints.param("levels", 6)),
-        space=hints.space,
-        buffer_pages=int(hints.param("buffer_pages", 256)),
-    )
-
-
-@register_algorithm(
-    "sssj",
-    description="Scalable Sweeping-Based Spatial Join (Arge et al. '98)",
-)
-def _make_sssj(hints: "PlanHints") -> SpatialJoinAlgorithm:
-    x_range = None
-    if hints.space is not None:
-        x_range = (float(hints.space.lo[0]), float(hints.space.hi[0]))
-    return SSSJJoin(
-        strips=int(hints.param("strips", 16)),
-        x_range=hints.param("x_range", x_range),
     )
 
 

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core import TransformersJoin
 from repro.core.indexing import TransformersIndex
 from repro.core.query import range_query as _transformers_range_query
 from repro.engine.planner import (
@@ -83,7 +82,7 @@ class _CachedIndex(SlotPickleMixin):
 
     def __init__(
         self,
-        dataset: Dataset | None,
+        dataset: Dataset,
         handle: object,
         build_stats: JoinStats,
         pages_written: int,
@@ -112,6 +111,15 @@ def algorithm_signature(algo: SpatialJoinAlgorithm) -> str:
     return f"{algo.name}({inner})"
 
 
+def _require_dataset(dataset: object, method: str) -> None:
+    """Reject a dataset *name*: the workspace keys datasets by object."""
+    if isinstance(dataset, str):
+        raise TypeError(
+            f"{method}() takes a Dataset, not the name {dataset!r}; "
+            "names resolve in SpatialQueryService's catalog"
+        )
+
+
 class SpatialWorkspace:
     """Spatial-join engine: one disk, one index cache, one planner.
 
@@ -122,8 +130,9 @@ class SpatialWorkspace:
     cost_model:
         CPU cost model used by the reports' simulated-time figures.
     disk:
-        Adopt an existing simulated disk (used by :meth:`from_saved`);
-        mutually exclusive with ``disk_model``.
+        Adopt an existing simulated disk (used by
+        :func:`~repro.joins.distance.distance_join`); mutually exclusive
+        with ``disk_model``.
     max_cached_indexes:
         Upper bound on cached index handles.  The cache is LRU: when a
         new index would exceed the bound, the least recently used entry
@@ -153,7 +162,8 @@ class SpatialWorkspace:
         )
         self.cost_model = cost_model or CostModel()
         self.max_cached_indexes = max_cached_indexes
-        self._cache: OrderedDict[tuple[object, str], _CachedIndex] = (
+        #: Keyed by ``(id(dataset), algorithm_signature(algo))``.
+        self._cache: OrderedDict[tuple[int, str], _CachedIndex] = (
             OrderedDict()
         )
         self._evictions = 0
@@ -175,39 +185,6 @@ class SpatialWorkspace:
         self._enlarged: OrderedDict[
             tuple[int, float], tuple[Dataset, Dataset]
         ] = OrderedDict()
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_saved(cls, path: str) -> "SpatialWorkspace":
-        """Open a workspace around a persisted TRANSFORMERS index.
-
-        The index saved by :func:`repro.core.save_index` is adopted
-        under its dataset name, so ``range_query(name, box)`` works
-        immediately — a "new session" serving queries from yesterday's
-        index.
-        """
-        from repro.core.persist import load_index
-
-        index, disk = load_index(path)
-        ws = cls(disk=disk)
-        ws.adopt_index(index.dataset_name, index)
-        return ws
-
-    def adopt_index(self, name: str, index: TransformersIndex) -> None:
-        """Register an externally built index under a dataset name."""
-        if index.disk is not self.disk:
-            raise ValueError("index must live on this workspace's disk")
-        key = (name, algorithm_signature(TransformersJoin()))
-        self._cache[key] = _CachedIndex(
-            dataset=None,
-            handle=index,
-            build_stats=JoinStats(algorithm="TRANSFORMERS", phase="index"),
-            pages_written=0,
-        )
-        self._cache.move_to_end(key)
-        self._cache_trim()
 
     @property
     def page_size(self) -> int:
@@ -287,38 +264,27 @@ class SpatialWorkspace:
         self._sketches.clear()
         self._enlarged.clear()
 
-    def forget(self, dataset: Dataset | str) -> int:
+    def forget(self, dataset: Dataset) -> int:
         """Drop every cached index (and sketch) of one dataset.
 
-        Accepts the dataset object itself or an adopted index's name;
-        returns how many index entries were dropped.  Sketches exist
-        only for concrete ``Dataset`` objects (adopted names carry an
-        index, never statistics), so the name form has no sketch to
-        drop.  Used by the service layer when a catalog name is
-        re-bound to new data: the old dataset's indexes and statistics
-        would otherwise pin stale arrays until LRU pressure happens to
-        evict them.  Explicit drops are not counted as evictions.
+        Returns how many index entries were dropped.  Used by the
+        service layer when a catalog name is re-bound to new data: the
+        old dataset's indexes and statistics would otherwise pin stale
+        arrays until LRU pressure happens to evict them.  Explicit drops
+        are not counted as evictions.
         """
-        dataset_key: object = (
-            dataset if isinstance(dataset, str) else id(dataset)
-        )
-        doomed = [key for key in self._cache if key[0] == dataset_key]
+        doomed = [key for key in self._cache if key[0] == id(dataset)]
         for key in doomed:
             self.disk.release(self._cache.pop(key).pages)
-        if not isinstance(dataset, str):
-            self._sketches.pop(id(dataset), None)
-            for key in [
-                k for k in self._enlarged if k[0] == id(dataset)
-            ]:
-                # The enlarged copies (and their cached indexes, keyed
-                # by the copies' own ids above) die with the source.
-                grown = self._enlarged.pop(key)[1]
-                doomed_grown = [
-                    k for k in self._cache if k[0] == id(grown)
-                ]
-                for k in doomed_grown:
-                    self.disk.release(self._cache.pop(k).pages)
-                doomed.extend(doomed_grown)
+        self._sketches.pop(id(dataset), None)
+        for key in [k for k in self._enlarged if k[0] == id(dataset)]:
+            # The enlarged copies (and their cached indexes, keyed by
+            # the copies' own ids above) die with the source.
+            grown = self._enlarged.pop(key)[1]
+            doomed_grown = [k for k in self._cache if k[0] == id(grown)]
+            for k in doomed_grown:
+                self.disk.release(self._cache.pop(k).pages)
+            doomed.extend(doomed_grown)
         return len(doomed)
 
     def _cache_trim(self) -> None:
@@ -509,16 +475,14 @@ class SpatialWorkspace:
 
     def index_for(
         self,
-        dataset: Dataset | str,
+        dataset: Dataset,
         algorithm: str | SpatialJoinAlgorithm = "transformers",
     ) -> object:
         """The (cached or freshly built) index handle for a dataset.
 
-        Pass a dataset *name* to fetch an adopted/persisted index.
         Handle lifetime is :meth:`build_index`'s.
         """
-        if isinstance(dataset, str):
-            return self._transformers_index(dataset)
+        _require_dataset(dataset, "index_for")
         return self.build_index(dataset, algorithm)[0]
 
     def _single_dataset_algorithm(
@@ -566,7 +530,7 @@ class SpatialWorkspace:
     # ------------------------------------------------------------------
     def range_query(
         self,
-        dataset: Dataset | str,
+        dataset: Dataset,
         query: Box,
         *,
         buffer_pages: int = 256,
@@ -576,15 +540,15 @@ class SpatialWorkspace:
 
         Served from the dataset's cached TRANSFORMERS index (any
         configuration), building one if none exists yet — the same
-        index a join would use, which is the reuse argument.  Pass the
-        dataset *name* (a string) to query an adopted/persisted index.
-        The query phase starts with cold caches; page I/O is observable
-        on ``workspace.disk.stats``.
+        index a join would use, which is the reuse argument.  The query
+        phase starts with cold caches; page I/O is observable on
+        ``workspace.disk.stats``.
 
         Querying an empty dataset returns empty hits without building
         anything (empty datasets have no MBB and no index).
         """
-        if isinstance(dataset, Dataset) and len(dataset) == 0:
+        _require_dataset(dataset, "range_query")
+        if len(dataset) == 0:
             if query.ndim != dataset.ndim:
                 # Same validation the indexed path performs; an empty
                 # dataset must not mask a caller's dimensionality bug.
@@ -596,35 +560,25 @@ class SpatialWorkspace:
         pool = BufferPool(self.disk, buffer_pages)
         return _transformers_range_query(index, query, pool, stats)
 
-    def _transformers_index(
-        self, dataset: Dataset | str
-    ) -> TransformersIndex:
+    def _transformers_index(self, dataset: Dataset) -> TransformersIndex:
         """A TRANSFORMERS index for the dataset, cached or fresh."""
-        if isinstance(dataset, str):
-            entry = self._cache_find(dataset, TransformersIndex)
-            if entry is not None:
-                return entry.handle
-            raise KeyError(
-                f"no adopted index named {dataset!r}; adopt one with "
-                "adopt_index() or pass the Dataset itself"
-            )
-        entry = self._cache_find(id(dataset), TransformersIndex)
+        entry = self._cache_find(dataset, TransformersIndex)
         if entry is not None:
             return entry.handle
         handle, _ = self.build_index(dataset, "transformers")
         return handle  # type: ignore[return-value]
 
     def _cache_find(
-        self, dataset_key: object, handle_type: type
+        self, dataset: Dataset, handle_type: type
     ) -> _CachedIndex | None:
-        """Cache entry for a dataset key, refreshing its LRU recency.
+        """Cache entry for a dataset, refreshing its LRU recency.
 
         Without the refresh, repeated range queries would never touch
         an index's recency and the LRU bound would evict the hottest
         entry first.
         """
         for full_key, entry in self._cache.items():
-            if full_key[0] == dataset_key and isinstance(
+            if full_key[0] == id(dataset) and isinstance(
                 entry.handle, handle_type
             ):
                 self._cache.move_to_end(full_key)

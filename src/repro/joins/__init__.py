@@ -17,10 +17,6 @@ Baselines (paper Sections II, VII and VIII):
   SSDBM '13), data-oriented with connectivity;
 * :mod:`~repro.joins.nested_loop` — indexed nested loop (related-work
   baseline);
-* :mod:`~repro.joins.sssj` — Scalable Sweeping-Based Spatial Join
-  (Arge et al., VLDB '98), multiple matching via strips;
-* :mod:`~repro.joins.s3` — Size Separation Spatial Join (Koudas &
-  Sevcik, SIGMOD '97), multiple matching via a grid hierarchy;
 * :mod:`~repro.joins.distance` — distance joins via the enlargement
   reduction of Section VIII.
 
@@ -45,8 +41,6 @@ from repro.joins.gipsy import GipsyJoin
 from repro.joins.nested_loop import IndexedNestedLoopJoin
 from repro.joins.pbsm import PBSMJoin
 from repro.joins.plane_sweep import plane_sweep_join
-from repro.joins.s3 import S3Join
-from repro.joins.sssj import SSSJJoin
 from repro.joins.sync_rtree import SynchronizedRTreeJoin
 
 __all__ = [
@@ -64,8 +58,6 @@ __all__ = [
     "SynchronizedRTreeJoin",
     "GipsyJoin",
     "IndexedNestedLoopJoin",
-    "SSSJJoin",
-    "S3Join",
     "delta_join",
     "distance_join",
     "enlarged_dataset",

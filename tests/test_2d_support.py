@@ -16,7 +16,6 @@ from repro.joins import (
     GipsyJoin,
     IndexedNestedLoopJoin,
     PBSMJoin,
-    SSSJJoin,
     SynchronizedRTreeJoin,
 )
 from repro.joins.base import Dataset
@@ -63,13 +62,6 @@ class TestJoins2D:
     def test_gipsy(self, pair_2d):
         a, b, oracle = pair_2d
         result, _, _ = run_join(GipsyJoin(), make_disk(), a, b)
-        assert result.pair_set() == oracle
-
-    def test_sssj(self, pair_2d):
-        a, b, oracle = pair_2d
-        mbb = a.boxes.mbb().union(b.boxes.mbb())
-        algo = SSSJJoin(strips=8, x_range=(mbb.lo[0], mbb.hi[0]))
-        result, _, _ = run_join(algo, make_disk(), a, b)
         assert result.pair_set() == oracle
 
     def test_nested_loop(self, pair_2d):

@@ -23,8 +23,7 @@ from repro.joins import (
 from tests.conftest import dataset_pair, make_disk, oracle_pairs
 
 ALL_NAMES = (
-    "brute", "gipsy", "nested-loop", "pbsm", "rtree", "s3", "sssj",
-    "transformers",
+    "brute", "gipsy", "nested-loop", "pbsm", "rtree", "transformers",
 )
 
 
@@ -48,6 +47,14 @@ class TestRegistryContents:
     def test_brute_not_plannable(self):
         assert not algorithm_spec("brute").plannable
         assert algorithm_spec("gipsy").plannable
+
+    def test_every_plannable_algorithm_is_costed(self):
+        """``"auto"`` ranks every plannable built-in: none lacks an
+        ``estimate_join_cost`` hook and is built only to be skipped."""
+        a, b = dataset_pair("uniform", 300, 300, seed=13)
+        report = plan_join(a, b, "auto", explain=True)
+        plannable = {n for n in ALL_NAMES if algorithm_spec(n).plannable}
+        assert {c.algorithm for c in report.candidates} == plannable
 
     def test_spec_for_instance_matches_display_names(self):
         assert spec_for_instance(TransformersJoin()).name == "transformers"

@@ -8,7 +8,7 @@ from repro import (
     SpatialWorkspace,
     available_algorithms,
 )
-from repro.core import TransformersJoin, save_index
+from repro.core import TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine.workspace import algorithm_signature
 from repro.joins import PBSMJoin
@@ -240,15 +240,6 @@ class TestPageRelease:
         with pytest.raises(KeyError, match="released"):
             ws.disk.peek(int(index_a.units.element_page_ids[0]))
 
-    def test_adopted_index_pages_are_never_released(self, tmp_path):
-        a, _, _ = _triple()
-        disk = make_disk()
-        index, _ = TransformersJoin().build_index(disk, a)
-        ws = SpatialWorkspace(disk=disk)
-        ws.adopt_index("A", index)
-        assert ws.forget("A") == 1
-        assert live_pages(disk) == disk.num_pages
-
 
 class TestRangeQuery:
     def test_matches_full_scan(self):
@@ -283,34 +274,16 @@ class TestRangeQuery:
         assert len(hits) == len(a)
         assert ws.cached_index_count == 1
 
-    def test_unknown_adopted_name_raises(self):
+    def test_a_dataset_name_is_a_type_error(self):
+        """Names resolve in the service's catalog, not here."""
         ws = SpatialWorkspace()
         from repro.geometry.box import Box
 
-        with pytest.raises(KeyError, match="no adopted index"):
+        with pytest.raises(TypeError, match="SpatialQueryService"):
             ws.range_query("ghost", Box((0, 0, 0), (1, 1, 1)))
-
-
-class TestPersistence:
-    def test_from_saved_round_trip(self, tmp_path):
-        a, _, _ = _triple(n=300)
-        ws = SpatialWorkspace()
-        index, _ = ws.build_index(a)
-        path = tmp_path / "a.idx.npz"
-        save_index(index, str(path))
-
-        ws2 = SpatialWorkspace.from_saved(str(path))
-        assert ws2.index_for("A").num_units == index.num_units
-        hits = ws2.range_query("A", a.boxes.mbb())
-        assert np.array_equal(hits, np.sort(a.ids))
-
-    def test_adopt_index_requires_same_disk(self):
-        a, _, _ = _triple(n=200)
-        ws = SpatialWorkspace()
-        index, _ = ws.build_index(a)
-        other = SpatialWorkspace()
-        with pytest.raises(ValueError, match="workspace's disk"):
-            other.adopt_index("A", index)
+        with pytest.raises(TypeError, match="SpatialQueryService"):
+            ws.index_for("ghost")
+        assert ws.cached_index_count == 0
 
 
 class TestRunReport:

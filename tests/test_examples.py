@@ -95,5 +95,4 @@ def test_cost_based_planning():
 
 def test_spatial_queries():
     out = run_example("spatial_queries.py")
-    assert "saved" in out
     assert "✓" in out and "✗" not in out

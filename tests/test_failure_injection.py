@@ -22,7 +22,6 @@ from repro.engine import JoinRequest
 from repro.joins import (
     GipsyJoin,
     PBSMJoin,
-    SSSJJoin,
     SynchronizedRTreeJoin,
 )
 from repro.service import ShardedQueryService, SpatialQueryService
@@ -98,17 +97,6 @@ class TestCorruptDataPages:
     def test_gipsy_raises(self):
         a, b = dataset_pair("uniform", 300, 300, seed=4)
         algo = GipsyJoin()
-        disk = make_disk()
-        ia, _ = algo.build_index(disk, a)
-        ib, _ = algo.build_index(disk, b)
-        corrupt_every_element_page(disk)
-        with pytest.raises(TypeError):
-            algo.join(ia, ib)
-
-    def test_sssj_raises(self):
-        a, b = dataset_pair("uniform", 300, 300, seed=5)
-        mbb = a.boxes.mbb().union(b.boxes.mbb())
-        algo = SSSJJoin(strips=4, x_range=(mbb.lo[0], mbb.hi[0]))
         disk = make_disk()
         ia, _ = algo.build_index(disk, a)
         ib, _ = algo.build_index(disk, b)

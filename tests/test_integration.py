@@ -15,8 +15,6 @@ from repro.joins import (
     GipsyJoin,
     IndexedNestedLoopJoin,
     PBSMJoin,
-    S3Join,
-    SSSJJoin,
     SynchronizedRTreeJoin,
 )
 
@@ -30,8 +28,6 @@ def all_algorithms(space, n_total):
         SynchronizedRTreeJoin(),
         GipsyJoin(),
         IndexedNestedLoopJoin(),
-        SSSJJoin(strips=8, x_range=(space.lo[0], space.hi[0])),
-        S3Join(levels=5, space=space),
     ]
 
 

@@ -108,7 +108,7 @@ class TestApplyDelta:
         sa, sb = _streams(n=300)
         service.register("sa", sa.base())
         service.register("sb", sb.base())
-        for algorithm in ("pbsm", "rtree", "transformers", "sssj"):
+        for algorithm in ("pbsm", "rtree", "transformers", "gipsy"):
             service.submit(JoinRequest(a="sa", b="sb", algorithm=algorithm))
         delta = sa.tick()  # the stream applies it to its own window
         applies = []
@@ -124,7 +124,7 @@ class TestApplyDelta:
         # advance_delta materialises the new content; the four patches
         # are handed it instead of re-deriving it.
         assert applies == ["sa"]
-        for algorithm in ("pbsm", "sssj"):
+        for algorithm in ("pbsm", "gipsy"):
             hot = service.submit(
                 JoinRequest(a="sa", b="sb", algorithm=algorithm)
             )
