@@ -10,7 +10,7 @@ Figs. 10 and 11 read their rows from the figure golden
 (``tests/test_paper_figures_golden.py``), which runs those experiments
 at this scale and pins every row; their shape assertions then guard
 any re-recording of it.  Absolute numbers are simulated-cost units, not
-hours — see DESIGN.md §2.
+hours: the disk is simulated, and only the shapes carry over.
 
 For closer-to-paper sizes run the harness itself with ``--scale 1.0``.
 """

@@ -1,8 +1,7 @@
 """Ablation: sensitivity of the headline result to the disk model.
 
 The reproduction's conclusions must not hinge on the exact
-random:sequential cost ratio chosen for the simulated disk (DESIGN.md
-§4).  This bench re-runs a Table-I-style comparison under three ratios
+random:sequential cost ratio chosen for the simulated disk.  This bench re-runs a Table-I-style comparison under three ratios
 spanning a modern SSD-ish 5:1 to the mechanical-disk 80:1 and asserts
 the winner never changes.
 """

@@ -1,4 +1,4 @@
-"""Ablation: page size and buffer-pool capacity (DESIGN.md §6).
+"""Ablation: page size and buffer-pool capacity.
 
 The page size sets the granularity of TRANSFORMERS' whole hierarchy
 (elements per unit, units per node — Section VI-B ties the levels to

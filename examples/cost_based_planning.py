@@ -62,12 +62,12 @@ def main() -> int:
         f"({ruled.total_cost() / chosen.total_cost():.1f}x more for the "
         "contrast rule's pick)"
     )
-    # Auto joins carry the same report on the run itself.
+    # Auto joins carry the same costed plan on the run itself.
     run = SpatialWorkspace().join(sparse, dense)
-    assert run.plan_report is not None
+    assert run.plan is not None and run.plan.stats_used
     print(
-        f"run.plan_report: {run.plan_report.algorithm} "
-        f"(est {run.plan_report.est_pairs:.0f} pairs, "
+        f"run.plan: {run.plan.algorithm} "
+        f"(est {run.plan.est_pairs:.0f} pairs, "
         f"found {run.pairs_found}) ✓"
     )
     return 0

@@ -23,8 +23,9 @@ Public API tour:
   :class:`~repro.joins.BruteForceJoin` oracle;
 * **statistics** — :mod:`repro.stats`, the layer the planner plans
   from: :class:`~repro.stats.DatasetSketch` density sketches and the
-  selectivity/cost estimators behind cost-based ``algorithm="auto"``
-  resolution and ``plan_join(..., explain=True)``;
+  selectivity/cost estimates behind cost-based ``algorithm="auto"``
+  resolution; :func:`~repro.engine.plan_join` returns a
+  :class:`~repro.engine.JoinPlan` carrying that evidence;
 * **substrates** — :mod:`repro.geometry` (boxes, Hilbert curves,
   cylinders), :mod:`repro.storage` (simulated disk, buffer pool),
   :mod:`repro.index` (STR, R-tree, B+-tree, grids);
@@ -65,12 +66,11 @@ from repro.engine import (
     BatchExecutor,
     BatchReport,
     JoinRequest,
-    PlanReport,
+    JoinPlan,
     RunReport,
     SpatialWorkspace,
     available_algorithms,
     plan_join,
-    plan_join_sketched,
     register_algorithm,
 )
 from repro.datagen import (
@@ -125,8 +125,7 @@ __all__ = [
     "JoinRequest",
     "available_algorithms",
     "plan_join",
-    "plan_join_sketched",
-    "PlanReport",
+    "JoinPlan",
     "register_algorithm",
     "range_query",
     # stats (the layer the planner plans from)

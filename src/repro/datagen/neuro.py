@@ -4,7 +4,7 @@ The paper's real workload is a rat-brain model from the Human Brain
 Project: neurons built from 3-D cylinders, joined axons-vs-dendrites to
 place synapses.  That data is proprietary, so this generator produces
 the closest synthetic equivalent with the join-relevant properties the
-paper describes (DESIGN.md §2 records the substitution):
+paper describes:
 
 * neurons are branched morphologies of short cylinder segments grown
   by seeded random walks;

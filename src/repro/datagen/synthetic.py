@@ -13,9 +13,9 @@ length of each side of each box is determined uniform randomly between
   elements, uniformly filled.
 
 Sizes here are scaled down from the paper's 50M–650M elements per
-dataset (DESIGN.md §2 explains why the scaling preserves every
-comparative shape); the *relative* parameters — cluster counts, centre
-distribution, element sizes — match the paper.
+dataset, with the page size scaled down alongside so page counts and
+hierarchy depths stay realistic; the *relative* parameters — cluster
+counts, centre distribution, element sizes — match the paper.
 """
 
 from __future__ import annotations

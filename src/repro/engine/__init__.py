@@ -24,7 +24,8 @@ own workspace, failures captured per request::
 * :mod:`~repro.engine.registry` — string-named algorithm factories
   (:func:`available_algorithms`, :func:`register_algorithm`);
 * :mod:`~repro.engine.planner` — ``"auto"`` resolution and parameter
-  heuristics (:func:`plan_join`, :class:`JoinPlan`);
+  heuristics: :func:`plan_join`, the one planner, returns a
+  :class:`JoinPlan` that carries its own cost evidence;
 * :mod:`~repro.engine.workspace` — :class:`SpatialWorkspace`, owning
   the simulated disk and the per-dataset index cache;
 * :mod:`~repro.engine.report` — :class:`RunReport`, the structured
@@ -41,11 +42,9 @@ from repro.engine.planner import (
     EXPERIMENT_PAGE_SIZE,
     JoinPlan,
     PlanHints,
-    PlanReport,
     experiment_disk_model,
     pbsm_resolution,
     plan_join,
-    plan_join_sketched,
 )
 from repro.engine.registry import (
     AlgorithmSpec,
@@ -67,9 +66,7 @@ __all__ = [
     "RequestOutcome",
     "JoinPlan",
     "PlanHints",
-    "PlanReport",
     "plan_join",
-    "plan_join_sketched",
     "AlgorithmSpec",
     "algorithm_spec",
     "available_algorithms",

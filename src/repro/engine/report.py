@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.planner import JoinPlan, PlanReport
+from repro.engine.planner import JoinPlan
 from repro.joins.base import CostModel, JoinResult, JoinStats
 
 
@@ -28,6 +28,11 @@ class RunReport:
     result: JoinResult
     build_a: JoinStats
     build_b: JoinStats
+    #: The planning decision; ``None`` for a pre-configured instance
+    #: and for a delta-patched report.  Its evidence (candidate costs,
+    #: selectivity estimate, error band) is populated whenever the
+    #: statistics layer planned this join — ``algorithm="auto"``, or
+    #: any registry name under ``join(..., explain=True)``.
     plan: JoinPlan | None = None
     #: Whether each side's index came from the workspace cache.
     reused_a: bool = False
@@ -36,11 +41,6 @@ class RunReport:
     index_pages_written_a: int = 0
     index_pages_written_b: int = 0
     cost_model: CostModel = field(default_factory=CostModel)
-    #: The explainable planning decision (candidate costs, selectivity
-    #: estimate, error band).  Populated whenever the statistics layer
-    #: planned this join — ``algorithm="auto"``, or any registry name
-    #: under ``join(..., explain=True)``.
-    plan_report: PlanReport | None = None
     #: Provenance: this report's pair set was produced by patching a
     #: cached result through ``delta_join`` (streaming tier) rather
     #: than by running the named algorithm.  The pair set is exactly

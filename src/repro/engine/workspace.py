@@ -34,8 +34,6 @@ from repro.core.indexing import TransformersIndex
 from repro.core.query import range_query as _transformers_range_query
 from repro.engine.planner import (
     JoinPlan,
-    PlanHints,
-    PlanReport,
     experiment_disk_model,
     plan_join,
 )
@@ -327,13 +325,12 @@ class SpatialWorkspace:
         behaves exactly like the intersection join.  See
         :mod:`repro.joins.distance` for the predicate semantics.
 
-        ``"auto"`` resolves through the cost-based planner by default
-        (see :func:`~repro.engine.planner.plan_join`); the resulting
-        :class:`~repro.engine.planner.PlanReport` — candidate costs,
-        selectivity estimate, error band — rides on
-        ``report.plan_report``.  ``explain=True`` requests the same
-        report for an explicitly named algorithm, costing the whole
-        candidate field for comparison.
+        ``"auto"`` resolves through the cost-based planner (see
+        :func:`~repro.engine.planner.plan_join`); the resulting
+        :class:`~repro.engine.planner.JoinPlan` — candidate costs,
+        selectivity estimate, error band — rides on ``report.plan``.
+        ``explain=True`` prices an explicitly named algorithm the same
+        way, costing the whole candidate field for comparison.
 
         Raises ``ValueError`` if the two datasets share element ids:
         the join result pairs ids up, so overlapping id spaces would
@@ -343,23 +340,17 @@ class SpatialWorkspace:
             a = self._enlarged_for(a, within)
         self._validate_disjoint_ids(a, b)
         plan: JoinPlan | None = None
-        plan_report: PlanReport | None = None
         if isinstance(algorithm, str):
-            want_report = explain or algorithm.strip().lower() == "auto"
+            costed = explain or algorithm.strip().lower() == "auto"
             sketches = None
-            if want_report and len(a) > 0 and len(b) > 0:
+            if costed and len(a) > 0 and len(b) > 0:
                 sketches = (self.sketch_for(a), self.sketch_for(b))
-            planned = plan_join(
+            plan = plan_join(
                 a, b, algorithm, space=space,
                 page_size=self.page_size, parameters=parameters,
-                explain=want_report, sketches=sketches,
+                explain=explain, sketches=sketches,
                 disk_model=self.disk.model, cost_model=self.cost_model,
             )
-            if isinstance(planned, PlanReport):
-                plan_report = planned
-                plan = planned.plan
-            else:
-                plan = planned
             algo = plan.create()
             reusable = algorithm_spec(plan.algorithm).reusable_index
         else:
@@ -378,7 +369,7 @@ class SpatialWorkspace:
         # algorithms (reasonably) refuse to index zero elements, so the
         # degenerate case is normalised here at the engine boundary.
         if len(a) == 0 or len(b) == 0:
-            return self._empty_report(algo, a, b, plan, plan_report)
+            return self._empty_report(algo, a, b, plan)
 
         handle_a, build_a, reused_a, written_a = self._index(
             algo, a, reuse=reuse_indexes and reusable
@@ -407,7 +398,6 @@ class SpatialWorkspace:
             index_pages_written_a=written_a,
             index_pages_written_b=written_b,
             cost_model=self.cost_model,
-            plan_report=plan_report,
         )
 
     def _empty_report(
@@ -416,7 +406,6 @@ class SpatialWorkspace:
         a: Dataset,
         b: Dataset,
         plan: JoinPlan | None,
-        plan_report: PlanReport | None = None,
     ) -> RunReport:
         """The (empty) result of joining against an empty dataset."""
         from repro.joins.base import JoinResult
@@ -435,7 +424,6 @@ class SpatialWorkspace:
             build_b=JoinStats(algorithm=algo.name, phase="index"),
             plan=plan,
             cost_model=self.cost_model,
-            plan_report=plan_report,
         )
 
     # ------------------------------------------------------------------

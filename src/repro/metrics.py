@@ -1,24 +1,18 @@
-"""Shared counters and timers.
+"""Latency percentiles and per-class latency records.
 
-Every algorithm in this repository reports its work through the same
-small set of metric primitives so that experiment harnesses can compare
-approaches on identical axes: pages read (sequential vs. random), pages
-written, element-level intersection tests, metadata comparisons and
-wall-clock time.
-
-The paper's evaluation (Section VII) breaks join time into "I/O" and
-"join" components and separately counts intersection tests; the
-:class:`Counter` and :class:`Timer` classes are the building blocks for
-those breakdowns.
+Join work is counted elsewhere — pages read, written and tested live in
+:class:`~repro.joins.base.JoinStats` and
+:class:`~repro.storage.disk.DiskStats` — so this module holds only what
+the serving tiers report about wall-clock latency:
+:func:`percentile`, :func:`latency_summary` and the windowed
+:class:`LatencyRecord`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from repro.geometry.slots import SlotPickleMixin
 
@@ -132,125 +126,3 @@ class LatencyRecord(SlotPickleMixin):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LatencyRecord(count={self.count}, total={self.total:.6f}s)"
-
-
-class Counter(SlotPickleMixin):
-    """A named monotonically increasing counter.
-
-    >>> c = Counter("reads")
-    >>> c.add(3)
-    >>> c.value
-    3
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: int = 0) -> None:
-        self.name = name
-        self.value = value
-
-    def add(self, amount: int = 1) -> None:
-        """Increase the counter by ``amount`` (default 1)."""
-        self.value += amount
-
-    def reset(self) -> None:
-        """Set the counter back to zero."""
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, {self.value})"
-
-
-class Timer(SlotPickleMixin):
-    """Accumulating wall-clock timer usable as a context manager.
-
-    The timer accumulates across multiple ``with`` blocks, which is how
-    the join algorithms attribute time to phases (I/O vs. in-memory
-    join) that interleave many times during one join.
-
-    Nested ``with`` blocks on one timer are re-entrant: the interval is
-    measured from the *outermost* enter to the outermost exit (depth
-    counted), so a helper that times itself inside an already-timed
-    phase neither double-counts nor — as an earlier version did —
-    silently discards the outer interval.
-
-    >>> t = Timer("io")
-    >>> with t:
-    ...     with t:
-    ...         pass
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    __slots__ = ("name", "elapsed", "_start", "_depth")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.elapsed = 0.0
-        self._start: float | None = None
-        self._depth = 0
-
-    def __enter__(self) -> "Timer":
-        if self._depth == 0:
-            self._start = time.perf_counter()
-        self._depth += 1
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._depth == 0:
-            # __exit__ without a matching __enter__ (manual misuse):
-            # nothing is running, so there is nothing to account.
-            return
-        self._depth -= 1
-        if self._depth == 0 and self._start is not None:
-            self.elapsed += time.perf_counter() - self._start
-            self._start = None
-
-    def reset(self) -> None:
-        """Discard accumulated time (and any in-flight interval)."""
-        self.elapsed = 0.0
-        self._start = None
-        self._depth = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timer({self.name!r}, {self.elapsed:.6f}s)"
-
-
-@dataclass
-class MetricSet:
-    """A bag of named counters and timers.
-
-    Algorithms create the counters they need lazily; harnesses read the
-    whole set with :meth:`snapshot`.
-    """
-
-    counters: dict[str, Counter] = field(default_factory=dict)
-    timers: dict[str, Timer] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        """Return (creating if necessary) the counter called ``name``."""
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def timer(self, name: str) -> Timer:
-        """Return (creating if necessary) the timer called ``name``."""
-        if name not in self.timers:
-            self.timers[name] = Timer(name)
-        return self.timers[name]
-
-    def snapshot(self) -> dict[str, float]:
-        """Return a flat ``{name: value}`` view of all metrics."""
-        out: dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[name] = counter.value
-        for name, timer in self.timers.items():
-            out[name + "_seconds"] = timer.elapsed
-        return out
-
-    def reset(self) -> None:
-        """Reset every counter and timer to zero."""
-        for counter in self.counters.values():
-            counter.reset()
-        for timer in self.timers.values():
-            timer.reset()

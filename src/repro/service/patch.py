@@ -115,7 +115,8 @@ def patch_cached_entry(
     full recompute's; its join stats describe the patch work (grid-hash
     tests over the insertions) under the :data:`DELTA_PATCH_PHASE`
     phase, and both index sides are marked reused — a patch builds
-    nothing.
+    nothing.  Its ``plan`` is dropped: the plan's estimates described
+    the pre-delta pair.
     """
     if key[5] is not None:
         return None
@@ -159,7 +160,7 @@ def patch_cached_entry(
         reused_b=True,
         index_pages_written_a=0,
         index_pages_written_b=0,
-        plan_report=None,
+        plan=None,
         delta_patched=True,
     )
     return new_key, patched

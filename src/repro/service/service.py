@@ -61,7 +61,7 @@ import numpy as np
 from repro._types import IntArray
 
 from repro.engine.executor import BatchExecutor, JoinRequest
-from repro.engine.planner import PlanReport, plan_join_sketched
+from repro.engine.planner import JoinPlan, plan_join
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
 from repro.geometry.box import Box
@@ -76,6 +76,7 @@ from repro.service.fingerprint import (
 )
 from repro.service.patch import advance_delta
 from repro.service.stats import ServiceStats
+from repro.stats.sketch import DatasetSketch, build_sketch
 from repro.storage.disk import DiskModel
 from repro.streaming.delta import DatasetDelta
 
@@ -201,7 +202,7 @@ class SpatialQueryService:
         self._delta_patches = 0
         self._delta_patch_fallbacks = 0
         self._latencies: dict[str, LatencyRecord] = {}
-        # Estimator accuracy: predicted vs actual work of every miss
+        # Estimate accuracy: predicted vs actual work of every miss
         # the statistics layer planned (``algorithm="auto"``).
         self._estimator_predictions = 0
         self._predicted_pairs = 0.0
@@ -406,7 +407,7 @@ class SpatialQueryService:
             return self._results.invalidate_fingerprint(fingerprint)
 
     # ------------------------------------------------------------------
-    # Planning (from catalog sketches — no raw data access)
+    # Planning (from catalog sketches)
     # ------------------------------------------------------------------
     def plan(
         self,
@@ -416,59 +417,47 @@ class SpatialQueryService:
         *,
         space: Box | None = None,
         parameters: dict[str, object] | None = None,
-    ) -> PlanReport:
+    ) -> JoinPlan:
         """Explain how a join over these inputs would be planned.
 
-        For catalog names this runs entirely off the sketches the
+        For catalog names this prices the pair off the sketches the
         catalog stored at registration time — a few KB of statistics
-        per side, no element data touched — which is what makes
-        planning cheap enough to answer interactively for any
-        registered pair.  Concrete datasets are sketched on the fly.
+        per side — plus each side's MBB for the shared extent, which
+        is what makes planning cheap enough to answer interactively
+        for any registered pair.  Concrete datasets are sketched on
+        the fly.  The plan is always costed (``explain=True``).
         """
+        sides: list[tuple[Dataset, DatasetSketch | None]] = []
         with self._lock:
-            entry_a = (
-                self._catalog.resolve(a) if isinstance(a, str) else None
-            )
-            entry_b = (
-                self._catalog.resolve(b) if isinstance(b, str) else None
-            )
-            sketch_a = (
-                self._catalog.sketch_by_fingerprint(entry_a.fingerprint)
-                if entry_a is not None
-                else None
-            )
-            sketch_b = (
-                self._catalog.sketch_by_fingerprint(entry_b.fingerprint)
-                if entry_b is not None
-                else None
-            )
+            for side in (a, b):
+                if isinstance(side, str):
+                    entry = self._catalog.resolve(side)
+                    sketch = self._catalog.sketch_by_fingerprint(
+                        entry.fingerprint
+                    )
+                    sides.append((entry.dataset, sketch))
+                elif isinstance(side, Dataset):
+                    sides.append((side, None))
+                else:
+                    raise TypeError(
+                        "plan() takes catalog names (str) or concrete "
+                        f"Datasets, got {type(side).__name__}"
+                    )
             page_size = self._queries.page_size
+        (dataset_a, sketch_a), (dataset_b, sketch_b) = sides
         if sketch_a is None:
-            from repro.stats.sketch import build_sketch
-
-            if not isinstance(a, Dataset):
-                raise TypeError(
-                    "plan() takes catalog names (str) or concrete "
-                    f"Datasets, got {type(a).__name__}"
-                )
-            sketch_a = build_sketch(a)
+            sketch_a = build_sketch(dataset_a)
         if sketch_b is None:
-            from repro.stats.sketch import build_sketch
-
-            if not isinstance(b, Dataset):
-                raise TypeError(
-                    "plan() takes catalog names (str) or concrete "
-                    f"Datasets, got {type(b).__name__}"
-                )
-            sketch_b = build_sketch(b)
-        return plan_join_sketched(
-            sketch_a,
-            sketch_b,
+            sketch_b = build_sketch(dataset_b)
+        return plan_join(
+            dataset_a,
+            dataset_b,
             algorithm,
             space=space,
             page_size=page_size,
             parameters=parameters,
             explain=True,
+            sketches=(sketch_a, sketch_b),
             disk_model=self._queries.disk.model,
             cost_model=self._queries.cost_model,
         )
@@ -725,20 +714,18 @@ class SpatialQueryService:
         """Fold one executed miss into the estimator-accuracy counters.
 
         Only joins the statistics layer actually planned contribute
-        (``plan_report`` present with estimates); cache hits never do —
-        their work was already counted when the report was computed.
-        Caller holds ``self._lock``.
+        (a costed ``report.plan``); cache hits never do — their work
+        was already counted when the report was computed.  Caller
+        holds ``self._lock``.
         """
-        plan_report = report.plan_report
-        if plan_report is None or not plan_report.stats_used:
-            return
-        if plan_report.est_pairs is None:
+        plan = report.plan
+        if plan is None or plan.est_pairs is None:
             return
         self._estimator_predictions += 1
-        self._predicted_pairs += plan_report.est_pairs
+        self._predicted_pairs += plan.est_pairs
         self._actual_pairs += report.pairs_found
-        if plan_report.est_tests is not None:
-            self._predicted_tests += plan_report.est_tests
+        if plan.est_tests is not None:
+            self._predicted_tests += plan.est_tests
             self._actual_tests += report.intersection_tests
 
     def stats(self) -> ServiceStats:

@@ -67,9 +67,8 @@ class ServiceStats:
     #: invalidated when their dataset took a delta.
     delta_patches: int = 0
     #: Cached results a delta *could not* patch (predicate not plain
-    #: intersection, partner fingerprint unresolvable, patching
-    #: disabled, or the delta fraction above the threshold) — these
-    #: fell back to invalidation.
+    #: intersection, partner fingerprint unresolvable, or the delta
+    #: fraction above the threshold) — these fell back to invalidation.
     delta_patch_fallbacks: int = 0
     #: Sharded tier only: per-shard snapshot dicts (``as_dict`` rows),
     #: in shard order.  Empty for single-process services.
@@ -85,7 +84,7 @@ class ServiceStats:
     latency_by_algorithm: dict[str, dict[str, float]] = field(
         default_factory=dict
     )
-    #: Estimator accuracy: how many executed misses the statistics
+    #: Estimate accuracy: how many executed misses the statistics
     #: layer planned (``algorithm="auto"``), and the summed predicted
     #: vs. actual work of those joins.  A healthy planner keeps the
     #: prediction/actual ratios near 1; drift beyond the documented

@@ -3,8 +3,9 @@
 Every other layer consumes this one and none of it touches the
 simulated disk: a :class:`DatasetSketch` is built in one vectorized
 pass over a dataset's boxes (density grid, quadtree-refined heavy
-cells, MBB, average extents), and the estimators reduce two sketches
-to the quantities cost-based planning needs — expected result pairs,
+cells, MBB, average extents), and one function,
+:func:`~repro.stats.estimate.analyze_pair`, reduces two sketches to
+the quantities cost-based planning needs — expected result pairs,
 expected comparisons under a given partitioning, and co-location page
 masses feeding the per-algorithm
 :meth:`~repro.joins.base.SpatialJoinAlgorithm.estimate_join_cost`
@@ -12,9 +13,9 @@ hooks.
 
 * :mod:`~repro.stats.sketch` — :class:`DatasetSketch` /
   :func:`build_sketch`;
-* :mod:`~repro.stats.estimate` — :func:`estimate_pairs`,
-  :func:`estimate_cost`, the pluggable :class:`Estimator` protocol and
-  the documented :data:`ESTIMATE_ERROR_BAND` accuracy contract.
+* :mod:`~repro.stats.estimate` — :func:`analyze_pair`,
+  :func:`estimate_pairs`, :func:`build_cost_profile` and the
+  documented :data:`ESTIMATE_ERROR_BAND` accuracy contract.
 
 Sketches are picklable and deterministic (equal content ⇒ identical
 sketch in any process), which is what lets the workspace cache them
@@ -23,30 +24,23 @@ fingerprints.
 """
 
 from repro.stats.estimate import (
-    DEFAULT_ESTIMATOR,
     ESTIMATE_ERROR_BAND,
     CandidateCost,
-    Estimator,
-    GridEstimator,
     PairAnalysis,
+    analyze_pair,
     build_cost_profile,
-    estimate_cost,
     estimate_pairs,
     within_error_band,
 )
-from repro.stats.sketch import SKETCH_VERSION, DatasetSketch, build_sketch
+from repro.stats.sketch import DatasetSketch, build_sketch
 
 __all__ = [
     "DatasetSketch",
     "build_sketch",
-    "SKETCH_VERSION",
-    "Estimator",
-    "GridEstimator",
     "PairAnalysis",
-    "DEFAULT_ESTIMATOR",
+    "analyze_pair",
     "CandidateCost",
     "estimate_pairs",
-    "estimate_cost",
     "build_cost_profile",
     "within_error_band",
     "ESTIMATE_ERROR_BAND",

@@ -9,27 +9,25 @@ anything:
   (the Minkowski sum of the average extents) — the classic
   histogram-based spatial selectivity estimate, refined by the
   sketches' quadtree levels on heavy cells.
-* **What will each algorithm cost?**  :func:`estimate_cost` builds a
-  :class:`~repro.joins.base.CostProfile` (page counts, co-location
-  masses, a collision kernel) and hands it to the algorithm's
+* **What will each algorithm cost?**  :func:`build_cost_profile`
+  assembles a :class:`~repro.joins.base.CostProfile` (page counts,
+  co-location masses, a collision kernel) that the planner hands to
+  every algorithm's
   :meth:`~repro.joins.base.SpatialJoinAlgorithm.estimate_join_cost`
   hook, which combines it with per-algorithm calibration constants.
 
-Estimation is approximate by design; the documented accuracy contract
-is :data:`ESTIMATE_ERROR_BAND` (the pair estimate stays within that
+Both rest on one function, :func:`analyze_pair`, which reduces two
+sketches to a :class:`PairAnalysis`.  Estimation is approximate by
+design; the documented accuracy contract is
+:data:`ESTIMATE_ERROR_BAND` (the pair estimate stays within that
 multiplicative band of the true count on the repository's oracle
 corpus — enforced by ``tests/test_stats_estimate.py`` and the planner
-rows of ``tests/test_paper_figures_golden.py``).  Estimators are
-pluggable through the :class:`Estimator` protocol: the planner accepts
-any object with the same ``analyze`` surface, mirroring the
-exploration-strategy protocol idiom (SNIPPETS.md, venomqa).
+rows of ``tests/test_paper_figures_golden.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
 from repro._types import FloatArray
@@ -40,7 +38,7 @@ from repro.storage.page import element_page_capacity
 
 #: Documented multiplicative accuracy band of :func:`estimate_pairs`
 #: on the oracle corpus (uniform and clustered families).  Recorded in
-#: every :class:`~repro.engine.planner.PlanReport` so callers can see
+#: every costed :class:`~repro.engine.planner.JoinPlan` so callers see
 #: the contract next to the estimate.
 ESTIMATE_ERROR_BAND = 4.0
 
@@ -118,26 +116,10 @@ class PairAnalysis:
         )
 
 
-@runtime_checkable
-class Estimator(Protocol):
-    """Pluggable estimation strategy (pass via ``plan_join(estimator=)``).
-
-    Implementations reduce two sketches to a :class:`PairAnalysis`
-    (or any object with the same ``collision``/``active_pages``
-    surface); everything downstream — selectivity, cost profiles,
-    candidate ranking — is derived from that analysis.
-    """
-
-    name: str
-
-    def analyze(
-        self, sketch_a: DatasetSketch, sketch_b: DatasetSketch
-    ) -> PairAnalysis:  # pragma: no cover - protocol signature
-        ...
-
-
-class GridEstimator:
-    """The default estimator: separable cross-integration of both grids.
+def analyze_pair(
+    sketch_a: DatasetSketch, sketch_b: DatasetSketch
+) -> PairAnalysis:
+    """Cross-integrate the two fine grids (heavy cells refined).
 
     Both sketches are regular grids (the quadtree refinement folds
     into the doubled :meth:`~repro.stats.sketch.DatasetSketch.fine_counts`
@@ -149,51 +131,44 @@ class GridEstimator:
     2.17 ms of a 29–31 ms op (about 7 %), plus ``stats.sketch_ms``
     1.25 ms for each side's sketch.
     """
-
-    name = "grid"
-
-    def analyze(
-        self, sketch_a: DatasetSketch, sketch_b: DatasetSketch
-    ) -> PairAnalysis:
-        """Cross-integrate the two fine grids (heavy cells refined)."""
-        if sketch_a.is_empty or sketch_b.is_empty:
-            empty = np.empty(0)
-            return PairAnalysis(
-                sketch_a, sketch_b, 0.0, empty, empty, empty.copy(),
-                empty.copy(),
-            )
-        counts_a = sketch_a.fine_counts()
-        counts_b = sketch_b.fine_counts()
-        vol_a = float(np.prod(sketch_a.cell_sides / 2.0))
-        vol_b = float(np.prod(sketch_b.cell_sides / 2.0))
-        dens_a = counts_a / max(vol_a, 1e-300)
-        dens_b = counts_b / max(vol_b, 1e-300)
-        edges_a = sketch_a.fine_edges()
-        edges_b = sketch_b.fine_edges()
-        ndim = sketch_a.ndim
-        # Per-axis interval overlap matrices; their outer product is
-        # the overlap volume of any fine cell pair.
-        overlaps = [
-            np.clip(
-                np.minimum(edges_a[k][1:, None], edges_b[k][None, 1:])
-                - np.maximum(edges_a[k][:-1, None], edges_b[k][None, :-1]),
-                0.0,
-                None,
-            )
-            for k in range(ndim)
-        ]
-        mass_b_at_a = _contract(dens_b, overlaps, transpose=False)
-        mass_a_at_b = _contract(dens_a, overlaps, transpose=True)
-        base = float(np.sum(dens_a * mass_b_at_a))
+    if sketch_a.is_empty or sketch_b.is_empty:
+        empty = np.empty(0)
         return PairAnalysis(
-            sketch_a,
-            sketch_b,
-            base,
-            counts_a.ravel(),
-            counts_b.ravel(),
-            mass_b_at_a.ravel(),
-            mass_a_at_b.ravel(),
+            sketch_a, sketch_b, 0.0, empty, empty, empty.copy(),
+            empty.copy(),
         )
+    counts_a = sketch_a.fine_counts()
+    counts_b = sketch_b.fine_counts()
+    vol_a = float(np.prod(sketch_a.cell_sides / 2.0))
+    vol_b = float(np.prod(sketch_b.cell_sides / 2.0))
+    dens_a = counts_a / max(vol_a, 1e-300)
+    dens_b = counts_b / max(vol_b, 1e-300)
+    edges_a = sketch_a.fine_edges()
+    edges_b = sketch_b.fine_edges()
+    ndim = sketch_a.ndim
+    # Per-axis interval overlap matrices; their outer product is
+    # the overlap volume of any fine cell pair.
+    overlaps = [
+        np.clip(
+            np.minimum(edges_a[k][1:, None], edges_b[k][None, 1:])
+            - np.maximum(edges_a[k][:-1, None], edges_b[k][None, :-1]),
+            0.0,
+            None,
+        )
+        for k in range(ndim)
+    ]
+    mass_b_at_a = _contract(dens_b, overlaps, transpose=False)
+    mass_a_at_b = _contract(dens_a, overlaps, transpose=True)
+    base = float(np.sum(dens_a * mass_b_at_a))
+    return PairAnalysis(
+        sketch_a,
+        sketch_b,
+        base,
+        counts_a.ravel(),
+        counts_b.ravel(),
+        mass_b_at_a.ravel(),
+        mass_a_at_b.ravel(),
+    )
 
 
 def _contract(
@@ -215,15 +190,7 @@ def _contract(
     return out
 
 
-#: Module-level default (stateless, shareable).
-DEFAULT_ESTIMATOR = GridEstimator()
-
-
-def estimate_pairs(
-    sketch_a: DatasetSketch,
-    sketch_b: DatasetSketch,
-    estimator: Estimator | None = None,
-) -> float:
+def estimate_pairs(sketch_a: DatasetSketch, sketch_b: DatasetSketch) -> float:
     """Expected result pairs of joining the two sketched datasets.
 
     >>> import numpy as np
@@ -235,8 +202,7 @@ def estimate_pairs(
     >>> 50 < estimate_pairs(a, b) < 800   # true count is ~200
     True
     """
-    est = estimator or DEFAULT_ESTIMATOR
-    return est.analyze(sketch_a, sketch_b).collision(0.0)
+    return analyze_pair(sketch_a, sketch_b).collision(0.0)
 
 
 def within_error_band(
@@ -302,18 +268,14 @@ def build_cost_profile(
     write_cost: float = 1.0,
     intersection_test_cost: float = 0.002,
     metadata_test_cost: float = 0.002,
-    estimator: Estimator | None = None,
-    analysis: PairAnalysis | None = None,
 ) -> CostProfile:
     """Assemble the :class:`~repro.joins.base.CostProfile` for a pair.
 
-    ``analysis`` lets a caller reuse a pass it already ran (the planner
-    estimates pairs and builds the profile from one analysis);
-    ``space_volume`` defaults to the union of both sketch MBBs.
+    One :func:`analyze_pair` pass feeds both the pair estimate and the
+    page masses; ``space_volume`` defaults to the union of both sketch
+    MBBs.
     """
-    est = estimator or DEFAULT_ESTIMATOR
-    if analysis is None:
-        analysis = est.analyze(sketch_a, sketch_b)
+    analysis = analyze_pair(sketch_a, sketch_b)
     ndim = sketch_a.ndim if not sketch_a.is_empty else sketch_b.ndim
     cap = element_page_capacity(page_size, max(ndim, 1))
     if space_volume is None:
@@ -341,34 +303,3 @@ def build_cost_profile(
         resolution=resolution,
     )
 
-
-def estimate_cost(
-    algorithm: object,
-    sketch_a: DatasetSketch,
-    sketch_b: DatasetSketch,
-    *,
-    page_size: int,
-    resolution: int,
-    estimator: Estimator | None = None,
-    **profile_overrides: float,
-) -> CandidateCost | None:
-    """Predicted cost of one configured algorithm instance on a pair.
-
-    ``algorithm`` is any :class:`~repro.joins.base.SpatialJoinAlgorithm`
-    whose :meth:`estimate_join_cost` hook is implemented; ``None`` is
-    returned for algorithms that opt out.  This is the single-candidate
-    form of what the planner does for its whole candidate set.
-    """
-    profile = build_cost_profile(
-        sketch_a,
-        sketch_b,
-        page_size=page_size,
-        resolution=resolution,
-        estimator=estimator,
-        **profile_overrides,
-    )
-    breakdown = algorithm.estimate_join_cost(profile)
-    if breakdown is None:
-        return None
-    name = str(getattr(algorithm, "name", type(algorithm).__name__)).lower()
-    return CandidateCost.from_breakdown(name, breakdown)

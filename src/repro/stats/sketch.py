@@ -26,7 +26,6 @@ reports ``stats.sketch_ms`` beside the cold join's ``core.join_ms``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -42,10 +41,6 @@ if TYPE_CHECKING:
     # repro.joins.base, whose package __init__ transitively reaches
     # repro.stats via the planner.  apply_delta duck-types the delta.
     from repro.streaming.delta import DatasetDelta
-
-#: Bump when the sketch layout changes: persisted sketches from an
-#: older layout must not silently alias new ones.
-SKETCH_VERSION = 1
 
 #: Upper bound on grid resolution per axis.  16**3 cells keeps the
 #: sketch a few KB and the estimator's cell cross-product bounded.
@@ -71,7 +66,8 @@ class DatasetSketch:
     element *centres* over the MBB; ``refined_cells``/``refined_counts``
     carry one quadtree level for heavy cells (children in C-order of
     the doubled grid restricted to the parent).  All arrays are plain
-    numpy, so the sketch pickles and hashes deterministically.
+    numpy, so the sketch pickles deterministically and compares with
+    ``==``.
     """
 
     n: int
@@ -87,7 +83,6 @@ class DatasetSketch:
     refined_counts: IntArray = field(
         default_factory=lambda: np.empty((0, 0), dtype=np.int64)
     )  # (k, 2**d) child counts per refined cell
-    version: int = SKETCH_VERSION
 
     # ------------------------------------------------------------------
     # Construction
@@ -217,48 +212,6 @@ class DatasetSketch:
         """(d,) side lengths of one grid cell."""
         return np.maximum(self.hi - self.lo, 1e-12) / self.resolution
 
-    @property
-    def space_volume(self) -> float:
-        """Volume of the MBB (floored so densities stay finite)."""
-        return float(np.prod(np.maximum(self.hi - self.lo, 1e-12)))
-
-    def effective_cells(self) -> tuple[FloatArray, FloatArray, IntArray]:
-        """``(lo, hi, counts)`` of occupied cells, heavy ones refined.
-
-        Heavy cells are replaced by their non-empty quadtree children,
-        so the estimator integrates over the finest counts available.
-        Empty cells are dropped (they contribute nothing to any
-        density product).
-        """
-        shape = (self.resolution,) * self.ndim
-        side = self.cell_sides
-        keep = np.flatnonzero(self.counts)
-        keep = keep[~np.isin(keep, self.refined_cells)]
-        multi = np.stack(np.unravel_index(keep, shape), axis=1)
-        lo = self.lo + multi * side
-        hi = lo + side
-        counts = self.counts[keep].astype(np.float64)
-        if self.refined_cells.size:
-            fine_side = side / 2.0
-            offsets = np.stack(
-                np.unravel_index(np.arange(2**self.ndim), (2,) * self.ndim),
-                axis=1,
-            )
-            coarse_multi = np.stack(
-                np.unravel_index(self.refined_cells, shape), axis=1
-            )
-            child_multi = (
-                2 * coarse_multi[:, None, :] + offsets[None, :, :]
-            ).reshape(-1, self.ndim)
-            child_counts = self.refined_counts.reshape(-1).astype(np.float64)
-            nonzero = child_counts > 0
-            child_lo = self.lo + child_multi[nonzero] * fine_side
-            child_hi = child_lo + fine_side
-            lo = np.concatenate([lo, child_lo])
-            hi = np.concatenate([hi, child_hi])
-            counts = np.concatenate([counts, child_counts[nonzero]])
-        return lo, hi, counts
-
     def fine_counts(self) -> FloatArray:
         """Counts on the doubled (``2·resolution``) grid, as a tensor.
 
@@ -296,31 +249,6 @@ class DatasetSketch:
         side = (self.cell_sides / 2.0)[:, None]
         return self.lo[:, None] + steps * side
 
-    def digest(self) -> str:
-        """Hex SHA-256 over the sketch's canonical bytes.
-
-        Equal dataset content produces an equal digest in any process
-        (the build is deterministic and the byte layout canonical) —
-        the property the catalog's fingerprint-keyed storage rests on.
-        """
-        h = hashlib.sha256()
-        h.update(b"repro.sketch.v%d" % self.version)
-        h.update(
-            np.array(
-                [self.n, self.ndim, self.resolution], dtype="<i8"
-            ).tobytes()
-        )
-        for arr in (self.lo, self.hi, self.avg_extent):
-            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(self.counts, dtype="<i8").tobytes())
-        h.update(
-            np.ascontiguousarray(self.refined_cells, dtype="<i8").tobytes()
-        )
-        h.update(
-            np.ascontiguousarray(self.refined_counts, dtype="<i8").tobytes()
-        )
-        return h.hexdigest()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DatasetSketch):
             return NotImplemented
@@ -328,7 +256,6 @@ class DatasetSketch:
             self.n == other.n
             and self.ndim == other.ndim
             and self.resolution == other.resolution
-            and self.version == other.version
             and np.array_equal(self.lo, other.lo)
             and np.array_equal(self.hi, other.hi)
             and np.array_equal(self.avg_extent, other.avg_extent)

@@ -17,11 +17,13 @@ stand-in for that hardware:
 * :class:`~repro.storage.page.ElementPage` is the payload every join
   algorithm stores per data page: a window onto its run's arrays;
 * :mod:`~repro.storage.shm` publishes dataset pages into
-  ``multiprocessing.shared_memory`` so batch-executor workers attach
-  to the arrays instead of unpickling a private copy each.
+  ``multiprocessing.shared_memory`` so the sharded service's worker
+  processes attach to the arrays instead of unpickling a private copy
+  each.
 
-See DESIGN.md §2 for why this substitution preserves the paper's
-measured shapes.
+The substitution preserves the paper's measured shapes because every
+algorithm is charged on the same disk model: who wins depends on which
+pages are read and in what order, and that is what the model counts.
 """
 
 from repro.storage.buffer import BufferPool

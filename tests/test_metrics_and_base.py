@@ -15,87 +15,7 @@ from repro.joins.base import (
     canonical_pairs,
 )
 from repro.geometry.boxes import BoxArray
-from repro.metrics import Counter, MetricSet, Timer
 from repro.storage.disk import DiskStats
-
-
-class TestCounter:
-    def test_add_and_reset(self):
-        c = Counter("x")
-        c.add()
-        c.add(4)
-        assert c.value == 5
-        c.reset()
-        assert c.value == 0
-
-
-class TestTimer:
-    def test_accumulates_across_blocks(self):
-        t = Timer("t")
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            pass
-        assert t.elapsed >= first
-
-    def test_reset(self):
-        t = Timer("t")
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-
-    def test_nested_blocks_keep_the_outer_interval(self):
-        """Regression: re-entering a Timer restarted its clock, so the
-        outer interval before the inner block was silently discarded.
-        Nesting is now re-entrant — one interval from the outermost
-        enter to the outermost exit."""
-        import time
-
-        t = Timer("t")
-        with t:
-            time.sleep(0.02)  # work *before* the nested block
-            with t:
-                pass
-        # The pre-nesting 20ms must be part of the accounted interval.
-        assert t.elapsed >= 0.02
-
-    def test_nested_exit_does_not_end_the_outer_interval(self):
-        import time
-
-        t = Timer("t")
-        with t:
-            with t:
-                pass
-            time.sleep(0.02)  # work *after* the nested block
-        assert t.elapsed >= 0.02
-
-    def test_reset_clears_nesting_depth(self):
-        t = Timer("t")
-        with t:
-            t.reset()
-        # The interrupted outer block must not poison later use.
-        with t:
-            pass
-        assert t.elapsed >= 0.0
-
-
-class TestMetricSet:
-    def test_lazily_creates(self):
-        m = MetricSet()
-        m.counter("reads").add(3)
-        with m.timer("io"):
-            pass
-        snap = m.snapshot()
-        assert snap["reads"] == 3
-        assert "io_seconds" in snap
-
-    def test_reset_all(self):
-        m = MetricSet()
-        m.counter("a").add(1)
-        m.reset()
-        assert m.snapshot()["a"] == 0
 
 
 class TestCostModel:

@@ -19,7 +19,7 @@ import pickle
 import pytest
 
 from repro.datagen import dense_cluster, scaled_space, uniform_cluster
-from repro.engine import PlanReport, SpatialWorkspace, plan_join
+from repro.engine import JoinPlan, SpatialWorkspace, plan_join
 from tests.test_oracle_random import CASES
 
 #: Maximum tolerated ratio between the executed cost of auto's choice
@@ -47,7 +47,7 @@ class TestSkewRegression:
     ):
         a, b = _fig11_style_contrast_pair()
         report = plan_join(a, b, "auto", explain=True)
-        assert isinstance(report, PlanReport)
+        assert isinstance(report, JoinPlan)
         assert report.stats_used
         # Not the directed crawl a contrast rule would pick...
         assert report.algorithm != "gipsy"
@@ -105,8 +105,8 @@ def test_auto_regret_bounded_on_oracle_corpus(case):
     )
 
 
-class TestPlanReport:
-    def test_explain_returns_ranked_report(self):
+class TestCostedPlan:
+    def test_explain_returns_ranked_plan(self):
         a, b = _fig11_style_contrast_pair()
         report = plan_join(a, b, "auto", explain=True)
         totals = [c.total for c in report.candidates]
@@ -117,13 +117,35 @@ class TestPlanReport:
         assert report.error_band is not None
         assert "estimated cost" in report.reason
 
-    def test_plain_call_returns_join_plan(self):
+    def test_auto_is_costed_with_or_without_explain(self):
         a, b = _fig11_style_contrast_pair()
-        plan = plan_join(a, b, "auto")
-        assert not isinstance(plan, PlanReport)
-        assert plan.algorithm  # still resolved cost-based
+        assert plan_join(a, b, "auto") == plan_join(
+            a, b, "auto", explain=True
+        )
 
-    def test_report_proxies_plan_surface(self):
+    def test_explicit_call_without_explain_is_not_costed(self):
+        a, b = _fig11_style_contrast_pair()
+        plan = plan_join(a, b, "pbsm")
+        assert plan.algorithm == "pbsm"
+        assert not plan.stats_used
+        assert plan.candidates == ()
+        assert plan.est_pairs is None and plan.error_band is None
+
+    def test_empty_side_is_not_costed(self):
+        import numpy as np
+
+        from repro.geometry.boxes import BoxArray
+        from repro.joins.base import Dataset
+
+        a, _ = _fig11_style_contrast_pair()
+        empty = Dataset("e", np.empty(0, dtype=np.int64), BoxArray.empty(3))
+        for left, right in ((a, empty), (empty, a), (empty, empty)):
+            plan = plan_join(left, right, explain=True)
+            assert plan.algorithm == "transformers"
+            assert "empty" in plan.reason
+            assert not plan.stats_used
+
+    def test_plan_creates_the_chosen_algorithm(self):
         a, b = _fig11_style_contrast_pair()
         report = plan_join(a, b, "auto", explain=True)
         assert report.requested == "auto"
@@ -133,7 +155,7 @@ class TestPlanReport:
             "-", ""
         )
 
-    def test_report_pickles(self):
+    def test_plan_pickles(self):
         a, b = _fig11_style_contrast_pair()
         report = plan_join(a, b, "auto", explain=True)
         restored = pickle.loads(pickle.dumps(report))
@@ -158,26 +180,25 @@ class TestPlanReport:
 
 
 class TestWorkspaceIntegration:
-    def test_auto_join_carries_plan_report(self):
+    def test_auto_join_carries_costed_plan(self):
         a, b = _fig11_style_contrast_pair()
         run = SpatialWorkspace().join(a, b)  # algorithm="auto"
-        assert run.plan_report is not None
-        assert run.plan_report.stats_used
-        assert run.plan is run.plan_report.plan
-        assert run.plan.algorithm == run.plan_report.algorithm
+        assert run.plan is not None
+        assert run.plan.stats_used
 
-    def test_explicit_join_has_no_report_by_default(self):
+    def test_explicit_join_is_not_costed_by_default(self):
         a, b = _fig11_style_contrast_pair()
         run = SpatialWorkspace().join(a, b, algorithm="transformers")
-        assert run.plan_report is None
+        assert run.plan is not None
+        assert not run.plan.stats_used
 
     def test_explicit_join_with_explain(self):
         a, b = _fig11_style_contrast_pair()
         run = SpatialWorkspace().join(
             a, b, algorithm="transformers", explain=True
         )
-        assert run.plan_report is not None
-        assert run.plan_report.candidate("transformers") is not None
+        assert run.plan.stats_used
+        assert run.plan.candidate("transformers") is not None
 
     def test_sketches_are_cached_and_forgotten(self):
         ws = SpatialWorkspace()
@@ -215,64 +236,6 @@ class TestWorkspaceIntegration:
             SpatialWorkspace().join(a, b, TransformersJoin(), explain=True)
 
 
-class TestSketchedPlanning:
-    """plan_join_sketched: the service's no-raw-data planning path."""
-
-    def _sketches(self):
-        from repro.stats import build_sketch
-
-        a, b = _fig11_style_contrast_pair()
-        return build_sketch(a), build_sketch(b)
-
-    def test_sketched_plan_matches_dataset_plan(self):
-        from repro.engine import plan_join_sketched
-
-        a, b = _fig11_style_contrast_pair()
-        from repro.stats import build_sketch
-
-        sketched = plan_join_sketched(
-            build_sketch(a), build_sketch(b), explain=True
-        )
-        direct = plan_join(a, b, "auto", explain=True)
-        assert sketched.algorithm == direct.algorithm
-        assert sketched.est_pairs == pytest.approx(direct.est_pairs)
-        # Same shared extent as shared_space over the datasets.
-        assert sketched.hints.space == direct.hints.space
-
-    def test_sketched_plan_with_empty_side(self):
-        import numpy as np
-
-        from repro.engine import plan_join_sketched
-        from repro.geometry.boxes import BoxArray
-        from repro.joins.base import Dataset
-        from repro.stats import build_sketch
-
-        sa, _ = self._sketches()
-        empty = build_sketch(
-            Dataset("e", np.empty(0, dtype=np.int64), BoxArray.empty(3))
-        )
-        for left, right in ((sa, empty), (empty, sa), (empty, empty)):
-            report = plan_join_sketched(left, right, explain=True)
-            assert report.algorithm == "transformers"
-            assert "empty" in report.reason
-            assert not report.stats_used
-
-    def test_sketched_plan_explicit_name(self):
-        from repro.engine import plan_join_sketched
-
-        sa, sb = self._sketches()
-        report = plan_join_sketched(sa, sb, "pbsm", explain=False)
-        assert not isinstance(report, PlanReport)
-        assert report.algorithm == "pbsm"
-
-    def test_sketched_plan_unknown_name_raises(self):
-        from repro.engine import plan_join_sketched
-
-        sa, sb = self._sketches()
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            plan_join_sketched(sa, sb, "voronoi")
-
-
 class TestModelThreading:
     def test_planner_prices_with_the_workspace_disk_model(self):
         """An SSD-like disk (random == sequential) must change the
@@ -285,8 +248,8 @@ class TestModelThreading:
         ssd_ws = SpatialWorkspace(
             disk_model=DiskModel(page_size=1024, random_read_cost=1.0)
         )
-        default_report = default_ws.join(a, b).plan_report
-        ssd_report = ssd_ws.join(a, b).plan_report
+        default_report = default_ws.join(a, b).plan
+        ssd_report = ssd_ws.join(a, b).plan
         # PBSM's all-random sweep gets dramatically cheaper on the SSD.
         assert (
             ssd_report.candidate("pbsm").join_io
@@ -310,3 +273,41 @@ class TestModelThreading:
             ssd.plan("a", "b").candidate("pbsm").join_io
             < default.plan("a", "b").candidate("pbsm").join_io / 5
         )
+
+
+def _service_models():
+    from repro.joins.base import CostModel
+    from repro.storage.disk import DiskModel
+
+    return {
+        "default": {},
+        "ssd": {"disk_model": DiskModel(page_size=1024, random_read_cost=1.0)},
+        "slow_tests": {"cost_model": CostModel(intersection_test_cost=5.0)},
+    }
+
+
+@pytest.mark.parametrize("model", list(_service_models()))
+@pytest.mark.parametrize(
+    "case",
+    _corpus_pairs(),
+    ids=[label for label, _, _ in _corpus_pairs()],
+)
+def test_service_plan_agrees_with_what_a_miss_runs(case, model):
+    """``plan()`` prices from the catalog's stored sketches; a miss
+    plans afresh on the executor's workspace.  Both must reach the same
+    decision on the same evidence."""
+    from repro import JoinRequest, SpatialQueryService
+
+    _, a, b = case
+    service = SpatialQueryService(**_service_models()[model])
+    service.register("a", a)
+    service.register("b", b)
+    explained = service.plan("a", "b")
+    ran = service.submit(JoinRequest("a", "b")).report.plan
+    assert ran is not None
+    assert explained.algorithm == ran.algorithm
+    assert explained.reason == ran.reason
+    assert explained.hints.space == ran.hints.space
+    assert explained.candidates == ran.candidates
+    assert explained.est_pairs == ran.est_pairs
+    assert explained.est_tests == ran.est_tests

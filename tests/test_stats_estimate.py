@@ -1,11 +1,11 @@
-"""Estimator accuracy: the documented error band, on the oracle corpus.
+"""Estimate accuracy: the documented error band, on the oracle corpus.
 
 The selectivity estimate is only useful if its error is *bounded and
 documented*: these tests assert ``estimate_pairs`` stays within
 :data:`~repro.stats.estimate.ESTIMATE_ERROR_BAND` (4x, smoothed for
 tiny true counts) of the brute-force truth across the same seeded
 uniform/clustered/skewed generators the oracle harness uses, and that
-the band is recorded in every stats-planned :class:`PlanReport`.
+the band is recorded in every costed :class:`~repro.engine.JoinPlan`.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from repro.joins.base import Dataset
 from repro.joins.brute import brute_force_pairs
 from repro.stats import (
     ESTIMATE_ERROR_BAND,
-    GridEstimator,
     build_sketch,
     estimate_pairs,
     within_error_band,
@@ -83,8 +82,8 @@ def test_estimate_within_documented_band(case):
     )
 
 
-def test_band_is_recorded_in_plan_report():
-    """The accuracy contract travels with every stats-planned report."""
+def test_band_is_recorded_in_the_plan():
+    """The accuracy contract travels with every costed plan."""
     a, b = _pair("dense", "uclust", 300, 300, seed=7)
     report = plan_join(a, b, "auto", explain=True)
     assert report.stats_used
@@ -136,28 +135,3 @@ class TestEstimateProperties:
             estimate_pairs(sb, sa), rel=1e-9
         )
 
-
-class TestEstimatorProtocol:
-    def test_custom_estimator_is_used_by_the_planner(self):
-        """The pluggable-strategy surface: plan_join(estimator=...)."""
-
-        class CountingEstimator(GridEstimator):
-            name = "counting"
-
-            def __init__(self):
-                self.calls = 0
-
-            def analyze(self, sketch_a, sketch_b):
-                self.calls += 1
-                return super().analyze(sketch_a, sketch_b)
-
-        probe = CountingEstimator()
-        a, b = _pair("uniform", "uniform", 150, 150, seed=5)
-        report = plan_join(a, b, "auto", explain=True, estimator=probe)
-        assert probe.calls >= 1
-        assert report.stats_used
-
-    def test_grid_estimator_satisfies_protocol(self):
-        from repro.stats import Estimator
-
-        assert isinstance(GridEstimator(), Estimator)

@@ -74,9 +74,11 @@ class TestConservation:
 
     @settings(max_examples=60, deadline=None)
     @given(datasets())
-    def test_effective_cells_conserve_mass(self, dataset):
-        _, _, counts = build_sketch(dataset).effective_cells()
-        assert int(counts.sum()) == len(dataset)
+    def test_fine_counts_conserve_mass(self, dataset):
+        """The doubled grid the estimator reads holds every element."""
+        assert float(build_sketch(dataset).fine_counts().sum()) == len(
+            dataset
+        )
 
     def test_heavy_cells_get_refined_on_massive_cluster(self):
         """The distribution family the refinement exists for."""
@@ -101,7 +103,7 @@ class TestDeterminism:
     @settings(max_examples=40, deadline=None)
     @given(datasets())
     def test_rebuild_from_equal_content_is_identical(self, dataset):
-        """Fresh arrays, different name — same sketch, same digest."""
+        """Fresh arrays, different name — same sketch."""
         clone = Dataset(
             "other",
             np.array(dataset.ids, copy=True),
@@ -112,7 +114,6 @@ class TestDeterminism:
         )
         s1, s2 = build_sketch(dataset), build_sketch(clone)
         assert s1 == s2
-        assert s1.digest() == s2.digest()
 
     @settings(max_examples=40, deadline=None)
     @given(datasets())
@@ -120,9 +121,8 @@ class TestDeterminism:
         sketch = build_sketch(dataset)
         restored = pickle.loads(pickle.dumps(sketch))
         assert restored == sketch
-        assert restored.digest() == sketch.digest()
 
-    def test_perturbing_one_coordinate_changes_the_digest(self):
+    def test_perturbing_one_coordinate_changes_the_sketch(self):
         dataset = uniform_dataset(
             100, seed=9, name="p", space=scaled_space(200)
         )
@@ -131,9 +131,7 @@ class TestDeterminism:
         perturbed = Dataset(
             "p", dataset.ids, BoxArray(lo, np.maximum(lo, dataset.boxes.hi))
         )
-        assert build_sketch(perturbed).digest() != build_sketch(
-            dataset
-        ).digest()
+        assert build_sketch(perturbed) != build_sketch(dataset)
 
     def test_cross_process_stability(self):
         """Sketch building has no per-process state (no hash salting)."""
@@ -141,11 +139,12 @@ class TestDeterminism:
             128, seed=11, name="probe", space=scaled_space(256)
         )
         script = (
+            "import pickle\n"
             "from repro.datagen import scaled_space, uniform_dataset\n"
             "from repro.stats import build_sketch\n"
             "d = uniform_dataset(128, seed=11, name='probe', "
             "space=scaled_space(256))\n"
-            "print(build_sketch(d).digest())\n"
+            "print(pickle.dumps(build_sketch(d)).hex())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -156,7 +155,8 @@ class TestDeterminism:
             cwd=str(__import__("pathlib").Path(__file__).parent.parent),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == build_sketch(dataset).digest()
+        restored = pickle.loads(bytes.fromhex(proc.stdout.strip()))
+        assert restored == build_sketch(dataset)
 
 
 class TestEmptyAndDegenerate:
@@ -168,9 +168,8 @@ class TestEmptyAndDegenerate:
         assert sketch.ndim == ndim
         assert int(sketch.counts.sum()) == 0
         assert len(sketch.refined_cells) == 0
-        # The no-op sketch still round-trips and digests.
+        # The no-op sketch still round-trips.
         assert pickle.loads(pickle.dumps(sketch)) == sketch
-        assert isinstance(sketch.digest(), str)
 
     def test_single_element(self):
         dataset = Dataset(

@@ -119,7 +119,6 @@ class TestSketchMaintenance:
         )
         rebuilt = DatasetSketch.build(after)
         assert incremental == rebuilt
-        assert incremental.digest() == rebuilt.digest()
 
 
 @st.composite
