@@ -183,8 +183,8 @@ class SpatialQueryService:
         #: Guards the (not thread-safe) query workspace separately, so
         #: a cold index build only blocks other range queries, never
         #: concurrent join cache hits.  Ordering: may be acquired while
-        #: holding ``_lock`` (register's forget), never the other way
-        #: around.
+        #: holding ``_lock`` (``_invalidate``'s forget), never the other
+        #: way around.
         self._query_lock = threading.Lock()
         self._started = time.perf_counter()
         self._requests = 0
@@ -237,15 +237,7 @@ class SpatialQueryService:
             old = self._catalog.get(name)
             entry = self._catalog.register(name, dataset)
             if old is not None and old.fingerprint != entry.fingerprint:
-                # Both invalidations are alias-guarded: as long as some
-                # other name still serves the old content, its cached
-                # results stay reachable (content-addressed) and its
-                # range-query index may still be that name's (equal
-                # fingerprint is implied by equal object identity).
-                if not self._catalog.names_bound_to(old.fingerprint):
-                    self._results.invalidate_fingerprint(old.fingerprint)
-                    with self._query_lock:
-                        self._queries.forget(old.dataset)
+                self._invalidate(old.fingerprint, old.dataset)
             return entry
 
     def unregister(self, name: str) -> CatalogEntry:
@@ -258,10 +250,7 @@ class SpatialQueryService:
         """
         with self._lock:
             entry = self._catalog.unregister(name)
-            if not self._catalog.names_bound_to(entry.fingerprint):
-                self._results.invalidate_fingerprint(entry.fingerprint)
-                with self._query_lock:
-                    self._queries.forget(entry.dataset)
+            self._invalidate(entry.fingerprint, entry.dataset)
             return entry
 
     def apply_delta(self, name: str, delta: DatasetDelta) -> DeltaOutcome:
@@ -329,14 +318,9 @@ class SpatialQueryService:
                 entry = self._catalog.register(
                     name, new_dataset, sketch=new_sketch
                 )
-                # Mirror register()'s alias-guarded invalidation: old
-                # entries not rewritten above die here (and the old
-                # content's range-query index with them) unless another
-                # name still serves the old content.
-                if not self._catalog.names_bound_to(old.fingerprint):
-                    self._results.invalidate_fingerprint(old.fingerprint)
-                    with self._query_lock:
-                        self._queries.forget(old.dataset)
+                # Old entries not rewritten above die here, as on a
+                # rebind through register().
+                self._invalidate(old.fingerprint, old.dataset)
                 for new_key, new_report in rewritten:
                     # Patched outside the lock: a partner side unbound
                     # meanwhile must not be resurrected by this fill.
@@ -393,18 +377,35 @@ class SpatialQueryService:
         with self._lock:
             self._results.put(key, report)
 
-    def invalidate_fingerprint(self, fingerprint: str) -> int:
-        """Drop cached results computed from this content fingerprint.
+    def invalidate(self, fingerprint: str, dataset: Dataset | None) -> int:
+        """Drop the cached state of content no name serves any more.
 
-        Returns the number of entries dropped.  The single-process
-        service invalidates automatically on rebind/unregister; this
-        explicit hook exists for the sharded tier, where joins are
-        routed by *pair* — a shard's result cache can hold entries for
-        content it never registered, so the router broadcasts the
-        invalidation and each shard executes it locally.
+        Returns the number of cached results dropped.  The service
+        invalidates on its own rebinds and unregisters; this hook is
+        for the sharded tier, whose shards hold no names: the router
+        decides aliasing and broadcasts the retire, and each shard
+        passes the dataset object it realised for ``fingerprint``
+        (``None`` if it never did).
         """
         with self._lock:
-            return self._results.invalidate_fingerprint(fingerprint)
+            return self._invalidate(fingerprint, dataset)
+
+    def _invalidate(self, fingerprint: str, dataset: Dataset | None) -> int:
+        """Alias-guarded drop of one content's results and range index.
+
+        While another name still serves the content, its cached
+        results stay reachable (content-addressed) and its range-query
+        index may still be that name's (equal object identity implies
+        equal fingerprint), so nothing is dropped.  Caller holds
+        ``_lock``.
+        """
+        if self._catalog.names_bound_to(fingerprint):
+            return 0
+        dropped = self._results.invalidate_fingerprint(fingerprint)
+        if dataset is not None:
+            with self._query_lock:
+                self._queries.forget(dataset)
+        return dropped
 
     # ------------------------------------------------------------------
     # Planning (from catalog sketches)

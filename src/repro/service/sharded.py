@@ -5,15 +5,16 @@ the throughput of a single process: every cache miss executes inline,
 and every request serialises on one catalog/cache lock.  :class:`ShardedQueryService` scales that out by
 *partitioning the service state by content fingerprint*:
 
-* each of N **shard processes** runs a complete, unmodified
-  ``SpatialQueryService`` (catalog slice, result cache, range-query
-  index workspace) and executes commands from its pipe serially;
-* the **router** (this process) owns the name → fingerprint map and a
-  consistent-hash ring (:class:`~repro.service.sharding.HashRing`):
-  datasets live on ``owner(fingerprint)``, joins on the owner of
-  their ordered pair digest — so aliasing and rebind invalidation
-  run against exactly one shard's catalog slice, and the whole
-  result-cache neighbourhood of a pair is invalidatable on one shard;
+* each of N **shard processes** runs an unmodified
+  ``SpatialQueryService`` with an empty catalog (result cache and
+  range-query index workspace only) and executes commands from its
+  pipe serially — every command carries the datasets it reads;
+* the **router** (this process) owns the name → fingerprint map, the
+  tier's only catalog, and a consistent-hash ring
+  (:class:`~repro.service.sharding.HashRing`): range queries run on
+  ``owner(fingerprint)``, joins on the owner of their ordered pair
+  digest.  Aliasing is decided once, router-side; retiring content
+  no name serves is one invalidation broadcast;
 * registered datasets ship as shared-memory references
   (:class:`~repro.storage.shm.SharedDatasetRef`, published once per
   content by the router's :class:`~repro.storage.shm.SharedDatasetPool`)
@@ -36,13 +37,13 @@ The submission layer is asynchronous with explicit admission control:
   client that hogs the tier (``error_type="ClientQuotaExceeded"``)
   without penalising the others.
 
-Shard crashes are isolated: the router respawns the process, replays
-the shard's owned registrations, and resends in-flight commands
-exactly once — a command that kills the worker twice fails alone
-(``error_type="ShardCrashed"``), everything else completes and other
-shards never notice.  ``inline=True`` swaps the processes for
-in-process shards (same command protocol, same routing) for
-deterministic tests and coverage.
+Shard crashes are isolated: the router respawns the process and
+resends in-flight commands exactly once (nothing is replayed: a fresh
+worker needs no state to answer) — a command that kills the worker
+twice fails alone (``error_type="ShardCrashed"``), everything else
+completes and other shards never notice.  ``inline=True`` swaps the
+processes for in-process shards (same command protocol, same routing)
+for deterministic tests and coverage.
 """
 
 from __future__ import annotations
@@ -92,12 +93,10 @@ from repro.service.wire import (
     InvalidateCommand,
     JoinCommand,
     RangeCommand,
-    RegisterCommand,
     ShardCommand,
     ShardReply,
     ShutdownCommand,
     StatsCommand,
-    UnregisterCommand,
 )
 from repro.streaming.delta import DatasetDelta
 from repro.storage.disk import DiskModel
@@ -115,13 +114,11 @@ __all__ = [
 
 #: Exit code of a worker killed by :class:`CrashCommand` injection.
 _CRASH_EXIT_CODE = 17
-#: Sequence number of control traffic (shutdown, crash injection,
-#: registration replay) whose replies nobody waits on; real commands
-#: use the router's counter, which starts at 1.
+#: Sequence number of control traffic (shutdown, crash injection)
+#: whose replies nobody waits on; real commands use the router's
+#: counter, which starts at 1.
 _CONTROL_SEQ = 0
-#: Bound of a worker's fingerprint -> realised-dataset cache on the
-#: pickling fallback path (shm refs are cached per segment by
-#: ``attach_dataset`` and do not count against this).
+#: Bound of a worker's fingerprint -> realised-dataset cache.
 _REALISED_BOUND = 512
 #: Old shared-memory refs to keep alive after their binding retired,
 #: so commands already in flight when a rebind landed can still
@@ -144,22 +141,23 @@ def _realise(
 ) -> Dataset:
     """The concrete dataset behind a wire payload.
 
-    Shared-memory refs attach zero-copy (``attach_dataset`` caches per
-    segment, so repeats are dictionary lookups).  Pickled fallbacks are
-    cached by content fingerprint in ``realised`` — the same content
-    must realise as the *same object* within a shard, or the
-    workspace's identity-keyed range index cache would rebuild per
-    command — with an LRU bound so ad-hoc concrete-dataset traffic
-    cannot grow the cache without limit.
+    Shared-memory refs attach zero-copy, pickled fallbacks arrive
+    whole; either way the result is cached by content fingerprint in
+    ``realised``.  The same content must realise as the *same object*
+    within a shard, or the workspace's identity-keyed range index
+    cache would rebuild per command, and an invalidation must find
+    that object to drop its index.  The LRU bound keeps ad-hoc
+    concrete-dataset traffic from growing the cache without limit.
     """
-    if payload.ref is not None:
-        return attach_dataset(payload.ref)
     cached = realised.get(payload.fingerprint)
     if cached is not None:
         realised.move_to_end(payload.fingerprint)
         return cached
-    dataset = payload.dataset
-    assert dataset is not None  # DatasetPayload invariant
+    if payload.ref is not None:
+        dataset = attach_dataset(payload.ref)
+    else:
+        assert payload.dataset is not None  # DatasetPayload invariant
+        dataset = payload.dataset
     realised[payload.fingerprint] = dataset
     while len(realised) > _REALISED_BOUND:
         realised.popitem(last=False)
@@ -180,17 +178,10 @@ def handle_command(
     :func:`execute_command`, which captures them into an ``ok=False``
     reply.
     """
-    if isinstance(command, RegisterCommand):
-        entry = service.register(
-            command.name, _realise(realised, command.payload)
-        )
-        return (entry.fingerprint, entry.version)
-    if isinstance(command, UnregisterCommand):
-        entry = service.unregister(command.name)
-        return entry.fingerprint
     if isinstance(command, InvalidateCommand):
-        realised.pop(command.fingerprint, None)
-        return service.invalidate_fingerprint(command.fingerprint)
+        return service.invalidate(
+            command.fingerprint, realised.pop(command.fingerprint, None)
+        )
     if isinstance(command, JoinCommand):
         a = _realise(realised, command.a)
         b = _realise(realised, command.b)
@@ -321,11 +312,9 @@ class _ProcessShard:
     one receiver thread per live pipe matches replies to pending
     futures by sequence number.  When the pipe dies outside a graceful
     close, the receiver thread itself runs the respawn: fresh process,
-    registration replay (fetched from the router via ``on_respawn``),
     then a single resend of everything still pending.  Lock order:
-    ``_io`` may be taken while nothing else is held, may call out to
-    the router's lock (via ``on_respawn``) and may take ``_state``;
-    ``_state`` guards only the pending map and never calls out.
+    ``_io`` may take ``_state``; ``_state`` guards only the pending map
+    and never calls out.
     """
 
     def __init__(
@@ -334,12 +323,10 @@ class _ProcessShard:
         *,
         service_options: dict[str, Any],
         gate: _AdmissionGate,
-        on_respawn: Callable[[int], list[ShardCommand]],
     ) -> None:
         self.index = index
         self.gate = gate
         self._service_options = service_options
-        self._on_respawn = on_respawn
         self._io = threading.Lock()
         self._state = threading.Lock()
         self._pending: dict[int, _Pending] = {}
@@ -452,7 +439,7 @@ class _ProcessShard:
     def _respawn(
         self, dead_conn: Connection
     ) -> None:
-        """Crash path: new process, replay registrations, resend once."""
+        """Crash path: new process, resend what was in flight once."""
         self._process.join(timeout=5.0)
         survivors: list[_Pending] = []
         casualties: list[_Pending] = []
@@ -476,10 +463,6 @@ class _ProcessShard:
                 pass
             self._conn, self._process = self._spawn()
             try:
-                # Pipe order is execution order: the fresh worker sees
-                # its owned registrations before any resent command.
-                for command in self._on_respawn(self.index):
-                    self._conn.send(command)
                 for entry in survivors:
                     self._conn.send(entry.command)
             except (BrokenPipeError, OSError):  # pragma: no cover
@@ -605,7 +588,6 @@ class _Binding:
     fingerprint: str
     version: int
     payload: DatasetPayload
-    shard: int
 
     def entry(self) -> CatalogEntry:
         return CatalogEntry(
@@ -634,7 +616,7 @@ class ShardedQueryService:
         degradation check) before being rejected.
     max_inflight_per_client:
         Optional per-client in-flight quota (``client=`` tags on
-        submissions); ``None`` disables quotas.
+        submissions), at least 1; ``None`` disables quotas.
     inline:
         Run shards in-process (deterministic tests, coverage) instead
         of as worker processes.
@@ -655,6 +637,8 @@ class ShardedQueryService:
         max_inflight_per_client: int | None = None,
         inline: bool = False,
     ) -> None:
+        if max_inflight_per_client is not None and max_inflight_per_client < 1:
+            raise ValueError("max_inflight_per_client must be >= 1")
         self._ring = HashRing(shards)
         self.queue_timeout_s = queue_timeout_s
         self._client_quota = max_inflight_per_client
@@ -706,7 +690,6 @@ class ShardedQueryService:
                             index,
                             service_options=service_options,
                             gate=gate,
-                            on_respawn=self._replay_commands,
                         )
                     )
         except BaseException:
@@ -725,11 +708,6 @@ class ShardedQueryService:
         with self._lock:
             return tuple(sorted(self._names))
 
-    def shard_of(self, name: str) -> int:
-        """Which shard owns the content currently bound to ``name``."""
-        with self._lock:
-            return self._lookup(name).shard
-
     def shard_respawns(self) -> list[int]:
         """Per-shard crash-recovery counts (observability/tests)."""
         return [handle.respawns for handle in self._shards]
@@ -747,14 +725,14 @@ class ShardedQueryService:
 
     # -- catalog -------------------------------------------------------
     def register(self, name: str, dataset: Dataset) -> CatalogEntry:
-        """Bind ``name`` to ``dataset`` on the content's owner shard.
+        """Bind ``name`` to ``dataset`` in the router's name map.
 
         Same contract as the single-process service: equal content is
         a no-op, changed content bumps the version and invalidates the
         old content's cached state everywhere (unless an alias still
-        serves it).  Returns only after the owner shard acknowledged —
-        a join submitted after ``register`` returns is guaranteed to
-        see the new content.
+        serves it).  A join submitted after ``register`` returns sees
+        the new content: every command carries the payloads its names
+        resolved to at submission.
         """
         check_binding(name, dataset)
         fingerprint = dataset_fingerprint(dataset)
@@ -773,13 +751,10 @@ class ShardedQueryService:
         fingerprint: str,
         old: _Binding | None,
     ) -> _Binding:
-        """Publish content, bind it on its owner shard, retire ``old``.
+        """Publish content, bind ``name`` to it, retire ``old``.
 
         Caller holds ``_mutate``.  Content ships as a shared-memory
-        payload when possible, pickled otherwise.  The name moves only
-        once the owner shard acknowledged; if it refuses, the segment
-        reference just published is dropped again — nothing else will
-        ever retire it.
+        payload when possible, pickled otherwise.
         """
         ref = self._pages.publish(dataset)
         payload = (
@@ -793,23 +768,11 @@ class ShardedQueryService:
             fingerprint=fingerprint,
             version=1 if old is None else old.version + 1,
             payload=payload,
-            shard=self._ring.owner(fingerprint),
         )
-        try:
-            reply = self._shards[binding.shard].request(
-                RegisterCommand(
-                    seq=next(self._seq), name=name, payload=payload
-                )
-            )
-            self._raise_reply(reply, f"register {name!r}")
-        except BaseException:
-            if ref is not None:
-                self._pages.release(ref)
-            raise
         with self._lock:
             self._names[name] = binding
         if old is not None:
-            self._retire(old, replaced_on=binding.shard)
+            self._retire(old)
         return binding
 
     def unregister(self, name: str) -> CatalogEntry:
@@ -819,7 +782,7 @@ class ShardedQueryService:
             with self._lock:
                 binding = self._lookup(name)
                 del self._names[name]
-            self._retire(binding, replaced_on=None)
+            self._retire(binding)
             return binding.entry()
 
     def apply_delta(self, name: str, delta: DatasetDelta) -> DeltaOutcome:
@@ -831,8 +794,8 @@ class ShardedQueryService:
         are *extracted* from every shard (joins are pair-routed, so
         they can live anywhere) and patched router-side, and the
         post-delta name is re-bound exactly like :meth:`register` —
-        shared-memory publication, owner-shard registration, retire of
-        the old binding (which broadcasts the invalidation sweep).
+        shared-memory publication, then the retire of the old binding
+        (which broadcasts the invalidation sweep).
         Each patched report is then *filled* onto the shard owning its
         post-delta pair, where a later identical join is a cache hit;
         the router's stale snapshot learns the patched answers too, so
@@ -935,25 +898,17 @@ class ShardedQueryService:
                     return binding.dataset
         return None
 
-    def _retire(
-        self, old: _Binding, *, replaced_on: int | None
-    ) -> None:
+    def _retire(self, old: _Binding) -> None:
         """Tear down one retired binding (caller holds ``_mutate``).
 
-        The owner shard drops the name (unless a register to the same
-        shard already replaced it in one step); then, if no surviving
-        name serves the old content, every shard drops its cached
-        results for it — joins are pair-routed, so those entries can
-        live anywhere — and the router purges its stale snapshot of
-        them.  The shared-memory ref is released through the retire
-        window, not immediately: a command already in flight may still
-        need to attach the old segment.
+        If no surviving name serves the old content, every shard drops
+        its cached results and range index for it — joins are
+        pair-routed, so those entries can live anywhere — and the
+        router purges its stale snapshot of them.  The shared-memory
+        ref is released through the retire window, not immediately: a
+        command already in flight may still need to attach the old
+        segment.
         """
-        if replaced_on != old.shard:
-            reply = self._shards[old.shard].request(
-                UnregisterCommand(seq=next(self._seq), name=old.name)
-            )
-            self._raise_reply(reply, f"unregister {old.name!r}")
         with self._lock:
             survived = any(
                 binding.fingerprint == old.fingerprint
@@ -982,19 +937,6 @@ class ShardedQueryService:
         self._retired.append(ref)
         while len(self._retired) > _RETIRE_WINDOW:
             self._pages.release(self._retired.pop(0))
-
-    def _replay_commands(self, shard: int) -> list[ShardCommand]:
-        """Registrations a respawned shard must replay, in one batch."""
-        with self._lock:
-            return [
-                RegisterCommand(
-                    seq=_CONTROL_SEQ,
-                    name=binding.name,
-                    payload=binding.payload,
-                )
-                for binding in self._names.values()
-                if binding.shard == shard
-            ]
 
     # -- joins ---------------------------------------------------------
     def submit(
@@ -1362,7 +1304,7 @@ class ShardedQueryService:
             delta_applies=delta_applies,
             delta_patches=delta_patches,
             delta_patch_fallbacks=delta_fallbacks,
-            extra_catalog_size=catalog_size,
+            catalog_size=catalog_size,
         )
 
     # -- lifecycle -----------------------------------------------------

@@ -1,19 +1,12 @@
 """Consistent hashing over content fingerprints: the shard ring.
 
-The sharded service partitions its catalog, result cache and
-range-query indexes by *content*, not by name: every dataset already
-carries a SHA-256 fingerprint
+The sharded service partitions its result cache and range-query
+indexes by *content*, not by name: every dataset already carries a
+SHA-256 fingerprint
 (:func:`~repro.service.fingerprint.dataset_fingerprint`), and the ring
-maps that fingerprint to the shard that owns it.  Ownership by content
-keeps the two invalidation problems shard-local:
-
-* **aliasing** — two names bound to equal content hash to the same
-  shard, so the alias-guarded invalidation logic (`keep cached results
-  while some name still serves the content`) runs against one shard's
-  catalog slice, exactly as in the single-process service;
-* **rebind invalidation** — a name re-bound to changed content routes
-  the new content to ``owner(new_fp)`` and retires the old binding at
-  ``owner(old_fp)``; each shard mutates only its own slice.
+maps that fingerprint to the shard that owns it, so range queries over
+equal content land on one shard's index cache whatever name the caller
+used.  Names live only in the router, which decides aliasing once.
 
 Joins are keyed by *two* fingerprints, so a pair is routed by the
 fingerprint of the ordered pair: every request over the same two

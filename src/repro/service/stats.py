@@ -130,10 +130,10 @@ class ServiceStats:
         parts: Sequence["ServiceStats"],
         *,
         uptime_seconds: float,
+        catalog_size: int,
         latency_by_algorithm: dict[str, dict[str, float]] | None = None,
         degraded_responses: int = 0,
         rejected_requests: int = 0,
-        extra_catalog_size: int | None = None,
         delta_applies: int = 0,
         delta_patches: int = 0,
         delta_patch_fallbacks: int = 0,
@@ -147,9 +147,8 @@ class ServiceStats:
         the sharded service merges the raw
         :class:`~repro.metrics.LatencyRecord` windows instead and
         passes the result in; ``None`` falls back to an empty mapping.
-        ``extra_catalog_size`` overrides the summed per-shard catalog
-        sizes with the router's own name count (the router's map is
-        authoritative; shard catalogs hold only their owned slice).
+        ``catalog_size`` is the router's name count: shard catalogs
+        are empty, the router's map is the tier's only catalog.
         """
         bounds = [p.cache_max_entries for p in parts]
         merged_bound: int | None
@@ -180,11 +179,7 @@ class ServiceStats:
             + sum(p.delta_patches for p in parts),
             delta_patch_fallbacks=delta_patch_fallbacks
             + sum(p.delta_patch_fallbacks for p in parts),
-            catalog_size=(
-                extra_catalog_size
-                if extra_catalog_size is not None
-                else sum(p.catalog_size for p in parts)
-            ),
+            catalog_size=catalog_size,
             latency_by_algorithm=dict(latency_by_algorithm or {}),
             estimator_predictions=sum(
                 p.estimator_predictions for p in parts

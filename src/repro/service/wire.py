@@ -3,9 +3,11 @@
 Everything that crosses a router↔shard pipe is defined here, as plain
 picklable dataclasses: commands down (each tagged with a router-chosen
 sequence number), one :class:`ShardReply` back per command, matched by
-that sequence number.  Keeping the vocabulary in one module makes the
-protocol auditable — a shard worker can do exactly the things below,
-nothing else — and keeps :mod:`repro.service.sharded` importable by
+that sequence number.  Shards hold no names: every command that reads
+a dataset carries it, so the router's name map is the tier's only
+catalog.  Keeping the vocabulary in one module makes the protocol
+auditable — a shard worker can do exactly the things below, nothing
+else — and keeps :mod:`repro.service.sharded` importable by
 ``multiprocessing`` spawn children without dragging the router's
 threading machinery along.
 
@@ -30,8 +32,6 @@ from repro.storage.shm import SharedDatasetRef
 
 __all__ = [
     "DatasetPayload",
-    "RegisterCommand",
-    "UnregisterCommand",
     "InvalidateCommand",
     "JoinCommand",
     "RangeCommand",
@@ -69,30 +69,14 @@ class DatasetPayload:
 
 
 @dataclass(frozen=True)
-class RegisterCommand:
-    """Bind ``name`` to the payload's content in the shard's catalog."""
-
-    seq: int
-    name: str
-    payload: DatasetPayload
-
-
-@dataclass(frozen=True)
-class UnregisterCommand:
-    """Drop ``name`` from the shard's catalog (with local invalidation)."""
-
-    seq: int
-    name: str
-
-
-@dataclass(frozen=True)
 class InvalidateCommand:
-    """Drop cached results involving a fingerprint no name serves.
+    """Drop cached state of a fingerprint no name serves any more.
 
     Broadcast to every shard on rebind/unregister: joins are routed by
-    *pair*, so entries touching the retired content may live on shards
-    that never registered it.  Executed shard-locally (a dictionary
-    sweep of the local result cache) — no cross-shard coordination.
+    *pair*, so entries touching the retired content may live on any
+    shard.  Each shard drops its cached results for the fingerprint
+    and the range index of the dataset it realised for that content —
+    no cross-shard coordination.
     """
 
     seq: int
@@ -177,9 +161,8 @@ class StatsCommand:
 class CrashCommand:
     """Failure injection: the worker dies without replying.
 
-    Exists so the crash-recovery path (respawn, registration replay,
-    in-flight resend) is testable deterministically; never sent by
-    production paths.
+    Exists so the crash-recovery path (respawn, in-flight resend) is
+    testable deterministically; never sent by production paths.
     """
 
     seq: int
@@ -194,9 +177,7 @@ class ShutdownCommand:
 
 #: Everything a shard worker may be asked to do.
 ShardCommand = (
-    RegisterCommand
-    | UnregisterCommand
-    | InvalidateCommand
+    InvalidateCommand
     | JoinCommand
     | RangeCommand
     | ExtractCommand

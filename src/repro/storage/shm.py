@@ -1,11 +1,11 @@
 """Shared-memory dataset pages for the sharded service tier.
 
 A :class:`~repro.joins.base.Dataset` is three immutable numpy arrays
-(ids, box lows, box highs).  Pickling them into a shard process on
-every registration — and again on every crash-recovery replay —
-scales the delivery cost with the dataset size.  This module lets the
-sharded tier's router publish those pages once into POSIX shared
-memory so shard workers *attach* instead of deserialising:
+(ids, box lows, box highs).  Pickling them into a shard process with
+every command that reads them scales the delivery cost with the
+dataset size.  This module lets the sharded tier's router publish
+those pages once into POSIX shared memory so shard workers *attach*
+instead of deserialising:
 
 * :func:`content_fingerprint` — the canonical content digest (single
   definition of the byte layout; the service layer's
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -62,7 +63,6 @@ __all__ = [
     "SharedDatasetRef",
     "SharedDatasetPool",
     "attach_dataset",
-    "attached_segment_count",
     "content_fingerprint",
     "shm_available",
 ]
@@ -285,6 +285,13 @@ class SharedDatasetPool:
 #: lifetime: the dataset's arrays are views over the mapping, so the
 #: mapping must never be closed while the dataset is reachable.
 _ATTACHED: dict[str, tuple[SharedMemory, "Dataset"]] = {}
+#: Makes an attach's check-then-insert on ``_ATTACHED`` atomic.  Inline
+#: shards attach from their callers' threads; two threads that both
+#: missed would each map the segment, and the mapping whose entry lost
+#: is unmapped when its ``SharedMemory`` is collected — under views
+#: already handed out.  It also keeps the resource-tracker swap in
+#: ``_attach_untracked`` from interleaving across threads.
+_ATTACH_LOCK = threading.Lock()
 
 
 def _attach_untracked(segment: str) -> SharedMemory:
@@ -332,34 +339,30 @@ def attach_dataset(ref: SharedDatasetRef) -> Dataset:
     from repro.geometry.boxes import BoxArray
     from repro.joins.base import Dataset
 
-    cached = _ATTACHED.get(ref.segment)
-    if cached is not None:
-        return cached[1]
-    if not _HAVE_SHM:  # pragma: no cover - platform guard
-        raise RuntimeError(
-            "shared memory is unavailable on this platform; the "
-            "publisher should have fallen back to pickling"
-        )
-    shm = _attach_untracked(ref.segment)
-    try:
-        ids, lo, hi = _segment_views(shm.buf, ref.n, ref.ndim)
-        for view in (ids, lo, hi):
-            view.setflags(write=False)
-        dataset = Dataset(
-            name=ref.name, ids=ids, boxes=BoxArray(lo, hi)
-        )
-        _ATTACHED[ref.segment] = (shm, dataset)
-    except BaseException:
-        # An attach that fails after mapping must not leave the
-        # segment mapped in this worker.  Dropping the local view
-        # names first releases any buffer exports over shm.buf, so
-        # close() cannot itself fail with BufferError.
-        ids = lo = hi = dataset = None  # type: ignore[assignment]
-        shm.close()
-        raise
-    return dataset
-
-
-def attached_segment_count() -> int:
-    """Segments this process has attached (worker-side observability)."""
-    return len(_ATTACHED)
+    with _ATTACH_LOCK:
+        cached = _ATTACHED.get(ref.segment)
+        if cached is not None:
+            return cached[1]
+        if not _HAVE_SHM:  # pragma: no cover - platform guard
+            raise RuntimeError(
+                "shared memory is unavailable on this platform; the "
+                "publisher should have fallen back to pickling"
+            )
+        shm = _attach_untracked(ref.segment)
+        try:
+            ids, lo, hi = _segment_views(shm.buf, ref.n, ref.ndim)
+            for view in (ids, lo, hi):
+                view.setflags(write=False)
+            dataset = Dataset(
+                name=ref.name, ids=ids, boxes=BoxArray(lo, hi)
+            )
+            _ATTACHED[ref.segment] = (shm, dataset)
+        except BaseException:
+            # An attach that fails after mapping must not leave the
+            # segment mapped in this worker.  Dropping the local view
+            # names first releases any buffer exports over shm.buf, so
+            # close() cannot itself fail with BufferError.
+            ids = lo = hi = dataset = None  # type: ignore[assignment]
+            shm.close()
+            raise
+        return dataset

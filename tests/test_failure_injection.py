@@ -199,8 +199,8 @@ class TestShardWorkerCrash:
                 for shard, count in enumerate(respawns)
                 if shard != victim
             )
-            # Registrations were replayed: post-crash traffic still
-            # answers byte-identically.
+            # Nothing was replayed: commands carry their datasets, so
+            # post-crash traffic still answers byte-identically.
             after = service.submit(requests[0]).raise_for_failure()
             assert (
                 after.report.result.pairs.tobytes()
@@ -281,30 +281,44 @@ class TestShardSaturation:
             assert stats.rejected_requests == 1
 
 
-class TestShardRefusesRegistration:
-    def test_failed_register_releases_its_published_segment(
+class TestShardRefusesDeltaExtract:
+    def test_refused_extract_leaves_the_tier_untouched(
         self, shard_corpus, monkeypatch
     ):
-        """The router publishes to shared memory *before* the owner
-        shard acknowledges; a refused registration must give that
-        segment reference back, or every failure leaks one."""
+        """A delta's one shard round trip before it re-binds is the
+        extract broadcast.  A shard refusing it fails the delta before
+        anything is published or bound: names, versions, segments and
+        cached answers stay as they were."""
         _, corpus = shard_corpus
         with ShardedQueryService(2, inline=True) as service:
-            service.register("a", corpus["a"])
-            if not service._pages.enabled:
-                pytest.skip("shared memory unavailable: nothing to leak")
-            assert service._pages.active_segments == 1
+            for name in ("a", "b"):
+                service.register(name, corpus[name])
+            service.register("a", corpus["c"])
+            before = service.submit(JoinRequest("a", "b", "pbsm"))
+            entries = {
+                name: service._names[name].entry() for name in ("a", "b")
+            }
+            segments = service._pages.active_segments
 
-            def refuse(name, dataset):
-                raise RuntimeError("shard refuses registrations")
+            def refuse(fingerprint):
+                raise RuntimeError("shard refuses extracts")
 
             for handle in service._shards:
-                monkeypatch.setattr(handle.service, "register", refuse)
-            for name in ("b", "c"):
-                with pytest.raises(RuntimeError, match="refuses"):
-                    service.register(name, corpus[name])
-            shrink = DatasetDelta.deleting(corpus["a"].ids[:3], ndim=3)
+                monkeypatch.setattr(handle.service, "cached_entries", refuse)
+            shrink = DatasetDelta.deleting(corpus["c"].ids[:3], ndim=3)
             with pytest.raises(RuntimeError, match="refuses"):
                 service.apply_delta("a", shrink)
-            assert service.names() == ("a",)
-            assert service._pages.active_segments == 1
+            assert service.names() == ("a", "b")
+            for name, entry in entries.items():
+                now = service._names[name]
+                assert (now.fingerprint, now.version) == (
+                    entry.fingerprint,
+                    entry.version,
+                )
+            assert service._pages.active_segments == segments
+            after = service.submit(JoinRequest("a", "b", "pbsm"))
+            assert after.cached
+            assert (
+                after.report.result.pairs.tobytes()
+                == before.report.result.pairs.tobytes()
+            )

@@ -11,6 +11,7 @@ and shard-crash isolation with mid-stream recovery.
 
 import errno
 import hashlib
+import multiprocessing
 import pickle
 import time
 
@@ -196,6 +197,34 @@ class TestInlineCatalog:
         with pytest.raises(KeyError, match="registered: a, b"):
             inline.submit(JoinRequest("a", "c", "pbsm"))
 
+    def test_retire_drops_the_owner_shards_range_index(self, inline, space):
+        """The router's name map is the tier's only catalog: shards hold
+        no names, and retiring content no name serves drops the range
+        index its owner shard built — an alias keeps it."""
+
+        def indexes_of(name):
+            fingerprint = inline._names[name].fingerprint
+            owner = inline._shards[inline._ring.owner(fingerprint)]
+            return owner.service.query_workspace
+
+        inline.register("alias", inline._names["a"].dataset)
+        inline.range_query("a", space)
+        workspace = indexes_of("a")
+        assert workspace.cached_index_count == 1
+        changed = uniform_dataset(150, seed=93, name="A", space=space)
+        inline.register("a", changed)
+        assert workspace.cached_index_count == 1  # "alias" serves it
+        inline.register("alias", inline._names["a"].dataset)
+        assert workspace.cached_index_count == 0
+        inline.range_query("b", space)
+        workspace = indexes_of("b")
+        assert workspace.cached_index_count == 1
+        inline.unregister("b")
+        assert workspace.cached_index_count == 0
+        for handle in inline._shards:
+            assert len(handle.service.catalog) == 0
+        assert inline.stats().catalog_size == len(inline.names()) == 3
+
     def test_unknown_name_and_bad_types_raise(self, inline):
         with pytest.raises(KeyError):
             inline.submit(JoinRequest("a", "ghost", "pbsm"))
@@ -307,6 +336,27 @@ class TestAdmissionControl:
             del tight._clients["c2"]
         # Both quota rejections count, the range query's included.
         assert tight.stats().rejected_requests == 2
+
+    @pytest.mark.parametrize("quota", [0, -1])
+    def test_client_quota_below_one_raises_before_any_spawn(
+        self, quota, monkeypatch
+    ):
+        spawned = []
+        real_spawn = _ProcessShard._spawn
+
+        def recording_spawn(shard):
+            spawned.append(shard)
+            return real_spawn(shard)
+
+        monkeypatch.setattr(_ProcessShard, "_spawn", recording_spawn)
+        with pytest.raises(ValueError, match="max_inflight_per_client"):
+            ShardedQueryService(2, max_inflight_per_client=quota)
+        assert not spawned
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard")
+        ]
 
     def test_untagged_submissions_bypass_quota(self, tight):
         with tight._lock:
@@ -436,13 +486,23 @@ class TestProcessShards:
         assert not first._receiver.is_alive()
         assert len(pools_closed) == 1
 
-    def test_crash_recovery_is_shard_local(self, corpus):
+    def test_crash_recovery_is_shard_local(self, corpus, space):
         with ShardedQueryService(2, max_inflight_per_shard=16) as service:
             service.register("a", corpus["a"])
             service.register("b", corpus["b"])
             request = JoinRequest("a", "b", "pbsm")
             baseline = service.submit(request)
             victim = baseline.shard
+            # One of the two range queries runs on the victim, so a
+            # respawned worker must answer it from its payload alone.
+            assert victim in {
+                service._ring.owner(service._names[name].fingerprint)
+                for name in ("a", "b")
+            }
+            ranges = {
+                name: service.range_query(name, space).tobytes()
+                for name in ("a", "b")
+            }
             # Crash the owner mid-batch: in-flight commands are
             # resent to the respawned worker exactly once.
             futures = [
@@ -457,11 +517,13 @@ class TestProcessShards:
             service.inject_crash(victim)
             responses = [future.result() for future in futures]
             assert all(r.ok for r in responses)
-            # Registrations were replayed: post-crash traffic works
-            # and is still byte-identical.
+            # Nothing was replayed: commands carry their datasets, so
+            # post-crash joins and range queries are byte-identical.
             after = service.submit(request)
             assert after.ok
             assert _payload_bytes(after) == _payload_bytes(baseline)
+            for name, hits in ranges.items():
+                assert service.range_query(name, space).tobytes() == hits
             respawns = service.shard_respawns()
             assert respawns[victim] >= 1
             assert all(

@@ -11,7 +11,11 @@ no segment left after ``close()``) is pinned through the sharded tier
 in ``tests/test_service_sharded.py``.
 """
 
+import os
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -75,6 +79,41 @@ class TestPublishAttach:
             assert ref.fingerprint == content_fingerprint(
                 a.ids, a.boxes.lo, a.boxes.hi
             )
+
+
+class TestConcurrentAttach:
+    def test_threads_racing_to_attach_share_one_mapping(self):
+        """Inline shards attach from their callers' threads.  Every
+        racer must get the one cached dataset: a second mapping of the
+        segment is unmapped once its cache entry loses, under the views
+        of whichever thread received it."""
+        workers = 4 * (os.cpu_count() or 1)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SharedDatasetPool() as pool, ThreadPoolExecutor(
+                workers
+            ) as executor:
+                for seed in range(12):
+                    dataset, _ = dataset_pair("uniform", 200, 10, seed=seed)
+                    ref = pool.publish(dataset)
+                    assert ref is not None
+                    barrier = threading.Barrier(workers)
+
+                    def attach():
+                        barrier.wait(timeout=10.0)
+                        return attach_dataset(ref)
+
+                    futures = [
+                        executor.submit(attach) for _ in range(workers)
+                    ]
+                    attached = [f.result(timeout=30.0) for f in futures]
+                    # Identity before any read: a lost mapping's views
+                    # must not be touched.
+                    assert len({id(d) for d in attached}) == 1
+                    assert attached[0].ids.tobytes() == dataset.ids.tobytes()
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestRefcounting:
