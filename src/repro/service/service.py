@@ -101,9 +101,9 @@ class ServiceResponse:
     wall_seconds: float = 0.0
     error: str | None = None
     error_type: str | None = None
-    #: True when the sharded tier answered from its stale snapshot
-    #: because the owning shard was saturated (single-process services
-    #: never degrade).
+    #: Always False: no tier answers degraded any more (the sharded
+    #: router answers a known key as a plain cache hit, saturated or
+    #: not).  Kept so readers of responses keep working.
     degraded: bool = False
     #: Shard that served the request, when a sharded tier routed it.
     shard: int | None = None
@@ -150,6 +150,9 @@ class SpatialQueryService:
         cost basis.
     max_cached_results:
         Bound of the result cache (LRU; ``None`` disables the bound).
+        Behind :class:`~repro.service.sharded.ShardedQueryService`
+        the same bound applies to the router's cache and to each
+        shard's.
     max_cached_indexes:
         Bound of the query workspace's per-dataset index cache.
 
@@ -360,22 +363,12 @@ class SpatialQueryService:
     ) -> list[tuple[CacheKey, RunReport]]:
         """Every cached ``(key, report)`` referencing ``fingerprint``.
 
-        A peek (no hit/miss accounting): the sharded tier's router
-        extracts affected entries from shards with this before patching
-        them router-side.
+        A peek (no hit/miss accounting): :meth:`apply_delta` patches
+        these.  The sharded tier's router reads its own cache, never a
+        shard's.
         """
         with self._lock:
             return self._results.entries_for_fingerprint(fingerprint)
-
-    def fill_cached(self, key: CacheKey, report: RunReport) -> None:
-        """Store a finished report under ``key`` directly.
-
-        The sharded tier's router pushes delta-patched reports to the
-        owning shard with this; the single-process path never needs it
-        (apply_delta fills its own cache).
-        """
-        with self._lock:
-            self._results.put(key, report)
 
     def invalidate(self, fingerprint: str, dataset: Dataset | None) -> int:
         """Drop the cached state of content no name serves any more.

@@ -21,21 +21,23 @@ and every request serialises on one catalog/cache lock.  :class:`ShardedQuerySer
   when possible, so shard workers attach zero-copy instead of
   unpickling content per command.
 
-The submission layer is asynchronous with explicit admission control:
+The router's result cache fronts the shards: every report the tier
+hands out is kept under its content-addressed key (bounded by
+``max_cached_results``, purged on invalidation), so a repeated join is
+answered by the router itself and no shard sees it — even when every
+admission slot is held.  A delta patches the cached entries it touches
+router-side and files the patched reports there; its only shard round
+trip is the retire's invalidation broadcast.
+
+The submission layer is asynchronous with explicit admission control
+for the requests the router cannot answer:
 
 * **backpressure** — at most ``max_inflight_per_shard`` commands may
   be in flight per shard; a full shard blocks new submissions up to
   ``queue_timeout_s`` before rejecting (``error_type="ShardSaturated"``);
-* **degradation** — if the owning shard is saturated *right now* and
-  the router's stale snapshot holds a previously computed report for
-  the same key, the request is answered from that snapshot
-  immediately (``degraded=True``) instead of queueing: stale-but-fast
-  beats slow, and the snapshot is only ever a real, previously
-  correct answer for the identical content-addressed key (purged on
-  invalidation, so never an answer for retired content);
 * **quotas** — an optional per-client in-flight bound rejects a
   client that hogs the tier (``error_type="ClientQuotaExceeded"``)
-  without penalising the others.
+  without penalising the others; it is checked before the cache.
 
 Shard crashes are isolated: the router respawns the process and
 resends in-flight commands exactly once (nothing is replayed: a fresh
@@ -88,8 +90,6 @@ from repro.service.stats import ServiceStats
 from repro.service.wire import (
     CrashCommand,
     DatasetPayload,
-    ExtractCommand,
-    FillCommand,
     InvalidateCommand,
     JoinCommand,
     RangeCommand,
@@ -124,8 +124,6 @@ _REALISED_BOUND = 512
 #: so commands already in flight when a rebind landed can still
 #: attach; see ``ShardedQueryService._retire_ref``.
 _RETIRE_WINDOW = 4
-#: Bound of the router's stale snapshot serving degraded answers.
-_STALE_ENTRIES = 512
 
 
 class ShardSaturated(RuntimeError):
@@ -191,11 +189,6 @@ def handle_command(
         return service.range_query(
             dataset, command.query, buffer_pages=command.buffer_pages
         )
-    if isinstance(command, ExtractCommand):
-        return service.cached_entries(command.fingerprint)
-    if isinstance(command, FillCommand):
-        service.fill_cached(command.key, command.report)
-        return True
     if isinstance(command, StatsCommand):
         return (service.stats(), service.latency_records())
     raise TypeError(
@@ -605,15 +598,17 @@ class ShardedQueryService:
     ----------
     shards:
         Shard count.
-    disk_model / cost_model / max_cached_results / max_cached_indexes:
+    disk_model / cost_model / max_cached_indexes:
         Forwarded to every shard's private ``SpatialQueryService``
-        (the cache bounds are therefore *per shard*).
+        (the index-cache bound is therefore *per shard*).
+    max_cached_results:
+        Bound of the router's result cache and of each shard's.
     max_inflight_per_shard:
         Admission bound: commands in flight per shard before
         backpressure engages.
     queue_timeout_s:
-        How long a submission waits on a saturated shard (after the
-        degradation check) before being rejected.
+        How long a submission the router cannot answer waits on a
+        saturated shard before being rejected.
     max_inflight_per_client:
         Optional per-client in-flight quota (``client=`` tags on
         submissions), at least 1; ``None`` disables quotas.
@@ -642,7 +637,7 @@ class ShardedQueryService:
         self._ring = HashRing(shards)
         self.queue_timeout_s = queue_timeout_s
         self._client_quota = max_inflight_per_client
-        #: Guards names, stale snapshot, client counts and counters;
+        #: Guards names, result cache, client counts and counters;
         #: held briefly, never across a shard round-trip.
         self._lock = threading.Lock()
         #: Serialises catalog mutations (register/unregister/close)
@@ -653,12 +648,18 @@ class ShardedQueryService:
         self._mutate = threading.Lock()
         self._pages = SharedDatasetPool()
         self._names: dict[str, _Binding] = {}
-        #: The stale snapshot: the last report the tier handed out per
-        #: key, purged on invalidation.  Guarded by ``_lock``.
-        self._stale = ResultCache(max_entries=_STALE_ENTRIES)
+        #: The tier's result cache: every report handed out, by key,
+        #: purged on invalidation.  Guarded by ``_lock``.
+        self._results = ResultCache(max_cached_results)
+        #: Per owner shard: requests the router answered from
+        #: ``_results``, and router fills skipped because a rebind
+        #: unbound a name-resolved fingerprint mid-flight.
+        self._router_hits = [0] * shards
+        self._router_fill_skips = [0] * shards
+        #: Latency of the router's hits, per algorithm.
+        self._latencies: dict[str, LatencyRecord] = {}
         self._clients: dict[str, int] = {}
         self._retired: list[SharedDatasetRef] = []
-        self._degraded = 0
         self._rejected = 0
         #: Streaming tier, router side: deltas routed, entries patched
         #: and re-filed, and entries that fell back to invalidation.
@@ -789,17 +790,14 @@ class ShardedQueryService:
         """Advance ``name`` along ``delta`` across the whole tier.
 
         The same flow as :meth:`SpatialQueryService.apply_delta`
-        (:func:`~repro.service.patch.advance_delta`), with the cache
-        spread over shards: cached results touching the old content
-        are *extracted* from every shard (joins are pair-routed, so
-        they can live anywhere) and patched router-side, and the
-        post-delta name is re-bound exactly like :meth:`register` —
-        shared-memory publication, then the retire of the old binding
-        (which broadcasts the invalidation sweep).
-        Each patched report is then *filled* onto the shard owning its
-        post-delta pair, where a later identical join is a cache hit;
-        the router's stale snapshot learns the patched answers too, so
-        even degraded responses are post-delta.
+        (:func:`~repro.service.patch.advance_delta`) over the router's
+        result cache: the cached results touching the old content are
+        patched router-side, the post-delta name is re-bound exactly
+        like :meth:`register` — shared-memory publication, then the
+        retire of the old binding, whose invalidation broadcast is the
+        delta's only shard round trip — and the patched reports are
+        filed in the router's cache, where a later identical join is a
+        hit that reaches no shard.
 
         Runs under the catalog-mutation lock end-to-end: deltas
         serialise with register/unregister, never with joins.  Raises
@@ -821,7 +819,7 @@ class ShardedQueryService:
                 delta,
                 old.dataset,
                 old.fingerprint,
-                affected=lambda: self._extract(old.fingerprint),
+                affected=lambda: self._cached_entries(old.fingerprint),
                 resolve=self._dataset_by_fingerprint,
             )
             with self._lock:
@@ -834,26 +832,13 @@ class ShardedQueryService:
                     fallbacks=0,
                     noop=True,
                 )
-            # The retire inside sweeps the extracted originals.
+            # The retire inside sweeps the patched originals.  Every
+            # patched key's sides are bound: its partner resolved to a
+            # live binding, and ``_mutate`` keeps it bound until here.
             binding = self._bind(name, new_dataset, new_fingerprint, old)
-            fills = []
-            for key, report in rewritten:
-                fp_a, fp_b = key[0], key[1]
-                assert isinstance(fp_a, str) and isinstance(fp_b, str)
-                owner = self._ring.owner_of_pair(fp_a, fp_b)
-                fills.append(
-                    self._shards[owner].request_async(
-                        FillCommand(
-                            seq=next(self._seq), key=key, report=report
-                        )
-                    )
-                )
-            for (key, report), future in zip(rewritten, fills):
-                self._raise_reply(
-                    future.result(), "cache fill after delta"
-                )
-                self._remember(key, report)
             with self._lock:
+                for key, report in rewritten:
+                    self._results.put(key, report)
                 self._delta_patches += len(rewritten)
                 self._delta_patch_fallbacks += fallbacks
             return DeltaOutcome(
@@ -863,20 +848,12 @@ class ShardedQueryService:
                 fallbacks=fallbacks,
             )
 
-    def _extract(
+    def _cached_entries(
         self, fingerprint: str
     ) -> list[tuple[CacheKey, RunReport]]:
-        """Every shard's cached entries touching ``fingerprint``."""
-        affected: dict[CacheKey, RunReport] = {}
-        for reply in self._broadcast(
-            lambda seq: ExtractCommand(seq=seq, fingerprint=fingerprint)
-        ):
-            self._raise_reply(reply, "extract for delta")
-            payload = reply.payload
-            assert isinstance(payload, list)
-            for key, report in payload:
-                affected.setdefault(key, report)
-        return list(affected.items())
+        """The router's cached entries touching ``fingerprint``."""
+        with self._lock:
+            return self._results.entries_for_fingerprint(fingerprint)
 
     def _broadcast(
         self, make: Callable[[int], ShardCommand]
@@ -898,22 +875,27 @@ class ShardedQueryService:
                     return binding.dataset
         return None
 
+    def _serves(self, fingerprint: str) -> bool:
+        """Whether some name is bound to ``fingerprint`` (caller holds
+        ``_lock``)."""
+        return any(
+            binding.fingerprint == fingerprint
+            for binding in self._names.values()
+        )
+
     def _retire(self, old: _Binding) -> None:
         """Tear down one retired binding (caller holds ``_mutate``).
 
         If no surviving name serves the old content, every shard drops
         its cached results and range index for it — joins are
         pair-routed, so those entries can live anywhere — and the
-        router purges its stale snapshot of them.  The shared-memory
+        router purges its result cache of them.  The shared-memory
         ref is released through the retire window, not immediately: a
         command already in flight may still need to attach the old
         segment.
         """
         with self._lock:
-            survived = any(
-                binding.fingerprint == old.fingerprint
-                for binding in self._names.values()
-            )
+            survived = self._serves(old.fingerprint)
         if not survived:
             self._broadcast(
                 lambda seq: InvalidateCommand(
@@ -921,7 +903,7 @@ class ShardedQueryService:
                 )
             )
             with self._lock:
-                self._stale.invalidate_fingerprint(old.fingerprint)
+                self._results.invalidate_fingerprint(old.fingerprint)
         if old.payload.ref is not None:
             self._retire_ref(old.payload.ref)
 
@@ -965,16 +947,17 @@ class ShardedQueryService:
     def submit_async(
         self, request: JoinRequest, *, client: str | None = None
     ) -> "Future[ServiceResponse]":
-        """Route one join to its pair's owner shard, asynchronously.
+        """Answer one join from the router's cache, or route it to its
+        pair's owner shard, asynchronously.
 
         Resolution failures (unknown name, unsupported side type)
-        raise synchronously, like the single-process service.
-        Admission failures never raise: the future resolves to an
-        ``ok=False`` response with ``error_type`` of
-        ``"ClientQuotaExceeded"`` or ``"ShardSaturated"`` — or, when
-        the owner shard is saturated and the router's snapshot holds a
-        previous answer for this exact key, to that answer with
-        ``degraded=True``.
+        raise synchronously, like the single-process service.  A
+        client over its quota is rejected before the cache is probed;
+        a hit resolves the future at once (``cached=True``) and no
+        shard sees the request.  Admission failures never raise: the
+        future resolves to an ``ok=False`` response with
+        ``error_type`` of ``"ClientQuotaExceeded"`` or
+        ``"ShardSaturated"``.
         """
         self._ensure_open()
         start = time.perf_counter()
@@ -987,6 +970,15 @@ class ShardedQueryService:
             request.space,
             request.parameters,
             request.within,
+        )
+        # Fingerprints resolved from names: a rebind while the miss is
+        # in flight can unbind them, and filling the router's cache
+        # then would keep an answer for retired content.  Concrete
+        # sides are caller-managed and always fillable.
+        named = tuple(
+            fp
+            for side, fp in ((request.a, fp_a), (request.b, fp_b))
+            if isinstance(side, str)
         )
         label = request.describe()
         shard = self._ring.owner_of_pair(fp_a, fp_b)
@@ -1004,38 +996,40 @@ class ShardedQueryService:
                 )
             )
             return done
-        if not handle.gate.try_acquire(0.0):
-            with self._lock:
-                report = self._stale.get(key)
-                if report is not None:
-                    self._degraded += 1
+        with self._lock:
+            report = self._results.get(key)
             if report is not None:
-                self._release_client(client)
-                done.set_result(
-                    ServiceResponse(
-                        report=report,
-                        cached=True,
-                        key=key,
-                        label=label,
-                        wall_seconds=time.perf_counter() - start,
-                        degraded=True,
-                        shard=shard,
-                    )
+                wall = time.perf_counter() - start
+                self._router_hits[shard] += 1
+                self._latencies.setdefault(
+                    report.algorithm, LatencyRecord()
+                ).add(wall)
+        if report is not None:
+            self._release_client(client)
+            done.set_result(
+                ServiceResponse(
+                    report=report,
+                    cached=True,
+                    key=key,
+                    label=label,
+                    wall_seconds=wall,
+                    shard=shard,
                 )
-                return done
-            if not handle.gate.try_acquire(self.queue_timeout_s):
-                self._release_client(client)
-                done.set_result(
-                    self._rejection(
-                        key, label, shard, start,
-                        error_type="ShardSaturated",
-                        error=(
-                            f"shard {shard} stayed at its in-flight "
-                            f"bound for {self.queue_timeout_s:g}s"
-                        ),
-                    )
+            )
+            return done
+        if not handle.gate.try_acquire(self.queue_timeout_s):
+            self._release_client(client)
+            done.set_result(
+                self._rejection(
+                    key, label, shard, start,
+                    error_type="ShardSaturated",
+                    error=(
+                        f"shard {shard} stayed at its in-flight "
+                        f"bound for {self.queue_timeout_s:g}s"
+                    ),
                 )
-                return done
+            )
+            return done
         command = JoinCommand(
             seq=next(self._seq),
             a=payload_a,
@@ -1055,7 +1049,7 @@ class ShardedQueryService:
             # error responses, mirroring executor failure isolation.
             try:
                 response = self._join_response(
-                    reply_future.result(), key, label, shard, start
+                    reply_future.result(), key, named, label, shard, start
                 )
             except BaseException as exc:  # pragma: no cover - defensive
                 response = ServiceResponse(
@@ -1086,10 +1080,14 @@ class ShardedQueryService:
         self,
         reply: ShardReply,
         key: CacheKey,
+        named: tuple[str, ...],
         label: str,
         shard: int,
         start: float,
     ) -> ServiceResponse:
+        """The client's response to a shard's reply; files the report
+        in the router's cache unless one of the ``named`` fingerprints
+        was unbound while the join was in flight."""
         wall = time.perf_counter() - start
         if not reply.ok:
             return ServiceResponse(
@@ -1105,7 +1103,11 @@ class ShardedQueryService:
         shard_response = reply.payload
         assert isinstance(shard_response, ServiceResponse)
         if shard_response.report is not None:
-            self._remember(key, shard_response.report)
+            with self._lock:
+                if all(self._serves(fp) for fp in named):
+                    self._results.put(key, shard_response.report)
+                else:
+                    self._router_fill_skips[shard] += 1
         # End-to-end wall (queueing and wire included) replaces the
         # shard-side wall: it is what the submitting client observed.
         return dataclasses.replace(
@@ -1146,10 +1148,9 @@ class ShardedQueryService:
     ) -> IntArray:
         """Range query on the content's owner shard (its index cache).
 
-        Range answers have no stale fallback (an outdated index could
-        return ids that no longer exist), so a saturated owner shard
-        raises :class:`ShardSaturated` after the queue timeout, and a
-        client over quota raises ``RuntimeError``.
+        Range answers are not cached by the router, so a saturated
+        owner shard raises :class:`ShardSaturated` after the queue
+        timeout, and a client over quota raises ``RuntimeError``.
         """
         self._ensure_open()
         payload, fingerprint = self._resolve_side(dataset)
@@ -1239,10 +1240,6 @@ class ShardedQueryService:
             else:
                 self._clients[client] = occupied
 
-    def _remember(self, key: CacheKey, report: RunReport) -> None:
-        with self._lock:
-            self._stale.put(key, report)
-
     @staticmethod
     def _raise_reply(reply: ShardReply, context: str) -> None:
         if not reply.ok:
@@ -1265,33 +1262,51 @@ class ShardedQueryService:
         """Aggregate snapshot across shards plus router-side counters.
 
         Latency percentiles are merged from the shards' raw
-        :class:`~repro.metrics.LatencyRecord` windows (percentiles of
-        percentiles would be meaningless); counters add exactly
-        because the ring partitions the key space.  Shard counters
-        cover the shard *process's* lifetime: a crash-respawned shard
-        restarts its slice of the counts from zero (the router-side
-        ``degraded_responses`` / ``rejected_requests`` survive).
+        :class:`~repro.metrics.LatencyRecord` windows and the router's
+        hit window (percentiles of percentiles would be meaningless);
+        counters add exactly because the ring partitions the key
+        space.  A router hit counts as a request and a cache hit of
+        its owner shard, and a skipped router fill as that shard's
+        ``cache_stale_fill_skips``, in ``per_shard`` and the totals
+        alike; cache size, evictions and invalidations are the
+        shards'.  Shard counters cover the shard *process's*
+        lifetime: a crash-respawned shard restarts its slice of the
+        counts from zero (the router-side counts survive).
         """
         self._ensure_open()
-        parts: list[ServiceStats] = []
-        merged: dict[str, LatencyRecord] = {}
-        for reply in self._broadcast(lambda seq: StatsCommand(seq=seq)):
-            self._raise_reply(reply, "stats")
-            payload = reply.payload
-            assert isinstance(payload, tuple)
-            part, records = payload
-            parts.append(part)
-            for algorithm, record in records.items():
-                merged.setdefault(
-                    algorithm, LatencyRecord()
-                ).merge(record)
+        replies = self._broadcast(lambda seq: StatsCommand(seq=seq))
         with self._lock:
-            degraded = self._degraded
+            router_hits = list(self._router_hits)
+            fill_skips = list(self._router_fill_skips)
+            merged = {
+                algorithm: record.copy()
+                for algorithm, record in self._latencies.items()
+            }
             rejected = self._rejected
             delta_applies = self._delta_applies
             delta_patches = self._delta_patches
             delta_fallbacks = self._delta_patch_fallbacks
             catalog_size = len(self._names)
+        parts: list[ServiceStats] = []
+        for reply, hits, skips in zip(replies, router_hits, fill_skips):
+            self._raise_reply(reply, "stats")
+            payload = reply.payload
+            assert isinstance(payload, tuple)
+            part, records = payload
+            parts.append(
+                dataclasses.replace(
+                    part,
+                    requests=part.requests + hits,
+                    cache_hits=part.cache_hits + hits,
+                    cache_stale_fill_skips=(
+                        part.cache_stale_fill_skips + skips
+                    ),
+                )
+            )
+            for algorithm, record in records.items():
+                merged.setdefault(
+                    algorithm, LatencyRecord()
+                ).merge(record)
         return ServiceStats.merged(
             parts,
             uptime_seconds=time.perf_counter() - self._started,
@@ -1299,7 +1314,6 @@ class ShardedQueryService:
                 algorithm: record.summary()
                 for algorithm, record in sorted(merged.items())
             },
-            degraded_responses=degraded,
             rejected_requests=rejected,
             delta_applies=delta_applies,
             delta_patches=delta_patches,

@@ -54,12 +54,13 @@ class ServiceStats:
     #: Range-query indexes dropped because the queried name was
     #: unbound while the index build was in flight.
     stale_index_drops: int = 0
-    #: Sharded tier only: requests answered from the router's stale
-    #: snapshot because the owning shard was saturated.
+    #: Always 0: no tier answers degraded any more (the sharded
+    #: router answers a known key as a plain cache hit, saturated or
+    #: not).  Kept so readers of the snapshot keep working.
     degraded_responses: int = 0
     #: Sharded tier only: submissions rejected at admission (client
     #: over quota, or the owning shard saturated past the backpressure
-    #: timeout with no stale answer to degrade to).
+    #: timeout on a key the router's cache does not hold).
     rejected_requests: int = 0
     #: Deltas applied through ``apply_delta`` (streaming tier).
     delta_applies: int = 0
@@ -132,7 +133,6 @@ class ServiceStats:
         uptime_seconds: float,
         catalog_size: int,
         latency_by_algorithm: dict[str, dict[str, float]] | None = None,
-        degraded_responses: int = 0,
         rejected_requests: int = 0,
         delta_applies: int = 0,
         delta_patches: int = 0,
@@ -171,7 +171,6 @@ class ServiceStats:
                 p.cache_stale_fill_skips for p in parts
             ),
             stale_index_drops=sum(p.stale_index_drops for p in parts),
-            degraded_responses=degraded_responses,
             rejected_requests=rejected_requests,
             delta_applies=delta_applies
             + sum(p.delta_applies for p in parts),

@@ -5,7 +5,10 @@ picklable dataclasses: commands down (each tagged with a router-chosen
 sequence number), one :class:`ShardReply` back per command, matched by
 that sequence number.  Shards hold no names: every command that reads
 a dataset carries it, so the router's name map is the tier's only
-catalog.  Keeping the vocabulary in one module makes the protocol
+catalog.  No cached report crosses the pipe downwards either: the
+router keeps the tier's result cache, answers hits and files
+delta-patched reports there, so a shard's only cache traffic is
+:class:`InvalidateCommand`.  Keeping the vocabulary in one module makes the protocol
 auditable — a shard worker can do exactly the things below, nothing
 else — and keeps :mod:`repro.service.sharded` importable by
 ``multiprocessing`` spawn children without dragging the router's
@@ -24,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.executor import JoinRequest
-from repro.engine.report import RunReport
 from repro.geometry.box import Box
 from repro.joins.base import Dataset
-from repro.service.fingerprint import CacheKey
 from repro.storage.shm import SharedDatasetRef
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "InvalidateCommand",
     "JoinCommand",
     "RangeCommand",
-    "ExtractCommand",
-    "FillCommand",
     "StatsCommand",
     "CrashCommand",
     "ShutdownCommand",
@@ -120,37 +119,6 @@ class RangeCommand:
 
 
 @dataclass(frozen=True)
-class ExtractCommand:
-    """Collect cached entries whose key touches ``fingerprint``.
-
-    Broadcast by the router's delta path before a rebind: the reply
-    payload is the shard's ``[(key, report), ...]`` list, which the
-    router patches through ``delta_join`` and re-files (by new pair
-    routing) with :class:`FillCommand`.  Read-only — the entries stay
-    cached until the follow-up :class:`InvalidateCommand` sweep.
-    """
-
-    seq: int
-    fingerprint: str
-
-
-@dataclass(frozen=True)
-class FillCommand:
-    """Insert one pre-computed report into the shard's result cache.
-
-    The delta path's write half: the router patches extracted entries
-    locally and files each under its post-delta key on the shard that
-    owns the new pair.  The shard stores it verbatim — a later join on
-    the same key is a cache hit, exactly as if that shard had executed
-    the recompute.
-    """
-
-    seq: int
-    key: CacheKey
-    report: RunReport
-
-
-@dataclass(frozen=True)
 class StatsCommand:
     """Snapshot request: replies with (ServiceStats, latency records)."""
 
@@ -180,8 +148,6 @@ ShardCommand = (
     InvalidateCommand
     | JoinCommand
     | RangeCommand
-    | ExtractCommand
-    | FillCommand
     | StatsCommand
     | CrashCommand
     | ShutdownCommand

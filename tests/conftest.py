@@ -71,6 +71,23 @@ def counted_constructions(monkeypatch, *classes):
         yield calls
 
 
+def spy_on_shards(service, monkeypatch) -> list[list[object]]:
+    """Per shard of a ``ShardedQueryService``, the list of commands
+    its router sends that shard from now on."""
+    sent: list[list[object]] = []
+    for handle in service._shards:
+        commands: list[object] = []
+        real = handle.request_async
+
+        def spy(command, real=real, commands=commands):
+            commands.append(command)
+            return real(command)
+
+        monkeypatch.setattr(handle, "request_async", spy)
+        sent.append(commands)
+    return sent
+
+
 def dataset_pair(
     kind: str, na: int, nb: int, seed: int = 0
 ) -> tuple[Dataset, Dataset]:

@@ -8,8 +8,8 @@ page whose payload is not what its index says it should be.
 The sharded tier adds process-level failure modes on top: a shard
 worker killed mid-batch (commands in flight must be retried on the
 respawned worker, without disturbing the other shards), and a shard
-saturated past its admission bound (the router must degrade to its
-stale snapshot, or reject — never hang, never answer wrongly).
+saturated past its admission bound (the router answers keys its cache
+holds and rejects the rest — never hangs, never answers wrongly).
 """
 
 import time
@@ -27,7 +27,7 @@ from repro.joins import (
 from repro.service import ShardedQueryService, SpatialQueryService
 from repro.streaming import DatasetDelta
 
-from tests.conftest import dataset_pair, make_disk
+from tests.conftest import dataset_pair, make_disk, spy_on_shards
 
 
 def corrupt_every_element_page(disk):
@@ -239,8 +239,10 @@ class TestShardWorkerCrash:
 
 
 class TestShardSaturation:
-    def test_saturated_shard_degrades_then_recovers(self, shard_corpus):
-        """Admission full: serve the stale snapshot, never hang.
+    def test_saturated_shard_answers_known_keys_then_recovers(
+        self, shard_corpus, monkeypatch
+    ):
+        """Admission full: known keys are router hits, never a hang.
 
         Inline shards make saturation deterministic: occupying every
         admission slot by hand models workers that stopped draining.
@@ -256,37 +258,42 @@ class TestShardSaturation:
                 service.register(name, dataset)
             request = JoinRequest("a", "b", "pbsm")
             fresh = service.submit(request).raise_for_failure()
+            sent = spy_on_shards(service, monkeypatch)
             for handle in service._shards:
                 assert handle.gate.try_acquire(0.0)
             try:
-                degraded = service.submit(request)
-                # A key never answered before has nothing to degrade
-                # to: bounded-time rejection, not a hang.
+                hit = service.submit(request)
+                # A key never answered before has no cached answer:
+                # bounded-time rejection, not a hang.
+                began = time.monotonic()
                 rejected = service.submit(JoinRequest("a", "c", "pbsm"))
+                waited = time.monotonic() - began
             finally:
                 for handle in service._shards:
                     handle.gate.release()
-            assert degraded.degraded
+            assert hit.cached and not hit.degraded
             assert (
-                degraded.report.result.pairs.tobytes()
+                hit.report.result.pairs.tobytes()
                 == fresh.report.result.pairs.tobytes()
             )
+            assert sent == [[]] * service.shards
             assert rejected.error_type == "ShardSaturated"
-            # Slots freed: both requests now execute for real.
-            assert not service.submit(
-                JoinRequest("a", "c", "pbsm")
-            ).degraded
+            assert waited < 1.0
+            # Slots freed: the rejected request now executes for real.
+            recovered = service.submit(JoinRequest("a", "c", "pbsm"))
+            assert recovered.ok and not recovered.cached
+            assert sum(map(len, sent)) == 1
             stats = service.stats()
-            assert stats.degraded_responses == 1
+            assert stats.degraded_responses == 0
             assert stats.rejected_requests == 1
 
 
-class TestShardRefusesDeltaExtract:
-    def test_refused_extract_leaves_the_tier_untouched(
+class TestDeltaPatchFailure:
+    def test_failed_patch_leaves_the_tier_untouched(
         self, shard_corpus, monkeypatch
     ):
-        """A delta's one shard round trip before it re-binds is the
-        extract broadcast.  A shard refusing it fails the delta before
+        """What can still fail before a delta re-binds is the patch
+        itself.  A ``delta_join`` that raises fails the delta before
         anything is published or bound: names, versions, segments and
         cached answers stay as they were."""
         _, corpus = shard_corpus
@@ -300,13 +307,12 @@ class TestShardRefusesDeltaExtract:
             }
             segments = service._pages.active_segments
 
-            def refuse(fingerprint):
-                raise RuntimeError("shard refuses extracts")
+            def refuse(*args, **kwargs):
+                raise RuntimeError("patch refused")
 
-            for handle in service._shards:
-                monkeypatch.setattr(handle.service, "cached_entries", refuse)
+            monkeypatch.setattr("repro.service.patch.delta_join", refuse)
             shrink = DatasetDelta.deleting(corpus["c"].ids[:3], ndim=3)
-            with pytest.raises(RuntimeError, match="refuses"):
+            with pytest.raises(RuntimeError, match="refused"):
                 service.apply_delta("a", shrink)
             assert service.names() == ("a", "b")
             for name, entry in entries.items():

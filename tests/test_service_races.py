@@ -28,6 +28,14 @@ that shares their shape:
    fill re-validates both fingerprints and is skipped, counted in
    ``cache_stale_fill_skips``.
 
+4. **Router fill after rebind (sharded tier)** — the router resolved a
+   name, sent the join to its owner shard, and a rebind retired the
+   content before the reply came back.  Filing the reply in the
+   router's cache kept an answer for retired content.  The router
+   re-validates the name-resolved fingerprints when the reply lands,
+   as the single tier does, and counts the skip in
+   ``cache_stale_fill_skips``.
+
 The deterministic tests below interpose on the exact window (executor
 call / query-lock acquisition) to force the interleaving every run; the
 threaded stress test closes with the global invariant both fixes
@@ -41,7 +49,7 @@ import pytest
 
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import JoinRequest
-from repro.service import SpatialQueryService
+from repro.service import ShardedQueryService, SpatialQueryService
 from repro.streaming import DatasetDelta
 
 
@@ -233,6 +241,31 @@ class TestDeltaFillRace:
         )
         assert service.stats().cache_stale_fill_skips == 1
         assert not service.submit(JoinRequest("a", "b", "pbsm")).cached
+
+
+class TestRouterFillRace:
+    def test_router_fill_after_rebind_is_skipped(self, space):
+        with ShardedQueryService(2, inline=True) as tier:
+            tier.register("a", _variant(1, space))
+            tier.register("b", _variant(2, space, offset=10**9))
+            old = tier._names["a"].fingerprint
+            owner = tier._shards[
+                tier._ring.owner_of_pair(old, tier._names["b"].fingerprint)
+            ]
+            submit = owner.service.submit
+
+            def rebind_then_submit(request):
+                tier.register("a", _variant(91, space))
+                return submit(request)
+
+            owner.service.submit = rebind_then_submit
+            response = tier.submit(JoinRequest("a", "b", "pbsm"))
+            owner.service.submit = submit
+            # Served as resolved: the join ran on the old content...
+            assert response.ok and not response.cached
+            # ...but the router keeps nothing for the retired content.
+            assert tier._results.entries_for_fingerprint(old) == []
+            assert tier.stats().cache_stale_fill_skips == 1
 
 
 class TestRebindUnderLoadStress:

@@ -3,7 +3,7 @@
 Covers the routing substrate (consistent-hash ring, wire payloads),
 the router's catalog/cache semantics in deterministic inline mode
 (rebind invalidation across shards, alias survival, admission control,
-degradation, quotas, stats merging), and the process-backed deployment
+router cache hits, quotas, stats merging), and the process-backed deployment
 shape: byte-identity against the single-process oracle with the
 shared-memory transport on and off, no segment left after ``close()``,
 and shard-crash isolation with mid-stream recovery.
@@ -29,8 +29,10 @@ from repro.service import (
 )
 from repro.service.sharded import _ProcessShard
 from repro.service.sharding import pair_routing_key
-from repro.service.wire import DatasetPayload
+from repro.service.wire import DatasetPayload, InvalidateCommand
 from repro.storage.shm import SharedDatasetPool, shm_available
+from repro.streaming import DatasetDelta
+from tests.conftest import spy_on_shards
 
 
 @pytest.fixture(scope="module")
@@ -277,23 +279,33 @@ class TestAdmissionControl:
         yield service
         service.close()
 
-    def test_degrades_to_stale_answer_when_saturated(self, tight):
+    def test_known_key_is_a_router_hit_when_saturated(
+        self, tight, monkeypatch
+    ):
         request = JoinRequest("a", "b", "pbsm")
         fresh = tight.submit(request)
-        # Occupy every shard's single admission slot: the next
-        # submission cannot reach a worker.
+        sent = spy_on_shards(tight, monkeypatch)
+        # Occupy every shard's single admission slot: no submission
+        # can reach a worker.
         for handle in tight._shards:
             assert handle.gate.try_acquire(0.0)
         try:
-            degraded = tight.submit(request)
+            hit = tight.submit(request)
+            assert sent == [[]] * tight.shards
+            began = time.monotonic()
+            unknown = tight.submit(JoinRequest("b", "a", "pbsm"))
+            waited = time.monotonic() - began
         finally:
             for handle in tight._shards:
                 handle.gate.release()
-        assert degraded.degraded and degraded.cached
-        assert _payload_bytes(degraded) == _payload_bytes(fresh)
+        assert hit.cached and not hit.degraded
+        assert _payload_bytes(hit) == _payload_bytes(fresh)
+        assert unknown.error_type == "ShardSaturated"
+        assert waited < 1.0
+        assert sent == [[]] * tight.shards
         stats = tight.stats()
-        assert stats.degraded_responses == 1
-        assert stats.rejected_requests == 0
+        assert stats.degraded_responses == 0
+        assert stats.rejected_requests == 1
 
     def test_rejects_when_saturated_with_no_stale_answer(self, tight):
         for handle in tight._shards:
@@ -362,6 +374,35 @@ class TestAdmissionControl:
         with tight._lock:
             tight._clients["c9"] = 1
         assert tight.submit(JoinRequest("a", "b", "pbsm")).ok
+
+
+class TestRouterCache:
+    def test_delta_sends_only_the_invalidation(
+        self, inline, corpus, monkeypatch
+    ):
+        """A delta patches the router's cache: each shard sees one
+        command, the retire's invalidation, and the patched key is
+        then answered without any shard."""
+        request = JoinRequest("a", "b", "pbsm")
+        inline.submit(request)
+        old = inline._names["a"].fingerprint
+        sent = spy_on_shards(inline, monkeypatch)
+        delta = DatasetDelta.deleting(corpus["a"].ids[:5], ndim=3)
+        outcome = inline.apply_delta("a", delta)
+        assert outcome.patched == 1 and outcome.fallbacks == 0
+        assert [
+            [(type(command), command.fingerprint) for command in commands]
+            for commands in sent
+        ] == [[(InvalidateCommand, old)]] * inline.shards
+        for commands in sent:
+            commands.clear()
+        hot = inline.submit(request)
+        assert sent == [[]] * inline.shards
+        assert hot.cached and hot.report.delta_patched
+        single = SpatialQueryService()
+        single.register("a", delta.apply(corpus["a"]))
+        single.register("b", corpus["b"])
+        assert _payload_bytes(hot) == _payload_bytes(single.submit(request))
 
 
 class TestStatsMerging:
