@@ -65,9 +65,9 @@ class LatencyRecord(SlotPickleMixin):
     millions of requests neither grows without bound nor re-sorts its
     entire history on every stats call.
 
-    Records are picklable and **mergeable**: the sharded service ships
-    each shard's per-algorithm records over the wire and folds them
-    into one aggregate view with :meth:`merge` — lifetime counts add
+    Records are picklable and **mergeable**: the sharded router keeps
+    one ledger per shard and folds their per-algorithm records into
+    one aggregate view with :meth:`merge` — lifetime counts add
     exactly, and the merged percentile window is a systematic sample
     of both windows, so no shard's recent behaviour is drowned out by
     another's.

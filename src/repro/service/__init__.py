@@ -24,7 +24,8 @@ fresh workspaces, this package keeps state *across* requests::
   of finished reports with hit/miss/eviction/invalidation counters;
 * :mod:`~repro.service.service` — :class:`SpatialQueryService`, the
   thread-safe request front-end;
-* :mod:`~repro.service.stats` — :class:`ServiceStats` snapshots;
+* :mod:`~repro.service.stats` — :class:`ServiceStats` snapshots of
+  the one accounting ledger both tiers keep;
 * :mod:`~repro.service.sharding` / :mod:`~repro.service.wire` /
   :mod:`~repro.service.sharded` — the process-parallel tier:
   consistent-hash routing over content fingerprints, the router↔shard

@@ -66,7 +66,6 @@ from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
 from repro.geometry.box import Box
 from repro.joins.base import CostModel, Dataset
-from repro.metrics import LatencyRecord
 from repro.service.catalog import CatalogEntry, DatasetCatalog
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import (
@@ -75,7 +74,7 @@ from repro.service.fingerprint import (
     request_cache_key,
 )
 from repro.service.patch import advance_delta
-from repro.service.stats import ServiceStats
+from repro.service.stats import ServiceLedger, ServiceStats
 from repro.stats.sketch import DatasetSketch, build_sketch
 from repro.storage.disk import DiskModel
 from repro.streaming.delta import DatasetDelta
@@ -150,9 +149,6 @@ class SpatialQueryService:
         cost basis.
     max_cached_results:
         Bound of the result cache (LRU; ``None`` disables the bound).
-        Behind :class:`~repro.service.sharded.ShardedQueryService`
-        the same bound applies to the router's cache and to each
-        shard's.
     max_cached_indexes:
         Bound of the query workspace's per-dataset index cache.
 
@@ -181,7 +177,7 @@ class SpatialQueryService:
             cost_model=cost_model,
             max_cached_indexes=max_cached_indexes,
         )
-        #: Guards catalog, result cache and counters (held briefly).
+        #: Guards catalog, result cache and ledger (held briefly).
         self._lock = threading.RLock()
         #: Guards the (not thread-safe) query workspace separately, so
         #: a cold index build only blocks other range queries, never
@@ -189,29 +185,7 @@ class SpatialQueryService:
         #: holding ``_lock`` (``_invalidate``'s forget), never the other
         #: way around.
         self._query_lock = threading.Lock()
-        self._started = time.perf_counter()
-        self._requests = 0
-        self._range_requests = 0
-        self._failures = 0
-        #: Fills skipped because a rebind/unregister unbound a
-        #: name-resolved fingerprint while its miss was in flight.
-        self._stale_fill_skips = 0
-        #: Range-query indexes dropped because the queried name was
-        #: unbound while the index build was in flight.
-        self._stale_index_drops = 0
-        #: Streaming tier: deltas applied, cache entries patched via
-        #: delta_join, and entries that fell back to invalidation.
-        self._delta_applies = 0
-        self._delta_patches = 0
-        self._delta_patch_fallbacks = 0
-        self._latencies: dict[str, LatencyRecord] = {}
-        # Estimate accuracy: predicted vs actual work of every miss
-        # the statistics layer planned (``algorithm="auto"``).
-        self._estimator_predictions = 0
-        self._predicted_pairs = 0.0
-        self._actual_pairs = 0
-        self._predicted_tests = 0.0
-        self._actual_tests = 0
+        self._ledger = ServiceLedger()
 
     # ------------------------------------------------------------------
     # Catalog
@@ -309,7 +283,7 @@ class SpatialQueryService:
                 current = self._catalog.resolve(name)
                 if current.fingerprint != old.fingerprint:
                     continue
-                self._delta_applies += 1
+                self._ledger.delta_applies += 1
                 if noop:
                     return DeltaOutcome(
                         entry=current,
@@ -334,9 +308,9 @@ class SpatialQueryService:
                     ):
                         self._results.put(new_key, new_report)
                     else:
-                        self._stale_fill_skips += 1
-                self._delta_patches += len(rewritten)
-                self._delta_patch_fallbacks += fallbacks
+                        self._ledger.cache_stale_fill_skips += 1
+                self._ledger.delta_patches += len(rewritten)
+                self._ledger.delta_patch_fallbacks += fallbacks
                 return DeltaOutcome(
                     entry=entry,
                     fraction=fraction,
@@ -364,26 +338,13 @@ class SpatialQueryService:
         """Every cached ``(key, report)`` referencing ``fingerprint``.
 
         A peek (no hit/miss accounting): :meth:`apply_delta` patches
-        these.  The sharded tier's router reads its own cache, never a
-        shard's.
+        these.  The sharded tier's router runs the same flow over its
+        own cache, the tier's only one.
         """
         with self._lock:
             return self._results.entries_for_fingerprint(fingerprint)
 
-    def invalidate(self, fingerprint: str, dataset: Dataset | None) -> int:
-        """Drop the cached state of content no name serves any more.
-
-        Returns the number of cached results dropped.  The service
-        invalidates on its own rebinds and unregisters; this hook is
-        for the sharded tier, whose shards hold no names: the router
-        decides aliasing and broadcasts the retire, and each shard
-        passes the dataset object it realised for ``fingerprint``
-        (``None`` if it never did).
-        """
-        with self._lock:
-            return self._invalidate(fingerprint, dataset)
-
-    def _invalidate(self, fingerprint: str, dataset: Dataset | None) -> int:
+    def _invalidate(self, fingerprint: str, dataset: Dataset | None) -> None:
         """Alias-guarded drop of one content's results and range index.
 
         While another name still serves the content, its cached
@@ -393,12 +354,11 @@ class SpatialQueryService:
         ``_lock``.
         """
         if self._catalog.names_bound_to(fingerprint):
-            return 0
-        dropped = self._results.invalidate_fingerprint(fingerprint)
+            return
+        self._results.invalidate_fingerprint(fingerprint)
         if dataset is not None:
             with self._query_lock:
                 self._queries.forget(dataset)
-        return dropped
 
     # ------------------------------------------------------------------
     # Planning (from catalog sketches)
@@ -535,11 +495,10 @@ class SpatialQueryService:
             # Phase 2: count and probe.
             for pos, (key, concrete, named) in enumerate(plans):
                 probe_start = time.perf_counter()
-                self._requests += 1
                 report = self._results.get(key)
                 if report is not None:
                     wall = time.perf_counter() - probe_start
-                    self._record_latency(report.algorithm, wall)
+                    self._ledger.hit(report.algorithm, wall)
                     responses[pos] = ServiceResponse(
                         report=report,
                         cached=True,
@@ -548,6 +507,7 @@ class SpatialQueryService:
                         wall_seconds=wall,
                     )
                 else:
+                    self._ledger.miss()
                     pending.setdefault(key, []).append(pos)
                     to_run.setdefault(key, concrete)
                     guards.setdefault(key, named)
@@ -594,13 +554,10 @@ class SpatialQueryService:
                     if fillable:
                         self._results.put(key, outcome.report)
                     else:
-                        self._stale_fill_skips += 1
-                    self._record_latency(
-                        outcome.report.algorithm, outcome.wall_seconds
-                    )
-                    self._record_estimates(outcome.report)
-                else:
-                    self._failures += len(pending[key])
+                        self._ledger.cache_stale_fill_skips += 1
+                self._ledger.executed(
+                    outcome.report, outcome.wall_seconds, len(pending[key])
+                )
                 for pos in pending[key]:
                     responses[pos] = ServiceResponse(
                         report=outcome.report,
@@ -656,7 +613,7 @@ class SpatialQueryService:
                 entry = self._catalog.resolve(dataset)
                 dataset = entry.dataset
                 guard_fp = entry.fingerprint
-            self._range_requests += 1
+            self._ledger.range_requests += 1
         # The query workspace has its own lock: a cold index build
         # serialises only other range queries, not join cache hits.
         start = time.perf_counter()
@@ -666,7 +623,7 @@ class SpatialQueryService:
             )
         wall = time.perf_counter() - start
         with self._lock:
-            self._record_latency(RANGE_QUERY_LATENCY_KEY, wall)
+            self._ledger.record_latency(RANGE_QUERY_LATENCY_KEY, wall)
             # Mirror image of the fill-time epoch check: if the name we
             # resolved was unbound while the index build was in flight,
             # register's forget() has already run and missed the index
@@ -679,7 +636,7 @@ class SpatialQueryService:
                 and self._catalog.generation != generation
                 and not self._catalog.names_bound_to(guard_fp)
             ):
-                self._stale_index_drops += 1
+                self._ledger.stale_index_drops += 1
                 with self._query_lock:
                     self._queries.forget(dataset)
         return hits
@@ -687,70 +644,11 @@ class SpatialQueryService:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _record_latency(self, algorithm: str, seconds: float) -> None:
-        self._latencies.setdefault(algorithm, LatencyRecord()).add(seconds)
-
-    def latency_records(self) -> dict[str, LatencyRecord]:
-        """Independent copies of the per-algorithm latency records.
-
-        The sharded tier ships these across the wire and merges them
-        (:meth:`repro.metrics.LatencyRecord.merge`) into aggregate
-        service statistics; copies are returned so the caller can do
-        that without racing this service's own accounting.
-        """
-        with self._lock:
-            return {
-                name: record.copy()
-                for name, record in self._latencies.items()
-            }
-
-    def _record_estimates(self, report: RunReport) -> None:
-        """Fold one executed miss into the estimator-accuracy counters.
-
-        Only joins the statistics layer actually planned contribute
-        (a costed ``report.plan``); cache hits never do — their work
-        was already counted when the report was computed.  Caller
-        holds ``self._lock``.
-        """
-        plan = report.plan
-        if plan is None or plan.est_pairs is None:
-            return
-        self._estimator_predictions += 1
-        self._predicted_pairs += plan.est_pairs
-        self._actual_pairs += report.pairs_found
-        if plan.est_tests is not None:
-            self._predicted_tests += plan.est_tests
-            self._actual_tests += report.intersection_tests
-
     def stats(self) -> ServiceStats:
         """One immutable snapshot of the service's lifetime counters."""
         with self._lock:
-            return ServiceStats(
-                uptime_seconds=time.perf_counter() - self._started,
-                requests=self._requests,
-                range_requests=self._range_requests,
-                failures=self._failures,
-                cache_hits=self._results.hits,
-                cache_misses=self._results.misses,
-                cache_evictions=self._results.evictions,
-                cache_invalidations=self._results.invalidations,
-                cache_size=len(self._results),
-                cache_max_entries=self._results.max_entries,
-                cache_stale_fill_skips=self._stale_fill_skips,
-                stale_index_drops=self._stale_index_drops,
-                delta_applies=self._delta_applies,
-                delta_patches=self._delta_patches,
-                delta_patch_fallbacks=self._delta_patch_fallbacks,
-                catalog_size=len(self._catalog),
-                latency_by_algorithm={
-                    name: record.summary()
-                    for name, record in sorted(self._latencies.items())
-                },
-                estimator_predictions=self._estimator_predictions,
-                predicted_pairs=self._predicted_pairs,
-                actual_pairs=self._actual_pairs,
-                predicted_tests=self._predicted_tests,
-                actual_tests=self._actual_tests,
+            return self._ledger.snapshot(
+                catalog_size=len(self._catalog), cache=self._results
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -758,5 +656,5 @@ class SpatialQueryService:
             return (
                 f"SpatialQueryService(datasets={len(self._catalog)}, "
                 f"cached_results={len(self._results)}, "
-                f"requests={self._requests})"
+                f"requests={self._ledger.requests})"
             )

@@ -2,15 +2,18 @@
 
 One :class:`~repro.service.service.SpatialQueryService` saturates at
 the throughput of a single process: every cache miss executes inline,
-and every request serialises on one catalog/cache lock.  :class:`ShardedQueryService` scales that out by
-*partitioning the service state by content fingerprint*:
+and every request serialises on one catalog/cache lock.
+:class:`ShardedQueryService` scales the misses out across processes:
 
-* each of N **shard processes** runs an unmodified
-  ``SpatialQueryService`` with an empty catalog (result cache and
-  range-query index workspace only) and executes commands from its
-  pipe serially — every command carries the datasets it reads;
+* each of N **shard processes** is a stateless executor
+  (:class:`ShardState`: a batch executor for joins, a workspace whose
+  index cache serves range queries, and the realised datasets) that
+  runs the commands from its pipe one at a time — every command
+  carries the datasets it reads;
 * the **router** (this process) owns the name → fingerprint map, the
-  tier's only catalog, and a consistent-hash ring
+  tier's only catalog, the result cache, the tier's only one, and one
+  :class:`~repro.service.stats.ServiceLedger` per shard, the tier's
+  only counters; it routes by a consistent-hash ring
   (:class:`~repro.service.sharding.HashRing`): range queries run on
   ``owner(fingerprint)``, joins on the owner of their ordered pair
   digest.  Aliasing is decided once, router-side; retiring content
@@ -25,9 +28,11 @@ The router's result cache fronts the shards: every report the tier
 hands out is kept under its content-addressed key (bounded by
 ``max_cached_results``, purged on invalidation), so a repeated join is
 answered by the router itself and no shard sees it — even when every
-admission slot is held.  A delta patches the cached entries it touches
-router-side and files the patched reports there; its only shard round
-trip is the retire's invalidation broadcast.
+admission slot is held.  A duplicate of a miss still in flight waits
+for that miss instead of sending its own command.  A delta patches
+the cached entries it touches router-side and files the patched
+reports there; its only shard round trip is the retire's invalidation
+broadcast.
 
 The submission layer is asynchronous with explicit admission control
 for the requests the router cannot answer:
@@ -40,8 +45,8 @@ for the requests the router cannot answer:
   without penalising the others; it is checked before the cache.
 
 Shard crashes are isolated: the router respawns the process and
-resends in-flight commands exactly once (nothing is replayed: a fresh
-worker needs no state to answer) — a command that kills the worker
+resends in-flight commands exactly once (nothing is replayed, and no
+count is lost: a fresh worker needs no state to answer) — a command that kills the worker
 twice fails alone (``error_type="ShardCrashed"``), everything else
 completes and other shards never notice.  ``inline=True`` swaps the
 processes for in-process shards (same command protocol, same routing)
@@ -50,7 +55,6 @@ for deterministic tests and coverage.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -66,12 +70,11 @@ from typing import Any
 import numpy as np
 
 from repro._types import IntArray
-from repro.engine.executor import JoinRequest
+from repro.engine.executor import BatchExecutor, JoinRequest, RequestOutcome
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
 from repro.geometry.box import Box
 from repro.joins.base import CostModel, Dataset
-from repro.metrics import LatencyRecord
 from repro.service.cache import ResultCache
 from repro.service.catalog import CatalogEntry, check_binding, unknown_name
 from repro.service.fingerprint import (
@@ -81,12 +84,12 @@ from repro.service.fingerprint import (
 )
 from repro.service.patch import advance_delta
 from repro.service.service import (
+    RANGE_QUERY_LATENCY_KEY,
     DeltaOutcome,
     ServiceResponse,
-    SpatialQueryService,
 )
 from repro.service.sharding import HashRing
-from repro.service.stats import ServiceStats
+from repro.service.stats import ServiceLedger, ServiceStats
 from repro.service.wire import (
     CrashCommand,
     DatasetPayload,
@@ -96,7 +99,6 @@ from repro.service.wire import (
     ShardCommand,
     ShardReply,
     ShutdownCommand,
-    StatsCommand,
 )
 from repro.streaming.delta import DatasetDelta
 from repro.storage.disk import DiskModel
@@ -109,6 +111,7 @@ from repro.storage.shm import (
 __all__ = [
     "ShardedQueryService",
     "ShardSaturated",
+    "ShardState",
     "handle_command",
 ]
 
@@ -130,10 +133,49 @@ class ShardSaturated(RuntimeError):
     """A shard stayed at its in-flight bound past the queue timeout."""
 
 
+def _failed(seq: int, exc: BaseException) -> ShardReply:
+    """The ``ok=False`` reply that stands for a captured exception."""
+    return ShardReply(
+        seq=seq, ok=False, error=str(exc), error_type=type(exc).__name__
+    )
+
+
 # ----------------------------------------------------------------------
 # Shard-side command execution (runs in the worker process, and in the
 # router process for inline shards)
 # ----------------------------------------------------------------------
+class ShardState:
+    """Everything one shard holds: no names, no results, no counters.
+
+    A :class:`~repro.engine.executor.BatchExecutor` for joins (each
+    runs cold on its own workspace), a long-lived
+    :class:`~repro.engine.workspace.SpatialWorkspace` whose index cache
+    serves range queries, and the fingerprint -> realised-dataset map.
+    ``lock`` runs one command at a time: a worker's loop is serial
+    anyway, and inline shards take commands from client threads.
+    """
+
+    def __init__(
+        self,
+        *,
+        disk_model: DiskModel | None = None,
+        cost_model: CostModel | None = None,
+        max_cached_indexes: int | None = (
+            SpatialWorkspace.DEFAULT_MAX_CACHED_INDEXES
+        ),
+    ) -> None:
+        self.executor = BatchExecutor(
+            disk_model=disk_model, cost_model=cost_model
+        )
+        self.workspace = SpatialWorkspace(
+            disk_model=disk_model,
+            cost_model=cost_model,
+            max_cached_indexes=max_cached_indexes,
+        )
+        self.realised: OrderedDict[str, Dataset] = OrderedDict()
+        self.lock = threading.Lock()
+
+
 def _realise(
     realised: OrderedDict[str, Dataset], payload: DatasetPayload
 ) -> Dataset:
@@ -162,70 +204,61 @@ def _realise(
     return dataset
 
 
-def handle_command(
-    service: SpatialQueryService,
-    realised: OrderedDict[str, Dataset],
-    command: ShardCommand,
-) -> object:
-    """Execute one shard command against a shard's local service.
+def handle_command(shard: ShardState, command: ShardCommand) -> object:
+    """Execute one shard command; the caller holds ``shard.lock``.
 
     This is the *entire* shard-side vocabulary: everything a worker
     process does funnels through here, which is what makes the shard
     protocol unit-testable in-process (the inline shards call it
-    directly).  Returns the reply payload; exceptions propagate to
+    directly).  A join replies with its
+    :class:`~repro.engine.executor.RequestOutcome`, a range query with
+    ``(ids, shard-side wall seconds)``.  Exceptions propagate to
     :func:`execute_command`, which captures them into an ``ok=False``
     reply.
     """
     if isinstance(command, InvalidateCommand):
-        return service.invalidate(
-            command.fingerprint, realised.pop(command.fingerprint, None)
-        )
+        dataset = shard.realised.pop(command.fingerprint, None)
+        if dataset is not None:
+            shard.workspace.forget(dataset)
+        return None
     if isinstance(command, JoinCommand):
-        a = _realise(realised, command.a)
-        b = _realise(realised, command.b)
-        return service.submit(command.to_request(a, b))
+        a = _realise(shard.realised, command.a)
+        b = _realise(shard.realised, command.b)
+        return shard.executor.run([command.to_request(a, b)]).outcomes[0]
     if isinstance(command, RangeCommand):
-        dataset = _realise(realised, command.payload)
-        return service.range_query(
+        dataset = _realise(shard.realised, command.payload)
+        start = time.perf_counter()
+        hits = shard.workspace.range_query(
             dataset, command.query, buffer_pages=command.buffer_pages
         )
-    if isinstance(command, StatsCommand):
-        return (service.stats(), service.latency_records())
+        return hits, time.perf_counter() - start
     raise TypeError(
         f"unhandled shard command: {type(command).__name__}"
     )
 
 
-def execute_command(
-    service: SpatialQueryService,
-    realised: OrderedDict[str, Dataset],
-    command: ShardCommand,
-) -> ShardReply:
-    """Run one command and capture its outcome as the wire reply.
+def execute_command(shard: ShardState, command: ShardCommand) -> ShardReply:
+    """Run one command under the shard's lock and capture its outcome
+    as the wire reply.
 
     Failures are isolated per command, mirroring the batch executor:
     an exception becomes an ``ok=False`` reply, never a dead shard.
     """
     try:
-        payload = handle_command(service, realised, command)
+        with shard.lock:
+            payload = handle_command(shard, command)
     except Exception as exc:
-        return ShardReply(
-            seq=command.seq,
-            ok=False,
-            error=str(exc),
-            error_type=type(exc).__name__,
-        )
+        return _failed(command.seq, exc)
     return ShardReply(seq=command.seq, ok=True, payload=payload)
 
 
 def _shard_worker(
-    conn: Connection, service_options: dict[str, Any]
+    conn: Connection, shard_options: dict[str, Any]
 ) -> None:
     """Entry point of one shard process: a serial command loop over a
-    private service (the tier's parallelism is *across* shards, each of
-    which runs its misses inline)."""
-    service = SpatialQueryService(**service_options)
-    realised: OrderedDict[str, Dataset] = OrderedDict()
+    private :class:`ShardState` (the tier's parallelism is *across*
+    shards)."""
+    shard = ShardState(**shard_options)
     while True:
         try:
             command = conn.recv()
@@ -242,7 +275,7 @@ def _shard_worker(
             # a segfault mid-command would.
             os._exit(_CRASH_EXIT_CODE)
         try:
-            conn.send(execute_command(service, realised, command))
+            conn.send(execute_command(shard, command))
         except (BrokenPipeError, OSError):  # pragma: no cover
             break
     conn.close()
@@ -314,12 +347,12 @@ class _ProcessShard:
         self,
         index: int,
         *,
-        service_options: dict[str, Any],
+        shard_options: dict[str, Any],
         gate: _AdmissionGate,
     ) -> None:
         self.index = index
         self.gate = gate
-        self._service_options = service_options
+        self._shard_options = shard_options
         self._io = threading.Lock()
         self._state = threading.Lock()
         self._pending: dict[int, _Pending] = {}
@@ -335,7 +368,7 @@ class _ProcessShard:
         parent, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_shard_worker,
-            args=(child, self._service_options),
+            args=(child, self._shard_options),
             daemon=True,
             name=f"repro-shard-{self.index}",
         )
@@ -524,24 +557,24 @@ class _InlineShard:
     """In-process stand-in for a shard: same protocol, no process.
 
     Commands execute synchronously in the calling thread against a
-    private ``SpatialQueryService`` — through the very same
+    private :class:`ShardState` — through the very same
     :func:`execute_command` the worker loop uses, so tests (and the
     coverage gate) exercise the real shard-side code without child
-    processes.  Admission still applies: concurrent callers saturate
-    an inline shard exactly like a process shard.
+    processes.  The state's lock runs them one at a time, like the
+    worker's loop.  Admission still applies: concurrent callers
+    saturate an inline shard exactly like a process shard.
     """
 
     def __init__(
         self,
         index: int,
         *,
-        service_options: dict[str, Any],
+        shard_options: dict[str, Any],
         gate: _AdmissionGate,
     ) -> None:
         self.index = index
         self.gate = gate
-        self.service = SpatialQueryService(**service_options)
-        self._realised: OrderedDict[str, Dataset] = OrderedDict()
+        self.state = ShardState(**shard_options)
         self._closing = False
 
     @property
@@ -552,9 +585,7 @@ class _InlineShard:
         if self._closing:
             raise RuntimeError(f"shard {self.index} is closed")
         future: Future[ShardReply] = Future()
-        future.set_result(
-            execute_command(self.service, self._realised, command)
-        )
+        future.set_result(execute_command(self.state, command))
         return future
 
     def request(self, command: ShardCommand) -> ShardReply:
@@ -572,6 +603,40 @@ class _InlineShard:
 # ----------------------------------------------------------------------
 # The router
 # ----------------------------------------------------------------------
+@dataclass
+class _Waiter:
+    """One submission waiting on a routed miss (its leader's or its own)."""
+
+    future: "Future[ServiceResponse]"
+    label: str
+    client: str | None
+    start: float
+
+    def answer(
+        self,
+        key: CacheKey,
+        shard: int,
+        report: RunReport | None,
+        *,
+        cached: bool = False,
+        error: str | None = None,
+        error_type: str | None = None,
+    ) -> None:
+        """Resolve the submission; its wall is its own, end to end."""
+        self.future.set_result(
+            ServiceResponse(
+                report=report,
+                cached=cached,
+                key=key,
+                label=self.label,
+                wall_seconds=time.perf_counter() - self.start,
+                error=error,
+                error_type=error_type,
+                shard=shard,
+            )
+        )
+
+
 @dataclass
 class _Binding:
     """Router-side record of one registered name."""
@@ -599,10 +664,11 @@ class ShardedQueryService:
     shards:
         Shard count.
     disk_model / cost_model / max_cached_indexes:
-        Forwarded to every shard's private ``SpatialQueryService``
-        (the index-cache bound is therefore *per shard*).
+        Forwarded to every shard's :class:`ShardState` (the
+        index-cache bound is therefore *per shard*).
     max_cached_results:
-        Bound of the router's result cache and of each shard's.
+        Bound of the router's result cache, the tier's only one
+        (shards cache no results).
     max_inflight_per_shard:
         Admission bound: commands in flight per shard before
         backpressure engages.
@@ -637,8 +703,8 @@ class ShardedQueryService:
         self._ring = HashRing(shards)
         self.queue_timeout_s = queue_timeout_s
         self._client_quota = max_inflight_per_client
-        #: Guards names, result cache, client counts and counters;
-        #: held briefly, never across a shard round-trip.
+        #: Guards names, result cache, in-flight misses, client counts
+        #: and ledgers; held briefly, never across a shard round-trip.
         self._lock = threading.Lock()
         #: Serialises catalog mutations (register/unregister/close)
         #: end-to-end, shard round-trips included, and is the only
@@ -651,28 +717,19 @@ class ShardedQueryService:
         #: The tier's result cache: every report handed out, by key,
         #: purged on invalidation.  Guarded by ``_lock``.
         self._results = ResultCache(max_cached_results)
-        #: Per owner shard: requests the router answered from
-        #: ``_results``, and router fills skipped because a rebind
-        #: unbound a name-resolved fingerprint mid-flight.
-        self._router_hits = [0] * shards
-        self._router_fill_skips = [0] * shards
-        #: Latency of the router's hits, per algorithm.
-        self._latencies: dict[str, LatencyRecord] = {}
+        #: Routed misses by key: the submissions waiting on each, the
+        #: one that sent the command first.
+        self._inflight: dict[CacheKey, list[_Waiter]] = {}
+        #: The tier's only counters, one ledger per shard: each counts
+        #: the traffic routed to its shard.
+        self._ledgers = [ServiceLedger() for _ in range(shards)]
         self._clients: dict[str, int] = {}
         self._retired: list[SharedDatasetRef] = []
-        self._rejected = 0
-        #: Streaming tier, router side: deltas routed, entries patched
-        #: and re-filed, and entries that fell back to invalidation.
-        self._delta_applies = 0
-        self._delta_patches = 0
-        self._delta_patch_fallbacks = 0
         self._seq = itertools.count(1)
-        self._started = time.perf_counter()
         self._closed = False
-        service_options: dict[str, Any] = {
+        shard_options: dict[str, Any] = {
             "disk_model": disk_model,
             "cost_model": cost_model,
-            "max_cached_results": max_cached_results,
             "max_cached_indexes": max_cached_indexes,
         }
         self._shards: list[_ProcessShard | _InlineShard] = []
@@ -682,14 +739,14 @@ class ShardedQueryService:
                 if inline:
                     self._shards.append(
                         _InlineShard(
-                            index, service_options=service_options, gate=gate
+                            index, shard_options=shard_options, gate=gate
                         )
                     )
                 else:
                     self._shards.append(
                         _ProcessShard(
                             index,
-                            service_options=service_options,
+                            shard_options=shard_options,
                             gate=gate,
                         )
                     )
@@ -797,7 +854,8 @@ class ShardedQueryService:
         retire of the old binding, whose invalidation broadcast is the
         delta's only shard round trip — and the patched reports are
         filed in the router's cache, where a later identical join is a
-        hit that reaches no shard.
+        hit that reaches no shard.  The delta counts in the ledger of
+        the old content's owner shard.
 
         Runs under the catalog-mutation lock end-to-end: deltas
         serialise with register/unregister, never with joins.  Raises
@@ -808,6 +866,7 @@ class ShardedQueryService:
             self._ensure_open()
             with self._lock:
                 old = self._lookup(name)
+            ledger = self._ledgers[self._ring.owner(old.fingerprint)]
             (
                 new_dataset,
                 new_fingerprint,
@@ -823,7 +882,7 @@ class ShardedQueryService:
                 resolve=self._dataset_by_fingerprint,
             )
             with self._lock:
-                self._delta_applies += 1
+                ledger.delta_applies += 1
             if noop:
                 return DeltaOutcome(
                     entry=old.entry(),
@@ -839,8 +898,8 @@ class ShardedQueryService:
             with self._lock:
                 for key, report in rewritten:
                     self._results.put(key, report)
-                self._delta_patches += len(rewritten)
-                self._delta_patch_fallbacks += fallbacks
+                ledger.delta_patches += len(rewritten)
+                ledger.delta_patch_fallbacks += fallbacks
             return DeltaOutcome(
                 entry=binding.entry(),
                 fraction=fraction,
@@ -887,9 +946,9 @@ class ShardedQueryService:
         """Tear down one retired binding (caller holds ``_mutate``).
 
         If no surviving name serves the old content, every shard drops
-        its cached results and range index for it — joins are
-        pair-routed, so those entries can live anywhere — and the
-        router purges its result cache of them.  The shared-memory
+        its realised dataset and range index for it — joins are
+        pair-routed, so any shard may have realised it — and the
+        router purges its result cache of it.  The shared-memory
         ref is released through the retire window, not immediately: a
         command already in flight may still need to attach the old
         segment.
@@ -954,8 +1013,12 @@ class ShardedQueryService:
         raise synchronously, like the single-process service.  A
         client over its quota is rejected before the cache is probed;
         a hit resolves the future at once (``cached=True``) and no
-        shard sees the request.  Admission failures never raise: the
-        future resolves to an ``ok=False`` response with
+        shard sees the request.  A miss whose key is already in flight
+        attaches to that miss: it sends no command, takes no admission
+        slot, and resolves with the same answer (``cached=False``),
+        counted like a duplicate within one ``submit_many`` batch of
+        the single-process service.  Admission failures never raise:
+        the future resolves to an ``ok=False`` response with
         ``error_type`` of ``"ClientQuotaExceeded"`` or
         ``"ShardSaturated"``.
         """
@@ -983,51 +1046,50 @@ class ShardedQueryService:
         label = request.describe()
         shard = self._ring.owner_of_pair(fp_a, fp_b)
         handle = self._shards[shard]
-        done: Future[ServiceResponse] = Future()
+        waiter = _Waiter(Future(), label, client, start)
+        done = waiter.future
         if not self._acquire_client(client):
-            done.set_result(
-                self._rejection(
-                    key, label, shard, start,
-                    error_type="ClientQuotaExceeded",
-                    error=(
-                        f"client {client!r} is at its in-flight quota "
-                        f"({self._client_quota})"
-                    ),
-                )
+            with self._lock:
+                self._ledgers[shard].rejected_requests += 1
+            waiter.answer(
+                key, shard, None,
+                error_type="ClientQuotaExceeded",
+                error=(
+                    f"client {client!r} is at its in-flight quota "
+                    f"({self._client_quota})"
+                ),
             )
             return done
         with self._lock:
             report = self._results.get(key)
             if report is not None:
-                wall = time.perf_counter() - start
-                self._router_hits[shard] += 1
-                self._latencies.setdefault(
-                    report.algorithm, LatencyRecord()
-                ).add(wall)
+                self._ledgers[shard].hit(
+                    report.algorithm, time.perf_counter() - start
+                )
+            elif key in self._inflight:
+                self._inflight[key].append(waiter)
+                return done
+            else:
+                self._inflight[key] = [waiter]
         if report is not None:
             self._release_client(client)
-            done.set_result(
-                ServiceResponse(
-                    report=report,
-                    cached=True,
-                    key=key,
-                    label=label,
-                    wall_seconds=wall,
-                    shard=shard,
-                )
-            )
+            waiter.answer(key, shard, report, cached=True)
             return done
         if not handle.gate.try_acquire(self.queue_timeout_s):
-            self._release_client(client)
-            done.set_result(
-                self._rejection(
-                    key, label, shard, start,
-                    error_type="ShardSaturated",
+            self._settle(
+                key,
+                shard,
+                named,
+                ShardReply(
+                    seq=_CONTROL_SEQ,
+                    ok=False,
                     error=(
                         f"shard {shard} stayed at its in-flight "
                         f"bound for {self.queue_timeout_s:g}s"
                     ),
-                )
+                    error_type="ShardSaturated",
+                ),
+                rejected=True,
             )
             return done
         command = JoinCommand(
@@ -1043,99 +1105,73 @@ class ShardedQueryService:
 
         def _finish(reply_future: "Future[ShardReply]") -> None:
             # Runs in the shard's receiver thread (or inline, in the
-            # submitting thread).  The caller's future MUST resolve on
-            # every path — an escaped exception here would strand the
-            # submitter in ``.result()`` forever — so failures become
-            # error responses, mirroring executor failure isolation.
+            # submitting thread).  Every waiter's future MUST resolve
+            # on every path — an escaped exception here would strand
+            # the submitters in ``.result()`` forever — so failures
+            # become error replies, mirroring executor failure
+            # isolation.
             try:
-                response = self._join_response(
-                    reply_future.result(), key, named, label, shard, start
-                )
+                reply = reply_future.result()
             except BaseException as exc:  # pragma: no cover - defensive
-                response = ServiceResponse(
-                    report=None,
-                    cached=False,
-                    key=key,
-                    label=label,
-                    wall_seconds=time.perf_counter() - start,
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                    shard=shard,
-                )
+                reply = _failed(command.seq, exc)
             finally:
                 handle.gate.release()
-                self._release_client(client)
-            done.set_result(response)
+            self._settle(key, shard, named, reply)
 
         try:
             reply_future = handle.request_async(command)
-        except BaseException:
+        except BaseException as exc:
             handle.gate.release()
-            self._release_client(client)
+            self._settle(key, shard, named, _failed(command.seq, exc))
             raise
         reply_future.add_done_callback(_finish)
         return done
 
-    def _join_response(
+    def _settle(
         self,
-        reply: ShardReply,
         key: CacheKey,
+        shard: int,
         named: tuple[str, ...],
-        label: str,
-        shard: int,
-        start: float,
-    ) -> ServiceResponse:
-        """The client's response to a shard's reply; files the report
-        in the router's cache unless one of the ``named`` fingerprints
-        was unbound while the join was in flight."""
-        wall = time.perf_counter() - start
-        if not reply.ok:
-            return ServiceResponse(
-                report=None,
-                cached=False,
-                key=key,
-                label=label,
-                wall_seconds=wall,
-                error=reply.error,
-                error_type=reply.error_type,
-                shard=shard,
-            )
-        shard_response = reply.payload
-        assert isinstance(shard_response, ServiceResponse)
-        if shard_response.report is not None:
-            with self._lock:
-                if all(self._serves(fp) for fp in named):
-                    self._results.put(key, shard_response.report)
-                else:
-                    self._router_fill_skips[shard] += 1
-        # End-to-end wall (queueing and wire included) replaces the
-        # shard-side wall: it is what the submitting client observed.
-        return dataclasses.replace(
-            shard_response, wall_seconds=wall, shard=shard
-        )
-
-    def _rejection(
-        self,
-        key: CacheKey,
-        label: str,
-        shard: int,
-        start: float,
+        reply: ShardReply,
         *,
-        error_type: str,
-        error: str,
-    ) -> ServiceResponse:
+        rejected: bool = False,
+    ) -> None:
+        """Answer every submission waiting on ``key``'s miss.
+
+        Files the report in the router's cache unless one of the
+        ``named`` fingerprints was unbound while the join was in
+        flight, and counts the waiters in the owner shard's ledger:
+        each is a request and a miss (a failure if no report came
+        back), one latency sample (the shard-side wall) stands for
+        them all, and ``rejected`` waiters count as rejections only.
+        """
+        outcome = reply.payload if reply.ok else None
+        assert outcome is None or isinstance(outcome, RequestOutcome)
+        report = outcome.report if outcome is not None else None
         with self._lock:
-            self._rejected += 1
-        return ServiceResponse(
-            report=None,
-            cached=False,
-            key=key,
-            label=label,
-            wall_seconds=time.perf_counter() - start,
-            error=error,
-            error_type=error_type,
-            shard=shard,
-        )
+            waiters = self._inflight.pop(key)
+            ledger = self._ledgers[shard]
+            if rejected:
+                ledger.rejected_requests += len(waiters)
+            else:
+                ledger.miss(len(waiters))
+                ledger.executed(
+                    report,
+                    outcome.wall_seconds if outcome is not None else 0.0,
+                    len(waiters),
+                )
+            if report is not None:
+                if all(self._serves(fp) for fp in named):
+                    self._results.put(key, report)
+                else:
+                    ledger.cache_stale_fill_skips += 1
+        source = outcome if outcome is not None else reply
+        for waiter in waiters:
+            self._release_client(waiter.client)
+            waiter.answer(
+                key, shard, report,
+                error=source.error, error_type=source.error_type,
+            )
 
     # -- range queries -------------------------------------------------
     def range_query(
@@ -1158,7 +1194,7 @@ class ShardedQueryService:
         handle = self._shards[shard]
         if not self._acquire_client(client):
             with self._lock:
-                self._rejected += 1
+                self._ledgers[shard].rejected_requests += 1
             raise RuntimeError(
                 f"client {client!r} is at its in-flight quota "
                 f"({self._client_quota})"
@@ -1166,7 +1202,7 @@ class ShardedQueryService:
         try:
             if not handle.gate.try_acquire(self.queue_timeout_s):
                 with self._lock:
-                    self._rejected += 1
+                    self._ledgers[shard].rejected_requests += 1
                 raise ShardSaturated(
                     f"shard {shard} stayed at its in-flight bound "
                     f"for {self.queue_timeout_s:g}s"
@@ -1185,8 +1221,13 @@ class ShardedQueryService:
         finally:
             self._release_client(client)
         self._raise_reply(reply, "range query")
-        hits = reply.payload
+        assert isinstance(reply.payload, tuple)
+        hits, wall = reply.payload
         assert isinstance(hits, np.ndarray)
+        with self._lock:
+            ledger = self._ledgers[shard]
+            ledger.range_requests += 1
+            ledger.record_latency(RANGE_QUERY_LATENCY_KEY, wall)
         return hits
 
     # -- resolution / admission helpers --------------------------------
@@ -1259,67 +1300,27 @@ class ShardedQueryService:
 
     # -- observability -------------------------------------------------
     def stats(self) -> ServiceStats:
-        """Aggregate snapshot across shards plus router-side counters.
+        """One snapshot of the tier, read from the router's ledgers.
 
-        Latency percentiles are merged from the shards' raw
-        :class:`~repro.metrics.LatencyRecord` windows and the router's
-        hit window (percentiles of percentiles would be meaningless);
-        counters add exactly because the ring partitions the key
-        space.  A router hit counts as a request and a cache hit of
-        its owner shard, and a skipped router fill as that shard's
-        ``cache_stale_fill_skips``, in ``per_shard`` and the totals
-        alike; cache size, evictions and invalidations are the
-        shards'.  Shard counters cover the shard *process's*
-        lifetime: a crash-respawned shard restarts its slice of the
-        counts from zero (the router-side counts survive).
+        Sends no command: the router counts every join, range query,
+        rejection and delta in the ledger of the shard it routes to —
+        a router hit and a coalesced duplicate count for their key's
+        owner, a delta for its dataset's owner — so the ``per_shard``
+        rows add up to the totals, and a shard respawn changes no
+        count.  Latencies are shard-side walls for misses and range
+        queries, and lookup walls for router hits; the cache fields of
+        the totals are the router's cache, the tier's only one.
         """
         self._ensure_open()
-        replies = self._broadcast(lambda seq: StatsCommand(seq=seq))
         with self._lock:
-            router_hits = list(self._router_hits)
-            fill_skips = list(self._router_fill_skips)
-            merged = {
-                algorithm: record.copy()
-                for algorithm, record in self._latencies.items()
-            }
-            rejected = self._rejected
-            delta_applies = self._delta_applies
-            delta_patches = self._delta_patches
-            delta_fallbacks = self._delta_patch_fallbacks
-            catalog_size = len(self._names)
-        parts: list[ServiceStats] = []
-        for reply, hits, skips in zip(replies, router_hits, fill_skips):
-            self._raise_reply(reply, "stats")
-            payload = reply.payload
-            assert isinstance(payload, tuple)
-            part, records = payload
-            parts.append(
-                dataclasses.replace(
-                    part,
-                    requests=part.requests + hits,
-                    cache_hits=part.cache_hits + hits,
-                    cache_stale_fill_skips=(
-                        part.cache_stale_fill_skips + skips
-                    ),
-                )
+            rows = tuple(
+                ledger.snapshot().as_dict() for ledger in self._ledgers
             )
-            for algorithm, record in records.items():
-                merged.setdefault(
-                    algorithm, LatencyRecord()
-                ).merge(record)
-        return ServiceStats.merged(
-            parts,
-            uptime_seconds=time.perf_counter() - self._started,
-            latency_by_algorithm={
-                algorithm: record.summary()
-                for algorithm, record in sorted(merged.items())
-            },
-            rejected_requests=rejected,
-            delta_applies=delta_applies,
-            delta_patches=delta_patches,
-            delta_patch_fallbacks=delta_fallbacks,
-            catalog_size=catalog_size,
-        )
+            return ServiceLedger.combined(self._ledgers).snapshot(
+                catalog_size=len(self._names),
+                cache=self._results,
+                per_shard=rows,
+            )
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

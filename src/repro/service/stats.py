@@ -1,12 +1,14 @@
-"""Service observability: the :class:`ServiceStats` snapshot.
+"""Service observability: one ledger, one :class:`ServiceStats` snapshot.
 
 A long-lived service is only operable if its behaviour is visible from
 outside: how much traffic it absorbed, how much of it the result cache
 deflected, and what latency the cache misses actually cost, per
-algorithm.  :meth:`SpatialQueryService.stats()
-<repro.service.service.SpatialQueryService.stats>` assembles one
-immutable snapshot of all of that; the throughput benchmark and
-``python3 -m bench`` consume it directly.
+algorithm.  :class:`ServiceLedger` is the one accounting
+implementation of both tiers: :class:`~repro.service.service.SpatialQueryService`
+keeps one, and the sharded router keeps one per shard (shards keep no
+counters, so a respawn loses none).  Its :meth:`ServiceLedger.snapshot`
+is the immutable :class:`ServiceStats` the throughput benchmark and
+``python3 -m bench`` consume.
 
 Percentile math lives in :func:`repro.metrics.latency_summary` and is
 safe on empty samples — a freshly started service reports zeros, not
@@ -15,19 +17,24 @@ safe on empty samples — a freshly started service reports zeros, not
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from repro.engine.report import RunReport
+from repro.metrics import LatencyRecord
+from repro.service.cache import ResultCache
 
 
 @dataclass(frozen=True)
 class ServiceStats:
     """Immutable snapshot of one service's lifetime counters.
 
-    ``requests`` counts join submissions (through ``submit`` /
-    ``submit_many``); range queries are tracked separately in
-    ``range_requests``.  The result-cache invariant
-    ``cache_hits + cache_misses == requests`` holds at every snapshot:
-    each join submission probes the cache exactly once.
+    Built by :meth:`ServiceLedger.snapshot`.  ``requests`` counts join
+    submissions (through ``submit`` / ``submit_many``); range queries
+    are tracked separately in ``range_requests``.  The result-cache
+    invariant ``cache_hits + cache_misses == requests`` holds at every
+    snapshot: each join submission probes the cache exactly once.
     """
 
     #: Seconds since the service was constructed.
@@ -42,8 +49,10 @@ class ServiceStats:
     cache_misses: int
     cache_evictions: int
     cache_invalidations: int
-    #: Reports currently held by the result cache.
+    #: Reports currently held by the result cache (the router's, on
+    #: the sharded tier).
     cache_size: int
+    #: The cache's bound; ``None`` when unbounded, 0 for no cache.
     cache_max_entries: int | None
     #: Names currently registered in the dataset catalog.
     catalog_size: int
@@ -72,7 +81,11 @@ class ServiceStats:
     #: fraction above the threshold) — these fell back to invalidation.
     delta_patch_fallbacks: int = 0
     #: Sharded tier only: per-shard snapshot dicts (``as_dict`` rows),
-    #: in shard order.  Empty for single-process services.
+    #: in shard order, from the router's per-shard ledgers.  A row
+    #: counts the traffic routed to that shard, router hits included,
+    #: and its latencies are shard-side walls; shards hold no cache and
+    #: no names, so a row's cache and catalog fields are 0 (the totals
+    #: carry the router's).  Empty for single-process services.
     per_shard: tuple[dict[str, object], ...] = ()
     #: Per-algorithm latency summaries (count/mean/p50/p90/p99 seconds),
     #: over service-side request walls: cache hits contribute their
@@ -125,71 +138,6 @@ class ServiceStats:
             return 0.0
         return (self.requests + self.range_requests) / self.uptime_seconds
 
-    @classmethod
-    def merged(
-        cls,
-        parts: Sequence["ServiceStats"],
-        *,
-        uptime_seconds: float,
-        catalog_size: int,
-        latency_by_algorithm: dict[str, dict[str, float]] | None = None,
-        rejected_requests: int = 0,
-        delta_applies: int = 0,
-        delta_patches: int = 0,
-        delta_patch_fallbacks: int = 0,
-    ) -> "ServiceStats":
-        """One aggregate snapshot over per-shard snapshots.
-
-        Counters add exactly (shards partition the key space, so their
-        counters are disjoint); the cache bound is the sum of the
-        per-shard bounds (unbounded if any shard is).  The latency
-        summaries cannot be aggregated from per-shard percentiles —
-        the sharded service merges the raw
-        :class:`~repro.metrics.LatencyRecord` windows instead and
-        passes the result in; ``None`` falls back to an empty mapping.
-        ``catalog_size`` is the router's name count: shard catalogs
-        are empty, the router's map is the tier's only catalog.
-        """
-        bounds = [p.cache_max_entries for p in parts]
-        merged_bound: int | None
-        if not bounds or any(b is None for b in bounds):
-            merged_bound = None
-        else:
-            merged_bound = sum(b for b in bounds if b is not None)
-        return cls(
-            uptime_seconds=uptime_seconds,
-            requests=sum(p.requests for p in parts),
-            range_requests=sum(p.range_requests for p in parts),
-            failures=sum(p.failures for p in parts),
-            cache_hits=sum(p.cache_hits for p in parts),
-            cache_misses=sum(p.cache_misses for p in parts),
-            cache_evictions=sum(p.cache_evictions for p in parts),
-            cache_invalidations=sum(p.cache_invalidations for p in parts),
-            cache_size=sum(p.cache_size for p in parts),
-            cache_max_entries=merged_bound,
-            cache_stale_fill_skips=sum(
-                p.cache_stale_fill_skips for p in parts
-            ),
-            stale_index_drops=sum(p.stale_index_drops for p in parts),
-            rejected_requests=rejected_requests,
-            delta_applies=delta_applies
-            + sum(p.delta_applies for p in parts),
-            delta_patches=delta_patches
-            + sum(p.delta_patches for p in parts),
-            delta_patch_fallbacks=delta_patch_fallbacks
-            + sum(p.delta_patch_fallbacks for p in parts),
-            catalog_size=catalog_size,
-            latency_by_algorithm=dict(latency_by_algorithm or {}),
-            estimator_predictions=sum(
-                p.estimator_predictions for p in parts
-            ),
-            predicted_pairs=sum(p.predicted_pairs for p in parts),
-            actual_pairs=sum(p.actual_pairs for p in parts),
-            predicted_tests=sum(p.predicted_tests for p in parts),
-            actual_tests=sum(p.actual_tests for p in parts),
-            per_shard=tuple(p.as_dict() for p in parts),
-        )
-
     def as_dict(self) -> dict[str, object]:
         """Flat reporting view (JSON-friendly)."""
         return {
@@ -228,3 +176,127 @@ class ServiceStats:
                 "tests_ratio": round(self.tests_estimate_ratio, 3),
             },
         }
+
+
+@dataclass
+class ServiceLedger:
+    """The counters behind one :class:`ServiceStats` snapshot.
+
+    Field names are the snapshot's.  A join submission is exactly one
+    :meth:`hit` or one :meth:`miss`; an executed miss is one
+    :meth:`executed`, whatever number of duplicate submissions it
+    answered.  Not thread-safe: the owning service mutates and reads it
+    under its own lock.
+    """
+
+    requests: int = 0
+    range_requests: int = 0
+    failures: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_stale_fill_skips: int = 0
+    stale_index_drops: int = 0
+    rejected_requests: int = 0
+    delta_applies: int = 0
+    delta_patches: int = 0
+    delta_patch_fallbacks: int = 0
+    estimator_predictions: int = 0
+    predicted_pairs: float = 0.0
+    actual_pairs: int = 0
+    predicted_tests: float = 0.0
+    actual_tests: int = 0
+    latencies: dict[str, LatencyRecord] = field(default_factory=dict)
+    started: float = field(default_factory=time.perf_counter)
+
+    def hit(self, algorithm: str, seconds: float) -> None:
+        """One submission answered from the result cache."""
+        self.requests += 1
+        self.cache_hits += 1
+        self.record_latency(algorithm, seconds)
+
+    def miss(self, count: int = 1) -> None:
+        """``count`` submissions the result cache could not answer."""
+        self.requests += count
+        self.cache_misses += count
+
+    def executed(
+        self, report: RunReport | None, seconds: float, answered: int
+    ) -> None:
+        """One executed miss that answered ``answered`` submissions.
+
+        A failure counts once per submission it answered.  A success
+        adds one latency sample and, when the statistics layer planned
+        it (a costed ``report.plan``), its predicted and actual work.
+        """
+        if report is None:
+            self.failures += answered
+            return
+        self.record_latency(report.algorithm, seconds)
+        plan = report.plan
+        if plan is None or plan.est_pairs is None:
+            return
+        self.estimator_predictions += 1
+        self.predicted_pairs += plan.est_pairs
+        self.actual_pairs += report.pairs_found
+        if plan.est_tests is not None:
+            self.predicted_tests += plan.est_tests
+            self.actual_tests += report.intersection_tests
+
+    def record_latency(self, algorithm: str, seconds: float) -> None:
+        self.latencies.setdefault(algorithm, LatencyRecord()).add(seconds)
+
+    @classmethod
+    def combined(cls, parts: Sequence["ServiceLedger"]) -> "ServiceLedger":
+        """One ledger over ``parts``: counters add, latency windows merge
+        (percentiles of percentiles would be meaningless), and the
+        oldest start wins."""
+        total = cls()
+        for part in parts:
+            for counter in _COUNTERS:
+                setattr(
+                    total, counter,
+                    getattr(total, counter) + getattr(part, counter),
+                )
+            for algorithm, record in part.latencies.items():
+                total.latencies.setdefault(
+                    algorithm, LatencyRecord()
+                ).merge(record)
+            total.started = min(total.started, part.started)
+        return total
+
+    def snapshot(
+        self,
+        *,
+        catalog_size: int = 0,
+        cache: ResultCache | None = None,
+        per_shard: tuple[dict[str, object], ...] = (),
+    ) -> ServiceStats:
+        """The immutable view; ``cache`` supplies the cache's own
+        size, bound, evictions and invalidations (all 0 without one)."""
+        size, bound, evictions, invalidations = (
+            (len(cache), cache.max_entries, cache.evictions, cache.invalidations)
+            if cache is not None
+            else (0, 0, 0, 0)
+        )
+        return ServiceStats(
+            uptime_seconds=time.perf_counter() - self.started,
+            cache_evictions=evictions,
+            cache_invalidations=invalidations,
+            cache_size=size,
+            cache_max_entries=bound,
+            catalog_size=catalog_size,
+            per_shard=per_shard,
+            latency_by_algorithm={
+                algorithm: record.summary()
+                for algorithm, record in sorted(self.latencies.items())
+            },
+            **{counter: getattr(self, counter) for counter in _COUNTERS},
+        )
+
+
+#: The ledger's additive counters (everything but the latency records
+#: and the start time), named as in :class:`ServiceStats`.
+_COUNTERS = tuple(
+    f.name for f in fields(ServiceLedger)
+    if f.name not in ("latencies", "started")
+)

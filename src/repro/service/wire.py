@@ -3,14 +3,15 @@
 Everything that crosses a router↔shard pipe is defined here, as plain
 picklable dataclasses: commands down (each tagged with a router-chosen
 sequence number), one :class:`ShardReply` back per command, matched by
-that sequence number.  Shards hold no names: every command that reads
-a dataset carries it, so the router's name map is the tier's only
-catalog.  No cached report crosses the pipe downwards either: the
-router keeps the tier's result cache, answers hits and files
-delta-patched reports there, so a shard's only cache traffic is
-:class:`InvalidateCommand`.  Keeping the vocabulary in one module makes the protocol
-auditable — a shard worker can do exactly the things below, nothing
-else — and keeps :mod:`repro.service.sharded` importable by
+that sequence number.  Shards hold no names, no results and no
+counters: every command that reads a dataset carries it, a join's
+reply is its :class:`~repro.engine.executor.RequestOutcome` and a
+range query's its ids with the shard-side wall, and the router keeps
+the tier's catalog, result cache and counters.  So there is no stats
+command, and :class:`InvalidateCommand` only drops a shard's realised
+dataset and range index.  Keeping the vocabulary in one module makes
+the protocol auditable — a shard worker can do exactly the things
+below, nothing else — and keeps :mod:`repro.service.sharded` importable by
 ``multiprocessing`` spawn children without dragging the router's
 threading machinery along.
 
@@ -36,7 +37,6 @@ __all__ = [
     "InvalidateCommand",
     "JoinCommand",
     "RangeCommand",
-    "StatsCommand",
     "CrashCommand",
     "ShutdownCommand",
     "ShardCommand",
@@ -72,10 +72,9 @@ class InvalidateCommand:
     """Drop cached state of a fingerprint no name serves any more.
 
     Broadcast to every shard on rebind/unregister: joins are routed by
-    *pair*, so entries touching the retired content may live on any
-    shard.  Each shard drops its cached results for the fingerprint
-    and the range index of the dataset it realised for that content —
-    no cross-shard coordination.
+    *pair*, so any shard may have realised the retired content.  Each
+    shard forgets the dataset it realised for the fingerprint and that
+    dataset's range index — no cross-shard coordination.
     """
 
     seq: int
@@ -119,13 +118,6 @@ class RangeCommand:
 
 
 @dataclass(frozen=True)
-class StatsCommand:
-    """Snapshot request: replies with (ServiceStats, latency records)."""
-
-    seq: int
-
-
-@dataclass(frozen=True)
 class CrashCommand:
     """Failure injection: the worker dies without replying.
 
@@ -148,7 +140,6 @@ ShardCommand = (
     InvalidateCommand
     | JoinCommand
     | RangeCommand
-    | StatsCommand
     | CrashCommand
     | ShutdownCommand
 )

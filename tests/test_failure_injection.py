@@ -238,6 +238,34 @@ class TestShardWorkerCrash:
             assert late[0].result(timeout=10.0).ok
 
 
+    def test_respawn_leaves_the_counters_where_they_were(self, shard_corpus):
+        """The router keeps every counter, so a shard's death loses
+        none: ``stats()`` reads the same before and after a respawn."""
+        space, corpus = shard_corpus
+        with ShardedQueryService(2) as service:
+            for name, dataset in corpus.items():
+                service.register(name, dataset)
+            for pair in (("a", "b"), ("a", "c"), ("b", "c")):
+                service.submit(JoinRequest(*pair, "pbsm")).raise_for_failure()
+            for name in corpus:
+                service.range_query(name, space)
+            victim = service.submit(JoinRequest("a", "b", "pbsm")).shard
+            before = service.stats()
+            service.inject_crash(victim)
+            deadline = time.monotonic() + 10.0
+            while (
+                service.shard_respawns()[victim] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert service.shard_respawns()[victim] == 1
+            after = service.stats()
+            counted = ("requests", "cache_misses", "range_requests")
+            assert [getattr(after, name) for name in counted] == [
+                getattr(before, name) for name in counted
+            ] == [4, 3, 3]
+
+
 class TestShardSaturation:
     def test_saturated_shard_answers_known_keys_then_recovers(
         self, shard_corpus, monkeypatch

@@ -50,6 +50,7 @@ import pytest
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import JoinRequest
 from repro.service import ShardedQueryService, SpatialQueryService
+from repro.service.wire import JoinCommand
 from repro.streaming import DatasetDelta
 
 
@@ -252,15 +253,17 @@ class TestRouterFillRace:
             owner = tier._shards[
                 tier._ring.owner_of_pair(old, tier._names["b"].fingerprint)
             ]
-            submit = owner.service.submit
+            send = owner.request_async
 
-            def rebind_then_submit(request):
-                tier.register("a", _variant(91, space))
-                return submit(request)
+            def rebind_then_send(command):
+                # The rebind's own invalidation broadcast passes through.
+                if isinstance(command, JoinCommand):
+                    tier.register("a", _variant(91, space))
+                return send(command)
 
-            owner.service.submit = rebind_then_submit
+            owner.request_async = rebind_then_send
             response = tier.submit(JoinRequest("a", "b", "pbsm"))
-            owner.service.submit = submit
+            owner.request_async = send
             # Served as resolved: the join ran on the old content...
             assert response.ok and not response.cached
             # ...but the router keeps nothing for the retired content.

@@ -13,7 +13,10 @@ import errno
 import hashlib
 import multiprocessing
 import pickle
+import threading
 import time
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from repro.service import (
 )
 from repro.service.sharded import _ProcessShard
 from repro.service.sharding import pair_routing_key
-from repro.service.wire import DatasetPayload, InvalidateCommand
+from repro.service.wire import DatasetPayload, InvalidateCommand, JoinCommand
 from repro.storage.shm import SharedDatasetPool, shm_available
 from repro.streaming import DatasetDelta
 from tests.conftest import spy_on_shards
@@ -207,7 +210,7 @@ class TestInlineCatalog:
         def indexes_of(name):
             fingerprint = inline._names[name].fingerprint
             owner = inline._shards[inline._ring.owner(fingerprint)]
-            return owner.service.query_workspace
+            return owner.state.workspace
 
         inline.register("alias", inline._names["a"].dataset)
         inline.range_query("a", space)
@@ -223,8 +226,6 @@ class TestInlineCatalog:
         assert workspace.cached_index_count == 1
         inline.unregister("b")
         assert workspace.cached_index_count == 0
-        for handle in inline._shards:
-            assert len(handle.service.catalog) == 0
         assert inline.stats().catalog_size == len(inline.names()) == 3
 
     def test_unknown_name_and_bad_types_raise(self, inline):
@@ -425,6 +426,14 @@ class TestStatsMerging:
             record["count"] > 0 for record in merged.values()
         )
 
+    def test_stats_sends_no_command(self, inline, monkeypatch):
+        inline.submit(JoinRequest("a", "b", "pbsm"))
+        inline.range_query("a", inline._names["a"].dataset.boxes.mbb())
+        sent = spy_on_shards(inline, monkeypatch)
+        stats = inline.stats()
+        assert sent == [[]] * inline.shards
+        assert (stats.requests, stats.range_requests) == (1, 1)
+
     def test_failure_is_isolated_and_counted(self, inline, space):
         # Overlapping id spaces are rejected by the shard's workspace:
         # the submission fails, the service keeps serving.
@@ -433,6 +442,164 @@ class TestStatsMerging:
         assert not response.ok and response.error_type
         assert inline.stats().failures == 1
         assert inline.submit(JoinRequest("a", "b", "pbsm")).ok
+
+
+class TestCoalescing:
+    """A miss whose key is already in flight waits for that miss."""
+
+    @pytest.fixture
+    def quota(self, corpus):
+        service = ShardedQueryService(
+            2,
+            inline=True,
+            max_inflight_per_shard=1,
+            max_inflight_per_client=1,
+        )
+        service.register("a", corpus["a"])
+        service.register("b", corpus["b"])
+        yield service
+        service.close()
+
+    @staticmethod
+    def _hold(service, request, monkeypatch, *, raising=False):
+        """Spy on every shard, and hold the owner's first join command
+        until ``release`` is set (then send it, or raise instead)."""
+        sent = spy_on_shards(service, monkeypatch)
+        handle = service._shards[
+            service._ring.owner_of_pair(
+                *(
+                    dataset_fingerprint(
+                        service._names[side].dataset
+                        if isinstance(side, str)
+                        else side
+                    )
+                    for side in (request.a, request.b)
+                )
+            )
+        ]
+        spy = handle.request_async
+        entered, release = threading.Event(), threading.Event()
+
+        def held(command):
+            if isinstance(command, JoinCommand):
+                entered.set()
+                assert release.wait(10.0)
+                if raising:
+                    raise RuntimeError("shard pipe is gone")
+            return spy(command)
+
+        monkeypatch.setattr(handle, "request_async", held)
+        return sent, entered, release
+
+    def test_duplicate_in_flight_key_sends_one_command(
+        self, quota, monkeypatch
+    ):
+        request = JoinRequest("a", "b", "pbsm")
+        sent, entered, release = self._hold(quota, request, monkeypatch)
+        with ThreadPoolExecutor(1) as pool:
+            leader = pool.submit(quota.submit, request, client="c1")
+            assert entered.wait(10.0)
+            # Attaches: no command, no admission slot (the leader
+            # holds the shard's only one), no wait.
+            follower = quota.submit_async(request, client="c2")
+            assert not follower.done()
+            release.set()
+            lead = leader.result(timeout=10.0)
+        follow = follower.result(timeout=10.0)
+        assert [
+            type(command) for commands in sent for command in commands
+        ] == [JoinCommand]
+        assert not lead.cached and not follow.cached
+        assert follow.report is lead.report
+        assert pickle.dumps(follow.report) == pickle.dumps(lead.report)
+        assert follow.shard == lead.shard
+        stats = quota.stats()
+        assert (stats.requests, stats.cache_misses, stats.cache_hits) == (
+            2, 2, 0,
+        )
+        assert stats.latency_by_algorithm["PBSM"]["count"] == 1
+        assert quota._clients == {}
+        # The answer was filed once: the next submission is a hit.
+        assert quota.submit(request).cached
+
+    @pytest.mark.parametrize("raising", [False, True], ids=["outcome", "send"])
+    def test_followers_of_a_failed_leader_get_its_error(
+        self, quota, corpus, space, monkeypatch, raising
+    ):
+        # Overlapping ids fail the join inside the shard's executor; a
+        # send that raises never reaches the shard at all.
+        clash = uniform_dataset(50, seed=21, name="clash", space=space)
+        request = JoinRequest("a", clash, "pbsm")
+        _, entered, release = self._hold(
+            quota, request, monkeypatch, raising=raising
+        )
+        with ThreadPoolExecutor(1) as pool:
+            leader = pool.submit(quota.submit, request, client="c1")
+            assert entered.wait(10.0)
+            followers = [
+                quota.submit_async(request, client=client)
+                for client in ("c2", "c3")
+            ]
+            release.set()
+            if raising:
+                with pytest.raises(RuntimeError, match="pipe is gone"):
+                    leader.result(timeout=10.0)
+            else:
+                assert leader.result(timeout=10.0).error_type == "ValueError"
+        for future in followers:
+            response = future.result(timeout=10.0)
+            assert not response.ok and not response.cached
+            assert response.error_type == (
+                "RuntimeError" if raising else "ValueError"
+            )
+        assert quota._clients == {}
+        stats = quota.stats()
+        assert stats.failures == stats.cache_misses == stats.requests == 3
+        assert stats.cache_size == 0
+
+
+class TestInlineShardLock:
+    def test_invalidate_waits_for_the_join_in_flight(
+        self, inline, monkeypatch
+    ):
+        """Inline shards take commands from client threads: an
+        invalidation landing between ``_realise``'s lookup and its
+        recency refresh used to pop the entry under the join
+        (``KeyError``).  Commands now run one at a time per shard."""
+        request = JoinRequest("a", "b", "pbsm")
+        fp_a = inline._names["a"].fingerprint
+        owner = inline._shards[
+            inline._ring.owner_of_pair(fp_a, inline._names["b"].fingerprint)
+        ]
+        inline.submit(request).raise_for_failure()  # realises "a" there
+        invalidations: list[threading.Thread] = []
+        overlapped: list[bool] = []
+
+        class Interposed(OrderedDict):
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                if key == fp_a and not invalidations:
+                    racer = threading.Thread(
+                        target=owner.request,
+                        args=(InvalidateCommand(seq=0, fingerprint=fp_a),),
+                    )
+                    invalidations.append(racer)
+                    racer.start()
+                    racer.join(timeout=0.2)
+                    overlapped.append(not racer.is_alive())
+                return found
+
+        monkeypatch.setattr(
+            owner.state, "realised", Interposed(owner.state.realised)
+        )
+        response = inline.submit(
+            JoinRequest("a", "b", "pbsm", parameters={"resolution": 3})
+        )
+        (racer,) = invalidations
+        racer.join(timeout=10.0)
+        assert response.ok, response.error_type
+        assert overlapped == [False]
+        assert fp_a not in owner.state.realised
 
 
 # ----------------------------------------------------------------------

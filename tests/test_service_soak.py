@@ -136,9 +136,9 @@ def test_soak_sharded_tier_stays_coherent_under_rebind_traffic():
     """Sustained mixed traffic against the sharded tier, with rebinds.
 
     Inline shards keep the schedule deterministic; the properties are
-    the sharded analogues of the single-process soak: per-shard cache
-    bounds hold, counters add up across shards, rebinds never wedge a
-    shard, and no request fails.
+    the sharded analogues of the single-process soak: the router's
+    cache bound holds, counters add up across shards, rebinds never
+    wedge a shard, and no request fails.
     """
     from repro.service import ShardedQueryService
 
@@ -184,9 +184,8 @@ def test_soak_sharded_tier_stays_coherent_under_rebind_traffic():
         assert stats.failures == 0
         assert stats.rejected_requests == 0
         assert stats.catalog_size == len(NAMES)
+        assert stats.cache_size <= CACHE_BOUND
         assert len(stats.per_shard) == 3
-        for row in stats.per_shard:
-            assert int(row["cache_size"]) <= CACHE_BOUND
         assert sum(
             int(row["requests"]) for row in stats.per_shard
         ) == requests_total
