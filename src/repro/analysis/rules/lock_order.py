@@ -6,8 +6,8 @@ rule builds a *lock-acquisition graph* over every ``threading`` lock
 those modules define: an edge ``L1 -> L2`` means some execution
 acquires ``L2`` while holding ``L1`` — either lexically (nested
 ``with`` blocks) or through a call chain (``with self._lock:``
-calling a helper that takes ``self._query_lock``).  Two shapes are
-flagged:
+calling ``self._queries.forget()``, which takes the query workspace's
+lock).  Two shapes are flagged:
 
 * **ordering cycle** — two locks each acquired while the other is
   held (the classic AB/BA deadlock), or a non-reentrant lock
@@ -18,8 +18,8 @@ flagged:
   holding a service lock across it serializes every other client.
 
 Call chains resolve through the project call graph, so the edge
-``_lock -> _query_lock`` is found even when the inner acquisition
-lives three private helpers away.
+``_lock -> QueryWorkspace._lock`` is found even when the inner
+acquisition lives three private helpers away.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class LockOrderRule(ProjectRule):
     )
     rationale = (
         "The service tier holds `_lock` around catalog/cache state and "
-        "`_query_lock` around index builds; an AB/BA ordering between "
-        "them deadlocks under concurrent clients, and executor calls "
-        "under a lock serialize every other request behind "
-        "multi-second cold joins."
+        "the query workspace's `_lock` around index builds; an AB/BA "
+        "ordering between them deadlocks under concurrent clients, and "
+        "executor calls under a lock serialize every other request "
+        "behind multi-second cold joins."
     )
     example = (
         "def submit(self):\n"

@@ -19,7 +19,8 @@ time.  The service closes that gap with three long-lived pieces:
   slot) is answered synchronously with the byte-identical cached
   report; re-binding a name to new content invalidates exactly the
   entries computed from the old content;
-* a **query workspace** whose per-dataset index cache serves
+* a **query workspace** (:class:`QueryWorkspace`, shared with the
+  sharded tier's router) whose per-dataset index cache serves
   :meth:`range_query` without rebuilding indexes between calls.
 
 Cache misses route through the existing
@@ -51,12 +52,12 @@ each other.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro._types import IntArray
 
@@ -81,6 +82,60 @@ from repro.streaming.delta import DatasetDelta
 
 #: Latency bucket for range queries in ``latency_by_algorithm``.
 RANGE_QUERY_LATENCY_KEY = "range_query"
+
+
+class QueryWorkspace:
+    """The range-query path of both service tiers: a long-lived
+    :class:`~repro.engine.workspace.SpatialWorkspace` whose index cache
+    serves range queries, behind a lock of its own, so a cold index
+    build serialises only other range queries, never joins.  The lock
+    is taken under the tier's ``_lock`` (a retire's :meth:`forget`, a
+    stale drop), never the other way round.
+    """
+
+    def __init__(self, workspace: SpatialWorkspace) -> None:
+        self.workspace = workspace
+        self._lock = threading.Lock()
+
+    def forget(self, dataset: Dataset) -> None:
+        """Drop ``dataset``'s range index, if one is cached."""
+        with self._lock:
+            self.workspace.forget(dataset)
+
+    def range_query(
+        self,
+        tier_lock: AbstractContextManager[object],
+        resolve: Callable[[], tuple[Dataset, str | None, ServiceLedger]],
+        serves: Callable[[str], bool],
+        query: Box,
+        buffer_pages: int,
+    ) -> IntArray:
+        """Answer one range query: resolve, compute, re-check.
+
+        ``resolve()`` runs under ``tier_lock`` and gives the dataset,
+        the fingerprint its name resolved to (``None`` for a concrete
+        side, which is never guarded) and the ledger to count in.  The
+        index is built or reused under this workspace's lock only.  If
+        no name serves the content any more (``serves``, under
+        ``tier_lock`` again), the retire's :meth:`forget` ran before the
+        build and missed it: the index is dropped here and counted in
+        ``stale_index_drops``.  The hits go out as computed.
+        """
+        with tier_lock:
+            dataset, guard, ledger = resolve()
+            ledger.range_requests += 1
+        start = time.perf_counter()
+        with self._lock:
+            hits = self.workspace.range_query(
+                dataset, query, buffer_pages=buffer_pages
+            )
+        wall = time.perf_counter() - start
+        with tier_lock:
+            ledger.record_latency(RANGE_QUERY_LATENCY_KEY, wall)
+            if guard is not None and not serves(guard):
+                ledger.stale_index_drops += 1
+                self.forget(dataset)
+        return hits
 
 
 @dataclass
@@ -172,19 +227,15 @@ class SpatialQueryService:
         self._executor = BatchExecutor(
             disk_model=disk_model, cost_model=cost_model
         )
-        self._queries = SpatialWorkspace(
-            disk_model=disk_model,
-            cost_model=cost_model,
-            max_cached_indexes=max_cached_indexes,
+        self._queries = QueryWorkspace(
+            SpatialWorkspace(
+                disk_model=disk_model,
+                cost_model=cost_model,
+                max_cached_indexes=max_cached_indexes,
+            )
         )
         #: Guards catalog, result cache and ledger (held briefly).
         self._lock = threading.RLock()
-        #: Guards the (not thread-safe) query workspace separately, so
-        #: a cold index build only blocks other range queries, never
-        #: concurrent join cache hits.  Ordering: may be acquired while
-        #: holding ``_lock`` (``_invalidate``'s forget), never the other
-        #: way around.
-        self._query_lock = threading.Lock()
         self._ledger = ServiceLedger()
 
     # ------------------------------------------------------------------
@@ -199,7 +250,7 @@ class SpatialQueryService:
     @property
     def query_workspace(self) -> SpatialWorkspace:
         """The long-lived workspace serving :meth:`range_query`."""
-        return self._queries
+        return self._queries.workspace
 
     def register(self, name: str, dataset: Dataset) -> CatalogEntry:
         """Bind ``name`` to ``dataset`` in the catalog.
@@ -357,8 +408,7 @@ class SpatialQueryService:
             return
         self._results.invalidate_fingerprint(fingerprint)
         if dataset is not None:
-            with self._query_lock:
-                self._queries.forget(dataset)
+            self._queries.forget(dataset)
 
     # ------------------------------------------------------------------
     # Planning (from catalog sketches)
@@ -397,7 +447,7 @@ class SpatialQueryService:
                         "plan() takes catalog names (str) or concrete "
                         f"Datasets, got {type(side).__name__}"
                     )
-            page_size = self._queries.page_size
+            workspace = self._queries.workspace
         (dataset_a, sketch_a), (dataset_b, sketch_b) = sides
         if sketch_a is None:
             sketch_a = build_sketch(dataset_a)
@@ -408,12 +458,12 @@ class SpatialQueryService:
             dataset_b,
             algorithm,
             space=space,
-            page_size=page_size,
+            page_size=workspace.page_size,
             parameters=parameters,
             explain=True,
             sketches=(sketch_a, sketch_b),
-            disk_model=self._queries.disk.model,
-            cost_model=self._queries.cost_model,
+            disk_model=workspace.disk.model,
+            cost_model=workspace.cost_model,
         )
 
     # ------------------------------------------------------------------
@@ -600,46 +650,30 @@ class SpatialQueryService:
     ) -> IntArray:
         """Ids of the dataset's elements intersecting ``query``.
 
-        Served from the service's long-lived query workspace: the first
-        query against a dataset builds its index, subsequent ones reuse
-        it (the paper's index-reuse argument, Section VII-C1, applied
-        across requests).  Accepts a catalog name or a concrete
-        dataset.
+        Served from the service's long-lived query workspace
+        (:meth:`QueryWorkspace.range_query`): the first query against a
+        dataset builds its index, subsequent ones reuse it (the paper's
+        index-reuse argument, Section VII-C1, applied across requests).
+        Accepts a catalog name or a concrete dataset.
         """
-        guard_fp: str | None = None
-        with self._lock:
-            generation = self._catalog.generation
-            if isinstance(dataset, str):
-                entry = self._catalog.resolve(dataset)
-                dataset = entry.dataset
-                guard_fp = entry.fingerprint
-            self._ledger.range_requests += 1
-        # The query workspace has its own lock: a cold index build
-        # serialises only other range queries, not join cache hits.
-        start = time.perf_counter()
-        with self._query_lock:
-            hits = self._queries.range_query(
-                dataset, query, buffer_pages=buffer_pages
-            )
-        wall = time.perf_counter() - start
-        with self._lock:
-            self._ledger.record_latency(RANGE_QUERY_LATENCY_KEY, wall)
-            # Mirror image of the fill-time epoch check: if the name we
-            # resolved was unbound while the index build was in flight,
-            # register's forget() has already run and missed the index
-            # we just built — dropping it here closes the leak.  The
-            # hits still go out as computed: they were correct at
-            # resolve time.  Lock order (_lock then _query_lock)
-            # matches register's.
-            if (
-                guard_fp is not None
-                and self._catalog.generation != generation
-                and not self._catalog.names_bound_to(guard_fp)
-            ):
-                self._ledger.stale_index_drops += 1
-                with self._query_lock:
-                    self._queries.forget(dataset)
-        return hits
+        resolve = functools.partial(self._range_side, dataset)
+        return self._queries.range_query(
+            self._lock, resolve, self._serves, query, buffer_pages
+        )
+
+    def _range_side(
+        self, side: Dataset | str
+    ) -> tuple[Dataset, str | None, ServiceLedger]:
+        """A range query's dataset, guarded fingerprint and ledger
+        (caller holds ``_lock``)."""
+        if isinstance(side, str):
+            entry = self._catalog.resolve(side)
+            return entry.dataset, entry.fingerprint, self._ledger
+        return side, None, self._ledger
+
+    def _serves(self, fingerprint: str) -> bool:
+        """Whether a name serves ``fingerprint`` (caller holds ``_lock``)."""
+        return bool(self._catalog.names_bound_to(fingerprint))
 
     # ------------------------------------------------------------------
     # Observability

@@ -5,19 +5,19 @@ the throughput of a single process: every cache miss executes inline,
 and every request serialises on one catalog/cache lock.
 :class:`ShardedQueryService` scales the misses out across processes:
 
-* each of N **shard processes** is a stateless executor
-  (:class:`ShardState`: a batch executor for joins, a workspace whose
-  index cache serves range queries, and the realised datasets) that
-  runs the commands from its pipe one at a time — every command
+* each of N **shard processes** is a stateless join executor
+  (:class:`ShardState`: a batch executor and the realised datasets)
+  that runs the commands from its pipe one at a time — every command
   carries the datasets it reads;
 * the **router** (this process) owns the name → fingerprint map, the
-  tier's only catalog, the result cache, the tier's only one, and one
+  tier's only catalog, the result cache, the tier's only one, the
+  :class:`~repro.service.service.QueryWorkspace` whose index cache
+  answers every range query, and one
   :class:`~repro.service.stats.ServiceLedger` per shard, the tier's
-  only counters; it routes by a consistent-hash ring
-  (:class:`~repro.service.sharding.HashRing`): range queries run on
-  ``owner(fingerprint)``, joins on the owner of their ordered pair
-  digest.  Aliasing is decided once, router-side; retiring content
-  no name serves is one invalidation broadcast;
+  only counters; it routes each join by a consistent-hash ring
+  (:class:`~repro.service.sharding.HashRing`) to the owner of its
+  ordered pair digest.  Aliasing is decided once, router-side;
+  retiring content no name serves is one invalidation broadcast;
 * registered datasets ship as shared-memory references
   (:class:`~repro.storage.shm.SharedDatasetRef`, published once per
   content by the router's :class:`~repro.storage.shm.SharedDatasetPool`)
@@ -32,7 +32,9 @@ admission slot is held.  A duplicate of a miss still in flight waits
 for that miss instead of sending its own command.  A delta patches
 the cached entries it touches router-side and files the patched
 reports there; its only shard round trip is the retire's invalidation
-broadcast.
+broadcast.  Range queries never reach a shard: the router answers them
+from the datasets its bindings hold, through the same code as the
+single-process service, so no range query waits behind a join.
 
 The submission layer is asynchronous with explicit admission control
 for the requests the router cannot answer:
@@ -55,6 +57,7 @@ for deterministic tests and coverage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -66,8 +69,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from typing import Any
-
-import numpy as np
 
 from repro._types import IntArray
 from repro.engine.executor import BatchExecutor, JoinRequest, RequestOutcome
@@ -84,8 +85,8 @@ from repro.service.fingerprint import (
 )
 from repro.service.patch import advance_delta
 from repro.service.service import (
-    RANGE_QUERY_LATENCY_KEY,
     DeltaOutcome,
+    QueryWorkspace,
     ServiceResponse,
 )
 from repro.service.sharding import HashRing
@@ -95,7 +96,6 @@ from repro.service.wire import (
     DatasetPayload,
     InvalidateCommand,
     JoinCommand,
-    RangeCommand,
     ShardCommand,
     ShardReply,
     ShutdownCommand,
@@ -145,14 +145,14 @@ def _failed(seq: int, exc: BaseException) -> ShardReply:
 # router process for inline shards)
 # ----------------------------------------------------------------------
 class ShardState:
-    """Everything one shard holds: no names, no results, no counters.
+    """Everything one shard holds: no names, no results, no counters,
+    no indexes.
 
     A :class:`~repro.engine.executor.BatchExecutor` for joins (each
-    runs cold on its own workspace), a long-lived
-    :class:`~repro.engine.workspace.SpatialWorkspace` whose index cache
-    serves range queries, and the fingerprint -> realised-dataset map.
-    ``lock`` runs one command at a time: a worker's loop is serial
-    anyway, and inline shards take commands from client threads.
+    runs cold on its own workspace) and the fingerprint ->
+    realised-dataset map.  ``lock`` runs one command at a time: a
+    worker's loop is serial anyway, and inline shards take commands
+    from client threads.
     """
 
     def __init__(
@@ -160,17 +160,9 @@ class ShardState:
         *,
         disk_model: DiskModel | None = None,
         cost_model: CostModel | None = None,
-        max_cached_indexes: int | None = (
-            SpatialWorkspace.DEFAULT_MAX_CACHED_INDEXES
-        ),
     ) -> None:
         self.executor = BatchExecutor(
             disk_model=disk_model, cost_model=cost_model
-        )
-        self.workspace = SpatialWorkspace(
-            disk_model=disk_model,
-            cost_model=cost_model,
-            max_cached_indexes=max_cached_indexes,
         )
         self.realised: OrderedDict[str, Dataset] = OrderedDict()
         self.lock = threading.Lock()
@@ -183,10 +175,8 @@ def _realise(
 
     Shared-memory refs attach zero-copy, pickled fallbacks arrive
     whole; either way the result is cached by content fingerprint in
-    ``realised``.  The same content must realise as the *same object*
-    within a shard, or the workspace's identity-keyed range index
-    cache would rebuild per command, and an invalidation must find
-    that object to drop its index.  The LRU bound keeps ad-hoc
+    ``realised``, so repeated joins over the same content attach or
+    unpickle it once per shard.  The LRU bound keeps ad-hoc
     concrete-dataset traffic from growing the cache without limit.
     """
     cached = realised.get(payload.fingerprint)
@@ -211,27 +201,17 @@ def handle_command(shard: ShardState, command: ShardCommand) -> object:
     process does funnels through here, which is what makes the shard
     protocol unit-testable in-process (the inline shards call it
     directly).  A join replies with its
-    :class:`~repro.engine.executor.RequestOutcome`, a range query with
-    ``(ids, shard-side wall seconds)``.  Exceptions propagate to
-    :func:`execute_command`, which captures them into an ``ok=False``
-    reply.
+    :class:`~repro.engine.executor.RequestOutcome`.  Exceptions
+    propagate to :func:`execute_command`, which captures them into an
+    ``ok=False`` reply.
     """
     if isinstance(command, InvalidateCommand):
-        dataset = shard.realised.pop(command.fingerprint, None)
-        if dataset is not None:
-            shard.workspace.forget(dataset)
+        shard.realised.pop(command.fingerprint, None)
         return None
     if isinstance(command, JoinCommand):
         a = _realise(shard.realised, command.a)
         b = _realise(shard.realised, command.b)
         return shard.executor.run([command.to_request(a, b)]).outcomes[0]
-    if isinstance(command, RangeCommand):
-        dataset = _realise(shard.realised, command.payload)
-        start = time.perf_counter()
-        hits = shard.workspace.range_query(
-            dataset, command.query, buffer_pages=command.buffer_pages
-        )
-        return hits, time.perf_counter() - start
     raise TypeError(
         f"unhandled shard command: {type(command).__name__}"
     )
@@ -405,9 +385,6 @@ class _ProcessShard:
             self._pending[command.seq] = entry
         self._send(entry)
         return entry.future
-
-    def request(self, command: ShardCommand) -> ShardReply:
-        return self.request_async(command).result()
 
     def _send(self, entry: _Pending) -> None:
         """Best-effort send; a broken pipe is *not* an error here.
@@ -588,9 +565,6 @@ class _InlineShard:
         future.set_result(execute_command(self.state, command))
         return future
 
-    def request(self, command: ShardCommand) -> ShardReply:
-        return self.request_async(command).result()
-
     def inject_crash(self) -> None:
         raise RuntimeError(
             "crash injection requires process shards (inline=False)"
@@ -663,9 +637,12 @@ class ShardedQueryService:
     ----------
     shards:
         Shard count.
-    disk_model / cost_model / max_cached_indexes:
-        Forwarded to every shard's :class:`ShardState` (the
-        index-cache bound is therefore *per shard*).
+    disk_model / cost_model:
+        Forwarded to every shard's :class:`ShardState` and to the
+        router's query workspace.
+    max_cached_indexes:
+        Bound of the router's range-query index cache (shards keep no
+        indexes between commands).
     max_cached_results:
         Bound of the router's result cache, the tier's only one
         (shards cache no results).
@@ -727,10 +704,16 @@ class ShardedQueryService:
         self._retired: list[SharedDatasetRef] = []
         self._seq = itertools.count(1)
         self._closed = False
+        self._queries = QueryWorkspace(
+            SpatialWorkspace(
+                disk_model=disk_model,
+                cost_model=cost_model,
+                max_cached_indexes=max_cached_indexes,
+            )
+        )
         shard_options: dict[str, Any] = {
             "disk_model": disk_model,
             "cost_model": cost_model,
-            "max_cached_indexes": max_cached_indexes,
         }
         self._shards: list[_ProcessShard | _InlineShard] = []
         try:
@@ -765,6 +748,11 @@ class ShardedQueryService:
         """All registered names, sorted (the router map is authoritative)."""
         with self._lock:
             return tuple(sorted(self._names))
+
+    @property
+    def query_workspace(self) -> SpatialWorkspace:
+        """The router's long-lived workspace serving :meth:`range_query`."""
+        return self._queries.workspace
 
     def shard_respawns(self) -> list[int]:
         """Per-shard crash-recovery counts (observability/tests)."""
@@ -946,9 +934,9 @@ class ShardedQueryService:
         """Tear down one retired binding (caller holds ``_mutate``).
 
         If no surviving name serves the old content, every shard drops
-        its realised dataset and range index for it — joins are
-        pair-routed, so any shard may have realised it — and the
-        router purges its result cache of it.  The shared-memory
+        its realised dataset for it — joins are pair-routed, so any
+        shard may have realised it — and the router purges its result
+        cache of it and forgets its range index.  The shared-memory
         ref is released through the retire window, not immediately: a
         command already in flight may still need to attach the old
         segment.
@@ -963,6 +951,7 @@ class ShardedQueryService:
             )
             with self._lock:
                 self._results.invalidate_fingerprint(old.fingerprint)
+                self._queries.forget(old.dataset)
         if old.payload.ref is not None:
             self._retire_ref(old.payload.ref)
 
@@ -1182,53 +1171,48 @@ class ShardedQueryService:
         buffer_pages: int = 256,
         client: str | None = None,
     ) -> IntArray:
-        """Range query on the content's owner shard (its index cache).
+        """Range query answered by the router from its query workspace,
+        by the single-process service's code
+        (:meth:`~repro.service.service.QueryWorkspace.range_query`).
 
-        Range answers are not cached by the router, so a saturated
-        owner shard raises :class:`ShardSaturated` after the queue
-        timeout, and a client over quota raises ``RuntimeError``.
+        No shard sees it: it takes no admission slot, never raises
+        :class:`ShardSaturated` and never waits behind a join.  A client
+        over its quota raises ``RuntimeError``.  It counts in the ledger
+        of the content's owner shard.
         """
         self._ensure_open()
-        payload, fingerprint = self._resolve_side(dataset)
-        shard = self._ring.owner(fingerprint)
-        handle = self._shards[shard]
+        # A concrete side is hashed outside the lock, only to find the
+        # owner whose ledger counts it.
+        fingerprint = (
+            None if isinstance(dataset, str) else self._resolve_side(dataset)[1]
+        )
+        resolve = functools.partial(self._range_side, dataset, fingerprint)
         if not self._acquire_client(client):
             with self._lock:
-                self._ledgers[shard].rejected_requests += 1
+                _, _, ledger = resolve()
+                ledger.rejected_requests += 1
             raise RuntimeError(
                 f"client {client!r} is at its in-flight quota "
                 f"({self._client_quota})"
             )
         try:
-            if not handle.gate.try_acquire(self.queue_timeout_s):
-                with self._lock:
-                    self._ledgers[shard].rejected_requests += 1
-                raise ShardSaturated(
-                    f"shard {shard} stayed at its in-flight bound "
-                    f"for {self.queue_timeout_s:g}s"
-                )
-            try:
-                reply = handle.request(
-                    RangeCommand(
-                        seq=next(self._seq),
-                        payload=payload,
-                        query=query,
-                        buffer_pages=buffer_pages,
-                    )
-                )
-            finally:
-                handle.gate.release()
+            return self._queries.range_query(
+                self._lock, resolve, self._serves, query, buffer_pages
+            )
         finally:
             self._release_client(client)
-        self._raise_reply(reply, "range query")
-        assert isinstance(reply.payload, tuple)
-        hits, wall = reply.payload
-        assert isinstance(hits, np.ndarray)
-        with self._lock:
-            ledger = self._ledgers[shard]
-            ledger.range_requests += 1
-            ledger.record_latency(RANGE_QUERY_LATENCY_KEY, wall)
-        return hits
+
+    def _range_side(
+        self, side: Dataset | str, fingerprint: str | None
+    ) -> tuple[Dataset, str | None, ServiceLedger]:
+        """A range query's dataset, guarded fingerprint and owner's
+        ledger (caller holds ``_lock``)."""
+        if isinstance(side, str):
+            binding = self._lookup(side)
+            owner = self._ring.owner(binding.fingerprint)
+            return binding.dataset, binding.fingerprint, self._ledgers[owner]
+        assert fingerprint is not None
+        return side, None, self._ledgers[self._ring.owner(fingerprint)]
 
     # -- resolution / admission helpers --------------------------------
     def _resolve_side(
@@ -1281,14 +1265,6 @@ class ShardedQueryService:
             else:
                 self._clients[client] = occupied
 
-    @staticmethod
-    def _raise_reply(reply: ShardReply, context: str) -> None:
-        if not reply.ok:
-            raise RuntimeError(
-                f"{context} failed on shard: "
-                f"{reply.error_type}: {reply.error}"
-            )
-
     def _ensure_open(self) -> None:
         if self._closed:
             raise RuntimeError("service is closed")
@@ -1307,9 +1283,11 @@ class ShardedQueryService:
         a router hit and a coalesced duplicate count for their key's
         owner, a delta for its dataset's owner — so the ``per_shard``
         rows add up to the totals, and a shard respawn changes no
-        count.  Latencies are shard-side walls for misses and range
-        queries, and lookup walls for router hits; the cache fields of
-        the totals are the router's cache, the tier's only one.
+        count.  Latencies are shard-side walls for misses, router-side
+        walls for range queries (counted in the row of the content's
+        owner, so the rows still add up) and lookup walls for router
+        hits; the cache fields of the totals are the router's cache,
+        the tier's only one.
         """
         self._ensure_open()
         with self._lock:

@@ -1,21 +1,18 @@
 """Consistent hashing over content fingerprints: the shard ring.
 
-The sharded service partitions its result cache and range-query
-indexes by *content*, not by name: every dataset already carries a
-SHA-256 fingerprint
+The sharded service partitions its work by *content*, not by name:
+every dataset already carries a SHA-256 fingerprint
 (:func:`~repro.service.fingerprint.dataset_fingerprint`), and the ring
-maps that fingerprint to the shard that owns it, so range queries over
-equal content land on one shard's index cache whatever name the caller
-used.  Names live only in the router, which decides aliasing once.
+maps that fingerprint to the shard that owns it, so work over equal
+content is counted for one shard whatever name the caller used.  Names
+live only in the router, which decides aliasing once.
 
 Joins are keyed by *two* fingerprints, so a pair is routed by the
 fingerprint of the ordered pair: every request over the same two
-contents (whatever the algorithm or parameters) lands on one shard,
-which therefore owns the whole result-cache neighbourhood of that
-pair — a rebind invalidates cache entries on whichever shards hold
-pairs involving the old content, which is why the router broadcasts
-(cheap, shard-locally executed) invalidation commands rather than
-coordinating cross-shard state.
+contents (whatever the algorithm or parameters) lands on one shard.
+Any shard may therefore have realised a given content, which is why
+the router broadcasts (cheap, shard-locally executed) invalidation
+commands rather than coordinating cross-shard state.
 
 The ring itself is the textbook construction: each shard contributes
 :data:`REPLICAS` virtual points on a 64-bit circle (SHA-256 of

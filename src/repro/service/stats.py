@@ -82,10 +82,11 @@ class ServiceStats:
     delta_patch_fallbacks: int = 0
     #: Sharded tier only: per-shard snapshot dicts (``as_dict`` rows),
     #: in shard order, from the router's per-shard ledgers.  A row
-    #: counts the traffic routed to that shard, router hits included,
-    #: and its latencies are shard-side walls; shards hold no cache and
-    #: no names, so a row's cache and catalog fields are 0 (the totals
-    #: carry the router's).  Empty for single-process services.
+    #: counts the traffic routed to that shard, router hits and range
+    #: queries included; only its miss latencies are shard-side walls.
+    #: Shards hold no cache and no names, so a row's cache and catalog
+    #: fields are 0 (the totals carry the router's).  Empty for
+    #: single-process services.
     per_shard: tuple[dict[str, object], ...] = ()
     #: Per-algorithm latency summaries (count/mean/p50/p90/p99 seconds),
     #: over service-side request walls: cache hits contribute their

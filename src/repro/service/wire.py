@@ -5,11 +5,11 @@ picklable dataclasses: commands down (each tagged with a router-chosen
 sequence number), one :class:`ShardReply` back per command, matched by
 that sequence number.  Shards hold no names, no results and no
 counters: every command that reads a dataset carries it, a join's
-reply is its :class:`~repro.engine.executor.RequestOutcome` and a
-range query's its ids with the shard-side wall, and the router keeps
-the tier's catalog, result cache and counters.  So there is no stats
-command, and :class:`InvalidateCommand` only drops a shard's realised
-dataset and range index.  Keeping the vocabulary in one module makes
+reply is its :class:`~repro.engine.executor.RequestOutcome`, and the
+router keeps the tier's catalog, result cache, range indexes and
+counters.  So there is no stats command and no range command (the
+router answers range queries itself), and :class:`InvalidateCommand`
+only drops a shard's realised dataset.  Keeping the vocabulary in one module makes
 the protocol auditable — a shard worker can do exactly the things
 below, nothing else — and keeps :mod:`repro.service.sharded` importable by
 ``multiprocessing`` spawn children without dragging the router's
@@ -36,7 +36,6 @@ __all__ = [
     "DatasetPayload",
     "InvalidateCommand",
     "JoinCommand",
-    "RangeCommand",
     "CrashCommand",
     "ShutdownCommand",
     "ShardCommand",
@@ -51,9 +50,8 @@ class DatasetPayload:
     Exactly one of ``ref`` / ``dataset`` is set.  ``fingerprint`` is
     the content fingerprint in either case — the worker's realisation
     cache is keyed by it, so repeated commands over the same content
-    realise one ``Dataset`` object per shard process (which is what
-    keeps the workspace's identity-keyed index cache hot even on the
-    pickling fallback path).
+    realise one ``Dataset`` object per shard process, on the pickling
+    fallback path too.
     """
 
     fingerprint: str
@@ -73,8 +71,8 @@ class InvalidateCommand:
 
     Broadcast to every shard on rebind/unregister: joins are routed by
     *pair*, so any shard may have realised the retired content.  Each
-    shard forgets the dataset it realised for the fingerprint and that
-    dataset's range index — no cross-shard coordination.
+    shard forgets the dataset it realised for the fingerprint — no
+    cross-shard coordination.
     """
 
     seq: int
@@ -108,16 +106,6 @@ class JoinCommand:
 
 
 @dataclass(frozen=True)
-class RangeCommand:
-    """Range query against the payload's content (owner shard only)."""
-
-    seq: int
-    payload: DatasetPayload
-    query: Box
-    buffer_pages: int
-
-
-@dataclass(frozen=True)
 class CrashCommand:
     """Failure injection: the worker dies without replying.
 
@@ -139,7 +127,6 @@ class ShutdownCommand:
 ShardCommand = (
     InvalidateCommand
     | JoinCommand
-    | RangeCommand
     | CrashCommand
     | ShutdownCommand
 )

@@ -19,7 +19,8 @@ that shares their shape:
    ``forget()`` ran before the build finished: the freshly built index
    of the *old* dataset landed in the workspace cache after the purge,
    pinned until LRU pressure.  The fix drops it post-hoc, counted in
-   ``stale_index_drops``.
+   ``stale_index_drops``.  Both tiers run the one range-query path
+   (``QueryWorkspace.range_query``), so its tests run on both.
 
 3. **Patched fill after partner rebind** — ``apply_delta`` patches
    cached entries outside the lock against the partner content bound
@@ -37,9 +38,10 @@ that shares their shape:
    ``cache_stale_fill_skips``.
 
 The deterministic tests below interpose on the exact window (executor
-call / query-lock acquisition) to force the interleaving every run; the
-threaded stress test closes with the global invariant both fixes
-protect: no cached result may reference an unbound fingerprint.
+call / query-workspace lock acquisition) to force the interleaving
+every run; the threaded stress test closes with the global invariant
+both fixes protect: no cached result may reference an unbound
+fingerprint.
 """
 
 import threading
@@ -71,6 +73,26 @@ def service(space):
     return service
 
 
+@pytest.fixture(params=["single", "sharded"])
+def tier(request, space):
+    """Either tier, with ``a`` and ``b`` registered."""
+    if request.param == "single":
+        service = SpatialQueryService()
+    else:
+        service = ShardedQueryService(2, inline=True)
+        request.addfinalizer(service.close)
+    service.register("a", _variant(1, space))
+    service.register("b", _variant(2, space, offset=10**9))
+    return service
+
+
+def _bound(tier, name):
+    """The dataset ``name`` is bound to, on either tier."""
+    if isinstance(tier, ShardedQueryService):
+        return tier._names[name].dataset
+    return tier.catalog.resolve(name).dataset
+
+
 class _RebindOnRun:
     """Executor wrapper: runs the batch, then rebinds before the fill.
 
@@ -90,14 +112,15 @@ class _RebindOnRun:
 
 
 class _RebindOnAcquire:
-    """Query-lock wrapper whose first acquisition triggers a rebind.
+    """Query-workspace lock wrapper whose first acquisition triggers a
+    rebind.
 
-    ``range_query`` resolves under ``_lock``, then takes
-    ``_query_lock`` to build the index; firing the rebind inside
+    ``range_query`` resolves under ``_lock``, then takes the query
+    workspace's lock to build the index; firing the rebind inside
     ``__enter__`` (before delegating) recreates a ``forget()`` that
     completes while the build is still queued behind it.  The flag is
-    set *before* rebinding so the rebind's own ``_query_lock`` use
-    passes straight through.
+    set *before* rebinding so the rebind's own use of the lock passes
+    straight through.
     """
 
     def __init__(self, inner, rebind):
@@ -172,13 +195,13 @@ class TestJoinFillRace:
 
 
 class TestRangeIndexRace:
-    def test_stale_index_is_dropped(self, service, space):
-        old = service.catalog.resolve("a").dataset
-        service._query_lock = _RebindOnAcquire(
-            service._query_lock,
-            lambda: service.register("a", _variant(74, space)),
+    def test_stale_index_is_dropped(self, tier, space):
+        old = _bound(tier, "a")
+        tier._queries._lock = _RebindOnAcquire(
+            tier._queries._lock,
+            lambda: tier.register("a", _variant(74, space)),
         )
-        hits = service.range_query("a", space)
+        hits = tier.range_query("a", space)
         # Hits are served as computed (correct at resolve time)...
         fresh = SpatialQueryService()
         expected = fresh.range_query(old, space)
@@ -186,34 +209,34 @@ class TestRangeIndexRace:
         # ...but the old dataset's freshly built index must not outlive
         # the forget() that raced it.
         assert all(
-            key[0] != id(old) for key in service.query_workspace._cache
+            key[0] != id(old) for key in tier.query_workspace._cache
         )
-        assert service.stats().stale_index_drops == 1
+        assert tier.stats().stale_index_drops == 1
 
-    def test_alias_keeps_the_index(self, service, space):
-        old = service.catalog.resolve("a").dataset
-        service.register("alias", old)
-        service._query_lock = _RebindOnAcquire(
-            service._query_lock,
-            lambda: service.register("a", _variant(75, space)),
+    def test_alias_keeps_the_index(self, tier, space):
+        old = _bound(tier, "a")
+        tier.register("alias", old)
+        tier._queries._lock = _RebindOnAcquire(
+            tier._queries._lock,
+            lambda: tier.register("a", _variant(75, space)),
         )
-        service.range_query("a", space)
+        tier.range_query("a", space)
         assert any(
-            key[0] == id(old) for key in service.query_workspace._cache
+            key[0] == id(old) for key in tier.query_workspace._cache
         )
-        assert service.stats().stale_index_drops == 0
+        assert tier.stats().stale_index_drops == 0
 
-    def test_concrete_dataset_is_never_guarded(self, service, space):
+    def test_concrete_dataset_is_never_guarded(self, tier, space):
         concrete = _variant(76, space, offset=2 * 10**9)
-        service._query_lock = _RebindOnAcquire(
-            service._query_lock,
-            lambda: service.register("a", _variant(77, space)),
+        tier._queries._lock = _RebindOnAcquire(
+            tier._queries._lock,
+            lambda: tier.register("a", _variant(77, space)),
         )
-        service.range_query(concrete, space)
+        tier.range_query(concrete, space)
         assert any(
-            key[0] == id(concrete) for key in service.query_workspace._cache
+            key[0] == id(concrete) for key in tier.query_workspace._cache
         )
-        assert service.stats().stale_index_drops == 0
+        assert tier.stats().stale_index_drops == 0
 
 
 class TestDeltaFillRace:

@@ -11,6 +11,7 @@ and shard-crash isolation with mid-stream recovery.
 
 import errno
 import hashlib
+import itertools
 import multiprocessing
 import pickle
 import threading
@@ -25,7 +26,6 @@ from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import JoinRequest
 from repro.service import (
     HashRing,
-    ShardSaturated,
     ShardedQueryService,
     SpatialQueryService,
     dataset_fingerprint,
@@ -202,19 +202,13 @@ class TestInlineCatalog:
         with pytest.raises(KeyError, match="registered: a, b"):
             inline.submit(JoinRequest("a", "c", "pbsm"))
 
-    def test_retire_drops_the_owner_shards_range_index(self, inline, space):
-        """The router's name map is the tier's only catalog: shards hold
-        no names, and retiring content no name serves drops the range
-        index its owner shard built — an alias keeps it."""
-
-        def indexes_of(name):
-            fingerprint = inline._names[name].fingerprint
-            owner = inline._shards[inline._ring.owner(fingerprint)]
-            return owner.state.workspace
-
+    def test_retire_drops_the_routers_range_index(self, inline, space):
+        """The router's name map is the tier's only catalog and its
+        query workspace the only range index: retiring content no name
+        serves drops that content's index — an alias keeps it."""
+        workspace = inline.query_workspace
         inline.register("alias", inline._names["a"].dataset)
         inline.range_query("a", space)
-        workspace = indexes_of("a")
         assert workspace.cached_index_count == 1
         changed = uniform_dataset(150, seed=93, name="A", space=space)
         inline.register("a", changed)
@@ -222,7 +216,6 @@ class TestInlineCatalog:
         inline.register("alias", inline._names["a"].dataset)
         assert workspace.cached_index_count == 0
         inline.range_query("b", space)
-        workspace = indexes_of("b")
         assert workspace.cached_index_count == 1
         inline.unregister("b")
         assert workspace.cached_index_count == 0
@@ -322,16 +315,26 @@ class TestAdmissionControl:
         # The slot freed up: the same request now executes.
         assert tight.submit(JoinRequest("a", "b", "pbsm")).ok
 
-    def test_range_query_raises_rather_than_degrade(self, tight, space):
-        tight.range_query("a", space)
+    def test_range_query_takes_no_admission_slot(
+        self, tight, corpus, space, monkeypatch
+    ):
+        """With every shard's admission slot held, a range query is still
+        answered at once, by the router, and no shard sees it."""
         for handle in tight._shards:
             assert handle.gate.try_acquire(0.0)
+        sent = spy_on_shards(tight, monkeypatch)
         try:
-            with pytest.raises(ShardSaturated):
-                tight.range_query("a", space)
+            with ThreadPoolExecutor(1) as pool:
+                hits = pool.submit(tight.range_query, "a", space).result(
+                    timeout=5.0
+                )
         finally:
             for handle in tight._shards:
                 handle.gate.release()
+        assert sent == [[]] * tight.shards
+        expected = SpatialQueryService().range_query(corpus["a"], space)
+        assert hits.tobytes() == expected.tobytes()
+        assert tight.stats().rejected_requests == 0
 
     def test_client_quota_is_per_client(self, tight, space):
         # Quota is 1 in-flight per client; a synchronous submit is
@@ -375,6 +378,50 @@ class TestAdmissionControl:
         with tight._lock:
             tight._clients["c9"] = 1
         assert tight.submit(JoinRequest("a", "b", "pbsm")).ok
+
+
+class TestRouterRangeQueries:
+    def test_range_query_does_not_wait_behind_a_join(
+        self, inline, corpus, space, monkeypatch
+    ):
+        """A join held inside the executor of the shard that owns the
+        queried content delays no range query over that content: the
+        router answers it, and no shard sees it."""
+        fingerprints = {
+            name: binding.fingerprint
+            for name, binding in inline._names.items()
+        }
+        request, target = next(
+            (JoinRequest(a, b, "pbsm"), name)
+            for a, b in itertools.permutations(sorted(fingerprints), 2)
+            for name in sorted(fingerprints)
+            if inline._ring.owner_of_pair(fingerprints[a], fingerprints[b])
+            == inline._ring.owner(fingerprints[name])
+        )
+        owner = inline._shards[inline._ring.owner(fingerprints[target])]
+        entered, release = threading.Event(), threading.Event()
+        run = owner.state.executor.run
+
+        def held(requests):
+            entered.set()
+            assert release.wait(10.0)
+            return run(requests)
+
+        monkeypatch.setattr(owner.state.executor, "run", held)
+        with ThreadPoolExecutor(2) as pool:
+            join = pool.submit(inline.submit, request)
+            try:
+                assert entered.wait(10.0)
+                sent = spy_on_shards(inline, monkeypatch)
+                hits = pool.submit(inline.range_query, target, space).result(
+                    timeout=5.0
+                )
+            finally:
+                release.set()
+            assert join.result(timeout=10.0).ok
+        assert sent == [[]] * inline.shards
+        expected = SpatialQueryService().range_query(corpus[target], space)
+        assert hits.tobytes() == expected.tobytes()
 
 
 class TestRouterCache:
@@ -580,7 +627,7 @@ class TestInlineShardLock:
                 found = super().get(key, default)
                 if key == fp_a and not invalidations:
                     racer = threading.Thread(
-                        target=owner.request,
+                        target=owner.request_async,
                         args=(InvalidateCommand(seq=0, fingerprint=fp_a),),
                     )
                     invalidations.append(racer)
@@ -701,12 +748,6 @@ class TestProcessShards:
             request = JoinRequest("a", "b", "pbsm")
             baseline = service.submit(request)
             victim = baseline.shard
-            # One of the two range queries runs on the victim, so a
-            # respawned worker must answer it from its payload alone.
-            assert victim in {
-                service._ring.owner(service._names[name].fingerprint)
-                for name in ("a", "b")
-            }
             ranges = {
                 name: service.range_query(name, space).tobytes()
                 for name in ("a", "b")
@@ -725,10 +766,13 @@ class TestProcessShards:
             service.inject_crash(victim)
             responses = [future.result() for future in futures]
             assert all(r.ok for r in responses)
-            # Nothing was replayed: commands carry their datasets, so
-            # post-crash joins and range queries are byte-identical.
-            after = service.submit(request)
-            assert after.ok
+            # Nothing was replayed: commands carry their datasets, so an
+            # uncached join routed to the victim after the crash — which
+            # only a respawned worker can answer — is byte-identical.
+            after = service.submit(
+                JoinRequest("a", "b", "pbsm", parameters={"resolution": 5})
+            )
+            assert after.ok and not after.cached and after.shard == victim
             assert _payload_bytes(after) == _payload_bytes(baseline)
             for name, hits in ranges.items():
                 assert service.range_query(name, space).tobytes() == hits
