@@ -13,7 +13,9 @@ Public API tour:
   long-lived front-end for sustained traffic: a content-fingerprinted
   dataset catalog, a bounded LRU result cache answering repeated joins
   synchronously, range queries off cached indexes, and
-  :class:`~repro.service.ServiceStats` observability;
+  :class:`~repro.service.ServiceStats` observability — the router of
+  :class:`~repro.service.ShardedQueryService` over one in-process
+  shard;
 * **the contribution** — :class:`~repro.core.TransformersJoin` with
   :class:`~repro.core.TransformersConfig`;
 * **baselines** — :class:`~repro.joins.PBSMJoin`,

@@ -22,21 +22,27 @@ fresh workspaces, this package keeps state *across* requests::
   versioned dataset bindings;
 * :mod:`~repro.service.cache` — :class:`ResultCache`, the bounded LRU
   of finished reports with hit/miss/eviction/invalidation counters;
-* :mod:`~repro.service.service` — :class:`SpatialQueryService`, the
-  thread-safe request front-end;
+* :mod:`~repro.service.service` — :class:`ServiceResponse` and the
+  range-query index cache;
 * :mod:`~repro.service.stats` — :class:`ServiceStats` snapshots of
-  the one accounting ledger both tiers keep;
+  the router's ledgers;
 * :mod:`~repro.service.sharding` / :mod:`~repro.service.wire` /
-  :mod:`~repro.service.sharded` — the process-parallel tier:
-  consistent-hash routing over content fingerprints, the router↔shard
-  command protocol, and :class:`ShardedQueryService` itself.
+  :mod:`~repro.service.sharded` — consistent-hash routing over content
+  fingerprints, the router↔shard command protocol, and the router
+  itself: :class:`ShardedQueryService` over N shard processes, and
+  :class:`SpatialQueryService`, the same router over one in-process
+  shard.
 """
 
 from repro.service.cache import ResultCache
 from repro.service.catalog import CatalogEntry, DatasetCatalog
 from repro.service.fingerprint import dataset_fingerprint, request_cache_key
-from repro.service.service import ServiceResponse, SpatialQueryService
-from repro.service.sharded import ShardSaturated, ShardedQueryService
+from repro.service.service import ServiceResponse
+from repro.service.sharded import (
+    ShardSaturated,
+    ShardedQueryService,
+    SpatialQueryService,
+)
 from repro.service.sharding import HashRing
 from repro.service.stats import ServiceStats
 

@@ -22,7 +22,6 @@ fingerprint (:func:`~repro.service.fingerprint.dataset_fingerprint`):
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.joins.base import Dataset
@@ -45,7 +44,7 @@ class CatalogEntry:
 def check_binding(name: object, dataset: object) -> None:
     """Raise unless ``name`` / ``dataset`` can form a catalog binding.
 
-    The one definition of what every tier accepts at registration.
+    The one definition of what the service accepts at registration.
     """
     if not isinstance(name, str) or not name.strip():
         raise ValueError("dataset name must be a non-empty string")
@@ -56,20 +55,12 @@ def check_binding(name: object, dataset: object) -> None:
         )
 
 
-def unknown_name(name: str, known: Iterable[str]) -> KeyError:
-    """The ``KeyError`` every tier raises for an unregistered name."""
-    listing = ", ".join(sorted(known)) or "<catalog is empty>"
-    return KeyError(
-        f"no dataset registered under {name!r}; registered: {listing}"
-    )
-
-
 class DatasetCatalog:
     """Name -> :class:`CatalogEntry` mapping with version tracking.
 
-    Not thread-safe by itself; the owning
-    :class:`~repro.service.service.SpatialQueryService` serialises
-    access.
+    Not thread-safe by itself: the router that owns it (the one
+    behind :class:`~repro.service.SpatialQueryService` and
+    :class:`~repro.service.ShardedQueryService`) serialises access.
     """
 
     def __init__(self) -> None:
@@ -77,19 +68,6 @@ class DatasetCatalog:
         #: Fingerprint -> sketch: one set of statistics per distinct
         #: content, shared by every alias bound to it.
         self._sketches: dict[str, DatasetSketch] = {}
-        #: Invalidation epoch: bumped by every mutation that can
-        #: *unbind* a fingerprint (a rebind to changed content, an
-        #: unregister).  Work that resolved a name, ran outside the
-        #: service lock, and wants to fill a cache afterwards compares
-        #: epochs: unchanged means no invalidation could have raced
-        #: it, changed means the fill must re-validate its
-        #: fingerprints against ``names_bound_to`` first.
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """Current invalidation epoch (see ``__init__``)."""
-        return self._generation
 
     def register(
         self,
@@ -104,10 +82,10 @@ class DatasetCatalog:
         including the originally registered object, so identity-keyed
         index caches remain valid.  Changed content replaces the entry
         with a bumped version.  New content gets its statistics sketch
-        built here, once — unless the caller supplies ``sketch``, the
-        delta-maintenance path's statistics
-        (:meth:`DatasetSketch.apply_delta`, a rebuild); sketches
-        of content no longer served by any name are dropped.
+        built here, once — unless the caller supplies ``sketch`` (the
+        router builds it outside its lock, or advances the old one by
+        :meth:`DatasetSketch.apply_delta`); sketches of content no
+        longer served by any name are dropped.
         """
         check_binding(name, dataset)
         fingerprint = dataset_fingerprint(dataset)
@@ -126,9 +104,6 @@ class DatasetCatalog:
                 sketch if sketch is not None else build_sketch(dataset)
             )
         if old is not None:
-            # A rebind to changed content may have unbound the old
-            # fingerprint: in-flight fills must re-validate.
-            self._generation += 1
             self._prune_sketch(old.fingerprint)
         return entry
 
@@ -152,7 +127,11 @@ class DatasetCatalog:
         try:
             return self._entries[name]
         except KeyError:
-            raise unknown_name(name, self._entries) from None
+            listing = ", ".join(sorted(self._entries))
+            raise KeyError(
+                f"no dataset registered under {name!r}; registered: "
+                f"{listing or '<catalog is empty>'}"
+            ) from None
 
     def get(self, name: str) -> CatalogEntry | None:
         """The entry bound to ``name``, or ``None``."""
@@ -166,7 +145,6 @@ class DatasetCatalog:
         """
         entry = self.resolve(name)
         del self._entries[name]
-        self._generation += 1
         self._prune_sketch(entry.fingerprint)
         return entry
 
@@ -178,7 +156,10 @@ class DatasetCatalog:
         """Names currently bound to content with this fingerprint.
 
         Drives invalidation exactness: results for a fingerprint stay
-        cached as long as *some* name still serves that content.
+        cached as long as *some* name still serves that content.  It is
+        also the one stale-fill guard: work that resolved a name, ran
+        outside the router's lock, and wants to fill a cache afterwards
+        fills only while every fingerprint it resolved is still bound.
         """
         return tuple(
             sorted(
@@ -187,6 +168,13 @@ class DatasetCatalog:
                 if entry.fingerprint == fingerprint
             )
         )
+
+    def served(self) -> dict[str, Dataset]:
+        """Fingerprint -> a dataset bound to it, for every served content."""
+        return {
+            entry.fingerprint: entry.dataset
+            for entry in self._entries.values()
+        }
 
     def __contains__(self, name: object) -> bool:
         return name in self._entries

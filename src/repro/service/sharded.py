@@ -1,40 +1,44 @@
-"""The sharded service tier: N shard processes behind one async router.
+"""The service tier: one router over N shards.
 
-One :class:`~repro.service.service.SpatialQueryService` saturates at
-the throughput of a single process: every cache miss executes inline,
-and every request serialises on one catalog/cache lock.
-:class:`ShardedQueryService` scales the misses out across processes:
+:class:`ShardedQueryService` is the router, and both front-ends are
+it:
 
-* each of N **shard processes** is a stateless join executor
-  (:class:`ShardState`: a batch executor and the realised datasets)
-  that runs the commands from its pipe one at a time — every command
-  carries the datasets it reads;
-* the **router** (this process) owns the name → fingerprint map, the
-  tier's only catalog, the result cache, the tier's only one, the
-  :class:`~repro.service.service.QueryWorkspace` whose index cache
-  answers every range query, and one
-  :class:`~repro.service.stats.ServiceLedger` per shard, the tier's
-  only counters; it routes each join by a consistent-hash ring
-  (:class:`~repro.service.sharding.HashRing`) to the owner of its
-  ordered pair digest.  Aliasing is decided once, router-side;
-  retiring content no name serves is one invalidation broadcast;
-* registered datasets ship as shared-memory references
-  (:class:`~repro.storage.shm.SharedDatasetRef`, published once per
-  content by the router's :class:`~repro.storage.shm.SharedDatasetPool`)
-  when possible, so shard workers attach zero-copy instead of
-  unpickling content per command.
+* :class:`SpatialQueryService` is the router over one in-process
+  shard that takes datasets by reference and runs each miss in the
+  calling thread;
+* :class:`ShardedQueryService` scales the misses out across N **shard
+  processes**, each a stateless join executor (:class:`ShardState`: a
+  batch executor and the realised datasets) that runs the commands
+  from its pipe one at a time — every command carries the datasets it
+  reads.
 
-The router's result cache fronts the shards: every report the tier
-hands out is kept under its content-addressed key (bounded by
-``max_cached_results``, purged on invalidation), so a repeated join is
-answered by the router itself and no shard sees it — even when every
-admission slot is held.  A duplicate of a miss still in flight waits
-for that miss instead of sending its own command.  A delta patches
-the cached entries it touches router-side and files the patched
-reports there; its only shard round trip is the retire's invalidation
-broadcast.  Range queries never reach a shard: the router answers them
-from the datasets its bindings hold, through the same code as the
-single-process service, so no range query waits behind a join.
+The **router** (this process) owns everything a service keeps across
+requests: the catalog (:class:`~repro.service.catalog.DatasetCatalog`,
+names bound to fingerprinted content, with a statistics sketch per
+content), the result cache, the
+:class:`~repro.service.service.QueryWorkspace` whose index cache
+answers every range query, and one
+:class:`~repro.service.stats.ServiceLedger` per shard, the tier's only
+counters.  It routes each join by a consistent-hash ring
+(:class:`~repro.service.sharding.HashRing`) to the owner of its
+ordered pair digest.  Aliasing is decided once, router-side; retiring
+content no name serves is one invalidation broadcast.  On the process
+tier, registered datasets ship as shared-memory references
+(:class:`~repro.storage.shm.SharedDatasetRef`, published once per
+content by the router's :class:`~repro.storage.shm.SharedDatasetPool`)
+when possible, so shard workers attach zero-copy instead of unpickling
+content per command.
+
+Every request runs one shape: resolve under the router's lock, compute
+outside it, publish under it again, guarded by the catalog's
+``names_bound_to``.  A repeated join is answered by the router's cache
+and no shard sees it — even when every admission slot is held.  A
+duplicate of a miss still in flight waits for that miss instead of
+sending its own command.  A delta holds the catalog-mutation lock end
+to end, patches the cached entries it touches router-side and files
+the patched reports there; its only shard round trip is the retire's
+invalidation broadcast.  Range queries never reach a shard, so no
+range query waits behind a join.
 
 The submission layer is asynchronous with explicit admission control
 for the requests the router cannot answer:
@@ -48,36 +52,51 @@ for the requests the router cannot answer:
 
 Shard crashes are isolated: the router respawns the process and
 resends in-flight commands exactly once (nothing is replayed, and no
-count is lost: a fresh worker needs no state to answer) — a command that kills the worker
-twice fails alone (``error_type="ShardCrashed"``), everything else
-completes and other shards never notice.  ``inline=True`` swaps the
-processes for in-process shards (same command protocol, same routing)
-for deterministic tests and coverage.
+count is lost: a fresh worker needs no state to answer) — a command
+that kills the worker twice fails alone (``error_type="ShardCrashed"``),
+everything else completes and other shards never notice.
+``inline=True`` swaps the processes for in-process shards (same
+command protocol, same routing) for deterministic tests and coverage.
+
+::
+
+    service = SpatialQueryService()
+    service.register("axons", axons)
+    service.register("dendrites", dendrites)
+
+    response = service.submit(JoinRequest("axons", "dendrites"))
+    response.report.pairs_found         # computed once...
+    service.submit(JoinRequest("axons", "dendrites")).cached  # ...True
+
+    hits = service.range_query("axons", probe_box)
+    service.stats().cache_hit_rate
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import itertools
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from typing import Any
 
 from repro._types import IntArray
 from repro.engine.executor import BatchExecutor, JoinRequest, RequestOutcome
+from repro.engine.planner import JoinPlan, plan_join
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
 from repro.geometry.box import Box
 from repro.joins.base import CostModel, Dataset
 from repro.service.cache import ResultCache
-from repro.service.catalog import CatalogEntry, check_binding, unknown_name
+from repro.service.catalog import CatalogEntry, DatasetCatalog, check_binding
 from repro.service.fingerprint import (
     CacheKey,
     dataset_fingerprint,
@@ -85,6 +104,7 @@ from repro.service.fingerprint import (
 )
 from repro.service.patch import advance_delta
 from repro.service.service import (
+    RANGE_QUERY_LATENCY_KEY,
     DeltaOutcome,
     QueryWorkspace,
     ServiceResponse,
@@ -100,6 +120,7 @@ from repro.service.wire import (
     ShardReply,
     ShutdownCommand,
 )
+from repro.stats.sketch import DatasetSketch, build_sketch
 from repro.streaming.delta import DatasetDelta
 from repro.storage.disk import DiskModel
 from repro.storage.shm import (
@@ -109,6 +130,7 @@ from repro.storage.shm import (
 )
 
 __all__ = [
+    "SpatialQueryService",
     "ShardedQueryService",
     "ShardSaturated",
     "ShardState",
@@ -578,18 +600,29 @@ class _InlineShard:
 # The router
 # ----------------------------------------------------------------------
 @dataclass
-class _Waiter:
-    """One submission waiting on a routed miss (its leader's or its own)."""
+class _Submission:
+    """One resolved join submission: what it asks, where it routes, and
+    the future its caller waits on."""
 
-    future: "Future[ServiceResponse]"
-    label: str
+    #: The request with both sides concrete; its ``describe()`` labels
+    #: the answer and the command.
+    request: JoinRequest
+    key: CacheKey
+    #: The shard that owns ``key``.
+    shard: int
+    a: DatasetPayload
+    b: DatasetPayload
+    #: Fingerprints resolved from names: a retire while the miss is in
+    #: flight can unbind them, and filling the cache then would keep an
+    #: answer for retired content.  Concrete sides are caller-managed
+    #: and always fillable.
+    named: tuple[str, ...]
     client: str | None
     start: float
+    future: "Future[ServiceResponse]" = field(default_factory=Future)
 
     def answer(
         self,
-        key: CacheKey,
-        shard: int,
         report: RunReport | None,
         *,
         cached: bool = False,
@@ -601,32 +634,13 @@ class _Waiter:
             ServiceResponse(
                 report=report,
                 cached=cached,
-                key=key,
-                label=self.label,
+                key=self.key,
+                label=self.request.describe(),
                 wall_seconds=time.perf_counter() - self.start,
                 error=error,
                 error_type=error_type,
-                shard=shard,
+                shard=self.shard,
             )
-        )
-
-
-@dataclass
-class _Binding:
-    """Router-side record of one registered name."""
-
-    name: str
-    dataset: Dataset
-    fingerprint: str
-    version: int
-    payload: DatasetPayload
-
-    def entry(self) -> CatalogEntry:
-        return CatalogEntry(
-            name=self.name,
-            dataset=self.dataset,
-            fingerprint=self.fingerprint,
-            version=self.version,
         )
 
 
@@ -639,13 +653,14 @@ class ShardedQueryService:
         Shard count.
     disk_model / cost_model:
         Forwarded to every shard's :class:`ShardState` and to the
-        router's query workspace.
+        router's query workspace, so cached and freshly computed
+        reports share one cost basis.
     max_cached_indexes:
         Bound of the router's range-query index cache (shards keep no
         indexes between commands).
     max_cached_results:
         Bound of the router's result cache, the tier's only one
-        (shards cache no results).
+        (LRU; ``None`` disables the bound).
     max_inflight_per_shard:
         Admission bound: commands in flight per shard before
         backpressure engages.
@@ -680,23 +695,27 @@ class ShardedQueryService:
         self._ring = HashRing(shards)
         self.queue_timeout_s = queue_timeout_s
         self._client_quota = max_inflight_per_client
-        #: Guards names, result cache, in-flight misses, client counts
-        #: and ledgers; held briefly, never across a shard round-trip.
+        #: Guards catalog, payloads, result cache, in-flight misses,
+        #: client counts and ledgers; held briefly, never across a
+        #: shard round-trip.
         self._lock = threading.Lock()
-        #: Serialises catalog mutations (register/unregister/close)
-        #: end-to-end, shard round-trips included, and is the only
-        #: context allowed to touch the (not thread-safe) publication
-        #: pool.  Order: ``_mutate`` may take ``_lock``, never the
-        #: reverse.
+        #: Serialises catalog mutations (register/unregister/deltas/
+        #: close) end-to-end, shard round-trips included, and is the
+        #: only context allowed to touch the (not thread-safe)
+        #: publication pool.  Order: ``_mutate`` may take ``_lock``,
+        #: never the reverse.
         self._mutate = threading.Lock()
         self._pages = SharedDatasetPool()
-        self._names: dict[str, _Binding] = {}
+        #: The tier's only catalog: names, versions, stored sketches.
+        self._catalog = DatasetCatalog()
+        #: The wire payload of every content some name serves.
+        self._payloads: dict[str, DatasetPayload] = {}
         #: The tier's result cache: every report handed out, by key,
-        #: purged on invalidation.  Guarded by ``_lock``.
+        #: purged on invalidation.
         self._results = ResultCache(max_cached_results)
         #: Routed misses by key: the submissions waiting on each, the
         #: one that sent the command first.
-        self._inflight: dict[CacheKey, list[_Waiter]] = {}
+        self._inflight: dict[CacheKey, list[_Submission]] = {}
         #: The tier's only counters, one ledger per shard: each counts
         #: the traffic routed to its shard.
         self._ledgers = [ServiceLedger() for _ in range(shards)]
@@ -744,10 +763,16 @@ class ShardedQueryService:
     def shards(self) -> int:
         return self._ring.shards
 
-    def names(self) -> tuple[str, ...]:
-        """All registered names, sorted (the router map is authoritative)."""
+    @property
+    def catalog(self) -> DatasetCatalog:
+        """The dataset catalog (treat as read-only; use :meth:`register`)."""
         with self._lock:
-            return tuple(sorted(self._names))
+            return self._catalog
+
+    def names(self) -> tuple[str, ...]:
+        """All registered names, sorted."""
+        with self._lock:
+            return self._catalog.names()
 
     @property
     def query_workspace(self) -> SpatialWorkspace:
@@ -760,100 +785,114 @@ class ShardedQueryService:
 
     def __contains__(self, name: object) -> bool:
         with self._lock:
-            return name in self._names
+            return name in self._catalog
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         with self._lock:
             return (
-                f"ShardedQueryService(shards={self._ring.shards}, "
-                f"datasets={len(self._names)})"
+                f"{type(self).__name__}(shards={self._ring.shards}, "
+                f"datasets={len(self._catalog)}, "
+                f"cached_results={len(self._results)})"
             )
 
     # -- catalog -------------------------------------------------------
     def register(self, name: str, dataset: Dataset) -> CatalogEntry:
-        """Bind ``name`` to ``dataset`` in the router's name map.
+        """Bind ``name`` to ``dataset`` in the catalog.
 
-        Same contract as the single-process service: equal content is
-        a no-op, changed content bumps the version and invalidates the
-        old content's cached state everywhere (unless an alias still
-        serves it).  A join submitted after ``register`` returns sees
-        the new content: every command carries the payloads its names
-        resolved to at submission.
+        Re-registering equal content is a no-op (same version, cache
+        intact).  Changed content bumps the version and invalidates the
+        old content's cached results, range index and realised copies
+        (unless an alias still serves it).  A join submitted after
+        ``register`` returns sees the new content: every command carries
+        the payloads its names resolved to at submission.
         """
         check_binding(name, dataset)
         fingerprint = dataset_fingerprint(dataset)
         with self._mutate:
             self._ensure_open()
-            with self._lock:
-                old = self._names.get(name)
-            if old is not None and old.fingerprint == fingerprint:
-                return old.entry()
-            return self._bind(name, dataset, fingerprint, old).entry()
+            return self._bind(name, dataset, fingerprint)
 
     def _bind(
         self,
         name: str,
         dataset: Dataset,
         fingerprint: str,
-        old: _Binding | None,
-    ) -> _Binding:
-        """Publish content, bind ``name`` to it, retire ``old``.
+        sketch: DatasetSketch | None = None,
+    ) -> CatalogEntry:
+        """Bind ``name`` to content and retire what it was bound to.
 
-        Caller holds ``_mutate``.  Content ships as a shared-memory
-        payload when possible, pickled otherwise.
+        Caller holds ``_mutate``.  Content no name serves yet gets its
+        wire payload (:meth:`_payload`) and its statistics sketch here,
+        outside ``_lock``, unless the caller brings the sketch.
         """
-        ref = self._pages.publish(dataset)
-        payload = (
-            DatasetPayload(fingerprint=fingerprint, ref=ref)
-            if ref is not None
-            else DatasetPayload(fingerprint=fingerprint, dataset=dataset)
-        )
-        binding = _Binding(
-            name=name,
-            dataset=dataset,
-            fingerprint=fingerprint,
-            version=1 if old is None else old.version + 1,
-            payload=payload,
-        )
         with self._lock:
-            self._names[name] = binding
+            old = self._catalog.get(name)
+            payload = self._payloads.get(fingerprint)
+        if old is not None and old.fingerprint == fingerprint:
+            return old
+        if payload is None:
+            payload = self._payload(dataset, fingerprint)
+            if sketch is None:
+                sketch = build_sketch(dataset)
+        with self._lock:
+            self._payloads[fingerprint] = payload
+            entry = self._catalog.register(name, dataset, sketch=sketch)
         if old is not None:
             self._retire(old)
-        return binding
+        return entry
+
+    def _payload(self, dataset: Dataset, fingerprint: str) -> DatasetPayload:
+        """How content travels to the shards: a shared-memory ref when
+        the router can publish it, the pickled dataset otherwise.
+        Caller holds ``_mutate`` (the pool is not thread-safe)."""
+        ref = self._pages.publish(dataset)
+        if ref is None:
+            return DatasetPayload(fingerprint=fingerprint, dataset=dataset)
+        return DatasetPayload(fingerprint=fingerprint, ref=ref)
 
     def unregister(self, name: str) -> CatalogEntry:
-        """Drop ``name`` everywhere; returns the retired entry."""
-        with self._mutate:
-            self._ensure_open()
-            with self._lock:
-                binding = self._lookup(name)
-                del self._names[name]
-            self._retire(binding)
-            return binding.entry()
+        """Remove ``name``; returns the dropped entry.
 
-    def apply_delta(self, name: str, delta: DatasetDelta) -> DeltaOutcome:
-        """Advance ``name`` along ``delta`` across the whole tier.
-
-        The same flow as :meth:`SpatialQueryService.apply_delta`
-        (:func:`~repro.service.patch.advance_delta`) over the router's
-        result cache: the cached results touching the old content are
-        patched router-side, the post-delta name is re-bound exactly
-        like :meth:`register` — shared-memory publication, then the
-        retire of the old binding, whose invalidation broadcast is the
-        delta's only shard round trip — and the patched reports are
-        filed in the router's cache, where a later identical join is a
-        hit that reaches no shard.  The delta counts in the ledger of
-        the old content's owner shard.
-
-        Runs under the catalog-mutation lock end-to-end: deltas
-        serialise with register/unregister, never with joins.  Raises
-        ``KeyError`` for unknown names and propagates
-        :meth:`DatasetDelta.apply`'s validation errors.
+        Symmetric with :meth:`register`'s rebind path: the content's
+        cached state is invalidated unless another name still serves
+        it.  Raises ``KeyError`` for unknown names.
         """
         with self._mutate:
             self._ensure_open()
             with self._lock:
-                old = self._lookup(name)
+                entry = self._catalog.unregister(name)
+            self._retire(entry)
+            return entry
+
+    def apply_delta(self, name: str, delta: DatasetDelta) -> DeltaOutcome:
+        """Advance ``name`` along ``delta``, patching cached results.
+
+        Instead of re-binding the name to freshly built content and
+        invalidating everything computed from the old one, every cached
+        result that references the old content is **patched** through
+        :func:`~repro.joins.delta_join`
+        (:func:`~repro.service.patch.advance_delta`) and filed under
+        the post-delta key, byte-identical to a full recompute; entries
+        that cannot be patched fall back to plain invalidation (counted
+        in ``delta_patch_fallbacks``).  The stored sketch is advanced
+        by :meth:`DatasetSketch.apply_delta`, and the name is re-bound
+        exactly like :meth:`register`, whose retire is the delta's only
+        shard round trip.  The delta counts in the ledger of the old
+        content's owner shard.
+
+        Runs under the catalog-mutation lock end to end: deltas
+        serialise with register/unregister, never with joins, so every
+        patched key's partner stays bound until its report is filed.
+        Raises ``KeyError`` for unknown names and propagates
+        :meth:`DatasetDelta.apply`'s validation errors (unknown delete
+        ids, colliding insert ids) without touching service state.
+        """
+        with self._mutate:
+            self._ensure_open()
+            with self._lock:
+                old = self._catalog.resolve(name)
+                sketch = self._catalog.sketch_for(name)
+                served = self._catalog.served()
             ledger = self._ledgers[self._ring.owner(old.fingerprint)]
             (
                 new_dataset,
@@ -867,29 +906,32 @@ class ShardedQueryService:
                 old.dataset,
                 old.fingerprint,
                 affected=lambda: self._cached_entries(old.fingerprint),
-                resolve=self._dataset_by_fingerprint,
+                resolve=served.get,
             )
             with self._lock:
                 ledger.delta_applies += 1
             if noop:
                 return DeltaOutcome(
-                    entry=old.entry(),
+                    entry=old,
                     fraction=fraction,
                     patched=0,
                     fallbacks=0,
                     noop=True,
                 )
-            # The retire inside sweeps the patched originals.  Every
-            # patched key's sides are bound: its partner resolved to a
-            # live binding, and ``_mutate`` keeps it bound until here.
-            binding = self._bind(name, new_dataset, new_fingerprint, old)
+            # The retire inside sweeps the patched originals.
+            entry = self._bind(
+                name,
+                new_dataset,
+                new_fingerprint,
+                sketch.apply_delta(delta, old.dataset, new_dataset),
+            )
             with self._lock:
                 for key, report in rewritten:
                     self._results.put(key, report)
                 ledger.delta_patches += len(rewritten)
                 ledger.delta_patch_fallbacks += fallbacks
             return DeltaOutcome(
-                entry=binding.entry(),
+                entry=entry,
                 fraction=fraction,
                 patched=len(rewritten),
                 fallbacks=fallbacks,
@@ -898,7 +940,7 @@ class ShardedQueryService:
     def _cached_entries(
         self, fingerprint: str
     ) -> list[tuple[CacheKey, RunReport]]:
-        """The router's cached entries touching ``fingerprint``."""
+        """The cached entries touching ``fingerprint``."""
         with self._lock:
             return self._results.entries_for_fingerprint(fingerprint)
 
@@ -912,48 +954,30 @@ class ShardedQueryService:
         ]
         return [future.result() for future in futures]
 
-    def _dataset_by_fingerprint(self, fingerprint: object) -> Dataset | None:
-        """The dataset some live binding serves under ``fingerprint``."""
-        if not isinstance(fingerprint, str):
-            return None
-        with self._lock:
-            for binding in self._names.values():
-                if binding.fingerprint == fingerprint:
-                    return binding.dataset
-        return None
-
-    def _serves(self, fingerprint: str) -> bool:
-        """Whether some name is bound to ``fingerprint`` (caller holds
-        ``_lock``)."""
-        return any(
-            binding.fingerprint == fingerprint
-            for binding in self._names.values()
-        )
-
-    def _retire(self, old: _Binding) -> None:
-        """Tear down one retired binding (caller holds ``_mutate``).
+    def _retire(self, old: CatalogEntry) -> None:
+        """Tear down content a rebind or unregister left behind (caller
+        holds ``_mutate``).
 
         If no surviving name serves the old content, every shard drops
         its realised dataset for it — joins are pair-routed, so any
         shard may have realised it — and the router purges its result
-        cache of it and forgets its range index.  The shared-memory
-        ref is released through the retire window, not immediately: a
-        command already in flight may still need to attach the old
-        segment.
+        cache of it, forgets its range index and drops its payload.  A
+        shared-memory ref is released through the retire window, not
+        immediately: a command already in flight may still need to
+        attach the old segment.
         """
         with self._lock:
-            survived = self._serves(old.fingerprint)
-        if not survived:
-            self._broadcast(
-                lambda seq: InvalidateCommand(
-                    seq=seq, fingerprint=old.fingerprint
-                )
-            )
-            with self._lock:
-                self._results.invalidate_fingerprint(old.fingerprint)
-                self._queries.forget(old.dataset)
-        if old.payload.ref is not None:
-            self._retire_ref(old.payload.ref)
+            if self._catalog.names_bound_to(old.fingerprint):
+                return
+            payload = self._payloads.pop(old.fingerprint)
+        self._broadcast(
+            lambda seq: InvalidateCommand(seq=seq, fingerprint=old.fingerprint)
+        )
+        with self._lock:
+            self._results.invalidate_fingerprint(old.fingerprint)
+            self._queries.forget(old.dataset)
+        if payload.ref is not None:
+            self._retire_ref(payload.ref)
 
     def _retire_ref(self, ref: SharedDatasetRef) -> None:
         """Queue an old segment ref for deferred release.
@@ -968,11 +992,64 @@ class ShardedQueryService:
         while len(self._retired) > _RETIRE_WINDOW:
             self._pages.release(self._retired.pop(0))
 
+    # -- planning --------------------------------------------------------
+    def plan(
+        self,
+        a: Dataset | str,
+        b: Dataset | str,
+        algorithm: str = "auto",
+        *,
+        space: Box | None = None,
+        parameters: dict[str, object] | None = None,
+    ) -> JoinPlan:
+        """Explain how a join over these inputs would be planned.
+
+        For catalog names this prices the pair off the sketches the
+        catalog stored at registration time — a few KB of statistics
+        per side — plus each side's MBB for the shared extent, which
+        is what makes planning cheap enough to answer interactively
+        for any registered pair.  Concrete datasets are sketched on
+        the fly.  The plan is always costed (``explain=True``).
+        """
+        sides: list[tuple[Dataset, DatasetSketch]] = []
+        for side in (a, b):
+            if isinstance(side, str):
+                with self._lock:
+                    entry = self._catalog.resolve(side)
+                    sides.append((entry.dataset, self._catalog.sketch_for(side)))
+            elif isinstance(side, Dataset):
+                sides.append((side, build_sketch(side)))
+            else:
+                raise TypeError(
+                    "plan() takes catalog names (str) or concrete "
+                    f"Datasets, got {type(side).__name__}"
+                )
+        (dataset_a, sketch_a), (dataset_b, sketch_b) = sides
+        workspace = self._queries.workspace
+        return plan_join(
+            dataset_a,
+            dataset_b,
+            algorithm,
+            space=space,
+            page_size=workspace.page_size,
+            parameters=parameters,
+            explain=True,
+            sketches=(sketch_a, sketch_b),
+            disk_model=workspace.disk.model,
+            cost_model=workspace.cost_model,
+        )
+
     # -- joins ---------------------------------------------------------
     def submit(
         self, request: JoinRequest, *, client: str | None = None
     ) -> ServiceResponse:
-        """Serve one join (synchronous wrapper over :meth:`submit_async`)."""
+        """Serve one join: cache hit, or execute and fill.
+
+        ``request.a`` / ``request.b`` may be catalog names (strings) or
+        concrete :class:`~repro.joins.base.Dataset` objects; names are
+        resolved through the catalog, concrete datasets are
+        fingerprinted on the fly.
+        """
         return self.submit_async(request, client=client).result()
 
     def submit_many(
@@ -981,16 +1058,17 @@ class ShardedQueryService:
         *,
         client: str | None = None,
     ) -> list[ServiceResponse]:
-        """Serve a batch concurrently across shards, in request order."""
-        futures: list[Future[ServiceResponse]] = []
-        try:
-            for request in requests:
-                futures.append(self.submit_async(request, client=client))
-        except BaseException:
-            for future in futures:
-                future.result()  # drain in-flight work before raising
-            raise
-        return [future.result() for future in futures]
+        """Serve a batch of joins, in request order.
+
+        The whole batch resolves before anything is submitted: an
+        unknown name or an unsupported side raises without mutating
+        service state.  Duplicate keys within one batch execute once
+        and share the report (each duplicate still counts as its own
+        cache miss).
+        """
+        return [
+            future.result() for future in self._submit(requests, client)
+        ]
 
     def submit_async(
         self, request: JoinRequest, *, client: str | None = None
@@ -999,96 +1077,159 @@ class ShardedQueryService:
         pair's owner shard, asynchronously.
 
         Resolution failures (unknown name, unsupported side type)
-        raise synchronously, like the single-process service.  A
-        client over its quota is rejected before the cache is probed;
-        a hit resolves the future at once (``cached=True``) and no
-        shard sees the request.  A miss whose key is already in flight
-        attaches to that miss: it sends no command, takes no admission
-        slot, and resolves with the same answer (``cached=False``),
-        counted like a duplicate within one ``submit_many`` batch of
-        the single-process service.  Admission failures never raise:
+        raise synchronously.  A client over its quota is rejected
+        before the cache is probed; a hit resolves the future at once
+        (``cached=True``) and no shard sees the request.  A miss whose
+        key is already in flight attaches to that miss: it sends no
+        command, takes no admission slot, and resolves with the same
+        answer (``cached=False``).  Admission failures never raise:
         the future resolves to an ``ok=False`` response with
         ``error_type`` of ``"ClientQuotaExceeded"`` or
         ``"ShardSaturated"``.
         """
+        return self._submit([request], client)[0]
+
+    def _submit(
+        self, requests: Iterable[JoinRequest], client: str | None
+    ) -> list["Future[ServiceResponse]"]:
+        """Resolve every request, then answer, attach or lead each, then
+        send the leaders' commands.
+
+        Admitting the whole batch before sending anything makes a
+        duplicate key within it attach to its first occurrence's miss,
+        on inline shards too.  A send that raises answers its key's
+        submissions with the error and is re-raised once every other
+        leader has been sent.
+        """
         self._ensure_open()
         start = time.perf_counter()
-        payload_a, fp_a = self._resolve_side(request.a)
-        payload_b, fp_b = self._resolve_side(request.b)
+        batch = [self._resolve(request, client, start) for request in requests]
+        leaders = [submission for submission in batch if self._admit(submission)]
+        failure: BaseException | None = None
+        for leader in leaders:
+            try:
+                self._send(leader)
+            except BaseException as exc:
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
+        return [submission.future for submission in batch]
+
+    def _resolve(
+        self, request: JoinRequest, client: str | None, start: float
+    ) -> _Submission:
+        """One request's payloads, cache key and owner shard; raises
+        before any state moves."""
+        payload_a, a = self._resolve_side(request.a)
+        payload_b, b = self._resolve_side(request.b)
         key = request_cache_key(
-            fp_a,
-            fp_b,
+            payload_a.fingerprint,
+            payload_b.fingerprint,
             request.algorithm,
             request.space,
             request.parameters,
             request.within,
         )
-        # Fingerprints resolved from names: a rebind while the miss is
-        # in flight can unbind them, and filling the router's cache
-        # then would keep an answer for retired content.  Concrete
-        # sides are caller-managed and always fillable.
         named = tuple(
-            fp
-            for side, fp in ((request.a, fp_a), (request.b, fp_b))
+            payload.fingerprint
+            for side, payload in ((request.a, payload_a), (request.b, payload_b))
             if isinstance(side, str)
         )
-        label = request.describe()
-        shard = self._ring.owner_of_pair(fp_a, fp_b)
-        handle = self._shards[shard]
-        waiter = _Waiter(Future(), label, client, start)
-        done = waiter.future
-        if not self._acquire_client(client):
+        return _Submission(
+            request=dataclasses.replace(request, a=a, b=b),
+            key=key,
+            shard=self._ring.owner_of_pair(
+                payload_a.fingerprint, payload_b.fingerprint
+            ),
+            a=payload_a,
+            b=payload_b,
+            named=named,
+            client=client,
+            start=start,
+        )
+
+    def _resolve_side(self, side: object) -> tuple[DatasetPayload, Dataset]:
+        """(wire payload, dataset) for one request side."""
+        if isinstance(side, str):
+            with self._lock:
+                entry = self._catalog.resolve(side)
+                return self._payloads[entry.fingerprint], entry.dataset
+        if isinstance(side, Dataset):
+            # Ad-hoc concrete datasets travel pickled: publishing them
+            # would need per-request release bookkeeping across shard
+            # crashes for content that may never recur.  Register the
+            # dataset to get the zero-copy path.
+            payload = DatasetPayload(
+                fingerprint=dataset_fingerprint(side), dataset=side
+            )
+            return payload, side
+        raise TypeError(
+            "service requests take catalog names (str) or concrete "
+            f"Datasets, got {type(side).__name__}"
+        )
+
+    def _admit(self, submission: _Submission) -> bool:
+        """Answer a quota rejection or a cache hit at once, or attach to
+        the key's miss in flight; True when the submission leads a new
+        miss and its command must be sent."""
+        shard = submission.shard
+        if not self._acquire_client(submission.client):
             with self._lock:
                 self._ledgers[shard].rejected_requests += 1
-            waiter.answer(
-                key, shard, None,
+            submission.answer(
+                None,
                 error_type="ClientQuotaExceeded",
                 error=(
-                    f"client {client!r} is at its in-flight quota "
-                    f"({self._client_quota})"
+                    f"client {submission.client!r} is at its in-flight "
+                    f"quota ({self._client_quota})"
                 ),
             )
-            return done
+            return False
         with self._lock:
-            report = self._results.get(key)
+            report = self._results.get(submission.key)
             if report is not None:
                 self._ledgers[shard].hit(
-                    report.algorithm, time.perf_counter() - start
+                    report.algorithm, time.perf_counter() - submission.start
                 )
-            elif key in self._inflight:
-                self._inflight[key].append(waiter)
-                return done
+            elif submission.key in self._inflight:
+                self._inflight[submission.key].append(submission)
+                return False
             else:
-                self._inflight[key] = [waiter]
-        if report is not None:
-            self._release_client(client)
-            waiter.answer(key, shard, report, cached=True)
-            return done
+                self._inflight[submission.key] = [submission]
+                return True
+        self._release_client(submission.client)
+        submission.answer(report, cached=True)
+        return False
+
+    def _send(self, leader: _Submission) -> None:
+        """Send a leader's join to its owner shard once admitted; the
+        reply settles every submission waiting on the key."""
+        handle = self._shards[leader.shard]
         if not handle.gate.try_acquire(self.queue_timeout_s):
             self._settle(
-                key,
-                shard,
-                named,
+                leader,
                 ShardReply(
                     seq=_CONTROL_SEQ,
                     ok=False,
                     error=(
-                        f"shard {shard} stayed at its in-flight "
+                        f"shard {leader.shard} stayed at its in-flight "
                         f"bound for {self.queue_timeout_s:g}s"
                     ),
                     error_type="ShardSaturated",
                 ),
                 rejected=True,
             )
-            return done
+            return
+        request = leader.request
         command = JoinCommand(
             seq=next(self._seq),
-            a=payload_a,
-            b=payload_b,
+            a=leader.a,
+            b=leader.b,
             algorithm=request.algorithm,
             space=request.space,
             parameters=request.parameters,
-            label=label,
+            label=request.describe(),
             within=request.within,
         )
 
@@ -1105,41 +1246,39 @@ class ShardedQueryService:
                 reply = _failed(command.seq, exc)
             finally:
                 handle.gate.release()
-            self._settle(key, shard, named, reply)
+            self._settle(leader, reply)
 
         try:
             reply_future = handle.request_async(command)
         except BaseException as exc:
             handle.gate.release()
-            self._settle(key, shard, named, _failed(command.seq, exc))
+            self._settle(leader, _failed(command.seq, exc))
             raise
         reply_future.add_done_callback(_finish)
-        return done
 
     def _settle(
         self,
-        key: CacheKey,
-        shard: int,
-        named: tuple[str, ...],
+        leader: _Submission,
         reply: ShardReply,
         *,
         rejected: bool = False,
     ) -> None:
-        """Answer every submission waiting on ``key``'s miss.
+        """Answer every submission waiting on ``leader``'s key.
 
         Files the report in the router's cache unless one of the
-        ``named`` fingerprints was unbound while the join was in
-        flight, and counts the waiters in the owner shard's ledger:
-        each is a request and a miss (a failure if no report came
-        back), one latency sample (the shard-side wall) stands for
-        them all, and ``rejected`` waiters count as rejections only.
+        leader's name-resolved fingerprints was unbound while the join
+        was in flight (``names_bound_to``, the one stale-fill guard),
+        and counts the waiters in the owner shard's ledger: each is a
+        request and a miss (a failure if no report came back), one
+        latency sample (the shard-side wall) stands for them all, and
+        ``rejected`` waiters count as rejections only.
         """
         outcome = reply.payload if reply.ok else None
         assert outcome is None or isinstance(outcome, RequestOutcome)
         report = outcome.report if outcome is not None else None
         with self._lock:
-            waiters = self._inflight.pop(key)
-            ledger = self._ledgers[shard]
+            waiters = self._inflight.pop(leader.key)
+            ledger = self._ledgers[leader.shard]
             if rejected:
                 ledger.rejected_requests += len(waiters)
             else:
@@ -1150,16 +1289,15 @@ class ShardedQueryService:
                     len(waiters),
                 )
             if report is not None:
-                if all(self._serves(fp) for fp in named):
-                    self._results.put(key, report)
+                if all(self._catalog.names_bound_to(fp) for fp in leader.named):
+                    self._results.put(leader.key, report)
                 else:
                     ledger.cache_stale_fill_skips += 1
         source = outcome if outcome is not None else reply
         for waiter in waiters:
             self._release_client(waiter.client)
             waiter.answer(
-                key, shard, report,
-                error=source.error, error_type=source.error_type,
+                report, error=source.error, error_type=source.error_type
             )
 
     # -- range queries -------------------------------------------------
@@ -1171,80 +1309,65 @@ class ShardedQueryService:
         buffer_pages: int = 256,
         client: str | None = None,
     ) -> IntArray:
-        """Range query answered by the router from its query workspace,
-        by the single-process service's code
-        (:meth:`~repro.service.service.QueryWorkspace.range_query`).
+        """Ids of the dataset's elements intersecting ``query``.
 
-        No shard sees it: it takes no admission slot, never raises
-        :class:`ShardSaturated` and never waits behind a join.  A client
-        over its quota raises ``RuntimeError``.  It counts in the ledger
-        of the content's owner shard.
+        Answered by the router from its query workspace: the first
+        query against a dataset builds its index, later ones reuse it.
+        No shard sees it, so it takes no admission slot, never raises
+        :class:`ShardSaturated` and never waits behind a join.  The
+        name resolves under ``_lock``, the index is built or probed
+        under the query workspace's lock only, and if no name serves
+        the content any more, a retire's forget ran before the build
+        and missed it: the index is dropped here (``stale_index_drops``)
+        and the hits go out as computed.  A client over its quota
+        raises ``RuntimeError``.  It counts in the ledger of the
+        content's owner shard.
         """
         self._ensure_open()
         # A concrete side is hashed outside the lock, only to find the
         # owner whose ledger counts it.
         fingerprint = (
-            None if isinstance(dataset, str) else self._resolve_side(dataset)[1]
+            None if isinstance(dataset, str)
+            else self._resolve_side(dataset)[0].fingerprint
         )
-        resolve = functools.partial(self._range_side, dataset, fingerprint)
         if not self._acquire_client(client):
             with self._lock:
-                _, _, ledger = resolve()
+                _, _, ledger = self._range_side(dataset, fingerprint)
                 ledger.rejected_requests += 1
             raise RuntimeError(
                 f"client {client!r} is at its in-flight quota "
                 f"({self._client_quota})"
             )
         try:
-            return self._queries.range_query(
-                self._lock, resolve, self._serves, query, buffer_pages
-            )
+            with self._lock:
+                target, guard, ledger = self._range_side(dataset, fingerprint)
+                ledger.range_requests += 1
+            hits, wall = self._queries.range_query(target, query, buffer_pages)
+            with self._lock:
+                ledger.record_latency(RANGE_QUERY_LATENCY_KEY, wall)
+                if guard is not None and not self._catalog.names_bound_to(
+                    guard
+                ):
+                    ledger.stale_index_drops += 1
+                    self._queries.forget(target)
+            return hits
         finally:
             self._release_client(client)
 
     def _range_side(
         self, side: Dataset | str, fingerprint: str | None
     ) -> tuple[Dataset, str | None, ServiceLedger]:
-        """A range query's dataset, guarded fingerprint and owner's
-        ledger (caller holds ``_lock``)."""
+        """A range query's dataset, guarded fingerprint (``None`` for a
+        concrete side, which is never guarded) and owner's ledger
+        (caller holds ``_lock``)."""
         if isinstance(side, str):
-            binding = self._lookup(side)
-            owner = self._ring.owner(binding.fingerprint)
-            return binding.dataset, binding.fingerprint, self._ledgers[owner]
+            entry = self._catalog.resolve(side)
+            owner = self._ring.owner(entry.fingerprint)
+            return entry.dataset, entry.fingerprint, self._ledgers[owner]
         assert fingerprint is not None
         return side, None, self._ledgers[self._ring.owner(fingerprint)]
 
-    # -- resolution / admission helpers --------------------------------
-    def _resolve_side(
-        self, side: object
-    ) -> tuple[DatasetPayload, str]:
-        """(wire payload, fingerprint) for one request side."""
-        if isinstance(side, str):
-            with self._lock:
-                binding = self._lookup(side)
-            return binding.payload, binding.fingerprint
-        if isinstance(side, Dataset):
-            # Ad-hoc concrete datasets travel pickled: publishing them
-            # would need per-request release bookkeeping across shard
-            # crashes for content that may never recur.  Register the
-            # dataset to get the zero-copy path.
-            fingerprint = dataset_fingerprint(side)
-            return (
-                DatasetPayload(fingerprint=fingerprint, dataset=side),
-                fingerprint,
-            )
-        raise TypeError(
-            "service requests take catalog names (str) or concrete "
-            f"Datasets, got {type(side).__name__}"
-        )
-
-    def _lookup(self, name: str) -> _Binding:
-        """Caller holds ``_lock``."""
-        binding = self._names.get(name)
-        if binding is None:
-            raise unknown_name(name, self._names)
-        return binding
-
+    # -- admission helpers ---------------------------------------------
     def _acquire_client(self, client: str | None) -> bool:
         if client is None or self._client_quota is None:
             return True
@@ -1286,18 +1409,15 @@ class ShardedQueryService:
         count.  Latencies are shard-side walls for misses, router-side
         walls for range queries (counted in the row of the content's
         owner, so the rows still add up) and lookup walls for router
-        hits; the cache fields of the totals are the router's cache,
-        the tier's only one.
+        hits; the cache and catalog fields of the totals are the
+        router's, the tier's only ones.
         """
         self._ensure_open()
         with self._lock:
-            rows = tuple(
-                ledger.snapshot().as_dict() for ledger in self._ledgers
-            )
             return ServiceLedger.combined(self._ledgers).snapshot(
-                catalog_size=len(self._names),
+                catalog_size=len(self._catalog),
                 cache=self._results,
-                per_shard=rows,
+                per_shard=tuple(ledger.row() for ledger in self._ledgers),
             )
 
     # -- lifecycle -----------------------------------------------------
@@ -1317,3 +1437,51 @@ class ShardedQueryService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class SpatialQueryService(ShardedQueryService):
+    """The single-process service: the router over one in-process shard.
+
+    Parameters
+    ----------
+    disk_model / cost_model:
+        Forwarded to the shard's executor (each miss runs cold on its
+        own workspace) and to the query workspace, so cached and
+        freshly computed reports share one cost basis.
+    max_cached_results:
+        Bound of the result cache (LRU; ``None`` disables the bound).
+    max_cached_indexes:
+        Bound of the query workspace's per-dataset index cache.
+
+    The shard runs each miss in the calling thread and takes datasets
+    by reference: the service publishes nothing to shared memory and
+    owns no segment, process or thread, so it needs no ``close()``.
+    Every caller is admitted (the caller's own thread does the work),
+    so it never answers ``ShardSaturated``, and with no client quota
+    never ``ClientQuotaExceeded``.  To serve across processes, use
+    :class:`ShardedQueryService`.
+    """
+
+    def __init__(
+        self,
+        *,
+        disk_model: DiskModel | None = None,
+        cost_model: CostModel | None = None,
+        max_cached_results: int | None = 256,
+        max_cached_indexes: int | None = (
+            SpatialWorkspace.DEFAULT_MAX_CACHED_INDEXES
+        ),
+    ) -> None:
+        super().__init__(
+            1,
+            disk_model=disk_model,
+            cost_model=cost_model,
+            max_cached_results=max_cached_results,
+            max_cached_indexes=max_cached_indexes,
+            max_inflight_per_shard=sys.maxsize,
+            inline=True,
+        )
+
+    def _payload(self, dataset: Dataset, fingerprint: str) -> DatasetPayload:
+        """The dataset itself: the shard shares this process."""
+        return DatasetPayload(fingerprint=fingerprint, dataset=dataset)

@@ -4,11 +4,10 @@ A long-lived service is only operable if its behaviour is visible from
 outside: how much traffic it absorbed, how much of it the result cache
 deflected, and what latency the cache misses actually cost, per
 algorithm.  :class:`ServiceLedger` is the one accounting
-implementation of both tiers: :class:`~repro.service.service.SpatialQueryService`
-keeps one, and the sharded router keeps one per shard (shards keep no
-counters, so a respawn loses none).  Its :meth:`ServiceLedger.snapshot`
-is the immutable :class:`ServiceStats` the throughput benchmark and
-``python3 -m bench`` consume.
+implementation: the router behind both front-ends keeps one per shard
+(shards keep no counters, so a respawn loses none).  Their combined
+:meth:`ServiceLedger.snapshot` is the immutable :class:`ServiceStats`
+the throughput benchmark and ``python3 -m bench`` consume.
 
 Percentile math lives in :func:`repro.metrics.latency_summary` and is
 safe on empty samples — a freshly started service reports zeros, not
@@ -49,8 +48,7 @@ class ServiceStats:
     cache_misses: int
     cache_evictions: int
     cache_invalidations: int
-    #: Reports currently held by the result cache (the router's, on
-    #: the sharded tier).
+    #: Reports currently held by the router's result cache.
     cache_size: int
     #: The cache's bound; ``None`` when unbounded, 0 for no cache.
     cache_max_entries: int | None
@@ -67,9 +65,9 @@ class ServiceStats:
     #: router answers a known key as a plain cache hit, saturated or
     #: not).  Kept so readers of the snapshot keep working.
     degraded_responses: int = 0
-    #: Sharded tier only: submissions rejected at admission (client
-    #: over quota, or the owning shard saturated past the backpressure
-    #: timeout on a key the router's cache does not hold).
+    #: Submissions rejected at admission (client over quota, or the
+    #: owning shard saturated past the backpressure timeout on a key
+    #: the router's cache does not hold); always 0 on the single tier.
     rejected_requests: int = 0
     #: Deltas applied through ``apply_delta`` (streaming tier).
     delta_applies: int = 0
@@ -80,13 +78,12 @@ class ServiceStats:
     #: intersection, partner fingerprint unresolvable, or the delta
     #: fraction above the threshold) — these fell back to invalidation.
     delta_patch_fallbacks: int = 0
-    #: Sharded tier only: per-shard snapshot dicts (``as_dict`` rows),
-    #: in shard order, from the router's per-shard ledgers.  A row
-    #: counts the traffic routed to that shard, router hits and range
-    #: queries included; only its miss latencies are shard-side walls.
-    #: Shards hold no cache and no names, so a row's cache and catalog
-    #: fields are 0 (the totals carry the router's).  Empty for
-    #: single-process services.
+    #: One row per shard, in shard order (the single tier has one):
+    #: :meth:`ServiceLedger.row` of the router's ledger for that shard.
+    #: A row counts the traffic routed to its shard, router hits and
+    #: range queries included; only its miss latencies are shard-side
+    #: walls.  Rows carry no cache or catalog fields: shards hold no
+    #: cache and no names, and the totals carry the router's.
     per_shard: tuple[dict[str, object], ...] = ()
     #: Per-algorithm latency summaries (count/mean/p50/p90/p99 seconds),
     #: over service-side request walls: cache hits contribute their
@@ -186,8 +183,8 @@ class ServiceLedger:
     Field names are the snapshot's.  A join submission is exactly one
     :meth:`hit` or one :meth:`miss`; an executed miss is one
     :meth:`executed`, whatever number of duplicate submissions it
-    answered.  Not thread-safe: the owning service mutates and reads it
-    under its own lock.
+    answered.  Not thread-safe: the router mutates and reads it under
+    its own lock.
     """
 
     requests: int = 0
@@ -268,31 +265,37 @@ class ServiceLedger:
     def snapshot(
         self,
         *,
-        catalog_size: int = 0,
-        cache: ResultCache | None = None,
-        per_shard: tuple[dict[str, object], ...] = (),
+        catalog_size: int,
+        cache: ResultCache,
+        per_shard: tuple[dict[str, object], ...],
     ) -> ServiceStats:
         """The immutable view; ``cache`` supplies the cache's own
-        size, bound, evictions and invalidations (all 0 without one)."""
-        size, bound, evictions, invalidations = (
-            (len(cache), cache.max_entries, cache.evictions, cache.invalidations)
-            if cache is not None
-            else (0, 0, 0, 0)
-        )
+        size, bound, evictions and invalidations."""
         return ServiceStats(
             uptime_seconds=time.perf_counter() - self.started,
-            cache_evictions=evictions,
-            cache_invalidations=invalidations,
-            cache_size=size,
-            cache_max_entries=bound,
+            cache_evictions=cache.evictions,
+            cache_invalidations=cache.invalidations,
+            cache_size=len(cache),
+            cache_max_entries=cache.max_entries,
             catalog_size=catalog_size,
             per_shard=per_shard,
-            latency_by_algorithm={
-                algorithm: record.summary()
-                for algorithm, record in sorted(self.latencies.items())
-            },
+            latency_by_algorithm=self._summaries(),
             **{counter: getattr(self, counter) for counter in _COUNTERS},
         )
+
+    def row(self) -> dict[str, object]:
+        """This ledger as one ``per_shard`` row: its counters and its
+        latency summaries."""
+        return {
+            **{counter: getattr(self, counter) for counter in _COUNTERS},
+            "latency_by_algorithm": self._summaries(),
+        }
+
+    def _summaries(self) -> dict[str, dict[str, float]]:
+        return {
+            algorithm: record.summary()
+            for algorithm, record in sorted(self.latencies.items())
+        }
 
 
 #: The ledger's additive counters (everything but the latency records

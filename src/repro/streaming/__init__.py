@@ -9,7 +9,7 @@ deltas live beside the structures they maintain:
   sketch (a rebuild: it measured faster than patching the counts);
 * ``repro.joins.delta_join`` — patches a cached pair set to the
   post-delta truth, exactly equal to a full recompute;
-* ``SpatialQueryService.apply_delta`` / sharded routing — advances
+* ``apply_delta`` on the service router (both tiers) — advances
   catalog fingerprints along the delta lineage and patches affected
   result-cache entries;
 * ``repro.datagen.stream.DriftingClusterStream`` — the seeded

@@ -21,9 +21,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: (file under repro/, original text, mutated text) — one broken
 #: invariant per rule.
 MUTATIONS = [
-    # RPL002: the catalog property reads _catalog without the lock.
+    # RPL002: the router's catalog property reads _catalog without the
+    # lock.
     (
-        "service/service.py",
+        "service/sharded.py",
         "        with self._lock:\n"
         "            return self._catalog\n",
         "        return self._catalog\n",
@@ -33,10 +34,10 @@ MUTATIONS = [
     (
         "service/sharded.py",
         "        with self._lock:\n"
-        "            return tuple(sorted(self._names))\n",
+        "            return self._catalog.names()\n",
         "        with self._lock:\n"
         "            with self._mutate:\n"
-        "                return tuple(sorted(self._names))\n",
+        "                return self._catalog.names()\n",
     ),
     # RPL008: publish loses the cleanup that closes and unlinks the
     # segment when filling it raises.
@@ -49,18 +50,18 @@ MUTATIONS = [
         "        except BaseException:\n"
         "            raise\n",
     ),
-    # RPL009: the single-process service keys requests without
-    # `within`, while the sharded router still keys it.
+    # RPL009: the router's one key site drops `within`, which the
+    # executor still runs.
     (
-        "service/service.py",
-        "                    request.parameters,\n"
-        "                    request.within,\n",
-        "                    request.parameters,\n",
+        "service/sharded.py",
+        "            request.parameters,\n"
+        "            request.within,\n",
+        "            request.parameters,\n",
     ),
 ]
 
 EXPECTED = {
-    "RPL002": "SpatialQueryService.catalog",
+    "RPL002": "ShardedQueryService.catalog",
     "RPL007": "ShardedQueryService.names",
     "RPL008": "SharedDatasetPool.publish",
     "RPL009": "JoinRequest.within",

@@ -331,7 +331,7 @@ class TestDeltaPatchFailure:
             service.register("a", corpus["c"])
             before = service.submit(JoinRequest("a", "b", "pbsm"))
             entries = {
-                name: service._names[name].entry() for name in ("a", "b")
+                name: service.catalog.resolve(name) for name in ("a", "b")
             }
             segments = service._pages.active_segments
 
@@ -344,7 +344,7 @@ class TestDeltaPatchFailure:
                 service.apply_delta("a", shrink)
             assert service.names() == ("a", "b")
             for name, entry in entries.items():
-                now = service._names[name]
+                now = service.catalog.resolve(name)
                 assert (now.fingerprint, now.version) == (
                     entry.fingerprint,
                     entry.version,

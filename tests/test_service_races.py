@@ -1,17 +1,19 @@
 """Rebind-race pins: the cache fills and index builds that in-flight
 invalidation must suppress.
 
-Races of the shape *resolve under the lock, compute outside it,
-publish under the lock again* — two shipped ones, and the delta path
-that shares their shape:
+Both tiers are one router, so every race runs on both: the single tier
+(one in-process shard) and the sharded tier (inline shards).  Races of
+the shape *resolve under the lock, compute outside it, publish under
+the lock again*:
 
-1. **Join fill after rebind** — ``submit_many`` resolved a name to a
-   fingerprint, released the lock to run the miss, and a ``register``
-   rebind invalidated that fingerprint mid-flight.  Filling the result
-   cache anyway resurrected an entry no name serves: a slot leak the
-   invalidation counters never see, and a wrong *hit* if the same
-   content is ever re-registered...  The fix re-validates at fill time
-   (catalog generation fast path, ``names_bound_to`` slow path) and
+1. **Join fill after rebind** — the router resolved a name to a
+   fingerprint, released the lock to send the miss to its owner shard,
+   and a ``register`` rebind (or ``unregister``) retired that
+   fingerprint mid-flight.  Filling the result cache anyway would keep
+   an answer no name serves: a slot leak the invalidation counters
+   never see, and a wrong *hit* if the same content is ever
+   re-registered.  The one guard, ``DatasetCatalog.names_bound_to``,
+   re-validates the name-resolved fingerprints when the reply lands and
    skips the fill, counted in ``cache_stale_fill_skips``.
 
 2. **Range index build after forget()** — ``range_query`` resolved a
@@ -19,32 +21,24 @@ that shares their shape:
    ``forget()`` ran before the build finished: the freshly built index
    of the *old* dataset landed in the workspace cache after the purge,
    pinned until LRU pressure.  The fix drops it post-hoc, counted in
-   ``stale_index_drops``.  Both tiers run the one range-query path
-   (``QueryWorkspace.range_query``), so its tests run on both.
+   ``stale_index_drops``.
 
-3. **Patched fill after partner rebind** — ``apply_delta`` patches
-   cached entries outside the lock against the partner content bound
-   *at that moment*; a rebind of the partner before the fill would
-   file the patched report under a fingerprint no name serves.  The
-   fill re-validates both fingerprints and is skipped, counted in
-   ``cache_stale_fill_skips``.
+3. **Partner rebind during a delta** — ``apply_delta`` patches cached
+   entries against the partner content bound at that moment.  It holds
+   the catalog-mutation lock from start to finish, so a partner rebind
+   started meanwhile waits for the delta, then retires the partner and
+   with it the patched entry.
 
-4. **Router fill after rebind (sharded tier)** — the router resolved a
-   name, sent the join to its owner shard, and a rebind retired the
-   content before the reply came back.  Filing the reply in the
-   router's cache kept an answer for retired content.  The router
-   re-validates the name-resolved fingerprints when the reply lands,
-   as the single tier does, and counts the skip in
-   ``cache_stale_fill_skips``.
-
-The deterministic tests below interpose on the exact window (executor
-call / query-workspace lock acquisition) to force the interleaving
-every run; the threaded stress test closes with the global invariant
-both fixes protect: no cached result may reference an unbound
-fingerprint.
+The deterministic tests below interpose on the exact window (the
+owner shard's ``request_async``, the query workspace's lock, the
+delta's cache read) to force the interleaving every run; the threaded
+stress test closes with the global invariant the fixes protect: no
+cached result may reference an unbound fingerprint.
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 import pytest
@@ -65,14 +59,6 @@ def _variant(seed: int, space, *, offset: int = 0):
     return uniform_dataset(120, seed=seed, name="V", id_offset=offset, space=space)
 
 
-@pytest.fixture
-def service(space):
-    service = SpatialQueryService()
-    service.register("a", _variant(1, space))
-    service.register("b", _variant(2, space, offset=10**9))
-    return service
-
-
 @pytest.fixture(params=["single", "sharded"])
 def tier(request, space):
     """Either tier, with ``a`` and ``b`` registered."""
@@ -80,35 +66,31 @@ def tier(request, space):
         service = SpatialQueryService()
     else:
         service = ShardedQueryService(2, inline=True)
-        request.addfinalizer(service.close)
+    request.addfinalizer(service.close)
     service.register("a", _variant(1, space))
     service.register("b", _variant(2, space, offset=10**9))
     return service
 
 
 def _bound(tier, name):
-    """The dataset ``name`` is bound to, on either tier."""
-    if isinstance(tier, ShardedQueryService):
-        return tier._names[name].dataset
+    """The dataset ``name`` is bound to."""
     return tier.catalog.resolve(name).dataset
 
 
-class _RebindOnRun:
-    """Executor wrapper: runs the batch, then rebinds before the fill.
+def _rebind_on_join(tier, monkeypatch, rebind):
+    """Run ``rebind`` when the router sends its next join command, in
+    the window a concurrent ``register`` would hit: after resolve,
+    before fill.  The rebind's own invalidation broadcast passes
+    through."""
+    for handle in tier._shards:
+        send = handle.request_async
 
-    ``_execute_misses`` calls the executor *outside* the service lock,
-    so a same-thread rebind here lands in exactly the window a
-    concurrent ``register`` would: after resolve, before fill.
-    """
+        def rebind_then_send(command, send=send):
+            if isinstance(command, JoinCommand):
+                rebind()
+            return send(command)
 
-    def __init__(self, service, rebind):
-        self._inner = service._executor
-        self._rebind = rebind
-
-    def run(self, requests):
-        batch = self._inner.run(requests)
-        self._rebind()
-        return batch
+        monkeypatch.setattr(handle, "request_async", rebind_then_send)
 
 
 class _RebindOnAcquire:
@@ -139,59 +121,55 @@ class _RebindOnAcquire:
 
 
 class TestJoinFillRace:
-    def test_fill_after_rebind_is_skipped(self, service, space):
-        old_fp = service.catalog.resolve("a").fingerprint
-        service._executor = _RebindOnRun(
-            service, lambda: service.register("a", _variant(71, space))
+    def test_fill_after_rebind_is_skipped(self, tier, space, monkeypatch):
+        old_fp = tier.catalog.resolve("a").fingerprint
+        _rebind_on_join(
+            tier, monkeypatch, lambda: tier.register("a", _variant(71, space))
         )
-        response = service.submit(JoinRequest("a", "b", "pbsm"))
+        response = tier.submit(JoinRequest("a", "b", "pbsm"))
+        monkeypatch.undo()
         # The response itself is served: it was correct at resolve time.
         assert response.report is not None and response.error is None
+        assert not response.cached
         # But the fill was suppressed — no key of the cache references
         # the unbound fingerprint, and a resubmission misses.
-        assert all(
-            old_fp not in key[:2] for key in service._results._entries
-        )
-        assert response.key not in service._results
-        assert service.stats().cache_stale_fill_skips == 1
-        assert not service.submit(JoinRequest("a", "b", "pbsm")).cached
+        assert tier._results.entries_for_fingerprint(old_fp) == []
+        assert response.key not in tier._results
+        assert tier.stats().cache_stale_fill_skips == 1
+        assert not tier.submit(JoinRequest("a", "b", "pbsm")).cached
 
     def test_fill_survives_when_alias_still_serves_content(
-        self, service, space
+        self, tier, space, monkeypatch
     ):
-        """names_bound_to is the slow path: an alias keeps the fill."""
-        service.register("alias", service.catalog.resolve("a").dataset)
-        service._executor = _RebindOnRun(
-            service, lambda: service.register("a", _variant(72, space))
+        """An alias keeps the content bound, so the fill must land."""
+        tier.register("alias", _bound(tier, "a"))
+        _rebind_on_join(
+            tier, monkeypatch, lambda: tier.register("a", _variant(72, space))
         )
-        response = service.submit(JoinRequest("a", "b", "pbsm"))
-        # Generation moved, but the fingerprint is still bound via the
-        # alias — the entry stays reachable, so the fill must land.
-        assert response.key in service._results
-        assert service.stats().cache_stale_fill_skips == 0
-        assert service.submit(JoinRequest("alias", "b", "pbsm")).cached
+        response = tier.submit(JoinRequest("a", "b", "pbsm"))
+        monkeypatch.undo()
+        assert response.key in tier._results
+        assert tier.stats().cache_stale_fill_skips == 0
+        assert tier.submit(JoinRequest("alias", "b", "pbsm")).cached
 
-    def test_fill_after_unregister_is_skipped(self, service, space):
-        service._executor = _RebindOnRun(
-            service, lambda: service.unregister("a")
-        )
-        response = service.submit(JoinRequest("a", "b", "pbsm"))
+    def test_fill_after_unregister_is_skipped(self, tier, monkeypatch):
+        _rebind_on_join(tier, monkeypatch, lambda: tier.unregister("a"))
+        response = tier.submit(JoinRequest("a", "b", "pbsm"))
+        monkeypatch.undo()
         assert response.report is not None
-        assert response.key not in service._results
-        assert service.stats().cache_stale_fill_skips == 1
+        assert response.key not in tier._results
+        assert tier.stats().cache_stale_fill_skips == 1
 
-    def test_concrete_sides_always_fill(self, service, space):
+    def test_concrete_sides_always_fill(self, tier, space, monkeypatch):
         """Caller-managed datasets have no catalog binding to lose."""
-        a = service.catalog.resolve("a").dataset
-        b = service.catalog.resolve("b").dataset
-        # Rebinding an unrelated name bumps the generation, forcing the
-        # slow path — which must not guard concrete-dataset requests.
-        service._executor = _RebindOnRun(
-            service, lambda: service.register("c", _variant(73, space))
+        a, b = _bound(tier, "a"), _bound(tier, "b")
+        _rebind_on_join(
+            tier, monkeypatch, lambda: tier.register("a", _variant(73, space))
         )
-        response = service.submit(JoinRequest(a, b, "pbsm"))
-        assert response.key in service._results
-        assert service.stats().cache_stale_fill_skips == 0
+        response = tier.submit(JoinRequest(a, b, "pbsm"))
+        monkeypatch.undo()
+        assert response.key in tier._results
+        assert tier.stats().cache_stale_fill_skips == 0
 
 
 class TestRangeIndexRace:
@@ -240,58 +218,53 @@ class TestRangeIndexRace:
 
 
 class TestDeltaFillRace:
-    def test_patched_fill_after_partner_rebind_is_skipped(
-        self, service, space
+    def test_partner_rebind_waits_for_the_delta_then_invalidates(
+        self, tier, space, monkeypatch
     ):
-        service.submit(JoinRequest("a", "b", "pbsm"))
-        old_b = service.catalog.resolve("b").fingerprint
-        resolve = service._dataset_by_fingerprint
+        """A rebind of the partner, started while a delta patches the
+        partner's cached entry, waits for the delta to file the patched
+        report, then retires the partner and the patched entry with it."""
+        request = JoinRequest("a", "b", "pbsm")
+        tier.submit(request)
+        old_b = tier.catalog.resolve("b").fingerprint
+        entered, release = threading.Event(), threading.Event()
+        read = tier._cached_entries
 
-        def resolve_then_rebind(fingerprint):
-            partner = resolve(fingerprint)
-            service.register("b", _variant(78, space, offset=10**9))
-            return partner
+        def held(fingerprint):
+            entered.set()
+            assert release.wait(10.0)
+            return read(fingerprint)
 
-        service._dataset_by_fingerprint = resolve_then_rebind
-        victim = service.catalog.resolve("a").dataset
-        outcome = service.apply_delta(
-            "a", DatasetDelta.deleting(victim.ids[:5], ndim=3)
+        monkeypatch.setattr(tier, "_cached_entries", held)
+        victim = _bound(tier, "a")
+        delta = DatasetDelta.deleting(victim.ids[:5], ndim=3)
+        with ThreadPoolExecutor(2) as pool:
+            outcome = pool.submit(tier.apply_delta, "a", delta)
+            assert entered.wait(10.0)
+            rebind = pool.submit(
+                tier.register, "b", _variant(78, space, offset=10**9)
+            )
+            # The rebind waits on the delta's catalog-mutation lock.
+            with pytest.raises(FutureTimeout):
+                rebind.result(timeout=0.2)
+            release.set()
+            # The entry was patched against the partner bound at the time...
+            assert outcome.result(timeout=10.0).patched == 1
+            assert rebind.result(timeout=10.0).version == 2
+        # ...and the rebind that followed retired it with that partner.
+        assert tier._results.entries_for_fingerprint(old_b) == []
+        stats = tier.stats()
+        assert stats.cache_stale_fill_skips == 0
+        assert stats.delta_patches == 1
+        hot = tier.submit(request)
+        assert not hot.cached
+        cold = SpatialQueryService()
+        cold.register("a", delta.apply(victim))
+        cold.register("b", _bound(tier, "b"))
+        assert (
+            hot.report.result.pairs.tobytes()
+            == cold.submit(request).report.result.pairs.tobytes()
         )
-        # The entry was patched against the partner bound at the time...
-        assert outcome.patched == 1
-        # ...but that partner is gone, so nothing may be filed under it.
-        assert all(
-            old_b not in key[:2] for key in service._results._entries
-        )
-        assert service.stats().cache_stale_fill_skips == 1
-        assert not service.submit(JoinRequest("a", "b", "pbsm")).cached
-
-
-class TestRouterFillRace:
-    def test_router_fill_after_rebind_is_skipped(self, space):
-        with ShardedQueryService(2, inline=True) as tier:
-            tier.register("a", _variant(1, space))
-            tier.register("b", _variant(2, space, offset=10**9))
-            old = tier._names["a"].fingerprint
-            owner = tier._shards[
-                tier._ring.owner_of_pair(old, tier._names["b"].fingerprint)
-            ]
-            send = owner.request_async
-
-            def rebind_then_send(command):
-                # The rebind's own invalidation broadcast passes through.
-                if isinstance(command, JoinCommand):
-                    tier.register("a", _variant(91, space))
-                return send(command)
-
-            owner.request_async = rebind_then_send
-            response = tier.submit(JoinRequest("a", "b", "pbsm"))
-            owner.request_async = send
-            # Served as resolved: the join ran on the old content...
-            assert response.ok and not response.cached
-            # ...but the router keeps nothing for the retired content.
-            assert tier._results.entries_for_fingerprint(old) == []
-            assert tier.stats().cache_stale_fill_skips == 1
 
 
 class TestRebindUnderLoadStress:

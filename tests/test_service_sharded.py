@@ -163,9 +163,9 @@ class TestInlineCatalog:
         assert cold.shard is not None and cold.shard == warm.shard
         assert cold.shard == inline._ring.owner_of_pair(
             dataset_fingerprint(
-                inline._names["a"].dataset
+                inline.catalog.resolve("a").dataset
             ),
-            dataset_fingerprint(inline._names["b"].dataset),
+            dataset_fingerprint(inline.catalog.resolve("b").dataset),
         )
 
     def test_equal_content_rebind_is_noop(self, inline, corpus, space):
@@ -188,7 +188,7 @@ class TestInlineCatalog:
         assert inline.submit(JoinRequest("b", "c", "pbsm")).cached
 
     def test_alias_keeps_cached_results_alive(self, inline, space):
-        inline.register("alias", inline._names["a"].dataset)
+        inline.register("alias", inline.catalog.resolve("a").dataset)
         inline.submit(JoinRequest("alias", "b", "pbsm"))
         inline.register("a", uniform_dataset(150, seed=92, name="A", space=space))
         # "a" was rebound, but "alias" still serves the old content —
@@ -207,13 +207,13 @@ class TestInlineCatalog:
         query workspace the only range index: retiring content no name
         serves drops that content's index — an alias keeps it."""
         workspace = inline.query_workspace
-        inline.register("alias", inline._names["a"].dataset)
+        inline.register("alias", inline.catalog.resolve("a").dataset)
         inline.range_query("a", space)
         assert workspace.cached_index_count == 1
         changed = uniform_dataset(150, seed=93, name="A", space=space)
         inline.register("a", changed)
         assert workspace.cached_index_count == 1  # "alias" serves it
-        inline.register("alias", inline._names["a"].dataset)
+        inline.register("alias", inline.catalog.resolve("a").dataset)
         assert workspace.cached_index_count == 0
         inline.range_query("b", space)
         assert workspace.cached_index_count == 1
@@ -227,7 +227,7 @@ class TestInlineCatalog:
         with pytest.raises(TypeError):
             inline.submit(JoinRequest("a", 42, "pbsm"))
         with pytest.raises(ValueError):
-            inline.register("", inline._names["a"].dataset)
+            inline.register("", inline.catalog.resolve("a").dataset)
         with pytest.raises(TypeError):
             inline.register("x", "not a dataset")
 
@@ -388,8 +388,8 @@ class TestRouterRangeQueries:
         queried content delays no range query over that content: the
         router answers it, and no shard sees it."""
         fingerprints = {
-            name: binding.fingerprint
-            for name, binding in inline._names.items()
+            name: inline.catalog.resolve(name).fingerprint
+            for name in inline.names()
         }
         request, target = next(
             (JoinRequest(a, b, "pbsm"), name)
@@ -433,7 +433,7 @@ class TestRouterCache:
         then answered without any shard."""
         request = JoinRequest("a", "b", "pbsm")
         inline.submit(request)
-        old = inline._names["a"].fingerprint
+        old = inline.catalog.resolve("a").fingerprint
         sent = spy_on_shards(inline, monkeypatch)
         delta = DatasetDelta.deleting(corpus["a"].ids[:5], ndim=3)
         outcome = inline.apply_delta("a", delta)
@@ -475,7 +475,7 @@ class TestStatsMerging:
 
     def test_stats_sends_no_command(self, inline, monkeypatch):
         inline.submit(JoinRequest("a", "b", "pbsm"))
-        inline.range_query("a", inline._names["a"].dataset.boxes.mbb())
+        inline.range_query("a", inline.catalog.resolve("a").dataset.boxes.mbb())
         sent = spy_on_shards(inline, monkeypatch)
         stats = inline.stats()
         assert sent == [[]] * inline.shards
@@ -492,15 +492,21 @@ class TestStatsMerging:
 
 
 class TestCoalescing:
-    """A miss whose key is already in flight waits for that miss."""
+    """A miss whose key is already in flight waits for that miss, on
+    both tiers: the single tier is the same router over one in-process
+    shard (no admission bound, no client quota)."""
 
-    @pytest.fixture
-    def quota(self, corpus):
-        service = ShardedQueryService(
-            2,
-            inline=True,
-            max_inflight_per_shard=1,
-            max_inflight_per_client=1,
+    @pytest.fixture(params=["sharded", "single"])
+    def quota(self, request, corpus):
+        service = (
+            ShardedQueryService(
+                2,
+                inline=True,
+                max_inflight_per_shard=1,
+                max_inflight_per_client=1,
+            )
+            if request.param == "sharded"
+            else SpatialQueryService()
         )
         service.register("a", corpus["a"])
         service.register("b", corpus["b"])
@@ -516,7 +522,7 @@ class TestCoalescing:
             service._ring.owner_of_pair(
                 *(
                     dataset_fingerprint(
-                        service._names[side].dataset
+                        service.catalog.resolve(side).dataset
                         if isinstance(side, str)
                         else side
                     )
@@ -614,9 +620,9 @@ class TestInlineShardLock:
         recency refresh used to pop the entry under the join
         (``KeyError``).  Commands now run one at a time per shard."""
         request = JoinRequest("a", "b", "pbsm")
-        fp_a = inline._names["a"].fingerprint
+        fp_a = inline.catalog.resolve("a").fingerprint
         owner = inline._shards[
-            inline._ring.owner_of_pair(fp_a, inline._names["b"].fingerprint)
+            inline._ring.owner_of_pair(fp_a, inline.catalog.resolve("b").fingerprint)
         ]
         inline.submit(request).raise_for_failure()  # realises "a" there
         invalidations: list[threading.Thread] = []
@@ -650,6 +656,60 @@ class TestInlineShardLock:
 
 
 # ----------------------------------------------------------------------
+# The single tier: the router over one in-process shard
+# ----------------------------------------------------------------------
+class TestSingleTier:
+    def test_publishes_no_segment(self, corpus):
+        """Registering, joining and applying a delta leave /dev/shm as
+        they found it: the in-process shard takes datasets by
+        reference."""
+        before = sorted(_listed_segments())
+        service = SpatialQueryService()
+        service.register("a", corpus["a"])
+        service.register("b", corpus["b"])
+        service.submit(JoinRequest("a", "b", "pbsm")).raise_for_failure()
+        delta = DatasetDelta.deleting(corpus["a"].ids[:5], ndim=3)
+        assert service.apply_delta("a", delta).patched == 1
+        assert service.submit(JoinRequest("a", "b", "pbsm")).cached
+        assert sorted(_listed_segments()) == before
+
+    def test_distinct_misses_are_never_saturated(self, corpus, monkeypatch):
+        """Sixteen threads of distinct misses, each held inside the
+        executor past the sharded tier's default queue timeout: every
+        one is admitted (the caller's thread runs its own miss), none
+        is answered ``ShardSaturated``."""
+        from repro.engine.executor import BatchExecutor
+
+        service = SpatialQueryService()
+        service.register("a", corpus["a"])
+        service.register("b", corpus["b"])
+        release = threading.Event()
+        run = BatchExecutor.run
+
+        def held(executor, requests):
+            assert release.wait(30.0)
+            return run(executor, requests)
+
+        monkeypatch.setattr(BatchExecutor, "run", held)
+        with ThreadPoolExecutor(16) as pool:
+            futures = [
+                pool.submit(
+                    service.submit,
+                    JoinRequest(
+                        "a", "b", "pbsm", parameters={"resolution": 2 + i}
+                    ),
+                )
+                for i in range(16)
+            ]
+            time.sleep(2.5)
+            release.set()
+            responses = [future.result(timeout=30.0) for future in futures]
+        assert [r.error_type for r in responses] == [None] * 16
+        stats = service.stats()
+        assert stats.cache_misses == 16 and stats.rejected_requests == 0
+
+
+# ----------------------------------------------------------------------
 # Process mode: the deployment shape
 # ----------------------------------------------------------------------
 class TestProcessShards:
@@ -673,7 +733,9 @@ class TestProcessShards:
             for name, dataset in corpus.items():
                 sharded.register(name, dataset)
             transports = {
-                name: sharded._names[name].payload.ref is not None
+                name: sharded._payloads[
+                    sharded.catalog.resolve(name).fingerprint
+                ].ref is not None
                 for name in corpus
             }
             assert set(transports.values()) == {expect_shm}
@@ -706,8 +768,8 @@ class TestProcessShards:
             _payload_bytes(service.submit(JoinRequest("a", "b", "pbsm")))
             # The shm path really ran.
             assert all(
-                binding.payload.ref is not None
-                for binding in service._names.values()
+                payload.ref is not None
+                for payload in service._payloads.values()
             )
             published = set(_listed_segments()) - before
             assert published
