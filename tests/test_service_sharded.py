@@ -249,6 +249,19 @@ class TestInlineCatalog:
         hits = inline.range_query("a", space)
         assert np.array_equal(np.sort(hits), np.sort(expected))
 
+    def test_plan_prices_names_off_the_stored_sketches(self, inline, corpus):
+        """The router's catalog stores a sketch per content, so the
+        sharded tier plans registered pairs as the single tier does."""
+        oracle = SpatialQueryService()
+        for name, dataset in corpus.items():
+            oracle.register(name, dataset)
+        plan = inline.plan("a", "b")
+        expected = oracle.plan("a", "b")
+        assert plan.stats_used
+        assert (plan.algorithm, plan.est_pairs) == (
+            expected.algorithm, expected.est_pairs
+        )
+
     def test_closed_service_refuses(self, corpus):
         service = ShardedQueryService(2, inline=True)
         service.register("a", corpus["a"])
