@@ -4,8 +4,8 @@ When a registered dataset takes a :class:`~repro.streaming.DatasetDelta`,
 every cached :class:`~repro.engine.report.RunReport` whose key
 references the old content is *almost* right: the pair set differs only
 around the delta.  :func:`advance_delta` is the one definition of what
-a delta does to served content — shared by the single-process service
-and the sharded router: it materialises the post-delta dataset, decides
+a delta does to served content — the service router's ``apply_delta``
+runs it on both tiers: it materialises the post-delta dataset, decides
 whether patching is worthwhile (:data:`PATCH_MAX_FRACTION` is read here
 and nowhere else in the service layer) and rewrites each
 affected entry through :func:`patch_cached_entry`, which produces the
