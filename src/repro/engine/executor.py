@@ -17,7 +17,7 @@ captured in that request's :class:`RequestOutcome`; the rest of the
 batch completes normally.  Both service tiers run their cache misses
 through this executor; parallelism lives one level up, in the sharded
 tier (:mod:`repro.service.sharded`), whose shard processes each run
-their own service.
+one executor.
 """
 
 from __future__ import annotations

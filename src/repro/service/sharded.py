@@ -8,9 +8,9 @@ it:
   calling thread;
 * :class:`ShardedQueryService` scales the misses out across N **shard
   processes**, each a stateless join executor (:class:`ShardState`: a
-  batch executor and the realised datasets) that runs the commands
-  from its pipe one at a time — every command carries the datasets it
-  reads.
+  batch executor and a lock) that runs the commands from its pipe one
+  at a time — every command carries the datasets it reads, and a shard
+  keeps nothing between commands.
 
 The **router** (this process) owns everything a service keeps across
 requests: the catalog (:class:`~repro.service.catalog.DatasetCatalog`,
@@ -21,13 +21,17 @@ answers every range query, and one
 :class:`~repro.service.stats.ServiceLedger` per shard, the tier's only
 counters.  It routes each join by a consistent-hash ring
 (:class:`~repro.service.sharding.HashRing`) to the owner of its
-ordered pair digest.  Aliasing is decided once, router-side; retiring
-content no name serves is one invalidation broadcast.  On the process
-tier, registered datasets ship as shared-memory references
+ordered pair digest.  Aliasing is decided once, router-side, and so
+is how long content lives on the wire.  On the process tier,
+registered datasets ship as shared-memory references
 (:class:`~repro.storage.shm.SharedDatasetRef`, published once per
 content by the router's :class:`~repro.storage.shm.SharedDatasetPool`)
 when possible, so shard workers attach zero-copy instead of unpickling
-content per command.
+content per command.  A segment lives while a name serves its content
+or while a sent command carries it: a command picks its payloads when
+it is sent, a retire sends no command, and a retired segment is
+released by the first retire that finds no command in flight carrying
+it.
 
 Every request runs one shape: resolve under the router's lock, compute
 outside it, publish under it again, guarded by the catalog's
@@ -36,9 +40,8 @@ and no shard sees it — even when every admission slot is held.  A
 duplicate of a miss still in flight waits for that miss instead of
 sending its own command.  A delta holds the catalog-mutation lock end
 to end, patches the cached entries it touches router-side and files
-the patched reports there; its only shard round trip is the retire's
-invalidation broadcast.  Range queries never reach a shard, so no
-range query waits behind a join.
+the patched reports there; it sends no shard command.  Range queries
+never reach a shard, so no range query waits behind a join.
 
 The submission layer is asynchronous with explicit admission control
 for the requests the router cannot answer:
@@ -81,8 +84,7 @@ import os
 import sys
 import threading
 import time
-from collections import OrderedDict
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
@@ -114,7 +116,6 @@ from repro.service.stats import ServiceLedger, ServiceStats
 from repro.service.wire import (
     CrashCommand,
     DatasetPayload,
-    InvalidateCommand,
     JoinCommand,
     ShardCommand,
     ShardReply,
@@ -134,7 +135,7 @@ __all__ = [
     "ShardedQueryService",
     "ShardSaturated",
     "ShardState",
-    "handle_command",
+    "execute_command",
 ]
 
 #: Exit code of a worker killed by :class:`CrashCommand` injection.
@@ -143,12 +144,6 @@ _CRASH_EXIT_CODE = 17
 #: whose replies nobody waits on; real commands use the router's
 #: counter, which starts at 1.
 _CONTROL_SEQ = 0
-#: Bound of a worker's fingerprint -> realised-dataset cache.
-_REALISED_BOUND = 512
-#: Old shared-memory refs to keep alive after their binding retired,
-#: so commands already in flight when a rebind landed can still
-#: attach; see ``ShardedQueryService._retire_ref``.
-_RETIRE_WINDOW = 4
 
 
 class ShardSaturated(RuntimeError):
@@ -168,13 +163,12 @@ def _failed(seq: int, exc: BaseException) -> ShardReply:
 # ----------------------------------------------------------------------
 class ShardState:
     """Everything one shard holds: no names, no results, no counters,
-    no indexes.
+    no indexes, no datasets.
 
     A :class:`~repro.engine.executor.BatchExecutor` for joins (each
-    runs cold on its own workspace) and the fingerprint ->
-    realised-dataset map.  ``lock`` runs one command at a time: a
-    worker's loop is serial anyway, and inline shards take commands
-    from client threads.
+    runs cold on its own workspace) and ``lock``, which runs one
+    command at a time: a worker's loop is serial anyway, and inline
+    shards take commands from client threads.
     """
 
     def __init__(
@@ -186,72 +180,44 @@ class ShardState:
         self.executor = BatchExecutor(
             disk_model=disk_model, cost_model=cost_model
         )
-        self.realised: OrderedDict[str, Dataset] = OrderedDict()
         self.lock = threading.Lock()
 
 
-def _realise(
-    realised: OrderedDict[str, Dataset], payload: DatasetPayload
-) -> Dataset:
-    """The concrete dataset behind a wire payload.
-
-    Shared-memory refs attach zero-copy, pickled fallbacks arrive
-    whole; either way the result is cached by content fingerprint in
-    ``realised``, so repeated joins over the same content attach or
-    unpickle it once per shard.  The LRU bound keeps ad-hoc
-    concrete-dataset traffic from growing the cache without limit.
-    """
-    cached = realised.get(payload.fingerprint)
-    if cached is not None:
-        realised.move_to_end(payload.fingerprint)
-        return cached
+def _realise(payload: DatasetPayload) -> Dataset:
+    """The concrete dataset behind a wire payload: a shared-memory ref
+    attaches zero-copy (:func:`~repro.storage.shm.attach_dataset` maps
+    each segment once per process), a dataset is used as it arrived."""
     if payload.ref is not None:
-        dataset = attach_dataset(payload.ref)
-    else:
-        assert payload.dataset is not None  # DatasetPayload invariant
-        dataset = payload.dataset
-    realised[payload.fingerprint] = dataset
-    while len(realised) > _REALISED_BOUND:
-        realised.popitem(last=False)
-    return dataset
-
-
-def handle_command(shard: ShardState, command: ShardCommand) -> object:
-    """Execute one shard command; the caller holds ``shard.lock``.
-
-    This is the *entire* shard-side vocabulary: everything a worker
-    process does funnels through here, which is what makes the shard
-    protocol unit-testable in-process (the inline shards call it
-    directly).  A join replies with its
-    :class:`~repro.engine.executor.RequestOutcome`.  Exceptions
-    propagate to :func:`execute_command`, which captures them into an
-    ``ok=False`` reply.
-    """
-    if isinstance(command, InvalidateCommand):
-        shard.realised.pop(command.fingerprint, None)
-        return None
-    if isinstance(command, JoinCommand):
-        a = _realise(shard.realised, command.a)
-        b = _realise(shard.realised, command.b)
-        return shard.executor.run([command.to_request(a, b)]).outcomes[0]
-    raise TypeError(
-        f"unhandled shard command: {type(command).__name__}"
-    )
+        return attach_dataset(payload.ref)
+    assert payload.dataset is not None  # DatasetPayload invariant
+    return payload.dataset
 
 
 def execute_command(shard: ShardState, command: ShardCommand) -> ShardReply:
     """Run one command under the shard's lock and capture its outcome
     as the wire reply.
 
-    Failures are isolated per command, mirroring the batch executor:
-    an exception becomes an ``ok=False`` reply, never a dead shard.
+    This is the *entire* shard-side vocabulary: everything a worker
+    process does funnels through here, which is what makes the shard
+    protocol unit-testable in-process (the inline shards call it
+    directly).  A join replies with its
+    :class:`~repro.engine.executor.RequestOutcome`.  Failures are
+    isolated per command, mirroring the batch executor: an exception
+    becomes an ``ok=False`` reply, never a dead shard.
     """
     try:
+        if not isinstance(command, JoinCommand):
+            raise TypeError(
+                f"unhandled shard command: {type(command).__name__}"
+            )
         with shard.lock:
-            payload = handle_command(shard, command)
+            request = command.to_request(
+                _realise(command.a), _realise(command.b)
+            )
+            outcome = shard.executor.run([request]).outcomes[0]
     except Exception as exc:
         return _failed(command.seq, exc)
-    return ShardReply(seq=command.seq, ok=True, payload=payload)
+    return ShardReply(seq=command.seq, ok=True, payload=outcome)
 
 
 def _shard_worker(
@@ -281,42 +247,6 @@ def _shard_worker(
         except (BrokenPipeError, OSError):  # pragma: no cover
             break
     conn.close()
-
-
-# ----------------------------------------------------------------------
-# Admission control
-# ----------------------------------------------------------------------
-class _AdmissionGate:
-    """Bounded in-flight slots for one shard, with timed waits.
-
-    A plain semaphore cannot express "check now, then maybe wait with
-    a deadline" without double-counting; a condition over an integer
-    can.
-    """
-
-    def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise ValueError("max_inflight_per_shard must be >= 1")
-        self._limit = limit
-        self._occupied = 0
-        self._cond = threading.Condition()
-
-    def try_acquire(self, timeout: float) -> bool:
-        """Take a slot, waiting up to ``timeout`` seconds; False = full."""
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while self._occupied >= self._limit:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            self._occupied += 1
-            return True
-
-    def release(self) -> None:
-        with self._cond:
-            self._occupied = max(0, self._occupied - 1)
-            self._cond.notify()
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +280,7 @@ class _ProcessShard:
         index: int,
         *,
         shard_options: dict[str, Any],
-        gate: _AdmissionGate,
+        gate: threading.Semaphore,
     ) -> None:
         self.index = index
         self.gate = gate
@@ -433,6 +363,11 @@ class _ProcessShard:
                 self._conn.send(CrashCommand(seq=_CONTROL_SEQ))
         except (BrokenPipeError, OSError, ValueError):
             pass
+
+    def drain(self) -> None:
+        """A retire does not wait for this shard: its joins run in
+        another interpreter, in parallel with the router's writes (see
+        :meth:`_InlineShard.drain`)."""
 
     # -- receive / recovery --------------------------------------------
     def _recv_loop(
@@ -569,7 +504,7 @@ class _InlineShard:
         index: int,
         *,
         shard_options: dict[str, Any],
-        gate: _AdmissionGate,
+        gate: threading.Semaphore,
     ) -> None:
         self.index = index
         self.gate = gate
@@ -592,6 +527,20 @@ class _InlineShard:
             "crash injection requires process shards (inline=False)"
         )
 
+    def drain(self) -> None:
+        """Wait for the command running on this shard, if any; a retire
+        calls it before it purges the router's cache.
+
+        Nothing a retire drops is read by a running join, so this is
+        not for safety: in one interpreter, overlapping a write with a
+        join buys no parallelism (both need the GIL), so the write only
+        slows the join down.  Measured on ``serve_single``, 2-CPU host,
+        4 paired runs: without this wait ``ops_per_s`` fell 9 % and
+        ``miss_p50_ms`` rose 18 %.
+        """
+        with self.state.lock:
+            pass
+
     def close(self) -> None:
         self._closing = True
 
@@ -610,8 +559,9 @@ class _Submission:
     key: CacheKey
     #: The shard that owns ``key``.
     shard: int
-    a: DatasetPayload
-    b: DatasetPayload
+    #: (content fingerprint, dataset) of ``request.a`` and
+    #: ``request.b``.
+    sides: tuple[tuple[str, Dataset], tuple[str, Dataset]]
     #: Fingerprints resolved from names: a retire while the miss is in
     #: flight can unbind them, and filling the cache then would keep an
     #: answer for retired content.  Concrete sides are caller-managed
@@ -620,6 +570,9 @@ class _Submission:
     client: str | None
     start: float
     future: "Future[ServiceResponse]" = field(default_factory=Future)
+    #: The shared-memory refs the leader's command carries, pinned
+    #: (``ShardedQueryService._pinned``) until its key is settled.
+    pins: tuple[SharedDatasetRef, ...] = ()
 
     def answer(
         self,
@@ -690,20 +643,22 @@ class ShardedQueryService:
         max_inflight_per_client: int | None = None,
         inline: bool = False,
     ) -> None:
+        if max_inflight_per_shard < 1:
+            raise ValueError("max_inflight_per_shard must be >= 1")
         if max_inflight_per_client is not None and max_inflight_per_client < 1:
             raise ValueError("max_inflight_per_client must be >= 1")
         self._ring = HashRing(shards)
         self.queue_timeout_s = queue_timeout_s
         self._client_quota = max_inflight_per_client
-        #: Guards catalog, payloads, result cache, in-flight misses,
-        #: client counts and ledgers; held briefly, never across a
-        #: shard round-trip.
+        #: Guards catalog, payloads, pins, result cache, in-flight
+        #: misses, client counts and ledgers; held briefly, never
+        #: across a shard round-trip.
         self._lock = threading.Lock()
         #: Serialises catalog mutations (register/unregister/deltas/
-        #: close) end-to-end, shard round-trips included, and is the
-        #: only context allowed to touch the (not thread-safe)
-        #: publication pool.  Order: ``_mutate`` may take ``_lock``,
-        #: never the reverse.
+        #: close) end-to-end, a retire's wait on inline shards
+        #: included, and is the only context allowed to touch the (not
+        #: thread-safe) publication pool.  Order: ``_mutate`` may take
+        #: ``_lock`` or an inline shard's lock, never the reverse.
         self._mutate = threading.Lock()
         self._pages = SharedDatasetPool()
         #: The tier's only catalog: names, versions, stored sketches.
@@ -720,6 +675,12 @@ class ShardedQueryService:
         #: the traffic routed to its shard.
         self._ledgers = [ServiceLedger() for _ in range(shards)]
         self._clients: dict[str, int] = {}
+        #: Refs carried by sent commands not yet settled, one entry
+        #: per command side.
+        self._pinned: list[SharedDatasetRef] = []
+        #: Refs of retired content still awaiting release, one entry
+        #: per retire (content can be retired, re-published into the
+        #: same segment while pinned, and retired again).
         self._retired: list[SharedDatasetRef] = []
         self._seq = itertools.count(1)
         self._closed = False
@@ -737,7 +698,7 @@ class ShardedQueryService:
         self._shards: list[_ProcessShard | _InlineShard] = []
         try:
             for index in range(shards):
-                gate = _AdmissionGate(max_inflight_per_shard)
+                gate = threading.Semaphore(max_inflight_per_shard)
                 if inline:
                     self._shards.append(
                         _InlineShard(
@@ -801,10 +762,10 @@ class ShardedQueryService:
 
         Re-registering equal content is a no-op (same version, cache
         intact).  Changed content bumps the version and invalidates the
-        old content's cached results, range index and realised copies
-        (unless an alias still serves it).  A join submitted after
+        old content's cached results and range index (unless an alias
+        still serves it).  A join submitted after
         ``register`` returns sees the new content: every command carries
-        the payloads its names resolved to at submission.
+        the content its names resolved to at submission.
         """
         check_binding(name, dataset)
         fingerprint = dataset_fingerprint(dataset)
@@ -876,9 +837,8 @@ class ShardedQueryService:
         that cannot be patched fall back to plain invalidation (counted
         in ``delta_patch_fallbacks``).  The stored sketch is advanced
         by :meth:`DatasetSketch.apply_delta`, and the name is re-bound
-        exactly like :meth:`register`, whose retire is the delta's only
-        shard round trip.  The delta counts in the ledger of the old
-        content's owner shard.
+        exactly like :meth:`register`; no shard command is sent.  The
+        delta counts in the ledger of the old content's owner shard.
 
         Runs under the catalog-mutation lock end to end: deltas
         serialise with register/unregister, never with joins, so every
@@ -944,53 +904,32 @@ class ShardedQueryService:
         with self._lock:
             return self._results.entries_for_fingerprint(fingerprint)
 
-    def _broadcast(
-        self, make: Callable[[int], ShardCommand]
-    ) -> list[ShardReply]:
-        """One command per shard, sent concurrently; replies in order."""
-        futures = [
-            handle.request_async(make(next(self._seq)))
-            for handle in self._shards
-        ]
-        return [future.result() for future in futures]
-
     def _retire(self, old: CatalogEntry) -> None:
         """Tear down content a rebind or unregister left behind (caller
         holds ``_mutate``).
 
-        If no surviving name serves the old content, every shard drops
-        its realised dataset for it — joins are pair-routed, so any
-        shard may have realised it — and the router purges its result
-        cache of it, forgets its range index and drops its payload.  A
-        shared-memory ref is released through the retire window, not
-        immediately: a command already in flight may still need to
-        attach the old segment.
+        If no surviving name serves the old content, the router drops
+        its payload, purges its result cache of it and forgets its
+        range index; no shard holds anything to drop.  Its
+        shared-memory ref joins the pending ones, and every pending ref
+        no sent command pins is released now; a pinned one waits for a
+        later retire, or for :meth:`close`.
         """
         with self._lock:
             if self._catalog.names_bound_to(old.fingerprint):
                 return
             payload = self._payloads.pop(old.fingerprint)
-        self._broadcast(
-            lambda seq: InvalidateCommand(seq=seq, fingerprint=old.fingerprint)
-        )
+        for handle in self._shards:
+            handle.drain()
         with self._lock:
             self._results.invalidate_fingerprint(old.fingerprint)
             self._queries.forget(old.dataset)
-        if payload.ref is not None:
-            self._retire_ref(payload.ref)
-
-    def _retire_ref(self, ref: SharedDatasetRef) -> None:
-        """Queue an old segment ref for deferred release.
-
-        Releasing immediately could unlink a segment that a join
-        command (queued before the rebind landed) has not attached
-        yet; the window keeps the last few retired segments alive long
-        enough for any such command to drain.  Caller holds
-        ``_mutate``.
-        """
-        self._retired.append(ref)
-        while len(self._retired) > _RETIRE_WINDOW:
-            self._pages.release(self._retired.pop(0))
+            if payload.ref is not None:
+                self._retired.append(payload.ref)
+            unpinned = [r for r in self._retired if r not in self._pinned]
+            self._retired = [r for r in self._retired if r in self._pinned]
+        for ref in unpinned:
+            self._pages.release(ref)
 
     # -- planning --------------------------------------------------------
     def plan(
@@ -1121,49 +1060,41 @@ class ShardedQueryService:
     ) -> _Submission:
         """One request's payloads, cache key and owner shard; raises
         before any state moves."""
-        payload_a, a = self._resolve_side(request.a)
-        payload_b, b = self._resolve_side(request.b)
+        fingerprint_a, a = self._resolve_side(request.a)
+        fingerprint_b, b = self._resolve_side(request.b)
         key = request_cache_key(
-            payload_a.fingerprint,
-            payload_b.fingerprint,
+            fingerprint_a,
+            fingerprint_b,
             request.algorithm,
             request.space,
             request.parameters,
             request.within,
         )
         named = tuple(
-            payload.fingerprint
-            for side, payload in ((request.a, payload_a), (request.b, payload_b))
+            fingerprint
+            for side, fingerprint in (
+                (request.a, fingerprint_a), (request.b, fingerprint_b)
+            )
             if isinstance(side, str)
         )
         return _Submission(
             request=dataclasses.replace(request, a=a, b=b),
             key=key,
-            shard=self._ring.owner_of_pair(
-                payload_a.fingerprint, payload_b.fingerprint
-            ),
-            a=payload_a,
-            b=payload_b,
+            shard=self._ring.owner_of_pair(fingerprint_a, fingerprint_b),
+            sides=((fingerprint_a, a), (fingerprint_b, b)),
             named=named,
             client=client,
             start=start,
         )
 
-    def _resolve_side(self, side: object) -> tuple[DatasetPayload, Dataset]:
-        """(wire payload, dataset) for one request side."""
+    def _resolve_side(self, side: object) -> tuple[str, Dataset]:
+        """(content fingerprint, dataset) for one request side."""
         if isinstance(side, str):
             with self._lock:
                 entry = self._catalog.resolve(side)
-                return self._payloads[entry.fingerprint], entry.dataset
+                return entry.fingerprint, entry.dataset
         if isinstance(side, Dataset):
-            # Ad-hoc concrete datasets travel pickled: publishing them
-            # would need per-request release bookkeeping across shard
-            # crashes for content that may never recur.  Register the
-            # dataset to get the zero-copy path.
-            payload = DatasetPayload(
-                fingerprint=dataset_fingerprint(side), dataset=side
-            )
-            return payload, side
+            return dataset_fingerprint(side), side
         raise TypeError(
             "service requests take catalog names (str) or concrete "
             f"Datasets, got {type(side).__name__}"
@@ -1204,9 +1135,18 @@ class ShardedQueryService:
 
     def _send(self, leader: _Submission) -> None:
         """Send a leader's join to its owner shard once admitted; the
-        reply settles every submission waiting on the key."""
+        reply settles every submission waiting on the key.
+
+        The payloads are picked once the gate admits the command, not
+        at resolution: content some name still serves travels as its
+        current payload, whose ref the command pins until the key is
+        settled; any other side travels as the dataset itself,
+        pickled.  So an ad-hoc concrete side is never published, and a
+        command that waited out a retire at the gate never carries a
+        released segment.
+        """
         handle = self._shards[leader.shard]
-        if not handle.gate.try_acquire(self.queue_timeout_s):
+        if not handle.gate.acquire(timeout=self.queue_timeout_s):
             self._settle(
                 leader,
                 ShardReply(
@@ -1222,10 +1162,20 @@ class ShardedQueryService:
             )
             return
         request = leader.request
+        with self._lock:
+            a, b = (
+                self._payloads.get(fingerprint)
+                or DatasetPayload(fingerprint=fingerprint, dataset=dataset)
+                for fingerprint, dataset in leader.sides
+            )
+            leader.pins = tuple(
+                side.ref for side in (a, b) if side.ref is not None
+            )
+            self._pinned.extend(leader.pins)
         command = JoinCommand(
             seq=next(self._seq),
-            a=leader.a,
-            b=leader.b,
+            a=a,
+            b=b,
             algorithm=request.algorithm,
             space=request.space,
             parameters=request.parameters,
@@ -1277,6 +1227,8 @@ class ShardedQueryService:
         assert outcome is None or isinstance(outcome, RequestOutcome)
         report = outcome.report if outcome is not None else None
         with self._lock:
+            for ref in leader.pins:
+                self._pinned.remove(ref)
             waiters = self._inflight.pop(leader.key)
             ledger = self._ledgers[leader.shard]
             if rejected:
@@ -1328,7 +1280,7 @@ class ShardedQueryService:
         # owner whose ledger counts it.
         fingerprint = (
             None if isinstance(dataset, str)
-            else self._resolve_side(dataset)[0].fingerprint
+            else self._resolve_side(dataset)[0]
         )
         if not self._acquire_client(client):
             with self._lock:

@@ -10,9 +10,9 @@ live only in the router, which decides aliasing once.
 Joins are keyed by *two* fingerprints, so a pair is routed by the
 fingerprint of the ordered pair: every request over the same two
 contents (whatever the algorithm or parameters) lands on one shard.
-Any shard may therefore have realised a given content, which is why
-the router broadcasts (cheap, shard-locally executed) invalidation
-commands rather than coordinating cross-shard state.
+Any shard may therefore be sent a given content; none keeps it past
+the command that carried it, so no cross-shard state needs
+coordinating when content is retired.
 
 The ring itself is the textbook construction: each shard contributes
 :data:`REPLICAS` virtual points on a 64-bit circle (SHA-256 of

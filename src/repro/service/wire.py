@@ -3,13 +3,14 @@
 Everything that crosses a router↔shard pipe is defined here, as plain
 picklable dataclasses: commands down (each tagged with a router-chosen
 sequence number), one :class:`ShardReply` back per command, matched by
-that sequence number.  Shards hold no names, no results and no
-counters: every command that reads a dataset carries it, a join's
-reply is its :class:`~repro.engine.executor.RequestOutcome`, and the
-router keeps the tier's catalog, result cache, range indexes and
-counters.  So there is no stats command and no range command (the
-router answers range queries itself), and :class:`InvalidateCommand`
-only drops a shard's realised dataset.  Keeping the vocabulary in one module makes
+that sequence number.  Shards hold nothing between commands: every
+command that reads a dataset carries it, a join's reply is its
+:class:`~repro.engine.executor.RequestOutcome`, and the router keeps
+the tier's catalog, result cache, range indexes, counters and the
+lifetime of every shared-memory segment.  So the one real command is
+:class:`JoinCommand`: there is no stats or range command (the router
+answers range queries itself), and no invalidation (a shard has
+nothing to invalidate).  Keeping the vocabulary in one module makes
 the protocol auditable — a shard worker can do exactly the things
 below, nothing else — and keeps :mod:`repro.service.sharded` importable by
 ``multiprocessing`` spawn children without dragging the router's
@@ -17,10 +18,9 @@ threading machinery along.
 
 Datasets travel as :class:`DatasetPayload`: a shared-memory reference
 (:class:`~repro.storage.shm.SharedDatasetRef`, a few hundred bytes;
-the shard attaches zero-copy) when the router could publish the
-content, or the pickled dataset itself as the fallback — the
-fingerprint rides along either way so workers can cache realised
-datasets by content without re-hashing.
+the shard attaches zero-copy) when a name serves the content and the
+router could publish it, or else the pickled dataset itself — with
+the content fingerprint either way.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.storage.shm import SharedDatasetRef
 
 __all__ = [
     "DatasetPayload",
-    "InvalidateCommand",
     "JoinCommand",
     "CrashCommand",
     "ShutdownCommand",
@@ -48,10 +47,10 @@ class DatasetPayload:
     """One dataset side on the wire: shm ref, or pickled fallback.
 
     Exactly one of ``ref`` / ``dataset`` is set.  ``fingerprint`` is
-    the content fingerprint in either case — the worker's realisation
-    cache is keyed by it, so repeated commands over the same content
-    realise one ``Dataset`` object per shard process, on the pickling
-    fallback path too.
+    the content fingerprint in either case.  A shard caches neither:
+    a ref attaches through :func:`~repro.storage.shm.attach_dataset`,
+    which maps each segment once per process, and a dataset is used
+    as it arrived.
     """
 
     fingerprint: str
@@ -63,20 +62,6 @@ class DatasetPayload:
             raise ValueError(
                 "DatasetPayload carries exactly one of ref/dataset"
             )
-
-
-@dataclass(frozen=True)
-class InvalidateCommand:
-    """Drop cached state of a fingerprint no name serves any more.
-
-    Broadcast to every shard on rebind/unregister: joins are routed by
-    *pair*, so any shard may have realised the retired content.  Each
-    shard forgets the dataset it realised for the fingerprint — no
-    cross-shard coordination.
-    """
-
-    seq: int
-    fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -124,12 +109,7 @@ class ShutdownCommand:
 
 
 #: Everything a shard worker may be asked to do.
-ShardCommand = (
-    InvalidateCommand
-    | JoinCommand
-    | CrashCommand
-    | ShutdownCommand
-)
+ShardCommand = JoinCommand | CrashCommand | ShutdownCommand
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,15 @@ instead of deserialising:
 Lifecycle (POSIX semantics): the publisher ``unlink``\\ s a segment
 when its refcount drops to zero or on :meth:`~SharedDatasetPool.close`;
 workers that are still attached keep their mappings valid until they
-exit, but no *new* attach can succeed after the unlink.  Attached
-segments are cached per worker process for its lifetime — the views
-handed out alias the mapping, so it must never be closed under them.
+exit, but no *new* attach can succeed after the unlink.  So the
+publisher must not release a segment while a command that carries
+its ref may still attach it; the sharded router keeps that rule (a
+segment lives while a name serves its content or a sent command
+carries it).  Attached segments are cached per process for its
+lifetime — the views handed out alias the mapping, so it must never
+be closed under them — and this cache is the only one on the
+attaching side: a segment stays mapped there after its unlink, until
+the process exits.
 
 Fallback: publishing is skipped on platforms without
 ``multiprocessing.shared_memory``, for empty datasets, and whenever

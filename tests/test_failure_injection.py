@@ -288,7 +288,7 @@ class TestShardSaturation:
             fresh = service.submit(request).raise_for_failure()
             sent = spy_on_shards(service, monkeypatch)
             for handle in service._shards:
-                assert handle.gate.try_acquire(0.0)
+                assert handle.gate.acquire(timeout=0.0)
             try:
                 hit = service.submit(request)
                 # A key never answered before has no cached answer:

@@ -11,7 +11,10 @@ queries.  After every step:
   cold workspace would);
 * ``cache_hits + cache_misses == requests``, and the catalog holds
   exactly the model's names;
-* no cached result references a fingerprint that no name serves.
+* no cached result references a fingerprint that no name serves;
+* no shared-memory segment outlives its content: the router's pool
+  holds exactly one segment per served content whose payload is a
+  ref (none on the single tier, whose payloads are by reference).
 
 Settings are derandomized and keep no example database, so every run
 explores the same sequences.
@@ -251,6 +254,16 @@ class ServiceMachine(RuleBasedStateMachine):
         served = {dataset_fingerprint(d) for d in self.model.values()}
         for key in list(self.service._results._entries):
             assert set(key[:2]) <= served, key[:2]
+
+    @invariant()
+    def no_segment_outlives_its_content(self) -> None:
+        served = {dataset_fingerprint(d) for d in self.model.values()}
+        payloads = self.service._payloads
+        assert set(payloads) == served
+        refs = sum(payloads[fp].ref is not None for fp in served)
+        if self.tier == "single":
+            assert refs == 0
+        assert self.service._pages.active_segments == refs
 
 
 @pytest.mark.parametrize("tier", sorted(TIERS))

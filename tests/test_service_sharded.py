@@ -16,7 +16,6 @@ import multiprocessing
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,7 +31,7 @@ from repro.service import (
 )
 from repro.service.sharded import _ProcessShard
 from repro.service.sharding import pair_routing_key
-from repro.service.wire import DatasetPayload, InvalidateCommand, JoinCommand
+from repro.service.wire import DatasetPayload, JoinCommand
 from repro.storage.shm import SharedDatasetPool, shm_available
 from repro.streaming import DatasetDelta
 from tests.conftest import spy_on_shards
@@ -295,7 +294,7 @@ class TestAdmissionControl:
         # Occupy every shard's single admission slot: no submission
         # can reach a worker.
         for handle in tight._shards:
-            assert handle.gate.try_acquire(0.0)
+            assert handle.gate.acquire(timeout=0.0)
         try:
             hit = tight.submit(request)
             assert sent == [[]] * tight.shards
@@ -316,7 +315,7 @@ class TestAdmissionControl:
 
     def test_rejects_when_saturated_with_no_stale_answer(self, tight):
         for handle in tight._shards:
-            assert handle.gate.try_acquire(0.0)
+            assert handle.gate.acquire(timeout=0.0)
         try:
             response = tight.submit(JoinRequest("a", "b", "pbsm"))
         finally:
@@ -334,7 +333,7 @@ class TestAdmissionControl:
         """With every shard's admission slot held, a range query is still
         answered at once, by the router, and no shard sees it."""
         for handle in tight._shards:
-            assert handle.gate.try_acquire(0.0)
+            assert handle.gate.acquire(timeout=0.0)
         sent = spy_on_shards(tight, monkeypatch)
         try:
             with ThreadPoolExecutor(1) as pool:
@@ -366,9 +365,12 @@ class TestAdmissionControl:
         # Both quota rejections count, the range query's included.
         assert tight.stats().rejected_requests == 2
 
+    @pytest.mark.parametrize(
+        "option", ["max_inflight_per_client", "max_inflight_per_shard"]
+    )
     @pytest.mark.parametrize("quota", [0, -1])
-    def test_client_quota_below_one_raises_before_any_spawn(
-        self, quota, monkeypatch
+    def test_bound_below_one_raises_before_any_spawn(
+        self, option, quota, monkeypatch
     ):
         spawned = []
         real_spawn = _ProcessShard._spawn
@@ -378,8 +380,8 @@ class TestAdmissionControl:
             return real_spawn(shard)
 
         monkeypatch.setattr(_ProcessShard, "_spawn", recording_spawn)
-        with pytest.raises(ValueError, match="max_inflight_per_client"):
-            ShardedQueryService(2, max_inflight_per_client=quota)
+        with pytest.raises(ValueError, match=option):
+            ShardedQueryService(2, **{option: quota})
         assert not spawned
         assert not [
             child
@@ -438,25 +440,19 @@ class TestRouterRangeQueries:
 
 
 class TestRouterCache:
-    def test_delta_sends_only_the_invalidation(
+    def test_delta_sends_no_shard_command(
         self, inline, corpus, monkeypatch
     ):
-        """A delta patches the router's cache: each shard sees one
-        command, the retire's invalidation, and the patched key is
-        then answered without any shard."""
+        """A delta patches the router's cache and retires the old
+        content router-side: no shard sees a command, and the patched
+        key is then answered without any shard."""
         request = JoinRequest("a", "b", "pbsm")
         inline.submit(request)
-        old = inline.catalog.resolve("a").fingerprint
         sent = spy_on_shards(inline, monkeypatch)
         delta = DatasetDelta.deleting(corpus["a"].ids[:5], ndim=3)
         outcome = inline.apply_delta("a", delta)
         assert outcome.patched == 1 and outcome.fallbacks == 0
-        assert [
-            [(type(command), command.fingerprint) for command in commands]
-            for commands in sent
-        ] == [[(InvalidateCommand, old)]] * inline.shards
-        for commands in sent:
-            commands.clear()
+        assert sent == [[]] * inline.shards
         hot = inline.submit(request)
         assert sent == [[]] * inline.shards
         assert hot.cached and hot.report.delta_patched
@@ -625,47 +621,186 @@ class TestCoalescing:
 
 
 class TestInlineShardLock:
-    def test_invalidate_waits_for_the_join_in_flight(
+    """Inline shards take commands from client threads; their state
+    lock runs one join at a time, and a retire waits for the join in
+    flight (``_InlineShard.drain``)."""
+
+    @staticmethod
+    def _hold_runs(shard, monkeypatch):
+        """Hold every ``executor.run`` on ``shard`` until ``release``
+        is set; ``entered`` counts the runs that got in, and
+        ``overlap`` records whether two were ever inside at once."""
+        run = shard.state.executor.run
+        entered, release = threading.Semaphore(0), threading.Event()
+        inside, overlap = [], []
+
+        def held(requests):
+            inside.append(True)
+            overlap.append(len(inside) > 1)
+            entered.release()
+            try:
+                assert release.wait(10.0)
+                return run(requests)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(shard.state.executor, "run", held)
+        return entered, release, overlap
+
+    def test_distinct_misses_on_one_shard_never_overlap(
         self, inline, monkeypatch
     ):
-        """Inline shards take commands from client threads: an
-        invalidation landing between ``_realise``'s lookup and its
-        recency refresh used to pop the entry under the join
-        (``KeyError``).  Commands now run one at a time per shard."""
-        request = JoinRequest("a", "b", "pbsm")
-        fp_a = inline.catalog.resolve("a").fingerprint
-        owner = inline._shards[
-            inline._ring.owner_of_pair(fp_a, inline.catalog.resolve("b").fingerprint)
+        fp_a, fp_b = (
+            inline.catalog.resolve(name).fingerprint for name in "ab"
+        )
+        owner = inline._shards[inline._ring.owner_of_pair(fp_a, fp_b)]
+        entered, release, overlap = self._hold_runs(owner, monkeypatch)
+        requests = [
+            JoinRequest("a", "b", "pbsm", parameters={"resolution": r})
+            for r in (2, 3)
         ]
-        inline.submit(request).raise_for_failure()  # realises "a" there
-        invalidations: list[threading.Thread] = []
-        overlapped: list[bool] = []
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(inline.submit, r) for r in requests]
+            assert entered.acquire(timeout=10.0)
+            # The second miss is admitted but must queue on the lock.
+            assert not entered.acquire(timeout=0.3)
+            release.set()
+            responses = [future.result(timeout=10.0) for future in futures]
+        assert all(response.ok for response in responses)
+        assert overlap == [False, False]
 
-        class Interposed(OrderedDict):
-            def get(self, key, default=None):
-                found = super().get(key, default)
-                if key == fp_a and not invalidations:
-                    racer = threading.Thread(
-                        target=owner.request_async,
-                        args=(InvalidateCommand(seq=0, fingerprint=fp_a),),
-                    )
-                    invalidations.append(racer)
-                    racer.start()
-                    racer.join(timeout=0.2)
-                    overlapped.append(not racer.is_alive())
-                return found
+    @pytest.mark.parametrize("tier", ["single", "sharded"])
+    def test_rebind_waits_for_the_miss_in_flight(
+        self, tier, corpus, space, monkeypatch
+    ):
+        service = (
+            SpatialQueryService()
+            if tier == "single"
+            else ShardedQueryService(2, inline=True)
+        )
+        service.register("a", corpus["a"])
+        service.register("b", corpus["b"])
+        fp_a, fp_b = (
+            service.catalog.resolve(name).fingerprint for name in "ab"
+        )
+        owner = service._shards[service._ring.owner_of_pair(fp_a, fp_b)]
+        entered, release, _ = self._hold_runs(owner, monkeypatch)
+        fresh = uniform_dataset(150, seed=99, name="A2", space=space)
+        with ThreadPoolExecutor(2) as pool:
+            join = pool.submit(service.submit, JoinRequest("a", "b", "pbsm"))
+            assert entered.acquire(timeout=10.0)
+            rebind = pool.submit(service.register, "a", fresh)
+            time.sleep(0.3)
+            assert not rebind.done()
+            release.set()
+            assert rebind.result(timeout=10.0).version == 2
+            assert join.result(timeout=10.0).ok
+        service.close()
 
-        monkeypatch.setattr(
-            owner.state, "realised", Interposed(owner.state.realised)
+
+class TestSegmentLifetime:
+    """A segment lives while a name serves its content or a sent
+    command carries it; a retire sends no command."""
+
+    def test_gate_wait_outlives_five_rebinds(self, corpus, space):
+        """A miss resolved before five rebinds of its side, then held
+        at the admission gate, is sent after every rebind: it carries
+        the content it resolved, pickled, never a released segment,
+        and its answer is not filed."""
+        service = ShardedQueryService(
+            2, inline=True, max_inflight_per_shard=1, queue_timeout_s=10
         )
-        response = inline.submit(
-            JoinRequest("a", "b", "pbsm", parameters={"resolution": 3})
+        service.register("a", corpus["a"])
+        service.register("b", corpus["b"])
+        request = JoinRequest("a", "b", "pbsm")
+        fp_a, fp_b = (
+            service.catalog.resolve(name).fingerprint for name in "ab"
         )
-        (racer,) = invalidations
-        racer.join(timeout=10.0)
-        assert response.ok, response.error_type
-        assert overlapped == [False]
-        assert fp_a not in owner.state.realised
+        gate = service._shards[service._ring.owner_of_pair(fp_a, fp_b)].gate
+        assert gate.acquire(timeout=0.0)
+        with ThreadPoolExecutor(1) as pool:
+            pending = pool.submit(service.submit, request)
+            deadline = time.monotonic() + 10.0
+            while not service._inflight and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service._inflight  # resolved, waiting at the gate
+            for seed in range(5):
+                service.register(
+                    "a", uniform_dataset(150, seed=40 + seed, space=space)
+                )
+            gate.release()
+            response = pending.result(timeout=20.0)
+        stats = service.stats()
+        service.close()
+        oracle = SpatialQueryService()
+        oracle.register("a", corpus["a"])
+        oracle.register("b", corpus["b"])
+        assert _payload_bytes(response) == _payload_bytes(
+            oracle.submit(request)
+        )
+        assert stats.cache_stale_fill_skips == 1
+
+    def test_a_sent_command_pins_its_segment(
+        self, corpus, space, monkeypatch
+    ):
+        """A rebind while a sent command carries the old segment keeps
+        that segment until a later retire finds it unpinned."""
+        service = ShardedQueryService(2, inline=True)
+        service.register("a", corpus["a"])
+        service.register("b", corpus["b"])
+        request = JoinRequest("a", "b", "pbsm")
+        fp_a, fp_b = (
+            service.catalog.resolve(name).fingerprint for name in "ab"
+        )
+        handle = service._shards[service._ring.owner_of_pair(fp_a, fp_b)]
+        send = handle.request_async
+        entered, release = threading.Event(), threading.Event()
+
+        def held(command):
+            entered.set()
+            assert release.wait(10.0)
+            return send(command)
+
+        monkeypatch.setattr(handle, "request_async", held)
+        with ThreadPoolExecutor(1) as pool:
+            pending = pool.submit(service.submit, request)
+            assert entered.wait(10.0)
+            service.register(
+                "a", uniform_dataset(150, seed=40, name="A2", space=space)
+            )
+            # b, the new a, and the old a the command carries.
+            assert service._pages.active_segments == 3
+            release.set()
+            response = pending.result(timeout=10.0)
+        oracle = SpatialQueryService()
+        oracle.register("a", corpus["a"])
+        oracle.register("b", corpus["b"])
+        assert _payload_bytes(response) == _payload_bytes(
+            oracle.submit(request)
+        )
+        service.unregister("a")
+        assert service._pages.active_segments == 1
+        service.close()
+
+    def test_process_rebind_and_delta_send_no_command(
+        self, corpus, space, monkeypatch
+    ):
+        service = ShardedQueryService(2)
+        try:
+            service.register("a", corpus["a"])
+            service.register("b", corpus["b"])
+            service.submit(JoinRequest("a", "b", "pbsm")).raise_for_failure()
+            sent = spy_on_shards(service, monkeypatch)
+            service.register(
+                "a", uniform_dataset(150, seed=41, name="A2", space=space)
+            )
+            delta = DatasetDelta.deleting(corpus["b"].ids[:5], ndim=3)
+            assert service.apply_delta("b", delta).patched == 0
+            service.unregister("a")
+            assert sent == [[]] * service.shards
+            assert service._pages.active_segments == 1
+        finally:
+            service.close()
 
 
 # ----------------------------------------------------------------------
