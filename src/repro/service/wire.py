@@ -8,9 +8,9 @@ command that reads a dataset carries it, a join's reply is its
 :class:`~repro.engine.executor.RequestOutcome`, and the router keeps
 the tier's catalog, result cache, range indexes, counters and the
 lifetime of every shared-memory segment.  So the one real command is
-:class:`JoinCommand`: there is no stats or range command (the router
-answers range queries itself), and no invalidation (a shard has
-nothing to invalidate).  Keeping the vocabulary in one module makes
+:class:`JoinCommand`: the router answers stats and range queries
+itself, and a retire has nothing to tell a shard.  Keeping the
+vocabulary in one module makes
 the protocol auditable — a shard worker can do exactly the things
 below, nothing else — and keeps :mod:`repro.service.sharded` importable by
 ``multiprocessing`` spawn children without dragging the router's

@@ -61,6 +61,20 @@ def _payload_bytes(response):
     return response.report.result.pairs.tobytes()
 
 
+def _owner_of_ab(service):
+    """The shard handle that owns joins of ``a`` with ``b``."""
+    fp_a, fp_b = (service.catalog.resolve(n).fingerprint for n in "ab")
+    return service._shards[service._ring.owner_of_pair(fp_a, fp_b)]
+
+
+def _cold_bytes(corpus, request):
+    """The pairs a fresh single-tier service answers over the corpus."""
+    oracle = SpatialQueryService()
+    oracle.register("a", corpus["a"])
+    oracle.register("b", corpus["b"])
+    return _payload_bytes(oracle.submit(request))
+
+
 def _listed_segments() -> list[str]:
     """Names under /dev/shm (POSIX); empty elsewhere — the leak test
     then degrades to a no-op rather than a false failure."""
@@ -365,12 +379,9 @@ class TestAdmissionControl:
         # Both quota rejections count, the range query's included.
         assert tight.stats().rejected_requests == 2
 
-    @pytest.mark.parametrize(
-        "option", ["max_inflight_per_client", "max_inflight_per_shard"]
-    )
     @pytest.mark.parametrize("quota", [0, -1])
-    def test_bound_below_one_raises_before_any_spawn(
-        self, option, quota, monkeypatch
+    def test_client_quota_below_one_raises_before_any_spawn(
+        self, quota, monkeypatch
     ):
         spawned = []
         real_spawn = _ProcessShard._spawn
@@ -380,9 +391,19 @@ class TestAdmissionControl:
             return real_spawn(shard)
 
         monkeypatch.setattr(_ProcessShard, "_spawn", recording_spawn)
-        with pytest.raises(ValueError, match=option):
-            ShardedQueryService(2, **{option: quota})
+        with pytest.raises(ValueError, match="max_inflight_per_client"):
+            ShardedQueryService(2, max_inflight_per_client=quota)
         assert not spawned
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard")
+        ]
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_shard_bound_below_one_raises_before_any_spawn(self, bound):
+        with pytest.raises(ValueError, match="max_inflight_per_shard"):
+            ShardedQueryService(2, max_inflight_per_shard=bound)
         assert not [
             child
             for child in multiprocessing.active_children()
@@ -650,11 +671,9 @@ class TestInlineShardLock:
     def test_distinct_misses_on_one_shard_never_overlap(
         self, inline, monkeypatch
     ):
-        fp_a, fp_b = (
-            inline.catalog.resolve(name).fingerprint for name in "ab"
+        entered, release, overlap = self._hold_runs(
+            _owner_of_ab(inline), monkeypatch
         )
-        owner = inline._shards[inline._ring.owner_of_pair(fp_a, fp_b)]
-        entered, release, overlap = self._hold_runs(owner, monkeypatch)
         requests = [
             JoinRequest("a", "b", "pbsm", parameters={"resolution": r})
             for r in (2, 3)
@@ -680,11 +699,9 @@ class TestInlineShardLock:
         )
         service.register("a", corpus["a"])
         service.register("b", corpus["b"])
-        fp_a, fp_b = (
-            service.catalog.resolve(name).fingerprint for name in "ab"
+        entered, release, _ = self._hold_runs(
+            _owner_of_ab(service), monkeypatch
         )
-        owner = service._shards[service._ring.owner_of_pair(fp_a, fp_b)]
-        entered, release, _ = self._hold_runs(owner, monkeypatch)
         fresh = uniform_dataset(150, seed=99, name="A2", space=space)
         with ThreadPoolExecutor(2) as pool:
             join = pool.submit(service.submit, JoinRequest("a", "b", "pbsm"))
@@ -713,10 +730,7 @@ class TestSegmentLifetime:
         service.register("a", corpus["a"])
         service.register("b", corpus["b"])
         request = JoinRequest("a", "b", "pbsm")
-        fp_a, fp_b = (
-            service.catalog.resolve(name).fingerprint for name in "ab"
-        )
-        gate = service._shards[service._ring.owner_of_pair(fp_a, fp_b)].gate
+        gate = _owner_of_ab(service).gate
         assert gate.acquire(timeout=0.0)
         with ThreadPoolExecutor(1) as pool:
             pending = pool.submit(service.submit, request)
@@ -732,12 +746,7 @@ class TestSegmentLifetime:
             response = pending.result(timeout=20.0)
         stats = service.stats()
         service.close()
-        oracle = SpatialQueryService()
-        oracle.register("a", corpus["a"])
-        oracle.register("b", corpus["b"])
-        assert _payload_bytes(response) == _payload_bytes(
-            oracle.submit(request)
-        )
+        assert _payload_bytes(response) == _cold_bytes(corpus, request)
         assert stats.cache_stale_fill_skips == 1
 
     def test_a_sent_command_pins_its_segment(
@@ -749,10 +758,7 @@ class TestSegmentLifetime:
         service.register("a", corpus["a"])
         service.register("b", corpus["b"])
         request = JoinRequest("a", "b", "pbsm")
-        fp_a, fp_b = (
-            service.catalog.resolve(name).fingerprint for name in "ab"
-        )
-        handle = service._shards[service._ring.owner_of_pair(fp_a, fp_b)]
+        handle = _owner_of_ab(service)
         send = handle.request_async
         entered, release = threading.Event(), threading.Event()
 
@@ -772,12 +778,7 @@ class TestSegmentLifetime:
             assert service._pages.active_segments == 3
             release.set()
             response = pending.result(timeout=10.0)
-        oracle = SpatialQueryService()
-        oracle.register("a", corpus["a"])
-        oracle.register("b", corpus["b"])
-        assert _payload_bytes(response) == _payload_bytes(
-            oracle.submit(request)
-        )
+        assert _payload_bytes(response) == _cold_bytes(corpus, request)
         service.unregister("a")
         assert service._pages.active_segments == 1
         service.close()
