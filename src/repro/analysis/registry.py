@@ -55,7 +55,6 @@ class RuleConfig:
         default_factory=lambda: {
             "SharedMemory": ("close", "unlink"),
             "SharedDatasetPool": ("close",),
-            "_attach_untracked": ("close",),
         }
     )
     #: Request dataclasses whose fields must reach the cache key (RPL009).

@@ -1,9 +1,9 @@
 """RPL008 — shared-memory resources must be released on every path.
 
 For each configured resource factory (``SharedMemory``,
-``SharedDatasetPool``, the shm module's ``_attach_untracked``), every
-acquisition must be *settled* on every control-flow path out of the
-acquiring function — exception paths included:
+``SharedDatasetPool``), every acquisition must be *settled* on every
+control-flow path out of the acquiring function — exception paths
+included:
 
 * a call to one of the factory's release methods on the acquired
   variable (``shm.close()``, ``shm.unlink()``, ``pool.close()``);
@@ -49,10 +49,9 @@ class ResourceLifecycleRule(Rule):
     title = "acquired shared-memory resources reach a release on all paths"
     invariant = (
         "Every variable bound from a resource factory (SharedMemory, "
-        "SharedDatasetPool, _attach_untracked) reaches a release "
-        "method, escapes to another owner, or is managed by `with` on "
-        "every CFG path out of the function, including exception "
-        "edges."
+        "SharedDatasetPool) reaches a release method, escapes to "
+        "another owner, or is managed by `with` on every CFG path out "
+        "of the function, including exception edges."
     )
     rationale = (
         "POSIX shared-memory segments outlive the process: a segment "

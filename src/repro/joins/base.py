@@ -132,7 +132,8 @@ class Dataset:
             raise ValueError("ids must be one-dimensional")
         if len(ids) != len(self.boxes):
             raise ValueError("ids and boxes must have equal length")
-        if len(np.unique(ids)) != len(ids):
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("dataset ids must be unique")
         object.__setattr__(self, "ids", ids)
 

@@ -185,8 +185,9 @@ class ShardState:
 
 def _realise(payload: DatasetPayload) -> Dataset:
     """The concrete dataset behind a wire payload: a shared-memory ref
-    attaches zero-copy (:func:`~repro.storage.shm.attach_dataset` maps
-    each segment once per process), a dataset is used as it arrived."""
+    attaches zero-copy (:func:`~repro.storage.shm.attach_dataset`; the
+    mapping goes with the command's last view), a dataset is used as it
+    arrived."""
     if payload.ref is not None:
         return attach_dataset(payload.ref)
     assert payload.dataset is not None  # DatasetPayload invariant

@@ -49,8 +49,8 @@ class DatasetPayload:
     Exactly one of ``ref`` / ``dataset`` is set.  ``fingerprint`` is
     the content fingerprint in either case.  A shard caches neither:
     a ref attaches through :func:`~repro.storage.shm.attach_dataset`,
-    which maps each segment once per process, and a dataset is used
-    as it arrived.
+    whose mapping lives only as long as the command's views of it, and
+    a dataset is used as it arrived.
     """
 
     fingerprint: str

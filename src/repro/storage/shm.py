@@ -23,30 +23,31 @@ instead of deserialising:
 
 Lifecycle (POSIX semantics): the publisher ``unlink``\\ s a segment
 when its refcount drops to zero or on :meth:`~SharedDatasetPool.close`;
-workers that are still attached keep their mappings valid until they
-exit, but no *new* attach can succeed after the unlink.  So the
-publisher must not release a segment while a command that carries
-its ref may still attach it; the sharded router keeps that rule (a
-segment lives while a name serves its content or a sent command
-carries it).  Attached segments are cached per process for its
-lifetime — the views handed out alias the mapping, so it must never
-be closed under them — and this cache is the only one on the
-attaching side: a segment stays mapped there after its unlink, until
-the process exits.
+a mapping made before the unlink stays valid, but no *new* attach can
+succeed after it.  So the publisher must not release a segment while a
+command that carries its ref may still attach it; the sharded router
+keeps that rule (a segment lives while a name serves its content or a
+sent command carries it).  A worker maps a segment read-only, and the
+views it hands out own that mapping: it is unmapped when the last view
+dies, never under a live one, and an unlinked segment's pages are
+freed once no process maps it.  Attaches are cached weakly: the same
+dataset object comes back only while it is alive.
 
-Fallback: publishing is skipped on platforms without
-``multiprocessing.shared_memory``, for empty datasets, and whenever
-segment creation fails (e.g. a full ``/dev/shm``).
-:meth:`SharedDatasetPool.publish` then returns ``None`` and callers
-fall back to pickling the dataset — byte-identical results, just
-slower delivery.
+Fallback: publishing is skipped on platforms without POSIX shared
+memory, for empty datasets, and whenever segment creation fails (e.g.
+a full ``/dev/shm``).  :meth:`SharedDatasetPool.publish` then returns
+``None`` and callers fall back to pickling the dataset —
+byte-identical results, just slower delivery.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap
+import os
 import struct
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -58,8 +59,11 @@ if TYPE_CHECKING:
     from repro.joins.base import Dataset
 
 try:  # pragma: no cover - import guard for exotic platforms
+    import _posixshmem
     from multiprocessing.shared_memory import SharedMemory
 
+    #: A worker's mapping: shared, prefaulted where the platform can.
+    _MAP_FLAGS = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
     _HAVE_SHM = True
 except ImportError:  # pragma: no cover
     _HAVE_SHM = False
@@ -133,20 +137,17 @@ def _segment_nbytes(n: int, ndim: int) -> int:
 
 
 def _segment_views(
-    buf: memoryview, n: int, ndim: int
+    buf: memoryview | mmap.mmap, n: int, ndim: int
 ) -> tuple[IntArray, FloatArray, FloatArray]:
-    """(ids, lo, hi) numpy views over a segment buffer."""
-    ids_bytes = 8 * n
-    side_bytes = 8 * n * ndim
-    ids = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=0)
-    lo = np.ndarray(
-        (n, ndim), dtype=np.float64, buffer=buf, offset=ids_bytes
+    """(ids, lo, hi) numpy views over a segment buffer; they are
+    read-only when the buffer is, and keep it alive."""
+    side = n * ndim
+    ids = np.frombuffer(buf, dtype=np.int64, count=n)
+    lo = np.frombuffer(buf, dtype=np.float64, count=side, offset=8 * n)
+    hi = np.frombuffer(
+        buf, dtype=np.float64, count=side, offset=8 * (n + side)
     )
-    hi = np.ndarray(
-        (n, ndim), dtype=np.float64, buffer=buf,
-        offset=ids_bytes + side_bytes,
-    )
-    return ids, lo, hi
+    return ids, lo.reshape(n, ndim), hi.reshape(n, ndim)
 
 
 class SharedDatasetPool:
@@ -287,49 +288,17 @@ class SharedDatasetPool:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-#: segment name -> (SharedMemory, Dataset).  Both live for the worker's
-#: lifetime: the dataset's arrays are views over the mapping, so the
-#: mapping must never be closed while the dataset is reachable.
-_ATTACHED: dict[str, tuple[SharedMemory, "Dataset"]] = {}
-#: Makes an attach's check-then-insert on ``_ATTACHED`` atomic.  Inline
-#: shards attach from their callers' threads; two threads that both
-#: missed would each map the segment, and the mapping whose entry lost
-#: is unmapped when its ``SharedMemory`` is collected — under views
-#: already handed out.  It also keeps the resource-tracker swap in
-#: ``_attach_untracked`` from interleaving across threads.
+#: segment name -> the dataset attached from it, while that dataset
+#: lives.  Its arrays own the read-only mapping they view (nothing else
+#: holds it), so the mapping goes with the last view and no view can
+#: outlive it.
+_ATTACHED: weakref.WeakValueDictionary[str, Dataset] = (
+    weakref.WeakValueDictionary()
+)
+#: Makes an attach's check-then-insert on ``_ATTACHED`` atomic: inline
+#: shards attach from their callers' threads, and every racer must get
+#: the one dataset.
 _ATTACH_LOCK = threading.Lock()
-
-
-def _attach_untracked(segment: str) -> SharedMemory:
-    """Attach a segment without registering it for cleanup.
-
-    The publisher owns every segment's lifecycle (it unlinks on release
-    or close), but ``SharedMemory(name=...)`` on Python 3.11 has no
-    ``track=False`` and unconditionally registers with the attaching
-    process's resource tracker — whose cache is a *set*, so a worker
-    registration either shadows the publisher's (spurious double-unlink
-    bookkeeping) or, in a worker that forked before the tracker
-    started, spawns a private tracker that warns about "leaked"
-    segments on exit.  Suppress the registration for the duration of
-    the attach; nothing else registers concurrently in a shard worker.
-    """
-    try:  # pragma: no cover - tracker layout is an implementation detail
-        from multiprocessing import resource_tracker
-    except ImportError:  # pragma: no cover
-        return SharedMemory(name=segment)
-    original = resource_tracker.register
-
-    def _skip_shared_memory(name: str, rtype: str) -> None:
-        if rtype != "shared_memory":
-            original(name, rtype)
-
-    # setattr keeps the swap invisible to the typeshed signature of
-    # the tracker's bound method (which this shim narrows).
-    setattr(resource_tracker, "register", _skip_shared_memory)
-    try:
-        return SharedMemory(name=segment)
-    finally:
-        setattr(resource_tracker, "register", original)
 
 
 def attach_dataset(ref: SharedDatasetRef) -> Dataset:
@@ -339,36 +308,32 @@ def attach_dataset(ref: SharedDatasetRef) -> Dataset:
     (the publisher released it before this worker attached) and
     ``RuntimeError`` on platforms without shared memory — both are
     pipeline bugs on the publishing side, not conditions to mask.
-    Repeat attaches of one segment in one process return the same
-    dataset object.
+    The segment is mapped read-only with no ``SharedMemory`` object
+    (nothing registers with the resource tracker); the returned views
+    own that mapping, which is unmapped once the last of them dies.
+    Repeat attaches of one segment return the same dataset object
+    while it is alive, and map the segment afresh after.
     """
     from repro.geometry.boxes import BoxArray
     from repro.joins.base import Dataset
 
     with _ATTACH_LOCK:
-        cached = _ATTACHED.get(ref.segment)
-        if cached is not None:
-            return cached[1]
+        dataset = _ATTACHED.get(ref.segment)
+        if dataset is not None:
+            return dataset
         if not _HAVE_SHM:  # pragma: no cover - platform guard
             raise RuntimeError(
                 "shared memory is unavailable on this platform; the "
                 "publisher should have fallen back to pickling"
             )
-        shm = _attach_untracked(ref.segment)
+        fd = _posixshmem.shm_open(f"/{ref.segment}", os.O_RDONLY)
         try:
-            ids, lo, hi = _segment_views(shm.buf, ref.n, ref.ndim)
-            for view in (ids, lo, hi):
-                view.setflags(write=False)
-            dataset = Dataset(
-                name=ref.name, ids=ids, boxes=BoxArray(lo, hi)
+            mapping = mmap.mmap(
+                fd, ref.nbytes(), flags=_MAP_FLAGS, prot=mmap.PROT_READ
             )
-            _ATTACHED[ref.segment] = (shm, dataset)
-        except BaseException:
-            # An attach that fails after mapping must not leave the
-            # segment mapped in this worker.  Dropping the local view
-            # names first releases any buffer exports over shm.buf, so
-            # close() cannot itself fail with BufferError.
-            ids = lo = hi = dataset = None  # type: ignore[assignment]
-            shm.close()
-            raise
+        finally:
+            os.close(fd)
+        ids, lo, hi = _segment_views(mapping, ref.n, ref.ndim)
+        dataset = Dataset(name=ref.name, ids=ids, boxes=BoxArray(lo, hi))
+        _ATTACHED[ref.segment] = dataset
         return dataset

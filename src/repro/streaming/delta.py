@@ -63,10 +63,10 @@ class DatasetDelta:
             raise ValueError(
                 "insert_ids and insert_boxes must have equal length"
             )
-        if len(np.unique(inserts)) != len(inserts):
-            raise ValueError("insert ids must be unique within a delta")
         order = np.argsort(inserts, kind="stable")
         inserts = inserts[order]
+        if (inserts[1:] == inserts[:-1]).any():
+            raise ValueError("insert ids must be unique within a delta")
         inserts.setflags(write=False)
         boxes = self.insert_boxes.take(order) if len(order) else self.insert_boxes
         object.__setattr__(self, "delete_ids", deletes)

@@ -14,13 +14,17 @@ queries.  After every step:
 * no cached result references a fingerprint that no name serves;
 * no shared-memory segment outlives its content: the router's pool
   holds exactly one segment per served content whose payload is a
-  ref (none on the single tier, whose payloads are by reference).
+  ref (none on the single tier, whose payloads are by reference), and
+  on the sharded tier, whose inline shards attach in this process,
+  every segment still attached (after ``gc.collect()``) is one of them.
 
 Settings are derandomized and keep no example database, so every run
 explores the same sequences.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 import pytest
@@ -44,6 +48,7 @@ from repro.service import (
     dataset_fingerprint,
 )
 from repro.service.patch import PATCH_MAX_FRACTION
+from repro.storage import shm
 from repro.streaming import DatasetDelta
 
 #: Elements per dataset; every delta keeps the cardinality.
@@ -264,6 +269,17 @@ class ServiceMachine(RuleBasedStateMachine):
         if self.tier == "single":
             assert refs == 0
         assert self.service._pages.active_segments == refs
+        if self.tier == "sharded":
+            held = {
+                payloads[fp].ref.segment
+                for fp in served
+                if payloads[fp].ref is not None
+            }
+            # Nothing is in flight between steps, but a reference cycle
+            # may keep an attached dataset until the collector runs.
+            if not set(shm._ATTACHED) <= held:
+                gc.collect()
+            assert set(shm._ATTACHED) <= held
 
 
 @pytest.mark.parametrize("tier", sorted(TIERS))

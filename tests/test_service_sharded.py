@@ -13,7 +13,9 @@ import errno
 import hashlib
 import itertools
 import multiprocessing
+import os
 import pickle
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -78,12 +80,17 @@ def _cold_bytes(corpus, request):
 def _listed_segments() -> list[str]:
     """Names under /dev/shm (POSIX); empty elsewhere — the leak test
     then degrades to a no-op rather than a false failure."""
-    import os
-
     try:
         return [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
     except OSError:  # pragma: no cover - non-POSIX
         return []
+
+
+def _mapped_segments(pid: int) -> set[str]:
+    """The ``/dev/shm`` segments process ``pid`` maps, unlinked ones
+    included (``/proc`` only)."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return set(re.findall(r"/dev/shm/(psm_\w+)", maps.read()))
 
 
 # ----------------------------------------------------------------------
@@ -800,6 +807,31 @@ class TestSegmentLifetime:
             service.unregister("a")
             assert sent == [[]] * service.shards
             assert service._pages.active_segments == 1
+        finally:
+            service.close()
+
+    @pytest.mark.skipif(
+        not shm_available() or not os.path.exists("/proc/self/maps"),
+        reason="needs shared memory and /proc",
+    )
+    def test_shards_map_no_more_segments_than_the_pool_holds(
+        self, corpus, space
+    ):
+        """A shard maps a segment only while a command uses it: after
+        twenty rebinds of one name, each followed by a miss, no shard
+        still maps the retired contents."""
+        service = ShardedQueryService(2)
+        try:
+            service.register("b", corpus["b"])
+            for seed in range(20):
+                service.register(
+                    "a", uniform_dataset(150, seed=60 + seed, space=space)
+                )
+                _payload_bytes(service.submit(JoinRequest("a", "b", "pbsm")))
+            held = service._pages.active_segments
+            assert held == 2
+            for handle in service._shards:
+                assert len(_mapped_segments(handle._process.pid)) <= held
         finally:
             service.close()
 

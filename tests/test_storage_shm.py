@@ -4,15 +4,19 @@ The shm transport is an *optimization with an identity contract*: a
 worker that attaches a published segment must see byte-for-byte the
 dataset it would have received by pickling, and the publisher must not
 leak segments — every publish is balanced by a release/close and the
-segment is gone afterwards.  These tests pin both halves plus the
-fallback paths (no shared memory on the platform, empty datasets); the
+segment is gone afterwards.  These tests pin both halves, the worker
+side's mapping lifetime (the views own it: it lives exactly as long as
+one of them), the id check every attach runs, and the fallback paths
+(no shared memory on the platform, empty datasets); the
 end-to-end guarantee (identical answers with the transport on or off,
 no segment left after ``close()``) is pinned through the sharded tier
 in ``tests/test_service_sharded.py``.
 """
 
+import gc
 import os
 import pickle
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.geometry.boxes import BoxArray
+from repro.joins.base import Dataset
+from repro.storage import shm
 from repro.storage.shm import (
     SharedDatasetPool,
     SharedDatasetRef,
@@ -27,6 +34,7 @@ from repro.storage.shm import (
     content_fingerprint,
     shm_available,
 )
+from repro.streaming import DatasetDelta
 
 from tests.conftest import dataset_pair
 
@@ -114,6 +122,144 @@ class TestConcurrentAttach:
                     assert attached[0].ids.tobytes() == dataset.ids.tobytes()
         finally:
             sys.setswitchinterval(previous)
+
+
+def _mapped(segment: str) -> bool:
+    """Whether this process maps ``segment`` (``/proc`` only)."""
+    with open("/proc/self/maps") as maps:
+        return any(
+            re.search(rf"/dev/shm/{segment}\b", line) for line in maps
+        )
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="no /proc"
+)
+
+
+class TestViewsOwnTheMapping:
+    """An attach maps the segment read-only; its views own the mapping,
+    so it outlives the dataset, its cache entry and the publisher's
+    unlink exactly as long as one view does."""
+
+    @needs_proc
+    def test_a_view_outlives_dataset_cache_entry_and_unlink(self):
+        a, _ = dataset_pair("uniform", 200, 10, seed=17)
+        pool = SharedDatasetPool()
+        ref = pool.publish(a)
+        attached = attach_dataset(ref)
+        ids, hi = attached.ids, attached.boxes.hi
+        del attached
+        gc.collect()
+        assert ref.segment not in shm._ATTACHED
+        pool.close()
+        assert _mapped(ref.segment)  # the views' mapping, unlinked
+        assert ids.tobytes() == a.ids.tobytes()
+        assert hi.tobytes() == a.boxes.hi.tobytes()
+        del ids, hi
+        assert not _mapped(ref.segment)
+
+    @needs_proc
+    def test_no_view_left_leaves_no_entry_and_no_mapping(self):
+        a, _ = dataset_pair("uniform", 200, 10, seed=18)
+        with SharedDatasetPool() as pool:
+            ref = pool.publish(a)
+            first = attach_dataset(ref)
+            assert attach_dataset(ref) is first  # alive: one object
+            del first
+            gc.collect()
+            assert ref.segment not in shm._ATTACHED
+        assert not _mapped(ref.segment)
+        with pytest.raises(FileNotFoundError):
+            attach_dataset(ref)
+        assert ref.segment not in shm._ATTACHED
+
+    def test_threads_attaching_and_dropping_read_the_published_bytes(self):
+        """Racers that attach while another thread drops the last view
+        (so the cache entry dies mid-race) each get a live mapping."""
+        a, _ = dataset_pair("uniform", 300, 10, seed=20)
+        want = a.boxes.hi.tobytes()
+        workers = 4 * (os.cpu_count() or 1)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SharedDatasetPool() as pool, ThreadPoolExecutor(
+                workers
+            ) as executor:
+                ref = pool.publish(a)
+
+                def churn():
+                    return all(
+                        attach_dataset(ref).boxes.hi.tobytes() == want
+                        for _ in range(200)
+                    )
+
+                futures = [executor.submit(churn) for _ in range(workers)]
+                assert all(f.result(timeout=60.0) for f in futures)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_reattach_after_the_last_view_maps_afresh(self):
+        a, _ = dataset_pair("uniform", 120, 10, seed=19)
+        with SharedDatasetPool() as pool:
+            ref = pool.publish(a)
+            attach_dataset(ref)
+            gc.collect()
+            again = attach_dataset(ref)
+            assert shm._ATTACHED[ref.segment] is again
+            assert again.boxes.lo.tobytes() == a.boxes.lo.tobytes()
+
+
+def _unit_boxes(n: int) -> BoxArray:
+    lo = np.arange(3 * n, dtype=np.float64).reshape(n, 3)
+    return BoxArray(lo, lo + 1.0)
+
+
+#: ids -> whether they hold a duplicate.  The duplicates sit at the
+#: first or the last sorted position, where a neighbour compare has one
+#: neighbour only.
+ID_CASES = {
+    "dup-first-sorted": ([4, -7, 9, -7], True),
+    "dup-last-sorted": ([9, 1, -2, 9], True),
+    "dup-negative": ([-1, 5, -3, -1, 2], True),
+    "negative-unique": ([-3, -1, -2, 4], False),
+    "one": ([42], False),
+    "none": ([], False),
+}
+
+
+class TestIdUniqueness:
+    """``Dataset`` and ``DatasetDelta`` reject repeated ids (checked by
+    sort plus neighbour compare) with the same message as before."""
+
+    @pytest.mark.parametrize("case", sorted(ID_CASES))
+    def test_dataset_and_delta_inserts(self, case):
+        raw, duplicate = ID_CASES[case]
+        ids = np.asarray(raw, dtype=np.int64)
+        boxes = _unit_boxes(len(ids))
+        if duplicate:
+            with pytest.raises(ValueError, match="dataset ids must be unique"):
+                Dataset("d", ids, boxes)
+            with pytest.raises(
+                ValueError, match="insert ids must be unique within a delta"
+            ):
+                DatasetDelta.inserting(ids, boxes)
+        else:
+            assert Dataset("d", ids, boxes).ids.tobytes() == ids.tobytes()
+            inserted = DatasetDelta.inserting(ids, boxes).insert_ids
+            assert inserted.tobytes() == np.sort(ids).tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(-30, 30, size=int(rng.integers(0, 12)))
+        duplicate = len(np.unique(ids)) != len(ids)
+        try:
+            Dataset("d", ids, _unit_boxes(len(ids)))
+        except ValueError:
+            assert duplicate
+        else:
+            assert not duplicate
 
 
 class TestRefcounting:
