@@ -21,6 +21,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: (file under repro/, original text, mutated text) — one broken
 #: invariant per rule.
 MUTATIONS = [
+    # RPL001: a slotted metrics record loses its pickle mixin.
+    (
+        "metrics.py",
+        "class LatencyRecord(SlotPickleMixin):\n",
+        "class LatencyRecord:\n",
+    ),
     # RPL002: the router's catalog property reads _catalog without the
     # lock.
     (
@@ -58,10 +64,40 @@ MUTATIONS = [
         "            request.within,\n",
         "            request.parameters,\n",
     ),
+    # RPL003: a join module reads the wall clock at import time.
+    (
+        "joins/plane_sweep.py",
+        "import numpy as np\n",
+        "import time\n\nimport numpy as np\n\n_LOADED_AT = time.time()\n",
+    ),
+    # RPL004: the sweep kernel loses its reference twin.
+    (
+        "joins/plane_sweep.py",
+        "def plane_sweep_join_reference(",
+        "def plane_sweep_join_oracle(",
+    ),
+    # RPL005: the shared-memory layer reads a REPRO_* knob.
+    (
+        "storage/shm.py",
+        'FINGERPRINT_MAGIC = b"repro.dataset.v1"\n',
+        'FINGERPRINT_MAGIC = b"repro.dataset.v1"\n'
+        '_LIMIT = os.environ.get("REPRO_SHM_LIMIT")\n',
+    ),
+    # RPL006: the service package exports a name it no longer binds.
+    (
+        "service/__init__.py",
+        '__all__ = [\n    "SpatialQueryService",\n',
+        '__all__ = [\n    "RetiredName",\n    "SpatialQueryService",\n',
+    ),
 ]
 
 EXPECTED = {
+    "RPL001": "LatencyRecord",
     "RPL002": "ShardedQueryService.catalog",
+    "RPL003": "<module>",
+    "RPL004": "plane_sweep_join",
+    "RPL005": "<module>",
+    "RPL006": "RetiredName",
     "RPL007": "ShardedQueryService.names",
     "RPL008": "SharedDatasetPool.publish",
     "RPL009": "JoinRequest.within",

@@ -33,6 +33,7 @@ import pytest
 #: this sweep is the only check that sees a stale name in their
 #: annotations or ``TYPE_CHECKING`` imports.
 SWEPT_PACKAGES = (
+    "repro.analysis",
     "repro.core",
     "repro.datagen",
     "repro.metrics",
