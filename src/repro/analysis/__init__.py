@@ -26,14 +26,8 @@ from repro.analysis.engine import (
     AnalysisResult,
     analyze_paths,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.registry import (
-    Rule,
-    RuleConfig,
-    build_rules,
-    register_rule,
-    registered_rules,
-)
+from repro.analysis.findings import Finding, Rule
+from repro.analysis.rules import RULES
 
 __all__ = [
     "AnalysisRequest",
@@ -41,8 +35,5 @@ __all__ = [
     "analyze_paths",
     "Finding",
     "Rule",
-    "RuleConfig",
-    "build_rules",
-    "register_rule",
-    "registered_rules",
+    "RULES",
 ]

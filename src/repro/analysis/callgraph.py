@@ -14,9 +14,12 @@ rules need, once per analysis run:
   (``pool = SharedDatasetPool(); pool.publish(...)``), annotated
   parameters and ``self.attr`` constructor assignments.  Unresolvable
   calls are kept with their best-effort dotted name so rules can still
-  match external targets (``shared_memory.SharedMemory``);
-* :func:`strongly_connected_components` over any adjacency map, which
-  the lock-order rule runs on its lock-acquisition graph.
+  match external targets (``shared_memory.SharedMemory``).
+
+It is the one name resolver of the lint: every rule gets the graph
+built for its run and resolves imported names (:meth:`CallGraph.resolve`),
+relative imports (:func:`import_from_module`) and re-exports
+(:meth:`CallGraph.project_symbol`) through it.
 
 Resolution is deliberately conservative: a call that cannot be pinned
 to one project symbol stays unresolved rather than guessed, so rules
@@ -35,7 +38,9 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
-    "strongly_connected_components",
+    "dotted_name",
+    "import_from_module",
+    "matches_suffix",
 ]
 
 #: Cap on re-export chain hops (``from repro import X`` where
@@ -44,13 +49,8 @@ __all__ = [
 _MAX_REEXPORT_HOPS = 8
 
 
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``.
-
-    Local twin of ``rules._ast_utils.dotted_name`` — importing the
-    rules package from here would run its registering ``__init__``
-    mid-import of the rules themselves (they import this module).
-    """
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: list[str] = []
     current: ast.expr = node
     while isinstance(current, ast.Attribute):
@@ -62,19 +62,40 @@ def _dotted(node: ast.expr) -> str | None:
     return None
 
 
-def _module_package(module: ModuleContext) -> str:
-    """The package dotted name relative imports resolve against."""
-    if module.path.stem == "__init__":
-        return module.name
-    name, _, _ = module.name.rpartition(".")
-    return name
+def matches_suffix(callee: str, targets: tuple[str, ...]) -> bool:
+    """Dotted-suffix match: ``a.b.C.run`` matches target ``C.run``."""
+    parts = callee.split(".")
+    for target in targets:
+        tparts = target.split(".")
+        if len(tparts) <= len(parts) and parts[-len(tparts):] == tparts:
+            return True
+    return False
 
 
-def _import_aliases(module: ModuleContext) -> dict[str, str]:
+def import_from_module(module: ModuleContext, node: ast.ImportFrom) -> str:
+    """The absolute dotted module an ``ImportFrom`` reads from.
+
+    A relative import resolves against the importing package: a
+    package's ``__init__`` is its own package, a plain module sits in
+    its parent's.
+    """
+    if not node.level:
+        return node.module or ""
+    parts = module.name.split(".")
+    if module.path.stem != "__init__":
+        parts = parts[:-1]
+    # ``from . import x`` is level 1 relative to the package itself;
+    # each extra dot climbs one package.
+    parts = parts[: max(len(parts) - (node.level - 1), 0)]
+    if node.module:
+        parts.append(node.module)
+    return ".".join(parts)
+
+
+def _alias_table(module: ModuleContext) -> dict[str, str]:
     """Local name -> absolute dotted target, relative imports included."""
     aliases: dict[str, str] = {}
-    package = _module_package(module)
-    for node in ast.walk(module.tree):
+    for node in module.nodes():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -83,16 +104,7 @@ def _import_aliases(module: ModuleContext) -> dict[str, str]:
                     head = alias.name.split(".")[0]
                     aliases[head] = head
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parts = package.split(".") if package else []
-                # ``from . import x`` is level 1 relative to the
-                # package itself; each extra dot climbs one package.
-                climb = node.level - 1
-                if climb:
-                    parts = parts[: len(parts) - climb] if climb <= len(parts) else []
-                prefix = ".".join(parts)
-                base = f"{prefix}.{base}" if base and prefix else (base or prefix)
+            base = import_from_module(module, node)
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -130,6 +142,9 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     #: Unqualified name of the enclosing class, if this is a method.
     class_name: str | None = None
+    #: Variable -> project class qualname, for the locals and
+    #: parameters the graph could type (see ``CallGraph._local_types``).
+    local_types: dict[str, str] = field(default_factory=dict)
 
     @property
     def display(self) -> str:
@@ -158,9 +173,7 @@ class ClassInfo:
 class CallGraph:
     """Symbol table plus resolved call sites over one project context.
 
-    Built once per analysis run (lazily, via
-    :meth:`ProjectContext.callgraph`) and shared by every
-    :class:`~repro.analysis.registry.ProjectRule`.
+    Built once per analysis run by the engine and handed to every rule.
     """
 
     def __init__(self, project: ProjectContext) -> None:
@@ -184,7 +197,7 @@ class CallGraph:
     def _build(self, project: ProjectContext) -> None:
         modules = project.sorted_modules()
         for module in modules:
-            self.imports[module.name] = _import_aliases(module)
+            self.imports[module.name] = _alias_table(module)
             self._collect_symbols(module)
         for module in modules:
             self._collect_self_attr_types(module)
@@ -206,10 +219,7 @@ class CallGraph:
                 bases = tuple(
                     resolved
                     for base in stmt.bases
-                    if (dotted := _dotted(base)) is not None
-                    and (
-                        resolved := self._absolute(module.name, dotted)
-                    )
+                    if (resolved := self.resolve(module.name, base))
                 )
                 info = ClassInfo(
                     qualname=cls_qual,
@@ -243,7 +253,7 @@ class CallGraph:
                     continue
                 if not isinstance(node.value, ast.Call):
                     continue
-                cls = self._call_constructs(module.name, node.value)
+                cls = self.project_class(module.name, node.value.func)
                 if cls is None:
                     continue
                 for target in node.targets:
@@ -287,6 +297,7 @@ class CallGraph:
         class_name: str | None,
     ) -> None:
         types = self._local_types(module.name, func)
+        self.functions[qualname].local_types = types
         sites: list[CallSite] = []
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
@@ -307,8 +318,16 @@ class CallGraph:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def _absolute(self, module: str, dotted: str) -> str:
-        """``dotted`` with its head rewritten through import aliases."""
+    def resolve(self, module: str, node: ast.expr) -> str | None:
+        """Absolute dotted name a Name/Attribute chain spells in ``module``.
+
+        With ``import numpy as np``, ``np.random.default_rng`` resolves
+        to ``numpy.random.default_rng``; a name the module defines gets
+        its module prefix; anything else stays as written.
+        """
+        dotted = dotted_name(node)
+        if dotted is None:
+            return None
         head, _, rest = dotted.partition(".")
         target = self.imports.get(module, {}).get(head)
         if target is None:
@@ -323,7 +342,15 @@ class CallGraph:
                 target = head
         return f"{target}.{rest}" if rest else target
 
-    def _project_symbol(self, dotted: str) -> str | None:
+    def called_name(self, module: str, call: ast.Call) -> str | None:
+        """Last segment of a call's resolved callee.
+
+        ``Lock`` for ``threading.Lock()``: how rules spot factory calls.
+        """
+        name = self.resolve(module, call.func)
+        return None if name is None else name.rpartition(".")[2]
+
+    def project_symbol(self, dotted: str) -> str | None:
         """Project qualname ``dotted`` refers to, chasing re-exports."""
         seen: set[str] = set()
         current = dotted
@@ -344,36 +371,21 @@ class CallGraph:
             current = target
         return None
 
-    def _call_constructs(
-        self, module: str, call: ast.Call
+    def project_class(
+        self, module: str, node: ast.expr | None
     ) -> str | None:
-        """Project class qualname a call constructs, if any."""
-        dotted = _dotted(call.func)
-        if dotted is None:
-            return None
-        symbol = self._project_symbol(self._absolute(module, dotted))
-        if symbol is not None and symbol in self.classes:
-            return symbol
-        return None
+        """Project class qualname a Name/Attribute chain names, if any.
 
-    def _annotation_class(
-        self, module: str, annotation: ast.expr | None
-    ) -> str | None:
-        """Project class named by a plain annotation, if unambiguous.
-
-        Unions, subscripts and string annotations resolve to ``None``
-        — a variable whose static type is uncertain must stay untyped
+        Used for constructor callees and plain annotations; unions,
+        subscripts and string annotations resolve to ``None`` — a
+        variable whose static type is uncertain must stay untyped
         rather than mistyped.
         """
-        if annotation is None:
+        if node is None:
             return None
-        dotted = _dotted(annotation)
-        if dotted is None:
-            return None
-        symbol = self._project_symbol(self._absolute(module, dotted))
-        if symbol is not None and symbol in self.classes:
-            return symbol
-        return None
+        absolute = self.resolve(module, node)
+        symbol = None if absolute is None else self.project_symbol(absolute)
+        return symbol if symbol in self.classes else None
 
     def _local_types(
         self, module: str, func: ast.FunctionDef | ast.AsyncFunctionDef
@@ -407,7 +419,7 @@ class CallGraph:
         for arg in (
             *args.posonlyargs, *args.args, *args.kwonlyargs,
         ):
-            cls = self._annotation_class(module, arg.annotation)
+            cls = self.project_class(module, arg.annotation)
             if cls is not None:
                 types[arg.arg] = cls
         for node in ast.walk(func):
@@ -418,14 +430,14 @@ class CallGraph:
                     if isinstance(node.value, ast.Call):
                         record(
                             node.targets[0].id,
-                            self._call_constructs(module, node.value),
+                            self.project_class(module, node.value.func),
                         )
                     else:
                         record(node.targets[0].id, None)
             elif isinstance(node, ast.AnnAssign) and isinstance(
                 node.target, ast.Name
             ):
-                cls = self._annotation_class(module, node.annotation)
+                cls = self.project_class(module, node.annotation)
                 record(node.target.id, cls)
             elif isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
@@ -434,8 +446,8 @@ class CallGraph:
                     ) and isinstance(item.context_expr, ast.Call):
                         record(
                             item.optional_vars.id,
-                            self._call_constructs(
-                                module, item.context_expr
+                            self.project_class(
+                                module, item.context_expr.func
                             ),
                         )
         return types
@@ -461,7 +473,7 @@ class CallGraph:
             stack.extend(
                 base
                 for raw in info.bases
-                if (base := self._project_symbol(raw)) is not None
+                if (base := self.project_symbol(raw)) is not None
             )
         return None
 
@@ -509,7 +521,7 @@ class CallGraph:
                         base.attr
                     )
             elif isinstance(base, ast.Call):
-                target_class = self._call_constructs(module, base)
+                target_class = self.project_class(module, base.func)
             if target_class:
                 method = self.method_on(target_class, func.attr)
                 if method is not None:
@@ -519,11 +531,10 @@ class CallGraph:
                 return site(
                     f"{target_class}.{func.attr}", resolved=False
                 )
-        dotted = _dotted(func)
-        if dotted is None:
+        absolute = self.resolve(module, func)
+        if absolute is None:
             return None
-        absolute = self._absolute(module, dotted)
-        symbol = self._project_symbol(absolute)
+        symbol = self.project_symbol(absolute)
         if symbol is not None:
             if symbol in self.functions:
                 return site(symbol, resolved=True)
@@ -575,55 +586,3 @@ class CallGraph:
             key=lambda f: f.qualname,
         )
 
-
-def strongly_connected_components(
-    graph: dict[str, set[str]],
-) -> list[set[str]]:
-    """Tarjan's SCCs, iteratively (no recursion-depth ceiling)."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[set[str]] = []
-    counter = 0
-
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work: list[tuple[str, list[str]]] = [
-            (root, sorted(graph.get(root, ())))
-        ]
-        while work:
-            node, children = work[-1]
-            if node not in index:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            while children:
-                child = children.pop(0)
-                if child not in graph:
-                    continue
-                if child not in index:
-                    work.append((child, sorted(graph.get(child, ()))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components

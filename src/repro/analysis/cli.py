@@ -18,21 +18,20 @@ import sys
 import traceback
 from pathlib import Path
 
-from repro.analysis.engine import AnalysisRequest, analyze_paths
-from repro.analysis.registry import UnknownRuleError, registered_rules
+from repro.analysis.engine import (
+    AnalysisRequest,
+    UnknownRuleError,
+    analyze_paths,
+)
+from repro.analysis.rules import RULES
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Repository-specific invariant lint: per-module rules "
-            "(RPL001 pickle safety, RPL002 service-lock discipline, "
-            "RPL003 determinism, RPL004 vectorized-kernel pairing, "
-            "RPL005 no REPRO_* env knobs, RPL006 export hygiene, "
-            "RPL008 resource lifecycle) plus whole-program rules over "
-            "the project call graph (RPL007 lock ordering, RPL009 "
-            "cache-key completeness)."
+            "Repository-specific invariant lint; --list-rules prints "
+            "the rules."
         ),
     )
     parser.add_argument(
@@ -76,8 +75,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.list_rules:
-        for rule_id, cls in registered_rules().items():
-            print(f"{rule_id}  {cls.title}")
+        for rule in RULES:
+            print(f"{rule.id}  {rule.title}")
         return 0
 
     missing = [p for p in args.paths if not Path(p).exists()]

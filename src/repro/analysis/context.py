@@ -13,10 +13,6 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.analysis.callgraph import CallGraph
 
 #: ``# repro: ignore`` or ``# repro: ignore[RPL001,RPL005]``.
 _SUPPRESSION_RE = re.compile(
@@ -80,6 +76,7 @@ class ModuleContext:
     suppressions: dict[int, frozenset[str] | None] = field(
         default_factory=dict
     )
+    _nodes: list[ast.AST] | None = field(default=None, repr=False)
     _parents: dict[ast.AST, ast.AST] | None = field(
         default=None, repr=False
     )
@@ -89,11 +86,20 @@ class ModuleContext:
         """The dotted module name, split — handy for scope matching."""
         return tuple(self.name.split("."))
 
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the module AST, in ``ast.walk`` order.
+
+        Built once and cached, so the rules share one walk.
+        """
+        if self._nodes is None:
+            self._nodes = list(ast.walk(self.tree))
+        return self._nodes
+
     def parent_map(self) -> dict[ast.AST, ast.AST]:
         """Child-to-parent links over the module AST (built lazily)."""
         if self._parents is None:
             parents: dict[ast.AST, ast.AST] = {}
-            for node in ast.walk(self.tree):
+            for node in self.nodes():
                 for child in ast.iter_child_nodes(node):
                     parents[child] = node
             self._parents = parents
@@ -108,6 +114,30 @@ class ModuleContext:
             chain.append(current)
             current = parents.get(current)
         return chain
+
+    def enclosing_symbol(self, node: ast.AST) -> str:
+        """The finding symbol for ``node``.
+
+        The innermost function holding ``node`` (or ``node`` itself),
+        as ``Class.method`` for a method; ``<module>`` at module level.
+        """
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        chain = [node, *self.ancestors(node)]
+        for index, current in enumerate(chain):
+            if not isinstance(current, functions):
+                continue
+            owner = next(
+                (
+                    outer
+                    for outer in chain[index + 1:]
+                    if isinstance(outer, (ast.ClassDef, *functions))
+                ),
+                None,
+            )
+            if isinstance(owner, ast.ClassDef):
+                return f"{owner.name}.{current.name}"
+            return current.name
+        return "<module>"
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         """True when ``rule`` is silenced on ``line``."""
@@ -193,7 +223,7 @@ class ModuleContext:
         return any(
             isinstance(node, ast.ImportFrom)
             and any(alias.name == "*" for alias in node.names)
-            for node in ast.walk(self.tree)
+            for node in self.nodes()
         )
 
     def dunder_all(self) -> list[tuple[str, int]]:
@@ -238,25 +268,9 @@ class ProjectContext:
     #: Directories whose ``*.py`` files are searched for test
     #: references by the vectorization-pairing rule.
     tests_roots: tuple[Path, ...] = ()
-    _callgraph: "CallGraph | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     def module(self, name: str) -> ModuleContext | None:
         return self.modules.get(name)
-
-    def callgraph(self) -> "CallGraph":
-        """The whole-program call graph, built once and cached.
-
-        Lazy so per-module-only runs (``--select RPL001``-style) never
-        pay for symbol resolution; the import lives inside the method
-        because ``callgraph`` imports this module.
-        """
-        if self._callgraph is None:
-            from repro.analysis.callgraph import CallGraph
-
-            self._callgraph = CallGraph(self)
-        return self._callgraph
 
     def sorted_modules(self) -> list[ModuleContext]:
         """Modules in display-path order (stable finding order)."""

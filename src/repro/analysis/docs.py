@@ -1,10 +1,10 @@
 """Generated rule reference (``docs/analysis-rules.md``).
 
-The reference is rendered from the rule classes themselves — id,
+The reference is rendered from the ``RULES`` tuple itself — id,
 title, invariant, rationale, example, suppression syntax — and a sync
 test asserts the committed file matches :func:`rules_reference_markdown`
-byte-for-byte, the same discipline the env-var table uses: the doc
-cannot drift from the code because the drift fails CI.
+byte-for-byte: the doc cannot drift from the code because the drift
+fails CI.
 
 Regenerate with::
 
@@ -13,7 +13,7 @@ Regenerate with::
 
 from __future__ import annotations
 
-from repro.analysis.registry import ProjectRule, registered_rules
+from repro.analysis.rules import RULES
 
 _HEADER = """\
 # Static analysis rules
@@ -27,33 +27,26 @@ finding and `2` on a usage or internal error.  Every finding fails the
 run; suppress a single line with `# repro: ignore[RPL00N]`, or every
 rule on that line with a bare `# repro: ignore`.
 
-Project-scope rules (marked *whole-program*) resolve calls through the
-project call graph and control-flow graphs built once per run; the
-others work one module at a time.
+Every rule sees the whole scanned tree and resolves imported names
+through one project symbol table and call graph, built once per run.
 """
 
 
 def rules_reference_markdown() -> str:
     """The full rule reference as markdown."""
     sections: list[str] = [_HEADER]
-    for rule_id, cls in registered_rules().items():
-        scope = (
-            "whole-program"
-            if issubclass(cls, ProjectRule)
-            else "per-module"
-        )
+    for rule in RULES:
         lines = [
-            f"## {rule_id} — {cls.title}",
+            f"## {rule.id} — {rule.title}",
             "",
-            f"*Scope: {scope} · "
-            f"suppression: `# repro: ignore[{rule_id}]`*",
+            f"*Suppression: `# repro: ignore[{rule.id}]`*",
         ]
-        if cls.invariant:
-            lines += ["", f"**Invariant.** {cls.invariant}"]
-        if cls.rationale:
-            lines += ["", f"**Why.** {cls.rationale}"]
-        if cls.example:
-            example = cls.example.rstrip("\n")
+        if rule.invariant:
+            lines += ["", f"**Invariant.** {rule.invariant}"]
+        if rule.rationale:
+            lines += ["", f"**Why.** {rule.rationale}"]
+        if rule.example:
+            example = rule.example.rstrip("\n")
             lines += ["", "```python", example, "```"]
         sections.append("\n".join(lines) + "\n")
     return "\n".join(sections)

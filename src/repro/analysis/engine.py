@@ -2,8 +2,9 @@
 
 :func:`analyze_paths` is the programmatic entry point the CLI, the
 test suite and CI all share.  It has one way of running: every file
-under the given paths is parsed serially, every selected rule runs
-over the whole project, and line suppressions drop what they name.
+under the given paths is parsed serially, the project call graph is
+built once, every selected rule runs over the whole project with it,
+and line suppressions drop what they name.
 It is deterministic: files are walked in sorted order and findings
 come back sorted by location, so two runs over the same tree produce
 byte-identical reports.
@@ -15,20 +16,25 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.context import (
     ModuleContext,
     ProjectContext,
     module_name_for,
     parse_suppressions,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.registry import RuleConfig, build_rules
+from repro.analysis.findings import Finding, Rule
+from repro.analysis.rules import RULES
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
 #: Rule id used for files that do not parse at all.
 PARSE_ERROR_RULE = "RPL000"
+
+
+class UnknownRuleError(ValueError):
+    """A ``--select`` named a rule id that doesn't exist."""
 
 
 @dataclass
@@ -99,8 +105,7 @@ class AnalysisRequest:
     """Inputs of one :func:`analyze_paths` run."""
 
     paths: list[Path]
-    config: RuleConfig = field(default_factory=RuleConfig)
-    #: Rule ids to run; ``None`` runs every registered rule.
+    #: Rule ids to run (any case); ``None`` runs every rule in ``RULES``.
     select: tuple[str, ...] | None = None
     #: Directories searched for equivalence tests (RPL004).
     tests_roots: tuple[Path, ...] = (Path("tests"),)
@@ -108,8 +113,22 @@ class AnalysisRequest:
     root: Path = field(default_factory=Path.cwd)
 
 
+def select_rules(select: tuple[str, ...] | None) -> list[Rule]:
+    """The rules ``select`` names (all of ``RULES`` for ``None``)."""
+    if select is None:
+        return list(RULES)
+    wanted = {name.upper() for name in select}
+    unknown = wanted - {rule.id for rule in RULES}
+    if unknown:
+        raise UnknownRuleError(
+            "unknown rule id(s): " + ", ".join(sorted(unknown))
+        )
+    return [rule for rule in RULES if rule.id in wanted]
+
+
 def analyze_paths(request: AnalysisRequest) -> AnalysisResult:
     """Run the active rule set over every file under ``request.paths``."""
+    rules = select_rules(request.select)
     modules: dict[str, ModuleContext] = {}
     findings: list[Finding] = []
     files = collect_files(request.paths)
@@ -127,8 +146,9 @@ def analyze_paths(request: AnalysisRequest) -> AnalysisResult:
             root for root in request.tests_roots if root.is_dir()
         ),
     )
-    for rule in build_rules(request.config, select=request.select):
-        findings.extend(rule.check(project))
+    graph = CallGraph(project)
+    for rule in rules:
+        findings.extend(rule.check(project, graph))
     kept: list[Finding] = []
     suppressed = 0
     by_display = {m.display_path: m for m in modules.values()}

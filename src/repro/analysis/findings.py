@@ -1,14 +1,20 @@
-"""The finding type shared by the whole lint engine.
+"""The finding type and the rule base class shared by the lint engine.
 
 A :class:`Finding` is one rule violation at one source location.
 Every finding fails the run; the one escape hatch is a per-line
 ``# repro: ignore[RPL00N]`` comment, applied by the engine before a
-finding is reported.
+finding is reported.  A :class:`Rule` is one named check; the rule
+set is the ``RULES`` tuple in :mod:`repro.analysis.rules`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import ClassVar
+
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.context import ProjectContext
 
 
 @dataclass(frozen=True, order=True)
@@ -36,3 +42,41 @@ class Finding:
             f"{self.path}:{self.line}:{self.column}: "
             f"error {self.rule} [{self.symbol}] {self.message}"
         )
+
+
+class Rule:
+    """One named check over the project and its call graph."""
+
+    id: ClassVar[str] = ""
+    title: ClassVar[str] = ""
+    #: One-sentence statement of the invariant the rule enforces;
+    #: rendered into ``docs/analysis-rules.md``.
+    invariant: ClassVar[str] = ""
+    #: Why the invariant matters in this codebase.
+    rationale: ClassVar[str] = ""
+    #: A minimal violating snippet, shown in the rule reference.
+    example: ClassVar[str] = ""
+
+    def finding(
+        self,
+        *,
+        path: str,
+        line: int,
+        column: int,
+        symbol: str,
+        message: str,
+    ) -> Finding:
+        """A :class:`Finding` stamped with this rule's id."""
+        return Finding(
+            path=path,
+            line=line,
+            column=column,
+            rule=self.id,
+            symbol=symbol,
+            message=message,
+        )
+
+    def check(
+        self, project: ProjectContext, graph: CallGraph
+    ) -> Iterator[Finding]:
+        raise NotImplementedError

@@ -1,5 +1,6 @@
-"""Rule implementations; importing this package registers them all."""
+"""The rule set: one instance of every rule, in id order."""
 
+from repro.analysis.findings import Rule
 from repro.analysis.rules.cache_key import CacheKeyCompletenessRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.env_knobs import EnvKnobRule
@@ -10,7 +11,22 @@ from repro.analysis.rules.pickle_safety import PickleSafetyRule
 from repro.analysis.rules.resource_lifecycle import ResourceLifecycleRule
 from repro.analysis.rules.vector_pairing import VectorPairingRule
 
+#: What every run, ``--select``, ``--list-rules`` and ``--rules-doc``
+#: read.
+RULES: tuple[Rule, ...] = (
+    PickleSafetyRule(),
+    LockDisciplineRule(),
+    DeterminismRule(),
+    VectorPairingRule(),
+    EnvKnobRule(),
+    ExportHygieneRule(),
+    LockOrderRule(),
+    ResourceLifecycleRule(),
+    CacheKeyCompletenessRule(),
+)
+
 __all__ = [
+    "RULES",
     "PickleSafetyRule",
     "LockDisciplineRule",
     "DeterminismRule",

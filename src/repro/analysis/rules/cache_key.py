@@ -9,17 +9,17 @@ served a cached ``within=None`` result.
 
 The rule works interprocedurally over the call graph:
 
-* **fields** — annotated fields of each configured request dataclass
-  (``JoinRequest``), minus configured exemptions (``label`` only names
-  the report row);
-* **key side** — the configured key functions and their direct
+* **fields** — annotated fields of each request dataclass in
+  ``REQUEST_CLASSES`` (``JoinRequest``), minus ``CACHE_EXEMPT_FIELDS``
+  (``label`` only names the report row);
+* **key side** — the ``CACHE_KEY_FUNCTIONS`` and their direct
   callers (each caller is one key site: the function that assembles
   the key's arguments).  A field counts as keyed when a key function
   reads it itself, or when *every* one of its key sites reads it — one
   site that drops the field is enough for two requests to share an
   entry in that site's cache;
 * **execution side** — request-field reads inside any function that
-  calls an execution sink (``SpatialWorkspace.join``,
+  calls an ``EXECUTION_SINKS`` entry (``SpatialWorkspace.join``,
   ``BatchExecutor.run``) or is transitively called by one that does,
   excluding the request class's own methods and the key side.
 
@@ -32,14 +32,23 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo
+from repro.analysis.callgraph import CallGraph, FunctionInfo, matches_suffix
 from repro.analysis.context import ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import ProjectRule, register_rule
+from repro.analysis.findings import Finding, Rule
+
+#: Request dataclasses whose fields must reach the cache key.
+REQUEST_CLASSES = ("JoinRequest",)
+#: Functions that derive the result-cache key.
+CACHE_KEY_FUNCTIONS = ("request_cache_key",)
+#: Request fields exempt from cache-key coverage (presentation only).
+CACHE_EXEMPT_FIELDS = ("label",)
+#: Variable names treated as request instances in untyped code.
+REQUEST_IDENTIFIERS = ("request", "req")
+#: Callee suffixes that constitute algorithm execution.
+EXECUTION_SINKS = ("SpatialWorkspace.join", "BatchExecutor.run")
 
 
-@register_rule
-class CacheKeyCompletenessRule(ProjectRule):
+class CacheKeyCompletenessRule(Rule):
     id = "RPL009"
     title = "request fields that reach execution must reach the cache key"
     invariant = (
@@ -61,12 +70,12 @@ class CacheKeyCompletenessRule(ProjectRule):
         "    # request_cache_key(...)\n"
     )
 
-    def check_project(
+    def check(
         self, project: ProjectContext, graph: CallGraph
     ) -> Iterator[Finding]:
         for cls_qual, info in sorted(graph.classes.items()):
             short = cls_qual.rsplit(".", 1)[-1]
-            if short not in self.config.request_classes:
+            if short not in REQUEST_CLASSES:
                 continue
             yield from self._check_request_class(
                 project, graph, cls_qual, short
@@ -92,7 +101,7 @@ class CacheKeyCompletenessRule(ProjectRule):
                 name = stmt.target.id
                 if name.startswith("_"):
                     continue
-                if name in self.config.cache_exempt_fields:
+                if name in CACHE_EXEMPT_FIELDS:
                     continue
                 fields[name] = stmt.lineno
         if not fields:
@@ -101,20 +110,18 @@ class CacheKeyCompletenessRule(ProjectRule):
         key_functions = {
             qual
             for qual, fn in graph.functions.items()
-            if fn.name in self.config.cache_key_functions
+            if fn.name in CACHE_KEY_FUNCTIONS
         }
         key_side = set(key_functions)
         covered: set[str] = set()
         for key_fn in key_functions:
             callers = {site.caller for site in graph.callers.get(key_fn, ())}
             key_side |= callers
-            covered |= self._function_reads(
-                graph, graph.functions[key_fn], cls_qual, fields
+            covered |= _field_reads(
+                graph.functions[key_fn], cls_qual, fields
             )
             site_reads = [
-                self._function_reads(
-                    graph, graph.functions[caller], cls_qual, fields
-                )
+                _field_reads(graph.functions[caller], cls_qual, fields)
                 for caller in callers
             ]
             if site_reads:
@@ -157,7 +164,7 @@ class CacheKeyCompletenessRule(ProjectRule):
                 message=(
                     f"{cls_name}.{field_name} flows into execution "
                     f"({where}) but not into the cache key "
-                    f"({'/'.join(self.config.cache_key_functions)}); "
+                    f"({'/'.join(CACHE_KEY_FUNCTIONS)}); "
                     "two requests differing only in this field would "
                     "share a cache entry"
                 ),
@@ -165,7 +172,7 @@ class CacheKeyCompletenessRule(ProjectRule):
 
     def _calls_sink(self, graph: CallGraph, qualname: str) -> bool:
         return any(
-            _matches_suffix(site.callee, self.config.execution_sinks)
+            matches_suffix(site.callee, EXECUTION_SINKS)
             for site in graph.calls.get(qualname, ())
         )
 
@@ -182,81 +189,33 @@ class CacheKeyCompletenessRule(ProjectRule):
             fn = graph.functions.get(qualname)
             if fn is None:
                 continue
-            for name in self._function_reads(
-                graph, fn, cls_qual, fields
-            ):
+            for name in _field_reads(fn, cls_qual, fields):
                 out.setdefault(name, set()).add(fn.display)
         return out
 
-    def _function_reads(
-        self,
-        graph: CallGraph,
-        fn: FunctionInfo,
-        cls_qual: str,
-        fields: dict[str, int],
-    ) -> set[str]:
-        """Field names of the request class this function reads.
 
-        A read is ``base.field`` where ``base`` is a parameter or
-        local annotated/constructed as the request class, or a name
-        from the configured ``request_identifiers`` convention
-        (``request``/``req``) for untyped code.
-        """
-        request_names = set(self.config.request_identifiers)
-        typed = {
-            arg.arg
-            for arg in (
-                *fn.node.args.posonlyargs,
-                *fn.node.args.args,
-                *fn.node.args.kwonlyargs,
-            )
-            if _annotation_is(arg.annotation, cls_qual)
-        }
-        reads: set[str] = set()
-        for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and node.attr in fields
-                and isinstance(node.value, ast.Name)
-                and (
-                    node.value.id in typed
-                    or node.value.id in request_names
-                )
-            ):
-                reads.add(node.attr)
-        return reads
+def _field_reads(
+    fn: FunctionInfo, cls_qual: str, fields: dict[str, int]
+) -> set[str]:
+    """Field names of the request class this function reads.
 
-
-def _annotation_is(
-    annotation: ast.expr | None, cls_qual: str
-) -> bool:
-    """Does a plain annotation name the request class (by suffix)?"""
-    if annotation is None:
-        return False
-    if isinstance(annotation, ast.Constant) and isinstance(
-        annotation.value, str
-    ):
-        name = annotation.value
-    else:
-        parts: list[str] = []
-        current = annotation
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if isinstance(current, ast.Name):
-            parts.append(current.id)
-            name = ".".join(reversed(parts))
-        else:
-            return False
-    short = cls_qual.rsplit(".", 1)[-1]
-    return name == short or name.endswith(f".{short}") or name == cls_qual
-
-
-def _matches_suffix(callee: str, targets: tuple[str, ...]) -> bool:
-    parts = callee.split(".")
-    for target in targets:
-        tparts = target.split(".")
-        if len(tparts) <= len(parts) and parts[-len(tparts):] == tparts:
-            return True
-    return False
+    A read is ``base.field`` where ``base`` is a parameter or
+    local the call graph typed as the request class, or a name
+    from the ``REQUEST_IDENTIFIERS`` convention (``request``/``req``)
+    for untyped code.
+    """
+    names = {
+        name for name, cls in fn.local_types.items() if cls == cls_qual
+    }
+    names.update(REQUEST_IDENTIFIERS)
+    reads: set[str] = set()
+    for node in ast.walk(fn.node):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in fields
+            and isinstance(node.value, ast.Name)
+            and node.value.id in names
+        ):
+            reads.add(node.attr)
+    return reads

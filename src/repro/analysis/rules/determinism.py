@@ -21,14 +21,12 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.context import ModuleContext, ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register_rule
-from repro.analysis.rules._ast_utils import (
-    enclosing_function,
-    import_aliases,
-    resolve_call_target,
-)
+from repro.analysis.findings import Finding, Rule
+
+#: Module-name segments where wall-clock reads are banned.
+CLOCK_BANNED_SEGMENTS = ("joins", "core", "stats")
 
 #: ``random`` module functions that draw from the global RNG.
 _RANDOM_FUNCS = {
@@ -57,7 +55,6 @@ _CLOCK_TARGETS = {
 }
 
 
-@register_rule
 class DeterminismRule(Rule):
     id = "RPL003"
     title = "unseeded randomness / wall-clock reads in counted paths"
@@ -79,26 +76,22 @@ class DeterminismRule(Rule):
         "    return boxes + rng.normal(size=boxes.shape)\n"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        banned_segments = set(self.config.clock_banned_segments)
+    def check(
+        self, project: ProjectContext, graph: CallGraph
+    ) -> Iterator[Finding]:
         for module in project.sorted_modules():
-            aliases = import_aliases(module.tree)
             clock_scoped = bool(
-                banned_segments.intersection(module.name_segments)
+                set(CLOCK_BANNED_SEGMENTS) & set(module.name_segments)
             )
-            for node in ast.walk(module.tree):
+            for node in module.nodes():
                 if not isinstance(node, ast.Call):
                     continue
-                target = resolve_call_target(node.func, aliases)
+                target = graph.resolve(module.name, node.func)
                 if target is None:
                     continue
                 yield from self._check_random(module, node, target)
                 if clock_scoped:
                     yield from self._check_clock(module, node, target)
-
-    def _symbol(self, module: ModuleContext, node: ast.Call) -> str:
-        function = enclosing_function(module.ancestors(node))
-        return function.name if function is not None else "<module>"
 
     def _check_random(
         self, module: ModuleContext, node: ast.Call, target: str
@@ -132,7 +125,7 @@ class DeterminismRule(Rule):
                 path=module.display_path,
                 line=node.lineno,
                 column=node.col_offset,
-                symbol=self._symbol(module, node),
+                symbol=module.enclosing_symbol(node),
                 message=message,
             )
 
@@ -148,7 +141,7 @@ class DeterminismRule(Rule):
                 path=module.display_path,
                 line=node.lineno,
                 column=node.col_offset,
-                symbol=self._symbol(module, node),
+                symbol=module.enclosing_symbol(node),
                 message=(
                     f"wall-clock read {target}() inside a "
                     "counter-bearing package; derive timing from "

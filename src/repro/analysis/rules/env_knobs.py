@@ -7,7 +7,7 @@ configuration no caller uses.  Every ``REPRO_*`` access is a finding,
 whatever the module.
 
 Flagged shapes, whenever the name argument/key is a string literal
-with the configured prefix:
+starting with ``ENV_PREFIX``:
 
 * ``os.environ["REPRO_X"]`` (read or write) and slice variants;
 * ``os.environ.get/setdefault/pop("REPRO_X", ...)``;
@@ -19,20 +19,16 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.context import ModuleContext, ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register_rule
-from repro.analysis.rules._ast_utils import (
-    dotted_name,
-    enclosing_function,
-    import_aliases,
-    string_literal,
-)
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.context import ProjectContext
+from repro.analysis.findings import Finding, Rule
+
+#: Environment-variable prefix no module may read or write.
+ENV_PREFIX = "REPRO_"
 
 _ENVIRON_METHODS = {"get", "setdefault", "pop"}
 
 
-@register_rule
 class EnvKnobRule(Rule):
     id = "RPL005"
     title = "no REPRO_* environment variables"
@@ -52,71 +48,48 @@ class EnvKnobRule(Rule):
         "# a constructor argument or a module constant\n"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
+    def check(
+        self, project: ProjectContext, graph: CallGraph
+    ) -> Iterator[Finding]:
         for module in project.sorted_modules():
-            aliases = import_aliases(module.tree)
-            for node in ast.walk(module.tree):
-                name = self._env_access(node, aliases)
+            for node in module.nodes():
+                name = _env_access(graph, module.name, node)
                 if name is None:
                     continue
                 yield self.finding(
                     path=module.display_path,
                     line=node.lineno,
                     column=node.col_offset,
-                    symbol=self._symbol(module, node),
+                    symbol=module.enclosing_symbol(node),
                     message=(
                         f"environment access of {name!r}; make it a "
                         "constructor argument or a module constant"
                     ),
                 )
 
-    def _symbol(self, module: ModuleContext, node: ast.AST) -> str:
-        function = enclosing_function(module.ancestors(node))
-        return function.name if function is not None else "<module>"
 
-    def _resolves_to_environ(
-        self, node: ast.expr, aliases: dict[str, str]
-    ) -> bool:
-        name = dotted_name(node)
-        if name is None:
-            return False
-        head, _, rest = name.partition(".")
-        target = aliases.get(head, head)
-        absolute = f"{target}.{rest}" if rest else target
-        return absolute == "os.environ"
-
-    def _prefixed(self, node: ast.expr) -> str | None:
-        value = string_literal(node)
-        if value is not None and value.startswith(self.config.env_prefix):
-            return value
-        return None
-
-    def _env_access(
-        self, node: ast.AST, aliases: dict[str, str]
-    ) -> str | None:
-        """The REPRO_* name this node touches directly, if any."""
-        if isinstance(node, ast.Subscript) and self._resolves_to_environ(
-            node.value, aliases
-        ):
-            return self._prefixed(node.slice)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if not node.args:
-                return None
-            first = node.args[0]
-            # os.getenv(...) / getenv(...) after ``from os import getenv``
-            target = dotted_name(func)
-            if target is not None:
-                head, _, rest = target.partition(".")
-                absolute = aliases.get(head, head)
-                absolute = f"{absolute}.{rest}" if rest else absolute
-                if absolute == "os.getenv":
-                    return self._prefixed(first)
+def _env_access(graph: CallGraph, module: str, node: ast.AST) -> str | None:
+    """The REPRO_* name this node touches directly, if any."""
+    key: ast.expr | None = None
+    if (
+        isinstance(node, ast.Subscript)
+        and graph.resolve(module, node.value) == "os.environ"
+    ):
+        key = node.slice
+    elif isinstance(node, ast.Call) and node.args:
+        func = node.func
+        # os.getenv(...), also after ``from os import getenv``
+        if graph.resolve(module, func) == "os.getenv" or (
             # os.environ.get(...) and friends
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _ENVIRON_METHODS
-                and self._resolves_to_environ(func.value, aliases)
-            ):
-                return self._prefixed(first)
-        return None
+            isinstance(func, ast.Attribute)
+            and func.attr in _ENVIRON_METHODS
+            and graph.resolve(module, func.value) == "os.environ"
+        ):
+            key = node.args[0]
+    if (
+        isinstance(key, ast.Constant)
+        and isinstance(key.value, str)
+        and key.value.startswith(ENV_PREFIX)
+    ):
+        return key.value
+    return None

@@ -18,32 +18,11 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.context import ModuleContext, ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register_rule
+from repro.analysis.callgraph import CallGraph, import_from_module
+from repro.analysis.context import ProjectContext
+from repro.analysis.findings import Finding, Rule
 
 
-def _resolve_import(
-    module: ModuleContext, node: ast.ImportFrom
-) -> str | None:
-    """Absolute dotted target of an ``ImportFrom`` (handles relative)."""
-    if node.level == 0:
-        return node.module
-    # Package context: a package's __init__ resolves relative to
-    # itself; a plain module resolves relative to its parent package.
-    segments = list(module.name_segments)
-    if module.path.stem != "__init__":
-        segments = segments[:-1]
-    drop = node.level - 1
-    if drop > len(segments):
-        return None
-    base = segments[: len(segments) - drop]
-    if node.module:
-        base.extend(node.module.split("."))
-    return ".".join(base) if base else None
-
-
-@register_rule
 class ExportHygieneRule(Rule):
     id = "RPL006"
     title = "__all__ entries and re-exports must resolve"
@@ -64,7 +43,9 @@ class ExportHygieneRule(Rule):
         "    ...\n"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
+    def check(
+        self, project: ProjectContext, graph: CallGraph
+    ) -> Iterator[Finding]:
         bindings: dict[str, set[str]] = {}
         star: dict[str, bool] = {}
         for name, module in project.modules.items():
@@ -88,12 +69,10 @@ class ExportHygieneRule(Rule):
                             ),
                         )
             # Check 2: imports from scanned modules must resolve.
-            for node in ast.walk(module.tree):
+            for node in module.nodes():
                 if not isinstance(node, ast.ImportFrom):
                     continue
-                target_name = _resolve_import(module, node)
-                if target_name is None:
-                    continue
+                target_name = import_from_module(module, node)
                 target = project.module(target_name)
                 if target is None or star[target_name]:
                     continue

@@ -1,8 +1,7 @@
-"""RPL002 — service-lock discipline in the service layer.
+"""RPL002 — lock discipline for guarded state.
 
-Scope: every class that assigns ``self._lock`` in a module whose
-dotted name contains the configured service segment.  Three shapes
-are flagged:
+Scope: every class that assigns ``self._lock``.  Three shapes are
+flagged:
 
 * **unlocked access** — a public method (or runtime-invoked dunder
   other than ``__init__``/``__new__``/``__del__``) reads or writes a
@@ -25,10 +24,14 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.context import ModuleContext, ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register_rule
+from repro.analysis.findings import Finding, Rule
 
+#: Attribute names whose access requires the lock.
+GUARDED_ATTRIBUTES = ("_catalog", "_cache", "_results")
+#: The lock attribute guarding them.
+LOCK_ATTRIBUTE = "_lock"
 #: Dunders the runtime only calls before/after the object is shared.
 _CONSTRUCTION_METHODS = {"__init__", "__new__", "__del__"}
 
@@ -75,13 +78,13 @@ class _MethodInfo:
         return not self.name.startswith("_")
 
 
-@register_rule
 class LockDisciplineRule(Rule):
     id = "RPL002"
     title = "guarded service state requires the service lock"
     invariant = (
-        "In service modules, guarded attributes (_catalog/_cache/"
-        "_results) are only touched under `with self._lock:`, public "
+        "In a class that assigns self._lock, guarded attributes "
+        "(_catalog/_cache/_results) are only touched under "
+        "`with self._lock:`, public "
         "methods never run inside the lock, and lock-assuming private "
         "helpers are never called without it."
     )
@@ -97,20 +100,18 @@ class LockDisciplineRule(Rule):
         "    # read without holding self._lock\n"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        segment = self.config.service_segment
+    def check(
+        self, project: ProjectContext, graph: CallGraph
+    ) -> Iterator[Finding]:
         for module in project.sorted_modules():
-            if segment not in module.name_segments:
-                continue
             for node in module.tree.body:
                 if isinstance(node, ast.ClassDef) and self._has_lock(node):
                     yield from self._check_class(module, node)
 
     def _has_lock(self, cls: ast.ClassDef) -> bool:
-        lock = self.config.lock_attribute
         return any(
             isinstance(target, ast.Attribute)
-            and _is_self_attr(target, lock)
+            and _is_self_attr(target, LOCK_ATTRIBUTE)
             for stmt in ast.walk(cls)
             if isinstance(stmt, (ast.Assign, ast.AnnAssign))
             for target in (
@@ -123,7 +124,6 @@ class LockDisciplineRule(Rule):
     def _locked(self, module: ModuleContext, node: ast.AST,
                 method: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
         """Is ``node`` lexically inside ``with self._lock:`` in ``method``?"""
-        lock = self.config.lock_attribute
         for ancestor in module.ancestors(node):
             if ancestor is method:
                 return False
@@ -131,14 +131,13 @@ class LockDisciplineRule(Rule):
                 return False  # nested function: runs later, lock unknown
             if isinstance(ancestor, (ast.With, ast.AsyncWith)):
                 for item in ancestor.items:
-                    if _is_self_attr(item.context_expr, lock):
+                    if _is_self_attr(item.context_expr, LOCK_ATTRIBUTE):
                         return True
         return False
 
     def _collect(
         self, module: ModuleContext, cls: ast.ClassDef
     ) -> dict[str, _MethodInfo]:
-        guarded = set(self.config.guarded_attributes)
         methods: dict[str, _MethodInfo] = {}
         for stmt in cls.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -148,7 +147,7 @@ class LockDisciplineRule(Rule):
                 if isinstance(node, ast.Attribute) and isinstance(
                     node.value, ast.Name
                 ) and node.value.id == "self":
-                    if node.attr in guarded:
+                    if node.attr in GUARDED_ATTRIBUTES:
                         info.accesses.append(
                             _GuardedAccess(
                                 attr=node.attr,
@@ -179,7 +178,7 @@ class LockDisciplineRule(Rule):
         self, module: ModuleContext, cls: ast.ClassDef
     ) -> Iterator[Finding]:
         methods = self._collect(module, cls)
-        lock = self.config.lock_attribute
+        lock = LOCK_ATTRIBUTE
 
         # A method *assumes* the lock when it touches guarded state
         # outside any ``with self._lock:`` of its own.  The assumption

@@ -1,9 +1,7 @@
 """RPL007 — whole-program lock-order analysis.
 
-Scope: modules whose dotted name contains one of the configured
-``lock_order_segments`` (the service and storage layers here).  The
-rule builds a *lock-acquisition graph* over every ``threading`` lock
-those modules define: an edge ``L1 -> L2`` means some execution
+The rule builds a *lock-acquisition graph* over every ``threading``
+lock the scanned modules define: an edge ``L1 -> L2`` means some execution
 acquires ``L2`` while holding ``L1`` — either lexically (nested
 ``with`` blocks) or through a call chain (``with self._lock:``
 calling ``self._queries.forget()``, which takes the query workspace's
@@ -13,7 +11,7 @@ lock).  Two shapes are flagged:
   held (the classic AB/BA deadlock), or a non-reentrant lock
   re-acquired under itself through any call path;
 * **blocking call under a lock** — a call that suffix-matches
-  ``lock_blocking_targets`` (the batch executor) made while any lock
+  ``BLOCKING_TARGETS`` (the batch executor) made while any lock
   is held: the executor runs whole cold joins and can take seconds, so
   holding a service lock across it serializes every other client.
 
@@ -28,13 +26,12 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.analysis.callgraph import (
-    CallGraph,
-    strongly_connected_components,
-)
+from repro.analysis.callgraph import CallGraph, matches_suffix
 from repro.analysis.context import ModuleContext, ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import ProjectRule, register_rule
+from repro.analysis.findings import Finding, Rule
+
+#: Callee suffixes a thread must never invoke while holding a lock.
+BLOCKING_TARGETS = ("BatchExecutor.run",)
 
 #: ``threading`` constructors that create a lock-like object.
 _LOCK_FACTORIES = {
@@ -70,12 +67,11 @@ class _Edge:
     via: str  # "" for lexical nesting, else the callee chain note
 
 
-@register_rule
-class LockOrderRule(ProjectRule):
+class LockOrderRule(Rule):
     id = "RPL007"
     title = "lock acquisition order must be acyclic and non-blocking"
     invariant = (
-        "Across the service and storage layers, the lock-acquisition "
+        "Across every module that defines a lock, the lock-acquisition "
         "graph is acyclic (including through call chains), and no "
         "thread calls into the batch executor while holding a lock."
     )
@@ -92,24 +88,18 @@ class LockOrderRule(ProjectRule):
         "        return self._executor.run(requests)  # RPL007\n"
     )
 
-    def check_project(
+    def check(
         self, project: ProjectContext, graph: CallGraph
     ) -> Iterator[Finding]:
+        locks = self._collect_locks(project, graph)
+        # Without locks nothing can be held, so there is nothing to flag.
+        if not locks:
+            return
         modules = [
             module
             for module in project.sorted_modules()
-            if any(
-                segment in module.name_segments
-                for segment in self.config.lock_order_segments
-            )
+            if module.name in locks
         ]
-        if not modules:
-            return
-        locks = self._collect_locks(modules)
-        if not locks:
-            # Still look for blocking calls? Without locks nothing can
-            # be held, so there is nothing to flag.
-            return
         acquires = self._direct_acquires(modules, graph, locks)
         transitive = self._transitive_acquires(graph, acquires)
         edges, blocking = self._collect_edges(
@@ -122,7 +112,7 @@ class LockOrderRule(ProjectRule):
     # Lock definitions
     # ------------------------------------------------------------------
     def _collect_locks(
-        self, modules: list[ModuleContext]
+        self, project: ProjectContext, graph: CallGraph
     ) -> dict[str, dict[str, _LockDef]]:
         """Per module: acquisition-spelling -> lock definition.
 
@@ -131,14 +121,14 @@ class LockOrderRule(ProjectRule):
         locks.
         """
         defs: dict[str, dict[str, _LockDef]] = {}
-        for module in modules:
+        for module in project.sorted_modules():
             local: dict[str, _LockDef] = {}
             for stmt in module.tree.body:
                 if isinstance(stmt, ast.Assign) and isinstance(
                     stmt.value, ast.Call
                 ):
-                    factory = _factory_name(stmt.value)
-                    if factory is None:
+                    factory = graph.called_name(module.name, stmt.value)
+                    if factory not in _LOCK_FACTORIES:
                         continue
                     for target in stmt.targets:
                         if isinstance(target, ast.Name):
@@ -154,8 +144,8 @@ class LockOrderRule(ProjectRule):
                             and isinstance(node.value, ast.Call)
                         ):
                             continue
-                        factory = _factory_name(node.value)
-                        if factory is None:
+                        factory = graph.called_name(module.name, node.value)
+                        if factory not in _LOCK_FACTORIES:
                             continue
                         for target in node.targets:
                             if (
@@ -340,7 +330,7 @@ class LockOrderRule(ProjectRule):
         site = graph.site_at(qualname, call.lineno, call.col_offset)
         if site is None:
             return
-        if _matches_suffix(site.callee, self.config.lock_blocking_targets):
+        if matches_suffix(site.callee, BLOCKING_TARGETS):
             blocking.append(
                 _Edge(
                     held=held[-1].key,
@@ -358,9 +348,7 @@ class LockOrderRule(ProjectRule):
         # Blocking reached through a project helper under the lock.
         for target in (site.callee, *graph.closure(site.callee)):
             for inner_site in graph.calls.get(target, ()):
-                if _matches_suffix(
-                    inner_site.callee, self.config.lock_blocking_targets
-                ):
+                if matches_suffix(inner_site.callee, BLOCKING_TARGETS):
                     blocking.append(
                         _Edge(
                             held=held[-1].key,
@@ -422,15 +410,24 @@ class LockOrderRule(ProjectRule):
             for local in locks.values()
             for lock in local.values()
         }
-        adjacency: dict[str, set[str]] = {
-            key: set() for key in defs_by_key
-        }
+        adjacency: dict[str, set[str]] = {}
         for edge in edges:
             adjacency.setdefault(edge.held, set()).add(edge.acquired)
-        in_cycle: set[str] = set()
-        for component in strongly_connected_components(adjacency):
-            if len(component) > 1:
-                in_cycle |= component
+        reachable: dict[str, set[str]] = {}
+
+        def reaches(start: str) -> set[str]:
+            """Every lock acquired, transitively, while ``start`` is held."""
+            if start not in reachable:
+                seen: set[str] = set()
+                stack = [start]
+                while stack:
+                    for lock in adjacency.get(stack.pop(), ()):
+                        if lock not in seen:
+                            seen.add(lock)
+                            stack.append(lock)
+                reachable[start] = seen
+            return reachable[start]
+
         reported: set[tuple[str, str, str, int]] = set()
         for edge in edges:
             self_loop = edge.held == edge.acquired
@@ -438,9 +435,8 @@ class LockOrderRule(ProjectRule):
                 lock = defs_by_key.get(edge.held)
                 if lock is not None and lock.reentrant:
                     continue
-            elif not (
-                edge.held in in_cycle and edge.acquired in in_cycle
-            ):
+            elif edge.held not in reaches(edge.acquired):
+                # An edge a -> b is on a cycle when b leads back to a.
                 continue
             key = (edge.held, edge.acquired, edge.path, edge.line)
             if key in reported:
@@ -470,25 +466,3 @@ class LockOrderRule(ProjectRule):
                 message=message,
             )
 
-
-def _factory_name(call: ast.Call) -> str | None:
-    """The lock factory a call invokes, if any (last dotted segment)."""
-    func = call.func
-    name = (
-        func.id
-        if isinstance(func, ast.Name)
-        else func.attr
-        if isinstance(func, ast.Attribute)
-        else None
-    )
-    return name if name in _LOCK_FACTORIES else None
-
-
-def _matches_suffix(callee: str, targets: tuple[str, ...]) -> bool:
-    """Dotted-suffix match: ``a.b.C.run`` matches target ``C.run``."""
-    parts = callee.split(".")
-    for target in targets:
-        tparts = target.split(".")
-        if len(tparts) <= len(parts) and parts[-len(tparts):] == tparts:
-            return True
-    return False

@@ -10,8 +10,7 @@ state methods keep the wire format deliberate instead of accidental.
 A class with a non-empty ``__slots__`` passes when it
 
 * defines both ``__getstate__`` and ``__setstate__`` in its body, or
-* lists a known pickle mixin (``SlotPickleMixin`` by default) among
-  its bases, or
+* lists a pickle mixin (``SlotPickleMixin``) among its bases, or
 * inherits from a class in the scanned tree that itself passes.
 """
 
@@ -19,12 +18,13 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from repro.analysis.context import ModuleContext, ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register_rule
-from repro.analysis.rules._ast_utils import dotted_name, import_aliases
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.context import ProjectContext
+from repro.analysis.findings import Finding, Rule
+
+#: Base classes that make a ``__slots__`` class pickle-safe.
+PICKLE_MIXINS = ("SlotPickleMixin",)
 
 
 def _slots_entries(node: ast.ClassDef) -> list[str] | None:
@@ -73,28 +73,14 @@ def _defines(node: ast.ClassDef, method: str) -> bool:
     )
 
 
-@dataclass
-class _ClassInfo:
-    module: ModuleContext
-    node: ast.ClassDef
-    #: Absolute dotted names of the base classes (best effort).
-    bases: list[str]
-    slots: list[str] | None
-    has_state_methods: bool
-
-
-def _last_segment(name: str) -> str:
-    return name.rsplit(".", 1)[-1]
-
-
-@register_rule
 class PickleSafetyRule(Rule):
     id = "RPL001"
     title = "__slots__ classes must define explicit pickle support"
     invariant = (
         "Every class declaring __slots__ also provides pickle support "
-        "— __getstate__/__setstate__, __reduce__, or a configured "
-        "pickle mixin base — so it survives the process-pool boundary."
+        "— __getstate__/__setstate__ or a SlotPickleMixin base, "
+        "directly or through a scanned base class — so it survives "
+        "the process-pool boundary."
     )
     rationale = (
         "Batch execution ships datasets and reports through "
@@ -108,99 +94,49 @@ class PickleSafetyRule(Rule):
         "    # __setstate__ and no pickle mixin base\n"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        classes: dict[str, _ClassInfo] = {}
-        order: list[str] = []
+    def check(
+        self, project: ProjectContext, graph: CallGraph
+    ) -> Iterator[Finding]:
         for module in project.sorted_modules():
-            aliases = import_aliases(module.tree)
-            for node in ast.walk(module.tree):
+            for node in module.nodes():
                 if not isinstance(node, ast.ClassDef):
                     continue
-                bases: list[str] = []
-                for base in node.bases:
-                    name = dotted_name(base)
-                    if name is None:
-                        continue
-                    head, _, rest = name.partition(".")
-                    target = aliases.get(head)
-                    if target is not None:
-                        name = f"{target}.{rest}" if rest else target
-                    bases.append(name)
-                info = _ClassInfo(
-                    module=module,
-                    node=node,
-                    bases=bases,
-                    slots=_slots_entries(node),
-                    has_state_methods=_defines(node, "__getstate__")
-                    and _defines(node, "__setstate__"),
+                slots = _slots_entries(node)
+                if not slots or _pickle_safe(
+                    graph, module.name, node, frozenset()
+                ):
+                    continue
+                yield self.finding(
+                    path=module.display_path,
+                    line=node.lineno,
+                    column=node.col_offset,
+                    symbol=node.name,
+                    message=(
+                        f"class {node.name} defines __slots__ "
+                        f"{tuple(slots)!r} but no __getstate__/"
+                        "__setstate__ pair and no pickle mixin base "
+                        f"({' or '.join(sorted(PICKLE_MIXINS))}); "
+                        "instances will not survive a process boundary"
+                    ),
                 )
-                qualified = f"{module.name}.{node.name}"
-                classes[qualified] = info
-                order.append(qualified)
-
-        mixin_names = set(self.config.pickle_mixins)
-        safe_cache: dict[str, bool] = {}
-
-        def is_safe(qualified: str, trail: frozenset[str]) -> bool:
-            """Does this class (or an ancestor) provide pickle state?"""
-            if qualified in safe_cache:
-                return safe_cache[qualified]
-            if qualified in trail:  # inheritance cycle; give up safely
-                return False
-            info = classes[qualified]
-            safe = info.has_state_methods
-            if not safe:
-                for base in info.bases:
-                    if _last_segment(base) in mixin_names:
-                        safe = True
-                        break
-                    resolved = _resolve_base(base, info.module, classes)
-                    if resolved is not None and is_safe(
-                        resolved, trail | {qualified}
-                    ):
-                        safe = True
-                        break
-            safe_cache[qualified] = safe
-            return safe
-
-        for qualified in order:
-            info = classes[qualified]
-            if info.slots is None or not info.slots:
-                continue
-            if is_safe(qualified, frozenset()):
-                continue
-            yield self.finding(
-                path=info.module.display_path,
-                line=info.node.lineno,
-                column=info.node.col_offset,
-                symbol=info.node.name,
-                message=(
-                    f"class {info.node.name} defines __slots__ "
-                    f"{tuple(info.slots)!r} but no __getstate__/"
-                    "__setstate__ pair and no pickle mixin base "
-                    f"({' or '.join(sorted(mixin_names))}); instances "
-                    "will not survive a process boundary"
-                ),
-            )
 
 
-def _resolve_base(
-    base: str, module: ModuleContext, classes: dict[str, _ClassInfo]
-) -> str | None:
-    """Find the scanned class a base name refers to, if any."""
-    if base in classes:
-        return base
-    local = f"{module.name}.{base}"
-    if local in classes:
-        return local
-    # ``from x import C`` resolved ``base`` to ``x.C`` already; a bare
-    # name that is neither local nor absolute may still match a class
-    # with the same trailing segments in a scanned module.
-    matches = [
-        qualified
-        for qualified in classes
-        if qualified.endswith(f".{base}")
-    ]
-    if len(matches) == 1:
-        return matches[0]
-    return None
+def _pickle_safe(
+    graph: CallGraph,
+    module: str,
+    node: ast.ClassDef,
+    trail: frozenset[str],
+) -> bool:
+    """Does this class (or a scanned ancestor) provide pickle state?"""
+    if _defines(node, "__getstate__") and _defines(node, "__setstate__"):
+        return True
+    for base in node.bases:
+        name = graph.resolve(module, base)
+        if name is not None and name.rpartition(".")[2] in PICKLE_MIXINS:
+            return True
+        parent = graph.project_class(module, base)
+        if parent is not None and parent not in trail:
+            info = graph.classes[parent]
+            if _pickle_safe(graph, info.module, info.node, trail | {parent}):
+                return True
+    return False

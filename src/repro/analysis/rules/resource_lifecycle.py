@@ -1,6 +1,6 @@
 """RPL008 — shared-memory resources must be released on every path.
 
-For each configured resource factory (``SharedMemory``,
+For each resource factory in ``RESOURCE_FACTORIES`` (``SharedMemory``,
 ``SharedDatasetPool``), every acquisition must be *settled* on every
 control-flow path out of the acquiring function — exception paths
 included:
@@ -27,10 +27,17 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.context import ModuleContext, ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register_rule
+from repro.analysis.findings import Finding, Rule
+
+#: Resource-factory callees (last dotted segment) mapped to the method
+#: names that settle the obligation.
+RESOURCE_FACTORIES: dict[str, tuple[str, ...]] = {
+    "SharedMemory": ("close", "unlink"),
+    "SharedDatasetPool": ("close",),
+}
 
 
 @dataclass
@@ -43,7 +50,6 @@ class _Acquisition:
     column: int
 
 
-@register_rule
 class ResourceLifecycleRule(Rule):
     id = "RPL008"
     title = "acquired shared-memory resources reach a release on all paths"
@@ -66,31 +72,36 @@ class ResourceLifecycleRule(Rule):
         "    REGISTRY.append(shm)\n"
     )
 
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        factories = self.config.resource_factories
-        if not factories:
-            return
+    def check(
+        self, project: ProjectContext, graph: CallGraph
+    ) -> Iterator[Finding]:
         for module in project.sorted_modules():
-            for node in ast.walk(module.tree):
+            for node in module.nodes():
                 if isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
-                    yield from self._check_function(
-                        module, node, factories
-                    )
+                    yield from self._check_function(graph, module, node)
 
     # ------------------------------------------------------------------
     def _check_function(
         self,
+        graph: CallGraph,
         module: ModuleContext,
         func: ast.FunctionDef | ast.AsyncFunctionDef,
-        factories: dict[str, tuple[str, ...]],
     ) -> Iterator[Finding]:
         acquisitions: list[_Acquisition] = []
         discarded: list[tuple[str, ast.stmt]] = []
         for stmt in _own_statements(func):
-            factory = _factory_of(stmt, factories)
-            if factory is None:
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                value = stmt.value
+            elif isinstance(stmt, ast.Expr):
+                value = stmt.value
+            else:
+                continue
+            if not isinstance(value, ast.Call):
+                continue
+            factory = graph.called_name(module.name, value)
+            if factory is None or factory not in RESOURCE_FACTORIES:
                 continue
             if isinstance(stmt, ast.Assign):
                 target = stmt.targets[0]
@@ -99,7 +110,7 @@ class ResourceLifecycleRule(Rule):
                         _Acquisition(
                             variable=target.id,
                             factory=factory,
-                            releases=factories[factory],
+                            releases=RESOURCE_FACTORIES[factory],
                             stmt=stmt,
                             line=stmt.lineno,
                             column=stmt.col_offset,
@@ -113,7 +124,7 @@ class ResourceLifecycleRule(Rule):
                 path=module.display_path,
                 line=stmt.lineno,
                 column=stmt.col_offset,
-                symbol=_symbol(module, func),
+                symbol=module.enclosing_symbol(func),
                 message=(
                     f"{factory}(...) result is discarded — the "
                     "resource can never be released; bind it and "
@@ -125,7 +136,7 @@ class ResourceLifecycleRule(Rule):
             return
         cfg = build_cfg(func)
         for acq in acquisitions:
-            leak = self._first_leak(cfg, acq)
+            leak = self._first_leak(cfg, acq, module.parent_map())
             if leak is None:
                 continue
             via_exception, at_line = leak
@@ -139,7 +150,7 @@ class ResourceLifecycleRule(Rule):
                 path=module.display_path,
                 line=acq.line,
                 column=acq.column,
-                symbol=_symbol(module, func),
+                symbol=module.enclosing_symbol(func),
                 message=(
                     f"{acq.variable} = {acq.factory}(...) does not "
                     f"reach {_release_names(acq.releases)} on {route}; "
@@ -149,7 +160,10 @@ class ResourceLifecycleRule(Rule):
             )
 
     def _first_leak(
-        self, cfg: CFG, acq: _Acquisition
+        self,
+        cfg: CFG,
+        acq: _Acquisition,
+        parents: dict[ast.AST, ast.AST],
     ) -> tuple[bool, int] | None:
         """(via_exception, escaping line) of the first leaking path.
 
@@ -176,7 +190,7 @@ class ResourceLifecycleRule(Rule):
             if current.kind == "raise":
                 return (True, last_line)
             if current.stmt is not None and _settles(
-                current.stmt, acq
+                current.stmt, acq, parents
             ):
                 continue
             line = (
@@ -215,29 +229,9 @@ def _own_statements(
                         stack.extend(item.body)
 
 
-def _factory_of(
-    stmt: ast.stmt, factories: dict[str, tuple[str, ...]]
-) -> str | None:
-    """The factory a statement invokes at its top level, if any."""
-    value: ast.expr | None = None
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        value = stmt.value
-    elif isinstance(stmt, ast.Expr):
-        value = stmt.value
-    if not isinstance(value, ast.Call):
-        return None
-    func = value.func
-    name = (
-        func.id
-        if isinstance(func, ast.Name)
-        else func.attr
-        if isinstance(func, ast.Attribute)
-        else None
-    )
-    return name if name in factories else None
-
-
-def _settles(stmt: ast.stmt, acq: _Acquisition) -> bool:
+def _settles(
+    stmt: ast.stmt, acq: _Acquisition, parents: dict[ast.AST, ast.AST]
+) -> bool:
     """Does ``stmt`` settle the obligation for ``acq.variable``?"""
     variable = acq.variable
     # Rebinding ends tracking (the old value's fate was decided by
@@ -256,7 +250,6 @@ def _settles(stmt: ast.stmt, acq: _Acquisition) -> bool:
         )
     ):
         return True
-    parents = _stmt_parents(stmt)
     for node in ast.walk(stmt):
         # v.close() / v.unlink() / v.release()
         if (
@@ -281,14 +274,6 @@ def _settles(stmt: ast.stmt, acq: _Acquisition) -> bool:
         ):
             return True
     return False
-
-
-def _stmt_parents(stmt: ast.stmt) -> dict[ast.AST, ast.AST]:
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(stmt):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
 
 
 def _is_bare_use(
@@ -346,18 +331,6 @@ def _escapes(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> bool:
             return False
         current = parent
     return False
-
-
-def _symbol(
-    module: ModuleContext,
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> str:
-    for ancestor in module.ancestors(func):
-        if isinstance(ancestor, ast.ClassDef):
-            return f"{ancestor.name}.{func.name}"
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            break
-    return func.name
 
 
 def _release_names(releases: tuple[str, ...]) -> str:

@@ -22,10 +22,12 @@ from collections.abc import Iterator
 from functools import lru_cache
 from pathlib import Path
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.context import ProjectContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register_rule
-from repro.analysis.rules._ast_utils import dotted_name
+from repro.analysis.findings import Finding, Rule
+
+#: Decorator names that tag a function as a vectorized kernel.
+VECTORIZED_DECORATORS = ("vectorized_kernel",)
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +46,6 @@ def _mentions(source: str, name: str) -> bool:
     return re.search(rf"\b{re.escape(name)}\b", source) is not None
 
 
-@register_rule
 class VectorPairingRule(Rule):
     id = "RPL004"
     title = "vectorized kernels need *_reference twins and equivalence tests"
@@ -64,25 +65,21 @@ class VectorPairingRule(Rule):
         "    ...\n"
     )
 
-    def _is_tag(self, decorator: ast.expr) -> bool:
-        node = decorator
-        if isinstance(node, ast.Call):
-            node = node.func
-        name = dotted_name(node)
-        if name is None:
-            return False
-        return name.rsplit(".", 1)[-1] in self.config.vectorized_decorators
-
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
+    def check(
+        self, project: ProjectContext, graph: CallGraph
+    ) -> Iterator[Finding]:
         tests = _test_sources(project.tests_roots)
         for module in project.sorted_modules():
             bound = module.top_level_bindings()
-            for node in ast.walk(module.tree):
+            for node in module.nodes():
                 if not isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
                     continue
-                if not any(self._is_tag(d) for d in node.decorator_list):
+                if not any(
+                    _is_tag(graph, module.name, decorator)
+                    for decorator in node.decorator_list
+                ):
                     continue
                 twin = f"{node.name}_reference"
                 if twin not in bound:
@@ -115,3 +112,13 @@ class VectorPairingRule(Rule):
                             "name the kernel and its reference twin"
                         ),
                     )
+
+
+def _is_tag(graph: CallGraph, module: str, decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = graph.resolve(module, decorator)
+    return (
+        name is not None
+        and name.rpartition(".")[2] in VECTORIZED_DECORATORS
+    )

@@ -1,14 +1,11 @@
-"""Unit tests for the whole-program call graph and its SCC helper."""
+"""Unit tests for the whole-program call graph."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-from repro.analysis.callgraph import (
-    CallGraph,
-    strongly_connected_components,
-)
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.context import ModuleContext, ProjectContext
 
 
@@ -38,7 +35,7 @@ def make_project(sources: dict[str, str]) -> ProjectContext:
 
 
 def graph_of(sources: dict[str, str]) -> CallGraph:
-    return make_project(sources).callgraph()
+    return CallGraph(make_project(sources))
 
 
 # ----------------------------------------------------------------------
@@ -299,18 +296,3 @@ def test_closure_is_transitive_and_cycle_safe() -> None:
     # Memoised: same object back.
     assert graph.closure("m.a") is graph.closure("m.a")
 
-
-# ----------------------------------------------------------------------
-# Strongly-connected components (RPL007's cycle finder)
-# ----------------------------------------------------------------------
-def test_sccs_group_import_cycles() -> None:
-    graph = {
-        "a": {"b"},
-        "b": {"a"},
-        "c": {"a"},
-    }
-    components = strongly_connected_components(graph)
-    assert {frozenset(c) for c in components} == {
-        frozenset({"a", "b"}),
-        frozenset({"c"}),
-    }

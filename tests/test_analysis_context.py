@@ -105,6 +105,28 @@ def test_ancestors_walk_innermost_first() -> None:
     assert kinds == ["FunctionDef", "ClassDef", "Module"]
 
 
+def test_enclosing_symbol_names_function_method_or_module() -> None:
+    module = make_module(
+        "top = 1\n"
+        "def fn():\n"
+        "    def inner():\n"
+        "        return 2\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return 3\n"
+    )
+    top, fn, cls = module.tree.body
+    assert isinstance(fn, ast.FunctionDef) and isinstance(cls, ast.ClassDef)
+    inner, method = fn.body[0], cls.body[0]
+    assert isinstance(inner, ast.FunctionDef)
+    assert isinstance(method, ast.FunctionDef)
+    assert module.enclosing_symbol(top) == "<module>"
+    assert module.enclosing_symbol(fn) == "fn"
+    assert module.enclosing_symbol(inner.body[0]) == "inner"
+    assert module.enclosing_symbol(method) == "C.m"
+    assert module.enclosing_symbol(method.body[0]) == "C.m"
+
+
 def test_top_level_bindings_see_conditional_imports() -> None:
     module = make_module(
         "try:\n"

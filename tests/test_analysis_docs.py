@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis.docs import rules_reference_markdown
-from repro.analysis.registry import registered_rules
+from repro.analysis.rules import RULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_PATH = REPO_ROOT / "docs" / "analysis-rules.md"
@@ -26,22 +26,22 @@ def test_rules_doc_file_matches_the_generator_exactly() -> None:
     )
 
 
-def test_rules_doc_covers_every_registered_rule() -> None:
+def test_rules_doc_covers_every_rule() -> None:
     doc = rules_reference_markdown()
-    for rule_id, cls in registered_rules().items():
-        assert f"## {rule_id}" in doc
-        assert cls.title in doc
+    for rule in RULES:
+        assert f"## {rule.id}" in doc
+        assert rule.title in doc
         # Every rule must carry real documentation metadata — the
         # generator inherits empty strings otherwise.
-        assert cls.invariant, f"{rule_id} has no invariant text"
-        assert cls.rationale, f"{rule_id} has no rationale text"
-        assert cls.example, f"{rule_id} has no example snippet"
+        assert rule.invariant, f"{rule.id} has no invariant text"
+        assert rule.rationale, f"{rule.id} has no rationale text"
+        assert rule.example, f"{rule.id} has no example snippet"
 
 
 def test_rules_doc_documents_suppression_for_each_rule() -> None:
     doc = rules_reference_markdown()
-    for rule_id in registered_rules():
-        assert f"# repro: ignore[{rule_id}]" in doc
+    for rule in RULES:
+        assert f"# repro: ignore[{rule.id}]" in doc
 
 
 def test_readme_links_the_rule_reference() -> None:

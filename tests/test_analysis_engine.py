@@ -26,7 +26,7 @@ from repro.analysis.engine import (
     collect_files,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.registry import registered_rules
+from repro.analysis.rules import RULES
 
 TESTS_DIR = Path(__file__).resolve().parent
 FIXTURES = TESTS_DIR / "analysis_fixtures"
@@ -46,15 +46,15 @@ ALL_RULE_IDS = (
 
 
 # ----------------------------------------------------------------------
-# Rule registry
+# The rule set
 # ----------------------------------------------------------------------
-def test_registry_contains_exactly_the_documented_rules() -> None:
-    assert tuple(registered_rules()) == ALL_RULE_IDS
+def test_rules_are_exactly_the_documented_rules() -> None:
+    assert tuple(rule.id for rule in RULES) == ALL_RULE_IDS
 
 
 def test_every_rule_has_a_title() -> None:
-    for cls in registered_rules().values():
-        assert cls.title
+    for rule in RULES:
+        assert rule.title
 
 
 def test_select_is_case_insensitive() -> None:
@@ -186,12 +186,12 @@ def test_cli_select_is_repeatable(
 def test_cli_reports_the_fixture_tree(
     in_repo_root: None, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    # Every per-module rule's bad fixture, scanned together under the
-    # default configuration: the report the rules' verdicts must keep.
+    # Every rule's bad fixtures scanned together as one tree: the
+    # report the rules' verdicts must keep.
     code = main(["tests/analysis_fixtures"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert lines[-1].endswith(" file(s) scanned, 24 finding(s), 1 suppressed")
+    assert lines[-1].endswith(" file(s) scanned, 29 finding(s), 1 suppressed")
     assert Counter(line.split()[2] for line in lines[:-1]) == {
         "RPL001": 3,
         "RPL002": 3,
@@ -199,6 +199,7 @@ def test_cli_reports_the_fixture_tree(
         "RPL004": 1,
         "RPL005": 7,
         "RPL006": 2,
+        "RPL007": 5,
         "RPL008": 3,
     }
 

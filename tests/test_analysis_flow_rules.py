@@ -15,27 +15,21 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.engine import AnalysisRequest, AnalysisResult, analyze_paths
-from repro.analysis.registry import RuleConfig
 
 TESTS_DIR = Path(__file__).resolve().parent
 FIXTURES = TESTS_DIR / "analysis_fixtures"
 REPO_ROOT = TESTS_DIR.parent
 
-#: RPL007 scopes by module segment; point it at the fixture package.
-LOCK_CONFIG = RuleConfig(lock_order_segments=("rpl007_locks",))
-
 
 def run_fixture(
     *relative: str,
     select: tuple[str, ...] | None = None,
-    config: RuleConfig | None = None,
 ) -> AnalysisResult:
     request = AnalysisRequest(
         paths=[FIXTURES / rel for rel in relative],
         select=select,
         tests_roots=(),
         root=REPO_ROOT,
-        config=config if config is not None else RuleConfig(),
     )
     return analyze_paths(request)
 
@@ -49,7 +43,7 @@ def paths_of(result: AnalysisResult) -> set[str]:
 # ----------------------------------------------------------------------
 def test_rpl007_flags_cycles_lexical_and_through_calls() -> None:
     result = run_fixture(
-        "rpl007_locks", select=("RPL007",), config=LOCK_CONFIG
+        "rpl007_locks", select=("RPL007",)
     )
     cycle = [
         f
@@ -71,7 +65,7 @@ def test_rpl007_flags_cycles_lexical_and_through_calls() -> None:
 
 def test_rpl007_flags_executor_calls_under_the_lock() -> None:
     result = run_fixture(
-        "rpl007_locks", select=("RPL007",), config=LOCK_CONFIG
+        "rpl007_locks", select=("RPL007",)
     )
     blocking = [
         f
@@ -89,18 +83,11 @@ def test_rpl007_flags_executor_calls_under_the_lock() -> None:
 
 def test_rpl007_good_ordering_is_clean() -> None:
     result = run_fixture(
-        "rpl007_locks", select=("RPL007",), config=LOCK_CONFIG
+        "rpl007_locks", select=("RPL007",)
     )
     assert not any(
         f.path.endswith("good_order.py") for f in result.findings
     )
-
-
-def test_rpl007_out_of_scope_modules_are_ignored() -> None:
-    # Under the default (service/storage) scope the fixture package is
-    # invisible: project rules must respect the configured segments.
-    result = run_fixture("rpl007_locks", select=("RPL007",))
-    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
@@ -265,15 +252,15 @@ def test_rpl009_key_function_reading_the_request_keys_every_site(
 # Cross-cutting: the full rule set isolates per fixture
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "fixture, expected_rule, config",
+    "fixture, expected_rule",
     [
-        ("rpl007_locks", "RPL007", LOCK_CONFIG),
-        ("rpl008_lifecycle", "RPL008", None),
-        ("rpl009_cachekey/bad", "RPL009", None),
+        ("rpl007_locks", "RPL007"),
+        ("rpl008_lifecycle", "RPL008"),
+        ("rpl009_cachekey/bad", "RPL009"),
     ],
 )
 def test_full_rule_set_only_fires_the_expected_rule(
-    fixture: str, expected_rule: str, config: RuleConfig | None
+    fixture: str, expected_rule: str
 ) -> None:
-    result = run_fixture(fixture, config=config)
+    result = run_fixture(fixture)
     assert {f.rule for f in result.findings} == {expected_rule}
