@@ -48,7 +48,7 @@ ALL_RULE_IDS = (
 # ----------------------------------------------------------------------
 # The rule set
 # ----------------------------------------------------------------------
-def test_rules_are_exactly_the_documented_rules() -> None:
+def test_registry_contains_exactly_the_documented_rules() -> None:
     assert tuple(rule.id for rule in RULES) == ALL_RULE_IDS
 
 
