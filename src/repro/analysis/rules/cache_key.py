@@ -14,10 +14,13 @@ The rule works interprocedurally over the call graph:
   (``label`` only names the report row);
 * **key side** — the ``CACHE_KEY_FUNCTIONS`` and their direct
   callers (each caller is one key site: the function that assembles
-  the key's arguments).  A field counts as keyed when a key function
-  reads it itself, or when *every* one of its key sites reads it — one
-  site that drops the field is enough for two requests to share an
-  entry in that site's cache;
+  the key's arguments).  A key function keys a field when it reads it
+  itself, or when *every* one of its key sites reads it — one site
+  that drops the field is enough for two requests to share an entry in
+  that site's cache.  The field counts as keyed when every key function
+  the request class's own tree reaches keys it (one whose site types a
+  local as the class; in untyped code, every key function with a
+  site), so another tree's correct key cannot hide this one's hole;
 * **execution side** — request-field reads inside any function that
   calls an ``EXECUTION_SINKS`` entry (``SpatialWorkspace.join``,
   ``BatchExecutor.run``) or is transitively called by one that does,
@@ -107,25 +110,34 @@ class CacheKeyCompletenessRule(Rule):
         if not fields:
             return
 
-        key_functions = {
-            qual
+        sites = {
+            qual: {site.caller for site in graph.callers.get(qual, ())}
             for qual, fn in graph.functions.items()
             if fn.name in CACHE_KEY_FUNCTIONS
         }
-        key_side = set(key_functions)
-        covered: set[str] = set()
-        for key_fn in key_functions:
-            callers = {site.caller for site in graph.callers.get(key_fn, ())}
-            key_side |= callers
-            covered |= _field_reads(
-                graph.functions[key_fn], cls_qual, fields
+        key_side = set(sites).union(*sites.values())
+        # Coverage is decided per key function: each keys its own
+        # cache, so a field must reach every key function this class's
+        # own tree reaches (a site that types a local as the class).
+        # Untyped trees cannot tell, so every called key function counts.
+        mine = [
+            key_fn
+            for key_fn, callers in sites.items()
+            if any(
+                cls_qual in graph.functions[caller].local_types.values()
+                for caller in callers
             )
+        ]
+        relevant = mine or [key_fn for key_fn in sites if sites[key_fn]]
+        covered = set(fields) if relevant else set()
+        for key_fn in relevant:
             site_reads = [
                 _field_reads(graph.functions[caller], cls_qual, fields)
-                for caller in callers
+                for caller in sites[key_fn]
             ]
-            if site_reads:
-                covered |= site_reads[0].intersection(*site_reads[1:])
+            covered &= _field_reads(
+                graph.functions[key_fn], cls_qual, fields
+            ).union(site_reads[0].intersection(*site_reads[1:]))
 
         execution_entries = {
             qual

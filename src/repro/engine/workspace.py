@@ -9,14 +9,17 @@ two calls::
     report = ws.join(a, b)                  # planner picks the algorithm
     hits = ws.range_query(a, query_box)     # reuses a's index
 
-The workspace keeps a keyed **index cache**: joining the same dataset
-again (with an algorithm whose index is per-dataset, which is all of
-them except PBSM) reuses the built index instead of rebuilding it, so
-the second join writes zero additional index pages for that side —
-the paper's index-reuse argument (Section VII-C1) made observable.
-The cache is bounded (``max_cached_indexes``, LRU eviction with an
-``index_evictions`` counter) so long-lived workspaces do not pin every
-dataset they ever joined in memory.
+The workspace keeps an **index cache** keyed by content
+(:attr:`Dataset.fingerprint <repro.joins.base.Dataset.fingerprint>`):
+joining the same data again — the same object or any equal-content
+copy, whatever its name — with an algorithm whose index is per-dataset
+(all of them except PBSM) reuses the built index instead of rebuilding
+it, so the second join writes zero additional index pages for that
+side — the paper's index-reuse argument (Section VII-C1) made
+observable.  Entries hold indexes, never datasets, and the cache is
+bounded (``max_cached_indexes``, LRU eviction with an
+``index_evictions`` counter) so long-lived workspaces do not keep every
+index they ever built.
 
 Measurement protocol matches the paper (and ``harness.runner``): index
 builds are accounted per phase, then disk statistics are reset so the
@@ -76,17 +79,15 @@ class EmptyIndex(SlotPickleMixin):
 class _CachedIndex(SlotPickleMixin):
     """One cached per-dataset index and its build provenance."""
 
-    __slots__ = ("dataset", "handle", "build_stats", "pages_written", "pages")
+    __slots__ = ("handle", "build_stats", "pages_written", "pages")
 
     def __init__(
         self,
-        dataset: Dataset,
         handle: object,
         build_stats: JoinStats,
         pages_written: int,
         pages: range = range(0),
     ) -> None:
-        self.dataset = dataset
         self.handle = handle
         self.build_stats = build_stats
         self.pages_written = pages_written
@@ -110,7 +111,7 @@ def algorithm_signature(algo: SpatialJoinAlgorithm) -> str:
 
 
 def _require_dataset(dataset: object, method: str) -> None:
-    """Reject a dataset *name*: the workspace keys datasets by object."""
+    """Reject a dataset *name*: the workspace keys datasets by content."""
     if isinstance(dataset, str):
         raise TypeError(
             f"{method}() takes a Dataset, not the name {dataset!r}; "
@@ -136,9 +137,8 @@ class SpatialWorkspace:
         new index would exceed the bound, the least recently used entry
         is evicted and its pages are released (a handle the caller
         still holds is dead).  ``None`` disables the bound.
-        Without it, every joined dataset's index — and through the
-        cached :class:`_CachedIndex` the dataset itself — stays pinned
-        in memory for the workspace's lifetime.
+        Without it, every joined dataset's index stays in memory for
+        the workspace's lifetime.
     """
 
     #: Default LRU capacity of the index cache.
@@ -160,29 +160,25 @@ class SpatialWorkspace:
         )
         self.cost_model = cost_model or CostModel()
         self.max_cached_indexes = max_cached_indexes
-        #: Keyed by ``(id(dataset), algorithm_signature(algo))``.
-        self._cache: OrderedDict[tuple[int, str], _CachedIndex] = (
+        #: Keyed by ``(dataset.fingerprint, algorithm_signature(algo))``.
+        self._cache: OrderedDict[tuple[str, str], _CachedIndex] = (
             OrderedDict()
         )
         self._evictions = 0
-        #: Dataset sketches cached alongside indexes (same LRU bound):
-        #: planning the same dataset again reuses its statistics
-        #: instead of re-scanning the boxes.  Entries pin the dataset
-        #: object too — id()-keying is only safe while the keyed object
-        #: stays alive (same invariant :class:`_CachedIndex` documents).
-        self._sketches: OrderedDict[int, tuple[Dataset, object]] = (
+        #: Dataset sketches by fingerprint, cached alongside indexes
+        #: (same LRU bound): planning the same content again reuses its
+        #: statistics instead of re-scanning the boxes.
+        self._sketches: OrderedDict[str, DatasetSketch] = OrderedDict()
+        #: Enlarged-dataset memo for distance joins, keyed by
+        #: ``(dataset.fingerprint, dataset.name, distance)`` (same LRU
+        #: bound; the name is in the key because the copy's name
+        #: derives from it).  Repeated ``within=d`` joins therefore
+        #: reuse one enlarged ``Dataset`` — and through its content that
+        #: copy's cached index — instead of enlarging and re-indexing
+        #: each time.
+        self._enlarged: OrderedDict[tuple[str, str, float], Dataset] = (
             OrderedDict()
         )
-        #: Enlarged-dataset memo for distance joins, keyed by
-        #: ``(id(dataset), distance)`` (same LRU bound and id()-keying
-        #: invariant as the index cache: entries pin the source
-        #: dataset).  Repeated ``within=d`` joins therefore reuse one
-        #: enlarged ``Dataset`` object — and through it that object's
-        #: cached index — instead of enlarging and re-indexing each
-        #: time.
-        self._enlarged: OrderedDict[
-            tuple[int, float], tuple[Dataset, Dataset]
-        ] = OrderedDict()
 
     @property
     def page_size(self) -> int:
@@ -214,13 +210,12 @@ class SpatialWorkspace:
         """
         from repro.stats.sketch import build_sketch
 
-        key = id(dataset)
-        entry = self._sketches.get(key)
-        if entry is not None and entry[0] is dataset:
+        key = dataset.fingerprint
+        sketch = self._sketches.get(key)
+        if sketch is not None:
             self._sketches.move_to_end(key)
-            return entry[1]
-        sketch = build_sketch(dataset)
-        self._sketches[key] = (dataset, sketch)
+            return sketch
+        sketch = self._sketches[key] = build_sketch(dataset)
         if self.max_cached_indexes is not None:
             while len(self._sketches) > self.max_cached_indexes:
                 self._sketches.popitem(last=False)
@@ -239,13 +234,12 @@ class SpatialWorkspace:
         distance = float(within)
         if distance == 0.0:
             return dataset
-        key = (id(dataset), distance)
-        entry = self._enlarged.get(key)
-        if entry is not None and entry[0] is dataset:
+        key = (dataset.fingerprint, dataset.name, distance)
+        grown = self._enlarged.get(key)
+        if grown is not None:
             self._enlarged.move_to_end(key)
-            return entry[1]
-        grown = enlarged_dataset(dataset, distance)
-        self._enlarged[key] = (dataset, grown)
+            return grown
+        grown = self._enlarged[key] = enlarged_dataset(dataset, distance)
         if self.max_cached_indexes is not None:
             while len(self._enlarged) > self.max_cached_indexes:
                 self._enlarged.popitem(last=False)
@@ -263,26 +257,23 @@ class SpatialWorkspace:
         self._enlarged.clear()
 
     def forget(self, dataset: Dataset) -> int:
-        """Drop every cached index (and sketch) of one dataset.
+        """Drop every cached index (and sketch) of one dataset's content.
 
         Returns how many index entries were dropped.  Used by the
-        service layer when a catalog name is re-bound to new data: the
-        old dataset's indexes and statistics would otherwise pin stale
-        arrays until LRU pressure happens to evict them.  Explicit drops
-        are not counted as evictions.
+        service layer when no catalog name serves the content any
+        more: its indexes and statistics would otherwise hold pages
+        until LRU pressure happens to evict them.  Any equal-content
+        dataset names the same entries.  Explicit drops are not counted
+        as evictions.
         """
-        doomed = [key for key in self._cache if key[0] == id(dataset)]
+        fingerprints = {dataset.fingerprint}
+        self._sketches.pop(dataset.fingerprint, None)
+        for key in [k for k in self._enlarged if k[0] == dataset.fingerprint]:
+            # The enlarged copies' indexes die with the source.
+            fingerprints.add(self._enlarged.pop(key).fingerprint)
+        doomed = [key for key in self._cache if key[0] in fingerprints]
         for key in doomed:
             self.disk.release(self._cache.pop(key).pages)
-        self._sketches.pop(id(dataset), None)
-        for key in [k for k in self._enlarged if k[0] == id(dataset)]:
-            # The enlarged copies (and their cached indexes, keyed by
-            # the copies' own ids above) die with the source.
-            grown = self._enlarged.pop(key)[1]
-            doomed_grown = [k for k in self._cache if k[0] == id(grown)]
-            for k in doomed_grown:
-                self.disk.release(self._cache.pop(k).pages)
-            doomed.extend(doomed_grown)
         return len(doomed)
 
     def _cache_trim(self) -> None:
@@ -320,7 +311,7 @@ class SpatialWorkspace:
         (Section VIII): side ``a`` is enlarged by ``d`` and the join
         proceeds as a plain intersection join — through the same
         planner, index cache and reporting.  Enlarged datasets are
-        memoised per ``(dataset, d)``, so repeated distance joins reuse
+        memoised per ``(content, d)``, so repeated distance joins reuse
         the enlarged side's index; ``within=0.0`` is the identity and
         behaves exactly like the intersection join.  See
         :mod:`repro.joins.distance` for the predicate semantics.
@@ -493,9 +484,13 @@ class SpatialWorkspace:
     def _index(
         self, algo: SpatialJoinAlgorithm, dataset: Dataset, reuse: bool
     ) -> tuple[object, JoinStats, bool, int]:
-        """Build or reuse one index; returns (handle, stats, reused, writes)."""
-        key = (id(dataset), algorithm_signature(algo))
+        """Build or reuse one index; returns (handle, stats, reused, writes).
+
+        Only a reusable index is keyed, so PBSM and ``reuse=False``
+        never read the dataset's fingerprint.
+        """
         if reuse:
+            key = (dataset.fingerprint, algorithm_signature(algo))
             entry = self._cache.get(key)
             if entry is not None:
                 self._cache.move_to_end(key)  # refresh LRU recency
@@ -508,8 +503,7 @@ class SpatialWorkspace:
             # Untrimmed: the caller trims when done with the handles
             # (a bound of 1 must not release a join's first side).
             self._cache[key] = _CachedIndex(
-                dataset, handle, stats, written,
-                range(first_page, self.disk.num_pages),
+                handle, stats, written, range(first_page, self.disk.num_pages)
             )
         return handle, stats, False, written
 
@@ -559,14 +553,15 @@ class SpatialWorkspace:
     def _cache_find(
         self, dataset: Dataset, handle_type: type
     ) -> _CachedIndex | None:
-        """Cache entry for a dataset, refreshing its LRU recency.
+        """Cache entry for a dataset's content, refreshing its LRU recency.
 
         Without the refresh, repeated range queries would never touch
         an index's recency and the LRU bound would evict the hottest
         entry first.
         """
+        fingerprint = dataset.fingerprint
         for full_key, entry in self._cache.items():
-            if full_key[0] == id(dataset) and isinstance(
+            if full_key[0] == fingerprint and isinstance(
                 entry.handle, handle_type
             ):
                 self._cache.move_to_end(full_key)

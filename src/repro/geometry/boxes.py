@@ -78,6 +78,11 @@ class BoxArray(SlotPickleMixin):
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BoxArray instances are immutable")
 
+    def __setstate__(self, state: dict[str, object]) -> None:
+        super().__setstate__(state)
+        self.lo.setflags(write=False)
+        self.hi.setflags(write=False)
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

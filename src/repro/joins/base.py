@@ -20,11 +20,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.geometry.boxes import BoxArray
 from repro.storage.disk import DiskStats, SimulatedDisk
+from repro.storage.shm import content_fingerprint
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,8 @@ class Dataset:
 
     Ids are globally meaningful (the join result pairs them up), so two
     datasets being joined must not share ids unless they really are the
-    same elements.
+    same elements.  Ids are read-only, like the boxes' bounds, so a
+    dataset's content never changes after construction.
     """
 
     name: str
@@ -135,7 +138,27 @@ class Dataset:
         ordered = np.sort(ids)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("dataset ids must be unique")
+        ids.setflags(write=False)
         object.__setattr__(self, "ids", ids)
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # Unpickled arrays come back writeable: lock them again, since
+        # the state may carry the fingerprint of this content.
+        self.__dict__.update(state)
+        self.ids.setflags(write=False)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The content identity: hex SHA-256 of the canonical content
+        bytes (:func:`~repro.storage.shm.content_fingerprint`; the name
+        is not part of it).
+
+        Hashed at most once per object and kept on it, so it pickles
+        with the dataset; code that already holds the digest (an
+        attached segment, an enlarged copy) sets it instead of hashing.
+        Every cache that asks "which dataset is this?" keys by it.
+        """
+        return content_fingerprint(self.ids, self.boxes.lo, self.boxes.hi)
 
     def __len__(self) -> int:
         return len(self.boxes)

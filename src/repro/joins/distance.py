@@ -47,7 +47,8 @@ def enlarged_dataset(dataset: Dataset, distance: float) -> Dataset:
     name — let alone a new object — would only split caches), and a
     genuinely grown copy is named by its *content fingerprint*, so two
     different source datasets can never collide on the derived name
-    the way ``f"{name}+{distance}"`` allowed.
+    the way ``f"{name}+{distance}"`` allowed.  That one hash is also
+    the copy's :attr:`~repro.joins.base.Dataset.fingerprint`.
     """
     if distance < 0:
         raise ValueError("distance must be non-negative")
@@ -57,11 +58,13 @@ def enlarged_dataset(dataset: Dataset, distance: float) -> Dataset:
         dataset.boxes.lo - distance, dataset.boxes.hi + distance
     )
     fingerprint = content_fingerprint(dataset.ids, boxes.lo, boxes.hi)
-    return Dataset(
+    grown = Dataset(
         name=f"{dataset.name}+{distance:g}#{fingerprint[:12]}",
         ids=dataset.ids,
         boxes=boxes,
     )
+    object.__setattr__(grown, "fingerprint", fingerprint)
+    return grown
 
 
 def distance_join(

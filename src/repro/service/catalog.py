@@ -7,8 +7,7 @@ as many different objects.  The catalog gives each dataset a stable
 fingerprint (:func:`~repro.service.fingerprint.dataset_fingerprint`):
 
 * registering a name twice with equal content is a no-op (same entry,
-  same version — the existing object is kept so downstream identity-
-  keyed caches, like the workspace index cache, stay hot);
+  same version, the originally registered object kept);
 * registering a name with *changed* content bumps the entry's version,
   which is the signal the service uses to invalidate exactly the
   results computed from the old content;
@@ -78,14 +77,13 @@ class DatasetCatalog:
     ) -> CatalogEntry:
         """Bind ``name`` to ``dataset``; returns the current entry.
 
-        Equal content (same fingerprint) keeps the existing entry —
-        including the originally registered object, so identity-keyed
-        index caches remain valid.  Changed content replaces the entry
-        with a bumped version.  New content gets its statistics sketch
-        built here, once — unless the caller supplies ``sketch`` (the
-        router builds it outside its lock, or advances the old one by
-        :meth:`DatasetSketch.apply_delta`); sketches of content no
-        longer served by any name are dropped.
+        Equal content (same fingerprint) keeps the existing entry,
+        including the originally registered object.  Changed content
+        replaces the entry with a bumped version.  New content gets its
+        statistics sketch built here, once — unless the caller supplies
+        ``sketch`` (the router builds it outside its lock, or advances
+        the old one by :meth:`DatasetSketch.apply_delta`); sketches of
+        content no longer served by any name are dropped.
         """
         check_binding(name, dataset)
         fingerprint = dataset_fingerprint(dataset)

@@ -1,11 +1,13 @@
 """Stable content fingerprints for datasets and request cache keys.
 
 The catalog and the result cache identify datasets by *content*, not by
-object identity or registration name: a fingerprint is a SHA-256 over
-the canonical bytes of the element ids and box bounds (little-endian
+object identity or registration name: a dataset's
+:attr:`~repro.joins.base.Dataset.fingerprint` is a SHA-256 over the
+canonical bytes of the element ids and box bounds (little-endian
 int64 / IEEE-754 float64, C-contiguous row-major), prefixed with the
 cardinality and dimensionality so structurally different datasets can
-never collide byte-wise.  That makes fingerprints
+never collide byte-wise.  It is hashed once per object and kept on it.
+That makes fingerprints
 
 * stable across processes (no interpreter hash salting is involved),
 * stable across pickle round-trips and reconstruction paths (the bytes
@@ -21,33 +23,18 @@ algorithm/space/parameter configuration canonicalises identically.
 
 from __future__ import annotations
 
-import weakref
-
 from repro.engine.workspace import algorithm_signature
 from repro.geometry.box import Box
 from repro.joins.base import Dataset, SpatialJoinAlgorithm
-from repro.storage.shm import FINGERPRINT_MAGIC, content_fingerprint
-
-#: Domain separator — re-exported from the storage layer, which owns
-#: the canonical byte layout (the shared-memory pool keys segments by
-#: the same digest the cache keys use).
-_MAGIC = FINGERPRINT_MAGIC
 
 #: Shape of a result-cache key: both fingerprints, then the
 #: canonicalised algorithm/space/parameter signatures.
 CacheKey = tuple[object, ...]
 
-#: Identity-keyed digest memo.  Dataset is frozen and BoxArray's
-#: arrays are write-protected, so a given object's content bytes can
-#: never change — hashing them once per object is enough.  Entries are
-#: purged by the weakref callback when the dataset is collected (the
-#: callback runs during deallocation, before the id can be reused; the
-#: identity check on lookup guards the remaining window).
-_MEMO: dict[int, tuple["weakref.ref[Dataset]", str]] = {}
-
 
 def dataset_fingerprint(dataset: Dataset) -> str:
-    """Hex SHA-256 digest of the dataset's canonical content bytes.
+    """The dataset's :attr:`~repro.joins.base.Dataset.fingerprint`:
+    hex SHA-256 of its canonical content bytes, hashed once per object.
 
     The dataset *name* is deliberately excluded: two datasets with
     equal elements are the same data wherever they came from, which is
@@ -67,18 +54,7 @@ def dataset_fingerprint(dataset: Dataset) -> str:
         raise TypeError(
             f"dataset_fingerprint takes a Dataset, got {type(dataset).__name__}"
         )
-    memo_key = id(dataset)
-    cached = _MEMO.get(memo_key)
-    if cached is not None and cached[0]() is dataset:
-        return cached[1]
-    result = content_fingerprint(
-        dataset.ids, dataset.boxes.lo, dataset.boxes.hi
-    )
-    _MEMO[memo_key] = (
-        weakref.ref(dataset, lambda _, k=memo_key: _MEMO.pop(k, None)),
-        result,
-    )
-    return result
+    return dataset.fingerprint
 
 
 def _space_signature(space: object) -> object:

@@ -47,21 +47,20 @@ PATCH_MAX_FRACTION = 0.25
 def advance_delta(
     delta: DatasetDelta,
     old_dataset: Dataset,
-    old_fingerprint: str,
     *,
     affected: Callable[[], Iterable[tuple[CacheKey, RunReport]]],
     resolve: Callable[[str], Dataset | None],
-) -> tuple[Dataset, str, float, bool, list[tuple[CacheKey, RunReport]], int]:
+) -> tuple[Dataset, float, bool, list[tuple[CacheKey, RunReport]], int]:
     """Advance content along ``delta`` and patch the entries it touches.
 
     ``affected`` yields every cached ``(key, report)`` referencing
-    ``old_fingerprint``; it is only called when the delta changes the
-    content.  ``resolve`` maps a content fingerprint to the dataset
-    currently served under it (``None`` when no name serves it).
+    ``old_dataset``'s fingerprint; it is only called when the delta
+    changes the content.  ``resolve`` maps a content fingerprint to the
+    dataset currently served under it (``None`` when no name serves it).
 
-    Returns ``(new_dataset, new_fingerprint, fraction, noop, rewritten,
-    fallbacks)``: the post-delta content (bit-identical to building it
-    from scratch, so the fingerprint equals a cold registration's), the
+    Returns ``(new_dataset, fraction, noop, rewritten, fallbacks)``: the
+    post-delta content (bit-identical to building it from scratch, so
+    its fingerprint, taken here, equals a cold registration's), the
     delta size relative to the pre-delta cardinality, whether the
     content is unchanged, the post-delta ``(key, report)`` of every
     patched entry, and how many entries must be invalidated instead.
@@ -69,9 +68,10 @@ def advance_delta(
     """
     new_dataset = delta.apply(old_dataset)
     new_fingerprint = dataset_fingerprint(new_dataset)
+    old_fingerprint = old_dataset.fingerprint
     fraction = delta.fraction(len(old_dataset))
     if new_fingerprint == old_fingerprint:
-        return new_dataset, new_fingerprint, fraction, True, [], 0
+        return new_dataset, fraction, True, [], 0
     patchable = fraction <= PATCH_MAX_FRACTION
     rewritten: list[tuple[CacheKey, RunReport]] = []
     fallbacks = 0
@@ -92,7 +92,7 @@ def advance_delta(
             fallbacks += 1
         else:
             rewritten.append(patched)
-    return new_dataset, new_fingerprint, fraction, False, rewritten, fallbacks
+    return new_dataset, fraction, False, rewritten, fallbacks
 
 
 def patch_cached_entry(

@@ -560,9 +560,8 @@ class _Submission:
     key: CacheKey
     #: The shard that owns ``key``.
     shard: int
-    #: (content fingerprint, dataset) of ``request.a`` and
-    #: ``request.b``.
-    sides: tuple[tuple[str, Dataset], tuple[str, Dataset]]
+    #: The datasets of ``request.a`` and ``request.b``.
+    sides: tuple[Dataset, Dataset]
     #: Fingerprints resolved from names: a retire while the miss is in
     #: flight can unbind them, and filling the cache then would keep an
     #: answer for retired content.  Concrete sides are caller-managed
@@ -793,7 +792,7 @@ class ShardedQueryService:
         if old is not None and old.fingerprint == fingerprint:
             return old
         if payload is None:
-            payload = self._payload(dataset, fingerprint)
+            payload = self._payload(dataset)
             if sketch is None:
                 sketch = build_sketch(dataset)
         with self._lock:
@@ -803,14 +802,14 @@ class ShardedQueryService:
             self._retire(old)
         return entry
 
-    def _payload(self, dataset: Dataset, fingerprint: str) -> DatasetPayload:
+    def _payload(self, dataset: Dataset) -> DatasetPayload:
         """How content travels to the shards: a shared-memory ref when
         the router can publish it, the pickled dataset otherwise.
         Caller holds ``_mutate`` (the pool is not thread-safe)."""
         ref = self._pages.publish(dataset)
         if ref is None:
-            return DatasetPayload(fingerprint=fingerprint, dataset=dataset)
-        return DatasetPayload(fingerprint=fingerprint, ref=ref)
+            return DatasetPayload(dataset=dataset)
+        return DatasetPayload(ref=ref)
 
     def unregister(self, name: str) -> CatalogEntry:
         """Remove ``name``; returns the dropped entry.
@@ -855,17 +854,9 @@ class ShardedQueryService:
                 sketch = self._catalog.sketch_for(name)
                 served = self._catalog.served()
             ledger = self._ledgers[self._ring.owner(old.fingerprint)]
-            (
-                new_dataset,
-                new_fingerprint,
-                fraction,
-                noop,
-                rewritten,
-                fallbacks,
-            ) = advance_delta(
+            new_dataset, fraction, noop, rewritten, fallbacks = advance_delta(
                 delta,
                 old.dataset,
-                old.fingerprint,
                 affected=lambda: self._cached_entries(old.fingerprint),
                 resolve=served.get,
             )
@@ -883,7 +874,7 @@ class ShardedQueryService:
             entry = self._bind(
                 name,
                 new_dataset,
-                new_fingerprint,
+                new_dataset.fingerprint,
                 sketch.apply_delta(delta, old.dataset, new_dataset),
             )
             with self._lock:
@@ -1061,41 +1052,38 @@ class ShardedQueryService:
     ) -> _Submission:
         """One request's payloads, cache key and owner shard; raises
         before any state moves."""
-        fingerprint_a, a = self._resolve_side(request.a)
-        fingerprint_b, b = self._resolve_side(request.b)
+        a = self._resolve_side(request.a)
+        b = self._resolve_side(request.b)
         key = request_cache_key(
-            fingerprint_a,
-            fingerprint_b,
+            a.fingerprint,
+            b.fingerprint,
             request.algorithm,
             request.space,
             request.parameters,
             request.within,
         )
         named = tuple(
-            fingerprint
-            for side, fingerprint in (
-                (request.a, fingerprint_a), (request.b, fingerprint_b)
-            )
+            dataset.fingerprint
+            for side, dataset in ((request.a, a), (request.b, b))
             if isinstance(side, str)
         )
         return _Submission(
             request=dataclasses.replace(request, a=a, b=b),
             key=key,
-            shard=self._ring.owner_of_pair(fingerprint_a, fingerprint_b),
-            sides=((fingerprint_a, a), (fingerprint_b, b)),
+            shard=self._ring.owner_of_pair(a.fingerprint, b.fingerprint),
+            sides=(a, b),
             named=named,
             client=client,
             start=start,
         )
 
-    def _resolve_side(self, side: object) -> tuple[str, Dataset]:
-        """(content fingerprint, dataset) for one request side."""
+    def _resolve_side(self, side: object) -> Dataset:
+        """The dataset one request side names or is."""
         if isinstance(side, str):
             with self._lock:
-                entry = self._catalog.resolve(side)
-                return entry.fingerprint, entry.dataset
+                return self._catalog.resolve(side).dataset
         if isinstance(side, Dataset):
-            return dataset_fingerprint(side), side
+            return side
         raise TypeError(
             "service requests take catalog names (str) or concrete "
             f"Datasets, got {type(side).__name__}"
@@ -1165,9 +1153,9 @@ class ShardedQueryService:
         request = leader.request
         with self._lock:
             a, b = (
-                self._payloads.get(fingerprint)
-                or DatasetPayload(fingerprint=fingerprint, dataset=dataset)
-                for fingerprint, dataset in leader.sides
+                self._payloads.get(dataset.fingerprint)
+                or DatasetPayload(dataset=dataset)
+                for dataset in leader.sides
             )
             leader.pins = tuple(
                 side.ref for side in (a, b) if side.ref is not None
@@ -1281,7 +1269,7 @@ class ShardedQueryService:
         # owner whose ledger counts it.
         fingerprint = (
             None if isinstance(dataset, str)
-            else self._resolve_side(dataset)[0]
+            else self._resolve_side(dataset).fingerprint
         )
         if not self._acquire_client(client):
             with self._lock:
@@ -1435,6 +1423,6 @@ class SpatialQueryService(ShardedQueryService):
             inline=True,
         )
 
-    def _payload(self, dataset: Dataset, fingerprint: str) -> DatasetPayload:
+    def _payload(self, dataset: Dataset) -> DatasetPayload:
         """The dataset itself: the shard shares this process."""
-        return DatasetPayload(fingerprint=fingerprint, dataset=dataset)
+        return DatasetPayload(dataset=dataset)

@@ -19,8 +19,9 @@ threading machinery along.
 Datasets travel as :class:`DatasetPayload`: a shared-memory reference
 (:class:`~repro.storage.shm.SharedDatasetRef`, a few hundred bytes;
 the shard attaches zero-copy) when a name serves the content and the
-router could publish it, or else the pickled dataset itself — with
-the content fingerprint either way.
+router could publish it, or else the pickled dataset itself.  The
+content fingerprint travels either way: in the ref, or in the pickled
+dataset, which carries the digest the router already took.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ __all__ = [
 class DatasetPayload:
     """One dataset side on the wire: shm ref, or pickled fallback.
 
-    Exactly one of ``ref`` / ``dataset`` is set.  ``fingerprint`` is
-    the content fingerprint in either case.  A shard caches neither:
-    a ref attaches through :func:`~repro.storage.shm.attach_dataset`,
-    whose mapping lives only as long as the command's views of it, and
-    a dataset is used as it arrived.
+    Exactly one of ``ref`` / ``dataset`` is set.  A shard caches
+    neither: a ref attaches through
+    :func:`~repro.storage.shm.attach_dataset`, whose mapping lives only
+    as long as the command's views of it, and a dataset is used as it
+    arrived.
     """
 
-    fingerprint: str
     ref: SharedDatasetRef | None = None
     dataset: Dataset | None = None
 

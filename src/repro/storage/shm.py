@@ -8,9 +8,9 @@ those pages once into POSIX shared memory so shard workers *attach*
 instead of deserialising:
 
 * :func:`content_fingerprint` — the canonical content digest (single
-  definition of the byte layout; the service layer's
-  :func:`~repro.service.fingerprint.dataset_fingerprint` delegates
-  here), which keys the segments;
+  definition of the byte layout), which
+  :attr:`Dataset.fingerprint <repro.joins.base.Dataset.fingerprint>`
+  computes and which keys the segments;
 * :class:`SharedDatasetRef` — the tiny picklable handle a
   :class:`~repro.service.wire.DatasetPayload` ships in place of the
   arrays (fingerprint + segment name + shape);
@@ -186,12 +186,14 @@ class SharedDatasetPool:
     def publish(self, dataset: Any) -> SharedDatasetRef | None:
         """Copy a dataset's pages into shared memory; ``None`` = fall back.
 
-        Accepts any object with ``ids`` (int64 ``(n,)``) and ``boxes``
-        (``lo``/``hi`` float64 ``(n, d)``) — i.e. a
-        :class:`~repro.joins.base.Dataset` — without importing the
-        joins layer from storage.  Returns ``None`` (caller pickles)
-        when the platform has no shared memory, the dataset is empty
-        (a zero-byte segment cannot exist), or segment creation fails.
+        Accepts any object with ``ids`` (int64 ``(n,)``), ``boxes``
+        (``lo``/``hi`` float64 ``(n, d)``) and a content
+        ``fingerprint`` — i.e. a :class:`~repro.joins.base.Dataset`,
+        whose digest the router has already taken — without importing
+        the joins layer from storage.  Returns ``None`` (caller
+        pickles) when the platform has no shared memory, the dataset is
+        empty (a zero-byte segment cannot exist), or segment creation
+        fails.
         """
         if not self._enabled:
             return None
@@ -201,7 +203,7 @@ class SharedDatasetPool:
         n, ndim = lo.shape
         if n == 0:
             return None
-        fingerprint = content_fingerprint(ids, lo, hi)
+        fingerprint = dataset.fingerprint
         entry = self._segments.get(fingerprint)
         if entry is not None:
             shm, ref, count = entry
@@ -312,7 +314,9 @@ def attach_dataset(ref: SharedDatasetRef) -> Dataset:
     (nothing registers with the resource tracker); the returned views
     own that mapping, which is unmapped once the last of them dies.
     Repeat attaches of one segment return the same dataset object
-    while it is alive, and map the segment afresh after.
+    while it is alive, and map the segment afresh after.  The dataset's
+    :attr:`~repro.joins.base.Dataset.fingerprint` is the ref's: nothing
+    is hashed.
     """
     from repro.geometry.boxes import BoxArray
     from repro.joins.base import Dataset
@@ -335,5 +339,6 @@ def attach_dataset(ref: SharedDatasetRef) -> Dataset:
             os.close(fd)
         ids, lo, hi = _segment_views(mapping, ref.n, ref.ndim)
         dataset = Dataset(name=ref.name, ids=ids, boxes=BoxArray(lo, hi))
+        object.__setattr__(dataset, "fingerprint", ref.fingerprint)
         _ATTACHED[ref.segment] = dataset
         return dataset

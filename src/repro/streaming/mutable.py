@@ -12,8 +12,9 @@ never mutates arrays in place — each
   by hashing ``(base content fingerprint, delta digests...)`` without
   touching the element arrays at all — two replicas that applied the
   same deltas to the same base agree on the lineage fingerprint, and
-  equal lineages imply equal :func:`content_fingerprint` of the
-  materialised content.
+  equal lineages imply equal
+  :attr:`~repro.joins.base.Dataset.fingerprint` of the materialised
+  content.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import hashlib
 
 from repro.geometry.slots import SlotPickleMixin
 from repro.joins.base import Dataset
-from repro.storage.shm import content_fingerprint
 from repro.streaming.delta import DatasetDelta
 
 #: Domain separator for lineage fingerprints (base digest folded with
@@ -93,11 +93,7 @@ class MutableDataset(SlotPickleMixin):
 
     def content_fingerprint(self) -> str:
         """Content fingerprint of the current element arrays."""
-        return content_fingerprint(
-            self._current.ids,
-            self._current.boxes.lo,
-            self._current.boxes.hi,
-        )
+        return self._current.fingerprint
 
     def lineage_fingerprint(self) -> str:
         """Hex SHA-256 over (base content fingerprint, delta digests).
@@ -109,10 +105,7 @@ class MutableDataset(SlotPickleMixin):
         """
         h = hashlib.sha256()
         h.update(LINEAGE_MAGIC)
-        base_fp = content_fingerprint(
-            self._base.ids, self._base.boxes.lo, self._base.boxes.hi
-        )
-        h.update(base_fp.encode("ascii"))
+        h.update(self._base.fingerprint.encode("ascii"))
         for delta in self._deltas:
             h.update(delta.digest().encode("ascii"))
         return h.hexdigest()

@@ -191,7 +191,7 @@ def test_cli_reports_the_fixture_tree(
     code = main(["tests/analysis_fixtures"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert lines[-1].endswith(" file(s) scanned, 29 finding(s), 1 suppressed")
+    assert lines[-1].endswith(" file(s) scanned, 31 finding(s), 1 suppressed")
     assert Counter(line.split()[2] for line in lines[:-1]) == {
         "RPL001": 3,
         "RPL002": 3,
@@ -201,6 +201,7 @@ def test_cli_reports_the_fixture_tree(
         "RPL006": 2,
         "RPL007": 5,
         "RPL008": 3,
+        "RPL009": 2,
     }
 
 

@@ -157,6 +157,23 @@ def test_rpl009_flags_a_field_one_key_site_drops() -> None:
     ]
 
 
+def test_rpl009_good_tree_hides_no_other_trees_hole() -> None:
+    # Scanned as one tree, good/'s complete key must not cover the
+    # `within` that bad/ and bad_two_sites/ drop from theirs.
+    result = run_fixture("rpl009_cachekey", select=("RPL009",))
+    assert sorted((f.symbol, f.path) for f in result.findings) == [
+        (
+            "JoinRequest.within",
+            "tests/analysis_fixtures/rpl009_cachekey/bad/requests.py",
+        ),
+        (
+            "JoinRequest.within",
+            "tests/analysis_fixtures/rpl009_cachekey/bad_two_sites/"
+            "requests.py",
+        ),
+    ]
+
+
 _SITE_TREE = {
     "pkg/__init__.py": "",
     "pkg/requests.py": (

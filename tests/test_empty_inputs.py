@@ -113,7 +113,7 @@ class TestIndexCacheLRU:
         assert ws.cached_index_count == 2
         assert ws.index_evictions == 1
         cached_ids = {key[0] for key in ws._cache}
-        assert cached_ids == {id(d0), id(d2)}
+        assert cached_ids == {d0.fingerprint, d2.fingerprint}
 
     def test_evicted_index_is_rebuilt_on_next_use(self):
         ws = SpatialWorkspace(max_cached_indexes=1)
@@ -145,7 +145,7 @@ class TestIndexCacheLRU:
         ws.range_query(d0, d0.boxes.mbb())  # touch d0 via the query path
         ws.build_index(d2)  # must evict d1, not the just-queried d0
         cached_ids = {key[0] for key in ws._cache}
-        assert cached_ids == {id(d0), id(d2)}
+        assert cached_ids == {d0.fingerprint, d2.fingerprint}
 
     def test_empty_range_query_still_validates_dimensionality(self):
         with pytest.raises(ValueError, match="dimensionality"):

@@ -125,33 +125,38 @@ class TestFingerprintStability:
 
 
 class TestFingerprintMemo:
-    def test_repeat_hashing_is_memoized_per_object(self):
-        """Immutable content is hashed once per object, then served
-        from the identity memo (what keeps concrete-Dataset submits
+    def test_repeat_hashing_is_memoized_per_object(self, monkeypatch):
+        """Immutable content is hashed once per object, then read off
+        ``Dataset.fingerprint`` (what keeps concrete-Dataset submits
         cheap on repeat traffic)."""
-        import repro.service.fingerprint as fp_module
+        import repro.joins.base as base_module
 
+        calls = []
+        real = base_module.content_fingerprint
+        monkeypatch.setattr(
+            base_module,
+            "content_fingerprint",
+            lambda *arrays: calls.append(1) or real(*arrays),
+        )
         dataset = uniform_dataset(64, seed=8, name="m", space=scaled_space(128))
         first = dataset_fingerprint(dataset)
-        assert fp_module._MEMO[id(dataset)][1] == first
-        # Hit path: same object, same digest, no rehash (the memo entry
-        # object stays identical).
-        entry = fp_module._MEMO[id(dataset)]
+        assert dataset.fingerprint == first
         assert dataset_fingerprint(dataset) == first
-        assert fp_module._MEMO[id(dataset)] is entry
+        assert len(calls) == 1
+        assert vars(dataset)["fingerprint"] == first
 
     def test_memo_entry_dies_with_the_dataset(self):
+        """The digest lives on the dataset: no module-level state keeps
+        a fingerprinted dataset alive."""
         import gc
-
-        import repro.service.fingerprint as fp_module
+        import weakref
 
         dataset = uniform_dataset(16, seed=9, name="m", space=scaled_space(32))
-        key = id(dataset)
         dataset_fingerprint(dataset)
-        assert key in fp_module._MEMO
+        alive = weakref.ref(dataset)
         del dataset
         gc.collect()
-        assert key not in fp_module._MEMO
+        assert alive() is None
 
 
 class TestFingerprintSensitivity:

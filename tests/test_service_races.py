@@ -187,7 +187,7 @@ class TestRangeIndexRace:
         # ...but the old dataset's freshly built index must not outlive
         # the forget() that raced it.
         assert all(
-            key[0] != id(old) for key in tier.query_workspace._cache
+            key[0] != old.fingerprint for key in tier.query_workspace._cache
         )
         assert tier.stats().stale_index_drops == 1
 
@@ -200,7 +200,7 @@ class TestRangeIndexRace:
         )
         tier.range_query("a", space)
         assert any(
-            key[0] == id(old) for key in tier.query_workspace._cache
+            key[0] == old.fingerprint for key in tier.query_workspace._cache
         )
         assert tier.stats().stale_index_drops == 0
 
@@ -212,7 +212,7 @@ class TestRangeIndexRace:
         )
         tier.range_query(concrete, space)
         assert any(
-            key[0] == id(concrete) for key in tier.query_workspace._cache
+            key[0] == concrete.fingerprint for key in tier.query_workspace._cache
         )
         assert tier.stats().stale_index_drops == 0
 

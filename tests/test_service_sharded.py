@@ -152,14 +152,11 @@ def test_default_shard_count_is_four():
 
 class TestWirePayload:
     def test_exactly_one_transport_required(self, corpus):
-        fp = dataset_fingerprint(corpus["a"])
         with pytest.raises(ValueError):
-            DatasetPayload(fingerprint=fp)
+            DatasetPayload()
         with pytest.raises(ValueError):
-            DatasetPayload(
-                fingerprint=fp, ref=object(), dataset=corpus["a"]
-            )
-        assert DatasetPayload(fingerprint=fp, dataset=corpus["a"])
+            DatasetPayload(ref=object(), dataset=corpus["a"])
+        assert DatasetPayload(dataset=corpus["a"])
 
 
 # ----------------------------------------------------------------------
