@@ -151,10 +151,11 @@ class TestNothingIsRehashed:
 
     def test_enlarged_dataset_hashes_once(self, pair, hashes):
         grown = enlarged_dataset(pair[0], 0.5)
+        grown.fingerprint
+        assert len(hashes) == 1
         assert grown.fingerprint == shm.content_fingerprint(
             grown.ids, grown.boxes.lo, grown.boxes.hi
         )
-        assert len(hashes) == 2  # the copy's one hash, plus the check
 
     @pytest.mark.parametrize(
         "make",
