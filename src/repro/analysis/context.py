@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,6 +61,29 @@ def parse_suppressions(source: str) -> dict[int, frozenset[str] | None]:
             )
             out[lineno] = names or None
     return out
+
+
+def own_statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements of one scope: ``body`` and its nested blocks.
+
+    Descends into ``if``/``try``/``with``/loop blocks and ``except``
+    handlers; a nested def or class is yielded but not entered.
+    """
+    stack: list[ast.stmt] = list(body)
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        for _, value in ast.iter_fields(stmt):
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.stmt):
+                        stack.append(item)
+                    elif isinstance(item, ast.excepthandler):
+                        stack.extend(item.body)
 
 
 @dataclass
@@ -154,68 +178,44 @@ class ModuleContext:
         class bodies.
         """
         bound: set[str] = set()
-
-        def visit(stmts: list[ast.stmt]) -> None:
-            for stmt in stmts:
-                if isinstance(
-                    stmt,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                ):
-                    bound.add(stmt.name)
-                elif isinstance(stmt, ast.Import):
-                    for alias in stmt.names:
-                        bound.add(
-                            alias.asname
-                            if alias.asname
-                            else alias.name.split(".")[0]
-                        )
-                elif isinstance(stmt, ast.ImportFrom):
-                    for alias in stmt.names:
-                        if alias.name == "*":
-                            continue
-                        bound.add(
-                            alias.asname if alias.asname else alias.name
-                        )
-                elif isinstance(stmt, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        stmt.targets
-                        if isinstance(stmt, ast.Assign)
-                        else [stmt.target]
-                    )
-                    for target in targets:
-                        for node in ast.walk(target):
-                            if isinstance(node, ast.Name):
-                                bound.add(node.id)
-                elif isinstance(stmt, ast.AnnAssign):
-                    if isinstance(stmt.target, ast.Name):
-                        bound.add(stmt.target.id)
-                elif isinstance(
-                    stmt, (ast.If, ast.Try, ast.For, ast.While, ast.With)
-                ):
-                    # Loop variables and `with ... as name` bind at
-                    # module scope too.
-                    if isinstance(stmt, ast.For):
-                        for node in ast.walk(stmt.target):
-                            if isinstance(node, ast.Name):
-                                bound.add(node.id)
-                    elif isinstance(stmt, ast.With):
-                        for item in stmt.items:
-                            if item.optional_vars is not None:
-                                for node in ast.walk(item.optional_vars):
-                                    if isinstance(node, ast.Name):
-                                        bound.add(node.id)
-                    for _, value in ast.iter_fields(stmt):
-                        if isinstance(value, list) and all(
-                            isinstance(item, ast.stmt) for item in value
-                        ):
-                            visit(value)
-                        elif isinstance(value, list):
-                            for item in value:
-                                if isinstance(item, ast.excepthandler):
-                                    visit(item.body)
-                                elif isinstance(item, ast.stmt):
-                                    visit([item])
-        visit(self.tree.body)
+        for stmt in own_statements(self.tree.body):
+            targets: list[ast.expr] = []
+            if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                bound.add(stmt.name)
+            elif isinstance(stmt, ast.Import):
+                bound.update(
+                    alias.asname or alias.name.split(".")[0]
+                    for alias in stmt.names
+                )
+            elif isinstance(stmt, ast.ImportFrom):
+                bound.update(
+                    alias.asname or alias.name
+                    for alias in stmt.names
+                    if alias.name != "*"
+                )
+            elif isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AugAssign, ast.For)):
+                # Loop variables bind at module scope too.
+                targets = [stmt.target]
+            elif isinstance(stmt, ast.AnnAssign):
+                if isinstance(stmt.target, ast.Name):
+                    bound.add(stmt.target.id)
+            elif isinstance(stmt, ast.With):
+                # So does ``with ... as name``.
+                targets = [
+                    item.optional_vars
+                    for item in stmt.items
+                    if item.optional_vars is not None
+                ]
+            bound.update(
+                node.id
+                for target in targets
+                for node in ast.walk(target)
+                if isinstance(node, ast.Name)
+            )
         return bound
 
     def has_star_import(self) -> bool:

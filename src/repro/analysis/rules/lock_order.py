@@ -23,11 +23,12 @@ acquisition lives three private helpers away.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
-from repro.analysis.callgraph import CallGraph, matches_suffix
-from repro.analysis.context import ModuleContext, ProjectContext
+from repro.analysis.callgraph import CallGraph, FunctionInfo, matches_suffix
+from repro.analysis.context import ProjectContext
 from repro.analysis.findings import Finding, Rule
 
 #: Callee suffixes a thread must never invoke while holding a lock.
@@ -95,16 +96,67 @@ class LockOrderRule(Rule):
         # Without locks nothing can be held, so there is nothing to flag.
         if not locks:
             return
-        modules = [
-            module
+        functions = [
+            (module.display_path, info, partial(_lock_for, local, info))
             for module in project.sorted_modules()
-            if module.name in locks
+            if (local := locks.get(module.name)) is not None
+            for info in graph.functions_in(module.name)
         ]
-        acquires = self._direct_acquires(modules, graph, locks)
-        transitive = self._transitive_acquires(graph, acquires)
-        edges, blocking = self._collect_edges(
-            modules, graph, locks, transitive
-        )
+        # Function qualname -> lock keys its body takes.  ``ast.walk``
+        # counts nested defs too, as the call graph attributes their
+        # calls to the enclosing function.
+        taken = {
+            info.qualname: {
+                lock.key
+                for node in ast.walk(info.node)
+                if isinstance(node, (ast.With, ast.AsyncWith))
+                for item in node.items
+                if (lock := lock_of(item.context_expr)) is not None
+            }
+            for _, info, lock_of in functions
+        }
+        edges: list[_Edge] = []
+        blocking: list[_Edge] = []
+        for path, info, lock_of in functions:
+            for node, held, lock in _held_sites(info.node, lock_of):
+                line, column = node.lineno, node.col_offset
+                at = (path, line, column, info.display)
+                if lock is not None:
+                    edges.extend(
+                        _Edge(holder.key, lock.key, *at, "")
+                        for holder in held
+                    )
+                    continue
+                site = graph.site_at(info.qualname, line, column)
+                if site is None:
+                    continue
+                if matches_suffix(site.callee, BLOCKING_TARGETS):
+                    blocking.append(
+                        _Edge(held[-1].key, "", *at, site.callee)
+                    )
+                    continue
+                if not site.resolved or site.constructor:
+                    continue
+                # One chain answers both questions: which locks the
+                # call may take, and whether it reaches the executor.
+                chain = (site.callee, *sorted(graph.closure(site.callee)))
+                blocker = next(
+                    (
+                        inner.callee
+                        for fn in chain
+                        for inner in graph.calls.get(fn, ())
+                        if matches_suffix(inner.callee, BLOCKING_TARGETS)
+                    ),
+                    None,
+                )
+                if blocker is not None:
+                    blocking.append(_Edge(held[-1].key, "", *at, blocker))
+                acquired = {key for fn in chain for key in taken.get(fn, ())}
+                edges.extend(
+                    _Edge(holder.key, key, *at, site.callee)
+                    for key in sorted(acquired)
+                    for holder in held
+                )
         yield from self._flag_blocking(blocking)
         yield from self._flag_cycles(locks, edges)
 
@@ -124,256 +176,41 @@ class LockOrderRule(Rule):
         for module in project.sorted_modules():
             local: dict[str, _LockDef] = {}
             for stmt in module.tree.body:
-                if isinstance(stmt, ast.Assign) and isinstance(
-                    stmt.value, ast.Call
-                ):
-                    factory = graph.called_name(module.name, stmt.value)
+                # Module-level assignments bind bare names; anywhere in
+                # a class body, ``self.attr`` assignments bind locks.
+                owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+                for node in ast.walk(stmt) if owner else (stmt,):
+                    if not (
+                        isinstance(node, ast.Assign)
+                        and isinstance(node.value, ast.Call)
+                    ):
+                        continue
+                    factory = graph.called_name(module.name, node.value)
                     if factory not in _LOCK_FACTORIES:
                         continue
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
+                    reentrant = factory in _REENTRANT
+                    for target in node.targets:
+                        if owner is None and isinstance(target, ast.Name):
                             local[target.id] = _LockDef(
                                 key=f"{module.name}.{target.id}",
                                 label=target.id,
-                                reentrant=factory in _REENTRANT,
+                                reentrant=reentrant,
                             )
-                elif isinstance(stmt, ast.ClassDef):
-                    for node in ast.walk(stmt):
-                        if not (
-                            isinstance(node, ast.Assign)
-                            and isinstance(node.value, ast.Call)
+                        elif (
+                            owner is not None
+                            and isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
                         ):
-                            continue
-                        factory = graph.called_name(module.name, node.value)
-                        if factory not in _LOCK_FACTORIES:
-                            continue
-                        for target in node.targets:
-                            if (
-                                isinstance(target, ast.Attribute)
-                                and isinstance(target.value, ast.Name)
-                                and target.value.id == "self"
-                            ):
-                                spelling = f"{stmt.name}.{target.attr}"
-                                local[spelling] = _LockDef(
-                                    key=(
-                                        f"{module.name}."
-                                        f"{stmt.name}.{target.attr}"
-                                    ),
-                                    label=f"self.{target.attr}",
-                                    reentrant=factory in _REENTRANT,
-                                )
+                            spelling = f"{owner}.{target.attr}"
+                            local[spelling] = _LockDef(
+                                key=f"{module.name}.{spelling}",
+                                label=f"self.{target.attr}",
+                                reentrant=reentrant,
+                            )
             if local:
                 defs[module.name] = local
         return defs
-
-    def _lock_for(
-        self,
-        locks: dict[str, dict[str, _LockDef]],
-        module: str,
-        class_name: str | None,
-        expr: ast.expr,
-    ) -> _LockDef | None:
-        """The lock a ``with`` item acquires, if it is one we track."""
-        local = locks.get(module)
-        if local is None:
-            return None
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-            and class_name is not None
-        ):
-            return local.get(f"{class_name}.{expr.attr}")
-        if isinstance(expr, ast.Name):
-            return local.get(expr.id)
-        return None
-
-    # ------------------------------------------------------------------
-    # Acquisition sets and edges
-    # ------------------------------------------------------------------
-    def _direct_acquires(
-        self,
-        modules: list[ModuleContext],
-        graph: CallGraph,
-        locks: dict[str, dict[str, _LockDef]],
-    ) -> dict[str, set[str]]:
-        """Function qualname -> lock keys it acquires in its own body."""
-        acquires: dict[str, set[str]] = {}
-        for module in modules:
-            for info in graph.functions_in(module.name):
-                taken: set[str] = set()
-                for node in ast.walk(info.node):
-                    if isinstance(node, (ast.With, ast.AsyncWith)):
-                        for item in node.items:
-                            lock = self._lock_for(
-                                locks,
-                                module.name,
-                                info.class_name,
-                                item.context_expr,
-                            )
-                            if lock is not None:
-                                taken.add(lock.key)
-                if taken:
-                    acquires[info.qualname] = taken
-        return acquires
-
-    def _transitive_acquires(
-        self, graph: CallGraph, direct: dict[str, set[str]]
-    ) -> dict[str, set[str]]:
-        """Locks a call to each function may end up acquiring."""
-        transitive: dict[str, set[str]] = {}
-        for qualname in graph.functions:
-            taken = set(direct.get(qualname, ()))
-            for callee in graph.closure(qualname):
-                taken |= direct.get(callee, set())
-            if taken:
-                transitive[qualname] = taken
-        return transitive
-
-    def _collect_edges(
-        self,
-        modules: list[ModuleContext],
-        graph: CallGraph,
-        locks: dict[str, dict[str, _LockDef]],
-        transitive: dict[str, set[str]],
-    ) -> tuple[list[_Edge], list[_Edge]]:
-        """Acquisition edges plus blocking-call pseudo-edges."""
-        edges: list[_Edge] = []
-        blocking: list[_Edge] = []
-        for module in modules:
-            for info in graph.functions_in(module.name):
-                self._walk_function(
-                    module,
-                    graph,
-                    locks,
-                    transitive,
-                    info.qualname,
-                    info.class_name,
-                    info.display,
-                    edges,
-                    blocking,
-                )
-        return edges, blocking
-
-    def _walk_function(
-        self,
-        module: ModuleContext,
-        graph: CallGraph,
-        locks: dict[str, dict[str, _LockDef]],
-        transitive: dict[str, set[str]],
-        qualname: str,
-        class_name: str | None,
-        symbol: str,
-        edges: list[_Edge],
-        blocking: list[_Edge],
-    ) -> None:
-        info = graph.functions[qualname]
-
-        def walk(node: ast.AST, held: tuple[_LockDef, ...]) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue  # nested defs run later, lock state unknown
-                inner = held
-                if isinstance(child, (ast.With, ast.AsyncWith)):
-                    for item in child.items:
-                        lock = self._lock_for(
-                            locks,
-                            module.name,
-                            class_name,
-                            item.context_expr,
-                        )
-                        if lock is None:
-                            continue
-                        for holder in inner:
-                            edges.append(
-                                _Edge(
-                                    held=holder.key,
-                                    acquired=lock.key,
-                                    path=module.display_path,
-                                    line=child.lineno,
-                                    column=child.col_offset,
-                                    symbol=symbol,
-                                    via="",
-                                )
-                            )
-                        inner = (*inner, lock)
-                elif isinstance(child, ast.Call) and held:
-                    self._check_call(
-                        module,
-                        graph,
-                        transitive,
-                        qualname,
-                        symbol,
-                        child,
-                        held,
-                        edges,
-                        blocking,
-                    )
-                walk(child, inner)
-
-        walk(info.node, ())
-
-    def _check_call(
-        self,
-        module: ModuleContext,
-        graph: CallGraph,
-        transitive: dict[str, set[str]],
-        qualname: str,
-        symbol: str,
-        call: ast.Call,
-        held: tuple[_LockDef, ...],
-        edges: list[_Edge],
-        blocking: list[_Edge],
-    ) -> None:
-        site = graph.site_at(qualname, call.lineno, call.col_offset)
-        if site is None:
-            return
-        if matches_suffix(site.callee, BLOCKING_TARGETS):
-            blocking.append(
-                _Edge(
-                    held=held[-1].key,
-                    acquired="",
-                    path=module.display_path,
-                    line=call.lineno,
-                    column=call.col_offset,
-                    symbol=symbol,
-                    via=site.callee,
-                )
-            )
-            return
-        if not site.resolved or site.constructor:
-            return
-        # Blocking reached through a project helper under the lock.
-        for target in (site.callee, *graph.closure(site.callee)):
-            for inner_site in graph.calls.get(target, ()):
-                if matches_suffix(inner_site.callee, BLOCKING_TARGETS):
-                    blocking.append(
-                        _Edge(
-                            held=held[-1].key,
-                            acquired="",
-                            path=module.display_path,
-                            line=call.lineno,
-                            column=call.col_offset,
-                            symbol=symbol,
-                            via=inner_site.callee,
-                        )
-                    )
-                    break
-        for acquired in sorted(transitive.get(site.callee, ())):
-            for holder in held:
-                edges.append(
-                    _Edge(
-                        held=holder.key,
-                        acquired=acquired,
-                        path=module.display_path,
-                        line=call.lineno,
-                        column=call.col_offset,
-                        symbol=symbol,
-                        via=site.callee,
-                    )
-                )
 
     # ------------------------------------------------------------------
     # Findings
@@ -466,3 +303,47 @@ class LockOrderRule(Rule):
                 message=message,
             )
 
+
+def _lock_for(
+    local: dict[str, _LockDef], info: FunctionInfo, expr: ast.expr
+) -> _LockDef | None:
+    """The lock a ``with`` item in ``info`` acquires, if we track it."""
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+        and info.class_name is not None
+    ):
+        return local.get(f"{info.class_name}.{expr.attr}")
+    if isinstance(expr, ast.Name):
+        return local.get(expr.id)
+    return None
+
+
+def _held_sites(
+    node: ast.AST,
+    lock_of: Callable[[ast.expr], _LockDef | None],
+    held: tuple[_LockDef, ...] = (),
+) -> Iterator[
+    tuple[ast.stmt | ast.expr, tuple[_LockDef, ...], _LockDef | None]
+]:
+    """Lock acquisitions and calls under a lock, in source order.
+
+    Yields ``(with_node, held, lock)`` for each tracked ``with`` item
+    and ``(call, held, None)`` for each call made while ``held`` is
+    non-empty.  Nested defs are skipped: they run later, with a lock
+    state this walk cannot know.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = held
+        if isinstance(child, (ast.With, ast.AsyncWith)):
+            for item in child.items:
+                lock = lock_of(item.context_expr)
+                if lock is not None:
+                    yield child, inner, lock
+                    inner = (*inner, lock)
+        elif isinstance(child, ast.Call) and held:
+            yield child, held, None
+        yield from _held_sites(child, lock_of, inner)

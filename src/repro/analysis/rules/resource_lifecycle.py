@@ -29,7 +29,11 @@ from dataclasses import dataclass
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.context import ModuleContext, ProjectContext
+from repro.analysis.context import (
+    ModuleContext,
+    ProjectContext,
+    own_statements,
+)
 from repro.analysis.findings import Finding, Rule
 
 #: Resource-factory callees (last dotted segment) mapped to the method
@@ -91,7 +95,7 @@ class ResourceLifecycleRule(Rule):
     ) -> Iterator[Finding]:
         acquisitions: list[_Acquisition] = []
         discarded: list[tuple[str, ast.stmt]] = []
-        for stmt in _own_statements(func):
+        for stmt in own_statements(func.body):
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 value = stmt.value
             elif isinstance(stmt, ast.Expr):
@@ -208,27 +212,6 @@ class ResourceLifecycleRule(Rule):
 # ----------------------------------------------------------------------
 # Statement predicates
 # ----------------------------------------------------------------------
-def _own_statements(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.stmt]:
-    """Statements of ``func`` itself, not of nested defs."""
-    stack: list[ast.stmt] = list(func.body)
-    while stack:
-        stmt = stack.pop()
-        yield stmt
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        for _, value in ast.iter_fields(stmt):
-            if isinstance(value, list):
-                for item in value:
-                    if isinstance(item, ast.stmt):
-                        stack.append(item)
-                    elif isinstance(item, ast.excepthandler):
-                        stack.extend(item.body)
-
-
 def _settles(
     stmt: ast.stmt, acq: _Acquisition, parents: dict[ast.AST, ast.AST]
 ) -> bool:

@@ -191,7 +191,7 @@ def test_cli_reports_the_fixture_tree(
     code = main(["tests/analysis_fixtures"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert lines[-1].endswith(" file(s) scanned, 31 finding(s), 1 suppressed")
+    assert lines[-1].endswith(" file(s) scanned, 33 finding(s), 1 suppressed")
     assert Counter(line.split()[2] for line in lines[:-1]) == {
         "RPL001": 3,
         "RPL002": 3,
@@ -199,10 +199,30 @@ def test_cli_reports_the_fixture_tree(
         "RPL004": 1,
         "RPL005": 7,
         "RPL006": 2,
-        "RPL007": 5,
+        "RPL007": 7,
         "RPL008": 3,
         "RPL009": 2,
     }
+
+
+def test_cli_report_does_not_depend_on_the_hash_seed() -> None:
+    # The rules iterate sets and frozensets (call-graph closures, lock
+    # keys); the report must sort them, not follow hash order.
+    command = [sys.executable, "-m", "repro.analysis"]
+    src = str(REPO_ROOT / "src")
+    runs = [
+        subprocess.run(
+            [*command, "tests/analysis_fixtures"],
+            cwd=REPO_ROOT,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for seed in ("0", "1")
+    ]
+    assert [run.returncode for run in runs] == [1, 1]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_cli_help_lists_exactly_three_options(

@@ -90,6 +90,28 @@ def test_rpl007_good_ordering_is_clean() -> None:
     )
 
 
+def test_rpl007_counts_locks_taken_in_nested_defs() -> None:
+    # A nested def's lock counts toward a call to its enclosing
+    # function, but is never acquired under that function's own held
+    # locks: ``defer`` only defines the closure.
+    result = run_fixture(
+        "rpl007_locks", select=("RPL007",)
+    )
+    by_symbol = {
+        f.symbol: f
+        for f in result.findings
+        if f.path.endswith("bad_nested_def.py")
+    }
+    assert set(by_symbol) == {
+        "NestedLockService.refresh",
+        "NestedLockService.reindex",
+    }
+    refresh = by_symbol["NestedLockService.refresh"].message
+    assert "deadlock cycle" in refresh
+    assert "via " in refresh and "NestedLockService.warm" in refresh
+    assert "deadlock cycle" in by_symbol["NestedLockService.reindex"].message
+
+
 # ----------------------------------------------------------------------
 # RPL008 — resource lifecycle over the CFG
 # ----------------------------------------------------------------------

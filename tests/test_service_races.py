@@ -80,8 +80,8 @@ def _bound(tier, name):
 def _rebind_on_join(tier, monkeypatch, rebind):
     """Run ``rebind`` when the router sends its next join command, in
     the window a concurrent ``register`` would hit: after resolve,
-    before fill.  The rebind's own invalidation broadcast passes
-    through."""
+    before fill.  The rebind's retire sends no shard command, so the
+    join is the only command that triggers it."""
     for handle in tier._shards:
         send = handle.request_async
 

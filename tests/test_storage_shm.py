@@ -92,9 +92,10 @@ class TestPublishAttach:
 class TestConcurrentAttach:
     def test_threads_racing_to_attach_share_one_mapping(self):
         """Inline shards attach from their callers' threads.  Every
-        racer must get the one cached dataset: a second mapping of the
-        segment is unmapped once its cache entry loses, under the views
-        of whichever thread received it."""
+        racer must get the one cached dataset: the attach cache's
+        check-then-insert (a ``WeakValueDictionary`` keyed by segment)
+        runs under ``_ATTACH_LOCK``, so the first racer maps the segment
+        and the others find its entry."""
         workers = 4 * (os.cpu_count() or 1)
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
