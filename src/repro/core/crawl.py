@@ -3,7 +3,9 @@
 Once the walk lands on a follower node intersecting the pivot, the
 crawl phase "recursively visits all neighbors until no more elements
 intersecting with p can be found" (Section V), producing the candidate
-set for the in-memory join.
+set for the in-memory join.  It crawls any
+:class:`~repro.core.descriptors.DescriptorGraph`: TRANSFORMERS' space
+nodes, and GIPSY's element pages around one outer element.
 
 Two boxes play a role, mirroring the paper's page-MBB/partition-MBB
 distinction:
@@ -46,6 +48,7 @@ import numpy as np
 
 from repro._types import BoolArray, FloatArray, IntArray
 
+from repro.core.descriptors import DescriptorGraph
 from repro.core.indexing import TransformersIndex
 from repro.core.walk import touch_node_meta
 from repro.joins.base import JoinStats
@@ -54,7 +57,7 @@ from repro.vectorize import boxes_overlap
 
 
 def crawl_masks(
-    index: TransformersIndex,
+    graph: DescriptorGraph,
     e_lo: FloatArray,
     e_hi: FloatArray,
     g_lo: FloatArray,
@@ -63,22 +66,21 @@ def crawl_masks(
     """``(include, expand)``: does each node's tight MBB meet the pivot
     box ``e``, does its partition MBB meet the enlarged box ``g``?
 
-    One ``(d,)`` pivot gives two ``(num_nodes,)`` rows; a ``(k, d)``
+    One ``(d,)`` pivot gives two ``(len(graph),)`` rows; a ``(k, d)``
     stack of pivots (rows of the four bound arrays) gives two
-    ``(k, num_nodes)`` tables, row ``k`` for pivot ``k``.
+    ``(k, len(graph))`` tables, row ``k`` for pivot ``k``.
     """
-    nodes = index.nodes
     include = boxes_overlap(
-        nodes.mbb_lo, nodes.mbb_hi, e_lo[..., None, :], e_hi[..., None, :]
+        graph.mbb_lo, graph.mbb_hi, e_lo[..., None, :], e_hi[..., None, :]
     )
     expand = boxes_overlap(
-        nodes.part_lo, nodes.part_hi, g_lo[..., None, :], g_hi[..., None, :]
+        graph.part_lo, graph.part_hi, g_lo[..., None, :], g_hi[..., None, :]
     )
     return include, expand
 
 
 def adaptive_crawl(
-    index: TransformersIndex,
+    graph: DescriptorGraph,
     start: int,
     include: Sequence[bool],
     expand: Sequence[bool],
@@ -86,7 +88,7 @@ def adaptive_crawl(
     pool: BufferPool,
     skip: Container[int] = frozenset(),
 ) -> list[int]:
-    """Collect candidate follower nodes around ``start``.
+    """Collect candidate follower nodes of ``graph`` around ``start``.
 
     Parameters
     ----------
@@ -103,13 +105,13 @@ def adaptive_crawl(
 
     Returns candidate node indices in visit order.
     """
-    neighbors = index.nodes.neighbors
+    neighbors = graph.neighbors
     candidates: list[int] = []
     seen = {int(start)}
     queue = [int(start)]
     while queue:
         node = queue.pop()
-        touch_node_meta(index, node, pool)
+        touch_node_meta(graph, node, pool)
         stats.metadata_comparisons += 1
         if node not in skip and include[node]:
             candidates.append(node)

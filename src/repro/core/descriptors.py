@@ -16,7 +16,10 @@ The paper's Figure 5 defines two descriptor kinds:
 For speed the descriptors are held as structure-of-arrays numpy blocks
 rather than one Python object per descriptor; the blocks know which
 metadata page each descriptor notionally lives on so reads can be
-charged as I/O.
+charged as I/O.  What the adaptive walk and crawl navigate is a
+:class:`DescriptorGraph`: TRANSFORMERS' node block is one, and so is
+GIPSY's graph of element pages (:mod:`repro.joins.gipsy`), whose
+descriptors are kept the same size for a fair comparison.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from repro._types import FloatArray, IntArray
 
 from repro.geometry.slots import SlotPickleMixin
+from repro.storage.disk import SimulatedDisk
 from repro.vectorize import column_product
 
 #: Approximate serialized size of one descriptor: two MBBs (page and
@@ -91,7 +95,53 @@ class UnitDescriptorBlock(SlotPickleMixin):
         return column_product(self.page_hi - self.page_lo)
 
 
-class NodeDescriptorBlock(SlotPickleMixin):
+class DescriptorGraph(SlotPickleMixin):
+    """The descriptor graph the adaptive walk and crawl navigate.
+
+    ``mbb_lo/hi`` bound each descriptor's elements tightly (the crawl's
+    inclusion test); ``part_lo/hi`` are its cell in a gap-free tiling of
+    space (the walk's distances and the crawl's expansion);
+    ``neighbors[k]`` lists, ascending, the descriptors whose cells meet
+    ``k``'s; ``meta_page_of``/``meta_page_ids`` map the descriptors onto
+    the run of metadata pages they live on, so every visit is charged as
+    a read.  TRANSFORMERS navigates its space nodes
+    (:class:`NodeDescriptorBlock`), GIPSY its element pages.
+    """
+
+    __slots__ = (
+        "mbb_lo", "mbb_hi", "part_lo", "part_hi",
+        "neighbors", "meta_page_of", "meta_page_ids",
+    )
+
+    def __init__(
+        self,
+        mbb_lo: FloatArray,
+        mbb_hi: FloatArray,
+        part_lo: FloatArray,
+        part_hi: FloatArray,
+        neighbors: list[IntArray],
+        meta_page_of: IntArray,
+        meta_page_ids: IntArray,
+    ) -> None:
+        n = len(neighbors)
+        for arr in (mbb_lo, mbb_hi, part_lo, part_hi):
+            if arr.shape[0] != n:
+                raise ValueError("descriptor arrays disagree in length")
+        if meta_page_of.shape != (n,):
+            raise ValueError("descriptor arrays disagree in length")
+        self.mbb_lo = mbb_lo
+        self.mbb_hi = mbb_hi
+        self.part_lo = part_lo
+        self.part_hi = part_hi
+        self.neighbors = neighbors
+        self.meta_page_of = meta_page_of
+        self.meta_page_ids = meta_page_ids
+
+    def __len__(self) -> int:
+        return len(self.neighbors)
+
+
+class NodeDescriptorBlock(DescriptorGraph):
     """Descriptors of all space nodes of one dataset.
 
     ``mbb_lo/hi`` is the node MBB covering all of the node's units;
@@ -104,11 +154,7 @@ class NodeDescriptorBlock(SlotPickleMixin):
     metadata pages.
     """
 
-    __slots__ = (
-        "mbb_lo", "mbb_hi", "part_lo", "part_hi",
-        "units", "neighbors", "desc_page_ids",
-        "meta_page_of", "meta_page_ids", "element_counts",
-    )
+    __slots__ = ("units", "desc_page_ids", "element_counts")
 
     def __init__(
         self,
@@ -123,28 +169,33 @@ class NodeDescriptorBlock(SlotPickleMixin):
         meta_page_ids: IntArray,
         element_counts: IntArray,
     ) -> None:
-        n = len(units)
-        for arr in (mbb_lo, mbb_hi, part_lo, part_hi):
-            if arr.shape[0] != n:
-                raise ValueError("node descriptor arrays disagree in length")
-        if len(neighbors) != n or desc_page_ids.shape != (n,):
+        super().__init__(
+            mbb_lo, mbb_hi, part_lo, part_hi,
+            neighbors, meta_page_of, meta_page_ids,
+        )
+        n = len(neighbors)
+        if len(units) != n or desc_page_ids.shape != (n,):
             raise ValueError("node descriptor arrays disagree in length")
-        if meta_page_of.shape != (n,) or element_counts.shape != (n,):
+        if element_counts.shape != (n,):
             raise ValueError("node descriptor arrays disagree in length")
-        self.mbb_lo = mbb_lo
-        self.mbb_hi = mbb_hi
-        self.part_lo = part_lo
-        self.part_hi = part_hi
         self.units = units
-        self.neighbors = neighbors
         self.desc_page_ids = desc_page_ids
-        self.meta_page_of = meta_page_of
-        self.meta_page_ids = meta_page_ids
         self.element_counts = element_counts
-
-    def __len__(self) -> int:
-        return len(self.units)
 
     def volumes(self) -> FloatArray:
         """Node-MBB volumes — the V terms at node granularity."""
         return column_product(self.mbb_hi - self.mbb_lo)
+
+
+def write_descriptor_pages(
+    disk: SimulatedDisk, count: int, kind: str
+) -> tuple[IntArray, IntArray]:
+    """Pack ``count`` descriptors, in order, onto metadata pages of
+    ``kind``: ``(meta_page_of, meta_page_ids)``, one write per page."""
+    per_page = max(1, disk.model.page_size // DESCRIPTOR_SIZE)
+    meta_page_of = np.arange(count, dtype=np.intp) // per_page
+    meta_page_ids = np.array(
+        disk.allocate_many((kind, m) for m in range(-(-count // per_page))),
+        dtype=np.int64,
+    )
+    return meta_page_of, meta_page_ids

@@ -397,7 +397,7 @@ class _Driver:
         start = self._walk_start(g_node)
         found = self._explore(
             adaptive_walk,
-            follower_idx, start, distance, self.stats, self.meta_pool,
+            follower_idx.nodes, start, distance, self.stats, self.meta_pool,
         )
         if found is None:
             self._mark_checked(self.guide, g_node)
@@ -427,7 +427,7 @@ class _Driver:
         checked_view = _CheckedView(self.unchecked[follower])
         cand_nodes = self._explore(
             adaptive_crawl,
-            follower_idx, found, include, expand,
+            follower_idx.nodes, found, include, expand,
             self.stats, self.meta_pool, checked_view,
         )
         if not cand_nodes:
@@ -468,10 +468,11 @@ class _Driver:
         e_hi = guide_nodes.mbb_hi[first : first + rows]
         g_lo = e_lo - follower_idx.node_slack
         g_hi = e_hi + follower_idx.node_slack
-        include, expand = crawl_masks(follower_idx, e_lo, e_hi, g_lo, g_hi)
+        follower_nodes = follower_idx.nodes
+        include, expand = crawl_masks(follower_nodes, e_lo, e_hi, g_lo, g_hi)
         return (
             first,
-            partition_distances(follower_idx, g_lo, g_hi).tolist(),
+            partition_distances(follower_nodes, g_lo, g_hi).tolist(),
             include.tolist(),
             expand.tolist(),
         )

@@ -81,14 +81,15 @@ def range_query(
         )[0]
     )
     _, start = index.btree.nearest(key, pool)
-    distance = partition_distances(index, g_lo, g_hi).tolist()
-    found = adaptive_walk(index, int(start), distance, stats, pool)
+    graph = index.nodes
+    distance = partition_distances(graph, g_lo, g_hi).tolist()
+    found = adaptive_walk(graph, int(start), distance, stats, pool)
     if found is None:
         return np.empty(0, dtype=np.int64)
 
-    include, expand = crawl_masks(index, e_lo, e_hi, g_lo, g_hi)
+    include, expand = crawl_masks(graph, e_lo, e_hi, g_lo, g_hi)
     nodes = adaptive_crawl(
-        index, found, include.tolist(), expand.tolist(), stats, pool
+        graph, found, include.tolist(), expand.tolist(), stats, pool
     )
     units = candidate_units(index, nodes, e_lo, e_hi, stats, pool)
     page_ids = np.sort(index.units.element_page_ids[units]).tolist()

@@ -31,8 +31,7 @@ from repro.joins import (
     PBSMJoin,
     SynchronizedRTreeJoin,
 )
-from repro.joins.base import Dataset, JoinResult, JoinStats, SpatialJoinAlgorithm
-from repro.storage.disk import SimulatedDisk
+from repro.joins.base import SpatialJoinAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner -> registry)
     from repro.engine.planner import PlanHints
@@ -131,29 +130,6 @@ def spec_for_instance(algo: object) -> AlgorithmSpec | None:
     return _REGISTRY.get(aliases.get(display, display))
 
 
-class OracleJoin(SpatialJoinAlgorithm):
-    """Adapter giving :class:`BruteForceJoin` the standard two-phase shape.
-
-    The oracle has no index: ``build_index`` hands the dataset itself
-    back as the handle (zero pages written) and ``join`` delegates to
-    the exhaustive comparison.  This lets the workspace treat all
-    registered algorithms uniformly.
-    """
-
-    name = "BRUTE"
-
-    def __init__(self) -> None:
-        self._inner = BruteForceJoin()
-
-    def build_index(
-        self, disk: SimulatedDisk, dataset: Dataset
-    ) -> tuple[Dataset, JoinStats]:
-        return dataset, JoinStats(algorithm=self.name, phase="index")
-
-    def join(self, index_a: Dataset, index_b: Dataset) -> JoinResult:
-        return self._inner.join(index_a, index_b)
-
-
 # ----------------------------------------------------------------------
 # Built-in registrations
 # ----------------------------------------------------------------------
@@ -217,4 +193,4 @@ def _make_nested_loop(hints: "PlanHints") -> SpatialJoinAlgorithm:
     plannable=False,
 )
 def _make_brute(hints: "PlanHints") -> SpatialJoinAlgorithm:
-    return OracleJoin()
+    return BruteForceJoin()

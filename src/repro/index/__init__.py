@@ -2,7 +2,8 @@
 
 * :mod:`~repro.index.str_pack` — Sort-Tile-Recursive packing
   (Leutenegger et al., ICDE '97), the partitioner behind the R-tree
-  bulk-load, GIPSY's pages and TRANSFORMERS' space units/nodes;
+  bulk-load, GIPSY's pages and TRANSFORMERS' space units/nodes, and
+  the one writer of their STR element pages;
 * :mod:`~repro.index.grid` — uniform grids (PBSM's partitioning and the
   grid hash join's probe structure);
 * :mod:`~repro.index.rtree` — a disk-based, STR bulk-loaded R-tree;

@@ -15,7 +15,9 @@ Layout on the simulated disk:
   plus the MBB of each child subtree.
 
 Leaves are written first, in STR order, so a full scan of the leaf
-level is sequential; internal levels follow.
+level is sequential; internal levels follow.  The leaves are the STR
+element pages every data-oriented index writes
+(:func:`~repro.index.str_pack.write_str_pages`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
-from repro.index.str_pack import str_partition
+from repro.index.str_pack import str_partition, write_str_pages
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage, element_page_capacity
@@ -117,22 +119,19 @@ class RTree:
         ndim = boxes.ndim
         leaf_capacity = element_page_capacity(page_size, ndim)
         fanout = internal_fanout(page_size, ndim)
-        ids = np.asarray(ids, dtype=np.int64)
 
-        # Leaf level.
-        tiles = str_partition(boxes.centers(), leaf_capacity)
-        level_pages: list[int] = []
-        level_boxes: list[Box] = []
-        for tile in tiles:
-            page = ElementPage(ids[tile], boxes.take(tile))
-            level_pages.append(disk.allocate(page))
-            level_boxes.append(page.boxes.mbb())
+        # Leaf level: the STR element pages every data-oriented index
+        # writes.
+        leaf_ids, _, leaf_lo, leaf_hi, _, _ = write_str_pages(
+            disk, ids, boxes, leaf_capacity
+        )
+        level_pages = leaf_ids.tolist()
+        entry_boxes = BoxArray(leaf_lo, leaf_hi)
         leaf_pages = tuple(level_pages)
         height = 1
 
         # Internal levels.
         while len(level_pages) > 1:
-            entry_boxes = BoxArray.from_boxes(level_boxes)
             tiles = str_partition(entry_boxes.centers(), fanout)
             next_pages: list[int] = []
             next_boxes: list[Box] = []
@@ -144,7 +143,7 @@ class RTree:
                 next_pages.append(disk.allocate(node))
                 next_boxes.append(node.child_boxes.mbb())
             level_pages = next_pages
-            level_boxes = next_boxes
+            entry_boxes = BoxArray.from_boxes(next_boxes)
             height += 1
 
         return RTree(

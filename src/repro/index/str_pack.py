@@ -13,6 +13,17 @@ TRANSFORMERS uses this both to form space units from elements and to
 group space units into space nodes; the R-tree bulk-loader uses it at
 every level.
 
+Every data-oriented index stores its elements the same way, so one
+function writes them: :func:`write_str_pages` cuts the STR tiles,
+writes one element page per tile and returns the pages' MBBs and
+partition bounds.  Its callers are TRANSFORMERS' space units
+(:func:`repro.core.indexing.build_transformers_index`), GIPSY's
+partitions (:func:`repro.joins.gipsy.build_partitioned_index`), the
+indexed nested loop's sequential file
+(:class:`repro.joins.nested_loop.SequentialFile`) and the leaf level of
+:meth:`repro.index.rtree.RTree.bulk_load` — so the four hold the same
+pages, written in the same order.
+
 There is one implementation, :func:`str_tiling`, and it works a whole
 recursion *level* at a time: all slabs of one axis are sorted together
 (stably by coordinate, then stably by slab — the order
@@ -34,8 +45,12 @@ import math
 
 import numpy as np
 
-from repro._types import FloatArray, IntArray
+from repro._types import AnyArray, FloatArray, IntArray
 from repro.geometry.box import Box
+from repro.geometry.boxes import BoxArray
+from repro.storage.disk import SimulatedDisk
+from repro.storage.page import ElementPage
+from repro.vectorize import columns
 
 
 def _stable_argsort(key: FloatArray) -> IntArray:
@@ -133,6 +148,36 @@ def str_tiling(
     if np.any(lo > hi):
         raise ValueError("space does not contain every centre")
     return order, edges, lo, hi
+
+
+def write_str_pages(
+    disk: SimulatedDisk,
+    ids: AnyArray,
+    boxes: BoxArray,
+    capacity: int,
+    space: Box | None = None,
+) -> tuple[IntArray, IntArray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Write the elements to ``disk`` as one element page per STR tile.
+
+    Returns ``(page_ids, offsets, page_lo, page_hi, part_lo, part_hi)``:
+    page ``page_ids[t]`` holds tile ``t``, rows ``offsets[t]`` to
+    ``offsets[t + 1]`` of the STR order, with tight MBB ``[page_lo[t],
+    page_hi[t]]`` and partition bounds ``[part_lo[t], part_hi[t]]``
+    (:func:`str_tiling`, over ``space``).  The elements are permuted
+    into STR order once, the page MBBs come from one ``reduceat`` over
+    the runs, and the pages are windows onto the permuted run, allocated
+    in tile order.
+    """
+    order, offsets, part_lo, part_hi = str_tiling(
+        boxes.centers(), capacity, space
+    )
+    lo = boxes.lo[order]
+    hi = boxes.hi[order]
+    page_lo = columns(np.minimum.reduceat(columns(lo), offsets[:-1], axis=1))
+    page_hi = columns(np.maximum.reduceat(columns(hi), offsets[:-1], axis=1))
+    pages = ElementPage.split(np.asarray(ids)[order], BoxArray(lo, hi), offsets)
+    page_ids = np.array(disk.allocate_many(pages), dtype=np.int64)
+    return page_ids, offsets, page_lo, page_hi, part_lo, part_hi
 
 
 def str_partition(

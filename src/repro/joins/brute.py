@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from repro.joins.base import Dataset, JoinResult, JoinStats
+from repro.joins.base import Dataset, JoinResult, JoinStats, SpatialJoinAlgorithm
+from repro.storage.disk import SimulatedDisk
 
 
 def brute_force_pairs(a: Dataset, b: Dataset) -> np.ndarray:
@@ -27,14 +28,21 @@ def brute_force_pairs(a: Dataset, b: Dataset) -> np.ndarray:
     return np.unique(pairs, axis=0)
 
 
-class BruteForceJoin:
+class BruteForceJoin(SpatialJoinAlgorithm):
     """Oracle join with the standard result/stats shape.
 
-    Unlike the disk-based algorithms this one has no index phase and
+    The oracle has no index: :meth:`build_index` hands the dataset
+    itself back as the handle (zero pages written), so :meth:`join`
     takes :class:`~repro.joins.base.Dataset` objects directly.
     """
 
     name = "BRUTE"
+
+    def build_index(
+        self, disk: SimulatedDisk, dataset: Dataset
+    ) -> tuple[Dataset, JoinStats]:
+        """The dataset itself; nothing is written."""
+        return dataset, JoinStats(algorithm=self.name, phase="index")
 
     def join(self, a: Dataset, b: Dataset) -> JoinResult:
         """Exhaustively compare every pair of elements."""

@@ -23,6 +23,14 @@ ability to predetermine which dataset is dense and which one is
 sparse" (Section VIII-A).  We default to using the smaller dataset as
 the outer/sparse side, the heuristic a practitioner would use.
 
+GIPSY's pages are TRANSFORMERS' level 1: the same STR element pages
+with the same partition bounds, written by
+:func:`repro.index.str_pack.write_str_pages`.  Its walk and crawl are
+TRANSFORMERS' :func:`~repro.core.walk.adaptive_walk` and
+:func:`~repro.core.crawl.adaptive_crawl` over the graph of those pages
+(a :class:`~repro.core.descriptors.DescriptorGraph` whose tight MBBs
+are the page MBBs), one outer element at a time.
+
 Correctness note: an element's MBB can overhang its partition's bounds
 (elements have spatial extent; partitions split between *centres*), so
 the crawl expands through every partition whose bounds intersect the
@@ -39,8 +47,11 @@ import time
 
 import numpy as np
 
+from repro.core.crawl import adaptive_crawl, crawl_masks
+from repro.core.descriptors import DescriptorGraph, write_descriptor_pages
+from repro.core.walk import adaptive_walk, partition_distances
 from repro.geometry.boxes import BoxArray
-from repro.index.str_pack import str_partition_with_bounds
+from repro.index.str_pack import write_str_pages
 from repro.joins.base import (
     CostBreakdown,
     CostProfile,
@@ -56,20 +67,15 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.page import ElementPage, element_page_capacity
 from repro.vectorize import boxes_overlap, column_max
 
-#: Approximate bytes of one space descriptor on a metadata page: two
-#: MBBs (page + partition, float32 corners), a page pointer and a
-#: bounded neighbour list.  Kept equal to TRANSFORMERS' descriptor
-#: size (repro.core.descriptors) for a fair comparison.
-DESCRIPTOR_SIZE = 64
-
 
 class GipsyIndex:
-    """GIPSY's per-dataset structure: pages, descriptors, neighbour links.
+    """GIPSY's per-dataset structure: element pages and their graph.
 
-    Descriptor arrays are kept as numpy blocks for fast distance math;
-    the descriptors notionally live on metadata pages (``meta_page_of``
-    maps descriptor -> page) and reads are charged through the join's
-    buffer pool.
+    ``pages`` is the descriptor graph the walk and crawl navigate: one
+    descriptor per element page (``element_page_ids[k]``), with the
+    page MBB as its tight box, the gap-free partition bounds and the
+    neighbour links; the descriptors live on metadata pages whose reads
+    are charged through the join's buffer pool.
     """
 
     def __init__(
@@ -78,26 +84,14 @@ class GipsyIndex:
         dataset_name: str,
         num_elements: int,
         element_page_ids: np.ndarray,
-        page_lo: np.ndarray,
-        page_hi: np.ndarray,
-        part_lo: np.ndarray,
-        part_hi: np.ndarray,
-        neighbors: list[np.ndarray],
-        meta_page_of: np.ndarray,
-        meta_page_ids: np.ndarray,
+        pages: DescriptorGraph,
         max_extent: np.ndarray,
     ) -> None:
         self.disk = disk
         self.dataset_name = dataset_name
         self.num_elements = num_elements
         self.element_page_ids = element_page_ids
-        self.page_lo = page_lo
-        self.page_hi = page_hi
-        self.part_lo = part_lo
-        self.part_hi = part_hi
-        self.neighbors = neighbors
-        self.meta_page_of = meta_page_of
-        self.meta_page_ids = meta_page_ids
+        self.pages = pages
         self.max_extent = max_extent
 
     @property
@@ -111,61 +105,41 @@ def build_partitioned_index(
     dataset: Dataset,
     algorithm_name: str,
 ) -> tuple[GipsyIndex, JoinStats]:
-    """Shared builder: STR pages + partition bounds + neighbour links.
+    """STR pages + partition bounds + neighbour links.
 
-    Used by GIPSY here and (with different grouping on top) mirrored by
-    TRANSFORMERS' indexer: partition the elements into page-sized STR
-    tiles, compute gap-free partition bounds, link partitions whose
-    bounds touch, and store descriptors on metadata pages.
+    The pages are TRANSFORMERS' level 1 (its space units' element
+    pages and partition bounds, from the same writer); GIPSY links
+    partitions whose bounds touch and stores one descriptor per page on
+    metadata pages.
     """
     start = time.perf_counter()
     io_before = disk.stats.snapshot()
-    ndim = dataset.ndim
-    capacity = element_page_capacity(disk.model.page_size, ndim)
-    space = dataset.boxes.mbb()
-    tiles, bounds = str_partition_with_bounds(
-        dataset.boxes.centers(), capacity, space
+    capacity = element_page_capacity(disk.model.page_size, dataset.ndim)
+    element_page_ids, _, page_lo, page_hi, part_lo, part_hi = write_str_pages(
+        disk, dataset.ids, dataset.boxes, capacity, dataset.boxes.mbb()
     )
-
-    element_page_ids = np.empty(len(tiles), dtype=np.int64)
-    page_lo = np.empty((len(tiles), ndim))
-    page_hi = np.empty((len(tiles), ndim))
-    part_lo = np.empty((len(tiles), ndim))
-    part_hi = np.empty((len(tiles), ndim))
-    for t, tile in enumerate(tiles):
-        page = ElementPage(dataset.ids[tile], dataset.boxes.take(tile))
-        element_page_ids[t] = disk.allocate(page)
-        mbb = page.boxes.mbb()
-        page_lo[t], page_hi[t] = mbb.lo, mbb.hi
-        part_lo[t], part_hi[t] = bounds[t].lo, bounds[t].hi
+    n_pages = len(element_page_ids)
 
     # Connectivity: self-join on the partition bounds.  Touching counts
     # as intersecting (inclusive tests), so face-adjacent partitions of
-    # the gap-free tiling always link up.
+    # the gap-free tiling always link up.  Hundreds of pages, so the
+    # grid hash join, not TRANSFORMERS' node cross test (see
+    # repro.core.indexing).
     part_boxes = BoxArray(part_lo, part_hi)
     pair_idx, _ = grid_hash_join(part_boxes, part_boxes)
     off_diagonal = pair_idx[pair_idx[:, 0] != pair_idx[:, 1]]
     order = np.lexsort((off_diagonal[:, 1], off_diagonal[:, 0]))
     src = off_diagonal[order, 0]
     dst = off_diagonal[order, 1].astype(np.intp)
-    bounds = np.searchsorted(src, np.arange(len(tiles) + 1), side="left")
-    neighbors = [
-        dst[bounds[t] : bounds[t + 1]] for t in range(len(tiles))
-    ]
+    neighbors = np.split(dst, np.searchsorted(src, np.arange(1, n_pages)))
 
-    # Descriptor metadata pages (packed in STR order).
-    per_page = max(1, disk.model.page_size // DESCRIPTOR_SIZE)
-    meta_page_of = np.arange(len(tiles), dtype=np.intp) // per_page
-    num_meta_pages = int(meta_page_of.max()) + 1 if len(tiles) else 0
-    meta_page_ids = np.empty(num_meta_pages, dtype=np.int64)
-    for m in range(num_meta_pages):
-        members = np.nonzero(meta_page_of == m)[0]
-        meta_page_ids[m] = disk.allocate(("descriptors", tuple(members)))
-
+    meta_page_of, meta_page_ids = write_descriptor_pages(
+        disk, n_pages, "page-descriptors"
+    )
     max_extent = (
         column_max(dataset.boxes.extents())
         if len(dataset) > 0
-        else np.zeros(ndim)
+        else np.zeros(dataset.ndim)
     )
 
     index = GipsyIndex(
@@ -173,19 +147,21 @@ def build_partitioned_index(
         dataset_name=dataset.name,
         num_elements=len(dataset),
         element_page_ids=element_page_ids,
-        page_lo=page_lo,
-        page_hi=page_hi,
-        part_lo=part_lo,
-        part_hi=part_hi,
-        neighbors=neighbors,
-        meta_page_of=meta_page_of,
-        meta_page_ids=meta_page_ids,
+        pages=DescriptorGraph(
+            mbb_lo=page_lo,
+            mbb_hi=page_hi,
+            part_lo=part_lo,
+            part_hi=part_hi,
+            neighbors=neighbors,
+            meta_page_of=meta_page_of,
+            meta_page_ids=meta_page_ids,
+        ),
         max_extent=max_extent,
     )
     stats = JoinStats(algorithm=algorithm_name, phase="index")
     stats.absorb_io(disk.stats.delta(io_before))
     stats.wall_seconds = time.perf_counter() - start
-    stats.extras["partitions"] = float(len(tiles))
+    stats.extras["partitions"] = float(n_pages)
     return index, stats
 
 
@@ -207,6 +183,8 @@ class GipsyJoin(SpatialJoinAlgorithm):
     def __init__(self, outer: str = "auto", buffer_pages: int = 256) -> None:
         if outer not in ("auto", "a", "b"):
             raise ValueError("outer must be 'auto', 'a' or 'b'")
+        if buffer_pages < 1:
+            raise ValueError("buffer_pages must be >= 1")
         self.outer = outer
         self.buffer_pages = buffer_pages
 
@@ -271,33 +249,34 @@ class GipsyJoin(SpatialJoinAlgorithm):
         pool = BufferPool(disk, self.buffer_pages)
 
         out: list[np.ndarray] = []
+        graph = inner.pages
         walk_start = 0  # descriptor locality between consecutive elements
-        grow = inner.max_extent
         for outer_page_id in outer.element_page_ids:
             page = pool.read(int(outer_page_id))
             if not isinstance(page, ElementPage):
                 raise TypeError("corrupt outer element page")
+            # Every element of the page is a pivot: one row each of the
+            # walk's distances and the crawl's masks, the pivot enlarged
+            # by the inner dataset's maximum element extent.
+            e_lo, e_hi = page.boxes.lo, page.boxes.hi
+            g_lo, g_hi = e_lo - inner.max_extent, e_hi + inner.max_extent
+            distance = partition_distances(graph, g_lo, g_hi).tolist()
+            include, expand = crawl_masks(graph, e_lo, e_hi, g_lo, g_hi)
+            include_rows, expand_rows = include.tolist(), expand.tolist()
             for e in range(len(page)):
-                e_lo = page.boxes.lo[e]
-                e_hi = page.boxes.hi[e]
-                g_lo = e_lo - grow
-                g_hi = e_hi + grow
-                found = _directed_walk(
-                    inner, walk_start, g_lo, g_hi, stats, pool
-                )
+                found = adaptive_walk(graph, walk_start, distance[e], stats, pool)
                 if found is None:
                     continue
                 walk_start = found
-                candidate_pages = _crawl(
-                    inner, found, e_lo, e_hi, g_lo, g_hi, stats, pool
-                )
-                for part in candidate_pages:
+                for part in adaptive_crawl(
+                    graph, found, include_rows[e], expand_rows[e], stats, pool
+                ):
                     data = pool.read(int(inner.element_page_ids[part]))
                     if not isinstance(data, ElementPage):
                         raise TypeError("corrupt inner element page")
                     stats.intersection_tests += len(data)
                     hit = boxes_overlap(
-                        data.boxes.lo, data.boxes.hi, e_lo, e_hi
+                        data.boxes.lo, data.boxes.hi, e_lo[e], e_hi[e]
                     )
                     if hit.any():
                         matched = data.ids[hit]
@@ -317,118 +296,3 @@ class GipsyJoin(SpatialJoinAlgorithm):
         stats.wall_seconds = time.perf_counter() - start
         stats.extras["outer_dataset_is_a"] = float(not flip)
         return JoinResult(pairs=pairs, stats=stats)
-
-
-# ----------------------------------------------------------------------
-# Walk & crawl primitives (shared shape with TRANSFORMERS' Algorithm 1)
-# ----------------------------------------------------------------------
-def _distance(index: GipsyIndex, desc: int, q_lo: np.ndarray, q_hi: np.ndarray) -> float:
-    """Euclidean gap between a descriptor's partition bounds and a box."""
-    below = np.maximum(q_lo - index.part_hi[desc], 0.0)
-    above = np.maximum(index.part_lo[desc] - q_hi, 0.0)
-    gap = np.maximum(below, above)
-    return float(np.sqrt(np.sum(gap * gap)))
-
-
-def _distances(
-    index: GipsyIndex, descs: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray
-) -> np.ndarray:
-    """Vectorised :func:`_distance` over a block of descriptors."""
-    below = np.maximum(q_lo - index.part_hi[descs], 0.0)
-    above = np.maximum(index.part_lo[descs] - q_hi, 0.0)
-    gap = np.maximum(below, above)
-    return np.sqrt(np.sum(gap * gap, axis=1))
-
-
-def _touch_meta(index: GipsyIndex, desc: int, pool: BufferPool) -> None:
-    """Charge the read of the metadata page holding descriptor ``desc``."""
-    pool.read(int(index.meta_page_ids[index.meta_page_of[desc]]))
-
-
-def _directed_walk(
-    index: GipsyIndex,
-    start: int,
-    q_lo: np.ndarray,
-    q_hi: np.ndarray,
-    stats: JoinStats,
-    pool: BufferPool,
-) -> int | None:
-    """Greedy descent through the neighbour graph towards the query box.
-
-    Returns the first descriptor whose partition bounds intersect the
-    (already enlarged) query box, or ``None`` when the walk reaches a
-    partition from which no neighbour is closer — which, because the
-    partition bounds tile space without gaps, proves no partition
-    intersects the box.
-    """
-    if index.num_partitions == 0:
-        return None
-    current = start
-    _touch_meta(index, current, pool)
-    stats.metadata_comparisons += 1
-    current_dist = _distance(index, current, q_lo, q_hi)
-    while current_dist > 0.0:
-        # One vectorised distance block per step: every neighbour is
-        # compared (and charged) exactly as the scalar scan would, and
-        # argmin's first-minimum tie-break matches its progressive
-        # strict-improvement update.
-        nbs = index.neighbors[current]
-        stats.metadata_comparisons += len(nbs)
-        if len(nbs) == 0:
-            return None  # isolated partition: nowhere closer to go
-        dists = _distances(index, nbs, q_lo, q_hi)
-        best = int(np.argmin(dists))
-        if dists[best] >= current_dist:
-            return None  # moving away: provably no intersection
-        current = int(nbs[best])
-        current_dist = float(dists[best])
-        _touch_meta(index, current, pool)
-    return current
-
-
-def _crawl(
-    index: GipsyIndex,
-    start: int,
-    e_lo: np.ndarray,
-    e_hi: np.ndarray,
-    g_lo: np.ndarray,
-    g_hi: np.ndarray,
-    stats: JoinStats,
-    pool: BufferPool,
-) -> list[int]:
-    """Breadth-first crawl collecting candidate pages around a hit.
-
-    Expansion follows partitions whose bounds intersect the *enlarged*
-    box (completeness, see module docstring); a page enters the
-    candidate set only if its tight page MBB intersects the original
-    element box.
-    """
-    candidates: list[int] = []
-    seen = np.zeros(index.num_partitions, dtype=bool)
-    seen[start] = True
-    queue = [start]
-    while queue:
-        desc = queue.pop()
-        _touch_meta(index, desc, pool)
-        stats.metadata_comparisons += 1
-        if boxes_overlap(
-            index.page_lo[desc], index.page_hi[desc], e_lo, e_hi
-        ):
-            candidates.append(desc)
-        # Vectorised frontier expansion: the unseen neighbours are
-        # tested (and charged) in one block, in list order, exactly as
-        # the scalar scan would append them.
-        nbs = index.neighbors[desc]
-        unseen = nbs[~seen[nbs]]
-        stats.metadata_comparisons += len(unseen)
-        if len(unseen):
-            ok = boxes_overlap(
-                np.take(index.part_lo, unseen, axis=0),
-                np.take(index.part_hi, unseen, axis=0),
-                g_lo,
-                g_hi,
-            )
-            grow_to = unseen[ok]
-            seen[grow_to] = True
-            queue.extend(int(nb) for nb in grow_to)
-    return candidates

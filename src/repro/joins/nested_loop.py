@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from repro.index.rtree import RTree
-from repro.index.str_pack import str_partition
+from repro.index.str_pack import write_str_pages
 from repro.joins.base import (
     CostBreakdown,
     CostProfile,
@@ -34,7 +34,10 @@ class SequentialFile:
 
     The nested-loop join scans the outer dataset once; storing it in
     STR order additionally gives the R-tree probes spatial locality,
-    which is the favourable setup for this baseline.
+    which is the favourable setup for this baseline.  The pages are
+    the ones every data-oriented index writes
+    (:func:`repro.index.str_pack.write_str_pages`): TRANSFORMERS' space
+    units, GIPSY's partitions and the R-tree's leaves.
     """
 
     def __init__(self, disk: SimulatedDisk, page_ids: tuple[int, ...], num_elements: int) -> None:
@@ -46,12 +49,8 @@ class SequentialFile:
     def write(disk: SimulatedDisk, dataset: Dataset) -> "SequentialFile":
         """Lay the dataset out as consecutive pages on ``disk``."""
         capacity = element_page_capacity(disk.model.page_size, dataset.ndim)
-        tiles = str_partition(dataset.boxes.centers(), capacity)
-        page_ids = tuple(
-            disk.allocate(ElementPage(dataset.ids[t], dataset.boxes.take(t)))
-            for t in tiles
-        )
-        return SequentialFile(disk, page_ids, len(dataset))
+        page_ids, *_ = write_str_pages(disk, dataset.ids, dataset.boxes, capacity)
+        return SequentialFile(disk, tuple(page_ids.tolist()), len(dataset))
 
 
 class INLIndex:

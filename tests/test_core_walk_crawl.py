@@ -13,6 +13,7 @@ from repro.core.indexing import build_transformers_index
 from repro.core.walk import adaptive_walk, partition_distances, touch_node_meta
 from repro.geometry.boxes import BoxArray
 from repro.joins.base import Dataset, JoinStats
+from repro.joins.gipsy import build_partitioned_index
 from repro.storage.buffer import BufferPool
 from repro.vectorize import boxes_overlap
 
@@ -28,18 +29,18 @@ def indexed():
     return a, disk, index
 
 
-def walk(index, start, q_lo, q_hi, stats, pool):
+def walk(graph, start, q_lo, q_hi, stats, pool):
     """:func:`adaptive_walk` towards one box, its distance row built the
     way a range query builds it."""
-    distance = partition_distances(index, q_lo, q_hi).tolist()
-    return adaptive_walk(index, start, distance, stats, pool)
+    distance = partition_distances(graph, q_lo, q_hi).tolist()
+    return adaptive_walk(graph, start, distance, stats, pool)
 
 
-def crawl(index, start, e_lo, e_hi, g_lo, g_hi, stats, pool, skip=frozenset()):
+def crawl(graph, start, e_lo, e_hi, g_lo, g_hi, stats, pool, skip=frozenset()):
     """:func:`adaptive_crawl` around one pivot box, likewise."""
-    include, expand = crawl_masks(index, e_lo, e_hi, g_lo, g_hi)
+    include, expand = crawl_masks(graph, e_lo, e_hi, g_lo, g_hi)
     return adaptive_crawl(
-        index, start, include.tolist(), expand.tolist(), stats, pool, skip
+        graph, start, include.tolist(), expand.tolist(), stats, pool, skip
     )
 
 
@@ -52,10 +53,10 @@ class TestWalk:
         for start in range(0, index.num_nodes, max(1, index.num_nodes // 7)):
             stats = JoinStats()
             found = walk(
-                index, start, q_lo, q_hi, stats, BufferPool(disk, 256)
+                index.nodes, start, q_lo, q_hi, stats, BufferPool(disk, 256)
             )
             assert found is not None
-            assert node_distance(index, found, q_lo, q_hi) == 0.0
+            assert node_distance(index.nodes, found, q_lo, q_hi) == 0.0
             assert stats.metadata_comparisons > 0
 
     def test_returns_none_outside_space(self, indexed):
@@ -65,7 +66,7 @@ class TestWalk:
         q_hi = q_lo + 1.0
         stats = JoinStats()
         found = walk(
-            index, 0, q_lo, q_hi, stats, BufferPool(disk, 256)
+            index.nodes, 0, q_lo, q_hi, stats, BufferPool(disk, 256)
         )
         assert found is None
 
@@ -76,7 +77,7 @@ class TestWalk:
         q_lo = np.asarray(a.boxes.mbb().hi) - 0.5
         q_hi = q_lo + 0.2
         stats = JoinStats()
-        walk(index, 0, q_lo, q_hi, stats, BufferPool(disk, 256))
+        walk(index.nodes, 0, q_lo, q_hi, stats, BufferPool(disk, 256))
         # Worst case is one distance check per (node, neighbour) edge.
         total_edges = sum(len(ns) for ns in index.nodes.neighbors)
         assert stats.metadata_comparisons <= total_edges + index.num_nodes
@@ -96,7 +97,7 @@ class TestCrawl:
             g_hi = q_hi + index.node_slack
             stats = JoinStats()
             pool = BufferPool(disk, 256)
-            start = walk(index, 0, g_lo, g_hi, stats, pool)
+            start = walk(index.nodes, 0, g_lo, g_hi, stats, pool)
             expected = set(
                 np.nonzero(
                     np.all(
@@ -110,7 +111,7 @@ class TestCrawl:
                 assert expected == set()
                 continue
             got = set(
-                crawl(index, start, q_lo, q_hi, g_lo, g_hi, stats, pool)
+                crawl(index.nodes, start, q_lo, q_hi, g_lo, g_hi, stats, pool)
             )
             assert got == expected
 
@@ -125,16 +126,18 @@ class TestCrawl:
         g_hi = q_hi + index.node_slack
         pool = BufferPool(disk, 256)
         stats = JoinStats()
-        start = walk(index, 0, g_lo, g_hi, stats, pool)
+        start = walk(index.nodes, 0, g_lo, g_hi, stats, pool)
         assert start is not None
-        full = set(crawl(index, start, q_lo, q_hi, g_lo, g_hi, stats, pool))
+        full = set(
+            crawl(index.nodes, start, q_lo, q_hi, g_lo, g_hi, stats, pool)
+        )
         if len(full) < 3:
             pytest.skip("need a multi-node candidate set for this check")
         # Skip one *interior* candidate (not the start).
         skipped = next(iter(full - {start}))
         got = set(
             crawl(
-                index, start, q_lo, q_hi, g_lo, g_hi, stats, pool,
+                index.nodes, start, q_lo, q_hi, g_lo, g_hi, stats, pool,
                 skip={skipped},
             )
         )
@@ -174,59 +177,59 @@ class TestCandidateUnits:
 # count the same metadata comparisons and read the same pages in the
 # same sequence.
 # ----------------------------------------------------------------------
-def node_distance(index, node, q_lo, q_hi):
+def node_distance(graph, node, q_lo, q_hi):
     """Euclidean gap between a node's partition MBB and a query box."""
-    below = np.maximum(q_lo - index.nodes.part_hi[node], 0.0)
-    above = np.maximum(index.nodes.part_lo[node] - q_hi, 0.0)
+    below = np.maximum(q_lo - graph.part_hi[node], 0.0)
+    above = np.maximum(graph.part_lo[node] - q_hi, 0.0)
     gap = np.maximum(below, above)
     return float(np.sqrt(np.sum(gap * gap)))
 
 
-def walk_per_pivot(index, start, q_lo, q_hi, stats, pool):
-    if index.num_nodes == 0:
+def walk_per_pivot(graph, start, q_lo, q_hi, stats, pool):
+    if len(graph) == 0:
         return None
     current = int(start)
-    touch_node_meta(index, current, pool)
+    touch_node_meta(graph, current, pool)
     stats.metadata_comparisons += 1
-    current_dist = node_distance(index, current, q_lo, q_hi)
+    current_dist = node_distance(graph, current, q_lo, q_hi)
     while current_dist > 0.0:
         best = -1
         best_dist = current_dist
-        for nb in index.nodes.neighbors[current]:
+        for nb in graph.neighbors[current]:
             stats.metadata_comparisons += 1
-            d = node_distance(index, int(nb), q_lo, q_hi)
+            d = node_distance(graph, int(nb), q_lo, q_hi)
             if d < best_dist:
                 best = int(nb)
                 best_dist = d
         if best < 0:
             return None
-        touch_node_meta(index, best, pool)
+        touch_node_meta(graph, best, pool)
         current = best
         current_dist = best_dist
     return current
 
 
 def crawl_per_candidate(
-    index, start, e_lo, e_hi, g_lo, g_hi, stats, pool, skip=frozenset()
+    graph, start, e_lo, e_hi, g_lo, g_hi, stats, pool, skip=frozenset()
 ):
     candidates = []
     seen = {int(start)}
     queue = [int(start)]
     while queue:
         node = queue.pop()
-        touch_node_meta(index, node, pool)
+        touch_node_meta(graph, node, pool)
         stats.metadata_comparisons += 1
         if node not in skip and np.all(
-            index.nodes.mbb_lo[node] <= e_hi
-        ) and np.all(index.nodes.mbb_hi[node] >= e_lo):
+            graph.mbb_lo[node] <= e_hi
+        ) and np.all(graph.mbb_hi[node] >= e_lo):
             candidates.append(node)
-        for nb in index.nodes.neighbors[node]:
+        for nb in graph.neighbors[node]:
             nb = int(nb)
             if nb in seen:
                 continue
             stats.metadata_comparisons += 1
-            if np.all(index.nodes.part_lo[nb] <= g_hi) and np.all(
-                index.nodes.part_hi[nb] >= g_lo
+            if np.all(graph.part_lo[nb] <= g_hi) and np.all(
+                graph.part_hi[nb] >= g_lo
             ):
                 seen.add(nb)
                 queue.append(nb)
@@ -266,32 +269,54 @@ class RecordingPool(BufferPool):
 
 
 @functools.lru_cache(maxsize=None)
-def random_index(kind, n, ndim, seed):
+def random_dataset(kind, n, ndim, seed):
     a, _ = dataset_pair(kind, n, 10, seed=seed)
     if ndim == 2:
         boxes = BoxArray(a.boxes.lo[:, :2], a.boxes.hi[:, :2])
         a = Dataset(a.name, a.ids, boxes)
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def random_index(kind, n, ndim, seed):
     disk = make_disk()
-    index, _ = build_transformers_index(disk, a)
+    index, _ = build_transformers_index(disk, random_dataset(kind, n, ndim, seed))
     return disk, index
 
 
-indexes = st.builds(
-    random_index,
+@functools.lru_cache(maxsize=None)
+def random_graph(owner, kind, n, ndim, seed):
+    """``(disk, graph, slack, space)``: a descriptor graph the walk and
+    crawl navigate, the enlargement that makes its crawl complete and
+    the space its pivots are drawn from — TRANSFORMERS' space nodes or
+    GIPSY's element pages."""
+    if owner == "transformers":
+        disk, index = random_index(kind, n, ndim, seed)
+        return disk, index.nodes, index.node_slack, index.space
+    dataset = random_dataset(kind, n, ndim, seed)
+    disk = make_disk()
+    index, _ = build_partitioned_index(disk, dataset, "GIPSY")
+    return disk, index.pages, index.max_extent, dataset.boxes.mbb()
+
+
+sizes = (
     st.sampled_from(["uniform", "clustered", "massive"]),
     st.sampled_from([40, 700, 2500]),
     st.sampled_from([2, 3]),
     st.integers(0, 2),
 )
+indexes = st.builds(random_index, *sizes)
+graphs = st.builds(
+    random_graph, st.sampled_from(["transformers", "gipsy"]), *sizes
+)
 
 
-def pivot(index, data):
-    """A random box somewhere in (or just outside) the indexed space."""
-    ndim = index.units.page_lo.shape[1]
+def pivot(space, data):
+    """A random box somewhere in (or just outside) ``space``."""
     unit = st.floats(-0.1, 1.1, allow_nan=False)
-    lo = np.asarray(index.space.lo)
-    side = np.asarray(index.space.hi) - lo
-    center = lo + side * np.array([data.draw(unit) for _ in range(ndim)])
+    lo = np.asarray(space.lo)
+    side = np.asarray(space.hi) - lo
+    center = lo + side * np.array([data.draw(unit) for _ in range(space.ndim)])
     half = side * data.draw(st.floats(0.0, 0.4, allow_nan=False))
     return center - half, center + half
 
@@ -309,13 +334,13 @@ def bits(values):
 
 class TestBatchedEqualsPerCandidate:
     @settings(max_examples=150, deadline=None)
-    @given(indexes, st.data())
+    @given(graphs, st.data())
     def test_adaptive_walk(self, built, data):
-        disk, index = built
-        e_lo, e_hi = pivot(index, data)
-        g_lo, g_hi = e_lo - index.node_slack, e_hi + index.node_slack
-        start = data.draw(st.integers(0, index.num_nodes - 1))
-        args = (index, start, g_lo, g_hi)
+        disk, graph, slack, space = built
+        e_lo, e_hi = pivot(space, data)
+        g_lo, g_hi = e_lo - slack, e_hi + slack
+        start = data.draw(st.integers(0, len(graph) - 1))
+        args = (graph, start, g_lo, g_hi)
 
         def as_list(fn):
             return lambda *a: [fn(*a)]
@@ -325,14 +350,14 @@ class TestBatchedEqualsPerCandidate:
         )
 
     @settings(max_examples=150, deadline=None)
-    @given(indexes, st.data())
+    @given(graphs, st.data())
     def test_adaptive_crawl(self, built, data):
-        disk, index = built
-        e_lo, e_hi = pivot(index, data)
-        g_lo, g_hi = e_lo - index.node_slack, e_hi + index.node_slack
-        start = data.draw(st.integers(0, index.num_nodes - 1))
-        skip = data.draw(st.sets(st.integers(0, index.num_nodes - 1)))
-        args = (index, start, e_lo, e_hi, g_lo, g_hi)
+        disk, graph, slack, space = built
+        e_lo, e_hi = pivot(space, data)
+        g_lo, g_hi = e_lo - slack, e_hi + slack
+        start = data.draw(st.integers(0, len(graph) - 1))
+        skip = data.draw(st.sets(st.integers(0, len(graph) - 1)))
+        args = (graph, start, e_lo, e_hi, g_lo, g_hi)
 
         def with_skip(fn):
             return lambda *a: fn(*a, skip)
@@ -345,7 +370,7 @@ class TestBatchedEqualsPerCandidate:
     @given(indexes, st.data())
     def test_candidate_units(self, built, data):
         disk, index = built
-        q_lo, q_hi = pivot(index, data)
+        q_lo, q_hi = pivot(index.space, data)
         nodes = data.draw(
             st.lists(st.integers(0, index.num_nodes - 1), unique=True)
         )
@@ -362,31 +387,30 @@ class TestTablesEqualPerPivot:
     per-pivot tests compute for that pivot alone."""
 
     @settings(max_examples=60, deadline=None)
-    @given(indexes, st.data())
+    @given(graphs, st.data())
     def test_rows_equal_the_per_pivot_values(self, built, data):
-        _, index = built
-        lo, hi = zip(*(pivot(index, data) for _ in range(data.draw(st.integers(1, 6)))))
+        _, graph, slack, space = built
+        lo, hi = zip(*(pivot(space, data) for _ in range(data.draw(st.integers(1, 6)))))
         e_lo, e_hi = np.array(lo), np.array(hi)
-        g_lo, g_hi = e_lo - index.node_slack, e_hi + index.node_slack
-        distance = partition_distances(index, g_lo, g_hi)
-        include, expand = crawl_masks(index, e_lo, e_hi, g_lo, g_hi)
-        nodes = index.nodes
+        g_lo, g_hi = e_lo - slack, e_hi + slack
+        distance = partition_distances(graph, g_lo, g_hi)
+        include, expand = crawl_masks(graph, e_lo, e_hi, g_lo, g_hi)
         for k in range(len(e_lo)):
             assert bits(distance[k]) == bits(
                 [
-                    node_distance(index, node, g_lo[k], g_hi[k])
-                    for node in range(index.num_nodes)
+                    node_distance(graph, node, g_lo[k], g_hi[k])
+                    for node in range(len(graph))
                 ]
             )
             assert np.array_equal(
-                include[k], boxes_overlap(nodes.mbb_lo, nodes.mbb_hi, e_lo[k], e_hi[k])
+                include[k], boxes_overlap(graph.mbb_lo, graph.mbb_hi, e_lo[k], e_hi[k])
             )
             assert np.array_equal(
-                expand[k], boxes_overlap(nodes.part_lo, nodes.part_hi, g_lo[k], g_hi[k])
+                expand[k], boxes_overlap(graph.part_lo, graph.part_hi, g_lo[k], g_hi[k])
             )
             # One pivot on its own gets its row of the stack.
-            alone = crawl_masks(index, e_lo[k], e_hi[k], g_lo[k], g_hi[k])
-            assert bits(partition_distances(index, g_lo[k], g_hi[k])) == bits(distance[k])
+            alone = crawl_masks(graph, e_lo[k], e_hi[k], g_lo[k], g_hi[k])
+            assert bits(partition_distances(graph, g_lo[k], g_hi[k])) == bits(distance[k])
             assert np.array_equal(alone[0], include[k])
             assert np.array_equal(alone[1], expand[k])
 
@@ -433,7 +457,7 @@ class TestDriverTables:
                 distance, include, expand = driver._exploration_rows(g_node)
                 assert bits(distance) == bits(
                     [
-                        node_distance(follower_idx, node, g_lo, g_hi)
+                        node_distance(nodes, node, g_lo, g_hi)
                         for node in range(follower_idx.num_nodes)
                     ]
                 )
@@ -461,31 +485,31 @@ class TestDriverTables:
             finally:
                 pivots.pop()
 
-        def compare(real, reference, index, start, rows, used, stats, pool, *skip):
+        def compare(real, reference, graph, start, rows, used, stats, pool, *skip):
             """``used`` picks the reference's boxes out of ``(e_lo, e_hi,
             g_lo, g_hi)``."""
             follower_idx, *boxes = pivot_boxes(driver, pivots[-1])
-            assert index is follower_idx
+            assert graph is follower_idx.nodes
             ref_stats = JoinStats()
             want = reference(
-                index, start, *boxes[used], ref_stats, NullPool(), *skip
+                graph, start, *boxes[used], ref_stats, NullPool(), *skip
             )
             before = stats.metadata_comparisons
-            got = real(index, start, *rows, stats, pool, *skip)
+            got = real(graph, start, *rows, stats, pool, *skip)
             assert got == want
             assert stats.metadata_comparisons - before == ref_stats.metadata_comparisons
             seen.append((real.__name__, driver.guide))
             return got
 
-        def spy_walk(index, start, distance, stats, pool):
+        def spy_walk(graph, start, distance, stats, pool):
             return compare(
-                real_walk, walk_per_pivot, index, start, (distance,),
+                real_walk, walk_per_pivot, graph, start, (distance,),
                 slice(2, 4), stats, pool,
             )
 
-        def spy_crawl(index, start, include, expand, stats, pool, skip):
+        def spy_crawl(graph, start, include, expand, stats, pool, skip):
             return compare(
-                real_crawl, crawl_per_candidate, index, start,
+                real_crawl, crawl_per_candidate, graph, start,
                 (include, expand), slice(0, 4), stats, pool, skip,
             )
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core import TransformersJoin
 from repro.engine.planner import PlanHints, plan_join
 from repro.engine.registry import (
-    OracleJoin,
     algorithm_spec,
     available_algorithms,
     create_algorithm,
@@ -96,7 +95,7 @@ class TestRegistration:
 
         @register_algorithm("oracle-alias", description="test-only")
         def _make(hints):
-            return OracleJoin()
+            return BruteForceJoin()
 
         try:
             a, b = dataset_pair("uniform", 150, 150, seed=13)
@@ -107,12 +106,12 @@ class TestRegistration:
         assert "oracle-alias" not in available_algorithms()
 
 
-class TestOracleAdapter:
+class TestBruteForceTwoPhase:
     def test_build_index_writes_nothing(self):
         a, b = dataset_pair("uniform", 100, 100, seed=14)
         disk = make_disk()
-        adapter = OracleJoin()
-        handle, stats = adapter.build_index(disk, a)
+        brute = BruteForceJoin()
+        handle, stats = brute.build_index(disk, a)
         assert handle is a
         assert disk.stats.pages_written == 0
         assert stats.pages_written == 0
@@ -120,10 +119,10 @@ class TestOracleAdapter:
     def test_matches_raw_brute_force(self):
         a, b = dataset_pair("clustered", 120, 120, seed=15)
         disk = make_disk()
-        adapter = OracleJoin()
-        ia, _ = adapter.build_index(disk, a)
-        ib, _ = adapter.build_index(disk, b)
-        assert adapter.join(ia, ib).pair_set() == (
+        brute = BruteForceJoin()
+        ia, _ = brute.build_index(disk, a)
+        ib, _ = brute.build_index(disk, b)
+        assert brute.join(ia, ib).pair_set() == (
             BruteForceJoin().join(a, b).pair_set()
         )
 
@@ -132,4 +131,4 @@ class TestOracleAdapter:
         assert hints.param("missing", 42) == 42
         assert hints.n_total == 20
         algo = create_algorithm("brute", hints)
-        assert isinstance(algo, OracleJoin)
+        assert isinstance(algo, BruteForceJoin)

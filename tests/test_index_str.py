@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import TransformersJoin
 from repro.geometry.box import Box
+from repro.geometry.boxes import BoxArray
 from repro.index.str_pack import (
     str_partition,
     str_partition_with_bounds,
     str_tile_count,
     str_tiling,
 )
+from repro.joins import GipsyJoin, IndexedNestedLoopJoin, SynchronizedRTreeJoin
+from repro.joins.base import Dataset
+
+from tests.conftest import dataset_pair, make_disk
 
 
 def points(n, ndim=3, seed=0, side=100.0):
@@ -232,3 +238,30 @@ class TestLevelwiseEqualsRecursive:
         pts = points(50, seed=2) + 500.0
         with pytest.raises(ValueError):
             str_tiling(pts, 4, SPACE)
+
+
+class TestOneElementPageLayout:
+    """TRANSFORMERS' space units, GIPSY's partitions, INL's sequential
+    file and the R-tree's leaves are the same STR element pages: one
+    dataset, each structure on a fresh disk, the same ids and boxes in
+    the same pages in the same order."""
+
+    @pytest.mark.parametrize("kind, ndim", [("clustered", 3), ("massive", 2)])
+    def test_every_index_writes_the_same_pages(self, kind, ndim):
+        a, _ = dataset_pair(kind, 1700, 10, seed=41)
+        a = Dataset(a.name, a.ids, BoxArray(a.boxes.lo[:, :ndim], a.boxes.hi[:, :ndim]))
+
+        def contents(algorithm, page_ids_of):
+            disk = make_disk()
+            index, _ = algorithm.build_index(disk, a)
+            pages = [disk.peek(int(p)) for p in page_ids_of(index)]
+            return [
+                (p.ids.tobytes(), p.boxes.lo.tobytes(), p.boxes.hi.tobytes())
+                for p in pages
+            ]
+
+        units = contents(TransformersJoin(), lambda i: i.units.element_page_ids)
+        assert len(units) > 10
+        assert contents(GipsyJoin(), lambda i: i.element_page_ids) == units
+        assert contents(IndexedNestedLoopJoin(), lambda i: i.file.page_ids) == units
+        assert contents(SynchronizedRTreeJoin(), lambda i: i.leaf_pages) == units

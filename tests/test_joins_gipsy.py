@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import SpatialWorkspace
 from repro.joins.gipsy import GipsyJoin, build_partitioned_index
 
 from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
@@ -47,7 +48,8 @@ class TestIndex:
         for i in range(0, len(a), 37):
             inside = np.any(
                 np.all(
-                    (index.part_lo <= centers[i]) & (index.part_hi >= centers[i]),
+                    (index.pages.part_lo <= centers[i])
+                    & (index.pages.part_hi >= centers[i]),
                     axis=1,
                 )
             )
@@ -56,13 +58,25 @@ class TestIndex:
     def test_neighbor_lists_are_symmetric(self):
         a, _ = dataset_pair("uniform", 900, 100, seed=26)
         index, _ = build_partitioned_index(make_disk(), a, "GIPSY")
-        for i, ns in enumerate(index.neighbors):
+        for i, ns in enumerate(index.pages.neighbors):
             for j in ns:
-                assert i in index.neighbors[int(j)]
+                assert i in index.pages.neighbors[int(j)]
 
     def test_rejects_bad_outer(self):
         with pytest.raises(ValueError):
             GipsyJoin(outer="c")
+
+    def test_rejects_bad_buffer_before_building_anything(self):
+        """A buffer of no pages is refused where it is given, naming the
+        parameter — not by the join's buffer pool after both indexes
+        were built and cached."""
+        with pytest.raises(ValueError, match="buffer_pages must be >= 1"):
+            GipsyJoin(buffer_pages=0)
+        a, b = dataset_pair("uniform", 200, 200)
+        ws = SpatialWorkspace()
+        with pytest.raises(ValueError, match="buffer_pages must be >= 1"):
+            ws.join(a, b, algorithm="gipsy", parameters={"buffer_pages": 0})
+        assert ws.disk.num_pages == 0
 
     def test_different_disks_rejected(self):
         a, b = dataset_pair("uniform", 200, 200)

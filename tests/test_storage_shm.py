@@ -117,8 +117,8 @@ class TestConcurrentAttach:
                         executor.submit(attach) for _ in range(workers)
                     ]
                     attached = [f.result(timeout=30.0) for f in futures]
-                    # Identity before any read: a lost mapping's views
-                    # must not be touched.
+                    # Every racer gets the one dataset of the shared
+                    # ``_ATTACHED`` entry: the segment is mapped once.
                     assert len({id(d) for d in attached}) == 1
                     assert attached[0].ids.tobytes() == dataset.ids.tobytes()
         finally:

@@ -36,6 +36,8 @@ SWEPT_PACKAGES = (
     "repro.analysis",
     "repro.core",
     "repro.datagen",
+    "repro.index",
+    "repro.joins",
     "repro.metrics",
     "repro.service",
     "repro.stats",
