@@ -21,8 +21,9 @@ What the sweep shows at simulator scale:
 """
 
 from repro.datagen import scaled_space, uniform_dataset
+from repro.engine import pbsm_resolution
 from repro.harness.report import format_table
-from repro.harness.runner import pbsm_resolution, run_pair
+from repro.harness.runner import run_pair
 from repro.joins import PBSMJoin
 
 from benchmarks.conftest import run_once

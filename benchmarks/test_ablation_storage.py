@@ -9,8 +9,9 @@ monotonically for the algorithm that re-reads (TRANSFORMERS).
 
 from repro.core import TransformersConfig, TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
+from repro.engine import pbsm_resolution
 from repro.harness.report import format_table
-from repro.harness.runner import pbsm_resolution, run_pair
+from repro.harness.runner import run_pair
 from repro.joins import PBSMJoin
 from repro.storage.disk import DiskModel
 

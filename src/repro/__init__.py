@@ -98,7 +98,6 @@ from repro.joins import (
     PBSMJoin,
     SynchronizedRTreeJoin,
     delta_join,
-    distance_join,
 )
 from repro.service import (
     ServiceResponse,
@@ -150,7 +149,6 @@ __all__ = [
     "GipsyJoin",
     "IndexedNestedLoopJoin",
     "BruteForceJoin",
-    "distance_join",
     # streaming (mutable datasets + delta joins)
     "DatasetDelta",
     "MutableDataset",

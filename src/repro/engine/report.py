@@ -31,8 +31,7 @@ class RunReport:
     #: The planning decision; ``None`` for a pre-configured instance
     #: and for a delta-patched report.  Its evidence (candidate costs,
     #: selectivity estimate, error band) is populated whenever the
-    #: statistics layer planned this join — ``algorithm="auto"``, or
-    #: any registry name under ``join(..., explain=True)``.
+    #: statistics layer planned this join, i.e. for ``algorithm="auto"``.
     plan: JoinPlan | None = None
     #: Whether each side's index came from the workspace cache.
     reused_a: bool = False

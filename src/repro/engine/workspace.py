@@ -128,10 +128,6 @@ class SpatialWorkspace:
         Storage cost model; default is the experiments' 1 KB-page model.
     cost_model:
         CPU cost model used by the reports' simulated-time figures.
-    disk:
-        Adopt an existing simulated disk (used by
-        :func:`~repro.joins.distance.distance_join`); mutually exclusive
-        with ``disk_model``.
     max_cached_indexes:
         Upper bound on cached index handles.  The cache is LRU: when a
         new index would exceed the bound, the least recently used entry
@@ -148,16 +144,11 @@ class SpatialWorkspace:
         self,
         disk_model: DiskModel | None = None,
         cost_model: CostModel | None = None,
-        disk: SimulatedDisk | None = None,
         max_cached_indexes: int | None = DEFAULT_MAX_CACHED_INDEXES,
     ) -> None:
-        if disk is not None and disk_model is not None:
-            raise ValueError("pass either disk or disk_model, not both")
         if max_cached_indexes is not None and max_cached_indexes < 1:
             raise ValueError("max_cached_indexes must be >= 1 or None")
-        self.disk = disk if disk is not None else SimulatedDisk(
-            disk_model or experiment_disk_model()
-        )
+        self.disk = SimulatedDisk(disk_model or experiment_disk_model())
         self.cost_model = cost_model or CostModel()
         self.max_cached_indexes = max_cached_indexes
         #: Keyed by ``(dataset.fingerprint, algorithm_signature(algo))``.
@@ -294,8 +285,6 @@ class SpatialWorkspace:
         *,
         space: Box | None = None,
         parameters: dict[str, object] | None = None,
-        reuse_indexes: bool = True,
-        explain: bool = False,
         within: float | None = None,
     ) -> RunReport:
         """Join two datasets and return a structured :class:`RunReport`.
@@ -320,8 +309,8 @@ class SpatialWorkspace:
         :func:`~repro.engine.planner.plan_join`); the resulting
         :class:`~repro.engine.planner.JoinPlan` — candidate costs,
         selectivity estimate, error band — rides on ``report.plan``.
-        ``explain=True`` prices an explicitly named algorithm the same
-        way, costing the whole candidate field for comparison.
+        To price an explicitly named algorithm against the whole
+        candidate field, call ``plan_join(..., explain=True)``.
 
         Raises ``ValueError`` if the two datasets share element ids:
         the join result pairs ids up, so overlapping id spaces would
@@ -332,22 +321,21 @@ class SpatialWorkspace:
         self._validate_disjoint_ids(a, b)
         plan: JoinPlan | None = None
         if isinstance(algorithm, str):
-            costed = explain or algorithm.strip().lower() == "auto"
             sketches = None
-            if costed and len(a) > 0 and len(b) > 0:
+            if algorithm.strip().lower() == "auto" and len(a) and len(b):
                 sketches = (self.sketch_for(a), self.sketch_for(b))
             plan = plan_join(
                 a, b, algorithm, space=space,
                 page_size=self.page_size, parameters=parameters,
-                explain=explain, sketches=sketches,
+                sketches=sketches,
                 disk_model=self.disk.model, cost_model=self.cost_model,
             )
             algo = plan.create()
             reusable = algorithm_spec(plan.algorithm).reusable_index
         else:
-            if space is not None or parameters or explain:
+            if space is not None or parameters:
                 raise ValueError(
-                    "space/parameters/explain are planner inputs and "
+                    "space/parameters are planner inputs and "
                     "have no effect on a pre-configured instance; "
                     "configure the instance directly or pass a "
                     "registry name"
@@ -363,10 +351,10 @@ class SpatialWorkspace:
             return self._empty_report(algo, a, b, plan)
 
         handle_a, build_a, reused_a, written_a = self._index(
-            algo, a, reuse=reuse_indexes and reusable
+            algo, a, reuse=reusable
         )
         handle_b, build_b, reused_b, written_b = self._index(
-            algo, b, reuse=reuse_indexes and reusable
+            algo, b, reuse=reusable
         )
         # Cold caches for the join phase, as in the paper's protocol.
         self.disk.reset_stats()
@@ -442,6 +430,7 @@ class SpatialWorkspace:
         mirroring the empty-join short-circuit at the :meth:`join`
         boundary.
         """
+        _require_dataset(dataset, "build_index")
         algo, reusable = self._single_dataset_algorithm(dataset, algorithm)
         if len(dataset) == 0:
             return (
@@ -451,18 +440,6 @@ class SpatialWorkspace:
         handle, stats, _, _ = self._index(algo, dataset, reuse=reusable)
         self._cache_trim()
         return handle, stats
-
-    def index_for(
-        self,
-        dataset: Dataset,
-        algorithm: str | SpatialJoinAlgorithm = "transformers",
-    ) -> object:
-        """The (cached or freshly built) index handle for a dataset.
-
-        Handle lifetime is :meth:`build_index`'s.
-        """
-        _require_dataset(dataset, "index_for")
-        return self.build_index(dataset, algorithm)[0]
 
     def _single_dataset_algorithm(
         self, dataset: Dataset, algorithm: str | SpatialJoinAlgorithm
@@ -486,8 +463,8 @@ class SpatialWorkspace:
     ) -> tuple[object, JoinStats, bool, int]:
         """Build or reuse one index; returns (handle, stats, reused, writes).
 
-        Only a reusable index is keyed, so PBSM and ``reuse=False``
-        never read the dataset's fingerprint.
+        Only a reusable index is keyed, so PBSM never reads the
+        dataset's fingerprint.
         """
         if reuse:
             key = (dataset.fingerprint, algorithm_signature(algo))

@@ -17,7 +17,8 @@ Command line::
     python -m repro.harness.experiments fig10 --scale 2.0
 """
 
-from repro.harness.runner import pbsm_resolution, run_pair
+from repro.engine import pbsm_resolution
+from repro.harness.runner import run_pair
 from repro.harness.report import format_table
 
 __all__ = ["run_pair", "pbsm_resolution", "format_table"]

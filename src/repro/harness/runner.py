@@ -10,14 +10,6 @@ from __future__ import annotations
 
 import math
 
-# Storage defaults and the PBSM heuristic moved to the engine's planner
-# (PR 1); re-exported here because benchmarks and downstream code import
-# them from this module.
-from repro.engine.planner import (  # noqa: F401  (re-exports)
-    EXPERIMENT_PAGE_SIZE,
-    experiment_disk_model,
-    pbsm_resolution,
-)
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
 from repro.joins.base import CostModel, Dataset, SpatialJoinAlgorithm

@@ -35,7 +35,7 @@ from repro.joins.base import (
 )
 from repro.joins.brute import BruteForceJoin, brute_force_pairs
 from repro.joins.delta import delta_join
-from repro.joins.distance import distance_join, enlarged_dataset
+from repro.joins.distance import enlarged_dataset
 from repro.joins.grid_hash import grid_hash_join
 from repro.joins.gipsy import GipsyJoin
 from repro.joins.nested_loop import IndexedNestedLoopJoin
@@ -59,6 +59,5 @@ __all__ = [
     "GipsyJoin",
     "IndexedNestedLoopJoin",
     "delta_join",
-    "distance_join",
     "enlarged_dataset",
 ]

@@ -14,24 +14,16 @@ over-approximates exact geometry; a Euclidean-exact distance join would
 apply the application's refinement on top, like
 :mod:`repro.refine` does for intersection joins.
 
-The recommended entry point is
-``SpatialWorkspace.join(a, b, within=d)`` (or a
+The entry point is ``SpatialWorkspace.join(a, b, within=d)`` (or a
 :class:`~repro.engine.executor.JoinRequest` with ``within=d`` through
 the service layer): that routes the enlargement through the planner,
 the index cache and the structured :class:`~repro.engine.report.RunReport`.
-The :func:`distance_join` function below is a thin shim over that path
-for callers holding a bare algorithm instance and disk.
 """
 
 from __future__ import annotations
 
 from repro.geometry.boxes import BoxArray
-from repro.joins.base import (
-    Dataset,
-    JoinResult,
-    SpatialJoinAlgorithm,
-)
-from repro.storage.disk import SimulatedDisk
+from repro.joins.base import Dataset
 from repro.storage.shm import content_fingerprint
 
 
@@ -66,44 +58,3 @@ def enlarged_dataset(dataset: Dataset, distance: float) -> Dataset:
     object.__setattr__(grown, "fingerprint", fingerprint)
     return grown
 
-
-def distance_join(
-    algorithm: SpatialJoinAlgorithm,
-    disk: SimulatedDisk,
-    a: Dataset,
-    b: Dataset,
-    distance: float,
-) -> JoinResult:
-    """All ``(id_a, id_b)`` whose MBBs lie within Chebyshev ``distance``.
-
-    Thin shim over ``SpatialWorkspace.join(a, b, within=distance)``:
-    builds a workspace around ``disk``, runs ``algorithm`` (any
-    :class:`SpatialJoinAlgorithm`) on ``a`` enlarged by the predicate
-    against ``b`` unchanged, and returns the raw
-    :class:`~repro.joins.base.JoinResult`.  See the module docstring
-    for the exact (L∞) semantics; callers who want the structured
-    report, planning, or caching should use the workspace or service
-    entry points directly.
-
-    >>> from repro.core import TransformersJoin
-    >>> from repro.datagen import scaled_space, uniform_dataset
-    >>> from repro.storage import SimulatedDisk
-    >>> space = scaled_space(400)
-    >>> a = uniform_dataset(200, seed=1, name="a", space=space)
-    >>> b = uniform_dataset(200, seed=2, name="b", id_offset=10**9,
-    ...                     space=space)
-    >>> near = distance_join(TransformersJoin(), SimulatedDisk(), a, b, 1.0)
-    >>> touch = distance_join(TransformersJoin(), SimulatedDisk(), a, b, 0.0)
-    >>> near.stats.pairs_found >= touch.stats.pairs_found
-    True
-    """
-    # Imported here: the workspace lives above the joins layer, and a
-    # module-level import would be circular.  The shim exists exactly
-    # to lift legacy callers onto that higher-level path.
-    from repro.engine.workspace import SpatialWorkspace
-
-    workspace = SpatialWorkspace(disk=disk)
-    report = workspace.join(
-        a, b, algorithm=algorithm, within=float(distance)
-    )
-    return report.result

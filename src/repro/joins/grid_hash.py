@@ -44,7 +44,7 @@ where two clients share one interpreter, +5.7 % ``miss_p50_ms``,
 +16.6 % ``miss_p90_ms`` and −9.9 % ``ops_per_s``.  So the single-pair
 kernel keeps its row-major body and both keep their bytes.  They
 re-unify when PBSM hands its cell pairs to the segmented kernel as one
-launch (ROADMAP B.2): no call-bound caller is left then, and
+launch (ROADMAP G.2): no call-bound caller is left then, and
 :func:`grid_hash_join` becomes the one-segment case.
 """
 

@@ -9,26 +9,19 @@ intersect.  This subpackage supplies that application-specific half:
 
 * :func:`~repro.refine.cylinders.cylinders_intersect` — exact
   capped-cylinder intersection via segment/segment distance;
-* :func:`~repro.refine.cylinders.refine_pairs` — batched refinement of
-  an ``(m, 2)`` candidate id-pair array down to true intersections
-  (vectorized; :func:`~repro.refine.cylinders.refine_pairs_reference`
-  is its element-at-a-time equivalence twin);
-* :func:`~repro.refine.cylinders.segment_distance_batch` — the
-  row-wise segment/segment distance the batched refinement runs on.
+* :func:`~repro.refine.cylinders.refine_pairs` — refinement of an
+  ``(m, 2)`` candidate id-pair array down to true intersections, one
+  :func:`~repro.refine.cylinders.cylinders_intersect` per candidate.
 """
 
 from repro.refine.cylinders import (
     cylinders_intersect,
     refine_pairs,
-    refine_pairs_reference,
     segment_distance,
-    segment_distance_batch,
 )
 
 __all__ = [
     "cylinders_intersect",
     "refine_pairs",
-    "refine_pairs_reference",
     "segment_distance",
-    "segment_distance_batch",
 ]

@@ -18,7 +18,6 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.geometry.cylinder import Cylinder
-from repro.vectorize import vectorized_kernel
 
 #: Parallel-segment detection threshold on the squared denominator.
 _EPS = 1e-12
@@ -27,10 +26,9 @@ _EPS = 1e-12
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     """Dot product with left-to-right accumulation.
 
-    Both the scalar and the batched distance use this exact summation
-    order (BLAS ``np.dot`` does not commit to one), which is what makes
-    :func:`segment_distance_batch` bit-identical to
-    :func:`segment_distance` row for row.
+    BLAS ``np.dot`` does not commit to a summation order; this one does,
+    so a tangency decision (``gap <= r_a + r_b`` at equality) never
+    flips with the platform.
     """
     acc = 0.0
     for x, y in zip(u, v):
@@ -143,223 +141,6 @@ def cylinders_intersect(a: Cylinder, b: Cylinder) -> bool:
     return gap <= a.radius + b.radius
 
 
-# ----------------------------------------------------------------------
-# Batched refinement (the hot path)
-# ----------------------------------------------------------------------
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row dot product of two ``(m, d)`` arrays.
-
-    Accumulates column by column — the same left-to-right order as the
-    scalar :func:`_dot`, so batch and scalar results agree bit for bit
-    (``einsum``/BLAS would not commit to a summation order).
-    """
-    prod = x * y
-    acc = prod[:, 0].copy()
-    for col in range(1, prod.shape[1]):
-        acc += prod[:, col]
-    return acc
-
-
-def _row_norm(v: np.ndarray) -> np.ndarray:
-    """Per-row Euclidean norm of an ``(m, d)`` array."""
-    return np.sqrt(_row_dot(v, v))
-
-
-def _clip01(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``min(max(x, 0), 1)`` — the scalar clamp, batched."""
-    return np.minimum(np.maximum(x, 0.0), 1.0)
-
-
-def _point_segment_distance_batch(
-    point: np.ndarray,
-    origin: np.ndarray,
-    direction: np.ndarray,
-    len_sq: np.ndarray,
-) -> np.ndarray:
-    """Row-wise distance from ``point`` to ``origin + t*direction``."""
-    t = _clip01(_row_dot(point - origin, direction) / len_sq)
-    return _row_norm(point - (origin + direction * t[:, None]))
-
-
-def segment_distance_batch(
-    p0: np.ndarray, p1: np.ndarray, q0: np.ndarray, q1: np.ndarray
-) -> np.ndarray:
-    """Row-wise :func:`segment_distance` over ``(m, d)`` endpoint arrays.
-
-    Replicates the scalar routine's arithmetic branch by branch — the
-    same canonical argument ordering, the same degenerate/parallel
-    cases, the same clamp-and-recompute sequence and the same
-    closest-point evaluation — so a batched refinement accepts exactly
-    the pairs the element-at-a-time path accepts.
-    """
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    q0 = np.asarray(q0, dtype=np.float64)
-    q1 = np.asarray(q1, dtype=np.float64)
-    m = p0.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    if m == 0:
-        return out
-
-    # Canonical order (symmetry near the parallel threshold): swap the
-    # segments where the flattened (q0, q1) tuple sorts before
-    # (p0, p1) — a vectorised lexicographic comparison.
-    first = np.concatenate([p0, p1], axis=1)
-    second = np.concatenate([q0, q1], axis=1)
-    differs = first != second
-    any_differs = differs.any(axis=1)
-    first_diff = np.argmax(differs, axis=1)
-    rows = np.arange(m)
-    swap = any_differs & (
-        second[rows, first_diff] < first[rows, first_diff]
-    )
-    flip = swap[:, None]
-    p0, q0 = np.where(flip, q0, p0), np.where(flip, p0, q0)
-    p1, q1 = np.where(flip, q1, p1), np.where(flip, p1, q1)
-
-    d1 = p1 - p0
-    d2 = q1 - q0
-    r = p0 - q0
-    a = _row_dot(d1, d1)
-    e = _row_dot(d2, d2)
-    f = _row_dot(d2, r)
-
-    point_a = a <= _EPS
-    point_b = e <= _EPS
-
-    both = point_a & point_b
-    if both.any():
-        out[both] = _row_norm(r[both])
-
-    # The remaining cases share the scalar routine's common tail:
-    # closest1 = p0 + d1*s, closest2 = q0 + d2*t.
-    s = np.zeros(m, dtype=np.float64)
-    t = np.zeros(m, dtype=np.float64)
-
-    only_a = point_a & ~point_b
-    if only_a.any():
-        # First segment is a point: clamp projection onto segment 2.
-        t[only_a] = _clip01(f[only_a] / e[only_a])
-
-    general = ~point_a
-    c = np.zeros(m, dtype=np.float64)
-    if general.any():
-        c[general] = _row_dot(d1[general], r[general])
-
-    only_b = general & point_b
-    if only_b.any():
-        # Second segment is a point.
-        s[only_b] = _clip01(-c[only_b] / a[only_b])
-
-    segseg = general & ~point_b
-    parallel = np.zeros(m, dtype=bool)
-    if segseg.any():
-        b_dot = np.zeros(m, dtype=np.float64)
-        b_dot[segseg] = _row_dot(d1[segseg], d2[segseg])
-        denom = np.zeros(m, dtype=np.float64)
-        denom[segseg] = (
-            a[segseg] * e[segseg] - b_dot[segseg] * b_dot[segseg]
-        )
-        parallel = segseg & (denom <= _EPS)
-        if parallel.any():
-            # (Near-)parallel: minimum over the symmetric endpoint
-            # candidate set, exactly as the scalar routine.
-            pp0, pp1 = p0[parallel], p1[parallel]
-            qq0 = q0[parallel]
-            qq1 = q1[parallel]
-            dd1, dd2 = d1[parallel], d2[parallel]
-            aa, ee = a[parallel], e[parallel]
-            out[parallel] = np.minimum(
-                np.minimum(
-                    _point_segment_distance_batch(pp0, qq0, dd2, ee),
-                    _point_segment_distance_batch(pp1, qq0, dd2, ee),
-                ),
-                np.minimum(
-                    _point_segment_distance_batch(qq0, pp0, dd1, aa),
-                    _point_segment_distance_batch(qq1, pp0, dd1, aa),
-                ),
-            )
-        proper = segseg & ~parallel
-        if proper.any():
-            idx = proper
-            s_p = _clip01(
-                (b_dot[idx] * f[idx] - c[idx] * e[idx])
-                / (a[idx] * e[idx] - b_dot[idx] * b_dot[idx])
-            )
-            t_p = (b_dot[idx] * s_p + f[idx]) / e[idx]
-            # Clamp t outside [0, 1] and recompute s, as the scalar
-            # routine does.
-            low = t_p < 0.0
-            if low.any():
-                t_p[low] = 0.0
-                s_p[low] = _clip01(-c[idx][low] / a[idx][low])
-            high = t_p > 1.0
-            if high.any():
-                t_p[high] = 1.0
-                s_p[high] = _clip01(
-                    (b_dot[idx][high] - c[idx][high]) / a[idx][high]
-                )
-            s[idx] = s_p
-            t[idx] = t_p
-
-    tail = ~both & ~parallel
-    if tail.any():
-        closest1 = p0[tail] + d1[tail] * s[tail][:, None]
-        closest2 = q0[tail] + d2[tail] * t[tail][:, None]
-        out[tail] = _row_norm(closest1 - closest2)
-    return out
-
-
-def _cylinder_table(
-    cylinders: Mapping[int, Cylinder],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(sorted ids, p0, p1, radius)`` arrays of one geometry mapping."""
-    n = len(cylinders)
-    ids = np.empty(n, dtype=np.int64)
-    p0 = np.empty((n, 3), dtype=np.float64)
-    p1 = np.empty((n, 3), dtype=np.float64)
-    radius = np.empty(n, dtype=np.float64)
-    for row, (cid, cyl) in enumerate(cylinders.items()):
-        ids[row] = cid
-        p0[row] = cyl.p0
-        p1[row] = cyl.p1
-        radius[row] = cyl.radius
-    order = np.argsort(ids, kind="stable")
-    return ids[order], p0[order], p1[order], radius[order]
-
-
-def _rows_for(sorted_ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Row index of every ``wanted`` id; ``KeyError`` on a missing one."""
-    if len(sorted_ids) == 0:
-        if len(wanted):
-            raise KeyError(int(wanted[0]))
-        return np.empty(0, dtype=np.intp)
-    pos = np.minimum(
-        np.searchsorted(sorted_ids, wanted), len(sorted_ids) - 1
-    )
-    missing = sorted_ids[pos] != wanted
-    if missing.any():
-        raise KeyError(int(wanted[np.argmax(missing)]))
-    return pos
-
-
-def _as_pair_array(candidates: object) -> np.ndarray:
-    """Candidates as an ``(m, 2)`` int64 array, order preserved."""
-    if isinstance(candidates, np.ndarray):
-        pairs = np.asarray(candidates, dtype=np.int64)
-        if pairs.size == 0:
-            return pairs.reshape(0, 2)
-    else:
-        rows = [(int(id_a), int(id_b)) for id_a, id_b in candidates]
-        if not rows:
-            return np.empty((0, 2), dtype=np.int64)
-        pairs = np.asarray(rows, dtype=np.int64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("candidates must be (m, 2) id pairs")
-    return pairs
-
-
-@vectorized_kernel
 def refine_pairs(
     candidates: "np.ndarray | Iterable[tuple[int, int]]",
     cylinders_a: Mapping[int, Cylinder],
@@ -369,45 +150,16 @@ def refine_pairs(
 
     ``candidates`` is the filter step's output — pass
     ``JoinResult.pairs`` (an ``(m, 2)`` int64 array) straight through;
-    iterables of ``(id_a, id_b)`` tuples are accepted too.  The result
-    is the accepted subset as an ``(k, 2)`` int64 array in candidate
-    order, so the id-pair representation flows through filter and
-    refinement without exploding into per-pair Python tuples.
-
-    The distances are computed by :func:`segment_distance_batch`, which
-    reproduces the scalar routine's arithmetic exactly: the accepted
-    set equals :func:`refine_pairs_reference`'s on any input.  Raises
-    :class:`KeyError` for ids without geometry — a candidate the filter
-    produced but the model does not know is a pipeline bug worth
+    iterables of ``(id_a, id_b)`` tuples are accepted too.  One
+    :func:`cylinders_intersect` per candidate; the result is the
+    accepted subset as an ``(k, 2)`` int64 array in candidate order.
+    Raises :class:`KeyError` for ids without geometry — a candidate the
+    filter produced but the model does not know is a pipeline bug worth
     failing on.
     """
-    pairs = _as_pair_array(candidates)
-    if len(pairs) == 0:
-        return pairs
-    ids_a, p0_a, p1_a, radius_a = _cylinder_table(cylinders_a)
-    ids_b, p0_b, p1_b, radius_b = _cylinder_table(cylinders_b)
-    rows_a = _rows_for(ids_a, pairs[:, 0])
-    rows_b = _rows_for(ids_b, pairs[:, 1])
-    gap = segment_distance_batch(
-        p0_a[rows_a], p1_a[rows_a], p0_b[rows_b], p1_b[rows_b]
-    )
-    keep = gap <= radius_a[rows_a] + radius_b[rows_b]
-    return pairs[keep]
-
-
-def refine_pairs_reference(
-    candidates: Iterable[tuple[int, int]],
-    cylinders_a: Mapping[int, Cylinder],
-    cylinders_b: Mapping[int, Cylinder],
-) -> list[tuple[int, int]]:
-    """Element-at-a-time twin of :func:`refine_pairs` (see RPL004).
-
-    One scalar :func:`cylinders_intersect` per candidate; returns the
-    accepted pairs as a list of tuples in candidate order.  The
-    vectorized kernel must accept exactly this set.
-    """
-    out: list[tuple[int, int]] = []
+    accepted: list[tuple[int, int]] = []
     for id_a, id_b in candidates:
+        id_a, id_b = int(id_a), int(id_b)
         if cylinders_intersect(cylinders_a[id_a], cylinders_b[id_b]):
-            out.append((int(id_a), int(id_b)))
-    return out
+            accepted.append((id_a, id_b))
+    return np.asarray(accepted, dtype=np.int64).reshape(-1, 2)

@@ -1,4 +1,4 @@
-"""Bounded LRU result cache with hit/miss/eviction/invalidation counters.
+"""Bounded LRU result cache with eviction and invalidation counters.
 
 Stores finished :class:`~repro.engine.report.RunReport` objects under
 content-addressed request keys
@@ -8,10 +8,10 @@ configuration, a hit is guaranteed to be the *same computation*: the
 cached report is returned as-is, byte-identical to the run that
 produced it.
 
-Counters follow cache-server conventions: every lookup is exactly one
-hit or one miss (so ``hits + misses == lookups`` always holds), bound
-overflow counts evictions, and explicit invalidation — a catalog name
-re-bound to new content — counts invalidations separately.
+Bound overflow counts evictions, and explicit invalidation — a catalog
+name re-bound to new content — counts invalidations separately.  Hits
+and misses are counted once, in the service's ledger
+(:class:`~repro.service.stats.ServiceLedger`), not here.
 
 Not thread-safe by itself; the owning service serialises access.
 """
@@ -39,8 +39,6 @@ class ResultCache:
             raise ValueError("max_entries must be >= 1 or None")
         self.max_entries = max_entries
         self._entries: OrderedDict[CacheKey, RunReport] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
@@ -48,16 +46,10 @@ class ResultCache:
     # Core operations
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> RunReport | None:
-        """The cached report for ``key`` (refreshing recency), or None.
-
-        Counts exactly one hit or one miss per call.
-        """
+        """The cached report for ``key`` (refreshing recency), or None."""
         report = self._entries.get(key)
-        if report is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        if report is not None:
+            self._entries.move_to_end(key)
         return report
 
     def put(self, key: CacheKey, report: RunReport) -> None:
@@ -83,19 +75,14 @@ class ResultCache:
         self.invalidations += len(doomed)
         return len(doomed)
 
-    def clear(self) -> None:
-        """Drop everything (counted as invalidations)."""
-        self.invalidations += len(self._entries)
-        self._entries.clear()
-
     def entries_for_fingerprint(
         self, fingerprint: str
     ) -> list[tuple[CacheKey, RunReport]]:
         """Every ``(key, report)`` whose key references ``fingerprint``.
 
-        A peek for the delta-patch path: no recency refresh, no
-        hit/miss accounting — the entries are not being *served*, they
-        are about to be rewritten under post-delta keys.
+        A peek for the delta-patch path: no recency refresh — the
+        entries are not being *served*, they are about to be rewritten
+        under post-delta keys.
         """
         return [
             (key, report)
@@ -106,18 +93,6 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def lookups(self) -> int:
-        """Total lookups so far (``hits + misses`` by construction)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache; 0.0 before any lookup."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
     def __contains__(self, key: object) -> bool:
         return key in self._entries
 
@@ -127,6 +102,5 @@ class ResultCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ResultCache(size={len(self._entries)}, "
-            f"hits={self.hits}, misses={self.misses}, "
             f"evictions={self.evictions})"
         )

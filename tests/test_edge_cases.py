@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import TransformersJoin, build_transformers_index
 from repro.geometry.boxes import BoxArray
-from repro.harness.runner import pbsm_resolution
 from repro.joins import (
     BruteForceJoin,
     GipsyJoin,

@@ -2,7 +2,7 @@
 
 The join boundary has short-circuited empty inputs since the batch
 executor landed; these tests pin down the remaining single-dataset
-entry points (``range_query`` / ``build_index`` / ``index_for``) and
+entry points (``range_query`` / ``build_index``) and
 the planner, none of which may crash with ``ValueError: empty BoxArray
 has no MBB`` or misplan an empty side as a cardinality contrast.
 """
@@ -43,12 +43,6 @@ class TestWorkspaceSingleDatasetOps:
         assert stats.phase == "index"
         assert stats.pages_written == 0
         assert ws.disk.num_pages == 0
-
-    @pytest.mark.parametrize("algorithm", available_algorithms())
-    def test_index_for_returns_noop_index(self, algorithm):
-        assert isinstance(
-            SpatialWorkspace().index_for(_empty(), algorithm), EmptyIndex
-        )
 
     def test_range_query_returns_empty_hits(self):
         ws = SpatialWorkspace()

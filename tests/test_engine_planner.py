@@ -127,16 +127,3 @@ class TestParameterResolution:
         with pytest.raises(AttributeError):
             plan.algorithm = "pbsm"
 
-
-class TestHarnessBackCompat:
-    """The storage defaults moved into the engine; the harness module
-    keeps re-exporting them for existing callers."""
-
-    def test_runner_reexports_engine_definitions(self):
-        from repro.harness import runner
-
-        assert runner.pbsm_resolution is pbsm_resolution
-        assert runner.EXPERIMENT_PAGE_SIZE == EXPERIMENT_PAGE_SIZE
-        assert runner.experiment_disk_model().page_size == (
-            EXPERIMENT_PAGE_SIZE
-        )

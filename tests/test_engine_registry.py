@@ -1,5 +1,6 @@
 """Tests for the engine's algorithm registry."""
 
+import numpy as np
 import pytest
 
 from repro.core import TransformersJoin
@@ -18,6 +19,7 @@ from repro.joins import (
     PBSMJoin,
     SynchronizedRTreeJoin,
 )
+from repro.joins.base import Dataset
 
 from tests.conftest import dataset_pair, make_disk, oracle_pairs
 
@@ -117,14 +119,29 @@ class TestBruteForceTwoPhase:
         assert stats.pages_written == 0
 
     def test_matches_raw_brute_force(self):
+        """The registry-built two-phase join against an independent
+        per-pair ``Box.intersects`` loop: sorted, unique ``(id_a, id_b)``
+        rows and one intersection test per element pair."""
         a, b = dataset_pair("clustered", 120, 120, seed=15)
+        # Rows out of id order, so a join that skips its sort shows.
+        perm = np.random.default_rng(15).permutation(len(a))
+        a = Dataset(a.name, a.ids[perm], a.boxes.take(perm))
         disk = make_disk()
-        brute = BruteForceJoin()
+        brute = create_algorithm(
+            "brute", PlanHints(space=None, n_a=len(a), n_b=len(b))
+        )
         ia, _ = brute.build_index(disk, a)
         ib, _ = brute.build_index(disk, b)
-        assert brute.join(ia, ib).pair_set() == (
-            BruteForceJoin().join(a, b).pair_set()
+        result = brute.join(ia, ib)
+        expected = sorted(
+            (int(a.ids[i]), int(b.ids[j]))
+            for i in range(len(a))
+            for j in range(len(b))
+            if a.boxes.box(i).intersects(b.boxes.box(j))
         )
+        assert expected
+        assert [tuple(pair) for pair in result.pairs.tolist()] == expected
+        assert result.stats.intersection_tests == len(a) * len(b)
 
     def test_hints_param_defaults(self):
         hints = PlanHints(space=None, n_a=10, n_b=10)

@@ -12,7 +12,6 @@ from repro.core import TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine.workspace import algorithm_signature
 from repro.joins import PBSMJoin
-from repro.storage.disk import SimulatedDisk
 
 from tests.conftest import (
     dataset_pair,
@@ -136,14 +135,6 @@ class TestIndexCache:
         assert not r2.reused_a
         assert r2.index_pages_written_a > 0
 
-    def test_reuse_can_be_disabled(self):
-        a, b, c = _triple()
-        ws = SpatialWorkspace()
-        ws.join(a, b)
-        r2 = ws.join(a, c, reuse_indexes=False)
-        assert not r2.reused_a
-        assert r2.index_pages_written_a > 0
-
     def test_different_config_is_a_different_cache_key(self):
         from repro.core import TransformersConfig
 
@@ -235,8 +226,8 @@ class TestPageRelease:
         entry, so its pages go when the entry is evicted."""
         ws = SpatialWorkspace(max_cached_indexes=1)
         a, b, _ = _triple()
-        index_a = ws.index_for(a)
-        ws.index_for(b)
+        index_a, _ = ws.build_index(a)
+        ws.build_index(b)
         with pytest.raises(KeyError, match="released"):
             ws.disk.peek(int(index_a.units.element_page_ids[0]))
 
@@ -282,7 +273,7 @@ class TestRangeQuery:
         with pytest.raises(TypeError, match="SpatialQueryService"):
             ws.range_query("ghost", Box((0, 0, 0), (1, 1, 1)))
         with pytest.raises(TypeError, match="SpatialQueryService"):
-            ws.index_for("ghost")
+            ws.build_index("ghost")
         assert ws.cached_index_count == 0
 
 
@@ -314,11 +305,3 @@ class TestRunReport:
         assert report.plan is not None
         assert report.plan.algorithm == "transformers"
         assert report.algorithm == "TRANSFORMERS"
-
-    def test_workspace_constructor_validation(self):
-        from repro.engine.planner import experiment_disk_model
-
-        with pytest.raises(ValueError, match="not both"):
-            SpatialWorkspace(
-                disk_model=experiment_disk_model(), disk=SimulatedDisk()
-            )

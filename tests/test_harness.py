@@ -3,15 +3,11 @@
 import pytest
 
 from repro.core import TransformersJoin
+from repro.engine import pbsm_resolution
 from repro.engine.report import RunReport
 from repro.harness.experiments import EXPERIMENTS, main
 from repro.harness.report import format_series, format_table, speedup
-from repro.harness.runner import (
-    geometric_sizes,
-    pbsm_resolution,
-    run_pair,
-    scale_counts,
-)
+from repro.harness.runner import geometric_sizes, run_pair, scale_counts
 
 from tests.conftest import dataset_pair
 

@@ -10,7 +10,7 @@ evaluates.
 import pytest
 
 from repro.core import TransformersJoin
-from repro.harness.runner import pbsm_resolution
+from repro.engine import pbsm_resolution
 from repro.joins import (
     GipsyJoin,
     IndexedNestedLoopJoin,

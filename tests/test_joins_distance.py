@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import TransformersJoin
-from repro.joins import PBSMJoin, distance_join, enlarged_dataset
+from repro.engine import SpatialWorkspace
+from repro.joins import PBSMJoin, enlarged_dataset
 
-from tests.conftest import dataset_pair, make_disk
+from tests.conftest import dataset_pair
 
 
 def brute_distance_pairs(a, b, distance):
@@ -67,24 +68,28 @@ class TestDistanceJoin:
     @pytest.mark.parametrize("distance", [0.0, 0.5, 2.0])
     def test_matches_brute_force(self, distance):
         a, b = dataset_pair("uniform", 400, 600, seed=17)
-        result = distance_join(TransformersJoin(), make_disk(), a, b, distance)
+        result = SpatialWorkspace().join(
+            a, b, algorithm=TransformersJoin(), within=distance
+        ).result
         assert result.pair_set() == brute_distance_pairs(a, b, distance)
 
     def test_works_with_any_algorithm(self):
         a, b = dataset_pair("contrast", 300, 600, seed=18)
         space = a.boxes.mbb().union(b.boxes.mbb()).enlarged(1.0)
-        tr = distance_join(TransformersJoin(), make_disk(), a, b, 1.0)
-        pbsm = distance_join(
-            PBSMJoin(space=space, resolution=4), make_disk(), a, b, 1.0
-        )
+        tr = SpatialWorkspace().join(
+            a, b, algorithm=TransformersJoin(), within=1.0
+        ).result
+        pbsm = SpatialWorkspace().join(
+            a, b, algorithm=PBSMJoin(space=space, resolution=4), within=1.0
+        ).result
         assert tr.pair_set() == pbsm.pair_set()
 
     def test_monotone_in_distance(self):
         a, b = dataset_pair("uniform", 400, 400, seed=19)
         previous: set = set()
         for d in (0.0, 0.5, 1.5, 3.0):
-            got = distance_join(
-                TransformersJoin(), make_disk(), a, b, d
+            got = SpatialWorkspace().join(
+                a, b, algorithm=TransformersJoin(), within=d
             ).pair_set()
             assert previous <= got
             previous = got
@@ -93,18 +98,20 @@ class TestDistanceJoin:
     @given(st.floats(0.0, 3.0, allow_nan=False), st.integers(0, 1000))
     def test_property(self, distance, seed):
         a, b = dataset_pair("uniform", 200, 300, seed=seed)
-        result = distance_join(TransformersJoin(), make_disk(), a, b, distance)
+        result = SpatialWorkspace().join(
+            a, b, algorithm=TransformersJoin(), within=distance
+        ).result
         assert result.pair_set() == brute_distance_pairs(a, b, distance)
 
     def test_emits_no_deprecation_warning(self):
-        """Regression: the shim once tripped a DeprecationWarning of
-        the library's own."""
+        """Regression: the distance path once tripped a
+        DeprecationWarning of the library's own."""
         import warnings
 
         a, b = dataset_pair("uniform", 200, 300, seed=23)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            result = distance_join(
-                TransformersJoin(), make_disk(), a, b, 1.0
-            )
+            result = SpatialWorkspace().join(
+                a, b, algorithm=TransformersJoin(), within=1.0
+            ).result
         assert result.pair_set() == brute_distance_pairs(a, b, 1.0)

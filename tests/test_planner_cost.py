@@ -192,14 +192,6 @@ class TestWorkspaceIntegration:
         assert run.plan is not None
         assert not run.plan.stats_used
 
-    def test_explicit_join_with_explain(self):
-        a, b = _fig11_style_contrast_pair()
-        run = SpatialWorkspace().join(
-            a, b, algorithm="transformers", explain=True
-        )
-        assert run.plan.stats_used
-        assert run.plan.candidate("transformers") is not None
-
     def test_sketches_are_cached_and_forgotten(self):
         ws = SpatialWorkspace()
         a, b = _fig11_style_contrast_pair()
@@ -227,13 +219,6 @@ class TestWorkspaceIntegration:
         for d in sets:
             ws.sketch_for(d)
         assert ws.cached_sketch_count == 2
-
-    def test_instance_with_explain_raises(self):
-        from repro.core import TransformersJoin
-
-        a, b = _fig11_style_contrast_pair()
-        with pytest.raises(ValueError, match="explain"):
-            SpatialWorkspace().join(a, b, TransformersJoin(), explain=True)
 
 
 class TestModelThreading:

@@ -369,23 +369,6 @@ class TestResultCacheUnit:
         assert len(cache) == 300
         assert cache.evictions == 0
 
-    def test_hit_rate_and_lookups(self):
-        cache = ResultCache(4)
-        assert cache.hit_rate == 0.0
-        key = ("fa", "fb", "t", None, None)
-        assert cache.get(key) is None
-        cache.put(key, object())
-        assert cache.get(key) is not None
-        assert cache.lookups == 2
-        assert cache.hit_rate == 0.5
-
-    def test_clear_counts_invalidations(self):
-        cache = ResultCache(4)
-        cache.put(("fa", "fb", "t", None, None), object())
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.invalidations == 1
-
 
 class TestPlanningFromCatalogSketches:
     """The service plans registered pairs from stored sketches alone."""

@@ -11,7 +11,8 @@ import pytest
 
 from repro.core import TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
-from repro.harness.runner import pbsm_resolution, run_pair
+from repro.engine import pbsm_resolution
+from repro.harness.runner import run_pair
 from repro.joins import PBSMJoin, SynchronizedRTreeJoin
 
 

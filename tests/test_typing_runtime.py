@@ -28,10 +28,11 @@ import typing
 
 import pytest
 
-#: The strict-gate surface (mirrors mypy.ini's strict set), plus the
-#: planner and its report: those two sit outside mypy's strict set, so
-#: this sweep is the only check that sees a stale name in their
-#: annotations or ``TYPE_CHECKING`` imports.
+#: The strict-gate surface (mirrors mypy.ini's strict set), plus
+#: ``repro.refine`` and the engine's planner, report and workspace:
+#: those sit outside mypy's strict set, so this sweep is the only check
+#: that sees a stale name in their annotations or ``TYPE_CHECKING``
+#: imports.
 SWEPT_PACKAGES = (
     "repro.analysis",
     "repro.core",
@@ -39,6 +40,7 @@ SWEPT_PACKAGES = (
     "repro.index",
     "repro.joins",
     "repro.metrics",
+    "repro.refine",
     "repro.service",
     "repro.stats",
     "repro.storage",
@@ -46,6 +48,7 @@ SWEPT_PACKAGES = (
     "repro.engine.executor",
     "repro.engine.planner",
     "repro.engine.report",
+    "repro.engine.workspace",
 )
 
 
