@@ -67,6 +67,18 @@ class TestWorkspaceSingleDatasetOps:
         assert report.pairs_found == 0
         assert report.pair_set() == set()
 
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_join_with_an_empty_side_builds_nothing(self, full, algorithm):
+        ws = SpatialWorkspace()
+        for a, b in ((full, _empty(ids=())), (_empty(ids=()), full)):
+            report = ws.join(a, b, algorithm=algorithm)
+            assert report.result.pairs.shape == (0, 2)
+            assert report.build_a.pages_written == 0
+            assert report.build_b.pages_written == 0
+            assert report.plan.algorithm == algorithm
+        assert ws.disk.num_pages == 0
+        assert ws.cached_index_count == 0
+
 
 class TestPlannerOnEmptyInputs:
     def test_auto_keeps_the_default_on_an_empty_side(self, full):

@@ -135,6 +135,15 @@ class TestIndexCache:
         assert not r2.reused_a
         assert r2.index_pages_written_a > 0
 
+    def test_drop_indexes_forces_a_rebuild(self):
+        a, b, c = _triple()
+        ws = SpatialWorkspace()
+        first = ws.join(a, b)
+        ws.drop_indexes()
+        r2 = ws.join(a, c)
+        assert not r2.reused_a
+        assert r2.index_pages_written_a == first.index_pages_written_a > 0
+
     def test_different_config_is_a_different_cache_key(self):
         from repro.core import TransformersConfig
 
@@ -298,6 +307,19 @@ class TestRunReport:
             intersection_test_cost=0.0, metadata_test_cost=0.0
         )
         assert report.total_cost(cheap_cpu) <= report.total_cost()
+
+    def test_disk_model_sets_the_page_size(self):
+        from repro.storage.disk import DiskModel
+
+        a, b, _ = _triple()
+        small = SpatialWorkspace(disk_model=DiskModel(page_size=512))
+        large = SpatialWorkspace(disk_model=DiskModel(page_size=4096))
+        assert small.page_size == small.disk.model.page_size == 512
+        assert large.page_size == 4096
+        r_small = small.join(a, b, algorithm="transformers")
+        r_large = large.join(a, b, algorithm="transformers")
+        assert r_small.pair_set() == r_large.pair_set()
+        assert r_small.index_pages_written_a > r_large.index_pages_written_a
 
     def test_plan_attached_for_named_runs(self):
         a, b = dataset_pair("uniform", 200, 200, seed=41)

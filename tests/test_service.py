@@ -369,6 +369,53 @@ class TestResultCacheUnit:
         assert len(cache) == 300
         assert cache.evictions == 0
 
+    def test_get_refreshes_recency(self):
+        cache = ResultCache(2)
+        first, second, third = object(), object(), object()
+        cache.put(("fa", "fb", "t", None, None), first)
+        cache.put(("fc", "fd", "t", None, None), second)
+        assert cache.get(("fa", "fb", "t", None, None)) is first
+        cache.put(("fe", "ff", "t", None, None), third)  # evicts fc/fd
+        assert ("fa", "fb", "t", None, None) in cache
+        assert ("fc", "fd", "t", None, None) not in cache
+        assert cache.evictions == 1
+
+    def test_put_replaces_an_existing_entry(self):
+        cache = ResultCache(4)
+        key = ("fa", "fb", "t", None, None)
+        assert cache.get(key) is None
+        old, new = object(), object()
+        cache.put(key, old)
+        cache.put(key, new)
+        assert len(cache) == 1
+        assert cache.get(key) is new
+        assert cache.evictions == 0
+
+    def test_invalidation_matches_either_join_side_only(self):
+        cache = ResultCache(8)
+        cache.put(("fa", "fb", "t", None, None), object())
+        cache.put(("fb", "fc", "t", None, None), object())
+        cache.put(("fc", "fd", "fb", None, None), object())
+        assert cache.invalidate_fingerprint("fb") == 2
+        assert cache.invalidations == 2
+        # "fb" in the third slot is not a join side: that entry stays.
+        assert list(cache._entries) == [("fc", "fd", "fb", None, None)]
+        assert cache.invalidate_fingerprint("zz") == 0
+        assert cache.invalidations == 2
+
+    def test_entries_for_fingerprint_does_not_refresh_recency(self):
+        cache = ResultCache(2)
+        report = object()
+        cache.put(("fa", "fb", "t", None, None), report)
+        cache.put(("fc", "fd", "t", None, None), object())
+        assert cache.entries_for_fingerprint("fb") == [
+            (("fa", "fb", "t", None, None), report)
+        ]
+        cache.put(("fe", "ff", "t", None, None), object())
+        # The peek left fa/fb least recently used, so it was evicted.
+        assert ("fa", "fb", "t", None, None) not in cache
+        assert cache.entries_for_fingerprint("fb") == []
+
 
 class TestPlanningFromCatalogSketches:
     """The service plans registered pairs from stored sketches alone."""
