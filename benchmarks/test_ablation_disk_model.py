@@ -6,8 +6,6 @@ spanning a modern SSD-ish 5:1 to the mechanical-disk 80:1 and asserts
 the winner never changes.
 """
 
-import pytest
-
 from repro.core import TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import pbsm_resolution

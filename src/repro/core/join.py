@@ -307,14 +307,19 @@ class _Driver:
         pages once, in disk order, is the corresponding I/O.  All
         subsequent descriptor accesses then hit the metadata pool
         instead of tearing the data-read stream with random seeks.
+
+        Each index's directory is read as its own run, A's then B's,
+        so the reads do not depend on which index was built first (a
+        cached index may be older than its partner); for two indexes
+        built in join order this is the disk order of both.
         """
         io_before = self.disk.stats.read_cost
-        page_ids: list[int] = []
         for index in self.indexes:
-            page_ids.extend(int(p) for p in index.nodes.meta_page_ids)
-            page_ids.extend(int(p) for p in index.nodes.desc_page_ids)
-        for page_id in sorted(page_ids):
-            self.meta_pool.read(page_id)
+            nodes = index.nodes
+            for page_id in sorted(
+                [*nodes.meta_page_ids.tolist(), *nodes.desc_page_ids.tolist()]
+            ):
+                self.meta_pool.read(page_id)
         self.exploration_io += self.disk.stats.read_cost - io_before
 
     def _next_pivot(self, side: int) -> int:

@@ -10,8 +10,9 @@ queries::
     report = ws.join(a, c, algorithm="pbsm")   # explicit, no wiring
     hits = ws.range_query(a, box)              # reuses a's index
 
-Batches of joins run through the executor, each request cold on its
-own workspace, failures captured per request::
+Batches of joins run through the executor, whose one long-lived
+workspace lets a request reuse the indexes earlier requests built,
+failures captured per request::
 
     from repro.engine import BatchExecutor, JoinRequest
 

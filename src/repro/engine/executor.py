@@ -1,23 +1,33 @@
-"""Batch execution: many joins, one cold workspace each, one report.
+"""Batch execution: many joins on one long-lived workspace, one report.
 
 The paper's robustness claim is an aggregate statement — TRANSFORMERS
 stays fast across *many* workloads while fixed strategies degrade on
 some of them — so the repro needs to drive many joins and account them
 together.  :class:`BatchExecutor` does that: it accepts a list of
 :class:`JoinRequest` objects (dataset pair, algorithm name or
-``"auto"``, parameters) and runs them in order, inline, each on a fresh
-:class:`~repro.engine.workspace.SpatialWorkspace` (the paper's
-nothing-shared, cold-cache protocol), merging the per-run
-:class:`~repro.engine.report.RunReport` objects into a
+``"auto"``, parameters) and runs them in order, inline, merging the
+per-run :class:`~repro.engine.report.RunReport` objects into a
 :class:`BatchReport` with aggregate I/O/CPU cost and a per-algorithm
 breakdown.
+
+An executor keeps one :class:`~repro.engine.workspace.SpatialWorkspace`
+for its lifetime, so a request reuses, by
+:attr:`Dataset.fingerprint <repro.joins.base.Dataset.fingerprint>`, the
+per-dataset indexes (TRANSFORMERS, R-TREE, GIPSY) and the sketches that
+earlier requests built — the paper's index-reuse argument (Section
+VII-C1) — within the workspace's LRU bound
+(:data:`EXECUTOR_CACHED_INDEXES`).  A reused side reports
+``reused_a`` / ``reused_b`` and writes no index page; pairs and the
+join-phase counters are those of a cold join.  The paper's
+nothing-shared, cold-cache protocol is ``SpatialWorkspace().join``.
+An executor serves one caller at a time.
 
 A failure inside one request (bad parameters, an algorithm raising) is
 captured in that request's :class:`RequestOutcome`; the rest of the
 batch completes normally.  Both service tiers run their cache misses
-through this executor; parallelism lives one level up, in the sharded
-tier (:mod:`repro.service.sharded`), whose shard processes each run
-one executor.
+through this executor, one per shard; parallelism lives one level up,
+in the sharded tier (:mod:`repro.service.sharded`), whose shard
+processes each run one executor.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.engine.report import RunReport
+from repro.engine.workspace import SpatialWorkspace
 from repro.joins.base import CostModel, Dataset, SpatialJoinAlgorithm
 from repro.storage.disk import DiskModel
 
@@ -237,20 +248,12 @@ def _concrete(side: Dataset | str) -> Dataset:
 
 
 def _execute_request(
-    index: int,
-    request: JoinRequest,
-    disk_model: DiskModel | None,
-    cost_model: CostModel | None,
+    index: int, request: JoinRequest, workspace: SpatialWorkspace
 ) -> RequestOutcome:
-    """Run one request on a fresh workspace, capturing any failure."""
-    from repro.engine.workspace import SpatialWorkspace
-
+    """Run one request on ``workspace``, capturing any failure."""
     outcome = RequestOutcome(index=index, label=request.describe())
     start = time.perf_counter()
     try:
-        workspace = SpatialWorkspace(
-            disk_model=disk_model, cost_model=cost_model
-        )
         # space/parameters are forwarded even for instance algorithms:
         # the workspace rejects that combination, and the resulting
         # ValueError must surface as this request's failure rather
@@ -270,11 +273,21 @@ def _execute_request(
     return outcome
 
 
-class BatchExecutor:
-    """Runs batches of join requests inline, one cold workspace each.
+#: Index-cache bound of an executor's workspace (its sketch and
+#: enlarged-dataset memos share it).  Picked by measuring the serve
+#: workloads' ``peak_rss_mb``; a shard holds at most this many indexes.
+EXECUTOR_CACHED_INDEXES = 16
 
-    ``disk_model`` / ``cost_model`` are forwarded to every per-request
-    workspace.
+
+class BatchExecutor:
+    """Runs batches of join requests inline on one long-lived workspace.
+
+    ``disk_model`` / ``cost_model`` configure that workspace.  Its
+    index cache holds at most :data:`EXECUTOR_CACHED_INDEXES` indexes,
+    so a later request reuses what an earlier one built and the
+    executor's memory stays bounded however many requests it runs.
+    An executor serves one caller at a time: the service tiers call
+    :meth:`run` under their shard's lock.
     """
 
     def __init__(
@@ -283,13 +296,17 @@ class BatchExecutor:
         disk_model: DiskModel | None = None,
         cost_model: CostModel | None = None,
     ) -> None:
-        self.disk_model = disk_model
         self.cost_model = cost_model or CostModel()
+        self.workspace = SpatialWorkspace(
+            disk_model=disk_model,
+            cost_model=self.cost_model,
+            max_cached_indexes=EXECUTOR_CACHED_INDEXES,
+        )
 
     def run(self, requests: Iterable[JoinRequest]) -> BatchReport:
         """Execute every request in order; failures stay per-request."""
         outcomes = [
-            _execute_request(i, req, self.disk_model, self.cost_model)
+            _execute_request(i, req, self.workspace)
             for i, req in enumerate(requests)
         ]
         return BatchReport(outcomes=outcomes, cost_model=self.cost_model)

@@ -350,17 +350,22 @@ class SpatialWorkspace:
         if len(a) == 0 or len(b) == 0:
             return self._empty_report(algo, a, b, plan)
 
-        handle_a, build_a, reused_a, written_a = self._index(
-            algo, a, reuse=reusable
-        )
-        handle_b, build_b, reused_b, written_b = self._index(
-            algo, b, reuse=reusable
-        )
-        # Cold caches for the join phase, as in the paper's protocol.
-        self.disk.reset_stats()
+        first_page = self.disk.num_pages
         try:
+            handle_a, build_a, reused_a, written_a = self._index(
+                algo, a, reuse=reusable
+            )
+            handle_b, build_b, reused_b, written_b = self._index(
+                algo, b, reuse=reusable
+            )
+            # Cold caches for the join phase, as in the paper's protocol.
+            self.disk.reset_stats()
             result = algo.join(handle_a, handle_b)
         finally:
+            if not reusable:
+                # A pair-level index (PBSM's grid) is cached nowhere:
+                # its pages die with the join that built them.
+                self.disk.release(range(first_page, self.disk.num_pages))
             self._cache_trim()
         return RunReport(
             algorithm=algo.name,

@@ -17,8 +17,7 @@ Command line::
     python -m repro.harness.experiments fig10 --scale 2.0
 """
 
-from repro.engine import pbsm_resolution
 from repro.harness.runner import run_pair
 from repro.harness.report import format_table
 
-__all__ = ["run_pair", "pbsm_resolution", "format_table"]
+__all__ = ["run_pair", "format_table"]

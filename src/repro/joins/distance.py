@@ -41,6 +41,10 @@ def enlarged_dataset(dataset: Dataset, distance: float) -> Dataset:
     different source datasets can never collide on the derived name
     the way ``f"{name}+{distance}"`` allowed.  That one hash is also
     the copy's :attr:`~repro.joins.base.Dataset.fingerprint`.
+
+    The copy owns its arrays, ids included: a workspace memoises it, and
+    a view of an attached shared-memory dataset would keep the segment
+    mapped for as long as the memo entry lives.
     """
     if distance < 0:
         raise ValueError("distance must be non-negative")
@@ -52,7 +56,7 @@ def enlarged_dataset(dataset: Dataset, distance: float) -> Dataset:
     fingerprint = content_fingerprint(dataset.ids, boxes.lo, boxes.hi)
     grown = Dataset(
         name=f"{dataset.name}+{distance:g}#{fingerprint[:12]}",
-        ids=dataset.ids,
+        ids=dataset.ids.copy(),
         boxes=boxes,
     )
     object.__setattr__(grown, "fingerprint", fingerprint)

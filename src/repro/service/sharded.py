@@ -7,10 +7,11 @@ it:
   shard that takes datasets by reference and runs each miss in the
   calling thread;
 * :class:`ShardedQueryService` scales the misses out across N **shard
-  processes**, each a stateless join executor (:class:`ShardState`: a
-  batch executor and a lock) that runs the commands from its pipe one
-  at a time — every command carries the datasets it reads, and a shard
-  keeps nothing between commands.
+  processes**, each a join executor (:class:`ShardState`: a batch
+  executor and a lock) that runs the commands from its pipe one at a
+  time — every command carries the datasets it reads, and a shard
+  keeps only a bounded, content-keyed cache of the indexes and
+  sketches its misses built, so a later miss reuses them.
 
 The **router** (this process) owns everything a service keeps across
 requests: the catalog (:class:`~repro.service.catalog.DatasetCatalog`,
@@ -55,8 +56,9 @@ for the requests the router cannot answer:
 
 Shard crashes are isolated: the router respawns the process and
 resends in-flight commands exactly once (nothing is replayed, and no
-count is lost: a fresh worker needs no state to answer) — a command
-that kills the worker twice fails alone (``error_type="ShardCrashed"``),
+count is lost: a fresh worker needs no state to answer, only its
+index cache starts empty) — a command that kills the worker twice
+fails alone (``error_type="ShardCrashed"``),
 everything else completes and other shards never notice.
 ``inline=True`` swaps the processes for in-process shards (same
 command protocol, same routing) for deterministic tests and coverage.
@@ -163,12 +165,18 @@ def _failed(seq: int, exc: BaseException) -> ShardReply:
 # ----------------------------------------------------------------------
 class ShardState:
     """Everything one shard holds: no names, no results, no counters,
-    no indexes, no datasets.
+    no datasets — only the indexes and sketches its misses built.
 
-    A :class:`~repro.engine.executor.BatchExecutor` for joins (each
-    runs cold on its own workspace) and ``lock``, which runs one
-    command at a time: a worker's loop is serial anyway, and inline
-    shards take commands from client threads.
+    A :class:`~repro.engine.executor.BatchExecutor` for joins, whose one
+    long-lived workspace keeps those indexes and sketches by content
+    (:attr:`Dataset.fingerprint <repro.joins.base.Dataset.fingerprint>`,
+    LRU-bounded by
+    :data:`~repro.engine.executor.EXECUTOR_CACHED_INDEXES`), so a miss
+    reuses what an earlier miss on this shard built; and ``lock``,
+    which runs one command at a time, since an executor serves one
+    caller at a time: a worker's loop is serial anyway, and inline
+    shards take commands from client threads.  No cache entry holds a
+    command's dataset, so no shared-memory segment stays mapped for it.
     """
 
     def __init__(
@@ -609,8 +617,8 @@ class ShardedQueryService:
         router's query workspace, so cached and freshly computed
         reports share one cost basis.
     max_cached_indexes:
-        Bound of the router's range-query index cache (shards keep no
-        indexes between commands).
+        Bound of the router's range-query index cache (each shard's
+        executor bounds its own join indexes).
     max_cached_results:
         Bound of the router's result cache, the tier's only one
         (LRU; ``None`` disables the bound).
@@ -1386,9 +1394,9 @@ class SpatialQueryService(ShardedQueryService):
     Parameters
     ----------
     disk_model / cost_model:
-        Forwarded to the shard's executor (each miss runs cold on its
-        own workspace) and to the query workspace, so cached and
-        freshly computed reports share one cost basis.
+        Forwarded to the shard's executor (whose workspace keeps the
+        indexes its misses built) and to the query workspace, so
+        cached and freshly computed reports share one cost basis.
     max_cached_results:
         Bound of the result cache (LRU; ``None`` disables the bound).
     max_cached_indexes:

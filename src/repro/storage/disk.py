@@ -25,14 +25,11 @@ comparable.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.geometry.slots import SlotPickleMixin
-
-
-class _Released:
-    """Payload of a released page (the class itself: pickles by name)."""
 
 
 @dataclass(frozen=True)
@@ -117,12 +114,15 @@ class SimulatedDisk(SlotPickleMixin):
     1
     """
 
-    __slots__ = ("model", "stats", "_pages", "_last_read")
+    __slots__ = ("model", "stats", "_pages", "_allocated", "_last_read")
 
     def __init__(self, model: DiskModel | None = None) -> None:
         self.model = model or DiskModel()
         self.stats = DiskStats()
-        self._pages: list[object] = []
+        #: Live payloads by page id.  A released page has no entry, so
+        #: a long-lived disk holds only what its structures still use.
+        self._pages: dict[int, object] = {}
+        self._allocated = 0
         self._last_read: int | None = None
 
     # ------------------------------------------------------------------
@@ -130,8 +130,8 @@ class SimulatedDisk(SlotPickleMixin):
     # ------------------------------------------------------------------
     @property
     def num_pages(self) -> int:
-        """Pages allocated so far."""
-        return len(self._pages)
+        """Pages allocated so far, released ones included."""
+        return self._allocated
 
     def allocate(self, payload: object) -> int:
         """Append a new page holding ``payload``; charge one write.
@@ -142,8 +142,9 @@ class SimulatedDisk(SlotPickleMixin):
         whose writes interleave — the situation PBSM creates when it
         spills cell buffers — end up physically scattered.
         """
-        page_id = len(self._pages)
-        self._pages.append(payload)
+        page_id = self._allocated
+        self._pages[page_id] = payload
+        self._allocated = page_id + 1
         self.stats.pages_written += 1
         self.stats.write_cost += self.model.write_cost
         return page_id
@@ -156,22 +157,24 @@ class SimulatedDisk(SlotPickleMixin):
         any disk model — also for the pages appended before an
         exception from ``payloads``.
         """
-        first = len(self._pages)
+        first, live = self._allocated, len(self._pages)
         try:
-            self._pages.extend(payloads)
+            self._pages.update(zip(itertools.count(first), payloads))
         finally:
-            added = len(self._pages) - first
+            added = len(self._pages) - live
+            self._allocated = first + added
             stats, cost = self.stats, self.model.write_cost
             total = stats.write_cost
             for _ in range(added):
                 total += cost
             stats.write_cost = total
             stats.pages_written += added
-        return range(first, len(self._pages))
+        return range(first, self._allocated)
 
     def write(self, page_id: int, payload: object) -> None:
         """Overwrite an existing page; charge one write."""
-        self._check_page_id(page_id)
+        if page_id not in self._pages:
+            raise self._absent(page_id)
         self._pages[page_id] = payload
         self.stats.pages_written += 1
         self.stats.write_cost += self.model.write_cost
@@ -180,23 +183,25 @@ class SimulatedDisk(SlotPickleMixin):
         """Drop the payloads of pages whose structure is gone.
 
         The ids stay allocated, so adjacency and every cost are
-        unchanged; reading or peeking a released page raises
-        ``KeyError``.  Releasing a released page is a no-op; an id that
-        was never allocated raises before anything is dropped.
+        unchanged, but a released page keeps nothing in memory; reading
+        or peeking it raises ``KeyError``.  Releasing a released page is
+        a no-op; an id that was never allocated raises before anything
+        is dropped.
         """
         ids = list(page_ids)
         for page_id in ids:
-            if not 0 <= page_id < len(self._pages):
+            if not 0 <= page_id < self._allocated:
                 raise KeyError(f"page {page_id} not allocated")
+        pages = self._pages
         for page_id in ids:
-            self._pages[page_id] = _Released
+            pages.pop(page_id, None)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def read(self, page_id: int) -> object:
         """Return a page's payload, charging sequential or random cost."""
-        self._check_page_id(page_id)
+        payload = self.peek(page_id)
         self.stats.pages_read += 1
         if (
             self._last_read is not None
@@ -208,7 +213,7 @@ class SimulatedDisk(SlotPickleMixin):
             self.stats.random_reads += 1
             self.stats.read_cost += self.model.random_read_cost
         self._last_read = page_id
-        return self._pages[page_id]
+        return payload
 
     def peek(self, page_id: int) -> object:
         """Read a page *without* charging I/O.
@@ -217,8 +222,10 @@ class SimulatedDisk(SlotPickleMixin):
         algorithms must go through :meth:`read` or a
         :class:`~repro.storage.buffer.BufferPool`.
         """
-        self._check_page_id(page_id)
-        return self._pages[page_id]
+        try:
+            return self._pages[page_id]
+        except KeyError:
+            raise self._absent(page_id) from None
 
     # ------------------------------------------------------------------
     # Experiment support
@@ -233,11 +240,11 @@ class SimulatedDisk(SlotPickleMixin):
         self.stats = DiskStats()
         self._last_read = None
 
-    def _check_page_id(self, page_id: int) -> None:
-        if not 0 <= page_id < len(self._pages):
-            raise KeyError(f"page {page_id} not allocated (have {len(self._pages)})")
-        if self._pages[page_id] is _Released:
-            raise KeyError(f"page {page_id} was released")
+    def _absent(self, page_id: int) -> KeyError:
+        """The error for a page id that holds no payload."""
+        if 0 <= page_id < self._allocated:
+            return KeyError(f"page {page_id} was released")
+        return KeyError(f"page {page_id} not allocated (have {self._allocated})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimulatedDisk(pages={len(self._pages)}, stats={self.stats})"
+        return f"SimulatedDisk(pages={self._allocated}, stats={self.stats})"

@@ -7,7 +7,6 @@ these inputs, so they get dedicated coverage.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import TransformersJoin, build_transformers_index
 from repro.geometry.boxes import BoxArray

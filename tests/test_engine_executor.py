@@ -1,9 +1,10 @@
 """Tests for the batch executor.
 
-Covers the executor's contract: every request runs cold on its own
-fresh workspace and answers exactly what a direct workspace join
-answers, one request's failure never takes down the batch, and the
-batch report's aggregates hold on empty and failing batches too.
+Covers the executor's contract: every request runs on the executor's
+one long-lived workspace, reusing the indexes earlier requests built,
+and answers exactly what a direct workspace join answers; one
+request's failure never takes down the batch, and the batch report's
+aggregates hold on empty and failing batches too.
 """
 
 import dataclasses
@@ -115,20 +116,28 @@ class TestBatch:
         assert report.pair_set() == brute.pair_set()
         assert oracle_pairs(a, b) <= report.pair_set()
 
-    def test_repeated_requests_each_run_cold(self):
-        """No index or page survives from one request to the next."""
+    def test_repeated_requests_reuse_the_first_requests_indexes(self):
+        """Request 2 onward builds nothing and answers like request 1."""
         a, b = dataset_pair("uniform", 150, 150, seed=7)
-        batch = BatchExecutor().run(
+        executor = BatchExecutor()
+        batch = executor.run(
             [JoinRequest(a, b, "transformers") for _ in range(3)]
         )
         batch.raise_failures()
-        first = batch.reports[0]
-        for report in batch.reports:
-            assert not report.reused_a and not report.reused_b
-            assert report.index_pages_written_a == first.index_pages_written_a
-            assert report.index_pages_written_b == first.index_pages_written_b
-            assert report.join_io_cost == first.join_io_cost
-            assert report.index_cost == first.index_cost
+        first, *later = batch.reports
+        assert not first.reused_a and not first.reused_b
+        assert first.index_pages_written_a > 0
+        assert first.index_pages_written_b > 0
+        for report in later:
+            assert report.reused_a and report.reused_b
+            assert report.index_pages_written_a == 0
+            assert report.index_pages_written_b == 0
+            assert report.result.pairs.tobytes() == first.result.pairs.tobytes()
+            assert report.intersection_tests == first.intersection_tests
+        # The reuse spans batches: the executor keeps its workspace.
+        (again,) = executor.run([JoinRequest(b, a, "transformers")]).reports
+        assert again.reused_a and again.reused_b
+        assert executor.workspace.cached_index_count == 2
 
     def test_run_accepts_any_iterable(self):
         a, b = dataset_pair("uniform", 80, 80, seed=8)
@@ -140,7 +149,7 @@ class TestBatch:
 
 
 class TestModels:
-    """``disk_model`` / ``cost_model`` reach every per-request workspace."""
+    """``disk_model`` / ``cost_model`` reach the executor's workspace."""
 
     def test_disk_model_is_forwarded(self):
         a, b = dataset_pair("contrast", 150, 150, seed=5)

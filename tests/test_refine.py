@@ -1,7 +1,6 @@
 """Tests for the refinement step (segment distance, cylinder tests)."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest

@@ -119,6 +119,7 @@ class TestRelease:
         writes = disk.stats.snapshot()
         disk.release(pids[1:3])
         assert disk.num_pages == 4
+        assert len(disk._pages) == 2  # a released page keeps no entry
         assert disk.stats == writes  # releasing is not I/O
         for pid in pids[1:3]:
             with pytest.raises(KeyError, match="released"):
