@@ -8,7 +8,6 @@ suites rely on, at commit time and in about two seconds:
 RPL001    ``__slots__`` classes define explicit pickle support
 RPL002    guarded service state is touched with the service lock held
 RPL003    no unseeded randomness; no wall clock in counted paths
-RPL004    vectorized kernels keep ``*_reference`` twins + tests
 RPL005    no module reads or writes a ``REPRO_*`` env variable
 RPL006    ``__all__`` entries and cross-module re-exports resolve
 RPL007    lock order is acyclic; no executor call under a lock

@@ -3,7 +3,7 @@
 The engine parses each file exactly once into a :class:`ModuleContext`
 (AST, source lines, suppression map, dotted module name) and bundles
 them into one :class:`ProjectContext`, so project-wide rules — export
-consistency, vectorization pairing — can see every module at once
+consistency, lock order — can see every module at once
 without re-reading anything.
 """
 
@@ -265,9 +265,6 @@ class ProjectContext:
 
     #: Dotted module name -> parsed module, for every scanned file.
     modules: dict[str, ModuleContext]
-    #: Directories whose ``*.py`` files are searched for test
-    #: references by the vectorization-pairing rule.
-    tests_roots: tuple[Path, ...] = ()
 
     def module(self, name: str) -> ModuleContext | None:
         return self.modules.get(name)

@@ -107,8 +107,6 @@ class AnalysisRequest:
     paths: list[Path]
     #: Rule ids to run (any case); ``None`` runs every rule in ``RULES``.
     select: tuple[str, ...] | None = None
-    #: Directories searched for equivalence tests (RPL004).
-    tests_roots: tuple[Path, ...] = (Path("tests"),)
     #: Paths in findings are made relative to this directory.
     root: Path = field(default_factory=Path.cwd)
 
@@ -140,12 +138,7 @@ def analyze_paths(request: AnalysisRequest) -> AnalysisResult:
         # Two files mapping to one dotted name (e.g. scanning two
         # sibling trees) keep the first; rules see a consistent world.
         modules.setdefault(loaded.name, loaded)
-    project = ProjectContext(
-        modules=modules,
-        tests_roots=tuple(
-            root for root in request.tests_roots if root.is_dir()
-        ),
-    )
+    project = ProjectContext(modules=modules)
     graph = CallGraph(project)
     for rule in rules:
         findings.extend(rule.check(project, graph))

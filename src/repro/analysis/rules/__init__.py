@@ -9,7 +9,6 @@ from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.pickle_safety import PickleSafetyRule
 from repro.analysis.rules.resource_lifecycle import ResourceLifecycleRule
-from repro.analysis.rules.vector_pairing import VectorPairingRule
 
 #: What every run, ``--select``, ``--list-rules`` and ``--rules-doc``
 #: read.
@@ -17,7 +16,6 @@ RULES: tuple[Rule, ...] = (
     PickleSafetyRule(),
     LockDisciplineRule(),
     DeterminismRule(),
-    VectorPairingRule(),
     EnvKnobRule(),
     ExportHygieneRule(),
     LockOrderRule(),
@@ -30,7 +28,6 @@ __all__ = [
     "PickleSafetyRule",
     "LockDisciplineRule",
     "DeterminismRule",
-    "VectorPairingRule",
     "EnvKnobRule",
     "ExportHygieneRule",
     "LockOrderRule",

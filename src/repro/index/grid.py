@@ -12,9 +12,6 @@ repository:
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.geometry.box import Box
@@ -55,8 +52,8 @@ class UniformGrid(SlotPickleMixin):
     >>> g = UniformGrid(Box((0, 0), (10, 10)), resolution=5)
     >>> g.num_cells
     25
-    >>> g.cell_of_point((1.0, 1.0))
-    (0, 0)
+    >>> g.flat_ids(g.cells_of_points([[1.0, 1.0], [9.0, 3.0]]))
+    array([ 0, 21])
     """
 
     __slots__ = ("space", "resolution", "_lo", "_cell_size")
@@ -100,20 +97,15 @@ class UniformGrid(SlotPickleMixin):
         np.minimum(idx, self.resolution - 1, out=idx)
         return idx
 
-    def cell_of_point(self, point: np.ndarray | tuple[float, ...]) -> tuple[int, ...]:
-        """The cell containing ``point`` (clamped to the grid)."""
-        idx = self._cells(np.asarray(point, dtype=np.float64))
-        return tuple(int(v) for v in idx)
-
     def cells_of_points(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cell_of_point`: ``(n, d)`` cell indices."""
+        """Clamped ``(n, d)`` cell indices of ``(n, d)`` points."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.ndim:
             raise ValueError("points must have shape (n, ndim)")
         return self._cells(points)
 
     def flat_ids(self, cells: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`flat_id`: row-major ids for ``(n, d)`` cells."""
+        """Row-major flat ids of ``(n, d)`` cell indices."""
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[1] != self.ndim:
             raise ValueError("cells must have shape (n, ndim)")
@@ -121,33 +113,6 @@ class UniformGrid(SlotPickleMixin):
         for axis in range(self.ndim):
             out = out * self.resolution + cells[:, axis]
         return out
-
-    def cell_range_of_box(self, box: Box) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Inclusive per-axis cell index range overlapped by ``box``."""
-        lo_idx = self._cells(np.asarray(box.lo))
-        hi_idx = self._cells(np.asarray(box.hi))
-        return tuple(int(v) for v in lo_idx), tuple(int(v) for v in hi_idx)
-
-    def cells_of_box(self, box: Box) -> Iterator[tuple[int, ...]]:
-        """Every cell whose region overlaps ``box``."""
-        lo_idx, hi_idx = self.cell_range_of_box(box)
-        ranges = [range(a, b + 1) for a, b in zip(lo_idx, hi_idx)]
-        return itertools.product(*ranges)
-
-    def flat_id(self, cell: tuple[int, ...]) -> int:
-        """Row-major flattening of a cell tuple."""
-        out = 0
-        for c in cell:
-            if not 0 <= c < self.resolution:
-                raise ValueError(f"cell index {cell} out of range")
-            out = out * self.resolution + c
-        return out
-
-    def cell_box(self, cell: tuple[int, ...]) -> Box:
-        """The spatial region of a cell."""
-        lo = self._lo + np.asarray(cell, dtype=np.float64) * self._cell_size
-        hi = lo + self._cell_size
-        return Box(tuple(lo), tuple(hi))
 
     # ------------------------------------------------------------------
     # Bulk assignment
@@ -167,40 +132,6 @@ class UniformGrid(SlotPickleMixin):
         return expand_cell_blocks(
             self._cells(boxes.lo), self._cells(boxes.hi), self.resolution
         )
-
-    def assign(self, boxes: BoxArray) -> dict[int, list[int]]:
-        """Multiple-assignment of boxes to cells.
-
-        Returns ``{flat cell id: [box indices]}``; a box appears in the
-        bucket of *every* cell it overlaps, so downstream consumers must
-        deduplicate join results (paper Section VIII-B lists exactly
-        this trade-off for the multiple-assignment strategy).  Bucket
-        lists hold box indices in ascending order.
-        """
-        cells, members = self.assign_entries(boxes)
-        if cells.size == 0:
-            return {}
-        order = np.argsort(cells, kind="stable")
-        cells = cells[order]
-        members = members[order]
-        boundaries = np.nonzero(np.diff(cells))[0] + 1
-        return {
-            int(group[0]): chunk.tolist()
-            for group, chunk in zip(
-                np.split(cells, boundaries), np.split(members, boundaries)
-            )
-        }
-
-    def replication_factor(self, boxes: BoxArray) -> float:
-        """Average number of cells each box is assigned to.
-
-        The paper attributes PBSM's deterioration on dense uniform data
-        to the "increased replication rate" (Section VII-C3); this is
-        the number that quantifies it.
-        """
-        if len(boxes) == 0:
-            return 0.0
-        return len(self.assign_entries(boxes)[0]) / len(boxes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UniformGrid(resolution={self.resolution}, ndim={self.ndim})"

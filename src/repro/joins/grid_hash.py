@@ -17,12 +17,12 @@ The filter phase is fully vectorised: both sides are expanded into
 build side is sorted by cell, and each probe assignment finds its
 bucket in a directory addressed by cell id — the hash table; overlap
 and reference-point tests then run over the expanded candidate blocks.
-The ``tests`` counter is identical to the element-at-a-time
-formulation kept in :func:`grid_hash_join_reference` (the
-equivalence/benchmark baseline):
+The ``tests`` counter is what a probe-at-a-time hash join performs:
 every probe-cell visit charges the full bucket population, including
 the duplicated tests multiple assignment causes, because that is the
-work a real implementation does.
+work a real implementation does.  In closed form it is
+``bincount(build_cells) @ bincount(probe_cells)`` over the two sides'
+assignment rows, which the kernel tests check beside the pair set.
 
 Two entry points, two bodies, on measurement.  A launch of
 :func:`grid_hash_join_segments` is array-sized (TRANSFORMERS queues
@@ -63,15 +63,17 @@ from repro.vectorize import (
     column_product,
     columns,
     expand_counts,
-    vectorized_kernel,
 )
 
 #: Memory-safety bound, not a performance selection: the bucket
 #: directory (one entry per grid cell) is built while the grid has at
-#: most this many cells per assignment row.  Only an explicit
-#: ``resolution`` gets past it (the default makes ``res**d`` about
-#: ``len(build)``); buckets are then binary-searched, which needs no
-#: memory for empty cells.
+#: most this many cells per assignment row; past it buckets are
+#: binary-searched, which needs no memory for empty cells.  At the
+#: default resolution cells per row peak, over n = 1 .. 300 000 build
+#: boxes and one probe box, at 0.98 in 1-D, 1.5 in 2-D, 2.7 in 3-D and
+#: 5.3 in 4-D, so up to 4-D only an explicit ``resolution`` gets past
+#: it.  In 5-D the peak is 10.7 (n = 2: 32 cells for 3 rows), so tiny
+#: 5-D inputs are searched too.
 _DIRECTORY_CELLS_PER_ROW = 8
 
 #: Candidate tests expanded at once: a segmented launch then holds no
@@ -90,7 +92,6 @@ def default_resolution(n: int, ndim: int) -> int:
     return max(1, min(64, math.ceil(n ** (1.0 / ndim))))
 
 
-@vectorized_kernel
 def grid_hash_join(
     build: BoxArray,
     probe: BoxArray,
@@ -206,7 +207,6 @@ def _segment_offsets(offsets: np.ndarray, rows: int) -> np.ndarray:
     return cuts
 
 
-@vectorized_kernel
 def grid_hash_join_segments(
     build: BoxArray,
     probe: BoxArray,
@@ -223,7 +223,7 @@ def grid_hash_join_segments(
     per-segment calls would emit them, each pair's segment and every
     segment's test count — the same float operations per coordinate
     (``x - lo``, ``/ size``, ``floor``, clamp), so equal to
-    :func:`grid_hash_join_segments_reference` byte for byte.
+    :func:`grid_hash_join_per_segment` byte for byte.
 
     The body is axis-major (see the module docstring): inputs are
     transposed once, each box's cell block comes from per-axis index
@@ -308,7 +308,7 @@ def grid_hash_join_segments(
     p_cells, p_members, p_seg = assign(p_lo, p_hi, po)
     if num_cells > _DIRECTORY_CELLS_PER_ROW * (len(b_cells) + len(p_cells)):
         # Too fine for a directory; only ``grid_hash_join`` can search.
-        return grid_hash_join_segments_reference(build, probe, bo, po)
+        return grid_hash_join_per_segment(build, probe, bo, po)
     # Stable, so every bucket lists its members in ascending order.
     b_members = np.take(b_members, np.argsort(b_cells, kind="stable"))
     population = np.bincount(b_cells, minlength=num_cells)
@@ -343,14 +343,15 @@ def grid_hash_join_segments(
     return pairs, np.take(b_seg, pairs[:, 0]), tests
 
 
-def grid_hash_join_segments_reference(
+def grid_hash_join_per_segment(
     build: BoxArray,
     probe: BoxArray,
     build_offsets: np.ndarray,
     probe_offsets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One :func:`grid_hash_join` call per segment: what the segmented
-    kernel must equal, and its fallback where it builds no directory."""
+    """One :func:`grid_hash_join` call per segment: the segmented
+    kernel's fallback where it builds no directory, and what it equals
+    byte for byte."""
     slices = zip(build.split(build_offsets), probe.split(probe_offsets))
     hits, tests = zip(*(grid_hash_join(b, p) for b, p in slices))
     firsts = zip(build_offsets, probe_offsets)
@@ -358,69 +359,3 @@ def grid_hash_join_segments_reference(
     segments = np.repeat(np.arange(len(hits)), [len(hit) for hit in hits])
     return pairs, segments, np.array(tests)
 
-
-def grid_hash_join_reference(
-    build: BoxArray,
-    probe: BoxArray,
-    resolution: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Probe-at-a-time formulation of :func:`grid_hash_join`.
-
-    Kept as the correctness/counting baseline: the vectorized kernel
-    must report the same pair set and the exact same ``tests`` count
-    (see ``tests/test_vectorization_equivalence.py`` and
-    ``tests/test_kernel_identity.py``).
-    """
-    if len(build) == 0 or len(probe) == 0:
-        return np.empty((0, 2), dtype=np.intp), 0
-    if build.ndim != probe.ndim:
-        raise ValueError("dimensionality mismatch")
-    space = build.mbb().union(probe.mbb())
-    if resolution is None:
-        resolution = default_resolution(len(build), build.ndim)
-    grid = UniformGrid(space, resolution)
-
-    buckets = grid.assign(build)
-    bucket_arrays = {
-        cell: np.asarray(members, dtype=np.intp)
-        for cell, members in buckets.items()
-    }
-
-    tests = 0
-    out: list[np.ndarray] = []
-    res = grid.resolution
-    for j in range(len(probe)):
-        q_lo = probe.lo[j]
-        q_hi = probe.hi[j]
-        for cell_tuple in grid.cells_of_box(probe.box(j)):
-            flat = 0
-            for c in cell_tuple:
-                flat = flat * res + c
-            members = bucket_arrays.get(flat)
-            if members is None:
-                continue
-            cand_lo = build.lo[members]
-            cand_hi = build.hi[members]
-            tests += len(members)
-            hit = np.all((cand_lo <= q_hi) & (cand_hi >= q_lo), axis=1)
-            if not hit.any():
-                continue
-            hit_members = members[hit]
-            # Reference-point deduplication: report only from the cell
-            # holding the low corner of the pairwise intersection.
-            ref = np.maximum(cand_lo[hit], q_lo)
-            keep = np.all(
-                grid.cells_of_points(ref)
-                == np.asarray(cell_tuple, dtype=np.int64),
-                axis=1,
-            )
-            kept = hit_members[keep]
-            if kept.size:
-                out.append(
-                    np.column_stack(
-                        (kept, np.full(kept.size, j, dtype=np.intp))
-                    )
-                )
-    if not out:
-        return np.empty((0, 2), dtype=np.intp), tests
-    return np.concatenate(out), tests

@@ -13,8 +13,9 @@ after) for the ``b``-driven side — is located with two
 ``np.searchsorted`` strips over the sorted low coordinates, then the
 remaining axes are tested over the expanded candidate blocks.  The
 reported ``tests`` counter is exactly the number of full box-box tests
-the sequential sweep performs; :func:`plane_sweep_join_reference` keeps
-that sequential formulation as the equivalence/benchmark baseline.
+the sequential sweep performs: the ``(a, b)`` pairs with ``a.lo_x <=
+b.lo_x <= a.hi_x`` plus those with ``b.lo_x < a.lo_x <= b.hi_x``, the
+closed form the kernel tests check beside the pair set.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.boxes import BoxArray
-from repro.vectorize import (
-    boxes_overlap,
-    chunked_blocks,
-    expand_counts,
-    vectorized_kernel,
-)
+from repro.vectorize import boxes_overlap, chunked_blocks, expand_counts
 
 
 def _candidate_hits(
@@ -68,7 +64,6 @@ def _candidate_hits(
     return np.concatenate(hits_d), np.concatenate(hits_o)
 
 
-@vectorized_kernel
 def plane_sweep_join(a: BoxArray, b: BoxArray) -> tuple[np.ndarray, int]:
     """Join two in-memory box sets with a forward plane sweep.
 
@@ -112,56 +107,3 @@ def plane_sweep_join(a: BoxArray, b: BoxArray) -> tuple[np.ndarray, int]:
     )
     return pairs, tests
 
-
-def plane_sweep_join_reference(
-    a: BoxArray, b: BoxArray
-) -> tuple[np.ndarray, int]:
-    """Element-at-a-time formulation of :func:`plane_sweep_join`.
-
-    Kept as the correctness/counting baseline: the vectorized kernel
-    must report the same pair set and the exact same ``tests`` count
-    (see ``tests/test_vectorization_equivalence.py`` and
-    ``tests/test_kernel_identity.py``).
-    """
-    if len(a) == 0 or len(b) == 0:
-        return np.empty((0, 2), dtype=np.intp), 0
-    if a.ndim != b.ndim:
-        raise ValueError("dimensionality mismatch")
-
-    a_order = np.argsort(a.lo[:, 0], kind="stable")
-    b_order = np.argsort(b.lo[:, 0], kind="stable")
-    a_lo, a_hi = a.lo[a_order], a.hi[a_order]
-    b_lo, b_hi = b.lo[b_order], b.hi[b_order]
-
-    tests = 0
-    out: list[np.ndarray] = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        if a_lo[i, 0] <= b_lo[j, 0]:
-            # a[i] opens first: scan b entries whose x-lo falls inside
-            # a[i]'s x-extent.
-            k = j
-            limit = a_hi[i, 0]
-            while k < nb and b_lo[k, 0] <= limit:
-                tests += 1
-                if np.all(b_lo[k] <= a_hi[i]) and np.all(b_hi[k] >= a_lo[i]):
-                    out.append(
-                        np.array([[a_order[i], b_order[k]]], dtype=np.intp)
-                    )
-                k += 1
-            i += 1
-        else:
-            k = i
-            limit = b_hi[j, 0]
-            while k < na and a_lo[k, 0] <= limit:
-                tests += 1
-                if np.all(a_lo[k] <= b_hi[j]) and np.all(a_hi[k] >= b_lo[j]):
-                    out.append(
-                        np.array([[a_order[k], b_order[j]]], dtype=np.intp)
-                    )
-                k += 1
-            j += 1
-    if not out:
-        return np.empty((0, 2), dtype=np.intp), tests
-    return np.concatenate(out), tests

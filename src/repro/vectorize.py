@@ -72,30 +72,11 @@ once.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Callable, TypeVar
 
 import numpy as np
 
 #: Default upper bound on expanded rows materialised at once.
 EXPANSION_CHUNK = 1 << 19
-
-_F = TypeVar("_F", bound=Callable[..., object])
-
-#: ``"module.name"`` of every kernel tagged :func:`vectorized_kernel`.
-VECTORIZED_KERNELS: dict[str, str] = {}
-
-
-def vectorized_kernel(fn: _F) -> _F:
-    """Tag ``fn`` as a vectorized hot path with a ``*_reference`` twin.
-
-    The tag is a checked contract, not documentation: the RPL004 lint
-    rule requires every tagged kernel to keep an importable
-    ``<name>_reference`` element-at-a-time twin in the same module and
-    to be named (together with the twin) by an equivalence test, so
-    the exact-counter equivalence guarantee cannot silently rot.
-    """
-    VECTORIZED_KERNELS[f"{fn.__module__}.{fn.__qualname__}"] = fn.__module__
-    return fn
 
 
 def all_columns(mask: np.ndarray) -> np.ndarray:
@@ -141,8 +122,8 @@ def boxes_overlap(
     Coordinates on the last axis, leading axes broadcast: ``(n, d)``
     against ``(d,)`` tests n boxes against one query, ``(G, 1, d)``
     against ``(1, F, d)`` gives the cross matrix.  Touching faces meet,
-    a NaN bound meets nothing.  The one overlap predicate outside the
-    ``*_reference`` twins.
+    a NaN bound meets nothing.  The kernels, the crawl and the range
+    queries share it.
     """
     hit: np.ndarray = np.ones(
         np.broadcast_shapes(a_lo.shape[:-1], b_lo.shape[:-1]), dtype=bool

@@ -36,7 +36,6 @@ ALL_RULE_IDS = (
     "RPL001",
     "RPL002",
     "RPL003",
-    "RPL004",
     "RPL005",
     "RPL006",
     "RPL007",
@@ -62,7 +61,6 @@ def test_select_is_case_insensitive() -> None:
         AnalysisRequest(
             paths=[FIXTURES / "rpl001_pickle"],
             select=("rpl001",),
-            tests_roots=(),
             root=REPO_ROOT,
         )
     )
@@ -110,7 +108,6 @@ def test_line_suppression_silences_only_its_line() -> None:
         AnalysisRequest(
             paths=[FIXTURES / "suppressed.py"],
             select=("RPL001",),
-            tests_roots=(),
             root=REPO_ROOT,
         )
     )
@@ -125,7 +122,7 @@ def test_syntax_error_becomes_rpl000_finding(tmp_path: Path) -> None:
     broken = tmp_path / "broken.py"
     broken.write_text("def half(:\n")
     result = analyze_paths(
-        AnalysisRequest(paths=[broken], tests_roots=(), root=tmp_path)
+        AnalysisRequest(paths=[broken], root=tmp_path)
     )
     assert [f.rule for f in result.findings] == [PARSE_ERROR_RULE]
 
@@ -191,12 +188,11 @@ def test_cli_reports_the_fixture_tree(
     code = main(["tests/analysis_fixtures"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert lines[-1].endswith(" file(s) scanned, 33 finding(s), 1 suppressed")
+    assert lines[-1].endswith(" file(s) scanned, 32 finding(s), 1 suppressed")
     assert Counter(line.split()[2] for line in lines[:-1]) == {
         "RPL001": 3,
         "RPL002": 3,
         "RPL003": 5,
-        "RPL004": 1,
         "RPL005": 7,
         "RPL006": 2,
         "RPL007": 7,

@@ -28,7 +28,6 @@ def run_fixture(
     request = AnalysisRequest(
         paths=[FIXTURES / rel for rel in relative],
         select=select,
-        tests_roots=(),
         root=REPO_ROOT,
     )
     return analyze_paths(request)
@@ -241,7 +240,6 @@ def run_key_sites(
         AnalysisRequest(
             paths=[tmp_path / "pkg"],
             select=("RPL009",),
-            tests_roots=(),
             root=tmp_path,
         )
     )

@@ -81,12 +81,6 @@ MUTATIONS = [
         "import numpy as np\n",
         "import time\n\nimport numpy as np\n\n_LOADED_AT = time.time()\n",
     ),
-    # RPL004: the sweep kernel loses its reference twin.
-    (
-        "joins/plane_sweep.py",
-        "def plane_sweep_join_reference(",
-        "def plane_sweep_join_oracle(",
-    ),
     # RPL005: the shared-memory layer reads a REPRO_* knob.
     (
         "storage/shm.py",
@@ -106,7 +100,6 @@ EXPECTED = {
     "RPL001": {"LatencyRecord"},
     "RPL002": {"ShardedQueryService.catalog"},
     "RPL003": {"<module>"},
-    "RPL004": {"plane_sweep_join"},
     "RPL005": {"<module>"},
     "RPL006": {"RetiredName"},
     "RPL007": {
@@ -137,9 +130,7 @@ def test_each_rule_fires_on_its_mutation_of_the_real_tree(
             source.replace(original, mutated), encoding="utf-8"
         )
 
-    result = analyze_paths(
-        AnalysisRequest(paths=[tree], tests_roots=(), root=tmp_path)
-    )
+    result = analyze_paths(AnalysisRequest(paths=[tree], root=tmp_path))
 
     by_rule: dict[str, set[str]] = {}
     for finding in result.findings:

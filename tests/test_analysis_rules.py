@@ -24,12 +24,10 @@ REPO_ROOT = TESTS_DIR.parent
 def run_fixture(
     *relative: str,
     select: tuple[str, ...] | None = None,
-    tests_roots: tuple[Path, ...] = (),
 ) -> AnalysisResult:
     request = AnalysisRequest(
         paths=[FIXTURES / rel for rel in relative],
         select=select,
-        tests_roots=tests_roots,
         root=REPO_ROOT,
     )
     return analyze_paths(request)
@@ -112,31 +110,6 @@ def test_rpl003_seeded_and_monotonic_are_clean() -> None:
 
 
 # ----------------------------------------------------------------------
-# RPL004 — vectorized kernels need a reference twin + equivalence test
-# ----------------------------------------------------------------------
-def test_rpl004_flags_orphan_and_untested_kernels() -> None:
-    result = run_fixture(
-        "rpl004_vector",
-        select=("RPL004",),
-        tests_roots=(FIXTURES / "rpl004_vector" / "testsuite",),
-    )
-    by_symbol = {f.symbol: f for f in result.findings}
-    assert set(by_symbol) == {"orphan_join", "untested_join"}
-    assert "orphan_join_reference" in by_symbol["orphan_join"].message
-    # ``paired_join`` has its twin and is referenced (with the twin)
-    # by the testsuite listing, so it never shows up above.
-
-
-def test_rpl004_good_kernel_is_clean() -> None:
-    result = run_fixture(
-        "rpl004_vector/good_kernel.py",
-        select=("RPL004",),
-        tests_roots=(FIXTURES / "rpl004_vector" / "testsuite",),
-    )
-    assert result.findings == []
-
-
-# ----------------------------------------------------------------------
 # RPL005 — no module reads or writes a REPRO_* env variable
 # ----------------------------------------------------------------------
 def test_rpl005_flags_every_adhoc_access_shape() -> None:
@@ -173,7 +146,6 @@ def test_rpl005_exempts_no_module(tmp_path: Path) -> None:
         AnalysisRequest(
             paths=[tmp_path / "repro"],
             select=("RPL005",),
-            tests_roots=(),
             root=tmp_path,
         )
     )
@@ -189,7 +161,6 @@ def rpl005_findings(tmp_path: Path, source: str) -> AnalysisResult:
         AnalysisRequest(
             paths=[module],
             select=("RPL005",),
-            tests_roots=(),
             root=tmp_path,
         )
     )

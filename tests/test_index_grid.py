@@ -1,5 +1,7 @@
 """Tests for the uniform grid."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,30 @@ from repro.index.grid import UniformGrid
 
 
 SPACE = Box((0.0, 0.0), (10.0, 10.0))
+
+
+def per_box_assignment(
+    grid: UniformGrid, boxes: BoxArray
+) -> tuple[list[int], list[int]]:
+    """``(cells, members)`` rows, one box at a time: the row-major flat
+    id of every cell in the block between the cells of the box's two
+    corners, enumerated by ``itertools.product``."""
+    lo_cells = grid.cells_of_points(boxes.lo)
+    hi_cells = grid.cells_of_points(boxes.hi)
+    cells: list[int] = []
+    members: list[int] = []
+    for i in range(len(boxes)):
+        ranges = [
+            range(int(lo), int(hi) + 1)
+            for lo, hi in zip(lo_cells[i], hi_cells[i])
+        ]
+        for cell in itertools.product(*ranges):
+            flat = 0
+            for c in cell:
+                flat = flat * grid.resolution + c
+            cells.append(flat)
+            members.append(i)
+    return cells, members
 
 
 class TestBasics:
@@ -27,52 +53,53 @@ class TestBasics:
 
 
 class TestCoordinateMapping:
-    def test_cell_of_point(self):
-        g = UniformGrid(SPACE, 5)
-        assert g.cell_of_point((0.0, 0.0)) == (0, 0)
-        assert g.cell_of_point((9.9, 0.1)) == (4, 0)
+    def test_cells_of_points(self):
+        g = UniformGrid(SPACE, 5)  # cell side = 2.0
+        cells = g.cells_of_points([[0.0, 0.0], [9.9, 0.1], [2.0, 3.9]])
+        assert cells.tolist() == [[0, 0], [4, 0], [1, 1]]
+        assert cells.dtype == np.int64
 
-    def test_cell_of_point_clamps(self):
+    def test_cells_of_points_clamps(self):
         g = UniformGrid(SPACE, 5)
-        assert g.cell_of_point((-3.0, 12.0)) == (0, 4)
+        cells = g.cells_of_points([[-3.0, 12.0], [1e9, -1e9]])
+        assert cells.tolist() == [[0, 4], [4, 0]]
+
+    def test_a_point_on_an_inner_cell_face_goes_to_the_upper_cell(self):
+        g = UniformGrid(SPACE, 5)  # faces at 2, 4, 6, 8
+        cells = g.cells_of_points([[2.0, 4.0], [8.0, 6.0]])
+        assert cells.tolist() == [[1, 2], [4, 3]]
 
     def test_boundary_point_goes_to_last_cell(self):
         g = UniformGrid(SPACE, 5)
-        assert g.cell_of_point((10.0, 10.0)) == (4, 4)
-
-    def test_cell_range_of_box(self):
-        g = UniformGrid(SPACE, 5)
-        lo, hi = g.cell_range_of_box(Box((1.5, 0.5), (4.5, 2.5)))
-        assert lo == (0, 0)
-        assert hi == (2, 1)
-
-    def test_cells_of_box_enumerates_range(self):
-        g = UniformGrid(SPACE, 5)  # cell side = 2.0
-        cells = set(g.cells_of_box(Box((0, 0), (3.9, 1.9))))
-        assert cells == {(0, 0), (1, 0)}
-
-    def test_flat_id_row_major(self):
-        g = UniformGrid(SPACE, 5)
-        assert g.flat_id((0, 0)) == 0
-        assert g.flat_id((1, 2)) == 7
-        assert g.flat_id((4, 4)) == 24
-
-    def test_flat_id_rejects_out_of_range(self):
-        g = UniformGrid(SPACE, 5)
-        with pytest.raises(ValueError):
-            g.flat_id((5, 0))
-
-    def test_cell_box_partitions_space(self):
-        g = UniformGrid(SPACE, 4)
-        total = sum(
-            g.cell_box((i, j)).volume() for i in range(4) for j in range(4)
-        )
-        assert total == pytest.approx(SPACE.volume())
+        assert g.cells_of_points([[10.0, 10.0]]).tolist() == [[4, 4]]
 
     def test_degenerate_axis(self):
         flat_space = Box((0.0, 5.0), (10.0, 5.0))
         g = UniformGrid(flat_space, 4)
-        assert g.cell_of_point((2.0, 5.0))[1] == 0
+        cells = g.cells_of_points([[2.0, 5.0], [9.0, 5.0]])
+        assert cells[:, 1].tolist() == [0, 0]
+        assert cells[:, 0].tolist() == [0, 3]
+
+    def test_flat_ids_row_major(self):
+        g = UniformGrid(SPACE, 5)
+        assert g.flat_ids([[0, 0], [1, 2], [4, 4]]).tolist() == [0, 7, 24]
+        rng = np.random.default_rng(5)
+        cells = rng.integers(0, 5, size=(40, 2))
+        assert g.flat_ids(cells).tolist() == [
+            5 * int(i) + int(j) for i, j in cells
+        ]
+
+    def test_flat_ids_row_major_in_three_dimensions(self):
+        g = UniformGrid(Box((0,) * 3, (1,) * 3), 4)
+        cells = np.array(list(itertools.product(range(4), repeat=3)))
+        assert g.flat_ids(cells).tolist() == list(range(64))
+
+    def test_shape_validation(self):
+        g = UniformGrid(SPACE, 5)
+        with pytest.raises(ValueError):
+            g.cells_of_points(np.zeros((3,)))
+        with pytest.raises(ValueError):
+            g.flat_ids(np.zeros((3, 3), dtype=np.int64))
 
 
 class TestAssignment:
@@ -81,65 +108,50 @@ class TestAssignment:
         lo = rng.uniform(0, 9, size=(n, 2))
         return BoxArray(lo, lo + rng.uniform(0, 1.5, size=(n, 2)))
 
-    def test_multiple_assignment_complete(self):
-        """A box must appear in the bucket of every cell it overlaps."""
-        g = UniformGrid(SPACE, 5)
-        boxes = self._boxes()
-        buckets = g.assign(boxes)
-        for i in range(len(boxes)):
-            for cell in g.cells_of_box(boxes.box(i)):
-                assert i in buckets[g.flat_id(cell)]
+    def test_assign_entries_enumerates_the_cell_block(self):
+        g = UniformGrid(SPACE, 5)  # cell side = 2.0
+        boxes = BoxArray.from_boxes([Box((0, 0), (3.9, 1.9))])
+        cells, members = g.assign_entries(boxes)
+        # Cells (0, 0) and (1, 0), row-major.
+        assert cells.tolist() == [0, 5]
+        assert members.tolist() == [0, 0]
 
-    def test_assignment_has_no_spurious_entries(self):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_assignment_is_complete_with_no_spurious_entry(self, seed):
+        """Every box is in every cell it overlaps and in no other, in
+        box-major rows and row-major within a box."""
         g = UniformGrid(SPACE, 5)
-        boxes = self._boxes(seed=1)
-        for flat, members in g.assign(boxes).items():
-            for i in members:
-                cells = {g.flat_id(c) for c in g.cells_of_box(boxes.box(i))}
-                assert flat in cells
+        boxes = self._boxes(seed=seed)
+        cells, members = g.assign_entries(boxes)
+        assert (cells.tolist(), members.tolist()) == per_box_assignment(
+            g, boxes
+        )
 
-    def test_replication_factor_at_least_one(self):
+    def test_assignment_clamps_boxes_that_leave_the_grid(self):
         g = UniformGrid(SPACE, 5)
-        boxes = self._boxes(seed=2)
-        assert g.replication_factor(boxes) >= 1.0
+        boxes = BoxArray(
+            np.array([[-4.0, 3.0], [9.0, -1.0]]),
+            np.array([[1.0, 14.0], [12.0, 0.5]]),
+        )
+        cells, members = g.assign_entries(boxes)
+        assert (cells.tolist(), members.tolist()) == per_box_assignment(
+            g, boxes
+        )
+        assert cells.tolist() == [1, 2, 3, 4, 20]
 
-    def test_replication_grows_with_resolution(self):
+    def test_assignment_rows_grow_with_resolution(self):
         boxes = self._boxes(seed=3)
-        coarse = UniformGrid(SPACE, 2).replication_factor(boxes)
-        fine = UniformGrid(SPACE, 20).replication_factor(boxes)
-        assert fine > coarse
+        coarse = UniformGrid(SPACE, 2).assign_entries(boxes)[0]
+        fine = UniformGrid(SPACE, 20).assign_entries(boxes)[0]
+        assert len(boxes) <= len(coarse) < len(fine)
 
     def test_assign_dim_mismatch(self):
         g = UniformGrid(SPACE, 5)
         boxes = BoxArray(np.zeros((1, 3)), np.ones((1, 3)))
         with pytest.raises(ValueError):
-            g.assign(boxes)
+            g.assign_entries(boxes)
 
-    def test_replication_factor_empty(self):
+    def test_no_boxes_assign_no_rows(self):
         g = UniformGrid(SPACE, 5)
-        assert g.replication_factor(BoxArray.empty(2)) == 0.0
-
-
-class TestVectorisedHelpers:
-    def test_cells_of_points_matches_scalar(self):
-        g = UniformGrid(SPACE, 5)
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(-2, 12, size=(60, 2))
-        cells = g.cells_of_points(pts)
-        for i in range(len(pts)):
-            assert tuple(cells[i]) == g.cell_of_point(pts[i])
-
-    def test_flat_ids_match_scalar(self):
-        g = UniformGrid(SPACE, 5)
-        rng = np.random.default_rng(5)
-        cells = rng.integers(0, 5, size=(40, 2))
-        flats = g.flat_ids(cells)
-        for i in range(len(cells)):
-            assert flats[i] == g.flat_id(tuple(int(c) for c in cells[i]))
-
-    def test_shape_validation(self):
-        g = UniformGrid(SPACE, 5)
-        with pytest.raises(ValueError):
-            g.cells_of_points(np.zeros((3,)))
-        with pytest.raises(ValueError):
-            g.flat_ids(np.zeros((3, 3), dtype=np.int64))
+        cells, members = g.assign_entries(BoxArray.empty(2))
+        assert cells.size == 0 and members.size == 0

@@ -35,9 +35,8 @@ from repro.index.grid import UniformGrid
 from repro.joins import grid_hash
 from repro.joins.grid_hash import (
     grid_hash_join,
-    grid_hash_join_reference,
+    grid_hash_join_per_segment,
     grid_hash_join_segments,
-    grid_hash_join_segments_reference,
 )
 from repro.vectorize import (
     all_columns,
@@ -46,6 +45,11 @@ from repro.vectorize import (
     column_min,
     column_product,
     columns,
+)
+
+from tests.test_vectorization_equivalence import (
+    assert_meets_specification,
+    grid_hash_tests,
 )
 
 
@@ -223,12 +227,10 @@ class TestBucketLookUp:
 
         with monkeypatch.context() as patch:
             patch.setattr(grid_hash.np, "bincount", spy)
-            pairs, tests = grid_hash_join(build, probe, resolution)
-        ref_pairs, ref_tests = grid_hash_join_reference(
-            build, probe, resolution
+            output = grid_hash_join(build, probe, resolution)
+        assert_meets_specification(
+            output, build, probe, grid_hash_tests(build, probe, resolution)
         )
-        assert tests == ref_tests
-        assert sorted(map(tuple, pairs)) == sorted(map(tuple, ref_pairs))
         return directories
 
     def test_default_resolution_addresses_a_directory(self, monkeypatch):
@@ -243,6 +245,28 @@ class TestBucketLookUp:
         build, probe = build.take(range(30)), probe.take(range(30))
         # 64**3 cells for 60 boxes: no directory is allocated.
         assert self.run(monkeypatch, build, probe, 64) == []
+
+    def test_up_to_4d_the_default_resolution_always_fits_a_directory(self):
+        """Cells per assignment row at the default resolution, at its
+        worst: ``n`` build boxes and one probe box, one row each.  Only
+        an explicit resolution passes the guard up to 4-D; in 5-D two
+        points against one already do (32 cells for 3 rows)."""
+        limit = grid_hash._DIRECTORY_CELLS_PER_ROW
+        peaks = {
+            ndim: max(
+                grid_hash.default_resolution(n, ndim) ** ndim / (n + 1)
+                for n in range(1, 300_001)
+            )
+            for ndim in (1, 2, 3, 4)
+        }
+        assert {d: round(p, 2) for d, p in peaks.items()} == {
+            1: 0.98,
+            2: 1.5,
+            3: 2.7,
+            4: 5.33,
+        }
+        assert max(peaks.values()) <= limit
+        assert grid_hash.default_resolution(2, 5) ** 5 / 3 > limit
 
 
 # ----------------------------------------------------------------------
@@ -394,11 +418,24 @@ class TestSegmentedKernel:
         """Pair bytes, dtype, order, segments and per-segment tests."""
         _assert_same_arrays(
             grid_hash_join_segments(*segment_set),
-            grid_hash_join_segments_reference(*segment_set),
+            grid_hash_join_per_segment(*segment_set),
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(_segment_sets())
+    def test_each_segment_meets_the_specification(self, segment_set):
+        """Each segment's pairs are its nested-loop answer, none twice,
+        and its ``tests`` the closed form on the segment's own grid."""
+        _, _, bo, po = segment_set
+        pairs, segments, tests = grid_hash_join_segments(*segment_set)
+        for s, (b, p) in enumerate(_each_segment(segment_set)):
+            local = pairs[segments == s] - (bo[s], po[s])
+            assert_meets_specification(
+                (local, int(tests[s])), b, p, grid_hash_tests(b, p)
+            )
+
     @pytest.mark.parametrize(
-        "launch", [grid_hash_join_segments, grid_hash_join_segments_reference]
+        "launch", [grid_hash_join_segments, grid_hash_join_per_segment]
     )
     def test_the_recorded_cases_as_segments_of_one_launch(self, launch):
         """Segments of very different size and extent: each one's rows
@@ -434,10 +471,10 @@ class TestSegmentedKernel:
         probe = build.take(range(0, 12, 2))
         offsets = np.arange(0, 13, 2), np.arange(7)
         calls = []
-        fallback = grid_hash.grid_hash_join_segments_reference
+        fallback = grid_hash.grid_hash_join_per_segment
         monkeypatch.setattr(
             grid_hash,
-            "grid_hash_join_segments_reference",
+            "grid_hash_join_per_segment",
             lambda *args: calls.append(1) or fallback(*args),
         )
         monkeypatch.setattr(
@@ -456,13 +493,13 @@ class TestSegmentedKernel:
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(_EXTREMES))
-    def test_the_extremes_of_decode_and_compaction_equal_the_twin(
+    def test_the_extremes_of_decode_and_compaction_equal_the_per_segment_joins(
         self, name, ndim
     ):
         segment_set, check = _EXTREMES[name](ndim)
         got = grid_hash_join_segments(*segment_set)
         _assert_same_arrays(
-            got, grid_hash_join_segments_reference(*segment_set)
+            got, grid_hash_join_per_segment(*segment_set)
         )
         check(segment_set, *got)
 
@@ -475,7 +512,7 @@ class TestSegmentedKernel:
         pairs, segments, tests = grid_hash_join_segments(*segment_set)
         _assert_same_arrays(
             (pairs, segments, tests),
-            grid_hash_join_segments_reference(*segment_set),
+            grid_hash_join_per_segment(*segment_set),
         )
         assert len(pairs) and tests.min() > 0
 
@@ -487,7 +524,7 @@ class TestSegmentedKernel:
         build = BoxArray(lo, lo + rng.integers(0, 5, size=(120, 3)))
         probe = build.take(rng.permutation(120)[:100])
         segment_set = build, probe, [0, 40, 41, 120], [0, 30, 70, 100]
-        expected = grid_hash_join_segments_reference(*segment_set)
+        expected = grid_hash_join_per_segment(*segment_set)
         assert len(expected[0]) > 7
         monkeypatch.setattr(grid_hash, "_CANDIDATE_BLOCK", 7)
         _assert_same_arrays(grid_hash_join_segments(*segment_set), expected)
@@ -673,13 +710,11 @@ class TestColumnBounds:
 # The slow idioms stay out
 # ----------------------------------------------------------------------
 def _short_axis_reductions(path: Path) -> list[str]:
-    """``np.all/any/prod(..., axis=k)`` with k != 0, outside references."""
+    """``np.all/any/prod(..., axis=k)`` with k != 0, in any function."""
     found = []
     tree = ast.parse(path.read_text())
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if func.name.endswith("_reference"):
             continue
         for node in ast.walk(func):
             if not (
@@ -699,7 +734,7 @@ def _short_axis_reductions(path: Path) -> list[str]:
     return found
 
 
-def test_no_short_axis_reduction_outside_reference_functions():
+def test_no_short_axis_reduction_in_the_kernel_packages():
     root = Path(repro.__file__).parent
     offenders = [
         hit
