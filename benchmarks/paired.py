@@ -5,11 +5,18 @@
 runs ``python3 -m bench --workload W --seed S --seconds 20 --trace 0`` in
 each tree, alternating which side goes first, and prints — one table per
 workload of the comma-separated list, each after its own pairs — per
-end-to-end metric of ``BENCHMARK.json``: both medians with quartiles, the pairs the
-change won (ties count for neither side) and whether the medians differ
-by more than the parent's own spread (the distance between its
-quartiles).  A gain is claimable where the change wins at least nine
-tenths of the pairs *and* the gap exceeds that spread.
+end-to-end metric of ``BENCHMARK.json``: both medians with quartiles, the
+parent's spread (the distance between its quartiles, relative to its
+median), the no-regression verdict, the pairs the change won (ties count
+for neither side) and whether the medians differ by more than the
+parent's spread.  A gain is claimable where the change wins at least
+nine tenths of the pairs *and* the gap exceeds that spread.
+
+The verdict judges the change's median against the parent's by the
+metric's ``bound``: "regressed" where it is worse by
+more than the bound, "unresolved" where the parent's spread is itself
+wider than the bound (so the runs cannot tell), else "no regression".
+A change whose every run beats every parent run is never unresolved.
 """
 
 import argparse
@@ -27,6 +34,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(bound: float, sign: float, parent: list[float], change: list[float]) -> str:
+    """The no-regression verdict of one metric over paired runs.
+
+    ``sign`` is -1 where lower is better, +1 where higher is; spread and
+    gap are relative to the parent's median (absolute where it is 0).
+    """
+    p1, p2, p3 = quartiles(parent)
+    c2 = quartiles(change)[1]
+    if min(sign * y for y in change) > max(sign * x for x in parent):
+        return "no regression"
+    scale = abs(p2) or 1.0
+    if (p3 - p1) / scale > bound:
+        return "unresolved"
+    if sign * (p2 - c2) / scale > bound:
+        return "regressed"
+    return "no regression"
+
+
 def summarise(
     metrics: list[dict[str, str]], parent: list[dict], change: list[dict]
 ) -> list[str]:
@@ -34,7 +59,8 @@ def summarise(
     (``parent[k]`` and ``change[k]`` are pair ``k``)."""
     rows = [
         f"{'metric':<18} {'parent p50 [q1, q3]':<32} "
-        f"{'change p50 [q1, q3]':<32} {'delta':>8}  wins  gap > parent IQR"
+        f"{'change p50 [q1, q3]':<32} {'delta':>8} {'spread':>7}  "
+        f"{'verdict (bound)':<22} wins  gap > parent IQR"
     ]
     for spec in metrics:
         name, sign = spec["name"], -1.0 if spec["better"] == "lower" else 1.0
@@ -45,10 +71,12 @@ def summarise(
         wins = sum(gain > 0 for gain in gains)
         beyond = abs(c2 - p2) > p3 - p1
         claim = beyond and sign * (c2 - p2) > 0 and wins >= 0.9 * len(p)
+        judged = f"{verdict(spec['bound'], sign, p, c)} ({spec['bound']:.0%})"
         rows.append(
             f"{name:<18} {f'{p2:.6g} [{p1:.6g}, {p3:.6g}]':<32} "
             f"{f'{c2:.6g} [{c1:.6g}, {c3:.6g}]':<32} "
-            f"{f'{(c2 - p2) / p2:+.1%}' if p2 else 'n/a':>8}  "
+            f"{f'{(c2 - p2) / p2:+.1%}' if p2 else 'n/a':>8} "
+            f"{f'{(p3 - p1) / abs(p2):.1%}' if p2 else 'n/a':>7}  {judged:<22} "
             f"{wins}/{len(p)} (lost {sum(gain < 0 for gain in gains)})  "
             f"{'yes' if beyond else 'no'}{'  <- claimable' if claim else ''}"
         )

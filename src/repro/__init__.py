@@ -32,8 +32,7 @@ Public API tour:
   cylinders), :mod:`repro.storage` (simulated disk, buffer pool),
   :mod:`repro.index` (STR, R-tree, B+-tree, grids);
 * **streaming** — :mod:`repro.streaming`:
-  :class:`~repro.streaming.DatasetDelta` /
-  :class:`~repro.streaming.MutableDataset` mutation records,
+  :class:`~repro.streaming.DatasetDelta` mutation records,
   :func:`~repro.joins.delta_join` result patching,
   :meth:`~repro.stats.DatasetSketch.apply_delta` sketch maintenance,
   and ``apply_delta`` on both service tiers — cached join results are
@@ -66,14 +65,12 @@ from repro.core import (
 )
 from repro.engine import (
     BatchExecutor,
-    BatchReport,
     JoinRequest,
     JoinPlan,
     RunReport,
     SpatialWorkspace,
     available_algorithms,
     plan_join,
-    register_algorithm,
 )
 from repro.datagen import (
     SPACE,
@@ -112,7 +109,7 @@ from repro.stats import (
     estimate_pairs,
 )
 from repro.storage import BufferPool, DiskModel, SimulatedDisk
-from repro.streaming import DatasetDelta, MutableDataset
+from repro.streaming import DatasetDelta
 
 __version__ = "1.5.0"
 
@@ -122,12 +119,10 @@ __all__ = [
     "SpatialWorkspace",
     "RunReport",
     "BatchExecutor",
-    "BatchReport",
     "JoinRequest",
     "available_algorithms",
     "plan_join",
     "JoinPlan",
-    "register_algorithm",
     "range_query",
     # stats (the layer the planner plans from)
     "DatasetSketch",
@@ -149,9 +144,8 @@ __all__ = [
     "GipsyJoin",
     "IndexedNestedLoopJoin",
     "BruteForceJoin",
-    # streaming (mutable datasets + delta joins)
+    # streaming (dataset deltas + delta joins)
     "DatasetDelta",
-    "MutableDataset",
     "delta_join",
     "DriftingClusterStream",
     # shared types

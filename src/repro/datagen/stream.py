@@ -5,10 +5,10 @@ a window of recent elements where each tick retires the oldest and
 admits fresh ones near cluster centres that *drift* through the space
 (sensors moving, activity migrating).  :class:`DriftingClusterStream`
 produces exactly that as a sequence of
-:class:`~repro.streaming.DatasetDelta` batches over a
-:class:`~repro.streaming.MutableDataset` window — fully seeded, so a
-stream replayed with the same parameters emits bit-identical deltas
-(and therefore identical lineage fingerprints) in any process.
+:class:`~repro.streaming.DatasetDelta` batches, applying each to the
+window it keeps (its base snapshot and its current dataset, no delta
+log) — fully seeded, so a stream replayed with the same parameters
+emits bit-identical deltas and windows in any process.
 
 Geometry reuses the paper-calibrated synthetic machinery: cluster
 centres start from the Section VII-B normal distribution (rescaled to
@@ -33,7 +33,7 @@ from repro.datagen.synthetic import (
 )
 from repro.geometry.box import Box
 from repro.joins.base import Dataset
-from repro.streaming import DatasetDelta, MutableDataset
+from repro.streaming import DatasetDelta
 
 
 class DriftingClusterStream:
@@ -108,7 +108,8 @@ class DriftingClusterStream:
             self._take_ids(n),
             _boxes_around_centers(self._emit_centers(n), self._rng, self.space),
         )
-        self._window = MutableDataset(base)
+        self._base = base
+        self._current = base
 
     # ------------------------------------------------------------------
     # Internal draws (each consumes from the single seeded stream)
@@ -131,24 +132,19 @@ class DriftingClusterStream:
     # Stream protocol
     # ------------------------------------------------------------------
     @property
-    def window(self) -> MutableDataset:
-        """The mutable window the stream maintains."""
-        return self._window
-
-    @property
     def current(self) -> Dataset:
         """The window's current contents."""
-        return self._window.current
+        return self._current
 
     def base(self) -> Dataset:
         """The initial window snapshot (before any tick)."""
-        return self._window.base
+        return self._base
 
     def tick(self) -> DatasetDelta:
         """Advance one step: drift, retire the oldest, admit fresh.
 
         Returns the applied delta (already folded into
-        :attr:`window`).  Ids retire in admission order — the moving
+        :attr:`current`).  Ids retire in admission order — the moving
         window — and fresh elements are drawn around the drifted
         centres.
         """
@@ -157,7 +153,7 @@ class DriftingClusterStream:
             + self._rng.normal(0.0, self._step, size=self._centers.shape),
             self.space,
         )
-        current = self._window.current
+        current = self._current
         k = max(1, int(round(len(current) * self.churn)))
         k = min(k, len(current))
         # Oldest first: admission order is ascending id by construction.
@@ -169,7 +165,7 @@ class DriftingClusterStream:
                 self._emit_centers(k), self._rng, self.space
             ),
         )
-        self._window.apply(delta)
+        self._current = delta.apply(current)
         return delta
 
     def ticks(self, count: int) -> Iterator[DatasetDelta]:
@@ -179,6 +175,6 @@ class DriftingClusterStream:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DriftingClusterStream(n={len(self._window.current)}, "
+            f"DriftingClusterStream(n={len(self._current)}, "
             f"churn={self.churn}, drift={self.drift})"
         )

@@ -10,20 +10,23 @@ queries::
     report = ws.join(a, c, algorithm="pbsm")   # explicit, no wiring
     hits = ws.range_query(a, box)              # reuses a's index
 
-Batches of joins run through the executor, whose one long-lived
-workspace lets a request reuse the indexes earlier requests built,
-failures captured per request::
+The executor runs one request at a time on its one long-lived
+workspace, so a request reuses the indexes earlier requests built; it
+returns the request's report, or raises what the join raised.  The
+service tiers run their cache misses through it::
 
     from repro.engine import BatchExecutor, JoinRequest
 
-    batch = BatchExecutor().run([JoinRequest(a, b, "pbsm"),
-                                 JoinRequest(a, c, "auto")])
-    print(batch.summary()["total_cost"])
+    executor = BatchExecutor()
+    first = executor.run(JoinRequest(a, b, "transformers"))
+    again = executor.run(JoinRequest(a, c, "transformers"))
+    again.reused_a                             # True: a's index kept
 
-* :mod:`~repro.engine.executor` — :class:`BatchExecutor`,
-  :class:`JoinRequest`, :class:`RequestOutcome` and :class:`BatchReport`;
-* :mod:`~repro.engine.registry` — string-named algorithm factories
-  (:func:`available_algorithms`, :func:`register_algorithm`);
+* :mod:`~repro.engine.executor` — :class:`BatchExecutor` and
+  :class:`JoinRequest`;
+* :mod:`~repro.engine.registry` — the fixed table of string-named
+  algorithm factories (:func:`available_algorithms`,
+  :func:`algorithm_spec`);
 * :mod:`~repro.engine.planner` — ``"auto"`` resolution and parameter
   heuristics: :func:`plan_join`, the one planner, returns a
   :class:`JoinPlan` that carries its own cost evidence;
@@ -33,12 +36,7 @@ failures captured per request::
   replacement for the legacy ``(result, build_a, build_b)`` tuple.
 """
 
-from repro.engine.executor import (
-    BatchExecutor,
-    BatchReport,
-    JoinRequest,
-    RequestOutcome,
-)
+from repro.engine.executor import BatchExecutor, JoinRequest
 from repro.engine.planner import (
     EXPERIMENT_PAGE_SIZE,
     JoinPlan,
@@ -52,7 +50,6 @@ from repro.engine.registry import (
     algorithm_spec,
     available_algorithms,
     create_algorithm,
-    register_algorithm,
 )
 from repro.engine.report import RunReport
 from repro.engine.workspace import EmptyIndex, SpatialWorkspace
@@ -62,9 +59,7 @@ __all__ = [
     "EmptyIndex",
     "RunReport",
     "BatchExecutor",
-    "BatchReport",
     "JoinRequest",
-    "RequestOutcome",
     "JoinPlan",
     "PlanHints",
     "plan_join",
@@ -72,7 +67,6 @@ __all__ = [
     "algorithm_spec",
     "available_algorithms",
     "create_algorithm",
-    "register_algorithm",
     "EXPERIMENT_PAGE_SIZE",
     "experiment_disk_model",
     "pbsm_resolution",

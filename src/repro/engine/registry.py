@@ -1,17 +1,18 @@
 """Algorithm registry: string names to configured join instances.
 
-Every join algorithm in the repository self-registers here under a
-stable lower-case name (``"transformers"``, ``"pbsm"``, ``"rtree"``,
-``"gipsy"``, ``"nested-loop"``, ``"brute"``) with a factory that
-accepts :class:`~repro.engine.planner.PlanHints` — the
-planner-resolved parameters (shared space, PBSM grid resolution) a
+Every join algorithm in the repository has one row in a fixed table,
+:data:`_REGISTRY`, under a stable lower-case name (``"transformers"``,
+``"pbsm"``, ``"rtree"``, ``"gipsy"``, ``"nested-loop"``, ``"brute"``)
+with a factory that accepts :class:`~repro.engine.planner.PlanHints` —
+the planner-resolved parameters (shared space, PBSM grid resolution) a
 caller would otherwise have to hand-wire.  The
 :class:`~repro.engine.workspace.SpatialWorkspace` resolves
 ``algorithm="pbsm"`` through this table, so no user code needs to know
 which class implements which name or which constructor arguments it
-takes.
+takes; an algorithm outside the table joins as a configured instance
+(``workspace.join(a, b, algorithm=MyJoin())``).
 
-The registry also records whether an algorithm's per-dataset index can
+The table also records whether an algorithm's per-dataset index can
 be *reused* across joins (Section VII-C1): TRANSFORMERS, the R-tree
 family and GIPSY index each dataset independently, while
 PBSM partitions the *pair* (its resolution depends on the combined
@@ -43,7 +44,6 @@ class AlgorithmSpec:
 
     name: str
     factory: Callable[["PlanHints"], SpatialJoinAlgorithm]
-    description: str = ""
     #: Whether an index built for one dataset stays valid when the join
     #: partner changes (drives the workspace's index cache).
     reusable_index: bool = True
@@ -51,49 +51,6 @@ class AlgorithmSpec:
     #: (:func:`~repro.engine.planner.plan_join` consults this before
     #: resolving ``"auto"`` to a non-default choice).
     plannable: bool = True
-
-
-_REGISTRY: dict[str, AlgorithmSpec] = {}
-
-
-def register_algorithm(
-    name: str,
-    factory: Callable[["PlanHints"], SpatialJoinAlgorithm] | None = None,
-    *,
-    description: str = "",
-    reusable_index: bool = True,
-    plannable: bool = True,
-) -> Callable:
-    """Register ``factory`` under ``name`` (usable as a decorator).
-
-    Third-party algorithms can plug into the workspace with::
-
-        @register_algorithm("my-join", description="...")
-        def _make(hints):
-            return MyJoin(space=hints.space)
-
-    after which ``workspace.join(a, b, algorithm="my-join")`` resolves
-    it like any built-in.  Registering an existing name raises.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise ValueError("algorithm name must be non-empty")
-
-    def _register(fn: Callable[["PlanHints"], SpatialJoinAlgorithm]):
-        if key in _REGISTRY:
-            raise ValueError(f"algorithm {key!r} is already registered")
-        _REGISTRY[key] = AlgorithmSpec(
-            name=key,
-            factory=fn,
-            description=description,
-            reusable_index=reusable_index,
-            plannable=plannable,
-        )
-        return fn
-
-    if factory is not None:
-        return _register(factory)
-    return _register
 
 
 def available_algorithms() -> tuple[str, ...]:
@@ -131,66 +88,61 @@ def spec_for_instance(algo: object) -> AlgorithmSpec | None:
 
 
 # ----------------------------------------------------------------------
-# Built-in registrations
+# The table
 # ----------------------------------------------------------------------
-@register_algorithm(
-    "transformers",
-    description="adaptive exploration with role/layout transformations "
-    "(the paper's contribution; robust default)",
-)
 def _make_transformers(hints: "PlanHints") -> SpatialJoinAlgorithm:
+    """Adaptive exploration with role/layout transformations (the
+    paper's contribution; robust default)."""
     return TransformersJoin(hints.param("config", None))
 
 
-@register_algorithm(
-    "pbsm",
-    description="Partition Based Spatial-Merge (Patel & DeWitt '96); "
-    "grid resolution resolved per dataset pair",
-    reusable_index=False,  # the shared grid depends on both inputs
-)
 def _make_pbsm(hints: "PlanHints") -> SpatialJoinAlgorithm:
+    """Partition Based Spatial-Merge (Patel & DeWitt '96); grid
+    resolution resolved per dataset pair."""
     return PBSMJoin(
         space=hints.space, resolution=int(hints.param("resolution", 10))
     )
 
 
-@register_algorithm(
-    "rtree",
-    description="synchronized R-tree traversal (Brinkhoff et al. '93)",
-)
 def _make_rtree(hints: "PlanHints") -> SpatialJoinAlgorithm:
+    """Synchronized R-tree traversal (Brinkhoff et al. '93)."""
     return SynchronizedRTreeJoin(
         buffer_pages=int(hints.param("buffer_pages", 256))
     )
 
 
-@register_algorithm(
-    "gipsy",
-    description="GIPSY crawling join (Pavlovic et al. '13); wins at "
-    "extreme density ratios",
-)
 def _make_gipsy(hints: "PlanHints") -> SpatialJoinAlgorithm:
+    """GIPSY crawling join (Pavlovic et al. '13); wins at extreme
+    density ratios."""
     return GipsyJoin(
         outer=str(hints.param("outer", "auto")),
         buffer_pages=int(hints.param("buffer_pages", 256)),
     )
 
 
-@register_algorithm(
-    "nested-loop",
-    description="indexed nested loop: one R-tree probe per outer element",
-)
 def _make_nested_loop(hints: "PlanHints") -> SpatialJoinAlgorithm:
+    """Indexed nested loop: one R-tree probe per outer element."""
     return IndexedNestedLoopJoin(
         outer=str(hints.param("outer", "auto")),
         buffer_pages=int(hints.param("buffer_pages", 256)),
     )
 
 
-@register_algorithm(
-    "brute",
-    description="exhaustive O(|A|*|B|) oracle (correctness reference)",
-    plannable=False,
-)
 def _make_brute(hints: "PlanHints") -> SpatialJoinAlgorithm:
+    """Exhaustive O(|A|*|B|) oracle (correctness reference)."""
     return BruteForceJoin()
+
+
+#: Every algorithm a name resolves to, keyed by that name.
+_REGISTRY: dict[str, AlgorithmSpec] = {
+    spec.name: spec
+    for spec in (
+        AlgorithmSpec("transformers", _make_transformers),
+        # The shared grid depends on both inputs.
+        AlgorithmSpec("pbsm", _make_pbsm, reusable_index=False),
+        AlgorithmSpec("rtree", _make_rtree),
+        AlgorithmSpec("gipsy", _make_gipsy),
+        AlgorithmSpec("nested-loop", _make_nested_loop),
+        AlgorithmSpec("brute", _make_brute, plannable=False),
+    )
+}

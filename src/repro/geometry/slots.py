@@ -6,8 +6,8 @@ they define ``__slots__`` and a ``__setattr__`` that raises.  Python's
 default slot-class pickle protocol restores state via ``setattr``,
 which that guard rejects, so these classes mix in explicit state
 methods that go through ``object.__setattr__`` instead.  Instances of
-these types cross process boundaries whenever the batch executor ships
-requests, reports or index slices to workers.
+these types cross process boundaries whenever the sharded service ships
+commands to its shard processes and reports back.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ it:
   shard that takes datasets by reference and runs each miss in the
   calling thread;
 * :class:`ShardedQueryService` scales the misses out across N **shard
-  processes**, each a join executor (:class:`ShardState`: a batch
+  processes**, each a join executor (:class:`ShardState`: an
   executor and a lock) that runs the commands from its pipe one at a
   time — every command carries the datasets it reads, and a shard
   keeps only a bounded, content-keyed cache of the indexes and
@@ -86,6 +86,7 @@ import os
 import sys
 import threading
 import time
+import traceback
 from collections.abc import Iterable
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -93,7 +94,7 @@ from multiprocessing.connection import Connection
 from typing import Any
 
 from repro._types import IntArray
-from repro.engine.executor import BatchExecutor, JoinRequest, RequestOutcome
+from repro.engine.executor import BatchExecutor, JoinRequest
 from repro.engine.planner import JoinPlan, plan_join
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
@@ -153,9 +154,15 @@ class ShardSaturated(RuntimeError):
 
 
 def _failed(seq: int, exc: BaseException) -> ShardReply:
-    """The ``ok=False`` reply that stands for a captured exception."""
+    """The ``ok=False`` reply that stands for a captured exception: its
+    message, then its traceback, as text (the one place an exception
+    becomes reply text)."""
+    trace = "".join(traceback.format_exception(exc))
     return ShardReply(
-        seq=seq, ok=False, error=str(exc), error_type=type(exc).__name__
+        seq=seq,
+        ok=False,
+        error=f"{exc}\n{trace}",
+        error_type=type(exc).__name__,
     )
 
 
@@ -210,9 +217,11 @@ def execute_command(shard: ShardState, command: ShardCommand) -> ShardReply:
     process does funnels through here, which is what makes the shard
     protocol unit-testable in-process (the inline shards call it
     directly).  A join replies with its
-    :class:`~repro.engine.executor.RequestOutcome`.  Failures are
-    isolated per command, mirroring the batch executor: an exception
-    becomes an ``ok=False`` reply, never a dead shard.
+    :class:`~repro.engine.report.RunReport` and the wall of
+    :meth:`BatchExecutor.run <repro.engine.executor.BatchExecutor.run>`,
+    the miss's latency sample.  Failures are isolated per command: an
+    exception becomes an ``ok=False`` reply (:func:`_failed`), never a
+    dead shard.
     """
     try:
         if not isinstance(command, JoinCommand):
@@ -223,10 +232,14 @@ def execute_command(shard: ShardState, command: ShardCommand) -> ShardReply:
             request = command.to_request(
                 _realise(command.a), _realise(command.b)
             )
-            outcome = shard.executor.run([request]).outcomes[0]
+            start = time.perf_counter()
+            report = shard.executor.run(request)
+            wall = time.perf_counter() - start
     except Exception as exc:
         return _failed(command.seq, exc)
-    return ShardReply(seq=command.seq, ok=True, payload=outcome)
+    return ShardReply(
+        seq=command.seq, ok=True, payload=report, wall_seconds=wall
+    )
 
 
 def _shard_worker(
@@ -1185,8 +1198,7 @@ class ShardedQueryService:
             # submitting thread).  Every waiter's future MUST resolve
             # on every path — an escaped exception here would strand
             # the submitters in ``.result()`` forever — so failures
-            # become error replies, mirroring executor failure
-            # isolation.
+            # become error replies, as they do in the shard.
             try:
                 reply = reply_future.result()
             except BaseException as exc:  # pragma: no cover - defensive
@@ -1220,9 +1232,8 @@ class ShardedQueryService:
         latency sample (the shard-side wall) stands for them all, and
         ``rejected`` waiters count as rejections only.
         """
-        outcome = reply.payload if reply.ok else None
-        assert outcome is None or isinstance(outcome, RequestOutcome)
-        report = outcome.report if outcome is not None else None
+        report = reply.payload if reply.ok else None
+        assert report is None or isinstance(report, RunReport)
         with self._lock:
             for ref in leader.pins:
                 self._pinned.remove(ref)
@@ -1232,21 +1243,16 @@ class ShardedQueryService:
                 ledger.rejected_requests += len(waiters)
             else:
                 ledger.miss(len(waiters))
-                ledger.executed(
-                    report,
-                    outcome.wall_seconds if outcome is not None else 0.0,
-                    len(waiters),
-                )
+                ledger.executed(report, reply.wall_seconds, len(waiters))
             if report is not None:
                 if all(self._catalog.names_bound_to(fp) for fp in leader.named):
                     self._results.put(leader.key, report)
                 else:
                     ledger.cache_stale_fill_skips += 1
-        source = outcome if outcome is not None else reply
         for waiter in waiters:
             self._release_client(waiter.client)
             waiter.answer(
-                report, error=source.error, error_type=source.error_type
+                report, error=reply.error, error_type=reply.error_type
             )
 
     # -- range queries -------------------------------------------------

@@ -5,7 +5,8 @@ picklable dataclasses: commands down (each tagged with a router-chosen
 sequence number), one :class:`ShardReply` back per command, matched by
 that sequence number.  Shards hold nothing between commands: every
 command that reads a dataset carries it, a join's reply is its
-:class:`~repro.engine.executor.RequestOutcome`, and the router keeps
+:class:`~repro.engine.report.RunReport` and the shard-side wall of the
+run, and the router keeps
 the tier's catalog, result cache, range indexes, counters and the
 lifetime of every shared-memory segment.  So the one real command is
 :class:`JoinCommand`: the router answers stats and range queries
@@ -116,9 +117,11 @@ ShardCommand = JoinCommand | CrashCommand | ShutdownCommand
 class ShardReply:
     """One reply per command, matched by sequence number.
 
-    ``ok=False`` carries the captured exception as strings — shard
-    workers never let an exception escape the command loop, mirroring
-    the batch executor's per-request failure isolation.
+    ``ok=True`` carries a join's :class:`~repro.engine.report.RunReport`
+    as ``payload`` and the shard-side wall of its run as
+    ``wall_seconds``; ``ok=False`` carries the captured exception as
+    strings — shard workers never let an exception escape the command
+    loop.
     """
 
     seq: int
@@ -126,3 +129,4 @@ class ShardReply:
     payload: object = None
     error: str | None = None
     error_type: str | None = None
+    wall_seconds: float = 0.0

@@ -1,9 +1,12 @@
-"""Streaming tier: mutable datasets and deterministic delta batches.
+"""Streaming tier: deterministic delta batches.
 
-The package owns the *data model* of mutation — ``DatasetDelta`` (one
-canonical insert/delete batch) and ``MutableDataset`` (base snapshot +
-delta log with bit-identical replay).  The structures that *consume*
-deltas live beside the structures they maintain:
+The package owns the *data model* of mutation — ``DatasetDelta``, one
+canonical insert/delete batch whose ``apply`` is a pure function of
+content: it returns a fresh immutable dataset, and applying one delta
+to equal content gives byte-identical arrays.  Nothing keeps a log of
+applied deltas; whoever applies one keeps the dataset it returns.  The
+structures that *consume* deltas live beside the structures they
+maintain:
 
 * ``repro.stats.sketch.DatasetSketch.apply_delta`` — the post-delta
   sketch (a rebuild: it measured faster than patching the counts);
@@ -17,9 +20,7 @@ deltas live beside the structures they maintain:
 """
 
 from repro.streaming.delta import DatasetDelta
-from repro.streaming.mutable import MutableDataset
 
 __all__ = [
     "DatasetDelta",
-    "MutableDataset",
 ]

@@ -14,9 +14,7 @@ whole streaming layer deterministic:
   equal :func:`~repro.storage.shm.content_fingerprint` digests) in any
   process;
 * :meth:`DatasetDelta.digest` hashes the canonical delta bytes under a
-  versioned domain separator, giving delta *lineages* a composable
-  fingerprint (see
-  :meth:`~repro.streaming.mutable.MutableDataset.lineage_fingerprint`).
+  versioned domain separator.
 
 An id may appear in both the delete and insert batches: the delete
 applies first, so the pair expresses a *move* (same element, new box).
@@ -187,13 +185,8 @@ class DatasetDelta:
     # Identity
     # ------------------------------------------------------------------
     def digest(self) -> str:
-        """Hex SHA-256 over the delta's canonical bytes.
-
-        Composes with :func:`~repro.storage.shm.content_fingerprint`:
-        a base fingerprint folded with the digests of its applied
-        deltas identifies the lineage, and equal lineages materialise
-        equal content (the determinism :meth:`apply` guarantees).
-        """
+        """Hex SHA-256 over the delta's canonical bytes: equal logical
+        changes have equal digests."""
         h = hashlib.sha256()
         h.update(DELTA_MAGIC)
         h.update(

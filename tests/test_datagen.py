@@ -5,6 +5,7 @@ import pytest
 
 from repro.datagen import (
     SPACE,
+    DriftingClusterStream,
     dense_cluster,
     density_ladder,
     massive_cluster,
@@ -170,3 +171,32 @@ class TestNeuroDatasets:
         a1, _ = neuro_datasets(300, seed=9)
         a2, _ = neuro_datasets(300, seed=9)
         assert np.array_equal(a1.boxes.lo, a2.boxes.lo)
+
+
+class TestDriftingClusterStream:
+    def test_current_is_the_ticks_applied_to_the_base(self):
+        """The stream keeps its base and its current window, no delta
+        log: replaying the deltas it emitted over the base lands on the
+        current window byte for byte."""
+        stream = DriftingClusterStream(400, seed=3, churn=0.1)
+        deltas = list(stream.ticks(5))
+        replayed = stream.base()
+        for delta in deltas:
+            replayed = delta.apply(replayed)
+        current = stream.current
+        assert len(current) == 400
+        assert replayed.ids.tobytes() == current.ids.tobytes()
+        assert replayed.boxes.lo.tobytes() == current.boxes.lo.tobytes()
+        assert replayed.boxes.hi.tobytes() == current.boxes.hi.tobytes()
+        assert replayed.fingerprint == current.fingerprint
+
+    def test_equal_seeds_emit_equal_deltas(self):
+        one = DriftingClusterStream(300, seed=8, name="s", id_offset=5_000)
+        two = DriftingClusterStream(300, seed=8, name="s", id_offset=5_000)
+        assert one.base().fingerprint == two.base().fingerprint
+        for left, right in zip(one.ticks(3), two.ticks(3)):
+            assert left.digest() == right.digest()
+        assert one.current.fingerprint == two.current.fingerprint
+        # Each tick retires the oldest ids, so none comes back.
+        assert one.current.ids.min() >= 5_000 + 3 * 15
+

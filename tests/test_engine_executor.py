@@ -1,10 +1,10 @@
-"""Tests for the batch executor.
+"""Tests for the join executor.
 
 Covers the executor's contract: every request runs on the executor's
 one long-lived workspace, reusing the indexes earlier requests built,
-and answers exactly what a direct workspace join answers; one
-request's failure never takes down the batch, and the batch report's
-aggregates hold on empty and failing batches too.
+and answers exactly what a direct workspace join answers; a request
+that fails raises, and the executor keeps serving the requests after
+it.
 """
 
 import dataclasses
@@ -14,7 +14,6 @@ import pytest
 
 from repro.engine import (
     BatchExecutor,
-    BatchReport,
     JoinRequest,
     SpatialWorkspace,
     available_algorithms,
@@ -53,13 +52,12 @@ def _mixed_requests(n_requests: int = 6) -> list[JoinRequest]:
     ]
 
 
-class TestBatch:
-    def test_batch_equals_fresh_workspace_request_for_request(self):
+class TestRun:
+    def test_each_run_equals_a_fresh_workspace_join(self):
+        executor = BatchExecutor()
         requests = _mixed_requests()
-        batch = BatchExecutor().run(requests)
-        batch.raise_failures()
-        assert [o.index for o in batch.outcomes] == list(range(len(requests)))
-        for request, report in zip(requests, batch.reports):
+        reports = [executor.run(request) for request in requests]
+        for request, report in zip(requests, reports):
             direct = SpatialWorkspace().join(
                 request.a, request.b, algorithm=request.algorithm
             )
@@ -69,29 +67,12 @@ class TestBatch:
                 == direct.result.pairs.tobytes()
             )
             assert report.intersection_tests == direct.intersection_tests
-        assert any(r.pairs_found > 0 for r in batch.reports)
-
-    def test_batch_report_aggregates(self):
-        requests = _mixed_requests(6)
-        batch = BatchExecutor().run(requests)
-        batch.raise_failures()
-        assert batch.total_pairs == sum(r.pairs_found for r in batch.reports)
-        assert batch.total_io_cost >= 0.0
-        assert batch.total_cost > 0.0
-        per_algo = batch.by_algorithm()
-        assert sum(int(v["runs"]) for v in per_algo.values()) == 6
-        assert set(per_algo) >= {"TRANSFORMERS", "PBSM"}
-        summary = batch.summary()
-        assert summary["requests"] == 6
-        assert summary["failed"] == 0
-        assert summary["pairs"] == batch.total_pairs
+        assert any(r.pairs_found > 0 for r in reports)
 
     @pytest.mark.parametrize("algorithm", available_algorithms() + ("auto",))
     def test_every_algorithm_matches_a_direct_join(self, algorithm):
         a, b = dataset_pair("contrast", 150, 150, seed=5)
-        batch = BatchExecutor().run([JoinRequest(a, b, algorithm)])
-        batch.raise_failures()
-        (report,) = batch.reports
+        report = BatchExecutor().run(JoinRequest(a, b, algorithm))
         direct = SpatialWorkspace().join(a, b, algorithm=algorithm)
         assert report.algorithm == direct.algorithm
         assert report.result.pairs.tobytes() == direct.result.pairs.tobytes()
@@ -103,11 +84,9 @@ class TestBatch:
     @pytest.mark.parametrize("algorithm", ["transformers", "pbsm"])
     def test_distance_join_matches_a_direct_join(self, algorithm, within):
         a, b = dataset_pair("clustered", 150, 150, seed=6)
-        batch = BatchExecutor().run(
-            [JoinRequest(a, b, algorithm, within=within)]
+        report = BatchExecutor().run(
+            JoinRequest(a, b, algorithm, within=within)
         )
-        batch.raise_failures()
-        (report,) = batch.reports
         direct = SpatialWorkspace().join(
             a, b, algorithm=algorithm, within=within
         )
@@ -120,11 +99,9 @@ class TestBatch:
         """Request 2 onward builds nothing and answers like request 1."""
         a, b = dataset_pair("uniform", 150, 150, seed=7)
         executor = BatchExecutor()
-        batch = executor.run(
-            [JoinRequest(a, b, "transformers") for _ in range(3)]
-        )
-        batch.raise_failures()
-        first, *later = batch.reports
+        first, *later = [
+            executor.run(JoinRequest(a, b, "transformers")) for _ in range(3)
+        ]
         assert not first.reused_a and not first.reused_b
         assert first.index_pages_written_a > 0
         assert first.index_pages_written_b > 0
@@ -134,18 +111,25 @@ class TestBatch:
             assert report.index_pages_written_b == 0
             assert report.result.pairs.tobytes() == first.result.pairs.tobytes()
             assert report.intersection_tests == first.intersection_tests
-        # The reuse spans batches: the executor keeps its workspace.
-        (again,) = executor.run([JoinRequest(b, a, "transformers")]).reports
+        # The reverse pairing reuses the same two indexes.
+        again = executor.run(JoinRequest(b, a, "transformers"))
         assert again.reused_a and again.reused_b
         assert executor.workspace.cached_index_count == 2
 
-    def test_run_accepts_any_iterable(self):
-        a, b = dataset_pair("uniform", 80, 80, seed=8)
-        batch = BatchExecutor().run(
-            JoinRequest(a, b, algo) for algo in ("brute", "pbsm")
+    def test_a_run_answers_with_the_workspace_report(self):
+        """``run`` returns the report the executor's workspace made, with
+        the request's planner inputs applied."""
+        a, b = dataset_pair("uniform", 120, 120, seed=9)
+        executor = BatchExecutor()
+        report = executor.run(
+            JoinRequest(a, b, "pbsm", parameters={"resolution": 4})
         )
-        assert [o.index for o in batch.outcomes] == [0, 1]
-        assert [r.algorithm for r in batch.reports] == ["BRUTE", "PBSM"]
+        direct = SpatialWorkspace().join(
+            a, b, algorithm="pbsm", parameters={"resolution": 4}
+        )
+        assert report.result.pairs.tobytes() == direct.result.pairs.tobytes()
+        assert report.intersection_tests == direct.intersection_tests
+        assert report.total_cost(executor.cost_model) == direct.total_cost()
 
 
 class TestModels:
@@ -160,8 +144,8 @@ class TestModels:
             random_read_cost=model.random_read_cost * 3,
         )
         request = JoinRequest(a, b, "pbsm")
-        base = BatchExecutor(disk_model=model).run([request]).reports[0]
-        tripled = BatchExecutor(disk_model=slow).run([request]).reports[0]
+        base = BatchExecutor(disk_model=model).run(request)
+        tripled = BatchExecutor(disk_model=slow).run(request)
         direct = SpatialWorkspace(disk_model=model).join(
             a, b, algorithm="pbsm"
         )
@@ -177,15 +161,16 @@ class TestModels:
             model, intersection_test_cost=model.intersection_test_cost * 4
         )
         request = JoinRequest(a, b, "pbsm")
-        base = BatchExecutor(cost_model=model).run([request])
-        costly = BatchExecutor(cost_model=dear).run([request])
-        assert costly.cost_model is dear
-        assert costly.total_cpu_cost > base.total_cpu_cost
-        assert costly.total_io_cost == base.total_io_cost
-        assert costly.total_cost == pytest.approx(
-            costly.reports[0].total_cost(dear)
-        )
-        assert costly.total_pairs == base.total_pairs
+        cheap_executor = BatchExecutor(cost_model=model)
+        dear_executor = BatchExecutor(cost_model=dear)
+        assert dear_executor.cost_model is dear
+        assert dear_executor.workspace.cost_model is dear
+        base = cheap_executor.run(request)
+        costly = dear_executor.run(request)
+        assert costly.join_cpu_cost > base.join_cpu_cost
+        assert costly.join_io_cost == base.join_io_cost
+        assert costly.total_cost(dear) > base.total_cost(model)
+        assert costly.pairs_found == base.pairs_found
 
 
 class TestDescribe:
@@ -205,12 +190,11 @@ class TestDescribe:
         fields = {"a": a, "b": b, "algorithm": "pbsm", **kwargs}
         request = JoinRequest(**fields)
         assert request.describe() == expected
-        if "a" not in kwargs:
-            outcome = BatchExecutor().run([request]).outcomes[0]
-            assert outcome.label == expected
 
 
 class TestFailureIsolation:
+    """A failing request raises; the executor serves the next one."""
+
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_failure_position_does_not_matter(self, position):
         a, b = dataset_pair("uniform", 100, 100, seed=3)
@@ -219,81 +203,55 @@ class TestFailureIsolation:
             for i in range(3)
         ]
         requests[position] = JoinRequest(a, b, ExplodingJoin(), label="boom")
-        batch = BatchExecutor().run(requests)
-        assert [o.index for o in batch.outcomes] == [0, 1, 2]
-        assert [o.ok for o in batch.outcomes] == [
-            i != position for i in range(3)
-        ]
-        assert [o.label for o in batch.failures] == ["boom"]
+        executor = BatchExecutor()
         oracle = oracle_pairs(a, b)
-        assert all(r.pair_set() == oracle for r in batch.reports)
-
-    def test_failed_outcome_is_timed_and_counted(self):
-        a, b = dataset_pair("uniform", 80, 80, seed=5)
-        batch = BatchExecutor().run(
-            [
-                JoinRequest(a, b, ExplodingJoin(), label="boom"),
-                JoinRequest(a, b, "no-such-join", label="typo"),
-                JoinRequest(a, b, "brute", label="fine"),
-            ]
-        )
-        assert all(o.wall_seconds > 0.0 for o in batch.outcomes)
-        assert batch.summary()["failed"] == 2
-        with pytest.raises(RuntimeError) as info:
-            batch.raise_failures()
-        message = str(info.value)
-        assert message.startswith("2 of 3 batch requests failed")
-        assert "request 0 (boom): RuntimeError" in message
-        assert "request 1 (typo): ValueError" in message
-        assert "fine" not in message
+        for i, request in enumerate(requests):
+            if i == position:
+                with pytest.raises(RuntimeError, match="synthetic"):
+                    executor.run(request)
+            else:
+                assert executor.run(request).pair_set() == oracle
 
     def test_crash_fails_only_that_request(self):
         a, b = dataset_pair("uniform", 150, 150, seed=1)
-        requests = [
-            JoinRequest(a, b, "transformers", label="ok-0"),
-            JoinRequest(a, b, ExplodingJoin(), label="boom"),
-            JoinRequest(a, b, "pbsm", label="ok-2"),
-        ]
-        batch = BatchExecutor().run(requests)
-        assert not batch.ok
-        assert [o.ok for o in batch.outcomes] == [True, False, True]
-        failed = batch.outcomes[1]
-        assert failed.error_type == "RuntimeError"
-        assert "synthetic join failure" in failed.error
-        assert batch.outcomes[0].report.pair_set() == oracle_pairs(a, b)
-        with pytest.raises(RuntimeError, match="boom"):
-            batch.raise_failures()
+        executor = BatchExecutor()
+        first = executor.run(JoinRequest(a, b, "transformers"))
+        with pytest.raises(RuntimeError, match="synthetic join failure"):
+            executor.run(JoinRequest(a, b, ExplodingJoin(), label="boom"))
+        after = executor.run(JoinRequest(a, b, "transformers"))
+        assert first.pair_set() == after.pair_set() == oracle_pairs(a, b)
+        # The failed join lost nothing the workspace had cached.
+        assert after.reused_a and after.reused_b
 
     def test_instance_algorithm_with_space_fails_loudly(self):
         """space/parameters are planner inputs; combining them with a
         pre-configured instance is an error, not a silent no-op."""
         a, b = dataset_pair("uniform", 80, 80, seed=10)
-        batch = BatchExecutor().run(
-            [JoinRequest(a, b, PBSMJoin(resolution=4),
-                         space=a.boxes.mbb())]
-        )
-        assert not batch.ok
-        assert batch.outcomes[0].error_type == "ValueError"
-        assert "planner inputs" in batch.outcomes[0].error
+        with pytest.raises(ValueError, match="planner inputs"):
+            BatchExecutor().run(
+                JoinRequest(a, b, PBSMJoin(resolution=4),
+                            space=a.boxes.mbb())
+            )
 
     def test_invalid_algorithm_name_is_isolated_too(self):
         a, b = dataset_pair("uniform", 80, 80, seed=2)
-        batch = BatchExecutor().run(
-            [JoinRequest(a, b, "no-such-join"), JoinRequest(a, b, "brute")]
+        executor = BatchExecutor()
+        with pytest.raises(ValueError, match="no-such-join"):
+            executor.run(JoinRequest(a, b, "no-such-join"))
+        assert executor.run(JoinRequest(a, b, "brute")).pair_set() == (
+            oracle_pairs(a, b)
         )
-        assert [o.ok for o in batch.outcomes] == [False, True]
-        assert batch.outcomes[0].error_type == "ValueError"
 
     def test_unresolved_catalog_name_fails_that_request(self):
         """Names are a service-tier input; reaching the executor
-        unresolved is this request's TypeError, not a batch abort."""
+        unresolved is this request's TypeError."""
         a, b = dataset_pair("uniform", 80, 80, seed=4)
-        batch = BatchExecutor().run(
-            [JoinRequest("a", b, "brute"), JoinRequest(a, b, "brute")]
+        executor = BatchExecutor()
+        with pytest.raises(TypeError, match="unresolved"):
+            executor.run(JoinRequest("a", b, "brute"))
+        assert executor.run(JoinRequest(a, b, "brute")).pair_set() == (
+            oracle_pairs(a, b)
         )
-        assert [o.ok for o in batch.outcomes] == [False, True]
-        assert batch.outcomes[0].error_type == "TypeError"
-        assert "unresolved" in batch.outcomes[0].error
 
 
 class TestWorkspaceIntegration:
@@ -305,37 +263,3 @@ class TestWorkspaceIntegration:
         report = SpatialWorkspace().join(a, empty, algorithm="rtree")
         assert report.pairs_found == 0
         assert report.pair_set() == set()
-
-
-class TestDegenerateBatchReports:
-    """Edge cases: empty and failing batches aggregate without error."""
-
-    def test_empty_batch_report(self):
-        report = BatchReport(outcomes=[])
-        assert report.ok
-        assert report.total_pairs == 0
-        assert report.by_algorithm() == {}
-        assert report.latency_percentiles() == {}
-        summary = report.summary()
-        assert summary["requests"] == 0
-        assert summary["failed"] == 0
-
-    def test_empty_batch_through_executor(self):
-        report = BatchExecutor().run([])
-        assert report.ok
-        assert report.summary()["requests"] == 0
-
-    def test_latency_percentiles_exclude_failures(self):
-        a, b = dataset_pair("uniform", 60, 60, seed=11)
-        batch = BatchExecutor().run(
-            [
-                JoinRequest(a, b, "transformers"),
-                JoinRequest(a, b, "no-such-algorithm"),
-            ]
-        )
-        assert len(batch.failures) == 1
-        percentiles = batch.latency_percentiles()
-        assert set(percentiles) == {"TRANSFORMERS"}
-        row = percentiles["TRANSFORMERS"]
-        assert row["count"] == 1
-        assert 0.0 < row["p50_s"] <= row["p99_s"]

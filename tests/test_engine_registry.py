@@ -9,13 +9,13 @@ from repro.engine.registry import (
     algorithm_spec,
     available_algorithms,
     create_algorithm,
-    register_algorithm,
     spec_for_instance,
 )
 from repro.engine.workspace import SpatialWorkspace
 from repro.joins import (
     BruteForceJoin,
     GipsyJoin,
+    IndexedNestedLoopJoin,
     PBSMJoin,
     SynchronizedRTreeJoin,
 )
@@ -57,6 +57,25 @@ class TestRegistryContents:
         plannable = {n for n in ALL_NAMES if algorithm_spec(n).plannable}
         assert {c.algorithm for c in report.candidates} == plannable
 
+    @pytest.mark.parametrize(
+        "name, cls",
+        [
+            ("brute", BruteForceJoin),
+            ("gipsy", GipsyJoin),
+            ("nested-loop", IndexedNestedLoopJoin),
+            ("pbsm", PBSMJoin),
+            ("rtree", SynchronizedRTreeJoin),
+            ("transformers", TransformersJoin),
+        ],
+    )
+    def test_each_name_builds_its_class(self, name, cls):
+        """Each row of the table builds its own class, and an instance
+        of it maps back to that row."""
+        a, b = dataset_pair("uniform", 50, 50, seed=15)
+        algo = create_algorithm(name, plan_join(a, b, name).hints)
+        assert type(algo) is cls
+        assert spec_for_instance(algo) is algorithm_spec(name)
+
     def test_spec_for_instance_matches_display_names(self):
         assert spec_for_instance(TransformersJoin()).name == "transformers"
         assert spec_for_instance(SynchronizedRTreeJoin()).name == "rtree"
@@ -81,31 +100,6 @@ class TestRoundTrip:
         assert isinstance(algo, PBSMJoin)
         assert algo.resolution == 7
         assert algo.space == plan.hints.space
-
-
-class TestRegistration:
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_algorithm("pbsm", lambda hints: PBSMJoin())
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            register_algorithm("  ", lambda hints: PBSMJoin())
-
-    def test_custom_registration_usable_via_workspace(self):
-        from repro.engine import registry
-
-        @register_algorithm("oracle-alias", description="test-only")
-        def _make(hints):
-            return BruteForceJoin()
-
-        try:
-            a, b = dataset_pair("uniform", 150, 150, seed=13)
-            report = SpatialWorkspace().join(a, b, algorithm="oracle-alias")
-            assert report.pair_set() == oracle_pairs(a, b)
-        finally:
-            del registry._REGISTRY["oracle-alias"]
-        assert "oracle-alias" not in available_algorithms()
 
 
 class TestBruteForceTwoPhase:

@@ -284,17 +284,16 @@ class TestNoSegmentPinned:
         with shm.SharedDatasetPool() as pool:
             ref_a, ref_b = pool.publish(a), pool.publish(b)
             attached_a, attached_b = shm.attach_dataset(ref_a), shm.attach_dataset(ref_b)
-            batch = executor.run(
-                [
+            reports = [
+                executor.run(
                     JoinRequest(attached_a, attached_b, algorithm, within=within)
-                    for algorithm in ("auto", "transformers", "rtree", "gipsy", "pbsm")
-                    for within in (None, 0.5)
-                ]
-            )
-            batch.raise_failures()
+                )
+                for algorithm in ("auto", "transformers", "rtree", "gipsy", "pbsm")
+                for within in (None, 0.5)
+            ]
             assert executor.workspace.cached_index_count > 0
             assert executor.workspace.cached_sketch_count > 0
-            del attached_a, attached_b, batch
+            del attached_a, attached_b, reports
             gc.collect()
             assert ref_a.segment not in shm._ATTACHED
             assert ref_b.segment not in shm._ATTACHED

@@ -17,9 +17,9 @@ paired = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(paired)
 
 METRICS = [
-    {"name": "miss_p50_ms", "better": "lower"},
-    {"name": "ops_per_s", "better": "higher"},
-    {"name": "sim_cost_per_join", "better": "lower"},
+    {"name": "miss_p50_ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "sim_cost_per_join", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -62,7 +62,8 @@ def test_a_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_spread():
     # Higher is better, 7 wins and 3 losses: beyond the spread, no claim.
     assert rows["ops_per_s"].endswith("7/10 (lost 3)  yes")
     # Equal on every run: ties count for neither side.
-    assert rows["sim_cost_per_join"].endswith("+0.0%  0/10 (lost 0)  no")
+    assert "+0.0%    0.0%  no regression (25%)" in rows["sim_cost_per_join"]
+    assert rows["sim_cost_per_join"].endswith("0/10 (lost 0)  no")
     assert rows["parent:"] == "parent: failed 0 of 3000 ops"
 
 
@@ -80,6 +81,51 @@ def test_a_regression_is_counted_as_losses_and_never_claimable():
     assert rows["miss_p50_ms"].endswith("0/2 (lost 2)  yes")
     assert rows["parent:"] == "parent: failed 2 of 600 ops"
     assert rows["change:"] == "change: failed 0 of 600 ops"
+
+
+def _verdicts(parent_miss, change_miss, parent_ops=17.0, change_ops=17.0):
+    """The verdict column of each metric, from its printed row."""
+    parent = [_line(miss, parent_ops) for miss in parent_miss]
+    change = [_line(miss, change_ops) for miss in change_miss]
+    return {
+        name: row.split("%  ", 2)[2].split(" (")[0]
+        for name, row in _rows(parent, change).items()
+        if name in {"miss_p50_ms", "ops_per_s"}
+    }
+
+
+#: A parent whose runs spread by 1/51 of its median, well inside 25 %.
+_TIGHT = [50.0, 50.5, 51.0, 51.5, 52.0]
+#: A parent whose quartiles are 20/60 = 33 % of its median apart.
+_WIDE = [40.0, 50.0, 60.0, 70.0, 80.0]
+
+
+def test_a_median_worse_within_the_bound_is_no_regression():
+    worse = [miss + 2.0 for miss in _TIGHT]  # +3.9 %, 0 of 5 won
+    assert _verdicts(_TIGHT, worse)["miss_p50_ms"] == "no regression"
+
+
+def test_a_median_worse_beyond_the_bound_is_a_regression():
+    worse = [miss + 17.0 for miss in _TIGHT]  # +33 %
+    verdicts = _verdicts(_TIGHT, worse, parent_ops=20.0, change_ops=14.0)
+    assert verdicts == {"miss_p50_ms": "regressed", "ops_per_s": "regressed"}
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # The change's median is better, yet the runs cannot tell; nor can
+    # they when every change run is worse.
+    better = [45.0, 55.0, 58.0, 65.0, 75.0]
+    assert _verdicts(_WIDE, better)["miss_p50_ms"] == "unresolved"
+    worse = [miss + 50.0 for miss in _WIDE]
+    assert _verdicts(_WIDE, worse)["miss_p50_ms"] == "unresolved"
+
+
+def test_every_change_run_beating_every_parent_run_resolves_a_wide_spread():
+    better = [30.0, 32.0, 34.0, 36.0, 38.0]
+    assert _verdicts(_WIDE, better)["miss_p50_ms"] == "no regression"
+    assert paired.verdict(0.25, 1.0, [10.0, 20.0, 30.0], [31.0, 32.0, 40.0]) == (
+        "no regression"
+    )
 
 
 def test_unpaired_runs_are_refused():

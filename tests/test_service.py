@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from repro.datagen import scaled_space, uniform_dataset
-from repro.engine import JoinRequest
+from repro.engine import JoinRequest, SpatialWorkspace
 from repro.service import (
     ResultCache,
     ServiceStats,
+    ShardedQueryService,
     SpatialQueryService,
     dataset_fingerprint,
 )
@@ -264,22 +265,36 @@ class TestRangeQuery:
 
 
 class TestFailures:
-    def test_failed_request_is_isolated_and_not_cached(self, trio):
-        service, a, *_ = trio
-        space = scaled_space(600)
+    @pytest.mark.parametrize("tier", ["single", "process"])
+    def test_failed_request_is_isolated_and_not_cached(self, trio, tier):
+        """A join that raises inside the shard answers ``ok=False`` on
+        both tiers alike: the exception's type, a message that starts
+        with its text (then the shard's traceback), one failure."""
+        _, a, b, c, space = trio
         overlapping = uniform_dataset(50, seed=9, name="bad", space=space)
-        response = service.submit(
-            JoinRequest(a, overlapping, "transformers")
+        with pytest.raises(ValueError) as raised:
+            SpatialWorkspace().join(a, overlapping, algorithm="transformers")
+        service = (
+            SpatialQueryService() if tier == "single"
+            else ShardedQueryService(2)
         )
-        assert not response.ok
-        assert response.error_type == "ValueError"
-        with pytest.raises(RuntimeError, match="ValueError"):
-            response.raise_for_failure()
-        stats = service.stats()
-        assert stats.failures == 1
-        assert stats.cache_size == 0  # failures never pollute the cache
-        # The service keeps serving after a failure.
-        assert service.submit(JoinRequest("a", "b", "pbsm")).ok
+        with service:
+            for name, dataset in (("a", a), ("b", b), ("c", c)):
+                service.register(name, dataset)
+            response = service.submit(
+                JoinRequest(a, overlapping, "transformers")
+            )
+            assert not response.ok
+            assert response.error_type == "ValueError"
+            assert response.error.startswith(str(raised.value))
+            assert "Traceback" in response.error
+            with pytest.raises(RuntimeError, match="ValueError"):
+                response.raise_for_failure()
+            stats = service.stats()
+            assert stats.failures == 1
+            assert stats.cache_size == 0  # failures never pollute the cache
+            # The service keeps serving after a failure.
+            assert service.submit(JoinRequest("a", "b", "pbsm")).ok
 
 
 class TestEvictionAndStats:

@@ -31,9 +31,10 @@ from repro.service import (
     SpatialQueryService,
     dataset_fingerprint,
 )
-from repro.service.sharded import _ProcessShard
+from repro.engine import RunReport, SpatialWorkspace
+from repro.service.sharded import ShardState, _ProcessShard, execute_command
 from repro.service.sharding import pair_routing_key
-from repro.service.wire import DatasetPayload, JoinCommand
+from repro.service.wire import CrashCommand, DatasetPayload, JoinCommand
 from repro.storage.shm import SharedDatasetPool, shm_available
 from repro.streaming import DatasetDelta
 from tests.conftest import spy_on_shards
@@ -157,6 +158,85 @@ class TestWirePayload:
         with pytest.raises(ValueError):
             DatasetPayload(ref=object(), dataset=corpus["a"])
         assert DatasetPayload(dataset=corpus["a"])
+
+
+def _join_command(a, b, algorithm="pbsm", seq=7):
+    return JoinCommand(
+        seq=seq,
+        a=DatasetPayload(dataset=a),
+        b=DatasetPayload(dataset=b),
+        algorithm=algorithm,
+        space=None,
+        parameters=None,
+        label="",
+        within=None,
+    )
+
+
+class TestExecuteCommand:
+    """One command, one reply: a join's report and the wall of its run,
+    or the exception as text."""
+
+    def test_a_join_replies_with_its_report_and_wall(self, corpus):
+        reply = execute_command(
+            ShardState(), _join_command(corpus["a"], corpus["b"])
+        )
+        assert reply.ok and reply.seq == 7
+        assert reply.error is None and reply.error_type is None
+        assert isinstance(reply.payload, RunReport)
+        direct = SpatialWorkspace().join(corpus["a"], corpus["b"], "pbsm")
+        assert (
+            reply.payload.result.pairs.tobytes()
+            == direct.result.pairs.tobytes()
+        )
+        assert reply.wall_seconds > 0.0
+
+    def test_a_raising_join_replies_its_message_then_traceback(
+        self, corpus, space
+    ):
+        clash = uniform_dataset(50, seed=21, name="clash", space=space)
+        with pytest.raises(ValueError) as raised:
+            SpatialWorkspace().join(corpus["a"], clash, "pbsm")
+        shard = ShardState()
+        reply = execute_command(shard, _join_command(corpus["a"], clash))
+        assert not reply.ok and reply.seq == 7
+        assert reply.payload is None and reply.wall_seconds == 0.0
+        assert reply.error_type == "ValueError"
+        assert reply.error.startswith(f"{raised.value}\nTraceback")
+        # The shard keeps serving.
+        assert execute_command(
+            shard, _join_command(corpus["a"], corpus["b"])
+        ).ok
+
+    def test_a_command_it_does_not_run_fails_alone(self):
+        reply = execute_command(ShardState(), CrashCommand(seq=3))
+        assert not reply.ok and reply.seq == 3
+        assert reply.error_type == "TypeError"
+        assert reply.error.startswith("unhandled shard command: CrashCommand")
+
+    def test_the_latency_sample_is_the_wall_of_the_run(
+        self, corpus, monkeypatch
+    ):
+        """The ledger's one sample per miss is the shard-side wall of
+        ``BatchExecutor.run``: time the shard spends before the run
+        (realising the payloads, slowed here) is not in it."""
+        from repro.service import sharded
+
+        realise = sharded._realise
+
+        def slow_realise(payload):
+            time.sleep(0.25)
+            return realise(payload)
+
+        monkeypatch.setattr(sharded, "_realise", slow_realise)
+        service = SpatialQueryService()
+        service.register("a", corpus["a"])
+        service.register("b", corpus["b"])
+        response = service.submit(JoinRequest("a", "b", "pbsm"))
+        assert response.ok and response.wall_seconds >= 0.5
+        row = service.stats().latency_by_algorithm["PBSM"]
+        assert row["count"] == 1
+        assert 0.0 < row["p50_s"] < 0.25
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,9 @@ a delta incrementally must be indistinguishable — bit for bit — from
 rebuilding from scratch.  Hypothesis drives that equivalence over
 randomly shaped datasets and deltas:
 
-* :meth:`MutableDataset.materialize` replays the delta log into the
-  same arrays (and therefore the same content fingerprint) as applying
-  the deltas eagerly;
+* :meth:`DatasetDelta.apply` is a pure function of content: one delta
+  applied to one base twice gives byte-identical arrays and the same
+  content fingerprint, equal to a cold registration of the result;
 * :meth:`DatasetSketch.apply_delta` equals ``DatasetSketch.build`` on
   the post-delta dataset (``==`` and digest);
 * :func:`repro.joins.delta_join` patches a cached pair set into
@@ -26,7 +26,7 @@ from repro.joins.base import Dataset
 from repro.joins.brute import brute_force_pairs
 from repro.service.fingerprint import dataset_fingerprint
 from repro.stats import DatasetSketch
-from repro.streaming import DatasetDelta, MutableDataset
+from repro.streaming import DatasetDelta
 
 #: Fresh insert ids start here — far above any generated base id, so
 #: insertions never collide with survivors.
@@ -73,39 +73,28 @@ def dataset_and_delta(draw, min_n=1, max_n=48):
     return base, delta
 
 
-class TestMutableDataset:
+class TestDeltaApply:
     @settings(max_examples=60, deadline=None)
     @given(dataset_and_delta())
-    def test_materialize_replays_to_identical_content(self, case):
+    def test_applying_twice_gives_identical_content(self, case):
         base, delta = case
-        mutable = MutableDataset(base)
-        current = mutable.apply(delta)
-        replayed = mutable.materialize()
-        assert np.array_equal(replayed.ids, current.ids)
-        assert replayed.boxes.lo.tobytes() == current.boxes.lo.tobytes()
-        assert replayed.boxes.hi.tobytes() == current.boxes.hi.tobytes()
-        assert dataset_fingerprint(replayed) == dataset_fingerprint(
-            current
-        )
+        once = delta.apply(base)
+        twice = delta.apply(base)
+        assert once is not twice
+        assert once.ids.tobytes() == twice.ids.tobytes()
+        assert once.boxes.lo.tobytes() == twice.boxes.lo.tobytes()
+        assert once.boxes.hi.tobytes() == twice.boxes.hi.tobytes()
+        assert dataset_fingerprint(once) == dataset_fingerprint(twice)
 
     @settings(max_examples=60, deadline=None)
     @given(dataset_and_delta())
     def test_fingerprint_equals_cold_registration(self, case):
+        """The applied dataset's cached fingerprint is the digest of a
+        cold copy of its arrays."""
         base, delta = case
-        mutable = MutableDataset(base)
-        mutable.apply(delta)
-        cold = delta.apply(base)
-        assert mutable.content_fingerprint() == dataset_fingerprint(cold)
-
-    @settings(max_examples=40, deadline=None)
-    @given(dataset_and_delta())
-    def test_lineage_fingerprint_is_deterministic(self, case):
-        base, delta = case
-        one = MutableDataset(base)
-        two = MutableDataset(base)
-        one.apply(delta)
-        two.apply(delta)
-        assert one.lineage_fingerprint() == two.lineage_fingerprint()
+        after = delta.apply(base)
+        cold = Dataset("cold", after.ids.copy(), after.boxes)
+        assert after.fingerprint == dataset_fingerprint(cold)
 
 
 class TestSketchMaintenance:
