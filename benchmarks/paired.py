@@ -17,6 +17,13 @@ metric's ``bound``: "regressed" where it is worse by
 more than the bound, "unresolved" where the parent's spread is itself
 wider than the bound (so the runs cannot tell), else "no regression".
 A change whose every run beats every parent run is never unresolved.
+
+Only trusted runs are summarised: a run that exited non-zero, printed
+no result line, or whose result line says ``"correct": false`` (a wrong
+answer or a failed op) is rejected, as the benchmark's own gate
+rejects it, and its pair is left out of the table.  Each run's line
+shows its ``correct`` flag and exit code; each rejected run is named
+under the table by pair and side.
 """
 
 import argparse
@@ -52,20 +59,38 @@ def verdict(bound: float, sign: float, parent: list[float], change: list[float])
     return "no regression"
 
 
+def trusted(run: dict) -> bool:
+    """Whether a run exited cleanly and reported itself correct."""
+    return run.get("exit_code", 0) == 0 and run.get("correct") is True
+
+
+def _status(run: dict) -> str:
+    """A run's ``correct`` flag and exit code, as the tool prints them."""
+    return f"correct={run.get('correct')} exit {run.get('exit_code', 0)}"
+
+
 def summarise(
     metrics: list[dict[str, str]], parent: list[dict], change: list[dict]
 ) -> list[str]:
     """One printable row per metric from the paired runs' JSON objects
-    (``parent[k]`` and ``change[k]`` are pair ``k``)."""
+    (``parent[k]`` and ``change[k]`` are pair ``k``), over the pairs
+    whose two runs are both trusted; then the failed ops of every run
+    that reported, and one line per rejected run."""
+    kept = [
+        (p, c) for p, c in zip(parent, change, strict=True)
+        if trusted(p) and trusted(c)
+    ]
     rows = [
         f"{'metric':<18} {'parent p50 [q1, q3]':<32} "
         f"{'change p50 [q1, q3]':<32} {'delta':>8} {'spread':>7}  "
         f"{'verdict (bound)':<22} wins  gap > parent IQR"
     ]
-    for spec in metrics:
+    if not kept:
+        rows.append("no pair with two trusted runs: nothing to compare")
+    for spec in metrics if kept else ():
         name, sign = spec["name"], -1.0 if spec["better"] == "lower" else 1.0
-        p = [run["metrics"][name]["value"] for run in parent]
-        c = [run["metrics"][name]["value"] for run in change]
+        p = [pair[0]["metrics"][name]["value"] for pair in kept]
+        c = [pair[1]["metrics"][name]["value"] for pair in kept]
         (p1, p2, p3), (c1, c2, c3) = quartiles(p), quartiles(c)
         gains = [sign * (y - x) for x, y in zip(p, c, strict=True)]
         wins = sum(gain > 0 for gain in gains)
@@ -81,17 +106,30 @@ def summarise(
             f"{'yes' if beyond else 'no'}{'  <- claimable' if claim else ''}"
         )
     for side, runs in (("parent", parent), ("change", change)):
-        failed, ops = (sum(r[k] for r in runs) for k in ("failed", "attempted"))
+        reported = [r for r in runs if "attempted" in r]
+        failed, ops = (sum(r[k] for r in reported) for k in ("failed", "attempted"))
         rows.append(f"{side}: failed {failed} of {ops} ops")
+    for k, pair in enumerate(zip(parent, change)):
+        for side, run in zip(("parent", "change"), pair):
+            if not trusted(run):
+                rows.append(
+                    f"pair {k + 1} {side}: {_status(run)}, pair left out"
+                )
     return rows
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run in ``tree``; its JSON last line."""
+    """One untraced benchmark run in ``tree``: its JSON last line with
+    the exit code added, or, when it printed none, ``correct`` false."""
     command = ["python3", "-m", "bench", "--workload", workload,
                "--seed", str(seed), "--seconds", "20", "--trace", "0"]
-    done = subprocess.run(command, cwd=tree, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        run = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        run = {"correct": False}
+    return {**run, "exit_code": done.returncode}
 
 
 def workload_list(text: str) -> list[str]:
@@ -119,8 +157,13 @@ def main(argv: list[str] | None = None, run=run_once) -> None:
         for k in range(args.pairs):
             for side in (0, 1)[:: 1 if k % 2 == 0 else -1]:
                 runs[side].append(run(args.trees[side], workload, args.seed))
-                values = {m: v["value"] for m, v in runs[side][-1]["metrics"].items()}
-                print(f"{workload} pair {k + 1} {args.trees[side]}: {values}", flush=True)
+                done = runs[side][-1]
+                values = {m: v["value"] for m, v in done.get("metrics", {}).items()}
+                print(
+                    f"{workload} pair {k + 1} {args.trees[side]}: "
+                    f"{_status(done)} {values}",
+                    flush=True,
+                )
         print(f"{workload}, seed {args.seed}, {args.pairs} pairs")
         print("\n".join(summarise(spec["end_to_end"], *runs)), flush=True)
 

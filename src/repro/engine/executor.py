@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
-from repro.joins.base import CostModel, Dataset, SpatialJoinAlgorithm
-from repro.storage.disk import DiskModel
+from repro.joins.base import Dataset, SpatialJoinAlgorithm
 
 if TYPE_CHECKING:
     from repro.geometry.box import Box
@@ -106,25 +105,17 @@ class BatchExecutor:
     """Runs join requests inline, one at a time, on one long-lived
     workspace.
 
-    ``disk_model`` / ``cost_model`` configure that workspace.  Its
-    index cache holds at most :data:`EXECUTOR_CACHED_INDEXES` indexes,
-    so a later request reuses what an earlier one built and the
-    executor's memory stays bounded however many requests it runs.
-    An executor serves one caller at a time: the service tiers call
-    :meth:`run` under their shard's lock.
+    That workspace has the default disk and cost models, and its index
+    cache holds at most :data:`EXECUTOR_CACHED_INDEXES` indexes, so a
+    later request reuses what an earlier one built and the executor's
+    memory stays bounded however many requests it runs.  An executor
+    serves one caller at a time: the service tiers call :meth:`run`
+    under their shard's lock.
     """
 
-    def __init__(
-        self,
-        *,
-        disk_model: DiskModel | None = None,
-        cost_model: CostModel | None = None,
-    ) -> None:
-        self.cost_model = cost_model or CostModel()
+    def __init__(self) -> None:
         self.workspace = SpatialWorkspace(
-            disk_model=disk_model,
-            cost_model=self.cost_model,
-            max_cached_indexes=EXECUTOR_CACHED_INDEXES,
+            max_cached_indexes=EXECUTOR_CACHED_INDEXES
         )
 
     def run(self, request: JoinRequest) -> RunReport:

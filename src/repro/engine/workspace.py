@@ -420,11 +420,13 @@ class SpatialWorkspace:
     ) -> tuple[object, JoinStats]:
         """Build (or fetch from cache) one dataset's index.
 
-        Returns ``(index_handle, build_stats)``; for algorithms whose
-        index is per-dataset the handle is cached for subsequent
-        :meth:`join` / :meth:`range_query` calls.  Pair-level indexes
-        (PBSM's shared grid) are never cached here: they only make
-        sense relative to a specific join partner.  A cached handle
+        Returns ``(index_handle, build_stats)``; the handle is cached
+        for subsequent :meth:`join` / :meth:`range_query` calls.  A
+        pair-level index (PBSM's shared grid) only makes sense relative
+        to a specific join partner, and a handle this cache does not
+        hold would keep its pages for the workspace's lifetime, so
+        such an algorithm raises ``ValueError`` before anything is
+        built; :meth:`join` builds it.  A cached handle
         lives as long as its cache entry: LRU eviction
         (``max_cached_indexes``), :meth:`forget` and
         :meth:`drop_indexes` release its pages, after which reading
@@ -442,7 +444,12 @@ class SpatialWorkspace:
                 EmptyIndex(dataset.name, dataset.ndim),
                 JoinStats(algorithm=algo.name, phase="index"),
             )
-        handle, stats, _, _ = self._index(algo, dataset, reuse=reusable)
+        if not reusable:
+            raise ValueError(
+                f"{algo.name} builds a pair-level index that depends on "
+                "the join partner; join() builds it"
+            )
+        handle, stats, _, _ = self._index(algo, dataset, reuse=True)
         self._cache_trim()
         return handle, stats
 
@@ -492,14 +499,7 @@ class SpatialWorkspace:
     # ------------------------------------------------------------------
     # Range queries (index reuse beyond joins, Section VII-C1)
     # ------------------------------------------------------------------
-    def range_query(
-        self,
-        dataset: Dataset,
-        query: Box,
-        *,
-        buffer_pages: int = 256,
-        stats: JoinStats | None = None,
-    ) -> np.ndarray:
+    def range_query(self, dataset: Dataset, query: Box) -> np.ndarray:
         """Ids of the dataset's elements whose MBB intersects ``query``.
 
         Served from the dataset's cached TRANSFORMERS index (any
@@ -521,8 +521,7 @@ class SpatialWorkspace:
             return np.empty(0, dtype=np.int64)
         index = self._transformers_index(dataset)
         self.disk.reset_stats()
-        pool = BufferPool(self.disk, buffer_pages)
-        return _transformers_range_query(index, query, pool, stats)
+        return _transformers_range_query(index, query, BufferPool(self.disk))
 
     def _transformers_index(self, dataset: Dataset) -> TransformersIndex:
         """A TRANSFORMERS index for the dataset, cached or fresh."""

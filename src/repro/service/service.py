@@ -48,15 +48,13 @@ class QueryWorkspace:
             self.workspace.forget(dataset)
 
     def range_query(
-        self, dataset: Dataset, query: Box, buffer_pages: int
+        self, dataset: Dataset, query: Box
     ) -> tuple[IntArray, float]:
         """The ids of ``dataset`` intersecting ``query``, off its cached
         index (built on first use), and the wall seconds it took."""
         start = time.perf_counter()
         with self._lock:
-            hits = self.workspace.range_query(
-                dataset, query, buffer_pages=buffer_pages
-            )
+            hits = self.workspace.range_query(dataset, query)
         return hits, time.perf_counter() - start
 
 

@@ -44,15 +44,11 @@ to end, patches the cached entries it touches router-side and files
 the patched reports there; it sends no shard command.  Range queries
 never reach a shard, so no range query waits behind a join.
 
-The submission layer is asynchronous with explicit admission control
-for the requests the router cannot answer:
-
-* **backpressure** — at most ``max_inflight_per_shard`` commands may
-  be in flight per shard; a full shard blocks new submissions up to
-  ``queue_timeout_s`` before rejecting (``error_type="ShardSaturated"``);
-* **quotas** — an optional per-client in-flight bound rejects a
-  client that hogs the tier (``error_type="ClientQuotaExceeded"``)
-  without penalising the others; it is checked before the cache.
+The submission layer is asynchronous, with backpressure on the
+requests the router cannot answer: at most ``max_inflight_per_shard``
+commands may be in flight per shard, and a full shard blocks new
+submissions up to ``queue_timeout_s`` before rejecting
+(``error_type="ShardSaturated"``).
 
 Shard crashes are isolated: the router respawns the process and
 resends in-flight commands exactly once (nothing is replayed, and no
@@ -91,7 +87,6 @@ from collections.abc import Iterable
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
-from typing import Any
 
 from repro._types import IntArray
 from repro.engine.executor import BatchExecutor, JoinRequest
@@ -99,7 +94,7 @@ from repro.engine.planner import JoinPlan, plan_join
 from repro.engine.report import RunReport
 from repro.engine.workspace import SpatialWorkspace
 from repro.geometry.box import Box
-from repro.joins.base import CostModel, Dataset
+from repro.joins.base import Dataset
 from repro.service.cache import ResultCache
 from repro.service.catalog import CatalogEntry, DatasetCatalog, check_binding
 from repro.service.fingerprint import (
@@ -126,7 +121,6 @@ from repro.service.wire import (
 )
 from repro.stats.sketch import DatasetSketch, build_sketch
 from repro.streaming.delta import DatasetDelta
-from repro.storage.disk import DiskModel
 from repro.storage.shm import (
     SharedDatasetPool,
     SharedDatasetRef,
@@ -186,15 +180,8 @@ class ShardState:
     command's dataset, so no shared-memory segment stays mapped for it.
     """
 
-    def __init__(
-        self,
-        *,
-        disk_model: DiskModel | None = None,
-        cost_model: CostModel | None = None,
-    ) -> None:
-        self.executor = BatchExecutor(
-            disk_model=disk_model, cost_model=cost_model
-        )
+    def __init__(self) -> None:
+        self.executor = BatchExecutor()
         self.lock = threading.Lock()
 
 
@@ -242,13 +229,11 @@ def execute_command(shard: ShardState, command: ShardCommand) -> ShardReply:
     )
 
 
-def _shard_worker(
-    conn: Connection, shard_options: dict[str, Any]
-) -> None:
+def _shard_worker(conn: Connection) -> None:
     """Entry point of one shard process: a serial command loop over a
     private :class:`ShardState` (the tier's parallelism is *across*
     shards)."""
-    shard = ShardState(**shard_options)
+    shard = ShardState()
     while True:
         try:
             command = conn.recv()
@@ -297,16 +282,9 @@ class _ProcessShard:
     and never calls out.
     """
 
-    def __init__(
-        self,
-        index: int,
-        *,
-        shard_options: dict[str, Any],
-        gate: threading.Semaphore,
-    ) -> None:
+    def __init__(self, index: int, *, gate: threading.Semaphore) -> None:
         self.index = index
         self.gate = gate
-        self._shard_options = shard_options
         self._io = threading.Lock()
         self._state = threading.Lock()
         self._pending: dict[int, _Pending] = {}
@@ -322,7 +300,7 @@ class _ProcessShard:
         parent, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_shard_worker,
-            args=(child, self._shard_options),
+            args=(child,),
             daemon=True,
             name=f"repro-shard-{self.index}",
         )
@@ -521,16 +499,10 @@ class _InlineShard:
     saturate an inline shard exactly like a process shard.
     """
 
-    def __init__(
-        self,
-        index: int,
-        *,
-        shard_options: dict[str, Any],
-        gate: threading.Semaphore,
-    ) -> None:
+    def __init__(self, index: int, *, gate: threading.Semaphore) -> None:
         self.index = index
         self.gate = gate
-        self.state = ShardState(**shard_options)
+        self.state = ShardState()
         self._closing = False
 
     @property
@@ -588,7 +560,6 @@ class _Submission:
     #: answer for retired content.  Concrete sides are caller-managed
     #: and always fillable.
     named: tuple[str, ...]
-    client: str | None
     start: float
     future: "Future[ServiceResponse]" = field(default_factory=Future)
     #: The shared-memory refs the leader's command carries, pinned
@@ -625,13 +596,6 @@ class ShardedQueryService:
     ----------
     shards:
         Shard count.
-    disk_model / cost_model:
-        Forwarded to every shard's :class:`ShardState` and to the
-        router's query workspace, so cached and freshly computed
-        reports share one cost basis.
-    max_cached_indexes:
-        Bound of the router's range-query index cache (each shard's
-        executor bounds its own join indexes).
     max_cached_results:
         Bound of the router's result cache, the tier's only one
         (LRU; ``None`` disables the bound).
@@ -641,39 +605,34 @@ class ShardedQueryService:
     queue_timeout_s:
         How long a submission the router cannot answer waits on a
         saturated shard before being rejected.
-    max_inflight_per_client:
-        Optional per-client in-flight quota (``client=`` tags on
-        submissions), at least 1; ``None`` disables quotas.
     inline:
         Run shards in-process (deterministic tests, coverage) instead
         of as worker processes.
+
+    Every shard's executor and the router's query workspace use the
+    default disk and cost models, so cached and freshly computed
+    reports share one cost basis.  The query workspace keeps at most
+    :attr:`SpatialWorkspace.DEFAULT_MAX_CACHED_INDEXES
+    <repro.engine.workspace.SpatialWorkspace.DEFAULT_MAX_CACHED_INDEXES>`
+    range indexes; each shard's executor bounds its own join indexes.
     """
 
     def __init__(
         self,
         shards: int = 4,
         *,
-        disk_model: DiskModel | None = None,
-        cost_model: CostModel | None = None,
         max_cached_results: int | None = 256,
-        max_cached_indexes: int | None = (
-            SpatialWorkspace.DEFAULT_MAX_CACHED_INDEXES
-        ),
         max_inflight_per_shard: int = 8,
         queue_timeout_s: float = 2.0,
-        max_inflight_per_client: int | None = None,
         inline: bool = False,
     ) -> None:
         if max_inflight_per_shard < 1:
             raise ValueError("max_inflight_per_shard must be >= 1")
-        if max_inflight_per_client is not None and max_inflight_per_client < 1:
-            raise ValueError("max_inflight_per_client must be >= 1")
         self._ring = HashRing(shards)
         self.queue_timeout_s = queue_timeout_s
-        self._client_quota = max_inflight_per_client
         #: Guards catalog, payloads, pins, result cache, in-flight
-        #: misses, client counts and ledgers; held briefly, never
-        #: across a shard round-trip.
+        #: misses and ledgers; held briefly, never across a shard
+        #: round-trip.
         self._lock = threading.Lock()
         #: Serialises catalog mutations (register/unregister/deltas/
         #: close) end-to-end, a retire's wait on inline shards
@@ -695,7 +654,6 @@ class ShardedQueryService:
         #: The tier's only counters, one ledger per shard: each counts
         #: the traffic routed to its shard.
         self._ledgers = [ServiceLedger() for _ in range(shards)]
-        self._clients: dict[str, int] = {}
         #: Refs carried by sent commands not yet settled, one entry
         #: per command side.
         self._pinned: list[SharedDatasetRef] = []
@@ -705,35 +663,15 @@ class ShardedQueryService:
         self._retired: list[SharedDatasetRef] = []
         self._seq = itertools.count(1)
         self._closed = False
-        self._queries = QueryWorkspace(
-            SpatialWorkspace(
-                disk_model=disk_model,
-                cost_model=cost_model,
-                max_cached_indexes=max_cached_indexes,
-            )
+        self._queries = QueryWorkspace(SpatialWorkspace())
+        shard_type: type[_InlineShard] | type[_ProcessShard] = (
+            _InlineShard if inline else _ProcessShard
         )
-        shard_options: dict[str, Any] = {
-            "disk_model": disk_model,
-            "cost_model": cost_model,
-        }
         self._shards: list[_ProcessShard | _InlineShard] = []
         try:
             for index in range(shards):
                 gate = threading.Semaphore(max_inflight_per_shard)
-                if inline:
-                    self._shards.append(
-                        _InlineShard(
-                            index, shard_options=shard_options, gate=gate
-                        )
-                    )
-                else:
-                    self._shards.append(
-                        _ProcessShard(
-                            index,
-                            shard_options=shard_options,
-                            gate=gate,
-                        )
-                    )
+                self._shards.append(shard_type(index, gate=gate))
         except BaseException:
             # A shard that fails to start (EAGAIN, fd limit) must not
             # leave the ones already started running until exit.
@@ -992,9 +930,7 @@ class ShardedQueryService:
         )
 
     # -- joins ---------------------------------------------------------
-    def submit(
-        self, request: JoinRequest, *, client: str | None = None
-    ) -> ServiceResponse:
+    def submit(self, request: JoinRequest) -> ServiceResponse:
         """Serve one join: cache hit, or execute and fill.
 
         ``request.a`` / ``request.b`` may be catalog names (strings) or
@@ -1002,13 +938,10 @@ class ShardedQueryService:
         resolved through the catalog, concrete datasets are
         fingerprinted on the fly.
         """
-        return self.submit_async(request, client=client).result()
+        return self.submit_async(request).result()
 
     def submit_many(
-        self,
-        requests: Iterable[JoinRequest],
-        *,
-        client: str | None = None,
+        self, requests: Iterable[JoinRequest]
     ) -> list[ServiceResponse]:
         """Serve a batch of joins, in request order.
 
@@ -1018,31 +951,27 @@ class ShardedQueryService:
         and share the report (each duplicate still counts as its own
         cache miss).
         """
-        return [
-            future.result() for future in self._submit(requests, client)
-        ]
+        return [future.result() for future in self._submit(requests)]
 
     def submit_async(
-        self, request: JoinRequest, *, client: str | None = None
+        self, request: JoinRequest
     ) -> "Future[ServiceResponse]":
         """Answer one join from the router's cache, or route it to its
         pair's owner shard, asynchronously.
 
         Resolution failures (unknown name, unsupported side type)
-        raise synchronously.  A client over its quota is rejected
-        before the cache is probed; a hit resolves the future at once
+        raise synchronously.  A hit resolves the future at once
         (``cached=True``) and no shard sees the request.  A miss whose
         key is already in flight attaches to that miss: it sends no
         command, takes no admission slot, and resolves with the same
         answer (``cached=False``).  Admission failures never raise:
         the future resolves to an ``ok=False`` response with
-        ``error_type`` of ``"ClientQuotaExceeded"`` or
-        ``"ShardSaturated"``.
+        ``error_type="ShardSaturated"``.
         """
-        return self._submit([request], client)[0]
+        return self._submit([request])[0]
 
     def _submit(
-        self, requests: Iterable[JoinRequest], client: str | None
+        self, requests: Iterable[JoinRequest]
     ) -> list["Future[ServiceResponse]"]:
         """Resolve every request, then answer, attach or lead each, then
         send the leaders' commands.
@@ -1055,7 +984,7 @@ class ShardedQueryService:
         """
         self._ensure_open()
         start = time.perf_counter()
-        batch = [self._resolve(request, client, start) for request in requests]
+        batch = [self._resolve(request, start) for request in requests]
         leaders = [submission for submission in batch if self._admit(submission)]
         failure: BaseException | None = None
         for leader in leaders:
@@ -1068,9 +997,7 @@ class ShardedQueryService:
             raise failure
         return [submission.future for submission in batch]
 
-    def _resolve(
-        self, request: JoinRequest, client: str | None, start: float
-    ) -> _Submission:
+    def _resolve(self, request: JoinRequest, start: float) -> _Submission:
         """One request's payloads, cache key and owner shard; raises
         before any state moves."""
         a = self._resolve_side(request.a)
@@ -1094,7 +1021,6 @@ class ShardedQueryService:
             shard=self._ring.owner_of_pair(a.fingerprint, b.fingerprint),
             sides=(a, b),
             named=named,
-            client=client,
             start=start,
         )
 
@@ -1111,26 +1037,13 @@ class ShardedQueryService:
         )
 
     def _admit(self, submission: _Submission) -> bool:
-        """Answer a quota rejection or a cache hit at once, or attach to
-        the key's miss in flight; True when the submission leads a new
-        miss and its command must be sent."""
-        shard = submission.shard
-        if not self._acquire_client(submission.client):
-            with self._lock:
-                self._ledgers[shard].rejected_requests += 1
-            submission.answer(
-                None,
-                error_type="ClientQuotaExceeded",
-                error=(
-                    f"client {submission.client!r} is at its in-flight "
-                    f"quota ({self._client_quota})"
-                ),
-            )
-            return False
+        """Answer a cache hit at once, or attach to the key's miss in
+        flight; True when the submission leads a new miss and its
+        command must be sent."""
         with self._lock:
             report = self._results.get(submission.key)
             if report is not None:
-                self._ledgers[shard].hit(
+                self._ledgers[submission.shard].hit(
                     report.algorithm, time.perf_counter() - submission.start
                 )
             elif submission.key in self._inflight:
@@ -1139,7 +1052,6 @@ class ShardedQueryService:
             else:
                 self._inflight[submission.key] = [submission]
                 return True
-        self._release_client(submission.client)
         submission.answer(report, cached=True)
         return False
 
@@ -1189,7 +1101,6 @@ class ShardedQueryService:
             algorithm=request.algorithm,
             space=request.space,
             parameters=request.parameters,
-            label=request.describe(),
             within=request.within,
         )
 
@@ -1250,20 +1161,12 @@ class ShardedQueryService:
                 else:
                     ledger.cache_stale_fill_skips += 1
         for waiter in waiters:
-            self._release_client(waiter.client)
             waiter.answer(
                 report, error=reply.error, error_type=reply.error_type
             )
 
     # -- range queries -------------------------------------------------
-    def range_query(
-        self,
-        dataset: Dataset | str,
-        query: Box,
-        *,
-        buffer_pages: int = 256,
-        client: str | None = None,
-    ) -> IntArray:
+    def range_query(self, dataset: Dataset | str, query: Box) -> IntArray:
         """Ids of the dataset's elements intersecting ``query``.
 
         Answered by the router from its query workspace: the first
@@ -1274,9 +1177,8 @@ class ShardedQueryService:
         under the query workspace's lock only, and if no name serves
         the content any more, a retire's forget ran before the build
         and missed it: the index is dropped here (``stale_index_drops``)
-        and the hits go out as computed.  A client over its quota
-        raises ``RuntimeError``.  It counts in the ledger of the
-        content's owner shard.
+        and the hits go out as computed.  It counts in the ledger of
+        the content's owner shard.
         """
         self._ensure_open()
         # A concrete side is hashed outside the lock, only to find the
@@ -1285,29 +1187,16 @@ class ShardedQueryService:
             None if isinstance(dataset, str)
             else self._resolve_side(dataset).fingerprint
         )
-        if not self._acquire_client(client):
-            with self._lock:
-                _, _, ledger = self._range_side(dataset, fingerprint)
-                ledger.rejected_requests += 1
-            raise RuntimeError(
-                f"client {client!r} is at its in-flight quota "
-                f"({self._client_quota})"
-            )
-        try:
-            with self._lock:
-                target, guard, ledger = self._range_side(dataset, fingerprint)
-                ledger.range_requests += 1
-            hits, wall = self._queries.range_query(target, query, buffer_pages)
-            with self._lock:
-                ledger.record_latency(RANGE_QUERY_LATENCY_KEY, wall)
-                if guard is not None and not self._catalog.names_bound_to(
-                    guard
-                ):
-                    ledger.stale_index_drops += 1
-                    self._queries.forget(target)
-            return hits
-        finally:
-            self._release_client(client)
+        with self._lock:
+            target, guard, ledger = self._range_side(dataset, fingerprint)
+            ledger.range_requests += 1
+        hits, wall = self._queries.range_query(target, query)
+        with self._lock:
+            ledger.record_latency(RANGE_QUERY_LATENCY_KEY, wall)
+            if guard is not None and not self._catalog.names_bound_to(guard):
+                ledger.stale_index_drops += 1
+                self._queries.forget(target)
+        return hits
 
     def _range_side(
         self, side: Dataset | str, fingerprint: str | None
@@ -1321,27 +1210,6 @@ class ShardedQueryService:
             return entry.dataset, entry.fingerprint, self._ledgers[owner]
         assert fingerprint is not None
         return side, None, self._ledgers[self._ring.owner(fingerprint)]
-
-    # -- admission helpers ---------------------------------------------
-    def _acquire_client(self, client: str | None) -> bool:
-        if client is None or self._client_quota is None:
-            return True
-        with self._lock:
-            occupied = self._clients.get(client, 0)
-            if occupied >= self._client_quota:
-                return False
-            self._clients[client] = occupied + 1
-            return True
-
-    def _release_client(self, client: str | None) -> None:
-        if client is None or self._client_quota is None:
-            return
-        with self._lock:
-            occupied = self._clients.get(client, 0) - 1
-            if occupied <= 0:
-                self._clients.pop(client, None)
-            else:
-                self._clients[client] = occupied
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -1399,40 +1267,24 @@ class SpatialQueryService(ShardedQueryService):
 
     Parameters
     ----------
-    disk_model / cost_model:
-        Forwarded to the shard's executor (whose workspace keeps the
-        indexes its misses built) and to the query workspace, so
-        cached and freshly computed reports share one cost basis.
     max_cached_results:
         Bound of the result cache (LRU; ``None`` disables the bound).
-    max_cached_indexes:
-        Bound of the query workspace's per-dataset index cache.
 
-    The shard runs each miss in the calling thread and takes datasets
-    by reference: the service publishes nothing to shared memory and
-    owns no segment, process or thread, so it needs no ``close()``.
-    Every caller is admitted (the caller's own thread does the work),
-    so it never answers ``ShardSaturated``, and with no client quota
-    never ``ClientQuotaExceeded``.  To serve across processes, use
+    The shard's executor and the query workspace use the default disk
+    and cost models, and the query workspace keeps its default index
+    bound, as on :class:`ShardedQueryService`.  The shard runs each
+    miss in the calling thread and takes datasets by reference: the
+    service publishes nothing to shared memory and owns no segment,
+    process or thread, so it needs no ``close()``.  Every caller is
+    admitted (the caller's own thread does the work), so it never
+    answers ``ShardSaturated``.  To serve across processes, use
     :class:`ShardedQueryService`.
     """
 
-    def __init__(
-        self,
-        *,
-        disk_model: DiskModel | None = None,
-        cost_model: CostModel | None = None,
-        max_cached_results: int | None = 256,
-        max_cached_indexes: int | None = (
-            SpatialWorkspace.DEFAULT_MAX_CACHED_INDEXES
-        ),
-    ) -> None:
+    def __init__(self, *, max_cached_results: int | None = 256) -> None:
         super().__init__(
             1,
-            disk_model=disk_model,
-            cost_model=cost_model,
             max_cached_results=max_cached_results,
-            max_cached_indexes=max_cached_indexes,
             max_inflight_per_shard=sys.maxsize,
             inline=True,
         )

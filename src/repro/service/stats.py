@@ -65,9 +65,9 @@ class ServiceStats:
     #: router answers a known key as a plain cache hit, saturated or
     #: not).  Kept so readers of the snapshot keep working.
     degraded_responses: int = 0
-    #: Submissions rejected at admission (client over quota, or the
-    #: owning shard saturated past the backpressure timeout on a key
-    #: the router's cache does not hold); always 0 on the single tier.
+    #: Submissions rejected at admission: the owning shard stayed
+    #: saturated past the backpressure timeout on a key the router's
+    #: cache does not hold; always 0 on the single tier.
     rejected_requests: int = 0
     #: Deltas applied through ``apply_delta`` (streaming tier).
     delta_applies: int = 0

@@ -75,7 +75,6 @@ class JoinCommand:
     algorithm: object  # str | SpatialJoinAlgorithm (both picklable)
     space: Box | None
     parameters: dict[str, object] | None
-    label: str
     within: float | None
 
     def to_request(self, a: Dataset, b: Dataset) -> JoinRequest:
@@ -86,7 +85,6 @@ class JoinCommand:
             algorithm=self.algorithm,  # type: ignore[arg-type]
             space=self.space,
             parameters=self.parameters,
-            label=self.label,
             within=self.within,
         )
 

@@ -186,7 +186,10 @@ class DatasetDelta:
     # ------------------------------------------------------------------
     def digest(self) -> str:
         """Hex SHA-256 over the delta's canonical bytes: equal logical
-        changes have equal digests."""
+        changes have equal digests.
+
+        The benchmark's ``serve_inputs_digest`` (``bench/workloads.py``)
+        pins the serve workloads' delta stream with it."""
         h = hashlib.sha256()
         h.update(DELTA_MAGIC)
         h.update(

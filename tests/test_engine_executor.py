@@ -7,8 +7,6 @@ that fails raises, and the executor keeps serving the requests after
 it.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -19,13 +17,11 @@ from repro.engine import (
     available_algorithms,
 )
 from repro.joins.base import (
-    CostModel,
     Dataset,
     JoinStats,
     SpatialJoinAlgorithm,
 )
 from repro.joins.pbsm import PBSMJoin
-from repro.storage.disk import DiskModel
 
 from tests.conftest import dataset_pair, oracle_pairs
 
@@ -129,48 +125,9 @@ class TestRun:
         )
         assert report.result.pairs.tobytes() == direct.result.pairs.tobytes()
         assert report.intersection_tests == direct.intersection_tests
-        assert report.total_cost(executor.cost_model) == direct.total_cost()
-
-
-class TestModels:
-    """``disk_model`` / ``cost_model`` reach the executor's workspace."""
-
-    def test_disk_model_is_forwarded(self):
-        a, b = dataset_pair("contrast", 150, 150, seed=5)
-        model = DiskModel()
-        slow = dataclasses.replace(
-            model,
-            seq_read_cost=model.seq_read_cost * 3,
-            random_read_cost=model.random_read_cost * 3,
+        assert report.total_cost(executor.workspace.cost_model) == (
+            direct.total_cost()
         )
-        request = JoinRequest(a, b, "pbsm")
-        base = BatchExecutor(disk_model=model).run(request)
-        tripled = BatchExecutor(disk_model=slow).run(request)
-        direct = SpatialWorkspace(disk_model=model).join(
-            a, b, algorithm="pbsm"
-        )
-        assert base.join_io_cost == direct.join_io_cost
-        assert base.join_io_cost > 0.0
-        assert tripled.join_io_cost == pytest.approx(3 * base.join_io_cost)
-        assert tripled.pair_set() == base.pair_set()
-
-    def test_cost_model_is_forwarded_and_reported(self):
-        a, b = dataset_pair("contrast", 150, 150, seed=5)
-        model = CostModel()
-        dear = dataclasses.replace(
-            model, intersection_test_cost=model.intersection_test_cost * 4
-        )
-        request = JoinRequest(a, b, "pbsm")
-        cheap_executor = BatchExecutor(cost_model=model)
-        dear_executor = BatchExecutor(cost_model=dear)
-        assert dear_executor.cost_model is dear
-        assert dear_executor.workspace.cost_model is dear
-        base = cheap_executor.run(request)
-        costly = dear_executor.run(request)
-        assert costly.join_cpu_cost > base.join_cpu_cost
-        assert costly.join_io_cost == base.join_io_cost
-        assert costly.total_cost(dear) > base.total_cost(model)
-        assert costly.pairs_found == base.pairs_found
 
 
 class TestDescribe:

@@ -166,15 +166,19 @@ class TestIndexCache:
         ws.drop_indexes()
         assert ws.cached_index_count == 0
 
-    def test_build_index_never_caches_pair_level_indexes(self):
-        """PBSM's grid is a pair-level artefact; build_index must not
-        serve it as a per-dataset index later."""
-        a, _, _ = _triple(n=200)
+    def test_build_index_refuses_pair_level_indexes(self):
+        """PBSM's grid is a pair-level artefact: build_index refuses it
+        before writing a page, so no uncached grid holds pages."""
+        a, _, _ = _triple(n=300)
         ws = SpatialWorkspace()
-        ws.build_index(a, "pbsm")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="pair-level"):
+                ws.build_index(a, "pbsm")
+        assert ws.disk.num_pages == live_pages(ws.disk) == 0
         assert ws.cached_index_count == 0
         ws.build_index(a, "transformers")
         assert ws.cached_index_count == 1
+        assert live_pages(ws.disk) == ws.disk.num_pages > 0
 
     def test_signature_ignores_private_attrs(self):
         sig = algorithm_signature(TransformersJoin())

@@ -75,12 +75,60 @@ def test_a_gap_inside_the_parents_spread_is_not_a_gain():
 
 
 def test_a_regression_is_counted_as_losses_and_never_claimable():
-    parent = [_line(50.0, 17.0), _line(50.2, 17.0, failed=2)]
+    parent = [_line(50.0, 17.0), _line(50.2, 17.0)]
     change = [_line(58.0, 17.0), _line(58.2, 17.0)]
     rows = _rows(parent, change)
     assert rows["miss_p50_ms"].endswith("0/2 (lost 2)  yes")
-    assert rows["parent:"] == "parent: failed 2 of 600 ops"
+    assert rows["parent:"] == "parent: failed 0 of 600 ops"
     assert rows["change:"] == "change: failed 0 of 600 ops"
+
+
+def test_an_incorrect_run_leaves_its_pair_out_and_is_named():
+    # Pair 2's parent run failed two ops, so the bench calls it
+    # incorrect: its fast miss_p50_ms must not reach the table.
+    parent = [_line(50.0, 17.0), _line(10.0, 17.0, failed=2), _line(50.4, 17.0)]
+    change = [_line(58.0, 17.0), _line(58.2, 17.0), _line(58.4, 17.0)]
+    rows = paired.summarise(METRICS, parent, change)
+    table = {row.split()[0]: row for row in rows[1:]}
+    assert "50.2 [50.1, 50.3]" in table["miss_p50_ms"]
+    assert table["miss_p50_ms"].endswith("0/2 (lost 2)  yes")
+    assert table["parent:"] == "parent: failed 2 of 900 ops"
+    assert rows[-1] == "pair 2 parent: correct=False exit 0, pair left out"
+
+
+def test_a_failed_run_is_named_with_its_exit_code_and_the_rest_go_on(
+    tmp_path, capsys
+):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    parent, change = tmp_path / "parent", tmp_path
+    calls = []
+
+    def crashing(tree, workload, seed):
+        calls.append(tree)
+        if len(calls) == 3:  # pair 2's first run: the change's
+            return {"correct": False, "exit_code": 1}
+        return _line(40.0 if tree == change else 50.0, 17.0)
+
+    paired.main(
+        [str(parent), str(change), "--workload", "cold_skewed",
+         "--seed", "7", "--pairs", "3"],
+        run=crashing,
+    )
+    assert len(calls) == 6
+    out = capsys.readouterr().out
+    assert f"cold_skewed pair 2 {change}: correct=False exit 1 {{}}" in out
+    assert f"cold_skewed pair 1 {parent}: correct=True exit 0 {{" in out
+    assert "2/2 (lost 0)" in out
+    assert "change: failed 0 of 600 ops" in out  # the two runs that reported
+    assert "pair 2 change: correct=False exit 1, pair left out" in out
+
+
+def test_no_trusted_pair_prints_no_table():
+    rows = paired.summarise(
+        METRICS, [_line(50.0, 17.0, failed=1)], [_line(50.0, 17.0)]
+    )
+    assert rows[1] == "no pair with two trusted runs: nothing to compare"
+    assert rows[-1] == "pair 1 parent: correct=False exit 0, pair left out"
 
 
 def _verdicts(parent_miss, change_miss, parent_ops=17.0, change_ops=17.0):

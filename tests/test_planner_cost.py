@@ -241,54 +241,18 @@ class TestModelThreading:
             < default_report.candidate("pbsm").join_io / 5
         )
 
-    def test_service_plan_prices_with_the_service_models(self):
-        from repro.service import SpatialQueryService
-        from repro.storage.disk import DiskModel
 
-        a, b = _fig11_style_contrast_pair()
-        ssd = SpatialQueryService(
-            disk_model=DiskModel(page_size=1024, random_read_cost=1.0)
-        )
-        ssd.register("a", a)
-        ssd.register("b", b)
-        default = SpatialQueryService()
-        default.register("a", a)
-        default.register("b", b)
-        assert (
-            ssd.plan("a", "b").candidate("pbsm").join_io
-            < default.plan("a", "b").candidate("pbsm").join_io / 5
-        )
-
-
-def _service_models():
+def _models():
     from repro.joins.base import CostModel
     from repro.storage.disk import DiskModel
 
     return {
-        "default": {},
         "ssd": {"disk_model": DiskModel(page_size=1024, random_read_cost=1.0)},
         "slow_tests": {"cost_model": CostModel(intersection_test_cost=5.0)},
     }
 
 
-@pytest.mark.parametrize("model", list(_service_models()))
-@pytest.mark.parametrize(
-    "case",
-    _corpus_pairs(),
-    ids=[label for label, _, _ in _corpus_pairs()],
-)
-def test_service_plan_agrees_with_what_a_miss_runs(case, model):
-    """``plan()`` prices from the catalog's stored sketches; a miss
-    plans afresh on the executor's workspace.  Both must reach the same
-    decision on the same evidence."""
-    from repro import JoinRequest, SpatialQueryService
-
-    _, a, b = case
-    service = SpatialQueryService(**_service_models()[model])
-    service.register("a", a)
-    service.register("b", b)
-    explained = service.plan("a", "b")
-    ran = service.submit(JoinRequest("a", "b")).report.plan
+def _assert_same_decision(explained: JoinPlan, ran: JoinPlan | None) -> None:
     assert ran is not None
     assert explained.algorithm == ran.algorithm
     assert explained.reason == ran.reason
@@ -296,3 +260,51 @@ def test_service_plan_agrees_with_what_a_miss_runs(case, model):
     assert explained.candidates == ran.candidates
     assert explained.est_pairs == ran.est_pairs
     assert explained.est_tests == ran.est_tests
+
+
+@pytest.mark.parametrize(
+    "case",
+    _corpus_pairs(),
+    ids=[label for label, _, _ in _corpus_pairs()],
+)
+def test_service_plan_agrees_with_what_a_miss_runs(case):
+    """``plan()`` prices from the catalog's stored sketches; a miss
+    plans afresh on the executor's workspace.  Both must reach the same
+    decision on the same evidence."""
+    from repro import JoinRequest, SpatialQueryService
+
+    _, a, b = case
+    service = SpatialQueryService()
+    service.register("a", a)
+    service.register("b", b)
+    explained = service.plan("a", "b")
+    _assert_same_decision(
+        explained, service.submit(JoinRequest("a", "b")).report.plan
+    )
+
+
+@pytest.mark.parametrize("model", list(_models()))
+@pytest.mark.parametrize(
+    "case",
+    _corpus_pairs(),
+    ids=[label for label, _, _ in _corpus_pairs()],
+)
+def test_stored_sketches_plan_what_a_workspace_join_runs(case, model):
+    """Sketches built once, as a catalog stores them, and a workspace
+    pricing with its own disk and cost models reach the same decision
+    on models other than the service's defaults."""
+    from repro.stats.sketch import build_sketch
+
+    _, a, b = case
+    workspace = SpatialWorkspace(**_models()[model])
+    explained = plan_join(
+        a,
+        b,
+        "auto",
+        page_size=workspace.page_size,
+        explain=True,
+        sketches=(build_sketch(a), build_sketch(b)),
+        disk_model=workspace.disk.model,
+        cost_model=workspace.cost_model,
+    )
+    _assert_same_decision(explained, workspace.join(a, b).plan)

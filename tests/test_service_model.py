@@ -11,6 +11,8 @@ queries.  After every step:
   cold workspace would);
 * ``cache_hits + cache_misses == requests``, and the catalog holds
   exactly the model's names;
+* every additive counter of ``stats()``, and every latency count, is
+  the sum of that counter over its ``per_shard`` rows;
 * no cached result references a fingerprint that no name serves;
 * no shared-memory segment outlives its content: the router's pool
   holds exactly one segment per served content whose payload is a
@@ -253,6 +255,23 @@ class ServiceMachine(RuleBasedStateMachine):
         stats = self.service.stats()
         assert stats.cache_hits + stats.cache_misses == stats.requests
         assert stats.catalog_size == len(self.model)
+
+    @invariant()
+    def per_shard_rows_add_up(self) -> None:
+        stats = self.service.stats()
+        rows = stats.per_shard
+        assert len(rows) == self.service.shards
+        counters = set(rows[0]) - {"latency_by_algorithm"}
+        assert {"requests", "range_requests", "rejected_requests"} <= counters
+        for counter in counters:
+            total = sum(row[counter] for row in rows)
+            assert getattr(stats, counter) == total, counter
+        for algorithm, summary in stats.latency_by_algorithm.items():
+            counts = [
+                row["latency_by_algorithm"].get(algorithm, {}).get("count", 0)
+                for row in rows
+            ]
+            assert summary["count"] == sum(counts), algorithm
 
     @invariant()
     def no_cached_key_outlives_its_content(self) -> None:

@@ -3,7 +3,7 @@
 Covers the routing substrate (consistent-hash ring, wire payloads),
 the router's catalog/cache semantics in deterministic inline mode
 (rebind invalidation across shards, alias survival, admission control,
-router cache hits, quotas, stats merging), and the process-backed deployment
+router cache hits, stats merging), and the process-backed deployment
 shape: byte-identity against the single-process oracle with the
 shared-memory transport on and off, no segment left after ``close()``,
 and shard-crash isolation with mid-stream recovery.
@@ -168,7 +168,6 @@ def _join_command(a, b, algorithm="pbsm", seq=7):
         algorithm=algorithm,
         space=None,
         parameters=None,
-        label="",
         within=None,
     )
 
@@ -376,7 +375,6 @@ class TestAdmissionControl:
             inline=True,
             max_inflight_per_shard=1,
             queue_timeout_s=0.05,
-            max_inflight_per_client=1,
         )
         service.register("a", corpus["a"])
         service.register("b", corpus["b"])
@@ -446,26 +444,9 @@ class TestAdmissionControl:
         assert hits.tobytes() == expected.tobytes()
         assert tight.stats().rejected_requests == 0
 
-    def test_client_quota_is_per_client(self, tight, space):
-        # Quota is 1 in-flight per client; a synchronous submit is
-        # back to 0 when it returns, so sequential traffic passes...
-        assert tight.submit(JoinRequest("a", "b", "pbsm"), client="c1").ok
-        # ...and an occupied slot rejects only that client.
-        with tight._lock:
-            tight._clients["c2"] = 1
-        rejected = tight.submit(JoinRequest("a", "b", "pbsm"), client="c2")
-        assert rejected.error_type == "ClientQuotaExceeded"
-        assert tight.submit(JoinRequest("a", "b", "pbsm"), client="c3").ok
-        with pytest.raises(RuntimeError, match="quota"):
-            tight.range_query("a", space, client="c2")
-        with tight._lock:
-            del tight._clients["c2"]
-        # Both quota rejections count, the range query's included.
-        assert tight.stats().rejected_requests == 2
-
-    @pytest.mark.parametrize("quota", [0, -1])
-    def test_client_quota_below_one_raises_before_any_spawn(
-        self, quota, monkeypatch
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_shard_bound_below_one_raises_before_any_spawn(
+        self, bound, monkeypatch
     ):
         spawned = []
         real_spawn = _ProcessShard._spawn
@@ -475,29 +456,14 @@ class TestAdmissionControl:
             return real_spawn(shard)
 
         monkeypatch.setattr(_ProcessShard, "_spawn", recording_spawn)
-        with pytest.raises(ValueError, match="max_inflight_per_client"):
-            ShardedQueryService(2, max_inflight_per_client=quota)
+        with pytest.raises(ValueError, match="max_inflight_per_shard"):
+            ShardedQueryService(2, max_inflight_per_shard=bound)
         assert not spawned
         assert not [
             child
             for child in multiprocessing.active_children()
             if child.name.startswith("repro-shard")
         ]
-
-    @pytest.mark.parametrize("bound", [0, -1])
-    def test_shard_bound_below_one_raises_before_any_spawn(self, bound):
-        with pytest.raises(ValueError, match="max_inflight_per_shard"):
-            ShardedQueryService(2, max_inflight_per_shard=bound)
-        assert not [
-            child
-            for child in multiprocessing.active_children()
-            if child.name.startswith("repro-shard")
-        ]
-
-    def test_untagged_submissions_bypass_quota(self, tight):
-        with tight._lock:
-            tight._clients["c9"] = 1
-        assert tight.submit(JoinRequest("a", "b", "pbsm")).ok
 
 
 class TestRouterRangeQueries:
@@ -608,17 +574,12 @@ class TestStatsMerging:
 class TestCoalescing:
     """A miss whose key is already in flight waits for that miss, on
     both tiers: the single tier is the same router over one in-process
-    shard (no admission bound, no client quota)."""
+    shard (no admission bound)."""
 
     @pytest.fixture(params=["sharded", "single"])
-    def quota(self, request, corpus):
+    def tier(self, request, corpus):
         service = (
-            ShardedQueryService(
-                2,
-                inline=True,
-                max_inflight_per_shard=1,
-                max_inflight_per_client=1,
-            )
+            ShardedQueryService(2, inline=True, max_inflight_per_shard=1)
             if request.param == "sharded"
             else SpatialQueryService()
         )
@@ -659,16 +620,16 @@ class TestCoalescing:
         return sent, entered, release
 
     def test_duplicate_in_flight_key_sends_one_command(
-        self, quota, monkeypatch
+        self, tier, monkeypatch
     ):
         request = JoinRequest("a", "b", "pbsm")
-        sent, entered, release = self._hold(quota, request, monkeypatch)
+        sent, entered, release = self._hold(tier, request, monkeypatch)
         with ThreadPoolExecutor(1) as pool:
-            leader = pool.submit(quota.submit, request, client="c1")
+            leader = pool.submit(tier.submit, request)
             assert entered.wait(10.0)
             # Attaches: no command, no admission slot (the leader
             # holds the shard's only one), no wait.
-            follower = quota.submit_async(request, client="c2")
+            follower = tier.submit_async(request)
             assert not follower.done()
             release.set()
             lead = leader.result(timeout=10.0)
@@ -680,33 +641,29 @@ class TestCoalescing:
         assert follow.report is lead.report
         assert pickle.dumps(follow.report) == pickle.dumps(lead.report)
         assert follow.shard == lead.shard
-        stats = quota.stats()
+        stats = tier.stats()
         assert (stats.requests, stats.cache_misses, stats.cache_hits) == (
             2, 2, 0,
         )
         assert stats.latency_by_algorithm["PBSM"]["count"] == 1
-        assert quota._clients == {}
         # The answer was filed once: the next submission is a hit.
-        assert quota.submit(request).cached
+        assert tier.submit(request).cached
 
     @pytest.mark.parametrize("raising", [False, True], ids=["outcome", "send"])
     def test_followers_of_a_failed_leader_get_its_error(
-        self, quota, corpus, space, monkeypatch, raising
+        self, tier, corpus, space, monkeypatch, raising
     ):
         # Overlapping ids fail the join inside the shard's executor; a
         # send that raises never reaches the shard at all.
         clash = uniform_dataset(50, seed=21, name="clash", space=space)
         request = JoinRequest("a", clash, "pbsm")
         _, entered, release = self._hold(
-            quota, request, monkeypatch, raising=raising
+            tier, request, monkeypatch, raising=raising
         )
         with ThreadPoolExecutor(1) as pool:
-            leader = pool.submit(quota.submit, request, client="c1")
+            leader = pool.submit(tier.submit, request)
             assert entered.wait(10.0)
-            followers = [
-                quota.submit_async(request, client=client)
-                for client in ("c2", "c3")
-            ]
+            followers = [tier.submit_async(request) for _ in range(2)]
             release.set()
             if raising:
                 with pytest.raises(RuntimeError, match="pipe is gone"):
@@ -719,8 +676,7 @@ class TestCoalescing:
             assert response.error_type == (
                 "RuntimeError" if raising else "ValueError"
             )
-        assert quota._clients == {}
-        stats = quota.stats()
+        stats = tier.stats()
         assert stats.failures == stats.cache_misses == stats.requests == 3
         assert stats.cache_size == 0
 

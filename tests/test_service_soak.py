@@ -39,9 +39,7 @@ ALGORITHMS = ("transformers", "pbsm")
 @pytest.fixture(scope="module")
 def service():
     space = scaled_space(240)
-    svc = SpatialQueryService(
-        max_cached_results=CACHE_BOUND, max_cached_indexes=8
-    )
+    svc = SpatialQueryService(max_cached_results=CACHE_BOUND)
     for i, name in enumerate(NAMES):
         svc.register(
             name,
@@ -88,7 +86,9 @@ def test_soak_bounded_memory_and_stable_latency(service):
     assert stats.cache_size <= CACHE_BOUND
     assert stats.cache_evictions > 0
     assert stats.catalog_size == len(NAMES)
-    assert svc.query_workspace.cached_index_count <= 8
+    # One range index per name: range queries are the query
+    # workspace's only builds.
+    assert svc.query_workspace.cached_index_count <= len(NAMES)
 
     # The tight bound forces steady-state recomputation, but the cache
     # still deflects real traffic.
