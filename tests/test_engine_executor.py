@@ -10,13 +10,17 @@ it.
 import numpy as np
 import pytest
 
+from repro.datagen import scaled_space, uniform_dataset
 from repro.engine import (
     BatchExecutor,
     JoinRequest,
     SpatialWorkspace,
     available_algorithms,
+    experiment_disk_model,
 )
+from repro.engine.executor import EXECUTOR_CACHED_INDEXES
 from repro.joins.base import (
+    CostModel,
     Dataset,
     JoinStats,
     SpatialJoinAlgorithm,
@@ -128,6 +132,43 @@ class TestRun:
         assert report.total_cost(executor.workspace.cost_model) == (
             direct.total_cost()
         )
+
+
+class TestModels:
+    """An executor's workspace prices with the default disk and cost
+    models and holds at most :data:`EXECUTOR_CACHED_INDEXES` indexes."""
+
+    def test_runs_price_with_the_default_models(self):
+        a, b = dataset_pair("contrast", 150, 150, seed=5)
+        executor = BatchExecutor()
+        assert executor.workspace.disk.model == experiment_disk_model()
+        assert executor.workspace.cost_model == CostModel()
+        report = executor.run(JoinRequest(a, b, "pbsm"))
+        direct = SpatialWorkspace().join(a, b, algorithm="pbsm")
+        assert report.join_io_cost == direct.join_io_cost
+        assert report.join_io_cost > 0.0
+        assert report.join_cpu_cost == direct.join_cpu_cost
+        assert report.total_cost(CostModel()) == direct.total_cost()
+
+    def test_index_cache_stops_at_the_executor_bound(self):
+        space = scaled_space(40)
+        datasets = [
+            uniform_dataset(
+                40, seed=60 + i, name=f"d{i}", id_offset=i * 10**6,
+                space=space,
+            )
+            for i in range(EXECUTOR_CACHED_INDEXES + 2)
+        ]
+        executor = BatchExecutor()
+        for left, right in zip(datasets[::2], datasets[1::2]):
+            report = executor.run(JoinRequest(left, right, "transformers"))
+            assert not report.reused_a and not report.reused_b
+        assert executor.workspace.cached_index_count == EXECUTOR_CACHED_INDEXES
+        # The oldest pair was evicted: joining it again rebuilds both.
+        again = executor.run(
+            JoinRequest(datasets[0], datasets[1], "transformers")
+        )
+        assert not again.reused_a and not again.reused_b
 
 
 class TestDescribe:

@@ -180,6 +180,16 @@ class TestIndexCache:
         assert ws.cached_index_count == 1
         assert live_pages(ws.disk) == ws.disk.num_pages > 0
 
+    def test_build_index_refuses_a_pair_level_instance(self):
+        """A configured PBSM instance is refused like the registry name,
+        before any page is written."""
+        a, _, _ = _triple(n=300)
+        ws = SpatialWorkspace()
+        with pytest.raises(ValueError, match="pair-level"):
+            ws.build_index(a, PBSMJoin())
+        assert ws.disk.num_pages == 0
+        assert ws.cached_index_count == 0
+
     def test_signature_ignores_private_attrs(self):
         sig = algorithm_signature(TransformersJoin())
         assert sig == algorithm_signature(TransformersJoin())

@@ -241,6 +241,35 @@ class TestModelThreading:
             < default_report.candidate("pbsm").join_io / 5
         )
 
+    @pytest.mark.parametrize("tier", ["single", "sharded"])
+    def test_service_plan_prices_with_the_default_models(self, tier):
+        """A service's ``plan()`` prices the default hardware, as a
+        default workspace does; an SSD workspace's PBSM sweep is the
+        far cheaper one."""
+        from repro.service import ShardedQueryService, SpatialQueryService
+        from repro.storage.disk import DiskModel
+
+        a, b = _fig11_style_contrast_pair()
+        service = (
+            SpatialQueryService()
+            if tier == "single"
+            else ShardedQueryService(2, inline=True)
+        )
+        try:
+            service.register("a", a)
+            service.register("b", b)
+            served = service.plan("a", "b")
+        finally:
+            service.close()
+        assert served.candidates == SpatialWorkspace().join(a, b).plan.candidates
+        ssd_ws = SpatialWorkspace(
+            disk_model=DiskModel(page_size=1024, random_read_cost=1.0)
+        )
+        assert (
+            ssd_ws.join(a, b).plan.candidate("pbsm").join_io
+            < served.candidate("pbsm").join_io / 5
+        )
+
 
 def _models():
     from repro.joins.base import CostModel

@@ -444,6 +444,34 @@ class TestAdmissionControl:
         assert hits.tobytes() == expected.tobytes()
         assert tight.stats().rejected_requests == 0
 
+    def test_saturation_is_per_shard(self, tight, corpus):
+        """Holding one shard's only slot rejects the misses that shard
+        owns; a miss another shard owns still runs."""
+        tight.register("c", corpus["c"])
+        held = _owner_of_ab(tight)
+        fingerprints = {
+            name: tight.catalog.resolve(name).fingerprint for name in "abc"
+        }
+        other = next(
+            (x, y)
+            for x in "abc"
+            for y in "abc"
+            if x != y
+            and tight._shards[
+                tight._ring.owner_of_pair(fingerprints[x], fingerprints[y])
+            ] is not held
+        )
+        assert held.gate.acquire(timeout=0.0)
+        try:
+            rejected = tight.submit(JoinRequest("a", "b", "pbsm"))
+            served = tight.submit(JoinRequest(*other, "pbsm"))
+        finally:
+            held.gate.release()
+        assert rejected.error_type == "ShardSaturated"
+        assert served.ok and not served.cached
+        assert tight._shards[served.shard] is not held
+        assert tight.stats().rejected_requests == 1
+
     @pytest.mark.parametrize("bound", [0, -1])
     def test_shard_bound_below_one_raises_before_any_spawn(
         self, bound, monkeypatch
