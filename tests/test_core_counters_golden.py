@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.core import TransformersJoin
+from repro.core import TransformersConfig, TransformersJoin
 from repro.datagen import massive_cluster, scaled_space, uniform_dataset
 from repro.geometry.boxes import BoxArray
 from repro.joins.base import CostModel, Dataset
@@ -26,7 +26,20 @@ from repro.storage.disk import SimulatedDisk
 from tests.conftest import NON_DYADIC, make_disk, run_join
 
 N = 3_000
-CASES = ("uniform_3d", "massive_3d", "massive_2d")
+CASES = ("uniform_3d", "massive_3d", "massive_2d", "massive_3d_pool_32")
+
+#: ``massive_3d`` with a data pool of 32 pages evicts 433 times, on the
+#: unit- and element-split paths too; the other cases evict on the
+#: node-batch path only (``uniform_3d``: 104) or not at all, so they
+#: would not see an LRU-order change where the splits read.  Its
+#: golden entries were recorded at commit a66ea6c.
+SMALL_POOL = "_pool_32"
+
+
+def _algorithm(case: str) -> TransformersJoin:
+    if case.endswith(SMALL_POOL):
+        return TransformersJoin(TransformersConfig(buffer_pages=32))
+    return TransformersJoin()
 
 
 def _flatten(dataset: Dataset) -> Dataset:
@@ -36,6 +49,7 @@ def _flatten(dataset: Dataset) -> Dataset:
 
 
 def _pair(case: str) -> tuple[Dataset, Dataset]:
+    case = case.removesuffix(SMALL_POOL)
     space = scaled_space(2 * N)
     left = uniform_dataset if case == "uniform_3d" else massive_cluster
     a = left(N, seed=1, name="A", space=space)
@@ -48,7 +62,7 @@ def _pair(case: str) -> tuple[Dataset, Dataset]:
 def observe(case: str) -> dict[str, object]:
     """Everything deterministic one indexed join reports."""
     result, build_a, build_b = run_join(
-        TransformersJoin(), make_disk(), *_pair(case)
+        _algorithm(case), make_disk(), *_pair(case)
     )
     stats = result.stats
     return {
@@ -181,6 +195,43 @@ GOLDEN: dict[str, dict[str, object]] = {
                 }
             }
         ]
+    },
+    "massive_3d_pool_32": {
+        "pairs_sha256": "dd686a88f90ca95a1bc34450876f27f54e90167b72d1c11bdbab0dd98b2161c8",
+        "pairs_found": 411,
+        "metadata_comparisons": 7464,
+        "intersection_tests": 25224,
+        "pages_read": 492,
+        "io_cost": 1556.0,
+        "extras": {
+            "role_switches": 1.0,
+            "splits_to_unit": 6.0,
+            "splits_to_element": 6.0,
+            "exploration_io_cost": 65.0,
+            "data_io_cost": 1491.0,
+            "exploration_cost": 79.928,
+            "join_cost": 1541.448,
+            "t_su_final": 8.0,
+            "t_so_final": 8.0
+        },
+        "builds": [
+            {
+                "io_cost": 195.0,
+                "pages_written": 195,
+                "extras": {
+                    "space_units": 180.0,
+                    "space_nodes": 12.0
+                }
+            },
+            {
+                "io_cost": 195.0,
+                "pages_written": 195,
+                "extras": {
+                    "space_units": 180.0,
+                    "space_nodes": 12.0
+                }
+            }
+        ]
     }
 }
 
@@ -197,6 +248,14 @@ def test_the_skewed_case_exercises_every_transformation():
     assert extras["role_switches"] > 0
     assert extras["splits_to_unit"] > 0
     assert extras["splits_to_element"] > 0
+
+
+def test_the_small_pool_case_rereads_evicted_pages():
+    """Same joins, same pairs: only the evictions make it read more."""
+    small, full = GOLDEN["massive_3d_pool_32"], GOLDEN["massive_3d"]
+    assert small["extras"]["splits_to_element"] > 0
+    assert small["pairs_sha256"] == full["pairs_sha256"]
+    assert small["pages_read"] > full["pages_read"]
 
 
 #: ``massive_3d`` again on a disk whose costs are not dyadic fractions,
@@ -226,12 +285,13 @@ NON_DYADIC_GOLDEN = {
 }
 
 
-def test_float_sums_equal_the_recorded_ones_under_a_non_dyadic_model():
+def observe_non_dyadic(case: str) -> dict[str, object]:
+    """The join's floats on the :data:`NON_DYADIC` disk."""
     result, build_a, build_b = run_join(
-        TransformersJoin(), SimulatedDisk(NON_DYADIC), *_pair("massive_3d")
+        _algorithm(case), SimulatedDisk(NON_DYADIC), *_pair(case)
     )
     stats, model = result.stats, CostModel()
-    assert {
+    return {
         "pairs_sha256": hashlib.sha256(result.pairs.tobytes()).hexdigest(),
         "io_cost": stats.io_cost,
         "extras": dict(stats.extras),
@@ -239,7 +299,39 @@ def test_float_sums_equal_the_recorded_ones_under_a_non_dyadic_model():
         "total_cost": stats.total_cost(model)
         + build_a.total_cost(model)
         + build_b.total_cost(model),
-    } == NON_DYADIC_GOLDEN
+    }
+
+
+def test_float_sums_equal_the_recorded_ones_under_a_non_dyadic_model():
+    assert observe_non_dyadic("massive_3d") == NON_DYADIC_GOLDEN
+
+
+#: The same floats with the evicting pool of ``massive_3d_pool_32``,
+#: where the order of the split paths' misses decides every sum.
+NON_DYADIC_POOL_32_GOLDEN = {
+    "pairs_sha256": "dd686a88f90ca95a1bc34450876f27f54e90167b72d1c11bdbab0dd98b2161c8",
+    "io_cost": 82.79999999999974,
+    "extras": {
+        "role_switches": 1.0,
+        "splits_to_unit": 6.0,
+        "splits_to_element": 6.0,
+        "exploration_io_cost": 3.9000000000000017,
+        "data_io_cost": 78.89999999999974,
+        "exploration_cost": 18.828000000000003,
+        "join_cost": 129.34799999999973,
+        "t_su_final": 8.0,
+        "t_so_final": 8.0
+    },
+    "build_io_costs": [
+        58.4999999999998,
+        58.499999999999446
+    ],
+    "total_cost": 265.175999999999
+}
+
+
+def test_float_sums_under_a_non_dyadic_model_with_an_evicting_pool():
+    assert observe_non_dyadic("massive_3d_pool_32") == NON_DYADIC_POOL_32_GOLDEN
 
 
 if __name__ == "__main__":

@@ -332,7 +332,7 @@ class TestComparisonQueue:
 
     @staticmethod
     def indexes(case):
-        algo, disk = TransformersJoin(), make_disk()
+        algo, disk = golden._algorithm(case), make_disk()
         a, b = golden._pair(case)
         index_a, _ = algo.build_index(disk, a)
         index_b, _ = algo.build_index(disk, b)
@@ -404,7 +404,8 @@ class TestComparisonQueue:
     #: SHA-256 of the ``(pool, page id)`` sequence of every
     #: ``BufferPool.read`` of one join — pool 0 the metadata pool, pool 1
     #: the data pool — recorded at commit b431049, where each page group
-    #: was joined as soon as it was read.
+    #: was joined as soon as it was read (``massive_3d_pool_32`` at commit
+    #: a66ea6c: its evictions change which reads hit, not which are made).
     READ_SEQUENCES = {
         "uniform_3d": (
             870,
@@ -417,6 +418,10 @@ class TestComparisonQueue:
         "massive_2d": (
             402,
             "59ff88dc6b87dab67929dad40d9f96b49060dac113c7bab5f7ca7fb935077f83",
+        ),
+        "massive_3d_pool_32": (
+            762,
+            "11b7bced787e8afb729e87e11351033c39be5633eac1ff8427d6e17287a1e55d",
         ),
     }
 
@@ -455,7 +460,9 @@ class TestComparisonQueue:
         ),
     }
 
-    @pytest.mark.parametrize("case", golden.CASES)
+    @pytest.mark.parametrize(
+        "case", [case for case in golden.CASES if not case.endswith(golden.SMALL_POOL)]
+    )
     def test_range_query_read_sequence_is_the_recorded_one(self, page_reads, case):
         _, index, _ = self.indexes(case)
         lo, hi = np.asarray(index.space.lo), np.asarray(index.space.hi)

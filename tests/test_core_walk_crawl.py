@@ -416,7 +416,7 @@ class TestTablesEqualPerPivot:
 
 
 def join_driver(case):
-    algo, disk = TransformersJoin(), make_disk()
+    algo, disk = golden._algorithm(case), make_disk()
     index_a, _ = algo.build_index(disk, golden._pair(case)[0])
     index_b, _ = algo.build_index(disk, golden._pair(case)[1])
     return core_join._Driver(algo.config, index_a, index_b, algo.name)
