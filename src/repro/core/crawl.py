@@ -35,9 +35,12 @@ read per visit — so candidates come back in the same visit order, and
 the comparison counter and the buffer pool see exactly what a
 per-candidate implementation would show them
 (``tests/test_core_walk_crawl.py`` keeps that implementation as the
-reference).  :func:`candidate_units` is batched the same way: the
-descriptor pages are read node by node, the page-MBB filter runs once
-over all their units.
+reference).  The visits' metadata pages are read in one
+:meth:`~repro.storage.buffer.BufferPool.read_many` once the crawl ends,
+in visit order: nothing reads in between, so that is the sequence of a
+read per visit.  :func:`candidate_units` is batched the same way: its
+nodes' descriptor pages are read in one run, in node order, and the
+page-MBB filter runs once over all their units.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from repro._types import BoolArray, FloatArray, IntArray
 
 from repro.core.descriptors import DescriptorGraph
 from repro.core.indexing import TransformersIndex
-from repro.core.walk import touch_node_meta
 from repro.joins.base import JoinStats
 from repro.storage.buffer import BufferPool
 from repro.vectorize import boxes_overlap
@@ -107,21 +109,25 @@ def adaptive_crawl(
     """
     neighbors = graph.neighbors
     candidates: list[int] = []
+    visits: list[int] = []
+    comparisons = 0
     seen = {int(start)}
     queue = [int(start)]
     while queue:
         node = queue.pop()
-        touch_node_meta(graph, node, pool)
-        stats.metadata_comparisons += 1
+        visits.append(node)
+        comparisons += 1
         if node not in skip and include[node]:
             candidates.append(node)
         for nb in neighbors[node].tolist():
             if nb in seen:
                 continue
-            stats.metadata_comparisons += 1
+            comparisons += 1
             if expand[nb]:
                 seen.add(nb)
                 queue.append(nb)
+    stats.metadata_comparisons += comparisons
+    pool.read_many(map(graph.meta_pages.__getitem__, visits))
     return candidates
 
 
@@ -141,8 +147,7 @@ def candidate_units(
     """
     if not nodes:
         return np.empty(0, dtype=np.intp)
-    for node in nodes:
-        pool.read(int(index.nodes.desc_page_ids[node]))
+    pool.read_many(index.nodes.desc_page_ids[nodes].tolist())
     members = np.concatenate([index.nodes.units[node] for node in nodes])
     stats.metadata_comparisons += len(members)
     hit = boxes_overlap(

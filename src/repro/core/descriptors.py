@@ -104,13 +104,15 @@ class DescriptorGraph(SlotPickleMixin):
     ``neighbors[k]`` lists, ascending, the descriptors whose cells meet
     ``k``'s; ``meta_page_of``/``meta_page_ids`` map the descriptors onto
     the run of metadata pages they live on, so every visit is charged as
-    a read.  TRANSFORMERS navigates its space nodes
+    a read, and ``meta_pages[k]`` is that page's id for descriptor ``k``
+    (a list, for the walk and the crawl to look up without NumPy).
+    TRANSFORMERS navigates its space nodes
     (:class:`NodeDescriptorBlock`), GIPSY its element pages.
     """
 
     __slots__ = (
         "mbb_lo", "mbb_hi", "part_lo", "part_hi",
-        "neighbors", "meta_page_of", "meta_page_ids",
+        "neighbors", "meta_page_of", "meta_page_ids", "meta_pages",
     )
 
     def __init__(
@@ -136,6 +138,7 @@ class DescriptorGraph(SlotPickleMixin):
         self.neighbors = neighbors
         self.meta_page_of = meta_page_of
         self.meta_page_ids = meta_page_ids
+        self.meta_pages: list[int] = meta_page_ids[meta_page_of].tolist()
 
     def __len__(self) -> int:
         return len(self.neighbors)

@@ -173,7 +173,8 @@ def build_transformers_index(
         np.arange(n_nodes, dtype=np.intp), np.diff(n_offsets)
     )
     members = np.argsort(u_parent, kind="stable")
-    node_units: list[IntArray] = np.split(members, n_offsets[1:-1])
+    bounds = n_offsets.tolist()
+    node_units = [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     n_mbb_lo = np.minimum.reduceat(u_page_lo[members], n_offsets[:-1], axis=0)
     n_mbb_hi = np.maximum.reduceat(u_page_hi[members], n_offsets[:-1], axis=0)
     element_counts = np.add.reduceat(u_counts[members], n_offsets[:-1])
@@ -189,9 +190,8 @@ def build_transformers_index(
     # nodes.
     # ------------------------------------------------------------------
     node, neighbor = _self_join(n_part_lo, n_part_hi)
-    neighbors: list[IntArray] = np.split(
-        neighbor, np.searchsorted(node, np.arange(1, n_nodes))
-    )
+    bounds = [0, *node.searchsorted(np.arange(1, n_nodes)).tolist(), len(node)]
+    neighbors = [neighbor[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     # Node descriptors themselves live on a run of metadata pages.
     meta_page_of, meta_page_ids = write_descriptor_pages(
@@ -204,9 +204,7 @@ def build_transformers_index(
     node_centers = (n_part_lo + n_part_hi) / 2.0
     btree_bits = 10
     hkeys = hilbert_index_batch(node_centers, space, bits=btree_bits)
-    btree = BPlusTree.bulk_load(
-        disk, [(int(hkeys[k]), k) for k in range(n_nodes)]
-    )
+    btree = BPlusTree.bulk_load(disk, list(zip(hkeys.tolist(), range(n_nodes))))
 
     units = UnitDescriptorBlock(
         page_lo=u_page_lo,

@@ -57,8 +57,8 @@ in the result's ``extras``.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
-from itertools import chain
+from collections.abc import Callable, Iterable
+from itertools import chain, compress
 from typing import TypeVar
 
 import numpy as np
@@ -70,7 +70,6 @@ from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
 from repro.core.indexing import TransformersIndex, build_transformers_index
 from repro.core.transformations import ThresholdController
 from repro.core.walk import adaptive_walk, partition_distances
-from repro.geometry.slots import SlotPickleMixin
 from repro.geometry.hilbert import hilbert_index_batch
 from repro.joins.base import (
     CostBreakdown,
@@ -119,22 +118,6 @@ def _cross_hits(
         a_lo[:, None, :], a_hi[:, None, :], b_lo[None, :, :], b_hi[None, :, :]
     )
     return hits
-
-
-class _CheckedView(SlotPickleMixin):
-    """Container view answering "is this node already checked?".
-
-    Wraps the live *unchecked* set so the crawl's ``skip`` argument
-    always reflects the current to-do list without copying.
-    """
-
-    __slots__ = ("_unchecked",)
-
-    def __init__(self, unchecked: set[int]) -> None:
-        self._unchecked = unchecked
-
-    def __contains__(self, node: object) -> bool:
-        return node not in self._unchecked
 
 
 class TransformersJoin(SpatialJoinAlgorithm):
@@ -221,11 +204,13 @@ class _Driver:
             n_su=index_a.units_per_node,
             n_so=index_a.elements_per_unit,
         )
-        #: Per-dataset to-do lists at node granularity.
+        #: Per-dataset to-do lists at node granularity, and their
+        #: complements (the nodes a crawl skips).
         self.unchecked: list[set[int]] = [
             set(range(index_a.num_nodes)),
             set(range(index_b.num_nodes)),
         ]
+        self.checked: list[set[int]] = [set(), set()]
         #: Scan pointer per dataset: nodes before it are all checked, so
         #: pivots are visited in STR (spatially local) order.
         self.scan_pos = [0, 0]
@@ -242,15 +227,12 @@ class _Driver:
         #: Comparisons not yet run, a batch of segments per entry: (guide
         #: rows, follower rows, guide rows per segment, follower rows per
         #: segment, guide).
-        self.queue: list[
-            tuple[list[RowRanges], list[RowRanges], IntArray, IntArray, int]
-        ] = []
+        self.queue: list[tuple[RowRanges, RowRanges, IntArray, IntArray, int]] = []
         self.queued_rows = 0
         self.out: list[IntArray] = []
-        # Figure-14 attribution (simulated cost units).
+        # Figure-14 attribution (simulated cost units); the data side is
+        # the threshold controller's sum of the data-page reads.
         self.exploration_io = 0.0
-        self.data_io = 0.0
-        self.data_pages = 0
         # Transformation counters.
         self.role_switches = 0
         self.splits_to_unit = 0
@@ -287,13 +269,14 @@ class _Driver:
         stats.extras["splits_to_unit"] = float(self.splits_to_unit)
         stats.extras["splits_to_element"] = float(self.splits_to_element)
         stats.extras["exploration_io_cost"] = self.exploration_io
-        stats.extras["data_io_cost"] = self.data_io
+        stats.extras["data_io_cost"] = self.thresholds.data_cost
         stats.extras["exploration_cost"] = (
             self.exploration_io
             + stats.metadata_comparisons * cm.metadata_test_cost
         )
         stats.extras["join_cost"] = (
-            self.data_io + stats.intersection_tests * cm.intersection_test_cost
+            self.thresholds.data_cost
+            + stats.intersection_tests * cm.intersection_test_cost
         )
         stats.extras["t_su_final"] = self.thresholds.t_su
         stats.extras["t_so_final"] = self.thresholds.t_so
@@ -314,12 +297,17 @@ class _Driver:
         built in join order this is the disk order of both.
         """
         io_before = self.disk.stats.read_cost
-        for index in self.indexes:
-            nodes = index.nodes
-            for page_id in sorted(
-                [*nodes.meta_page_ids.tolist(), *nodes.desc_page_ids.tolist()]
-            ):
-                self.meta_pool.read(page_id)
+        self.meta_pool.read_many(
+            chain.from_iterable(
+                sorted(
+                    [
+                        *index.nodes.meta_page_ids.tolist(),
+                        *index.nodes.desc_page_ids.tolist(),
+                    ]
+                )
+                for index in self.indexes
+            )
+        )
         self.exploration_io += self.disk.stats.read_cost - io_before
 
     def _next_pivot(self, side: int) -> int:
@@ -344,6 +332,7 @@ class _Driver:
 
     def _mark_checked(self, side: int, node: int) -> None:
         self.unchecked[side].discard(node)
+        self.checked[side].add(node)
 
     # ------------------------------------------------------------------
     # Charged reads with Figure-14 attribution
@@ -363,26 +352,13 @@ class _Driver:
         )
         return result
 
-    def _read_element_pages(self, page_ids: list[int]) -> list[ElementPage]:
-        """Read data pages in order, attributing each page's cost to the
-        join side as it is read: the deltas are added page by page, so
-        the float sums are the per-page ones under any disk model.  A
-        pool hit charges nothing, so only a miss moves the disk's cost."""
-        stats, pool = self.disk.stats, self.pool
-        read, record = pool.read, self.thresholds.record_data_read
-        misses, cost = pool.misses, stats.read_cost
-        pages = []
-        for page_id in page_ids:
-            page = read(page_id)
-            if pool.misses != misses:
-                misses, before, cost = pool.misses, cost, stats.read_cost
-                delta = cost - before
-                self.data_io += delta
-                self.data_pages += 1
-                record(delta, 1)
-            if not isinstance(page, ElementPage):
-                raise TypeError(f"page {page_id} is not an element page")
-            pages.append(page)
+    def _read_data(self, page_ids: Iterable[int]) -> list[ElementPage]:
+        """Read data pages in order through the data pool, each miss's
+        cost attributed to the join side as it was read: the threshold
+        controller adds the misses' deltas in read order, so its sum —
+        Figure 14's data I/O — is the per-page one under any disk model."""
+        pages, costs = self.pool.read_many(page_ids, ElementPage)
+        self.thresholds.record_data_reads(costs)
         return pages
 
     def _read_descriptor_page(self, page_id: int) -> None:
@@ -429,11 +405,10 @@ class _Driver:
             self._process_node(found, allow_role=False)
             return
 
-        checked_view = _CheckedView(self.unchecked[follower])
         cand_nodes = self._explore(
             adaptive_crawl,
             follower_idx.nodes, found, include, expand,
-            self.stats, self.meta_pool, checked_view,
+            self.stats, self.meta_pool, self.checked[follower],
         )
         if not cand_nodes:
             self._mark_checked(self.guide, g_node)
@@ -546,56 +521,64 @@ class _Driver:
         # Read surviving pages in ascending page-id order: the batch
         # join is order-independent, and STR neighbours sit on adjacent
         # pages, so sorted access turns most of these reads sequential.
-        g_pages = self._read_element_pages(
-            np.sort(guide_idx.units.element_page_ids[g_units[g_keep]]).tolist()
-        )
-        f_pages = self._read_element_pages(
-            np.sort(follower_idx.units.element_page_ids[f_units[f_keep]]).tolist()
-        )
-        self._join_pages(g_pages, f_pages)
+        g_page_ids = np.sort(guide_idx.units.element_page_ids[g_units[g_keep]])
+        f_page_ids = np.sort(follower_idx.units.element_page_ids[f_units[f_keep]])
+        pages = self._read_data([*g_page_ids.tolist(), *f_page_ids.tolist()])
+        self._join_pages(pages[: len(g_page_ids)], pages[len(g_page_ids) :])
 
     def _join_pages(
         self, g_pages: list[ElementPage], f_pages: list[ElementPage]
     ) -> None:
         """Queue the grid hash join between two page groups."""
-        rows = sum(map(len, g_pages)), sum(map(len, f_pages))
-        if all(rows):
-            self._enqueue(
-                ElementPage.row_ranges(g_pages),
-                ElementPage.row_ranges(f_pages),
-                np.array(rows[:1]),
-                np.array(rows[1:]),
-                sum(rows),
-            )
+        self._enqueue(
+            ElementPage.row_ranges(g_pages),
+            ElementPage.row_ranges(f_pages),
+            np.array([len(g_pages)]),
+            np.array([len(f_pages)]),
+        )
 
     def _enqueue(
-        self,
-        g_ranges: list[RowRanges],
-        f_ranges: list[RowRanges],
-        g_rows: IntArray,
-        f_rows: IntArray,
-        rows: int,
+        self, g: RowRanges, f: RowRanges, g_per: IntArray, f_per: IntArray
     ) -> None:
-        """Queue a batch of segments (``g_rows[k]`` guide rows against
-        ``f_rows[k]`` follower rows, in the ranges' order; ``rows`` in
-        all); launch the queue once it holds the row budget."""
-        self.queue.append((g_ranges, f_ranges, g_rows, f_rows, self.guide))
-        self.queued_rows += rows
-        if self.queued_rows >= _QUEUE_ROW_BUDGET:
-            self._flush_queue()
+        """Queue a batch of segments: segment ``s`` joins the next
+        ``g_per[s]`` ranges of ``g`` with the next ``f_per[s]`` of ``f``.
+        A segment with no row on a side has nothing to compare and is
+        dropped.  The batch is cut where one segment at a time would have
+        launched the queue: after the segment that reaches the budget."""
+        g_rows, f_rows = _segment_rows(g, g_per), _segment_rows(f, f_per)
+        keep = (g_rows > 0) & (f_rows > 0)
+        if not keep.all():
+            g, f = _select(g, keep.repeat(g_per)), _select(f, keep.repeat(f_per))
+            g_per, f_per = g_per[keep], f_per[keep]
+            g_rows, f_rows = g_rows[keep], f_rows[keep]
+        g_ends, f_ends = [0, *g_per.cumsum().tolist()], [0, *f_per.cumsum().tolist()]
+        start, n = 0, len(g_rows)
+        while start < n:
+            queued = (g_rows[start:] + f_rows[start:]).cumsum()
+            cut = int(queued.searchsorted(_QUEUE_ROW_BUDGET - self.queued_rows))
+            stop = start + min(cut + 1, n - start)
+            self.queue.append(
+                (
+                    _slice(g, g_ends[start], g_ends[stop]),
+                    _slice(f, f_ends[start], f_ends[stop]),
+                    g_rows[start:stop],
+                    f_rows[start:stop],
+                    self.guide,
+                )
+            )
+            self.queued_rows += int(queued[stop - start - 1])
+            if self.queued_rows >= _QUEUE_ROW_BUDGET:
+                self._flush_queue()
+            start = stop
 
     def _flush_queue(self) -> None:
         """Run the queued joins as one segmented launch; emit the pairs
         oriented as (id from A, id from B)."""
         if not self.queue:
             return
-        g_ranges, f_ranges, g_rows, f_rows, guides = zip(*self.queue)
-        g_ids, g_boxes = ElementPage.gather_ranges(
-            list(chain.from_iterable(g_ranges))
-        )
-        f_ids, f_boxes = ElementPage.gather_ranges(
-            list(chain.from_iterable(f_ranges))
-        )
+        g_side, f_side, g_rows, f_rows, guides = zip(*self.queue)
+        g_ids, g_boxes = ElementPage.gather_ranges(g_side)
+        f_ids, f_boxes = ElementPage.gather_ranges(f_side)
         g_counts, f_counts = np.concatenate(g_rows), np.concatenate(f_rows)
         idx, groups, tests = grid_hash_join_segments(
             g_boxes,
@@ -617,9 +600,24 @@ class _Driver:
             self.out.append(np.column_stack((a_ids, b_ids)))
 
     # ------------------------------------------------------------------
-    # Unit-granularity processing — Transform "split"
+    # Unit- and element-granularity processing — Transform "split"
     # ------------------------------------------------------------------
     def _process_units(self, g_node: int, cand_nodes: list[int]) -> None:
+        """Join the pivot unit by unit, and element by element where a
+        unit is much denser than its candidates.
+
+        The split uses a space element as pivot (level 2) against the
+        follower's space units (level 1): "It splits a space unit into
+        its spatial elements, thus using a spatial element as pivot
+        (level 2) while using the space unit as a level of granularity
+        for the follower (level 1)."  The pivot's data pages are read
+        in two runs, each one :meth:`_read_data`: the guide pages (a
+        sorted prefetch, then the split units' pages again), and the
+        follower pages (a sorted prefetch of every page some planned
+        unit or split element needs, then, unit by unit in plan order,
+        the unit's own page and the follower pages it joins) — the
+        order in which a unit-at-a-time loop reads them.
+        """
         guide_idx = self.indexes[self.guide]
         follower_idx = self.indexes[1 - self.guide]
         e_lo = guide_idx.nodes.mbb_lo[g_node]
@@ -636,134 +634,127 @@ class _Driver:
             return
         f_lo = follower_idx.units.page_lo[f_units]
         f_hi = follower_idx.units.page_hi[f_units]
-        f_volumes = np.maximum(column_product(f_hi - f_lo), _EPS_VOLUME)
+        f_page_of = follower_idx.units.element_page_ids[f_units]
 
-        # Phase 1 — plan: filter each guide unit's candidates and pick
-        # its granularity (unit batch vs single elements), metadata only.
-        plan: list[tuple[int, IntArray, bool]] = []
+        # Phase 1 — plan, metadata only: the guide units whose page MBB
+        # meets a candidate's, each one's candidates (its row of
+        # ``cand``) and granularity, from the ratio of its volume to the
+        # mean volume of its candidates.  Each mean is NumPy's sum of
+        # the unit's own run of candidate volumes over their count, the
+        # float a per-unit ``mean`` gives.
         u_lo = guide_idx.units.page_lo[g_units]
         u_hi = guide_idx.units.page_hi[g_units]
         self.stats.metadata_comparisons += len(g_units) * len(f_units)
         hits = _cross_hits(u_lo, u_hi, f_lo, f_hi)
-        used_units = int(hits.sum())
-        u_volumes = np.maximum(column_product(u_hi - u_lo), _EPS_VOLUME)
-        for gi in np.flatnonzero(hits.any(axis=1)).tolist():
-            gu = g_units[gi]
-            hit = hits[gi]
-            cand = f_units[hit]
-            v_f_unit = float(f_volumes[hit].mean())
-            decision = self.thresholds.decide_unit(
-                float(u_volumes[gi]) / v_f_unit
-            )
-            split = decision.action == "split"
-            if split:
-                self.splits_to_element += 1
-                self.thresholds.note_transformation()
-            plan.append((int(gu), cand, split))
+        planned = hits.any(axis=1).nonzero()[0]
+        cand = hits[planned]
+        counts = cand.sum(axis=1)
         self.thresholds.record_filter_fraction(
-            1.0 - used_units / (len(f_units) * max(len(g_units), 1))
+            1.0 - int(counts.sum()) / (len(f_units) * max(len(g_units), 1))
         )
-        if not plan:
+        if not planned.size:
             return
+        f_volumes = np.maximum(column_product(f_hi - f_lo), _EPS_VOLUME)
+        volumes = f_volumes[cand.nonzero()[1]]
+        ends = counts.cumsum().tolist()
+        add = np.add.reduce
+        sums = np.array([add(volumes[a:b]) for a, b in zip([0, *ends], ends)])
+        u_volumes = np.maximum(column_product(u_hi - u_lo), _EPS_VOLUME)
+        split = self.thresholds.split_units(u_volumes[planned] / (sums / counts))
+        splits = split.nonzero()[0].tolist()
+        if splits:
+            self.splits_to_element += len(splits)
+            self.thresholds.note_transformation()
 
-        # Phase 2 — prefetch the guide pages in one sorted (sequential)
-        # run; the per-unit joins below then hit the buffer pool.
-        g_page_ids = guide_idx.units.element_page_ids[
-            [gu for gu, _, _ in plan]
-        ].tolist()
-        self._read_element_pages(sorted(g_page_ids))
+        # Phase 2 — the guide pages: a sorted (sequential) prefetch,
+        # then the split units' pages, whose elements phase 3 tests.
+        g_page_ids = guide_idx.units.element_page_ids[g_units[planned]].tolist()
+        split_pages = self._read_data(
+            [*sorted(g_page_ids), *[g_page_ids[k] for k in splits]]
+        )[len(g_page_ids) :]
 
-        # Phase 3 — determine exactly which follower pages are needed.
-        # Unit-batch joins need every candidate page; element-level
-        # pivots need only the pages whose page MBB intersects some
-        # individual element ("retrieving only exactly the data
-        # needed", Section III).
-        needed_f: set[int] = set()
-        element_masks: dict[int, BoolArray] = {}
-        splits = [k for k, (_, _, split) in enumerate(plan) if split]
-        split_pages = self._read_element_pages([g_page_ids[k] for k in splits])
-        for gu, cand, split in plan:
-            if not split:
-                needed_f.update(
-                    follower_idx.units.element_page_ids[cand].tolist()
-                )
+        # Phase 3 — exactly which follower pages are needed.  A unit
+        # batch needs every candidate page; a split unit's elements
+        # need only the pages whose page MBB meets one of them
+        # ("retrieving only exactly the data needed", Section III), and
+        # each element joins each such page as a one-box segment (its
+        # grid has one cell, so the kernel tests the element against
+        # the whole page).  ``nonzero`` lists the (element, unit) hits
+        # element by element, units ascending.
+        needed = set(f_page_of[cand[~split].any(axis=0)].tolist())
+        elements: dict[int, tuple[IntArray, list[int]]] = {}
         for k, g_page in zip(splits, split_pages):
-            gu, cand, _ = plan[k]
-            self.stats.metadata_comparisons += len(g_page) * len(cand)
-            touched = _cross_hits(
-                g_page.boxes.lo,
-                g_page.boxes.hi,
-                follower_idx.units.page_lo[cand],
-                follower_idx.units.page_hi[cand],
-            ).any(axis=0)
-            element_masks[gu] = touched
-            needed_f.update(
-                follower_idx.units.element_page_ids[cand[touched]].tolist()
+            columns = cand[k].nonzero()[0]
+            boxes = g_page.boxes
+            element_hits = _cross_hits(
+                boxes.lo, boxes.hi, f_lo[columns], f_hi[columns]
             )
+            touched = element_hits.any(axis=0)
+            self.stats.metadata_comparisons += len(g_page) * (
+                len(columns) + int(touched.sum())
+            )
+            e_hit, u_hit = element_hits[:, touched].nonzero()
+            touched_pages = f_page_of[columns[touched]]
+            needed.update(touched_pages.tolist())
+            elements[k] = e_hit, touched_pages[u_hit].tolist()
 
-        # Phase 4 — prefetch the follower pages in one sorted run.
-        self._read_element_pages(sorted(needed_f))
-
-        # Phase 5 — join each planned unit from the warm pool.
-        for (gu, cand, split), g_page_id in zip(plan, g_page_ids):
-            if split:
-                (g_page,) = self._read_element_pages([g_page_id])
-                self._process_elements(
-                    g_page, follower_idx, cand[element_masks[gu]]
-                )
+        # Phase 4 — the follower pages: a sorted prefetch, then each
+        # planned unit's own page and the pages it joins, in plan order
+        # (pool hits unless the prefetch evicted them).
+        reads = sorted(needed)
+        prefetched = len(reads)
+        for k, g_page_id in enumerate(g_page_ids):
+            reads.append(g_page_id)
+            if k in elements:
+                reads += elements[k][1]
             else:
-                f_page_ids = np.sort(follower_idx.units.element_page_ids[cand])
-                g_page, *f_pages = self._read_element_pages(
-                    [g_page_id, *f_page_ids.tolist()]
-                )
-                self._join_pages([g_page], f_pages)
+                reads += sorted(f_page_of[cand[k]].tolist())
+        pages = self._read_data(reads)[prefetched:]
 
-    # ------------------------------------------------------------------
-    # Element-granularity processing — extreme skew (level 2 pivot)
-    # ------------------------------------------------------------------
-    def _process_elements(
-        self,
-        g_page: ElementPage,
-        follower_idx: TransformersIndex,
-        cand_units: IntArray,
-    ) -> None:
-        """Use single guide elements as pivots against candidate units.
+        # Phase 5 — queue every planned unit's segments as one batch:
+        # each segment has one guide range, the unit's page or one of
+        # its elements.
+        g_side: list[RowRanges] = []
+        f_pages: list[ElementPage] = []
+        f_per: list[IntArray | list[int]] = []
+        first = 0
+        for k, rows in enumerate(counts.tolist()):
+            g_page = pages[first]
+            if k in elements:
+                g_side.append(g_page.element_ranges(elements[k][0]))
+                rows = len(elements[k][1])
+                f_per.append(np.ones(rows, dtype=np.intp))
+            else:
+                g_side.append(ElementPage.row_ranges([g_page]))
+                f_per.append([rows])
+            f_pages += pages[first + 1 : first + 1 + rows]
+            first += 1 + rows
+        g = ElementPage.concat_ranges(g_side)
+        self._enqueue(
+            g,
+            ElementPage.row_ranges(f_pages),
+            np.ones(len(g[0]), dtype=np.intp),
+            np.concatenate(f_per),
+        )
 
-        "It splits a space unit into its spatial elements, thus using a
-        spatial element as pivot (level 2) while using the space unit
-        as a level of granularity for the follower (level 1)."
-        """
-        self.stats.metadata_comparisons += len(g_page) * len(cand_units)
-        hits = _cross_hits(
-            g_page.boxes.lo,
-            g_page.boxes.hi,
-            follower_idx.units.page_lo[cand_units],
-            follower_idx.units.page_hi[cand_units],
-        )
-        # One-box segments: their grid has one cell, so the kernel tests
-        # the element against the whole page.  ``nonzero`` walks the
-        # (element, unit) hits element by element, units ascending.
-        e_hit, u_hit = np.nonzero(hits)
-        pages = self._read_element_pages(
-            follower_idx.units.element_page_ids[cand_units[u_hit]].tolist()
-        )
-        f_rows = np.array(list(map(len, pages)), dtype=np.intp)
-        if not f_rows.all():
-            keep = np.flatnonzero(f_rows)
-            e_hit, f_rows = e_hit[keep], f_rows[keep]
-            pages = [pages[k] for k in keep.tolist()]
-        # Queued as batches cut where one segment at a time would have
-        # launched the queue: after the segment that reaches the budget.
-        start, n = 0, len(pages)
-        while start < n:
-            queued = np.cumsum(1 + f_rows[start:])
-            cut = int(np.searchsorted(queued, _QUEUE_ROW_BUDGET - self.queued_rows))
-            stop = start + min(cut + 1, n - start)
-            self._enqueue(
-                [g_page.element_ranges(e_hit[start:stop])],
-                ElementPage.row_ranges(pages[start:stop]),
-                np.ones(stop - start, dtype=np.intp),
-                f_rows[start:stop],
-                int(queued[stop - start - 1]),
-            )
-            start = stop
+
+def _segment_rows(ranges: RowRanges, per: IntArray) -> IntArray:
+    """Rows per segment of a side whose segment ``s`` takes the next
+    ``per[s]`` (at least one) of its ``ranges``."""
+    _, starts, stops = ranges
+    rows: IntArray = np.add.reduceat(stops - starts, per.cumsum() - per)
+    return rows
+
+
+def _select(ranges: RowRanges, keep: BoolArray) -> RowRanges:
+    """The ranges ``keep`` marks, in order."""
+    pages, starts, stops = ranges
+    return list(compress(pages, keep.tolist())), starts[keep], stops[keep]
+
+
+def _slice(ranges: RowRanges, first: int, last: int) -> RowRanges:
+    """Ranges ``first`` to ``last`` (exclusive)."""
+    pages, starts, stops = ranges
+    if first == 0 and last == len(pages):
+        return ranges
+    return pages[first:last], starts[first:last], stops[first:last]

@@ -92,13 +92,11 @@ def range_query(
         graph, found, include.tolist(), expand.tolist(), stats, pool
     )
     units = candidate_units(index, nodes, e_lo, e_hi, stats, pool)
-    page_ids = np.sort(index.units.element_page_ids[units]).tolist()
-    pages = pool.read_many(page_ids)
-    for page_id, page in zip(page_ids, pages):
-        if not isinstance(page, ElementPage):
-            raise TypeError(f"page {page_id} is not an element page")
+    pages, _ = pool.read_many(
+        np.sort(index.units.element_page_ids[units]).tolist(), ElementPage
+    )
     if not pages:
         return np.empty(0, dtype=np.int64)
-    ids, boxes = ElementPage.gather(pages)  # type: ignore[arg-type]
+    ids, boxes = ElementPage.gather(pages)
     stats.intersection_tests += len(ids)
     return np.sort(ids[boxes_overlap(boxes.lo, boxes.hi, e_lo, e_hi)])

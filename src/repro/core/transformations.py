@@ -33,8 +33,12 @@ happening.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro._types import BoolArray, FloatArray
 from repro.core.config import TransformersConfig
 
 
@@ -91,13 +95,13 @@ class ThresholdController:
             return Decision("split", ratio)
         return Decision("none", ratio)
 
-    def decide_unit(self, ratio: float) -> Decision:
-        """Unit-level decision: split to single elements on extreme skew."""
+    def split_units(self, ratios: FloatArray) -> BoolArray:
+        """Unit-level decisions for a pivot's units with volume ratios
+        ``ratios``: which to split to single elements (extreme skew)."""
         if not self.config.enable_transformations:
-            return Decision("none", ratio)
-        if ratio >= self.t_so:
-            return Decision("split", ratio)
-        return Decision("none", ratio)
+            return np.zeros(len(ratios), dtype=bool)
+        split: BoolArray = ratios >= self.t_so
+        return split
 
     # ------------------------------------------------------------------
     # Runtime measurements
@@ -107,10 +111,14 @@ class ThresholdController:
         self._exploration_cost += cost
         self._exploration_steps += steps
 
-    def record_data_read(self, cost: float, pages: int) -> None:
-        """Account data-page reads performed for in-memory joins."""
-        self._data_cost += cost
-        self._data_pages += pages
+    def record_data_reads(self, costs: Sequence[float]) -> None:
+        """Account data-page reads performed for in-memory joins: one
+        cost per page read from disk, added in read order."""
+        total = self._data_cost
+        for cost in costs:
+            total += cost
+        self._data_cost = total
+        self._data_pages += len(costs)
 
     def record_filter_fraction(self, fraction: float) -> None:
         """Fold one pivot's observed filter rate into the cflt estimate.
@@ -134,6 +142,11 @@ class ThresholdController:
         if self._exploration_steps == 0:
             return None
         return self._exploration_cost / self._exploration_steps
+
+    @property
+    def data_cost(self) -> float:
+        """Summed cost of the data-page reads recorded so far."""
+        return self._data_cost
 
     @property
     def tio(self) -> float | None:

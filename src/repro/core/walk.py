@@ -27,7 +27,11 @@ the path that reached the node, so it is computed ahead of the walk:
 and :func:`adaptive_walk` only looks its row up.  The walk's visits,
 metadata comparisons and descriptor reads are those of a walk that
 measures every neighbour as it meets it
-(``tests/test_core_walk_crawl.py`` keeps that form as the reference).
+(``tests/test_core_walk_crawl.py`` keeps that form as the reference);
+the metadata pages of the visited nodes are read in one
+:meth:`~repro.storage.buffer.BufferPool.read_many` when the walk stops,
+in visit order — nothing else reads between, so the pool and the disk
+see the sequence a read per visit makes.
 """
 
 from __future__ import annotations
@@ -55,11 +59,6 @@ def partition_distances(
     gap = np.maximum(below, above)
     table: FloatArray = np.sqrt(np.sum(gap * gap, axis=-1))
     return table
-
-
-def touch_node_meta(graph: DescriptorGraph, node: int, pool: BufferPool) -> None:
-    """Charge the read of the metadata page holding ``node``'s descriptor."""
-    pool.read(int(graph.meta_page_ids[graph.meta_page_of[node]]))
 
 
 def adaptive_walk(
@@ -97,14 +96,15 @@ def adaptive_walk(
         return None
     neighbors = graph.neighbors
     current = int(start)
-    touch_node_meta(graph, current, pool)
-    stats.metadata_comparisons += 1
+    found: int | None = current
+    path = [current]
+    comparisons = 1
     current_dist = distance[current]
     while current_dist > 0.0:
         best = -1
         best_dist = current_dist
         around = neighbors[current].tolist()
-        stats.metadata_comparisons += len(around)
+        comparisons += len(around)
         for nb in around:
             d = distance[nb]
             if d < best_dist:
@@ -114,8 +114,11 @@ def adaptive_walk(
             # Moving away from the pivot: Algorithm 1's termination —
             # the pivot "does not intersect with any element of
             # follower".
-            return None
-        touch_node_meta(graph, best, pool)
-        current = best
+            found = None
+            break
+        path.append(best)
+        found = current = best
         current_dist = best_dist
-    return current
+    stats.metadata_comparisons += comparisons
+    pool.read_many(map(graph.meta_pages.__getitem__, path))
+    return found

@@ -16,6 +16,7 @@ repository.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,7 @@ class BPlusTree:
         pairs = [(int(k), int(v)) for k, v in items]
         if not pairs:
             raise ValueError("cannot bulk-load an empty B+-tree")
-        pairs.sort(key=lambda kv: kv[0])
+        pairs.sort(key=itemgetter(0))
         page_size = page_size or disk.model.page_size
         leaf_capacity = bplus_leaf_capacity(page_size)
         fanout = max(2, leaf_capacity)

@@ -103,6 +103,7 @@ def str_tiling(
     # A *group* is one slab of the previous axis: the run
     # order[edges[g]:edges[g + 1]] inside the region [lo[g], hi[g]].
     edges = np.array([0, n], dtype=np.intp)
+    coordinates = columns(centers)
     for axis in range(ndim):
         sizes = np.diff(edges)
         split = sizes > capacity
@@ -114,11 +115,15 @@ def str_tiling(
         group = np.repeat(ids, sizes)
         # Runs that already fit are finished tiles and keep their order:
         # their key is their position.
-        key = np.where(split[group], centers[order, axis], np.arange(n))
+        key = np.where(
+            split[group], np.take(coordinates[axis], order), np.arange(n)
+        )
         perm = _stable_argsort(key)
-        perm = perm[np.argsort(group[perm], kind="stable")]
-        order = order[perm]
-        coord = key[perm]
+        if len(sizes) > 1:
+            # Slabs stay in place: one group is sorted already.
+            perm = np.take(perm, np.argsort(np.take(group, perm), kind="stable"))
+        order = np.take(order, perm)
+        coord = np.take(key, perm)
         if axis == ndim - 1:
             # Final axis: cut the sorted run directly into full tiles.
             step = np.where(split, capacity, sizes)
@@ -171,11 +176,11 @@ def write_str_pages(
     order, offsets, part_lo, part_hi = str_tiling(
         boxes.centers(), capacity, space
     )
-    lo = boxes.lo[order]
-    hi = boxes.hi[order]
+    lo = np.take(boxes.lo, order, axis=0)
+    hi = np.take(boxes.hi, order, axis=0)
     page_lo = columns(np.minimum.reduceat(columns(lo), offsets[:-1], axis=1))
     page_hi = columns(np.maximum.reduceat(columns(hi), offsets[:-1], axis=1))
-    pages = ElementPage.split(np.asarray(ids)[order], BoxArray(lo, hi), offsets)
+    pages = ElementPage.split(np.take(ids, order), BoxArray(lo, hi), offsets)
     page_ids = np.array(disk.allocate_many(pages), dtype=np.int64)
     return page_ids, offsets, page_lo, page_hi, part_lo, part_hi
 

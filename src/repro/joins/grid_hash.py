@@ -237,7 +237,10 @@ def grid_hash_join_segments(
     if len(bo) != len(po):
         raise ValueError("build and probe offsets name different segments")
     ndim = build.ndim
-    res = np.array([default_resolution(n, ndim) for n in np.diff(bo).tolist()])
+    # One resolution per distinct build size: an element split queues
+    # hundreds of one-box build sides.
+    sizes, size_of = np.unique(np.diff(bo), return_inverse=True)
+    res = np.array([default_resolution(n, ndim) for n in sizes.tolist()])[size_of]
     first_cell = np.cumsum(res**ndim) - res**ndim
     num_cells = int(first_cell[-1] + res[-1] ** ndim)
     # Row ``k`` of every ``(d, n)`` array below is axis ``k``, contiguous.

@@ -5,15 +5,24 @@ accesses to a hot page (e.g. an R-tree root, or a space node revisited
 during crawling) are not charged as disk I/O every time — exactly as a
 real DBMS buffer manager would behave.  Experiments start each phase
 with a *cold* pool, matching the paper's cleared-cache protocol.
+
+A pool has one read body, :meth:`BufferPool.read_many`: it reads a list
+of page ids in order and hands back their payloads and what each miss
+added to the disk's read cost, so a caller that attributes I/O page by
+page (the TRANSFORMERS driver's Figure-14 split) needs no read call per
+page.  :meth:`BufferPool.read` is its one-id run.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable
+from typing import TypeVar
 
 from repro.geometry.slots import SlotPickleMixin
 from repro.storage.disk import SimulatedDisk
+
+_P = TypeVar("_P")
 
 
 class BufferPool(SlotPickleMixin):
@@ -42,22 +51,51 @@ class BufferPool(SlotPickleMixin):
         self._cache: OrderedDict[int, object] = OrderedDict()
 
     def read(self, page_id: int) -> object:
-        """Return a page payload, via the cache."""
-        if page_id in self._cache:
-            self.hits += 1
-            self._cache.move_to_end(page_id)
-            return self._cache[page_id]
-        self.misses += 1
-        payload = self.disk.read(page_id)
-        self._cache[page_id] = payload
-        if len(self._cache) > self.capacity:
-            self._cache.popitem(last=False)
-        return payload
+        """Return a page payload, via the cache: the one-id
+        :meth:`read_many`."""
+        return self.read_many((page_id,))[0][0]
 
-    def read_many(self, page_ids: Iterable[int]) -> list[object]:
-        """The payloads of ``page_ids``: the loop of :meth:`read` calls."""
-        read = self.read
-        return [read(page_id) for page_id in page_ids]
+    def read_many(
+        self, page_ids: Iterable[int], kind: type[_P] = object  # type: ignore[assignment]
+    ) -> tuple[list[_P], list[float]]:
+        """Read ``page_ids`` in order: ``(payloads, miss_costs)``.
+
+        ``miss_costs[k]`` is what the ``k``-th miss added to the disk's
+        ``read_cost`` (its running total after the read minus before),
+        in read order.  Hits, misses, the LRU order and every disk
+        counter are those of reading the ids one at a time.  A payload
+        that is not a ``kind`` raises ``TypeError`` naming its page once
+        it is read, before the next id is.
+        """
+        cache, capacity, disk = self._cache, self.capacity, self.disk
+        stats = disk.stats
+        payloads: list[_P] = []
+        costs: list[float] = []
+        hits = misses = 0
+        try:
+            for page_id in page_ids:
+                if page_id in cache:
+                    hits += 1
+                    cache.move_to_end(page_id)
+                    payload = cache[page_id]
+                else:
+                    misses += 1
+                    before = stats.read_cost
+                    payload = disk.read(page_id)
+                    costs.append(stats.read_cost - before)
+                    cache[page_id] = payload
+                    if len(cache) > capacity:
+                        cache.popitem(last=False)
+                if not isinstance(payload, kind):
+                    raise TypeError(
+                        f"page {page_id} holds {type(payload).__name__},"
+                        f" not {kind.__name__}"
+                    )
+                payloads.append(payload)
+        finally:
+            self.hits += hits
+            self.misses += misses
+        return payloads, costs
 
     def clear(self) -> None:
         """Drop every cached page (cold restart)."""

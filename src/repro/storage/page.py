@@ -9,12 +9,22 @@ re-assembly, while :func:`element_page_capacity` enforces the same
 packing limit a byte-level layout would
 (:mod:`repro.storage.records` defines that layout and the tests verify
 the two agree).
+
+A run's windows are made without a Python step per window: the new
+instances come from one ``map`` of ``object.__new__`` and each of the
+four slots is filled by one ``map`` of the slot's own setter, which
+bypasses the immutability guard the way ``object.__setattr__`` does.
+Rows to gather travel as :data:`RowRanges` — flat ``(pages, starts,
+stops)`` triples that concatenate and slice like arrays — and
+:meth:`ElementPage.gather_ranges` takes one ``np.take`` per stretch of
+ranges on the same run.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator, Sequence
-from itertools import accumulate
+from itertools import repeat
 
 import numpy as np
 
@@ -95,20 +105,21 @@ class ElementPage(SlotPickleMixin):
         """The window's elements ``rows`` (positions in the window) as
         one-row ranges of its run, without a window object per element."""
         starts = np.asarray(rows, dtype=np.intp) + self._start
-        return self, starts, starts + 1
+        return [self] * len(starts), starts, starts + 1
 
     def _windows(
         self, starts: Sequence[int], stops: Sequence[int]
     ) -> list["ElementPage"]:
-        ids, boxes = self._ids, self._boxes
-        new, put, pages = object.__new__, object.__setattr__, []
-        for start, stop in zip(starts, stops):
-            page = new(ElementPage)
-            put(page, "_ids", ids)
-            put(page, "_boxes", boxes)
-            put(page, "_start", start)
-            put(page, "_stop", stop)
-            pages.append(page)
+        n = len(starts)
+        pages = list(map(object.__new__, repeat(ElementPage, n)))
+        slots = vars(ElementPage)
+        for name, values in (
+            ("_ids", repeat(self._ids, n)),
+            ("_boxes", repeat(self._boxes, n)),
+            ("_start", starts),
+            ("_stop", stops),
+        ):
+            deque(map(slots[name].__set__, pages, values), maxlen=0)
         return pages
 
     @staticmethod
@@ -128,48 +139,49 @@ class ElementPage(SlotPickleMixin):
             first = last
 
     @staticmethod
-    def row_ranges(pages: Sequence["ElementPage"]) -> list["RowRanges"]:
-        """The rows of ``pages``, in order, as one entry per stretch of
-        pages that are windows onto the same run."""
-        return [
-            (
-                pages[first],
-                np.array([p._start for p in pages[first:last]], dtype=np.intp),
-                np.array([p._stop for p in pages[first:last]], dtype=np.intp),
-            )
-            for first, last in ElementPage._stretches(pages)
-        ]
+    def row_ranges(pages: Sequence["ElementPage"]) -> "RowRanges":
+        """The rows of ``pages``, in order, one range per page."""
+        return (
+            list(pages),
+            np.array([p._start for p in pages], dtype=np.intp),
+            np.array([p._stop for p in pages], dtype=np.intp),
+        )
 
     @staticmethod
     def gather(pages: Sequence["ElementPage"]) -> tuple[IntArray, BoxArray]:
         """The rows of ``pages``, in order, as one read-only run."""
-        return ElementPage.gather_ranges(ElementPage.row_ranges(pages))
+        return ElementPage.gather_ranges([ElementPage.row_ranges(pages)])
+
+    @staticmethod
+    def concat_ranges(ranges: Sequence["RowRanges"]) -> "RowRanges":
+        """The ranges of ``ranges``' entries, one entry after the other."""
+        if len(ranges) == 1:
+            return ranges[0]
+        return (
+            [page for entry in ranges for page in entry[0]],
+            np.concatenate([entry[1] for entry in ranges]),
+            np.concatenate([entry[2] for entry in ranges]),
+        )
 
     @staticmethod
     def gather_ranges(
         ranges: Sequence["RowRanges"],
     ) -> tuple[IntArray, BoxArray]:
         """The rows of ``ranges``, in order, as one read-only run: one
-        ``take`` over the expanded row ranges per stretch of entries that
+        ``take`` over the expanded row ranges per stretch of ranges that
         share a run; nothing is validated twice."""
-        if not ranges:
+        pages, starts, stops = ElementPage.concat_ranges(ranges)
+        if not pages:
             raise ValueError("gather needs at least one page")
-        if len(ranges) == 1:
-            starts, stops = ranges[0][1], ranges[0][2]
-        else:
-            starts = np.concatenate([entry[1] for entry in ranges])
-            stops = np.concatenate([entry[2] for entry in ranges])
         counts = stops - starts
         ends = np.cumsum(counts)
         rows = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
-        # Ranges through entry k, to find each stretch's last row.
-        edges = list(accumulate(len(entry[1]) for entry in ranges))
-        shape = len(rows), ranges[0][0]._boxes.ndim
+        ends_list = ends.tolist()
+        shape = len(rows), pages[0]._boxes.ndim
         ids, lo, hi = np.empty(len(rows), np.int64), np.empty(shape), np.empty(shape)
         b = 0
-        for first, last in ElementPage._stretches([entry[0] for entry in ranges]):
-            through = edges[last - 1]
-            run, a, b = ranges[first][0], b, int(ends[through - 1]) if through else 0
+        for first, last in ElementPage._stretches(pages):
+            run, a, b = pages[first], b, ends_list[last - 1]
             # Windows lie inside their run, so nothing is ever clipped;
             # the mode only lets ``take`` write into ``out`` unbuffered.
             np.take(run._ids, rows[a:b], out=ids[a:b], mode="clip")
@@ -196,6 +208,6 @@ class ElementPage(SlotPickleMixin):
         return f"ElementPage(n={len(self)}, ndim={self.boxes.ndim})"
 
 
-#: ``(page, starts, stops)``: rows ``[starts[k], stops[k])`` of the run
-#: ``page`` is a window onto, in order.
-RowRanges = tuple[ElementPage, IntArray, IntArray]
+#: ``(pages, starts, stops)``: range ``k`` is rows ``[starts[k],
+#: stops[k])`` of the run ``pages[k]`` is a window onto, in order.
+RowRanges = tuple[list[ElementPage], IntArray, IntArray]

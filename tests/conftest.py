@@ -126,14 +126,21 @@ def disk() -> SimulatedDisk:
 def page_reads(monkeypatch) -> list[tuple[int, int]]:
     """Every buffer-pool read the test makes, in order, as ``(pool, page
     id)`` — pools numbered by first read.  ``BufferPool.read_many`` is
-    the loop of ``read`` calls, so its reads are seen id by id too."""
+    the pool's one read body (``read`` is its one-id run), so the spy
+    replays each run id by id through it and sees exactly the reads
+    made before any error."""
     reads: list[tuple[int, int]] = []
     pools: dict[int, int] = {}
-    read = BufferPool.read
+    read_many = BufferPool.read_many
 
-    def spy(pool, page_id):
-        reads.append((pools.setdefault(id(pool), len(pools)), int(page_id)))
-        return read(pool, page_id)
+    def spy(pool, page_ids, kind=object):
+        payloads, costs = [], []
+        for page_id in page_ids:
+            reads.append((pools.setdefault(id(pool), len(pools)), int(page_id)))
+            payload, cost = read_many(pool, (page_id,), kind)
+            payloads += payload
+            costs += cost
+        return payloads, costs
 
-    monkeypatch.setattr(BufferPool, "read", spy)
+    monkeypatch.setattr(BufferPool, "read_many", spy)
     return reads

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.config import TransformersConfig
@@ -126,14 +127,15 @@ class TestDecisions:
 
     def test_unit_split_uses_tso(self):
         c = controller()
-        assert c.decide_unit(30.0).action == "split"
-        assert c.decide_unit(20.0).action == "none"
+        assert c.split_units(np.array([30.0, 20.0, c.t_so])).tolist() == [
+            True, False, True,
+        ]
 
     def test_disabled_transformations_always_none(self):
         c = controller(TransformersConfig.no_transformations())
         for ratio in (0.001, 1.0, 1000.0):
             assert c.decide_node(ratio).action == "none"
-            assert c.decide_unit(ratio).action == "none"
+            assert not c.split_units(np.array([ratio])).any()
 
     def test_decision_records_ratio(self):
         d = controller().decide_node(42.0)
@@ -145,7 +147,7 @@ class TestRuntimeEstimation:
     def test_no_update_before_first_transformation(self):
         c = controller()
         c.record_exploration(10.0, 100)
-        c.record_data_read(100.0, 10)
+        c.record_data_reads([10.0] * 10)
         c.update_thresholds()
         assert c.t_su == 8.0  # untouched
 
@@ -160,7 +162,7 @@ class TestRuntimeEstimation:
         c = controller(cfg, n_su=16, n_so=18)
         c.note_transformation()
         c.record_exploration(50.0, 10)      # Tae = 5
-        c.record_data_read(200.0, 100)      # Tio = 2
+        c.record_data_reads([2.0] * 100)      # Tio = 2
         c.record_filter_fraction(0.5)       # moves the EMA towards 0.5
         c.update_thresholds()
         cflt = c.cflt
@@ -175,13 +177,13 @@ class TestRuntimeEstimation:
         c = controller(cfg)
         c.note_transformation()
         c.record_exploration(0.001, 1000)  # tiny Tae -> tiny raw tsu
-        c.record_data_read(500.0, 50)
+        c.record_data_reads([10.0] * 50)
         c.update_thresholds()
         assert c.t_su == 2.0
         c2 = controller(cfg)
         c2.note_transformation()
         c2.record_exploration(1e9, 1)      # huge Tae -> huge raw tsu
-        c2.record_data_read(500.0, 50)
+        c2.record_data_reads([10.0] * 50)
         c2.update_thresholds()
         assert c2.t_su == 100.0
 
@@ -189,7 +191,7 @@ class TestRuntimeEstimation:
         c = controller(TransformersConfig.overfit())
         c.note_transformation()
         c.record_exploration(50.0, 10)
-        c.record_data_read(200.0, 100)
+        c.record_data_reads([2.0] * 100)
         c.update_thresholds()
         assert c.t_su == 1.5
 
@@ -212,7 +214,7 @@ class TestRuntimeEstimation:
         c = controller()
         assert c.tae is None and c.tio is None
         c.record_exploration(10.0, 4)
-        c.record_data_read(30.0, 3)
+        c.record_data_reads([10.0] * 3)
         assert c.tae == pytest.approx(2.5)
         assert c.tio == pytest.approx(10.0)
 

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import TransformersJoin
 from repro.core import join as core_join
 from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
 from repro.core.indexing import build_transformers_index
-from repro.core.walk import adaptive_walk, partition_distances, touch_node_meta
+from repro.core.walk import adaptive_walk, partition_distances
 from repro.geometry.boxes import BoxArray
 from repro.joins.base import Dataset, JoinStats
 from repro.joins.gipsy import build_partitioned_index
@@ -185,6 +184,11 @@ def node_distance(graph, node, q_lo, q_hi):
     return float(np.sqrt(np.sum(gap * gap)))
 
 
+def touch_node_meta(graph, node, pool):
+    """Charge the read of the metadata page holding ``node``'s descriptor."""
+    pool.read(int(graph.meta_page_ids[graph.meta_page_of[node]]))
+
+
 def walk_per_pivot(graph, start, q_lo, q_hi, stats, pool):
     if len(graph) == 0:
         return None
@@ -263,9 +267,10 @@ class RecordingPool(BufferPool):
         super().__init__(disk, capacity)
         self.asked = []
 
-    def read(self, page_id):
-        self.asked.append(page_id)
-        return super().read(page_id)
+    def read_many(self, page_ids, kind=object):
+        page_ids = list(page_ids)
+        self.asked.extend(page_ids)
+        return super().read_many(page_ids, kind)
 
 
 @functools.lru_cache(maxsize=None)

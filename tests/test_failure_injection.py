@@ -51,9 +51,10 @@ class TestCorruptDataPages:
             algo.join(ia, ib)
 
     def test_transformers_names_the_junk_page_and_stops_there(self, page_reads):
-        """The join tests each payload as it is read, so nothing is read
-        (or charged) after the junk page; a range query reads its sorted
-        candidate run with one ``read_many`` and tests it afterwards."""
+        """The buffer pool tests each payload as it is read, so neither
+        the join nor a range query (which reads its sorted candidate run
+        with one ``read_many``) reads or charges anything after the junk
+        page."""
         from repro.core.query import range_query
         from repro.storage.buffer import BufferPool
 
@@ -64,14 +65,16 @@ class TestCorruptDataPages:
         ib, _ = algo.build_index(disk, b)
         junk = int(ia.units.element_page_ids[3])
         disk.write(junk, ("junk", junk))
-        with pytest.raises(TypeError, match=f"page {junk} is not an element page"):
+        message = f"page {junk} holds tuple, not ElementPage"
+        with pytest.raises(TypeError, match=message):
             algo.join(ia, ib)
         assert page_reads[-1][1] == junk
         page_reads.clear()
-        with pytest.raises(TypeError, match=f"page {junk} is not an element page"):
+        with pytest.raises(TypeError, match=message):
             range_query(ia, ia.space, BufferPool(disk))
         run = sorted(ia.units.element_page_ids.tolist())
-        assert [page_id for _, page_id in page_reads[-len(run):]] == run
+        stop = run.index(junk) + 1
+        assert [page_id for _, page_id in page_reads[-stop:]] == run[:stop]
 
     def test_pbsm_raises(self):
         a, b = dataset_pair("uniform", 300, 300, seed=2)

@@ -88,26 +88,44 @@ def observe(pool: BufferPool) -> tuple:
 
 
 class TestReadMany:
-    """``read_many`` is the loop of ``read`` calls — one LRU policy —
-    and the property keeps it so should it ever grow a body of its own."""
+    """``read_many`` is the pool's one read body; the property keeps it
+    equal to the loop of one-id reads — one LRU policy, and each miss's
+    cost delta as that loop measures it."""
 
     @staticmethod
     def pool(capacity: int) -> BufferPool:
         disk = SimulatedDisk(NON_DYADIC)
         for k in range(24):
-            disk.allocate(f"page-{k}")
+            disk.allocate(f"page-{k}" if k != 9 else b"page-9")
         disk.release([5, 17])
         return BufferPool(disk, capacity)
 
-    @settings(max_examples=200, deadline=None)
+    @staticmethod
+    def loop_of_reads(pool, page_ids, kind):
+        """The reference: one ``read`` per id, the cost delta of every
+        read that missed taken from the disk's running total."""
+        payloads, costs = [], []
+        for page_id in page_ids:
+            misses, before = pool.misses, pool.disk.stats.read_cost
+            payload = pool.read(page_id)
+            if pool.misses != misses:
+                costs.append(pool.disk.stats.read_cost - before)
+            if not isinstance(payload, kind):
+                raise TypeError(f"page {page_id}")
+            payloads.append(payload)
+        return payloads, costs
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         capacity=st.integers(1, 8),
         warm=st.lists(st.integers(0, 23).filter(lambda p: p not in (5, 17)), max_size=6),
         # Repeats, backward jumps, read-ahead skips (> 8 apart), released
-        # (5, 17) and unallocated (24+) ids all come out of this range.
+        # (5, 17) and unallocated (24+) ids all come out of this range;
+        # page 9 holds bytes, so ``kind=str`` stops there.
         page_ids=st.lists(st.integers(0, 26), max_size=40),
+        kind=st.sampled_from([object, str]),
     )
-    def test_equals_the_loop_of_single_reads(self, capacity, warm, page_ids):
+    def test_equals_the_loop_of_single_reads(self, capacity, warm, page_ids, kind):
         outcomes = []
         for many in (False, True):
             pool = self.pool(capacity)
@@ -115,16 +133,23 @@ class TestReadMany:
                 pool.read(page_id)
             try:
                 if many:
-                    payloads = pool.read_many(page_ids)
+                    payloads, costs = pool.read_many(page_ids, kind)
                 else:
-                    payloads = [pool.read(page_id) for page_id in page_ids]
+                    payloads, costs = self.loop_of_reads(pool, page_ids, kind)
                 error = None
-            except KeyError as exc:
-                payloads, error = None, str(exc)
-            outcomes.append((payloads, error, observe(pool)))
+            except (KeyError, TypeError) as exc:
+                payloads, costs, error = None, None, type(exc)
+            outcomes.append((payloads, costs, error, observe(pool)))
         assert outcomes[0] == outcomes[1]
 
     def test_an_empty_run_touches_nothing(self):
         pool = self.pool(2)
-        assert pool.read_many([]) == []
+        assert pool.read_many([]) == ([], [])
         assert observe(pool) == observe(self.pool(2))
+
+    def test_a_wrong_payload_is_named_after_it_is_read(self):
+        pool = self.pool(4)
+        with pytest.raises(TypeError, match="page 9 holds bytes, not str"):
+            pool.read_many([8, 9, 10], str)
+        assert list(pool._cache) == [8, 9]
+        assert (pool.hits, pool.misses) == (0, 2)

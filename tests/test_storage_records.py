@@ -249,7 +249,7 @@ class TestWindows:
         runs = [_pages(_run(40, 1), per), _pages(_run(33, 2, first_id=100), per)]
         pages = [runs[r][k % len(runs[r])] for r, k in picks]
         cut = len(pages) // 2
-        ranges = ElementPage.row_ranges(pages[:cut]) + ElementPage.row_ranges(pages[cut:])
+        ranges = [ElementPage.row_ranges(pages[:cut]), ElementPage.row_ranges(pages[cut:])]
         got, want = ElementPage.gather_ranges(ranges), ElementPage.gather(pages)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].lo.tobytes() == want[1].lo.tobytes()
