@@ -44,7 +44,8 @@ the partition bounds as arrays; ids and boxes are gathered into that
 order a single time, every unit's page MBB comes from one
 ``minimum/maximum.reduceat`` over the runs, and the permuted run is
 validated once and split into element pages that are views of it.  The
-node level repeats the pattern over the unit table.  Pages are
+node level repeats the pattern over the unit table, and the members and
+neighbour lists are slices of one sorted array each.  Pages are
 allocated in tile order and members/neighbours are listed ascending, so
 page ids, descriptors and the connectivity graph are what a
 tile-at-a-time build produces — which is what keeps every page-read and

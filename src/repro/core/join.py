@@ -44,14 +44,26 @@ pairs; every page is still read where it was; and every pair is still
 reported, only later (the result is sorted at the end).  The queue is
 working memory of the in-memory join, like the kernel's own arrays, and
 charges no simulated I/O.  It holds row ranges of the pages' runs, not
-pages: an element-level split queues all of a unit's (element, page)
-hits as one batch of one-box segments, cut where one segment at a time
-would have launched the queue.
+pages: a split pivot queues all its units' segments — a unit batch, or
+one one-box segment per (element, page) hit of a split unit — as one
+batch, cut where one segment at a time would have launched the queue.
+
+Every page is read through the pool's one read body,
+:meth:`~repro.storage.buffer.BufferPool.read_many`, a run of ids per
+call: the reads a loop of single reads would make, in its order, with
+nothing between them that reads.  A node batch reads its guide and
+follower pages as one run; a unit split makes two runs (its guide
+pages, then its follower pages, each unit's own page and its joins in
+plan order), its plan is array-wise — one cross test, one sum per
+unit for the mean candidate volume, one comparison with ``t_so`` for
+all units — and only a split unit's element test loops.
 
 Cost attribution (Figure 14): all descriptor/metadata page I/O and
 metadata comparisons are *adaptive exploration overhead*; element-page
 I/O and element intersection tests are *join cost*.  Both are recorded
-in the result's ``extras``.
+in the result's ``extras``; the data-page cost is the threshold
+controller's, which adds each miss's cost delta in read order, so its
+float sum is the per-page one under any disk model.
 """
 
 from __future__ import annotations
@@ -755,6 +767,4 @@ def _select(ranges: RowRanges, keep: BoolArray) -> RowRanges:
 def _slice(ranges: RowRanges, first: int, last: int) -> RowRanges:
     """Ranges ``first`` to ``last`` (exclusive)."""
     pages, starts, stops = ranges
-    if first == 0 and last == len(pages):
-        return ranges
     return pages[first:last], starts[first:last], stops[first:last]

@@ -28,7 +28,10 @@ There is one implementation, :func:`str_tiling`, and it works a whole
 recursion *level* at a time: all slabs of one axis are sorted together
 (stably by coordinate, then stably by slab — the order
 ``lexsort((coordinate, slab))`` gives) and cut with array arithmetic,
-so the cost is a few NumPy calls per axis, not per slab.
+so the cost is a few NumPy calls per axis, not per slab: the centres
+are transposed once, so each axis' keys are one contiguous ``take``, and
+the first axis, whose one slab is all the points, skips the by-slab
+sort, which would leave its order as it is.
 A slab's points stay one contiguous run of the permutation and slabs
 keep their left-to-right positions, so the tiles — read off the final
 permutation front to back — come out in the same depth-first order,
@@ -169,8 +172,9 @@ def write_str_pages(
     ``offsets[t + 1]`` of the STR order, with tight MBB ``[page_lo[t],
     page_hi[t]]`` and partition bounds ``[part_lo[t], part_hi[t]]``
     (:func:`str_tiling`, over ``space``).  The elements are permuted
-    into STR order once, the page MBBs come from one ``reduceat`` over
-    the runs, and the pages are windows onto the permuted run, allocated
+    into STR order once (``take`` along the rows), the page MBBs come
+    from one ``reduceat`` over the runs, and the pages are windows onto
+    the permuted run, made without a Python step per page and allocated
     in tile order.
     """
     order, offsets, part_lo, part_hi = str_tiling(
@@ -237,11 +241,11 @@ def str_partition_with_bounds(
 
 
 def str_tile_count(n: int, capacity: int) -> int:
-    """Number of tiles STR produces for ``n`` points (upper bound).
+    """Number of tiles STR produces for ``n`` points (a lower bound).
 
-    Useful for pre-sizing structures; the actual count from
-    :func:`str_partition` never exceeds this by more than the slack
-    introduced by uneven slab cuts.
+    ``ceil(n / capacity)`` tiles are needed to hold ``n`` points; the
+    actual count from :func:`str_partition` is never below it and
+    exceeds it by the slack of uneven slab cuts.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")

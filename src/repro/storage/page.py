@@ -155,8 +155,6 @@ class ElementPage(SlotPickleMixin):
     @staticmethod
     def concat_ranges(ranges: Sequence["RowRanges"]) -> "RowRanges":
         """The ranges of ``ranges``' entries, one entry after the other."""
-        if len(ranges) == 1:
-            return ranges[0]
         return (
             [page for entry in ranges for page in entry[0]],
             np.concatenate([entry[1] for entry in ranges]),

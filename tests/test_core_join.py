@@ -18,6 +18,7 @@ from repro.joins.base import Dataset, JoinStats
 from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
 from repro.storage.buffer import BufferPool
+from repro.storage.page import ElementPage
 
 from tests import test_core_counters_golden as golden
 from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
@@ -81,6 +82,29 @@ class TestCorrectness:
         )
         result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.stats.pairs_found == 0
+
+    @pytest.mark.parametrize("case", ["uniform_3d", "massive_3d", "massive_2d"])
+    def test_emptied_pages_join_as_if_their_elements_were_gone(self, case):
+        """Every third data page of both indexes rewritten with no rows:
+        the node batch, the unit batch and the element split read them
+        and queue nothing for a segment with an empty side, so the join
+        is the one of the elements left."""
+        algo, disk = TransformersJoin(), make_disk()
+        a, b = golden._pair(case)
+        index_a, _ = algo.build_index(disk, a)
+        index_b, _ = algo.build_index(disk, b)
+        gone = set()
+        for index in (index_a, index_b):
+            for page_id in index.units.element_page_ids[::3].tolist():
+                page = disk.peek(page_id)
+                gone.update(page.ids.tolist())
+                empty = np.empty((0, page.boxes.ndim))
+                disk.write(page_id, ElementPage(np.empty(0), BoxArray(empty, empty)))
+        result = algo.join(index_a, index_b)
+        assert result.stats.extras["splits_to_unit"] > 0 or case == "uniform_3d"
+        assert result.pair_set() == {
+            pair for pair in oracle_pairs(a, b) if gone.isdisjoint(pair)
+        }
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000))
