@@ -151,8 +151,8 @@ def candidate_units(
     members = np.concatenate([index.nodes.units[node] for node in nodes])
     stats.metadata_comparisons += len(members)
     hit = boxes_overlap(
-        np.take(index.units.page_lo, members, axis=0),
-        np.take(index.units.page_hi, members, axis=0),
+        index.units.page_lo.take(members, axis=0),
+        index.units.page_hi.take(members, axis=0),
         q_lo,
         q_hi,
     )

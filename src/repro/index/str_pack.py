@@ -64,12 +64,12 @@ def _stable_argsort(key: FloatArray) -> IntArray:
     only the runs of equal (or NaN) keys into the stable order, which
     among equals is ascending position.
     """
-    perm = np.argsort(key)
-    ordered = key[perm]
+    perm = key.argsort()
+    ordered = key.take(perm)
     # rising[i]: slot i holds a strictly larger key than slot i - 1.
     rising = np.ones(len(key) + 1, dtype=bool)
     rising[1:-1] = ordered[1:] > ordered[:-1]
-    tied = np.flatnonzero(~(rising[:-1] & rising[1:]))
+    tied = (~(rising[:-1] & rising[1:])).nonzero()[0]
     positions = perm[tied]
     perm[tied] = positions[np.lexsort((positions, ordered[tied]))]
     return perm
@@ -118,15 +118,13 @@ def str_tiling(
         group = np.repeat(ids, sizes)
         # Runs that already fit are finished tiles and keep their order:
         # their key is their position.
-        key = np.where(
-            split[group], np.take(coordinates[axis], order), np.arange(n)
-        )
+        key = np.where(split[group], coordinates[axis].take(order), np.arange(n))
         perm = _stable_argsort(key)
         if len(sizes) > 1:
             # Slabs stay in place: one group is sorted already.
-            perm = np.take(perm, np.argsort(np.take(group, perm), kind="stable"))
-        order = np.take(order, perm)
-        coord = np.take(key, perm)
+            perm = perm.take(group.take(perm).argsort(kind="stable"))
+        order = order.take(perm)
+        coord = key.take(perm)
         if axis == ndim - 1:
             # Final axis: cut the sorted run directly into full tiles.
             step = np.where(split, capacity, sizes)
@@ -180,11 +178,11 @@ def write_str_pages(
     order, offsets, part_lo, part_hi = str_tiling(
         boxes.centers(), capacity, space
     )
-    lo = np.take(boxes.lo, order, axis=0)
-    hi = np.take(boxes.hi, order, axis=0)
+    lo = boxes.lo.take(order, axis=0)
+    hi = boxes.hi.take(order, axis=0)
     page_lo = columns(np.minimum.reduceat(columns(lo), offsets[:-1], axis=1))
     page_hi = columns(np.maximum.reduceat(columns(hi), offsets[:-1], axis=1))
-    pages = ElementPage.split(np.take(ids, order), BoxArray(lo, hi), offsets)
+    pages = ElementPage.split(np.asarray(ids).take(order), BoxArray(lo, hi), offsets)
     page_ids = np.array(disk.allocate_many(pages), dtype=np.int64)
     return page_ids, offsets, page_lo, page_hi, part_lo, part_hi
 
