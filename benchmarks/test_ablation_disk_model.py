@@ -8,9 +8,8 @@ the winner never changes.
 
 from repro.core import TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
-from repro.engine import pbsm_resolution
+from repro.engine import SpatialWorkspace, pbsm_resolution
 from repro.harness.report import format_table
-from repro.harness.runner import run_pair
 from repro.joins import PBSMJoin, SynchronizedRTreeJoin
 from repro.storage.disk import DiskModel
 
@@ -32,7 +31,7 @@ def sweep(scale: float) -> list[dict]:
             PBSMJoin(space=space, resolution=pbsm_resolution(2 * n)),
             SynchronizedRTreeJoin(),
         ):
-            rec = run_pair(algo, a, b, disk_model=model)
+            rec = SpatialWorkspace(disk_model=model).join(a, b, algo)
             row = rec.row()
             row["random_seq_ratio"] = ratio
             rows.append(row)

@@ -9,8 +9,8 @@ removes (its cost is the same regardless of argument order).
 
 from repro.core import TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
+from repro.engine import SpatialWorkspace
 from repro.harness.report import format_table
-from repro.harness.runner import run_pair
 from repro.joins import GipsyJoin
 
 from benchmarks.conftest import run_once
@@ -33,12 +33,12 @@ def sweep(scale: float) -> list[dict]:
         ("GIPSY outer=dense (wrong)", GipsyJoin(outer="b")),
         ("TRANSFORMERS (a, b)", TransformersJoin()),
     ):
-        rec = run_pair(algo, sparse, dense)
+        rec = SpatialWorkspace().join(sparse, dense, algo)
         row = rec.row()
         row["algorithm"] = label
         row["metadata_comparisons"] = rec.join_stats.metadata_comparisons
         rows.append(row)
-    rec = run_pair(TransformersJoin(), dense, sparse)
+    rec = SpatialWorkspace().join(dense, sparse, TransformersJoin())
     row = rec.row()
     row["algorithm"] = "TRANSFORMERS (b, a)"
     row["metadata_comparisons"] = rec.join_stats.metadata_comparisons

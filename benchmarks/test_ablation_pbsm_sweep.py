@@ -21,9 +21,8 @@ What the sweep shows at simulator scale:
 """
 
 from repro.datagen import scaled_space, uniform_dataset
-from repro.engine import pbsm_resolution
+from repro.engine import SpatialWorkspace, pbsm_resolution
 from repro.harness.report import format_table
-from repro.harness.runner import run_pair
 from repro.joins import PBSMJoin
 
 from benchmarks.conftest import run_once
@@ -38,7 +37,8 @@ def sweep(scale: float) -> list[dict]:
     b = uniform_dataset(n, seed=42, name="B", id_offset=10**9, space=space)
     rows = []
     for resolution in RESOLUTIONS:
-        rec = run_pair(PBSMJoin(space=space, resolution=resolution), a, b)
+        algo = PBSMJoin(space=space, resolution=resolution)
+        rec = SpatialWorkspace().join(a, b, algo)
         row = rec.row()
         row["resolution"] = resolution
         rows.append(row)

@@ -9,9 +9,8 @@ monotonically for the algorithm that re-reads (TRANSFORMERS).
 
 from repro.core import TransformersConfig, TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
-from repro.engine import pbsm_resolution
+from repro.engine import SpatialWorkspace, pbsm_resolution
 from repro.harness.report import format_table
-from repro.harness.runner import run_pair
 from repro.joins import PBSMJoin
 from repro.storage.disk import DiskModel
 
@@ -33,7 +32,7 @@ def sweep_pages(scale: float) -> list[dict]:
             TransformersJoin(),
             PBSMJoin(space=space, resolution=pbsm_resolution(2 * n, page_size)),
         ):
-            rec = run_pair(algo, a, b, disk_model=model)
+            rec = SpatialWorkspace(disk_model=model).join(a, b, algo)
             row = rec.row()
             row["page_size"] = page_size
             rows.append(row)
@@ -48,7 +47,7 @@ def sweep_buffers(scale: float) -> list[dict]:
     rows = []
     for pages in BUFFER_SIZES:
         config = TransformersConfig(buffer_pages=pages)
-        rec = run_pair(TransformersJoin(config), a, b)
+        rec = SpatialWorkspace().join(a, b, TransformersJoin(config))
         row = rec.row()
         row["buffer_pages"] = pages
         rows.append(row)

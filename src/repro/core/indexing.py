@@ -54,8 +54,6 @@ comparison counter of the join unchanged.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro._types import FloatArray, IntArray
@@ -137,13 +135,14 @@ class TransformersIndex:
 
 
 def build_transformers_index(
-    disk: SimulatedDisk,
-    dataset: Dataset,
-    algorithm_name: str = "TRANSFORMERS",
-) -> tuple[TransformersIndex, JoinStats]:
-    """Index one dataset (see module docstring for the structure)."""
-    start = time.perf_counter()
-    io_before = disk.stats.snapshot()
+    disk: SimulatedDisk, dataset: Dataset, stats: JoinStats
+) -> TransformersIndex:
+    """Index one dataset (see module docstring for the structure).
+
+    The build's unit and node counts go to ``stats.extras``; its I/O
+    and wall time are charged by
+    :meth:`~repro.joins.base.SpatialJoinAlgorithm.build_index`.
+    """
     ndim = dataset.ndim
     space = dataset.boxes.mbb()
     elements_per_unit = element_page_capacity(disk.model.page_size, ndim)
@@ -249,12 +248,9 @@ def build_transformers_index(
         btree_bits=btree_bits,
         node_slack=node_slack,
     )
-    stats = JoinStats(algorithm=algorithm_name, phase="index")
-    stats.absorb_io(disk.stats.delta(io_before))
-    stats.wall_seconds = time.perf_counter() - start
     stats.extras["space_units"] = float(n_units)
     stats.extras["space_nodes"] = float(n_nodes)
-    return index, stats
+    return index
 
 
 def _self_join(lo: FloatArray, hi: FloatArray) -> tuple[IntArray, IntArray]:

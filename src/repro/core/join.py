@@ -68,7 +68,6 @@ float sum is the per-page one under any disk model.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Iterable
 from itertools import chain, compress
 from typing import TypeVar
@@ -87,10 +86,8 @@ from repro.joins.base import (
     CostBreakdown,
     CostProfile,
     Dataset,
-    JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
-    canonical_pairs,
 )
 from repro.joins.grid_hash import grid_hash_join_segments
 from repro.storage.buffer import BufferPool
@@ -152,20 +149,20 @@ class TransformersJoin(SpatialJoinAlgorithm):
     def __init__(self, config: TransformersConfig | None = None) -> None:
         self.config = config or TransformersConfig()
 
-    def build_index(
-        self, disk: SimulatedDisk, dataset: Dataset
-    ) -> tuple[TransformersIndex, JoinStats]:
+    def _build(
+        self, disk: SimulatedDisk, dataset: Dataset, stats: JoinStats
+    ) -> TransformersIndex:
         """Build the three-level TRANSFORMERS index (Section IV)."""
-        return build_transformers_index(disk, dataset, self.name)
+        return build_transformers_index(disk, dataset, stats)
 
-    def join(
-        self, index_a: TransformersIndex, index_b: TransformersIndex
-    ) -> JoinResult:
+    def _join(
+        self,
+        index_a: TransformersIndex,
+        index_b: TransformersIndex,
+        stats: JoinStats,
+    ) -> list[IntArray]:
         """Adaptive exploration over two TRANSFORMERS indexes."""
-        if index_a.disk is not index_b.disk:
-            raise ValueError("both indexes must live on the same disk")
-        driver = _Driver(self.config, index_a, index_b, self.name)
-        return driver.run()
+        return _Driver(self.config, index_a, index_b, stats).run()
 
     def estimate_join_cost(self, profile: CostProfile) -> CostBreakdown:
         """Predicted cost (calibrated on the pinned uniform suite).
@@ -201,7 +198,7 @@ class _Driver:
         config: TransformersConfig,
         index_a: TransformersIndex,
         index_b: TransformersIndex,
-        algorithm_name: str,
+        stats: JoinStats,
     ) -> None:
         self.config = config
         self.indexes = (index_a, index_b)
@@ -210,7 +207,7 @@ class _Driver:
         #: Descriptor/metadata pages get their own pool so bulk data
         #: reads cannot evict the (small, hot) navigation structures.
         self.meta_pool = BufferPool(self.disk, config.metadata_buffer_pages)
-        self.stats = JoinStats(algorithm=algorithm_name, phase="join")
+        self.stats = stats
         self.thresholds = ThresholdController(
             config,
             n_su=index_a.units_per_node,
@@ -253,9 +250,10 @@ class _Driver:
     # ------------------------------------------------------------------
     # Top-level loop
     # ------------------------------------------------------------------
-    def run(self) -> JoinResult:
-        start = time.perf_counter()
-        io_before = self.disk.stats.snapshot()
+    def run(self) -> list[IntArray]:
+        """Explore until one side is done; return the pair chunks and
+        leave the transformation counters and the Figure-14 costs in
+        the stats' ``extras``."""
         self._load_directory()
         while self.unchecked[0] and self.unchecked[1]:
             if not self.unchecked[self.guide]:
@@ -267,15 +265,7 @@ class _Driver:
             self.thresholds.update_thresholds()
         self._flush_queue()
 
-        pairs = (
-            canonical_pairs(np.concatenate(self.out))
-            if self.out
-            else np.empty((0, 2), dtype=np.int64)
-        )
         stats = self.stats
-        stats.pairs_found = len(pairs)
-        stats.absorb_io(self.disk.stats.delta(io_before))
-        stats.wall_seconds = time.perf_counter() - start
         cm = self.config.cost_model
         stats.extras["role_switches"] = float(self.role_switches)
         stats.extras["splits_to_unit"] = float(self.splits_to_unit)
@@ -292,7 +282,7 @@ class _Driver:
         )
         stats.extras["t_su_final"] = self.thresholds.t_su
         stats.extras["t_so_final"] = self.thresholds.t_so
-        return JoinResult(pairs=pairs, stats=stats)
+        return self.out
 
     def _load_directory(self) -> None:
         """Sequentially read both datasets' descriptor directories.

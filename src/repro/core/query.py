@@ -52,13 +52,13 @@ def range_query(
 
     Returns a sorted ``(k,)`` int64 array of element ids.
 
-    >>> from repro.core.indexing import build_transformers_index
+    >>> from repro.core import TransformersJoin
     >>> from repro.datagen import uniform_dataset, scaled_space
     >>> from repro.storage import SimulatedDisk
     >>> space = scaled_space(400)
     >>> data = uniform_dataset(400, seed=3, name="d", space=space)
     >>> disk = SimulatedDisk()
-    >>> idx, _ = build_transformers_index(disk, data)
+    >>> idx, _ = TransformersJoin().build_index(disk, data)
     >>> hits = range_query(idx, space, BufferPool(disk))
     >>> len(hits) == 400
     True

@@ -72,7 +72,15 @@ def _boxes_around_centers(
     space_hi = np.asarray(space.hi)
     lo = np.clip(lo, space_lo, space_hi)
     hi = np.clip(hi, space_lo, space_hi)
-    return BoxArray(lo, hi)
+    return BoxArray.adopt(lo, hi)
+
+
+def _dataset(name: str, id_offset: int, boxes: BoxArray) -> Dataset:
+    """The generated dataset: ids from ``id_offset`` on, made for it and
+    handed over (frozen here, so the dataset shares them)."""
+    ids = np.arange(id_offset, id_offset + len(boxes))
+    ids.setflags(write=False)
+    return Dataset(name, ids, boxes)
 
 
 def _clip_centers(centers: np.ndarray, space: Box) -> np.ndarray:
@@ -101,7 +109,7 @@ def uniform_dataset(
     )
     centers = _clip_centers(centers, space)
     boxes = _boxes_around_centers(centers, rng, space)
-    return Dataset(name, np.arange(id_offset, id_offset + n), boxes)
+    return _dataset(name, id_offset, boxes)
 
 
 def _space_scale(space: Box) -> float:
@@ -142,7 +150,7 @@ def _clustered(
     )
     centers = _clip_centers(centers, space)
     boxes = _boxes_around_centers(centers, rng, space)
-    return Dataset(name, np.arange(id_offset, id_offset + n), boxes)
+    return _dataset(name, id_offset, boxes)
 
 
 def dense_cluster(
@@ -210,4 +218,4 @@ def massive_cluster(
         parts.append(cluster_centers[c] + offsets)
     centers = _clip_centers(np.concatenate(parts), space)
     boxes = _boxes_around_centers(centers, rng, space)
-    return Dataset(name, np.arange(id_offset, id_offset + n), boxes)
+    return _dataset(name, id_offset, boxes)

@@ -24,9 +24,7 @@ need hand-wired — PBSM's shared space and its grid resolution sweep
 stand-in — and packages them as
 :class:`PlanHints` for the registry factories.  This module owns the
 experiment-wide storage defaults (:data:`EXPERIMENT_PAGE_SIZE`,
-:func:`experiment_disk_model`, :func:`pbsm_resolution`) that
-historically lived in ``repro.harness.runner``; the harness re-exports
-them.
+:func:`experiment_disk_model`, :func:`pbsm_resolution`).
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ bounded (``max_cached_indexes``, LRU eviction with an
 ``index_evictions`` counter) so long-lived workspaces do not keep every
 index they ever built.
 
-Measurement protocol matches the paper (and ``harness.runner``): index
-builds are accounted per phase, then disk statistics are reset so the
-join phase starts with cold caches.
+Measurement protocol matches the paper: index builds are accounted per
+phase, then disk statistics are reset so the join phase starts with
+cold caches.
 """
 
 from __future__ import annotations
@@ -79,18 +79,13 @@ class EmptyIndex(SlotPickleMixin):
 class _CachedIndex(SlotPickleMixin):
     """One cached per-dataset index and its build provenance."""
 
-    __slots__ = ("handle", "build_stats", "pages_written", "pages")
+    __slots__ = ("handle", "build_stats", "pages")
 
     def __init__(
-        self,
-        handle: object,
-        build_stats: JoinStats,
-        pages_written: int,
-        pages: range = range(0),
+        self, handle: object, build_stats: JoinStats, pages: range = range(0)
     ) -> None:
         self.handle = handle
         self.build_stats = build_stats
-        self.pages_written = pages_written
         #: The page-id run the build allocated; released with the entry.
         self.pages = pages
 
@@ -352,12 +347,8 @@ class SpatialWorkspace:
 
         first_page = self.disk.num_pages
         try:
-            handle_a, build_a, reused_a, written_a = self._index(
-                algo, a, reuse=reusable
-            )
-            handle_b, build_b, reused_b, written_b = self._index(
-                algo, b, reuse=reusable
-            )
+            handle_a, build_a, reused_a = self._index(algo, a, reuse=reusable)
+            handle_b, build_b, reused_b = self._index(algo, b, reuse=reusable)
             # Cold caches for the join phase, as in the paper's protocol.
             self.disk.reset_stats()
             result = algo.join(handle_a, handle_b)
@@ -379,8 +370,8 @@ class SpatialWorkspace:
             plan=plan,
             reused_a=reused_a,
             reused_b=reused_b,
-            index_pages_written_a=written_a,
-            index_pages_written_b=written_b,
+            index_pages_written_a=0 if reused_a else build_a.pages_written,
+            index_pages_written_b=0 if reused_b else build_b.pages_written,
             cost_model=self.cost_model,
         )
 
@@ -449,7 +440,7 @@ class SpatialWorkspace:
                 f"{algo.name} builds a pair-level index that depends on "
                 "the join partner; join() builds it"
             )
-        handle, stats, _, _ = self._index(algo, dataset, reuse=True)
+        handle, stats, _ = self._index(algo, dataset, reuse=True)
         self._cache_trim()
         return handle, stats
 
@@ -472,8 +463,8 @@ class SpatialWorkspace:
 
     def _index(
         self, algo: SpatialJoinAlgorithm, dataset: Dataset, reuse: bool
-    ) -> tuple[object, JoinStats, bool, int]:
-        """Build or reuse one index; returns (handle, stats, reused, writes).
+    ) -> tuple[object, JoinStats, bool]:
+        """Build or reuse one index; returns (handle, stats, reused).
 
         Only a reusable index is keyed, so PBSM never reads the
         dataset's fingerprint.
@@ -483,18 +474,16 @@ class SpatialWorkspace:
             entry = self._cache.get(key)
             if entry is not None:
                 self._cache.move_to_end(key)  # refresh LRU recency
-                return entry.handle, entry.build_stats, True, 0
-        before = self.disk.stats.pages_written
+                return entry.handle, entry.build_stats, True
         first_page = self.disk.num_pages
         handle, stats = algo.build_index(self.disk, dataset)
-        written = self.disk.stats.pages_written - before
         if reuse:
             # Untrimmed: the caller trims when done with the handles
             # (a bound of 1 must not release a join's first side).
             self._cache[key] = _CachedIndex(
-                handle, stats, written, range(first_page, self.disk.num_pages)
+                handle, stats, range(first_page, self.disk.num_pages)
             )
-        return handle, stats, False, written
+        return handle, stats, False
 
     # ------------------------------------------------------------------
     # Range queries (index reuse beyond joins, Section VII-C1)

@@ -41,12 +41,30 @@ def checked_offsets(offsets: np.ndarray | Sequence[int], n: int) -> np.ndarray:
     return cuts
 
 
+def frozen(array: np.ndarray, given: object) -> np.ndarray:
+    """``array``, a constructor's conversion of its argument ``given``,
+    made read-only without freezing the caller's array.
+
+    A writeable ``array`` that aliases memory the caller can reach (it
+    is ``given``, or a view) is copied first, so the constructed object
+    can never change under it; a read-only one is shared (an attached
+    shared-memory view stays zero-copy), and one the conversion made
+    is frozen in place.  Code that makes fresh bounds for an array
+    hands them over with :meth:`BoxArray.adopt` instead.
+    """
+    if array.flags.writeable and (array is given or array.base is not None):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 class BoxArray(SlotPickleMixin):
     """An immutable array of ``n`` axis-aligned boxes in ``d`` dimensions.
 
     ``lo`` and ``hi`` are ``float64`` arrays of shape ``(n, d)`` with
     ``lo <= hi`` everywhere.  Instances behave like a read-only sequence
-    of :class:`Box`.
+    of :class:`Box`; the bounds are read-only, and the caller's arrays
+    are left as they were (see :func:`frozen`).
 
     >>> ba = BoxArray.from_boxes([Box((0, 0), (1, 1)), Box((2, 2), (3, 3))])
     >>> len(ba)
@@ -58,6 +76,7 @@ class BoxArray(SlotPickleMixin):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        given = lo, hi
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
         if lo.ndim != 2 or hi.ndim != 2:
@@ -68,12 +87,8 @@ class BoxArray(SlotPickleMixin):
             raise ValueError("boxes must have at least one dimension")
         if np.any(lo > hi):
             raise ValueError("lo must not exceed hi on any axis")
-        lo = np.ascontiguousarray(lo)
-        hi = np.ascontiguousarray(hi)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", frozen(np.ascontiguousarray(lo), given[0]))
+        object.__setattr__(self, "hi", frozen(np.ascontiguousarray(hi), given[1]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BoxArray instances are immutable")
@@ -103,12 +118,12 @@ class BoxArray(SlotPickleMixin):
                 raise ValueError("mixed dimensionalities in from_boxes")
             lo[i] = box.lo
             hi[i] = box.hi
-        return BoxArray(lo, hi)
+        return BoxArray.adopt(lo, hi)
 
     @staticmethod
     def empty(ndim: int) -> "BoxArray":
         """An array of zero boxes in ``ndim`` dimensions."""
-        return BoxArray(np.empty((0, ndim)), np.empty((0, ndim)))
+        return BoxArray.adopt(np.empty((0, ndim)), np.empty((0, ndim)))
 
     @staticmethod
     def concatenate(arrays: Sequence["BoxArray"]) -> "BoxArray":
@@ -123,7 +138,7 @@ class BoxArray(SlotPickleMixin):
             raise ValueError("concatenate needs at least one non-empty array")
         if len({lo.shape[1] for lo in los}) != 1:
             raise ValueError("mixed dimensionalities in concatenate")
-        return BoxArray(np.concatenate(los), np.concatenate(his))
+        return BoxArray.adopt(np.concatenate(los), np.concatenate(his))
 
     # ------------------------------------------------------------------
     # Sequence behaviour
@@ -147,7 +162,16 @@ class BoxArray(SlotPickleMixin):
     def take(self, indices: np.ndarray | Sequence[int]) -> "BoxArray":
         """A new array holding the boxes at ``indices`` (in that order)."""
         idx = np.asarray(indices, dtype=np.intp)
-        return BoxArray(self.lo[idx], self.hi[idx])
+        return BoxArray.adopt(self.lo[idx], self.hi[idx])
+
+    @staticmethod
+    def adopt(lo: np.ndarray, hi: np.ndarray) -> "BoxArray":
+        """``BoxArray(lo, hi)`` over bounds their maker hands over (it
+        keeps no writeable use of them): validated as usual, then frozen
+        in place and shared rather than copied."""
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return BoxArray(lo, hi)
 
     @staticmethod
     def trusted(lo: np.ndarray, hi: np.ndarray) -> "BoxArray":

@@ -18,7 +18,7 @@ function writes them: :func:`write_str_pages` cuts the STR tiles,
 writes one element page per tile and returns the pages' MBBs and
 partition bounds.  Its callers are TRANSFORMERS' space units
 (:func:`repro.core.indexing.build_transformers_index`), GIPSY's
-partitions (:func:`repro.joins.gipsy.build_partitioned_index`), the
+partitions (:class:`repro.joins.gipsy.GipsyJoin`'s index), the
 indexed nested loop's sequential file
 (:class:`repro.joins.nested_loop.SequentialFile`) and the leaf level of
 :meth:`repro.index.rtree.RTree.bulk_load` — so the four hold the same
@@ -178,11 +178,15 @@ def write_str_pages(
     order, offsets, part_lo, part_hi = str_tiling(
         boxes.centers(), capacity, space
     )
+    run = np.asarray(ids).take(order)
     lo = boxes.lo.take(order, axis=0)
     hi = boxes.hi.take(order, axis=0)
     page_lo = columns(np.minimum.reduceat(columns(lo), offsets[:-1], axis=1))
     page_hi = columns(np.maximum.reduceat(columns(hi), offsets[:-1], axis=1))
-    pages = ElementPage.split(np.asarray(ids).take(order), BoxArray(lo, hi), offsets)
+    # The permuted run is fresh and nothing else holds it: frozen here,
+    # the pages share it instead of copying it.
+    run.setflags(write=False)
+    pages = ElementPage.split(run, BoxArray.adopt(lo, hi), offsets)
     page_ids = np.array(disk.allocate_many(pages), dtype=np.int64)
     return page_ids, offsets, page_lo, page_hi, part_lo, part_hi
 

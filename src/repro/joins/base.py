@@ -3,9 +3,13 @@
 Every disk-based join in the repository (PBSM, synchronized R-tree,
 GIPSY, TRANSFORMERS, indexed nested loop) implements
 :class:`SpatialJoinAlgorithm`: an index phase that writes structures to
-a simulated disk and a join phase that reads them back.  Both phases
-report a :class:`JoinStats`, which carries exactly the quantities the
-paper's figures break down:
+a simulated disk and a join phase that reads them back.  The base class
+owns the measurement protocol of both phases (paper Section VII-A): it
+charges each phase the disk's counter delta and wall time, checks that
+a join's two indexes share one disk, and canonicalises the join's pairs;
+an algorithm only does the phase's work.  Both phases report a
+:class:`JoinStats`, which carries exactly the quantities the paper's
+figures break down:
 
 * page I/O split into sequential vs. random reads (Figs. 11/12 "I/O"),
 * element-level intersection tests (Figs. 11/12 right panels),
@@ -17,14 +21,15 @@ paper's figures break down:
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from collections.abc import Callable
+import time
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from repro.geometry.boxes import BoxArray
+from repro.geometry.boxes import BoxArray, frozen
 from repro.storage.disk import DiskStats, SimulatedDisk
 from repro.storage.shm import content_fingerprint
 
@@ -122,7 +127,8 @@ class Dataset:
     Ids are globally meaningful (the join result pairs them up), so two
     datasets being joined must not share ids unless they really are the
     same elements.  Ids are read-only, like the boxes' bounds, so a
-    dataset's content never changes after construction.
+    dataset's content never changes after construction; a caller's
+    writeable ``ids`` array is copied, never frozen.
     """
 
     name: str
@@ -138,8 +144,7 @@ class Dataset:
         ordered = np.sort(ids)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("dataset ids must be unique")
-        ids.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ids", frozen(ids, self.ids))
 
     def __setstate__(self, state: dict[str, object]) -> None:
         # Unpickled arrays come back writeable: lock them again, since
@@ -303,31 +308,73 @@ class CostBreakdown:
         return self.index_io + self.join_io + self.join_cpu
 
 
-class SpatialJoinAlgorithm(ABC):
+class SpatialJoinAlgorithm:
     """Base class for disk-based spatial join algorithms.
 
     Subclasses allocate their index structures on the
     :class:`~repro.storage.disk.SimulatedDisk` handed to
     :meth:`build_index` and read them back through buffer pools during
-    :meth:`join`, so that every page access is accounted.
+    :meth:`join`, so that every page access is accounted.  They
+    implement the two phases' work, :meth:`_build` and :meth:`_join`;
+    the public methods wrap it in the measurement protocol.
     """
 
     #: Short name used in reports ("PBSM", "R-TREE", ...).
     name: str = "abstract"
 
-    @abstractmethod
     def build_index(self, disk: SimulatedDisk, dataset: Dataset) -> tuple[object, JoinStats]:
         """Index one dataset; return ``(index_handle, build_stats)``.
 
         The handle is opaque to callers and is passed back to
-        :meth:`join`.  Implementations must reset the disk's stats at
-        entry or snapshot/delta them so the returned stats cover only
-        this build.
+        :meth:`join`.  The stats cover this build only: the disk's
+        counters are charged as a delta across it.
         """
+        stats = JoinStats(algorithm=self.name, phase="index")
+        with _charged(disk, stats):
+            handle = self._build(disk, dataset, stats)
+        return handle, stats
 
-    @abstractmethod
     def join(self, index_a: object, index_b: object) -> JoinResult:
-        """Join two datasets previously indexed by this algorithm."""
+        """Join two datasets previously indexed by this algorithm.
+
+        Both handles must live on one disk; the result's pairs are the
+        :func:`canonical_pairs` of the chunks :meth:`_join` reports.
+        """
+        disk = index_a.disk
+        if disk is not index_b.disk:
+            raise ValueError("both indexes must live on the same disk")
+        stats = JoinStats(algorithm=self.name, phase="join")
+        with _charged(disk, stats):
+            chunks = self._join(index_a, index_b, stats)
+            pairs = (
+                canonical_pairs(np.concatenate(chunks))
+                if chunks
+                else np.empty((0, 2), dtype=np.int64)
+            )
+            stats.pairs_found = len(pairs)
+        return JoinResult(pairs=pairs, stats=stats)
+
+    def _build(
+        self, disk: SimulatedDisk, dataset: Dataset, stats: JoinStats
+    ) -> object:
+        """Write the dataset's index to ``disk``; return its handle.
+
+        ``stats`` is the build's record: the hook adds its own counters
+        and ``extras``, the base charges the I/O and the wall time.
+        """
+        raise NotImplementedError
+
+    def _join(
+        self, index_a: object, index_b: object, stats: JoinStats
+    ) -> list[np.ndarray]:
+        """Join two indexes on one disk; return ``(id_a, id_b)`` chunks.
+
+        The chunks may overlap and come in any order.  ``stats`` is the
+        join's record: the hook adds its comparison counters and
+        ``extras``, the base charges the I/O and the wall time and sets
+        ``pairs_found``.
+        """
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Cost hook (optional)
@@ -347,3 +394,14 @@ class SpatialJoinAlgorithm(ABC):
         benchmark suite.
         """
         return None
+
+
+@contextmanager
+def _charged(disk: SimulatedDisk, stats: JoinStats) -> Iterator[None]:
+    """Charge the enclosed work's disk-stats delta and wall time to
+    ``stats``: the one clock and the one counter delta of every phase."""
+    start = time.perf_counter()
+    before = disk.stats.snapshot()
+    yield
+    stats.absorb_io(disk.stats.delta(before))
+    stats.wall_seconds = time.perf_counter() - start

@@ -33,16 +33,19 @@ class BruteForceJoin(SpatialJoinAlgorithm):
 
     The oracle has no index: :meth:`build_index` hands the dataset
     itself back as the handle (zero pages written), so :meth:`join`
-    takes :class:`~repro.joins.base.Dataset` objects directly.
+    takes :class:`~repro.joins.base.Dataset` objects directly.  It
+    keeps its own :meth:`join`: its pairs are the reference every other
+    algorithm's canonical pairs are compared with, so they never pass
+    through :func:`~repro.joins.base.canonical_pairs`.
     """
 
     name = "BRUTE"
 
-    def build_index(
-        self, disk: SimulatedDisk, dataset: Dataset
-    ) -> tuple[Dataset, JoinStats]:
+    def _build(
+        self, disk: SimulatedDisk, dataset: Dataset, stats: JoinStats
+    ) -> Dataset:
         """The dataset itself; nothing is written."""
-        return dataset, JoinStats(algorithm=self.name, phase="index")
+        return dataset
 
     def join(self, a: Dataset, b: Dataset) -> JoinResult:
         """Exhaustively compare every pair of elements."""

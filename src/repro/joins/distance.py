@@ -50,7 +50,7 @@ def enlarged_dataset(dataset: Dataset, distance: float) -> Dataset:
         raise ValueError("distance must be non-negative")
     if distance == 0:
         return dataset
-    boxes = BoxArray(
+    boxes = BoxArray.adopt(
         dataset.boxes.lo - distance, dataset.boxes.hi + distance
     )
     fingerprint = content_fingerprint(dataset.ids, boxes.lo, boxes.hi)

@@ -43,8 +43,6 @@ uses the tight page MBB, keeping the candidate set small.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.crawl import adaptive_crawl, crawl_masks
@@ -56,10 +54,8 @@ from repro.joins.base import (
     CostBreakdown,
     CostProfile,
     Dataset,
-    JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
-    canonical_pairs,
 )
 from repro.joins.grid_hash import grid_hash_join
 from repro.storage.buffer import BufferPool
@@ -100,71 +96,6 @@ class GipsyIndex:
         return len(self.element_page_ids)
 
 
-def build_partitioned_index(
-    disk: SimulatedDisk,
-    dataset: Dataset,
-    algorithm_name: str,
-) -> tuple[GipsyIndex, JoinStats]:
-    """STR pages + partition bounds + neighbour links.
-
-    The pages are TRANSFORMERS' level 1 (its space units' element
-    pages and partition bounds, from the same writer); GIPSY links
-    partitions whose bounds touch and stores one descriptor per page on
-    metadata pages.
-    """
-    start = time.perf_counter()
-    io_before = disk.stats.snapshot()
-    capacity = element_page_capacity(disk.model.page_size, dataset.ndim)
-    element_page_ids, _, page_lo, page_hi, part_lo, part_hi = write_str_pages(
-        disk, dataset.ids, dataset.boxes, capacity, dataset.boxes.mbb()
-    )
-    n_pages = len(element_page_ids)
-
-    # Connectivity: self-join on the partition bounds.  Touching counts
-    # as intersecting (inclusive tests), so face-adjacent partitions of
-    # the gap-free tiling always link up.  Hundreds of pages, so the
-    # grid hash join, not TRANSFORMERS' node cross test (see
-    # repro.core.indexing).
-    part_boxes = BoxArray(part_lo, part_hi)
-    pair_idx, _ = grid_hash_join(part_boxes, part_boxes)
-    off_diagonal = pair_idx[pair_idx[:, 0] != pair_idx[:, 1]]
-    order = np.lexsort((off_diagonal[:, 1], off_diagonal[:, 0]))
-    src = off_diagonal[order, 0]
-    dst = off_diagonal[order, 1].astype(np.intp)
-    neighbors = np.split(dst, np.searchsorted(src, np.arange(1, n_pages)))
-
-    meta_page_of, meta_page_ids = write_descriptor_pages(
-        disk, n_pages, "page-descriptors"
-    )
-    max_extent = (
-        column_max(dataset.boxes.extents())
-        if len(dataset) > 0
-        else np.zeros(dataset.ndim)
-    )
-
-    index = GipsyIndex(
-        disk=disk,
-        dataset_name=dataset.name,
-        num_elements=len(dataset),
-        element_page_ids=element_page_ids,
-        pages=DescriptorGraph(
-            mbb_lo=page_lo,
-            mbb_hi=page_hi,
-            part_lo=part_lo,
-            part_hi=part_hi,
-            neighbors=neighbors,
-            meta_page_of=meta_page_of,
-            meta_page_ids=meta_page_ids,
-        ),
-        max_extent=max_extent,
-    )
-    stats = JoinStats(algorithm=algorithm_name, phase="index")
-    stats.absorb_io(disk.stats.delta(io_before))
-    stats.wall_seconds = time.perf_counter() - start
-    stats.extras["partitions"] = float(n_pages)
-    return index, stats
-
-
 class GipsyJoin(SpatialJoinAlgorithm):
     """GIPSY crawling join with a fixed sparse/dense role assignment.
 
@@ -188,11 +119,64 @@ class GipsyJoin(SpatialJoinAlgorithm):
         self.outer = outer
         self.buffer_pages = buffer_pages
 
-    def build_index(
-        self, disk: SimulatedDisk, dataset: Dataset
-    ) -> tuple[GipsyIndex, JoinStats]:
-        """Partition the dataset and build the neighbourhood graph."""
-        return build_partitioned_index(disk, dataset, self.name)
+    def _build(
+        self, disk: SimulatedDisk, dataset: Dataset, stats: JoinStats
+    ) -> GipsyIndex:
+        """STR pages + partition bounds + neighbour links.
+
+        The pages are TRANSFORMERS' level 1 (its space units' element
+        pages and partition bounds, from the same writer); GIPSY links
+        partitions whose bounds touch and stores one descriptor per
+        page on metadata pages.
+        """
+        capacity = element_page_capacity(disk.model.page_size, dataset.ndim)
+        element_page_ids, _, page_lo, page_hi, part_lo, part_hi = (
+            write_str_pages(
+                disk, dataset.ids, dataset.boxes, capacity, dataset.boxes.mbb()
+            )
+        )
+        n_pages = len(element_page_ids)
+
+        # Connectivity: self-join on the partition bounds.  Touching
+        # counts as intersecting (inclusive tests), so face-adjacent
+        # partitions of the gap-free tiling always link up.  Hundreds of
+        # pages, so the grid hash join, not TRANSFORMERS' node cross
+        # test (see repro.core.indexing).
+        part_boxes = BoxArray(part_lo, part_hi)
+        pair_idx, _ = grid_hash_join(part_boxes, part_boxes)
+        off_diagonal = pair_idx[pair_idx[:, 0] != pair_idx[:, 1]]
+        order = np.lexsort((off_diagonal[:, 1], off_diagonal[:, 0]))
+        src = off_diagonal[order, 0]
+        dst = off_diagonal[order, 1].astype(np.intp)
+        neighbors = np.split(dst, np.searchsorted(src, np.arange(1, n_pages)))
+
+        meta_page_of, meta_page_ids = write_descriptor_pages(
+            disk, n_pages, "page-descriptors"
+        )
+        max_extent = (
+            column_max(dataset.boxes.extents())
+            if len(dataset) > 0
+            else np.zeros(dataset.ndim)
+        )
+
+        index = GipsyIndex(
+            disk=disk,
+            dataset_name=dataset.name,
+            num_elements=len(dataset),
+            element_page_ids=element_page_ids,
+            pages=DescriptorGraph(
+                mbb_lo=page_lo,
+                mbb_hi=page_hi,
+                part_lo=part_lo,
+                part_hi=part_hi,
+                neighbors=neighbors,
+                meta_page_of=meta_page_of,
+                meta_page_ids=meta_page_ids,
+            ),
+            max_extent=max_extent,
+        )
+        stats.extras["partitions"] = float(n_pages)
+        return index
 
     def estimate_join_cost(self, profile: CostProfile) -> CostBreakdown:
         """Predicted cost (calibrated on the contrast-ladder suite).
@@ -229,10 +213,10 @@ class GipsyJoin(SpatialJoinAlgorithm):
     # ------------------------------------------------------------------
     # Join
     # ------------------------------------------------------------------
-    def join(self, index_a: GipsyIndex, index_b: GipsyIndex) -> JoinResult:
+    def _join(
+        self, index_a: GipsyIndex, index_b: GipsyIndex, stats: JoinStats
+    ) -> list[np.ndarray]:
         """Crawl the dense (inner) dataset guided by the sparse (outer) one."""
-        if index_a.disk is not index_b.disk:
-            raise ValueError("both indexes must live on the same disk")
         if self.outer == "a":
             outer, inner, flip = index_a, index_b, False
         elif self.outer == "b":
@@ -242,11 +226,7 @@ class GipsyJoin(SpatialJoinAlgorithm):
         else:
             outer, inner, flip = index_b, index_a, True
 
-        disk = outer.disk
-        start = time.perf_counter()
-        io_before = disk.stats.snapshot()
-        stats = JoinStats(algorithm=self.name, phase="join")
-        pool = BufferPool(disk, self.buffer_pages)
+        pool = BufferPool(outer.disk, self.buffer_pages)
 
         out: list[np.ndarray] = []
         graph = inner.pages
@@ -285,14 +265,5 @@ class GipsyJoin(SpatialJoinAlgorithm):
                             out.append(np.column_stack((matched, mine)))
                         else:
                             out.append(np.column_stack((mine, matched)))
-
-        pairs = (
-            canonical_pairs(np.concatenate(out))
-            if out
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        stats.pairs_found = len(pairs)
-        stats.absorb_io(disk.stats.delta(io_before))
-        stats.wall_seconds = time.perf_counter() - start
         stats.extras["outer_dataset_is_a"] = float(not flip)
-        return JoinResult(pairs=pairs, stats=stats)
+        return out

@@ -9,8 +9,6 @@ includes it to let the benches show exactly that regime.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.index.rtree import RTree
@@ -19,10 +17,8 @@ from repro.joins.base import (
     CostBreakdown,
     CostProfile,
     Dataset,
-    JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
-    canonical_pairs,
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -84,18 +80,12 @@ class IndexedNestedLoopJoin(SpatialJoinAlgorithm):
         self.outer = outer
         self.buffer_pages = buffer_pages
 
-    def build_index(
-        self, disk: SimulatedDisk, dataset: Dataset
-    ) -> tuple[INLIndex, JoinStats]:
+    def _build(
+        self, disk: SimulatedDisk, dataset: Dataset, stats: JoinStats
+    ) -> INLIndex:
         """Store the dataset sequentially and bulk-load its R-tree."""
-        start = time.perf_counter()
-        io_before = disk.stats.snapshot()
         file = SequentialFile.write(disk, dataset)
-        tree = RTree.bulk_load(disk, dataset.ids, dataset.boxes)
-        stats = JoinStats(algorithm=self.name, phase="index")
-        stats.absorb_io(disk.stats.delta(io_before))
-        stats.wall_seconds = time.perf_counter() - start
-        return INLIndex(tree, file), stats
+        return INLIndex(RTree.bulk_load(disk, dataset.ids, dataset.boxes), file)
 
     def estimate_join_cost(self, profile: CostProfile) -> CostBreakdown:
         """Predicted cost (calibrated on the contrast-ladder suite).
@@ -128,10 +118,10 @@ class IndexedNestedLoopJoin(SpatialJoinAlgorithm):
             est_tests=est_tests,
         )
 
-    def join(self, index_a: INLIndex, index_b: INLIndex) -> JoinResult:
+    def _join(
+        self, index_a: INLIndex, index_b: INLIndex, stats: JoinStats
+    ) -> list[np.ndarray]:
         """Scan the outer file; range-query the inner tree per element."""
-        if index_a.disk is not index_b.disk:
-            raise ValueError("both indexes must live on the same disk")
         if self.outer == "a":
             flip = False
         elif self.outer == "b":
@@ -140,11 +130,7 @@ class IndexedNestedLoopJoin(SpatialJoinAlgorithm):
             flip = index_b.file.num_elements < index_a.file.num_elements
         outer, inner = (index_b, index_a) if flip else (index_a, index_b)
 
-        disk = outer.disk
-        start = time.perf_counter()
-        io_before = disk.stats.snapshot()
-        stats = JoinStats(algorithm=self.name, phase="join")
-        pool = BufferPool(disk, self.buffer_pages)
+        pool = BufferPool(outer.disk, self.buffer_pages)
 
         out: list[np.ndarray] = []
         for page_id in outer.file.page_ids:
@@ -160,13 +146,4 @@ class IndexedNestedLoopJoin(SpatialJoinAlgorithm):
                         out.append(np.column_stack((ids, mine)))
                     else:
                         out.append(np.column_stack((mine, ids)))
-
-        pairs = (
-            canonical_pairs(np.concatenate(out))
-            if out
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        stats.pairs_found = len(pairs)
-        stats.absorb_io(disk.stats.delta(io_before))
-        stats.wall_seconds = time.perf_counter() - start
-        return JoinResult(pairs=pairs, stats=stats)
+        return out

@@ -28,8 +28,6 @@ harness sweeps it the same way.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.geometry.box import Box
@@ -39,10 +37,8 @@ from repro.joins.base import (
     CostBreakdown,
     CostProfile,
     Dataset,
-    JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
-    canonical_pairs,
 )
 from repro.joins.grid_hash import grid_hash_join
 from repro.storage.disk import SimulatedDisk
@@ -103,12 +99,10 @@ class PBSMJoin(SpatialJoinAlgorithm):
     # ------------------------------------------------------------------
     # Index phase
     # ------------------------------------------------------------------
-    def build_index(
-        self, disk: SimulatedDisk, dataset: Dataset
-    ) -> tuple[PBSMIndex, JoinStats]:
+    def _build(
+        self, disk: SimulatedDisk, dataset: Dataset, stats: JoinStats
+    ) -> PBSMIndex:
         """Stream the dataset into per-cell page chains on ``disk``."""
-        start = time.perf_counter()
-        io_before = disk.stats.snapshot()
         space = self.space or dataset.boxes.mbb()
         grid = UniformGrid(space, self.resolution)
         capacity = element_page_capacity(disk.model.page_size, dataset.ndim)
@@ -163,20 +157,8 @@ class PBSMJoin(SpatialJoinAlgorithm):
             num_elements=len(dataset),
             replicas=replicas,
         )
-        stats = JoinStats(algorithm=self.name, phase="index")
-        stats.absorb_io(disk.stats.delta(io_before))
-        stats.wall_seconds = time.perf_counter() - start
         stats.extras["replication_factor"] = index.replication_factor
-        return index, stats
-
-    # ------------------------------------------------------------------
-    # Join phase
-    # ------------------------------------------------------------------
-    def join(self, index_a: PBSMIndex, index_b: PBSMIndex) -> JoinResult:
-        """Visit each grid cell and join its two element sets in memory."""
-        self._validate_pair(index_a, index_b)
-        cells = sorted(set(index_a.cell_pages) & set(index_b.cell_pages))
-        return self._join_cells(index_a, index_b, cells)
+        return index
 
     def estimate_join_cost(self, profile: CostProfile) -> CostBreakdown:
         """Predicted cost (calibrated on the pinned uniform suite).
@@ -219,29 +201,22 @@ class PBSMJoin(SpatialJoinAlgorithm):
             est_tests=est_tests,
         )
 
-    @staticmethod
-    def _validate_pair(a: PBSMIndex, b: PBSMIndex) -> None:
+    # ------------------------------------------------------------------
+    # Join phase
+    # ------------------------------------------------------------------
+    def _join(
+        self, a: PBSMIndex, b: PBSMIndex, stats: JoinStats
+    ) -> list[np.ndarray]:
+        """Visit each grid cell and join its two element sets in memory."""
         if a.grid.resolution != b.grid.resolution or a.grid.space != b.grid.space:
             raise ValueError(
                 "PBSM requires both datasets to be partitioned with the "
                 "same grid; re-index with a shared `space`"
             )
-        if a.disk is not b.disk:
-            raise ValueError("both indexes must live on the same disk")
-
-    def _join_cells(
-        self, a: PBSMIndex, b: PBSMIndex, cells: list[int]
-    ) -> JoinResult:
-        """The cell sweep over ``cells``, in the given order."""
-        disk = a.disk
-        start = time.perf_counter()
-        io_before = disk.stats.snapshot()
-        stats = JoinStats(algorithm=self.name, phase="join")
-
-        grid = a.grid
+        disk, grid = a.disk, a.grid
         out: list[np.ndarray] = []
         dropped_duplicates = 0
-        for cell in cells:
+        for cell in sorted(set(a.cell_pages) & set(b.cell_pages)):
             ids_a, boxes_a = self._read_cell(disk, a.cell_pages[cell])
             ids_b, boxes_b = self._read_cell(disk, b.cell_pages[cell])
             pairs_idx, tests = grid_hash_join(boxes_a, boxes_b)
@@ -262,18 +237,10 @@ class PBSMJoin(SpatialJoinAlgorithm):
                     np.column_stack((ids_a[kept[:, 0]], ids_b[kept[:, 1]]))
                 )
 
-        pairs = (
-            canonical_pairs(np.concatenate(out))
-            if out
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        stats.pairs_found = len(pairs)
-        stats.absorb_io(disk.stats.delta(io_before))
-        stats.wall_seconds = time.perf_counter() - start
         stats.extras["duplicates_dropped"] = float(dropped_duplicates)
         stats.extras["replication_factor_a"] = a.replication_factor
         stats.extras["replication_factor_b"] = b.replication_factor
-        return JoinResult(pairs=pairs, stats=stats)
+        return out
 
     @staticmethod
     def _read_cell(

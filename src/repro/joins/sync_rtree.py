@@ -16,8 +16,6 @@ more comparisons", Section VII-C3).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.index.rtree import RTree
@@ -25,10 +23,8 @@ from repro.joins.base import (
     CostBreakdown,
     CostProfile,
     Dataset,
-    JoinResult,
     JoinStats,
     SpatialJoinAlgorithm,
-    canonical_pairs,
 )
 from repro.joins.plane_sweep import plane_sweep_join
 from repro.storage.buffer import BufferPool
@@ -58,19 +54,14 @@ class SynchronizedRTreeJoin(SpatialJoinAlgorithm):
     # ------------------------------------------------------------------
     # Index phase
     # ------------------------------------------------------------------
-    def build_index(
-        self, disk: SimulatedDisk, dataset: Dataset
-    ) -> tuple[RTree, JoinStats]:
+    def _build(
+        self, disk: SimulatedDisk, dataset: Dataset, stats: JoinStats
+    ) -> RTree:
         """Bulk-load an R-tree over the dataset."""
-        start = time.perf_counter()
-        io_before = disk.stats.snapshot()
         tree = RTree.bulk_load(disk, dataset.ids, dataset.boxes)
-        stats = JoinStats(algorithm=self.name, phase="index")
-        stats.absorb_io(disk.stats.delta(io_before))
-        stats.wall_seconds = time.perf_counter() - start
         stats.extras["height"] = float(tree.height)
         stats.extras["leaf_pages"] = float(len(tree.leaf_pages))
-        return tree, stats
+        return tree
 
     def estimate_join_cost(self, profile: CostProfile) -> CostBreakdown:
         """Predicted cost (calibrated on the pinned uniform suite).
@@ -102,17 +93,10 @@ class SynchronizedRTreeJoin(SpatialJoinAlgorithm):
     # ------------------------------------------------------------------
     # Join phase
     # ------------------------------------------------------------------
-    def join(self, index_a: RTree, index_b: RTree) -> JoinResult:
+    def _join(self, a: RTree, b: RTree, stats: JoinStats) -> list[np.ndarray]:
         """Depth-first synchronized traversal of the two trees."""
-        a, b = index_a, index_b
-        if a.disk is not b.disk:
-            raise ValueError("both trees must live on the same disk")
-        disk = a.disk
-        start = time.perf_counter()
-        io_before = disk.stats.snapshot()
-        stats = JoinStats(algorithm=self.name, phase="join")
-        pool_a = BufferPool(disk, self.buffer_pages)
-        pool_b = BufferPool(disk, self.buffer_pages)
+        pool_a = BufferPool(a.disk, self.buffer_pages)
+        pool_b = BufferPool(a.disk, self.buffer_pages)
 
         out: list[np.ndarray] = []
         stack: list[tuple[int, int]] = [(a.root_page, b.root_page)]
@@ -159,13 +143,5 @@ class SynchronizedRTreeJoin(SpatialJoinAlgorithm):
                         (node_a.children[int(ia)], node_b.children[int(ib)])
                     )
 
-        pairs = (
-            canonical_pairs(np.concatenate(out))
-            if out
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        stats.pairs_found = len(pairs)
-        stats.absorb_io(disk.stats.delta(io_before))
-        stats.wall_seconds = time.perf_counter() - start
         stats.extras["buffer_hits"] = float(pool_a.hits + pool_b.hits)
-        return JoinResult(pairs=pairs, stats=stats)
+        return out

@@ -29,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from repro._types import AnyArray, IntArray
-from repro.geometry.boxes import BoxArray, checked_offsets
+from repro.geometry.boxes import BoxArray, checked_offsets, frozen
 from repro.geometry.slots import SlotPickleMixin
 from repro.storage.records import RecordCodec
 
@@ -51,13 +51,15 @@ class ElementPage(SlotPickleMixin):
     whole run; :meth:`split` hands out narrower windows onto the same
     arrays, :meth:`row_ranges` / :meth:`element_ranges` name rows of
     the run without a window each.  ``ids`` / ``boxes`` are read-only
-    views computed on access.  Instances are immutable, and a page
-    pickled on its own carries its own rows only.
+    views computed on access; a caller's writeable ``ids`` is copied,
+    never frozen (:func:`~repro.geometry.boxes.frozen`).  Instances are
+    immutable, and a page pickled on its own carries its own rows only.
     """
 
     __slots__ = ("_ids", "_boxes", "_start", "_stop")
 
     def __init__(self, ids: AnyArray, boxes: BoxArray) -> None:
+        given = ids
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError("ids must be a 1-D array")
@@ -65,8 +67,7 @@ class ElementPage(SlotPickleMixin):
             raise ValueError(
                 f"page holds {len(ids)} ids but {len(boxes)} boxes"
             )
-        ids = np.ascontiguousarray(ids)
-        ids.setflags(write=False)
+        ids = frozen(np.ascontiguousarray(ids), given)
         self.__setstate__(dict(_ids=ids, _boxes=boxes, _start=0, _stop=len(ids)))
 
     def __setattr__(self, name: str, value: object) -> None:

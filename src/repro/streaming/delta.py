@@ -158,7 +158,7 @@ class DatasetDelta:
             return Dataset(
                 dataset.name,
                 surviving,
-                BoxArray(dataset.boxes.lo[keep], dataset.boxes.hi[keep]),
+                BoxArray.adopt(dataset.boxes.lo[keep], dataset.boxes.hi[keep]),
             )
         if self.insert_boxes.ndim != dataset.ndim:
             raise ValueError(
@@ -179,7 +179,7 @@ class DatasetDelta:
         new_hi: FloatArray = np.concatenate(
             [dataset.boxes.hi[keep], self.insert_boxes.hi]
         )
-        return Dataset(dataset.name, new_ids, BoxArray(new_lo, new_hi))
+        return Dataset(dataset.name, new_ids, BoxArray.adopt(new_lo, new_hi))
 
     # ------------------------------------------------------------------
     # Identity

@@ -9,7 +9,7 @@ end-to-end on 2-D data.
 import numpy as np
 import pytest
 
-from repro.core import TransformersJoin, build_transformers_index, range_query
+from repro.core import TransformersJoin, range_query
 from repro.geometry.box import Box
 from repro.geometry.boxes import BoxArray
 from repro.joins import (
@@ -74,7 +74,7 @@ class TestRangeQuery2D:
     def test_matches_brute(self):
         data = dataset_2d(1500, seed=5, name="d")
         disk = make_disk()
-        index, _ = build_transformers_index(disk, data)
+        index, _ = TransformersJoin().build_index(disk, data)
         pool = BufferPool(disk, 512)
         rng = np.random.default_rng(9)
         for _ in range(6):

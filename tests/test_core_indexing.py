@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import indexing
-from repro.core.indexing import build_transformers_index
+from repro.core.join import TransformersJoin
 from repro.datagen import (
     dense_cluster,
     massive_cluster,
@@ -24,7 +24,7 @@ from tests.conftest import counted_constructions, dataset_pair, make_disk
 def build(kind="clustered", n=1500, seed=41):
     a, _ = dataset_pair(kind, n, 10, seed=seed)
     disk = make_disk()
-    index, stats = build_transformers_index(disk, a)
+    index, stats = TransformersJoin().build_index(disk, a)
     return a, disk, index, stats
 
 
@@ -164,7 +164,7 @@ class TestConnectivityEqualsGridHashSelfJoin:
     def test_every_generator_size_and_page_size(self, gen, n, page_size):
         data = gen(n, seed=n + page_size, name="A", space=scaled_space(2 * n))
         disk = SimulatedDisk(DiskModel(page_size=page_size))
-        index, _ = build_transformers_index(disk, data)
+        index, _ = TransformersJoin().build_index(disk, data)
         if n == 5:
             assert index.num_nodes == 1
         if (n, page_size) == (40_000, 512):
@@ -206,7 +206,7 @@ class TestBulkAllocation:
 
         monkeypatch.setattr(SimulatedDisk, "allocate_many", loop)
         ref_disk = make_disk()
-        ref, _ = build_transformers_index(ref_disk, a)
+        ref, _ = TransformersJoin().build_index(ref_disk, a)
         for name in ("desc_page_ids", "meta_page_ids"):
             got, want = getattr(index.nodes, name), getattr(ref.nodes, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -226,7 +226,7 @@ class TestInterpreterWork:
         a, _ = dataset_pair("uniform", n, 10, seed=44)
         disk = make_disk()
         with counted_constructions(monkeypatch, Box, BoxArray) as calls:
-            index, _ = build_transformers_index(disk, a)
+            index, _ = TransformersJoin().build_index(disk, a)
         return calls[Box], calls[BoxArray], index.num_units
 
     def test_constructions_do_not_grow_with_the_unit_count(self, monkeypatch):

@@ -142,14 +142,6 @@ class TestIndexReuse:
         second = algo.join(ia, ib).pair_set()
         assert first == second
 
-    def test_rejects_indexes_on_different_disks(self):
-        a, b = dataset_pair("uniform", 200, 200)
-        algo = TransformersJoin()
-        ia, _ = algo.build_index(make_disk(), a)
-        ib, _ = algo.build_index(make_disk(), b)
-        with pytest.raises(ValueError, match="same disk"):
-            algo.join(ia, ib)
-
 
 class TestAdaptiveBehaviour:
     def test_transformations_fire_on_skew(self):
@@ -244,7 +236,7 @@ class TestDriverInternals:
         algo, disk = TransformersJoin(), make_disk()
         index_a, _ = algo.build_index(disk, a)
         index_b, _ = algo.build_index(disk, b)
-        return _Driver(algo.config, index_a, index_b, algo.name)
+        return _Driver(algo.config, index_a, index_b, JoinStats())
 
     def test_lost_todo_list_fails_without_probing_past_the_last_node(self):
         """Empty the to-do list behind the driver's back: the scan must
@@ -342,8 +334,8 @@ class TestDriverInternals:
             lambda *args: distances.append(driver.guide) or real_distances(*args),
         )
         monkeypatch.setattr(core_join, "adaptive_walk", spy_walk)
-        result = driver.run()
-        assert result.stats.extras["role_switches"] > 0
+        driver.run()
+        assert driver.stats.extras["role_switches"] > 0
         assert sorted(masks) == sorted(distances) == [0, 1]
         # Some walks leave their start, so neighbours were tested.
         assert sum(tested for _, tested in in_walk) > len(in_walk)

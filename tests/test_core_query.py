@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import build_transformers_index, range_query
+from repro.core import TransformersJoin, range_query
 from repro.geometry.box import Box
 from repro.joins.base import JoinStats
 from repro.storage.buffer import BufferPool
@@ -16,7 +16,7 @@ from tests.conftest import dataset_pair, make_disk
 def indexed():
     data, _ = dataset_pair("clustered", 2000, 10, seed=55)
     disk = make_disk()
-    index, _ = build_transformers_index(disk, data)
+    index, _ = TransformersJoin().build_index(disk, data)
     return data, disk, index
 
 

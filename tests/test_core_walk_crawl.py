@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import join as core_join
 from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
-from repro.core.indexing import build_transformers_index
+from repro.core.join import TransformersJoin
 from repro.core.walk import adaptive_walk, partition_distances
 from repro.geometry.boxes import BoxArray
 from repro.joins.base import Dataset, JoinStats
-from repro.joins.gipsy import build_partitioned_index
+from repro.joins.gipsy import GipsyJoin
 from repro.storage.buffer import BufferPool
 from repro.vectorize import boxes_overlap
 
@@ -24,7 +24,7 @@ from tests.conftest import dataset_pair, make_disk
 def indexed():
     a, _ = dataset_pair("clustered", 2500, 10, seed=61)
     disk = make_disk()
-    index, _ = build_transformers_index(disk, a)
+    index, _ = TransformersJoin().build_index(disk, a)
     return a, disk, index
 
 
@@ -285,7 +285,8 @@ def random_dataset(kind, n, ndim, seed):
 @functools.lru_cache(maxsize=None)
 def random_index(kind, n, ndim, seed):
     disk = make_disk()
-    index, _ = build_transformers_index(disk, random_dataset(kind, n, ndim, seed))
+    dataset = random_dataset(kind, n, ndim, seed)
+    index, _ = TransformersJoin().build_index(disk, dataset)
     return disk, index
 
 
@@ -300,7 +301,7 @@ def random_graph(owner, kind, n, ndim, seed):
         return disk, index.nodes, index.node_slack, index.space
     dataset = random_dataset(kind, n, ndim, seed)
     disk = make_disk()
-    index, _ = build_partitioned_index(disk, dataset, "GIPSY")
+    index, _ = GipsyJoin().build_index(disk, dataset)
     return disk, index.pages, index.max_extent, dataset.boxes.mbb()
 
 
@@ -424,7 +425,7 @@ def join_driver(case):
     algo, disk = golden._algorithm(case), make_disk()
     index_a, _ = algo.build_index(disk, golden._pair(case)[0])
     index_b, _ = algo.build_index(disk, golden._pair(case)[1])
-    return core_join._Driver(algo.config, index_a, index_b, algo.name)
+    return core_join._Driver(algo.config, index_a, index_b, JoinStats())
 
 
 def pivot_boxes(driver, g_node):
@@ -521,8 +522,8 @@ class TestDriverTables:
         monkeypatch.setattr(core_join._Driver, "_process_node", spy_process)
         monkeypatch.setattr(core_join, "adaptive_walk", spy_walk)
         monkeypatch.setattr(core_join, "adaptive_crawl", spy_crawl)
-        result = driver.run()
-        assert result.stats.metadata_comparisons == (
+        driver.run()
+        assert driver.stats.metadata_comparisons == (
             golden.GOLDEN[case]["metadata_comparisons"]
         )
         if case != "uniform_3d":

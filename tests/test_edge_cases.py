@@ -8,7 +8,7 @@ these inputs, so they get dedicated coverage.
 
 import numpy as np
 
-from repro.core import TransformersJoin, build_transformers_index
+from repro.core import TransformersJoin
 from repro.geometry.boxes import BoxArray
 from repro.joins import (
     BruteForceJoin,
@@ -140,7 +140,7 @@ class TestTinyDatasets:
         b = make("B", lo_b, lo_b + 0.8, id_offset=10**9)
         expected = oracle(a, b)
         disk = make_disk()
-        index, _ = build_transformers_index(disk, a)
+        index, _ = TransformersJoin().build_index(disk, a)
         assert index.num_nodes == 1
         result, _, _ = run_join(TransformersJoin(), make_disk(), a, b)
         assert result.pair_set() == expected

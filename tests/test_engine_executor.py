@@ -7,6 +7,8 @@ that fails raises, and the executor keeps serving the requests after
 it.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,7 @@ from repro.engine import (
     experiment_disk_model,
 )
 from repro.engine.executor import EXECUTOR_CACHED_INDEXES
-from repro.joins.base import (
-    CostModel,
-    Dataset,
-    JoinStats,
-    SpatialJoinAlgorithm,
-)
+from repro.joins.base import CostModel, Dataset, SpatialJoinAlgorithm
 from repro.joins.pbsm import PBSMJoin
 
 from tests.conftest import dataset_pair, oracle_pairs
@@ -35,10 +32,10 @@ class ExplodingJoin(SpatialJoinAlgorithm):
 
     name = "EXPLODE"
 
-    def build_index(self, disk, dataset):
-        return dataset, JoinStats(algorithm=self.name, phase="index")
+    def _build(self, disk, dataset, stats):
+        return SimpleNamespace(disk=disk)
 
-    def join(self, index_a, index_b):
+    def _join(self, index_a, index_b, stats):
         raise RuntimeError("synthetic join failure")
 
 

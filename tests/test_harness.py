@@ -1,21 +1,21 @@
-"""Tests for the experiment harness (runner, report, experiments)."""
+"""Tests for the experiment harness (runs, report, experiments)."""
 
 import pytest
 
 from repro.core import TransformersJoin
-from repro.engine import pbsm_resolution
+from repro.engine import SpatialWorkspace, pbsm_resolution
 from repro.engine.report import RunReport
 from repro.harness.experiments import EXPERIMENTS, main
 from repro.harness.report import format_series, format_table, speedup
-from repro.harness.runner import geometric_sizes, run_pair, scale_counts
+from repro.harness.runner import scale_counts
 
 from tests.conftest import dataset_pair
 
 
 class TestRunner:
-    def test_run_pair_produces_complete_record(self):
+    def test_a_run_produces_a_complete_record(self):
         a, b = dataset_pair("uniform", 500, 500, seed=101)
-        rec = run_pair(TransformersJoin(), a, b)
+        rec = SpatialWorkspace().join(a, b, TransformersJoin())
         assert isinstance(rec, RunReport)
         assert rec.n_a == 500 and rec.n_b == 500
         assert rec.index_cost > 0
@@ -31,7 +31,7 @@ class TestRunner:
         """Figure 11's footnote: TRANSFORMERS' comparison counts include
         metadata comparisons."""
         a, b = dataset_pair("uniform", 500, 500, seed=102)
-        rec = run_pair(TransformersJoin(), a, b)
+        rec = SpatialWorkspace().join(a, b, TransformersJoin())
         assert rec.intersection_tests == (
             rec.join_stats.intersection_tests
             + rec.join_stats.metadata_comparisons
@@ -41,14 +41,6 @@ class TestRunner:
         assert pbsm_resolution(100) <= pbsm_resolution(100_000)
         assert pbsm_resolution(10) >= 2
         assert pbsm_resolution(10**9) <= 30
-
-    def test_geometric_sizes(self):
-        sizes = geometric_sizes(100, 800, 4)
-        assert sizes[0] == 100 and sizes[-1] == 800
-        assert sizes == sorted(sizes)
-        assert geometric_sizes(5, 100, 1) == [5]
-        with pytest.raises(ValueError):
-            geometric_sizes(1, 2, 0)
 
     def test_scale_counts_floors_at_ten(self):
         assert scale_counts([100, 5], 0.01) == [10, 10]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import SpatialWorkspace
-from repro.joins.gipsy import GipsyJoin, build_partitioned_index
+from repro.joins.gipsy import GipsyJoin
 
 from tests.conftest import dataset_pair, make_disk, oracle_pairs, run_join
 
@@ -41,7 +41,7 @@ class TestIndex:
     def test_partition_bounds_cover_elements_centers(self):
         a, _ = dataset_pair("clustered", 800, 100, seed=25)
         disk = make_disk()
-        index, stats = build_partitioned_index(disk, a, "GIPSY")
+        index, stats = GipsyJoin().build_index(disk, a)
         assert stats.extras["partitions"] == index.num_partitions
         centers = a.boxes.centers()
         # Every element centre lies in some partition's bounds.
@@ -57,7 +57,7 @@ class TestIndex:
 
     def test_neighbor_lists_are_symmetric(self):
         a, _ = dataset_pair("uniform", 900, 100, seed=26)
-        index, _ = build_partitioned_index(make_disk(), a, "GIPSY")
+        index, _ = GipsyJoin().build_index(make_disk(), a)
         for i, ns in enumerate(index.pages.neighbors):
             for j in ns:
                 assert i in index.pages.neighbors[int(j)]
@@ -77,14 +77,6 @@ class TestIndex:
         with pytest.raises(ValueError, match="buffer_pages must be >= 1"):
             ws.join(a, b, algorithm="gipsy", parameters={"buffer_pages": 0})
         assert ws.disk.num_pages == 0
-
-    def test_different_disks_rejected(self):
-        a, b = dataset_pair("uniform", 200, 200)
-        algo = GipsyJoin()
-        ia, _ = algo.build_index(make_disk(), a)
-        ib, _ = algo.build_index(make_disk(), b)
-        with pytest.raises(ValueError, match="same disk"):
-            algo.join(ia, ib)
 
 
 class TestCostShape:

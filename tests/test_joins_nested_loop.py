@@ -34,14 +34,6 @@ class TestBehaviour:
         with pytest.raises(ValueError):
             IndexedNestedLoopJoin(buffer_pages=0)
 
-    def test_different_disks_rejected(self):
-        a, b = dataset_pair("uniform", 200, 200)
-        algo = IndexedNestedLoopJoin()
-        ia, _ = algo.build_index(make_disk(), a)
-        ib, _ = algo.build_index(make_disk(), b)
-        with pytest.raises(ValueError, match="same disk"):
-            algo.join(ia, ib)
-
     def test_probe_cost_scales_with_outer(self):
         """The related-work claim: INL is only sensible when the outer is
         tiny — per-probe tests dominate as the outer grows."""

@@ -52,15 +52,6 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="same grid"):
             PBSMJoin().join(ia, ib)
 
-    def test_different_disks_rejected(self):
-        a, b = dataset_pair("uniform", 300, 300)
-        space = a.boxes.mbb().union(b.boxes.mbb())
-        algo = PBSMJoin(space=space, resolution=4)
-        ia, _ = algo.build_index(make_disk(), a)
-        ib, _ = algo.build_index(make_disk(), b)
-        with pytest.raises(ValueError, match="same disk"):
-            algo.join(ia, ib)
-
 
 class TestIOBehaviour:
     def test_join_reads_are_random(self):

@@ -31,14 +31,6 @@ class TestBehaviour:
         with pytest.raises(ValueError):
             SynchronizedRTreeJoin(buffer_pages=0)
 
-    def test_different_disks_rejected(self):
-        a, b = dataset_pair("uniform", 200, 200)
-        algo = SynchronizedRTreeJoin()
-        ia, _ = algo.build_index(make_disk(), a)
-        ib, _ = algo.build_index(make_disk(), b)
-        with pytest.raises(ValueError, match="same disk"):
-            algo.join(ia, ib)
-
     def test_counts_metadata_comparisons(self):
         """Inner-node MBB tests are the overlap cost the paper blames;
         they must be visible in the stats."""

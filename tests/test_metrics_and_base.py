@@ -16,6 +16,7 @@ from repro.joins.base import (
 )
 from repro.geometry.boxes import BoxArray
 from repro.storage.disk import DiskStats
+from repro.storage.page import ElementPage
 
 
 class TestCostModel:
@@ -71,6 +72,32 @@ class TestDataset:
     def test_rejects_2d_ids(self):
         with pytest.raises(ValueError):
             Dataset("d", np.zeros((2, 2), dtype=np.int64), self._boxes(2))
+
+
+class TestConstructorsLeaveTheCallersArrays:
+    """``BoxArray``, ``ElementPage`` and ``Dataset`` keep read-only
+    arrays of their own without freezing the arrays they were given."""
+
+    def test_writeable_inputs_stay_writeable_and_are_not_aliased(self):
+        ids, lo, hi = np.arange(3), np.zeros((3, 2)), np.ones((3, 2))
+        boxes = BoxArray(lo, hi)
+        built = (boxes.lo, boxes.hi, ElementPage(ids, boxes).ids,
+                 Dataset("d", ids, boxes).ids)
+        assert ids.flags.writeable and lo.flags.writeable and hi.flags.writeable
+        assert not any(own.flags.writeable for own in built)
+        ids[:], lo[:], hi[:] = 7, -1.0, 2.0
+        assert [own.tolist() for own in built] == [
+            [[0.0, 0.0]] * 3, [[1.0, 1.0]] * 3, [0, 1, 2], [0, 1, 2],
+        ]
+
+    def test_read_only_inputs_are_shared(self):
+        ids, lo, hi = np.arange(3), np.zeros((3, 2)), np.ones((3, 2))
+        for array in (ids, lo, hi):
+            array.setflags(write=False)
+        boxes = BoxArray(lo, hi)
+        assert boxes.lo is lo and boxes.hi is hi
+        assert ElementPage(ids, boxes).ids.base is ids
+        assert Dataset("d", ids, boxes).ids is ids
 
 
 @st.composite

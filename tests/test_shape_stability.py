@@ -11,8 +11,7 @@ import pytest
 
 from repro.core import TransformersJoin
 from repro.datagen import scaled_space, uniform_dataset
-from repro.engine import pbsm_resolution
-from repro.harness.runner import run_pair
+from repro.engine import SpatialWorkspace, pbsm_resolution
 from repro.joins import PBSMJoin, SynchronizedRTreeJoin
 
 
@@ -29,7 +28,7 @@ def test_uniform_winner_stable_across_seeds(seed):
         PBSMJoin(space=space, resolution=pbsm_resolution(2 * n)),
         SynchronizedRTreeJoin(),
     ):
-        rec = run_pair(algo, a, b)
+        rec = SpatialWorkspace().join(a, b, algo)
         costs[rec.algorithm] = rec.join_cost
         pairs.add(rec.pairs_found)
     assert len(pairs) == 1, "result sets disagree"
