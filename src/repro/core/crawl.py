@@ -39,8 +39,10 @@ reference).  The visits' metadata pages are read in one
 :meth:`~repro.storage.buffer.BufferPool.read_many` once the crawl ends,
 in visit order: nothing reads in between, so that is the sequence of a
 read per visit.  :func:`candidate_units` is batched the same way: its
-nodes' descriptor pages are read in one run, in node order, and the
-page-MBB filter runs once over all their units.
+nodes' descriptor pages are read in one run, in node order, and its
+page-MBB filter looks its units up in the pivot's row of
+:func:`unit_masks` (the join stacks every guide node again; a range
+query computes its one row).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from repro._types import BoolArray, FloatArray, IntArray
 
-from repro.core.descriptors import DescriptorGraph
+from repro.core.descriptors import DescriptorGraph, UnitDescriptorBlock
 from repro.core.indexing import TransformersIndex
 from repro.joins.base import JoinStats
 from repro.storage.buffer import BufferPool
@@ -131,29 +133,52 @@ def adaptive_crawl(
     return candidates
 
 
+def unit_masks(
+    units: UnitDescriptorBlock,
+    e_lo: FloatArray,
+    e_hi: FloatArray,
+    include: BoolArray,
+) -> BoolArray:
+    """Does each unit's page MBB meet the pivot box ``e``?
+
+    ``include`` is the pivot's row of :func:`crawl_masks` over the
+    units' nodes (a ``(k, d)`` stack of pivots passes its ``(k, nodes)``
+    table and gets a ``(k, len(units))`` one).  A unit's page MBB lies
+    inside its node's MBB, so only the units of included nodes are
+    tested; every other unit's answer is ``False`` without a test.
+    """
+    table = np.atleast_2d(include).take(units.parent_node, axis=1)
+    tested = np.flatnonzero(table)
+    pivot, member = np.divmod(tested, len(units))
+    table.ravel()[tested] = boxes_overlap(
+        units.page_lo.take(member, axis=0),
+        units.page_hi.take(member, axis=0),
+        np.atleast_2d(e_lo).take(pivot, axis=0),
+        np.atleast_2d(e_hi).take(pivot, axis=0),
+    )
+    hit: BoolArray = table.reshape(include.shape[:-1] + (len(units),))
+    return hit
+
+
 def candidate_units(
     index: TransformersIndex,
     nodes: list[int],
-    q_lo: FloatArray,
-    q_hi: FloatArray,
+    unit_hit: BoolArray,
     stats: JoinStats,
     pool: BufferPool,
 ) -> IntArray:
     """Units of the given nodes whose page MBB intersects the query box.
 
     Reads each node's unit-descriptor page (charged through the pool)
-    and filters its units' page MBBs — the "filters elements before the
-    in-memory join" step of Section V.
+    and filters its units by their page MBBs — the "filters elements
+    before the in-memory join" step of Section V — counting one
+    comparison per unit; the outcome of each is ``unit_hit``, the query
+    box's row of :func:`unit_masks`.
     """
     if not nodes:
         return np.empty(0, dtype=np.intp)
     pool.read_many(index.nodes.desc_page_ids[nodes].tolist())
-    members = np.concatenate([index.nodes.units[node] for node in nodes])
+    members = np.concatenate(list(map(index.nodes.units.__getitem__, nodes)))
     stats.metadata_comparisons += len(members)
-    hit = boxes_overlap(
-        index.units.page_lo.take(members, axis=0),
-        index.units.page_hi.take(members, axis=0),
-        q_lo,
-        q_hi,
-    )
-    return members[hit]
+    found: IntArray = members.compress(unit_hit.take(members))
+    return found

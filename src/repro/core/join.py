@@ -24,20 +24,25 @@ The join finishes when one dataset has no unchecked nodes left — every
 result pair (x, y) was reported while processing whichever of x's or
 y's node was checked first, so completeness follows by induction.
 
-What steps 1 and 3 compare depends only on the pivot node and the
-follower's nodes, never on the order of exploration, so the driver
-computes it per *direction* (which dataset guides): one (guide nodes x
-follower nodes) table of partition distances for the walk and two of
-``include`` / ``expand`` booleans for the crawl, when the direction's
-first pivot needs them.  Each walk and crawl then takes its pivot's
-rows and only looks values up; the visits, the metadata comparisons
-and the descriptor reads are those of a per-pivot computation.  Tables
-beyond ``_TABLE_CELLS`` cells are computed in aligned blocks of pivot
-rows.
+What steps 1, 3 and 4 compare depends only on the pivot node and the
+follower's nodes and units, never on the order of exploration, so the
+driver computes it per *direction* (which dataset guides): one (guide
+nodes x follower nodes) table of partition distances for the walk, two
+of ``include`` / ``expand`` booleans for the crawl and one (guide nodes
+x follower units) table of page-MBB hits for step 4's unit filter
+(:func:`~repro.core.crawl.unit_masks`, which tests only the units of
+included nodes), when the direction's first pivot needs them.  Each
+walk, crawl and unit filter then takes its pivot's rows and only looks
+values up; the visits, the metadata comparisons and the descriptor
+reads are those of a per-pivot computation.  Tables beyond
+``_TABLE_CELLS`` cells of the unit table are computed in aligned
+blocks of pivot rows.
 
 The queue of step 4 runs as one segmented kernel launch
 (:func:`~repro.joins.grid_hash.grid_hash_join_segments`) whenever it
-holds ``_QUEUE_ROW_BUDGET`` element rows and when the exploration ends.
+holds ``_QUEUE_ROW_BUDGET`` element rows and when the exploration ends;
+its rows are gathered straight into the kernel's ``(d, n)`` column
+layout (:meth:`~repro.storage.page.ElementPage.gather_columns`).
 No decision waits for a comparison: the thresholds are fed exploration
 cost, page reads and filter fractions, never intersection tests or
 pairs; every page is still read where it was; and every pair is still
@@ -46,7 +51,8 @@ working memory of the in-memory join, like the kernel's own arrays, and
 charges no simulated I/O.  It holds row ranges of the pages' runs, not
 pages: a split pivot queues all its units' segments — a unit batch, or
 one one-box segment per (element, page) hit of a split unit — as one
-batch, cut where one segment at a time would have launched the queue.
+batch, cut where one segment at a time would have launched the queue;
+a node batch is always one segment and skips the cutting.
 
 Every page is read through the pool's one read body,
 :meth:`~repro.storage.buffer.BufferPool.read_many`, a run of ids per
@@ -54,9 +60,11 @@ call: the reads a loop of single reads would make, in its order, with
 nothing between them that reads.  A node batch reads its guide and
 follower pages as one run; a unit split makes two runs (its guide
 pages, then its follower pages, each unit's own page and its joins in
-plan order), its plan is array-wise — one cross test, one sum per
-unit for the mean candidate volume, one comparison with ``t_so`` for
-all units — and only a split unit's element test loops.
+plan order), its plan, read list and segments are array-wise — one
+cross test, one sum per unit for the mean candidate volume, one
+comparison with ``t_so`` for all units, one scatter of the units' own
+pages among the pages they join — and only a split unit's element
+test loops.
 
 Cost attribution (Figure 14): all descriptor/metadata page I/O and
 metadata comparisons are *adaptive exploration overhead*; element-page
@@ -77,7 +85,12 @@ import numpy as np
 from repro._types import BoolArray, FloatArray, IntArray
 
 from repro.core.config import TransformersConfig
-from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
+from repro.core.crawl import (
+    adaptive_crawl,
+    candidate_units,
+    crawl_masks,
+    unit_masks,
+)
 from repro.core.indexing import TransformersIndex, build_transformers_index
 from repro.core.transformations import ThresholdController
 from repro.core.walk import adaptive_walk, partition_distances
@@ -89,6 +102,7 @@ from repro.joins.base import (
     JoinStats,
     SpatialJoinAlgorithm,
 )
+from repro.geometry.boxes import BoxArray
 from repro.joins.grid_hash import grid_hash_join_segments
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -103,14 +117,16 @@ _EPS_VOLUME = 1e-9
 #: Queued element rows (both sides) at which the queue is launched.
 _QUEUE_ROW_BUDGET = 16_384
 
-#: Cells of one direction's exploration tables computed at a time: all
-#: of them while (guide nodes x follower nodes) stays below it, else
-#: aligned blocks of pivot rows.
+#: Cells of one direction's unit table (the widest exploration table)
+#: computed at a time: all of them while (guide nodes x follower units)
+#: stays below it, else aligned blocks of pivot rows.
 _TABLE_CELLS = 1 << 16
 
 #: One direction's tables for the guide nodes ``first, first + 1, ...``:
-#: ``(first, distance rows, include rows, expand rows)``.
-_Tables = tuple[int, list[list[float]], list[list[bool]], list[list[bool]]]
+#: ``(first, distance rows, include rows, expand rows, unit rows)``.
+_Tables = tuple[
+    int, list[list[float]], list[list[bool]], list[list[bool]], BoolArray
+]
 
 
 def _cross_hits(
@@ -375,7 +391,7 @@ class _Driver:
     def _process_node(self, g_node: int, allow_role: bool) -> None:
         follower = 1 - self.guide
         follower_idx = self.indexes[follower]
-        distance, include, expand = self._exploration_rows(g_node)
+        distance, include, expand, unit_hit = self._exploration_rows(g_node)
 
         start = self._walk_start(g_node)
         found = self._explore(
@@ -419,32 +435,35 @@ class _Driver:
         if decision.action == "split":
             self.splits_to_unit += 1
             self.thresholds.note_transformation()
-            self._process_units(g_node, cand_nodes)
+            self._process_units(g_node, cand_nodes, unit_hit)
         else:
-            self._process_node_batch(g_node, cand_nodes)
+            self._process_node_batch(g_node, cand_nodes, unit_hit)
         self._mark_checked(self.guide, g_node)
 
     def _exploration_rows(
         self, g_node: int
-    ) -> tuple[list[float], list[bool], list[bool]]:
+    ) -> tuple[list[float], list[bool], list[bool], BoolArray]:
         """The pivot's rows of the current direction's tables: follower
         node distances for the walk, ``include`` / ``expand`` for the
-        crawl.  A direction's tables are computed when its first pivot
-        needs them (a direction the join never takes costs nothing)."""
+        crawl, and which follower units' page MBBs meet the pivot for
+        :func:`candidate_units`.  A direction's tables are computed when
+        its first pivot needs them (a direction the join never takes
+        costs nothing)."""
         tables = self.tables[self.guide]
         if tables is None or not 0 <= g_node - tables[0] < len(tables[1]):
             tables = self.tables[self.guide] = self._compute_tables(g_node)
-        first, distance, include, expand = tables
+        first, distance, include, expand, units = tables
         k = g_node - first
-        return distance[k], include[k], expand[k]
+        return distance[k], include[k], expand[k], units[k]
 
     def _compute_tables(self, g_node: int) -> _Tables:
         """The block of the current direction's tables holding ``g_node``:
         pivot boxes are the guide nodes' MBBs, enlarged by the follower's
-        node slack for the walk and the crawl's expansion."""
+        node slack for the walk and the crawl's expansion.  The unit
+        table is the widest, so it sets the block's rows."""
         guide_nodes = self.indexes[self.guide].nodes
         follower_idx = self.indexes[1 - self.guide]
-        rows = max(1, _TABLE_CELLS // max(follower_idx.num_nodes, 1))
+        rows = max(1, _TABLE_CELLS // max(follower_idx.num_units, 1))
         first = g_node - g_node % rows
         e_lo = guide_nodes.mbb_lo[first : first + rows]
         e_hi = guide_nodes.mbb_hi[first : first + rows]
@@ -457,6 +476,7 @@ class _Driver:
             partition_distances(follower_nodes, g_lo, g_hi).tolist(),
             include.tolist(),
             expand.tolist(),
+            unit_masks(follower_idx.units, e_lo, e_hi, include),
         )
 
     def _walk_start(self, g_node: int) -> int:
@@ -484,12 +504,10 @@ class _Driver:
     # Batch (node-granularity) join — Transform "none"
     # ------------------------------------------------------------------
     def _process_node_batch(
-        self, g_node: int, cand_nodes: list[int]
+        self, g_node: int, cand_nodes: list[int], unit_hit: BoolArray
     ) -> None:
         guide_idx = self.indexes[self.guide]
         follower_idx = self.indexes[1 - self.guide]
-        e_lo = guide_idx.nodes.mbb_lo[g_node]
-        e_hi = guide_idx.nodes.mbb_hi[g_node]
 
         # Unit descriptors of the pivot node (one descriptor page).
         self._read_descriptor_page(guide_idx.nodes.desc_page_ids[g_node])
@@ -498,7 +516,7 @@ class _Driver:
         # Candidate units of the follower, filtered by the pivot's MBB.
         f_units = self._explore(
             candidate_units,
-            follower_idx, cand_nodes, e_lo, e_hi, self.stats, self.meta_pool,
+            follower_idx, cand_nodes, unit_hit, self.stats, self.meta_pool,
         )
         if f_units.size == 0:
             return
@@ -507,10 +525,10 @@ class _Driver:
         # "additionally filters elements before the in-memory join").
         self.stats.metadata_comparisons += len(g_units) * len(f_units)
         hits = _cross_hits(
-            guide_idx.units.page_lo[g_units],
-            guide_idx.units.page_hi[g_units],
-            follower_idx.units.page_lo[f_units],
-            follower_idx.units.page_hi[f_units],
+            guide_idx.units.page_lo.take(g_units, axis=0),
+            guide_idx.units.page_hi.take(g_units, axis=0),
+            follower_idx.units.page_lo.take(f_units, axis=0),
+            follower_idx.units.page_hi.take(f_units, axis=0),
         )
         g_keep = hits.any(axis=1)
         f_keep = hits.any(axis=0)
@@ -525,19 +543,29 @@ class _Driver:
         # pages, so sorted access turns most of these reads sequential.
         g_page_ids = np.sort(guide_idx.units.element_page_ids[g_units[g_keep]])
         f_page_ids = np.sort(follower_idx.units.element_page_ids[f_units[f_keep]])
-        pages = self._read_data([*g_page_ids.tolist(), *f_page_ids.tolist()])
+        pages = self._read_data(np.concatenate((g_page_ids, f_page_ids)).tolist())
         self._join_pages(pages[: len(g_page_ids)], pages[len(g_page_ids) :])
 
     def _join_pages(
         self, g_pages: list[ElementPage], f_pages: list[ElementPage]
     ) -> None:
-        """Queue the grid hash join between two page groups."""
-        self._enqueue(
-            ElementPage.row_ranges(g_pages),
-            ElementPage.row_ranges(f_pages),
-            np.array([len(g_pages)]),
-            np.array([len(f_pages)]),
-        )
+        """Queue the grid hash join between two page groups: a batch of
+        one segment, dropped when a side has no row."""
+        g, f = ElementPage.row_ranges(g_pages), ElementPage.row_ranges(f_pages)
+        g_rows, f_rows = (g[2] - g[1]).sum(keepdims=True), (f[2] - f[1]).sum(keepdims=True)
+        if g_rows[0] and f_rows[0]:
+            self._queue(g, f, g_rows, f_rows, int(g_rows[0] + f_rows[0]))
+
+    def _queue(
+        self, g: RowRanges, f: RowRanges, g_rows: IntArray, f_rows: IntArray,
+        rows: int,
+    ) -> None:
+        """Append a batch of ``rows`` element rows to the queue; launch
+        the queue once it holds the budget."""
+        self.queue.append((g, f, g_rows, f_rows, self.guide))
+        self.queued_rows += rows
+        if self.queued_rows >= _QUEUE_ROW_BUDGET:
+            self._flush_queue()
 
     def _enqueue(
         self, g: RowRanges, f: RowRanges, g_per: IntArray, f_per: IntArray
@@ -559,18 +587,13 @@ class _Driver:
             queued = (g_rows[start:] + f_rows[start:]).cumsum()
             cut = int(queued.searchsorted(_QUEUE_ROW_BUDGET - self.queued_rows))
             stop = start + min(cut + 1, n - start)
-            self.queue.append(
-                (
-                    _slice(g, g_ends[start], g_ends[stop]),
-                    _slice(f, f_ends[start], f_ends[stop]),
-                    g_rows[start:stop],
-                    f_rows[start:stop],
-                    self.guide,
-                )
+            self._queue(
+                _slice(g, g_ends[start], g_ends[stop]),
+                _slice(f, f_ends[start], f_ends[stop]),
+                g_rows[start:stop],
+                f_rows[start:stop],
+                int(queued[stop - start - 1]),
             )
-            self.queued_rows += int(queued[stop - start - 1])
-            if self.queued_rows >= _QUEUE_ROW_BUDGET:
-                self._flush_queue()
             start = stop
 
     def _flush_queue(self) -> None:
@@ -579,12 +602,14 @@ class _Driver:
         if not self.queue:
             return
         g_side, f_side, g_rows, f_rows, guides = zip(*self.queue)
-        g_ids, g_boxes = ElementPage.gather_ranges(g_side)
-        f_ids, f_boxes = ElementPage.gather_ranges(f_side)
+        # Gathered straight into the kernel's ``(d, n)`` column layout;
+        # the boxes are ``(n, d)`` views of the columns.
+        g_ids, g_lo, g_hi = ElementPage.gather_columns(g_side)
+        f_ids, f_lo, f_hi = ElementPage.gather_columns(f_side)
         g_counts, f_counts = np.concatenate(g_rows), np.concatenate(f_rows)
         idx, groups, tests = grid_hash_join_segments(
-            g_boxes,
-            f_boxes,
+            BoxArray.trusted(g_lo.T, g_hi.T),
+            BoxArray.trusted(f_lo.T, f_hi.T),
             np.concatenate(([0], np.cumsum(g_counts))),
             np.concatenate(([0], np.cumsum(f_counts))),
         )
@@ -594,9 +619,9 @@ class _Driver:
         # ``int``: the stats are dumped as JSON and pickled between tiers.
         self.stats.intersection_tests += int(tests.sum())
         if idx.size:
-            from_guide = np.take(g_ids, idx[:, 0])
-            from_follower = np.take(f_ids, idx[:, 1])
-            swap = np.take(guided_by_b, groups)
+            from_guide = g_ids.take(idx[:, 0])
+            from_follower = f_ids.take(idx[:, 1])
+            swap = guided_by_b.take(groups)
             a_ids = np.where(swap, from_follower, from_guide)
             b_ids = np.where(swap, from_guide, from_follower)
             self.out.append(np.column_stack((a_ids, b_ids)))
@@ -604,7 +629,9 @@ class _Driver:
     # ------------------------------------------------------------------
     # Unit- and element-granularity processing — Transform "split"
     # ------------------------------------------------------------------
-    def _process_units(self, g_node: int, cand_nodes: list[int]) -> None:
+    def _process_units(
+        self, g_node: int, cand_nodes: list[int], unit_hit: BoolArray
+    ) -> None:
         """Join the pivot unit by unit, and element by element where a
         unit is much denser than its candidates.
 
@@ -618,25 +645,25 @@ class _Driver:
         follower pages (a sorted prefetch of every page some planned
         unit or split element needs, then, unit by unit in plan order,
         the unit's own page and the follower pages it joins) — the
-        order in which a unit-at-a-time loop reads them.
+        order in which a unit-at-a-time loop reads them.  Only the
+        split units' element tests loop; the plan, the read list and
+        the queued segments are built array-wise over all units.
         """
         guide_idx = self.indexes[self.guide]
         follower_idx = self.indexes[1 - self.guide]
-        e_lo = guide_idx.nodes.mbb_lo[g_node]
-        e_hi = guide_idx.nodes.mbb_hi[g_node]
 
         self._read_descriptor_page(guide_idx.nodes.desc_page_ids[g_node])
         g_units = guide_idx.nodes.units[g_node]
 
         f_units = self._explore(
             candidate_units,
-            follower_idx, cand_nodes, e_lo, e_hi, self.stats, self.meta_pool,
+            follower_idx, cand_nodes, unit_hit, self.stats, self.meta_pool,
         )
         if f_units.size == 0:
             return
-        f_lo = follower_idx.units.page_lo[f_units]
-        f_hi = follower_idx.units.page_hi[f_units]
-        f_page_of = follower_idx.units.element_page_ids[f_units]
+        f_lo = follower_idx.units.page_lo.take(f_units, axis=0)
+        f_hi = follower_idx.units.page_hi.take(f_units, axis=0)
+        f_page_of = follower_idx.units.element_page_ids.take(f_units)
 
         # Phase 1 — plan, metadata only: the guide units whose page MBB
         # meets a candidate's, each one's candidates (its row of
@@ -644,8 +671,8 @@ class _Driver:
         # mean volume of its candidates.  Each mean is NumPy's sum of
         # the unit's own run of candidate volumes over their count, the
         # float a per-unit ``mean`` gives.
-        u_lo = guide_idx.units.page_lo[g_units]
-        u_hi = guide_idx.units.page_hi[g_units]
+        u_lo = guide_idx.units.page_lo.take(g_units, axis=0)
+        u_hi = guide_idx.units.page_hi.take(g_units, axis=0)
         self.stats.metadata_comparisons += len(g_units) * len(f_units)
         hits = _cross_hits(u_lo, u_hi, f_lo, f_hi)
         planned = hits.any(axis=1).nonzero()[0]
@@ -670,9 +697,9 @@ class _Driver:
 
         # Phase 2 — the guide pages: a sorted (sequential) prefetch,
         # then the split units' pages, whose elements phase 3 tests.
-        g_page_ids = guide_idx.units.element_page_ids[g_units[planned]].tolist()
+        g_page_ids = guide_idx.units.element_page_ids[g_units[planned]]
         split_pages = self._read_data(
-            [*sorted(g_page_ids), *[g_page_ids[k] for k in splits]]
+            np.concatenate((np.sort(g_page_ids), g_page_ids[splits])).tolist()
         )[len(g_page_ids) :]
 
         # Phase 3 — exactly which follower pages are needed.  A unit
@@ -684,7 +711,9 @@ class _Driver:
         # the whole page).  ``nonzero`` lists the (element, unit) hits
         # element by element, units ascending.
         needed = set(f_page_of[cand[~split].any(axis=0)].tolist())
-        elements: dict[int, tuple[IntArray, list[int]]] = {}
+        joins = counts.copy()
+        e_hits: list[IntArray] = []
+        e_pages: list[IntArray] = []
         for k, g_page in zip(splits, split_pages):
             columns = cand[k].nonzero()[0]
             boxes = g_page.boxes
@@ -698,45 +727,50 @@ class _Driver:
             e_hit, u_hit = element_hits[:, touched].nonzero()
             touched_pages = f_page_of[columns[touched]]
             needed.update(touched_pages.tolist())
-            elements[k] = e_hit, touched_pages[u_hit].tolist()
+            e_hits.append(e_hit)
+            e_pages.append(touched_pages[u_hit])
+            joins[k] = len(e_hit)
 
         # Phase 4 — the follower pages: a sorted prefetch, then each
         # planned unit's own page and the pages it joins, in plan order
-        # (pool hits unless the prefetch evicted them).
-        reads = sorted(needed)
-        prefetched = len(reads)
-        for k, g_page_id in enumerate(g_page_ids):
-            reads.append(g_page_id)
-            if k in elements:
-                reads += elements[k][1]
-            else:
-                reads += sorted(f_page_of[cand[k]].tolist())
-        pages = self._read_data(reads)[prefetched:]
+        # (pool hits unless the prefetch evicted them): a unit batch
+        # its candidates' pages ascending (its row of ``cand`` with the
+        # columns in page order), a split unit its elements' pages.
+        # ``joins[k]`` follower pages follow unit ``k``'s own page.
+        by_page = f_page_of.argsort()
+        _, column = cand[~split][:, by_page].nonzero()
+        to_follower = np.repeat(split, joins)
+        follower_reads = np.empty(len(to_follower), dtype=f_page_of.dtype)
+        follower_reads[~to_follower] = f_page_of[by_page[column]]
+        if splits:
+            follower_reads[to_follower] = np.concatenate(e_pages)
+        own = np.arange(len(planned)) + (joins.cumsum() - joins)
+        is_own = np.zeros(len(planned) + len(follower_reads), dtype=bool)
+        is_own[own] = True
+        reads = np.empty(len(is_own), dtype=f_page_of.dtype)
+        reads[own] = g_page_ids
+        reads[~is_own] = follower_reads
+        prefetch = sorted(needed)
+        pages = self._read_data([*prefetch, *reads.tolist()])[len(prefetch) :]
 
         # Phase 5 — queue every planned unit's segments as one batch:
-        # each segment has one guide range, the unit's page or one of
-        # its elements.
-        g_side: list[RowRanges] = []
-        f_pages: list[ElementPage] = []
-        f_per: list[IntArray | list[int]] = []
-        first = 0
-        for k, rows in enumerate(counts.tolist()):
-            g_page = pages[first]
-            if k in elements:
-                g_side.append(g_page.element_ranges(elements[k][0]))
-                rows = len(elements[k][1])
-                f_per.append(np.ones(rows, dtype=np.intp))
-            else:
-                g_side.append(ElementPage.row_ranges([g_page]))
-                f_per.append([rows])
-            f_pages += pages[first + 1 : first + 1 + rows]
-            first += 1 + rows
-        g = ElementPage.concat_ranges(g_side)
+        # each segment has one guide range, the unit's page (joining
+        # all its follower pages) or one of its elements (joining one).
+        g_pages = list(map(pages.__getitem__, own.tolist()))
+        _, g_starts, g_stops = ElementPage.row_ranges(g_pages)
+        unit = np.repeat(np.arange(len(planned)), np.where(split, joins, 1))
+        starts, stops = g_starts[unit], g_stops[unit]
+        f_per = joins[unit]
+        if splits:
+            element = split[unit]
+            starts[element] += np.concatenate(e_hits)
+            stops[element] = starts[element] + 1
+            f_per[element] = 1
         self._enqueue(
-            g,
-            ElementPage.row_ranges(f_pages),
-            np.ones(len(g[0]), dtype=np.intp),
-            np.concatenate(f_per),
+            (list(map(g_pages.__getitem__, unit.tolist())), starts, stops),
+            ElementPage.row_ranges(list(compress(pages, (~is_own).tolist()))),
+            np.ones(len(unit), dtype=np.intp),
+            f_per,
         )
 
 

@@ -19,7 +19,12 @@ import numpy as np
 
 from repro._types import IntArray
 
-from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
+from repro.core.crawl import (
+    adaptive_crawl,
+    candidate_units,
+    crawl_masks,
+    unit_masks,
+)
 from repro.core.indexing import TransformersIndex
 from repro.core.walk import adaptive_walk, partition_distances
 from repro.geometry.box import Box
@@ -91,7 +96,8 @@ def range_query(
     nodes = adaptive_crawl(
         graph, found, include.tolist(), expand.tolist(), stats, pool
     )
-    units = candidate_units(index, nodes, e_lo, e_hi, stats, pool)
+    hit = unit_masks(index.units, e_lo, e_hi, include)
+    units = candidate_units(index, nodes, hit, stats, pool)
     pages, _ = pool.read_many(
         np.sort(index.units.element_page_ids[units]).tolist(), ElementPage
     )

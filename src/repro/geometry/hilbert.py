@@ -26,6 +26,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.geometry.box import Box
+from repro.vectorize import columns
 
 
 def _axes_to_transpose(coords: list[int], bits: int) -> list[int]:
@@ -161,44 +162,72 @@ def quantize(points: np.ndarray, space: Box, bits: int) -> np.ndarray:
     return lattice
 
 
-#: Points at which the array transform overtakes the scalar loop: one
-#: round of array operations costs about as much as 20 scalar keys
-#: (d = 3, ``bits`` 10 and 21).
-_ARRAY_MIN_POINTS = 20
+#: Points at which the bit-sliced transform overtakes the scalar loop:
+#: it costs about as much as 5 scalar keys whatever the point count
+#: (min of 2 000, d = 2 and 3 at ``bits`` 10, d = 3 at 21: level at
+#: 4–5 points; 12 points, a serve-sized index's nodes, 115 µs scalar
+#: against 51 µs, and 48 nodes 470 against 60).
+_ARRAY_MIN_POINTS = 5
 
 
 def _lattice_to_index(lattice: np.ndarray, bits: int) -> np.ndarray:
     """:func:`hilbert_index` of every row of an ``(n, d)`` lattice array.
 
-    Skilling's AxestoTranspose runs as in the scalar form, one array
-    operation per step; the Gray-code fix-up and the interleave are
-    integer-exact rearrangements of the scalar loops (a prefix XOR, one
-    shift-and-sum over every (axis, bit)), so every key is equal.
+    Bit-sliced: bit ``b`` of axis ``i`` of every point is one Python
+    integer ``w[i][b]`` whose bit ``j`` is point ``j``'s, so each step of
+    Skilling's transform is a few integer operations over all points at
+    once, whatever ``n`` is (``d * bits`` words in, ``d * bits`` out,
+    one NumPy pack and unpack).  The per-point branch — flip the low
+    bits of ``x[0]`` where ``x[i]`` has bit ``q``, else swap them with
+    ``x[i]``'s — becomes a mask; the Gray-code fix-up is a suffix XOR
+    of the last word's bits; the interleave only renumbers the words.
+    Every key is the scalar transform's.
     """
-    ndim = lattice.shape[1]
-    x = [lattice[:, i].copy() for i in range(ndim)]
-    # Inverse undo excess work.
-    q = 1 << (bits - 1)
-    while q > 1:
-        p = q - 1
-        for i in range(ndim):
-            high = (x[i] & q) != 0
-            t = np.where(high, 0, (x[0] ^ x[i]) & p)
-            x[0] ^= np.where(high, p, t)
-            x[i] ^= t
-        q >>= 1
-    # Gray encode; bit j of ``t`` is the parity of the last word's bits
-    # above j, the XOR the scalar loop accumulates one ``q`` at a time.
+    n, ndim = lattice.shape
+    planes = (columns(lattice)[:, None, :] >> np.arange(bits)[:, None]) & 1
+    packed = np.packbits(planes.astype(np.uint8), axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    raw = packed.tobytes()
+    words = [
+        int.from_bytes(raw[start : start + width], "little")
+        for start in range(0, len(raw), width)
+    ]
+    w = [words[i * bits : (i + 1) * bits] for i in range(ndim)]
+    x0 = w[0]
+    # Inverse undo excess work, q = 2**s from the top bit down.
+    for s in range(bits - 1, 0, -1):
+        high = x0[s]
+        for b in range(s):
+            x0[b] ^= high
+        for xi in w[1:]:
+            high = xi[s]
+            low = ~high
+            for b in range(s):
+                t = (x0[b] ^ xi[b]) & low
+                x0[b] ^= high | t
+                xi[b] ^= t
+    # Gray encode; bit b of the scalar ``t`` is the parity of the last
+    # word's bits above b.
     for i in range(1, ndim):
-        x[i] ^= x[i - 1]
-    t = x[ndim - 1] >> 1
-    for shift in (1, 2, 4, 8, 16, 32):
-        t ^= t >> shift
-    words = np.stack(x) ^ t
+        for b in range(bits):
+            w[i][b] ^= w[i - 1][b]
+    last, t = w[ndim - 1], 0
+    for b in range(bits - 1, -1, -1):
+        flip, t = t, t ^ last[b]
+        for xi in w:
+            xi[b] ^= flip
     # Bit b of word i lands at position b * ndim + (ndim - 1 - i).
-    planes = (words[:, :, None] >> np.arange(bits)) & 1
-    shifts = np.arange(bits) * ndim + np.arange(ndim - 1, -1, -1)[:, None]
-    index: np.ndarray = (planes << shifts[:, None, :]).sum(axis=(0, 2))
+    ordered = b"".join(
+        w[ndim - 1 - k % ndim][k // ndim].to_bytes(width, "little")
+        for k in range(bits * ndim)
+    )
+    key_planes = np.unpackbits(
+        np.frombuffer(ordered, dtype=np.uint8).reshape(bits * ndim, width),
+        axis=1, count=n, bitorder="little",
+    )
+    index: np.ndarray = (
+        key_planes.astype(np.int64) << np.arange(bits * ndim)[:, None]
+    ).sum(axis=0)
     return index
 
 
@@ -211,9 +240,9 @@ def hilbert_index_batch(points: np.ndarray, space: Box, bits: int = 10) -> np.nd
 
     Returns an ``(n,)`` ``uint64``-compatible integer array (``object``
     dtype is avoided by capping ``bits * ndim`` at 63).  Fewer than
-    ``_ARRAY_MIN_POINTS`` points (the walk's start lookup, the node
-    centres of a small index) take the scalar transform point by point;
-    more take the array form, whose cost barely grows with ``n``.
+    ``_ARRAY_MIN_POINTS`` points (the walk's start lookup) take the
+    scalar transform point by point; more take the bit-sliced form,
+    whose cost barely grows with ``n``.
     """
     lattice = quantize(points, space, bits)
     ndim = lattice.shape[1]

@@ -29,9 +29,13 @@ recursion *level* at a time: all slabs of one axis are sorted together
 (stably by coordinate, then stably by slab — the order
 ``lexsort((coordinate, slab))`` gives) and cut with array arithmetic,
 so the cost is a few NumPy calls per axis, not per slab: the centres
-are transposed once, so each axis' keys are one contiguous ``take``, and
+are transposed once, so each axis' keys are one contiguous ``take``;
 the first axis, whose one slab is all the points, skips the by-slab
-sort, which would leave its order as it is.
+sort, which would leave its order as it is; and the position key of
+runs that already fit (``split[group]``, ``arange``, ``where``) is
+built only on an axis where some run does fit — on a 12 000-element
+build with 18 elements a page every run of every axis splits, so none
+is built.
 A slab's points stay one contiguous run of the permutation and slabs
 keep their left-to-right positions, so the tiles — read off the final
 permutation front to back — come out in the same depth-first order,
@@ -112,17 +116,21 @@ def str_tiling(
         split = sizes > capacity
         if not split.any():
             break
-        # The narrowest dtype that holds the slab ids: NumPy's stable
-        # sort is a radix sort for <= 16-bit integers.
-        ids = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes)))
-        group = np.repeat(ids, sizes)
-        # Runs that already fit are finished tiles and keep their order:
-        # their key is their position.
-        key = np.where(split[group], coordinates[axis].take(order), np.arange(n))
-        perm = _stable_argsort(key)
+        key = coordinates[axis].take(order)
         if len(sizes) > 1:
+            # The narrowest dtype that holds the slab ids: NumPy's stable
+            # sort is a radix sort for <= 16-bit integers.
+            ids = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes)))
+            group = np.repeat(ids, sizes)
+            if not split.all():
+                # Runs that already fit are finished tiles and keep
+                # their order: their key is their position.
+                key = np.where(split[group], key, np.arange(n))
+            perm = _stable_argsort(key)
             # Slabs stay in place: one group is sorted already.
             perm = perm.take(group.take(perm).argsort(kind="stable"))
+        else:
+            perm = _stable_argsort(key)
         order = order.take(perm)
         coord = key.take(perm)
         if axis == ndim - 1:

@@ -42,9 +42,10 @@ def enlarged_dataset(dataset: Dataset, distance: float) -> Dataset:
     the way ``f"{name}+{distance}"`` allowed.  That one hash is also
     the copy's :attr:`~repro.joins.base.Dataset.fingerprint`.
 
-    The copy owns its arrays, ids included: a workspace memoises it, and
-    a view of an attached shared-memory dataset would keep the segment
-    mapped for as long as the memo entry lives.
+    The copy owns its arrays, ids included (one copy, which the copy's
+    ``Dataset`` shares): a workspace memoises it, and a view of an
+    attached shared-memory dataset would keep the segment mapped for as
+    long as the memo entry lives.
     """
     if distance < 0:
         raise ValueError("distance must be non-negative")
@@ -54,9 +55,12 @@ def enlarged_dataset(dataset: Dataset, distance: float) -> Dataset:
         dataset.boxes.lo - distance, dataset.boxes.hi + distance
     )
     fingerprint = content_fingerprint(dataset.ids, boxes.lo, boxes.hi)
+    # Frozen before construction, so ``Dataset`` shares this one copy.
+    ids = dataset.ids.copy()
+    ids.setflags(write=False)
     grown = Dataset(
         name=f"{dataset.name}+{distance:g}#{fingerprint[:12]}",
-        ids=dataset.ids.copy(),
+        ids=ids,
         boxes=boxes,
     )
     object.__setattr__(grown, "fingerprint", fingerprint)

@@ -27,8 +27,10 @@ assignment rows, which the kernel tests check beside the pair set.
 Two entry points, two bodies, on measurement.  A launch of
 :func:`grid_hash_join_segments` is array-sized (TRANSFORMERS queues
 ≈ 16 k element rows, ≈ 36 k candidate tests) and so bandwidth-bound:
-its body is *axis-major* — inputs transposed once
-(:func:`repro.vectorize.columns`), per-axis cell indices, the
+its body is *axis-major* — inputs in ``(d, n)`` column layout
+(:func:`repro.vectorize.columns`: a view for the TRANSFORMERS queue,
+which gathers its rows straight into columns, one transpose for
+row-major callers), per-axis cell indices, the
 mixed-radix counter decoded only where it is not 0 (65 % of the boxes
 lie in one cell), candidates tested an axis at a time with the
 survivors compacted in between (27 % / 7 % / 1.4 % of a join's 106 k
@@ -225,8 +227,10 @@ def grid_hash_join_segments(
     (``x - lo``, ``/ size``, ``floor``, clamp), so equal to
     :func:`grid_hash_join_per_segment` byte for byte.
 
-    The body is axis-major (see the module docstring): inputs are
-    transposed once, each box's cell block comes from per-axis index
+    The body is axis-major (see the module docstring): inputs are read
+    as ``(d, n)`` columns (free when their bounds are views of columns,
+    as :meth:`~repro.storage.page.ElementPage.gather_columns` makes
+    them; one transpose otherwise), each box's cell block comes from per-axis index
     rows, and a candidate is tested one axis at a time, only the
     survivors of an axis reaching the next.
     """
@@ -241,7 +245,7 @@ def grid_hash_join_segments(
     # hundreds of one-box build sides.
     sizes, size_of = np.unique(np.diff(bo), return_inverse=True)
     res = np.array([default_resolution(n, ndim) for n in sizes.tolist()])[size_of]
-    first_cell = np.cumsum(res**ndim) - res**ndim
+    first_cell = (res**ndim).cumsum() - res**ndim
     num_cells = int(first_cell[-1] + res[-1] ** ndim)
     # Row ``k`` of every ``(d, n)`` array below is axis ``k``, contiguous.
     # ``lo``/``size``: every segment's grid, laid out as ``UniformGrid``
@@ -261,45 +265,43 @@ def grid_hash_join_segments(
     def cells_of(points: np.ndarray, seg: np.ndarray) -> np.ndarray:
         """``(d, n)`` cell indices of ``(d, n)`` points, column ``j`` on
         the grid of segment ``seg[j]``."""
-        scaled = points - np.take(lo, seg, axis=1)
-        scaled /= np.take(size, seg, axis=1)
+        scaled = points - lo.take(seg, axis=1)
+        scaled /= size.take(seg, axis=1)
         idx = np.floor(scaled).astype(np.int64)
         np.maximum(idx, 0, out=idx)
-        np.minimum(idx, np.take(res, seg) - 1, out=idx)
+        np.minimum(idx, res.take(seg) - 1, out=idx)
         return idx
 
     def flat_ids(idx: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        row_res = np.take(res, seg)
+        row_res = res.take(seg)
         flat = idx[0]
         for axis in range(1, ndim):
             flat = flat * row_res + idx[axis]
-        return flat + np.take(first_cell, seg)
+        return flat + first_cell.take(seg)
 
     def assign(
         lo_points: np.ndarray, hi_points: np.ndarray, cuts: np.ndarray
     ) -> tuple[np.ndarray, ...]:
-        seg = np.repeat(np.arange(len(res)), np.diff(cuts))
+        seg = np.arange(len(res)).repeat(np.diff(cuts))
         lo_idx = cells_of(lo_points, seg)
         spans = cells_of(hi_points, seg)
         spans -= lo_idx
         spans += 1
         count = column_product(spans.T)
-        members = np.repeat(np.arange(len(seg), dtype=np.intp), count)
+        members = np.arange(len(seg), dtype=np.intp).repeat(count)
         # Every row starts at its box's low cell; the mixed-radix counter
         # over the box's own spans is decoded, last axis fastest, only
         # where it is not 0 (never inside a single-cell box).
-        cells = np.take(flat_ids(lo_idx, seg), members)
-        counter = np.arange(len(members)) - np.take(
-            np.cumsum(count) - count, members
-        )
+        cells = flat_ids(lo_idx, seg).take(members)
+        counter = np.arange(len(members)) - (count.cumsum() - count).take(members)
         rows = np.flatnonzero(counter)
-        rem = np.take(counter, rows)
-        box = np.take(members, rows)
-        row_res = np.take(res, np.take(seg, box))
+        rem = counter.take(rows)
+        box = members.take(rows)
+        row_res = res.take(seg.take(box))
         step = np.zeros(len(rows), dtype=np.int64)
         weight: int | np.ndarray = 1
         for axis in range(ndim - 1, 0, -1):
-            radix = np.take(spans[axis], box)
+            radix = spans[axis].take(box)
             step += (rem % radix) * weight
             rem //= radix
             weight = weight * row_res
@@ -313,37 +315,37 @@ def grid_hash_join_segments(
         # Too fine for a directory; only ``grid_hash_join`` can search.
         return grid_hash_join_per_segment(build, probe, bo, po)
     # Stable, so every bucket lists its members in ascending order.
-    b_members = np.take(b_members, np.argsort(b_cells, kind="stable"))
+    b_members = b_members.take(np.argsort(b_cells, kind="stable"))
     population = np.bincount(b_cells, minlength=num_cells)
-    counts = np.take(population, p_cells)
-    start = np.take(np.cumsum(population), p_cells) - counts
+    counts = population.take(p_cells)
+    start = population.cumsum().take(p_cells) - counts
 
     out: list[np.ndarray] = []
     for block_lo, block_hi in chunked_blocks(counts, _CANDIDATE_BLOCK):
         entry, within = expand_counts(counts[block_lo:block_hi])
         entry += block_lo
-        cand = np.take(b_members, np.take(start, entry) + within)
-        pj = np.take(p_members, entry)
+        cand = b_members.take(start.take(entry) + within)
+        pj = p_members.take(entry)
         # One axis at a time over the survivors of the axes before.
         for axis in range(ndim):
-            hit = np.take(b_lo[axis], cand) <= np.take(p_hi[axis], pj)
-            hit &= np.take(b_hi[axis], cand) >= np.take(p_lo[axis], pj)
+            hit = b_lo[axis].take(cand) <= p_hi[axis].take(pj)
+            hit &= b_hi[axis].take(cand) >= p_lo[axis].take(pj)
             live = np.flatnonzero(hit)
-            cand, pj, entry = (np.take(x, live) for x in (cand, pj, entry))
+            cand, pj, entry = (x.take(live) for x in (cand, pj, entry))
         if cand.size:
             # Reference-point deduplication: report only from the cell
             # holding the low corner of the pairwise intersection.
             ref = np.maximum(
-                np.take(b_lo, cand, axis=1), np.take(p_lo, pj, axis=1)
+                b_lo.take(cand, axis=1), p_lo.take(pj, axis=1)
             )
-            seg = np.take(p_seg, pj)
-            keep = flat_ids(cells_of(ref, seg), seg) == np.take(p_cells, entry)
+            seg = p_seg.take(pj)
+            keep = flat_ids(cells_of(ref, seg), seg) == p_cells.take(entry)
             if keep.any():
                 out.append(np.column_stack((cand[keep], pj[keep])))
     pairs = np.concatenate(out) if out else np.empty((0, 2), dtype=np.intp)
     # Every probe box has an assignment row, so no segment's run is empty.
     tests = np.add.reduceat(counts, np.searchsorted(p_members, po[:-1]))
-    return pairs, np.take(b_seg, pairs[:, 0]), tests
+    return pairs, b_seg.take(pairs[:, 0]), tests
 
 
 def grid_hash_join_per_segment(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable
-from typing import TypeVar
+from typing import Any, TypeVar
 
 from repro.geometry.slots import SlotPickleMixin
 from repro.storage.disk import SimulatedDisk
@@ -56,20 +56,23 @@ class BufferPool(SlotPickleMixin):
         return self.read_many((page_id,))[0][0]
 
     def read_many(
-        self, page_ids: Iterable[int], kind: type[_P] = object  # type: ignore[assignment]
+        self, page_ids: Iterable[int], kind: type[_P] | None = None
     ) -> tuple[list[_P], list[float]]:
         """Read ``page_ids`` in order: ``(payloads, miss_costs)``.
 
         ``miss_costs[k]`` is what the ``k``-th miss added to the disk's
         ``read_cost`` (its running total after the read minus before),
         in read order.  Hits, misses, the LRU order and every disk
-        counter are those of reading the ids one at a time.  A payload
-        that is not a ``kind`` raises ``TypeError`` naming its page once
-        it is read, before the next id is.
+        counter are those of reading the ids one at a time.  Given a
+        ``kind``, a payload that is not one raises ``TypeError`` naming
+        its page once it is read, before the next id is.
+
+        A hit costs its LRU step; the ``kind`` check runs only when a
+        ``kind`` is given.
         """
         cache, capacity, disk = self._cache, self.capacity, self.disk
         stats = disk.stats
-        payloads: list[_P] = []
+        payloads: list[Any] = []
         costs: list[float] = []
         hits = misses = 0
         try:
@@ -86,7 +89,7 @@ class BufferPool(SlotPickleMixin):
                     cache[page_id] = payload
                     if len(cache) > capacity:
                         cache.popitem(last=False)
-                if not isinstance(payload, kind):
+                if kind is not None and not isinstance(payload, kind):
                     raise TypeError(
                         f"page {page_id} holds {type(payload).__name__},"
                         f" not {kind.__name__}"

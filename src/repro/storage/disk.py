@@ -201,7 +201,10 @@ class SimulatedDisk(SlotPickleMixin):
     # ------------------------------------------------------------------
     def read(self, page_id: int) -> object:
         """Return a page's payload, charging sequential or random cost."""
-        payload = self.peek(page_id)
+        try:  # :meth:`peek`'s lookup, without a second call per read
+            payload = self._pages[page_id]
+        except KeyError:
+            raise self._absent(page_id) from None
         self.stats.pages_read += 1
         if (
             self._last_read is not None

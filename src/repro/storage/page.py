@@ -16,8 +16,10 @@ four slots is filled by one ``map`` of the slot's own setter, which
 bypasses the immutability guard the way ``object.__setattr__`` does.
 Rows to gather travel as :data:`RowRanges` — flat ``(pages, starts,
 stops)`` triples that concatenate and slice like arrays — and
-:meth:`ElementPage.gather_ranges` takes one ``np.take`` per stretch of
-ranges on the same run.
+:meth:`ElementPage.gather_columns` takes one ``np.take`` per array and
+axis per stretch of ranges on the same run, straight into the ``(d,
+n)`` column layout the segmented grid hash join reads;
+:meth:`ElementPage.gather_ranges` is its row-major form.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
-from repro._types import AnyArray, IntArray
+from repro._types import AnyArray, FloatArray, IntArray
 from repro.geometry.boxes import BoxArray, checked_offsets, frozen
 from repro.geometry.slots import SlotPickleMixin
 from repro.storage.records import RecordCodec
+from repro.vectorize import columns
 
 
 def element_page_capacity(page_size: int, ndim: int) -> int:
@@ -142,10 +146,11 @@ class ElementPage(SlotPickleMixin):
     @staticmethod
     def row_ranges(pages: Sequence["ElementPage"]) -> "RowRanges":
         """The rows of ``pages``, in order, one range per page."""
+        n = len(pages)
         return (
             list(pages),
-            np.array([p._start for p in pages], dtype=np.intp),
-            np.array([p._stop for p in pages], dtype=np.intp),
+            np.fromiter(map(_START, pages), np.intp, n),
+            np.fromiter(map(_STOP, pages), np.intp, n),
         )
 
     @staticmethod
@@ -166,9 +171,23 @@ class ElementPage(SlotPickleMixin):
     def gather_ranges(
         ranges: Sequence["RowRanges"],
     ) -> tuple[IntArray, BoxArray]:
-        """The rows of ``ranges``, in order, as one read-only run: one
-        ``take`` over the expanded row ranges per stretch of ranges that
-        share a run; nothing is validated twice."""
+        """The rows of ``ranges``, in order, as one read-only run (the
+        row-major form of :meth:`gather_columns`)."""
+        ids, lo, hi = ElementPage.gather_columns(ranges)
+        lo, hi = columns(lo), columns(hi)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return ids, BoxArray.trusted(lo, hi)
+
+    @staticmethod
+    def gather_columns(
+        ranges: Sequence["RowRanges"],
+    ) -> tuple[IntArray, FloatArray, FloatArray]:
+        """The rows of ``ranges``, in order: their ids and their bounds
+        as read-only ``(d, n)`` columns (row ``k`` is axis ``k``), the
+        layout the segmented grid hash join reads.  One ``take`` per
+        array and axis over the expanded row ranges per stretch of
+        ranges that share a run; nothing is validated twice."""
         pages, starts, stops = ElementPage.concat_ranges(ranges)
         if not pages:
             raise ValueError("gather needs at least one page")
@@ -176,19 +195,24 @@ class ElementPage(SlotPickleMixin):
         ends = np.cumsum(counts)
         rows = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
         ends_list = ends.tolist()
-        shape = len(rows), pages[0]._boxes.ndim
-        ids, lo, hi = np.empty(len(rows), np.int64), np.empty(shape), np.empty(shape)
+        ndim = pages[0]._boxes.ndim
+        ids = np.empty(len(rows), np.int64)
+        lo, hi = np.empty((ndim, len(rows))), np.empty((ndim, len(rows)))
         b = 0
         for first, last in ElementPage._stretches(pages):
             run, a, b = pages[first], b, ends_list[last - 1]
+            taken = rows[a:b]
             # Windows lie inside their run, so nothing is ever clipped;
             # the mode only lets ``take`` write into ``out`` unbuffered.
-            np.take(run._ids, rows[a:b], out=ids[a:b], mode="clip")
-            np.take(run._boxes.lo, rows[a:b], axis=0, out=lo[a:b], mode="clip")
-            np.take(run._boxes.hi, rows[a:b], axis=0, out=hi[a:b], mode="clip")
-        for taken in (ids, lo, hi):
-            taken.setflags(write=False)
-        return ids, BoxArray.trusted(lo, hi)
+            if run._boxes.ndim != ndim:
+                raise ValueError("pages of different dimensionality")
+            run._ids.take(taken, out=ids[a:b], mode="clip")
+            for source, out in ((run._boxes.lo, lo), (run._boxes.hi, hi)):
+                for axis in range(ndim):
+                    source[:, axis].take(taken, out=out[axis, a:b], mode="clip")
+        for gathered in (ids, lo, hi):
+            gathered.setflags(write=False)
+        return ids, lo, hi
 
     def __len__(self) -> int:
         return self._stop - self._start
@@ -206,6 +230,9 @@ class ElementPage(SlotPickleMixin):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ElementPage(n={len(self)}, ndim={self.boxes.ndim})"
 
+
+#: A window's first row and the row after its last, in its run.
+_START, _STOP = attrgetter("_start"), attrgetter("_stop")
 
 #: ``(pages, starts, stops)``: range ``k`` is rows ``[starts[k],
 #: stops[k])`` of the run ``pages[k]`` is a window onto, in order.

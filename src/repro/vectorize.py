@@ -125,10 +125,14 @@ def boxes_overlap(
     a NaN bound meets nothing.  The kernels, the crawl and the range
     queries share it.
     """
-    hit: np.ndarray = np.ones(
-        np.broadcast_shapes(a_lo.shape[:-1], b_lo.shape[:-1]), dtype=bool
-    )
-    for k in range(a_lo.shape[-1]):
+    if not a_lo.shape[-1]:
+        # No axis to separate the boxes: every pair meets.
+        return np.ones(np.broadcast_shapes(a_lo.shape[:-1], b_lo.shape[:-1]), bool)
+    # The first comparison is already the broadcast shape; starting from
+    # it spares a ``broadcast_shapes`` and an ``ones`` per call.
+    hit: np.ndarray = a_lo[..., 0] <= b_hi[..., 0]
+    hit &= a_hi[..., 0] >= b_lo[..., 0]
+    for k in range(1, a_lo.shape[-1]):
         hit &= a_lo[..., k] <= b_hi[..., k]
         hit &= a_hi[..., k] >= b_lo[..., k]
     return hit

@@ -273,6 +273,7 @@ class TestDriverInternals:
             assert driver.indexes[0].num_nodes == 1
             g_units = len(driver.indexes[0].nodes.units[0])
             driver._join_pages = lambda g_pages, f_pages: None
+            unit_hit = driver._exploration_rows(0)[3]
             calls = []
             with monkeypatch.context() as patch:
                 real = np.all
@@ -280,7 +281,7 @@ class TestDriverInternals:
                     np, "all", lambda *a, **k: calls.append(1) or real(*a, **k)
                 )
                 driver._process_node_batch(
-                    0, list(range(driver.indexes[1].num_nodes))
+                    0, list(range(driver.indexes[1].num_nodes)), unit_hit
                 )
             assert driver.pool.misses > 0  # the filter let pages through
             counts[g_units] = len(calls)

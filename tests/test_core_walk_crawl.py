@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import join as core_join
-from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
+from repro.core.crawl import (
+    adaptive_crawl,
+    candidate_units,
+    crawl_masks,
+    unit_masks,
+)
 from repro.core.join import TransformersJoin
 from repro.core.walk import adaptive_walk, partition_distances
 from repro.geometry.boxes import BoxArray
@@ -33,6 +38,14 @@ def walk(graph, start, q_lo, q_hi, stats, pool):
     way a range query builds it."""
     distance = partition_distances(graph, q_lo, q_hi).tolist()
     return adaptive_walk(graph, start, distance, stats, pool)
+
+
+def units_of(index, nodes, q_lo, q_hi, stats, pool):
+    """:func:`candidate_units` of one box, its unit row built the way a
+    range query builds it."""
+    include, _ = crawl_masks(index.nodes, q_lo, q_hi, q_lo, q_hi)
+    hit = unit_masks(index.units, q_lo, q_hi, include)
+    return candidate_units(index, nodes, hit, stats, pool)
 
 
 def crawl(graph, start, e_lo, e_hi, g_lo, g_hi, stats, pool, skip=frozenset()):
@@ -153,7 +166,7 @@ class TestCandidateUnits:
         center = (np.asarray(space.lo) + np.asarray(space.hi)) / 2
         q_lo, q_hi = center - 2.0, center + 2.0
         got = set(
-            candidate_units(index, nodes, q_lo, q_hi, stats, pool).tolist()
+            units_of(index, nodes, q_lo, q_hi, stats, pool).tolist()
         )
         expected = set(
             np.nonzero(
@@ -381,9 +394,9 @@ class TestBatchedEqualsPerCandidate:
             st.lists(st.integers(0, index.num_nodes - 1), unique=True)
         )
         args = (index, nodes, q_lo, q_hi)
-        got = candidate_units(*args, JoinStats(), BufferPool(disk, 4))
+        got = units_of(*args, JoinStats(), BufferPool(disk, 4))
         assert got.dtype == np.intp
-        assert observed(candidate_units, disk, *args) == observed(
+        assert observed(units_of, disk, *args) == observed(
             candidate_units_per_node, disk, *args
         )
 
@@ -460,7 +473,7 @@ class TestDriverTables:
             for g_node in range(driver.indexes[guide].num_nodes):
                 follower_idx, e_lo, e_hi, g_lo, g_hi = pivot_boxes(driver, g_node)
                 nodes = follower_idx.nodes
-                distance, include, expand = driver._exploration_rows(g_node)
+                distance, include, expand, units = driver._exploration_rows(g_node)
                 assert bits(distance) == bits(
                     [
                         node_distance(nodes, node, g_lo, g_hi)
@@ -473,6 +486,11 @@ class TestDriverTables:
                 assert expand == boxes_overlap(
                     nodes.part_lo, nodes.part_hi, g_lo, g_hi
                 ).tolist()
+                unit_boxes = follower_idx.units
+                assert np.array_equal(
+                    units,
+                    boxes_overlap(unit_boxes.page_lo, unit_boxes.page_hi, e_lo, e_hi),
+                )
 
     @pytest.mark.parametrize("case", golden.CASES)
     def test_walks_and_crawls_equal_the_per_pivot_form(self, monkeypatch, case):

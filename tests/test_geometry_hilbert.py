@@ -130,6 +130,26 @@ class TestBatch:
         for i in sample:
             assert int(keys[i]) == hilbert_index(lattice[i].tolist(), bits)
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_bit_sliced_keys_of_the_whole_lattice(self, ndim, bits):
+        """Every lattice point at once, in one bit-sliced batch, gets the
+        scalar transform's key (and the keys are a permutation)."""
+        axes = np.arange(1 << bits)
+        lattice = np.stack(np.meshgrid(*[axes] * ndim, indexing="ij"), -1)
+        lattice = lattice.reshape(-1, ndim)
+        keys = _lattice_to_index(lattice, bits)
+        assert keys.tolist() == [hilbert_index(row, bits) for row in lattice.tolist()]
+        assert sorted(keys.tolist()) == list(range(len(lattice)))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_bit_sliced_keys_of_random_points(self, ndim):
+        """10 000 seeded points at the index's ``bits`` = 10."""
+        lattice = np.random.default_rng(ndim).integers(0, 1 << 10, size=(10_000, ndim))
+        keys = _lattice_to_index(lattice, 10)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [hilbert_index(row, 10) for row in lattice.tolist()]
+
     @pytest.mark.parametrize(
         "k", [1, 2, _ARRAY_MIN_POINTS - 1, _ARRAY_MIN_POINTS, 40]
     )

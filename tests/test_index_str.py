@@ -217,6 +217,21 @@ class TestLevelwiseEqualsRecursive:
             pts = np.floor(pts / 25.0) * 25.0
         assert_same_tiling(pts, capacity)
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("capacity", [1, 3, 16])
+    def test_tie_heavy_inputs(self, ndim, capacity):
+        """Coincident and duplicated centres tie on every axis, so only
+        the stable per-slab order reproduces the recursion — on axes
+        where every slab splits (sorted by coordinate alone) and on axes
+        where some already fit (keyed by position)."""
+        coincident = np.full((200, ndim), 42.0)
+        duplicated = np.repeat(points(60, ndim=ndim, seed=capacity), 5, axis=0)
+        shuffled = duplicated[np.random.default_rng(capacity).permutation(300)]
+        # Two slabs of capacity + 1 and capacity: the second fits.
+        partial = np.full((2 * capacity + 1, ndim), 7.0)
+        for pts in (coincident, duplicated, shuffled, partial):
+            assert_same_tiling(pts, capacity)
+
     def test_more_slabs_than_a_byte_counts(self):
         """Slab ids are sorted in the narrowest integer type that holds
         them; > 255 slabs on one level takes the 16-bit one."""

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import TransformersJoin
+from repro.geometry import boxes as boxes_module
+from repro.joins import base as base_module
 from repro.engine import SpatialWorkspace
 from repro.joins import PBSMJoin, enlarged_dataset
+from repro.storage import page as page_module
 
 from tests.conftest import dataset_pair
 
@@ -31,6 +34,27 @@ def brute_distance_pairs(a, b, distance):
 
 
 class TestEnlargedDataset:
+    def test_the_ids_are_copied_once_into_an_array_of_their_own(self, monkeypatch):
+        """A spy on ``frozen`` (every module that constructs with it)
+        sees no copy: the one copy is frozen before ``Dataset`` gets it."""
+        a, _ = dataset_pair("uniform", 50, 10)
+        copies, real = [], boxes_module.frozen
+
+        def spy(array, given):
+            out = real(array, given)
+            if out is not array:
+                copies.append(array)
+            return out
+
+        for module in (boxes_module, page_module, base_module):
+            monkeypatch.setattr(module, "frozen", spy)
+        grown = enlarged_dataset(a, 2.5)
+        assert copies == []
+        assert not grown.ids.flags.writeable and grown.ids.base is None
+        others = (a.ids, a.boxes.lo, a.boxes.hi, grown.boxes.lo, grown.boxes.hi)
+        assert not any(np.shares_memory(grown.ids, other) for other in others)
+        assert np.array_equal(grown.ids, a.ids)
+
     def test_preserves_ids_and_fingerprinted_name(self):
         a, _ = dataset_pair("uniform", 50, 10)
         grown = enlarged_dataset(a, 2.5)
