@@ -552,7 +552,8 @@ class _Driver:
         """Queue the grid hash join between two page groups: a batch of
         one segment, dropped when a side has no row."""
         g, f = ElementPage.row_ranges(g_pages), ElementPage.row_ranges(f_pages)
-        g_rows, f_rows = (g[2] - g[1]).sum(keepdims=True), (f[2] - f[1]).sum(keepdims=True)
+        g_rows = (g[2] - g[1]).sum(keepdims=True)
+        f_rows = (f[2] - f[1]).sum(keepdims=True)
         if g_rows[0] and f_rows[0]:
             self._queue(g, f, g_rows, f_rows, int(g_rows[0] + f_rows[0]))
 
