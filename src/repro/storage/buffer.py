@@ -67,8 +67,7 @@ class BufferPool(SlotPickleMixin):
         ``kind``, a payload that is not one raises ``TypeError`` naming
         its page once it is read, before the next id is.
 
-        A hit costs its LRU step; the ``kind`` check runs only when a
-        ``kind`` is given.
+        A hit costs only its LRU step.
         """
         cache, capacity, disk = self._cache, self.capacity, self.disk
         stats = disk.stats
