@@ -40,14 +40,15 @@ reference).  The visits' metadata pages are read in one
 in visit order: nothing reads in between, so that is the sequence of a
 read per visit.  :func:`candidate_units` is batched the same way: its
 nodes' descriptor pages are read in one run, in node order, and its
-page-MBB filter looks its units up in the pivot's row of
-:func:`unit_masks` (the join stacks every guide node again; a range
-query computes its one row).
+page-MBB filter is one call over all their units: the join looks them
+up in the pivot's row of :func:`unit_masks` (computed for every guide
+node with the crawl's tables), a range query tests them against its
+box.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Callable, Container, Sequence
 
 import numpy as np
 
@@ -163,7 +164,7 @@ def unit_masks(
 def candidate_units(
     index: TransformersIndex,
     nodes: list[int],
-    unit_hit: BoolArray,
+    unit_hit: Callable[[IntArray], BoolArray],
     stats: JoinStats,
     pool: BufferPool,
 ) -> IntArray:
@@ -172,13 +173,14 @@ def candidate_units(
     Reads each node's unit-descriptor page (charged through the pool)
     and filters its units by their page MBBs — the "filters elements
     before the in-memory join" step of Section V — counting one
-    comparison per unit; the outcome of each is ``unit_hit``, the query
-    box's row of :func:`unit_masks`.
+    comparison per unit; ``unit_hit`` maps the units to the outcomes
+    (the ``take`` of the pivot's row of :func:`unit_masks`, or a test
+    against the query box).
     """
     if not nodes:
         return np.empty(0, dtype=np.intp)
     pool.read_many(index.nodes.desc_page_ids[nodes].tolist())
     members = np.concatenate(list(map(index.nodes.units.__getitem__, nodes)))
     stats.metadata_comparisons += len(members)
-    found: IntArray = members.compress(unit_hit.take(members))
+    found: IntArray = members.compress(unit_hit(members))
     return found

@@ -516,7 +516,7 @@ class _Driver:
         # Candidate units of the follower, filtered by the pivot's MBB.
         f_units = self._explore(
             candidate_units,
-            follower_idx, cand_nodes, unit_hit, self.stats, self.meta_pool,
+            follower_idx, cand_nodes, unit_hit.take, self.stats, self.meta_pool,
         )
         if f_units.size == 0:
             return
@@ -658,7 +658,7 @@ class _Driver:
 
         f_units = self._explore(
             candidate_units,
-            follower_idx, cand_nodes, unit_hit, self.stats, self.meta_pool,
+            follower_idx, cand_nodes, unit_hit.take, self.stats, self.meta_pool,
         )
         if f_units.size == 0:
             return

@@ -17,14 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._types import IntArray
+from repro._types import BoolArray, IntArray
 
-from repro.core.crawl import (
-    adaptive_crawl,
-    candidate_units,
-    crawl_masks,
-    unit_masks,
-)
+from repro.core.crawl import adaptive_crawl, candidate_units, crawl_masks
 from repro.core.indexing import TransformersIndex
 from repro.core.walk import adaptive_walk, partition_distances
 from repro.geometry.box import Box
@@ -96,13 +91,21 @@ def range_query(
     nodes = adaptive_crawl(
         graph, found, include.tolist(), expand.tolist(), stats, pool
     )
-    hit = unit_masks(index.units, e_lo, e_hi, include)
-    units = candidate_units(index, nodes, hit, stats, pool)
+
+    def meets_query(members: IntArray) -> BoolArray:
+        return boxes_overlap(
+            index.units.page_lo.take(members, axis=0),
+            index.units.page_hi.take(members, axis=0),
+            e_lo,
+            e_hi,
+        )
+
+    units = candidate_units(index, nodes, meets_query, stats, pool)
     pages, _ = pool.read_many(
         np.sort(index.units.element_page_ids[units]).tolist(), ElementPage
     )
     if not pages:
         return np.empty(0, dtype=np.int64)
-    ids, boxes = ElementPage.gather(pages)
+    ids, lo, hi = ElementPage.gather_columns([ElementPage.row_ranges(pages)])
     stats.intersection_tests += len(ids)
-    return np.sort(ids[boxes_overlap(boxes.lo, boxes.hi, e_lo, e_hi)])
+    return np.sort(ids[boxes_overlap(lo.T, hi.T, e_lo, e_hi)])

@@ -4,7 +4,7 @@ A *data page* in this reproduction holds the spatial elements of one
 partition (a PBSM cell fragment, an R-tree leaf, or a TRANSFORMERS
 space unit).  A structure's pages are *windows* onto the one validated
 id / MBB run it was written from, so reading a group of them is a
-charge plus one gather (:meth:`ElementPage.gather`), never a
+charge plus one gather (:meth:`ElementPage.gather_columns`), never a
 re-assembly, while :func:`element_page_capacity` enforces the same
 packing limit a byte-level layout would
 (:mod:`repro.storage.records` defines that layout and the tests verify
@@ -155,7 +155,8 @@ class ElementPage(SlotPickleMixin):
 
     @staticmethod
     def gather(pages: Sequence["ElementPage"]) -> tuple[IntArray, BoxArray]:
-        """The rows of ``pages``, in order, as one read-only run."""
+        """The rows of ``pages``, in order, as one read-only row-major
+        run (the join and the range query read :meth:`gather_columns`)."""
         return ElementPage.gather_ranges([ElementPage.row_ranges(pages)])
 
     @staticmethod

@@ -41,11 +41,11 @@ def walk(graph, start, q_lo, q_hi, stats, pool):
 
 
 def units_of(index, nodes, q_lo, q_hi, stats, pool):
-    """:func:`candidate_units` of one box, its unit row built the way a
-    range query builds it."""
+    """:func:`candidate_units` of one box, its unit row built the way the
+    join builds a pivot's."""
     include, _ = crawl_masks(index.nodes, q_lo, q_hi, q_lo, q_hi)
     hit = unit_masks(index.units, q_lo, q_hi, include)
-    return candidate_units(index, nodes, hit, stats, pool)
+    return candidate_units(index, nodes, hit.take, stats, pool)
 
 
 def crawl(graph, start, e_lo, e_hi, g_lo, g_hi, stats, pool, skip=frozenset()):
