@@ -18,8 +18,7 @@ Rows to gather travel as :data:`RowRanges` — flat ``(pages, starts,
 stops)`` triples that concatenate and slice like arrays — and
 :meth:`ElementPage.gather_columns` takes one ``np.take`` per array and
 axis per stretch of ranges on the same run, straight into the ``(d,
-n)`` column layout the segmented grid hash join reads;
-:meth:`ElementPage.gather_ranges` is its row-major form.
+n)`` column layout the segmented grid hash join reads.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro._types import AnyArray, FloatArray, IntArray
 from repro.geometry.boxes import BoxArray, checked_offsets, frozen
 from repro.geometry.slots import SlotPickleMixin
 from repro.storage.records import RecordCodec
-from repro.vectorize import columns
 
 
 def element_page_capacity(page_size: int, ndim: int) -> int:
@@ -154,12 +152,6 @@ class ElementPage(SlotPickleMixin):
         )
 
     @staticmethod
-    def gather(pages: Sequence["ElementPage"]) -> tuple[IntArray, BoxArray]:
-        """The rows of ``pages``, in order, as one read-only row-major
-        run (the join and the range query read :meth:`gather_columns`)."""
-        return ElementPage.gather_ranges([ElementPage.row_ranges(pages)])
-
-    @staticmethod
     def concat_ranges(ranges: Sequence["RowRanges"]) -> "RowRanges":
         """The ranges of ``ranges``' entries, one entry after the other."""
         return (
@@ -169,26 +161,17 @@ class ElementPage(SlotPickleMixin):
         )
 
     @staticmethod
-    def gather_ranges(
-        ranges: Sequence["RowRanges"],
-    ) -> tuple[IntArray, BoxArray]:
-        """The rows of ``ranges``, in order, as one read-only run (the
-        row-major form of :meth:`gather_columns`)."""
-        ids, lo, hi = ElementPage.gather_columns(ranges)
-        lo, hi = columns(lo), columns(hi)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return ids, BoxArray.trusted(lo, hi)
-
-    @staticmethod
     def gather_columns(
         ranges: Sequence["RowRanges"],
     ) -> tuple[IntArray, FloatArray, FloatArray]:
         """The rows of ``ranges``, in order: their ids and their bounds
         as read-only ``(d, n)`` columns (row ``k`` is axis ``k``), the
-        layout the segmented grid hash join reads.  One ``take`` per
-        array and axis over the expanded row ranges per stretch of
-        ranges that share a run; nothing is validated twice."""
+        layout the segmented grid hash join reads.  Per stretch of
+        ranges that share a run, one ``take`` per array: the bounds'
+        takes index the run's flat ``(n, d)`` buffer with a ``(d, m)``
+        array of offsets, so they land in column layout without a
+        transpose.  (A ``take`` from a strided column would first copy
+        the whole column of the run.)  Nothing is validated twice."""
         pages, starts, stops = ElementPage.concat_ranges(ranges)
         if not pages:
             raise ValueError("gather needs at least one page")
@@ -197,20 +180,26 @@ class ElementPage(SlotPickleMixin):
         rows = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
         ends_list = ends.tolist()
         ndim = pages[0]._boxes.ndim
-        ids = np.empty(len(rows), np.int64)
-        lo, hi = np.empty((ndim, len(rows))), np.empty((ndim, len(rows)))
+        axes = np.arange(ndim)[:, None]
+        parts = []
         b = 0
         for first, last in ElementPage._stretches(pages):
             run, a, b = pages[first], b, ends_list[last - 1]
-            taken = rows[a:b]
-            # Windows lie inside their run, so nothing is ever clipped;
-            # the mode only lets ``take`` write into ``out`` unbuffered.
             if run._boxes.ndim != ndim:
                 raise ValueError("pages of different dimensionality")
-            run._ids.take(taken, out=ids[a:b], mode="clip")
-            for source, out in ((run._boxes.lo, lo), (run._boxes.hi, hi)):
-                for axis in range(ndim):
-                    source[:, axis].take(taken, out=out[axis, a:b], mode="clip")
+            taken = rows[a:b]
+            cells = taken * ndim + axes
+            parts.append(
+                (
+                    run._ids.take(taken),
+                    run._boxes.lo.ravel().take(cells),
+                    run._boxes.hi.ravel().take(cells),
+                )
+            )
+        if len(parts) == 1:
+            ids, lo, hi = parts[0]
+        else:
+            ids, lo, hi = (np.concatenate(part, axis=-1) for part in zip(*parts))
         for gathered in (ids, lo, hi):
             gathered.setflags(write=False)
         return ids, lo, hi

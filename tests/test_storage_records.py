@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry.boxes import BoxArray
 from repro.storage.page import ElementPage, element_page_capacity
 from repro.storage.records import RecordCodec
+from repro.vectorize import columns
 
 
 class TestCodecBasics:
@@ -182,12 +183,17 @@ def _pages(run, per):
 
 
 def _concatenated(pages):
-    """What ``gather`` replaces: the rows re-assembled from the views."""
+    """What the gather replaces: the rows re-assembled from the views,
+    bounds as ``(d, n)`` columns."""
     return (
         np.concatenate([page.ids for page in pages]),
-        np.concatenate([page.boxes.lo for page in pages]),
-        np.concatenate([page.boxes.hi for page in pages]),
+        columns(np.concatenate([page.boxes.lo for page in pages])),
+        columns(np.concatenate([page.boxes.hi for page in pages])),
     )
+
+
+def _gather(pages):
+    return ElementPage.gather_columns([ElementPage.row_ranges(pages)])
 
 
 class TestWindows:
@@ -205,25 +211,25 @@ class TestWindows:
         for pages in runs:
             pages.append(ElementPage.split(pages[0].ids, pages[0].boxes, [1, 1])[0])
         pages = [runs[r][k % len(runs[r])] for r, k in picks]
-        ids, boxes = ElementPage.gather(pages)
+        ids, lo, hi = _gather(pages)
         want_ids, want_lo, want_hi = _concatenated(pages)
         assert ids.dtype == np.int64 and ids.tobytes() == want_ids.tobytes()
-        assert boxes.lo.tobytes() == want_lo.tobytes()
-        assert boxes.hi.tobytes() == want_hi.tobytes()
-        assert boxes.lo.shape == want_lo.shape and isinstance(boxes, BoxArray)
-        for taken in (ids, boxes.lo, boxes.hi):
+        assert lo.tobytes() == want_lo.tobytes()
+        assert hi.tobytes() == want_hi.tobytes()
+        assert lo.shape == hi.shape == want_lo.shape
+        for taken in (ids, lo, hi):
             assert not taken.flags.writeable and taken.flags.c_contiguous
 
     def test_gather_of_nothing_is_refused_and_of_empty_windows_is_empty(self):
         with pytest.raises(ValueError, match="at least one page"):
-            ElementPage.gather([])
+            _gather([])
         run = _run(6, 3)
-        ids, boxes = ElementPage.gather(ElementPage.split(run.ids, run.boxes, [2, 2, 2]))
-        assert len(ids) == 0 and boxes.lo.shape == (0, 3)
+        ids, lo, _ = _gather(ElementPage.split(run.ids, run.boxes, [2, 2, 2]))
+        assert len(ids) == 0 and lo.shape == (3, 0)
 
     def test_gather_refuses_mixed_dimensionalities(self):
         with pytest.raises(ValueError):
-            ElementPage.gather([_run(4, 1), _run(4, 2, ndim=2)])
+            _gather([_run(4, 1), _run(4, 2, ndim=2)])
 
     def test_element_ranges_are_the_one_row_split(self):
         """Any selection of a window's elements, repeats and reordering
@@ -232,28 +238,26 @@ class TestWindows:
         for page in [run, *_pages(run, 5)]:
             one_row = ElementPage.split(page.ids, page.boxes, range(len(page) + 1))
             for rows in (np.arange(len(page)), np.array([len(page) - 1, 0, 0, 2])):
-                got = ElementPage.gather_ranges([page.element_ranges(rows)])
-                want = ElementPage.gather([one_row[r] for r in rows.tolist()])
-                assert got[0].tobytes() == want[0].tobytes()
-                assert got[1].lo.tobytes() == want[1].lo.tobytes()
-                assert got[1].hi.tobytes() == want[1].hi.tobytes()
+                got = ElementPage.gather_columns([page.element_ranges(rows)])
+                want = _gather([one_row[r] for r in rows.tolist()])
+                for taken, wanted in zip(got, want, strict=True):
+                    assert taken.tobytes() == wanted.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
         picks=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 12)), min_size=1, max_size=30),
         per=st.integers(1, 7),
     )
-    def test_gather_ranges_of_row_ranges_is_gather(self, picks, per):
+    def test_split_row_ranges_gather_like_their_pages(self, picks, per):
         """A queue of row-range batches (mixed runs, split at arbitrary
         points) gathers to the pages' rows in order."""
         runs = [_pages(_run(40, 1), per), _pages(_run(33, 2, first_id=100), per)]
         pages = [runs[r][k % len(runs[r])] for r, k in picks]
         cut = len(pages) // 2
         ranges = [ElementPage.row_ranges(pages[:cut]), ElementPage.row_ranges(pages[cut:])]
-        got, want = ElementPage.gather_ranges(ranges), ElementPage.gather(pages)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].lo.tobytes() == want[1].lo.tobytes()
-        assert got[1].hi.tobytes() == want[1].hi.tobytes()
+        got, want = ElementPage.gather_columns(ranges), _gather(pages)
+        for taken, wanted in zip(got, want, strict=True):
+            assert taken.tobytes() == wanted.tobytes()
 
     def test_a_window_pickles_its_own_rows_only(self):
         import pickle
@@ -265,9 +269,9 @@ class TestWindows:
         back = pickle.loads(data)
         assert len(back) == 17 and back.to_bytes() == page.to_bytes()
         assert np.array_equal(back.boxes.hi, run.boxes.hi[300 * 17 : 301 * 17])
-        ids, boxes = ElementPage.gather([back, page])
+        ids, lo, _ = _gather([back, page])
         assert np.array_equal(ids, np.tile(page.ids, 2))
-        assert np.array_equal(boxes.lo, np.tile(page.boxes.lo, (2, 1)))
+        assert np.array_equal(lo.T, np.tile(page.boxes.lo, (2, 1)))
 
     def test_whole_run_window_hands_back_its_arrays(self):
         run = _run(9, 13)
