@@ -28,14 +28,20 @@ Two entry points, two bodies, on measurement.  A launch of
 :func:`grid_hash_join_segments` is array-sized (TRANSFORMERS queues
 ≈ 16 k element rows, ≈ 36 k candidate tests) and so bandwidth-bound:
 its body is *axis-major* — inputs in ``(d, n)`` column layout
-(:func:`repro.vectorize.columns`: a view for the TRANSFORMERS queue,
-which gathers its rows straight into columns, one transpose for
-row-major callers), per-axis cell indices, the
+(:func:`repro.vectorize.columns`), per-axis cell indices, the
 mixed-radix counter decoded only where it is not 0 (65 % of the boxes
 lie in one cell), candidates tested an axis at a time with the
 survivors compacted in between (27 % / 7 % / 1.4 % of a join's 106 k
-are left after axis 0 / 1 / 2) — and replaying a cold n = 12 000 join's
-launches takes 11.8 ms against the row-major body's 19.9.
+are left after axis 0 / 1 / 2).  Replaying a cold n = 12 000 join's
+launches took 11.8 ms on it against the row-major body's 19.9 when it
+replaced that body.  The TRANSFORMERS queue is gathered straight into
+columns (:meth:`~repro.storage.page.ElementPage.gather_columns`) and
+handed over as ``(n, d)`` views of them, so :func:`columns` copies
+nothing there; a row-major caller pays one transpose per array.  With
+that feed (and ``ndarray`` methods in place of the ``np.*`` wrappers)
+the two launches of a ``cold_skewed`` n = 12 000 join (seed 11, 20 k
+rows) replay in 4.8 ms against 6.2 on row-major inputs (median of 40
+replays, shared 2-CPU Xeon, NumPy 2.4).
 :func:`grid_hash_join` is what PBSM calls per cell pair, 64 times per
 n = 3 000 join on ≈ 53 × 54 boxes, and those calls are bound by the
 *number* of NumPy calls, not by bytes: the same cells cost 300 µs each
@@ -230,9 +236,9 @@ def grid_hash_join_segments(
     The body is axis-major (see the module docstring): inputs are read
     as ``(d, n)`` columns (free when their bounds are views of columns,
     as :meth:`~repro.storage.page.ElementPage.gather_columns` makes
-    them; one transpose otherwise), each box's cell block comes from per-axis index
-    rows, and a candidate is tested one axis at a time, only the
-    survivors of an axis reaching the next.
+    them; one transpose otherwise), each box's cell block comes from
+    per-axis index rows, and a candidate is tested one axis at a time,
+    only the survivors of an axis reaching the next.
     """
     if build.ndim != probe.ndim:
         raise ValueError("dimensionality mismatch")

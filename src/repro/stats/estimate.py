@@ -127,9 +127,10 @@ def analyze_pair(
     per-axis interval overlaps.  The density-product integral then
     reduces to ``ndim`` small tensor contractions — linear in the cell
     count instead of quadratic.  Planning is still not free: a traced
-    ``cold_skewed`` bench run (seed 777) reads ``engine.plan_ms``
-    2.17 ms of a 29–31 ms op (about 7 %), plus ``stats.sketch_ms``
-    1.25 ms for each side's sketch.
+    ``cold_skewed`` bench run (seed 777, shared 2-CPU Xeon) reads
+    ``engine.plan_ms`` 1.99 ms of a 25.8 ms op (``client.op_p50_ms``;
+    about 8 %), plus ``stats.sketch_ms`` 0.92 ms for each side's
+    sketch.
     """
     if sketch_a.is_empty or sketch_b.is_empty:
         empty = np.empty(0)

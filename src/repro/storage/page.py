@@ -181,7 +181,7 @@ class ElementPage(SlotPickleMixin):
         ends_list = ends.tolist()
         ndim = pages[0]._boxes.ndim
         axes = np.arange(ndim)[:, None]
-        parts = []
+        parts: list[tuple[IntArray, FloatArray, FloatArray]] = []
         b = 0
         for first, last in ElementPage._stretches(pages):
             run, a, b = pages[first], b, ends_list[last - 1]

@@ -46,10 +46,14 @@ on the same eight idioms:
 * **rows of a run → one ``take`` over expanded ranges, not a
   ``concatenate`` of views** — pages are windows ``[start, stop)`` onto
   the array they were split from, so the rows of a page group are
-  ``np.take(run, arange(total) + repeat(start - offset, count))``:
-  2 640 17-row pages take 1.60 ms as a ``concatenate`` of their views
-  (and a second ``lo <= hi`` pass) and 0.69 ms as one gather, 48 pages
-  38 against 27 µs (:meth:`~repro.storage.page.ElementPage.gather`).
+  ``np.take(run, arange(total) + repeat(start - offset, count))``,
+  the bounds straight into ``(d, n)`` columns by indexing the run's
+  flat buffer with a ``(d, m)`` array of offsets (a ``take`` from a
+  strided column would first copy the run's whole column): 2 640
+  17-row pages take 5.0 ms as a ``concatenate`` of their views and
+  1.4 ms as one gather, 48 pages 86 against 22 µs
+  (:meth:`~repro.storage.page.ElementPage.gather_columns`; min of
+  200 / 2 000, shared 2-CPU Xeon, NumPy 2.4).
   **Not** for a few large parts: the index arrays are fixed cost, level
   at a dozen parts (16 against 18 µs) and behind below — 4 parts of 53
   rows 11 µs concatenated, 17 µs gathered — which is why PBSM's
